@@ -98,7 +98,7 @@ fn a2(args: &SweepArgs) {
     let matrix = ScenarioMatrix::new(spec);
     // The §3 demo probe: a video stream across the farthest city pair
     // instead of the standard ping.
-    let report = matrix.run_with(args.threads, |cell| {
+    let (report, _) = matrix.run_instrumented(args.threads, |cell| {
         let topo = cell.topo_spec().expect("registry name").build();
         let (server, client) = topo.farthest_pair().expect("non-trivial topology");
         Ok(cell

@@ -120,8 +120,14 @@ fn replay(campaign: &ChaosCampaign, path: &str) -> ExitCode {
         repro.topology,
         repro.seed
     );
-    let got: Vec<(String, String)> = campaign
-        .replay(&repro)
+    let replayed = match campaign.replay(&repro) {
+        Ok(v) => v,
+        Err(why) => {
+            eprintln!("could not replay {path}: {why}");
+            return ExitCode::from(2);
+        }
+    };
+    let got: Vec<(String, String)> = replayed
         .iter()
         .map(|v| (v.code().to_string(), v.to_string()))
         .collect();

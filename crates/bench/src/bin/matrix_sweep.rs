@@ -119,7 +119,9 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let matrix = ScenarioMatrix::new(args.spec);
     let report = if args.fork {
-        matrix.run_forked(args.threads)
+        matrix
+            .run_instrumented_forked(args.threads, ScenarioMatrix::standard_builder)
+            .0
     } else {
         matrix.run(args.threads)
     };

@@ -24,11 +24,12 @@
 //! effect the harness *does* re-prove the determinism contract: every
 //! run of a grid must produce byte-identical `MatrixReport` JSON at
 //! every thread count — and the checkpoint/fork execution mode
-//! (`ScenarioMatrix::run_forked`, which runs each (topology × knob ×
-//! seed) group's convergence prefix once and forks the divergent
-//! fault cells) must reproduce the cold report byte-for-byte too, or
-//! the harness exits non-zero. The fork pass's wall ratio is emitted
-//! as `fork.speedup_x1000`, the trended `fork_speedup` number.
+//! (`ScenarioMatrix::run_instrumented_forked`, which runs each
+//! (topology × knob × seed) group's convergence prefix once and forks
+//! the divergent fault cells) must reproduce the cold report
+//! byte-for-byte too, or the harness exits non-zero. The fork pass's
+//! wall ratio is emitted as `fork.speedup_x1000`, the trended
+//! `fork_speedup` number.
 //!
 //! Schema v3 adds the intra-scenario axis: `host_cores` at the top
 //! level, and per grid a `parallel` block — the grid's costliest

@@ -20,8 +20,7 @@ use rf_vnet::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use std::collections::{HashMap, VecDeque};
 
 /// The RouteFlow controller as an event-bus engine hosting pluggable
-/// control apps. [`crate::rfcontroller::RfController`] is an alias for
-/// this type, so existing deployments and downcasts keep working.
+/// control apps.
 #[derive(Clone)]
 pub struct ControlPlane {
     cfg: RfControllerConfig,
@@ -114,7 +113,7 @@ impl ControlPlane {
     }
 
     // ------------------------------------------------------------------
-    // Compatibility accessors (the old RfController surface).
+    // Read accessors (what scenarios and the GUI observe).
     // ------------------------------------------------------------------
 
     /// Per-switch configured state: the paper's GUI turns a switch

@@ -12,16 +12,13 @@ use super::invariants::{check_invariants, InvariantContext, InvariantViolation};
 use super::shrink::shrink_schedule;
 use super::{fault_from_json, fault_to_json, ChaosSpec};
 use crate::json::Json;
-use crate::scenario::matrix::{finish_cell, forkable};
 use crate::scenario::{
-    CellRecord, Fault, FaultSchedule, MatrixCell, MatrixKnob, MatrixReport, MatrixSpec, Scenario,
-    ScenarioMatrix, Snapshot, SnapshotError,
+    run_cold, sweep, CellRecord, Fault, FaultSchedule, MatrixCell, MatrixKnob, MatrixReport,
+    MatrixSpec, Prefix, Scenario, ScenarioMatrix,
 };
-use rf_sim::Time;
 use rf_topo::Topology;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// A campaign definition: which topologies, how many seeded schedules
@@ -100,8 +97,8 @@ pub struct ReproCase {
     /// The originating cell key.
     pub key: String,
     pub topology: String,
-    /// Knob name (replay uses the campaign's knob; the name is
-    /// recorded so mismatches are detectable).
+    /// Knob name (replay uses the campaign's knob and refuses a repro
+    /// recorded under another name).
     pub knob: String,
     pub seed: u64,
     /// Original generated schedule name (`chaos-<i>-s<seed>`).
@@ -201,14 +198,6 @@ fn mix_seed(base: u64, ti: u64, i: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A converged schedule-free prefix, captured once and forked for each
-/// shrinker predicate evaluation.
-struct ForkBase {
-    snap: Snapshot,
-    configured_at: Option<Time>,
-    config_now: Time,
 }
 
 impl ChaosCampaign {
@@ -312,36 +301,6 @@ impl ChaosCampaign {
         out
     }
 
-    /// Cold-run one cell and invariant-check the finished scenario.
-    fn run_cell(
-        &self,
-        mspec: &MatrixSpec,
-        cell: &MatrixCell,
-        topo: Option<&Topology>,
-    ) -> (CellRecord, Vec<InvariantViolation>) {
-        let mut sc = match ScenarioMatrix::standard_builder(cell) {
-            Ok(b) => b.start(),
-            Err(_) => {
-                return (
-                    CellRecord {
-                        key: cell.key(),
-                        metrics: BTreeMap::from([("build_error".to_string(), 1)]),
-                    },
-                    Vec::new(),
-                );
-            }
-        };
-        let configured_at = sc.run_until_configured(Time::ZERO + self.configure_deadline);
-        let config_now = sc.sim.now();
-        let (mut rec, _events, sc) = finish_cell(mspec, cell, sc, configured_at, config_now);
-        let violations = match topo {
-            Some(t) => self.check(&sc, t, &cell.schedule.faults),
-            None => Vec::new(),
-        };
-        annotate(&mut rec, &cell.schedule.faults, &violations);
-        (rec, violations)
-    }
-
     fn check(&self, sc: &Scenario, topo: &Topology, faults: &[Fault]) -> Vec<InvariantViolation> {
         check_invariants(
             sc,
@@ -353,102 +312,61 @@ impl ChaosCampaign {
         )
     }
 
-    /// Capture the converged schedule-free prefix of `cell` for fork
-    /// replays (same quiesce-probing contract as the sweep's group
-    /// runner).
-    fn fork_base(&self, cell: &MatrixCell) -> Option<ForkBase> {
-        let prefix_cell = MatrixCell {
-            schedule: FaultSchedule::none(),
-            ..cell.clone()
-        };
-        let mut prefix = ScenarioMatrix::standard_builder(&prefix_cell).ok()?.start();
-        let configured_at = prefix.run_until_configured(Time::ZERO + self.configure_deadline);
-        let config_now = prefix.sim.now();
-        configured_at?;
-        let probe_limit = config_now + self.settle;
-        loop {
-            match prefix.snapshot() {
-                Ok(snap) => {
-                    return Some(ForkBase {
-                        snap,
-                        configured_at,
-                        config_now,
-                    })
-                }
-                Err(SnapshotError::UndrainedChannels { .. })
-                    if prefix.sim.now() + Duration::from_millis(100) <= probe_limit =>
-                {
-                    let t = prefix.sim.now() + Duration::from_millis(100);
-                    prefix.run_until(t);
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
-    /// Run a candidate schedule for the shrinker: fork the converged
-    /// prefix when the candidate's faults all lie past the capture,
-    /// cold-start otherwise. Returns the violations it provokes.
+    /// Re-run `cell` with `faults` as its schedule — continuing `base`
+    /// when every fault lies past the capture, from a cold start
+    /// otherwise — and return the violations the finished world shows.
+    /// `None` if the builder rejects the cell.
     fn run_candidate(
         &self,
         mspec: &MatrixSpec,
         cell: &MatrixCell,
         topo: &Topology,
         faults: &[Fault],
-        base: Option<&ForkBase>,
-    ) -> Vec<InvariantViolation> {
+        base: Option<&mut Prefix>,
+    ) -> Option<Vec<InvariantViolation>> {
         let cand = MatrixCell {
             schedule: FaultSchedule::new(cell.schedule.name.clone(), faults.to_vec()),
             ..cell.clone()
         };
-        if let Some(b) = base {
-            if forkable(&cand.schedule, b.snap.taken_at()) {
-                let mut sc = Scenario::fork(&b.snap);
-                if sc.inject_faults(&cand.schedule.faults).is_ok() {
-                    let (_rec, _events, sc) =
-                        finish_cell(mspec, &cand, sc, b.configured_at, b.config_now);
-                    return self.check(&sc, topo, faults);
-                }
-            }
-        }
-        self.run_cell(mspec, &cand, Some(topo)).1
+        let fin = base
+            .and_then(|b| b.resume(mspec, &cand))
+            .unwrap_or_else(|| run_cold(mspec, &cand, &ScenarioMatrix::standard_builder, 0));
+        Some(self.check(&fin.scenario?, topo, faults))
     }
 
     /// Run the whole campaign over `threads` workers. The report (and
     /// every repro) is byte-identical whatever the thread count and
     /// fully determined by the campaign definition.
     pub fn run(&self, threads: usize) -> ChaosOutcome {
-        let threads = threads.max(1);
         let mspec = self.matrix_spec();
-        let cells = self.cells();
+        let (cells, topos): (Vec<MatrixCell>, Vec<Option<Topology>>) =
+            self.cells().into_iter().unzip();
 
-        // Phase 1: the fan-out. Work is pulled from an atomic cursor;
-        // results are keyed, so collection order cannot matter.
-        type Bucket = (CellRecord, Vec<InvariantViolation>, usize);
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Bucket>> = Mutex::new(Vec::with_capacity(cells.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    let Some((cell, topo)) = cells.get(i) else {
-                        break;
-                    };
-                    let (rec, violations) = self.run_cell(&mspec, cell, topo.as_ref());
-                    results.lock().unwrap().push((rec, violations, i));
-                });
-            }
-        });
-        let mut buckets = results.into_inner().unwrap();
-        buckets.sort_by_key(|(_, _, i)| *i);
+        // Phase 1: the fan-out, every cell its own cold-start unit
+        // (seeds differ per cell, so no two share a prefix). The hook
+        // invariant-checks each finished world and folds the verdict
+        // into its record.
+        let verdict = |i: usize, rec: &mut CellRecord, sc: &Scenario| {
+            let faults = &cells[i].schedule.faults;
+            let violations = match &topos[i] {
+                Some(t) => self.check(sc, t, faults),
+                None => Vec::new(),
+            };
+            annotate(rec, faults, &violations);
+            violations
+        };
+        let units = (0..cells.len()).map(|i| vec![i]).collect();
+        let build = ScenarioMatrix::standard_builder;
+        let (done, _wall) = sweep(&mspec, &cells, units, threads, &build, &verdict);
 
         let mut stats = CampaignStats {
             schedules: cells.len(),
             ..CampaignStats::default()
         };
-        let mut records = Vec::with_capacity(buckets.len());
+        let mut records = Vec::with_capacity(cells.len());
         let mut violating: Vec<(usize, Vec<InvariantViolation>)> = Vec::new();
-        for (rec, violations, i) in buckets {
+        for (i, done) in done.into_iter().enumerate() {
+            let (rec, violations) = (done.rec, done.post);
             if rec.metrics.contains_key("build_error") {
                 stats.build_errors += 1;
             }
@@ -464,17 +382,16 @@ impl ChaosCampaign {
         // shrinker is itself a sequential search, and violating cells
         // should be rare).
         let mut repros = Vec::new();
-        violating.sort_by(|a, b| cells[a.0].0.key().cmp(&cells[b.0].0.key()));
+        violating.sort_by(|a, b| cells[a.0].key().cmp(&cells[b.0].key()));
         for (i, violations) in violating {
-            let (cell, topo) = &cells[i];
-            let Some(topo) = topo else { continue };
+            let cell = &cells[i];
+            let Some(topo) = &topos[i] else { continue };
             let codes: Vec<&'static str> = violations.iter().map(|v| v.code()).collect();
             let (min_faults, runs) = if self.shrink && !cell.schedule.faults.is_empty() {
-                let base = self.fork_base(cell);
+                let mut base = Prefix::capture(&mspec, cell, &build, 0);
                 let out = shrink_schedule(&cell.schedule.faults, |cand| {
-                    self.run_candidate(&mspec, cell, topo, cand, base.as_ref())
-                        .iter()
-                        .any(|v| codes.contains(&v.code()))
+                    self.run_candidate(&mspec, cell, topo, cand, base.as_mut())
+                        .is_some_and(|vs| vs.iter().any(|v| codes.contains(&v.code())))
                 });
                 (out.faults, out.runs)
             } else {
@@ -491,18 +408,8 @@ impl ChaosCampaign {
             let final_violations = if min_faults.len() == cell.schedule.faults.len() {
                 violations
             } else {
-                self.run_cell(
-                    &mspec,
-                    &MatrixCell {
-                        schedule: FaultSchedule::new(
-                            cell.schedule.name.clone(),
-                            min_faults.clone(),
-                        ),
-                        ..cell.clone()
-                    },
-                    Some(topo),
-                )
-                .1
+                self.run_candidate(&mspec, cell, topo, &min_faults, None)
+                    .unwrap_or_default()
             };
             repros.push(ReproCase {
                 key: cell.key(),
@@ -538,20 +445,37 @@ impl ChaosCampaign {
 
     /// Re-run a repro case under this campaign's knob and windows;
     /// returns the violations it provokes (the repro is confirmed when
-    /// they match the artifact's recorded ones).
-    pub fn replay(&self, repro: &ReproCase) -> Vec<InvariantViolation> {
-        let mspec = self.matrix_spec();
-        let topo = match repro.topology.parse::<rf_topo::TopoSpec>() {
-            Ok(s) => s.build(),
-            Err(_) => return Vec::new(),
-        };
+    /// they match the artifact's recorded ones). `Err` says why the
+    /// repro could not be run at all — recorded under another knob, an
+    /// unparseable topology, a schedule the builder rejects — which is
+    /// not the same thing as running it and finding nothing.
+    pub fn replay(&self, repro: &ReproCase) -> Result<Vec<InvariantViolation>, String> {
+        if repro.knob != self.knob.name {
+            return Err(format!(
+                "repro was recorded under knob {:?}, this campaign runs {:?}",
+                repro.knob, self.knob.name
+            ));
+        }
+        let topo = repro
+            .topology
+            .parse::<rf_topo::TopoSpec>()
+            .map_err(|e| e.to_string())?
+            .build();
         let cell = MatrixCell {
             seed: repro.seed,
             topology: repro.topology.clone(),
             schedule: FaultSchedule::new(repro.schedule.clone(), repro.faults.clone()),
             knob: self.knob.clone(),
         };
-        self.run_cell(&mspec, &cell, Some(&topo)).1
+        let rejected = RefCell::new(String::new());
+        let build = |c: &MatrixCell| {
+            ScenarioMatrix::standard_builder(c)
+                .inspect_err(|e| *rejected.borrow_mut() = e.to_string())
+        };
+        match run_cold(&self.matrix_spec(), &cell, &build, 0).scenario {
+            Some(sc) => Ok(self.check(&sc, &topo, &repro.faults)),
+            None => Err(rejected.into_inner()),
+        }
     }
 }
 

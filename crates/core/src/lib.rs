@@ -4,8 +4,7 @@
 //! crates and exposed as two composable layers:
 //!
 //! * **Controller side** — [`apps`]: the RF-controller is an event-bus
-//!   engine ([`apps::ControlPlane`], still downcastable under its old
-//!   name [`rfcontroller::RfController`]) running pluggable
+//!   engine ([`apps::ControlPlane`]) running pluggable
 //!   [`apps::ControlApp`]s. The four standard apps reproduce the
 //!   paper's behaviour: on `SwitchDetected` the lifecycle app spawns a
 //!   VM whose ID equals the switch's datapath id; on `LinkDetected` it
@@ -25,8 +24,7 @@
 //!   converged scenario can be checkpointed with
 //!   [`scenario::Scenario::snapshot`] and forked into divergent
 //!   continuations with [`scenario::Scenario::fork`] — the sweep's
-//!   shared-prefix mechanism. (The pre-redesign `bootstrap::Deployment`
-//!   wrapper is deprecated.)
+//!   shared-prefix mechanism.
 //! * [`manual::ManualConfigModel`] — the paper's manual-baseline time
 //!   model (5 min VM creation + 2 min interface mapping + 8 min routing
 //!   configuration per switch) used in Fig. 3.
@@ -43,7 +41,6 @@
 //! ```
 
 pub mod apps;
-pub mod bootstrap;
 pub mod chaos;
 pub mod json;
 pub mod manual;
@@ -54,14 +51,12 @@ pub mod traffic;
 pub use apps::{
     AppCtx, ControlApp, ControlEvent, ControlPlane, ControlState, FibChange, LinkChange,
 };
-#[allow(deprecated)]
-pub use bootstrap::{Deployment, DeploymentConfig};
 pub use chaos::{
     CampaignStats, ChaosCampaign, ChaosOutcome, ChaosSpec, FaultClass, InvariantViolation,
     ReproCase,
 };
 pub use manual::ManualConfigModel;
-pub use rfcontroller::{HostPortConfig, RfController, RfControllerConfig};
+pub use rfcontroller::{HostPortConfig, RfControllerConfig};
 pub use scenario::{
     CellRecord, Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, MatrixCell,
     MatrixKnob, MatrixReport, MatrixSpec, Scenario, ScenarioBuilder, ScenarioConfig,

@@ -1,20 +1,14 @@
-//! The RF-controller, as configuration plus a compatibility alias.
+//! The RF-controller's configuration.
 //!
-//! Since the control-plane redesign the controller is the
-//! [`crate::apps::ControlPlane`] event-bus engine running four standard
-//! [`crate::apps::ControlApp`]s; this module keeps the original paths
-//! (`RfController`, `RfControllerConfig`, `HostPortConfig`) working so
-//! pre-redesign code and downcasts compile unchanged.
+//! The controller itself is the [`crate::apps::ControlPlane`] event-bus
+//! engine running four standard [`crate::apps::ControlApp`]s; this
+//! module holds what it is configured with.
 
 use rf_openflow::PortNumber;
 use rf_sim::LinkProfile;
 use rf_wire::Ipv4Cidr;
 use std::net::Ipv4Addr;
 use std::time::Duration;
-
-/// The RouteFlow controller agent: an alias for the event-bus engine,
-/// so `sim.agent_as::<RfController>(id)` still downcasts.
-pub type RfController = crate::apps::ControlPlane;
 
 /// Administrator-declared host attachment point: the one piece of edge
 /// configuration LLDP discovery cannot learn (hosts do not speak LLDP).

@@ -25,16 +25,15 @@
 //! assert_eq!(report.cells.len(), 1 * 1 * 4 * 4);
 //! ```
 
+use super::exec::{self, Finished};
 use super::report::{CellRecord, MatrixReport};
-use super::{Fault, Scenario, ScenarioBuilder, Snapshot, SnapshotError, Workload, WorkloadReport};
+use super::{Fault, Scenario, ScenarioBuilder, Workload, WorkloadReport};
 use crate::apps::OverflowPolicy;
 use crate::traffic::{FlowSize, TrafficSpec, WorkloadError};
 use rf_sim::Time;
 use rf_topo::TopoSpec;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A named fault schedule — one axis value of the grid.
 #[derive(Clone, Debug)]
@@ -717,8 +716,8 @@ pub struct SweepStats {
     /// Per-cell observations, sorted by cell key.
     pub cells: Vec<CellStat>,
     /// How many cells ran as forks of a shared prefix snapshot (always
-    /// zero for the cold sweep entry points; in forked mode, the rest
-    /// of the cells fell back to a cold start).
+    /// zero for a cold sweep; in a forked one, the rest of the cells
+    /// fell back to a cold start).
     pub forked: usize,
 }
 
@@ -730,10 +729,14 @@ impl SweepStats {
 }
 
 /// The sweep driver. Construct with a [`MatrixSpec`], then [`run`]
-/// (standard builder) or [`run_with`] (custom builder closure).
+/// (standard builder, cold) or one of the instrumented entry points
+/// (custom builder closure, per-cell wall-clock observations):
+/// [`run_instrumented`] cold-starts every cell,
+/// [`run_instrumented_forked`] shares convergence prefixes.
 ///
 /// [`run`]: ScenarioMatrix::run
-/// [`run_with`]: ScenarioMatrix::run_with
+/// [`run_instrumented`]: ScenarioMatrix::run_instrumented
+/// [`run_instrumented_forked`]: ScenarioMatrix::run_instrumented_forked
 pub struct ScenarioMatrix {
     spec: MatrixSpec,
 }
@@ -744,7 +747,7 @@ pub struct ScenarioMatrix {
 /// start first, so the sweep's tail is never one straggler cell that
 /// happened to be picked last. Only the *ordering* depends on this —
 /// the report is identical for any schedule.
-fn expected_cost(spec: &MatrixSpec, cell: &MatrixCell) -> u64 {
+pub(super) fn expected_cost(spec: &MatrixSpec, cell: &MatrixCell) -> u64 {
     // The estimate never builds the topology: `node_count_estimate`
     // and `edge_count_estimate` are closed-form (or a corpus line
     // count), which matters when the corpus grid schedules a hundred
@@ -770,7 +773,7 @@ fn expected_cost(spec: &MatrixSpec, cell: &MatrixCell) -> u64 {
     let config_est = cell.knob.vm_boot_delay.as_secs()
         + u64::from(cell.knob.ospf_hello) * 4
         + nodes / cell.knob.provision_width.max(1) as u64;
-    // Post-configuration horizon (see run_cell's run_to). Traffic
+    // Post-configuration horizon (see finish_cell's run_to). Traffic
     // knobs extend the run to the end of their offered-load window —
     // and packet-level cells are far denser per simulated second than
     // flow-level ones, which the mode weight reflects, scaled by how
@@ -815,24 +818,6 @@ impl ScenarioMatrix {
         expected_cost(&self.spec, cell)
     }
 
-    /// How many extra worker threads the cell pulled at position `pos`
-    /// of the longest-expected-first schedule may borrow for its own
-    /// parallel kernel. With `units` schedulable units and `threads`
-    /// workers, `W = min(threads, units)` workers run concurrently and
-    /// `threads − W` threads would idle; those spares go to the
-    /// earliest-scheduled (costliest) positions, one share each,
-    /// left-overs to the front. Deterministic in (threads, units, pos)
-    /// alone — the *report* is identical however many cores a cell
-    /// borrows, so this only shapes wall clock, never results.
-    fn spare_cores(threads: usize, units: usize, pos: usize) -> usize {
-        let w = threads.min(units.max(1));
-        let spare = threads.saturating_sub(w);
-        if pos >= w || spare == 0 {
-            return 0;
-        }
-        spare / w + usize::from(pos < spare % w)
-    }
-
     /// The default per-cell assembly: parse the topology name into a
     /// [`TopoSpec`] and build it, attach the knob's probe workload (a
     /// ping across the farthest switch pair, a fan-in converging on
@@ -841,11 +826,9 @@ impl ScenarioMatrix {
     ///
     /// A malformed or unknown topology name returns
     /// [`WorkloadError::BadTopology`] naming the offending token, and
-    /// [`run_with`] records it as a `build_error` cell — same as any
+    /// the sweep records it as a `build_error` cell — same as any
     /// workload-constructor rejection — so one bad axis value cannot
     /// take down the rest of the sweep.
-    ///
-    /// [`run_with`]: ScenarioMatrix::run_with
     pub fn standard_builder(cell: &MatrixCell) -> Result<ScenarioBuilder, WorkloadError> {
         let topo = cell.topo_spec()?.build();
         // A malformed schedule (out-of-range node/edge, loss outside
@@ -884,378 +867,111 @@ impl ScenarioMatrix {
             .with_faults(cell.schedule.faults.iter().cloned()))
     }
 
-    /// Sweep the grid with the standard builder.
+    /// Sweep the grid with the standard builder, every cell from a cold
+    /// start.
     pub fn run(&self, threads: usize) -> MatrixReport {
-        self.run_with(threads, Self::standard_builder)
+        self.run_instrumented(threads, Self::standard_builder).0
     }
 
-    /// Sweep the grid, building each cell's scenario with `build`.
-    /// Cells are distributed over `threads` workers; the report is
+    /// Sweep the grid, building each cell's scenario with `build`, and
+    /// return the report plus wall-clock/event-count observations per
+    /// cell (the substrate of the `perf_sweep` harness). Every cell is
+    /// its own scheduling unit and cold-starts; units are distributed
+    /// over `threads` workers, costliest first, and the report is
     /// identical whatever the count. A cell whose builder returns an
     /// error reports `build_error = 1` and nothing else.
-    pub fn run_with<F>(&self, threads: usize, build: F) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Send + Sync,
-    {
-        self.run_instrumented(threads, build).0
-    }
-
-    /// [`ScenarioMatrix::run_with`] plus wall-clock/event-count
-    /// observations per cell — the substrate of the `perf_sweep`
-    /// harness. Work is pulled from a shared atomic cursor over a
-    /// longest-expected-first cell order (work stealing: a worker that
-    /// lands a cheap cell immediately takes another; the expensive
-    /// cells all start early).
     pub fn run_instrumented<F>(&self, threads: usize, build: F) -> (MatrixReport, SweepStats)
     where
         F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Send + Sync,
     {
-        let threads = threads.max(1);
-        let cells = self.spec.cells();
-        // Longest-expected-first order; ties keep declaration order so
-        // the schedule is fully deterministic.
-        let mut order: Vec<usize> = (0..cells.len()).collect();
-        let cost: Vec<u64> = cells.iter().map(|c| expected_cost(&self.spec, c)).collect();
-        order.sort_by_key(|&i| (std::cmp::Reverse(cost[i]), i));
-        let next = AtomicUsize::new(0);
-        type Bucket = (CellRecord, CellStat);
-        let results: Mutex<Vec<Bucket>> = Mutex::new(Vec::with_capacity(cells.len()));
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(&i) = order.get(pos) else { break };
-                    let cell = &cells[i];
-                    // The costliest cells start first *and* borrow the
-                    // threads that would otherwise idle (more cells
-                    // than workers leaves no spares; more workers than
-                    // cells hands the excess to the giants).
-                    let extra = Self::spare_cores(threads, cells.len(), pos);
-                    let cell_start = Instant::now();
-                    let (rec, events) = run_cell(&self.spec, cell, &build, extra);
-                    let stat = CellStat {
-                        key: rec.key.clone(),
-                        wall: cell_start.elapsed(),
-                        events,
-                    };
-                    results.lock().unwrap().push((rec, stat));
-                });
-            }
-        });
-        let wall = started.elapsed();
-        let (records, mut stats): (Vec<CellRecord>, Vec<CellStat>) =
-            results.into_inner().unwrap().into_iter().unzip();
-        stats.sort_by(|a, b| a.key.cmp(&b.key));
-        (
-            MatrixReport::new(self.spec.grid_axes(), records),
-            SweepStats {
-                wall,
-                cells: stats,
-                forked: 0,
-            },
-        )
+        self.sweep(threads, build, |cells| {
+            (0..cells.len()).map(|i| vec![i]).collect()
+        })
     }
 
-    /// Sweep the grid with the standard builder, sharing each
-    /// (topology × knob × seed) group's convergence prefix via
-    /// checkpoint/fork. Byte-identical report to [`run`], at a
-    /// fraction of the wall clock (see [`run_with_forked`]).
-    ///
-    /// [`run`]: ScenarioMatrix::run
-    /// [`run_with_forked`]: ScenarioMatrix::run_with_forked
-    pub fn run_forked(&self, threads: usize) -> MatrixReport {
-        self.run_with_forked(threads, Self::standard_builder)
-    }
-
-    /// Like [`run_with`], but cells that differ only in fault schedule
-    /// share their expensive prefix: each (topology × knob × seed)
-    /// group builds one fault-free scenario, runs it to configuration,
-    /// [`Scenario::snapshot`]s at a quiesce point and
-    /// [`Scenario::fork`]s every member from the capture, injecting
-    /// the member's fault schedule post-fork. Members whose faults
-    /// fire at or before the snapshot instant (the smoke grid's early
-    /// channel stalls, say) fall back to a cold start — as does the
-    /// whole group if its prefix never converges or never quiesces —
-    /// so the mode is a pure optimisation, never a semantics change.
+    /// Like [`run_instrumented`], but cells that differ only in fault
+    /// schedule share their expensive prefix: the scheduling unit is
+    /// the (topology × knob × seed) group, which builds one fault-free
+    /// scenario, runs it to configuration, [`Scenario::snapshot`]s at
+    /// a quiesce point and [`Scenario::fork`]s every member from the
+    /// capture, injecting the member's fault schedule post-fork.
+    /// Members whose faults fire at or before the snapshot instant
+    /// (the smoke grid's early channel stalls, say) fall back to a
+    /// cold start — as does the whole group if its prefix never
+    /// converges or never quiesces — so the mode is a pure
+    /// optimisation, never a semantics change.
     ///
     /// Determinism contract: the report is **byte-identical** to
-    /// [`run_with`]'s, at any thread count. The builder closure must
-    /// derive all fault wiring from `cell.schedule.faults` alone (as
-    /// [`standard_builder`] does), because the prefix is built from a
-    /// schedule-less copy of the cell.
+    /// [`run_instrumented`]'s, at any thread count. The builder closure
+    /// must derive all fault wiring from `cell.schedule.faults` alone
+    /// (as [`standard_builder`] does), because the prefix is built
+    /// from a schedule-less copy of the cell.
     ///
-    /// [`run_with`]: ScenarioMatrix::run_with
+    /// [`run_instrumented`]: ScenarioMatrix::run_instrumented
     /// [`standard_builder`]: ScenarioMatrix::standard_builder
-    pub fn run_with_forked<F>(&self, threads: usize, build: F) -> MatrixReport
-    where
-        F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Send + Sync,
-    {
-        self.run_instrumented_forked(threads, build).0
-    }
-
-    /// [`ScenarioMatrix::run_with_forked`] plus per-cell wall-clock and
-    /// event-count observations. Workers pull whole *groups* from the
-    /// shared cursor (a group's forks reuse its snapshot, so the group
-    /// is the scheduling unit), costliest group first.
     pub fn run_instrumented_forked<F>(&self, threads: usize, build: F) -> (MatrixReport, SweepStats)
     where
         F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Send + Sync,
     {
-        let threads = threads.max(1);
-        let cells = self.spec.cells();
-        let cost: Vec<u64> = cells.iter().map(|c| expected_cost(&self.spec, c)).collect();
-        // Group cells sharing (topology, knob, seed) — the fault
-        // schedule is the divergent axis. BTreeMap keeps group
-        // assembly deterministic; members keep declaration order.
-        let mut by_prefix: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, c) in cells.iter().enumerate() {
-            by_prefix
-                .entry(format!("{}|{}|{}", c.topology, c.knob.name, c.seed))
-                .or_default()
-                .push(i);
-        }
-        let mut groups: Vec<Vec<usize>> = by_prefix.into_values().collect();
-        groups.sort_by_key(|g| {
-            (
-                std::cmp::Reverse(g.iter().map(|&i| cost[i]).sum::<u64>()),
-                g[0],
-            )
-        });
-        let next = AtomicUsize::new(0);
-        let forked = AtomicUsize::new(0);
-        type Bucket = (CellRecord, CellStat);
-        let results: Mutex<Vec<Bucket>> = Mutex::new(Vec::with_capacity(cells.len()));
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(groups.len()) {
-                scope.spawn(|| loop {
-                    let pos = next.fetch_add(1, Ordering::SeqCst);
-                    let Some(group) = groups.get(pos) else { break };
-                    // Same spare-thread budgeting as the cold sweep,
-                    // over groups: the whole group (prefix and forks)
-                    // runs on the borrowed cores.
-                    let extra = Self::spare_cores(threads, groups.len(), pos);
-                    let (out, group_forked) = run_group(&self.spec, &cells, group, &build, extra);
-                    forked.fetch_add(group_forked, Ordering::SeqCst);
-                    results.lock().unwrap().extend(out);
-                });
+        self.sweep(threads, build, |cells| {
+            // The fault schedule is the divergent axis. BTreeMap keeps
+            // group assembly deterministic; members keep declaration
+            // order.
+            let mut by_prefix: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+            for (i, c) in cells.iter().enumerate() {
+                by_prefix
+                    .entry(format!("{}|{}|{}", c.topology, c.knob.name, c.seed))
+                    .or_default()
+                    .push(i);
             }
-        });
-        let wall = started.elapsed();
+            by_prefix.into_values().collect()
+        })
+    }
+
+    /// Hand the grid, cut into `units`, to the executor and assemble
+    /// the report.
+    fn sweep<F>(
+        &self,
+        threads: usize,
+        build: F,
+        units: fn(&[MatrixCell]) -> Vec<Vec<usize>>,
+    ) -> (MatrixReport, SweepStats)
+    where
+        F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Send + Sync,
+    {
+        let cells = self.spec.cells();
+        let no_hook = |_, _: &mut CellRecord, _: &Scenario| ();
+        let (done, wall) =
+            exec::sweep(&self.spec, &cells, units(&cells), threads, &build, &no_hook);
+        let forked = done.iter().filter(|d| d.forked).count();
         let (records, mut stats): (Vec<CellRecord>, Vec<CellStat>) =
-            results.into_inner().unwrap().into_iter().unzip();
+            done.into_iter().map(|d| (d.rec, d.stat)).unzip();
         stats.sort_by(|a, b| a.key.cmp(&b.key));
         (
             MatrixReport::new(self.spec.grid_axes(), records),
             SweepStats {
                 wall,
                 cells: stats,
-                forked: forked.into_inner(),
+                forked,
             },
         )
     }
 }
 
-/// Can `schedule` still be injected after a snapshot taken at `t`?
-/// Every fault's *first* effect (`at`, or `from` for a stall window)
-/// must lie strictly in the future: anything at or before the capture
-/// would already have dispatched in a cold run.
-pub(crate) fn forkable(schedule: &FaultSchedule, taken_at: Time) -> bool {
-    schedule.faults.iter().all(|f| {
-        let eff = match *f {
-            Fault::KillSwitch { at, .. }
-            | Fault::ReviveSwitch { at, .. }
-            | Fault::LinkDown { at, .. }
-            | Fault::LinkUp { at, .. }
-            | Fault::LinkLoss { at, .. } => at,
-            Fault::ChannelStall { from, .. } => from,
-        };
-        Time::ZERO + eff > taken_at
-    })
-}
-
-/// Cold-start one cell and wrap its record in a [`CellStat`].
-fn cold_stat<F>(
-    spec: &MatrixSpec,
-    cell: &MatrixCell,
-    build: &F,
-    extra_cores: usize,
-) -> (CellRecord, CellStat)
-where
-    F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
-{
-    let t0 = Instant::now();
-    let (rec, events) = run_cell(spec, cell, build, extra_cores);
-    let stat = CellStat {
-        key: rec.key.clone(),
-        wall: t0.elapsed(),
-        events,
-    };
-    (rec, stat)
-}
-
-/// Run one (topology × knob × seed) group: the shared fault-free
-/// prefix once, a fork per member whose divergence lies in the future,
-/// cold starts for the rest. The second return counts the members
-/// that actually forked.
-fn run_group<F>(
-    spec: &MatrixSpec,
-    cells: &[MatrixCell],
-    group: &[usize],
-    build: &F,
-    extra_cores: usize,
-) -> (Vec<(CellRecord, CellStat)>, usize)
-where
-    F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
-{
-    let all_cold = |g: &[usize]| -> (Vec<(CellRecord, CellStat)>, usize) {
-        (
-            g.iter()
-                .map(|&i| cold_stat(spec, &cells[i], build, extra_cores))
-                .collect(),
-            0,
-        )
-    };
-    // A singleton group has no prefix worth sharing.
-    if group.len() < 2 {
-        return all_cold(group);
-    }
-    // The prefix is the first member with its fault schedule erased:
-    // every member builds the identical world apart from that axis
-    // (the chaos agent is present either way, with an empty op list
-    // here), so one converged capture serves them all.
-    let prefix_cell = MatrixCell {
-        schedule: FaultSchedule::none(),
-        ..cells[group[0]].clone()
-    };
-    let Ok(b) = build(&prefix_cell) else {
-        // A builder that rejects the axes marks each cell through the
-        // cold path (`build_error` records).
-        return all_cold(group);
-    };
-    let mut prefix = b.start();
-    // Spare-thread grant: the prefix, the snapshot and every fork
-    // inherit the raised budget (forks clone the scenario, flag and
-    // all). Parallel spans are byte-identical to sequential ones, so
-    // this cannot perturb the fork/cold equivalence contract.
-    let granted = prefix.parallel_cores().max(1 + extra_cores);
-    prefix.set_parallel_cores(granted);
-    let deadline = Time::ZERO + spec.configure_deadline;
-    let configured_at = prefix.run_until_configured(deadline);
-    // The instant a cold run's settle window starts from; forks must
-    // measure from here, not from any later quiesce-probe instant.
-    let config_now = prefix.sim.now();
-    if configured_at.is_none() {
-        return all_cold(group);
-    }
-    // Quiesce probing: the capture is refused while a tail batch waits
-    // out its tick, so step in short slices — bounded well inside the
-    // settle window every member runs through anyway, which keeps the
-    // probe invisible to the determinism contract.
-    let probe_limit = config_now + spec.settle;
-    let snap: Option<Snapshot> = loop {
-        match prefix.snapshot() {
-            Ok(s) => break Some(s),
-            Err(SnapshotError::UndrainedChannels { .. })
-                if prefix.sim.now() + Duration::from_millis(100) <= probe_limit =>
-            {
-                let t = prefix.sim.now() + Duration::from_millis(100);
-                prefix.run_until(t);
-            }
-            Err(_) => break None,
-        }
-    };
-    let Some(snap) = snap else {
-        return all_cold(group);
-    };
-
-    // The prefix scenario *is* the snapshot state — hand it to the
-    // first fork instead of cloning a fourth copy of the world.
-    let mut prefix_sc = Some(prefix);
-    let mut out = Vec::with_capacity(group.len());
-    let mut forked_count = 0;
-    for &i in group {
-        let cell = &cells[i];
-        if !forkable(&cell.schedule, snap.taken_at()) {
-            out.push(cold_stat(spec, cell, build, extra_cores));
-            continue;
-        }
-        let t0 = Instant::now();
-        let mut sc = prefix_sc.take().unwrap_or_else(|| Scenario::fork(&snap));
-        if sc.inject_faults(&cell.schedule.faults).is_err() {
-            // Unreachable given the forkable() gate, but a cold start
-            // is always a correct answer.
-            out.push(cold_stat(spec, cell, build, extra_cores));
-            continue;
-        }
-        let (rec, events, _) = finish_cell(spec, cell, sc, configured_at, config_now);
-        let stat = CellStat {
-            key: rec.key.clone(),
-            wall: t0.elapsed(),
-            events,
-        };
-        out.push((rec, stat));
-        forked_count += 1;
-    }
-    (out, forked_count)
-}
-
-/// Build, run and harvest one cell. All times are reported in
-/// nanoseconds of simulated time; the second return is the number of
-/// kernel events the cell dispatched (for the perf harness).
-fn run_cell<F>(
-    spec: &MatrixSpec,
-    cell: &MatrixCell,
-    build: &F,
-    extra_cores: usize,
-) -> (CellRecord, u64)
-where
-    F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
-{
-    let mut sc = match build(cell) {
-        Ok(b) => b.start(),
-        Err(_) => {
-            // A bad axis value marks this cell, not the sweep: the
-            // record carries the flag and nothing else, so `--check`
-            // diffs surface exactly which cells failed to assemble.
-            let metrics = BTreeMap::from([("build_error".to_string(), 1)]);
-            return (
-                CellRecord {
-                    key: cell.key(),
-                    metrics,
-                },
-                0,
-            );
-        }
-    };
-    // Cells keep their knob's core budget plus whatever the scheduler
-    // spared; either way the record is byte-identical to a 1-core run.
-    let granted = sc.parallel_cores().max(1 + extra_cores);
-    sc.set_parallel_cores(granted);
-    let deadline = Time::ZERO + spec.configure_deadline;
-    let configured_at = sc.run_until_configured(deadline);
-    let config_now = sc.sim.now();
-    let (rec, events, _) = finish_cell(spec, cell, sc, configured_at, config_now);
-    (rec, events)
-}
-
 /// The post-configuration half of a cell run: settle, play out faults
-/// and workloads, harvest. Shared verbatim by the cold path
-/// ([`run_cell`]), the fork path ([`run_group`]) and the chaos
-/// campaign (which checks invariants on the returned scenario);
-/// `config_now` is the instant the configuration phase handed the
-/// scenario over (the forked scenario's clock may already be slightly
-/// past it from quiesce probing, which the horizon arithmetic must not
-/// see). The finished scenario is handed back for post-run probing —
-/// it is a terminal read, never snapshot it again.
-pub(crate) fn finish_cell(
+/// and workloads, harvest. Shared verbatim by the executor's cold and
+/// fork paths; `config_now` is the instant the configuration phase
+/// handed the scenario over (a forked scenario's clock may already be
+/// slightly past it from quiesce probing, which the horizon arithmetic
+/// must not see). All times are reported in nanoseconds of simulated
+/// time.
+pub(super) fn finish_cell(
     spec: &MatrixSpec,
     cell: &MatrixCell,
     mut sc: Scenario,
     configured_at: Option<Time>,
     config_now: Time,
-) -> (CellRecord, u64, Scenario) {
+) -> Finished {
     // Keep the world running long enough to see the probe workload and
     // every scheduled fault play out, whichever ends later — and, for
     // traffic knobs, the whole offered-load window plus a drain tail.
@@ -1436,15 +1152,14 @@ pub(crate) fn finish_cell(
         }
     }
 
-    let events = sc.sim.events_dispatched();
-    (
-        CellRecord {
+    Finished {
+        rec: CellRecord {
             key: cell.key(),
             metrics,
         },
-        events,
-        sc,
-    )
+        events: sc.sim.events_dispatched(),
+        scenario: Some(sc),
+    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,8 @@
 //! fault schedules and custom [`ControlApp`]s, and a [`Scenario`]
 //! handle exposing typed metrics.
 //!
-//! This module is the single build path: the legacy
-//! `crate::bootstrap::Deployment` wrapper is deprecated and delegates
-//! here. A converged scenario can be captured with
+//! This module is the single build path. A converged scenario can be
+//! captured with
 //! [`Scenario::snapshot`] and resumed any number of times with
 //! [`Scenario::fork`] — the checkpoint/fork mechanism the matrix sweep
 //! uses to run each (topology × knob × seed) convergence prefix once.
@@ -29,8 +28,11 @@
 //! assert_eq!(m.per_switch_config_time.len(), 4);
 //! ```
 
+mod exec;
 pub mod matrix;
 pub mod report;
+
+pub(crate) use exec::{run_cold, sweep, Prefix};
 
 pub use matrix::{
     CellStat, FaultSchedule, MatrixCell, MatrixKnob, MatrixSpec, MatrixWorkload, ScenarioMatrix,
@@ -85,8 +87,7 @@ pub struct HostSlot {
 }
 
 /// Scenario parameters — everything [`ScenarioBuilder`]'s fluent
-/// methods write into. (Formerly `bootstrap::DeploymentConfig`, which
-/// remains as a deprecated alias.)
+/// methods write into.
 #[derive(Clone)]
 pub struct ScenarioConfig {
     pub topology: Topology,
@@ -282,6 +283,20 @@ impl Fault {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// When this fault first disturbs the world: its instant, or the
+    /// opening of a stall window. A fork can only receive faults whose
+    /// first effect lies strictly after the capture.
+    pub fn first_effect(&self) -> Duration {
+        match *self {
+            Fault::KillSwitch { at, .. }
+            | Fault::ReviveSwitch { at, .. }
+            | Fault::LinkDown { at, .. }
+            | Fault::LinkUp { at, .. }
+            | Fault::LinkLoss { at, .. } => at,
+            Fault::ChannelStall { from, .. } => from,
         }
     }
 
@@ -538,12 +553,6 @@ impl ScenarioBuilder {
             workloads: Vec::new(),
             extra_apps: Vec::new(),
         }
-    }
-
-    /// Renamed to [`ScenarioBuilder::from_config`].
-    #[deprecated(note = "use ScenarioBuilder::from_config")]
-    pub fn from_deployment_config(cfg: ScenarioConfig) -> ScenarioBuilder {
-        ScenarioBuilder::from_config(cfg)
     }
 
     /// Simulation seed (default `0xC0FFEE`).
@@ -1233,48 +1242,6 @@ fn wire_traffic(
     parts
 }
 
-/// Switches whose VM is up, read off the controller agent (shared by
-/// [`Scenario`] and the legacy `Deployment` wrapper).
-pub(crate) fn configured_switches(sim: &Sim, rf_ctrl: AgentId) -> usize {
-    sim.agent_as::<ControlPlane>(rf_ctrl)
-        .map(|c| c.configured_switches())
-        .unwrap_or(0)
-}
-
-/// When the last of `expected` switches turned green, if all have.
-pub(crate) fn all_configured_at(sim: &Sim, rf_ctrl: AgentId, expected: usize) -> Option<Time> {
-    sim.agent_as::<ControlPlane>(rf_ctrl)?
-        .all_configured_at(expected)
-}
-
-/// Run until every switch is configured (or `deadline`), stepping in
-/// 100 ms slices so the condition is observable.
-pub(crate) fn run_until_configured(
-    sim: &mut Sim,
-    rf_ctrl: AgentId,
-    expected: usize,
-    deadline: Time,
-) -> Option<Time> {
-    let mut t = sim.now();
-    while t < deadline {
-        t = (t + Duration::from_millis(100)).min(deadline);
-        sim.run_until(t);
-        if let Some(done) = all_configured_at(sim, rf_ctrl, expected) {
-            return Some(done);
-        }
-    }
-    None
-}
-
-/// Flow entries currently resident across all switch tables.
-pub(crate) fn total_flows(sim: &Sim, switches: &[AgentId]) -> usize {
-    switches
-        .iter()
-        .filter_map(|&s| sim.agent_as::<OpenFlowSwitch>(s))
-        .map(|s| s.flow_count())
-        .sum()
-}
-
 /// A running experiment: the simulator plus handles to every layer of
 /// the Fig. 2 stack.
 ///
@@ -1365,15 +1332,19 @@ pub enum ForkError {
     /// point; a cold run would already have dispatched it, so the fork
     /// could never match.
     FaultNotAfterFork { at: Duration, now: Time },
+    /// The fault does not fit this scenario's topology (or is
+    /// malformed) — the same rejection the builder path reports.
+    BadFault(FaultError),
 }
 
 impl std::fmt::Display for ForkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
+        match self {
             ForkError::FaultNotAfterFork { at, now } => write!(
                 f,
                 "fault at {at:?} is not strictly after the fork point {now}"
             ),
+            ForkError::BadFault(e) => write!(f, "{e}"),
         }
     }
 }
@@ -1466,34 +1437,43 @@ impl Scenario {
 
     /// Switches whose VM is up (green in the paper's GUI).
     pub fn configured_switches(&self) -> usize {
-        configured_switches(&self.sim, self.rf_ctrl)
+        self.sim
+            .agent_as::<ControlPlane>(self.rf_ctrl)
+            .map(|c| c.configured_switches())
+            .unwrap_or(0)
     }
 
     /// When the last switch turned green, if all have.
     pub fn all_configured_at(&self) -> Option<Time> {
-        all_configured_at(&self.sim, self.rf_ctrl, self.expected_switches)
+        self.sim
+            .agent_as::<ControlPlane>(self.rf_ctrl)?
+            .all_configured_at(self.expected_switches)
     }
 
-    /// Run until every switch is configured (or `deadline`); returns
-    /// the configuration completion time. Observing convergence arms
-    /// the parallel kernel for subsequent [`Scenario::run_until`]
-    /// spans.
+    /// Run until every switch is configured (or `deadline`), stepping
+    /// in 100 ms slices so the condition is observable; returns the
+    /// configuration completion time. Observing convergence arms the
+    /// parallel kernel for subsequent [`Scenario::run_until`] spans.
     pub fn run_until_configured(&mut self, deadline: Time) -> Option<Time> {
-        let done = run_until_configured(
-            &mut self.sim,
-            self.rf_ctrl,
-            self.expected_switches,
-            deadline,
-        );
-        if done.is_some() {
-            self.configured = true;
+        let mut t = self.sim.now();
+        while t < deadline {
+            t = (t + Duration::from_millis(100)).min(deadline);
+            self.sim.run_until(t);
+            if let Some(done) = self.all_configured_at() {
+                self.configured = true;
+                return Some(done);
+            }
         }
-        done
+        None
     }
 
     /// Flow entries currently resident across all switch tables.
     pub fn total_flows(&self) -> usize {
-        total_flows(&self.sim, &self.switches)
+        self.switches
+            .iter()
+            .filter_map(|&s| self.sim.agent_as::<OpenFlowSwitch>(s))
+            .map(|s| s.flow_count())
+            .sum()
     }
 
     /// Capture the whole world — kernel queue, agents, streams, RNG —
@@ -1555,24 +1535,16 @@ impl Scenario {
     /// Every fault's first effect (`at`, or `from` for a stall) must
     /// lie strictly after the current instant — a cold run would
     /// already have dispatched anything earlier, so such a fork could
-    /// never match one. Nothing is scheduled unless all faults pass.
+    /// never match one — and the schedule must fit the topology
+    /// ([`Fault::validate_schedule`]). Nothing is scheduled unless all
+    /// faults pass.
     pub fn inject_faults(&mut self, faults: &[Fault]) -> Result<(), ForkError> {
+        Fault::validate_schedule(faults, self.switches.len(), self.phys_links.len())
+            .map_err(ForkError::BadFault)?;
         let now = self.sim.now();
-        for f in faults {
-            let effective = match *f {
-                Fault::KillSwitch { at, .. }
-                | Fault::ReviveSwitch { at, .. }
-                | Fault::LinkDown { at, .. }
-                | Fault::LinkUp { at, .. }
-                | Fault::LinkLoss { at, .. } => at,
-                Fault::ChannelStall { from, until, .. } => {
-                    assert!(from < until, "stall window must be non-empty");
-                    from
-                }
-            };
-            if Time::ZERO + effective <= now {
-                return Err(ForkError::FaultNotAfterFork { at: effective, now });
-            }
+        let early = |at: &Duration| Time::ZERO + *at <= now;
+        if let Some(at) = faults.iter().map(Fault::first_effect).find(early) {
+            return Err(ForkError::FaultNotAfterFork { at, now });
         }
 
         let ops = chaos_ops(faults, &self.switches, &self.switch_cfgs, &self.phys_links);
@@ -1645,13 +1617,6 @@ impl Scenario {
         self.peek_metrics()
     }
 
-    /// Renamed to [`Scenario::finish`] (the name now says that it
-    /// mutates: the pre-harvest drain advances the simulation).
-    #[deprecated(note = "renamed to Scenario::finish")]
-    pub fn metrics(&mut self) -> ScenarioMetrics {
-        self.finish()
-    }
-
     /// Read the scenario's typed metrics as they stand, without the
     /// tail drain: pure observation, no simulation step, safe at any
     /// instant (including just before a [`Scenario::snapshot`]). A
@@ -1676,12 +1641,6 @@ impl Scenario {
             of_dropped: ctrl.of_dropped(),
             of_queue_hwm: ctrl.of_queue_hwm(),
         }
-    }
-
-    /// Renamed to [`Scenario::peek_metrics`].
-    #[deprecated(note = "renamed to Scenario::peek_metrics")]
-    pub fn metrics_undrained(&self) -> ScenarioMetrics {
-        self.peek_metrics()
     }
 
     /// Harvest each workload's measurements, in `with_workload` order.
@@ -1756,22 +1715,5 @@ impl Scenario {
                 }
             })
             .collect()
-    }
-
-    /// Tear the scenario down into the legacy
-    /// [`crate::bootstrap::Deployment`] shape.
-    #[deprecated(note = "use Scenario directly; Deployment is a compatibility shim")]
-    #[allow(deprecated)]
-    pub fn into_deployment(self) -> crate::bootstrap::Deployment {
-        crate::bootstrap::Deployment {
-            sim: self.sim,
-            rf_ctrl: self.rf_ctrl,
-            topo_ctrl: self.topo_ctrl,
-            rpc_client: self.rpc_client,
-            flowvisor: self.flowvisor,
-            switches: self.switches,
-            host_slots: self.host_slots,
-            expected_switches: self.expected_switches,
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! real topologies — discovery → RPC → VM creation → config files →
 //! OSPF convergence → flow installation.
 
-use rf_core::rfcontroller::RfController;
+use rf_core::apps::ControlPlane;
 use rf_core::scenario::Scenario;
 use rf_sim::Time;
 use rf_switch::OpenFlowSwitch;
@@ -26,7 +26,7 @@ fn ring4_all_switches_turn_green() {
 fn vms_mirror_switch_port_counts() {
     let mut sc = Scenario::on(ring(4)).fast_timers().start();
     sc.run_until_configured(Time::from_secs(120)).unwrap();
-    let rf = sc.sim.agent_as::<RfController>(sc.rf_ctrl).unwrap();
+    let rf = sc.sim.agent_as::<ControlPlane>(sc.rf_ctrl).unwrap();
     let mut counts = rf.switch_port_counts();
     counts.sort();
     // Every ring node has exactly 2 ports, and VM ids equal dpids.

@@ -5,7 +5,7 @@
 //! divergent faults. The matrix-level byte-identity contract rides on
 //! these in `tests/matrix_sweeps.rs`.
 
-use rf_core::scenario::{Fault, ForkError, Scenario, SnapshotError};
+use rf_core::scenario::{Fault, FaultError, ForkError, Scenario, SnapshotError};
 use rf_sim::Time;
 use rf_topo::ring;
 use std::time::Duration;
@@ -124,6 +124,68 @@ fn inject_faults_refuses_past_faults_atomically() {
         format!("{:?}", undisturbed.peek_metrics()),
         "a refused injection must not perturb the fork"
     );
+}
+
+#[test]
+fn inject_faults_refuses_malformed_faults_typed_and_atomically() {
+    // What the builder path rejects as a `FaultError`, injection must
+    // reject the same way — never by panicking in the chaos agent's
+    // node/edge lookup or on a stall-window assertion.
+    let mut cold = Scenario::on(ring(4)).fast_timers().seed(3).start();
+    let snap = converge_and_snapshot(&mut cold);
+    let mut fork = Scenario::fork(&snap);
+
+    let later = Duration::from_secs(600);
+    let fine = Fault::KillSwitch {
+        node: 1,
+        at: Duration::from_secs(25),
+    };
+    let cases = [
+        (
+            Fault::KillSwitch {
+                node: 99,
+                at: later,
+            },
+            FaultError::NodeOutOfRange { node: 99, nodes: 4 },
+        ),
+        (
+            Fault::LinkDown {
+                edge: 99,
+                at: later,
+            },
+            FaultError::EdgeOutOfRange { edge: 99, edges: 4 },
+        ),
+        (
+            Fault::ChannelStall {
+                dpid: 2,
+                from: later,
+                until: later,
+            },
+            FaultError::EmptyStallWindow {
+                from: later,
+                until: later,
+            },
+        ),
+    ];
+    for (bad, why) in cases {
+        // A well-formed fault rides in front: the batch is refused as
+        // a whole, so its kill must not be scheduled either.
+        assert_eq!(
+            fork.inject_faults(&[fine.clone(), bad]),
+            Err(ForkError::BadFault(why))
+        );
+    }
+
+    // The refusals left no trace: the fork, and a sibling that never
+    // saw an injection, both still equal the cold run continuing.
+    let mut sibling = Scenario::fork(&snap);
+    let horizon = snap.taken_at() + Duration::from_secs(40);
+    for sc in [&mut cold, &mut fork, &mut sibling] {
+        sc.run_until(horizon);
+    }
+    let cold = format!("{:?}", cold.peek_metrics());
+    assert_eq!(format!("{:?}", fork.peek_metrics()), cold);
+    assert_eq!(format!("{:?}", sibling.peek_metrics()), cold);
 }
 
 #[test]

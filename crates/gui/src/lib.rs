@@ -61,7 +61,7 @@ impl NetworkView {
         }
     }
 
-    /// Bulk update from `RfController::switch_states()`-shaped input.
+    /// Bulk update from `ControlPlane::switch_states()`-shaped input.
     pub fn update(&mut self, states: &[(u64, bool)]) {
         for &(dpid, ok) in states {
             self.set_configured(dpid, ok);

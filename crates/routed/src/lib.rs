@@ -15,8 +15,6 @@
 //!   delay/hold timers — everything **sans-IO** (smoltcp style): the
 //!   daemon consumes packets and clock ticks, and returns packets to
 //!   send plus route updates;
-//! * [`rip`] — RIPv2 with split horizon + poisoned reverse and
-//!   triggered updates, as the alternative protocol for ablations;
 //! * [`config`] — Quagga-style configuration files: the RPC server
 //!   *writes* `zebra.conf` / `ospfd.conf` / `bgpd.conf` text and the
 //!   daemons *parse it back* to configure themselves, because those
@@ -30,7 +28,6 @@
 pub mod config;
 pub mod ospf;
 pub mod rib;
-pub mod rip;
 
 pub use config::{BgpConfig, OspfConfig, VmRouterConfig, ZebraConfig};
 pub use ospf::daemon::{OspfDaemon, OspfEvent};

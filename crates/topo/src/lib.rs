@@ -31,7 +31,4 @@ pub use generators::{
 };
 pub use graph::{Edge, NodeId, NodeInfo, Topology};
 pub use pan_european::pan_european;
-#[allow(deprecated)]
-#[deprecated(note = "use registry::try_resolve or name.parse::<TopoSpec>()?.build()")]
-pub use registry::resolve as resolve_topology;
 pub use spec::{SeededKind, TopoParseError, TopoSpec};

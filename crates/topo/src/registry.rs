@@ -3,11 +3,8 @@
 //! A scenario matrix is keyed by strings so its report diffs cleanly
 //! and its axes can come from a CLI flag or a CI config. The grammar
 //! and the builders live in [`crate::spec::TopoSpec`]; this module is
-//! the thin compatibility shim older call sites use:
-//!
-//! * [`try_resolve`] — parse + build with a typed error naming the
-//!   offending token;
-//! * [`resolve`] — the historical `Option` form.
+//! the thin string-keyed front door: [`try_resolve`] parses and builds
+//! with a typed error naming the offending token.
 //!
 //! Every family is reachable by name, including the seeded random
 //! graphs (`er-64-s7`, `waxman-64-s7`), the datacenter fabrics
@@ -21,18 +18,6 @@ use crate::spec::{TopoParseError, TopoSpec};
 /// of the name was malformed or out of range.
 pub fn try_resolve(name: &str) -> Result<Topology, TopoParseError> {
     name.parse::<TopoSpec>().map(|spec| spec.build())
-}
-
-/// Resolve a topology name; `None` if the name is not recognized or
-/// its parameters are out of range.
-///
-/// Deprecated: the `Option` swallows *why* the name was rejected. Use
-/// [`try_resolve`] for the typed error, or go through the spec layer
-/// directly — `name.parse::<TopoSpec>()?.build()` — when you want the
-/// parsed parameters too.
-#[deprecated(note = "use try_resolve (typed error) or name.parse::<TopoSpec>()?.build()")]
-pub fn resolve(name: &str) -> Option<Topology> {
-    try_resolve(name).ok()
 }
 
 /// The names a generic sweep CLI offers, smallest instances first.
@@ -98,12 +83,5 @@ mod tests {
         for name in standard_names() {
             assert!(try_resolve(&name).is_ok(), "{name} must resolve");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_option_shim_still_works() {
-        assert_eq!(resolve("ring-8").unwrap().node_count(), 8);
-        assert!(resolve("torus-4").is_none());
     }
 }

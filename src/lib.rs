@@ -39,7 +39,7 @@
 //! assert!(metrics.flows_installed > 0);
 //!
 //! // Programmatic configuration: build the parameter struct directly
-//! // (formerly `DeploymentConfig`) and hand it to the builder.
+//! // and hand it to the builder.
 //! let mut cfg = ScenarioConfig::new(ring(4));
 //! cfg.ospf_hello = 1;
 //! cfg.ospf_dead = 4;
@@ -74,16 +74,11 @@ pub mod prelude {
         AppCtx, ControlApp, ControlEvent, ControlPlane, ControlState, FibChange, LinkChange,
         OverflowPolicy, SendOutcome,
     };
-    // Deprecated shims for the pre-redesign one-shot API; migrate to
-    // `Scenario`/`ScenarioConfig`.
-    #[allow(deprecated)]
-    pub use rf_core::bootstrap::{Deployment, DeploymentConfig};
     pub use rf_core::chaos::{
         check_invariants, ChaosCampaign, ChaosSpec, FaultClass, InvariantContext,
         InvariantViolation, ReproCase,
     };
     pub use rf_core::manual::ManualConfigModel;
-    pub use rf_core::rfcontroller::RfController;
     pub use rf_core::scenario::{
         Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, Scenario,
         ScenarioBuilder, ScenarioConfig, ScenarioMetrics, Snapshot, SnapshotError, Workload,

@@ -1,7 +1,6 @@
 //! E4 — Fig. 1 + Fig. 2 validation: the framework's architectural
 //! invariants on the paper's own 4-switch layout (OF-A … OF-D).
 
-use rf_core::rfcontroller::RfController;
 use rf_discovery::TopologyController;
 use rf_flowvisor::FlowVisor;
 use rf_vnet::vm::VmAgent;
@@ -17,7 +16,7 @@ fn fig1() -> Scenario {
 fn every_switch_gets_a_mirroring_vm_with_matching_id() {
     let mut dep = fig1();
     dep.run_until_configured(Time::from_secs(120)).unwrap();
-    let rf = dep.sim.agent_as::<RfController>(dep.rf_ctrl).unwrap();
+    let rf = dep.sim.agent_as::<ControlPlane>(dep.rf_ctrl).unwrap();
     let states = rf.switch_states();
     assert_eq!(states.len(), 4);
     assert!(states.iter().all(|(_, green)| *green));
@@ -90,7 +89,7 @@ fn rpc_path_is_exactly_once_under_retransmission() {
     // exceed the number of distinct requests.
     let mut dep = fig1();
     dep.run_until_configured(Time::from_secs(120)).unwrap();
-    let rf = dep.sim.agent_as::<RfController>(dep.rf_ctrl).unwrap();
+    let rf = dep.sim.agent_as::<ControlPlane>(dep.rf_ctrl).unwrap();
     assert_eq!(rf.configured_switches(), 4);
     let mut vm_count = 0;
     for id in 0..200 {
@@ -112,7 +111,7 @@ fn gui_reflects_controller_state() {
     dep.run_until_configured(Time::from_secs(120)).unwrap();
     let states = dep
         .sim
-        .agent_as::<RfController>(dep.rf_ctrl)
+        .agent_as::<ControlPlane>(dep.rf_ctrl)
         .unwrap()
         .switch_states();
     view.update(&states);

@@ -229,13 +229,56 @@ fn repro_replay_is_deterministic() {
         violations: Vec::new(),
     };
     let parsed = ReproCase::parse(&repro.to_json()).expect("round trip");
-    let a = campaign.replay(&parsed);
-    let b = campaign.replay(&parsed);
+    let a = campaign.replay(&parsed).expect("the repro runs");
+    let b = campaign.replay(&parsed).expect("the repro runs");
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert!(
         a.is_empty(),
         "ring-4 routes around a dead transit switch: {a:?}"
     );
+}
+
+/// "Could not replay" is an error, never an empty violation list: a
+/// repro whose topology does not parse, whose schedule the builder
+/// rejects, or which was recorded under another knob must not read as
+/// "ran clean".
+#[test]
+fn replay_reports_why_a_repro_cannot_run() {
+    let campaign = ChaosCampaign::smoke(3);
+    let good = ReproCase {
+        key: "topo=ring-4/fault=manual/knob=chaos/seed=11".into(),
+        topology: "ring-4".into(),
+        knob: "chaos".into(),
+        seed: 11,
+        schedule: "manual".into(),
+        faults: Vec::new(),
+        violations: Vec::new(),
+    };
+    let bad_topology = ReproCase {
+        topology: "hypercube-9".into(),
+        ..good.clone()
+    };
+    let bad_schedule = ReproCase {
+        faults: vec![Fault::KillSwitch {
+            node: 99,
+            at: Duration::from_secs(30),
+        }],
+        ..good.clone()
+    };
+    let other_knob = ReproCase {
+        knob: "paper".into(),
+        ..good
+    };
+    for (repro, needle) in [
+        (bad_topology, "hypercube-9"),
+        (bad_schedule, "node 99"),
+        (other_knob, "\"paper\""),
+    ] {
+        let why = campaign
+            .replay(&repro)
+            .expect_err("an unrunnable repro is an error");
+        assert!(why.contains(needle), "{why:?} should mention {needle}");
+    }
 }
 
 /// Tentpole acceptance: the shrinker converges a deliberately seeded

@@ -89,7 +89,10 @@ fn forked_sweep_bytes_identical_to_cold_at_1_4_8_threads() {
     let matrix = ScenarioMatrix::new(forky_spec());
     let cold = matrix.run(2).to_json();
     for threads in [1, 4, 8] {
-        let forked = matrix.run_forked(threads).to_json();
+        let forked = matrix
+            .run_instrumented_forked(threads, ScenarioMatrix::standard_builder)
+            .0
+            .to_json();
         assert_eq!(
             forked, cold,
             "forked report at {threads} threads must be byte-identical to cold"

@@ -37,7 +37,6 @@ proptest! {
         let _ = ArpPacket::parse(&data);
         let _ = LldpPacket::parse(&data);
         let _ = rf_routed::ospf::packet::OspfPacket::parse(&data);
-        let _ = rf_routed::rip::RipPacket::parse(&data);
     }
 
     #[test]
