@@ -99,7 +99,7 @@ fn a2(args: &SweepArgs) {
     // The §3 demo probe: a video stream across the farthest city pair
     // instead of the standard ping.
     let (report, _) = matrix.run_instrumented(args.threads, |cell| {
-        let topo = cell.topo_spec().expect("registry name").build();
+        let topo = cell.topo_spec().expect("grid topology names parse").build();
         let (server, client) = topo.farthest_pair().expect("non-trivial topology");
         Ok(cell
             .knob
@@ -194,7 +194,7 @@ fn a5(args: &SweepArgs) {
     let (report, rows) = sweep_rows(args, spec, |cell, rec| {
         let links = cell
             .topo_spec()
-            .expect("registry name")
+            .expect("grid topology names parse")
             .build()
             .edge_count();
         vec![

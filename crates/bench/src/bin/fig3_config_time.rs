@@ -101,7 +101,7 @@ fn main() {
     for topology in &topologies {
         let n = topology
             .parse::<rf_topo::TopoSpec>()
-            .expect("registry name")
+            .expect("grid topology names parse")
             .build()
             .node_count();
         let mut cols = vec![topology.clone(), n.to_string()];

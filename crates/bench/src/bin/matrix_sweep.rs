@@ -100,6 +100,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// What to run to overwrite `path` with the grid that was just swept:
+/// the same grid and execution mode as the failed check.
+fn refresh_hint(grid_name: &str, fork: bool, path: &str) -> String {
+    let fork = if fork { " --fork" } else { "" };
+    format!(
+        "if these changes are intended, refresh the baseline:\n  \
+         cargo run --release -p rf-bench --bin matrix_sweep -- \
+         --{grid_name}{fork} --out {path}"
+    )
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -244,13 +255,35 @@ fn main() -> ExitCode {
             for d in &diffs {
                 eprintln!("  {d}");
             }
-            eprintln!(
-                "if these changes are intended, refresh the baseline:\n  \
-                 cargo run --release -p rf-bench --bin matrix_sweep -- \
-                 --smoke --out {path}"
-            );
+            eprintln!("{}", refresh_hint(args.grid_name, args.fork, path));
             return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::refresh_hint;
+
+    #[test]
+    fn refresh_hint_names_the_grid_and_mode_that_were_checked() {
+        let cmd = "cargo run --release -p rf-bench --bin matrix_sweep --";
+        let hint = refresh_hint(
+            "corpus-smoke",
+            false,
+            "crates/bench/baselines/corpus-smoke.json",
+        );
+        assert!(
+            hint.ends_with(&format!(
+                "\n  {cmd} --corpus-smoke --out crates/bench/baselines/corpus-smoke.json"
+            )),
+            "{hint}"
+        );
+        let hint = refresh_hint("smoke", true, "b.json");
+        assert!(
+            hint.ends_with(&format!("\n  {cmd} --smoke --fork --out b.json")),
+            "{hint}"
+        );
+    }
 }

@@ -1,10 +1,10 @@
 //! # rf-bench — the experiment harness
 //!
-//! One function per experiment, shared by the `--bin` table generators
-//! and the Criterion benches, all built on the composable
-//! [`ScenarioBuilder`](rf_core::scenario::ScenarioBuilder) API. See
-//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! recorded results.
+//! One function per experiment, shared by the `--bin` table
+//! generators, all built on the composable
+//! [`ScenarioBuilder`](rf_core::scenario::ScenarioBuilder) API. The
+//! README's "Examples" section lists the binaries; wall-clock numbers
+//! are `rfbench`'s (README § Performance).
 
 use rf_core::manual::ManualConfigModel;
 use rf_core::scenario::{

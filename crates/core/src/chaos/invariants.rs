@@ -24,7 +24,7 @@
 //! (`inv_<code>` counts) and into minimized repro artifacts.
 
 use crate::apps::OverflowPolicy;
-use crate::scenario::{Fault, Scenario, WorkloadReport};
+use crate::scenario::{port_plan, Fault, Scenario, WorkloadReport};
 use rf_topo::Topology;
 use rf_vnet::VmAgent;
 use std::collections::{BTreeMap, HashMap};
@@ -202,24 +202,6 @@ impl SurvivingState {
     }
 }
 
-/// Recompute the builder's deterministic port plan: edge index →
-/// (port at `a`, port at `b`). Per node, ports start at 1 and edges
-/// claim them first, in `topo.edges()` order (host ports come after,
-/// which the checker never needs).
-pub fn edge_ports(topo: &Topology) -> Vec<(u16, u16)> {
-    let mut next_port = vec![1u16; topo.node_count()];
-    topo.edges()
-        .iter()
-        .map(|e| {
-            let pa = next_port[e.a];
-            next_port[e.a] += 1;
-            let pb = next_port[e.b];
-            next_port[e.b] += 1;
-            (pa, pb)
-        })
-        .collect()
-}
-
 /// BFS distances over the surviving graph from `src` (usable edges
 /// between alive nodes only); `usize::MAX` = unreachable.
 fn surviving_distances(topo: &Topology, s: &SurvivingState, src: usize) -> Vec<usize> {
@@ -259,7 +241,7 @@ pub fn check_invariants(sc: &Scenario, ctx: &InvariantContext<'_>) -> Vec<Invari
     let nodes = ctx.topo.node_count();
     let surviving = SurvivingState::replay(ctx.faults, nodes, ctx.topo.edge_count());
     let state = sc.controller().state();
-    let ports = edge_ports(ctx.topo);
+    let (ports, _) = port_plan(ctx.topo);
 
     // Per-node distance tables on the surviving graph, computed once.
     let dist: Vec<Vec<usize>> = (0..nodes)
@@ -495,15 +477,5 @@ mod tests {
         assert!(!s.usable[0], "un-healed LinkDown");
         assert!(!s.usable[2], "100% loss is unusable");
         assert!(s.usable[3], "partial loss is usable");
-    }
-
-    #[test]
-    fn edge_ports_match_builder_plan_on_a_ring() {
-        // ring(4) edges: (0,1), (1,2), (2,3), (3,0) — node 0 gets port
-        // 1 for edge 0 and port 2 for edge 3.
-        let topo = rf_topo::ring(4);
-        let ports = edge_ports(&topo);
-        assert_eq!(ports[0], (1, 1));
-        assert_eq!(ports[3], (2, 2));
     }
 }

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 /// Administrator-declared host attachment point: the one piece of edge
 /// configuration LLDP discovery cannot learn (hosts do not speak LLDP).
-/// See DESIGN.md — the paper's demo likewise pre-wires where the video
-/// server and client sit.
+/// The paper's demo likewise pre-wires where the video server and
+/// client sit.
 #[derive(Clone, Debug)]
 pub struct HostPortConfig {
     pub dpid: u64,

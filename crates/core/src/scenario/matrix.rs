@@ -302,12 +302,6 @@ impl MatrixKnob {
         self
     }
 
-    /// Overflow policy of a bounded channel.
-    pub fn with_overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
-        self
-    }
-
     /// Replace the probe workload with an `n`-client fan-in.
     pub fn with_fan_in(mut self, clients: usize) -> Self {
         assert!(clients >= 1);
@@ -528,7 +522,7 @@ impl MatrixSpec {
     }
 
     /// Replace the topology axis with typed specs. `Display` spells
-    /// each spec exactly as its registry name, so cell keys are
+    /// each spec exactly as its topology name, so cell keys are
     /// byte-identical to spelling the strings out by hand.
     pub fn with_topologies<I, T>(mut self, topologies: I) -> Self
     where
@@ -606,46 +600,6 @@ impl MatrixSpec {
                 .with_provision_width(8)
                 .with_fib_batch(16)],
             configure_deadline: Duration::from_secs(300),
-            post_fault_window: Duration::from_secs(45),
-            settle: Duration::from_secs(10),
-        }
-    }
-
-    /// The traffic-engine perf grid: fault-free, two topologies whose
-    /// bottlenecks differ (ring vs star hub), each shape at both
-    /// granularities — the events/sec comparison that justifies the
-    /// flow-level fast path rides on this.
-    pub fn traffic() -> MatrixSpec {
-        let window = |s: TrafficSpec| s.window(Duration::from_secs(25), Duration::from_secs(15));
-        let rr = || {
-            window(TrafficSpec::poisson(
-                3,
-                8.0,
-                FlowSize::pareto(2_000, 100_000),
-            ))
-        };
-        let incast = || {
-            window(TrafficSpec::incast(
-                4,
-                FlowSize::fixed(60_000),
-                Duration::from_secs(2),
-                6,
-            ))
-        };
-        let mcast = || window(TrafficSpec::multicast(4, 2_000_000));
-        MatrixSpec {
-            seeds: vec![1, 2],
-            topologies: vec!["ring-8".into(), "star-8".into()],
-            schedules: vec![FaultSchedule::none()],
-            knobs: vec![
-                MatrixKnob::fast("rr-pkt").with_traffic(rr()),
-                MatrixKnob::fast("rr-flow").with_traffic(rr().flow_level()),
-                MatrixKnob::fast("incast-pkt").with_traffic(incast()),
-                MatrixKnob::fast("incast-flow").with_traffic(incast().flow_level()),
-                MatrixKnob::fast("mcast-pkt").with_traffic(mcast()),
-                MatrixKnob::fast("mcast-flow").with_traffic(mcast().flow_level()),
-            ],
-            configure_deadline: Duration::from_secs(120),
             post_fault_window: Duration::from_secs(45),
             settle: Duration::from_secs(10),
         }
@@ -811,9 +765,9 @@ impl ScenarioMatrix {
     }
 
     /// The scheduler's cost estimate for one cell (arbitrary units;
-    /// only the ordering matters). Public so harnesses — `perf_sweep`'s
-    /// parallel-kernel probe, the calibration test — can see the same
-    /// ranking the sweep schedules by.
+    /// only the ordering matters). Public so the calibration test in
+    /// `tests/parallel_kernel.rs` can see the same ranking the sweep
+    /// schedules by.
     pub fn expected_cell_cost(&self, cell: &MatrixCell) -> u64 {
         expected_cost(&self.spec, cell)
     }
@@ -875,11 +829,11 @@ impl ScenarioMatrix {
 
     /// Sweep the grid, building each cell's scenario with `build`, and
     /// return the report plus wall-clock/event-count observations per
-    /// cell (the substrate of the `perf_sweep` harness). Every cell is
-    /// its own scheduling unit and cold-starts; units are distributed
-    /// over `threads` workers, costliest first, and the report is
-    /// identical whatever the count. A cell whose builder returns an
-    /// error reports `build_error = 1` and nothing else.
+    /// cell (what `rfbench` times). Every cell is its own scheduling
+    /// unit and cold-starts; units are distributed over `threads`
+    /// workers, costliest first, and the report is identical whatever
+    /// the count. A cell whose builder returns an error reports
+    /// `build_error = 1` and nothing else.
     pub fn run_instrumented<F>(&self, threads: usize, build: F) -> (MatrixReport, SweepStats)
     where
         F: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Send + Sync,
@@ -1253,7 +1207,7 @@ mod tests {
         assert_eq!(
             spec.topologies,
             vec!["ring-4", "fat-tree-k4", "abilene"],
-            "Display must spell registry names exactly"
+            "Display must spell topology names exactly"
         );
     }
 

@@ -761,15 +761,7 @@ impl ScenarioBuilder {
         });
 
         // Port plan: edges first, then host ports.
-        let mut next_port: Vec<u16> = vec![1; n];
-        let mut edge_ports: Vec<(usize, u16, usize, u16)> = Vec::new();
-        for e in cfg.topology.edges() {
-            let pa = next_port[e.a];
-            next_port[e.a] += 1;
-            let pb = next_port[e.b];
-            next_port[e.b] += 1;
-            edge_ports.push((e.a, pa, e.b, pb));
-        }
+        let (edge_ports, mut next_port) = port_plan(&cfg.topology);
         let mut host_port_cfgs = Vec::new();
         let mut host_plan = Vec::new(); // (node, port, subnet, gw, host_ip)
         for h in &cfg.hosts {
@@ -866,10 +858,10 @@ impl ScenarioBuilder {
 
         // Physical links (ids kept for the fault schedule).
         let mut phys_links = Vec::with_capacity(edge_ports.len());
-        for (a, pa, b, pb) in edge_ports {
+        for (e, (pa, pb)) in cfg.topology.edges().iter().zip(edge_ports) {
             phys_links.push(sim.add_link(
-                (switches[a], u32::from(pa)),
-                (switches[b], u32::from(pb)),
+                (switches[e.a], u32::from(pa)),
+                (switches[e.b], u32::from(pb)),
                 cfg.link_profile,
             ));
         }
@@ -991,6 +983,26 @@ impl ScenarioBuilder {
             last_parallel: None,
         }
     }
+}
+
+/// The deterministic port plan: per node, ports start at 1 and edges
+/// claim them first, in `topo.edges()` order. Returns edge index →
+/// (port at `a`, port at `b`), and each node's next free port, where
+/// its host ports continue.
+pub(crate) fn port_plan(topo: &Topology) -> (Vec<(u16, u16)>, Vec<u16>) {
+    let mut next_port = vec![1u16; topo.node_count()];
+    let edge_ports = topo
+        .edges()
+        .iter()
+        .map(|e| {
+            let pa = next_port[e.a];
+            next_port[e.a] += 1;
+            let pb = next_port[e.b];
+            next_port[e.b] += 1;
+            (pa, pb)
+        })
+        .collect();
+    (edge_ports, next_port)
 }
 
 /// Map a fault schedule onto chaos-agent operations against already
@@ -1412,16 +1424,6 @@ impl Scenario {
         } else {
             self.sim.run_until(t);
         }
-    }
-
-    /// Run until simulated time `t` on the parallel kernel with up to
-    /// `cores` regions, regardless of the configured knob (still
-    /// subject to the kernel's own serial fallbacks). Returns how the
-    /// span executed.
-    pub fn run_parallel(&mut self, t: Time, cores: usize) -> ParallelOutcome {
-        let out = rf_sim::run_parallel_until(&mut self.sim, t, cores);
-        self.last_parallel = Some(out.clone());
-        out
     }
 
     /// Worker threads post-convergence `run_until` spans may use.

@@ -26,9 +26,9 @@
 //! * `PORT_STATUS` fans out to all slices; `FLOW_REMOVED` is routed by
 //!   installer slice (tracked by cookie).
 //!
-//! Simplifications vs. the real FlowVisor (DESIGN.md): no rate
-//! limiting, no virtual port remapping, no slice admin API — the demo
-//! framework uses none of these.
+//! Simplifications vs. the real FlowVisor: no rate limiting, no
+//! virtual port remapping, no slice admin API — the demo framework
+//! uses none of these.
 
 pub mod proxy;
 pub mod slice;

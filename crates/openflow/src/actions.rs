@@ -32,7 +32,7 @@ pub enum Action {
     SetTpSrc(u16),
     SetTpDst(u16),
     /// Queue-based output; our datapath treats it as plain output
-    /// (queues are out of scope, see DESIGN.md).
+    /// (queues are out of scope: links have no QoS model).
     Enqueue {
         port: PortNumber,
         queue_id: u32,

@@ -8,6 +8,7 @@ use crate::header::{OfHeader, OFP_HEADER_LEN};
 use crate::messages::OfMessage;
 use crate::OfError;
 use bytes::{Bytes, BytesMut};
+use rf_wire::FrameBuf;
 
 /// Re-frame `raw` — a complete encoded message — under a different
 /// transaction id: one copy, one patched field. Because the encoder is
@@ -22,21 +23,11 @@ pub fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
     out.freeze()
 }
 
-/// Incremental OpenFlow message reassembler.
-///
-/// Two representations, one at a time: the common case — each stream
-/// chunk carrying whole messages — keeps the chunk as [`Bytes`] and
-/// yields zero-copy slices of it; only a chunk ending mid-message
-/// falls back to the accumulation buffer (`buf`), which pays the
-/// copies exactly as the old single-buffer reader did. The observable
-/// message sequence is identical either way.
+/// Incremental OpenFlow message reassembler: [`FrameBuf`] framed by
+/// `ofp_header.length`.
 #[derive(Clone, Default)]
 pub struct MessageReader {
-    /// Unconsumed tail of the most recent chunk (fast path). Invariant:
-    /// non-empty only while `buf` is empty.
-    chunk: Bytes,
-    /// Reassembly buffer for fragmented input (slow path).
-    buf: BytesMut,
+    frames: FrameBuf,
 }
 
 impl MessageReader {
@@ -46,28 +37,12 @@ impl MessageReader {
 
     /// Feed raw bytes from the stream.
     pub fn push(&mut self, data: &[u8]) {
-        self.spill();
-        self.buf.extend_from_slice(data);
+        self.frames.push(data);
     }
 
-    /// Feed a whole stream chunk, keeping it zero-copy when the reader
-    /// is drained (the overwhelmingly common case: one `conn_send` per
-    /// message, delivered as one chunk).
+    /// Feed a whole stream chunk, zero-copy when the reader is drained.
     pub fn push_bytes(&mut self, data: Bytes) {
-        if self.buf.is_empty() && self.chunk.is_empty() {
-            self.chunk = data;
-        } else {
-            self.spill();
-            self.buf.extend_from_slice(&data);
-        }
-    }
-
-    /// Move any fast-path remainder into the accumulation buffer.
-    fn spill(&mut self) {
-        if !self.chunk.is_empty() {
-            self.buf.extend_from_slice(&self.chunk);
-            self.chunk = Bytes::new();
-        }
+        self.frames.push_bytes(data);
     }
 
     /// Pop the next complete message, if any. Decoding errors consume
@@ -84,47 +59,23 @@ impl MessageReader {
     /// re-encode; our encoder is canonical, so `raw` always equals
     /// `msg.encode(xid)`.
     pub fn next_raw(&mut self) -> Option<Result<(OfMessage, u32, Bytes), OfError>> {
-        let raw = match self.take_frame() {
-            Ok(Some(raw)) => raw,
-            Ok(None) => return None,
-            Err(e) => return Some(Err(e)),
-        };
-        Some(OfMessage::decode_bytes(&raw).map(|(msg, xid)| (msg, xid, raw)))
-    }
-
-    /// Split the next length-delimited frame off the stream.
-    fn take_frame(&mut self) -> Result<Option<Bytes>, OfError> {
-        let avail = if self.chunk.is_empty() {
-            &self.buf[..]
-        } else {
-            &self.chunk[..]
-        };
-        if avail.len() < OFP_HEADER_LEN {
-            return Ok(None);
-        }
-        let header = match OfHeader::parse(avail) {
-            Ok(h) => h,
-            Err(e) => {
-                // Unrecoverable framing: drop the connection's buffer.
-                self.chunk = Bytes::new();
-                self.buf.clear();
-                return Err(e);
+        // A header that does not parse is unrecoverable framing: the
+        // buffer is dropped with the error.
+        let frame = self.frames.take_frame(|avail| {
+            if avail.len() < OFP_HEADER_LEN {
+                return Ok(None);
             }
-        };
-        let need = header.length as usize;
-        if avail.len() < need {
-            return Ok(None);
-        }
-        if self.chunk.is_empty() {
-            Ok(Some(self.buf.split_to(need).freeze()))
-        } else {
-            Ok(Some(self.chunk.split_to(need)))
-        }
+            OfHeader::parse(avail).map(|h| Some(h.length as usize))
+        });
+        frame.transpose().map(|raw| {
+            let raw = raw?;
+            OfMessage::decode_bytes(&raw).map(|(msg, xid)| (msg, xid, raw))
+        })
     }
 
     /// Bytes currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.chunk.len() + self.buf.len()
+        self.frames.buffered()
     }
 
     /// Drain all complete messages, stopping at the first error.
@@ -164,22 +115,6 @@ mod tests {
         let msgs = r.drain().unwrap();
         assert_eq!(msgs.len(), 3);
         assert_eq!(msgs[1], (OfMessage::FeaturesRequest, 2));
-    }
-
-    #[test]
-    fn fragmented_message() {
-        let mut r = MessageReader::new();
-        let wire = OfMessage::EchoRequest(Bytes::from_static(b"fragmented-payload")).encode(9);
-        // Deliver one byte at a time.
-        for (i, b) in wire.iter().enumerate() {
-            r.push(&[*b]);
-            if i + 1 < wire.len() {
-                assert!(r.next().is_none(), "yielded early at byte {i}");
-            }
-        }
-        let (msg, xid) = r.next().unwrap().unwrap();
-        assert_eq!(xid, 9);
-        assert!(matches!(msg, OfMessage::EchoRequest(_)));
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! has encode/decode round-trip tests, and proptest fuzzes the decoder
 //! with arbitrary byte soup (it must never panic).
 //!
-//! Out of scope (documented, per DESIGN.md): OF 1.1+, VLAN handling in
-//! the datapath, queues/QoS (`ENQUEUE` is encoded but our switch treats
-//! it as plain output), `QUEUE_GET_CONFIG`, vendor extensions beyond an
-//! opaque passthrough, and the emergency flow cache.
+//! Out of scope: OF 1.1+, VLAN handling in the datapath, queues/QoS
+//! (`ENQUEUE` is encoded but our switch treats it as plain output),
+//! `QUEUE_GET_CONFIG`, vendor extensions beyond an opaque passthrough,
+//! and the emergency flow cache.
 
 pub mod actions;
 pub mod codec;

@@ -20,10 +20,10 @@
 //!   daemons *parse it back* to configure themselves, because those
 //!   files are precisely the artifact the paper automates (§1 item 4).
 //!
-//! Out of scope (documented in DESIGN.md): OSPF areas other than 0,
-//! broadcast-network DR election (the virtual interconnect is all
-//! point-to-point /30s), NBMA, authentication, virtual links; BGP
-//! route exchange (only `bgpd.conf` generation and a session FSM stub).
+//! Out of scope: OSPF areas other than 0, broadcast-network DR
+//! election (the virtual interconnect is all point-to-point /30s),
+//! NBMA, authentication, virtual links; BGP route exchange (only
+//! `bgpd.conf` generation and a session FSM stub).
 
 pub mod config;
 pub mod ospf;

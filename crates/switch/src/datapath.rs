@@ -258,9 +258,10 @@ pub fn apply_actions(
                     e.set_tp_dst(*p);
                 }
             }
-            // VLAN actions: tagging is out of scope (DESIGN.md); the
-            // actions are accepted and ignored, as OVS does when the
-            // packet has no VLAN context to modify.
+            // VLAN actions: tagging is out of scope (the data plane
+            // carries untagged Ethernet II only); the actions are
+            // accepted and ignored, as OVS does when the packet has
+            // no VLAN context to modify.
             Action::SetVlanVid(_) | Action::SetVlanPcp(_) | Action::StripVlan => {}
         }
     }

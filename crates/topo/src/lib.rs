@@ -23,7 +23,6 @@ pub mod corpus;
 pub mod generators;
 pub mod graph;
 pub mod pan_european;
-pub mod registry;
 pub mod spec;
 
 pub use generators::{

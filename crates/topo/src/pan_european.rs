@@ -7,8 +7,7 @@
 //! 28-city / 41-link basic-topology variant with real coordinates;
 //! minor edge-list differences from the (print-only) original do not
 //! affect the reproduction, which only relies on "28 nodes, ~41 links,
-//! connected, European-scale latencies". This substitution is recorded
-//! in DESIGN.md.
+//! connected, European-scale latencies".
 
 use crate::graph::Topology;
 

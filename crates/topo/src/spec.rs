@@ -5,9 +5,9 @@
 //! fabrics, the seeded random families and the checked-in WAN corpus.
 //! `Display` and `FromStr` are a lossless round-trip, and the
 //! `Display` form of the legacy families is byte-identical to the
-//! names the stringly-typed registry always used (`ring-8`,
-//! `grid-4x4`, `pan-european`, …) so matrix cell keys — and therefore
-//! checked-in baseline reports — do not move.
+//! names sweep grids have always used (`ring-8`, `grid-4x4`,
+//! `pan-european`, …) so matrix cell keys — and therefore checked-in
+//! baseline reports — do not move.
 //!
 //! Naming scheme:
 //!
@@ -402,11 +402,17 @@ mod tests {
     fn build_matches_estimate() {
         for name in [
             "ring-8",
+            "line-5",
+            "star-9",
+            "mesh-4",
+            "grid-3x2",
             "grid-4x4",
             "pan-european",
             "fat-tree-k4",
             "fat-tree-k8",
+            "leaf-spine-2x4x1",
             "leaf-spine-4x16x2",
+            "er-24-s1",
             "er-32-s3",
             "waxman-24-s1",
             "abilene",
@@ -433,6 +439,7 @@ mod tests {
             80,
             "the corpus's headline fat-tree"
         );
+        assert_eq!(TopoSpec::Mesh(4).build().edge_count(), 6);
     }
 
     #[test]

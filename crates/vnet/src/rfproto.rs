@@ -11,7 +11,8 @@
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use rf_wire::Ipv4Cidr;
+use rf_wire::{FrameBuf, Ipv4Cidr};
+use std::convert::Infallible;
 use std::net::Ipv4Addr;
 
 /// Service the RF-controller listens on for VM (RFClient) connections.
@@ -163,14 +164,12 @@ impl RfMessage {
     }
 }
 
-/// Stream reassembler for RF frames.
+/// Stream reassembler for RF frames: [`FrameBuf`] framed by the u32
+/// length prefix. The header has nothing to validate, so framing
+/// cannot fail; a frame whose body does not decode is dropped.
 #[derive(Clone, Default)]
 pub struct RfFrameReader {
-    /// Unconsumed tail of the last chunk (zero-copy fast path);
-    /// non-empty only while `buf` is empty.
-    chunk: Bytes,
-    /// Reassembly buffer for fragmented input.
-    buf: BytesMut,
+    frames: FrameBuf,
 }
 
 impl RfFrameReader {
@@ -179,48 +178,24 @@ impl RfFrameReader {
     }
 
     pub fn push(&mut self, data: &[u8]) {
-        self.spill();
-        self.buf.extend_from_slice(data);
+        self.frames.push(data);
     }
 
     /// Feed a whole stream chunk without copying when drained.
     pub fn push_bytes(&mut self, data: Bytes) {
-        if self.buf.is_empty() && self.chunk.is_empty() {
-            self.chunk = data;
-        } else {
-            self.spill();
-            self.buf.extend_from_slice(&data);
-        }
-    }
-
-    fn spill(&mut self) {
-        if !self.chunk.is_empty() {
-            self.buf.extend_from_slice(&self.chunk);
-            self.chunk = Bytes::new();
-        }
+        self.frames.push_bytes(data);
     }
 
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<RfMessage> {
-        let avail: &[u8] = if self.chunk.is_empty() {
-            &self.buf
-        } else {
-            &self.chunk
-        };
-        if avail.len() < 4 {
-            return None;
-        }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if avail.len() < 4 + len {
-            return None;
-        }
-        if self.chunk.is_empty() {
-            let frame = self.buf.split_to(4 + len);
-            RfMessage::decode(&frame[4..])
-        } else {
-            let frame = self.chunk.split_to(4 + len);
-            RfMessage::decode(&frame[4..])
-        }
+        let frame =
+            self.frames.take_frame(|avail| {
+                Ok::<_, Infallible>((avail.len() >= 4).then(|| {
+                    4 + u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize
+                }))
+            });
+        let Ok(frame) = frame;
+        RfMessage::decode(&frame?[4..])
     }
 }
 
@@ -260,23 +235,6 @@ mod tests {
             let enc = m.encode();
             assert_eq!(RfMessage::decode(&enc[4..]), Some(m));
         }
-    }
-
-    #[test]
-    fn reader_reassembles_fragments() {
-        let mut stream = Vec::new();
-        for m in samples() {
-            stream.extend_from_slice(&m.encode());
-        }
-        let mut r = RfFrameReader::new();
-        let mut out = Vec::new();
-        for chunk in stream.chunks(7) {
-            r.push(chunk);
-            while let Some(m) = r.next() {
-                out.push(m);
-            }
-        }
-        assert_eq!(out, samples());
     }
 
     #[test]

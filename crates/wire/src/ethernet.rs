@@ -3,7 +3,7 @@
 //! The data plane of the reproduction carries only Ethernet II frames
 //! (no 802.3 LLC, no 802.1Q VLAN tags — matching what the paper's
 //! Open vSwitch setup forwards and what the OF 1.0 match we implement
-//! can classify; see DESIGN.md's omitted-features list).
+//! can classify).
 
 use crate::addr::MacAddr;
 use crate::WireError;

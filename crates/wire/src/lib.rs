@@ -13,6 +13,9 @@
 //! * LLDP ([`lldp`]) — the topology-discovery probes at the heart of
 //!   the paper's framework
 //!
+//! plus [`FrameBuf`], the stream reassembler the three control-channel
+//! codecs (OpenFlow, RPC, RF-proto) frame their messages with.
+//!
 //! Parsing follows the smoltcp philosophy: explicit, allocation-light,
 //! rejecting malformed input with a typed [`WireError`] instead of
 //! panicking. Emission always produces canonical encodings (checksums
@@ -22,6 +25,7 @@
 pub mod addr;
 pub mod arp;
 pub mod ethernet;
+mod framebuf;
 pub mod icmp;
 pub mod ipv4;
 pub mod lldp;
@@ -30,6 +34,7 @@ pub mod udp;
 pub use addr::{Ipv4Cidr, MacAddr};
 pub use arp::{ArpOp, ArpPacket};
 pub use ethernet::{EtherType, EthernetFrame, MIN_FRAME_NO_FCS};
+pub use framebuf::FrameBuf;
 pub use icmp::IcmpPacket;
 pub use ipv4::{IpProtocol, Ipv4Packet};
 pub use lldp::{LldpPacket, LldpTlv};

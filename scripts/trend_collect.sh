@@ -3,18 +3,11 @@
 # medians-over-time table (crates/bench/baselines/trend.md).
 #
 # Usage:
-#   scripts/trend_collect.sh append TREND_MD REPORT_JSON LABEL [PERF_JSON] [CORPUS_JSON] [CHAOS_JSON]
+#   scripts/trend_collect.sh append TREND_MD REPORT_JSON LABEL [CORPUS_JSON] [CHAOS_JSON]
 #       Append one row for REPORT_JSON under LABEL (idempotent: a row
-#       whose label already exists is skipped). When PERF_JSON (a
-#       BENCH_perf.json from perf_sweep) is given, the wall-clock
-#       cells/sec of its full (falling back to smoke) grid fills that
-#       column, fork_speedup carries the same grid's checkpoint/fork
-#       wall ratio (perf schema v2, `fork.speedup_x1000`, printed as a
-#       decimal), and parallel_speedup the intra-scenario
-#       parallel-kernel probe ratio (perf schema v3,
-#       `parallel.speedup_x1000`; "-" when the probe was skipped, e.g.
-#       on a sub-4-core host); when CORPUS_JSON (a `matrix_sweep --corpus` report) is
-#       given, the trailing columns carry the corpus breadth (distinct
+#       whose label already exists is skipped). When CORPUS_JSON (a
+#       `matrix_sweep --corpus` report) is given, corpus_topos and
+#       corpus_config_median_ns carry the corpus breadth (distinct
 #       topologies) and the median across per-topology configuration
 #       medians; when CHAOS_JSON (a `chaos_sweep` campaign report) is
 #       given, chaos_schedules carries the campaign's cell count and
@@ -28,8 +21,8 @@
 #
 # The table tracks the summary *median* of a fixed metric set — the
 # first cut of the ROADMAP "plot medians over time" dashboard. Times
-# are nanoseconds of simulated time; the trailing wall_cells_per_sec
-# column is wall-clock (machine-dependent), from BENCH_perf.json.
+# are nanoseconds of simulated time: every column is deterministic.
+# Wall-clock speed is rfbench's job (BENCHMARK.json), not this table's.
 set -euo pipefail
 
 # traffic_* columns arrived with report schema v4 (the stochastic
@@ -45,21 +38,21 @@ header() {
             printf 'Times are nanoseconds of simulated time; `-` means the metric was absent.\n\n'
             printf '| run | cells |'
             printf ' %s |' "${METRICS[@]}"
-            printf ' wall_cells_per_sec | fork_speedup | parallel_speedup | corpus_topos | corpus_config_median_ns | chaos_schedules | chaos_violations |'
+            printf ' corpus_topos | corpus_config_median_ns | chaos_schedules | chaos_violations |'
             printf '\n|---|---|'
             printf '%s' "$(printf -- '---|%.0s' "${METRICS[@]}")"
-            printf -- '---|---|---|---|---|---|---|'
+            printf -- '---|---|---|---|'
             printf '\n'
         } >"$md"
     fi
 }
 
 row_for() {
-    local report=$1 label=$2 perf=$3 corpus=$4 chaos=$5
-    python3 - "$report" "$label" "$perf" "$corpus" "$chaos" "${METRICS[@]}" <<'PY'
+    local report=$1 label=$2 corpus=$3 chaos=$4
+    python3 - "$report" "$label" "$corpus" "$chaos" "${METRICS[@]}" <<'PY'
 import json, sys
-report, label, perf, corpus, chaos, metrics = (
-    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6:])
+report, label, corpus, chaos, metrics = (
+    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:])
 with open(report) as f:
     doc = json.load(f)
 cells = doc.get("cells", [])
@@ -68,28 +61,6 @@ cols = [label, str(len(cells))]
 for m in metrics:
     s = summary.get(m)
     cols.append(str(s["median"]) if s else "-")
-cps, fork_speedup, parallel_speedup = "-", "-", "-"
-if perf:
-    try:
-        with open(perf) as f:
-            grids = json.load(f).get("grids", {})
-        grid = grids.get("full") or grids.get("smoke") or {}
-        cps = str(grid.get("single_thread", {}).get("cells_per_sec", "-"))
-        # Perf schema v2: the checkpoint/fork wall ratio of the same
-        # grid, stored x1000, printed as a decimal ("1.29").
-        x1000 = grid.get("fork", {}).get("speedup_x1000")
-        if x1000 is not None:
-            fork_speedup = f"{x1000 / 1000:.2f}"
-        # Perf schema v3: the intra-scenario parallel-kernel probe
-        # ratio (serial wall / 4-core wall on the grid's costliest
-        # fault-free cell). Absent when the probe was skipped — e.g.
-        # the runner had fewer than 4 cores.
-        x1000 = grid.get("parallel", {}).get("speedup_x1000")
-        if x1000 is not None:
-            parallel_speedup = f"{x1000 / 1000:.2f}"
-    except (OSError, ValueError):
-        pass  # missing or malformed perf file: leave the column "-"
-cols += [cps, fork_speedup, parallel_speedup]
 # Corpus breadth columns: distinct topologies in the corpus report and
 # the median across per-topology configuration medians (lower median
 # throughout, matching MatrixReport::per_topology_medians).
@@ -133,23 +104,23 @@ PY
 }
 
 append_row() {
-    local md=$1 report=$2 label=$3 perf=${4:-} corpus=${5:-} chaos=${6:-}
+    local md=$1 report=$2 label=$3 corpus=${4:-} chaos=${5:-}
     header "$md"
     if grep -q "^| ${label} |" "$md"; then
         echo "trend: row '${label}' already present, skipping" >&2
         return 0
     fi
-    row_for "$report" "$label" "$perf" "$corpus" "$chaos" >>"$md"
+    row_for "$report" "$label" "$corpus" "$chaos" >>"$md"
     echo "trend: appended '${label}' from ${report}" >&2
 }
 
 case "${1:-}" in
 append)
-    [ $# -ge 4 ] && [ $# -le 7 ] || {
-        echo "usage: $0 append TREND_MD REPORT_JSON LABEL [PERF_JSON] [CORPUS_JSON] [CHAOS_JSON]" >&2
+    [ $# -ge 4 ] && [ $# -le 6 ] || {
+        echo "usage: $0 append TREND_MD REPORT_JSON LABEL [CORPUS_JSON] [CHAOS_JSON]" >&2
         exit 2
     }
-    append_row "$2" "$3" "$4" "${5:-}" "${6:-}" "${7:-}"
+    append_row "$2" "$3" "$4" "${5:-}" "${6:-}"
     ;;
 fetch)
     [ $# -ge 2 ] || { echo "usage: $0 fetch TREND_MD [LIMIT]" >&2; exit 2; }
@@ -178,7 +149,7 @@ fetch)
         done
     ;;
 *)
-    echo "usage: $0 {append TREND_MD REPORT_JSON LABEL [PERF_JSON] [CORPUS_JSON] [CHAOS_JSON] | fetch TREND_MD [LIMIT]}" >&2
+    echo "usage: $0 {append TREND_MD REPORT_JSON LABEL [CORPUS_JSON] [CHAOS_JSON] | fetch TREND_MD [LIMIT]}" >&2
     exit 2
     ;;
 esac

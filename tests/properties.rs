@@ -22,6 +22,39 @@ fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
 }
 
+/// Feed `stream` to a reader in the pieces `cuts` describes — (length,
+/// as an owned chunk or a borrowed slice, drain before the next piece)
+/// — cycling through `cuts` until the stream is exhausted, and collect
+/// everything the reader yields.
+fn rechunked<R, M>(
+    stream: &[u8],
+    cuts: &[(usize, bool, bool)],
+    mut reader: R,
+    push: impl Fn(&mut R, &[u8]),
+    push_bytes: impl Fn(&mut R, Bytes),
+    next: impl Fn(&mut R) -> Option<M>,
+) -> Vec<M> {
+    let mut out = Vec::new();
+    let mut rest = stream;
+    for &(len, owned, drain) in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (piece, tail) = rest.split_at(len.min(rest.len()));
+        rest = tail;
+        if owned {
+            push_bytes(&mut reader, Bytes::copy_from_slice(piece));
+        } else {
+            push(&mut reader, piece);
+        }
+        if drain {
+            out.extend(std::iter::from_fn(|| next(&mut reader)));
+        }
+    }
+    out.extend(std::iter::from_fn(|| next(&mut reader)));
+    out
+}
+
 proptest! {
     // ---------------- decoders never panic ----------------
 
@@ -43,6 +76,84 @@ proptest! {
     fn rpc_decoder_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = rf_rpc::decode_envelope(&data);
         let _ = rf_vnet::rfproto::RfMessage::decode(&data);
+    }
+
+    // ---------------- stream reassembly ----------------
+
+    /// However the byte stream is cut up, and whichever way the pieces
+    /// are pushed, each protocol's reader yields the messages that
+    /// were encoded, in order.
+    #[test]
+    fn readers_are_indifferent_to_chunking(
+        cuts in proptest::collection::vec((1usize..48, any::<bool>(), any::<bool>()), 1..24),
+    ) {
+        use rf_openflow::{MessageReader, PacketInReason};
+        use rf_rpc::{encode_envelope, Envelope, RpcAck, RpcFrameReader, RpcRequest};
+        use rf_vnet::rfproto::{RfFrameReader, RfMessage};
+
+        let of: Vec<(OfMessage, u32)> = vec![
+            (OfMessage::Hello, 1),
+            (OfMessage::EchoRequest(Bytes::from_static(b"are you there")), 2),
+            (
+                OfMessage::PacketIn {
+                    buffer_id: 7,
+                    total_len: 64,
+                    in_port: 3,
+                    reason: PacketInReason::NoMatch,
+                    data: Bytes::from(vec![0xAB; 64]),
+                },
+                3,
+            ),
+            (OfMessage::BarrierRequest, 4),
+        ];
+        let stream: Vec<u8> = of.iter().flat_map(|(m, xid)| m.encode(*xid).to_vec()).collect();
+        let got = rechunked(
+            &stream,
+            &cuts,
+            MessageReader::new(),
+            MessageReader::push,
+            MessageReader::push_bytes,
+            MessageReader::next,
+        );
+        prop_assert_eq!(got, of.into_iter().map(Ok).collect::<Vec<_>>());
+
+        let request = |req_id, request| Envelope::Request { req_id, request };
+        let rpc = vec![
+            request(1, RpcRequest::SwitchDetected { dpid: 9, num_ports: 4 }),
+            Envelope::Ack(RpcAck { req_id: 1, ok: true }),
+            request(2, RpcRequest::PortStatus { dpid: 9, port: 2, up: false }),
+            Envelope::Ack(RpcAck { req_id: 2, ok: false }),
+        ];
+        let stream: Vec<u8> = rpc.iter().flat_map(|e| encode_envelope(e).to_vec()).collect();
+        let got = rechunked(
+            &stream,
+            &cuts,
+            RpcFrameReader::new(),
+            RpcFrameReader::push,
+            RpcFrameReader::push_bytes,
+            RpcFrameReader::next,
+        );
+        prop_assert_eq!(got, rpc.into_iter().map(Ok).collect::<Vec<_>>());
+
+        let rf = vec![
+            RfMessage::Booted { dpid: 0x1C },
+            RfMessage::WriteConfigs {
+                zebra: "hostname vm-1c\n".into(),
+                ospf: "router ospf\n network 172.31.0.0/30 area 0\n".into(),
+                bgp: String::new(),
+            },
+            RfMessage::RouteDel { prefix: "172.31.0.4/30".parse().unwrap() },
+        ];
+        let stream: Vec<u8> = rf.iter().flat_map(|m| m.encode().to_vec()).collect();
+        let got = rechunked(
+            &stream,
+            &cuts,
+            RfFrameReader::new(),
+            RfFrameReader::push,
+            RfFrameReader::push_bytes,
+            RfFrameReader::next,
+        );
+        prop_assert_eq!(got, rf);
     }
 
     // ---------------- roundtrips ----------------
