@@ -168,8 +168,14 @@ fn bus_events_follow_the_lifecycle_order() {
 #[test]
 fn bus_dispatch_is_deterministic() {
     let first = event_log_for_run(42);
-    // The log is substantial — the bus carried the whole bootstrap.
-    assert!(first.len() > 50);
+    // The bus carried the whole bootstrap of ring-4: every lifecycle
+    // stage once per switch (or link), and one raw RPC event per
+    // configuration request — 4 switches + 4 links — with no duplicates.
+    let count = |prefix: &str| first.iter().filter(|l| l.starts_with(prefix)).count();
+    for stage in ["channel_up", "switch_up", "vm_spawned", "vm_up", "link_up"] {
+        assert_eq!(count(&format!("r:{stage}(")), 4, "{stage} events");
+    }
+    assert_eq!(count("r:rpc"), 8);
     assert_eq!(first, event_log_for_run(42));
 }
 

@@ -7,7 +7,7 @@ use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_CONTROLLER, OFPP_NONE,
     OFP_NO_BUFFER,
 };
-use rf_rpc::{encode_envelope, Envelope, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE};
+use rf_rpc::{Envelope, Outbox, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::{EtherType, EthernetFrame, Ipv4Cidr, LldpPacket, MacAddr};
 use std::collections::HashMap;
@@ -102,9 +102,9 @@ pub struct TopologyController {
     rpc_conn: Option<ConnId>,
     rpc_ready: bool,
     rpc_reader: RpcFrameReader,
-    /// Requests not yet handed to the relay (sent on (re)connect).
-    rpc_backlog: Vec<(u64, RpcRequest)>,
-    next_req_id: u64,
+    /// Requests the relay has not acked yet. Each goes out once per
+    /// connection; a reconnect sends the whole backlog again.
+    rpc_backlog: Outbox,
     xid: u32,
     /// Full event history, in order.
     pub events: Vec<DiscoveryEvent>,
@@ -126,8 +126,7 @@ impl TopologyController {
             rpc_conn: None,
             rpc_ready: false,
             rpc_reader: RpcFrameReader::new(),
-            rpc_backlog: Vec::new(),
-            next_req_id: 1,
+            rpc_backlog: Outbox::new(),
             xid: 1,
             events: Vec::new(),
             probe_rounds: 0,
@@ -157,9 +156,7 @@ impl TopologyController {
     }
 
     fn emit_rpc(&mut self, ctx: &mut Ctx<'_>, request: RpcRequest) {
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        self.rpc_backlog.push((req_id, request));
+        self.rpc_backlog.push(request);
         self.flush_rpc(ctx);
     }
 
@@ -168,12 +165,8 @@ impl TopologyController {
             return;
         }
         let Some(conn) = self.rpc_conn else { return };
-        for (req_id, request) in &self.rpc_backlog {
-            let env = Envelope::Request {
-                req_id: *req_id,
-                request: request.clone(),
-            };
-            ctx.conn_send(conn, encode_envelope(&env));
+        for frame in self.rpc_backlog.take_unsent() {
+            ctx.conn_send(conn, frame);
         }
         // The relay acks on receipt and owns delivery from here.
         // Entries are dropped when their ack arrives (see on_stream).
@@ -408,12 +401,13 @@ impl Agent for TopologyController {
             match event {
                 StreamEvent::Opened { .. } => {
                     self.rpc_ready = true;
+                    self.rpc_backlog.rewind();
                     self.flush_rpc(ctx);
                 }
                 StreamEvent::Data(data) => {
                     self.rpc_reader.push_bytes(data);
                     while let Some(Ok(Envelope::Ack(ack))) = self.rpc_reader.next() {
-                        self.rpc_backlog.retain(|(id, _)| *id != ack.req_id);
+                        self.rpc_backlog.ack(ack.req_id);
                     }
                 }
                 StreamEvent::Closed => {

@@ -149,3 +149,81 @@ fn pan_european_topology_discovered() {
     assert_eq!(t.switches().len(), 28);
     assert_eq!(t.links().len(), 41);
 }
+
+/// Stands in for the RPC relay: logs the request ids each connection
+/// carries, acks only ids 1 and 2, and drops its first connection at
+/// `drop_first_at`.
+#[derive(Clone)]
+struct PickyRelay {
+    drop_first_at: Duration,
+    conns: Vec<(rf_sim::ConnId, rf_rpc::RpcFrameReader, Vec<u64>)>,
+}
+
+impl rf_sim::Agent for PickyRelay {
+    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
+        ctx.listen(rf_rpc::RPC_CLIENT_SERVICE);
+        ctx.schedule(self.drop_first_at, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, _token: u64) {
+        ctx.conn_close(self.conns[0].0);
+    }
+    fn on_stream(
+        &mut self,
+        ctx: &mut rf_sim::Ctx<'_>,
+        conn: rf_sim::ConnId,
+        event: rf_sim::StreamEvent,
+    ) {
+        match event {
+            rf_sim::StreamEvent::Opened { .. } => {
+                self.conns
+                    .push((conn, rf_rpc::RpcFrameReader::new(), Vec::new()));
+            }
+            rf_sim::StreamEvent::Data(data) => {
+                let (_, reader, ids) = self
+                    .conns
+                    .iter_mut()
+                    .find(|(c, _, _)| *c == conn)
+                    .expect("data follows open");
+                reader.push_bytes(data);
+                while let Some(Ok(rf_rpc::Envelope::Request { req_id, .. })) = reader.next() {
+                    ids.push(req_id);
+                    if req_id <= 2 {
+                        let ack = rf_rpc::Envelope::Ack(rf_rpc::RpcAck { req_id, ok: true });
+                        ctx.conn_send(conn, rf_rpc::encode_envelope(&ack));
+                    }
+                }
+            }
+            rf_sim::StreamEvent::Closed => {}
+        }
+    }
+}
+
+#[test]
+fn each_request_goes_to_the_relay_once_per_connection() {
+    let topo = ring(4);
+    // `build` adds the controller and the four switches first.
+    let relay_id = rf_sim::AgentId(1 + topo.node_count());
+    let (mut sim, _tc) = build(&topo, cfg().with_rpc_client(relay_id));
+    let relay = sim.add_agent(
+        "rpc-client",
+        Box::new(PickyRelay {
+            drop_first_at: Duration::from_secs(5),
+            conns: Vec::new(),
+        }),
+    );
+    assert_eq!(relay, relay_id);
+    sim.run_until(Time::from_secs(8));
+    let per_conn: Vec<Vec<u64>> = sim
+        .agent_as::<PickyRelay>(relay)
+        .unwrap()
+        .conns
+        .iter()
+        .map(|(_, _, ids)| ids.clone())
+        .collect();
+    // 4 switches + 4 links, never repeated while the connection lives;
+    // after the reconnect, everything still unacked — once more.
+    assert_eq!(
+        per_conn,
+        vec![(1..=8).collect::<Vec<u64>>(), (3..=8).collect()]
+    );
+}

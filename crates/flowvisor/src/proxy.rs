@@ -11,6 +11,13 @@ use std::time::Duration;
 
 /// Marker for FlowVisor-originated requests in the xid map.
 const FV_SELF: usize = usize::MAX;
+/// How many of the most recently allocated xids stay routable. Only a
+/// reply removes its entry, and PACKET_OUT, FLOW_MOD and SET_CONFIG are
+/// answered on failure only, so without a bound every LLDP probe leaves
+/// a dead entry behind. A reply trails its request by one switch round
+/// trip; the window has to outlast the requests forwarded (to all
+/// switches) in that time, nothing more.
+const XID_WINDOW: u32 = 4096;
 /// Timer token base for upstream redials: `BASE + sw * 64 + slice`.
 const T_REDIAL_BASE: u64 = 1 << 32;
 
@@ -103,14 +110,13 @@ impl FlowVisor {
     }
 
     fn alloc_xid(&mut self, sw: usize, slice: usize, orig: u32) -> u32 {
-        loop {
-            let x = self.next_xid;
-            self.next_xid = self.next_xid.wrapping_add(1).max(1);
-            if let std::collections::hash_map::Entry::Vacant(e) = self.xid_map.entry(x) {
-                e.insert((sw, slice, orig));
-                return x;
-            }
-        }
+        let x = self.next_xid;
+        self.next_xid = x.wrapping_add(1).max(1);
+        // xids allocate ascending, so the entry leaving the window is
+        // the one allocated XID_WINDOW calls ago (if it is still there).
+        self.xid_map.remove(&x.wrapping_sub(XID_WINDOW));
+        self.xid_map.insert(x, (sw, slice, orig));
+        x
     }
 
     fn dial_upstreams(&mut self, ctx: &mut Ctx<'_>, sw: usize) {
@@ -528,5 +534,176 @@ impl Agent for FlowVisor {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rf_openflow::{Action, FlowModCommand, OfMatch, SwitchFeatures, OFPP_NONE};
+    use rf_sim::{AgentId, Sim, SimConfig, Time};
+    use rf_wire::{EtherType, EthernetFrame, LldpPacket, MacAddr};
+
+    const PORTS: u16 = 4;
+    const ROUNDS: u64 = 2000;
+    const FLOW_MOD_XID: u32 = 0xBEEF;
+
+    /// Dials FlowVisor as a switch, records the xid of every request it
+    /// gets, never answers a PACKET_OUT and rejects every FLOW_MOD.
+    #[derive(Clone)]
+    struct RejectingSwitch {
+        fv: AgentId,
+        reader: MessageReader,
+        seen_xids: Vec<u32>,
+    }
+
+    impl Agent for RejectingSwitch {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.connect(self.fv, 6633, ConnProfile::default());
+        }
+        fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, ev: StreamEvent) {
+            match ev {
+                StreamEvent::Opened { .. } => ctx.conn_send(conn, OfMessage::Hello.encode(0)),
+                StreamEvent::Data(data) => {
+                    self.reader.push_bytes(data);
+                    while let Some(Ok((msg, xid))) = self.reader.next() {
+                        let reply = match msg {
+                            OfMessage::Hello => continue,
+                            OfMessage::FeaturesRequest => {
+                                Some(OfMessage::FeaturesReply(SwitchFeatures {
+                                    datapath_id: 5,
+                                    n_buffers: 0,
+                                    n_tables: 1,
+                                    capabilities: 0,
+                                    actions: 0,
+                                    ports: Vec::new(),
+                                }))
+                            }
+                            OfMessage::FlowMod { .. } => Some(OfMessage::Error {
+                                err_type: ErrorType::FlowModFailed,
+                                code: 0,
+                                data: Bytes::new(),
+                            }),
+                            _ => None,
+                        };
+                        self.seen_xids.push(xid);
+                        if let Some(reply) = reply {
+                            ctx.conn_send(conn, reply.encode(xid));
+                        }
+                    }
+                }
+                StreamEvent::Closed => {}
+            }
+        }
+    }
+
+    /// The topology slice's controller: `ROUNDS` LLDP probe rounds, one
+    /// per millisecond, then one FLOW_MOD.
+    #[derive(Clone, Default)]
+    struct Prober {
+        conn: Option<ConnId>,
+        reader: MessageReader,
+        rounds: u64,
+        errors: Vec<u32>,
+    }
+
+    impl Agent for Prober {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.listen(6641);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let conn = self.conn.expect("timer runs on an open session");
+            if self.rounds == ROUNDS {
+                let punt = OfMessage::FlowMod {
+                    of_match: OfMatch::lldp(),
+                    cookie: 1,
+                    command: FlowModCommand::Add,
+                    idle_timeout: 0,
+                    hard_timeout: 0,
+                    priority: 1,
+                    buffer_id: OFP_NO_BUFFER,
+                    out_port: OFPP_NONE,
+                    flags: 0,
+                    actions: vec![Action::output(1)],
+                };
+                ctx.conn_send(conn, punt.encode(FLOW_MOD_XID));
+                return;
+            }
+            for port in 1..=PORTS {
+                let probe = EthernetFrame::new(
+                    MacAddr::LLDP_MULTICAST,
+                    MacAddr::from_dpid_port(5, port),
+                    EtherType::LLDP,
+                    LldpPacket::discovery_probe(5, port).emit(),
+                );
+                let out = OfMessage::PacketOut {
+                    buffer_id: OFP_NO_BUFFER,
+                    in_port: OFPP_NONE,
+                    actions: vec![Action::output(port)],
+                    data: probe.emit(),
+                };
+                ctx.conn_send(conn, out.encode(7));
+            }
+            self.rounds += 1;
+            ctx.schedule(Duration::from_millis(1), 0);
+        }
+        fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, ev: StreamEvent) {
+            match ev {
+                StreamEvent::Opened { .. } => {
+                    ctx.conn_send(conn, OfMessage::Hello.encode(0));
+                    self.conn = Some(conn);
+                    ctx.schedule(Duration::from_millis(1), 0);
+                }
+                StreamEvent::Data(data) => {
+                    self.reader.push_bytes(data);
+                    while let Some(Ok((msg, xid))) = self.reader.next() {
+                        if matches!(msg, OfMessage::Error { .. }) {
+                            self.errors.push(xid);
+                        }
+                    }
+                }
+                StreamEvent::Closed => {}
+            }
+        }
+    }
+
+    #[test]
+    fn unanswered_requests_do_not_accumulate_in_the_xid_map() {
+        let mut sim = Sim::new(SimConfig::default());
+        let prober = sim.add_agent("topo-ctrl", Box::new(Prober::default()));
+        let fv = sim.add_agent(
+            "flowvisor",
+            Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
+                SlicePolicy::lldp_slice("topology", prober, 6641),
+            ]))),
+        );
+        let sw = sim.add_agent(
+            "sw5",
+            Box::new(RejectingSwitch {
+                fv,
+                reader: MessageReader::new(),
+                seen_xids: Vec::new(),
+            }),
+        );
+        sim.run_until(Time::from_secs(5));
+
+        let requests = ROUNDS * u64::from(PORTS) + 2; // + FEATURES_REQUEST, FLOW_MOD
+        assert!(
+            requests > u64::from(XID_WINDOW),
+            "the window must be exceeded"
+        );
+        let seen = &sim.agent_as::<RejectingSwitch>(sw).unwrap().seen_xids;
+        // The switch-side xids are the plain ascending allocation.
+        assert_eq!(*seen, (1..=requests as u32).collect::<Vec<u32>>());
+        let live = sim.agent_as::<FlowVisor>(fv).unwrap().xid_map.len();
+        assert!(
+            live <= XID_WINDOW as usize,
+            "{live} entries outlive the window"
+        );
+        // The FLOW_MOD's ERROR was still routed, under the slice's own xid.
+        assert_eq!(
+            sim.agent_as::<Prober>(prober).unwrap().errors,
+            vec![FLOW_MOD_XID]
+        );
     }
 }

@@ -545,14 +545,24 @@ impl OspfDaemon {
             }
             out.push(*idx);
         }
+        if out.is_empty() {
+            return;
+        }
+        // One encoding serves every interface: the update carries no
+        // per-interface field.
+        let packet = OspfPacket::new(
+            self.router_id,
+            OspfPacketBody::LinkStateUpdate {
+                lsas: vec![lsa.clone()],
+            },
+        )
+        .emit();
         for idx in out {
-            let pkt = OspfPacket::new(
-                self.router_id,
-                OspfPacketBody::LinkStateUpdate {
-                    lsas: vec![lsa.clone()],
-                },
-            );
-            self.transmit(idx, &pkt, ev);
+            ev.push(OspfEvent::Transmit {
+                iface: idx,
+                dst: ALL_SPF_ROUTERS,
+                packet: packet.clone(),
+            });
             self.lsas_flooded += 1;
         }
     }
@@ -947,9 +957,6 @@ impl OspfDaemon {
             OspfPacketBody::LinkStateUpdate { lsas } => {
                 let mut acks = Vec::new();
                 for lsa in lsas {
-                    if !lsa.checksum_ok() {
-                        continue;
-                    }
                     let key = lsa.header.key();
                     let have = self.lsdb.get(&key).map(|(l, _)| l.header);
                     let newer = match have {

@@ -248,11 +248,12 @@ impl Lsa {
         ))
     }
 
-    /// Verify the embedded Fletcher checksum.
-    pub fn checksum_ok(&self) -> bool {
-        let mut buf = BytesMut::new();
-        self.emit_raw(&mut buf);
-        fletcher_verify(&buf[2..])
+    /// Verify the Fletcher checksum embedded in one LSA as received:
+    /// `wire` is exactly the LSA's bytes (what [`Lsa::parse`] consumed),
+    /// so a byte the owned struct does not keep cannot hide corruption.
+    pub fn checksum_ok(wire: &[u8]) -> bool {
+        // The age field (first two bytes) is outside the checksum.
+        wire.len() >= LSA_HEADER_LEN && fletcher_sums(&wire[2..]) == (0, 0)
     }
 
     /// Copy with an updated age.
@@ -263,16 +264,30 @@ impl Lsa {
     }
 }
 
+/// The two running Fletcher sums of `data`, each reduced mod 255.
+fn fletcher_sums(data: &[u8]) -> (u32, u32) {
+    // The modulo is deferred to the end of each block. Entering a block
+    // with both sums below 255, `c1` peaks at 254 + 254·n + 255·n(n+1)/2,
+    // which for n = 4096 is ≈ 2.14e9 even on all-0xFF input: inside u32.
+    const BLOCK: usize = 4096;
+    let (mut c0, mut c1) = (0u32, 0u32);
+    for block in data.chunks(BLOCK) {
+        for &b in block {
+            c0 += u32::from(b);
+            c1 += c0;
+        }
+        c0 %= 255;
+        c1 %= 255;
+    }
+    (c0, c1)
+}
+
 /// Fletcher checksum per RFC 905 Annex B as used by OSPF LSAs: computed
 /// over the LSA *excluding* the age field, with the checksum field
 /// zeroed. `ck_off` is the checksum field offset within `data`.
 pub fn fletcher_checksum(data: &[u8], ck_off: usize) -> u16 {
-    let mut c0: i64 = 0;
-    let mut c1: i64 = 0;
-    for &b in data {
-        c0 = (c0 + i64::from(b)) % 255;
-        c1 = (c1 + c0) % 255;
-    }
+    let (c0, c1) = fletcher_sums(data);
+    let (c0, c1) = (i64::from(c0), i64::from(c1));
     let len = data.len() as i64;
     let mut x = ((len - ck_off as i64 - 1) * c0 - c1) % 255;
     if x <= 0 {
@@ -283,17 +298,6 @@ pub fn fletcher_checksum(data: &[u8], ck_off: usize) -> u16 {
         y -= 255;
     }
     ((x as u16) << 8) | y as u16
-}
-
-/// Verify data (checksum embedded) sums to zero.
-pub fn fletcher_verify(data: &[u8]) -> bool {
-    let mut c0: i64 = 0;
-    let mut c1: i64 = 0;
-    for &b in data {
-        c0 = (c0 + i64::from(b)) % 255;
-        c1 = (c1 + c0) % 255;
-    }
-    c0 == 0 && c1 == 0
 }
 
 #[cfg(test)]
@@ -325,15 +329,14 @@ mod tests {
     #[test]
     fn roundtrip_with_valid_checksum() {
         let lsa = sample();
-        assert!(lsa.checksum_ok(), "fresh LSA must checksum");
         let mut buf = BytesMut::new();
         lsa.emit_into(&mut buf);
+        assert!(Lsa::checksum_ok(&buf), "fresh LSA must checksum");
         assert_eq!(buf.len(), lsa.wire_len());
         assert_eq!(lsa.header.length as usize, buf.len());
         let (parsed, used) = Lsa::parse(&buf).unwrap();
         assert_eq!(used, buf.len());
         assert_eq!(parsed, lsa);
-        assert!(parsed.checksum_ok());
     }
 
     #[test]
@@ -342,8 +345,12 @@ mod tests {
         let mut buf = BytesMut::new();
         lsa.emit_into(&mut buf);
         buf[25] ^= 0x01; // a body byte
-        let (parsed, _) = Lsa::parse(&buf).unwrap();
-        assert!(!parsed.checksum_ok());
+        assert!(!Lsa::checksum_ok(&buf));
+        // The flags byte, which parsing does not keep, is covered too.
+        buf[25] ^= 0x01;
+        buf[20] ^= 0x01;
+        assert!(Lsa::parse(&buf).is_ok());
+        assert!(!Lsa::checksum_ok(&buf));
     }
 
     #[test]
@@ -351,7 +358,9 @@ mod tests {
         let lsa = sample();
         let aged = lsa.with_age(300);
         assert_eq!(aged.header.checksum, lsa.header.checksum);
-        assert!(aged.checksum_ok());
+        let mut buf = BytesMut::new();
+        aged.emit_into(&mut buf);
+        assert!(Lsa::checksum_ok(&buf));
     }
 
     #[test]

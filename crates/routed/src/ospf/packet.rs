@@ -7,6 +7,7 @@ use rf_wire::{internet_checksum, WireError};
 use std::net::Ipv4Addr;
 
 pub const OSPF_HEADER_LEN: usize = 24;
+const TYPE_HELLO: u8 = 1;
 
 /// DBD flag bits.
 pub const DBD_INIT: u8 = 0x04;
@@ -50,7 +51,7 @@ pub enum OspfPacketBody {
 impl OspfPacketBody {
     fn type_code(&self) -> u8 {
         match self {
-            OspfPacketBody::Hello { .. } => 1,
+            OspfPacketBody::Hello { .. } => TYPE_HELLO,
             OspfPacketBody::DatabaseDescription { .. } => 2,
             OspfPacketBody::LinkStateRequest { .. } => 3,
             OspfPacketBody::LinkStateUpdate { .. } => 4,
@@ -140,6 +141,11 @@ impl OspfPacket {
         out.freeze()
     }
 
+    /// Is the emitted packet `wire` a Hello? Reads the type byte only.
+    pub fn is_hello(wire: &[u8]) -> bool {
+        wire.get(1) == Some(&TYPE_HELLO)
+    }
+
     pub fn parse(data: &[u8]) -> Result<OspfPacket, WireError> {
         if data.len() < OSPF_HEADER_LEN {
             return Err(WireError::Truncated);
@@ -159,7 +165,7 @@ impl OspfPacket {
         let area_id = u32::from_be_bytes([data[8], data[9], data[10], data[11]]);
         let mut b = &data[OSPF_HEADER_LEN..length];
         let body = match ptype {
-            1 => {
+            TYPE_HELLO => {
                 if b.len() < 20 {
                     return Err(WireError::Truncated);
                 }
@@ -224,7 +230,11 @@ impl OspfPacket {
                 let mut lsas = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
                     let (lsa, used) = Lsa::parse(b)?;
-                    lsas.push(lsa);
+                    // A corrupt LSA is dropped on its own; the rest of
+                    // the update still counts.
+                    if Lsa::checksum_ok(&b[..used]) {
+                        lsas.push(lsa);
+                    }
                     b.advance(used);
                 }
                 OspfPacketBody::LinkStateUpdate { lsas }
@@ -353,6 +363,30 @@ mod tests {
         let mut bad = wire.to_vec();
         bad[4] ^= 0xFF;
         assert_eq!(OspfPacket::parse(&bad), Err(WireError::BadChecksum));
+    }
+
+    #[test]
+    fn corrupt_lsa_dropped_from_update_on_its_own() {
+        let good = Lsa::router(9, INITIAL_SEQ, 0, vec![]);
+        let bad = Lsa::router(8, INITIAL_SEQ, 0, vec![]);
+        let mut wire = OspfPacket::new(
+            9,
+            OspfPacketBody::LinkStateUpdate {
+                lsas: vec![bad, good.clone()],
+            },
+        )
+        .emit()
+        .to_vec();
+        // Damage the first LSA's ls_id, then make the packet checksum
+        // right again: only the LSA's own Fletcher can tell.
+        wire[OSPF_HEADER_LEN + 4 + 7] ^= 0x10;
+        wire[12..14].fill(0);
+        let ck = internet_checksum(&wire);
+        wire[12..14].copy_from_slice(&ck.to_be_bytes());
+        assert_eq!(
+            OspfPacket::parse(&wire).unwrap().body,
+            OspfPacketBody::LinkStateUpdate { lsas: vec![good] }
+        );
     }
 
     #[test]

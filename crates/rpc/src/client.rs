@@ -9,9 +9,9 @@
 
 use crate::codec::{encode_envelope, Envelope, RpcFrameReader};
 use crate::msg::RpcRequest;
+use crate::outbox::Outbox;
 use crate::{RPC_CLIENT_SERVICE, RPC_SERVER_SERVICE};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
-use std::collections::VecDeque;
 use std::time::Duration;
 
 const T_RETX: u64 = 1;
@@ -41,13 +41,6 @@ impl RpcClientConfig {
     }
 }
 
-#[derive(Clone)]
-struct Pending {
-    req_id: u64,
-    request: RpcRequest,
-    sent: bool,
-}
-
 /// The RPC client agent.
 ///
 /// Upstream: listens on [`RPC_CLIENT_SERVICE`] for request envelopes
@@ -61,8 +54,7 @@ pub struct RpcClientAgent {
     server_conn: Option<ConnId>,
     server_ready: bool,
     server_reader: RpcFrameReader,
-    queue: VecDeque<Pending>,
-    next_req_id: u64,
+    queue: Outbox,
     /// Total requests forwarded and acked (metrics).
     pub acked: u64,
     pub retransmissions: u64,
@@ -76,8 +68,7 @@ impl RpcClientAgent {
             server_conn: None,
             server_ready: false,
             server_reader: RpcFrameReader::new(),
-            queue: VecDeque::new(),
-            next_req_id: 1,
+            queue: Outbox::new(),
             acked: 0,
             retransmissions: 0,
         }
@@ -86,13 +77,7 @@ impl RpcClientAgent {
     /// Enqueue a request programmatically (used when the topology
     /// controller embeds the client instead of dialing it).
     pub fn submit(&mut self, ctx: &mut Ctx<'_>, request: RpcRequest) {
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        self.queue.push_back(Pending {
-            req_id,
-            request,
-            sent: false,
-        });
+        self.queue.push(request);
         self.flush(ctx);
     }
 
@@ -109,22 +94,9 @@ impl RpcClientAgent {
         let Some(conn) = self.server_conn else {
             return;
         };
-        for p in self.queue.iter_mut().filter(|p| !p.sent) {
-            let env = Envelope::Request {
-                req_id: p.req_id,
-                request: p.request.clone(),
-            };
-            ctx.conn_send(conn, encode_envelope(&env));
+        for frame in self.queue.take_unsent() {
+            ctx.conn_send(conn, frame);
             ctx.count("rpc.sent", 1);
-            p.sent = true;
-        }
-    }
-
-    fn handle_ack(&mut self, req_id: u64) {
-        let before = self.queue.len();
-        self.queue.retain(|p| p.req_id != req_id);
-        if self.queue.len() < before {
-            self.acked += 1;
         }
     }
 }
@@ -139,12 +111,9 @@ impl Agent for RpcClientAgent {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             T_RETX => {
-                // Anything still queued and marked sent gets resent.
-                let resend = self.queue.iter().any(|p| p.sent);
-                if resend && self.server_ready {
-                    for p in self.queue.iter_mut() {
-                        p.sent = false;
-                    }
+                // Anything sent and still unacked gets resent.
+                if self.queue.awaits_ack() && self.server_ready {
+                    self.queue.rewind();
                     self.retransmissions += 1;
                     self.flush(ctx);
                 }
@@ -162,17 +131,16 @@ impl Agent for RpcClientAgent {
             match event {
                 StreamEvent::Opened { .. } => {
                     self.server_ready = true;
-                    // Everything unacked is in-flight again.
-                    for p in self.queue.iter_mut() {
-                        p.sent = false;
-                    }
+                    // Everything unacked goes out again on the new
+                    // connection.
+                    self.queue.rewind();
                     self.flush(ctx);
                 }
                 StreamEvent::Data(data) => {
                     self.server_reader.push_bytes(data);
                     while let Some(Ok(env)) = self.server_reader.next() {
                         if let Envelope::Ack(ack) = env {
-                            self.handle_ack(ack.req_id);
+                            self.acked += u64::from(self.queue.ack(ack.req_id));
                         }
                     }
                 }

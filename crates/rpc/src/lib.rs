@@ -17,17 +17,21 @@
 //!   at-least-once delivery: requests are retransmitted until acked,
 //!   and survive RPC-server reconnects. Duplicate suppression happens
 //!   server-side via request ids (exactly-once effect);
+//! * [`outbox::Outbox`] — the id-ordered unacked-request queue behind
+//!   that relay and behind the topology controller's feed into it;
 //! * [`server::RpcServerEndpoint`] — the embeddable server half used by
 //!   the RF-controller: decodes requests, deduplicates, produces acks.
 
 pub mod client;
 pub mod codec;
 pub mod msg;
+pub mod outbox;
 pub mod server;
 
 pub use client::{RpcClientAgent, RpcClientConfig};
 pub use codec::{decode_envelope, encode_envelope, Envelope, RpcFrameReader};
 pub use msg::{RpcAck, RpcRequest};
+pub use outbox::Outbox;
 pub use server::RpcServerEndpoint;
 
 /// Service number the RPC client listens on (for the topology

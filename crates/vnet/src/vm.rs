@@ -4,7 +4,7 @@ use crate::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use bytes::Bytes;
 use rf_routed::config::{OspfConfig, ZebraConfig};
 use rf_routed::ospf::daemon::{OspfDaemon, OspfEvent};
-use rf_routed::ospf::ALL_SPF_ROUTERS;
+use rf_routed::ospf::{OspfPacket, ALL_SPF_ROUTERS};
 use rf_routed::rib::{Rib, RibChange, Route, RouteProto};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent, Time};
 use rf_wire::{
@@ -33,12 +33,14 @@ pub struct VmAgent {
     ospf: Option<OspfDaemon>,
     rib: Rib,
     ospf_deadline: Option<Time>,
-    /// Per-iface cache of the last multicast OSPF transmit:
+    /// Per-iface cache of the last multicast OSPF Hello:
     /// `payload → emitted frame`. Steady-state hellos repeat the same
     /// payload every interval; comparing ~48 bytes beats re-emitting
-    /// OSPF + IPv4 (checksum included) + Ethernet each time. The frame
-    /// is a pure function of `(dpid, iface, iface address, payload)`,
-    /// and the cache is dropped whenever the interface table changes.
+    /// OSPF + IPv4 (checksum included) + Ethernet each time. Only
+    /// Hellos are kept: an update or ack never repeats, and caching one
+    /// would evict the hello between two intervals. The frame is a
+    /// pure function of `(dpid, iface, iface address, payload)`, and
+    /// the cache is dropped whenever the interface table changes.
     tx_cache: BTreeMap<u16, (Bytes, Bytes)>,
     /// Diagnostics: routes pushed to the RF-controller.
     pub routes_announced: u64,
@@ -151,7 +153,7 @@ impl VmAgent {
                         ip.emit(),
                     )
                     .emit();
-                    if dst == ALL_SPF_ROUTERS {
+                    if dst == ALL_SPF_ROUTERS && OspfPacket::is_hello(&packet) {
                         self.tx_cache.insert(iface, (packet, frame.clone()));
                     }
                     ctx.send_frame(u32::from(iface), frame);

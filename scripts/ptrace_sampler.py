@@ -1,0 +1,295 @@
+#!/usr/bin/env python3
+"""ptrace_sampler.py — a sampling CPU profiler for hosts without `perf`.
+
+Usage:
+    scripts/ptrace_sampler.py [--hz N] [--top N] [--drop SUBSTR]... -- CMD [ARG...]
+
+Runs CMD, and about N times a second (default 400) stops each of its
+threads that is on a CPU (`PTRACE_SEIZE`, then `PTRACE_INTERRUPT` +
+`PTRACE_GETREGS` per sample), walks its frame-pointer chain through
+`/proc/<pid>/mem`, and resumes it. When CMD exits, prints two ranked
+tables of symbols (from `nm -C` on the executable): self time — samples
+whose innermost frame is the symbol — and inclusive time — samples with
+the symbol anywhere on the stack. A sample with a frame matching a
+`--drop` substring is discarded whole.
+
+CMD's stdout is sent to stderr, so stdout carries the tables only.
+
+What it can and cannot see:
+  * Build CMD with `-Cforce-frame-pointers=yes` (scripts/profile.sh
+    does). Code without frame pointers — the prebuilt standard library,
+    libc — still shows up as a leaf by its own address, but its caller
+    is skipped, because the frame-pointer register still belongs to the
+    caller's caller. Generic std code instantiated in the profiled
+    crates (`VecDeque::retain`, `HashMap::insert`) is compiled with
+    them and attributed correctly.
+  * Inlined functions are charged to the function they were inlined
+    into.
+  * Only threads in state R are sampled: this is CPU time, not waiting.
+  * Stopping a thread costs it tens of microseconds per sample, so
+    wall-clock numbers from a profiled run are not benchmark numbers.
+  * x86-64 Linux only.
+"""
+
+import argparse
+import bisect
+import collections
+import ctypes
+import os
+import platform
+import re
+import subprocess
+import sys
+import time
+
+PTRACE_CONT = 7
+PTRACE_GETREGS = 12
+PTRACE_SEIZE = 0x4206
+PTRACE_INTERRUPT = 0x4207
+PTRACE_O_TRACEEXEC = 0x10
+PTRACE_EVENT_EXEC = 4
+PTRACE_EVENT_STOP = 128
+WALL = 0x40000000  # __WALL: wait for threads that are not our children too
+
+MAX_DEPTH = 256
+
+libc = ctypes.CDLL(None, use_errno=True)
+libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+libc.ptrace.restype = ctypes.c_long
+
+
+class UserRegs(ctypes.Structure):
+    """`struct user_regs_struct` of x86-64."""
+
+    _fields_ = [
+        (name, ctypes.c_ulonglong)
+        for name in (
+            "r15 r14 r13 r12 rbp rbx r11 r10 r9 r8 rax rcx rdx rsi rdi orig_rax "
+            "rip cs eflags rsp ss fs_base gs_base ds es fs gs"
+        ).split()
+    ]
+
+
+def ptrace(request, tid, data=None):
+    """One ptrace call; False if the thread is gone or refuses."""
+    return libc.ptrace(request, tid, None, data) != -1
+
+
+def on_cpu(pid, tid):
+    try:
+        with open(f"/proc/{pid}/task/{tid}/stat", "rb") as f:
+            # The state letter follows the parenthesised command name.
+            return f.read().rpartition(b")")[2].split()[0] == b"R"
+    except OSError:
+        return False
+
+
+class Symbols:
+    """Address -> name: `nm` for the executable, the mapped file's name for the rest."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.exe = os.path.realpath(f"/proc/{pid}/exe")
+        self.starts, self.names = [], []
+        listing = subprocess.run(
+            ["nm", "-C", "--defined-only", "-n", self.exe], capture_output=True, text=True, check=True
+        ).stdout
+        for line in listing.splitlines():
+            addr, kind, name = line.split(" ", 2)
+            if kind in "tTwW":
+                self.starts.append(int(addr, 16))
+                # Legacy Rust mangling ends in a hash that only splits one function's samples.
+                self.names.append(re.sub(r"::h[0-9a-f]{16}$", "", name))
+        self.cache = {}
+        self.read_maps()
+
+    def read_maps(self):
+        self.maps = []  # (start, end, path)
+        base = None
+        with open(f"/proc/{self.pid}/maps") as f:
+            for line in f:
+                parts = line.split(None, 5)
+                lo, hi = (int(x, 16) for x in parts[0].split("-"))
+                path = parts[5].strip() if len(parts) > 5 else ""
+                self.maps.append((lo, hi, path))
+                if path == self.exe:
+                    # A position-independent executable sits at a base the
+                    # kernel picks; `nm` addresses count from the file's start.
+                    start = lo - int(parts[2], 16)
+                    base = start if base is None else min(base, start)
+        self.base = base or 0
+
+    def name(self, addr):
+        hit = self.cache.get(addr)
+        if hit is None:
+            hit = self.lookup(addr)
+            if hit is None:  # a library mapped since the last look
+                self.read_maps()
+                hit = self.lookup(addr) or "[unmapped]"
+            self.cache[addr] = hit
+        return hit
+
+    def lookup(self, addr):
+        for lo, hi, path in self.maps:
+            if lo <= addr < hi:
+                if path != self.exe:
+                    return f"[{os.path.basename(path) or 'anon'}]"
+                i = bisect.bisect_right(self.starts, addr - self.base) - 1
+                return self.names[i] if i >= 0 else "[exe]"
+        return None
+
+
+def walk(mem, regs):
+    """Return addresses, innermost first: rip, then the frame-pointer chain."""
+    frames = [regs.rip]
+    fp = regs.rbp
+    while len(frames) < MAX_DEPTH and fp >= regs.rsp and fp % 8 == 0:
+        try:
+            raw = os.pread(mem, 16, fp)
+        except OSError:
+            break
+        if len(raw) < 16:
+            break
+        next_fp = int.from_bytes(raw[:8], "little")
+        ret = int.from_bytes(raw[8:], "little")
+        if ret == 0:
+            break
+        frames.append(ret)
+        if next_fp <= fp:  # frames only ever sit higher up the stack
+            break
+        fp = next_fp
+    return frames
+
+
+def sample(tid, mem, regs):
+    """Stop `tid`, read its stack, resume it. None if it exited or would not stop."""
+    if not ptrace(PTRACE_INTERRUPT, tid):
+        return None
+    while True:
+        try:
+            _, status = os.waitpid(tid, WALL)
+        except ChildProcessError:
+            return None
+        if not os.WIFSTOPPED(status):
+            return None  # exited
+        if status >> 16 == PTRACE_EVENT_STOP:
+            frames = walk(mem, regs) if ptrace(PTRACE_GETREGS, tid, ctypes.byref(regs)) else None
+            ptrace(PTRACE_CONT, tid, 0)
+            return frames
+        # Something else got there first: let it through (a signal is
+        # handed on, another ptrace event just resumed) and keep waiting.
+        ptrace(PTRACE_CONT, tid, 0 if status >> 16 else os.WSTOPSIG(status))
+
+
+def pump(pid):
+    """Handle whatever the tracees report between samples; the exit status once `pid` is gone."""
+    while True:
+        try:
+            tid, status = os.waitpid(-1, WALL | os.WNOHANG)
+        except ChildProcessError:
+            return 0
+        if tid == 0:
+            return None
+        if os.WIFSTOPPED(status):
+            # A ptrace event is resumed; a signal is handed on.
+            ptrace(PTRACE_CONT, tid, 0 if status >> 16 else os.WSTOPSIG(status))
+        elif tid == pid:
+            return os.WEXITSTATUS(status) if os.WIFEXITED(status) else 128 + os.WTERMSIG(status)
+
+
+def launch(cmd):
+    """Fork `cmd`, seized; returns once it is stopped at the end of its `execve`."""
+    gate_r, gate_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(gate_w)
+        os.read(gate_r, 1)  # until the parent has seized us
+        os.dup2(2, 1)
+        try:
+            os.execvp(cmd[0], cmd)
+        finally:
+            os._exit(127)
+    os.close(gate_r)
+    seized = ptrace(PTRACE_SEIZE, pid, PTRACE_O_TRACEEXEC)
+    errno = ctypes.get_errno()
+    os.close(gate_w)  # end of file releases the child either way
+    if not seized:
+        os.waitpid(pid, 0)
+        sys.exit(f"ptrace_sampler: PTRACE_SEIZE refused: {os.strerror(errno)}")
+    while True:
+        _, status = os.waitpid(pid, WALL)
+        if not os.WIFSTOPPED(status):
+            sys.exit(f"ptrace_sampler: could not run {cmd[0]}")
+        if status >> 16 == PTRACE_EVENT_EXEC:
+            return pid
+        ptrace(PTRACE_CONT, pid, 0 if status >> 16 else os.WSTOPSIG(status))
+
+
+def table(title, counts, total, top):
+    print(f"\n{title} ({total} samples)")
+    print(f"{'samples':>8} {'%':>6}  symbol")
+    for name, n in counts.most_common(top):
+        print(f"{n:>8} {100.0 * n / total:>6.2f}  {name}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--hz", type=float, default=400.0)
+    ap.add_argument("--top", type=int, default=40)
+    ap.add_argument("--drop", action="append", default=[])
+    ap.add_argument("cmd", nargs=argparse.REMAINDER)
+    args = ap.parse_args()
+    cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
+    if not cmd:
+        ap.error("no command given")
+    if platform.machine() != "x86_64" or sys.platform != "linux":
+        sys.exit("ptrace_sampler: x86-64 Linux only")
+
+    pid = launch(cmd)
+    symbols = Symbols(pid)
+    mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
+    ptrace(PTRACE_CONT, pid, 0)
+    seized = {pid}
+    regs = UserRegs()
+    stacks = []  # one list of symbol names per sample, innermost first
+    period = 1.0 / args.hz
+    due = time.monotonic()
+    while True:
+        due += period
+        time.sleep(max(0.0, due - time.monotonic()))
+        exit_code = pump(pid)
+        if exit_code is not None:
+            break
+        try:
+            tids = [int(t) for t in os.listdir(f"/proc/{pid}/task")]
+        except OSError:
+            continue
+        for tid in tids:
+            if tid not in seized and ptrace(PTRACE_SEIZE, tid, 0):
+                seized.add(tid)
+            if tid in seized and on_cpu(pid, tid):
+                frames = sample(tid, mem, regs)
+                if frames:
+                    # Resolved now: the mappings go away with the process.
+                    stacks.append([symbols.name(a) for a in frames])
+    os.close(mem)
+
+    if not stacks:
+        sys.exit(f"ptrace_sampler: no samples (command exited {exit_code})")
+    self_time, inclusive = collections.Counter(), collections.Counter()
+    kept = 0
+    for names in stacks:
+        if any(d in n for d in args.drop for n in names):
+            continue
+        kept += 1
+        self_time[names[0]] += 1
+        inclusive.update(set(names))
+    print(f"{len(stacks)} samples at ~{args.hz:g} Hz, {len(stacks) - kept} dropped; command exited {exit_code}")
+    if kept:
+        table("self time", self_time, kept, args.top)
+        table("inclusive time", inclusive, kept, args.top)
+    sys.exit(exit_code)
+
+
+if __name__ == "__main__":
+    main()
