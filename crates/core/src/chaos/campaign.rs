@@ -330,7 +330,7 @@ impl ChaosCampaign {
         };
         let fin = base
             .and_then(|b| b.resume(mspec, &cand))
-            .unwrap_or_else(|| run_cold(mspec, &cand, &ScenarioMatrix::standard_builder, 0));
+            .unwrap_or_else(|| run_cold(mspec, &cand, &ScenarioMatrix::standard_builder));
         Some(self.check(&fin.scenario?, topo, faults))
     }
 
@@ -388,7 +388,7 @@ impl ChaosCampaign {
             let Some(topo) = &topos[i] else { continue };
             let codes: Vec<&'static str> = violations.iter().map(|v| v.code()).collect();
             let (min_faults, runs) = if self.shrink && !cell.schedule.faults.is_empty() {
-                let mut base = Prefix::capture(&mspec, cell, &build, 0);
+                let mut base = Prefix::capture(&mspec, cell, &build);
                 let out = shrink_schedule(&cell.schedule.faults, |cand| {
                     self.run_candidate(&mspec, cell, topo, cand, base.as_mut())
                         .is_some_and(|vs| vs.iter().any(|v| codes.contains(&v.code())))
@@ -472,7 +472,7 @@ impl ChaosCampaign {
             ScenarioMatrix::standard_builder(c)
                 .inspect_err(|e| *rejected.borrow_mut() = e.to_string())
         };
-        match run_cold(&self.matrix_spec(), &cell, &build, 0).scenario {
+        match run_cold(&self.matrix_spec(), &cell, &build).scenario {
             Some(sc) => Ok(self.check(&sc, &topo, &repro.faults)),
             None => Err(rejected.into_inner()),
         }

@@ -47,10 +47,11 @@ pub(crate) struct Done<T> {
     index: usize,
 }
 
-/// Run `cells`, cut into `units`, over `threads` workers. Units are
-/// pulled from a shared atomic cursor, costliest first (work stealing:
-/// a worker that lands a cheap unit immediately takes another; the
-/// expensive ones all start early). `build` assembles each world on
+/// Run `cells`, cut into `units`, over `threads` workers (one per unit
+/// when there are fewer units). Units are pulled from a shared atomic
+/// cursor, costliest first (work stealing: a worker that lands a cheap
+/// unit immediately takes another; the expensive ones all start
+/// early). `build` assembles each world on
 /// the worker thread — once per cold cell, once per shared prefix —
 /// and `hook` sees every finished scenario with its cell index and may
 /// extend the record. Returns the outcomes in cell-list order — they do
@@ -83,11 +84,7 @@ where
             scope.spawn(|| loop {
                 let pos = next.fetch_add(1, Ordering::SeqCst);
                 let Some(unit) = units.get(pos) else { break };
-                // The costliest units start first *and* borrow the
-                // threads that would otherwise idle; a whole unit
-                // (prefix and forks) runs on the borrowed cores.
-                let extra = spare_cores(threads, units.len(), pos);
-                let out = run_unit(spec, cells, unit, extra, build, hook);
+                let out = run_unit(spec, cells, unit, build, hook);
                 done.lock().expect("a worker panicked").extend(out);
             });
         }
@@ -98,29 +95,10 @@ where
     (done, wall)
 }
 
-/// How many extra worker threads the unit pulled at position `pos` of
-/// the costliest-first schedule may borrow for its own parallel
-/// kernel. With `units` schedulable units and `threads` workers,
-/// `W = min(threads, units)` workers run concurrently and
-/// `threads − W` threads would idle; those spares go to the
-/// earliest-scheduled (costliest) positions, one share each, left-overs
-/// to the front. Deterministic in (threads, units, pos) alone — the
-/// *report* is identical however many cores a cell borrows, so this
-/// only shapes wall clock, never results.
-fn spare_cores(threads: usize, units: usize, pos: usize) -> usize {
-    let w = threads.min(units.max(1));
-    let spare = threads.saturating_sub(w);
-    if pos >= w || spare == 0 {
-        return 0;
-    }
-    spare / w + usize::from(pos < spare % w)
-}
-
 fn run_unit<B, H, T>(
     spec: &MatrixSpec,
     cells: &[MatrixCell],
     unit: &[usize],
-    extra_cores: usize,
     build: &B,
     hook: &H,
 ) -> Vec<Done<T>>
@@ -131,7 +109,7 @@ where
 {
     // A singleton unit has no prefix worth sharing.
     let mut prefix = (unit.len() >= 2)
-        .then(|| Prefix::capture(spec, &cells[unit[0]], build, extra_cores))
+        .then(|| Prefix::capture(spec, &cells[unit[0]], build))
         .flatten();
     unit.iter()
         .map(|&index| {
@@ -139,7 +117,7 @@ where
             let t0 = Instant::now();
             let resumed = prefix.as_mut().and_then(|p| p.resume(spec, cell));
             let forked = resumed.is_some();
-            let mut fin = resumed.unwrap_or_else(|| run_cold(spec, cell, build, extra_cores));
+            let mut fin = resumed.unwrap_or_else(|| run_cold(spec, cell, build));
             let post = match fin.scenario {
                 Some(sc) => hook(index, &mut fin.rec, &sc),
                 None => T::default(),
@@ -168,17 +146,11 @@ fn converge<B>(
     spec: &MatrixSpec,
     cell: &MatrixCell,
     build: &B,
-    extra_cores: usize,
 ) -> Option<(Scenario, Option<Time>, Time)>
 where
     B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
 {
     let mut sc = build(cell).ok()?.start();
-    // Cells keep their knob's core budget plus whatever the scheduler
-    // spared (forks clone the scenario, budget and all); parallel spans
-    // are byte-identical to sequential ones, so the record cannot tell.
-    let granted = sc.parallel_cores().max(1 + extra_cores);
-    sc.set_parallel_cores(granted);
     let configured_at = sc.run_until_configured(Time::ZERO + spec.configure_deadline);
     let config_now = sc.sim.now();
     Some((sc, configured_at, config_now))
@@ -188,16 +160,11 @@ where
 /// builder returns an error reports `build_error = 1` and nothing
 /// else: a bad axis value marks this cell, not the sweep, so `--check`
 /// diffs surface exactly which cells failed to assemble.
-pub(crate) fn run_cold<B>(
-    spec: &MatrixSpec,
-    cell: &MatrixCell,
-    build: &B,
-    extra_cores: usize,
-) -> Finished
+pub(crate) fn run_cold<B>(spec: &MatrixSpec, cell: &MatrixCell, build: &B) -> Finished
 where
     B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
 {
-    match converge(spec, cell, build, extra_cores) {
+    match converge(spec, cell, build) {
         Some((sc, configured_at, config_now)) => {
             finish_cell(spec, cell, sc, configured_at, config_now)
         }
@@ -241,12 +208,7 @@ impl Prefix {
     /// here), so one capture serves them all. `None` if the builder
     /// rejects the cell, the world never converges, or it never
     /// quiesces — a cold start is then the answer for every member.
-    pub(crate) fn capture<B>(
-        spec: &MatrixSpec,
-        cell: &MatrixCell,
-        build: &B,
-        extra_cores: usize,
-    ) -> Option<Prefix>
+    pub(crate) fn capture<B>(spec: &MatrixSpec, cell: &MatrixCell, build: &B) -> Option<Prefix>
     where
         B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
     {
@@ -254,7 +216,7 @@ impl Prefix {
             schedule: FaultSchedule::none(),
             ..cell.clone()
         };
-        let (mut sc, configured_at, config_now) = converge(spec, &bare, build, extra_cores)?;
+        let (mut sc, configured_at, config_now) = converge(spec, &bare, build)?;
         let configured_at = configured_at?;
         // The capture is refused while a tail batch waits out its
         // tick, so step in short slices — bounded well inside the

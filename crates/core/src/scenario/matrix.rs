@@ -215,13 +215,6 @@ pub struct MatrixKnob {
     pub overflow: OverflowPolicy,
     /// The probe workload built into each cell.
     pub workload: MatrixWorkload,
-    /// Worker threads for the cell's post-convergence spans (1 =
-    /// sequential). Deliberately *not* part of the cell key: the
-    /// parallel kernel is byte-identical to the sequential one, so the
-    /// same cell at any core count is the same experiment. The matrix
-    /// scheduler may raise this at run time with spare cores
-    /// ([`ScenarioMatrix::run_instrumented`]).
-    pub parallel_cores: usize,
 }
 
 impl MatrixKnob {
@@ -240,7 +233,6 @@ impl MatrixKnob {
             channel_capacity: None,
             overflow: OverflowPolicy::Defer,
             workload: MatrixWorkload::FarthestPing,
-            parallel_cores: 1,
         }
     }
 
@@ -258,7 +250,6 @@ impl MatrixKnob {
             channel_capacity: None,
             overflow: OverflowPolicy::Defer,
             workload: MatrixWorkload::FarthestPing,
-            parallel_cores: 1,
         }
     }
 
@@ -315,13 +306,6 @@ impl MatrixKnob {
         self
     }
 
-    /// Step the cell's post-convergence spans on the parallel kernel
-    /// with up to `n` regions.
-    pub fn with_parallel_cores(mut self, n: usize) -> Self {
-        self.parallel_cores = n.max(1);
-        self
-    }
-
     /// Apply this knob to a builder.
     pub fn apply(&self, b: ScenarioBuilder) -> ScenarioBuilder {
         let mut b = b
@@ -330,8 +314,7 @@ impl MatrixKnob {
             .ospf_timers(self.ospf_hello, self.ospf_dead)
             .provision_width(self.provision_width)
             .fib_batch(self.fib_batch)
-            .overflow_policy(self.overflow)
-            .parallel_cores(self.parallel_cores);
+            .overflow_policy(self.overflow);
         if let Some(cap) = self.channel_capacity {
             b = b.channel_capacity(cap);
         }
@@ -461,10 +444,9 @@ impl MatrixSpec {
 
     /// The full trend-tracking grid: more seeds, bigger rings, the
     /// pan-European reference network, the two largest corpus WANs,
-    /// the 320-switch fat-tree, and a paper-timer knob. The giant
-    /// cells are tractable because the sweep hands its spare threads
-    /// to the costliest cells' parallel kernels
-    /// ([`ScenarioMatrix::run_instrumented`]).
+    /// the 320-switch fat-tree, and a paper-timer knob. The sweep
+    /// starts the giant cells first so they overlap the many small
+    /// ones ([`ScenarioMatrix::run_instrumented`]).
     pub fn full() -> MatrixSpec {
         MatrixSpec {
             seeds: vec![1, 2, 3, 4, 5],
@@ -766,7 +748,7 @@ impl ScenarioMatrix {
 
     /// The scheduler's cost estimate for one cell (arbitrary units;
     /// only the ordering matters). Public so the calibration test in
-    /// `tests/parallel_kernel.rs` can see the same ranking the sweep
+    /// `tests/matrix_sweeps.rs` can see the same ranking the sweep
     /// schedules by.
     pub fn expected_cell_cost(&self, cell: &MatrixCell) -> u64 {
         expected_cost(&self.spec, cell)

@@ -57,7 +57,7 @@ use rf_apps::{EchoHost, HostConfig, Pinger};
 use rf_discovery::{TopologyController, TopologyControllerConfig};
 use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
 use rf_rpc::{RpcClientAgent, RpcClientConfig};
-use rf_sim::{Agent, AgentId, Ctx, LinkId, LinkProfile, ParallelOutcome, Sim, SimConfig, Time};
+use rf_sim::{Agent, AgentId, Ctx, LinkId, LinkProfile, Sim, SimConfig, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_topo::Topology;
 use rf_wire::{Ipv4Cidr, MacAddr};
@@ -121,10 +121,6 @@ pub struct ScenarioConfig {
     pub overflow: OverflowPolicy,
     /// Trace verbosity.
     pub trace_level: rf_sim::TraceLevel,
-    /// Worker threads for the conservative parallel kernel (1 =
-    /// sequential). Only post-convergence spans are partitioned, and
-    /// results are byte-identical either way; see [`rf_sim::partition`].
-    pub parallel_cores: usize,
 }
 
 impl ScenarioConfig {
@@ -145,7 +141,6 @@ impl ScenarioConfig {
             channel_capacity: None,
             overflow: OverflowPolicy::Defer,
             trace_level: rf_sim::TraceLevel::Info,
-            parallel_cores: 1,
         }
     }
 
@@ -639,16 +634,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Step post-convergence spans on the conservative parallel kernel
-    /// with up to `n` regions (default 1 = sequential). Reports are
-    /// byte-identical whatever the value — the kernel falls back to
-    /// sequential execution whenever the partition contract cannot
-    /// hold; see [`rf_sim::partition`].
-    pub fn parallel_cores(mut self, n: usize) -> Self {
-        self.cfg.parallel_cores = n.max(1);
-        self
-    }
-
     /// Attach a host subnet at a topology node; slots appear in
     /// [`Scenario::host_slots`] in declaration order.
     pub fn with_host(mut self, node: usize, subnet: &str) -> Self {
@@ -978,8 +963,6 @@ impl ScenarioBuilder {
             user_hosts,
             workload_handles,
             chaos,
-            parallel_cores: cfg.parallel_cores,
-            configured: false,
             last_parallel: None,
         }
     }
@@ -1285,19 +1268,8 @@ pub struct Scenario {
     /// The always-present fault scheduler (possibly with an empty
     /// schedule); the fork path injects faults into it.
     chaos: AgentId,
-    /// Worker threads for post-convergence `run_until` spans (1 =
-    /// sequential).
-    parallel_cores: usize,
-    /// Set once [`Scenario::run_until_configured`] observes
-    /// convergence; the parallel kernel never engages before it (the
-    /// configuration phase spawns VMs and opens control channels —
-    /// both partition violations — so attempting it would only buy
-    /// rollback churn). A fork inherits the flag: snapshots are taken
-    /// at converged quiesce points by contract.
-    configured: bool,
-    /// How the most recent parallel-eligible [`Scenario::run_until`]
-    /// span actually executed (`None` until one happens).
-    pub last_parallel: Option<ParallelOutcome>,
+    /// Inert stub, always `None`; see [`rf_sim::ParallelOutcome`].
+    pub last_parallel: Option<rf_sim::ParallelOutcome>,
 }
 
 /// Why [`Scenario::snapshot`] refused to capture at the current
@@ -1406,36 +1378,12 @@ impl Scenario {
     }
 
     /// Run until simulated time `t`.
-    ///
-    /// When `parallel_cores ≥ 2` and the scenario has converged, spans
-    /// of at least one simulated second are stepped on the
-    /// conservative parallel kernel ([`rf_sim::partition`]); shorter
-    /// slices (convergence probing, output draining) stay sequential —
-    /// the split/merge cost would dwarf them. Either path produces
-    /// byte-identical state.
     pub fn run_until(&mut self, t: Time) {
-        const MIN_PARALLEL_SPAN: Duration = Duration::from_secs(1);
-        if self.parallel_cores >= 2
-            && self.configured
-            && t.since(self.sim.now()) >= MIN_PARALLEL_SPAN
-        {
-            let cores = self.parallel_cores;
-            self.last_parallel = Some(rf_sim::run_parallel_until(&mut self.sim, t, cores));
-        } else {
-            self.sim.run_until(t);
-        }
+        self.sim.run_until(t);
     }
 
-    /// Worker threads post-convergence `run_until` spans may use.
-    pub fn parallel_cores(&self) -> usize {
-        self.parallel_cores
-    }
-
-    /// Re-budget the parallel kernel (the matrix scheduler hands spare
-    /// cores to expensive cells after building them).
-    pub fn set_parallel_cores(&mut self, n: usize) {
-        self.parallel_cores = n.max(1);
-    }
+    /// Inert stub, a no-op; see [`rf_sim::ParallelOutcome`].
+    pub fn set_parallel_cores(&mut self, _cores: usize) {}
 
     /// Switches whose VM is up (green in the paper's GUI).
     pub fn configured_switches(&self) -> usize {
@@ -1454,15 +1402,13 @@ impl Scenario {
 
     /// Run until every switch is configured (or `deadline`), stepping
     /// in 100 ms slices so the condition is observable; returns the
-    /// configuration completion time. Observing convergence arms the
-    /// parallel kernel for subsequent [`Scenario::run_until`] spans.
+    /// configuration completion time.
     pub fn run_until_configured(&mut self, deadline: Time) -> Option<Time> {
         let mut t = self.sim.now();
         while t < deadline {
             t = (t + Duration::from_millis(100)).min(deadline);
             self.sim.run_until(t);
             if let Some(done) = self.all_configured_at() {
-                self.configured = true;
                 return Some(done);
             }
         }

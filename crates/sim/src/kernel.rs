@@ -145,7 +145,7 @@ impl Default for SimConfig {
 }
 
 #[derive(Clone, Debug)]
-pub(crate) enum Ev {
+enum Ev {
     Start(AgentId),
     Timer {
         agent: AgentId,
@@ -171,85 +171,40 @@ pub(crate) enum Ev {
     },
 }
 
-/// The agent an event will be delivered to. Every kernel event targets
-/// exactly one agent — the invariant the parallel kernel's region
-/// routing is built on.
-pub(crate) fn ev_target(ev: &Ev) -> AgentId {
-    match ev {
-        Ev::Start(a) => *a,
-        Ev::Timer { agent, .. } | Ev::Frame { agent, .. } => *agent,
-        Ev::StreamOpen { to, .. } | Ev::StreamData { to, .. } | Ev::StreamClosed { to, .. } => *to,
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct LinkEnd {
-    pub(crate) agent: AgentId,
-    pub(crate) port: u32,
+struct LinkEnd {
+    agent: AgentId,
+    port: u32,
 }
 
 #[derive(Clone)]
-pub(crate) struct LinkState {
-    pub(crate) a: LinkEnd,
-    pub(crate) b: LinkEnd,
-    pub(crate) profile: LinkProfile,
-    pub(crate) up: bool,
+struct LinkState {
+    a: LinkEnd,
+    b: LinkEnd,
+    profile: LinkProfile,
+    up: bool,
     /// Transmitter-busy horizon for each direction (a→b, b→a).
-    pub(crate) busy: [Time; 2],
-    pub(crate) removed: bool,
+    busy: [Time; 2],
+    removed: bool,
 }
 
 #[derive(Clone)]
-pub(crate) struct ConnState {
-    pub(crate) ends: [AgentId; 2],
-    pub(crate) service: u16,
-    pub(crate) profile: ConnProfile,
+struct ConnState {
+    ends: [AgentId; 2],
+    service: u16,
+    profile: ConnProfile,
     /// Per-direction in-order delivery clocks (index = sender side).
-    pub(crate) deliver_clock: [Time; 2],
-    pub(crate) closed: bool,
-}
-
-/// What a region replica records for every event push while a parallel
-/// window executes (see the `partition` module).
-#[derive(Clone, Debug)]
-pub(crate) enum PushRec {
-    /// The event targets an agent this region owns; it was inserted
-    /// into the local queue under a *provisional* sequence number,
-    /// finalized at the next barrier.
-    Local { prov_seq: u64 },
-    /// The event targets a foreign region; it was *not* inserted
-    /// locally — the barrier routes it under its finalized sequence
-    /// number.
-    Cross { at: Time, ev: Ev },
-}
-
-/// Parallel-execution control block, installed on a region replica's
-/// [`Inner`] while the `partition` module drives it through conservative
-/// windows. When present, every ordinary event push is routed through
-/// it, and kernel operations the windowed protocol cannot replicate
-/// safely (topology mutation, agent churn, shared-RNG access, …) mark a
-/// violation instead of being trusted — the coordinator then discards
-/// the replicas and reruns the span on the sequential kernel.
-#[derive(Clone)]
-pub(crate) struct ParCtl {
-    /// The region this replica owns.
-    pub(crate) my_region: u32,
-    /// Region of every agent id (index = `AgentId.0`).
-    pub(crate) region_of: Vec<u32>,
-    /// Push log of the event currently dispatching; drained into the
-    /// dispatch record after each event.
-    pub(crate) pushes: Vec<PushRec>,
-    /// First operation this window that the protocol cannot replicate.
-    pub(crate) violation: Option<&'static str>,
+    deliver_clock: [Time; 2],
+    closed: bool,
 }
 
 /// Everything in the simulation except the agent table; [`Ctx`] borrows
 /// this during dispatch.
 #[derive(Clone)]
-pub(crate) struct Inner {
-    pub(crate) now: Time,
-    pub(crate) queue: EventQueue<Ev>,
-    pub(crate) links: Vec<LinkState>,
+struct Inner {
+    now: Time,
+    queue: EventQueue<Ev>,
+    links: Vec<LinkState>,
     /// Dense per-agent port tables: `ports[agent][port]` is the link
     /// wired there, or [`NO_LINK`] for an empty port. Built at wiring
     /// time, so the per-send lookup is two indexed loads instead of a
@@ -258,56 +213,22 @@ pub(crate) struct Inner {
     /// thousands of agents × tens of ports, and these rows dominate
     /// the kernel's resident wiring state.
     ports: Vec<Vec<u32>>,
-    pub(crate) conns: Vec<ConnState>,
+    conns: Vec<ConnState>,
     listeners: HashMap<(AgentId, u16), bool>,
-    pub(crate) rng: StdRng,
-    pub(crate) tracer: Tracer,
+    rng: StdRng,
+    tracer: Tracer,
     names: Vec<String>,
-    pub(crate) next_agent: usize,
-    pub(crate) pending_spawn: Vec<(AgentId, Box<dyn Agent>)>,
-    pub(crate) pending_kill: Vec<AgentId>,
+    next_agent: usize,
+    pending_spawn: Vec<(AgentId, Box<dyn Agent>)>,
+    pending_kill: Vec<AgentId>,
     /// Agents to re-install into previously killed slots (chaos
     /// revive): the id keeps its wiring — links stay attached to the
     /// slot — and the fresh agent's `on_start` re-runs its boot path.
-    pub(crate) pending_revive: Vec<(AgentId, Box<dyn Agent>)>,
-    pub(crate) stopped: bool,
-    /// Parallel-window control block; `None` on the sequential path
-    /// (always, except while the `partition` module drives a replica).
-    pub(crate) par: Option<Box<ParCtl>>,
+    pending_revive: Vec<(AgentId, Box<dyn Agent>)>,
+    stopped: bool,
 }
 
 impl Inner {
-    /// Route an ordinary event push. On the sequential path this is
-    /// exactly `queue.push`; while a parallel window executes, the
-    /// push is logged — and cross-region events are withheld from the
-    /// local queue entirely (the barrier delivers them).
-    fn push_ev(&mut self, at: Time, ev: Ev) {
-        let Some(par) = self.par.as_deref_mut() else {
-            self.queue.push(at, ev);
-            return;
-        };
-        let target = ev_target(&ev);
-        let region = par.region_of.get(target.0).copied().unwrap_or(0);
-        if region == par.my_region {
-            let prov_seq = self.queue.push_seq(at, ev);
-            par.pushes.push(PushRec::Local { prov_seq });
-        } else {
-            par.pushes.push(PushRec::Cross { at, ev });
-        }
-    }
-
-    /// Record that the current event performed an operation the
-    /// parallel-window protocol cannot replicate. No-op on the
-    /// sequential path; under a window it poisons the whole parallel
-    /// attempt (the span reruns sequentially from the pristine world),
-    /// so the operation itself may proceed on the doomed replica.
-    fn mark_violation(&mut self, what: &'static str) {
-        if let Some(par) = self.par.as_deref_mut() {
-            if par.violation.is_none() {
-                par.violation = Some(what);
-            }
-        }
-    }
     #[inline]
     fn link_of(&self, end: LinkEnd) -> Option<LinkId> {
         let raw = *self.ports.get(end.agent.0)?.get(end.port as usize)?;
@@ -382,7 +303,7 @@ impl Inner {
                 // Clone only when a duplicate must actually be queued;
                 // the common single-delivery path moves the frame.
                 let dup = duplicate.then(|| frame.clone());
-                self.push_ev(
+                self.queue.push(
                     arrival,
                     Ev::Frame {
                         agent: other.agent,
@@ -392,7 +313,7 @@ impl Inner {
                 );
                 if let Some(frame) = dup {
                     self.tracer.count_kernel(KernelCounter::Duplicated, 1);
-                    self.push_ev(
+                    self.queue.push(
                         arrival,
                         Ev::Frame {
                             agent: other.agent,
@@ -412,9 +333,6 @@ impl Inner {
         service: u16,
         profile: ConnProfile,
     ) -> ConnId {
-        // Grows the connection table, which region replicas share by
-        // index — and the new conn's endpoints may span regions.
-        self.mark_violation("connect");
         let conn = ConnId(self.conns.len());
         let listening = self
             .listeners
@@ -432,12 +350,15 @@ impl Inner {
             closed: !listening,
         });
         if listening {
-            self.push_ev(open_peer, Ev::StreamOpen { conn, to: peer });
-            self.push_ev(open_init, Ev::StreamOpen { conn, to: from });
+            self.queue
+                .push(open_peer, Ev::StreamOpen { conn, to: peer });
+            self.queue
+                .push(open_init, Ev::StreamOpen { conn, to: from });
             self.tracer.count_kernel(KernelCounter::ConnOpened, 1);
         } else {
             // Connection refused: initiator learns after one round trip.
-            self.push_ev(open_init, Ev::StreamClosed { conn, to: from });
+            self.queue
+                .push(open_init, Ev::StreamClosed { conn, to: from });
             self.tracer.count_kernel(KernelCounter::ConnRefused, 1);
         }
         conn
@@ -463,12 +384,10 @@ impl Inner {
         c.deliver_clock[side] = deliver;
         self.tracer
             .count_kernel(KernelCounter::ConnTxBytes, data.len() as u64);
-        self.push_ev(deliver, Ev::StreamData { conn, to, data });
+        self.queue.push(deliver, Ev::StreamData { conn, to, data });
     }
 
     fn conn_close_from(&mut self, from: AgentId, conn: ConnId) {
-        // Flips `closed`, which both endpoint regions read.
-        self.mark_violation("conn_close");
         let Some(c) = self.conns.get_mut(conn.0) else {
             return;
         };
@@ -479,13 +398,10 @@ impl Inner {
         let side = if c.ends[0] == from { 0 } else { 1 };
         let to = c.ends[1 - side];
         let deliver = (self.now + c.profile.latency).max(c.deliver_clock[side]);
-        self.push_ev(deliver, Ev::StreamClosed { conn, to });
+        self.queue.push(deliver, Ev::StreamClosed { conn, to });
     }
 
     fn add_link(&mut self, a: (AgentId, u32), b: (AgentId, u32), profile: LinkProfile) -> LinkId {
-        // Topology mutation invalidates the partition plan (regions and
-        // the lookahead bound were cut from the link graph).
-        self.mark_violation("add_link");
         let a = LinkEnd {
             agent: a.0,
             port: a.1,
@@ -525,7 +441,6 @@ impl Inner {
     }
 
     fn remove_link(&mut self, id: LinkId) {
-        self.mark_violation("remove_link");
         if let Some(l) = self.links.get_mut(id.0) {
             if !l.removed {
                 l.removed = true;
@@ -538,9 +453,6 @@ impl Inner {
     }
 
     fn set_link_loss(&mut self, id: LinkId, pct: f64) {
-        // Lossy links draw from the shared RNG per frame — a stream the
-        // windowed protocol cannot serialize across regions.
-        self.mark_violation("set_link_loss");
         if let Some(l) = self.links.get_mut(id.0) {
             if !l.removed {
                 l.profile.faults.drop_chance = (pct / 100.0).clamp(0.0, 1.0);
@@ -549,8 +461,6 @@ impl Inner {
     }
 
     fn spawn(&mut self, name: &str, agent: Box<dyn Agent>) -> AgentId {
-        // Agent-table growth: the new id has no region assignment.
-        self.mark_violation("spawn");
         let id = AgentId(self.next_agent);
         self.next_agent += 1;
         while self.names.len() <= id.0 {
@@ -558,15 +468,14 @@ impl Inner {
         }
         self.names[id.0] = name.to_string();
         self.pending_spawn.push((id, agent));
-        let now = self.now;
-        self.push_ev(now, Ev::Start(id));
+        self.queue.push(self.now, Ev::Start(id));
         id
     }
 }
 
 /// The handle an agent uses to interact with the world during an event.
 pub struct Ctx<'a> {
-    pub(crate) inner: &'a mut Inner,
+    inner: &'a mut Inner,
     id: AgentId,
 }
 
@@ -589,7 +498,7 @@ impl<'a> Ctx<'a> {
     /// Fire `on_timer(token)` after `delay`.
     pub fn schedule(&mut self, delay: Duration, token: u64) {
         let at = self.inner.now + delay;
-        self.inner.push_ev(
+        self.inner.queue.push(
             at,
             Ev::Timer {
                 agent: self.id,
@@ -607,9 +516,6 @@ impl<'a> Ctx<'a> {
     /// into a forked simulation mid-run) use this; protocol agents
     /// should use [`schedule`](Self::schedule).
     pub fn schedule_reserved(&mut self, delay: Duration, token: u64) {
-        // Reserved-lane entries bypass the provisional numbering the
-        // window protocol finalizes at barriers.
-        self.inner.mark_violation("schedule_reserved");
         let at = self.inner.now + delay;
         self.inner.queue.push_reserved(
             at,
@@ -623,7 +529,7 @@ impl<'a> Ctx<'a> {
     /// Fire `on_timer(token)` at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: Time, token: u64) {
         let at = at.max(self.inner.now);
-        self.inner.push_ev(
+        self.inner.queue.push(
             at,
             Ev::Timer {
                 agent: self.id,
@@ -646,8 +552,6 @@ impl<'a> Ctx<'a> {
 
     /// Accept incoming connections on `service`.
     pub fn listen(&mut self, service: u16) {
-        // The listener table is frozen shared state under a window.
-        self.inner.mark_violation("listen");
         self.inner.listeners.insert((self.id, service), true);
     }
 
@@ -671,8 +575,6 @@ impl<'a> Ctx<'a> {
     /// Remove an agent after the current event (its links stay but
     /// frames to it are dropped, and its connections are closed).
     pub fn kill(&mut self, agent: AgentId) {
-        // Agent-table mutation; the victim may live in another region.
-        self.inner.mark_violation("kill");
         self.inner.pending_kill.push(agent);
     }
 
@@ -685,11 +587,8 @@ impl<'a> Ctx<'a> {
     /// exactly like a kill (connections closed, listeners dropped)
     /// before the fresh one is installed.
     pub fn revive(&mut self, agent: AgentId, fresh: Box<dyn Agent>) {
-        // Agent-table mutation, same as kill/spawn.
-        self.inner.mark_violation("revive");
         self.inner.pending_revive.push((agent, fresh));
-        let now = self.inner.now;
-        self.inner.push_ev(now, Ev::Start(agent));
+        self.inner.queue.push(self.inner.now, Ev::Start(agent));
     }
 
     /// Create a packet link between two `(agent, port)` endpoints.
@@ -709,8 +608,6 @@ impl<'a> Ctx<'a> {
 
     /// Administratively set a link up or down.
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
-        // The link's `up` flag is read by the owning endpoint regions.
-        self.inner.mark_violation("set_link_up");
         if let Some(l) = self.inner.links.get_mut(id.0) {
             if !l.removed {
                 l.up = up;
@@ -727,9 +624,6 @@ impl<'a> Ctx<'a> {
 
     /// Deterministic RNG shared by the whole simulation.
     pub fn rng(&mut self) -> &mut StdRng {
-        // One RNG, one draw order: regions cannot interleave draws the
-        // way the sequential kernel would.
-        self.inner.mark_violation("rng");
         &mut self.inner.rng
     }
 
@@ -752,8 +646,6 @@ impl<'a> Ctx<'a> {
 
     /// Stop the simulation after the current event.
     pub fn stop_sim(&mut self) {
-        // A global halt must be observed by every region at once.
-        self.inner.mark_violation("stop_sim");
         self.inner.stopped = true;
     }
 }
@@ -766,11 +658,11 @@ impl<'a> Ctx<'a> {
 /// duplicate, so the copy replays byte-identically to the original.
 #[derive(Clone)]
 pub struct Sim {
-    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
-    pub(crate) inner: Inner,
-    pub(crate) cfg: SimConfig,
+    agents: Vec<Option<Box<dyn Agent>>>,
+    inner: Inner,
+    cfg: SimConfig,
     /// Events dispatched so far (the perf harness's events/sec basis).
-    pub(crate) events_dispatched: u64,
+    events_dispatched: u64,
 }
 
 impl Sim {
@@ -792,7 +684,6 @@ impl Sim {
                 pending_kill: Vec::new(),
                 pending_revive: Vec::new(),
                 stopped: false,
-                par: None,
             },
             cfg,
             events_dispatched: 0,
@@ -891,7 +782,7 @@ impl Sim {
         self.agents.iter().filter(|a| a.is_some()).count()
     }
 
-    pub(crate) fn apply_pending(&mut self) {
+    fn apply_pending(&mut self) {
         // Runs after every event; almost always a no-op.
         if self.inner.pending_spawn.is_empty()
             && self.inner.pending_kill.is_empty()
@@ -914,7 +805,6 @@ impl Sim {
                 kills.push(*id);
             }
         }
-        let mut close_pushes: Vec<(Time, Ev)> = Vec::new();
         for id in kills {
             if self.agents.get_mut(id.0).and_then(|s| s.take()).is_some() {
                 // Close this agent's connections so peers observe dead sockets.
@@ -927,13 +817,13 @@ impl Sim {
                             c.ends[0]
                         };
                         let at = self.inner.now + c.profile.latency;
-                        close_pushes.push((
+                        self.inner.queue.push(
                             at,
                             Ev::StreamClosed {
                                 conn: ConnId(cid),
                                 to,
                             },
-                        ));
+                        );
                     }
                 }
                 // Drop its listeners.
@@ -949,12 +839,6 @@ impl Sim {
                 self.agents.push(None);
             }
             self.agents[id.0] = Some(agent);
-        }
-        // Pushed outside the conns borrow; kills only happen under a
-        // window on an already-poisoned replica, so routing through
-        // push_ev keeps the log shape consistent either way.
-        for (at, ev) in close_pushes {
-            self.inner.push_ev(at, ev);
         }
     }
 
@@ -981,12 +865,18 @@ impl Sim {
         true
     }
 
-    pub(crate) fn dispatch(&mut self, ev: Ev) {
+    fn dispatch(&mut self, ev: Ev) {
         // Resolve the target (and, for stream opens, the connection
         // metadata) before taking the agent out of its slot, so every
         // early return leaves the table intact. Handlers are invoked
         // directly from the match — no per-event closure allocation.
-        let target = ev_target(&ev);
+        let target = match &ev {
+            Ev::Start(a) => *a,
+            Ev::Timer { agent, .. } | Ev::Frame { agent, .. } => *agent,
+            Ev::StreamOpen { to, .. } | Ev::StreamData { to, .. } | Ev::StreamClosed { to, .. } => {
+                *to
+            }
+        };
         let open_info = if let Ev::StreamOpen { conn, to } = &ev {
             let Some(c) = self.inner.conns.get(conn.0) else {
                 return;

@@ -51,7 +51,6 @@
 
 pub mod kernel;
 pub mod link;
-pub mod partition;
 pub mod queue;
 pub mod time;
 pub mod trace;
@@ -60,6 +59,24 @@ pub use kernel::{
     Agent, AgentId, CloneAgent, ConnId, ConnProfile, Ctx, LinkId, Sim, SimConfig, StreamEvent,
 };
 pub use link::{FaultProfile, LinkProfile};
-pub use partition::{run_parallel_until, ParallelOutcome};
 pub use time::Time;
 pub use trace::{KernelCounter, TraceEvent, TraceLevel, Tracer};
+
+/// Inert stub. `rfbench/src/adapter.rs` (benchmark-owned, not editable
+/// outside a `[benchmark]` PR) compiles against this enum, a setter on
+/// `rf_core::Scenario` and the `Scenario` field that carried one. The
+/// in-cell parallel kernel they reported on was measured at 0.07× and
+/// deleted (README § Multi-core): nothing constructs a value, the
+/// setter does nothing, the field is always `None`. All three go with
+/// the `sim.partition_*` metrics in the next `[benchmark]` PR.
+#[derive(Clone)]
+pub enum ParallelOutcome {
+    Parallel {
+        regions: usize,
+        windows: u64,
+        cross_events: u64,
+    },
+    Serial {
+        reason: &'static str,
+    },
+}

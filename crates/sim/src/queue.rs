@@ -214,18 +214,9 @@ impl<T> EventQueue<T> {
 
     /// Schedule `payload` at absolute time `at`.
     pub fn push(&mut self, at: Time, payload: T) {
-        self.push_seq(at, payload);
-    }
-
-    /// Like [`push`](Self::push), but returns the sequence number the
-    /// entry was assigned. The parallel kernel logs these to
-    /// reconstruct the global push order at window barriers (see the
-    /// `partition` module in `rf-sim`).
-    pub(crate) fn push_seq(&mut self, at: Time, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.push_with_seq(at, seq, payload);
-        seq
     }
 
     /// Schedule `payload` at `at` in the reserved lane: it dispatches
@@ -240,12 +231,7 @@ impl<T> EventQueue<T> {
         self.push_with_seq(at, seq, payload);
     }
 
-    /// Insert an entry under an externally assigned sequence number
-    /// without touching either counter. The parallel kernel uses this
-    /// to distribute a drained queue across region replicas and to
-    /// deliver cross-region events under their barrier-finalized
-    /// sequence numbers.
-    pub(crate) fn push_with_seq(&mut self, at: Time, seq: u64, payload: T) {
+    fn push_with_seq(&mut self, at: Time, seq: u64, payload: T) {
         let t = at.as_nanos();
         if self.len == 0 {
             // Empty queue: re-anchor the window so a long quiet gap
@@ -349,12 +335,6 @@ impl<T> EventQueue<T> {
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        self.pop_entry().map(|(at, _seq, payload)| (at, payload))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the entry's sequence
-    /// number — the key the parallel kernel's dispatch log records.
-    pub(crate) fn pop_entry(&mut self) -> Option<(Time, u64, T)> {
         let (_at, _seq, loc) = self.peek_key()?;
         self.cached_min = None;
         let entry = match loc {
@@ -380,92 +360,12 @@ impl<T> EventQueue<T> {
         // keeps every wheel entry inside `[window_start, +SPAN)`.
         let aligned = (entry.at.as_nanos() >> SLOT_NS_SHIFT) << SLOT_NS_SHIFT;
         self.window_start = self.window_start.max(aligned);
-        Some((entry.at, entry.seq, entry.payload))
+        Some((entry.at, entry.payload))
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<Time> {
         self.peek_key().map(|(at, _, _)| at)
-    }
-
-    /// `(time, seq)` key of the earliest pending event.
-    pub(crate) fn peek_entry_key(&mut self) -> Option<(Time, u64)> {
-        self.peek_key().map(|(at, seq, _)| (at, seq))
-    }
-
-    /// The next ordinary sequence number — the split-time base the
-    /// parallel kernel rebases each region's provisional sequences
-    /// against.
-    pub(crate) fn next_ordinary_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Overwrite the ordinary sequence counter. Barrier finalization
-    /// rebases every region replica's counter to the merged global
-    /// value, so the next window's provisional numbers never collide
-    /// with an already-finalized one.
-    pub(crate) fn set_next_ordinary_seq(&mut self, seq: u64) {
-        self.next_seq = seq;
-    }
-
-    /// True when any pending entry sits in the reserved lane (chaos
-    /// fault timers, fork-injected schedules). The parallel kernel
-    /// refuses to split such a queue: reserved entries sort before
-    /// ordinary ones at the same instant, a property the provisional
-    /// renumbering scheme does not model.
-    pub(crate) fn has_reserved_pending(&self) -> bool {
-        self.wheel
-            .iter()
-            .any(|s| s.entries.iter().any(|e| e.seq < RESERVED_SEQS))
-            || self.overflow.iter().any(|e| e.seq < RESERVED_SEQS)
-    }
-
-    /// Remove every pending entry, returning `(time, seq, payload)`
-    /// triples in unspecified order. Both sequence counters are left
-    /// untouched, so the entries can be redistributed into replica
-    /// queues via [`push_with_seq`](Self::push_with_seq).
-    pub(crate) fn drain_entries(&mut self) -> Vec<(Time, u64, T)> {
-        let mut out = Vec::with_capacity(self.len);
-        for slot in &mut self.wheel {
-            for e in slot.entries.drain(..) {
-                out.push((e.at, e.seq, e.payload));
-            }
-            slot.sorted = true;
-        }
-        for word in &mut self.occupied {
-            *word = 0;
-        }
-        for e in std::mem::take(&mut self.overflow).into_vec() {
-            out.push((e.at, e.seq, e.payload));
-        }
-        self.cached_min = None;
-        self.len = 0;
-        out
-    }
-
-    /// Rewrite sequence numbers in place: every entry whose seq is a
-    /// key of `map` takes the mapped value. The caller must guarantee
-    /// the map is *order-preserving* over the entries it touches and
-    /// collision-free against the ones it does not (the barrier
-    /// finalization map is both, by construction) — that keeps slot
-    /// sort order and the overflow heap's relative order intact, so
-    /// only the memoized minimum needs invalidating.
-    pub(crate) fn remap_seqs(&mut self, map: &std::collections::HashMap<u64, u64>) {
-        for slot in &mut self.wheel {
-            for e in &mut slot.entries {
-                if let Some(&f) = map.get(&e.seq) {
-                    e.seq = f;
-                }
-            }
-        }
-        let mut over = std::mem::take(&mut self.overflow).into_vec();
-        for e in &mut over {
-            if let Some(&f) = map.get(&e.seq) {
-                e.seq = f;
-            }
-        }
-        self.overflow = BinaryHeap::from(over);
-        self.cached_min = None;
     }
 
     pub fn len(&self) -> usize {

@@ -59,8 +59,8 @@ fn corpus_smoke_grid_reproduces_its_baseline() {
 #[test]
 fn chaos_smoke_campaign_reproduces_its_baseline() {
     let baseline = include_str!("../crates/bench/baselines/chaos-smoke.json");
-    // Sixteen workers over eight cells: every cell also borrows a
-    // spare core for its parallel kernel, which must not move a byte.
+    // Sixteen workers asked for, eight cells: a sweep with more
+    // threads than units must not move a byte.
     for threads in [1, 16] {
         let outcome = ChaosCampaign::smoke(1).run(threads);
         assert_matches(

@@ -477,3 +477,42 @@ fn malformed_topology_records_build_error_cell() {
     assert!(!good.metrics.contains_key("build_error"));
     assert!(good.metrics["ping_replies"] > 0);
 }
+
+#[test]
+fn expected_cost_orders_cells_like_the_wall_clock() {
+    // The scheduler sorts cells by `expected_cost` so the costliest
+    // start first. The model needs no precision, but its *ordering*
+    // must track reality: a 16-switch grid must be predicted and
+    // measured costlier than a 4-ring.
+    let spec = MatrixSpec {
+        seeds: vec![1],
+        topologies: vec!["ring-4".into(), "grid-4x4".into()],
+        schedules: vec![FaultSchedule::none()],
+        knobs: vec![MatrixKnob::fast("fast")],
+        configure_deadline: Duration::from_secs(120),
+        post_fault_window: Duration::from_secs(10),
+        settle: Duration::from_secs(5),
+    };
+    let matrix = ScenarioMatrix::new(spec.clone());
+    let mut cells = spec.cells();
+    cells.sort_by_key(|c| matrix.expected_cell_cost(c));
+    let (cheap, costly) = (cells.first().unwrap(), cells.last().unwrap());
+    assert!(cheap.key().contains("topo=ring-4"), "{}", cheap.key());
+    assert!(costly.key().contains("topo=grid-4x4"), "{}", costly.key());
+    let (_, stats) = matrix.run_instrumented(1, ScenarioMatrix::standard_builder);
+    let wall_of = |key: &str| {
+        stats
+            .cells
+            .iter()
+            .find(|s| s.key == key)
+            .expect("stat per cell")
+            .wall
+    };
+    assert!(
+        wall_of(&costly.key()) > wall_of(&cheap.key()),
+        "predicted-costliest cell must also measure slower \
+         ({:?} vs {:?})",
+        wall_of(&costly.key()),
+        wall_of(&cheap.key()),
+    );
+}
