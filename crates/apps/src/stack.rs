@@ -286,7 +286,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         match &out[0] {
             StackOutput::Tx(f) => {
-                let eth = EthernetFrame::parse(f).unwrap();
+                let eth = EthernetFrame::parse_bytes(f).unwrap();
                 assert_eq!(eth.dst, MacAddr::BROADCAST);
                 let arp = ArpPacket::parse(&eth.payload).unwrap();
                 assert_eq!(arp.sender_ip, arp.target_ip);
@@ -308,7 +308,7 @@ mod tests {
         let StackOutput::Tx(f) = &out[0] else {
             panic!()
         };
-        let eth = EthernetFrame::parse(f).unwrap();
+        let eth = EthernetFrame::parse_bytes(f).unwrap();
         assert_eq!(eth.ethertype, EtherType::ARP);
         let arp = ArpPacket::parse(&eth.payload).unwrap();
         assert_eq!(arp.target_ip, "10.9.0.1".parse::<Ipv4Addr>().unwrap());
@@ -321,7 +321,7 @@ mod tests {
         let StackOutput::Tx(f) = &out[0] else {
             panic!()
         };
-        let eth = EthernetFrame::parse(f).unwrap();
+        let eth = EthernetFrame::parse_bytes(f).unwrap();
         assert_eq!(eth.dst, gw_mac);
         assert_eq!(eth.ethertype, EtherType::IPV4);
     }
@@ -333,7 +333,7 @@ mod tests {
         let StackOutput::Tx(f) = &out[0] else {
             panic!()
         };
-        let arp = ArpPacket::parse(&EthernetFrame::parse(f).unwrap().payload).unwrap();
+        let arp = ArpPacket::parse(&EthernetFrame::parse_bytes(f).unwrap().payload).unwrap();
         assert_eq!(arp.target_ip, "10.9.0.7".parse::<Ipv4Addr>().unwrap());
     }
 
@@ -354,10 +354,10 @@ mod tests {
         let StackOutput::Tx(reply) = &out[0] else {
             panic!("{out:?}")
         };
-        let eth = EthernetFrame::parse(reply).unwrap();
-        let rip = Ipv4Packet::parse(&eth.payload).unwrap();
+        let eth = EthernetFrame::parse_bytes(reply).unwrap();
+        let rip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
         assert!(matches!(
-            IcmpPacket::parse(&rip.payload).unwrap(),
+            IcmpPacket::parse_bytes(&rip.payload).unwrap(),
             IcmpPacket::EchoReply {
                 ident: 7,
                 seq: 3,

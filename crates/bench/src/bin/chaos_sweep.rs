@@ -240,18 +240,14 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.check {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reading baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        if baseline == json {
-            eprintln!("report is byte-identical to baseline {path}");
-        } else {
-            eprintln!("report DIVERGES from baseline {path}");
-            return ExitCode::FAILURE;
+        let grid_args = [
+            format!("--{}", args.grid_name),
+            format!("--seed {}", args.seed),
+        ];
+        if let Err(code) =
+            rf_bench::check_baseline(&outcome.report, path, "chaos_sweep", &grid_args)
+        {
+            return code;
         }
     }
 

@@ -7,7 +7,7 @@
 //! # CI smoke grid (seconds), report to stdout:
 //! cargo run --release -p rf-bench --bin matrix_sweep -- --smoke
 //!
-//! # Gate against the checked-in baseline (exit 1 on deviation):
+//! # Gate against the checked-in baseline (exit 1 unless byte-identical):
 //! cargo run --release -p rf-bench --bin matrix_sweep -- --smoke \
 //!     --out report.json --check crates/bench/baselines/smoke.json
 //!
@@ -18,7 +18,7 @@
 //! # seed) group run their convergence prefix once and fork. The
 //! # report is byte-identical to the cold run's — CI gates on that:
 //! cargo run --release -p rf-bench --bin matrix_sweep -- --smoke --fork \
-//!     --check crates/bench/baselines/smoke.json --tolerance 0
+//!     --check crates/bench/baselines/smoke.json
 //!
 //! # The topology-corpus breadth grid (50+ named topologies, with a
 //! # per-topology configuration-median table on stderr):
@@ -28,7 +28,7 @@
 //! The report is byte-identical at any `--threads` value; see the
 //! `matrix determinism` tests and README §sweeps.
 
-use rf_core::scenario::{MatrixReport, MatrixSpec, ScenarioMatrix};
+use rf_core::scenario::{MatrixSpec, ScenarioMatrix};
 use std::process::ExitCode;
 
 struct Args {
@@ -37,7 +37,6 @@ struct Args {
     threads: usize,
     out: Option<String>,
     check: Option<String>,
-    tolerance: f64,
     summary_md: Option<String>,
     fork: bool,
 }
@@ -49,7 +48,6 @@ fn parse_args() -> Result<Args, String> {
         threads: rf_bench::default_threads(),
         out: None,
         check: None,
-        tolerance: 0.2,
         summary_md: None,
         fork: false,
     };
@@ -82,33 +80,17 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(value("--out")?),
             "--check" => args.check = Some(value("--check")?),
             "--summary-md" => args.summary_md = Some(value("--summary-md")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
             other => {
                 return Err(format!(
                     "unknown argument {other}\n\
                      usage: matrix_sweep [--smoke|--full|--corpus|--corpus-smoke] \
                      [--fork] [--threads N] [--out FILE] [--check BASELINE] \
-                     [--tolerance FRAC] [--summary-md FILE]"
+                     [--summary-md FILE]"
                 ))
             }
         }
     }
     Ok(args)
-}
-
-/// What to run to overwrite `path` with the grid that was just swept:
-/// the same grid and execution mode as the failed check.
-fn refresh_hint(grid_name: &str, fork: bool, path: &str) -> String {
-    let fork = if fork { " --fork" } else { "" };
-    format!(
-        "if these changes are intended, refresh the baseline:\n  \
-         cargo run --release -p rf-bench --bin matrix_sweep -- \
-         --{grid_name}{fork} --out {path}"
-    )
 }
 
 fn main() -> ExitCode {
@@ -226,64 +208,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("reading baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let baseline = match MatrixReport::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("parsing baseline {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let diffs = report.diff_against(&baseline, args.tolerance);
-        if diffs.is_empty() {
-            eprintln!(
-                "baseline check passed: {} within ±{:.0}% of {path}",
-                report.cells.len(),
-                100.0 * args.tolerance
-            );
-        } else {
-            eprintln!(
-                "baseline check FAILED against {path} ({} deviations):",
-                diffs.len()
-            );
-            for d in &diffs {
-                eprintln!("  {d}");
-            }
-            eprintln!("{}", refresh_hint(args.grid_name, args.fork, path));
-            return ExitCode::FAILURE;
+        let mut grid_args = vec![format!("--{}", args.grid_name)];
+        if args.fork {
+            grid_args.push("--fork".to_string());
+        }
+        if let Err(code) = rf_bench::check_baseline(&report, path, "matrix_sweep", &grid_args) {
+            return code;
         }
     }
     ExitCode::SUCCESS
-}
-
-#[cfg(test)]
-mod tests {
-    use super::refresh_hint;
-
-    #[test]
-    fn refresh_hint_names_the_grid_and_mode_that_were_checked() {
-        let cmd = "cargo run --release -p rf-bench --bin matrix_sweep --";
-        let hint = refresh_hint(
-            "corpus-smoke",
-            false,
-            "crates/bench/baselines/corpus-smoke.json",
-        );
-        assert!(
-            hint.ends_with(&format!(
-                "\n  {cmd} --corpus-smoke --out crates/bench/baselines/corpus-smoke.json"
-            )),
-            "{hint}"
-        );
-        let hint = refresh_hint("smoke", true, "b.json");
-        assert!(
-            hint.ends_with(&format!("\n  {cmd} --smoke --fork --out b.json")),
-            "{hint}"
-        );
-    }
 }

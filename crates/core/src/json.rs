@@ -2,7 +2,7 @@
 //!
 //! Matrix reports must be *diffable* — the same grid must serialize to
 //! the same bytes on every run and every worker-thread count — and CI
-//! must parse a checked-in baseline back for tolerance comparison.
+//! must parse a checked-in baseline back to name the metrics that moved.
 //! This build environment has no crates.io access, so `serde_json` is
 //! out; the subset we need (objects, arrays, strings, integers, bools,
 //! null) fits comfortably in one module.

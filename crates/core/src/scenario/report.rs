@@ -253,15 +253,14 @@ impl MatrixReport {
             .collect()
     }
 
-    /// Compare against a baseline with per-metric relative tolerance.
+    /// Compare against a baseline, metric by metric.
     ///
     /// Returns human-readable deviations: cells or metrics present on
-    /// one side only, and metric values differing by more than
-    /// `tolerance` relative to the larger magnitude. Deviations in
-    /// *either* direction are reported — a big improvement also means
+    /// one side only, and every metric whose value differs. Runs are
+    /// deterministic, so any difference — an improvement too — means
     /// the checked-in baseline no longer describes the code, and should
     /// be refreshed deliberately.
-    pub fn diff_against(&self, baseline: &MatrixReport, tolerance: f64) -> Vec<String> {
+    pub fn diff_against(&self, baseline: &MatrixReport) -> Vec<String> {
         let mut out = Vec::new();
         let ours: BTreeMap<&str, &CellRecord> =
             self.cells.iter().map(|c| (c.key.as_str(), c)).collect();
@@ -291,14 +290,10 @@ impl MatrixReport {
                     ));
                     continue;
                 };
-                let scale = value.abs().max(want.abs()).max(1) as f64;
-                let rel = (value - want).abs() as f64 / scale;
-                if rel > tolerance {
+                if value != want {
                     out.push(format!(
-                        "cell {key}: {name} = {value}, baseline {want} \
-                         ({:+.1}% > ±{:.0}% tolerance)",
+                        "cell {key}: {name} = {value}, baseline {want} ({:+.1}%)",
                         100.0 * (value - want) as f64 / want.abs().max(1) as f64,
-                        100.0 * tolerance,
                     ));
                 }
             }
@@ -370,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn diff_flags_out_of_tolerance_and_shape_changes() {
+    fn diff_flags_value_and_shape_changes() {
         let base = MatrixReport::new(
             grid(),
             vec![
@@ -385,22 +380,26 @@ mod tests {
                 rec("added", &[("t", 5)]),
             ],
         );
-        let diffs = cur.diff_against(&base, 0.2);
+        let diffs = cur.diff_against(&base);
         let text = diffs.join("\n");
         assert!(text.contains("t = 130"), "{text}");
         assert!(text.contains("dropped"), "{text}");
         assert!(text.contains("added"), "{text}");
         assert!(text.contains("gone"), "{text}");
         assert!(text.contains("fresh"), "{text}");
-        // Within tolerance: no complaint.
-        let ok = MatrixReport::new(
+        // Off by one is reported; equal is not.
+        let near = MatrixReport::new(
             grid(),
             vec![
-                rec("a", &[("t", 110), ("gone", 1)]),
+                rec("a", &[("t", 101), ("gone", 1)]),
                 rec("dropped", &[("t", 5)]),
             ],
         );
-        assert!(ok.diff_against(&base, 0.2).is_empty());
+        assert_eq!(
+            near.diff_against(&base),
+            ["cell a: t = 101, baseline 100 (+1.0%)"]
+        );
+        assert!(base.diff_against(&base).is_empty());
     }
 
     #[test]

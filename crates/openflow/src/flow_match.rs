@@ -306,20 +306,11 @@ pub struct PacketKey {
 impl PacketKey {
     /// Classify a raw Ethernet frame received on `in_port`.
     /// Unparseable inner layers simply leave the deeper fields zero,
-    /// matching how a hardware parser degrades.
-    pub fn from_frame(in_port: PortNumber, frame: &[u8]) -> Option<PacketKey> {
-        Self::from_parsed(in_port, EthernetFrame::parse(frame).ok()?)
-    }
-
-    /// [`PacketKey::from_frame`] over [`Bytes`]: the layer parses are
-    /// zero-copy slices, so classifying a frame allocates nothing.
-    /// This runs per frame per switch hop — the data plane's hottest
-    /// classification path.
+    /// matching how a hardware parser degrades. The layer parses are
+    /// zero-copy slices, so classifying a frame allocates nothing —
+    /// this runs per frame per switch hop.
     pub fn from_frame_bytes(in_port: PortNumber, frame: &Bytes) -> Option<PacketKey> {
-        Self::from_parsed(in_port, EthernetFrame::parse_bytes(frame).ok()?)
-    }
-
-    fn from_parsed(in_port: PortNumber, eth: EthernetFrame) -> Option<PacketKey> {
+        let eth = EthernetFrame::parse_bytes(frame).ok()?;
         let mut key = PacketKey {
             in_port,
             dl_src: eth.src,
@@ -489,7 +480,7 @@ mod tests {
             EtherType::IPV4,
             ip.emit(),
         );
-        let key = PacketKey::from_frame(7, &eth.emit()).unwrap();
+        let key = PacketKey::from_frame_bytes(7, &eth.emit()).unwrap();
         assert_eq!(key.in_port, 7);
         assert_eq!(key.dl_type, 0x0800);
         assert_eq!(key.nw_proto, 17);
@@ -512,7 +503,7 @@ mod tests {
             EtherType::ARP,
             arp.emit(),
         );
-        let key = PacketKey::from_frame(1, &eth.emit()).unwrap();
+        let key = PacketKey::from_frame_bytes(1, &eth.emit()).unwrap();
         assert_eq!(key.dl_type, 0x0806);
         assert_eq!(key.nw_proto, 1, "ARP opcode in nw_proto");
         assert_eq!(key.nw_src, Ipv4Addr::new(10, 0, 0, 1));
@@ -526,7 +517,7 @@ mod tests {
         let dst = Ipv4Addr::new(2, 2, 2, 2);
         let ip = Ipv4Packet::new(src, dst, IpProtocol::ICMP, icmp.emit());
         let eth = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::IPV4, ip.emit());
-        let key = PacketKey::from_frame(1, &eth.emit()).unwrap();
+        let key = PacketKey::from_frame_bytes(1, &eth.emit()).unwrap();
         assert_eq!(key.nw_proto, 1);
         assert_eq!(key.tp_src, 8, "ICMP type in tp_src");
         assert_eq!(key.tp_dst, 0, "ICMP code in tp_dst");

@@ -421,7 +421,7 @@ mod tests {
         assert_eq!(ip.protocol, rf_wire::IpProtocol::OSPF);
         assert_eq!(ip.ttl, 1);
         let wire = ip.emit();
-        let back = rf_wire::Ipv4Packet::parse(&wire).unwrap();
+        let back = rf_wire::Ipv4Packet::parse_bytes(&wire).unwrap();
         assert_eq!(OspfPacket::parse(&back.payload).unwrap(), p);
     }
 }

@@ -1,15 +1,30 @@
 //! Frame rewriting and output resolution — the action interpreter.
 //!
-//! OF 1.0 actions mutate header fields; hardware (and OVS) fix up the
-//! IPv4 and L4 checksums as a side effect, so we do the same by
-//! re-emitting the affected layers through `rf-wire`.
+//! What it is asked to do, in every scenario this repository runs: the
+//! RouteFlow apps install `[SetDlSrc, SetDlDst, Output(port)]` per
+//! mirrored route (the routed hop) and discovery installs
+//! `[Output(CONTROLLER)]`; PACKET_OUTs are plain outputs. No app
+//! rewrites an L3/L4 field and no frame is shorter than the 60-byte
+//! minimum (`tests/traffic.rs` pins the installed shapes). So there is
+//! one loop over the action list, working on the frame's bytes: a MAC
+//! rewrite patches 6 header bytes in a private copy and touches nothing
+//! behind them. The IPv4/UDP actions — OF 1.0 says hardware (and OVS)
+//! fix up the checksums as a side effect — re-emit the affected layers
+//! through `rf-wire` at the action; they are the rare case and pay for
+//! their own parse. Actions are sequential and carry no state between
+//! them: each one sees the frame as the one before left it, so whether
+//! a `SetTp*` finds a valid UDP datagram is decided against the
+//! addresses the preceding `SetNw*` wrote, not the ones the frame
+//! arrived with.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rf_openflow::{
     Action, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_MAX, OFPP_TABLE,
 };
-use rf_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, UdpPacket};
-use std::net::Ipv4Addr;
+use rf_wire::ethernet::ETHERNET_HEADER_LEN;
+use rf_wire::{
+    EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, UdpPacket, MIN_FRAME_NO_FCS,
+};
 
 /// Where a processed frame must go.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,108 +33,9 @@ pub enum Egress {
     Port(PortNumber, Bytes),
     /// Punt to the controller (output action to `OFPP_CONTROLLER`).
     Controller { max_len: u16, frame: Bytes },
-    /// Re-run the flow table (PACKET_OUT to `OFPP_TABLE`).
+    /// Re-run the flow table (output to `OFPP_TABLE`; the switch
+    /// honours it for a PACKET_OUT's own action list only).
     Table(Bytes),
-}
-
-/// Working copy of a frame that applies header rewrites lazily.
-#[derive(Clone)]
-struct FrameEditor {
-    eth: EthernetFrame,
-    ip: Option<Ipv4Packet>,
-    udp: Option<UdpPacket>,
-    dirty: bool,
-}
-
-impl FrameEditor {
-    fn new(frame: &Bytes) -> Option<FrameEditor> {
-        let eth = EthernetFrame::parse_bytes(frame).ok()?;
-        let (ip, udp) = if eth.ethertype == EtherType::IPV4 {
-            match Ipv4Packet::parse_bytes(&eth.payload) {
-                Ok(ip) => {
-                    let udp = if ip.protocol == IpProtocol::UDP {
-                        UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok()
-                    } else {
-                        None
-                    };
-                    (Some(ip), udp)
-                }
-                Err(_) => (None, None),
-            }
-        } else {
-            (None, None)
-        };
-        Some(FrameEditor {
-            eth,
-            ip,
-            udp,
-            dirty: false,
-        })
-    }
-
-    fn set_nw_src(&mut self, a: Ipv4Addr) {
-        if let Some(ip) = &mut self.ip {
-            ip.src = a;
-            self.dirty = true;
-        }
-    }
-
-    fn set_nw_dst(&mut self, a: Ipv4Addr) {
-        if let Some(ip) = &mut self.ip {
-            ip.dst = a;
-            self.dirty = true;
-        }
-    }
-
-    fn set_nw_tos(&mut self, tos: u8) {
-        if let Some(ip) = &mut self.ip {
-            ip.dscp = tos >> 2;
-            self.dirty = true;
-        }
-    }
-
-    fn set_tp_src(&mut self, p: u16) {
-        if let Some(udp) = &mut self.udp {
-            udp.src_port = p;
-            self.dirty = true;
-        }
-    }
-
-    fn set_tp_dst(&mut self, p: u16) {
-        if let Some(udp) = &mut self.udp {
-            udp.dst_port = p;
-            self.dirty = true;
-        }
-    }
-
-    fn render(&self, original: &Bytes) -> Bytes {
-        if !self.dirty {
-            // Only MAC rewrites (or nothing): patch in place, cheap path.
-            let mut eth = self.eth.clone();
-            return eth_rebuild(&mut eth, None);
-        }
-        let mut eth = self.eth.clone();
-        let inner = match (&self.ip, &self.udp) {
-            (Some(ip), Some(udp)) => {
-                let mut ip = ip.clone();
-                ip.payload = udp.emit(ip.src, ip.dst);
-                Some(ip.emit())
-            }
-            (Some(ip), None) => Some(ip.emit()),
-            _ => None,
-        };
-        match inner {
-            Some(bytes) => eth_rebuild(&mut eth, Some(bytes)),
-            None => original.clone(),
-        }
-    }
-}
-
-fn eth_rebuild(eth: &mut EthernetFrame, new_payload: Option<Bytes>) -> Bytes {
-    if let Some(p) = new_payload {
-        eth.payload = p;
-    }
-    eth.emit()
 }
 
 /// Apply an OF 1.0 action list to `frame` received on `in_port`.
@@ -133,153 +49,127 @@ pub fn apply_actions(
     in_port: PortNumber,
     num_ports: u16,
 ) -> Vec<Egress> {
-    // Fast path: an action list without header rewrites (the
-    // overwhelmingly common case — plain forwarding, floods, punts)
-    // leaves the frame byte-identical, so the parse → re-emit round
-    // trip below is pure overhead. `emit` pads to the 60-byte minimum,
-    // so only already-padded frames are guaranteed to round-trip to
-    // themselves; shorter ones (never produced by `emit`, but possible
-    // via hand-built PACKET_OUT data) take the slow path, which pads
-    // exactly as before.
-    let mutates = actions.iter().any(|a| {
-        matches!(
-            a,
-            Action::SetDlSrc(_)
-                | Action::SetDlDst(_)
-                | Action::SetNwSrc(_)
-                | Action::SetNwDst(_)
-                | Action::SetNwTos(_)
-                | Action::SetTpSrc(_)
-                | Action::SetTpDst(_)
-        )
-    });
-    if !mutates && frame.len() >= rf_wire::MIN_FRAME_NO_FCS {
-        let mut out = Vec::new();
-        for action in actions {
-            match action {
-                Action::Output { port, max_len } => match *port {
-                    OFPP_CONTROLLER => out.push(Egress::Controller {
-                        max_len: *max_len,
-                        frame: frame.clone(),
-                    }),
-                    OFPP_IN_PORT => out.push(Egress::Port(in_port, frame.clone())),
-                    OFPP_TABLE => out.push(Egress::Table(frame.clone())),
-                    OFPP_FLOOD | OFPP_ALL => {
-                        for p in 1..=num_ports {
-                            if p != in_port {
-                                out.push(Egress::Port(p, frame.clone()));
-                            }
-                        }
-                    }
-                    p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
-                        out.push(Egress::Port(p, frame.clone()));
-                    }
-                    _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
-                },
-                Action::Enqueue { port, .. } if *port >= 1 && *port <= num_ports => {
-                    out.push(Egress::Port(*port, frame.clone()));
-                }
-                _ => { /* dropped Enqueue / VLAN actions: accepted and ignored */ }
-            }
-        }
-        return out;
-    }
-    let mut editor = FrameEditor::new(frame);
     let mut out = Vec::new();
-    let render = |e: &Option<FrameEditor>| -> Bytes {
-        match e {
-            Some(ed) => ed.render(frame),
-            None => frame.clone(),
-        }
+    let mut route = |port: PortNumber, max_len: u16, bytes: Bytes| match port {
+        OFPP_CONTROLLER => out.push(Egress::Controller {
+            max_len,
+            frame: bytes,
+        }),
+        OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
+        OFPP_TABLE => out.push(Egress::Table(bytes)),
+        OFPP_FLOOD | OFPP_ALL => out.extend(
+            (1..=num_ports)
+                .filter(|&p| p != in_port)
+                .map(|p| Egress::Port(p, bytes.clone())),
+        ),
+        p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => out.push(Egress::Port(p, bytes)),
+        _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
     };
+    // `cur` is the frame as the actions so far left it. MAC rewrites go
+    // into `patch`, one private copy made at the first of them and
+    // frozen into `cur` by whatever reads the frame next.
+    let mut cur = frame.clone();
+    let mut patch: Option<BytesMut> = None;
     for action in actions {
-        match action {
+        match *action {
             Action::Output { port, max_len } => {
-                let bytes = render(&editor);
-                match *port {
-                    OFPP_CONTROLLER => out.push(Egress::Controller {
-                        max_len: *max_len,
-                        frame: bytes,
-                    }),
-                    OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
-                    OFPP_TABLE => out.push(Egress::Table(bytes)),
-                    OFPP_FLOOD | OFPP_ALL => {
-                        for p in 1..=num_ports {
-                            if p != in_port {
-                                out.push(Egress::Port(p, bytes.clone()));
-                            }
-                        }
-                    }
-                    p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
-                        out.push(Egress::Port(p, bytes));
-                    }
-                    _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
-                }
+                route(port, max_len, on_wire(settle(&mut cur, &mut patch)));
             }
-            Action::Enqueue { port, .. } => {
-                // Queues are not modelled: treated as plain output.
-                let bytes = render(&editor);
-                if *port >= 1 && *port <= num_ports {
-                    out.push(Egress::Port(*port, bytes));
-                }
+            // Queues are not modelled: a plain output, and only a
+            // physical port can carry a queue.
+            Action::Enqueue { port, .. } if port <= OFPP_MAX => {
+                route(port, 0, on_wire(settle(&mut cur, &mut patch)));
             }
-            Action::SetDlSrc(mac) => {
-                if let Some(e) = &mut editor {
-                    e.eth.src = *mac;
-                }
-            }
-            Action::SetDlDst(mac) => {
-                if let Some(e) = &mut editor {
-                    e.eth.dst = *mac;
-                }
-            }
-            Action::SetNwSrc(a) => {
-                if let Some(e) = &mut editor {
-                    e.set_nw_src(*a);
-                }
-            }
-            Action::SetNwDst(a) => {
-                if let Some(e) = &mut editor {
-                    e.set_nw_dst(*a);
-                }
-            }
-            Action::SetNwTos(t) => {
-                if let Some(e) = &mut editor {
-                    e.set_nw_tos(*t);
-                }
-            }
-            Action::SetTpSrc(p) => {
-                if let Some(e) = &mut editor {
-                    e.set_tp_src(*p);
-                }
-            }
-            Action::SetTpDst(p) => {
-                if let Some(e) = &mut editor {
-                    e.set_tp_dst(*p);
+            Action::SetDlDst(mac) => set_mac(&cur, &mut patch, 0, mac),
+            Action::SetDlSrc(mac) => set_mac(&cur, &mut patch, 6, mac),
+            Action::SetNwSrc(_)
+            | Action::SetNwDst(_)
+            | Action::SetNwTos(_)
+            | Action::SetTpSrc(_)
+            | Action::SetTpDst(_) => {
+                if let Some(rewritten) = reemit(settle(&mut cur, &mut patch), action) {
+                    cur = rewritten;
                 }
             }
             // VLAN actions: tagging is out of scope (the data plane
             // carries untagged Ethernet II only); the actions are
             // accepted and ignored, as OVS does when the packet has
             // no VLAN context to modify.
-            Action::SetVlanVid(_) | Action::SetVlanPcp(_) | Action::StripVlan => {}
+            Action::Enqueue { .. }
+            | Action::SetVlanVid(_)
+            | Action::SetVlanPcp(_)
+            | Action::StripVlan => {}
         }
     }
     out
 }
 
-/// Dedicated MAC pair used by tests and RouteFlow translation.
-pub fn rewrite_macs(frame: &Bytes, src: MacAddr, dst: MacAddr) -> Option<Bytes> {
-    let mut eth = EthernetFrame::parse_bytes(frame).ok()?;
-    eth.src = src;
-    eth.dst = dst;
-    Some(eth.emit())
+/// Overwrite the MAC at byte offset `at` of the Ethernet header. A
+/// frame too short to hold the header passes through unchanged.
+fn set_mac(cur: &Bytes, patch: &mut Option<BytesMut>, at: usize, mac: MacAddr) {
+    if cur.len() >= ETHERNET_HEADER_LEN {
+        let buf = patch.get_or_insert_with(|| BytesMut::from(&cur[..]));
+        buf[at..at + 6].copy_from_slice(mac.as_bytes());
+    }
+}
+
+/// Freeze pending MAC rewrites into `cur`.
+fn settle<'a>(cur: &'a mut Bytes, patch: &mut Option<BytesMut>) -> &'a Bytes {
+    if let Some(buf) = patch.take() {
+        *cur = buf.freeze();
+    }
+    cur
+}
+
+/// The bytes an output puts on the wire: a frame that holds an
+/// Ethernet header but is shorter than the 60-byte minimum (never
+/// produced by `emit`, possible in hand-built PACKET_OUT data) leaves
+/// zero-padded to it.
+fn on_wire(frame: &Bytes) -> Bytes {
+    if (ETHERNET_HEADER_LEN..MIN_FRAME_NO_FCS).contains(&frame.len()) {
+        let mut padded = BytesMut::from(&frame[..]);
+        padded.resize(MIN_FRAME_NO_FCS, 0);
+        padded.freeze()
+    } else {
+        frame.clone()
+    }
+}
+
+/// Apply one `SetNw*` / `SetTp*` action: re-emit the IPv4 packet, and
+/// the UDP datagram in it if there is a valid one, with the field
+/// changed and both checksums recomputed. `None` leaves the frame as it
+/// is: no valid IPv4 packet, or a transport rewrite without a valid UDP
+/// datagram to apply it to. Each action parses the frame as the one
+/// before left it.
+fn reemit(frame: &Bytes, action: &Action) -> Option<Bytes> {
+    let eth = EthernetFrame::parse_bytes(frame).ok()?;
+    if eth.ethertype != EtherType::IPV4 {
+        return None;
+    }
+    let mut ip = Ipv4Packet::parse_bytes(&eth.payload).ok()?;
+    let mut udp = match ip.protocol {
+        IpProtocol::UDP => UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok(),
+        _ => None,
+    };
+    match (*action, &mut udp) {
+        (Action::SetNwSrc(a), _) => ip.src = a,
+        (Action::SetNwDst(a), _) => ip.dst = a,
+        (Action::SetNwTos(tos), _) => ip.dscp = tos >> 2,
+        (Action::SetTpSrc(p), Some(udp)) => udp.src_port = p,
+        (Action::SetTpDst(p), Some(udp)) => udp.dst_port = p,
+        _ => return None,
+    }
+    if let Some(udp) = udp {
+        ip.payload = udp.emit(ip.src, ip.dst);
+    }
+    Some(EthernetFrame::new(eth.dst, eth.src, eth.ethertype, ip.emit()).emit())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rf_wire::IcmpPacket;
+    use std::net::Ipv4Addr;
 
     fn udp_frame() -> Bytes {
         let src = Ipv4Addr::new(10, 0, 0, 1);
@@ -337,12 +227,12 @@ mod tests {
         );
         match &out[0] {
             Egress::Port(1, bytes) => {
-                let eth = EthernetFrame::parse(bytes).unwrap();
+                let eth = EthernetFrame::parse_bytes(bytes).unwrap();
                 assert_eq!(eth.src, new_src);
                 assert_eq!(eth.dst, new_dst);
                 // Inner packet untouched and still checksum-valid.
-                let ip = Ipv4Packet::parse(&eth.payload).unwrap();
-                UdpPacket::parse(&ip.payload, ip.src, ip.dst).unwrap();
+                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
+                UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
             }
             other => panic!("{other:?}"),
         }
@@ -363,12 +253,47 @@ mod tests {
         );
         match &out[0] {
             Egress::Port(1, bytes) => {
-                let eth = EthernetFrame::parse(bytes).unwrap();
-                let ip = Ipv4Packet::parse(&eth.payload).unwrap();
+                let eth = EthernetFrame::parse_bytes(bytes).unwrap();
+                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
                 assert_eq!(ip.dst, Ipv4Addr::new(172, 16, 0, 1));
-                let udp = UdpPacket::parse(&ip.payload, ip.src, ip.dst).unwrap();
+                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
                 assert_eq!(udp.dst_port, 1234);
                 assert_eq!(&udp.payload[..], b"payload");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn tp_rewrite_sees_the_addresses_the_nw_rewrite_left() {
+        // A datagram whose checksum is wrong for the addresses it arrives
+        // with and right for the one `SetNwDst` writes.
+        let src = Ipv4Addr::new(10, 0, 0, 1);
+        let new_dst = Ipv4Addr::new(172, 16, 0, 1);
+        let udp = UdpPacket::new(5004, 9000, Bytes::from_static(b"payload"));
+        let ip = Ipv4Packet::new(
+            src,
+            Ipv4Addr::new(10, 0, 9, 9),
+            IpProtocol::UDP,
+            udp.emit(src, new_dst),
+        );
+        let f = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::IPV4, ip.emit()).emit();
+        // As it arrived there is no valid datagram to rewrite.
+        let out = apply_actions(&f, &[Action::SetTpDst(1234), Action::output(1)], 2, 4);
+        assert_eq!(out, vec![Egress::Port(1, f.clone())]);
+        // Behind the address rewrite there is one.
+        let actions = [
+            Action::SetNwDst(new_dst),
+            Action::SetTpDst(1234),
+            Action::output(1),
+        ];
+        match &apply_actions(&f, &actions, 2, 4)[0] {
+            Egress::Port(1, bytes) => {
+                let eth = EthernetFrame::parse_bytes(bytes).unwrap();
+                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
+                assert_eq!(ip.dst, new_dst);
+                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
+                assert_eq!((udp.src_port, udp.dst_port), (5004, 1234));
             }
             other => panic!("{other:?}"),
         }
@@ -413,12 +338,32 @@ mod tests {
         let srcs: Vec<MacAddr> = out
             .iter()
             .map(|e| match e {
-                Egress::Port(_, b) => EthernetFrame::parse(b).unwrap().src,
+                Egress::Port(_, b) => EthernetFrame::parse_bytes(b).unwrap().src,
                 other => panic!("{other:?}"),
             })
             .collect();
         assert_eq!(srcs[0], MacAddr([2, 0, 0, 0, 0, 1]));
         assert_eq!(srcs[1], MacAddr([0xCC; 6]));
+    }
+
+    #[test]
+    fn short_frames_leave_padded_and_headerless_ones_unchanged() {
+        let short = udp_frame().slice(..40);
+        let out = apply_actions(&short, &[Action::output(1)], 2, 4);
+        match &out[0] {
+            Egress::Port(1, bytes) => {
+                assert_eq!(bytes.len(), MIN_FRAME_NO_FCS);
+                assert_eq!(bytes[..40], short[..]);
+                assert!(bytes[40..].iter().all(|&b| b == 0));
+            }
+            other => panic!("{other:?}"),
+        }
+        let garbage = Bytes::from_static(&[1, 2, 3]);
+        let actions = [Action::SetDlSrc(MacAddr([9; 6])), Action::output(1)];
+        assert_eq!(
+            apply_actions(&garbage, &actions, 2, 4),
+            vec![Egress::Port(1, garbage)]
+        );
     }
 
     #[test]
@@ -443,10 +388,10 @@ mod tests {
         );
         match &out[0] {
             Egress::Port(1, bytes) => {
-                let eth = EthernetFrame::parse(bytes).unwrap();
+                let eth = EthernetFrame::parse_bytes(bytes).unwrap();
                 assert_eq!(eth.dst, MacAddr([9; 6]));
-                let ip = Ipv4Packet::parse(&eth.payload).unwrap();
-                assert!(IcmpPacket::parse(&ip.payload).is_ok());
+                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
+                assert!(IcmpPacket::parse_bytes(&ip.payload).is_ok());
             }
             other => panic!("{other:?}"),
         }

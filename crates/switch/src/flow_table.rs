@@ -4,7 +4,6 @@
 use rf_openflow::{Action, FlowStatsEntry};
 use rf_openflow::{FlowModCommand, FlowRemovedReason, OfMatch, PacketKey, Wildcards};
 use rf_sim::Time;
-use std::collections::HashMap;
 
 /// One installed flow entry.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,23 +81,25 @@ pub struct Removed {
 /// The single flow table of an OF 1.0 switch (`n_tables = 1`, matching
 /// Open vSwitch 1.4's userspace datapath as the paper used it).
 ///
-/// Lookups are indexed: exact entries (RouteFlow installs one per
-/// learned host pair) live in a hash map keyed by the [`PacketKey`]
-/// they match, and wildcard entries in a list pre-sorted by effective
-/// priority. The index is rebuilt lazily after table mutations, so a
-/// burst of FLOW_MODs costs one rebuild, and a corpus-scale table of
-/// 10k exact routes answers a lookup in O(1) instead of O(n).
+/// What it holds, in every scenario this repository runs: wildcard
+/// entries only. The RouteFlow apps install one `ipv4_dst_prefix` entry
+/// per mirrored RIB route (a host is a /32 *prefix*, not an exact
+/// match) and discovery one `lldp` punt, a few dozen entries per
+/// switch; `tests/traffic.rs` pins that shape. So there is one lookup
+/// order and no index beside it: every entry, sorted by (effective
+/// priority, recency), scanned until the first match. Exact entries
+/// still outrank wildcards (OF 1.0 §3.4) — through their effective
+/// priority, in the same order. The order is rebuilt lazily after
+/// table mutations, so a burst of FLOW_MODs costs one sort. Indexing
+/// that one order by prefix length is the open `[perf_opt]` (ROADMAP,
+/// data plane).
 #[derive(Clone, Default)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
-    /// Exact entries by the one key they match → index in `entries`.
-    /// Built in index order with overwrite, so among duplicate exact
-    /// matches the *highest* index wins — exactly the entry the
-    /// historical linear `max_by_key` scan returned.
-    exact: HashMap<PacketKey, usize>,
-    /// Wildcard entries sorted by (priority desc, index desc): the
-    /// first match in this order is the linear scan's winner.
-    wild: Vec<usize>,
+    /// Indices into `entries`, sorted by (effective priority desc,
+    /// index desc): the first match in this order is the entry a
+    /// linear `max_by_key` scan of `entries` returns.
+    order: Vec<usize>,
     dirty: bool,
     pub lookup_count: u64,
     pub matched_count: u64,
@@ -121,42 +122,16 @@ impl FlowTable {
         &self.entries
     }
 
-    /// The single packet an exact match covers. Exactness means every
-    /// field [`OfMatch::matches`] consults is pinned, so this is a
-    /// plain field copy.
-    fn exact_key(m: &OfMatch) -> PacketKey {
-        PacketKey {
-            in_port: m.in_port,
-            dl_src: m.dl_src,
-            dl_dst: m.dl_dst,
-            dl_type: m.dl_type,
-            nw_tos: m.nw_tos,
-            nw_proto: m.nw_proto,
-            nw_src: m.nw_src,
-            nw_dst: m.nw_dst,
-            tp_src: m.tp_src,
-            tp_dst: m.tp_dst,
-        }
-    }
-
-    fn rebuild_index(&mut self) {
+    fn rebuild_order(&mut self) {
         let Self {
             entries,
-            exact,
-            wild,
+            order,
             dirty,
             ..
         } = self;
-        exact.clear();
-        wild.clear();
-        for (i, e) in entries.iter().enumerate() {
-            if e.is_exact() {
-                exact.insert(Self::exact_key(&e.of_match), i);
-            } else {
-                wild.push(i);
-            }
-        }
-        wild.sort_unstable_by(|&a, &b| {
+        order.clear();
+        order.extend(0..entries.len());
+        order.sort_unstable_by(|&a, &b| {
             (entries[b].effective_priority(), b).cmp(&(entries[a].effective_priority(), a))
         });
         *dirty = false;
@@ -167,18 +142,13 @@ impl FlowTable {
     pub fn lookup(&mut self, key: &PacketKey, len: usize, now: Time) -> Option<&FlowEntry> {
         self.lookup_count += 1;
         if self.dirty {
-            self.rebuild_index();
+            self.rebuild_order();
         }
-        // Exact entries outrank every wildcard entry (OF 1.0), so a
-        // hash hit short-circuits the priority-ordered wildcard scan.
-        let best = match self.exact.get(key) {
-            Some(&i) => i,
-            None => self
-                .wild
-                .iter()
-                .copied()
-                .find(|&i| self.entries[i].of_match.matches(key))?,
-        };
+        let best = self
+            .order
+            .iter()
+            .copied()
+            .find(|&i| self.entries[i].of_match.matches(key))?;
         let e = &mut self.entries[best];
         e.packet_count += 1;
         e.byte_count += len as u64;
@@ -228,7 +198,7 @@ impl FlowTable {
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
                 // Only actions and cookie change: entry positions,
                 // exactness and priorities — everything the lookup
-                // index depends on — stay put, so no rebuild needed.
+                // order depends on — stay put, so no rebuild needed.
                 let strict = command == FlowModCommand::ModifyStrict;
                 let mut touched = false;
                 for e in &mut self.entries {

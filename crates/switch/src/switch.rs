@@ -10,7 +10,7 @@ use rf_openflow::{
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent, Time};
 use rf_wire::MacAddr;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 /// Timer tokens.
@@ -94,8 +94,12 @@ pub struct OpenFlowSwitch {
     cfg: SwitchConfig,
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
-    /// PACKET_IN buffer pool: id → (frame, in_port).
-    buffers: HashMap<u32, (Bytes, PortNumber)>,
+    /// PACKET_IN buffer pool, oldest first: `(id, frame, in_port)`. A
+    /// ring of `n_buffers` slots — a miss that finds it full overwrites
+    /// the oldest frame, as OVS's pktbuf does, so a controller that
+    /// never releases buffers cannot pin frames or change what later
+    /// PACKET_INs look like.
+    buffers: VecDeque<(u32, Bytes, PortNumber)>,
     next_buffer: u32,
     miss_send_len: u16,
     config_flags: u16,
@@ -136,7 +140,7 @@ impl OpenFlowSwitch {
             cfg,
             ctrls,
             table: FlowTable::new(),
-            buffers: HashMap::new(),
+            buffers: VecDeque::new(),
             next_buffer: 1,
             miss_send_len: 128,
             config_flags: 0,
@@ -247,10 +251,13 @@ impl OpenFlowSwitch {
             return;
         }
         let total_len = frame.len() as u16;
-        let (buffer_id, data) = if (self.buffers.len() as u32) < self.cfg.n_buffers {
+        let (buffer_id, data) = if self.cfg.n_buffers > 0 {
+            if self.buffers.len() as u32 >= self.cfg.n_buffers {
+                self.buffers.pop_front();
+            }
             let id = self.next_buffer;
             self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
-            self.buffers.insert(id, (frame.clone(), in_port));
+            self.buffers.push_back((id, frame.clone(), in_port));
             let cut = frame.len().min(self.miss_send_len as usize);
             (id, frame.slice(..cut))
         } else {
@@ -271,6 +278,15 @@ impl OpenFlowSwitch {
         );
     }
 
+    /// Release a buffered frame; `None` once it was released or
+    /// overwritten.
+    fn take_buffer(&mut self, buffer_id: u32) -> Option<(Bytes, PortNumber)> {
+        let at = self.buffers.iter().position(|b| b.0 == buffer_id)?;
+        self.buffers
+            .remove(at)
+            .map(|(_, frame, port)| (frame, port))
+    }
+
     /// Run a frame through the flow table and execute the result.
     fn pipeline(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
         let Some(key) = PacketKey::from_frame_bytes(in_port, &frame) else {
@@ -282,17 +298,22 @@ impl OpenFlowSwitch {
             .lookup(&key, frame.len(), ctx.now())
             .map(|e| e.actions.clone());
         match actions {
-            Some(actions) => self.execute(ctx, in_port, frame, &actions),
+            Some(actions) => self.execute(ctx, in_port, frame, &actions, false),
             None => self.packet_in(ctx, in_port, frame),
         }
     }
 
+    /// Execute an action list. OF 1.0 permits `output:TABLE` only in a
+    /// PACKET_OUT (`from_packet_out`); in a flow entry's own actions it
+    /// would send the frame round the table until the stack ran out, so
+    /// there it is dropped and counted.
     fn execute(
         &mut self,
         ctx: &mut Ctx<'_>,
         in_port: PortNumber,
         frame: Bytes,
         actions: &[Action],
+        from_packet_out: bool,
     ) {
         for egress in apply_actions(&frame, actions, in_port, self.cfg.num_ports) {
             match egress {
@@ -332,7 +353,8 @@ impl OpenFlowSwitch {
                         self.send_raw(ctx, encoded);
                     }
                 }
-                Egress::Table(bytes) => self.pipeline(ctx, in_port, bytes),
+                Egress::Table(bytes) if from_packet_out => self.pipeline(ctx, in_port, bytes),
+                Egress::Table(_) => ctx.count("switch.table_loop", 1),
             }
         }
     }
@@ -439,7 +461,7 @@ impl OpenFlowSwitch {
                 self.flow_removed_msgs(ctx, removed);
                 // Release the buffered packet through the new state.
                 if buffer_id != OFP_NO_BUFFER {
-                    if let Some((frame, in_port)) = self.buffers.remove(&buffer_id) {
+                    if let Some((frame, in_port)) = self.take_buffer(buffer_id) {
                         self.pipeline(ctx, in_port, frame);
                     }
                 }
@@ -452,7 +474,7 @@ impl OpenFlowSwitch {
             } => {
                 ctx.count("of.packet_out", 1);
                 let frame = if buffer_id != OFP_NO_BUFFER {
-                    match self.buffers.remove(&buffer_id) {
+                    match self.take_buffer(buffer_id) {
                         Some((f, _)) => f,
                         None => {
                             self.errors_sent += 1;
@@ -473,7 +495,7 @@ impl OpenFlowSwitch {
                 } else {
                     data
                 };
-                self.execute(ctx, in_port, frame, &actions);
+                self.execute(ctx, in_port, frame, &actions, true);
             }
             OfMessage::StatsRequest { body } => {
                 let reply = self.stats_reply(ctx.now(), body);

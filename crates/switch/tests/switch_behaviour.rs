@@ -1,11 +1,11 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
-//! miss → PACKET_IN, FLOW_MOD install, buffered-packet release,
-//! PACKET_OUT, stats, timeouts, reconnect.
+//! miss → PACKET_IN, FLOW_MOD install, buffered-packet release, the
+//! buffer ring, PACKET_OUT, `output:TABLE`, stats, timeouts, reconnect.
 
 use bytes::Bytes;
 use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketInReason, StatsBody,
-    OFPP_NONE, OFP_NO_BUFFER,
+    OFPP_NONE, OFPP_TABLE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -110,6 +110,8 @@ struct FrameSink {
     pub frames: Vec<(u32, Bytes)>,
     /// Frame to transmit at start: (port, frame, delay).
     tx: Option<(u32, Bytes, Duration)>,
+    /// Transmit it this many more times, one millisecond apart.
+    repeat: u32,
 }
 
 impl Agent for FrameSink {
@@ -122,6 +124,10 @@ impl Agent for FrameSink {
         if let Some((port, frame, _)) = self.tx.clone() {
             ctx.send_frame(port, frame);
         }
+        if self.repeat > 0 {
+            self.repeat -= 1;
+            ctx.schedule(Duration::from_millis(1), 1);
+        }
     }
     fn on_frame(&mut self, _ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         self.frames.push((port, frame));
@@ -129,8 +135,12 @@ impl Agent for FrameSink {
 }
 
 fn udp_frame(dst: Ipv4Addr) -> Bytes {
+    udp_frame_carrying(dst, Bytes::from_static(b"data"))
+}
+
+fn udp_frame_carrying(dst: Ipv4Addr, payload: Bytes) -> Bytes {
     let src = Ipv4Addr::new(192, 168, 0, 1);
-    let udp = UdpPacket::new(4000, 5000, Bytes::from_static(b"data"));
+    let udp = UdpPacket::new(4000, 5000, payload);
     let ip = Ipv4Packet::new(src, dst, IpProtocol::UDP, udp.emit(src, dst));
     EthernetFrame::new(
         MacAddr([2, 0, 0, 0, 0, 9]),
@@ -250,6 +260,144 @@ fn flow_mod_with_buffer_releases_packet() {
     b.sim.run_until(rf_sim::Time::from_secs(3));
     let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
     assert_eq!(sw.flow_count(), 1);
+}
+
+/// FLOW_MOD ADD of a /8 destination prefix with no buffer to release.
+fn install(net: [u8; 4], actions: Vec<Action>) -> OfMessage {
+    OfMessage::FlowMod {
+        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::from(net), 8),
+        cookie: 0,
+        command: FlowModCommand::Add,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        priority: 100,
+        buffer_id: OFP_NO_BUFFER,
+        out_port: OFPP_NONE,
+        flags: 0,
+        actions,
+    }
+}
+
+#[test]
+fn buffer_pool_is_a_ring_that_overwrites_the_oldest() {
+    // No controller app ever releases a buffer (they all answer with
+    // OFP_NO_BUFFER), so the pool must recycle on its own: every miss,
+    // however late, is buffered and cut to miss_send_len.
+    let packet_out = |buffer_id| OfMessage::PacketOut {
+        buffer_id,
+        in_port: 1,
+        actions: vec![Action::output(2)],
+        data: Bytes::new(),
+    };
+    let ctrl = MockController {
+        script: vec![
+            (Duration::from_secs(2), packet_out(1), 71),
+            (Duration::from_millis(2100), packet_out(300), 72),
+        ],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    let frame = udp_frame_carrying(Ipv4Addr::new(10, 0, 0, 5), Bytes::from(vec![0x5A; 200]));
+    {
+        let host_a = b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap();
+        host_a.tx = Some((1, frame.clone(), Duration::from_secs(1)));
+        host_a.repeat = 299;
+    }
+    b.sim.run_until(rf_sim::Time::from_secs(3));
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    let pins: Vec<(u32, usize, u16)> = ctrl
+        .received
+        .iter()
+        .filter_map(|(m, _)| match m {
+            OfMessage::PacketIn {
+                buffer_id,
+                data,
+                total_len,
+                ..
+            } => Some((*buffer_id, data.len(), *total_len)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(pins.len(), 300);
+    assert_eq!(
+        pins[299],
+        (300, 128, frame.len() as u16),
+        "the 300th miss is still buffered and cut to miss_send_len"
+    );
+    // Id 1 was overwritten 44 misses ago; id 300 is still there.
+    let unknown_buffer: Vec<u32> = ctrl
+        .received
+        .iter()
+        .filter_map(|(m, xid)| match m {
+            OfMessage::Error { code: 8, .. } => Some(*xid),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(unknown_buffer.len(), 1, "only the overwritten id errors");
+    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
+    assert_eq!(host_b.frames, vec![(1, frame)]);
+}
+
+#[test]
+fn output_table_is_honoured_in_packet_out_and_dropped_in_a_flow_entry() {
+    // Regression: a flow entry whose actions say output:TABLE used to
+    // send a matching frame back into the table until the stack
+    // overflowed and the process aborted.
+    let via_table = |dst| OfMessage::PacketOut {
+        buffer_id: OFP_NO_BUFFER,
+        in_port: 1,
+        actions: vec![Action::output(OFPP_TABLE)],
+        data: udp_frame(dst),
+    };
+    let ctrl = MockController {
+        script: vec![
+            (
+                Duration::from_millis(1000),
+                install([10, 0, 0, 0], vec![Action::output(OFPP_TABLE)]),
+                1,
+            ),
+            (
+                Duration::from_millis(1100),
+                install([11, 0, 0, 0], vec![Action::output(2)]),
+                2,
+            ),
+            // PACKET_OUT → table → port 2: honoured.
+            (
+                Duration::from_millis(1200),
+                via_table(Ipv4Addr::new(11, 0, 0, 1)),
+                3,
+            ),
+            // PACKET_OUT → table → output:TABLE again: dropped.
+            (
+                Duration::from_millis(1300),
+                via_table(Ipv4Addr::new(10, 0, 0, 1)),
+                4,
+            ),
+        ],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    // A data-plane frame that hits the looping entry directly.
+    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((
+        1,
+        udp_frame(Ipv4Addr::new(10, 0, 0, 5)),
+        Duration::from_millis(1400),
+    ));
+    b.sim.run_until(rf_sim::Time::from_secs(2));
+    assert_eq!(b.sim.tracer().counter("switch.table_loop"), 2);
+    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
+    assert_eq!(
+        host_b.frames,
+        vec![(1, udp_frame(Ipv4Addr::new(11, 0, 0, 1)))]
+    );
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    assert!(
+        !ctrl
+            .received
+            .iter()
+            .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })),
+        "every frame matched an entry"
+    );
 }
 
 #[test]

@@ -36,27 +36,11 @@ pub struct EthernetFrame {
 }
 
 impl EthernetFrame {
-    /// Parse a frame from raw bytes. Padding added to reach the minimum
-    /// frame size is *kept* in `payload`; upper layers carry their own
-    /// length fields and must tolerate trailing padding, as on real
-    /// networks.
-    pub fn parse(data: &[u8]) -> Result<EthernetFrame, WireError> {
-        if data.len() < ETHERNET_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        Ok(EthernetFrame {
-            dst: MacAddr::from_bytes(&data[0..6])?,
-            src: MacAddr::from_bytes(&data[6..12])?,
-            ethertype: EtherType(u16::from_be_bytes([data[12], data[13]])),
-            payload: Bytes::copy_from_slice(&data[14..]),
-        })
-    }
-
-    /// [`EthernetFrame::parse`] without copying: when the caller holds
-    /// the frame as [`Bytes`] (every kernel delivery does), the payload
-    /// is a zero-copy slice of the same storage. Identical semantics to
-    /// `parse`, minus one allocation per frame — which matters, because
-    /// every simulated hop of every frame parses here.
+    /// Parse a frame. Padding added to reach the minimum frame size is
+    /// *kept* in `payload`; upper layers carry their own length fields
+    /// and must tolerate trailing padding, as on real networks. The
+    /// payload is a zero-copy slice of `data`'s storage — every
+    /// simulated hop of every frame parses here.
     pub fn parse_bytes(data: &Bytes) -> Result<EthernetFrame, WireError> {
         if data.len() < ETHERNET_HEADER_LEN {
             return Err(WireError::Truncated);
@@ -111,7 +95,7 @@ mod tests {
     fn roundtrip() {
         let f = sample();
         let wire = f.emit();
-        let parsed = EthernetFrame::parse(&wire).unwrap();
+        let parsed = EthernetFrame::parse_bytes(&wire).unwrap();
         assert_eq!(parsed, f);
     }
 
@@ -125,7 +109,7 @@ mod tests {
         );
         let wire = f.emit();
         assert_eq!(wire.len(), 60);
-        let parsed = EthernetFrame::parse(&wire).unwrap();
+        let parsed = EthernetFrame::parse_bytes(&wire).unwrap();
         // Padding is retained in the payload.
         assert_eq!(parsed.payload.len(), 60 - ETHERNET_HEADER_LEN);
         assert_eq!(&parsed.payload[..2], b"hi");
@@ -133,7 +117,10 @@ mod tests {
 
     #[test]
     fn truncated_header_rejected() {
-        assert_eq!(EthernetFrame::parse(&[0u8; 13]), Err(WireError::Truncated));
+        assert_eq!(
+            EthernetFrame::parse_bytes(&Bytes::from_static(&[0u8; 13])),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

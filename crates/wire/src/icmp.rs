@@ -52,38 +52,21 @@ impl IcmpPacket {
         }
     }
 
-    pub fn parse(data: &[u8]) -> Result<IcmpPacket, WireError> {
-        Self::parse_validated(data)?;
-        Ok(Self::assemble(
-            data,
-            Bytes::copy_from_slice(&data[8..]),
-            Bytes::copy_from_slice(&data[4..]),
-        ))
-    }
-
-    /// [`IcmpPacket::parse`] with zero-copy payload slices of the
-    /// caller's [`Bytes`]. Identical semantics, checksum included.
+    /// Parse and verify the checksum; payloads are zero-copy slices of
+    /// `data`'s storage.
     pub fn parse_bytes(data: &Bytes) -> Result<IcmpPacket, WireError> {
-        Self::parse_validated(data)?;
-        Ok(Self::assemble(data, data.slice(8..), data.slice(4..)))
-    }
-
-    fn parse_validated(data: &[u8]) -> Result<(), WireError> {
         if data.len() < ICMP_HEADER_LEN {
             return Err(WireError::Truncated);
         }
         if internet_checksum(data) != 0 {
             return Err(WireError::BadChecksum);
         }
-        Ok(())
-    }
-
-    fn assemble(data: &[u8], payload: Bytes, rest: Bytes) -> IcmpPacket {
         let ty = data[0];
         let code = data[1];
         let ident = u16::from_be_bytes([data[4], data[5]]);
         let seq = u16::from_be_bytes([data[6], data[7]]);
-        match (ty, code) {
+        let payload = data.slice(8..);
+        Ok(match (ty, code) {
             (8, 0) => IcmpPacket::EchoRequest {
                 ident,
                 seq,
@@ -94,8 +77,12 @@ impl IcmpPacket {
                 seq,
                 payload,
             },
-            _ => IcmpPacket::Other { ty, code, rest },
-        }
+            _ => IcmpPacket::Other {
+                ty,
+                code,
+                rest: data.slice(4..),
+            },
+        })
     }
 
     pub fn emit(&self) -> Bytes {
@@ -145,14 +132,14 @@ mod tests {
     #[test]
     fn roundtrip_request() {
         let p = IcmpPacket::echo_request(0x1234, 7, Bytes::from_static(b"abcdefgh"));
-        assert_eq!(IcmpPacket::parse(&p.emit()).unwrap(), p);
+        assert_eq!(IcmpPacket::parse_bytes(&p.emit()).unwrap(), p);
     }
 
     #[test]
     fn reply_mirrors_request() {
         let req = IcmpPacket::echo_request(42, 3, Bytes::from_static(b"data"));
         let rep = IcmpPacket::reply_to(&req);
-        match IcmpPacket::parse(&rep.emit()).unwrap() {
+        match IcmpPacket::parse_bytes(&rep.emit()).unwrap() {
             IcmpPacket::EchoReply {
                 ident,
                 seq,
@@ -171,7 +158,10 @@ mod tests {
         let p = IcmpPacket::echo_request(1, 1, Bytes::new());
         let mut wire = p.emit().to_vec();
         wire[4] ^= 0xFF;
-        assert_eq!(IcmpPacket::parse(&wire), Err(WireError::BadChecksum));
+        assert_eq!(
+            IcmpPacket::parse_bytes(&Bytes::from(wire)),
+            Err(WireError::BadChecksum)
+        );
     }
 
     #[test]
@@ -181,12 +171,15 @@ mod tests {
             code: 0,
             rest: Bytes::from_static(&[0, 0, 0, 0, 1, 2, 3]),
         };
-        let parsed = IcmpPacket::parse(&p.emit()).unwrap();
+        let parsed = IcmpPacket::parse_bytes(&p.emit()).unwrap();
         assert_eq!(parsed, p);
     }
 
     #[test]
     fn truncated_rejected() {
-        assert_eq!(IcmpPacket::parse(&[8, 0, 0]), Err(WireError::Truncated));
+        assert_eq!(
+            IcmpPacket::parse_bytes(&Bytes::from_static(&[8, 0, 0])),
+            Err(WireError::Truncated)
+        );
     }
 }

@@ -35,29 +35,7 @@ pub struct Ipv4Packet {
     pub payload: Bytes,
 }
 
-/// Parsed header fields, shared by the copying and zero-copy parsers.
-struct HeaderFields {
-    dscp: u8,
-    identification: u16,
-    ttl: u8,
-    protocol: IpProtocol,
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-}
-
 impl Ipv4Packet {
-    fn from_fields(f: HeaderFields, payload: Bytes) -> Self {
-        Ipv4Packet {
-            dscp: f.dscp,
-            identification: f.identification,
-            ttl: f.ttl,
-            protocol: f.protocol,
-            src: f.src,
-            dst: f.dst,
-            payload,
-        }
-    }
-
     /// Standard constructor with TTL 64.
     pub fn new(src: Ipv4Addr, dst: Ipv4Addr, protocol: IpProtocol, payload: Bytes) -> Self {
         Ipv4Packet {
@@ -72,24 +50,9 @@ impl Ipv4Packet {
     }
 
     /// Parse and verify the header checksum. Trailing bytes beyond
-    /// `total_length` (Ethernet padding) are discarded.
-    pub fn parse(data: &[u8]) -> Result<Ipv4Packet, WireError> {
-        let (fields, payload_range) = Self::parse_header(data)?;
-        Ok(Ipv4Packet::from_fields(
-            fields,
-            Bytes::copy_from_slice(&data[payload_range]),
-        ))
-    }
-
-    /// [`Ipv4Packet::parse`] without copying the payload — a zero-copy
-    /// slice of the caller's [`Bytes`]. Identical semantics (including
-    /// checksum verification), minus one allocation per packet.
+    /// `total_length` (Ethernet padding) are discarded; the payload is
+    /// a zero-copy slice of `data`'s storage.
     pub fn parse_bytes(data: &Bytes) -> Result<Ipv4Packet, WireError> {
-        let (fields, payload_range) = Self::parse_header(data)?;
-        Ok(Ipv4Packet::from_fields(fields, data.slice(payload_range)))
-    }
-
-    fn parse_header(data: &[u8]) -> Result<(HeaderFields, std::ops::Range<usize>), WireError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -113,17 +76,15 @@ impl Ipv4Packet {
             // MF set or fragment offset non-zero: we don't reassemble.
             return Err(WireError::Unsupported);
         }
-        Ok((
-            HeaderFields {
-                dscp: data[1] >> 2,
-                identification: u16::from_be_bytes([data[4], data[5]]),
-                ttl: data[8],
-                protocol: IpProtocol(data[9]),
-                src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
-                dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
-            },
-            ihl..total_len,
-        ))
+        Ok(Ipv4Packet {
+            dscp: data[1] >> 2,
+            identification: u16::from_be_bytes([data[4], data[5]]),
+            ttl: data[8],
+            protocol: IpProtocol(data[9]),
+            src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
+            dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
+            payload: data.slice(ihl..total_len),
+        })
     }
 
     /// Serialize with a freshly computed header checksum.
@@ -175,7 +136,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let p = sample();
-        let parsed = Ipv4Packet::parse(&p.emit()).unwrap();
+        let parsed = Ipv4Packet::parse_bytes(&p.emit()).unwrap();
         assert_eq!(parsed, p);
     }
 
@@ -189,14 +150,17 @@ mod tests {
     fn corrupted_header_rejected() {
         let mut wire = sample().emit().to_vec();
         wire[8] ^= 0xFF; // mangle TTL
-        assert_eq!(Ipv4Packet::parse(&wire), Err(WireError::BadChecksum));
+        assert_eq!(
+            Ipv4Packet::parse_bytes(&Bytes::from(wire)),
+            Err(WireError::BadChecksum)
+        );
     }
 
     #[test]
     fn trailing_padding_discarded() {
         let mut wire = sample().emit().to_vec();
         wire.extend_from_slice(&[0u8; 20]);
-        let parsed = Ipv4Packet::parse(&wire).unwrap();
+        let parsed = Ipv4Packet::parse_bytes(&Bytes::from(wire)).unwrap();
         assert_eq!(parsed.payload.len(), 5);
     }
 
@@ -205,7 +169,10 @@ mod tests {
         let mut wire = sample().emit().to_vec();
         wire[0] = 0x65; // version 6
                         // Checksum now wrong too, but version is checked first.
-        assert_eq!(Ipv4Packet::parse(&wire), Err(WireError::Unsupported));
+        assert_eq!(
+            Ipv4Packet::parse_bytes(&Bytes::from(wire)),
+            Err(WireError::Unsupported)
+        );
     }
 
     #[test]
@@ -218,7 +185,10 @@ mod tests {
         wire[11] = 0;
         let ck = internet_checksum(&wire[..IPV4_HEADER_LEN]);
         wire[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert_eq!(Ipv4Packet::parse(&wire), Err(WireError::Unsupported));
+        assert_eq!(
+            Ipv4Packet::parse_bytes(&Bytes::from(wire)),
+            Err(WireError::Unsupported)
+        );
     }
 
     #[test]
@@ -232,7 +202,10 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        assert_eq!(Ipv4Packet::parse(&[0x45u8; 10]), Err(WireError::Truncated));
+        assert_eq!(
+            Ipv4Packet::parse_bytes(&Bytes::from_static(&[0x45u8; 10])),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]
@@ -246,6 +219,9 @@ mod tests {
         wire[11] = 0;
         let ck = internet_checksum(&wire[..IPV4_HEADER_LEN]);
         wire[10..12].copy_from_slice(&ck.to_be_bytes());
-        assert_eq!(Ipv4Packet::parse(&wire), Err(WireError::BadLength));
+        assert_eq!(
+            Ipv4Packet::parse_bytes(&Bytes::from(wire)),
+            Err(WireError::BadLength)
+        );
     }
 }

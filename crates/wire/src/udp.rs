@@ -28,32 +28,9 @@ impl UdpPacket {
 
     /// Parse, verifying the checksum against the pseudo-header built
     /// from `src`/`dst` (pass the enclosing IPv4 addresses). A zero
-    /// checksum means "not computed" and is accepted, per RFC 768.
-    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpPacket, WireError> {
-        let (src_port, dst_port, length) = Self::parse_header(data, src, dst)?;
-        Ok(UdpPacket {
-            src_port,
-            dst_port,
-            payload: Bytes::copy_from_slice(&data[UDP_HEADER_LEN..length]),
-        })
-    }
-
-    /// [`UdpPacket::parse`] with a zero-copy payload slice of the
-    /// caller's [`Bytes`]. Identical semantics, checksum included.
+    /// checksum means "not computed" and is accepted, per RFC 768. The
+    /// payload is a zero-copy slice of `data`'s storage.
     pub fn parse_bytes(data: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpPacket, WireError> {
-        let (src_port, dst_port, length) = Self::parse_header(data, src, dst)?;
-        Ok(UdpPacket {
-            src_port,
-            dst_port,
-            payload: data.slice(UDP_HEADER_LEN..length),
-        })
-    }
-
-    fn parse_header(
-        data: &[u8],
-        src: Ipv4Addr,
-        dst: Ipv4Addr,
-    ) -> Result<(u16, u16, usize), WireError> {
         if data.len() < UDP_HEADER_LEN {
             return Err(WireError::Truncated);
         }
@@ -74,11 +51,11 @@ impl UdpPacket {
                 return Err(WireError::BadChecksum);
             }
         }
-        Ok((
-            u16::from_be_bytes([data[0], data[1]]),
-            u16::from_be_bytes([data[2], data[3]]),
-            length,
-        ))
+        Ok(UdpPacket {
+            src_port: u16::from_be_bytes([data[0], data[1]]),
+            dst_port: u16::from_be_bytes([data[2], data[3]]),
+            payload: data.slice(UDP_HEADER_LEN..length),
+        })
     }
 
     /// Serialize with the pseudo-header checksum computed from
@@ -119,7 +96,7 @@ mod tests {
     fn roundtrip() {
         let p = UdpPacket::new(5004, 5005, Bytes::from_static(b"video-frame"));
         let wire = p.emit(SRC, DST);
-        assert_eq!(UdpPacket::parse(&wire, SRC, DST).unwrap(), p);
+        assert_eq!(UdpPacket::parse_bytes(&wire, SRC, DST).unwrap(), p);
     }
 
     #[test]
@@ -129,7 +106,7 @@ mod tests {
         let last = wire.len() - 1;
         wire[last] ^= 0x01;
         assert_eq!(
-            UdpPacket::parse(&wire, SRC, DST),
+            UdpPacket::parse_bytes(&Bytes::from(wire), SRC, DST),
             Err(WireError::BadChecksum)
         );
     }
@@ -139,7 +116,7 @@ mod tests {
         let p = UdpPacket::new(1, 2, Bytes::from_static(b"x"));
         let wire = p.emit(SRC, DST);
         assert_eq!(
-            UdpPacket::parse(&wire, SRC, Ipv4Addr::new(10, 0, 0, 9)),
+            UdpPacket::parse_bytes(&wire, SRC, Ipv4Addr::new(10, 0, 0, 9)),
             Err(WireError::BadChecksum)
         );
     }
@@ -150,7 +127,10 @@ mod tests {
         let mut wire = p.emit(SRC, DST).to_vec();
         wire[6] = 0;
         wire[7] = 0;
-        assert_eq!(UdpPacket::parse(&wire, SRC, DST).unwrap(), p);
+        assert_eq!(
+            UdpPacket::parse_bytes(&Bytes::from(wire), SRC, DST).unwrap(),
+            p
+        );
     }
 
     #[test]
@@ -158,20 +138,26 @@ mod tests {
         let p = UdpPacket::new(68, 67, Bytes::from_static(b"dhcp?"));
         let mut wire = p.emit(SRC, DST).to_vec();
         wire.extend_from_slice(&[0u8; 11]);
-        assert_eq!(UdpPacket::parse(&wire, SRC, DST).unwrap(), p);
+        assert_eq!(
+            UdpPacket::parse_bytes(&Bytes::from(wire), SRC, DST).unwrap(),
+            p
+        );
     }
 
     #[test]
     fn truncated_and_bad_length() {
         assert_eq!(
-            UdpPacket::parse(&[0u8; 7], SRC, DST),
+            UdpPacket::parse_bytes(&Bytes::from_static(&[0u8; 7]), SRC, DST),
             Err(WireError::Truncated)
         );
         let p = UdpPacket::new(1, 2, Bytes::from_static(b"abc"));
         let mut wire = p.emit(SRC, DST).to_vec();
         wire[4] = 0xFF; // absurd length
         wire[5] = 0xFF;
-        assert_eq!(UdpPacket::parse(&wire, SRC, DST), Err(WireError::BadLength));
+        assert_eq!(
+            UdpPacket::parse_bytes(&Bytes::from(wire), SRC, DST),
+            Err(WireError::BadLength)
+        );
     }
 
     #[test]
@@ -179,6 +165,6 @@ mod tests {
         let p = UdpPacket::new(9999, 1, Bytes::new());
         let wire = p.emit(SRC, DST);
         assert_eq!(wire.len(), UDP_HEADER_LEN);
-        assert_eq!(UdpPacket::parse(&wire, SRC, DST).unwrap(), p);
+        assert_eq!(UdpPacket::parse_bytes(&wire, SRC, DST).unwrap(), p);
     }
 }

@@ -64,12 +64,8 @@ const ALLOWED: &[(&str, &str)] = &[
         "lookup-only: listeners; the kill-path retain emits nothing",
     ),
     (
-        "crates/switch/src/flow_table.rs",
-        "lookup-only: exact-match index, rebuilt in entry order",
-    ),
-    (
         "crates/switch/src/switch.rs",
-        "lookup-only: packet buffers by id, punt templates by port",
+        "lookup-only: punt templates by port",
     ),
 ];
 

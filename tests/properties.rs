@@ -377,6 +377,279 @@ fn play_relay<R: rf_sim::Agent>(
     (log, counters(sim.agent_as::<R>(relay).unwrap()))
 }
 
+// ---------------- switch datapath: reference model ----------------
+
+/// The action interpreter as it was before it became one loop over the
+/// frame's bytes: a fast path for lists without rewrites, and a
+/// `FrameEditor` that parsed Ethernet + IPv4 + UDP up front and
+/// re-emitted lazily at each output. Kept verbatim as the reference the
+/// real `apply_actions` must match byte for byte.
+///
+/// One difference is intended and out of this generator's reach: the
+/// editor verified the UDP checksum once, against the frame's original
+/// addresses, while the loop re-parses at each `SetNw*` / `SetTp*`. A
+/// datagram whose checksum is wrong for its own addresses but right
+/// for rewritten ones (2^-16 for a random corruption) is therefore
+/// open to a later `SetTp*` in the loop and was not in the editor;
+/// rf-switch's `tp_rewrite_sees_the_addresses_the_nw_rewrite_left`
+/// builds that frame by hand and pins the loop's side.
+mod datapath_model {
+    use bytes::Bytes;
+    use rf_openflow::{
+        Action, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_MAX,
+        OFPP_TABLE,
+    };
+    use rf_switch::Egress;
+    use rf_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, UdpPacket};
+    use std::net::Ipv4Addr;
+
+    /// Working copy of a frame that applies header rewrites lazily.
+    #[derive(Clone)]
+    struct FrameEditor {
+        eth: EthernetFrame,
+        ip: Option<Ipv4Packet>,
+        udp: Option<UdpPacket>,
+        dirty: bool,
+    }
+
+    impl FrameEditor {
+        fn new(frame: &Bytes) -> Option<FrameEditor> {
+            let eth = EthernetFrame::parse_bytes(frame).ok()?;
+            let (ip, udp) = if eth.ethertype == EtherType::IPV4 {
+                match Ipv4Packet::parse_bytes(&eth.payload) {
+                    Ok(ip) => {
+                        let udp = if ip.protocol == IpProtocol::UDP {
+                            UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok()
+                        } else {
+                            None
+                        };
+                        (Some(ip), udp)
+                    }
+                    Err(_) => (None, None),
+                }
+            } else {
+                (None, None)
+            };
+            Some(FrameEditor {
+                eth,
+                ip,
+                udp,
+                dirty: false,
+            })
+        }
+
+        fn set_nw_src(&mut self, a: Ipv4Addr) {
+            if let Some(ip) = &mut self.ip {
+                ip.src = a;
+                self.dirty = true;
+            }
+        }
+
+        fn set_nw_dst(&mut self, a: Ipv4Addr) {
+            if let Some(ip) = &mut self.ip {
+                ip.dst = a;
+                self.dirty = true;
+            }
+        }
+
+        fn set_nw_tos(&mut self, tos: u8) {
+            if let Some(ip) = &mut self.ip {
+                ip.dscp = tos >> 2;
+                self.dirty = true;
+            }
+        }
+
+        fn set_tp_src(&mut self, p: u16) {
+            if let Some(udp) = &mut self.udp {
+                udp.src_port = p;
+                self.dirty = true;
+            }
+        }
+
+        fn set_tp_dst(&mut self, p: u16) {
+            if let Some(udp) = &mut self.udp {
+                udp.dst_port = p;
+                self.dirty = true;
+            }
+        }
+
+        fn render(&self, original: &Bytes) -> Bytes {
+            if !self.dirty {
+                // Only MAC rewrites (or nothing): patch in place, cheap path.
+                let mut eth = self.eth.clone();
+                return eth_rebuild(&mut eth, None);
+            }
+            let mut eth = self.eth.clone();
+            let inner = match (&self.ip, &self.udp) {
+                (Some(ip), Some(udp)) => {
+                    let mut ip = ip.clone();
+                    ip.payload = udp.emit(ip.src, ip.dst);
+                    Some(ip.emit())
+                }
+                (Some(ip), None) => Some(ip.emit()),
+                _ => None,
+            };
+            match inner {
+                Some(bytes) => eth_rebuild(&mut eth, Some(bytes)),
+                None => original.clone(),
+            }
+        }
+    }
+
+    fn eth_rebuild(eth: &mut EthernetFrame, new_payload: Option<Bytes>) -> Bytes {
+        if let Some(p) = new_payload {
+            eth.payload = p;
+        }
+        eth.emit()
+    }
+
+    /// Apply an OF 1.0 action list to `frame` received on `in_port`.
+    ///
+    /// `num_ports` bounds flood/all expansion (ports are `1..=num_ports`).
+    /// Returns the list of egress operations in action order. Unknown or
+    /// unsupported output ports are silently dropped (matching OVS).
+    pub fn apply_actions(
+        frame: &Bytes,
+        actions: &[Action],
+        in_port: PortNumber,
+        num_ports: u16,
+    ) -> Vec<Egress> {
+        // Fast path: an action list without header rewrites (the
+        // overwhelmingly common case — plain forwarding, floods, punts)
+        // leaves the frame byte-identical, so the parse → re-emit round
+        // trip below is pure overhead. `emit` pads to the 60-byte minimum,
+        // so only already-padded frames are guaranteed to round-trip to
+        // themselves; shorter ones (never produced by `emit`, but possible
+        // via hand-built PACKET_OUT data) take the slow path, which pads
+        // exactly as before.
+        let mutates = actions.iter().any(|a| {
+            matches!(
+                a,
+                Action::SetDlSrc(_)
+                    | Action::SetDlDst(_)
+                    | Action::SetNwSrc(_)
+                    | Action::SetNwDst(_)
+                    | Action::SetNwTos(_)
+                    | Action::SetTpSrc(_)
+                    | Action::SetTpDst(_)
+            )
+        });
+        if !mutates && frame.len() >= rf_wire::MIN_FRAME_NO_FCS {
+            let mut out = Vec::new();
+            for action in actions {
+                match action {
+                    Action::Output { port, max_len } => match *port {
+                        OFPP_CONTROLLER => out.push(Egress::Controller {
+                            max_len: *max_len,
+                            frame: frame.clone(),
+                        }),
+                        OFPP_IN_PORT => out.push(Egress::Port(in_port, frame.clone())),
+                        OFPP_TABLE => out.push(Egress::Table(frame.clone())),
+                        OFPP_FLOOD | OFPP_ALL => {
+                            for p in 1..=num_ports {
+                                if p != in_port {
+                                    out.push(Egress::Port(p, frame.clone()));
+                                }
+                            }
+                        }
+                        p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
+                            out.push(Egress::Port(p, frame.clone()));
+                        }
+                        _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
+                    },
+                    Action::Enqueue { port, .. } if *port >= 1 && *port <= num_ports => {
+                        out.push(Egress::Port(*port, frame.clone()));
+                    }
+                    _ => { /* dropped Enqueue / VLAN actions: accepted and ignored */ }
+                }
+            }
+            return out;
+        }
+        let mut editor = FrameEditor::new(frame);
+        let mut out = Vec::new();
+        let render = |e: &Option<FrameEditor>| -> Bytes {
+            match e {
+                Some(ed) => ed.render(frame),
+                None => frame.clone(),
+            }
+        };
+        for action in actions {
+            match action {
+                Action::Output { port, max_len } => {
+                    let bytes = render(&editor);
+                    match *port {
+                        OFPP_CONTROLLER => out.push(Egress::Controller {
+                            max_len: *max_len,
+                            frame: bytes,
+                        }),
+                        OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
+                        OFPP_TABLE => out.push(Egress::Table(bytes)),
+                        OFPP_FLOOD | OFPP_ALL => {
+                            for p in 1..=num_ports {
+                                if p != in_port {
+                                    out.push(Egress::Port(p, bytes.clone()));
+                                }
+                            }
+                        }
+                        p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
+                            out.push(Egress::Port(p, bytes));
+                        }
+                        _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
+                    }
+                }
+                Action::Enqueue { port, .. } => {
+                    // Queues are not modelled: treated as plain output.
+                    let bytes = render(&editor);
+                    if *port >= 1 && *port <= num_ports {
+                        out.push(Egress::Port(*port, bytes));
+                    }
+                }
+                Action::SetDlSrc(mac) => {
+                    if let Some(e) = &mut editor {
+                        e.eth.src = *mac;
+                    }
+                }
+                Action::SetDlDst(mac) => {
+                    if let Some(e) = &mut editor {
+                        e.eth.dst = *mac;
+                    }
+                }
+                Action::SetNwSrc(a) => {
+                    if let Some(e) = &mut editor {
+                        e.set_nw_src(*a);
+                    }
+                }
+                Action::SetNwDst(a) => {
+                    if let Some(e) = &mut editor {
+                        e.set_nw_dst(*a);
+                    }
+                }
+                Action::SetNwTos(t) => {
+                    if let Some(e) = &mut editor {
+                        e.set_nw_tos(*t);
+                    }
+                }
+                Action::SetTpSrc(p) => {
+                    if let Some(e) = &mut editor {
+                        e.set_tp_src(*p);
+                    }
+                }
+                Action::SetTpDst(p) => {
+                    if let Some(e) = &mut editor {
+                        e.set_tp_dst(*p);
+                    }
+                }
+                // VLAN actions: tagging is out of scope (the data plane
+                // carries untagged Ethernet II only); the actions are
+                // accepted and ignored, as OVS does when the packet has
+                // no VLAN context to modify.
+                Action::SetVlanVid(_) | Action::SetVlanPcp(_) | Action::StripVlan => {}
+            }
+        }
+        out
+    }
+}
+
 /// The Fletcher loop as it was before the modulo was deferred: two
 /// `% 255` per byte on `i64`.
 fn fletcher_checksum_per_byte_modulo(data: &[u8], ck_off: usize) -> u16 {
@@ -418,6 +691,165 @@ fn fletcher_matches_per_byte_modulo_on_saturated_buffers() {
     }
 }
 
+/// The raw draws one random frame is built from: (shape, addressing,
+/// payload, tweak).
+type FrameDraw = (u8, (([u8; 6], [u8; 6]), u32, u32, u16), Vec<u8>, u16);
+
+fn arb_frame_draw() -> impl Strategy<Value = FrameDraw> {
+    (
+        0u8..14,
+        any::<(([u8; 6], [u8; 6]), u32, u32, u16)>(),
+        proptest::collection::vec(any::<u8>(), 0..96),
+        any::<u16>(),
+    )
+}
+
+/// One frame of the kinds a switch port can see: valid UDP (with and
+/// without a checksum), ICMP, ARP, LLDP, corrupt IPv4 / UDP checksums,
+/// IPv4 options and trailing bytes, frames cut below the 60-byte
+/// minimum, and garbage shorter than an Ethernet header.
+fn build_frame((shape, (macs, src, dst, port), payload, tweak): FrameDraw) -> Bytes {
+    use rf_wire::{EtherType, IcmpPacket, IpProtocol};
+    let (src, dst) = (Ipv4Addr::from(src), Ipv4Addr::from(dst));
+    let eth = |ethertype, payload: Bytes| {
+        EthernetFrame::new(MacAddr(macs.0), MacAddr(macs.1), ethertype, payload)
+            .emit()
+            .to_vec()
+    };
+    let ipv4 = |protocol, payload: Bytes| {
+        let mut ip = Ipv4Packet::new(src, dst, protocol, payload);
+        ip.dscp = (tweak >> 8) as u8 & 0x3F;
+        ip.identification = tweak;
+        ip.ttl = 1 + (tweak & 0x3F) as u8;
+        ip.emit()
+    };
+    let udp = UdpPacket::new(port, tweak, Bytes::from(payload.clone())).emit(src, dst);
+    let udp_frame = || eth(EtherType::IPV4, ipv4(IpProtocol::UDP, udp.clone()));
+    let frame = match shape {
+        0..=3 => udp_frame(),
+        4 => {
+            // Checksum "not computed".
+            let mut u = udp.to_vec();
+            u[6..8].fill(0);
+            eth(EtherType::IPV4, ipv4(IpProtocol::UDP, Bytes::from(u)))
+        }
+        5 => {
+            let mut u = udp.to_vec();
+            u[6] ^= 0x40;
+            eth(EtherType::IPV4, ipv4(IpProtocol::UDP, Bytes::from(u)))
+        }
+        6 => {
+            let mut f = udp_frame();
+            f[14 + 8] ^= 0x10; // TTL no longer matches the header checksum
+            f
+        }
+        7 => {
+            let icmp = IcmpPacket::echo_request(port, tweak, Bytes::from(payload));
+            eth(EtherType::IPV4, ipv4(IpProtocol::ICMP, icmp.emit()))
+        }
+        8 => eth(
+            EtherType::ARP,
+            ArpPacket::request(MacAddr([2, 0, 0, 0, 0, 1]), src, dst).emit(),
+        ),
+        9 => eth(
+            EtherType::LLDP,
+            LldpPacket::discovery_probe(u64::from(tweak), port).emit(),
+        ),
+        10 => {
+            // One 4-byte option (IHL 6) and bytes after the IP packet,
+            // around a datagram that is valid, corrupt or not UDP.
+            let (protocol, inner) = match tweak % 3 {
+                0 => (IpProtocol::UDP, udp),
+                1 => {
+                    let mut u = udp.to_vec();
+                    u[6] ^= 0x40;
+                    (IpProtocol::UDP, Bytes::from(u))
+                }
+                _ => (
+                    IpProtocol::ICMP,
+                    IcmpPacket::echo_request(port, tweak, Bytes::new()).emit(),
+                ),
+            };
+            let mut ip = ipv4(protocol, inner).to_vec();
+            ip.splice(20..20, [1u8, 1, 1, 0]);
+            ip[0] = 0x46;
+            let total = ip.len() as u16;
+            ip[2..4].copy_from_slice(&total.to_be_bytes());
+            ip[10..12].fill(0);
+            let ck = internet_checksum(&ip[..24]);
+            ip[10..12].copy_from_slice(&ck.to_be_bytes());
+            ip.resize(ip.len().max(46) + (tweak % 7) as usize, 0xEE);
+            eth(EtherType::IPV4, Bytes::from(ip))
+        }
+        11 | 12 => {
+            // Cut below the 60-byte minimum: inside the IP header,
+            // inside a datagram short enough to end before byte 60, or
+            // behind it.
+            let short = Bytes::from(payload[..payload.len().min(port as usize % 16)].to_vec());
+            let udp = UdpPacket::new(port, tweak, short).emit(src, dst);
+            let mut f = eth(EtherType::IPV4, ipv4(IpProtocol::UDP, udp));
+            f.truncate(14 + (tweak % 46) as usize);
+            f
+        }
+        _ => {
+            let mut f = payload;
+            f.truncate((tweak % 14) as usize);
+            f
+        }
+    };
+    Bytes::from(frame)
+}
+
+/// One action of any of the twelve kinds; outputs cover physical,
+/// out-of-range and every reserved port.
+fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u16) -> Action {
+    use rf_openflow::{
+        OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_NONE, OFPP_NORMAL,
+        OFPP_TABLE,
+    };
+    let reserved = [
+        OFPP_IN_PORT,
+        OFPP_TABLE,
+        OFPP_NORMAL,
+        OFPP_FLOOD,
+        OFPP_ALL,
+        OFPP_CONTROLLER,
+        OFPP_LOCAL,
+        OFPP_NONE,
+    ];
+    // Ports 0 and num_ports + 1 are the two nearest invalid ones.
+    let physical = port % (num_ports + 2);
+    match kind {
+        0..=3 => Action::output(physical),
+        4..=6 => Action::Output {
+            port: reserved[port as usize % reserved.len()],
+            max_len: value as u16,
+        },
+        7 => Action::Output {
+            port,
+            max_len: value as u16,
+        },
+        8 => Action::Enqueue {
+            port: match value % 3 {
+                0 => physical,
+                1 => reserved[port as usize % reserved.len()],
+                _ => port,
+            },
+            queue_id: value,
+        },
+        9 => Action::SetVlanVid(port),
+        10 => Action::SetVlanPcp(value as u8),
+        11 => Action::StripVlan,
+        12 | 13 => Action::SetDlSrc(MacAddr(mac)),
+        14 | 15 => Action::SetDlDst(MacAddr(mac)),
+        16 => Action::SetNwSrc(Ipv4Addr::from(value)),
+        17 => Action::SetNwDst(Ipv4Addr::from(value)),
+        18 => Action::SetNwTos(value as u8),
+        19 => Action::SetTpSrc(port),
+        _ => Action::SetTpDst(port),
+    }
+}
+
 proptest! {
     // ---------------- decoders never panic ----------------
 
@@ -428,8 +860,11 @@ proptest! {
 
     #[test]
     fn wire_parsers_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = EthernetFrame::parse(&data);
-        let _ = Ipv4Packet::parse(&data);
+        let bytes = Bytes::from(data.clone());
+        let _ = EthernetFrame::parse_bytes(&bytes);
+        let _ = Ipv4Packet::parse_bytes(&bytes);
+        let _ = UdpPacket::parse_bytes(&bytes, Ipv4Addr::LOCALHOST, Ipv4Addr::BROADCAST);
+        let _ = rf_wire::IcmpPacket::parse_bytes(&bytes);
         let _ = ArpPacket::parse(&data);
         let _ = LldpPacket::parse(&data);
         let _ = rf_routed::ospf::packet::OspfPacket::parse(&data);
@@ -529,7 +964,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 46..200),
     ) {
         let f = EthernetFrame::new(dst, src, rf_wire::EtherType(ethertype), Bytes::from(payload));
-        let parsed = EthernetFrame::parse(&f.emit()).unwrap();
+        let parsed = EthernetFrame::parse_bytes(&f.emit()).unwrap();
         prop_assert_eq!(parsed, f);
     }
 
@@ -545,7 +980,7 @@ proptest! {
         p.ttl = ttl;
         let wire = p.emit();
         prop_assert_eq!(internet_checksum(&wire[..20]), 0);
-        let parsed = Ipv4Packet::parse(&wire).unwrap();
+        let parsed = Ipv4Packet::parse_bytes(&wire).unwrap();
         prop_assert_eq!(parsed, p);
     }
 
@@ -558,7 +993,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let u = UdpPacket::new(sp, dp, Bytes::from(payload));
-        let parsed = UdpPacket::parse(&u.emit(src, dst), src, dst).unwrap();
+        let parsed = UdpPacket::parse_bytes(&u.emit(src, dst), src, dst).unwrap();
         prop_assert_eq!(parsed, u);
     }
 
@@ -611,6 +1046,44 @@ proptest! {
         let mut buf = bytes::BytesMut::new();
         Action::emit_list(&actions, &mut buf);
         prop_assert_eq!(Action::parse_list(&buf).unwrap(), actions);
+    }
+
+    // ---------------- switch datapath ----------------
+
+    /// Whatever arrives on a port and whatever the action list says,
+    /// the one-loop interpreter emits what the parse-everything editor
+    /// it replaced emitted: same egresses, same order, same bytes.
+    #[test]
+    fn apply_actions_matches_reference_model(
+        cases in proptest::collection::vec(
+            (
+                arb_frame_draw(),
+                proptest::collection::vec(any::<(u8, u16, u32, [u8; 6])>(), 0..8),
+                0u16..6,
+                any::<u16>(),
+            ),
+            24..25,
+        ),
+    ) {
+        for (draw, action_draws, num_ports, in_port) in cases {
+            let frame = build_frame(draw);
+            let actions: Vec<Action> = action_draws
+                .into_iter()
+                .map(|(kind, port, value, mac)| build_action((kind % 21, port, value, mac), num_ports))
+                .collect();
+            // A real ingress port, the one past the last, or PACKET_OUT's
+            // "none".
+            let in_port = match in_port % (num_ports + 3) {
+                0 => rf_openflow::OFPP_NONE,
+                p => p,
+            };
+            prop_assert_eq!(
+                rf_switch::apply_actions(&frame, &actions, in_port, num_ports),
+                datapath_model::apply_actions(&frame, &actions, in_port, num_ports),
+                "frame {:?} ({} bytes), actions {:?}, in_port {}, {} ports",
+                frame, frame.len(), actions, in_port, num_ports
+            );
+        }
     }
 
     // ---------------- semantic invariants ----------------

@@ -2,14 +2,17 @@
 //! contract over stochastic cells (identical `MatrixReport` bytes at
 //! any worker-thread count), seed behaviour (same seed reproduces the
 //! exact report, different seeds diverge), flow-level vs packet-level
-//! agreement on small topologies, and the typed builder errors that
-//! replace the old workload `assert!`s.
+//! agreement on small topologies, the typed builder errors that
+//! replace the old workload `assert!`s, and the guard on the shape of
+//! flow entries the switch datapath is built around.
 
 use rf_core::scenario::{
     FaultSchedule, MatrixKnob, MatrixSpec, Scenario, ScenarioMatrix, Workload, WorkloadReport,
 };
 use rf_core::traffic::{FlowSize, TrafficReport, TrafficSpec, WorkloadError};
+use rf_openflow::{Action, OFPP_CONTROLLER};
 use rf_sim::{LinkProfile, Time};
+use rf_switch::OpenFlowSwitch;
 use rf_topo::{ring, star, Topology};
 use std::time::Duration;
 
@@ -123,6 +126,61 @@ fn flow_level_matches_packet_level_request_response_on_star() {
         flow.fct_percentile(50).unwrap().as_nanos() as u64,
     );
     assert!(p50 <= 25.0, "FCT p50 differs by {p50:.1}% (> 25%)");
+}
+
+#[test]
+fn apps_install_only_wildcard_mac_rewrite_and_punt_flows() {
+    // rf-switch keeps one lookup order (no exact-match index) and
+    // rewrites MACs by patching header bytes (no parse of the layers
+    // behind them) because this is all the control apps ever install.
+    let topo = ring(8);
+    let spec = TrafficSpec::poisson(3, 6.0, FlowSize::pareto(2_000, 100_000))
+        .window(Duration::from_secs(25), Duration::from_secs(10));
+    let cfg = spec.instantiate(&topo).expect("spec fits the topology");
+    let mut sc = Scenario::on(topo)
+        .fast_timers()
+        .seed(5)
+        .trace_level(rf_sim::TraceLevel::Off)
+        .with_workload(Workload::ping(0, 4))
+        .with_workload(Workload::traffic(cfg).expect("validated config"))
+        .start();
+    sc.run_until(Time::ZERO + spec.stop_at() + Duration::from_secs(2));
+    for report in sc.workload_reports() {
+        match report {
+            WorkloadReport::Ping(p) => assert!(!p.replies.is_empty(), "ping crossed the ring"),
+            WorkloadReport::Traffic(t) => assert!(t.delivered_bytes > 0, "flows crossed the ring"),
+            other => unreachable!("not attached: {other:?}"),
+        }
+    }
+    for &id in &sc.switches {
+        let sw = sc.sim.agent_as::<OpenFlowSwitch>(id).expect("switch agent");
+        let entries = sw.flow_table().entries();
+        assert!(!entries.is_empty(), "a configured switch holds flows");
+        for e in entries {
+            let known_shape = matches!(
+                e.actions[..],
+                [Action::SetDlSrc(_), Action::SetDlDst(_), Action::Output { port, .. }]
+                    if port != OFPP_CONTROLLER
+            ) || matches!(
+                e.actions[..],
+                [Action::Output {
+                    port: OFPP_CONTROLLER,
+                    ..
+                }]
+            );
+            assert!(
+                !e.is_exact() && known_shape,
+                "switch {:#x} holds {:?} -> {:?}: an app now installs exact-match or \
+                 L3/L4-rewriting flows. rf-switch's single lookup order \
+                 (flow_table.rs) and byte-patch MAC rewrite (datapath.rs) were \
+                 chosen because none did — revisit that choice (ROADMAP, data \
+                 plane) before changing this test.",
+                sw.dpid(),
+                e.of_match,
+                e.actions
+            );
+        }
+    }
 }
 
 /// A small stochastic grid mixing packet and flow cells across every
