@@ -1,9 +1,9 @@
 //! A minimal host IP stack (sans-IO): ARP, ICMP echo, UDP.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rf_wire::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Cidr, Ipv4Packet,
-    MacAddr, UdpPacket,
+    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Body,
+    Ipv4Cidr, Ipv4Packet, MacAddr, UdpPacket,
 };
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -41,8 +41,9 @@ pub enum StackOutput {
 pub struct HostStack {
     cfg: HostConfig,
     arp_cache: HashMap<Ipv4Addr, MacAddr>,
-    /// Packets waiting on ARP resolution, keyed by next-hop IP.
-    pending: Vec<(Ipv4Addr, Ipv4Packet)>,
+    /// Frames waiting on ARP resolution, keyed by next-hop IP: built
+    /// in full, only the destination MAC (bytes 0..6) still to fill in.
+    pending: Vec<(Ipv4Addr, BytesMut)>,
     /// Datagrams received (diagnostics).
     pub udp_rx: u64,
     pub udp_tx: u64,
@@ -97,28 +98,27 @@ impl HostStack {
         }
     }
 
-    fn emit_ip(&mut self, ip: Ipv4Packet) -> Vec<StackOutput> {
-        let nh = self.next_hop(ip.dst);
-        match self.arp_cache.get(&nh) {
-            Some(&mac) => {
-                vec![StackOutput::Tx(
-                    EthernetFrame::new(mac, self.cfg.mac, EtherType::IPV4, ip.emit()).emit(),
-                )]
-            }
-            None => {
-                self.pending.push((nh, ip));
-                let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, nh);
-                vec![StackOutput::Tx(
-                    EthernetFrame::new(
-                        MacAddr::BROADCAST,
-                        self.cfg.mac,
-                        EtherType::ARP,
-                        req.emit(),
-                    )
-                    .emit(),
-                )]
-            }
+    /// The one way an IPv4 packet leaves this host: built as a whole
+    /// frame in one buffer, then sent if the next hop's MAC is known
+    /// or parked behind an ARP request for it if not.
+    fn emit_ip(&mut self, dst: Ipv4Addr, body: Ipv4Body<'_>) -> Vec<StackOutput> {
+        let nh = self.next_hop(dst);
+        let mac = self.arp_cache.get(&nh).copied();
+        let frame = ipv4_frame(
+            mac.unwrap_or(MacAddr::ZERO),
+            self.cfg.mac,
+            self.cfg.addr.addr,
+            dst,
+            body,
+        );
+        if mac.is_some() {
+            return vec![StackOutput::Tx(frame.freeze())];
         }
+        self.pending.push((nh, frame));
+        let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, nh);
+        vec![StackOutput::Tx(
+            EthernetFrame::new(MacAddr::BROADCAST, self.cfg.mac, EtherType::ARP, req.emit()).emit(),
+        )]
     }
 
     /// Is the next hop for `dst` already in the ARP cache?
@@ -149,21 +149,20 @@ impl HostStack {
         payload: Bytes,
     ) -> Vec<StackOutput> {
         self.udp_tx += 1;
-        let udp = UdpPacket::new(src_port, dst_port, payload);
-        let ip = Ipv4Packet::new(
-            self.cfg.addr.addr,
+        self.emit_ip(
             dst,
-            IpProtocol::UDP,
-            udp.emit(self.cfg.addr.addr, dst),
-        );
-        self.emit_ip(ip)
+            Ipv4Body::Udp {
+                src_port,
+                dst_port,
+                payload: &payload,
+            },
+        )
     }
 
     /// Send an ICMP echo request.
     pub fn send_ping(&mut self, dst: Ipv4Addr, ident: u16, seq: u16) -> Vec<StackOutput> {
         let icmp = IcmpPacket::echo_request(ident, seq, Bytes::from_static(b"rf-ping"));
-        let ip = Ipv4Packet::new(self.cfg.addr.addr, dst, IpProtocol::ICMP, icmp.emit());
-        self.emit_ip(ip)
+        self.emit_ip(dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp.emit()))
     }
 
     /// Process a received frame (zero-copy: inner layers slice the
@@ -199,20 +198,14 @@ impl HostStack {
             ));
         }
         // Flush anything waiting on this resolution.
-        let resolved: Vec<(Ipv4Addr, Ipv4Packet)> = {
-            let cache = &self.arp_cache;
-            let (ready, waiting): (Vec<_>, Vec<_>) = self
-                .pending
-                .drain(..)
-                .partition(|(nh, _)| cache.contains_key(nh));
-            self.pending = waiting;
-            ready
-        };
-        for (nh, ip) in resolved {
-            let mac = self.arp_cache[&nh];
-            out.push(StackOutput::Tx(
-                EthernetFrame::new(mac, self.cfg.mac, EtherType::IPV4, ip.emit()).emit(),
-            ));
+        for (nh, mut frame) in std::mem::take(&mut self.pending) {
+            match self.arp_cache.get(&nh) {
+                Some(mac) => {
+                    frame[0..6].copy_from_slice(mac.as_bytes());
+                    out.push(StackOutput::Tx(frame.freeze()));
+                }
+                None => self.pending.push((nh, frame)),
+            }
         }
         out
     }
@@ -244,13 +237,7 @@ impl HostStack {
                 match icmp {
                     IcmpPacket::EchoRequest { .. } => {
                         let reply = IcmpPacket::reply_to(&icmp);
-                        let rip = Ipv4Packet::new(
-                            self.cfg.addr.addr,
-                            ip.src,
-                            IpProtocol::ICMP,
-                            reply.emit(),
-                        );
-                        self.emit_ip(rip)
+                        self.emit_ip(ip.src, Ipv4Body::Raw(IpProtocol::ICMP, &reply.emit()))
                     }
                     IcmpPacket::EchoReply { ident, seq, .. } => {
                         vec![StackOutput::EchoReply {

@@ -1,6 +1,8 @@
 //! Offline stand-in for the `bytes` crate: the subset of its API this
 //! workspace uses, with the same semantics (big-endian integer codecs,
 //! cheap `Bytes` clones, front-consuming `Buf` reads on `BytesMut`).
+//! Everything here exists in `bytes` 1.0 except [`Bytes::try_into_mut`],
+//! which the real crate has from 1.6 on.
 //!
 //! The container this workspace builds in has no crates.io access, so
 //! the real `bytes` crate cannot be vendored; this shim keeps the
@@ -115,6 +117,24 @@ impl Bytes {
 
     pub fn to_vec(&self) -> Vec<u8> {
         self[..].to_vec()
+    }
+
+    /// Take the storage back for writing if this is the only handle to
+    /// it (no clone, slice or split of it is alive); otherwise hand
+    /// `self` back untouched. Same contract as `bytes` ≥ 1.6. The
+    /// view's bytes become the `BytesMut`'s contents — no copy when the
+    /// view starts at the front of its storage, which is every buffer
+    /// that came out of `freeze()`.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut inner) => {
+                inner.truncate(end as usize);
+                inner.drain(..start as usize);
+                Ok(BytesMut { inner })
+            }
+            Err(data) => Err(Bytes { data, start, end }),
+        }
     }
 }
 
@@ -427,11 +447,18 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.inner.extend_from_slice(src);
     }
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.inner.put_bytes(val, cnt);
+    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+    /// One fill, not `cnt` one-byte appends.
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.resize(self.len() + cnt, val);
     }
 }
 
@@ -474,6 +501,30 @@ mod tests {
         assert_eq!(&b[..], &[2, 3]);
         assert_eq!(&tail[..], &[4, 5]);
         assert_eq!(&tail.slice(1..2)[..], &[5]);
+    }
+
+    #[test]
+    fn put_bytes_fills() {
+        let mut b = BytesMut::from(&[1u8][..]);
+        b.put_bytes(7, 3);
+        b.put_bytes(9, 0);
+        assert_eq!(&b[..], &[1, 7, 7, 7]);
+    }
+
+    #[test]
+    fn try_into_mut_needs_the_only_handle() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4]);
+        let held = b.clone();
+        let b = b.try_into_mut().expect_err("a clone is alive");
+        drop(held);
+        let tail = b.slice(1..3);
+        let b = b.try_into_mut().expect_err("a slice is alive");
+        drop(b);
+        // The view, not the storage behind it, is what comes back.
+        let mut m = tail.try_into_mut().expect("last handle");
+        assert_eq!(&m[..], &[2, 3]);
+        m[0] = 9;
+        assert_eq!(&m.freeze()[..], &[9, 3]);
     }
 
     #[test]

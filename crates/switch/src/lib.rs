@@ -22,6 +22,6 @@ pub mod datapath;
 pub mod flow_table;
 pub mod switch;
 
-pub use datapath::{apply_actions, Egress};
+pub use datapath::{apply_actions, apply_actions_owned, Egress};
 pub use flow_table::{FlowEntry, FlowTable, Removed};
 pub use switch::{OpenFlowSwitch, SwitchConfig};

@@ -1,12 +1,12 @@
 //! The [`OpenFlowSwitch`] simulation agent — our Open vSwitch 1.4.1.
 
-use crate::datapath::{apply_actions, Egress};
+use crate::datapath::{apply_actions_owned, Egress};
 use crate::flow_table::{FlowTable, Removed};
 use bytes::Bytes;
 use rf_openflow::{
-    Action, ErrorType, FlowStatsEntry, MessageReader, OfMessage, PacketInReason, PacketKey,
-    PhyPort, PortNumber, PortStats, PortStatusReason, StatsBody, SwitchDesc, SwitchFeatures,
-    TableStats, Wildcards, OFPP_NONE, OFP_NO_BUFFER,
+    ErrorType, FlowStatsEntry, MessageReader, OfMessage, PacketInReason, PacketKey, PhyPort,
+    PortNumber, PortStats, PortStatusReason, StatsBody, SwitchDesc, SwitchFeatures, TableStats,
+    Wildcards, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent, Time};
 use rf_wire::MacAddr;
@@ -123,6 +123,12 @@ pub struct OpenFlowSwitch {
     punt_cache: HashMap<PortNumber, (Bytes, usize, Bytes)>,
 }
 
+/// Index of data-plane port `port` (numbered from 1) in the per-port
+/// vectors; `None` for port 0, which does not exist.
+fn port_index(port: PortNumber) -> Option<usize> {
+    port.checked_sub(1).map(usize::from)
+}
+
 impl OpenFlowSwitch {
     pub fn new(cfg: SwitchConfig) -> OpenFlowSwitch {
         let n = cfg.num_ports as usize;
@@ -183,7 +189,7 @@ impl OpenFlowSwitch {
     /// `Sim::agent_as_mut`, then the change takes effect immediately;
     /// the PORT_STATUS goes out on the next expiry tick).
     pub fn set_port_admin(&mut self, port: PortNumber, down: bool) {
-        if let Some(slot) = self.ports_down.get_mut((port - 1) as usize) {
+        if let Some(slot) = port_index(port).and_then(|idx| self.ports_down.get_mut(idx)) {
             *slot = down;
             self.pending_port_status.push(port);
         }
@@ -293,29 +299,28 @@ impl OpenFlowSwitch {
             ctx.count("switch.unparseable", 1);
             return;
         };
-        let actions: Option<Vec<Action>> = self
-            .table
-            .lookup(&key, frame.len(), ctx.now())
-            .map(|e| e.actions.clone());
-        match actions {
-            Some(actions) => self.execute(ctx, in_port, frame, &actions, false),
-            None => self.packet_in(ctx, in_port, frame),
-        }
+        // The matched entry's action list is read where it lies, and the
+        // frame given up to the interpreter: a routed hop allocates no
+        // action list and copies no frame.
+        let egress = match self.table.lookup(&key, frame.len(), ctx.now()) {
+            Some(e) => apply_actions_owned(frame, &e.actions, in_port, self.cfg.num_ports),
+            None => return self.packet_in(ctx, in_port, frame),
+        };
+        self.dispatch(ctx, in_port, egress, false);
     }
 
-    /// Execute an action list. OF 1.0 permits `output:TABLE` only in a
-    /// PACKET_OUT (`from_packet_out`); in a flow entry's own actions it
-    /// would send the frame round the table until the stack ran out, so
-    /// there it is dropped and counted.
-    fn execute(
+    /// Carry out what an action list resolved to. OF 1.0 permits
+    /// `output:TABLE` only in a PACKET_OUT (`from_packet_out`); in a
+    /// flow entry's own actions it would send the frame round the table
+    /// until the stack ran out, so there it is dropped and counted.
+    fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
         in_port: PortNumber,
-        frame: Bytes,
-        actions: &[Action],
+        egress: Vec<Egress>,
         from_packet_out: bool,
     ) {
-        for egress in apply_actions(&frame, actions, in_port, self.cfg.num_ports) {
+        for egress in egress {
             match egress {
                 Egress::Port(p, bytes) => self.tx(ctx, p, bytes),
                 Egress::Controller { max_len, frame } => {
@@ -360,7 +365,11 @@ impl OpenFlowSwitch {
     }
 
     fn tx(&mut self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
-        let idx = (port - 1) as usize;
+        // There is no port 0 (`output:IN_PORT` of a PACKET_OUT that
+        // names none): nothing to send on, nobody's counter to bump.
+        let Some(idx) = port_index(port) else {
+            return;
+        };
         if self.ports_down.get(idx).copied().unwrap_or(true) {
             if let Some(s) = self.port_stats.get_mut(idx) {
                 s.tx_dropped += 1;
@@ -455,7 +464,7 @@ impl OpenFlowSwitch {
                     hard_timeout,
                     flags,
                     out_port,
-                    actions.clone(),
+                    actions,
                     ctx.now(),
                 );
                 self.flow_removed_msgs(ctx, removed);
@@ -495,7 +504,8 @@ impl OpenFlowSwitch {
                 } else {
                     data
                 };
-                self.execute(ctx, in_port, frame, &actions, true);
+                let egress = apply_actions_owned(frame, &actions, in_port, self.cfg.num_ports);
+                self.dispatch(ctx, in_port, egress, true);
             }
             OfMessage::StatsRequest { body } => {
                 let reply = self.stats_reply(ctx.now(), body);
@@ -655,7 +665,9 @@ impl Agent for OpenFlowSwitch {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let port = port as u16;
-        let idx = (port - 1) as usize;
+        let Some(idx) = port_index(port) else {
+            return;
+        };
         if self.ports_down.get(idx).copied().unwrap_or(true) {
             if let Some(s) = self.port_stats.get_mut(idx) {
                 s.rx_dropped += 1;

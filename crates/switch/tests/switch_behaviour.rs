@@ -606,3 +606,106 @@ fn port_admin_down_drops_traffic_and_reports_status() {
         OfMessage::PortStatus { desc, .. } if !desc.is_link_up()
     )));
 }
+
+/// There is no port 0. A PACKET_OUT naming it as `in_port` and asking
+/// for `output:IN_PORT`, a frame arriving on a (miswired) sim port 0
+/// and an admin toggle of it are all dropped on the floor: no panic
+/// (port numbers index `ports` from 1), no port's counters touched, and
+/// the switch carries on.
+#[test]
+fn port_zero_is_dropped_without_touching_any_counter() {
+    let ctrl = MockController {
+        script: vec![
+            (
+                Duration::from_secs(1),
+                OfMessage::PacketOut {
+                    buffer_id: OFP_NO_BUFFER,
+                    in_port: 0,
+                    actions: vec![Action::output(rf_openflow::OFPP_IN_PORT)],
+                    data: udp_frame(Ipv4Addr::new(10, 1, 1, 1)),
+                },
+                42,
+            ),
+            (
+                Duration::from_secs(2),
+                OfMessage::StatsRequest {
+                    body: StatsBody::PortRequest(OFPP_NONE),
+                },
+                43,
+            ),
+            (
+                Duration::from_secs(3),
+                OfMessage::PacketOut {
+                    buffer_id: OFP_NO_BUFFER,
+                    in_port: OFPP_NONE,
+                    actions: vec![Action::output(1)],
+                    data: udp_frame(Ipv4Addr::new(10, 1, 1, 1)),
+                },
+                44,
+            ),
+        ],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    let stray = b.sim.add_agent(
+        "stray",
+        Box::new(FrameSink {
+            tx: Some((
+                1,
+                udp_frame(Ipv4Addr::new(10, 1, 1, 1)),
+                Duration::from_millis(1500),
+            )),
+            ..FrameSink::default()
+        }),
+    );
+    b.sim
+        .add_link((b.sw, 0), (stray, 1), LinkProfile::default());
+    // The PACKET_OUT (1 s) and the stray frame (1.5 s) first, then the
+    // admin toggle, all ahead of the stats request.
+    b.sim.run_until(rf_sim::Time::from_millis(1800));
+    b.sim
+        .agent_as_mut::<OpenFlowSwitch>(b.sw)
+        .unwrap()
+        .set_port_admin(0, true);
+    b.sim.run_until(rf_sim::Time::from_secs(4));
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    let ports = ctrl
+        .received
+        .iter()
+        .find_map(|(m, _)| match m {
+            OfMessage::StatsReply {
+                body: StatsBody::PortReply(p),
+            } => Some(p.clone()),
+            _ => None,
+        })
+        .expect("port stats answered");
+    assert_eq!(ports.len(), 2);
+    for p in &ports {
+        let fresh = rf_openflow::PortStats {
+            port_no: p.port_no,
+            ..Default::default()
+        };
+        assert_eq!(*p, fresh, "a port-0 frame was accounted to a real port");
+    }
+    assert!(!ctrl
+        .received
+        .iter()
+        .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. } | OfMessage::PortStatus { .. })));
+    // Nothing left on port 0 or anywhere else; the later PACKET_OUT did.
+    assert!(b
+        .sim
+        .agent_as::<FrameSink>(stray)
+        .unwrap()
+        .frames
+        .is_empty());
+    assert!(b
+        .sim
+        .agent_as::<FrameSink>(b.host_b)
+        .unwrap()
+        .frames
+        .is_empty());
+    assert_eq!(
+        b.sim.agent_as::<FrameSink>(b.host_a).unwrap().frames.len(),
+        1
+    );
+}

@@ -57,13 +57,9 @@ impl EthernetFrame {
     pub fn emit(&self) -> Bytes {
         let len = ETHERNET_HEADER_LEN + self.payload.len();
         let mut buf = BytesMut::with_capacity(len.max(MIN_FRAME_NO_FCS));
-        buf.put_slice(self.dst.as_bytes());
-        buf.put_slice(self.src.as_bytes());
-        buf.put_u16(self.ethertype.0);
+        put_header(&mut buf, self.dst, self.src, self.ethertype);
         buf.put_slice(&self.payload);
-        while buf.len() < MIN_FRAME_NO_FCS {
-            buf.put_u8(0);
-        }
+        pad(&mut buf);
         buf.freeze()
     }
 
@@ -75,6 +71,20 @@ impl EthernetFrame {
             ethertype,
             payload,
         }
+    }
+}
+
+/// Append the 14-byte Ethernet II header.
+pub(crate) fn put_header(buf: &mut BytesMut, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+    buf.put_slice(dst.as_bytes());
+    buf.put_slice(src.as_bytes());
+    buf.put_u16(ethertype.0);
+}
+
+/// Zero-pad a finished frame up to the 60-byte minimum.
+pub(crate) fn pad(buf: &mut BytesMut) {
+    if buf.len() < MIN_FRAME_NO_FCS {
+        buf.resize(MIN_FRAME_NO_FCS, 0);
     }
 }
 

@@ -5,7 +5,9 @@
 //! is uniform and the video payload is sized below it, as in the
 //! paper's emulated network.
 
-use crate::{internet_checksum, WireError};
+use crate::ethernet::{self, ETHERNET_HEADER_LEN};
+use crate::udp::{self, UDP_HEADER_LEN};
+use crate::{internet_checksum, EtherType, MacAddr, WireError, MIN_FRAME_NO_FCS};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
@@ -22,6 +24,8 @@ impl IpProtocol {
 }
 
 pub const IPV4_HEADER_LEN: usize = 20;
+/// The TTL packets leave their source with.
+const DEFAULT_TTL: u8 = 64;
 
 /// A parsed (owned) IPv4 packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,7 +45,7 @@ impl Ipv4Packet {
         Ipv4Packet {
             dscp: 0,
             identification: 0,
-            ttl: 64,
+            ttl: DEFAULT_TTL,
             protocol,
             src,
             dst,
@@ -89,21 +93,16 @@ impl Ipv4Packet {
 
     /// Serialize with a freshly computed header checksum.
     pub fn emit(&self) -> Bytes {
-        let total_len = IPV4_HEADER_LEN + self.payload.len();
-        assert!(total_len <= u16::MAX as usize, "IPv4 packet too large");
-        let mut buf = BytesMut::with_capacity(total_len);
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(self.dscp << 2);
-        buf.put_u16(total_len as u16);
-        buf.put_u16(self.identification);
-        buf.put_u16(0); // flags + fragment offset
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol.0);
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.octets());
-        buf.put_slice(&self.dst.octets());
-        let ck = internet_checksum(&buf[..IPV4_HEADER_LEN]);
-        buf[10..12].copy_from_slice(&ck.to_be_bytes());
+        let mut buf = BytesMut::with_capacity(IPV4_HEADER_LEN + self.payload.len());
+        buf.put_slice(&header(
+            self.dscp,
+            self.identification,
+            self.ttl,
+            self.protocol,
+            self.src,
+            self.dst,
+            self.payload.len(),
+        ));
         buf.put_slice(&self.payload);
         buf.freeze()
     }
@@ -118,6 +117,85 @@ impl Ipv4Packet {
         p.ttl -= 1;
         Some(p)
     }
+}
+
+/// The 20-byte option-less header in front of `payload_len` bytes,
+/// checksum filled in.
+fn header(
+    dscp: u8,
+    identification: u16,
+    ttl: u8,
+    protocol: IpProtocol,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    payload_len: usize,
+) -> [u8; IPV4_HEADER_LEN] {
+    let total_len = IPV4_HEADER_LEN + payload_len;
+    assert!(total_len <= u16::MAX as usize, "IPv4 packet too large");
+    let mut h = [0u8; IPV4_HEADER_LEN];
+    h[0] = 0x45; // version 4, IHL 5
+    h[1] = dscp << 2;
+    h[2..4].copy_from_slice(&(total_len as u16).to_be_bytes());
+    h[4..6].copy_from_slice(&identification.to_be_bytes());
+    // h[6..8]: flags + fragment offset, zero
+    h[8] = ttl;
+    h[9] = protocol.0;
+    h[12..16].copy_from_slice(&src.octets());
+    h[16..20].copy_from_slice(&dst.octets());
+    let ck = internet_checksum(&h);
+    h[10..12].copy_from_slice(&ck.to_be_bytes());
+    h
+}
+
+/// What an [`ipv4_frame`] carries behind the IPv4 header.
+#[derive(Clone, Copy, Debug)]
+pub enum Ipv4Body<'a> {
+    /// A UDP datagram around `payload`; its header and pseudo-header
+    /// checksum are written with it.
+    Udp {
+        src_port: u16,
+        dst_port: u16,
+        payload: &'a [u8],
+    },
+    /// An already encoded packet of any other protocol.
+    Raw(IpProtocol, &'a [u8]),
+}
+
+/// One Ethernet frame around one IPv4 packet from `src` to `dst`, built
+/// in a single buffer: the headers are written in front of the body and
+/// the checksums computed where they lie, so the body is copied once.
+/// Byte for byte what
+/// `EthernetFrame::new(.., Ipv4Packet::new(.., body).emit()).emit()`
+/// yields (`tests/properties.rs` holds the two against each other) —
+/// that chain allocates and copies per layer, which is what a host
+/// sending a stream of datagrams cannot afford. Returned unfrozen so a
+/// sender still waiting on ARP can park it and patch the destination
+/// MAC (bytes 0..6) in later.
+pub fn ipv4_frame(
+    dst_mac: MacAddr,
+    src_mac: MacAddr,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    body: Ipv4Body<'_>,
+) -> BytesMut {
+    let (protocol, body_len) = match body {
+        Ipv4Body::Udp { payload, .. } => (IpProtocol::UDP, UDP_HEADER_LEN + payload.len()),
+        Ipv4Body::Raw(protocol, packet) => (protocol, packet.len()),
+    };
+    let len = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + body_len;
+    let mut buf = BytesMut::with_capacity(len.max(MIN_FRAME_NO_FCS));
+    ethernet::put_header(&mut buf, dst_mac, src_mac, EtherType::IPV4);
+    buf.put_slice(&header(0, 0, DEFAULT_TTL, protocol, src, dst, body_len));
+    match body {
+        Ipv4Body::Udp {
+            src_port,
+            dst_port,
+            payload,
+        } => udp::put_datagram(&mut buf, src, dst, src_port, dst_port, payload),
+        Ipv4Body::Raw(_, packet) => buf.put_slice(packet),
+    }
+    ethernet::pad(&mut buf);
+    buf
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub use arp::{ArpOp, ArpPacket};
 pub use ethernet::{EtherType, EthernetFrame, MIN_FRAME_NO_FCS};
 pub use framebuf::FrameBuf;
 pub use icmp::IcmpPacket;
-pub use ipv4::{IpProtocol, Ipv4Packet};
+pub use ipv4::{ipv4_frame, IpProtocol, Ipv4Body, Ipv4Packet};
 pub use lldp::{LldpPacket, LldpTlv};
 pub use udp::UdpPacket;
 
@@ -89,28 +89,57 @@ pub fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
         .rev()
         .skip(1)
         .all(|p| p.len().is_multiple_of(2)));
+    // Each part's sum is below 2^35, so adding them cannot overflow.
     fold_checksum(parts.iter().map(|p| accumulate_checksum(p)).sum())
 }
 
-/// Unfolded 16-bit-word sum of `data` (RFC 1071's inner loop).
-fn accumulate_checksum(data: &[u8]) -> u32 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+/// Unfolded ones-complement sum of `data`, in *native* byte order and
+/// below 2^35 (RFC 1071's inner loop, a word at a time).
+///
+/// The sum of 16-bit words with end-around carry does not depend on the
+/// byte order the words are read in, only the final result has to be
+/// swapped (RFC 1071 §2(B)); and because 2^16 ≡ 1 (mod 0xFFFF) it does
+/// not depend on how many 16-bit words are added at once either. So the
+/// body of the buffer goes eight bytes at a time into two independent
+/// accumulators (one dependent add chain would be the bottleneck — a
+/// datagram is summed at its source, at every hop and at its sink), and
+/// [`fold_checksum`] swaps once.
+fn accumulate_checksum(data: &[u8]) -> u64 {
+    let end_around = |acc: u64, word: u64| {
+        let (sum, carry) = acc.overflowing_add(word);
+        // A carry leaves `sum` at most 2^64 - 2: the +1 cannot wrap.
+        sum + u64::from(carry)
+    };
+    let (mut a, mut b) = (0u64, 0u64);
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let (lo, hi) = block.split_at(8);
+        a = end_around(a, u64::from_ne_bytes(lo.try_into().expect("8 of 16")));
+        b = end_around(b, u64::from_ne_bytes(hi.try_into().expect("8 of 16")));
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    let halves = |acc: u64| (acc & 0xFFFF_FFFF) + (acc >> 32);
+    let mut sum = halves(a) + halves(b);
+    let mut words = blocks.remainder().chunks_exact(2);
+    for w in &mut words {
+        sum += u64::from(u16::from_ne_bytes([w[0], w[1]]));
+    }
+    if let [last] = words.remainder() {
+        // An odd trailing byte is the high-order (first in memory) half
+        // of a zero-padded word.
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
     }
     sum
 }
 
-/// Fold the carries and complement (RFC 1071's final step).
-fn fold_checksum(mut sum: u32) -> u16 {
+/// Fold the carries, put the native-order sum into network order and
+/// complement (RFC 1071's final step). Folding never turns a non-zero
+/// sum into zero, so of the two ones-complement zeros the result is
+/// 0xFFFF (sum 0) only for all-zero input, as with a 16-bit loop.
+fn fold_checksum(mut sum: u64) -> u16 {
     while sum > 0xFFFF {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }
-    !(sum as u16)
+    !u16::from_be(sum as u16)
 }
 
 #[cfg(test)]

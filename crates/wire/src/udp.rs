@@ -3,7 +3,7 @@
 //! Carries the demo's video stream (server → remote client) and RIPv2
 //! in the virtual environment.
 
-use crate::{internet_checksum, IpProtocol, WireError};
+use crate::{internet_checksum_parts, IpProtocol, WireError};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
@@ -40,14 +40,8 @@ impl UdpPacket {
         }
         let wire_ck = u16::from_be_bytes([data[6], data[7]]);
         if wire_ck != 0 {
-            // Pseudo-header words on the stack; the datagram itself is
-            // checksummed in place (no concatenated copy per packet).
-            let mut pseudo = [0u8; 12];
-            pseudo[0..4].copy_from_slice(&src.octets());
-            pseudo[4..8].copy_from_slice(&dst.octets());
-            pseudo[9] = IpProtocol::UDP.0;
-            pseudo[10..12].copy_from_slice(&(length as u16).to_be_bytes());
-            if crate::internet_checksum_parts(&[&pseudo, &data[..length]]) != 0 {
+            let pseudo = pseudo_header(src, dst, length as u16);
+            if internet_checksum_parts(&[&pseudo, &data[..length]]) != 0 {
                 return Err(WireError::BadChecksum);
             }
         }
@@ -61,28 +55,54 @@ impl UdpPacket {
     /// Serialize with the pseudo-header checksum computed from
     /// `src`/`dst`.
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
-        let length = UDP_HEADER_LEN + self.payload.len();
-        assert!(length <= u16::MAX as usize, "UDP datagram too large");
-        let mut pseudo = BytesMut::with_capacity(12 + length);
-        pseudo.put_slice(&src.octets());
-        pseudo.put_slice(&dst.octets());
-        pseudo.put_u8(0);
-        pseudo.put_u8(IpProtocol::UDP.0);
-        pseudo.put_u16(length as u16);
-        let header_start = pseudo.len();
-        pseudo.put_u16(self.src_port);
-        pseudo.put_u16(self.dst_port);
-        pseudo.put_u16(length as u16);
-        pseudo.put_u16(0);
-        pseudo.put_slice(&self.payload);
-        let mut ck = internet_checksum(&pseudo);
-        if ck == 0 {
-            ck = 0xFFFF; // 0 is reserved for "no checksum"
-        }
-        let mut out = pseudo.split_off(header_start);
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
-        out.freeze()
+        let mut buf = BytesMut::with_capacity(UDP_HEADER_LEN + self.payload.len());
+        put_datagram(
+            &mut buf,
+            src,
+            dst,
+            self.src_port,
+            self.dst_port,
+            &self.payload,
+        );
+        buf.freeze()
     }
+}
+
+/// The pseudo-header words, on the stack: the datagram itself is
+/// checksummed where it lies (no concatenated copy per packet).
+fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, length: u16) -> [u8; 12] {
+    let mut pseudo = [0u8; 12];
+    pseudo[0..4].copy_from_slice(&src.octets());
+    pseudo[4..8].copy_from_slice(&dst.octets());
+    pseudo[9] = IpProtocol::UDP.0;
+    pseudo[10..12].copy_from_slice(&length.to_be_bytes());
+    pseudo
+}
+
+/// Append a datagram — header, then `payload` — to `buf` and fill in
+/// its checksum over the bytes just written.
+pub(crate) fn put_datagram(
+    buf: &mut BytesMut,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    payload: &[u8],
+) {
+    let length = UDP_HEADER_LEN + payload.len();
+    assert!(length <= u16::MAX as usize, "UDP datagram too large");
+    let at = buf.len();
+    buf.put_u16(src_port);
+    buf.put_u16(dst_port);
+    buf.put_u16(length as u16);
+    buf.put_u16(0);
+    buf.put_slice(payload);
+    let pseudo = pseudo_header(src, dst, length as u16);
+    let mut ck = internet_checksum_parts(&[&pseudo, &buf[at..]]);
+    if ck == 0 {
+        ck = 0xFFFF; // 0 is reserved for "no checksum"
+    }
+    buf[at + 6..at + 8].copy_from_slice(&ck.to_be_bytes());
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@ Runs CMD, and about N times a second (default 400) stops each of its
 threads that is on a CPU (`PTRACE_SEIZE`, then `PTRACE_INTERRUPT` +
 `PTRACE_GETREGS` per sample), walks its frame-pointer chain through
 `/proc/<pid>/mem`, and resumes it. When CMD exits, prints two ranked
-tables of symbols (from `nm -C` on the executable): self time — samples
-whose innermost frame is the symbol — and inclusive time — samples with
-the symbol anywhere on the stack. A sample with a frame matching a
-`--drop` substring is discarded whole.
+tables of symbols (from `nm -C` on the executable and `nm -D` on the
+shared objects it maps): self time — samples whose innermost frame is
+the symbol — and inclusive time — samples with the symbol anywhere on
+the stack. A sample with a frame matching a `--drop` substring is
+discarded whole.
 
 CMD's stdout is sent to stderr, so stdout carries the tables only.
 
@@ -23,6 +24,17 @@ What it can and cannot see:
     caller's caller. Generic std code instantiated in the profiled
     crates (`VecDeque::retain`, `HashMap::insert`) is compiled with
     them and attributed correctly.
+  * A leaf in a shared object is named from that file's dynamic symbol
+    table — installed libraries are stripped of everything else. That
+    names what the library exports: `malloc`, `free`, `realloc`. A
+    local function has no name left and is shown by its neighbourhood,
+    `[libc.so.6 after NAME]`, NAME being the nearest exported function
+    below it: glibc's allocator internals (`_int_malloc`, `_int_free`,
+    `malloc_consolidate`) follow `__default_morecore`, and the per-CPU
+    `memmove` / `memset` / `memcmp` variants that the exported names
+    only dispatch to sit together at the end of the text, after
+    whatever is exported last. A mapped file `nm` finds nothing in is
+    one row, `[basename]`.
   * Inlined functions are charged to the function they were inlined
     into.
   * Only threads in state R are sampled: this is CPU time, not waiting.
@@ -84,40 +96,53 @@ def on_cpu(pid, tid):
         return False
 
 
+def text_symbols(path, *nm_flags):
+    """Sorted (starts, ends, names) of the functions `nm` lists for `path`; empty if it finds none."""
+    listing = subprocess.run(
+        ["nm", "-C", "-S", "--defined-only", "-n", *nm_flags, path], capture_output=True, text=True
+    ).stdout
+    starts, ends, names = [], [], []
+    for line in listing.splitlines():
+        # "addr [size] kind name"; `nm -S` leaves the size out when it has none.
+        m = re.match(r"([0-9a-f]+) (?:([0-9a-f]+) )?([tTwWiI]) (.+)", line)
+        if m:
+            addr, size, _, name = m.groups()
+            starts.append(int(addr, 16))
+            ends.append(int(addr, 16) + int(size or "0", 16))
+            # Legacy Rust mangling ends in a hash that only splits one function's
+            # samples; a dynamic symbol carries its version (`malloc@@GLIBC_2.2.5`).
+            names.append(re.sub(r"::h[0-9a-f]{16}$|@.*$", "", name))
+    return starts, ends, names
+
+
 class Symbols:
-    """Address -> name: `nm` for the executable, the mapped file's name for the rest."""
+    """Address -> name: `nm` for the executable, `nm -D` for the shared objects it maps."""
 
     def __init__(self, pid):
         self.pid = pid
         self.exe = os.path.realpath(f"/proc/{pid}/exe")
-        self.starts, self.names = [], []
-        listing = subprocess.run(
-            ["nm", "-C", "--defined-only", "-n", self.exe], capture_output=True, text=True, check=True
-        ).stdout
-        for line in listing.splitlines():
-            addr, kind, name = line.split(" ", 2)
-            if kind in "tTwW":
-                self.starts.append(int(addr, 16))
-                # Legacy Rust mangling ends in a hash that only splits one function's samples.
-                self.names.append(re.sub(r"::h[0-9a-f]{16}$", "", name))
+        self.tables = {self.exe: text_symbols(self.exe)}
+        if not self.tables[self.exe][0]:
+            sys.exit(f"ptrace_sampler: nm finds no symbols in {self.exe}")
         self.cache = {}
         self.read_maps()
 
     def read_maps(self):
         self.maps = []  # (start, end, path)
-        base = None
+        self.bases = {}  # path -> address its file offset 0 is (or would be) mapped at
         with open(f"/proc/{self.pid}/maps") as f:
             for line in f:
                 parts = line.split(None, 5)
                 lo, hi = (int(x, 16) for x in parts[0].split("-"))
                 path = parts[5].strip() if len(parts) > 5 else ""
                 self.maps.append((lo, hi, path))
-                if path == self.exe:
-                    # A position-independent executable sits at a base the
-                    # kernel picks; `nm` addresses count from the file's start.
+                if path.startswith("/"):
+                    # A position-independent object sits at a base the kernel
+                    # picks; `nm` addresses count from the file's start (its
+                    # segments' addresses equal their file offsets, as the
+                    # linkers lay shared objects and PIEs out).
                     start = lo - int(parts[2], 16)
-                    base = start if base is None else min(base, start)
-        self.base = base or 0
+                    self.bases[path] = min(self.bases.get(path, start), start)
 
     def name(self, addr):
         hit = self.cache.get(addr)
@@ -132,10 +157,24 @@ class Symbols:
     def lookup(self, addr):
         for lo, hi, path in self.maps:
             if lo <= addr < hi:
-                if path != self.exe:
-                    return f"[{os.path.basename(path) or 'anon'}]"
-                i = bisect.bisect_right(self.starts, addr - self.base) - 1
-                return self.names[i] if i >= 0 else "[exe]"
+                where = f"[{os.path.basename(path) or 'anon'}]"
+                if not path.startswith("/"):
+                    return where
+                if path not in self.tables:
+                    # Installed libraries are stripped: the dynamic symbol
+                    # table is all there is.
+                    self.tables[path] = text_symbols(path, "-D")
+                starts, ends, names = self.tables[path]
+                at = addr - self.bases[path]
+                i = bisect.bisect_right(starts, at) - 1
+                if i < 0:
+                    return where
+                if path == self.exe or at < ends[i]:
+                    return names[i]
+                # Past the end of the nearest exported function: a local one,
+                # whose name went with the stripped `.symtab`. Say which
+                # neighbourhood of the library it is in.
+                return f"{where[:-1]} after {names[i]}]"
         return None
 
 

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use rf_openflow::{Action, OfMatch, OfMessage, PacketKey, Wildcards};
 use rf_routed::rib::{Rib, Route, RouteProto};
 use rf_wire::{
-    internet_checksum, ArpPacket, EthernetFrame, Ipv4Cidr, Ipv4Packet, LldpPacket, MacAddr,
-    UdpPacket,
+    internet_checksum, internet_checksum_parts, ipv4_frame, ArpPacket, EthernetFrame, Ipv4Body,
+    Ipv4Cidr, Ipv4Packet, LldpPacket, MacAddr, UdpPacket,
 };
 use std::net::Ipv4Addr;
 
@@ -650,6 +650,81 @@ mod datapath_model {
     }
 }
 
+// ---------------- internet checksum: reference model ----------------
+
+/// `rf_wire`'s RFC 1071 sum as it was before it read eight bytes at a
+/// time in native order: one big-endian 16-bit word per iteration into
+/// a `u32`. Kept verbatim as the reference `internet_checksum` and
+/// `internet_checksum_parts` must agree with on every input.
+mod checksum_model {
+    pub fn internet_checksum(data: &[u8]) -> u16 {
+        fold_checksum(accumulate_checksum(data))
+    }
+
+    /// Unfolded 16-bit-word sum of `data` (RFC 1071's inner loop).
+    fn accumulate_checksum(data: &[u8]) -> u32 {
+        let mut sum: u32 = 0;
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            sum += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        sum
+    }
+
+    /// Fold the carries and complement (RFC 1071's final step).
+    fn fold_checksum(mut sum: u32) -> u16 {
+        while sum > 0xFFFF {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+}
+
+/// Every way a buffer can sit against the 16-byte blocks, 2-byte tail
+/// words and odd last byte of the wide loop: each length 0..=70 at each
+/// start offset 0..8. And the two ones-complement zeros: all-0x00 sums
+/// to 0 (checksum 0xFFFF), all-0xFF to 0xFFFF (checksum 0) — up to the
+/// 128 KiB of 0xFF the model's `u32` can hold, twice the largest IPv4
+/// packet, where both wide accumulators carry on every add.
+#[test]
+fn internet_checksum_matches_sixteen_bit_model_at_every_alignment() {
+    let mut s = 0x2545_F491_4F6C_DD1Du64;
+    let noise: Vec<u8> = (0..80)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 24) as u8
+        })
+        .collect();
+    let big = [1usize << 11, (1 << 16) - 1, 1 << 16, 1 << 17];
+    for len in (0..=70).chain(big) {
+        for fill in [0x00u8, 0xFF] {
+            let data = vec![fill; len];
+            assert_eq!(
+                internet_checksum(&data),
+                checksum_model::internet_checksum(&data),
+                "{len} bytes of {fill:#04x}"
+            );
+        }
+    }
+    for off in 0..8 {
+        for len in 0..=70 {
+            let data = &noise[off..off + len];
+            assert_eq!(
+                internet_checksum(data),
+                checksum_model::internet_checksum(data),
+                "offset {off}, {len} bytes"
+            );
+        }
+    }
+    assert_eq!(internet_checksum(&[0u8; 64]), 0xFFFF);
+    assert_eq!(internet_checksum(&[0xFFu8; 64]), 0);
+}
+
 /// The Fletcher loop as it was before the modulo was deferred: two
 /// `% 255` per byte on `i64`.
 fn fletcher_checksum_per_byte_modulo(data: &[u8], ck_off: usize) -> u16 {
@@ -997,6 +1072,107 @@ proptest! {
         prop_assert_eq!(parsed, u);
     }
 
+    // ---------------- replaced code as the model ----------------
+
+    /// The word-at-a-time checksum is the 16-bit loop it replaced, on
+    /// whole buffers and summed in parts split at any even offset.
+    #[test]
+    fn internet_checksum_matches_sixteen_bit_model(
+        data in proptest::collection::vec(any::<u8>(), 0..2049),
+        cuts in any::<(usize, usize)>(),
+    ) {
+        let expected = checksum_model::internet_checksum(&data);
+        prop_assert_eq!(internet_checksum(&data), expected);
+        let mut at = [cuts.0, cuts.1].map(|cut| (cut % (data.len() + 1)) & !1);
+        at.sort_unstable();
+        let (head, tail) = data.split_at(at[1]);
+        let (head, mid) = head.split_at(at[0]);
+        prop_assert_eq!(internet_checksum_parts(&[head, mid, tail]), expected);
+    }
+
+    /// The frame a host builds in one buffer is, byte for byte, the
+    /// nested per-layer `emit`s it replaced on the send path — UDP and
+    /// raw bodies, padded sub-60-byte frames, and the datagram whose
+    /// checksum computes to 0 and goes out as 0xFFFF. And a datagram
+    /// parked until ARP resolves leaves as the bytes of one sent after.
+    #[test]
+    fn one_buffer_frame_matches_nested_emits(
+        macs in any::<([u8; 6], [u8; 6])>(),
+        src in arb_ip(),
+        dst in arb_ip(),
+        ports in any::<(u16, u16)>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..1501),
+    ) {
+        use rf_wire::{EtherType, IcmpPacket, IpProtocol};
+        let (dst_mac, src_mac) = (MacAddr(macs.0), MacAddr(macs.1));
+        let nested = |protocol, body: Bytes| {
+            let ip = Ipv4Packet::new(src, dst, protocol, body);
+            EthernetFrame::new(dst_mac, src_mac, EtherType::IPV4, ip.emit()).emit()
+        };
+        let nested_udp = |payload: &[u8]| {
+            let udp = UdpPacket::new(ports.0, ports.1, Bytes::copy_from_slice(payload));
+            nested(IpProtocol::UDP, udp.emit(src, dst))
+        };
+        let one_buffer_udp = |payload: &[u8]| {
+            let body = Ipv4Body::Udp { src_port: ports.0, dst_port: ports.1, payload };
+            ipv4_frame(dst_mac, src_mac, src, dst, body).freeze()
+        };
+        // As drawn, and cut short enough to need padding.
+        let short = &payload[..payload.len() % 24];
+        prop_assert_eq!(one_buffer_udp(&payload), nested_udp(&payload));
+        prop_assert_eq!(one_buffer_udp(short), nested_udp(short));
+        if short.len() < 18 {
+            prop_assert_eq!(one_buffer_udp(short).len(), 60);
+        }
+        // A payload word that completes the sum to 0xFFFF: the checksum
+        // computes to 0, which the wire reserves for "none".
+        let mut zero = payload.clone();
+        zero.resize(zero.len().max(2), 0);
+        zero[..2].fill(0);
+        let ck = nested_udp(&zero).slice(40..42);
+        zero[..2].copy_from_slice(&ck);
+        let frame = one_buffer_udp(&zero);
+        prop_assert_eq!(&frame[40..42], &[0xFF, 0xFF][..]);
+        prop_assert_eq!(frame, nested_udp(&zero));
+        // A body the builder does not look into.
+        let icmp = IcmpPacket::echo_request(ports.0, ports.1, Bytes::copy_from_slice(short)).emit();
+        prop_assert_eq!(
+            ipv4_frame(dst_mac, src_mac, src, dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp)).freeze(),
+            nested(IpProtocol::ICMP, icmp)
+        );
+
+        // Through the host stack: sent before the next hop resolves
+        // (parked, destination MAC patched in on the ARP reply) and after.
+        let cfg = rf_apps::HostConfig {
+            mac: src_mac,
+            addr: Ipv4Cidr::new(src, 24),
+            gateway: Ipv4Addr::from(u32::from(src) ^ 1),
+        };
+        let next_hop = if cfg.addr.contains(dst) { dst } else { cfg.gateway };
+        let mut host = rf_apps::HostStack::new(cfg);
+        let send = |host: &mut rf_apps::HostStack| {
+            host.send_udp(dst, ports.0, ports.1, Bytes::copy_from_slice(&payload))
+        };
+        let tx = |outs: Vec<rf_apps::StackOutput>| -> Vec<Bytes> {
+            outs.into_iter()
+                .filter_map(|o| match o {
+                    rf_apps::StackOutput::Tx(f) => Some(f),
+                    _ => None,
+                })
+                .collect()
+        };
+        let asked = tx(send(&mut host));
+        prop_assert_eq!(asked.len(), 1);
+        let request = ArpPacket::parse(&EthernetFrame::parse_bytes(&asked[0]).unwrap().payload).unwrap();
+        prop_assert_eq!(request.target_ip, next_hop);
+        let reply = ArpPacket::reply_to(&request, dst_mac).emit();
+        let parked = tx(host.on_frame(
+            &EthernetFrame::new(src_mac, dst_mac, EtherType::ARP, reply).emit(),
+        ));
+        prop_assert_eq!(&parked, &vec![nested_udp(&payload)]);
+        prop_assert_eq!(tx(send(&mut host)), parked);
+    }
+
     #[test]
     fn lldp_discovery_roundtrip(dpid in any::<u64>(), port in any::<u16>()) {
         let p = LldpPacket::discovery_probe(dpid, port);
@@ -1052,7 +1228,11 @@ proptest! {
 
     /// Whatever arrives on a port and whatever the action list says,
     /// the one-loop interpreter emits what the parse-everything editor
-    /// it replaced emitted: same egresses, same order, same bytes.
+    /// it replaced emitted: same egresses, same order, same bytes —
+    /// whether it was lent the frame, given a handle someone else also
+    /// holds, or given the only one (where MAC rewrites go straight
+    /// into the frame's storage). And no handle the caller kept ever
+    /// sees a byte change.
     #[test]
     fn apply_actions_matches_reference_model(
         cases in proptest::collection::vec(
@@ -1065,24 +1245,63 @@ proptest! {
             24..25,
         ),
     ) {
+        use rf_openflow::OFPP_FLOOD;
         for (draw, action_draws, num_ports, in_port) in cases {
             let frame = build_frame(draw);
-            let actions: Vec<Action> = action_draws
+            let drawn: Vec<Action> = action_draws
                 .into_iter()
                 .map(|(kind, port, value, mac)| build_action((kind % 21, port, value, mac), num_ports))
                 .collect();
+            // The drawn list, and one that floods before, between and
+            // after MAC rewrites: every copy an earlier output handed
+            // out must stay as it was when a later rewrite lands.
+            let flooding = [
+                Action::output(OFPP_FLOOD),
+                Action::SetDlSrc(MacAddr([0xAA; 6])),
+                Action::output(OFPP_FLOOD),
+                Action::SetDlDst(MacAddr([0xBB; 6])),
+                Action::output(1),
+            ];
             // A real ingress port, the one past the last, or PACKET_OUT's
             // "none".
             let in_port = match in_port % (num_ports + 3) {
                 0 => rf_openflow::OFPP_NONE,
                 p => p,
             };
-            prop_assert_eq!(
-                rf_switch::apply_actions(&frame, &actions, in_port, num_ports),
-                datapath_model::apply_actions(&frame, &actions, in_port, num_ports),
-                "frame {:?} ({} bytes), actions {:?}, in_port {}, {} ports",
-                frame, frame.len(), actions, in_port, num_ports
-            );
+            for actions in [&drawn[..], &flooding[..]] {
+                let expected = datapath_model::apply_actions(&frame, actions, in_port, num_ports);
+                let context = format!(
+                    "frame {:?} ({} bytes), actions {:?}, in_port {}, {} ports",
+                    frame, frame.len(), actions, in_port, num_ports
+                );
+                let held = frame.clone();
+                let before = held.to_vec();
+                // Lent.
+                prop_assert_eq!(
+                    &rf_switch::apply_actions(&frame, actions, in_port, num_ports),
+                    &expected, "lent: {}", context
+                );
+                // Given up, but `held` shares the storage.
+                prop_assert_eq!(
+                    &rf_switch::apply_actions_owned(frame.clone(), actions, in_port, num_ports),
+                    &expected, "shared: {}", context
+                );
+                prop_assert_eq!(&held[..], &before[..], "a held clone changed: {}", context);
+                // Given up as the only handle: a fresh buffer, and a view
+                // that starts inside one.
+                let view = {
+                    let mut padded = vec![0x5A; 3];
+                    padded.extend_from_slice(&frame);
+                    let whole = Bytes::from(padded);
+                    whole.slice(3..)
+                };
+                for unique in [Bytes::copy_from_slice(&frame), view] {
+                    prop_assert_eq!(
+                        &rf_switch::apply_actions_owned(unique, actions, in_port, num_ports),
+                        &expected, "unique: {}", context
+                    );
+                }
+            }
         }
     }
 

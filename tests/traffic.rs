@@ -130,9 +130,10 @@ fn flow_level_matches_packet_level_request_response_on_star() {
 
 #[test]
 fn apps_install_only_wildcard_mac_rewrite_and_punt_flows() {
-    // rf-switch keeps one lookup order (no exact-match index) and
-    // rewrites MACs by patching header bytes (no parse of the layers
-    // behind them) because this is all the control apps ever install.
+    // rf-switch keeps one lookup order, indexed by prefix length and
+    // by nothing else (no exact-match index), and rewrites MACs by
+    // patching header bytes in place (no parse of the layers behind
+    // them) because this is all the control apps ever install.
     let topo = ring(8);
     let spec = TrafficSpec::poisson(3, 6.0, FlowSize::pareto(2_000, 100_000))
         .window(Duration::from_secs(25), Duration::from_secs(10));
@@ -171,10 +172,12 @@ fn apps_install_only_wildcard_mac_rewrite_and_punt_flows() {
             assert!(
                 !e.is_exact() && known_shape,
                 "switch {:#x} holds {:?} -> {:?}: an app now installs exact-match or \
-                 L3/L4-rewriting flows. rf-switch's single lookup order \
-                 (flow_table.rs) and byte-patch MAC rewrite (datapath.rs) were \
-                 chosen because none did — revisit that choice (ROADMAP, data \
-                 plane) before changing this test.",
+                 L3/L4-rewriting flows. rf-switch's single lookup order, its \
+                 prefix-length index — which files `ipv4_dst_prefix`-shaped \
+                 entries only and scans the rest (flow_table.rs) — and its \
+                 in-place MAC patch (datapath.rs) were chosen because none did \
+                 — revisit that choice (ROADMAP, data plane) before changing \
+                 this test.",
                 sw.dpid(),
                 e.of_match,
                 e.actions
