@@ -1,6 +1,7 @@
 //! A minimal host IP stack (sans-IO): ARP, ICMP echo, UDP.
 
 use bytes::{Bytes, BytesMut};
+use rf_wire::ipv4::DEFAULT_TTL;
 use rf_wire::{
     ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Body,
     Ipv4Cidr, Ipv4Packet, MacAddr, UdpPacket,
@@ -109,6 +110,7 @@ impl HostStack {
             self.cfg.mac,
             self.cfg.addr.addr,
             dst,
+            DEFAULT_TTL,
             body,
         );
         if mac.is_some() {

@@ -9,7 +9,10 @@
 
 use super::lsa::{Lsa, LsaBody, LsaHeader, LsaKey, RouterLink, RouterLinkType, INITIAL_SEQ};
 use super::neighbor::{Neighbor, NeighborState};
-use super::packet::{OspfPacket, OspfPacketBody, DBD_INIT, DBD_MASTER, DBD_MORE};
+use super::packet::{
+    OspfBodyView, OspfPacket, OspfPacketBody, OspfView, PacketWriter, DBD_INIT, DBD_MASTER,
+    DBD_MORE,
+};
 use super::spf;
 use super::{ALL_SPF_ROUTERS, LS_REFRESH_TIME, MAX_AGE};
 use crate::config::OspfConfig;
@@ -40,7 +43,7 @@ pub enum OspfEvent {
 /// `handle_packet` consults the table several times per received
 /// packet, so flat scans beat tree walks; iteration order (ascending
 /// ifindex) is identical to the `BTreeMap` this replaces.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct IfaceTable {
     entries: Vec<(u16, Iface)>,
 }
@@ -119,7 +122,7 @@ impl<'a> IntoIterator for &'a IfaceTable {
     }
 }
 
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 struct Iface {
     addr: Ipv4Cidr,
     cost: u16,
@@ -134,7 +137,7 @@ struct Iface {
 }
 
 /// The OSPF daemon for one router.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct OspfDaemon {
     router_id: u32,
     hello_interval: Duration,
@@ -412,8 +415,8 @@ impl OspfDaemon {
         let lsa = Lsa::router(self.router_id, self.my_seq, 0, links);
         self.my_seq += 1;
         self.my_lsa_originated = now;
-        self.lsdb_set(self.my_key(), lsa.clone(), now);
-        self.flood(&lsa, None, now, ev);
+        self.lsdb_set(self.my_key(), lsa, now);
+        self.flood(self.my_key(), None, now, ev);
         self.schedule_spf(now);
     }
 
@@ -492,6 +495,18 @@ impl OspfDaemon {
         });
     }
 
+    /// Send `lsas`, database copies each at its present age, in one
+    /// update — or nothing when there are none.
+    fn transmit_update(&self, iface: u16, lsas: &[(&Lsa, u16)], ev: &mut Vec<OspfEvent>) {
+        if !lsas.is_empty() {
+            ev.push(OspfEvent::Transmit {
+                iface,
+                dst: ALL_SPF_ROUTERS,
+                packet: OspfPacket::update(self.router_id, lsas),
+            });
+        }
+    }
+
     fn send_hello(&mut self, idx: u16, ev: &mut Vec<OspfEvent>) {
         let f = self.ifaces.get_mut(&idx).unwrap();
         let key = f.neighbor.as_ref().map(|n| n.id);
@@ -523,12 +538,20 @@ impl OspfDaemon {
         });
     }
 
-    /// Flood `lsa` on every adjacency except `except_iface`, adding it
-    /// to retransmission lists.
-    fn flood(&mut self, lsa: &Lsa, except_iface: Option<u16>, now: Time, ev: &mut Vec<OspfEvent>) {
-        let key = lsa.header.key();
-        let rxmt = self.rxmt_interval;
-        let mut out = Vec::new();
+    /// Flood the database copy of `key` on every adjacency except
+    /// `except_iface`, adding it to retransmission lists.
+    fn flood(
+        &mut self,
+        key: LsaKey,
+        except_iface: Option<u16>,
+        now: Time,
+        ev: &mut Vec<OspfEvent>,
+    ) {
+        let (lsa, _) = &self.lsdb[&key];
+        // One encoding serves every interface: the update carries no
+        // per-interface field.
+        let mut packet: Option<Bytes> = None;
+        ev.reserve(self.ifaces.entries.len());
         for (idx, f) in self.ifaces.iter_mut() {
             if Some(*idx) == except_iface {
                 continue;
@@ -541,25 +564,13 @@ impl OspfDaemon {
             }
             n.retransmit.insert(key);
             if n.next_rxmt == Time::MAX {
-                n.next_rxmt = now + rxmt;
+                n.next_rxmt = now + self.rxmt_interval;
             }
-            out.push(*idx);
-        }
-        if out.is_empty() {
-            return;
-        }
-        // One encoding serves every interface: the update carries no
-        // per-interface field.
-        let packet = OspfPacket::new(
-            self.router_id,
-            OspfPacketBody::LinkStateUpdate {
-                lsas: vec![lsa.clone()],
-            },
-        )
-        .emit();
-        for idx in out {
+            let packet = packet.get_or_insert_with(|| {
+                OspfPacket::update(self.router_id, &[(lsa, lsa.header.age)])
+            });
             ev.push(OspfEvent::Transmit {
-                iface: idx,
+                iface: *idx,
                 dst: ALL_SPF_ROUTERS,
                 packet: packet.clone(),
             });
@@ -632,9 +643,8 @@ impl OspfDaemon {
     }
 
     /// Build LS requests for headers newer than what we hold.
-    fn note_summary(&self, headers: &[LsaHeader]) -> Vec<LsaKey> {
+    fn note_summary(&self, headers: impl Iterator<Item = LsaHeader>) -> Vec<LsaKey> {
         headers
-            .iter()
             .filter(|h| match self.lsdb.get(&h.key()) {
                 None => true,
                 Some((mine, _)) => h.is_newer_than(&mine.header),
@@ -737,7 +747,7 @@ impl OspfDaemon {
         now: Time,
     ) -> Vec<OspfEvent> {
         let mut ev = Vec::new();
-        let Ok(pkt) = OspfPacket::parse(data) else {
+        let Ok(pkt) = OspfView::parse(data) else {
             return ev;
         };
         if pkt.router_id == self.router_id || pkt.area_id != 0 {
@@ -753,10 +763,10 @@ impl OspfDaemon {
             }
         }
         match pkt.body {
-            OspfPacketBody::Hello {
+            OspfBodyView::Hello {
                 hello_interval,
                 dead_interval,
-                neighbors,
+                mut neighbors,
                 ..
             } => {
                 if hello_interval != self.hello_interval.as_secs() as u16
@@ -778,7 +788,7 @@ impl OspfDaemon {
                     // Reply promptly so the peer learns about us.
                     self.send_hello(idx, &mut ev);
                 }
-                let sees_us = neighbors.contains(&self.router_id);
+                let sees_us = neighbors.any(|id| id == self.router_id);
                 let state = self.ifaces[&idx].neighbor.as_ref().unwrap().state;
                 if sees_us && state == NeighborState::Init {
                     self.start_exstart(idx, &mut ev, now);
@@ -803,7 +813,7 @@ impl OspfDaemon {
                     self.originate_router_lsa(now, &mut ev);
                 }
             }
-            OspfPacketBody::DatabaseDescription {
+            OspfBodyView::DatabaseDescription {
                 flags,
                 dd_seq,
                 headers,
@@ -828,7 +838,7 @@ impl OspfDaemon {
                             };
                             if we_master && dd_seq == our_seq {
                                 // Their summary received; send ours.
-                                let requests = self.note_summary(&headers);
+                                let requests = self.note_summary(headers);
                                 let summary = self.db_summary(now);
                                 let next_seq = our_seq + 1;
                                 {
@@ -899,7 +909,7 @@ impl OspfDaemon {
                             let cur_seq = self.ifaces[&idx].neighbor.as_ref().unwrap().dd_seq;
                             if dd_seq == cur_seq + 1 || dd_seq == cur_seq {
                                 let requests = if dd_seq == cur_seq + 1 {
-                                    self.note_summary(&headers)
+                                    self.note_summary(headers)
                                 } else {
                                     Vec::new() // duplicate: just re-ack
                                 };
@@ -939,96 +949,79 @@ impl OspfDaemon {
                     _ => {}
                 }
             }
-            OspfPacketBody::LinkStateRequest { keys } => {
-                let lsas: Vec<Lsa> = keys
-                    .iter()
-                    .filter_map(|k| {
-                        self.lsdb
-                            .get(k)
-                            .map(|(l, _)| l.with_age(self.effective_age(k, now)))
-                    })
+            OspfBodyView::LinkStateRequest { keys } => {
+                let lsas: Vec<(&Lsa, u16)> = keys
+                    .filter_map(|k| Some((&self.lsdb.get(&k)?.0, self.effective_age(&k, now))))
                     .collect();
-                if !lsas.is_empty() {
-                    let pkt =
-                        OspfPacket::new(self.router_id, OspfPacketBody::LinkStateUpdate { lsas });
-                    self.transmit(idx, &pkt, &mut ev);
-                }
+                self.transmit_update(idx, &lsas, &mut ev);
             }
-            OspfPacketBody::LinkStateUpdate { lsas } => {
-                let mut acks = Vec::new();
+            OspfBodyView::LinkStateUpdate { lsas } => {
+                // The ack is written header by header as the LSAs are
+                // judged; `room` is for the case that all of them are owed one.
+                let mut ack: Option<PacketWriter> = None;
+                let room = lsas.remaining();
                 for lsa in lsas {
-                    let key = lsa.header.key();
-                    let have = self.lsdb.get(&key).map(|(l, _)| l.header);
-                    let newer = match have {
-                        None => true,
-                        Some(h) => {
-                            let mut cur = h;
-                            cur.age = self.effective_age(&key, now);
-                            lsa.header.is_newer_than(&cur)
-                        }
-                    };
-                    if newer {
-                        if key.adv_router == self.router_id {
-                            // Someone has a newer copy of *our* LSA:
-                            // out-originate it (RFC 2328 §13.4). This
-                            // also answers any pending request for that
-                            // LSA — after a restart our own pre-reboot
-                            // instance shows up in the peer's summary,
-                            // and without clearing the request here the
-                            // adjacency would sit in Loading forever.
-                            self.my_seq = lsa.header.seq + 1;
-                            acks.push(lsa.header);
-                            self.originate_router_lsa(now, &mut ev);
-                            self.satisfy_requests(&key, now, &mut ev);
-                            self.maybe_finish_loading(idx, now, &mut ev);
-                            continue;
-                        }
-                        if lsa.header.age >= MAX_AGE {
-                            // Premature aging: remove if present.
-                            self.lsdb_unset(&key);
-                            acks.push(lsa.header);
-                            self.schedule_spf(now);
-                            continue;
-                        }
-                        self.lsdb_set(key, lsa.clone(), now);
-                        acks.push(lsa.header);
-                        self.flood(&lsa, Some(idx), now, &mut ev);
-                        self.schedule_spf(now);
-                        self.satisfy_requests(&key, now, &mut ev);
-                        self.maybe_finish_loading(idx, now, &mut ev);
-                    } else if have.map(|h| {
-                        let mut cur = h;
-                        cur.age = self.effective_age(&key, now);
-                        !lsa.header.is_newer_than(&cur) && !cur.is_newer_than(&lsa.header)
-                    }) == Some(true)
-                    {
-                        // Same instance: ack (implied ack handling).
-                        acks.push(lsa.header);
+                    let header = lsa.header;
+                    let key = header.key();
+                    // Our copy's header at the age it has reached.
+                    let have = self.lsdb.get(&key).map(|(mine, _)| LsaHeader {
+                        age: self.effective_age(&key, now),
+                        ..mine.header
+                    });
+                    let newer = have.is_none_or(|cur| header.is_newer_than(&cur));
+                    if !newer && have.is_some_and(|cur| cur.is_newer_than(&header)) {
+                        // We hold a newer instance: send it back.
+                        let age = self.effective_age(&key, now);
+                        self.transmit_update(idx, &[(&self.lsdb[&key].0, age)], &mut ev);
+                        continue;
+                    }
+                    // New to us, or the instance we hold: acked either way.
+                    ack.get_or_insert_with(|| PacketWriter::ack(self.router_id, room))
+                        .put_header(&header);
+                    if !newer {
+                        // Same instance (implied ack handling).
                         if let Some(n) = self.ifaces.get_mut(&idx).unwrap().neighbor.as_mut() {
                             n.retransmit.remove(&key);
                         }
                         self.satisfy_requests(&key, now, &mut ev);
-                    } else {
-                        // We hold a newer instance: send it back.
-                        if let Some((mine, _)) = self.lsdb.get(&key) {
-                            let fresh = mine.with_age(self.effective_age(&key, now));
-                            let pkt = OspfPacket::new(
-                                self.router_id,
-                                OspfPacketBody::LinkStateUpdate { lsas: vec![fresh] },
-                            );
-                            self.transmit(idx, &pkt, &mut ev);
-                        }
+                        continue;
                     }
+                    if key.adv_router == self.router_id {
+                        // Someone has a newer copy of *our* LSA:
+                        // out-originate it (RFC 2328 §13.4). This also
+                        // answers any pending request for that LSA —
+                        // after a restart our own pre-reboot instance
+                        // shows up in the peer's summary, and without
+                        // clearing the request here the adjacency would
+                        // sit in Loading forever.
+                        self.my_seq = header.seq + 1;
+                        self.originate_router_lsa(now, &mut ev);
+                        self.satisfy_requests(&key, now, &mut ev);
+                        self.maybe_finish_loading(idx, now, &mut ev);
+                        continue;
+                    }
+                    if header.age >= MAX_AGE {
+                        // Premature aging: remove if present.
+                        self.lsdb_unset(&key);
+                        self.schedule_spf(now);
+                        continue;
+                    }
+                    // Only now are the LSA's links worth decoding.
+                    self.lsdb_set(key, lsa.to_lsa(), now);
+                    self.flood(key, Some(idx), now, &mut ev);
+                    self.schedule_spf(now);
+                    self.satisfy_requests(&key, now, &mut ev);
+                    self.maybe_finish_loading(idx, now, &mut ev);
                 }
-                if !acks.is_empty() {
-                    let pkt = OspfPacket::new(
-                        self.router_id,
-                        OspfPacketBody::LinkStateAck { headers: acks },
-                    );
-                    self.transmit(idx, &pkt, &mut ev);
+                if let Some(ack) = ack {
+                    ev.push(OspfEvent::Transmit {
+                        iface: idx,
+                        dst: ALL_SPF_ROUTERS,
+                        packet: ack.finish(),
+                    });
                 }
             }
-            OspfPacketBody::LinkStateAck { headers } => {
+            OspfBodyView::LinkStateAck { headers } => {
                 let f = self.ifaces.get_mut(&idx).unwrap();
                 if let Some(n) = f.neighbor.as_mut() {
                     for h in headers {
@@ -1047,16 +1040,13 @@ impl OspfDaemon {
     pub fn tick(&mut self, now: Time) -> Vec<OspfEvent> {
         let mut ev = Vec::new();
         // Hellos.
-        let due_hello: Vec<u16> = self
-            .ifaces
-            .iter()
-            .filter(|(_, f)| f.next_hello <= now)
-            .map(|(i, _)| *i)
-            .collect();
-        for idx in due_hello {
-            self.send_hello(idx, &mut ev);
-            let hi = self.hello_interval;
-            self.ifaces.get_mut(&idx).unwrap().next_hello = now + hi;
+        for i in 0..self.ifaces.entries.len() {
+            let (idx, f) = &mut self.ifaces.entries[i];
+            if f.next_hello <= now {
+                f.next_hello = now + self.hello_interval;
+                let idx = *idx;
+                self.send_hello(idx, &mut ev);
+            }
         }
         // Dead neighbors.
         let dead: Vec<u16> = self
@@ -1121,21 +1111,11 @@ impl OspfDaemon {
                 _ => {}
             }
             // Unacked LSAs (any state ≥ Exchange).
-            if !retrans_keys.is_empty() {
-                let lsas: Vec<Lsa> = retrans_keys
-                    .iter()
-                    .filter_map(|k| {
-                        self.lsdb
-                            .get(k)
-                            .map(|(l, _)| l.with_age(self.effective_age(k, now)))
-                    })
-                    .collect();
-                if !lsas.is_empty() {
-                    let pkt =
-                        OspfPacket::new(self.router_id, OspfPacketBody::LinkStateUpdate { lsas });
-                    self.transmit(idx, &pkt, &mut ev);
-                }
-            }
+            let lsas: Vec<(&Lsa, u16)> = retrans_keys
+                .iter()
+                .filter_map(|k| Some((&self.lsdb.get(k)?.0, self.effective_age(k, now))))
+                .collect();
+            self.transmit_update(idx, &lsas, &mut ev);
             let rxmt = self.rxmt_interval;
             if let Some(n) = self.ifaces.get_mut(&idx).unwrap().neighbor.as_mut() {
                 let idle = n.state == NeighborState::Full && n.retransmit.is_empty();

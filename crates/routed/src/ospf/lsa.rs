@@ -164,8 +164,8 @@ impl Lsa {
 
     /// Recompute `length` and `checksum`.
     pub fn finalize(&mut self) {
-        let mut buf = BytesMut::new();
-        self.emit_raw(&mut buf);
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.emit_into(&mut buf);
         self.header.length = buf.len() as u16;
         // Patch the length field (offset 18..20) and zero the checksum
         // field (offset 16..18) before computing.
@@ -177,8 +177,20 @@ impl Lsa {
         self.header.checksum = fletcher_checksum(&buf[2..], 14);
     }
 
-    fn emit_raw(&self, buf: &mut BytesMut) {
-        self.header.emit_into(buf);
+    /// Serialize (header fields must already be finalized).
+    pub fn emit_into(&self, buf: &mut BytesMut) {
+        self.emit_aged(self.header.age, buf);
+    }
+
+    /// Serialize with `age` (capped at MaxAge) in place of the stored
+    /// one: what a database copy that has been ageing since it was
+    /// installed goes out as. The age is outside the checksum.
+    pub fn emit_aged(&self, age: u16, buf: &mut BytesMut) {
+        LsaHeader {
+            age: age.min(super::MAX_AGE),
+            ..self.header
+        }
+        .emit_into(buf);
         match &self.body {
             LsaBody::Router(r) => {
                 buf.put_u8(0); // flags
@@ -195,19 +207,55 @@ impl Lsa {
         }
     }
 
-    /// Serialize (header fields must already be finalized).
-    pub fn emit_into(&self, buf: &mut BytesMut) {
-        self.emit_raw(buf);
-    }
-
     pub fn wire_len(&self) -> usize {
         match &self.body {
-            LsaBody::Router(r) => LSA_HEADER_LEN + 4 + 12 * r.links.len(),
+            LsaBody::Router(r) => LSA_HEADER_LEN + 4 + ROUTER_LINK_LEN * r.links.len(),
         }
     }
 
     /// Parse one LSA; returns `(lsa, bytes_consumed)`.
     pub fn parse(data: &[u8]) -> Result<(Lsa, usize), WireError> {
+        let view = LsaView::parse(data)?;
+        Ok((view.to_lsa(), view.wire.len()))
+    }
+
+    /// Verify the Fletcher checksum embedded in one LSA as received:
+    /// `wire` is exactly the LSA's bytes (what [`Lsa::parse`] consumed),
+    /// so a byte the owned struct does not keep cannot hide corruption.
+    pub fn checksum_ok(wire: &[u8]) -> bool {
+        // The age field (first two bytes) is outside the checksum.
+        wire.len() >= LSA_HEADER_LEN && fletcher_sums(&wire[2..]) == (0, 0)
+    }
+}
+
+/// One link record of a router LSA.
+const ROUTER_LINK_LEN: usize = 12;
+
+fn parse_link(mut b: &[u8]) -> Result<RouterLink, WireError> {
+    let link_id = b.get_u32();
+    let link_data = b.get_u32();
+    let link_type = RouterLinkType::from_u8(b.get_u8())?;
+    b.get_u8(); // #TOS
+    Ok(RouterLink {
+        link_type,
+        link_id,
+        link_data,
+        metric: b.get_u16(),
+    })
+}
+
+/// One router LSA where it lies in a received packet: its structure is
+/// checked and its header read, its links are not — a receiver decides
+/// from the header whether it wants them ([`LsaView::to_lsa`]).
+#[derive(Clone, Copy, Debug)]
+pub struct LsaView<'a> {
+    pub header: LsaHeader,
+    wire: &'a [u8],
+}
+
+impl<'a> LsaView<'a> {
+    /// Check the LSA at the front of `data`, which may run on past it.
+    pub fn parse(data: &'a [u8]) -> Result<LsaView<'a>, WireError> {
         let header = LsaHeader::parse(data)?;
         let length = header.length as usize;
         if length < LSA_HEADER_LEN || data.len() < length {
@@ -222,45 +270,39 @@ impl Lsa {
         }
         b.get_u16(); // flags + pad
         let n = b.get_u16() as usize;
-        if b.len() < n * 12 {
+        if b.len() < n * ROUTER_LINK_LEN {
             return Err(WireError::Truncated);
         }
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
-            let link_id = b.get_u32();
-            let link_data = b.get_u32();
-            let lt = RouterLinkType::from_u8(b.get_u8())?;
-            b.get_u8(); // #TOS
-            let metric = b.get_u16();
-            links.push(RouterLink {
-                link_type: lt,
-                link_id,
-                link_data,
-                metric,
-            });
+        let view = LsaView {
+            header,
+            wire: &data[..length],
+        };
+        for link in view.link_records() {
+            parse_link(link)?;
         }
-        Ok((
-            Lsa {
-                header,
-                body: LsaBody::Router(RouterLsa { links }),
-            },
-            length,
-        ))
+        Ok(view)
     }
 
-    /// Verify the Fletcher checksum embedded in one LSA as received:
-    /// `wire` is exactly the LSA's bytes (what [`Lsa::parse`] consumed),
-    /// so a byte the owned struct does not keep cannot hide corruption.
-    pub fn checksum_ok(wire: &[u8]) -> bool {
-        // The age field (first two bytes) is outside the checksum.
-        wire.len() >= LSA_HEADER_LEN && fletcher_sums(&wire[2..]) == (0, 0)
+    /// Exactly this LSA's bytes.
+    pub fn wire(&self) -> &'a [u8] {
+        self.wire
     }
 
-    /// Copy with an updated age.
-    pub fn with_age(&self, age: u16) -> Lsa {
-        let mut l = self.clone();
-        l.header.age = age.min(super::MAX_AGE);
-        l
+    fn link_records(&self) -> std::slice::ChunksExact<'a, u8> {
+        let n = u16::from_be_bytes([self.wire[22], self.wire[23]]) as usize;
+        self.wire[LSA_HEADER_LEN + 4..][..n * ROUTER_LINK_LEN].chunks_exact(ROUTER_LINK_LEN)
+    }
+
+    /// The owned LSA: this is where its links are decoded.
+    pub fn to_lsa(&self) -> Lsa {
+        let links = self
+            .link_records()
+            .map(|link| parse_link(link).expect("checked by LsaView::parse"))
+            .collect();
+        Lsa {
+            header: self.header,
+            body: LsaBody::Router(RouterLsa { links }),
+        }
     }
 }
 
@@ -355,12 +397,14 @@ mod tests {
 
     #[test]
     fn age_excluded_from_checksum() {
-        let lsa = sample();
-        let aged = lsa.with_age(300);
-        assert_eq!(aged.header.checksum, lsa.header.checksum);
         let mut buf = BytesMut::new();
-        aged.emit_into(&mut buf);
+        sample().emit_aged(300, &mut buf);
+        assert_eq!(buf[..2], [0x01, 0x2C]);
         assert!(Lsa::checksum_ok(&buf));
+        // Past MaxAge an LSA is not sent any older.
+        buf.clear();
+        sample().emit_aged(u16::MAX, &mut buf);
+        assert_eq!(buf[..2], super::super::MAX_AGE.to_be_bytes());
     }
 
     #[test]
@@ -371,12 +415,10 @@ mod tests {
         assert!(b.header.is_newer_than(&a.header));
         assert!(!a.header.is_newer_than(&b.header));
         // Equal seq: younger age wins.
-        let young = a.with_age(5);
-        let old = a.with_age(500);
-        assert!(young.header.is_newer_than(&old.header));
+        let aged = |age| LsaHeader { age, ..a.header };
+        assert!(aged(5).is_newer_than(&aged(500)));
         // MaxAge outranks.
-        let dying = a.with_age(super::super::MAX_AGE);
-        assert!(dying.header.is_newer_than(&young.header));
+        assert!(aged(super::super::MAX_AGE).is_newer_than(&aged(5)));
     }
 
     #[test]

@@ -8,9 +8,11 @@ use rf_routed::ospf::{OspfPacket, ALL_SPF_ROUTERS};
 use rf_routed::rib::{Rib, RibChange, Route, RouteProto};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent, Time};
 use rf_wire::{
-    ArpOp, ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Cidr, Ipv4Packet, MacAddr,
+    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Body, Ipv4Cidr,
+    Ipv4Packet, MacAddr,
 };
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 const T_BOOT: u64 = 1;
@@ -18,6 +20,22 @@ const T_OSPF: u64 = 2;
 
 /// MAC address for the AllSPFRouters IPv4 multicast group.
 const OSPF_MCAST_MAC: MacAddr = MacAddr([0x01, 0x00, 0x5E, 0x00, 0x00, 0x05]);
+
+/// The frame OSPF `packet` leaves interface `iface` of VM `dpid` in:
+/// link-local (TTL 1) to the group MAC, headers and payload written
+/// into the one buffer. A flood out of k interfaces is k of these
+/// around one shared payload.
+pub fn ospf_frame(dpid: u64, iface: u16, src: Ipv4Addr, dst: Ipv4Addr, packet: &[u8]) -> Bytes {
+    ipv4_frame(
+        OSPF_MCAST_MAC,
+        MacAddr::from_dpid_port(dpid, iface),
+        src,
+        dst,
+        1,
+        Ipv4Body::Raw(IpProtocol::OSPF, packet),
+    )
+    .freeze()
+}
 
 /// One virtual machine of the virtual environment.
 #[derive(Clone)]
@@ -144,15 +162,7 @@ impl VmAgent {
                             continue;
                         }
                     }
-                    let mut ip = Ipv4Packet::new(addr.addr, dst, IpProtocol::OSPF, packet.clone());
-                    ip.ttl = 1;
-                    let frame = EthernetFrame::new(
-                        OSPF_MCAST_MAC,
-                        MacAddr::from_dpid_port(self.dpid, iface),
-                        EtherType::IPV4,
-                        ip.emit(),
-                    )
-                    .emit();
+                    let frame = ospf_frame(self.dpid, iface, addr.addr, dst, &packet);
                     if dst == ALL_SPF_ROUTERS && OspfPacket::is_hello(&packet) {
                         self.tx_cache.insert(iface, (packet, frame.clone()));
                     }

@@ -24,8 +24,8 @@ impl IpProtocol {
 }
 
 pub const IPV4_HEADER_LEN: usize = 20;
-/// The TTL packets leave their source with.
-const DEFAULT_TTL: u8 = 64;
+/// The TTL packets leave a host with.
+pub const DEFAULT_TTL: u8 = 64;
 
 /// A parsed (owned) IPv4 packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -161,21 +161,23 @@ pub enum Ipv4Body<'a> {
     Raw(IpProtocol, &'a [u8]),
 }
 
-/// One Ethernet frame around one IPv4 packet from `src` to `dst`, built
-/// in a single buffer: the headers are written in front of the body and
-/// the checksums computed where they lie, so the body is copied once.
-/// Byte for byte what
+/// One Ethernet frame around one IPv4 packet from `src` to `dst` leaving
+/// with `ttl`, built in a single buffer: the headers are written in
+/// front of the body and the checksums computed where they lie, so the
+/// body is copied once. Byte for byte what
 /// `EthernetFrame::new(.., Ipv4Packet::new(.., body).emit()).emit()`
 /// yields (`tests/properties.rs` holds the two against each other) —
 /// that chain allocates and copies per layer, which is what a host
-/// sending a stream of datagrams cannot afford. Returned unfrozen so a
-/// sender still waiting on ARP can park it and patch the destination
-/// MAC (bytes 0..6) in later.
+/// sending a stream of datagrams, or a router flooding an LSA out of
+/// every interface, cannot afford. Returned unfrozen so a sender still
+/// waiting on ARP can park it and patch the destination MAC (bytes
+/// 0..6) in later.
 pub fn ipv4_frame(
     dst_mac: MacAddr,
     src_mac: MacAddr,
     src: Ipv4Addr,
     dst: Ipv4Addr,
+    ttl: u8,
     body: Ipv4Body<'_>,
 ) -> BytesMut {
     let (protocol, body_len) = match body {
@@ -185,7 +187,7 @@ pub fn ipv4_frame(
     let len = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + body_len;
     let mut buf = BytesMut::with_capacity(len.max(MIN_FRAME_NO_FCS));
     ethernet::put_header(&mut buf, dst_mac, src_mac, EtherType::IPV4);
-    buf.put_slice(&header(0, 0, DEFAULT_TTL, protocol, src, dst, body_len));
+    buf.put_slice(&header(0, 0, ttl, protocol, src, dst, body_len));
     match body {
         Ipv4Body::Udp {
             src_port,

@@ -14,6 +14,22 @@
 # calibration kernel (`rfbench::hostcal`) are dropped: it runs between
 # passes and is not the workload.
 #
+# Compare the /pass column across two runs, not the % column. rfbench
+# repeats passes until SECONDS are up, so a faster tree — or the same
+# tree on a quieter host — gets more passes and more samples, and a row
+# whose cost did not move shows a different share. The script counts the
+# passes that were sampled — rfbench's "pass N:" lines, and its
+# `setup_s` line for the untimed set-up pass before them — and prints
+# the count and each row's samples per pass.
+#
+# glibc's leaves — `malloc`, `free`, `[libc.so.6 after
+# __default_morecore]` — lose their callers: libc is built without frame
+# pointers, so the walk from inside it skips the caller at best and
+# stops after one frame at worst (19 % of fault_fork's samples are
+# one-frame stacks). The self-time table says how much the allocator
+# costs; who asked is not in the inclusive table — count allocations
+# for that (tests/alloc_budget.rs has the allocator).
+#
 # Read scripts/ptrace_sampler.py's header for what a frame-pointer
 # sampler can and cannot attribute. Times from a profiled run are not
 # benchmark numbers.
@@ -29,5 +45,6 @@ RUSTFLAGS="-Cforce-frame-pointers=yes" CARGO_TARGET_DIR="$target" \
     cargo build --offline --release --quiet --manifest-path "$root/rfbench/Cargo.toml"
 
 cd "$root"
-exec python3 scripts/ptrace_sampler.py --hz 400 --drop rfbench::hostcal -- \
+exec python3 scripts/ptrace_sampler.py --hz 400 --drop rfbench::hostcal \
+    --per pass "^rfbench: $workload pass [0-9]+:|^  setup_s " -- \
     "$target/release/rfbench" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0

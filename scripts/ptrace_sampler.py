@@ -2,7 +2,7 @@
 """ptrace_sampler.py — a sampling CPU profiler for hosts without `perf`.
 
 Usage:
-    scripts/ptrace_sampler.py [--hz N] [--top N] [--drop SUBSTR]... -- CMD [ARG...]
+    scripts/ptrace_sampler.py [--hz N] [--top N] [--drop SUBSTR]... [--per UNIT REGEX] -- CMD [ARG...]
 
 Runs CMD, and about N times a second (default 400) stops each of its
 threads that is on a CPU (`PTRACE_SEIZE`, then `PTRACE_INTERRUPT` +
@@ -15,6 +15,12 @@ the stack. A sample with a frame matching a `--drop` substring is
 discarded whole.
 
 CMD's stdout is sent to stderr, so stdout carries the tables only.
+
+A share says where the time went, not how much there was: two runs that
+did different amounts of work in their seconds have shares that do not
+compare. `--per UNIT REGEX` counts the lines of CMD's output that match
+REGEX — one per unit of work done, e.g. a benchmark's "pass N:" lines —
+and prints each row's samples divided by that count next to its share.
 
 What it can and cannot see:
   * Build CMD with `-Cforce-frame-pointers=yes` (scripts/profile.sh
@@ -236,19 +242,47 @@ def pump(pid):
             return os.WEXITSTATUS(status) if os.WIFEXITED(status) else 128 + os.WTERMSIG(status)
 
 
-def launch(cmd):
+class Output:
+    """CMD's output: handed on to stderr as it comes, lines matching `pattern` counted."""
+
+    def __init__(self, pattern):
+        self.read_end, self.write_end = os.pipe()
+        os.set_blocking(self.read_end, False)
+        self.pattern = re.compile(pattern.encode())
+        self.partial = b""
+        self.matches = 0
+
+    def pump(self):
+        while True:
+            try:
+                chunk = os.read(self.read_end, 1 << 16)
+            except BlockingIOError:
+                return
+            if not chunk:
+                return
+            sys.stderr.buffer.write(chunk)
+            sys.stderr.buffer.flush()
+            *lines, self.partial = (self.partial + chunk).split(b"\n")
+            self.matches += sum(1 for line in lines if self.pattern.search(line))
+
+
+def launch(cmd, output):
     """Fork `cmd`, seized; returns once it is stopped at the end of its `execve`."""
     gate_r, gate_w = os.pipe()
     pid = os.fork()
     if pid == 0:
         os.close(gate_w)
         os.read(gate_r, 1)  # until the parent has seized us
+        if output:
+            os.dup2(output.write_end, 2)
         os.dup2(2, 1)
         try:
             os.execvp(cmd[0], cmd)
         finally:
             os._exit(127)
     os.close(gate_r)
+    if output:
+        os.close(output.write_end)
     seized = ptrace(PTRACE_SEIZE, pid, PTRACE_O_TRACEEXEC)
     errno = ctypes.get_errno()
     os.close(gate_w)  # end of file releases the child either way
@@ -264,11 +298,14 @@ def launch(cmd):
         ptrace(PTRACE_CONT, pid, 0 if status >> 16 else os.WSTOPSIG(status))
 
 
-def table(title, counts, total, top):
+def table(title, counts, total, top, per):
+    """`per` is `(unit, how many of them CMD did)`, or None."""
     print(f"\n{title} ({total} samples)")
-    print(f"{'samples':>8} {'%':>6}  symbol")
+    per_head = f" {'/' + per[0]:>8}" if per else ""
+    print(f"{'samples':>8} {'%':>6}{per_head}  symbol")
     for name, n in counts.most_common(top):
-        print(f"{n:>8} {100.0 * n / total:>6.2f}  {name}")
+        per_cell = f" {n / per[1]:>8.1f}" if per else ""
+        print(f"{n:>8} {100.0 * n / total:>6.2f}{per_cell}  {name}")
 
 
 def main():
@@ -276,6 +313,7 @@ def main():
     ap.add_argument("--hz", type=float, default=400.0)
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--drop", action="append", default=[])
+    ap.add_argument("--per", nargs=2, metavar=("UNIT", "REGEX"))
     ap.add_argument("cmd", nargs=argparse.REMAINDER)
     args = ap.parse_args()
     cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
@@ -284,7 +322,8 @@ def main():
     if platform.machine() != "x86_64" or sys.platform != "linux":
         sys.exit("ptrace_sampler: x86-64 Linux only")
 
-    pid = launch(cmd)
+    output = Output(args.per[1]) if args.per else None
+    pid = launch(cmd, output)
     symbols = Symbols(pid)
     mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
     ptrace(PTRACE_CONT, pid, 0)
@@ -296,6 +335,8 @@ def main():
     while True:
         due += period
         time.sleep(max(0.0, due - time.monotonic()))
+        if output:
+            output.pump()
         exit_code = pump(pid)
         if exit_code is not None:
             break
@@ -312,6 +353,8 @@ def main():
                     # Resolved now: the mappings go away with the process.
                     stacks.append([symbols.name(a) for a in frames])
     os.close(mem)
+    if output:
+        output.pump()  # what it wrote last
 
     if not stacks:
         sys.exit(f"ptrace_sampler: no samples (command exited {exit_code})")
@@ -324,9 +367,13 @@ def main():
         self_time[names[0]] += 1
         inclusive.update(set(names))
     print(f"{len(stacks)} samples at ~{args.hz:g} Hz, {len(stacks) - kept} dropped; command exited {exit_code}")
+    per = None
+    if output:
+        print(f"{output.matches} x {args.per[0]}: the /{args.per[0]} column is samples / {output.matches}")
+        per = (args.per[0], output.matches) if output.matches else None
     if kept:
-        table("self time", self_time, kept, args.top)
-        table("inclusive time", inclusive, kept, args.top)
+        table("self time", self_time, kept, args.top, per)
+        table("inclusive time", inclusive, kept, args.top, per)
     sys.exit(exit_code)
 
 

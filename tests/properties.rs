@@ -1090,32 +1090,37 @@ proptest! {
         prop_assert_eq!(internet_checksum_parts(&[head, mid, tail]), expected);
     }
 
-    /// The frame a host builds in one buffer is, byte for byte, the
-    /// nested per-layer `emit`s it replaced on the send path — UDP and
-    /// raw bodies, padded sub-60-byte frames, and the datagram whose
-    /// checksum computes to 0 and goes out as 0xFFFF. And a datagram
-    /// parked until ARP resolves leaves as the bytes of one sent after.
+    /// The frame a host or a VM builds in one buffer is, byte for byte,
+    /// the nested per-layer `emit`s it replaced on the send path — UDP
+    /// and raw bodies at any TTL, padded sub-60-byte frames, and the
+    /// datagram whose checksum computes to 0 and goes out as 0xFFFF. And
+    /// a datagram parked until ARP resolves leaves as the bytes of one
+    /// sent after.
     #[test]
     fn one_buffer_frame_matches_nested_emits(
         macs in any::<([u8; 6], [u8; 6])>(),
         src in arb_ip(),
         dst in arb_ip(),
         ports in any::<(u16, u16)>(),
+        ttl in any::<u8>(),
         payload in proptest::collection::vec(any::<u8>(), 0..1501),
     ) {
         use rf_wire::{EtherType, IcmpPacket, IpProtocol};
         let (dst_mac, src_mac) = (MacAddr(macs.0), MacAddr(macs.1));
-        let nested = |protocol, body: Bytes| {
-            let ip = Ipv4Packet::new(src, dst, protocol, body);
+        let nested_at = |ttl, protocol, body: Bytes| {
+            let mut ip = Ipv4Packet::new(src, dst, protocol, body);
+            ip.ttl = ttl;
             EthernetFrame::new(dst_mac, src_mac, EtherType::IPV4, ip.emit()).emit()
         };
-        let nested_udp = |payload: &[u8]| {
+        let nested = |protocol, body| nested_at(ttl, protocol, body);
+        let nested_udp_at = |ttl, payload: &[u8]| {
             let udp = UdpPacket::new(ports.0, ports.1, Bytes::copy_from_slice(payload));
-            nested(IpProtocol::UDP, udp.emit(src, dst))
+            nested_at(ttl, IpProtocol::UDP, udp.emit(src, dst))
         };
+        let nested_udp = |payload: &[u8]| nested_udp_at(ttl, payload);
         let one_buffer_udp = |payload: &[u8]| {
             let body = Ipv4Body::Udp { src_port: ports.0, dst_port: ports.1, payload };
-            ipv4_frame(dst_mac, src_mac, src, dst, body).freeze()
+            ipv4_frame(dst_mac, src_mac, src, dst, ttl, body).freeze()
         };
         // As drawn, and cut short enough to need padding.
         let short = &payload[..payload.len() % 24];
@@ -1136,13 +1141,22 @@ proptest! {
         prop_assert_eq!(frame, nested_udp(&zero));
         // A body the builder does not look into.
         let icmp = IcmpPacket::echo_request(ports.0, ports.1, Bytes::copy_from_slice(short)).emit();
-        prop_assert_eq!(
-            ipv4_frame(dst_mac, src_mac, src, dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp)).freeze(),
-            nested(IpProtocol::ICMP, icmp)
-        );
+        let one_buffer_raw = |protocol, packet: &[u8]| {
+            ipv4_frame(dst_mac, src_mac, src, dst, ttl, Ipv4Body::Raw(protocol, packet)).freeze()
+        };
+        prop_assert_eq!(one_buffer_raw(IpProtocol::ICMP, &icmp), nested(IpProtocol::ICMP, icmp));
+        // What a VM sends, OSPF straight over IP: a body short enough for
+        // the frame to need padding, and one as long as a full update.
+        for ospf in [short, &payload[..]] {
+            prop_assert_eq!(
+                one_buffer_raw(IpProtocol::OSPF, ospf),
+                nested(IpProtocol::OSPF, Bytes::copy_from_slice(ospf))
+            );
+        }
 
-        // Through the host stack: sent before the next hop resolves
-        // (parked, destination MAC patched in on the ARP reply) and after.
+        // Through the host stack, which sends at TTL 64: before the next
+        // hop resolves (parked, destination MAC patched in on the ARP
+        // reply) and after.
         let cfg = rf_apps::HostConfig {
             mac: src_mac,
             addr: Ipv4Cidr::new(src, 24),
@@ -1169,7 +1183,7 @@ proptest! {
         let parked = tx(host.on_frame(
             &EthernetFrame::new(src_mac, dst_mac, EtherType::ARP, reply).emit(),
         ));
-        prop_assert_eq!(&parked, &vec![nested_udp(&payload)]);
+        prop_assert_eq!(&parked, &vec![nested_udp_at(64, &payload)]);
         prop_assert_eq!(tx(send(&mut host)), parked);
     }
 
@@ -1359,7 +1373,7 @@ proptest! {
             .collect();
         let lsa = Lsa::router(adv, INITIAL_SEQ, 0, links);
         let mut wire = bytes::BytesMut::new();
-        lsa.with_age(age).emit_into(&mut wire);
+        lsa.emit_aged(age, &mut wire);
         prop_assert!(Lsa::checksum_ok(&wire));
         for bit in 0..wire.len() * 8 {
             wire[bit / 8] ^= 1 << (bit % 8);
