@@ -5,9 +5,13 @@
 //! reports that it arrives "within 4 minutes (including the
 //! configuration time)". This crate provides the endpoints:
 //!
-//! * [`stack::HostStack`] — a minimal host IP stack: gratuitous ARP at
-//!   boot, gateway ARP resolution with packet queueing, ICMP echo
-//!   responder, UDP send/receive;
+//! * [`stack::HostStack`] — a minimal sans-IO host IP stack: gratuitous
+//!   ARP at boot, gateway ARP resolution with packet queueing, ICMP echo
+//!   responder, UDP send/receive. It transmits where it builds: every
+//!   sending call and `on_frame` hand each frame to the caller's sink
+//!   (`impl FnMut(Bytes)` — [`uplink`] inside a simulation, a closure
+//!   in a unit test), and `on_frame` returns the one
+//!   [`stack::Received`] item a frame can deliver;
 //! * [`video::VideoServer`] / [`video::VideoClient`] — a CBR UDP video
 //!   stream (VLC substitute): the client requests the stream, the
 //!   server paces fixed-size frames at the configured bitrate, and the
@@ -21,5 +25,11 @@ pub mod stack;
 pub mod video;
 
 pub use ping::{EchoHost, Pinger};
-pub use stack::{HostConfig, HostStack, StackOutput};
+pub use stack::{HostConfig, HostStack, Received};
 pub use video::{VideoClient, VideoClientReport, VideoServer};
+
+/// A host has one interface, port 1: the sink that puts a
+/// [`HostStack`]'s frames on it.
+pub fn uplink<'a, 'b>(ctx: &'a mut rf_sim::Ctx<'b>) -> impl FnMut(bytes::Bytes) + use<'a, 'b> {
+    move |frame| ctx.send_frame(1, frame)
+}

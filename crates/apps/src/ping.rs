@@ -1,6 +1,7 @@
 //! ICMP echo probing: "is the network configured yet?"
 
-use crate::stack::{HostConfig, HostStack, StackOutput};
+use crate::stack::{HostConfig, HostStack, Received};
+use crate::uplink;
 use bytes::Bytes;
 use rf_sim::{Agent, Ctx, Time};
 use std::net::Ipv4Addr;
@@ -44,34 +45,11 @@ impl Pinger {
             max_pings: 0,
         }
     }
-
-    fn emit(&mut self, ctx: &mut Ctx<'_>, outs: Vec<StackOutput>) {
-        for o in outs {
-            match o {
-                StackOutput::Tx(f) => ctx.send_frame(1, f),
-                StackOutput::EchoReply { from, ident, seq } => {
-                    if from == self.target && ident == self.ident {
-                        if let Some(&(_, at)) = self.sent_at.iter().find(|(s, _)| *s == seq) {
-                            let rtt = ctx.now().since(at);
-                            self.rtts.push((seq, rtt));
-                            self.replies.push((seq, ctx.now()));
-                            if self.first_reply_at.is_none() {
-                                self.first_reply_at = Some(ctx.now());
-                                ctx.trace("ping.first_reply", format!("t = {}", ctx.now()));
-                            }
-                        }
-                    }
-                }
-                StackOutput::Udp { .. } => {}
-            }
-        }
-    }
 }
 
 impl Agent for Pinger {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        self.emit(ctx, outs);
+        self.stack.boot(uplink(ctx));
         ctx.schedule(self.interval, T_PING);
     }
 
@@ -85,14 +63,24 @@ impl Agent for Pinger {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.sent_at.push((seq, ctx.now()));
-        let outs = self.stack.send_ping(self.target, self.ident, seq);
-        self.emit(ctx, outs);
+        self.stack
+            .send_ping(self.target, self.ident, seq, uplink(ctx));
         ctx.schedule(self.interval, T_PING);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        self.emit(ctx, outs);
+        let Some(Received::EchoReply { from, ident, seq }) =
+            self.stack.on_frame(&frame, uplink(ctx))
+        else {
+            return;
+        };
+        if from == self.target && ident == self.ident {
+            if let Some(&(_, at)) = self.sent_at.iter().find(|(s, _)| *s == seq) {
+                self.rtts.push((seq, ctx.now().since(at)));
+                self.replies.push((seq, ctx.now()));
+                self.first_reply_at.get_or_insert(ctx.now());
+            }
+        }
     }
 }
 
@@ -112,20 +100,10 @@ impl EchoHost {
 
 impl Agent for EchoHost {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        for o in outs {
-            if let StackOutput::Tx(f) = o {
-                ctx.send_frame(1, f);
-            }
-        }
+        self.stack.boot(uplink(ctx));
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        for o in outs {
-            if let StackOutput::Tx(f) = o {
-                ctx.send_frame(1, f);
-            }
-        }
+        self.stack.on_frame(&frame, uplink(ctx));
     }
 }

@@ -1,4 +1,9 @@
 //! A minimal host IP stack (sans-IO): ARP, ICMP echo, UDP.
+//!
+//! The stack owns no interface. Every call that can transmit takes the
+//! caller's sink (`impl FnMut(Bytes)`) and hands it each frame the
+//! moment the frame is built; [`HostStack::on_frame`] returns the one
+//! thing a frame can deliver, if it delivered anything.
 
 use bytes::{Bytes, BytesMut};
 use rf_wire::ipv4::DEFAULT_TTL;
@@ -6,7 +11,7 @@ use rf_wire::{
     ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Body,
     Ipv4Cidr, Ipv4Packet, MacAddr, UdpPacket,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Host addressing.
@@ -17,11 +22,9 @@ pub struct HostConfig {
     pub gateway: Ipv4Addr,
 }
 
-/// What the stack wants done after processing input.
+/// What a received frame delivered to the application.
 #[derive(Clone, Debug, PartialEq)]
-pub enum StackOutput {
-    /// Transmit this frame on the host's single interface.
-    Tx(Bytes),
+pub enum Received {
     /// A UDP datagram arrived for us.
     Udp {
         src: Ipv4Addr,
@@ -41,23 +44,18 @@ pub enum StackOutput {
 #[derive(Clone)]
 pub struct HostStack {
     cfg: HostConfig,
-    arp_cache: HashMap<Ipv4Addr, MacAddr>,
+    arp_cache: BTreeMap<Ipv4Addr, MacAddr>,
     /// Frames waiting on ARP resolution, keyed by next-hop IP: built
     /// in full, only the destination MAC (bytes 0..6) still to fill in.
     pending: Vec<(Ipv4Addr, BytesMut)>,
-    /// Datagrams received (diagnostics).
-    pub udp_rx: u64,
-    pub udp_tx: u64,
 }
 
 impl HostStack {
     pub fn new(cfg: HostConfig) -> HostStack {
         HostStack {
             cfg,
-            arp_cache: HashMap::new(),
+            arp_cache: BTreeMap::new(),
             pending: Vec::new(),
-            udp_rx: 0,
-            udp_tx: 0,
         }
     }
 
@@ -69,25 +67,20 @@ impl HostStack {
         self.cfg.mac
     }
 
-    /// Frames to send at boot: a gratuitous ARP so the network (and
+    fn arp_frame(&self, dst: MacAddr, arp: &ArpPacket) -> Bytes {
+        EthernetFrame::new(dst, self.cfg.mac, EtherType::ARP, arp.emit()).emit()
+    }
+
+    /// Broadcast a request for `target`'s MAC.
+    fn arp_request(&self, target: Ipv4Addr) -> Bytes {
+        let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, target);
+        self.arp_frame(MacAddr::BROADCAST, &req)
+    }
+
+    /// Transmit at boot: a gratuitous ARP so the network (and
     /// RouteFlow's host learner) knows where we are.
-    pub fn boot(&self) -> Vec<StackOutput> {
-        let garp = ArpPacket {
-            op: ArpOp::Request,
-            sender_mac: self.cfg.mac,
-            sender_ip: self.cfg.addr.addr,
-            target_mac: MacAddr::ZERO,
-            target_ip: self.cfg.addr.addr,
-        };
-        vec![StackOutput::Tx(
-            EthernetFrame::new(
-                MacAddr::BROADCAST,
-                self.cfg.mac,
-                EtherType::ARP,
-                garp.emit(),
-            )
-            .emit(),
-        )]
+    pub fn boot(&self, mut tx: impl FnMut(Bytes)) {
+        tx(self.arp_request(self.cfg.addr.addr));
     }
 
     /// The next hop for `dst`: on-link or via the gateway.
@@ -102,7 +95,7 @@ impl HostStack {
     /// The one way an IPv4 packet leaves this host: built as a whole
     /// frame in one buffer, then sent if the next hop's MAC is known
     /// or parked behind an ARP request for it if not.
-    fn emit_ip(&mut self, dst: Ipv4Addr, body: Ipv4Body<'_>) -> Vec<StackOutput> {
+    fn emit_ip(&mut self, dst: Ipv4Addr, body: Ipv4Body<'_>, mut tx: impl FnMut(Bytes)) {
         let nh = self.next_hop(dst);
         let mac = self.arp_cache.get(&nh).copied();
         let frame = ipv4_frame(
@@ -114,13 +107,10 @@ impl HostStack {
             body,
         );
         if mac.is_some() {
-            return vec![StackOutput::Tx(frame.freeze())];
+            return tx(frame.freeze());
         }
         self.pending.push((nh, frame));
-        let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, nh);
-        vec![StackOutput::Tx(
-            EthernetFrame::new(MacAddr::BROADCAST, self.cfg.mac, EtherType::ARP, req.emit()).emit(),
-        )]
+        tx(self.arp_request(nh));
     }
 
     /// Is the next hop for `dst` already in the ARP cache?
@@ -131,15 +121,10 @@ impl HostStack {
     /// Kick off ARP resolution of `dst`'s next hop without queueing
     /// any data. Bulk senders warm the cache with one request instead
     /// of emitting a request per queued datagram.
-    pub fn resolve(&mut self, dst: Ipv4Addr) -> Vec<StackOutput> {
-        let nh = self.next_hop(dst);
-        if self.arp_cache.contains_key(&nh) {
-            return Vec::new();
+    pub fn resolve(&mut self, dst: Ipv4Addr, mut tx: impl FnMut(Bytes)) {
+        if !self.is_resolved(dst) {
+            tx(self.arp_request(self.next_hop(dst)));
         }
-        let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, nh);
-        vec![StackOutput::Tx(
-            EthernetFrame::new(MacAddr::BROADCAST, self.cfg.mac, EtherType::ARP, req.emit()).emit(),
-        )]
     }
 
     /// Send a UDP datagram.
@@ -149,109 +134,93 @@ impl HostStack {
         src_port: u16,
         dst_port: u16,
         payload: Bytes,
-    ) -> Vec<StackOutput> {
-        self.udp_tx += 1;
-        self.emit_ip(
-            dst,
-            Ipv4Body::Udp {
-                src_port,
-                dst_port,
-                payload: &payload,
-            },
-        )
+        tx: impl FnMut(Bytes),
+    ) {
+        let body = Ipv4Body::Udp {
+            src_port,
+            dst_port,
+            payload: &payload,
+        };
+        self.emit_ip(dst, body, tx);
     }
 
     /// Send an ICMP echo request.
-    pub fn send_ping(&mut self, dst: Ipv4Addr, ident: u16, seq: u16) -> Vec<StackOutput> {
+    pub fn send_ping(&mut self, dst: Ipv4Addr, ident: u16, seq: u16, tx: impl FnMut(Bytes)) {
         let icmp = IcmpPacket::echo_request(ident, seq, Bytes::from_static(b"rf-ping"));
-        self.emit_ip(dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp.emit()))
+        self.emit_ip(dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp.emit()), tx);
     }
 
     /// Process a received frame (zero-copy: inner layers slice the
-    /// caller's buffer).
-    pub fn on_frame(&mut self, frame: &Bytes) -> Vec<StackOutput> {
-        let Ok(eth) = EthernetFrame::parse_bytes(frame) else {
-            return Vec::new();
-        };
+    /// caller's buffer). Whatever it makes the stack transmit — an ARP
+    /// or echo reply, datagrams the ARP reply released — goes to `tx`.
+    pub fn on_frame(&mut self, frame: &Bytes, tx: impl FnMut(Bytes)) -> Option<Received> {
+        let eth = EthernetFrame::parse_bytes(frame).ok()?;
         if !eth.dst.is_broadcast() && eth.dst != self.cfg.mac && !eth.dst.is_multicast() {
-            return Vec::new();
+            return None;
         }
         match eth.ethertype {
-            EtherType::ARP => self.on_arp(&eth),
-            EtherType::IPV4 => self.on_ip(&eth),
-            _ => Vec::new(),
+            EtherType::ARP => {
+                self.on_arp(&eth, tx);
+                None
+            }
+            EtherType::IPV4 => self.on_ip(&eth, tx),
+            _ => None,
         }
     }
 
-    fn on_arp(&mut self, eth: &EthernetFrame) -> Vec<StackOutput> {
+    fn on_arp(&mut self, eth: &EthernetFrame, mut tx: impl FnMut(Bytes)) {
         let Ok(arp) = ArpPacket::parse(&eth.payload) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
         // Learn the sender either way.
         if arp.sender_ip != Ipv4Addr::UNSPECIFIED {
             self.arp_cache.insert(arp.sender_ip, arp.sender_mac);
         }
         if arp.op == ArpOp::Request && arp.target_ip == self.cfg.addr.addr {
             let reply = ArpPacket::reply_to(&arp, self.cfg.mac);
-            out.push(StackOutput::Tx(
-                EthernetFrame::new(arp.sender_mac, self.cfg.mac, EtherType::ARP, reply.emit())
-                    .emit(),
-            ));
+            tx(self.arp_frame(arp.sender_mac, &reply));
         }
         // Flush anything waiting on this resolution.
         for (nh, mut frame) in std::mem::take(&mut self.pending) {
             match self.arp_cache.get(&nh) {
                 Some(mac) => {
                     frame[0..6].copy_from_slice(mac.as_bytes());
-                    out.push(StackOutput::Tx(frame.freeze()));
+                    tx(frame.freeze());
                 }
                 None => self.pending.push((nh, frame)),
             }
         }
-        out
     }
 
-    fn on_ip(&mut self, eth: &EthernetFrame) -> Vec<StackOutput> {
-        let Ok(ip) = Ipv4Packet::parse_bytes(&eth.payload) else {
-            return Vec::new();
-        };
+    fn on_ip(&mut self, eth: &EthernetFrame, tx: impl FnMut(Bytes)) -> Option<Received> {
+        let ip = Ipv4Packet::parse_bytes(&eth.payload).ok()?;
         if ip.dst != self.cfg.addr.addr {
-            return Vec::new();
+            return None;
         }
         match ip.protocol {
             IpProtocol::UDP => {
-                let Ok(udp) = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst) else {
-                    return Vec::new();
-                };
-                self.udp_rx += 1;
-                vec![StackOutput::Udp {
+                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok()?;
+                Some(Received::Udp {
                     src: ip.src,
                     src_port: udp.src_port,
                     dst_port: udp.dst_port,
                     payload: udp.payload,
-                }]
+                })
             }
-            IpProtocol::ICMP => {
-                let Ok(icmp) = IcmpPacket::parse_bytes(&ip.payload) else {
-                    return Vec::new();
-                };
-                match icmp {
-                    IcmpPacket::EchoRequest { .. } => {
-                        let reply = IcmpPacket::reply_to(&icmp);
-                        self.emit_ip(ip.src, Ipv4Body::Raw(IpProtocol::ICMP, &reply.emit()))
-                    }
-                    IcmpPacket::EchoReply { ident, seq, .. } => {
-                        vec![StackOutput::EchoReply {
-                            from: ip.src,
-                            ident,
-                            seq,
-                        }]
-                    }
-                    IcmpPacket::Other { .. } => Vec::new(),
+            IpProtocol::ICMP => match IcmpPacket::parse_bytes(&ip.payload).ok()? {
+                icmp @ IcmpPacket::EchoRequest { .. } => {
+                    let reply = IcmpPacket::reply_to(&icmp);
+                    self.emit_ip(ip.src, Ipv4Body::Raw(IpProtocol::ICMP, &reply.emit()), tx);
+                    None
                 }
-            }
-            _ => Vec::new(),
+                IcmpPacket::EchoReply { ident, seq, .. } => Some(Received::EchoReply {
+                    from: ip.src,
+                    ident,
+                    seq,
+                }),
+                IcmpPacket::Other { .. } => None,
+            },
+            _ => None,
         }
     }
 }
@@ -271,33 +240,28 @@ mod tests {
     #[test]
     fn boot_sends_gratuitous_arp() {
         let h = host("10.9.0.2", "10.9.0.1");
-        let out = h.boot();
+        let mut out = Vec::new();
+        h.boot(|f| out.push(f));
         assert_eq!(out.len(), 1);
-        match &out[0] {
-            StackOutput::Tx(f) => {
-                let eth = EthernetFrame::parse_bytes(f).unwrap();
-                assert_eq!(eth.dst, MacAddr::BROADCAST);
-                let arp = ArpPacket::parse(&eth.payload).unwrap();
-                assert_eq!(arp.sender_ip, arp.target_ip);
-            }
-            other => panic!("{other:?}"),
-        }
+        let eth = EthernetFrame::parse_bytes(&out[0]).unwrap();
+        assert_eq!(eth.dst, MacAddr::BROADCAST);
+        let arp = ArpPacket::parse(&eth.payload).unwrap();
+        assert_eq!(arp.sender_ip, arp.target_ip);
     }
 
     #[test]
     fn off_link_udp_arps_gateway_then_flushes() {
         let mut h = host("10.9.0.2", "10.9.0.1");
-        let out = h.send_udp(
+        let mut out = Vec::new();
+        h.send_udp(
             "10.8.0.5".parse().unwrap(),
             1000,
             2000,
             Bytes::from_static(b"x"),
+            |f| out.push(f),
         );
         // First an ARP request for the gateway.
-        let StackOutput::Tx(f) = &out[0] else {
-            panic!()
-        };
-        let eth = EthernetFrame::parse_bytes(f).unwrap();
+        let eth = EthernetFrame::parse_bytes(&out[0]).unwrap();
         assert_eq!(eth.ethertype, EtherType::ARP);
         let arp = ArpPacket::parse(&eth.payload).unwrap();
         assert_eq!(arp.target_ip, "10.9.0.1".parse::<Ipv4Addr>().unwrap());
@@ -305,12 +269,10 @@ mod tests {
         let gw_mac = MacAddr([2, 0, 0, 0, 0, 1]);
         let reply = ArpPacket::reply_to(&arp, gw_mac);
         let rf = EthernetFrame::new(h.mac(), gw_mac, EtherType::ARP, reply.emit()).emit();
-        let out = h.on_frame(&rf);
+        let mut out = Vec::new();
+        assert_eq!(h.on_frame(&rf, |f| out.push(f)), None);
         assert_eq!(out.len(), 1);
-        let StackOutput::Tx(f) = &out[0] else {
-            panic!()
-        };
-        let eth = EthernetFrame::parse_bytes(f).unwrap();
+        let eth = EthernetFrame::parse_bytes(&out[0]).unwrap();
         assert_eq!(eth.dst, gw_mac);
         assert_eq!(eth.ethertype, EtherType::IPV4);
     }
@@ -318,11 +280,11 @@ mod tests {
     #[test]
     fn on_link_udp_arps_destination() {
         let mut h = host("10.9.0.2", "10.9.0.1");
-        let out = h.send_udp("10.9.0.7".parse().unwrap(), 1, 2, Bytes::new());
-        let StackOutput::Tx(f) = &out[0] else {
-            panic!()
-        };
-        let arp = ArpPacket::parse(&EthernetFrame::parse_bytes(f).unwrap().payload).unwrap();
+        let mut out = Vec::new();
+        h.send_udp("10.9.0.7".parse().unwrap(), 1, 2, Bytes::new(), |f| {
+            out.push(f)
+        });
+        let arp = ArpPacket::parse(&EthernetFrame::parse_bytes(&out[0]).unwrap().payload).unwrap();
         assert_eq!(arp.target_ip, "10.9.0.7".parse::<Ipv4Addr>().unwrap());
     }
 
@@ -335,15 +297,13 @@ mod tests {
         let src: Ipv4Addr = "10.9.0.9".parse().unwrap();
         let arp = ArpPacket::request(pinger_mac, src, h.ip());
         let arpf = EthernetFrame::new(MacAddr::BROADCAST, pinger_mac, EtherType::ARP, arp.emit());
-        h.on_frame(&arpf.emit());
+        h.on_frame(&arpf.emit(), |_| {});
         let ip = Ipv4Packet::new(src, h.ip(), IpProtocol::ICMP, icmp.emit());
         let f = EthernetFrame::new(h.mac(), pinger_mac, EtherType::IPV4, ip.emit());
-        let out = h.on_frame(&f.emit());
+        let mut out = Vec::new();
+        assert_eq!(h.on_frame(&f.emit(), |f| out.push(f)), None);
         assert_eq!(out.len(), 1);
-        let StackOutput::Tx(reply) = &out[0] else {
-            panic!("{out:?}")
-        };
-        let eth = EthernetFrame::parse_bytes(reply).unwrap();
+        let eth = EthernetFrame::parse_bytes(&out[0]).unwrap();
         let rip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
         assert!(matches!(
             IcmpPacket::parse_bytes(&rip.payload).unwrap(),
@@ -362,17 +322,16 @@ mod tests {
         let udp = UdpPacket::new(5004, 9000, Bytes::from_static(b"frame-1"));
         let ip = Ipv4Packet::new(src, h.ip(), IpProtocol::UDP, udp.emit(src, h.ip()));
         let f = EthernetFrame::new(h.mac(), MacAddr([1; 6]), EtherType::IPV4, ip.emit());
-        let out = h.on_frame(&f.emit());
+        let got = h.on_frame(&f.emit(), |f| panic!("transmitted {f:?}"));
         assert_eq!(
-            out,
-            vec![StackOutput::Udp {
+            got,
+            Some(Received::Udp {
                 src,
                 src_port: 5004,
                 dst_port: 9000,
                 payload: Bytes::from_static(b"frame-1"),
-            }]
+            })
         );
-        assert_eq!(h.udp_rx, 1);
     }
 
     #[test]
@@ -383,6 +342,7 @@ mod tests {
         let ip = Ipv4Packet::new(src, h.ip(), IpProtocol::UDP, udp.emit(src, h.ip()));
         // Wrong destination MAC.
         let f = EthernetFrame::new(MacAddr([8; 6]), MacAddr([2; 6]), EtherType::IPV4, ip.emit());
-        assert!(h.on_frame(&f.emit()).is_empty());
+        let got = h.on_frame(&f.emit(), |f| panic!("transmitted {f:?}"));
+        assert_eq!(got, None);
     }
 }

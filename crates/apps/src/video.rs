@@ -7,7 +7,8 @@
 //! remote client within 4 minutes" metric), playback start after its
 //! jitter buffer fills, loss and stalls.
 
-use crate::stack::{HostConfig, HostStack, StackOutput};
+use crate::stack::{HostConfig, HostStack, Received};
+use crate::uplink;
 use bytes::{BufMut, Bytes, BytesMut};
 use rf_sim::{Agent, Ctx, Time};
 use std::net::Ipv4Addr;
@@ -54,14 +55,6 @@ impl VideoServer {
         Duration::from_nanos(self.frame_len as u64 * 8 * 1_000_000_000 / self.bitrate_bps)
     }
 
-    fn emit(&mut self, ctx: &mut Ctx<'_>, outs: Vec<StackOutput>) {
-        for o in outs {
-            if let StackOutput::Tx(f) = o {
-                ctx.send_frame(1, f);
-            }
-        }
-    }
-
     fn send_frame_packet(&mut self, ctx: &mut Ctx<'_>) {
         let Some((client_ip, client_port)) = self.client else {
             return;
@@ -73,10 +66,13 @@ impl VideoServer {
         payload.put_u64(self.next_seq);
         payload.put_u64(ctx.now().as_nanos());
         payload.resize(self.frame_len, b'V');
-        let outs = self
-            .stack
-            .send_udp(client_ip, VIDEO_PORT, client_port, payload.freeze());
-        self.emit(ctx, outs);
+        self.stack.send_udp(
+            client_ip,
+            VIDEO_PORT,
+            client_port,
+            payload.freeze(),
+            uplink(ctx),
+        );
         self.next_seq += 1;
         self.frames_sent += 1;
         ctx.schedule(self.frame_interval(), T_FRAME);
@@ -85,8 +81,7 @@ impl VideoServer {
 
 impl Agent for VideoServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        self.emit(ctx, outs);
+        self.stack.boot(uplink(ctx));
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -96,25 +91,17 @@ impl Agent for VideoServer {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        let mut start_stream = false;
-        for o in &outs {
-            if let StackOutput::Udp {
-                src,
-                src_port,
-                payload,
-                ..
-            } = o
-            {
-                if &payload[..] == b"PLAY" && self.client.is_none() {
-                    self.client = Some((*src, *src_port));
-                    start_stream = true;
-                    ctx.trace("video.play", format!("client {src}:{src_port}"));
-                }
-            }
-        }
-        self.emit(ctx, outs);
-        if start_stream {
+        let Some(Received::Udp {
+            src,
+            src_port,
+            payload,
+            ..
+        }) = self.stack.on_frame(&frame, uplink(ctx))
+        else {
+            return;
+        };
+        if &payload[..] == b"PLAY" && self.client.is_none() {
+            self.client = Some((src, src_port));
             self.send_frame_packet(ctx);
         }
     }
@@ -167,14 +154,6 @@ impl VideoClient {
         }
     }
 
-    fn emit(&mut self, ctx: &mut Ctx<'_>, outs: Vec<StackOutput>) {
-        for o in outs {
-            if let StackOutput::Tx(f) = o {
-                ctx.send_frame(1, f);
-            }
-        }
-    }
-
     fn send_play(&mut self, ctx: &mut Ctx<'_>) {
         if self.report.first_byte_at.is_some() {
             return; // media flowing; stop nagging
@@ -182,21 +161,20 @@ impl VideoClient {
         if self.report.requested_at.is_none() {
             self.report.requested_at = Some(ctx.now());
         }
-        let outs = self.stack.send_udp(
+        self.stack.send_udp(
             self.server,
             CLIENT_PORT,
             VIDEO_PORT,
             Bytes::from_static(b"PLAY"),
+            uplink(ctx),
         );
-        self.emit(ctx, outs);
         ctx.schedule(self.request_retry, T_REQ_RETRY);
     }
 }
 
 impl Agent for VideoClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        self.emit(ctx, outs);
+        self.stack.boot(uplink(ctx));
         ctx.schedule(self.start_at, T_BOOT);
     }
 
@@ -208,42 +186,33 @@ impl Agent for VideoClient {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        for o in &outs {
-            if let StackOutput::Udp {
-                src,
-                dst_port,
-                payload,
-                ..
-            } = o
-            {
-                if *src == self.server && *dst_port == CLIENT_PORT && payload.len() >= 16 {
-                    let now = ctx.now();
-                    if self.report.first_byte_at.is_none() {
-                        self.report.first_byte_at = Some(now);
-                        ctx.trace(
-                            "video.first_byte",
-                            format!("t = {now} ({} bytes)", payload.len()),
-                        );
-                    }
-                    let seq = u64::from_be_bytes(payload[..8].try_into().unwrap());
-                    if seq > self.next_expected_seq {
-                        self.report.gaps += seq - self.next_expected_seq;
-                    }
-                    self.next_expected_seq = seq + 1;
-                    self.report.packets += 1;
-                    self.report.bytes += payload.len() as u64;
-                    if self.report.playback_at.is_none() {
-                        let buffered_bits = self.report.bytes * 8;
-                        let need = self.bitrate_bps * self.jitter_buffer.as_millis() as u64 / 1000;
-                        if buffered_bits >= need {
-                            self.report.playback_at = Some(now);
-                            ctx.trace("video.playback", format!("t = {now}"));
-                        }
-                    }
-                }
+        let Some(Received::Udp {
+            src,
+            dst_port,
+            payload,
+            ..
+        }) = self.stack.on_frame(&frame, uplink(ctx))
+        else {
+            return;
+        };
+        if src != self.server || dst_port != CLIENT_PORT || payload.len() < 16 {
+            return;
+        }
+        let now = ctx.now();
+        self.report.first_byte_at.get_or_insert(now);
+        let seq = u64::from_be_bytes(payload[..8].try_into().unwrap());
+        if seq > self.next_expected_seq {
+            self.report.gaps += seq - self.next_expected_seq;
+        }
+        self.next_expected_seq = seq + 1;
+        self.report.packets += 1;
+        self.report.bytes += payload.len() as u64;
+        if self.report.playback_at.is_none() {
+            let buffered_bits = self.report.bytes * 8;
+            let need = self.bitrate_bps * self.jitter_buffer.as_millis() as u64 / 1000;
+            if buffered_bits >= need {
+                self.report.playback_at = Some(now);
             }
         }
-        self.emit(ctx, outs);
     }
 }

@@ -21,8 +21,8 @@
 //!   the Fig. 3 story under constrained channels.
 //!
 //! Cells run in parallel worker threads and land in the same stable
-//! [`MatrixReport`] JSON the CI sweep uses, so Fig. 3 runs can be
-//! diffed across commits.
+//! [`MatrixReport`](rf_core::scenario::MatrixReport) JSON the CI sweep
+//! uses, so Fig. 3 runs can be diffed across commits.
 //!
 //! Run: `cargo run --release -p rf-bench --bin fig3_config_time`
 //! (add `--json FILE` to save the report, `--threads N` to override

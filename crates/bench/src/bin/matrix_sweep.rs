@@ -1,7 +1,7 @@
 //! The scenario-matrix sweep harness: fan a (seed × topology ×
 //! fault-schedule × knob) grid out over worker threads and emit the
-//! stable [`MatrixReport`] JSON that CI diffs against a checked-in
-//! baseline.
+//! stable [`MatrixReport`](rf_core::scenario::MatrixReport) JSON that CI
+//! diffs against a checked-in baseline.
 //!
 //! ```sh
 //! # CI smoke grid (seconds), report to stdout:

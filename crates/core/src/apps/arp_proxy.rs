@@ -23,7 +23,7 @@ const ARP_RETRY_TICK: Duration = Duration::from_millis(50);
 /// configuration LLDP discovery cannot learn — hosts don't speak LLDP).
 ///
 /// Channel backpressure: host /32 FLOW_MODs are state and must land,
-/// so a deferred one goes into a per-switch [`DeferBuffer`] and
+/// so a deferred one goes into a per-switch `DeferBuffer` and
 /// retries on a tick. PACKET_OUTs (ARP replies and probes) are
 /// data-plane traffic — a deferred one is shed and the protocol's own
 /// retry recovers.

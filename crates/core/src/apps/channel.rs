@@ -4,11 +4,11 @@
 //! The controller used to push OpenFlow messages into an unbounded
 //! per-dpid `Vec` whenever a channel was down — a slow or stalled
 //! switch would silently absorb infinite FLOW_MODs. Every producer now
-//! routes through a [`SwitchChannel`]:
+//! routes through a `SwitchChannel`:
 //!
 //! * **Bounded queue.** `channel_capacity` caps how many messages may
 //!   wait per switch (`None` = unbounded, the paper-faithful default).
-//! * **Credits.** Each drain interval ([`CHANNEL_DRAIN_TICK`]) grants a
+//! * **Credits.** Each drain interval (`CHANNEL_DRAIN_TICK`) grants a
 //!   channel `capacity` send credits; wire writes spend one credit per
 //!   message, so a bounded channel drains at a bounded rate instead of
 //!   blasting arbitrarily large bursts into one push.

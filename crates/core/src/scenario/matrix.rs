@@ -2,7 +2,7 @@
 //!
 //! The simulator is single-threaded, but scenarios are independent:
 //! each (seed × topology × fault-schedule × knob) cell builds its own
-//! [`Sim`] and runs to completion inside one worker thread. The
+//! [`Sim`](rf_sim::Sim) and runs to completion inside one worker thread. The
 //! [`Agent`](rf_sim::Agent) and [`ControlApp`](crate::apps::ControlApp)
 //! traits are `Send`, so the whole build path crosses the spawn
 //! boundary without ceremony.

@@ -45,9 +45,7 @@ use crate::apps::channel::CHANNEL_DRAIN_TOKEN;
 use crate::apps::fib_mirror::FIB_FLUSH_TOKEN;
 use crate::apps::{ChannelStallWindow, ControlApp, ControlPlane, OverflowPolicy};
 use crate::rfcontroller::{HostPortConfig, RfControllerConfig};
-use crate::traffic::packet::{
-    IncastSender, PacedSource, TrafficClient, TrafficServer, TrafficSink,
-};
+use crate::traffic::packet::TrafficHost;
 use crate::traffic::{
     paced_interval, ArrivalStream, FlowLevelEngine, TrafficConfig, TrafficMode, TrafficPattern,
     TrafficReport, WaveStream, WorkloadError,
@@ -515,11 +513,7 @@ impl Agent for ChaosAgent {
 /// harvest can downcast to the right concrete type.
 #[derive(Clone)]
 enum TrafficPart {
-    Client(AgentId),
-    Server(AgentId),
-    IncastSender(AgentId),
-    PacedSource(AgentId),
-    Sink(AgentId),
+    Host(AgentId),
     FlowEngine(AgentId),
 }
 
@@ -1055,17 +1049,6 @@ fn wire_traffic(
         }
     };
     let ip_of = |j: usize| host_slots[slots[j]].host_ip;
-    let attach = |sim: &mut Sim, name: String, agent: Box<dyn Agent>, j: usize| -> AgentId {
-        let id = sim.add_agent(&name, agent);
-        let slot = &host_slots[slots[j]];
-        sim.add_link(
-            (slot.switch, u32::from(slot.port)),
-            (id, 1),
-            cfg.link_profile,
-        );
-        id
-    };
-    let mut parts = Vec::new();
 
     if tcfg.mode == TrafficMode::Flow {
         // The endpoints' host slots stay allocated (the control plane
@@ -1091,10 +1074,22 @@ fn wire_traffic(
             },
         );
         let id = sim.add_agent(&format!("traffic-flow-{k}"), Box::new(engine));
-        parts.push(TrafficPart::FlowEngine(id));
-        return parts;
+        return vec![TrafficPart::FlowEngine(id)];
     }
 
+    let mut parts = Vec::new();
+    // Host `j` of the workload, attached to its slot's switch port.
+    let mut attach = |name: String, j: usize, host: TrafficHost| {
+        let id = sim.add_agent(&name, Box::new(host));
+        let slot = &host_slots[slots[j]];
+        sim.add_link(
+            (slot.switch, u32::from(slot.port)),
+            (id, 1),
+            cfg.link_profile,
+        );
+        parts.push(TrafficPart::Host(id));
+    };
+    let start_at = tcfg.start_at;
     match &tcfg.pattern {
         TrafficPattern::RequestResponse {
             clients,
@@ -1104,61 +1099,46 @@ fn wire_traffic(
         } => {
             // The server slot is allocated last, like a fan-in's.
             let server_j = clients.len();
-            let server_ip = ip_of(server_j);
-            let sid = attach(
-                sim,
+            attach(
                 format!("traffic-server-{k}"),
-                Box::new(TrafficServer::new(host_cfg(server_j), tcfg.start_at)),
                 server_j,
+                TrafficHost::server(host_cfg(server_j), start_at),
             );
-            parts.push(TrafficPart::Server(sid));
             for j in 0..clients.len() {
                 let stream = ArrivalStream::new(
                     endpoint_seed(cfg.seed, k, j),
                     *arrivals,
                     *response,
-                    tcfg.start_at,
+                    start_at,
                     tcfg.stop_at,
                 );
-                let id = attach(
-                    sim,
+                attach(
                     format!("traffic-client-{k}-{j}"),
-                    Box::new(TrafficClient::new(
-                        host_cfg(j),
-                        server_ip,
-                        stream,
-                        j,
-                        tcfg.start_at,
-                    )),
                     j,
+                    TrafficHost::client(host_cfg(j), j, start_at, ip_of(server_j), stream),
                 );
-                parts.push(TrafficPart::Client(id));
             }
         }
         TrafficPattern::CbrMix { streams } => {
             for (i, s) in streams.iter().enumerate() {
                 let (src_j, sink_j) = (2 * i, 2 * i + 1);
-                let sink_id = attach(
-                    sim,
+                attach(
                     format!("traffic-sink-{k}-{i}"),
-                    Box::new(TrafficSink::new(host_cfg(sink_j), tcfg.start_at)),
                     sink_j,
+                    TrafficHost::sink(host_cfg(sink_j), start_at),
                 );
-                parts.push(TrafficPart::Sink(sink_id));
-                let src_id = attach(
-                    sim,
+                attach(
                     format!("traffic-cbr-{k}-{i}"),
-                    Box::new(PacedSource::new(
+                    src_j,
+                    TrafficHost::paced(
                         host_cfg(src_j),
+                        src_j,
+                        start_at,
+                        tcfg.stop_at,
                         vec![ip_of(sink_j)],
                         paced_interval(s.rate_bps),
-                        src_j,
-                        tcfg.start_at,
-                        tcfg.stop_at,
-                    )),
-                    src_j,
+                    ),
                 );
-                parts.push(TrafficPart::PacedSource(src_id));
             }
         }
         TrafficPattern::Incast {
@@ -1169,35 +1149,24 @@ fn wire_traffic(
             ..
         } => {
             let recv_j = senders.len();
-            let recv_ip = ip_of(recv_j);
-            let sink_id = attach(
-                sim,
+            attach(
                 format!("traffic-sink-{k}"),
-                Box::new(TrafficSink::new(host_cfg(recv_j), tcfg.start_at)),
                 recv_j,
+                TrafficHost::sink(host_cfg(recv_j), start_at),
             );
-            parts.push(TrafficPart::Sink(sink_id));
             for j in 0..senders.len() {
                 let stream = WaveStream::new(
                     endpoint_seed(cfg.seed, k, j),
                     *flow,
-                    tcfg.start_at,
+                    start_at,
                     *period,
                     *waves,
                 );
-                let id = attach(
-                    sim,
+                attach(
                     format!("traffic-incast-{k}-{j}"),
-                    Box::new(IncastSender::new(
-                        host_cfg(j),
-                        recv_ip,
-                        stream,
-                        j,
-                        tcfg.start_at,
-                    )),
                     j,
+                    TrafficHost::incast(host_cfg(j), j, start_at, ip_of(recv_j), stream),
                 );
-                parts.push(TrafficPart::IncastSender(id));
             }
         }
         TrafficPattern::Multicast {
@@ -1210,28 +1179,24 @@ fn wire_traffic(
             for r in 0..receivers.len() {
                 let sink_j = 1 + r;
                 dsts.push(ip_of(sink_j));
-                let sink_id = attach(
-                    sim,
+                attach(
                     format!("traffic-sink-{k}-{r}"),
-                    Box::new(TrafficSink::new(host_cfg(sink_j), tcfg.start_at)),
                     sink_j,
+                    TrafficHost::sink(host_cfg(sink_j), start_at),
                 );
-                parts.push(TrafficPart::Sink(sink_id));
             }
-            let src_id = attach(
-                sim,
+            attach(
                 format!("traffic-mcast-{k}"),
-                Box::new(PacedSource::new(
+                0,
+                TrafficHost::paced(
                     host_cfg(0),
+                    0,
+                    start_at,
+                    tcfg.stop_at,
                     dsts,
                     paced_interval(*rate_bps),
-                    0,
-                    tcfg.start_at,
-                    tcfg.stop_at,
-                )),
-                0,
+                ),
             );
-            parts.push(TrafficPart::PacedSource(src_id));
         }
     }
     parts
@@ -1625,39 +1590,21 @@ impl Scenario {
                 WorkloadHandle::Traffic { ref parts } => {
                     let mut total = TrafficReport::default();
                     for part in parts {
-                        let partial = match *part {
-                            TrafficPart::Client(id) => self
-                                .sim
-                                .agent_as::<TrafficClient>(id)
-                                .expect("traffic client alive")
-                                .report(),
-                            TrafficPart::Server(id) => self
-                                .sim
-                                .agent_as::<TrafficServer>(id)
-                                .expect("traffic server alive")
-                                .report(),
-                            TrafficPart::IncastSender(id) => self
-                                .sim
-                                .agent_as::<IncastSender>(id)
-                                .expect("incast sender alive")
-                                .report(),
-                            TrafficPart::PacedSource(id) => self
-                                .sim
-                                .agent_as::<PacedSource>(id)
-                                .expect("paced source alive")
-                                .report(),
-                            TrafficPart::Sink(id) => self
-                                .sim
-                                .agent_as::<TrafficSink>(id)
-                                .expect("traffic sink alive")
-                                .report(),
-                            TrafficPart::FlowEngine(id) => self
-                                .sim
-                                .agent_as::<FlowLevelEngine>(id)
-                                .expect("flow engine alive")
-                                .report_at(self.sim.now()),
-                        };
-                        total.merge(&partial);
+                        match *part {
+                            TrafficPart::Host(id) => total.merge(
+                                self.sim
+                                    .agent_as::<TrafficHost>(id)
+                                    .expect("traffic host alive")
+                                    .report(),
+                            ),
+                            TrafficPart::FlowEngine(id) => total.merge(
+                                &self
+                                    .sim
+                                    .agent_as::<FlowLevelEngine>(id)
+                                    .expect("flow engine alive")
+                                    .report_at(self.sim.now()),
+                            ),
+                        }
                     }
                     WorkloadReport::Traffic(total)
                 }

@@ -203,10 +203,9 @@ impl TrafficPattern {
             }
             TrafficPattern::CbrMix { streams } => {
                 check_count(streams.len(), "CBR mix needs streams")?;
-                if streams.iter().any(|s| s.rate_bps == 0) {
-                    return Err(WorkloadError::ZeroRate("CBR stream rate"));
-                }
-                Ok(())
+                streams
+                    .iter()
+                    .try_for_each(|s| check_paced_rate(s.rate_bps, "CBR stream rate"))
             }
             TrafficPattern::Incast {
                 senders,
@@ -231,12 +230,22 @@ impl TrafficPattern {
                 ..
             } => {
                 check_count(receivers.len(), "multicast needs receivers")?;
-                if *rate_bps == 0 {
-                    return Err(WorkloadError::ZeroRate("multicast stream rate"));
-                }
-                Ok(())
+                check_paced_rate(*rate_bps, "multicast stream rate")
             }
         }
+    }
+}
+
+/// A paced stream must offer something, and no faster than a frame per
+/// nanosecond: [`paced_interval`] rounds anything faster to zero, which
+/// the flow model divides by and the packet-level pacer re-arms at.
+fn check_paced_rate(rate_bps: u64, what: &'static str) -> Result<(), WorkloadError> {
+    if rate_bps == 0 {
+        Err(WorkloadError::ZeroRate(what))
+    } else if paced_interval(rate_bps).is_zero() {
+        Err(WorkloadError::ZeroInterval(what))
+    } else {
+        Ok(())
     }
 }
 
@@ -302,6 +311,9 @@ pub enum WorkloadError {
     TooManyEndpoints { given: usize, max: usize },
     /// A rate or period of zero.
     ZeroRate(&'static str),
+    /// A paced rate so high that the interval between two frames rounds
+    /// to zero nanoseconds.
+    ZeroInterval(&'static str),
     /// `stop_at <= start_at`, or zero waves.
     EmptyWindow,
     /// A distribution with invalid parameters.
@@ -313,7 +325,7 @@ pub enum WorkloadError {
     /// axis value fails its cells, not the whole sweep.
     BadTopology(rf_topo::TopoParseError),
     /// A fault schedule that cannot apply to the cell's topology
-    /// (out-of-range node/edge index, loss outside [0,100], empty
+    /// (out-of-range node/edge index, loss outside `[0,100]`, empty
     /// stall window — see [`crate::scenario::FaultError`]).
     BadFault(crate::scenario::FaultError),
 }
@@ -326,6 +338,9 @@ impl fmt::Display for WorkloadError {
                 write!(f, "{given} endpoints exceed the per-workload cap of {max}")
             }
             WorkloadError::ZeroRate(what) => write!(f, "{what} must be positive"),
+            WorkloadError::ZeroInterval(what) => {
+                write!(f, "{what} paces frames less than a nanosecond apart")
+            }
             WorkloadError::EmptyWindow => write!(f, "traffic window is empty"),
             WorkloadError::BadDistribution(what) => write!(f, "bad distribution: {what}"),
             WorkloadError::TopologyTooSmall { need, have } => {

@@ -1,5 +1,6 @@
-//! Packet-level traffic agents: real host stacks blasting UDP frames
-//! through the simulated fabric. Congestion is not modeled here — it
+//! The packet-level traffic agent: real host stacks blasting UDP frames
+//! through the simulated fabric, one [`TrafficHost`] per endpoint in
+//! the role its workload gives it. Congestion is not modeled here — it
 //! *emerges* from the link layer's serialization horizons, which is
 //! exactly what the flow-level abstraction is validated against.
 //!
@@ -16,9 +17,9 @@ use super::demand::{ArrivalStream, WaveStream};
 use super::report::TrafficReport;
 use super::{frames_for, CHUNK_BYTES, DATA_PORT, HEADER_BYTES, REQ_PORT};
 use bytes::{BufMut, Bytes, BytesMut};
-use rf_apps::{HostConfig, HostStack, StackOutput};
+use rf_apps::{uplink, HostConfig, HostStack, Received};
 use rf_sim::{Agent, Ctx, Time};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -26,6 +27,9 @@ const T_ARRIVAL: u64 = 1;
 const T_TICK: u64 = 2;
 const T_WAVE: u64 = 3;
 const T_WARM: u64 = 4;
+
+/// Any off-subnet destination resolves the gateway.
+const OFF_SUBNET: Ipv4Addr = Ipv4Addr::new(10, 255, 255, 254);
 
 /// Build one data frame's payload.
 fn data_frame(
@@ -48,25 +52,222 @@ fn read_u64(p: &Bytes, at: usize) -> u64 {
     u64::from_be_bytes(p[at..at + 8].try_into().expect("bounds checked"))
 }
 
-/// Shared sink-side accounting: per-flow reassembly, completion times
-/// for bounded flows, per-frame latency for paced streams.
-#[derive(Default, Clone)]
-struct SinkCore {
-    flows: HashMap<u64, FlowRx>,
-    delivered_bytes: u64,
-    frames_delivered: u64,
-    flows_completed: u64,
-    fct_ns: Vec<u64>,
-    frame_latency_ns: Vec<u64>,
-}
-
+/// Reassembly state of one bounded flow at its sink.
 #[derive(Clone)]
 struct FlowRx {
     total: u64,
     received: u64,
 }
 
-impl SinkCore {
+/// What a traffic host does with its stack once it has booted.
+#[derive(Clone)]
+enum Role {
+    /// Request/response client: draws arrivals from its seeded stream,
+    /// asks the server for each response flow, and sinks the data.
+    Client {
+        server: Ipv4Addr,
+        stream: ArrivalStream,
+        pending: Option<(Duration, u64)>,
+    },
+    /// Request/response server: answers each request by blasting the
+    /// requested number of bytes back at the asking client.
+    Server,
+    /// Incast sender: blasts one drawn flow at the receiver per wave.
+    Incast {
+        receiver: Ipv4Addr,
+        waves: WaveStream,
+        pending: Option<(Duration, u64)>,
+    },
+    /// Paced source: one full-chunk frame per destination per tick — CBR
+    /// unicast with a single destination, multicast fan-out with many
+    /// (replication happens at this source's access link, SRMCA-style).
+    Paced {
+        dsts: Vec<Ipv4Addr>,
+        interval: Duration,
+        stop_at: Duration,
+    },
+    /// Pure sink: receives data frames and accounts for them.
+    Sink,
+}
+
+/// The one packet-level traffic agent: a host stack, what it has
+/// offered and accepted so far, and the role it plays in its workload.
+/// Every role accounts for the data frames addressed to it: per-flow
+/// reassembly, completion times for bounded flows, per-frame latency
+/// for paced streams.
+#[derive(Clone)]
+pub struct TrafficHost {
+    stack: HostStack,
+    role: Role,
+    start_at: Duration,
+    flow_tag: u64,
+    flow_seq: u64,
+    report: TrafficReport,
+    /// Bounded flows partly received, by flow id.
+    flows: BTreeMap<u64, FlowRx>,
+}
+
+impl TrafficHost {
+    fn new(cfg: HostConfig, endpoint_idx: usize, start_at: Duration, role: Role) -> TrafficHost {
+        TrafficHost {
+            stack: HostStack::new(cfg),
+            role,
+            start_at,
+            flow_tag: (endpoint_idx as u64 + 1) << 32,
+            flow_seq: 0,
+            report: TrafficReport::default(),
+            flows: BTreeMap::new(),
+        }
+    }
+
+    pub fn client(
+        cfg: HostConfig,
+        endpoint_idx: usize,
+        start_at: Duration,
+        server: Ipv4Addr,
+        stream: ArrivalStream,
+    ) -> TrafficHost {
+        let role = Role::Client {
+            server,
+            stream,
+            pending: None,
+        };
+        TrafficHost::new(cfg, endpoint_idx, start_at, role)
+    }
+
+    pub fn server(cfg: HostConfig, start_at: Duration) -> TrafficHost {
+        TrafficHost::new(cfg, 0, start_at, Role::Server)
+    }
+
+    pub fn incast(
+        cfg: HostConfig,
+        endpoint_idx: usize,
+        start_at: Duration,
+        receiver: Ipv4Addr,
+        waves: WaveStream,
+    ) -> TrafficHost {
+        let role = Role::Incast {
+            receiver,
+            waves,
+            pending: None,
+        };
+        TrafficHost::new(cfg, endpoint_idx, start_at, role)
+    }
+
+    /// Paces one frame per `dsts` entry every `interval` over
+    /// `[start_at, stop_at)`.
+    pub fn paced(
+        cfg: HostConfig,
+        endpoint_idx: usize,
+        start_at: Duration,
+        stop_at: Duration,
+        dsts: Vec<Ipv4Addr>,
+        interval: Duration,
+    ) -> TrafficHost {
+        let role = Role::Paced {
+            dsts,
+            interval,
+            stop_at,
+        };
+        TrafficHost::new(cfg, endpoint_idx, start_at, role)
+    }
+
+    pub fn sink(cfg: HostConfig, start_at: Duration) -> TrafficHost {
+        TrafficHost::new(cfg, 0, start_at, Role::Sink)
+    }
+
+    /// What this host has offered, sent and accepted so far.
+    pub fn report(&self) -> &TrafficReport {
+        &self.report
+    }
+
+    /// Draw the next flow of a client or incast sender and arm its timer.
+    fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
+        let (pending, drawn, token) = match &mut self.role {
+            Role::Client {
+                stream, pending, ..
+            } => (pending, stream.next(), T_ARRIVAL),
+            Role::Incast { waves, pending, .. } => (pending, waves.next(), T_WAVE),
+            _ => return,
+        };
+        if let Some((at, _)) = drawn {
+            *pending = drawn;
+            ctx.schedule_at(Time::ZERO + at, token);
+        }
+    }
+
+    /// The armed arrival or wave is due: count the drawn flow as
+    /// offered, ask the server for it (client) or send it (incast
+    /// sender), and arm the next one.
+    fn start_flow(&mut self, ctx: &mut Ctx<'_>) {
+        let (Role::Client { pending, .. } | Role::Incast { pending, .. }) = &mut self.role else {
+            return;
+        };
+        let Some((_, bytes)) = pending.take() else {
+            return;
+        };
+        self.report.flows_started += 1;
+        self.report.offered_bytes += bytes;
+        let flow_id = self.flow_tag | self.flow_seq;
+        self.flow_seq += 1;
+        match self.role {
+            Role::Client { server, .. } => {
+                let mut req = BytesMut::with_capacity(16);
+                req.put_u64(flow_id);
+                req.put_u64(bytes);
+                self.stack
+                    .send_udp(server, REQ_PORT, REQ_PORT, req.freeze(), uplink(ctx));
+            }
+            Role::Incast { receiver, .. } => self.blast(ctx, receiver, flow_id, bytes),
+            _ => {}
+        }
+        self.arm_next(ctx);
+    }
+
+    /// One paced round: a full-chunk frame to every destination.
+    fn tick(&mut self, ctx: &mut Ctx<'_>) {
+        let Role::Paced {
+            dsts,
+            interval,
+            stop_at,
+        } = &self.role
+        else {
+            return;
+        };
+        let now = ctx.now();
+        if now >= Time::ZERO + *stop_at {
+            return;
+        }
+        let now_ns = now.as_nanos();
+        let start_ns = self.start_at.as_nanos() as u64;
+        for (d, &dst) in dsts.iter().enumerate() {
+            let flow_id = self.flow_tag | d as u64;
+            let data = data_frame(flow_id, 0, start_ns, now_ns, CHUNK_BYTES);
+            self.stack
+                .send_udp(dst, DATA_PORT, DATA_PORT, data, uplink(ctx));
+            self.report.offered_bytes += CHUNK_BYTES;
+            self.report.frames_sent += 1;
+        }
+        ctx.schedule(*interval, T_TICK);
+    }
+
+    /// Chunk a bounded flow onto the wire toward `(dst, DATA_PORT)`.
+    fn blast(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr, flow_id: u64, bytes: u64) {
+        let frames = frames_for(bytes);
+        let now_ns = ctx.now().as_nanos();
+        for i in 0..frames {
+            let chunk = if i + 1 == frames {
+                bytes - i * CHUNK_BYTES
+            } else {
+                CHUNK_BYTES
+            };
+            let data = data_frame(flow_id, bytes, now_ns, now_ns, chunk);
+            self.stack
+                .send_udp(dst, DATA_PORT, DATA_PORT, data, uplink(ctx));
+        }
+        self.report.frames_sent += frames;
+    }
+
     fn on_data(&mut self, now: Time, payload: &Bytes) {
         if payload.len() < HEADER_BYTES as usize {
             return;
@@ -76,11 +277,12 @@ impl SinkCore {
         let start_ns = read_u64(payload, 16);
         let send_ns = read_u64(payload, 24);
         let chunk = (payload.len() - HEADER_BYTES as usize) as u64;
-        self.delivered_bytes += chunk;
-        self.frames_delivered += 1;
+        let r = &mut self.report;
+        r.delivered_bytes += chunk;
+        r.frames_delivered += 1;
         if total == 0 {
             // Paced stream: latency sample, no completion.
-            self.frame_latency_ns
+            r.frame_latency_ns
                 .push(now.as_nanos().saturating_sub(send_ns));
             return;
         }
@@ -90,468 +292,68 @@ impl SinkCore {
             .or_insert(FlowRx { total, received: 0 });
         rx.received += chunk;
         if rx.received >= rx.total {
-            self.flows_completed += 1;
-            self.fct_ns.push(now.as_nanos().saturating_sub(start_ns));
+            r.flows_completed += 1;
+            r.fct_ns.push(now.as_nanos().saturating_sub(start_ns));
             self.flows.remove(&flow_id);
         }
     }
-
-    fn fold_into(&self, r: &mut TrafficReport) {
-        r.delivered_bytes += self.delivered_bytes;
-        r.frames_delivered += self.frames_delivered;
-        r.flows_completed += self.flows_completed;
-        r.fct_ns.extend_from_slice(&self.fct_ns);
-        r.frame_latency_ns.extend_from_slice(&self.frame_latency_ns);
-    }
 }
 
-/// Emit stack outputs, feeding received datagrams to `sink`.
-fn pump(ctx: &mut Ctx<'_>, sink: Option<&mut SinkCore>, outs: Vec<StackOutput>) {
-    let mut sink = sink;
-    for o in outs {
-        match o {
-            StackOutput::Tx(f) => ctx.send_frame(1, f),
-            StackOutput::Udp {
-                dst_port, payload, ..
-            } => {
-                if dst_port == DATA_PORT {
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.on_data(ctx.now(), &payload);
+impl Agent for TrafficHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.stack.boot(uplink(ctx));
+        // Resolve the next hop before the first blast, so a thousand
+        // queued frames don't each broadcast their own request.
+        for lead in [Duration::from_millis(1500), Duration::from_millis(300)] {
+            ctx.schedule_at(Time::ZERO + self.start_at.saturating_sub(lead), T_WARM);
+        }
+        if let Role::Paced { .. } = self.role {
+            ctx.schedule_at(Time::ZERO + self.start_at, T_TICK);
+        }
+        self.arm_next(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        match token {
+            T_WARM => match &self.role {
+                Role::Client { server: dst, .. } | Role::Incast { receiver: dst, .. } => {
+                    self.stack.resolve(*dst, uplink(ctx));
+                }
+                Role::Paced { dsts, .. } => {
+                    for &dst in dsts {
+                        self.stack.resolve(dst, uplink(ctx));
                     }
                 }
-            }
-            StackOutput::EchoReply { .. } => {}
+                // A sink never transmits, so nothing would ever teach the
+                // controller where it lives: the resulting gateway ARP is
+                // what gets its /32 delivery flow installed before the
+                // first data frame arrives (a cold edge drops the frames
+                // that race the on-demand probe).
+                Role::Server | Role::Sink => self.stack.resolve(OFF_SUBNET, uplink(ctx)),
+            },
+            T_ARRIVAL | T_WAVE => self.start_flow(ctx),
+            T_TICK => self.tick(ctx),
+            _ => {}
         }
     }
-}
 
-/// Schedule the pre-window ARP warm-ups (resolve the gateway before
-/// the first blast, so a thousand queued frames don't each broadcast
-/// their own request).
-fn schedule_warm(ctx: &mut Ctx<'_>, start_at: Duration) {
-    for lead in [Duration::from_millis(1500), Duration::from_millis(300)] {
-        ctx.schedule_at(Time::ZERO + start_at.saturating_sub(lead), T_WARM);
-    }
-}
-
-/// Chunk a bounded flow onto the wire toward `(dst, DATA_PORT)`.
-fn blast(
-    stack: &mut HostStack,
-    ctx: &mut Ctx<'_>,
-    sink: Option<&mut SinkCore>,
-    dst: Ipv4Addr,
-    flow_id: u64,
-    bytes: u64,
-) -> u64 {
-    let frames = frames_for(bytes);
-    let now_ns = ctx.now().as_nanos();
-    let mut outs = Vec::new();
-    for i in 0..frames {
-        let chunk = if i + 1 == frames {
-            bytes - i * CHUNK_BYTES
-        } else {
-            CHUNK_BYTES
+    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
+        let Some(Received::Udp {
+            src,
+            dst_port,
+            payload,
+            ..
+        }) = self.stack.on_frame(&frame, uplink(ctx))
+        else {
+            return;
         };
-        outs.extend(stack.send_udp(
-            dst,
-            DATA_PORT,
-            DATA_PORT,
-            data_frame(flow_id, bytes, now_ns, now_ns, chunk),
-        ));
-    }
-    pump(ctx, sink, outs);
-    frames
-}
-
-/// Request/response client: draws arrivals from its seeded stream,
-/// asks the server for each response flow, and sinks the data.
-#[derive(Clone)]
-pub struct TrafficClient {
-    stack: HostStack,
-    server: Ipv4Addr,
-    stream: ArrivalStream,
-    pending: Option<(Duration, u64)>,
-    flow_tag: u64,
-    flow_seq: u64,
-    start_at: Duration,
-    pub offered_bytes: u64,
-    pub flows_started: u64,
-    sink: SinkCore,
-}
-
-impl TrafficClient {
-    pub fn new(
-        cfg: HostConfig,
-        server: Ipv4Addr,
-        stream: ArrivalStream,
-        endpoint_idx: usize,
-        start_at: Duration,
-    ) -> TrafficClient {
-        TrafficClient {
-            stack: HostStack::new(cfg),
-            server,
-            stream,
-            pending: None,
-            flow_tag: (endpoint_idx as u64 + 1) << 32,
-            flow_seq: 0,
-            start_at,
-            offered_bytes: 0,
-            flows_started: 0,
-            sink: SinkCore::default(),
-        }
-    }
-
-    pub fn report(&self) -> TrafficReport {
-        let mut r = TrafficReport {
-            offered_bytes: self.offered_bytes,
-            flows_started: self.flows_started,
-            ..TrafficReport::default()
-        };
-        self.sink.fold_into(&mut r);
-        r
-    }
-
-    fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((at, bytes)) = self.stream.next() {
-            self.pending = Some((at, bytes));
-            ctx.schedule_at(Time::ZERO + at, T_ARRIVAL);
-        }
-    }
-}
-
-impl Agent for TrafficClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        pump(ctx, Some(&mut self.sink), outs);
-        schedule_warm(ctx, self.start_at);
-        self.arm_next(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            T_WARM => {
-                let outs = self.stack.resolve(self.server);
-                pump(ctx, Some(&mut self.sink), outs);
-            }
-            T_ARRIVAL => {
-                let Some((_, bytes)) = self.pending.take() else {
-                    return;
-                };
-                self.flows_started += 1;
-                self.offered_bytes += bytes;
-                let flow_id = self.flow_tag | self.flow_seq;
-                self.flow_seq += 1;
-                let mut req = BytesMut::with_capacity(16);
-                req.put_u64(flow_id);
-                req.put_u64(bytes);
-                let outs = self
-                    .stack
-                    .send_udp(self.server, REQ_PORT, REQ_PORT, req.freeze());
-                pump(ctx, Some(&mut self.sink), outs);
-                self.arm_next(ctx);
+        match (dst_port, &self.role) {
+            (DATA_PORT, _) => self.on_data(ctx.now(), &payload),
+            (REQ_PORT, Role::Server) if payload.len() >= 16 => {
+                self.blast(ctx, src, read_u64(&payload, 0), read_u64(&payload, 8));
             }
             _ => {}
         }
-    }
-
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        pump(ctx, Some(&mut self.sink), outs);
-    }
-}
-
-/// Request/response server: answers each request by blasting the
-/// requested number of bytes back at the asking client.
-#[derive(Clone)]
-pub struct TrafficServer {
-    stack: HostStack,
-    start_at: Duration,
-    pub frames_sent: u64,
-}
-
-impl TrafficServer {
-    pub fn new(cfg: HostConfig, start_at: Duration) -> TrafficServer {
-        TrafficServer {
-            stack: HostStack::new(cfg),
-            start_at,
-            frames_sent: 0,
-        }
-    }
-
-    pub fn report(&self) -> TrafficReport {
-        TrafficReport {
-            frames_sent: self.frames_sent,
-            ..TrafficReport::default()
-        }
-    }
-}
-
-impl Agent for TrafficServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        pump(ctx, None, outs);
-        schedule_warm(ctx, self.start_at);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == T_WARM {
-            // Any off-subnet destination resolves the gateway.
-            let outs = self.stack.resolve(Ipv4Addr::new(10, 255, 255, 254));
-            pump(ctx, None, outs);
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        let mut requests = Vec::new();
-        for o in outs {
-            match o {
-                StackOutput::Tx(f) => ctx.send_frame(1, f),
-                StackOutput::Udp {
-                    src,
-                    dst_port,
-                    payload,
-                    ..
-                } if dst_port == REQ_PORT && payload.len() >= 16 => {
-                    requests.push((src, read_u64(&payload, 0), read_u64(&payload, 8)));
-                }
-                _ => {}
-            }
-        }
-        for (client, flow_id, bytes) in requests {
-            self.frames_sent += blast(&mut self.stack, ctx, None, client, flow_id, bytes);
-        }
-    }
-}
-
-/// Incast sender: blasts one drawn flow at the receiver per wave.
-#[derive(Clone)]
-pub struct IncastSender {
-    stack: HostStack,
-    receiver: Ipv4Addr,
-    waves: WaveStream,
-    pending: Option<(Duration, u64)>,
-    flow_tag: u64,
-    flow_seq: u64,
-    start_at: Duration,
-    pub offered_bytes: u64,
-    pub flows_started: u64,
-    pub frames_sent: u64,
-}
-
-impl IncastSender {
-    pub fn new(
-        cfg: HostConfig,
-        receiver: Ipv4Addr,
-        waves: WaveStream,
-        endpoint_idx: usize,
-        start_at: Duration,
-    ) -> IncastSender {
-        IncastSender {
-            stack: HostStack::new(cfg),
-            receiver,
-            waves,
-            pending: None,
-            flow_tag: (endpoint_idx as u64 + 1) << 32,
-            flow_seq: 0,
-            start_at,
-            offered_bytes: 0,
-            flows_started: 0,
-            frames_sent: 0,
-        }
-    }
-
-    pub fn report(&self) -> TrafficReport {
-        TrafficReport {
-            offered_bytes: self.offered_bytes,
-            flows_started: self.flows_started,
-            frames_sent: self.frames_sent,
-            ..TrafficReport::default()
-        }
-    }
-
-    fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some((at, bytes)) = self.waves.next() {
-            self.pending = Some((at, bytes));
-            ctx.schedule_at(Time::ZERO + at, T_WAVE);
-        }
-    }
-}
-
-impl Agent for IncastSender {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        pump(ctx, None, outs);
-        schedule_warm(ctx, self.start_at);
-        self.arm_next(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            T_WARM => {
-                let outs = self.stack.resolve(self.receiver);
-                pump(ctx, None, outs);
-            }
-            T_WAVE => {
-                let Some((_, bytes)) = self.pending.take() else {
-                    return;
-                };
-                self.flows_started += 1;
-                self.offered_bytes += bytes;
-                let flow_id = self.flow_tag | self.flow_seq;
-                self.flow_seq += 1;
-                self.frames_sent +=
-                    blast(&mut self.stack, ctx, None, self.receiver, flow_id, bytes);
-                self.arm_next(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        pump(ctx, None, outs);
-    }
-}
-
-/// Paced source: one full-chunk frame per destination per tick — CBR
-/// unicast with a single destination, multicast fan-out with many
-/// (replication happens at this source's access link, SRMCA-style).
-#[derive(Clone)]
-pub struct PacedSource {
-    stack: HostStack,
-    dsts: Vec<Ipv4Addr>,
-    interval: Duration,
-    start_at: Duration,
-    stop_at: Duration,
-    flow_tag: u64,
-    pub offered_bytes: u64,
-    pub frames_sent: u64,
-}
-
-impl PacedSource {
-    pub fn new(
-        cfg: HostConfig,
-        dsts: Vec<Ipv4Addr>,
-        interval: Duration,
-        endpoint_idx: usize,
-        start_at: Duration,
-        stop_at: Duration,
-    ) -> PacedSource {
-        PacedSource {
-            stack: HostStack::new(cfg),
-            dsts,
-            interval,
-            start_at,
-            stop_at,
-            flow_tag: (endpoint_idx as u64 + 1) << 32,
-            offered_bytes: 0,
-            frames_sent: 0,
-        }
-    }
-
-    pub fn report(&self) -> TrafficReport {
-        TrafficReport {
-            offered_bytes: self.offered_bytes,
-            frames_sent: self.frames_sent,
-            ..TrafficReport::default()
-        }
-    }
-}
-
-impl Agent for PacedSource {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        pump(ctx, None, outs);
-        schedule_warm(ctx, self.start_at);
-        ctx.schedule_at(Time::ZERO + self.start_at, T_TICK);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            T_WARM => {
-                for dst in self.dsts.clone() {
-                    let outs = self.stack.resolve(dst);
-                    pump(ctx, None, outs);
-                }
-            }
-            T_TICK => {
-                let now = ctx.now();
-                if now >= Time::ZERO + self.stop_at {
-                    return;
-                }
-                let now_ns = now.as_nanos();
-                let start_ns = self.start_at.as_nanos() as u64;
-                for (d, dst) in self.dsts.clone().into_iter().enumerate() {
-                    let flow_id = self.flow_tag | d as u64;
-                    let outs = self.stack.send_udp(
-                        dst,
-                        DATA_PORT,
-                        DATA_PORT,
-                        data_frame(flow_id, 0, start_ns, now_ns, CHUNK_BYTES),
-                    );
-                    pump(ctx, None, outs);
-                    self.offered_bytes += CHUNK_BYTES;
-                    self.frames_sent += 1;
-                }
-                ctx.schedule(self.interval, T_TICK);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        pump(ctx, None, outs);
-    }
-}
-
-/// Pure sink: receives data frames and accounts for them.
-#[derive(Clone)]
-pub struct TrafficSink {
-    stack: HostStack,
-    sink: SinkCore,
-    start_at: Duration,
-}
-
-impl TrafficSink {
-    pub fn new(cfg: HostConfig, start_at: Duration) -> TrafficSink {
-        TrafficSink {
-            stack: HostStack::new(cfg),
-            sink: SinkCore::default(),
-            start_at,
-        }
-    }
-
-    pub fn report(&self) -> TrafficReport {
-        let mut r = TrafficReport::default();
-        self.sink.fold_into(&mut r);
-        r
-    }
-}
-
-impl Agent for TrafficSink {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let outs = self.stack.boot();
-        pump(ctx, Some(&mut self.sink), outs);
-        schedule_warm(ctx, self.start_at);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == T_WARM {
-            // A sink never transmits, so nothing would ever teach the
-            // controller where it lives: the resulting gateway ARP is
-            // what gets its /32 delivery flow installed before the
-            // first data frame arrives (a cold edge drops the frames
-            // that race the on-demand probe).
-            let outs = self.stack.resolve(Ipv4Addr::new(10, 255, 255, 254));
-            pump(ctx, Some(&mut self.sink), outs);
-        }
-    }
-
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
-        let outs = self.stack.on_frame(&frame);
-        pump(ctx, Some(&mut self.sink), outs);
     }
 }
 
@@ -571,18 +373,23 @@ mod tests {
 
     #[test]
     fn sink_completes_bounded_flows_and_times_paced_frames() {
-        let mut s = SinkCore::default();
+        let cfg = HostConfig {
+            mac: rf_wire::MacAddr([2, 0, 0, 0, 0, 1]),
+            addr: "10.9.0.2/24".parse().unwrap(),
+            gateway: Ipv4Addr::new(10, 9, 0, 1),
+        };
+        let mut host = TrafficHost::sink(cfg, Duration::ZERO);
         let t1 = Time::ZERO + Duration::from_millis(5);
-        s.on_data(t1, &data_frame(1, 2048, 1_000_000, 1_000_000, 1024));
-        assert_eq!(s.flows_completed, 0);
-        s.on_data(t1, &data_frame(1, 2048, 1_000_000, 1_000_000, 1024));
-        assert_eq!(s.flows_completed, 1);
-        assert_eq!(s.fct_ns, vec![4_000_000]);
-        assert_eq!(s.delivered_bytes, 2048);
+        host.on_data(t1, &data_frame(1, 2048, 1_000_000, 1_000_000, 1024));
+        assert_eq!(host.report.flows_completed, 0);
+        host.on_data(t1, &data_frame(1, 2048, 1_000_000, 1_000_000, 1024));
+        assert_eq!(host.report.flows_completed, 1);
+        assert_eq!(host.report.fct_ns, vec![4_000_000]);
+        assert_eq!(host.report.delivered_bytes, 2048);
         // A paced frame (total = 0) records latency, not completion.
-        s.on_data(t1, &data_frame(9, 0, 0, 4_000_000, 1024));
-        assert_eq!(s.flows_completed, 1);
-        assert_eq!(s.frame_latency_ns, vec![1_000_000]);
-        assert_eq!(s.frames_delivered, 3);
+        host.on_data(t1, &data_frame(9, 0, 0, 4_000_000, 1024));
+        assert_eq!(host.report.flows_completed, 1);
+        assert_eq!(host.report.frame_latency_ns, vec![1_000_000]);
+        assert_eq!(host.report.frames_delivered, 3);
     }
 }

@@ -12,10 +12,10 @@
 //! drain and FIB-flush ticks, sub-second protocol timers. A single
 //! `BinaryHeap` pays `O(log n)` pointer-chasing for each of them
 //! against the whole future-event set. Instead, the near future — a
-//! [`WHEEL_SPAN`]-wide window starting at the last dispatched instant —
-//! is a circular array of buckets ([`MIN_WHEEL_SLOTS`] at first,
-//! doubling on demand up to [`MAX_WHEEL_SLOTS`]), each covering
-//! 2^[`SLOT_NS_SHIFT`] ns. Pushing into the window indexes a bucket
+//! `WHEEL_SPAN`-wide window starting at the last dispatched instant —
+//! is a circular array of buckets (`MIN_WHEEL_SLOTS` at first,
+//! doubling on demand up to `MAX_WHEEL_SLOTS`), each covering
+//! 2^`SLOT_NS_SHIFT` ns. Pushing into the window indexes a bucket
 //! directly; popping scans an occupancy bitmap for the first live
 //! bucket. Buckets are `Vec`s sorted lazily (descending) on first
 //! read, so a same-instant burst costs one sort and then O(1) pops

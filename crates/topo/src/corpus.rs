@@ -15,7 +15,7 @@
 //! in degrees; `link` lines reference nodes by zero-based index in
 //! declaration order. Parsing is strict — unknown keywords, bad
 //! numbers, out-of-range indices, self-loops and duplicate links are
-//! typed errors, not panics — and [`emit`] regenerates the canonical
+//! typed errors, not panics — and [`emit`](CorpusFile::emit) regenerates the canonical
 //! bytes so every checked-in file round-trips exactly (see the tests).
 
 use crate::graph::Topology;

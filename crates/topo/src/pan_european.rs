@@ -1,7 +1,7 @@
 //! The 28-node pan-European reference network.
 //!
 //! The paper's demonstration (Section 3) streams video across "a pan
-//! European topology [5] consisting of 28 nodes", citing Maesschalck et
+//! European topology \[5\] consisting of 28 nodes", citing Maesschalck et
 //! al., *Pan-European optical transport networks: an availability-based
 //! comparison* (2003) — the COST 266 reference networks. We encode a
 //! 28-city / 41-link basic-topology variant with real coordinates;

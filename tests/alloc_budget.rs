@@ -11,7 +11,8 @@
 //! per-thread, so the tests here may run in parallel.
 
 use bytes::Bytes;
-use rf_apps::{HostConfig, HostStack, StackOutput};
+use rf_apps::{HostConfig, HostStack, Received};
+use rf_core::traffic::packet::TrafficHost;
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
 use rf_routed::config::OspfConfig;
 use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
@@ -97,6 +98,14 @@ const HOST_B: Ipv4Addr = Ipv4Addr::new(10, 0, 2, 2);
 const MAC_A: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xA]);
 const MAC_B: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xB]);
 const MAC_SW: MacAddr = MacAddr([2, 0, 0, 0, 1, 0]);
+const HOST_A_CFG: HostConfig = HostConfig {
+    mac: MAC_A,
+    addr: Ipv4Cidr {
+        addr: HOST_A,
+        prefix_len: 24,
+    },
+    gateway: Ipv4Addr::new(10, 0, 1, 1),
+};
 
 /// A 1 KiB datagram from host A toward host B, addressed to the switch.
 fn data_frame() -> Bytes {
@@ -214,31 +223,113 @@ fn a_routed_hop_copies_no_frame() {
     );
 }
 
+/// Host A's stack with its gateway (the switch) already resolved.
+fn resolved_host() -> HostStack {
+    let mut host = HostStack::new(HOST_A_CFG);
+    let asked = ArpPacket::request(MAC_A, HOST_A, HOST_A_CFG.gateway);
+    let answer = ArpPacket::reply_to(&asked, MAC_SW).emit();
+    let answer = EthernetFrame::new(MAC_A, MAC_SW, EtherType::ARP, answer).emit();
+    host.on_frame(&answer, |f| panic!("transmitted {f:?}"));
+    assert!(host.is_resolved(HOST_B));
+    host
+}
+
 /// A host sending 1 KiB to a resolved next hop allocates the frame and
 /// nothing else of that size: headers are written around the payload in
 /// the one buffer.
 #[test]
 fn a_sent_datagram_is_one_buffer() {
-    let mut host = HostStack::new(HostConfig {
-        mac: MAC_A,
-        addr: Ipv4Cidr::new(HOST_A, 24),
-        gateway: Ipv4Addr::new(10, 0, 1, 1),
-    });
-    let asked = ArpPacket::request(MAC_A, HOST_A, Ipv4Addr::new(10, 0, 1, 1));
-    let answer = ArpPacket::reply_to(&asked, MAC_SW).emit();
-    host.on_frame(&EthernetFrame::new(MAC_A, MAC_SW, EtherType::ARP, answer).emit());
-    assert!(host.is_resolved(HOST_B));
+    let mut host = resolved_host();
     let payload = Bytes::from(vec![b'T'; BIG]);
+    let mut sent = None;
 
-    let (outs, allocations, big) = counted(|| host.send_udp(HOST_B, 7000, 7000, payload));
+    let ((), allocations, big) =
+        counted(|| host.send_udp(HOST_B, 7000, 7000, payload, |f| sent = Some(f)));
 
-    let [StackOutput::Tx(frame)] = &outs[..] else {
-        panic!("{outs:?}");
-    };
-    assert_eq!(*frame, data_frame());
+    assert_eq!(sent, Some(data_frame()));
     assert_eq!(big, 1, "payload-sized allocations per sent datagram");
-    // The frame's buffer, its handle, and the output list.
-    assert_eq!(allocations, 3, "allocations per sent datagram");
+    // The frame's buffer and its handle: it goes to the sink as built.
+    assert_eq!(allocations, 2, "allocations per sent datagram");
+}
+
+/// A received 1 KiB datagram reaches the application as a slice of the
+/// frame it arrived in.
+#[test]
+fn a_received_datagram_is_a_view_of_its_frame() {
+    let mut host = resolved_host();
+    let udp = UdpPacket::new(7000, 7000, Bytes::from(vec![b'T'; BIG]));
+    let ip = Ipv4Packet::new(HOST_B, HOST_A, IpProtocol::UDP, udp.emit(HOST_B, HOST_A));
+    let frame = EthernetFrame::new(MAC_A, MAC_SW, EtherType::IPV4, ip.emit()).emit();
+
+    let (got, allocations, _) = counted(|| host.on_frame(&frame, |f| panic!("transmitted {f:?}")));
+
+    let Some(Received::Udp { src, payload, .. }) = got else {
+        panic!("{got:?}");
+    };
+    assert_eq!((src, payload), (HOST_B, frame.slice(42..)));
+    assert_eq!(allocations, 0, "allocations per received datagram");
+}
+
+/// A traffic server answering one 64 KiB request sends its 64 frames
+/// straight from the stack to its link: four allocations per frame —
+/// the payload and the frame, buffer and handle each — and no list that
+/// grows with the flow.
+#[test]
+fn a_traffic_server_allocates_per_frame_not_per_flow() {
+    const FRAMES: usize = 64;
+    let mut sim = Sim::new(SimConfig::default());
+    let server = sim.add_agent(
+        "server",
+        // Its ARP warm-ups fall after the window measured here.
+        Box::new(TrafficHost::server(HOST_A_CFG, Duration::from_secs(10))),
+    );
+    let answer = ArpPacket::reply_to(
+        &ArpPacket::request(MAC_A, HOST_A, HOST_A_CFG.gateway),
+        MAC_SW,
+    );
+    let mut request = Vec::new();
+    request.extend_from_slice(&7u64.to_be_bytes());
+    request.extend_from_slice(&(FRAMES as u64 * 1024).to_be_bytes());
+    let request = UdpPacket::new(7700, 7700, Bytes::from(request));
+    let request = Ipv4Packet::new(
+        HOST_B,
+        HOST_A,
+        IpProtocol::UDP,
+        request.emit(HOST_B, HOST_A),
+    );
+    let gateway = sim.add_agent(
+        "gateway",
+        Box::new(Stub {
+            // Popped from the back: the ARP answer first.
+            frames: vec![
+                EthernetFrame::new(MAC_A, MAC_SW, EtherType::IPV4, request.emit()).emit(),
+                EthernetFrame::new(MAC_A, MAC_SW, EtherType::ARP, answer.emit()).emit(),
+            ],
+            at: vec![Duration::from_millis(10), Duration::from_millis(20)],
+            ..Stub::default()
+        }),
+    );
+    sim.add_link((gateway, 1), (server, 1), LinkProfile::default());
+    // The request is in flight; nothing else is.
+    sim.run_until(Time::from_millis(20));
+    assert_eq!(stub(&sim, gateway).received, 1, "the server's boot ARP");
+
+    let ((), allocations, big) = counted(|| sim.run_until(Time::from_millis(500)));
+
+    assert_eq!(stub(&sim, gateway).received as usize, 1 + FRAMES);
+    let report = sim
+        .agent_as::<TrafficHost>(server)
+        .expect("a host")
+        .report();
+    assert_eq!(report.frames_sent as usize, FRAMES);
+    // The ten are the kernel's: wheel slots growing to hold 64 frames
+    // in flight, two of them past 1 KiB. With a list per stack call,
+    // the collected flow and the request list this was 337 (132).
+    assert!(big <= 2 * FRAMES + 2, "{big} payload-sized allocations");
+    assert!(
+        allocations <= 4 * FRAMES + 10,
+        "{allocations} allocations for a {FRAMES}-frame response"
+    );
 }
 
 /// A hub router with `peers` point-to-point neighbours, each a daemon

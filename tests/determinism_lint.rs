@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 /// (`get` / `insert` / `remove` / `contains_key` / `entry` / `len`, or an
 /// order-independent `retain`) and never iterated.
 const ALLOWED: &[(&str, &str)] = &[
-    ("crates/apps/src/stack.rs", "lookup-only: ARP cache by IP"),
     (
         "crates/core/src/apps/bus.rs",
         "lookup-only: port_peer / hosts / installed / dpid_of; port_peer's one retain emits nothing",
@@ -29,10 +28,6 @@ const ALLOWED: &[(&str, &str)] = &[
     (
         "crates/core/src/chaos/invariants.rs",
         "lookup-only: subnet owners, filled from the link list and probed by prefix",
-    ),
-    (
-        "crates/core/src/traffic/packet.rs",
-        "lookup-only: receive state by flow id",
     ),
     (
         "crates/discovery/src/controller.rs",

@@ -650,6 +650,251 @@ mod datapath_model {
     }
 }
 
+// ---------------- host stack: reference model ----------------
+
+/// The list-returning host stack as it stood before `HostStack` took a
+/// sink: every call returns what to transmit and what arrived as one
+/// `Vec`. Kept verbatim (less two accessors and two counters nothing
+/// here reads) as the reference model for
+/// `host_stack_matches_reference_model`.
+mod host_stack_model {
+    use bytes::{Bytes, BytesMut};
+    use rf_apps::HostConfig;
+    use rf_wire::ipv4::DEFAULT_TTL;
+    use rf_wire::{
+        ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Body,
+        Ipv4Packet, MacAddr, UdpPacket,
+    };
+    use std::collections::HashMap;
+    use std::net::Ipv4Addr;
+
+    /// What the stack wants done after processing input.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum StackOutput {
+        /// Transmit this frame on the host's single interface.
+        Tx(Bytes),
+        /// A UDP datagram arrived for us.
+        Udp {
+            src: Ipv4Addr,
+            src_port: u16,
+            dst_port: u16,
+            payload: Bytes,
+        },
+        /// An ICMP echo reply arrived (ident, seq).
+        EchoReply {
+            from: Ipv4Addr,
+            ident: u16,
+            seq: u16,
+        },
+    }
+
+    /// The host stack.
+    #[derive(Clone)]
+    pub struct HostStack {
+        cfg: HostConfig,
+        arp_cache: HashMap<Ipv4Addr, MacAddr>,
+        /// Frames waiting on ARP resolution, keyed by next-hop IP: built
+        /// in full, only the destination MAC (bytes 0..6) still to fill in.
+        pending: Vec<(Ipv4Addr, BytesMut)>,
+    }
+
+    impl HostStack {
+        pub fn new(cfg: HostConfig) -> HostStack {
+            HostStack {
+                cfg,
+                arp_cache: HashMap::new(),
+                pending: Vec::new(),
+            }
+        }
+
+        /// Frames to send at boot: a gratuitous ARP so the network (and
+        /// RouteFlow's host learner) knows where we are.
+        pub fn boot(&self) -> Vec<StackOutput> {
+            let garp = ArpPacket {
+                op: ArpOp::Request,
+                sender_mac: self.cfg.mac,
+                sender_ip: self.cfg.addr.addr,
+                target_mac: MacAddr::ZERO,
+                target_ip: self.cfg.addr.addr,
+            };
+            vec![StackOutput::Tx(
+                EthernetFrame::new(
+                    MacAddr::BROADCAST,
+                    self.cfg.mac,
+                    EtherType::ARP,
+                    garp.emit(),
+                )
+                .emit(),
+            )]
+        }
+
+        /// The next hop for `dst`: on-link or via the gateway.
+        fn next_hop(&self, dst: Ipv4Addr) -> Ipv4Addr {
+            if self.cfg.addr.contains(dst) {
+                dst
+            } else {
+                self.cfg.gateway
+            }
+        }
+
+        /// The one way an IPv4 packet leaves this host: built as a whole
+        /// frame in one buffer, then sent if the next hop's MAC is known
+        /// or parked behind an ARP request for it if not.
+        fn emit_ip(&mut self, dst: Ipv4Addr, body: Ipv4Body<'_>) -> Vec<StackOutput> {
+            let nh = self.next_hop(dst);
+            let mac = self.arp_cache.get(&nh).copied();
+            let frame = ipv4_frame(
+                mac.unwrap_or(MacAddr::ZERO),
+                self.cfg.mac,
+                self.cfg.addr.addr,
+                dst,
+                DEFAULT_TTL,
+                body,
+            );
+            if mac.is_some() {
+                return vec![StackOutput::Tx(frame.freeze())];
+            }
+            self.pending.push((nh, frame));
+            let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, nh);
+            vec![StackOutput::Tx(
+                EthernetFrame::new(MacAddr::BROADCAST, self.cfg.mac, EtherType::ARP, req.emit())
+                    .emit(),
+            )]
+        }
+
+        /// Is the next hop for `dst` already in the ARP cache?
+        pub fn is_resolved(&self, dst: Ipv4Addr) -> bool {
+            self.arp_cache.contains_key(&self.next_hop(dst))
+        }
+
+        /// Kick off ARP resolution of `dst`'s next hop without queueing
+        /// any data. Bulk senders warm the cache with one request instead
+        /// of emitting a request per queued datagram.
+        pub fn resolve(&mut self, dst: Ipv4Addr) -> Vec<StackOutput> {
+            let nh = self.next_hop(dst);
+            if self.arp_cache.contains_key(&nh) {
+                return Vec::new();
+            }
+            let req = ArpPacket::request(self.cfg.mac, self.cfg.addr.addr, nh);
+            vec![StackOutput::Tx(
+                EthernetFrame::new(MacAddr::BROADCAST, self.cfg.mac, EtherType::ARP, req.emit())
+                    .emit(),
+            )]
+        }
+
+        /// Send a UDP datagram.
+        pub fn send_udp(
+            &mut self,
+            dst: Ipv4Addr,
+            src_port: u16,
+            dst_port: u16,
+            payload: Bytes,
+        ) -> Vec<StackOutput> {
+            self.emit_ip(
+                dst,
+                Ipv4Body::Udp {
+                    src_port,
+                    dst_port,
+                    payload: &payload,
+                },
+            )
+        }
+
+        /// Send an ICMP echo request.
+        pub fn send_ping(&mut self, dst: Ipv4Addr, ident: u16, seq: u16) -> Vec<StackOutput> {
+            let icmp = IcmpPacket::echo_request(ident, seq, Bytes::from_static(b"rf-ping"));
+            self.emit_ip(dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp.emit()))
+        }
+
+        /// Process a received frame (zero-copy: inner layers slice the
+        /// caller's buffer).
+        pub fn on_frame(&mut self, frame: &Bytes) -> Vec<StackOutput> {
+            let Ok(eth) = EthernetFrame::parse_bytes(frame) else {
+                return Vec::new();
+            };
+            if !eth.dst.is_broadcast() && eth.dst != self.cfg.mac && !eth.dst.is_multicast() {
+                return Vec::new();
+            }
+            match eth.ethertype {
+                EtherType::ARP => self.on_arp(&eth),
+                EtherType::IPV4 => self.on_ip(&eth),
+                _ => Vec::new(),
+            }
+        }
+
+        fn on_arp(&mut self, eth: &EthernetFrame) -> Vec<StackOutput> {
+            let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+                return Vec::new();
+            };
+            let mut out = Vec::new();
+            // Learn the sender either way.
+            if arp.sender_ip != Ipv4Addr::UNSPECIFIED {
+                self.arp_cache.insert(arp.sender_ip, arp.sender_mac);
+            }
+            if arp.op == ArpOp::Request && arp.target_ip == self.cfg.addr.addr {
+                let reply = ArpPacket::reply_to(&arp, self.cfg.mac);
+                out.push(StackOutput::Tx(
+                    EthernetFrame::new(arp.sender_mac, self.cfg.mac, EtherType::ARP, reply.emit())
+                        .emit(),
+                ));
+            }
+            // Flush anything waiting on this resolution.
+            for (nh, mut frame) in std::mem::take(&mut self.pending) {
+                match self.arp_cache.get(&nh) {
+                    Some(mac) => {
+                        frame[0..6].copy_from_slice(mac.as_bytes());
+                        out.push(StackOutput::Tx(frame.freeze()));
+                    }
+                    None => self.pending.push((nh, frame)),
+                }
+            }
+            out
+        }
+
+        fn on_ip(&mut self, eth: &EthernetFrame) -> Vec<StackOutput> {
+            let Ok(ip) = Ipv4Packet::parse_bytes(&eth.payload) else {
+                return Vec::new();
+            };
+            if ip.dst != self.cfg.addr.addr {
+                return Vec::new();
+            }
+            match ip.protocol {
+                IpProtocol::UDP => {
+                    let Ok(udp) = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst) else {
+                        return Vec::new();
+                    };
+                    vec![StackOutput::Udp {
+                        src: ip.src,
+                        src_port: udp.src_port,
+                        dst_port: udp.dst_port,
+                        payload: udp.payload,
+                    }]
+                }
+                IpProtocol::ICMP => {
+                    let Ok(icmp) = IcmpPacket::parse_bytes(&ip.payload) else {
+                        return Vec::new();
+                    };
+                    match icmp {
+                        IcmpPacket::EchoRequest { .. } => {
+                            let reply = IcmpPacket::reply_to(&icmp);
+                            self.emit_ip(ip.src, Ipv4Body::Raw(IpProtocol::ICMP, &reply.emit()))
+                        }
+                        IcmpPacket::EchoReply { ident, seq, .. } => {
+                            vec![StackOutput::EchoReply {
+                                from: ip.src,
+                                ident,
+                                seq,
+                            }]
+                        }
+                        IcmpPacket::Other { .. } => Vec::new(),
+                    }
+                }
+                _ => Vec::new(),
+            }
+        }
+    }
+}
+
 // ---------------- internet checksum: reference model ----------------
 
 /// `rf_wire`'s RFC 1071 sum as it was before it read eight bytes at a
@@ -925,6 +1170,198 @@ fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u1
     }
 }
 
+// ---------------- host stack: scripts ----------------
+
+const HOST: rf_apps::HostConfig = rf_apps::HostConfig {
+    mac: MacAddr([2, 0, 0, 0, 0, 0x42]),
+    addr: Ipv4Cidr {
+        addr: Ipv4Addr::new(10, 9, 0, 2),
+        prefix_len: 24,
+    },
+    gateway: Ipv4Addr::new(10, 9, 0, 1),
+};
+
+/// Who a script talks to and hears from: the gateway, two on-link
+/// peers, two hosts behind the gateway — and the host's own address.
+const HOST_PEERS: [Ipv4Addr; 6] = [
+    HOST.gateway,
+    Ipv4Addr::new(10, 9, 0, 3),
+    Ipv4Addr::new(10, 9, 0, 4),
+    Ipv4Addr::new(10, 8, 0, 5),
+    Ipv4Addr::new(10, 8, 0, 6),
+    HOST.addr.addr,
+];
+
+/// One call on a host stack.
+enum HostCall {
+    Boot,
+    SendUdp(Ipv4Addr, (u16, u16), Bytes),
+    SendPing(Ipv4Addr, u16, u16),
+    Resolve(Ipv4Addr),
+    Frame(Bytes),
+}
+
+/// The raw draws one call is built from: (kind, peer, tweak, payload).
+type HostDraw = (u8, u8, u16, Vec<u8>);
+
+/// `send_udp` / `send_ping` / `resolve` toward a peer, or a frame from
+/// one: ARP requests and replies for us and for others, UDP, echo
+/// requests and replies, a foreign destination MAC or IP — a quarter of
+/// the frames cut short, a quarter with one bit flipped.
+fn host_call((kind, peer, tweak, payload): HostDraw) -> HostCall {
+    use rf_wire::{EtherType, IcmpPacket, IpProtocol};
+    let ip = HOST_PEERS[peer as usize % HOST_PEERS.len()];
+    let other = HOST_PEERS[(peer as usize + 1) % HOST_PEERS.len()];
+    // Two MACs per peer, so that a later ARP can overwrite an earlier.
+    let mac = MacAddr([2, 0, 0, 1, tweak as u8 & 1, ip.octets()[3]]);
+    let payload = Bytes::from(payload);
+    let arp = |dst, arp: ArpPacket| EthernetFrame::new(dst, mac, EtherType::ARP, arp.emit());
+    let ipv4 = |dst_mac, dst_ip, protocol, body| {
+        let packet = Ipv4Packet::new(ip, dst_ip, protocol, body).emit();
+        EthernetFrame::new(dst_mac, mac, EtherType::IPV4, packet)
+    };
+    let udp = |dst_mac, dst_ip| {
+        let datagram = UdpPacket::new(tweak, !tweak, payload.clone()).emit(ip, dst_ip);
+        ipv4(dst_mac, dst_ip, IpProtocol::UDP, datagram)
+    };
+    let us = HOST.addr.addr;
+    let frame = match kind % 14 {
+        0 | 1 => return HostCall::SendUdp(ip, (tweak, !tweak), payload),
+        2 => return HostCall::SendPing(ip, tweak, tweak >> 3),
+        3 => return HostCall::Resolve(ip),
+        4 => arp(MacAddr::BROADCAST, ArpPacket::request(mac, ip, us)),
+        5 => arp(MacAddr::BROADCAST, ArpPacket::request(mac, ip, other)),
+        6 | 7 => {
+            let asked = ArpPacket::request(HOST.mac, us, ip);
+            arp(HOST.mac, ArpPacket::reply_to(&asked, mac))
+        }
+        8 => {
+            let asked = ArpPacket::request(MacAddr([2; 6]), other, ip);
+            arp(MacAddr([2; 6]), ArpPacket::reply_to(&asked, mac))
+        }
+        9 => udp(HOST.mac, us),
+        10 => {
+            let ping = IcmpPacket::echo_request(tweak, tweak >> 3, payload.clone());
+            ipv4(HOST.mac, us, IpProtocol::ICMP, ping.emit())
+        }
+        11 => {
+            let ping = IcmpPacket::echo_request(tweak, tweak >> 3, payload.clone());
+            let pong = IcmpPacket::reply_to(&ping);
+            ipv4(HOST.mac, us, IpProtocol::ICMP, pong.emit())
+        }
+        12 => udp(MacAddr([8; 6]), us),
+        _ => udp(HOST.mac, other),
+    };
+    let mut frame = frame.emit().to_vec();
+    let (at, len) = ((tweak >> 2) as usize, frame.len());
+    match tweak % 4 {
+        2 => frame.truncate(at % len),
+        3 => frame[at / 8 % len] ^= 1 << (at % 8),
+        _ => {}
+    }
+    HostCall::Frame(Bytes::from(frame))
+}
+
+/// What one call did: the frames it transmitted, in order, what it
+/// delivered, and which peers' next hops are resolved after it.
+type HostOutcome = (Vec<Bytes>, Vec<rf_apps::Received>, Vec<bool>);
+
+fn play_host_model(calls: &[HostCall]) -> Vec<HostOutcome> {
+    use host_stack_model::StackOutput;
+    let mut host = host_stack_model::HostStack::new(HOST);
+    let play = |call: &HostCall| {
+        let outs = match call {
+            HostCall::Boot => host.boot(),
+            HostCall::SendUdp(dst, ports, payload) => {
+                host.send_udp(*dst, ports.0, ports.1, payload.clone())
+            }
+            HostCall::SendPing(dst, ident, seq) => host.send_ping(*dst, *ident, *seq),
+            HostCall::Resolve(dst) => host.resolve(*dst),
+            HostCall::Frame(frame) => host.on_frame(frame),
+        };
+        let (mut sent, mut got) = (Vec::new(), Vec::new());
+        for out in outs {
+            match out {
+                StackOutput::Tx(frame) => sent.push(frame),
+                StackOutput::Udp {
+                    src,
+                    src_port,
+                    dst_port,
+                    payload,
+                } => got.push(rf_apps::Received::Udp {
+                    src,
+                    src_port,
+                    dst_port,
+                    payload,
+                }),
+                StackOutput::EchoReply { from, ident, seq } => {
+                    got.push(rf_apps::Received::EchoReply { from, ident, seq })
+                }
+            }
+        }
+        // What lets the stack return one item instead of a list.
+        assert!(got.len() <= 1 && (got.is_empty() || sent.is_empty()));
+        let resolved = HOST_PEERS.iter().map(|p| host.is_resolved(*p)).collect();
+        (sent, got, resolved)
+    };
+    calls.iter().map(play).collect()
+}
+
+fn play_host_stack(calls: &[HostCall]) -> Vec<HostOutcome> {
+    let mut host = rf_apps::HostStack::new(HOST);
+    let play = |call: &HostCall| {
+        let mut sent = Vec::new();
+        let tx = |frame| sent.push(frame);
+        let mut got = None;
+        match call {
+            HostCall::Boot => host.boot(tx),
+            HostCall::SendUdp(dst, ports, payload) => {
+                host.send_udp(*dst, ports.0, ports.1, payload.clone(), tx)
+            }
+            HostCall::SendPing(dst, ident, seq) => host.send_ping(*dst, *ident, *seq, tx),
+            HostCall::Resolve(dst) => host.resolve(*dst, tx),
+            HostCall::Frame(frame) => got = host.on_frame(frame, tx),
+        }
+        let resolved = HOST_PEERS.iter().map(|p| host.is_resolved(*p)).collect();
+        (sent, got.into_iter().collect(), resolved)
+    };
+    calls.iter().map(play).collect()
+}
+
+/// The case no workload produces: datagrams parked behind one
+/// unresolved next hop leave in send order when it answers, and a
+/// datagram waiting on another next hop stays.
+#[test]
+fn parked_datagrams_flush_in_send_order_after_the_reply() {
+    let [_gateway, peer, _, far_a, far_b, _] = HOST_PEERS;
+    let send = |dst, tag: &'static [u8]| HostCall::SendUdp(dst, (9, 9), Bytes::from_static(tag));
+    let calls = [
+        HostCall::Boot,
+        send(far_a, b"1"),
+        send(peer, b"2"),
+        send(far_b, b"3"),
+        send(far_a, b"4"),
+        host_call((6, 0, 0, vec![])), // the gateway's ARP reply
+        host_call((6, 1, 0, vec![])), // the peer's
+    ];
+    let outcomes = play_host_stack(&calls);
+    assert_eq!(outcomes, play_host_model(&calls));
+    let flushed = |step: usize| -> Vec<(u8, Bytes)> {
+        let frames = outcomes[step].0.iter();
+        frames
+            .map(|frame| {
+                let eth = EthernetFrame::parse_bytes(frame).unwrap();
+                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
+                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
+                (eth.dst.0[5], udp.payload)
+            })
+            .collect()
+    };
+    let via = |last_octet, tag: &'static [u8]| (last_octet, Bytes::from_static(tag));
+    assert_eq!(flushed(5), [via(1, b"1"), via(1, b"3"), via(1, b"4")]);
+    assert_eq!(flushed(6), [via(3, b"2")]);
+}
+
 proptest! {
     // ---------------- decoders never panic ----------------
 
@@ -1165,26 +1602,23 @@ proptest! {
         let next_hop = if cfg.addr.contains(dst) { dst } else { cfg.gateway };
         let mut host = rf_apps::HostStack::new(cfg);
         let send = |host: &mut rf_apps::HostStack| {
-            host.send_udp(dst, ports.0, ports.1, Bytes::copy_from_slice(&payload))
+            let mut sent = Vec::new();
+            let datagram = Bytes::copy_from_slice(&payload);
+            host.send_udp(dst, ports.0, ports.1, datagram, |f| sent.push(f));
+            sent
         };
-        let tx = |outs: Vec<rf_apps::StackOutput>| -> Vec<Bytes> {
-            outs.into_iter()
-                .filter_map(|o| match o {
-                    rf_apps::StackOutput::Tx(f) => Some(f),
-                    _ => None,
-                })
-                .collect()
-        };
-        let asked = tx(send(&mut host));
+        let asked = send(&mut host);
         prop_assert_eq!(asked.len(), 1);
         let request = ArpPacket::parse(&EthernetFrame::parse_bytes(&asked[0]).unwrap().payload).unwrap();
         prop_assert_eq!(request.target_ip, next_hop);
         let reply = ArpPacket::reply_to(&request, dst_mac).emit();
-        let parked = tx(host.on_frame(
+        let mut parked = Vec::new();
+        host.on_frame(
             &EthernetFrame::new(src_mac, dst_mac, EtherType::ARP, reply).emit(),
-        ));
+            |f| parked.push(f),
+        );
         prop_assert_eq!(&parked, &vec![nested_udp_at(64, &payload)]);
-        prop_assert_eq!(tx(send(&mut host)), parked);
+        prop_assert_eq!(send(&mut host), parked);
     }
 
     #[test]
@@ -1395,6 +1829,29 @@ proptest! {
             rf_routed::ospf::lsa::fletcher_checksum(&data, ck_off),
             fletcher_checksum_per_byte_modulo(&data, ck_off)
         );
+    }
+
+    // ---------------- host stack ----------------
+
+    /// Whatever a host is asked to send and whatever reaches its
+    /// interface, the stack transmits the frames its list-returning
+    /// reference model returns, in that order, delivers the item the
+    /// model delivers, and has resolved the next hops the model has.
+    #[test]
+    fn host_stack_matches_reference_model(
+        draws in proptest::collection::vec(
+            (
+                any::<u8>(),
+                any::<u8>(),
+                any::<u16>(),
+                proptest::collection::vec(any::<u8>(), 0..64),
+            ),
+            1..48,
+        ),
+    ) {
+        let mut calls = vec![HostCall::Boot];
+        calls.extend(draws.into_iter().map(host_call));
+        prop_assert_eq!(play_host_stack(&calls), play_host_model(&calls));
     }
 
     // ---------------- RPC relay ----------------

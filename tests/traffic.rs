@@ -9,7 +9,9 @@
 use rf_core::scenario::{
     FaultSchedule, MatrixKnob, MatrixSpec, Scenario, ScenarioMatrix, Workload, WorkloadReport,
 };
-use rf_core::traffic::{FlowSize, TrafficReport, TrafficSpec, WorkloadError};
+use rf_core::traffic::{
+    CbrStream, FlowSize, TrafficConfig, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,
+};
 use rf_openflow::{Action, OFPP_CONTROLLER};
 use rf_sim::{LinkProfile, Time};
 use rf_switch::OpenFlowSwitch;
@@ -244,19 +246,25 @@ fn bad_cell_fails_alone_not_the_sweep() {
         knobs: vec![
             MatrixKnob::fast("fast"),
             MatrixKnob::fast("fan9").with_fan_in(9),
+            // One frame per nanosecond and more: a zero pacing interval.
+            MatrixKnob::fast("cbr-9t").with_traffic(TrafficSpec::cbr_mix(vec![9_000_000_000_000])),
+            MatrixKnob::fast("mcast-9t-flow")
+                .with_traffic(TrafficSpec::multicast(2, 9_000_000_000_000).flow_level()),
         ],
         configure_deadline: Duration::from_secs(60),
         post_fault_window: Duration::ZERO,
         settle: Duration::from_secs(5),
     };
     let report = ScenarioMatrix::new(spec).run(2);
-    assert_eq!(report.cells.len(), 2);
-    let bad = report
-        .cells
-        .iter()
-        .find(|c| c.key.contains("knob=fan9"))
-        .expect("failed cell still present");
-    assert_eq!(bad.metrics.get("build_error"), Some(&1));
+    assert_eq!(report.cells.len(), 4);
+    for knob in ["knob=fan9", "knob=cbr-9t", "knob=mcast-9t-flow"] {
+        let bad = report
+            .cells
+            .iter()
+            .find(|c| c.key.contains(knob))
+            .expect("failed cell still present");
+        assert_eq!(bad.metrics.get("build_error"), Some(&1), "{knob}");
+    }
     let good = report
         .cells
         .iter()
@@ -288,6 +296,32 @@ fn workload_constructors_return_typed_errors() {
         TrafficSpec::multicast(3, 0).instantiate(&ring(4)),
         Err(WorkloadError::ZeroRate(_))
     ));
+    // A paced rate past one frame per nanosecond has a zero interval:
+    // the flow model would divide by it, the packet pacer spin on it.
+    let too_fast = 9_000_000_000_000;
+    let cbr = |source, sink, rate_bps| CbrStream {
+        source,
+        sink,
+        rate_bps,
+    };
+    for pattern in [
+        TrafficPattern::CbrMix {
+            streams: vec![cbr(0, 1, 1_000_000), cbr(2, 3, too_fast)],
+        },
+        TrafficPattern::Multicast {
+            source: 0,
+            receivers: vec![1, 2],
+            rate_bps: too_fast,
+        },
+    ] {
+        let packet = TrafficConfig::new(pattern);
+        for cfg in [packet.clone(), packet.flow_level()] {
+            assert!(matches!(
+                Workload::traffic(cfg),
+                Err(WorkloadError::ZeroInterval(_))
+            ));
+        }
+    }
     let mut one = Topology::new();
     one.add_node("s0", (0.0, 0.0));
     assert!(matches!(
