@@ -10,7 +10,7 @@ use rf_openflow::{
 use rf_rpc::{Envelope, Outbox, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::{EtherType, EthernetFrame, Ipv4Cidr, LldpPacket, MacAddr};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 const T_PROBE: u64 = 1;
@@ -94,11 +94,11 @@ struct Session {
 #[derive(Clone)]
 pub struct TopologyController {
     cfg: TopologyControllerConfig,
-    sessions: HashMap<ConnId, Session>,
+    sessions: BTreeMap<ConnId, Session>,
     linkdb: LinkDb,
     alloc: Ipv4Allocator,
     /// Subnet assigned to each up link.
-    subnets: HashMap<UndirectedLink, Ipv4Cidr>,
+    subnets: BTreeMap<UndirectedLink, Ipv4Cidr>,
     rpc_conn: Option<ConnId>,
     rpc_ready: bool,
     rpc_reader: RpcFrameReader,
@@ -119,10 +119,10 @@ impl TopologyController {
         let alloc = Ipv4Allocator::new(cfg.ip_range, cfg.link_prefix);
         TopologyController {
             cfg,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             linkdb: LinkDb::new(),
             alloc,
-            subnets: HashMap::new(),
+            subnets: BTreeMap::new(),
             rpc_conn: None,
             rpc_ready: false,
             rpc_reader: RpcFrameReader::new(),
@@ -271,7 +271,9 @@ impl TopologyController {
                     },
                 );
                 // Probe immediately rather than waiting a full period.
-                self.probe_switch(ctx, conn);
+                if let Some(s) = self.sessions.get_mut(&conn) {
+                    Self::probe_switch(ctx, conn, s, &mut self.xid);
+                }
             }
             OfMessage::PacketIn { in_port, data, .. } => {
                 let Some(dpid) = self.sessions.get(&conn).and_then(|s| s.dpid) else {
@@ -315,13 +317,9 @@ impl TopologyController {
         }
     }
 
-    fn probe_switch(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
-        // Split borrows: the xid counter advances inside the loop while
-        // the session's template cache stays borrowed.
-        let Self { sessions, xid, .. } = self;
-        let Some(s) = sessions.get_mut(&conn) else {
-            return;
-        };
+    /// Send one LLDP probe out of every port of the switch on `conn`, each
+    /// under the next of the controller's xids.
+    fn probe_switch(ctx: &mut Ctx<'_>, conn: ConnId, s: &mut Session, xid: &mut u32) {
         let Some(dpid) = s.dpid else { return };
         let num_ports = s.num_ports;
         if s.probe_cache.len() != num_ports as usize {
@@ -345,7 +343,8 @@ impl TopologyController {
         }
         for template in &s.probe_cache {
             *xid = xid.wrapping_add(1);
-            ctx.conn_send(conn, rf_openflow::reframe_with_xid(template, *xid));
+            // The template stays: its clone makes this the copying case.
+            ctx.conn_send(conn, rf_openflow::reframe_with_xid(template.clone(), *xid));
             ctx.count("topo.lldp_out", 1);
         }
     }
@@ -370,14 +369,10 @@ impl Agent for TopologyController {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             T_PROBE => {
-                // Probe in ConnId order: `sessions` is a HashMap, and
-                // hash order varies per process. Same-instant probe
-                // emission order decides event sequence numbers, so it
-                // must not leak into the simulation.
-                let mut conns: Vec<ConnId> = self.sessions.keys().copied().collect();
-                conns.sort_unstable();
-                for c in conns {
-                    self.probe_switch(ctx, c);
+                // In ConnId order: same-instant probe emission order
+                // decides event sequence numbers.
+                for (&conn, s) in &mut self.sessions {
+                    Self::probe_switch(ctx, conn, s, &mut self.xid);
                 }
                 self.probe_rounds += 1;
                 ctx.schedule(self.cfg.probe_interval, T_PROBE);

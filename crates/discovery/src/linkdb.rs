@@ -1,14 +1,14 @@
 //! The link database: observations, canonicalization and aging.
 
 use rf_sim::Time;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// One endpoint of a link.
 pub type EndPoint = (u64, u16); // (dpid, port)
 
 /// A unidirectional observation: a probe from `from` arrived at `to`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DirectedLink {
     pub from: EndPoint,
     pub to: EndPoint,
@@ -32,13 +32,15 @@ impl UndirectedLink {
 }
 
 /// Tracks directed observations, derives undirected link up/down
-/// events, and ages out silent links.
+/// events, and ages out silent links. Everything it returns is in
+/// ascending [`UndirectedLink`] order: the order the controller tears
+/// links down and sends RPCs in.
 #[derive(Clone, Default)]
 pub struct LinkDb {
     /// Directed observation → last time a probe confirmed it.
-    observations: HashMap<DirectedLink, Time>,
+    observations: BTreeMap<DirectedLink, Time>,
     /// Currently-up undirected links.
-    up: HashMap<UndirectedLink, ()>,
+    up: BTreeSet<UndirectedLink>,
 }
 
 impl LinkDb {
@@ -51,15 +53,9 @@ impl LinkDb {
     pub fn observe(&mut self, from: EndPoint, to: EndPoint, now: Time) -> Option<UndirectedLink> {
         self.observations.insert(DirectedLink { from, to }, now);
         let link = UndirectedLink::canonical(from, to);
-        if let std::collections::hash_map::Entry::Vacant(e) = self.up.entry(link) {
-            // NOX-style: a single direction is enough to declare the
-            // link (the reverse probe typically confirms within one
-            // period).
-            e.insert(());
-            Some(link)
-        } else {
-            None
-        }
+        // NOX-style: a single direction is enough to declare the link
+        // (the reverse probe typically confirms within one period).
+        self.up.insert(link).then_some(link)
     }
 
     /// Expire directed observations older than `ttl`; returns
@@ -67,7 +63,7 @@ impl LinkDb {
     pub fn expire(&mut self, now: Time, ttl: Duration) -> Vec<UndirectedLink> {
         self.observations.retain(|_, last| now.since(*last) < ttl);
         let mut down = Vec::new();
-        self.up.retain(|link, _| {
+        self.up.retain(|link| {
             let fwd = DirectedLink {
                 from: link.a,
                 to: link.b,
@@ -83,7 +79,6 @@ impl LinkDb {
             }
             alive
         });
-        down.sort();
         down
     }
 
@@ -93,21 +88,18 @@ impl LinkDb {
         self.observations
             .retain(|l, _| l.from.0 != dpid && l.to.0 != dpid);
         let mut removed = Vec::new();
-        self.up.retain(|link, _| {
+        self.up.retain(|link| {
             let hit = link.a.0 == dpid || link.b.0 == dpid;
             if hit {
                 removed.push(*link);
             }
             !hit
         });
-        removed.sort();
         removed
     }
 
     pub fn links(&self) -> Vec<UndirectedLink> {
-        let mut v: Vec<UndirectedLink> = self.up.keys().copied().collect();
-        v.sort();
-        v
+        self.up.iter().copied().collect()
     }
 
     pub fn link_count(&self) -> usize {
@@ -162,6 +154,31 @@ mod tests {
         // Forward observation is stale, reverse is fresh.
         let down = db.expire(Time::from_secs(10), Duration::from_secs(5));
         assert!(down.is_empty());
+    }
+
+    #[test]
+    fn links_come_back_in_ascending_order() {
+        let mut db = LinkDb::new();
+        // Observed in an order unrelated to the links' own.
+        let seen = [
+            (9, 1, 2, 3),
+            (1, 2, 9, 2),
+            (4, 1, 3, 1),
+            (2, 1, 1, 1),
+            (9, 3, 5, 1),
+        ];
+        for (from, fp, to, tp) in seen {
+            db.observe((from, fp), (to, tp), Time::from_secs(1));
+        }
+        let ascending = |links: &[UndirectedLink]| links.windows(2).all(|w| w[0] < w[1]);
+        let links = db.links();
+        assert_eq!(links.len(), 5);
+        assert!(ascending(&links), "{links:?}");
+        let removed = db.clone().remove_switch(9);
+        assert_eq!(removed.len(), 3);
+        assert!(ascending(&removed), "{removed:?}");
+        let down = db.expire(Time::from_secs(10), Duration::from_secs(5));
+        assert_eq!(down, links);
     }
 
     #[test]

@@ -206,16 +206,16 @@ impl Action {
         Ok((act, len))
     }
 
+    /// Walk a contiguous action list of exactly `data.len()` bytes,
+    /// one [`Action::parse`] per step; the walk ends after the first
+    /// error.
+    pub fn iter_list(data: &[u8]) -> ActionIter<'_> {
+        ActionIter { rest: data }
+    }
+
     /// Parse a contiguous action list of exactly `data.len()` bytes.
     pub fn parse_list(data: &[u8]) -> Result<Vec<Action>, OfError> {
-        let mut out = Vec::new();
-        let mut off = 0;
-        while off < data.len() {
-            let (a, used) = Action::parse(&data[off..])?;
-            out.push(a);
-            off += used;
-        }
-        Ok(out)
+        Action::iter_list(data).collect()
     }
 
     /// Emit a list of actions.
@@ -228,6 +228,29 @@ impl Action {
     /// Total wire length of a list.
     pub fn list_len(actions: &[Action]) -> usize {
         actions.iter().map(|a| a.wire_len()).sum()
+    }
+}
+
+/// The actions of a wire-format list, decoded as they are reached
+/// ([`Action::iter_list`]).
+#[derive(Clone, Debug)]
+pub struct ActionIter<'a> {
+    rest: &'a [u8],
+}
+
+impl Iterator for ActionIter<'_> {
+    type Item = Result<Action, OfError>;
+
+    fn next(&mut self) -> Option<Result<Action, OfError>> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let parsed = Action::parse(self.rest);
+        self.rest = match parsed {
+            Ok((_, used)) => &self.rest[used..],
+            Err(_) => &[],
+        };
+        Some(parsed.map(|(action, _)| action))
     }
 }
 
@@ -277,6 +300,19 @@ mod tests {
         Action::emit_list(&actions, &mut b);
         assert_eq!(b.len(), Action::list_len(&actions));
         assert_eq!(Action::parse_list(&b).unwrap(), actions);
+    }
+
+    #[test]
+    fn a_walk_ends_at_the_first_bad_action() {
+        let mut b = BytesMut::new();
+        Action::emit_list(&[Action::output(1), Action::StripVlan], &mut b);
+        b.put_slice(&[0, 99, 0, 8, 0, 0, 0, 0]); // unknown type
+        Action::output(2).emit_into(&mut b);
+        let walked: Vec<_> = Action::iter_list(&b).collect();
+        assert_eq!(walked.len(), 3);
+        assert_eq!(walked[..2], [Ok(Action::output(1)), Ok(Action::StripVlan)]);
+        assert!(matches!(walked[2], Err(OfError::Malformed(_))));
+        assert!(Action::parse_list(&b).is_err());
     }
 
     #[test]

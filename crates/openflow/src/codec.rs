@@ -11,14 +11,22 @@ use bytes::{Bytes, BytesMut};
 use rf_wire::FrameBuf;
 
 /// Re-frame `raw` — a complete encoded message — under a different
-/// transaction id: one copy, one patched field. Because the encoder is
-/// canonical (every message in the simulation was produced by
+/// transaction id: one patched field. Because the encoder is canonical
+/// (every message in the simulation was produced by
 /// [`OfMessage::encode`]), this equals `decode(raw)` re-encoded with
 /// `xid`, which is exactly what a proxy rewriting xids needs.
-pub fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
+///
+/// The four bytes are written where the message lies when `raw` is the
+/// only handle to its storage — a proxy passing on the one message of
+/// a chunk it received — and into a copy when anything else can still
+/// read it: a template the caller keeps (pass a clone), a message that
+/// shared its chunk with others, a decoded [`OfMessage`] whose tail
+/// still points into it.
+pub fn reframe_with_xid(raw: Bytes, xid: u32) -> Bytes {
     debug_assert!(raw.len() >= OFP_HEADER_LEN);
-    let mut out = BytesMut::with_capacity(raw.len());
-    out.extend_from_slice(raw);
+    let mut out = raw
+        .try_into_mut()
+        .unwrap_or_else(|shared| BytesMut::from(&shared[..]));
     out[4..8].copy_from_slice(&xid.to_be_bytes());
     out.freeze()
 }
@@ -50,27 +58,25 @@ impl MessageReader {
     /// field) and surface the error.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Result<(OfMessage, u32), OfError>> {
-        self.next_raw().map(|r| r.map(|(msg, xid, _)| (msg, xid)))
+        self.next_frame().map(|raw| OfMessage::decode_bytes(&raw?))
     }
 
-    /// Like [`MessageReader::next`], but also returns the message's
-    /// exact wire bytes. A proxy that forwards a message unmodified
-    /// (or with only a patched xid) can reuse them instead of paying a
-    /// re-encode; our encoder is canonical, so `raw` always equals
-    /// `msg.encode(xid)`.
-    pub fn next_raw(&mut self) -> Option<Result<(OfMessage, u32, Bytes), OfError>> {
-        // A header that does not parse is unrecoverable framing: the
-        // buffer is dropped with the error.
+    /// Pop the next complete message undecoded: its exact wire bytes,
+    /// `ofp_header.length` of them. A proxy that forwards a message
+    /// unmodified (or with only a patched xid) reuses them instead of
+    /// paying a re-encode — our encoder is canonical, so they equal
+    /// `msg.encode(xid)` of what they decode to — and the one message
+    /// of a one-message chunk comes out as that chunk's only handle
+    /// (see [`reframe_with_xid`]). A header that does not parse is
+    /// unrecoverable framing: the buffer is dropped with the error.
+    pub fn next_frame(&mut self) -> Option<Result<Bytes, OfError>> {
         let frame = self.frames.take_frame(|avail| {
             if avail.len() < OFP_HEADER_LEN {
                 return Ok(None);
             }
             OfHeader::parse(avail).map(|h| Some(h.length as usize))
         });
-        frame.transpose().map(|raw| {
-            let raw = raw?;
-            OfMessage::decode_bytes(&raw).map(|(msg, xid)| (msg, xid, raw))
-        })
+        frame.transpose()
     }
 
     /// Bytes currently buffered (diagnostics).

@@ -39,7 +39,7 @@ pub use flow_match::{OfMatch, PacketKey, Wildcards};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 pub use messages::{
     ErrorCode, ErrorType, FlowModCommand, FlowRemovedReason, OfMessage, PacketInReason,
-    PortStatusReason, SwitchFeatures,
+    PacketOutView, PortStatusReason, SwitchFeatures,
 };
 pub use ports::{
     PhyPort, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_MAX,

@@ -192,6 +192,84 @@ pub enum OfMessage {
     },
 }
 
+/// Length of `ofp_packet_out` up to its action list, header included.
+const PACKET_OUT_FIXED_LEN: usize = OFP_HEADER_LEN + 8;
+
+/// A PACKET_OUT read where it lies: the fixed fields, and where in the
+/// message the action list and the payload are. A proxy that only
+/// forwards the message and a switch that only executes it need
+/// nothing else, so neither builds a `Vec<Action>` or keeps a slice of
+/// the message alive.
+///
+/// [`PacketOutView::parse`] makes every check
+/// [`OfMessage::decode_bytes`] makes, in the same order: it accepts a
+/// message exactly when that decodes it, and fails with the same error
+/// when not.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PacketOutView {
+    pub xid: u32,
+    pub buffer_id: u32,
+    pub in_port: PortNumber,
+    /// Offset of the payload in the message: the action list ends here.
+    data_at: usize,
+    /// `ofp_header.length`: the payload ends here.
+    length: usize,
+}
+
+impl PacketOutView {
+    /// The fixed part of a PACKET_OUT whose header said `header` and
+    /// whose body (the `header.length - 8` bytes after it) is `body`.
+    /// The actions are not looked at.
+    fn fixed(header: &OfHeader, body: &[u8]) -> Result<PacketOutView, OfError> {
+        if body.len() < 8 {
+            return Err(OfError::Truncated);
+        }
+        let actions_len = u16::from_be_bytes([body[6], body[7]]) as usize;
+        if body.len() < 8 + actions_len {
+            return Err(OfError::Truncated);
+        }
+        Ok(PacketOutView {
+            xid: header.xid,
+            buffer_id: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
+            in_port: u16::from_be_bytes([body[4], body[5]]),
+            data_at: PACKET_OUT_FIXED_LEN + actions_len,
+            length: header.length as usize,
+        })
+    }
+
+    /// Read `raw`, a complete message. `Ok(None)`: well-framed, but not
+    /// a PACKET_OUT.
+    pub fn parse(raw: &[u8]) -> Result<Option<PacketOutView>, OfError> {
+        let header = OfHeader::parse(raw)?;
+        if raw.len() < header.length as usize {
+            return Err(OfError::Truncated);
+        }
+        if header.msg_type != MsgType::PacketOut {
+            return Ok(None);
+        }
+        let view = Self::fixed(&header, &raw[OFP_HEADER_LEN..header.length as usize])?;
+        for action in Action::iter_list(view.action_bytes(raw)) {
+            action?;
+        }
+        Ok(Some(view))
+    }
+
+    fn action_bytes<'a>(&self, raw: &'a [u8]) -> &'a [u8] {
+        &raw[PACKET_OUT_FIXED_LEN..self.data_at]
+    }
+
+    /// The actions, in order. `raw` is the message this view was parsed
+    /// from, where every one of them was seen to parse.
+    pub fn actions<'a>(&self, raw: &'a [u8]) -> impl Iterator<Item = Action> + 'a {
+        Action::iter_list(self.action_bytes(raw)).map_while(Result::ok)
+    }
+
+    /// The payload, as a slice of the message this view was parsed from.
+    pub fn data(&self, raw: &Bytes) -> Bytes {
+        raw.slice(self.data_at..self.length)
+    }
+}
+
 /// `OFPFF_SEND_FLOW_REM` flag for FLOW_MOD.
 pub const OFPFF_SEND_FLOW_REM: u16 = 1;
 
@@ -571,16 +649,12 @@ impl OfMessage {
                 }
             }
             MsgType::PacketOut => {
-                need(8)?;
-                let actions_len = be16(6) as usize;
-                if body.len() < 8 + actions_len {
-                    return Err(OfError::Truncated);
-                }
+                let view = PacketOutView::fixed(&header, body)?;
                 OfMessage::PacketOut {
-                    buffer_id: be32(0),
-                    in_port: be16(4),
-                    actions: Action::parse_list(&body[8..8 + actions_len])?,
-                    data: grab(body, 8 + actions_len),
+                    buffer_id: view.buffer_id,
+                    in_port: view.in_port,
+                    actions: Action::parse_list(view.action_bytes(data))?,
+                    data: grab(body, view.data_at - OFP_HEADER_LEN),
                 }
             }
             MsgType::FlowMod => {

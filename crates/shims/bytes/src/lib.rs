@@ -2,7 +2,10 @@
 //! workspace uses, with the same semantics (big-endian integer codecs,
 //! cheap `Bytes` clones, front-consuming `Buf` reads on `BytesMut`).
 //! Everything here exists in `bytes` 1.0 except [`Bytes::try_into_mut`],
-//! which the real crate has from 1.6 on.
+//! which the real crate has from 1.6 on. A `try_into_mut` →
+//! [`BytesMut::freeze`] round trip reuses the handle the storage was
+//! taken out of, so patching a uniquely owned buffer — a routed hop's
+//! MACs, a forwarded control message's xid — allocates nothing.
 //!
 //! The container this workspace builds in has no crates.io access, so
 //! the real `bytes` crate cannot be vendored; this shim keeps the
@@ -53,6 +56,17 @@ pub struct Bytes {
 impl Bytes {
     pub fn new() -> Bytes {
         Bytes::default()
+    }
+
+    /// A view of all of `data`.
+    fn whole(data: Arc<Vec<u8>>) -> Bytes {
+        assert!(data.len() <= u32::MAX as usize, "Bytes buffer too large");
+        let end = data.len() as u32;
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     pub fn from_static(s: &'static [u8]) -> Bytes {
@@ -125,16 +139,20 @@ impl Bytes {
     /// view's bytes become the `BytesMut`'s contents — no copy when the
     /// view starts at the front of its storage, which is every buffer
     /// that came out of `freeze()`.
-    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        let Bytes { data, start, end } = self;
-        match Arc::try_unwrap(data) {
-            Ok(mut inner) => {
-                inner.truncate(end as usize);
-                inner.drain(..start as usize);
-                Ok(BytesMut { inner })
-            }
-            Err(data) => Err(Bytes { data, start, end }),
-        }
+    ///
+    /// The emptied handle rides along in the `BytesMut` and is refilled
+    /// by its `freeze`, so the round trip neither frees nor allocates.
+    pub fn try_into_mut(mut self) -> Result<BytesMut, Bytes> {
+        let Some(storage) = Arc::get_mut(&mut self.data) else {
+            return Err(self);
+        };
+        let mut inner = std::mem::take(storage);
+        inner.truncate(self.end as usize);
+        inner.drain(..self.start as usize);
+        Ok(BytesMut {
+            inner,
+            handle: Some(self.data),
+        })
     }
 }
 
@@ -153,13 +171,7 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        assert!(v.len() <= u32::MAX as usize, "Bytes buffer too large");
-        let end = v.len() as u32;
-        Bytes {
-            data: Arc::new(v),
-            start: 0,
-            end,
-        }
+        Bytes::whole(Arc::new(v))
     }
 }
 
@@ -228,10 +240,28 @@ impl FromIterator<u8> for Bytes {
 }
 
 /// Growable byte buffer; reads (via [`Buf`]) consume from the front.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default)]
 pub struct BytesMut {
     inner: Vec<u8>,
+    /// The uniquely owned, emptied handle [`Bytes::try_into_mut`] took
+    /// `inner` out of; [`BytesMut::freeze`] puts the storage back into
+    /// it. Not part of the value: `Clone`, `PartialEq` and `Debug` see
+    /// `inner` only.
+    handle: Option<Arc<Vec<u8>>>,
 }
+
+impl Clone for BytesMut {
+    fn clone(&self) -> BytesMut {
+        BytesMut::from(self.inner.clone())
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &BytesMut) -> bool {
+        self.inner == other.inner
+    }
+}
+impl Eq for BytesMut {}
 
 impl BytesMut {
     pub fn new() -> BytesMut {
@@ -239,9 +269,7 @@ impl BytesMut {
     }
 
     pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            inner: Vec::with_capacity(cap),
-        }
+        BytesMut::from(Vec::with_capacity(cap))
     }
 
     pub fn len(&self) -> usize {
@@ -273,21 +301,23 @@ impl BytesMut {
     }
 
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.inner)
+        let BytesMut { inner, handle } = self;
+        let Some(mut data) = handle else {
+            return Bytes::from(inner);
+        };
+        *Arc::get_mut(&mut data).expect("try_into_mut took the only handle") = inner;
+        Bytes::whole(data)
     }
 
     /// Remove and return the first `at` bytes.
     pub fn split_to(&mut self, at: usize) -> BytesMut {
         assert!(at <= self.len());
-        let head = self.inner.drain(..at).collect();
-        BytesMut { inner: head }
+        BytesMut::from(self.inner.drain(..at).collect::<Vec<u8>>())
     }
 
     /// Remove and return everything after `at`.
     pub fn split_off(&mut self, at: usize) -> BytesMut {
-        BytesMut {
-            inner: self.inner.split_off(at),
-        }
+        BytesMut::from(self.inner.split_off(at))
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
@@ -316,13 +346,16 @@ impl AsRef<[u8]> for BytesMut {
 
 impl From<&[u8]> for BytesMut {
     fn from(s: &[u8]) -> BytesMut {
-        BytesMut { inner: s.to_vec() }
+        BytesMut::from(s.to_vec())
     }
 }
 
 impl From<Vec<u8>> for BytesMut {
-    fn from(v: Vec<u8>) -> BytesMut {
-        BytesMut { inner: v }
+    fn from(inner: Vec<u8>) -> BytesMut {
+        BytesMut {
+            inner,
+            handle: None,
+        }
     }
 }
 
@@ -525,6 +558,59 @@ mod tests {
         assert_eq!(&m[..], &[2, 3]);
         m[0] = 9;
         assert_eq!(&m.freeze()[..], &[9, 3]);
+    }
+
+    #[test]
+    fn a_patched_buffer_comes_back_in_the_handle_it_left() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4]);
+        let storage = b.as_ptr();
+        let mut m = b.try_into_mut().expect("only handle");
+        m[1] = 9;
+        let b = m.freeze();
+        assert_eq!(&b[..], &[1, 9, 3, 4]);
+        assert_eq!(b.as_ptr(), storage, "edited where it lay");
+        // A clone taken after the freeze shares the storage, and while
+        // it, a slice or a split lives the buffer is not writable.
+        let clone = b.clone();
+        assert_eq!(clone.as_ptr(), storage);
+        let b = b.try_into_mut().expect_err("a clone is alive");
+        drop(clone);
+        let slice = b.slice(2..);
+        let mut b = b.try_into_mut().expect_err("a slice is alive");
+        drop(slice);
+        let head = b.split_to(1);
+        let b = b.try_into_mut().expect_err("a split is alive");
+        assert_eq!((&head[..], &b[..]), (&[1u8][..], &[9u8, 3, 4][..]));
+        drop(head);
+        assert_eq!(&b.try_into_mut().expect("last handle")[..], &[9, 3, 4]);
+    }
+
+    #[test]
+    fn a_reused_handle_takes_a_buffer_that_outgrew_it() {
+        let mut m = Bytes::from(vec![7u8; 4]).try_into_mut().unwrap();
+        m.extend_from_slice(&[8u8; 4096]);
+        m.put_u8(9);
+        let tail = m.split_off(4100);
+        let b = m.freeze();
+        assert_eq!(b.len(), 4100);
+        assert_eq!((&b[..4], &b[4..]), (&[7u8; 4][..], &[8u8; 4096][..]));
+        assert_eq!(&tail.freeze()[..], &[9]);
+    }
+
+    #[test]
+    fn the_spare_handle_is_not_part_of_a_bytesmut() {
+        let reused = Bytes::from(vec![1u8, 2]).try_into_mut().unwrap();
+        let fresh = BytesMut::from(&[1u8, 2][..]);
+        assert_eq!(reused, fresh);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+        // A clone is a buffer of its own: freezing both yields two
+        // storages, and the original still goes back into its handle.
+        let clone = reused.clone();
+        assert_eq!(clone, reused);
+        let (a, b) = (reused.freeze(), clone.freeze());
+        assert_eq!(a, b);
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        a.try_into_mut().expect("the clone holds no handle to it");
     }
 
     #[test]

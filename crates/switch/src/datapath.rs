@@ -69,21 +69,32 @@ pub fn apply_actions(
     in_port: PortNumber,
     num_ports: u16,
 ) -> Vec<Egress> {
-    apply_actions_owned(frame.clone(), actions, in_port, num_ports)
+    let mut out = Vec::new();
+    apply_actions_owned(
+        frame.clone(),
+        actions.iter().copied(),
+        in_port,
+        num_ports,
+        &mut out,
+    );
+    out
 }
 
 /// [`apply_actions`] for a caller that gives the frame up — the switch
-/// forwarding a frame it received. When `frame` is the only handle to
-/// its storage, MAC rewrites are patched straight into it and the hop
-/// copies nothing; any other handle still alive (a clone, a slice)
-/// keeps seeing the bytes it was made from.
+/// forwarding a frame it received — and appends the egress operations
+/// to a list it keeps. When `frame` is the only handle to its storage,
+/// MAC rewrites are patched straight into it and the hop copies
+/// nothing; any other handle still alive (a clone, a slice) keeps
+/// seeing the bytes it was made from. The actions come as they are
+/// reached: a flow entry's stored list, or a PACKET_OUT's decoded one
+/// at a time off the wire.
 pub fn apply_actions_owned(
     frame: Bytes,
-    actions: &[Action],
+    actions: impl IntoIterator<Item = Action>,
     in_port: PortNumber,
     num_ports: u16,
-) -> Vec<Egress> {
-    let mut out = Vec::new();
+    out: &mut Vec<Egress>,
+) {
     let mut route = |port: PortNumber, max_len: u16, bytes: Bytes| match port {
         OFPP_CONTROLLER => out.push(Egress::Controller {
             max_len,
@@ -106,7 +117,7 @@ pub fn apply_actions_owned(
     let mut cur = Some(frame);
     let mut patch: Option<BytesMut> = None;
     for action in actions {
-        match *action {
+        match action {
             Action::Output { port, max_len } => {
                 route(port, max_len, on_wire(settle(&mut cur, &mut patch)));
             }
@@ -122,7 +133,7 @@ pub fn apply_actions_owned(
             | Action::SetNwTos(_)
             | Action::SetTpSrc(_)
             | Action::SetTpDst(_) => {
-                if let Some(rewritten) = reemit(settle(&mut cur, &mut patch), action) {
+                if let Some(rewritten) = reemit(settle(&mut cur, &mut patch), &action) {
                     cur = Some(rewritten);
                 }
             }
@@ -136,7 +147,6 @@ pub fn apply_actions_owned(
             | Action::StripVlan => {}
         }
     }
-    out
 }
 
 /// Overwrite the MAC at byte offset `at` of the Ethernet header. A

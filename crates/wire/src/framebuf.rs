@@ -15,11 +15,16 @@ use bytes::{Bytes, BytesMut};
 /// yields zero-copy slices of it; only a chunk ending mid-frame falls
 /// back to the accumulation buffer (`buf`), which pays the copies. The
 /// observable frame sequence is identical either way.
+///
+/// A frame that is all that is left of its chunk *is* the chunk, moved
+/// out: the reader keeps no handle on the storage, so whoever receives
+/// a one-message chunk is its only owner and may patch it where it
+/// lies (`Bytes::try_into_mut`).
 #[derive(Clone, Default)]
 pub struct FrameBuf {
     /// Unconsumed tail of the most recent chunk (fast path). Invariant:
-    /// non-empty only while `buf` is empty.
-    chunk: Bytes,
+    /// `Some` and non-empty only while `buf` is empty.
+    chunk: Option<Bytes>,
     /// Reassembly buffer for fragmented input (slow path).
     buf: BytesMut,
 }
@@ -35,8 +40,8 @@ impl FrameBuf {
     /// is drained (the overwhelmingly common case: one `conn_send` per
     /// message, delivered as one chunk).
     pub fn push_bytes(&mut self, data: Bytes) {
-        if self.buf.is_empty() && self.chunk.is_empty() {
-            self.chunk = data;
+        if self.buf.is_empty() && self.chunk.is_none() {
+            self.chunk = Some(data).filter(|d| !d.is_empty());
         } else {
             self.spill();
             self.buf.extend_from_slice(&data);
@@ -45,20 +50,19 @@ impl FrameBuf {
 
     /// Move any fast-path remainder into the accumulation buffer.
     fn spill(&mut self) {
-        if !self.chunk.is_empty() {
-            self.buf.extend_from_slice(&self.chunk);
-            self.chunk = Bytes::new();
+        if let Some(chunk) = self.chunk.take() {
+            self.buf.extend_from_slice(&chunk);
         }
     }
 
     /// Bytes currently buffered (diagnostics).
     pub fn buffered(&self) -> usize {
-        self.chunk.len() + self.buf.len()
+        self.chunk.as_ref().map_or(0, |c| c.len()) + self.buf.len()
     }
 
     /// Drop everything buffered.
     pub fn clear(&mut self) {
-        self.chunk = Bytes::new();
+        self.chunk = None;
         self.buf.clear();
     }
 
@@ -75,10 +79,9 @@ impl FrameBuf {
         &mut self,
         frame_len: impl FnOnce(&[u8]) -> Result<Option<usize>, E>,
     ) -> Result<Option<Bytes>, E> {
-        let avail: &[u8] = if self.chunk.is_empty() {
-            &self.buf
-        } else {
-            &self.chunk
+        let avail: &[u8] = match &self.chunk {
+            Some(chunk) => chunk,
+            None => &self.buf,
         };
         let need = match frame_len(avail) {
             Ok(Some(need)) if need <= avail.len() => need,
@@ -89,11 +92,13 @@ impl FrameBuf {
             }
         };
         debug_assert!(need > 0, "a zero-length frame would never drain");
-        if self.chunk.is_empty() {
-            Ok(Some(self.buf.split_to(need).freeze()))
-        } else {
-            Ok(Some(self.chunk.split_to(need)))
+        if let Some(whole) = self.chunk.take_if(|c| c.len() == need) {
+            return Ok(Some(whole));
         }
+        Ok(Some(match &mut self.chunk {
+            Some(chunk) => chunk.split_to(need),
+            None => self.buf.split_to(need).freeze(),
+        }))
     }
 }
 
@@ -132,6 +137,32 @@ mod tests {
         assert_eq!(frame.as_ptr(), chunk.as_ptr());
         assert_eq!(fb.buffered(), 0);
         assert_eq!(fb.take_frame(rule), Ok(None));
+    }
+
+    #[test]
+    fn a_one_frame_chunk_leaves_the_reader_entirely() {
+        let mut fb = FrameBuf::default();
+        let chunk = Bytes::from(vec![3, b'a', b'b', b'c']);
+        let storage = chunk.as_ptr();
+        fb.push_bytes(chunk);
+        let frame = fb.take_frame(rule).unwrap().unwrap();
+        assert_eq!(frame.as_ptr(), storage);
+        // No other handle is alive: the storage can be written.
+        let mut open = frame.try_into_mut().expect("sole owner");
+        open[1] = b'z';
+        assert_eq!(open.freeze().as_ptr(), storage);
+    }
+
+    #[test]
+    fn the_last_frame_of_a_chunk_is_owned_once_the_others_are_dropped() {
+        let mut fb = FrameBuf::default();
+        fb.push_bytes(Bytes::from(vec![1, b'x', 2, b'y', b'z']));
+        let first = fb.take_frame(rule).unwrap().unwrap();
+        let second = fb.take_frame(rule).unwrap().unwrap();
+        assert_eq!(fb.buffered(), 0);
+        let second = second.try_into_mut().expect_err("the first frame is alive");
+        drop(first);
+        assert_eq!(&second.try_into_mut().expect("sole owner")[..], b"\x02yz");
     }
 
     #[test]

@@ -30,18 +30,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "lookup-only: subnet owners, filled from the link list and probed by prefix",
     ),
     (
-        "crates/discovery/src/controller.rs",
-        "sessions iterated only into a Vec that is sorted before probes or results go out; subnets lookup-only",
-    ),
-    (
-        "crates/discovery/src/linkdb.rs",
-        "retain collects into Vecs that are sorted before they are returned; links() sorts its keys",
-    ),
-    (
-        "crates/flowvisor/src/proxy.rs",
-        "lookup-only: roles, xid_map, cookie_owner",
-    ),
-    (
         "crates/routed/src/ospf/daemon.rs",
         "lookup-only: the adjacency map handed to SPF, filled in ascending ifindex order",
     ),
@@ -57,10 +45,6 @@ const ALLOWED: &[(&str, &str)] = &[
     (
         "crates/sim/src/kernel.rs",
         "lookup-only: listeners; the kill-path retain emits nothing",
-    ),
-    (
-        "crates/switch/src/switch.rs",
-        "lookup-only: punt templates by port",
     ),
 ];
 

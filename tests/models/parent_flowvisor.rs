@@ -1,16 +1,41 @@
-//! The FlowVisor proxy agent.
+//! `rf_flowvisor::FlowVisor` as it was before a forwarded message was
+//! patched where it lies (`crates/flowvisor/src/proxy.rs` at 8ab2bff,
+//! verbatim but for one unread accessor and the three adaptations
+//! marked `ADAPTED`): every message decoded in full, PACKET_OUTs
+//! included; every forwarded message copied to change its xid;
+//! connections and xids looked up in `HashMap`s; a chunk's messages
+//! drained into a list before any is handled. The reference the real
+//! proxy must match byte for byte, on every connection.
 
-use crate::slice::{FlowSpaceDecision, SlicePolicy};
-use bytes::Bytes;
+// ADAPTED: the policy and configuration types are the real crate's.
+use bytes::{Bytes, BytesMut};
+use rf_flowvisor::slice::FlowSpaceDecision;
+use rf_flowvisor::FlowVisorConfig;
 use rf_openflow::{
-    reframe_with_xid, ErrorType, MessageReader, OfMessage, PacketKey, PacketOutView, OFP_NO_BUFFER,
+    ErrorType, MessageReader, OfError, OfMessage, PacketKey, OFP_HEADER_LEN, OFP_NO_BUFFER,
 };
-use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
-use std::collections::BTreeMap;
-use std::time::Duration;
+use rf_sim::{Agent, ConnId, Ctx, StreamEvent};
+use std::collections::HashMap;
 
-/// Marker for FlowVisor-originated requests in the xid ring.
-const FV_SELF: usize = u32::MAX as usize;
+// ADAPTED: `rf_openflow::reframe_with_xid` as it was — always a copy.
+fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
+    debug_assert!(raw.len() >= OFP_HEADER_LEN);
+    let mut out = BytesMut::with_capacity(raw.len());
+    out.extend_from_slice(raw);
+    out[4..8].copy_from_slice(&xid.to_be_bytes());
+    out.freeze()
+}
+
+// ADAPTED: `MessageReader::next_raw` as it was — frame, then decode.
+fn next_raw(reader: &mut MessageReader) -> Option<Result<(OfMessage, u32, Bytes), OfError>> {
+    reader.next_frame().map(|raw| {
+        let raw = raw?;
+        OfMessage::decode_bytes(&raw).map(|(msg, xid)| (msg, xid, raw))
+    })
+}
+
+/// Marker for FlowVisor-originated requests in the xid map.
+const FV_SELF: usize = usize::MAX;
 /// How many of the most recently allocated xids stay routable. Only a
 /// reply removes its entry, and PACKET_OUT, FLOW_MOD and SET_CONFIG are
 /// answered on failure only, so without a bound every LLDP probe leaves
@@ -20,30 +45,6 @@ const FV_SELF: usize = u32::MAX as usize;
 const XID_WINDOW: u32 = 4096;
 /// Timer token base for upstream redials: `BASE + sw * 64 + slice`.
 const T_REDIAL_BASE: u64 = 1 << 32;
-
-/// FlowVisor configuration.
-#[derive(Clone, Debug)]
-pub struct FlowVisorConfig {
-    /// Service switches dial (conventionally 6633).
-    pub listen_service: u16,
-    /// The slices, in priority order for PACKET_IN classification.
-    pub slices: Vec<SlicePolicy>,
-    /// Stream profile toward slice controllers.
-    pub conn: ConnProfile,
-    /// Backoff before redialing a dead controller.
-    pub redial_backoff: Duration,
-}
-
-impl FlowVisorConfig {
-    pub fn new(slices: Vec<SlicePolicy>) -> FlowVisorConfig {
-        FlowVisorConfig {
-            listen_service: 6633,
-            slices,
-            conn: ConnProfile::default(),
-            redial_backoff: Duration::from_secs(1),
-        }
-    }
-}
 
 #[derive(Clone)]
 struct Upstream {
@@ -69,95 +70,49 @@ enum Role {
     Upstream { sw: usize, slice: usize },
 }
 
-/// One slot of the xid ring: rewritten `xid` stands for `orig` of
-/// `slice` on switch `sw`. xid 0 is never allocated and marks a free
-/// slot. (16 bytes: the ring is cloned with every fork.)
-#[derive(Clone, Copy, Default)]
-struct XidSlot {
-    xid: u32,
-    sw: u32,
-    slice: u32,
-    orig: u32,
-}
-
 /// The FlowVisor agent: one per deployment, proxying any number of
 /// switches to a fixed set of slice controllers.
 #[derive(Clone)]
-pub struct FlowVisor {
+pub struct ModelFlowVisor {
     cfg: FlowVisorConfig,
     switches: Vec<SwitchSession>,
-    /// What each of our connections is, indexed by `ConnId`.
-    roles: Vec<Option<Role>>,
+    roles: HashMap<ConnId, Role>,
     next_xid: u32,
-    /// The `XID_WINDOW` most recently allocated xids, xid `x` in slot
-    /// `x % XID_WINDOW`: allocating `x` overwrites the entry that just
-    /// left the window, `x - XID_WINDOW`.
-    xids: Vec<XidSlot>,
+    /// rewritten xid → (switch, slice, original xid).
+    xid_map: HashMap<u32, (usize, usize, u32)>,
     /// (switch, cookie) → slice, for FLOW_REMOVED routing.
-    cookie_owner: BTreeMap<(usize, u64), usize>,
+    cookie_owner: HashMap<(usize, u64), usize>,
     /// FLOW_MODs rejected by flowspace policy.
     pub denied_flow_mods: u64,
     /// FLOW_MODs narrowed to the slice's flowspace.
     pub rewritten_flow_mods: u64,
+    /// Reused per-event decode buffer (capacity persists across events).
+    scratch: Vec<(OfMessage, u32, bytes::Bytes)>,
 }
 
-impl FlowVisor {
-    pub fn new(cfg: FlowVisorConfig) -> FlowVisor {
-        FlowVisor {
+impl ModelFlowVisor {
+    pub fn new(cfg: FlowVisorConfig) -> ModelFlowVisor {
+        ModelFlowVisor {
             cfg,
             switches: Vec::new(),
-            roles: Vec::new(),
+            roles: HashMap::new(),
             next_xid: 1,
-            xids: vec![XidSlot::default(); XID_WINDOW as usize],
-            cookie_owner: BTreeMap::new(),
+            xid_map: HashMap::new(),
+            cookie_owner: HashMap::new(),
             denied_flow_mods: 0,
             rewritten_flow_mods: 0,
+            scratch: Vec::new(),
         }
-    }
-
-    /// Number of connected switch sessions (diagnostics).
-    pub fn switch_count(&self) -> usize {
-        self.switches.iter().filter(|s| s.alive).count()
     }
 
     fn alloc_xid(&mut self, sw: usize, slice: usize, orig: u32) -> u32 {
-        let xid = self.next_xid;
-        self.next_xid = xid.wrapping_add(1).max(1);
-        self.xids[(xid % XID_WINDOW) as usize] = XidSlot {
-            xid,
-            sw: sw as u32,
-            slice: slice as u32,
-            orig,
-        };
-        xid
-    }
-
-    /// Resolve a reply's xid to `(switch, slice, original xid)` and
-    /// free its slot; `None` once it was answered or left the window.
-    fn take_xid(&mut self, xid: u32) -> Option<(usize, usize, u32)> {
-        let slot = &mut self.xids[(xid % XID_WINDOW) as usize];
-        if xid == 0 || slot.xid != xid {
-            return None;
-        }
-        let XidSlot {
-            sw, slice, orig, ..
-        } = std::mem::take(slot);
-        Some((sw as usize, slice as usize, orig))
-    }
-
-    fn role(&self, conn: ConnId) -> Option<Role> {
-        self.roles.get(conn.0).copied().flatten()
-    }
-
-    fn set_role(&mut self, conn: ConnId, role: Role) {
-        if self.roles.len() <= conn.0 {
-            self.roles.resize(conn.0 + 1, None);
-        }
-        self.roles[conn.0] = Some(role);
-    }
-
-    fn clear_role(&mut self, conn: ConnId) -> Option<Role> {
-        self.roles.get_mut(conn.0).and_then(Option::take)
+        let x = self.next_xid;
+        self.next_xid = x.wrapping_add(1).max(1);
+        // xids allocate ascending, so the entry leaving the window is
+        // the one allocated XID_WINDOW calls ago (if it is still there).
+        self.xid_map.remove(&x.wrapping_sub(XID_WINDOW));
+        self.xid_map.insert(x, (sw, slice, orig));
+        x
     }
 
     fn dial_upstreams(&mut self, ctx: &mut Ctx<'_>, sw: usize) {
@@ -167,7 +122,7 @@ impl FlowVisor {
             }
             let policy = self.cfg.slices[slice_idx].clone();
             let conn = ctx.connect(policy.controller, policy.service, self.cfg.conn);
-            self.set_role(
+            self.roles.insert(
                 conn,
                 Role::Upstream {
                     sw,
@@ -199,9 +154,8 @@ impl FlowVisor {
     /// Forward an already-encoded message to the switch unchanged
     /// except for its xid. The encoder is canonical, so this is
     /// byte-identical to re-encoding the decoded message — without the
-    /// re-encode, and without a copy when `raw` is the last handle to
-    /// the message (the caller dropped what it decoded from it).
-    fn forward_raw_to_switch(&self, ctx: &mut Ctx<'_>, sw: usize, raw: Bytes, xid: u32) {
+    /// re-encode.
+    fn forward_raw_to_switch(&self, ctx: &mut Ctx<'_>, sw: usize, raw: &Bytes, xid: u32) {
         let s = &self.switches[sw];
         if s.alive {
             ctx.conn_send(s.conn, reframe_with_xid(raw, xid));
@@ -233,7 +187,8 @@ impl FlowVisor {
             }
             OfMessage::EchoReply(_) => {}
             OfMessage::FeaturesReply(f) => {
-                if let Some((s, slice, orig)) = self.take_xid(xid) {
+                if let Some(&(s, slice, orig)) = self.xid_map.get(&xid) {
+                    self.xid_map.remove(&xid);
                     if slice == FV_SELF {
                         // Our own handshake: cache and bring up slices.
                         ctx.trace_debug(
@@ -290,12 +245,11 @@ impl FlowVisor {
             | OfMessage::GetConfigReply { .. }
             | OfMessage::StatsReply { .. }
             | OfMessage::Error { .. } => {
-                // An ERROR's context is a slice of `raw`: let go of it,
-                // so the xid can be written where the message lies.
-                drop(msg);
-                if let Some((s, slice, orig)) = self.take_xid(xid) {
+                if let Some(&(s, slice, orig)) = self.xid_map.get(&xid) {
+                    self.xid_map.remove(&xid);
                     if slice != FV_SELF {
-                        self.forward_raw_to_slice(ctx, s, slice, reframe_with_xid(raw, orig));
+                        let _ = msg;
+                        self.forward_raw_to_slice(ctx, s, slice, reframe_with_xid(&raw, orig));
                     }
                 }
             }
@@ -389,7 +343,7 @@ impl FlowVisor {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 if matches!(decision, FlowSpaceDecision::Allow) {
                     // Untouched flowspace: only the xid changes.
-                    self.forward_raw_to_switch(ctx, sw, raw, new_xid);
+                    self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
                 } else {
                     let fm = OfMessage::FlowMod {
                         of_match: effective_match,
@@ -406,60 +360,53 @@ impl FlowVisor {
                     self.send_to_switch(ctx, sw, &fm, new_xid);
                 }
             }
+            OfMessage::PacketOut {
+                buffer_id,
+                in_port,
+                actions,
+                data,
+            } => {
+                // Policy-check the payload when we can see it.
+                if buffer_id == OFP_NO_BUFFER && !data.is_empty() {
+                    if let Some(key) = PacketKey::from_frame_bytes(in_port, &data) {
+                        if !self.cfg.slices[slice].owns_packet(&key) {
+                            ctx.count("fv.packet_out_denied", 1);
+                            if let Some(c) = up_conn {
+                                let err = OfMessage::Error {
+                                    err_type: ErrorType::BadRequest,
+                                    code: 4, // OFPBRC_EPERM
+                                    data: Bytes::new(),
+                                };
+                                ctx.conn_send(c, err.encode(xid));
+                            }
+                            return;
+                        }
+                    }
+                }
+                let _ = (actions, data);
+                let new_xid = self.alloc_xid(sw, slice, xid);
+                self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
+            }
             // Forwarded requests that expect a reply: remap the xid.
-            // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
             OfMessage::BarrierRequest
             | OfMessage::GetConfigRequest
-            | OfMessage::StatsRequest { .. }
-            | OfMessage::SetConfig { .. } => {
+            | OfMessage::StatsRequest { .. } => {
                 let new_xid = self.alloc_xid(sw, slice, xid);
-                self.forward_raw_to_switch(ctx, sw, raw, new_xid);
+                self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
             }
-            // (A PACKET_OUT never gets here: `handle_controller_frame`.)
+            // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
+            OfMessage::SetConfig { .. } => {
+                let new_xid = self.alloc_xid(sw, slice, xid);
+                self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
+            }
             _ => {
                 ctx.count("fv.unexpected_from_controller", 1);
             }
         }
     }
-
-    /// One message off a slice controller's connection. A PACKET_OUT
-    /// is only passed on, so it is read where it lies
-    /// ([`PacketOutView`]: no action list is built, and nothing holds
-    /// on to `raw` once the flowspace check is done); everything else
-    /// is decoded in full. A message that does not decode is dropped.
-    fn handle_controller_frame(&mut self, ctx: &mut Ctx<'_>, sw: usize, slice: usize, raw: Bytes) {
-        let out = match PacketOutView::parse(&raw) {
-            Ok(Some(out)) => out,
-            Ok(None) => {
-                if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
-                    self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
-                }
-                return;
-            }
-            Err(_) => return,
-        };
-        // Policy-check the payload when we can see it.
-        let denied = out.buffer_id == OFP_NO_BUFFER
-            && PacketKey::from_frame_bytes(out.in_port, &out.data(&raw))
-                .is_some_and(|key| !self.cfg.slices[slice].owns_packet(&key));
-        if denied {
-            ctx.count("fv.packet_out_denied", 1);
-            if let Some(c) = self.switches[sw].upstreams[slice].conn {
-                let err = OfMessage::Error {
-                    err_type: ErrorType::BadRequest,
-                    code: 4, // OFPBRC_EPERM
-                    data: Bytes::new(),
-                };
-                ctx.conn_send(c, err.encode(out.xid));
-            }
-            return;
-        }
-        let new_xid = self.alloc_xid(sw, slice, out.xid);
-        self.forward_raw_to_switch(ctx, sw, raw, new_xid);
-    }
 }
 
-impl Agent for FlowVisor {
+impl Agent for ModelFlowVisor {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.listen(self.cfg.listen_service);
     }
@@ -475,7 +422,7 @@ impl Agent for FlowVisor {
             {
                 let policy = self.cfg.slices[slice].clone();
                 let conn = ctx.connect(policy.controller, policy.service, self.cfg.conn);
-                self.set_role(conn, Role::Upstream { sw, slice });
+                self.roles.insert(conn, Role::Upstream { sw, slice });
                 let up = &mut self.switches[sw].upstreams[slice];
                 up.conn = Some(conn);
                 up.reader = MessageReader::new();
@@ -505,11 +452,11 @@ impl Agent for FlowVisor {
                             .collect(),
                         alive: true,
                     });
-                    self.set_role(conn, Role::Switch(sw));
+                    self.roles.insert(conn, Role::Switch(sw));
                     ctx.conn_send(conn, OfMessage::Hello.encode(0));
                     let xid = self.alloc_xid(sw, FV_SELF, 0);
                     ctx.conn_send(conn, OfMessage::FeaturesRequest.encode(xid));
-                } else if let Some(Role::Upstream { sw, slice }) = self.role(conn) {
+                } else if let Some(Role::Upstream { sw, slice }) = self.roles.get(&conn).copied() {
                     // We reached a slice controller: open with HELLO.
                     ctx.conn_send(conn, OfMessage::Hello.encode(0));
                     // Some controllers never send HELLO first; mark the
@@ -517,30 +464,46 @@ impl Agent for FlowVisor {
                     self.switches[sw].upstreams[slice].ready = true;
                 }
             }
-            // No handler resets the reader of the connection it is
-            // serving, so taking the messages one at a time sees what
-            // draining them first would. Undecodable ones are dropped.
-            StreamEvent::Data(data) => match self.role(conn) {
-                Some(Role::Switch(sw)) => {
-                    self.switches[sw].reader.push_bytes(data);
-                    while let Some(raw) = self.switches[sw].reader.next_frame() {
-                        let Ok(raw) = raw else { continue };
-                        if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
+            StreamEvent::Data(data) => {
+                let Some(role) = self.roles.get(&conn).copied() else {
+                    return;
+                };
+                let mut msgs = std::mem::take(&mut self.scratch);
+                msgs.clear();
+                match role {
+                    Role::Switch(sw) => {
+                        {
+                            let reader = &mut self.switches[sw].reader;
+                            reader.push_bytes(data);
+                            while let Some(r) = next_raw(reader) {
+                                if let Ok(m) = r {
+                                    msgs.push(m);
+                                }
+                            }
+                        }
+                        for (msg, xid, raw) in msgs.drain(..) {
                             self.handle_switch_msg(ctx, sw, msg, xid, raw);
                         }
                     }
-                }
-                Some(Role::Upstream { sw, slice }) => {
-                    self.switches[sw].upstreams[slice].reader.push_bytes(data);
-                    while let Some(raw) = self.switches[sw].upstreams[slice].reader.next_frame() {
-                        let Ok(raw) = raw else { continue };
-                        self.handle_controller_frame(ctx, sw, slice, raw);
+                    Role::Upstream { sw, slice } => {
+                        {
+                            let reader = &mut self.switches[sw].upstreams[slice].reader;
+                            reader.push_bytes(data);
+                            while let Some(r) = next_raw(reader) {
+                                if let Ok(m) = r {
+                                    msgs.push(m);
+                                }
+                            }
+                        }
+                        for (msg, xid, raw) in msgs.drain(..) {
+                            self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
+                        }
                     }
                 }
-                None => {}
-            },
+                self.scratch = msgs;
+            }
             StreamEvent::Closed => {
-                let Some(role) = self.clear_role(conn) else {
+                let Some(role) = self.roles.remove(&conn) else {
                     return;
                 };
                 match role {
@@ -549,7 +512,7 @@ impl Agent for FlowVisor {
                         // Tear down that session's controller legs.
                         for slice in 0..self.cfg.slices.len() {
                             if let Some(c) = self.switches[sw].upstreams[slice].conn.take() {
-                                self.clear_role(c);
+                                self.roles.remove(&c);
                                 ctx.conn_close(c);
                             }
                         }
@@ -567,177 +530,5 @@ impl Agent for FlowVisor {
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rf_openflow::{Action, FlowModCommand, OfMatch, SwitchFeatures, OFPP_NONE};
-    use rf_sim::{AgentId, Sim, SimConfig, Time};
-    use rf_wire::{EtherType, EthernetFrame, LldpPacket, MacAddr};
-
-    const PORTS: u16 = 4;
-    const ROUNDS: u64 = 2000;
-    const FLOW_MOD_XID: u32 = 0xBEEF;
-
-    /// Dials FlowVisor as a switch, records the xid of every request it
-    /// gets, never answers a PACKET_OUT and rejects every FLOW_MOD.
-    #[derive(Clone)]
-    struct RejectingSwitch {
-        fv: AgentId,
-        reader: MessageReader,
-        seen_xids: Vec<u32>,
-    }
-
-    impl Agent for RejectingSwitch {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.connect(self.fv, 6633, ConnProfile::default());
-        }
-        fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, ev: StreamEvent) {
-            match ev {
-                StreamEvent::Opened { .. } => ctx.conn_send(conn, OfMessage::Hello.encode(0)),
-                StreamEvent::Data(data) => {
-                    self.reader.push_bytes(data);
-                    while let Some(Ok((msg, xid))) = self.reader.next() {
-                        let reply = match msg {
-                            OfMessage::Hello => continue,
-                            OfMessage::FeaturesRequest => {
-                                Some(OfMessage::FeaturesReply(SwitchFeatures {
-                                    datapath_id: 5,
-                                    n_buffers: 0,
-                                    n_tables: 1,
-                                    capabilities: 0,
-                                    actions: 0,
-                                    ports: Vec::new(),
-                                }))
-                            }
-                            OfMessage::FlowMod { .. } => Some(OfMessage::Error {
-                                err_type: ErrorType::FlowModFailed,
-                                code: 0,
-                                data: Bytes::new(),
-                            }),
-                            _ => None,
-                        };
-                        self.seen_xids.push(xid);
-                        if let Some(reply) = reply {
-                            ctx.conn_send(conn, reply.encode(xid));
-                        }
-                    }
-                }
-                StreamEvent::Closed => {}
-            }
-        }
-    }
-
-    /// The topology slice's controller: `ROUNDS` LLDP probe rounds, one
-    /// per millisecond, then one FLOW_MOD.
-    #[derive(Clone, Default)]
-    struct Prober {
-        conn: Option<ConnId>,
-        reader: MessageReader,
-        rounds: u64,
-        errors: Vec<u32>,
-    }
-
-    impl Agent for Prober {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.listen(6641);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-            let conn = self.conn.expect("timer runs on an open session");
-            if self.rounds == ROUNDS {
-                let punt = OfMessage::FlowMod {
-                    of_match: OfMatch::lldp(),
-                    cookie: 1,
-                    command: FlowModCommand::Add,
-                    idle_timeout: 0,
-                    hard_timeout: 0,
-                    priority: 1,
-                    buffer_id: OFP_NO_BUFFER,
-                    out_port: OFPP_NONE,
-                    flags: 0,
-                    actions: vec![Action::output(1)],
-                };
-                ctx.conn_send(conn, punt.encode(FLOW_MOD_XID));
-                return;
-            }
-            for port in 1..=PORTS {
-                let probe = EthernetFrame::new(
-                    MacAddr::LLDP_MULTICAST,
-                    MacAddr::from_dpid_port(5, port),
-                    EtherType::LLDP,
-                    LldpPacket::discovery_probe(5, port).emit(),
-                );
-                let out = OfMessage::PacketOut {
-                    buffer_id: OFP_NO_BUFFER,
-                    in_port: OFPP_NONE,
-                    actions: vec![Action::output(port)],
-                    data: probe.emit(),
-                };
-                ctx.conn_send(conn, out.encode(7));
-            }
-            self.rounds += 1;
-            ctx.schedule(Duration::from_millis(1), 0);
-        }
-        fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, ev: StreamEvent) {
-            match ev {
-                StreamEvent::Opened { .. } => {
-                    ctx.conn_send(conn, OfMessage::Hello.encode(0));
-                    self.conn = Some(conn);
-                    ctx.schedule(Duration::from_millis(1), 0);
-                }
-                StreamEvent::Data(data) => {
-                    self.reader.push_bytes(data);
-                    while let Some(Ok((msg, xid))) = self.reader.next() {
-                        if matches!(msg, OfMessage::Error { .. }) {
-                            self.errors.push(xid);
-                        }
-                    }
-                }
-                StreamEvent::Closed => {}
-            }
-        }
-    }
-
-    #[test]
-    fn unanswered_requests_leave_the_xid_ring() {
-        let mut sim = Sim::new(SimConfig::default());
-        let prober = sim.add_agent("topo-ctrl", Box::new(Prober::default()));
-        let fv = sim.add_agent(
-            "flowvisor",
-            Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
-                SlicePolicy::lldp_slice("topology", prober, 6641),
-            ]))),
-        );
-        let sw = sim.add_agent(
-            "sw5",
-            Box::new(RejectingSwitch {
-                fv,
-                reader: MessageReader::new(),
-                seen_xids: Vec::new(),
-            }),
-        );
-        sim.run_until(Time::from_secs(5));
-
-        let requests = ROUNDS * u64::from(PORTS) + 2; // + FEATURES_REQUEST, FLOW_MOD
-        assert!(
-            requests > u64::from(XID_WINDOW),
-            "the window must be exceeded"
-        );
-        let seen = &sim.agent_as::<RejectingSwitch>(sw).unwrap().seen_xids;
-        // The switch-side xids are the plain ascending allocation.
-        assert_eq!(*seen, (1..=requests as u32).collect::<Vec<u32>>());
-        // Nothing older than the window is routable any more; the
-        // oldest request inside it (a probe, xid 7 upstream) is.
-        let fv = sim.agent_as_mut::<FlowVisor>(fv).unwrap();
-        let oldest_live = requests as u32 - XID_WINDOW + 1;
-        assert_eq!(fv.take_xid(oldest_live - 1), None);
-        assert_eq!(fv.take_xid(oldest_live), Some((0, 0, 7)));
-        // The FLOW_MOD's ERROR was still routed, under the slice's own xid.
-        assert_eq!(
-            sim.agent_as::<Prober>(prober).unwrap().errors,
-            vec![FLOW_MOD_XID]
-        );
     }
 }

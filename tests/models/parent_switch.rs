@@ -1,17 +1,25 @@
-//! The [`OpenFlowSwitch`] simulation agent — our Open vSwitch 1.4.1.
+//! `rf_switch::OpenFlowSwitch` as it was before a PACKET_OUT was read
+//! where it lies (`crates/switch/src/switch.rs` at 8ab2bff, verbatim
+//! but for five unread accessors and the two adaptations marked
+//! `ADAPTED`): every message decoded in full, a chunk's messages
+//! drained into a list before any is handled, a PACKET_OUT's actions a
+//! `Vec`, an egress list per action list, punt templates in a
+//! `HashMap`. The reference the real switch must match byte for byte,
+//! on every connection and port.
 
-use crate::datapath::{apply_actions_owned, Egress};
-use crate::flow_table::{FlowTable, Removed};
-use bytes::Bytes;
+// ADAPTED: the table, the configuration and the action interpreter are
+// the real crate's — the interpreter through its borrowing entry, which
+// `apply_actions_matches_reference_model` holds to the owned one.
+use bytes::{Bytes, BytesMut};
 use rf_openflow::{
-    ErrorType, FlowStatsEntry, MessageReader, OfError, OfMessage, PacketInReason, PacketKey,
-    PacketOutView, PhyPort, PortNumber, PortStats, PortStatusReason, StatsBody, SwitchDesc,
-    SwitchFeatures, TableStats, Wildcards, OFPP_NONE, OFP_NO_BUFFER,
+    ErrorType, FlowStatsEntry, MessageReader, OfMessage, PacketInReason, PacketKey, PhyPort,
+    PortNumber, PortStats, PortStatusReason, StatsBody, SwitchDesc, SwitchFeatures, TableStats,
+    Wildcards, OFPP_NONE, OFP_NO_BUFFER,
 };
-use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent, Time};
+use rf_sim::{Agent, ConnId, Ctx, StreamEvent, Time};
+use rf_switch::{apply_actions, Egress, FlowTable, Removed, SwitchConfig};
 use rf_wire::MacAddr;
-use std::collections::VecDeque;
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
 
 /// Timer tokens.
 const T_EXPIRY: u64 = 1;
@@ -19,56 +27,12 @@ const T_EXPIRY: u64 = 1;
 const T_RECONNECT_BASE: u64 = 1000;
 const T_ECHO: u64 = 3;
 
-/// Static configuration of one switch.
-#[derive(Clone, Debug)]
-pub struct SwitchConfig {
-    /// 64-bit datapath id (the paper keys VMs by this).
-    pub dpid: u64,
-    /// Data-plane ports are numbered `1..=num_ports`.
-    pub num_ports: u16,
-    /// Controllers to dial (agent, service). Open vSwitch supports
-    /// several simultaneous controllers; the FlowVisor-bypass ablation
-    /// uses two, normal deployments one (FlowVisor itself).
-    pub controllers: Vec<(rf_sim::AgentId, u16)>,
-    /// Control-channel latency profile.
-    pub conn: ConnProfile,
-    /// Packet buffer pool size (OVS default 256).
-    pub n_buffers: u32,
-    /// Flow-expiry scan period.
-    pub expiry_interval: Duration,
-    /// Keepalive echo period (0 = disabled).
-    pub echo_interval: Duration,
-    /// Reconnect backoff after the control channel drops.
-    pub reconnect_backoff: Duration,
-}
-
-impl SwitchConfig {
-    pub fn new(dpid: u64, num_ports: u16, controller: rf_sim::AgentId) -> SwitchConfig {
-        SwitchConfig {
-            dpid,
-            num_ports,
-            controllers: vec![(controller, 6633)],
-            conn: ConnProfile::default(),
-            n_buffers: 256,
-            expiry_interval: Duration::from_millis(500),
-            echo_interval: Duration::from_secs(15),
-            reconnect_backoff: Duration::from_secs(1),
-        }
-    }
-
-    /// Override the service number of the (single) default controller.
-    pub fn with_service(mut self, service: u16) -> SwitchConfig {
-        if let Some(c) = self.controllers.last_mut() {
-            c.1 = service;
-        }
-        self
-    }
-
-    /// Dial an additional controller.
-    pub fn add_controller(mut self, controller: rf_sim::AgentId, service: u16) -> SwitchConfig {
-        self.controllers.push((controller, service));
-        self
-    }
+// ADAPTED: `rf_openflow::reframe_with_xid` as it was — always a copy.
+fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
+    let mut out = BytesMut::with_capacity(raw.len());
+    out.extend_from_slice(raw);
+    out[4..8].copy_from_slice(&xid.to_be_bytes());
+    out.freeze()
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -90,7 +54,7 @@ struct CtrlConn {
 
 /// An OpenFlow 1.0 switch agent.
 #[derive(Clone)]
-pub struct OpenFlowSwitch {
+pub struct ModelSwitch {
     cfg: SwitchConfig,
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
@@ -112,17 +76,15 @@ pub struct OpenFlowSwitch {
     pending_port_status: Vec<PortNumber>,
     /// Copies of ERROR messages we sent (for tests/diagnostics).
     pub errors_sent: u64,
-    /// The egress list the action interpreter fills and `dispatch`
-    /// drains, kept between events for its capacity.
-    egress: Vec<Egress>,
-    /// Per-port (index `in_port - 1`) template of the last action-punt
-    /// PACKET_IN: `(punted frame, cut, encoded message)`. LLDP probes
-    /// punt the identical frame every round; on a match the wire bytes
-    /// are the template with a fresh xid (the encoder is canonical, so
-    /// that equals re-encoding). Compared by content, so any other
-    /// frame just misses and refreshes the entry; a punt that names no
-    /// data-plane port (a PACKET_OUT's `in_port`) is encoded afresh.
-    punt_cache: Vec<Option<(Bytes, usize, Bytes)>>,
+    /// Reused per-event decode buffer (capacity persists across events).
+    msg_scratch: Vec<Option<(OfMessage, u32)>>,
+    /// Per-port template of the last action-punt PACKET_IN:
+    /// `(punted frame, cut, encoded message)`. LLDP probes punt the
+    /// identical frame every round; on a match the wire bytes are the
+    /// template with a fresh xid (the encoder is canonical, so that
+    /// equals re-encoding). Keyed by content, so any other frame just
+    /// misses and refreshes the entry.
+    punt_cache: HashMap<PortNumber, (Bytes, usize, Bytes)>,
 }
 
 /// Index of data-plane port `port` (numbered from 1) in the per-port
@@ -131,8 +93,8 @@ fn port_index(port: PortNumber) -> Option<usize> {
     port.checked_sub(1).map(usize::from)
 }
 
-impl OpenFlowSwitch {
-    pub fn new(cfg: SwitchConfig) -> OpenFlowSwitch {
+impl ModelSwitch {
+    pub fn new(cfg: SwitchConfig) -> ModelSwitch {
         let n = cfg.num_ports as usize;
         let ctrls = cfg
             .controllers
@@ -144,7 +106,7 @@ impl OpenFlowSwitch {
                 reader: MessageReader::new(),
             })
             .collect();
-        OpenFlowSwitch {
+        ModelSwitch {
             cfg,
             ctrls,
             table: FlowTable::new(),
@@ -162,38 +124,8 @@ impl OpenFlowSwitch {
             xid: 1,
             pending_port_status: Vec::new(),
             errors_sent: 0,
-            egress: Vec::new(),
-            punt_cache: vec![None; n],
-        }
-    }
-
-    pub fn dpid(&self) -> u64 {
-        self.cfg.dpid
-    }
-
-    /// Number of installed flow entries (test/bench accessor).
-    pub fn flow_count(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Borrow the flow table (test/bench accessor).
-    pub fn flow_table(&self) -> &FlowTable {
-        &self.table
-    }
-
-    /// Whether every control channel is established.
-    pub fn is_connected(&self) -> bool {
-        self.ctrls.iter().all(|c| c.state == ConnState::Ready)
-    }
-
-    /// Administratively take a port down/up; emits PORT_STATUS.
-    /// Exposed for failure-injection experiments (tests reach it via
-    /// `Sim::agent_as_mut`, then the change takes effect immediately;
-    /// the PORT_STATUS goes out on the next expiry tick).
-    pub fn set_port_admin(&mut self, port: PortNumber, down: bool) {
-        if let Some(slot) = port_index(port).and_then(|idx| self.ports_down.get_mut(idx)) {
-            *slot = down;
-            self.pending_port_status.push(port);
+            msg_scratch: Vec::new(),
+            punt_cache: HashMap::new(),
         }
     }
 
@@ -304,12 +236,10 @@ impl OpenFlowSwitch {
         // The matched entry's action list is read where it lies, and the
         // frame given up to the interpreter: a routed hop allocates no
         // action list and copies no frame.
-        let Some(entry) = self.table.lookup(&key, frame.len(), ctx.now()) else {
-            return self.packet_in(ctx, in_port, frame);
+        let egress = match self.table.lookup(&key, frame.len(), ctx.now()) {
+            Some(e) => apply_actions(&frame, &e.actions, in_port, self.cfg.num_ports),
+            None => return self.packet_in(ctx, in_port, frame),
         };
-        let actions = entry.actions.iter().copied();
-        let mut egress = std::mem::take(&mut self.egress);
-        apply_actions_owned(frame, actions, in_port, self.cfg.num_ports, &mut egress);
         self.dispatch(ctx, in_port, egress, false);
     }
 
@@ -317,18 +247,14 @@ impl OpenFlowSwitch {
     /// `output:TABLE` only in a PACKET_OUT (`from_packet_out`); in a
     /// flow entry's own actions it would send the frame round the table
     /// until the stack ran out, so there it is dropped and counted.
-    ///
-    /// `egress` is `self.egress`, taken out to be filled, and goes back
-    /// drained. (An `output:TABLE` re-enters `pipeline` while it is
-    /// out; that inner run fills and returns a list of its own.)
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
         in_port: PortNumber,
-        mut egress: Vec<Egress>,
+        egress: Vec<Egress>,
         from_packet_out: bool,
     ) {
-        for egress in egress.drain(..) {
+        for egress in egress {
             match egress {
                 Egress::Port(p, bytes) => self.tx(ctx, p, bytes),
                 Egress::Controller { max_len, frame } => {
@@ -341,35 +267,35 @@ impl OpenFlowSwitch {
                     let xid = self.next_xid();
                     // Template fast path for small repeated punts (the
                     // LLDP probe cycle); bounded compare, same bytes.
-                    let slot = port_index(in_port)
-                        .filter(|_| frame.len() <= 128)
-                        .and_then(|idx| self.punt_cache.get_mut(idx));
-                    let encoded = match slot {
-                        Some(Some((f, c, template))) if *c == cut && *f == frame => {
-                            rf_openflow::reframe_with_xid(template.clone(), xid)
+                    let cached = frame.len() <= 128
+                        && self
+                            .punt_cache
+                            .get(&in_port)
+                            .is_some_and(|(f, c, _)| *c == cut && *f == frame);
+                    if cached {
+                        let (_, _, template) = &self.punt_cache[&in_port];
+                        let encoded = reframe_with_xid(template, xid);
+                        self.send_raw(ctx, encoded);
+                    } else {
+                        let encoded = OfMessage::PacketIn {
+                            buffer_id: OFP_NO_BUFFER,
+                            total_len,
+                            in_port,
+                            reason: PacketInReason::Action,
+                            data: frame.slice(..cut),
                         }
-                        slot => {
-                            let encoded = OfMessage::PacketIn {
-                                buffer_id: OFP_NO_BUFFER,
-                                total_len,
-                                in_port,
-                                reason: PacketInReason::Action,
-                                data: frame.slice(..cut),
-                            }
-                            .encode(xid);
-                            if let Some(slot) = slot {
-                                *slot = Some((frame, cut, encoded.clone()));
-                            }
-                            encoded
+                        .encode(xid);
+                        if frame.len() <= 128 {
+                            self.punt_cache
+                                .insert(in_port, (frame.clone(), cut, encoded.clone()));
                         }
-                    };
-                    self.send_raw(ctx, encoded);
+                        self.send_raw(ctx, encoded);
+                    }
                 }
                 Egress::Table(bytes) if from_packet_out => self.pipeline(ctx, in_port, bytes),
                 Egress::Table(_) => ctx.count("switch.table_loop", 1),
             }
         }
-        self.egress = egress;
     }
 
     fn tx(&mut self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
@@ -413,40 +339,6 @@ impl OpenFlowSwitch {
                 );
             }
         }
-    }
-
-    /// One message off control channel `idx`. A PACKET_OUT — every
-    /// LLDP probe is one — is executed from the message where it lies
-    /// ([`PacketOutView`]): its actions are decoded as the interpreter
-    /// reaches them, its frame is a slice of `raw`. Everything else is
-    /// decoded in full and goes to `handle_message`.
-    fn handle_frame(&mut self, ctx: &mut Ctx<'_>, idx: usize, raw: Bytes) -> Result<(), OfError> {
-        let Some(out) = PacketOutView::parse(&raw)? else {
-            let (msg, xid) = OfMessage::decode_bytes(&raw)?;
-            self.handle_message(ctx, idx, msg, xid);
-            return Ok(());
-        };
-        ctx.count("of.packet_out", 1);
-        let frame = if out.buffer_id == OFP_NO_BUFFER {
-            out.data(&raw)
-        } else if let Some((frame, _)) = self.take_buffer(out.buffer_id) {
-            frame
-        } else {
-            self.errors_sent += 1;
-            let xid = self.next_xid();
-            let unknown = OfMessage::Error {
-                err_type: ErrorType::BadRequest,
-                code: 8, // OFPBRC_BUFFER_UNKNOWN
-                data: Bytes::new(),
-            };
-            self.send_to(ctx, idx, unknown, xid);
-            return Ok(());
-        };
-        let mut egress = std::mem::take(&mut self.egress);
-        let ports = self.cfg.num_ports;
-        apply_actions_owned(frame, out.actions(&raw), out.in_port, ports, &mut egress);
-        self.dispatch(ctx, out.in_port, egress, true);
-        Ok(())
     }
 
     fn handle_message(&mut self, ctx: &mut Ctx<'_>, idx: usize, msg: OfMessage, xid: u32) {
@@ -517,6 +409,38 @@ impl OpenFlowSwitch {
                     }
                 }
             }
+            OfMessage::PacketOut {
+                buffer_id,
+                in_port,
+                actions,
+                data,
+            } => {
+                ctx.count("of.packet_out", 1);
+                let frame = if buffer_id != OFP_NO_BUFFER {
+                    match self.take_buffer(buffer_id) {
+                        Some((f, _)) => f,
+                        None => {
+                            self.errors_sent += 1;
+                            let xid2 = self.next_xid();
+                            self.send_to(
+                                ctx,
+                                idx,
+                                OfMessage::Error {
+                                    err_type: ErrorType::BadRequest,
+                                    code: 8, // OFPBRC_BUFFER_UNKNOWN
+                                    data: Bytes::new(),
+                                },
+                                xid2,
+                            );
+                            return;
+                        }
+                    }
+                } else {
+                    data
+                };
+                let egress = apply_actions(&frame, &actions, in_port, self.cfg.num_ports);
+                self.dispatch(ctx, in_port, egress, true);
+            }
             OfMessage::StatsRequest { body } => {
                 let reply = self.stats_reply(ctx.now(), body);
                 self.send_to(ctx, idx, OfMessage::StatsReply { body: reply }, xid);
@@ -541,8 +465,7 @@ impl OpenFlowSwitch {
                 );
             }
             // Symmetric / controller-role messages a switch should not
-            // receive; reply with an error like OVS does. (A PACKET_OUT
-            // never gets here: `handle_frame`.)
+            // receive; reply with an error like OVS does.
             _ => {
                 self.errors_sent += 1;
                 let xid2 = self.next_xid();
@@ -638,7 +561,7 @@ impl OpenFlowSwitch {
     }
 }
 
-impl Agent for OpenFlowSwitch {
+impl Agent for ModelSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
@@ -703,16 +626,26 @@ impl Agent for OpenFlowSwitch {
                 self.send_to(ctx, idx, OfMessage::Hello, xid);
             }
             StreamEvent::Data(data) => {
-                self.ctrls[idx].reader.push_bytes(data);
-                // No handler resets this leg's reader, so taking the
-                // messages one at a time sees what draining them first
-                // would.
-                while let Some(raw) = self.ctrls[idx].reader.next_frame() {
-                    let handled = raw.and_then(|raw| self.handle_frame(ctx, idx, raw));
-                    if handled.is_err() {
-                        ctx.count("switch.decode_error", 1);
+                let mut msgs = std::mem::take(&mut self.msg_scratch);
+                msgs.clear();
+                {
+                    let reader = &mut self.ctrls[idx].reader;
+                    reader.push_bytes(data);
+                    loop {
+                        match reader.next() {
+                            Some(Ok(m)) => msgs.push(Some(m)),
+                            Some(Err(_)) => msgs.push(None),
+                            None => break,
+                        }
                     }
                 }
+                for m in msgs.drain(..) {
+                    match m {
+                        Some((msg, xid)) => self.handle_message(ctx, idx, msg, xid),
+                        None => ctx.count("switch.decode_error", 1),
+                    }
+                }
+                self.msg_scratch = msgs;
             }
             StreamEvent::Closed => {
                 ctx.trace("of.disconnected", "control channel lost; will reconnect");

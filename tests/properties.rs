@@ -1170,6 +1170,487 @@ fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u1
     }
 }
 
+// ---------------- control path: reference models and scripted peers ----------------
+
+#[path = "models/parent_flowvisor.rs"]
+mod flowvisor_model;
+#[path = "models/parent_switch.rs"]
+mod switch_model;
+
+const CTRL_SERVICE: u16 = 6641;
+const TAP_PORTS: u16 = 4;
+
+/// What stands between the scripted controller and the port taps.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum ControlLayout {
+    /// Controller – FlowVisor – a stub that logs and answers.
+    ProxyOnly,
+    /// Controller – switch: the switch reads the stream as it was cut.
+    SwitchOnly,
+    /// Controller – FlowVisor – switch, the paper's layout.
+    Chain,
+}
+
+/// Plays a control stream, chunk by chunk, into whatever dials it, and
+/// logs every chunk that comes back.
+#[derive(Clone)]
+struct ScriptedController {
+    /// The stream as it is cut, each chunk with the delay since the one
+    /// before. A chunk is moved out when it is sent.
+    chunks: Vec<(std::time::Duration, Option<Bytes>)>,
+    /// Keep a handle on every chunk sent: nothing downstream may then
+    /// write to one.
+    hold: bool,
+    held: Vec<Bytes>,
+    conn: Option<rf_sim::ConnId>,
+    log: Vec<(rf_sim::Time, Bytes)>,
+}
+
+impl rf_sim::Agent for ScriptedController {
+    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
+        ctx.listen(CTRL_SERVICE);
+    }
+    fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, token: u64) {
+        let chunk = self.chunks[token as usize].1.take().expect("sent once");
+        if self.hold {
+            self.held.push(chunk.clone());
+        }
+        ctx.conn_send(self.conn.expect("timers start on open"), chunk);
+    }
+    fn on_stream(
+        &mut self,
+        ctx: &mut rf_sim::Ctx<'_>,
+        conn: rf_sim::ConnId,
+        event: rf_sim::StreamEvent,
+    ) {
+        match event {
+            rf_sim::StreamEvent::Opened { .. } => {
+                self.conn = Some(conn);
+                ctx.conn_send(conn, OfMessage::Hello.encode(0));
+                // After the handshake and the taps' injected frames.
+                let mut at = std::time::Duration::from_millis(100);
+                for (i, (gap, _)) in self.chunks.iter().enumerate() {
+                    at += *gap;
+                    ctx.schedule(at, i as u64);
+                }
+            }
+            rf_sim::StreamEvent::Data(data) => self.log.push((ctx.now(), data)),
+            rf_sim::StreamEvent::Closed => {}
+        }
+    }
+}
+
+/// The far end of one switch port: sends its frames into the switch
+/// early (an empty table buffers them), logs what comes out.
+#[derive(Clone, Default)]
+struct PortTap {
+    inject: Vec<Bytes>,
+    log: Vec<(rf_sim::Time, Bytes)>,
+}
+
+impl rf_sim::Agent for PortTap {
+    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
+        for i in 0..self.inject.len() as u64 {
+            ctx.schedule(std::time::Duration::from_millis(50 + i), i);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, token: u64) {
+        ctx.send_frame(1, self.inject[token as usize].clone());
+    }
+    fn on_frame(&mut self, ctx: &mut rf_sim::Ctx<'_>, _port: u32, frame: Bytes) {
+        self.log.push((ctx.now(), frame));
+    }
+}
+
+/// Stands in for the switch below a FlowVisor: logs every chunk and
+/// answers enough to drive each of the proxy's switch→controller arms
+/// — FEATURES, BARRIER / GET_CONFIG / STATS replies, an ERROR quoting
+/// every other FLOW_MOD, FLOW_REMOVED for the rest, the payload of a
+/// PACKET_OUT punted back as a PACKET_IN, PORT_STATUS on SET_CONFIG.
+#[derive(Clone)]
+struct StubSwitch {
+    fv: rf_sim::AgentId,
+    reader: rf_openflow::MessageReader,
+    flow_mods: u32,
+    log: Vec<(rf_sim::Time, Bytes)>,
+}
+
+impl rf_sim::Agent for StubSwitch {
+    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
+        ctx.connect(self.fv, 6633, rf_sim::ConnProfile::default());
+    }
+    fn on_stream(
+        &mut self,
+        ctx: &mut rf_sim::Ctx<'_>,
+        conn: rf_sim::ConnId,
+        event: rf_sim::StreamEvent,
+    ) {
+        use rf_openflow::{
+            AggregateStats, ErrorType, FlowRemovedReason, PacketInReason, PhyPort,
+            PortStatusReason, StatsBody, SwitchFeatures, OFP_NO_BUFFER,
+        };
+        let data = match event {
+            rf_sim::StreamEvent::Opened { .. } => {
+                return ctx.conn_send(conn, OfMessage::Hello.encode(0));
+            }
+            rf_sim::StreamEvent::Data(data) => data,
+            rf_sim::StreamEvent::Closed => return,
+        };
+        self.log.push((ctx.now(), data.clone()));
+        self.reader.push_bytes(data);
+        let port = |p| PhyPort::new(p, MacAddr::from_dpid_port(7, p), format!("eth{p}"));
+        while let Some(msg) = self.reader.next() {
+            let Ok((msg, xid)) = msg else { continue };
+            let reply = match msg {
+                OfMessage::FeaturesRequest => OfMessage::FeaturesReply(SwitchFeatures {
+                    datapath_id: 7,
+                    n_buffers: 0,
+                    n_tables: 1,
+                    capabilities: 0,
+                    actions: 0xFFF,
+                    ports: (1..=TAP_PORTS).map(port).collect(),
+                }),
+                OfMessage::BarrierRequest => OfMessage::BarrierReply,
+                OfMessage::GetConfigRequest => OfMessage::GetConfigReply {
+                    flags: 0,
+                    miss_send_len: 128,
+                },
+                OfMessage::StatsRequest { .. } => OfMessage::StatsReply {
+                    body: StatsBody::AggregateReply(AggregateStats {
+                        packet_count: u64::from(xid),
+                        byte_count: 0,
+                        flow_count: self.flow_mods,
+                    }),
+                },
+                OfMessage::SetConfig { .. } => OfMessage::PortStatus {
+                    reason: PortStatusReason::Modify,
+                    desc: port(1),
+                },
+                OfMessage::FlowMod {
+                    of_match,
+                    cookie,
+                    priority,
+                    ..
+                } => {
+                    self.flow_mods += 1;
+                    if self.flow_mods.is_multiple_of(2) {
+                        let quoted = msg.encode(xid);
+                        OfMessage::Error {
+                            err_type: ErrorType::FlowModFailed,
+                            code: 0,
+                            data: quoted.slice(..quoted.len().min(64)),
+                        }
+                    } else {
+                        OfMessage::FlowRemoved {
+                            of_match,
+                            cookie,
+                            priority,
+                            reason: FlowRemovedReason::Delete,
+                            duration_sec: 0,
+                            duration_nsec: 0,
+                            idle_timeout: 0,
+                            packet_count: 0,
+                            byte_count: 0,
+                        }
+                    }
+                }
+                OfMessage::PacketOut { data, .. } if !data.is_empty() => OfMessage::PacketIn {
+                    buffer_id: OFP_NO_BUFFER,
+                    total_len: data.len() as u16,
+                    in_port: 1 + (xid % u32::from(TAP_PORTS)) as u16,
+                    reason: PacketInReason::Action,
+                    data,
+                },
+                _ => continue,
+            };
+            ctx.conn_send(conn, reply.encode(xid));
+        }
+    }
+}
+
+/// Everything a control-plane run shows from outside.
+#[derive(Debug, PartialEq)]
+struct ControlTranscript {
+    to_controller: Vec<(rf_sim::Time, Bytes)>,
+    to_stub: Vec<(rf_sim::Time, Bytes)>,
+    out_of_ports: Vec<Vec<(rf_sim::Time, Bytes)>>,
+    /// Every named and kernel counter: `fv.packet_out_denied`,
+    /// `of.packet_out`, `switch.decode_error`, `sim.events`, …
+    counters: std::collections::BTreeMap<String, u64>,
+}
+
+/// The stream one case plays: its chunks with their gaps, and the
+/// frames each tap injects beforehand.
+struct ControlScript {
+    chunks: Vec<(std::time::Duration, Vec<u8>)>,
+    injected: Vec<Vec<Bytes>>,
+}
+
+/// Run `script` through `layout`, built from the parent's agents
+/// (`model`) or the real ones. With `hold`, the controller keeps a
+/// handle on every chunk it sent, and what it holds comes back too.
+fn play_control(
+    script: &ControlScript,
+    layout: ControlLayout,
+    model: bool,
+    hold: bool,
+) -> (ControlTranscript, Vec<Bytes>) {
+    use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
+    use rf_sim::{Agent, LinkProfile, Sim, SimConfig, Time};
+    use rf_switch::{OpenFlowSwitch, SwitchConfig};
+
+    let mut sim = Sim::new(SimConfig::default());
+    let ctrl = sim.add_agent(
+        "ctrl",
+        Box::new(ScriptedController {
+            chunks: script
+                .chunks
+                .iter()
+                .map(|(gap, bytes)| (*gap, Some(Bytes::copy_from_slice(bytes))))
+                .collect(),
+            hold,
+            held: Vec::new(),
+            conn: None,
+            log: Vec::new(),
+        }),
+    );
+    let fv = (layout != ControlLayout::SwitchOnly).then(|| {
+        // LLDP and the lower half of IPv4: payloads and FLOW_MODs fall
+        // on both sides of it.
+        let cfg = FlowVisorConfig::new(vec![SlicePolicy {
+            name: "half".into(),
+            controller: ctrl,
+            service: CTRL_SERVICE,
+            flowspace: vec![
+                OfMatch::lldp(),
+                OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 1),
+            ],
+        }]);
+        let agent: Box<dyn Agent> = if model {
+            Box::new(flowvisor_model::ModelFlowVisor::new(cfg))
+        } else {
+            Box::new(FlowVisor::new(cfg))
+        };
+        sim.add_agent("flowvisor", agent)
+    });
+    let below = match (layout, fv) {
+        (ControlLayout::ProxyOnly, Some(fv)) => sim.add_agent(
+            "stub",
+            Box::new(StubSwitch {
+                fv,
+                reader: rf_openflow::MessageReader::new(),
+                flow_mods: 0,
+                log: Vec::new(),
+            }),
+        ),
+        _ => {
+            let cfg = match fv {
+                Some(fv) => SwitchConfig::new(7, TAP_PORTS, fv),
+                None => SwitchConfig::new(7, TAP_PORTS, ctrl).with_service(CTRL_SERVICE),
+            };
+            let agent: Box<dyn Agent> = if model {
+                Box::new(switch_model::ModelSwitch::new(cfg))
+            } else {
+                Box::new(OpenFlowSwitch::new(cfg))
+            };
+            sim.add_agent("sw7", agent)
+        }
+    };
+    let mut taps = Vec::new();
+    if layout != ControlLayout::ProxyOnly {
+        for (port, inject) in (1..).zip(&script.injected) {
+            let tap = sim.add_agent(
+                &format!("tap{port}"),
+                Box::new(PortTap {
+                    inject: inject.clone(),
+                    log: Vec::new(),
+                }),
+            );
+            sim.add_link((below, port), (tap, 1), LinkProfile::default());
+            taps.push(tap);
+        }
+    }
+    sim.run_until(Time::from_secs(1));
+
+    let controller = sim.agent_as::<ScriptedController>(ctrl).unwrap();
+    assert!(
+        controller.chunks.iter().all(|(_, chunk)| chunk.is_none()),
+        "the whole stream was played"
+    );
+    let transcript = ControlTranscript {
+        to_controller: controller.log.clone(),
+        to_stub: sim
+            .agent_as::<StubSwitch>(below)
+            .map_or(Vec::new(), |stub| stub.log.clone()),
+        out_of_ports: taps
+            .iter()
+            .map(|tap| sim.agent_as::<PortTap>(*tap).unwrap().log.clone())
+            .collect(),
+        counters: sim.tracer().counters(),
+    };
+    (transcript, controller.held.clone())
+}
+
+/// The raw draws one control message is built from: (kind, two
+/// numbers, (mutation, where)), its actions, its frame, and how the
+/// stream is cut around it.
+type ControlDraw = (
+    (u8, u16, u32, (u8, u16)),
+    Vec<(u8, u16, u32, [u8; 6])>,
+    FrameDraw,
+    u8,
+);
+
+/// One encoded control message: a PACKET_OUT half the time — 0–12
+/// actions of every kind, payload in the message / absent / in a
+/// buffer, on either side of the slice's flowspace, below 60 bytes —
+/// else a FLOW_MOD, a BARRIER / STATS / GET_CONFIG / SET_CONFIG
+/// request, an ECHO, or something no controller should send. Five in
+/// sixteen are then damaged: cut short under a patched length, one bit
+/// flipped anywhere, an action of length 7, an action of unknown type,
+/// an `actions_len` running past the body.
+fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw) -> Vec<u8> {
+    use rf_openflow::{
+        FlowModCommand, FlowStatsRequest, StatsBody, OFPP_NONE, OFP_HEADER_LEN, OFP_NO_BUFFER,
+    };
+    let (a, b) = (*a, *b);
+    let actions: Vec<Action> = actions
+        .iter()
+        .map(|&(kind, port, value, mac)| build_action((kind % 21, port, value, mac), TAP_PORTS))
+        .collect();
+    // One in four names a buffer: ids 1..=4 exist once the taps' frames
+    // missed the empty table, until something releases them.
+    let buffer_id = match b % 4 {
+        0 => 1 + (b >> 2) % 5,
+        _ => OFP_NO_BUFFER,
+    };
+    let in_port = [OFPP_NONE, 1, 2, 3, 4, 5, 0][a as usize % 7];
+    let matches = [
+        OfMatch::lldp(),
+        OfMatch::any(),
+        OfMatch::arp(),
+        OfMatch::ipv4_dst_prefix(Ipv4Addr::from(b), (a % 33) as u8),
+    ];
+    let of_match = matches[(b >> 8) as usize % matches.len()];
+    let msg = match kind % 16 {
+        0..=7 => OfMessage::PacketOut {
+            buffer_id,
+            in_port,
+            actions,
+            data: match b % 5 {
+                1 => Bytes::new(),
+                _ => build_frame(frame.clone()),
+            },
+        },
+        8 | 9 => OfMessage::FlowMod {
+            of_match,
+            cookie: u64::from(a % 4),
+            command: [
+                FlowModCommand::Add,
+                FlowModCommand::Add,
+                FlowModCommand::Modify,
+                FlowModCommand::Delete,
+                FlowModCommand::DeleteStrict,
+            ][(b >> 4) as usize % 5],
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: a,
+            buffer_id,
+            out_port: OFPP_NONE,
+            flags: (b >> 12) as u16 & 1,
+            actions,
+        },
+        10 => OfMessage::BarrierRequest,
+        11 => {
+            let request = FlowStatsRequest {
+                of_match,
+                table_id: 0xFF,
+                out_port: OFPP_NONE,
+            };
+            OfMessage::StatsRequest {
+                body: match a % 5 {
+                    0 => StatsBody::DescRequest,
+                    1 => StatsBody::FlowRequest(request),
+                    2 => StatsBody::AggregateRequest(request),
+                    3 => StatsBody::TableRequest,
+                    _ => StatsBody::PortRequest(in_port),
+                },
+            }
+        }
+        12 => OfMessage::GetConfigRequest,
+        13 => OfMessage::SetConfig {
+            flags: 0,
+            miss_send_len: a,
+        },
+        14 => OfMessage::EchoRequest(build_frame(frame.clone())),
+        _ => match a % 4 {
+            0 => OfMessage::FeaturesRequest,
+            1 => OfMessage::Hello,
+            2 => OfMessage::BarrierReply,
+            _ => OfMessage::Vendor {
+                vendor: b,
+                data: Bytes::new(),
+            },
+        },
+    };
+    let mut wire = msg.encode(b.rotate_left(7)).to_vec();
+    let at = *at as usize;
+    // Where a PACKET_OUT's first action starts, if it has one.
+    let first_action =
+        (matches!(msg, OfMessage::PacketOut { ref actions, .. } if !actions.is_empty()))
+            .then_some(OFP_HEADER_LEN + 8);
+    match (damage % 16, first_action) {
+        (0, _) => {
+            wire.truncate(OFP_HEADER_LEN + at % (wire.len() - OFP_HEADER_LEN + 1));
+            let length = wire.len() as u16;
+            wire[2..4].copy_from_slice(&length.to_be_bytes());
+        }
+        (2, Some(action)) => wire[action + 3] = 7,
+        (3, Some(action)) => wire[action + 1] = 99,
+        (4, Some(_)) => wire[OFP_HEADER_LEN + 6] = 0xFF,
+        (1..=4, _) => {
+            let bit = at % (wire.len() * 8);
+            wire[bit / 8] ^= 1 << (bit % 8);
+        }
+        _ => {}
+    }
+    wire
+}
+
+/// Concatenate the messages and cut the stream where the draws say: a
+/// boundary after the message (it may then be the whole chunk), none
+/// (it shares a chunk with the next), or one inside it — in the
+/// header, in the action list, in the payload. A new chunk leaves at
+/// the same instant as the one before or a millisecond later.
+fn control_script(draws: &[ControlDraw], frames: &[FrameDraw]) -> ControlScript {
+    let mut chunks = Vec::new();
+    let mut open = Vec::new();
+    for draw in draws {
+        let wire = control_message(draw);
+        let cut = draw.3;
+        let gap = std::time::Duration::from_millis(u64::from(cut >> 7));
+        match cut % 8 {
+            0..=3 => {
+                open.extend_from_slice(&wire);
+                chunks.push((gap, std::mem::take(&mut open)));
+            }
+            4 | 5 => open.extend_from_slice(&wire),
+            _ => {
+                let (head, tail) = wire.split_at(cut as usize % wire.len());
+                open.extend_from_slice(head);
+                chunks.push((gap, std::mem::replace(&mut open, tail.to_vec())));
+            }
+        }
+    }
+    chunks.push((std::time::Duration::ZERO, open));
+    chunks.retain(|(_, chunk)| !chunk.is_empty());
+    let injected = frames
+        .chunks(2)
+        .map(|pair| pair.iter().cloned().map(build_frame).collect())
+        .collect();
+    ControlScript { chunks, injected }
+}
+
 // ---------------- host stack: scripts ----------------
 
 const HOST: rf_apps::HostConfig = rf_apps::HostConfig {
@@ -1724,6 +2205,14 @@ proptest! {
                 );
                 let held = frame.clone();
                 let before = held.to_vec();
+                // The switch's entry: the actions as an iterator, the
+                // result appended to a list the caller keeps.
+                let owned = |frame: Bytes| {
+                    let mut out = Vec::new();
+                    let actions = actions.iter().copied();
+                    rf_switch::apply_actions_owned(frame, actions, in_port, num_ports, &mut out);
+                    out
+                };
                 // Lent.
                 prop_assert_eq!(
                     &rf_switch::apply_actions(&frame, actions, in_port, num_ports),
@@ -1731,7 +2220,7 @@ proptest! {
                 );
                 // Given up, but `held` shares the storage.
                 prop_assert_eq!(
-                    &rf_switch::apply_actions_owned(frame.clone(), actions, in_port, num_ports),
+                    &owned(frame.clone()),
                     &expected, "shared: {}", context
                 );
                 prop_assert_eq!(&held[..], &before[..], "a held clone changed: {}", context);
@@ -1745,7 +2234,7 @@ proptest! {
                 };
                 for unique in [Bytes::copy_from_slice(&frame), view] {
                     prop_assert_eq!(
-                        &rf_switch::apply_actions_owned(unique, actions, in_port, num_ports),
+                        &owned(unique),
                         &expected, "unique: {}", context
                     );
                 }
@@ -1886,6 +2375,40 @@ proptest! {
             (r.acked, r.retransmissions)
         });
         prop_assert_eq!(real, model);
+    }
+
+    /// FlowVisor and the switch read a PACKET_OUT where it lies, patch
+    /// a forwarded message's xid into the buffer it arrived in and look
+    /// connections, xids and punt templates up by index. The parent's
+    /// agents — every message decoded in full, every forwarded message
+    /// copied — put the same bytes on every connection and port at the
+    /// same instants and count the same events, whatever the stream
+    /// and however it is cut; and when the sender keeps a handle on
+    /// its chunks, no byte of them changes.
+    #[test]
+    fn control_path_matches_reference_models(
+        draws in proptest::collection::vec(
+            (
+                (any::<u8>(), any::<u16>(), any::<u32>(), any::<(u8, u16)>()),
+                proptest::collection::vec(any::<(u8, u16, u32, [u8; 6])>(), 0..13),
+                arb_frame_draw(),
+                any::<u8>(),
+            ),
+            1..32,
+        ),
+        frames in proptest::collection::vec(arb_frame_draw(), 8..9),
+    ) {
+        let script = control_script(&draws, &frames);
+        for layout in [ControlLayout::ProxyOnly, ControlLayout::SwitchOnly, ControlLayout::Chain] {
+            let (model, _) = play_control(&script, layout, true, false);
+            for hold in [false, true] {
+                let (real, held) = play_control(&script, layout, false, hold);
+                prop_assert_eq!(&real, &model, "{:?}, chunks held: {}", layout, hold);
+                let sent: Vec<&[u8]> = script.chunks.iter().map(|(_, c)| &c[..]).collect();
+                let held: Vec<&[u8]> = held.iter().map(|c| &c[..]).collect();
+                prop_assert_eq!(held, if hold { sent } else { Vec::new() }, "{:?}", layout);
+            }
+        }
     }
 
     /// The RIB always installs the lowest (distance, metric) candidate,
