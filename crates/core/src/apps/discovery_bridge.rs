@@ -4,7 +4,7 @@
 
 use super::bus::{AppCtx, ControlApp, ControlEvent, LinkChange, LinkRec};
 use rf_rpc::RpcRequest;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Translates [`RpcRequest`]s into [`ControlEvent`]s:
 ///
@@ -19,7 +19,7 @@ use std::collections::HashSet;
 #[derive(Clone)]
 pub struct DiscoveryBridgeApp {
     /// Switches already announced on the bus.
-    known: HashSet<u64>,
+    known: BTreeSet<u64>,
     /// Links seen before both VMs existed.
     pending_links: Vec<RpcRequest>,
 }
@@ -27,7 +27,7 @@ pub struct DiscoveryBridgeApp {
 impl DiscoveryBridgeApp {
     pub fn new() -> DiscoveryBridgeApp {
         DiscoveryBridgeApp {
-            known: HashSet::new(),
+            known: BTreeSet::new(),
             pending_links: Vec::new(),
         }
     }

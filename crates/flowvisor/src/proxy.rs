@@ -3,7 +3,8 @@
 use crate::slice::{FlowSpaceDecision, SlicePolicy};
 use bytes::Bytes;
 use rf_openflow::{
-    reframe_with_xid, ErrorType, MessageReader, OfMessage, PacketKey, PacketOutView, OFP_NO_BUFFER,
+    reframe_with_xid, ErrorType, KeyDepth, MessageReader, OfMessage, PacketKey, PacketOutView,
+    OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use std::collections::BTreeMap;
@@ -85,6 +86,9 @@ struct XidSlot {
 #[derive(Clone)]
 pub struct FlowVisor {
     cfg: FlowVisorConfig,
+    /// The deepest layer any slice's flowspace reads: how far a punted
+    /// or injected frame is parsed before `owns_packet` sees its key.
+    key_depth: KeyDepth,
     switches: Vec<SwitchSession>,
     /// What each of our connections is, indexed by `ConnId`.
     roles: Vec<Option<Role>>,
@@ -103,8 +107,16 @@ pub struct FlowVisor {
 
 impl FlowVisor {
     pub fn new(cfg: FlowVisorConfig) -> FlowVisor {
+        let key_depth = cfg
+            .slices
+            .iter()
+            .flat_map(|slice| &slice.flowspace)
+            .map(|m| m.depth())
+            .max()
+            .unwrap_or_default();
         FlowVisor {
             cfg,
+            key_depth,
             switches: Vec::new(),
             roles: Vec::new(),
             next_xid: 1,
@@ -256,7 +268,7 @@ impl FlowVisor {
                 ref data,
             } => {
                 ctx.count("fv.packet_in", 1);
-                let Some(key) = PacketKey::from_frame_bytes(in_port, data) else {
+                let Some(key) = PacketKey::from_frame(in_port, data, self.key_depth) else {
                     return;
                 };
                 let _ = (buffer_id, total_len, reason);
@@ -440,7 +452,7 @@ impl FlowVisor {
         };
         // Policy-check the payload when we can see it.
         let denied = out.buffer_id == OFP_NO_BUFFER
-            && PacketKey::from_frame_bytes(out.in_port, &out.data(&raw))
+            && PacketKey::from_frame(out.in_port, out.payload(&raw), self.key_depth)
                 .is_some_and(|key| !self.cfg.slices[slice].owns_packet(&key));
         if denied {
             ctx.count("fv.packet_out_denied", 1);

@@ -8,9 +8,11 @@
 
 use crate::ports::PortNumber;
 use crate::OfError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
+use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::{
-    ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Packet, MacAddr, UdpPacket,
+    ArpOp, ArpPacket, EtherType, EthernetHeader, IcmpHeader, IpProtocol, Ipv4Header, MacAddr,
+    UdpHeader,
 };
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -95,6 +97,22 @@ impl fmt::Debug for Wildcards {
     }
 }
 
+/// `dl_vlan` of a frame without an 802.1Q tag (`OFP_VLAN_NONE`) —
+/// every frame here: the parser reads no tags.
+pub const OFP_VLAN_NONE: u16 = 0xFFFF;
+
+/// How far into a frame a match reads, and so how far
+/// [`PacketKey::from_frame`] has to: `L2` is the Ethernet header (and
+/// the ingress port and VLAN fields), `L3` adds the IPv4 header or the
+/// ARP body (`nw_*`), `L4` the UDP ports or ICMP type/code (`tp_*`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
+pub enum KeyDepth {
+    #[default]
+    L2,
+    L3,
+    L4,
+}
+
 /// The OF 1.0 12-tuple match.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct OfMatch {
@@ -127,7 +145,7 @@ impl OfMatch {
             in_port: 0,
             dl_src: MacAddr::ZERO,
             dl_dst: MacAddr::ZERO,
-            dl_vlan: 0xFFFF, // OFP_VLAN_NONE
+            dl_vlan: OFP_VLAN_NONE,
             dl_vlan_pcp: 0,
             dl_type: 0,
             nw_tos: 0,
@@ -167,10 +185,36 @@ impl OfMatch {
         m
     }
 
-    /// Does this match cover `key`?
+    /// The deepest layer this match constrains a field of: a key
+    /// extracted to this depth (or deeper) gives [`OfMatch::matches`]
+    /// the answer a fully extracted one does.
+    pub fn depth(&self) -> KeyDepth {
+        let w = &self.wildcards;
+        if !w.contains(Wildcards::TP_SRC) || !w.contains(Wildcards::TP_DST) {
+            KeyDepth::L4
+        } else if !w.contains(Wildcards::NW_PROTO)
+            || !w.contains(Wildcards::NW_TOS)
+            || w.nw_src_bits() < 32
+            || w.nw_dst_bits() < 32
+        {
+            KeyDepth::L3
+        } else {
+            KeyDepth::L2
+        }
+    }
+
+    /// Does this match cover `key`? Every key is of an untagged frame
+    /// (see [`OFP_VLAN_NONE`]), so a match that names a VLAN or a
+    /// non-zero VLAN priority covers none.
     pub fn matches(&self, key: &PacketKey) -> bool {
         let w = &self.wildcards;
         if !w.contains(Wildcards::IN_PORT) && self.in_port != key.in_port {
+            return false;
+        }
+        if !w.contains(Wildcards::DL_VLAN) && self.dl_vlan != OFP_VLAN_NONE {
+            return false;
+        }
+        if !w.contains(Wildcards::DL_VLAN_PCP) && self.dl_vlan_pcp != 0 {
             return false;
         }
         if !w.contains(Wildcards::DL_SRC) && self.dl_src != key.dl_src {
@@ -217,6 +261,11 @@ impl OfMatch {
             }
         };
         field(Wildcards::IN_PORT, self.in_port == other.in_port)
+            && field(Wildcards::DL_VLAN, self.dl_vlan == other.dl_vlan)
+            && field(
+                Wildcards::DL_VLAN_PCP,
+                self.dl_vlan_pcp == other.dl_vlan_pcp,
+            )
             && field(Wildcards::DL_SRC, self.dl_src == other.dl_src)
             && field(Wildcards::DL_DST, self.dl_dst == other.dl_dst)
             && field(Wildcards::DL_TYPE, self.dl_type == other.dl_type)
@@ -289,6 +338,11 @@ impl OfMatch {
 /// matches are evaluated. Mirrors the OF 1.0 parse rules, including the
 /// ARP quirk (nw_proto = ARP opcode, nw_src/dst = ARP IPs) and the ICMP
 /// quirk (tp_src/dst = ICMP type/code).
+///
+/// Which fields [`PacketKey::from_frame`] fills depends on the
+/// [`KeyDepth`] asked for: `in_port`, `dl_src`, `dl_dst` and `dl_type`
+/// always; `nw_tos`, `nw_proto`, `nw_src` and `nw_dst` from `L3` on;
+/// `tp_src` and `tp_dst` at `L4` only. The rest stay zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PacketKey {
     pub in_port: PortNumber,
@@ -304,13 +358,17 @@ pub struct PacketKey {
 }
 
 impl PacketKey {
-    /// Classify a raw Ethernet frame received on `in_port`.
-    /// Unparseable inner layers simply leave the deeper fields zero,
-    /// matching how a hardware parser degrades. The layer parses are
-    /// zero-copy slices, so classifying a frame allocates nothing —
-    /// this runs per frame per switch hop.
-    pub fn from_frame_bytes(in_port: PortNumber, frame: &Bytes) -> Option<PacketKey> {
-        let eth = EthernetFrame::parse_bytes(frame).ok()?;
+    /// Classify a raw Ethernet frame received on `in_port`, reading it
+    /// where it lies and only as deep as `depth` — pass the deepest
+    /// [`OfMatch::depth`] of the matches the key will be held against,
+    /// which then cannot tell it from a fully extracted one. A layer
+    /// deeper than `depth` is not looked at, not even to verify it; a
+    /// layer that does not parse leaves its own and the deeper fields
+    /// zero, matching how a hardware parser degrades. So a UDP datagram is
+    /// checksummed only for a table that matches on ports. This runs
+    /// per frame per switch hop: no allocation, no reference count.
+    pub fn from_frame(in_port: PortNumber, frame: &[u8], depth: KeyDepth) -> Option<PacketKey> {
+        let eth = EthernetHeader::parse(frame).ok()?;
         let mut key = PacketKey {
             in_port,
             dl_src: eth.src,
@@ -323,29 +381,32 @@ impl PacketKey {
             tp_src: 0,
             tp_dst: 0,
         };
+        if depth < KeyDepth::L3 {
+            return Some(key);
+        }
+        let payload = &frame[ETHERNET_HEADER_LEN..];
         match eth.ethertype {
             EtherType::IPV4 => {
-                if let Ok(ip) = Ipv4Packet::parse_bytes(&eth.payload) {
+                if let Ok(ip) = Ipv4Header::parse(payload) {
                     key.nw_tos = ip.dscp << 2;
                     key.nw_proto = ip.protocol.0;
                     key.nw_src = ip.src;
                     key.nw_dst = ip.dst;
+                    if depth < KeyDepth::L4 {
+                        return Some(key);
+                    }
+                    let body = &payload[ip.ihl..ip.total_len];
                     match ip.protocol {
                         IpProtocol::UDP => {
-                            if let Ok(udp) = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst) {
+                            if let Ok(udp) = UdpHeader::parse(body, ip.src, ip.dst) {
                                 key.tp_src = udp.src_port;
                                 key.tp_dst = udp.dst_port;
                             }
                         }
                         IpProtocol::ICMP => {
-                            if let Ok(icmp) = IcmpPacket::parse_bytes(&ip.payload) {
-                                let (ty, code) = match icmp {
-                                    IcmpPacket::EchoRequest { .. } => (8u16, 0u16),
-                                    IcmpPacket::EchoReply { .. } => (0, 0),
-                                    IcmpPacket::Other { ty, code, .. } => (ty as u16, code as u16),
-                                };
-                                key.tp_src = ty;
-                                key.tp_dst = code;
+                            if let Ok(icmp) = IcmpHeader::parse(body) {
+                                key.tp_src = u16::from(icmp.ty);
+                                key.tp_dst = u16::from(icmp.code);
                             }
                         }
                         _ => {}
@@ -353,10 +414,10 @@ impl PacketKey {
                 }
             }
             EtherType::ARP => {
-                if let Ok(arp) = ArpPacket::parse(&eth.payload) {
+                if let Ok(arp) = ArpPacket::parse(payload) {
                     key.nw_proto = match arp.op {
-                        rf_wire::ArpOp::Request => 1,
-                        rf_wire::ArpOp::Reply => 2,
+                        ArpOp::Request => 1,
+                        ArpOp::Reply => 2,
                     };
                     key.nw_src = arp.sender_ip;
                     key.nw_dst = arp.target_ip;
@@ -372,6 +433,7 @@ impl PacketKey {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use rf_wire::{EthernetFrame, IcmpPacket, Ipv4Packet, UdpPacket};
 
     fn wire(m: &OfMatch) -> Vec<u8> {
         let mut b = BytesMut::new();
@@ -480,7 +542,7 @@ mod tests {
             EtherType::IPV4,
             ip.emit(),
         );
-        let key = PacketKey::from_frame_bytes(7, &eth.emit()).unwrap();
+        let key = PacketKey::from_frame(7, &eth.emit(), KeyDepth::L4).unwrap();
         assert_eq!(key.in_port, 7);
         assert_eq!(key.dl_type, 0x0800);
         assert_eq!(key.nw_proto, 17);
@@ -488,6 +550,108 @@ mod tests {
         assert_eq!(key.nw_dst, dst);
         assert_eq!(key.tp_src, 5004);
         assert_eq!(key.tp_dst, 9000);
+        // Shallower keys are the same key with the deeper fields zero.
+        let l3 = PacketKey {
+            tp_src: 0,
+            tp_dst: 0,
+            ..key
+        };
+        assert_eq!(
+            PacketKey::from_frame(7, &eth.emit(), KeyDepth::L3),
+            Some(l3)
+        );
+        let l2 = PacketKey {
+            nw_proto: 0,
+            nw_src: Ipv4Addr::UNSPECIFIED,
+            nw_dst: Ipv4Addr::UNSPECIFIED,
+            ..l3
+        };
+        assert_eq!(
+            PacketKey::from_frame(7, &eth.emit(), KeyDepth::L2),
+            Some(l2)
+        );
+    }
+
+    #[test]
+    fn depth_is_the_deepest_constrained_field() {
+        assert_eq!(OfMatch::any().depth(), KeyDepth::L2);
+        assert_eq!(OfMatch::lldp().depth(), KeyDepth::L2);
+        assert_eq!(OfMatch::arp().depth(), KeyDepth::L2);
+        let route = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16);
+        assert_eq!(route.depth(), KeyDepth::L3);
+        // A /0 reads no address bit, whatever the raw 6-bit count.
+        let mut default = OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0);
+        assert_eq!(default.depth(), KeyDepth::L2);
+        default.wildcards = default.wildcards.with_nw_dst_bits(63);
+        assert_eq!(default.depth(), KeyDepth::L2);
+        let clear = |bit: u32| Wildcards(Wildcards::ALL & !bit);
+        for l2 in [
+            Wildcards::IN_PORT,
+            Wildcards::DL_VLAN,
+            Wildcards::DL_SRC,
+            Wildcards::DL_DST,
+            Wildcards::DL_TYPE,
+            Wildcards::DL_VLAN_PCP,
+        ] {
+            let m = OfMatch {
+                wildcards: clear(l2),
+                ..OfMatch::any()
+            };
+            assert_eq!(m.depth(), KeyDepth::L2, "{l2:#x}");
+        }
+        for (wildcards, depth) in [
+            (clear(Wildcards::NW_PROTO), KeyDepth::L3),
+            (clear(Wildcards::NW_TOS), KeyDepth::L3),
+            (Wildcards::all().with_nw_src_bits(31), KeyDepth::L3),
+            (clear(Wildcards::TP_SRC), KeyDepth::L4),
+            (clear(Wildcards::TP_DST), KeyDepth::L4),
+            (Wildcards::none(), KeyDepth::L4),
+        ] {
+            let m = OfMatch {
+                wildcards,
+                ..OfMatch::any()
+            };
+            assert_eq!(m.depth(), depth, "{wildcards:?}");
+        }
+        assert!(KeyDepth::L2 < KeyDepth::L3 && KeyDepth::L3 < KeyDepth::L4);
+    }
+
+    #[test]
+    fn a_vlan_match_covers_no_untagged_frame() {
+        let key = PacketKey {
+            in_port: 1,
+            dl_src: MacAddr::ZERO,
+            dl_dst: MacAddr::ZERO,
+            dl_type: 0x0800,
+            nw_tos: 0,
+            nw_proto: 17,
+            nw_src: Ipv4Addr::new(1, 2, 3, 4),
+            nw_dst: Ipv4Addr::new(5, 6, 7, 8),
+            tp_src: 0,
+            tp_dst: 0,
+        };
+        let vlan = |dl_vlan| OfMatch {
+            wildcards: Wildcards(Wildcards::ALL & !Wildcards::DL_VLAN),
+            dl_vlan,
+            ..OfMatch::any()
+        };
+        assert!(!vlan(5).matches(&key), "tagged-only entry, untagged frame");
+        assert!(vlan(OFP_VLAN_NONE).matches(&key), "untagged-only entry");
+        assert!(OfMatch::any().matches(&key), "wildcarded dl_vlan");
+        let pcp = |dl_vlan_pcp| OfMatch {
+            wildcards: Wildcards(Wildcards::ALL & !Wildcards::DL_VLAN_PCP),
+            dl_vlan_pcp,
+            ..OfMatch::any()
+        };
+        assert!(!pcp(3).matches(&key));
+        assert!(pcp(0).matches(&key));
+        // Two matches that differ only in VLAN are not each other's
+        // subsets; a VLAN match is a subset of the wildcard.
+        assert!(!vlan(5).is_subset_of(&vlan(6)));
+        assert!(vlan(5).is_subset_of(&vlan(5)));
+        assert!(vlan(5).is_subset_of(&OfMatch::any()));
+        assert!(!OfMatch::any().is_subset_of(&vlan(5)));
+        assert!(!pcp(3).is_subset_of(&pcp(0)));
     }
 
     #[test]
@@ -503,7 +667,7 @@ mod tests {
             EtherType::ARP,
             arp.emit(),
         );
-        let key = PacketKey::from_frame_bytes(1, &eth.emit()).unwrap();
+        let key = PacketKey::from_frame(1, &eth.emit(), KeyDepth::L4).unwrap();
         assert_eq!(key.dl_type, 0x0806);
         assert_eq!(key.nw_proto, 1, "ARP opcode in nw_proto");
         assert_eq!(key.nw_src, Ipv4Addr::new(10, 0, 0, 1));
@@ -517,7 +681,7 @@ mod tests {
         let dst = Ipv4Addr::new(2, 2, 2, 2);
         let ip = Ipv4Packet::new(src, dst, IpProtocol::ICMP, icmp.emit());
         let eth = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::IPV4, ip.emit());
-        let key = PacketKey::from_frame_bytes(1, &eth.emit()).unwrap();
+        let key = PacketKey::from_frame(1, &eth.emit(), KeyDepth::L4).unwrap();
         assert_eq!(key.nw_proto, 1);
         assert_eq!(key.tp_src, 8, "ICMP type in tp_src");
         assert_eq!(key.tp_dst, 0, "ICMP code in tp_dst");

@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use actions::Action;
 pub use codec::{reframe_with_xid, MessageReader};
-pub use flow_match::{OfMatch, PacketKey, Wildcards};
+pub use flow_match::{KeyDepth, OfMatch, PacketKey, Wildcards, OFP_VLAN_NONE};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 pub use messages::{
     ErrorCode, ErrorType, FlowModCommand, FlowRemovedReason, OfMessage, PacketInReason,

@@ -264,6 +264,11 @@ impl PacketOutView {
         Action::iter_list(self.action_bytes(raw)).map_while(Result::ok)
     }
 
+    /// The payload, borrowed from the message this view was parsed from.
+    pub fn payload<'a>(&self, raw: &'a [u8]) -> &'a [u8] {
+        &raw[self.data_at..self.length]
+    }
+
     /// The payload, as a slice of the message this view was parsed from.
     pub fn data(&self, raw: &Bytes) -> Bytes {
         raw.slice(self.data_at..self.length)

@@ -8,7 +8,7 @@
 use crate::codec::{encode_envelope, Envelope, RpcFrameReader};
 use crate::msg::{RpcAck, RpcRequest};
 use bytes::Bytes;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Decodes, deduplicates and acks RPC requests.
 ///
@@ -19,7 +19,7 @@ use std::collections::HashSet;
 #[derive(Clone, Default)]
 pub struct RpcServerEndpoint {
     reader: RpcFrameReader,
-    seen: HashSet<u64>,
+    seen: BTreeSet<u64>,
     pub duplicates: u64,
     pub decode_errors: u64,
 }

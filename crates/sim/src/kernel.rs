@@ -295,7 +295,7 @@ impl Inner {
         self.tracer.count_kernel(KernelCounter::TxFrames, 1);
         self.tracer
             .count_kernel(KernelCounter::TxBytes, frame.len() as u64);
-        match profile.faults.apply(&mut self.rng, &frame) {
+        match profile.faults.apply(&mut self.rng, frame) {
             FaultOutcome::Dropped => {
                 self.tracer.count_kernel(KernelCounter::Dropped, 1);
             }

@@ -54,15 +54,17 @@ impl FaultProfile {
         }
     }
 
-    /// Outcome of passing one frame through the fault model.
-    pub fn apply<R: Rng>(&self, rng: &mut R, frame: &Bytes) -> FaultOutcome {
+    /// Outcome of passing one frame through the fault model. The frame
+    /// is taken by value and handed back in the outcome: only a
+    /// corrupted delivery copies it.
+    pub fn apply<R: Rng>(&self, rng: &mut R, frame: Bytes) -> FaultOutcome {
         if self.size_limit != 0 && frame.len() > self.size_limit {
             return FaultOutcome::Dropped;
         }
         if self.drop_chance > 0.0 && rng.gen_bool(self.drop_chance.clamp(0.0, 1.0)) {
             return FaultOutcome::Dropped;
         }
-        let corrupted = if self.corrupt_chance > 0.0
+        let frame = if self.corrupt_chance > 0.0
             && !frame.is_empty()
             && rng.gen_bool(self.corrupt_chance.clamp(0.0, 1.0))
         {
@@ -70,16 +72,13 @@ impl FaultProfile {
             let idx = rng.gen_range(0..buf.len());
             let bit = 1u8 << rng.gen_range(0..8);
             buf[idx] ^= bit;
-            Some(buf.freeze())
+            buf.freeze()
         } else {
-            None
+            frame
         };
         let duplicate =
             self.duplicate_chance > 0.0 && rng.gen_bool(self.duplicate_chance.clamp(0.0, 1.0));
-        FaultOutcome::Deliver {
-            frame: corrupted.unwrap_or_else(|| frame.clone()),
-            duplicate,
-        }
+        FaultOutcome::Deliver { frame, duplicate }
     }
 }
 
@@ -148,7 +147,7 @@ mod tests {
     fn reliable_link_delivers_unchanged() {
         let mut rng = StdRng::seed_from_u64(1);
         let f = frame(64);
-        match FaultProfile::reliable().apply(&mut rng, &f) {
+        match FaultProfile::reliable().apply(&mut rng, f.clone()) {
             FaultOutcome::Deliver { frame, duplicate } => {
                 assert_eq!(frame, f);
                 assert!(!duplicate);
@@ -164,7 +163,7 @@ mod tests {
             drop_chance: 1.0,
             ..FaultProfile::reliable()
         };
-        assert_eq!(p.apply(&mut rng, &frame(10)), FaultOutcome::Dropped);
+        assert_eq!(p.apply(&mut rng, frame(10)), FaultOutcome::Dropped);
     }
 
     #[test]
@@ -175,7 +174,7 @@ mod tests {
             ..FaultProfile::reliable()
         };
         let f = frame(32);
-        match p.apply(&mut rng, &f) {
+        match p.apply(&mut rng, f.clone()) {
             FaultOutcome::Deliver { frame: out, .. } => {
                 let diff: u32 = out
                     .iter()
@@ -195,9 +194,9 @@ mod tests {
             size_limit: 100,
             ..FaultProfile::reliable()
         };
-        assert_eq!(p.apply(&mut rng, &frame(101)), FaultOutcome::Dropped);
+        assert_eq!(p.apply(&mut rng, frame(101)), FaultOutcome::Dropped);
         assert!(matches!(
-            p.apply(&mut rng, &frame(100)),
+            p.apply(&mut rng, frame(100)),
             FaultOutcome::Deliver { .. }
         ));
     }
@@ -209,7 +208,7 @@ mod tests {
         let f = frame(8);
         let n = 10_000;
         let dropped = (0..n)
-            .filter(|_| p.apply(&mut rng, &f) == FaultOutcome::Dropped)
+            .filter(|_| p.apply(&mut rng, f.clone()) == FaultOutcome::Dropped)
             .count();
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "observed drop rate {rate}");
@@ -235,7 +234,7 @@ mod tests {
             duplicate_chance: 1.0,
             ..FaultProfile::reliable()
         };
-        match p.apply(&mut rng, &frame(9)) {
+        match p.apply(&mut rng, frame(9)) {
             FaultOutcome::Deliver { duplicate, .. } => assert!(duplicate),
             _ => panic!(),
         }

@@ -2,7 +2,7 @@
 //! idle/hard timeouts and per-entry counters.
 
 use rf_openflow::{Action, FlowStatsEntry};
-use rf_openflow::{FlowModCommand, FlowRemovedReason, OfMatch, PacketKey, Wildcards};
+use rf_openflow::{FlowModCommand, FlowRemovedReason, KeyDepth, OfMatch, PacketKey, Wildcards};
 use rf_sim::Time;
 use std::net::Ipv4Addr;
 
@@ -109,6 +109,20 @@ pub struct Removed {
 /// `indexed_lookup_matches_linear_reference` holds the two against each
 /// other. Order and index are rebuilt lazily after table mutations, so
 /// a burst of FLOW_MODs costs one sort.
+///
+/// How much of a frame a lookup needs read follows from the same
+/// entries: [`FlowTable::depth`] is the deepest [`OfMatch::depth`] among
+/// them, rebuilt with the order. The invariant: *the depth a key was
+/// extracted to is never shallower than any entry the lookup consults* —
+/// every field such an entry compares was filled, so `lookup` of a key
+/// from `PacketKey::from_frame(.., table.depth())` returns the entry,
+/// and bumps the counters, that a fully extracted key would
+/// (`tests/properties.rs` holds the two against each other). With routes
+/// and punts only that is `L3`: no switch checksums a datagram to fetch
+/// ports nothing matches on. A FLOW_MOD that adds a `tp_dst` match makes
+/// the very next frame a full, verified `L4` classification; deleting it
+/// drops back. (A /0 route reads no address bit and is `L2`: the index
+/// masks all 32 bits of `nw_dst` away before comparing.)
 #[derive(Clone, Default)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
@@ -126,6 +140,8 @@ pub struct FlowTable {
     runs: Vec<(u32, u32, u32)>,
     /// Ranks of the entries not in `prefixes`, ascending.
     rest: Vec<u32>,
+    /// Deepest `OfMatch::depth` over `entries`.
+    depth: KeyDepth,
     dirty: bool,
     pub lookup_count: u64,
     pub matched_count: u64,
@@ -170,6 +186,7 @@ impl FlowTable {
             prefixes,
             runs,
             rest,
+            depth,
             dirty,
             ..
         } = self;
@@ -180,8 +197,10 @@ impl FlowTable {
         });
         prefixes.clear();
         rest.clear();
+        *depth = KeyDepth::L2;
         for (rank, &i) in order.iter().enumerate() {
             let m = &entries[i].of_match;
+            *depth = m.depth().max(*depth);
             match prefix_shape(m) {
                 Some(bits) => prefixes.push((bits, masked(m.nw_dst, bits), rank as u32)),
                 None => rest.push(rank as u32),
@@ -196,6 +215,15 @@ impl FlowTable {
             start = end;
         }
         *dirty = false;
+    }
+
+    /// How deep a frame must be read for [`FlowTable::lookup`] to see
+    /// every field an installed entry compares.
+    pub fn depth(&mut self) -> KeyDepth {
+        if self.dirty {
+            self.rebuild_order();
+        }
+        self.depth
     }
 
     /// Rank of the first entry in the lookup order that matches `key`.
@@ -546,6 +574,85 @@ mod tests {
         );
         assert_eq!(removed.len(), 1);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn delete_tells_vlan_twins_apart() {
+        let vlan = |dl_vlan| OfMatch {
+            wildcards: Wildcards(Wildcards::ALL & !Wildcards::DL_VLAN),
+            dl_vlan,
+            ..OfMatch::any()
+        };
+        for command in [FlowModCommand::DeleteStrict, FlowModCommand::Delete] {
+            let mut t = FlowTable::new();
+            add(&mut t, vlan(5), 7, 1);
+            add(&mut t, vlan(6), 7, 2);
+            let removed = t.apply_flow_mod(
+                command,
+                vlan(5),
+                7,
+                0,
+                0,
+                0,
+                0,
+                OFPP_NONE,
+                vec![],
+                Time::ZERO,
+            );
+            assert_eq!(removed.len(), 1, "{command:?}");
+            assert_eq!(t.len(), 1);
+            assert_eq!(t.entries()[0].of_match, vlan(6), "{command:?}");
+            // Neither twin ever matched an untagged frame.
+            assert!(t
+                .lookup(&key("1.2.3.4".parse().unwrap()), 64, Time::ZERO)
+                .is_none());
+        }
+    }
+
+    #[test]
+    fn depth_follows_the_entries() {
+        let mut t = FlowTable::new();
+        assert_eq!(t.depth(), KeyDepth::L2, "an empty table reads nothing");
+        add(&mut t, OfMatch::lldp(), 1, 1);
+        add(&mut t, OfMatch::arp(), 1, 1);
+        assert_eq!(t.depth(), KeyDepth::L2);
+        let route = OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16);
+        add(&mut t, route, 1, 1);
+        assert_eq!(t.depth(), KeyDepth::L3);
+        let mut by_port = route;
+        by_port.wildcards.0 &= !Wildcards::TP_DST;
+        by_port.tp_dst = 5004;
+        add(&mut t, by_port, 9, 2);
+        assert_eq!(t.depth(), KeyDepth::L4);
+        t.apply_flow_mod(
+            FlowModCommand::DeleteStrict,
+            by_port,
+            9,
+            0,
+            0,
+            0,
+            0,
+            OFPP_NONE,
+            vec![],
+            Time::ZERO,
+        );
+        assert_eq!(t.depth(), KeyDepth::L3);
+        // Expiry is a mutation too.
+        t.apply_flow_mod(
+            FlowModCommand::Add,
+            by_port,
+            9,
+            0,
+            0,
+            1,
+            0,
+            OFPP_NONE,
+            vec![],
+            Time::ZERO,
+        );
+        assert_eq!(t.depth(), KeyDepth::L4);
+        assert_eq!(t.expire(Time::from_secs(1)).len(), 1);
+        assert_eq!(t.depth(), KeyDepth::L3);
     }
 
     #[test]

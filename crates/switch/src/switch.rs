@@ -297,7 +297,9 @@ impl OpenFlowSwitch {
 
     /// Run a frame through the flow table and execute the result.
     fn pipeline(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
-        let Some(key) = PacketKey::from_frame_bytes(in_port, &frame) else {
+        // Read as deep as the table's entries do, no deeper.
+        let depth = self.table.depth();
+        let Some(key) = PacketKey::from_frame(in_port, &frame, depth) else {
             ctx.count("switch.unparseable", 1);
             return;
         };

@@ -1,11 +1,12 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
 //! miss → PACKET_IN, FLOW_MOD install, buffered-packet release, the
-//! buffer ring, PACKET_OUT, `output:TABLE`, stats, timeouts, reconnect.
+//! buffer ring, PACKET_OUT, `output:TABLE`, classification depth, stats,
+//! timeouts, reconnect.
 
 use bytes::Bytes;
 use rf_openflow::{
-    Action, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketInReason, StatsBody,
-    OFPP_NONE, OFPP_TABLE, OFP_NO_BUFFER,
+    Action, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketInReason, StatsBody,
+    Wildcards, OFPP_NONE, OFPP_TABLE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -389,6 +390,99 @@ fn output_table_is_honoured_in_packet_out_and_dropped_in_a_flow_entry() {
     assert_eq!(
         host_b.frames,
         vec![(1, udp_frame(Ipv4Addr::new(11, 0, 0, 1)))]
+    );
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    assert!(
+        !ctrl
+            .received
+            .iter()
+            .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })),
+        "every frame matched an entry"
+    );
+}
+
+#[test]
+fn classification_depth_follows_the_table() {
+    // A datagram to 10.0.0.1:5004, intact or with a payload bit flipped
+    // under an unchanged UDP checksum.
+    let datagram = |intact: bool| {
+        let dst = Ipv4Addr::new(10, 0, 0, 1);
+        let src = Ipv4Addr::new(192, 168, 0, 1);
+        let udp = UdpPacket::new(4000, 5004, Bytes::from_static(b"data"));
+        let ip = Ipv4Packet::new(src, dst, IpProtocol::UDP, udp.emit(src, dst));
+        let mut frame = EthernetFrame::new(
+            MacAddr([2, 0, 0, 0, 0, 9]),
+            MacAddr([2, 0, 0, 0, 0, 1]),
+            EtherType::IPV4,
+            ip.emit(),
+        )
+        .emit()
+        .to_vec();
+        if !intact {
+            frame[14 + 20 + 8] ^= 1;
+        }
+        Bytes::from(frame)
+    };
+    let via_table = |intact| OfMessage::PacketOut {
+        buffer_id: OFP_NO_BUFFER,
+        in_port: OFPP_NONE,
+        actions: vec![Action::output(OFPP_TABLE)],
+        data: datagram(intact),
+    };
+    let mut by_port = OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0);
+    by_port.wildcards.0 &= !(Wildcards::NW_PROTO | Wildcards::TP_DST);
+    by_port.nw_proto = IpProtocol::UDP.0;
+    by_port.tp_dst = 5004;
+    let by_port = |command| OfMessage::FlowMod {
+        of_match: by_port,
+        cookie: 0,
+        command,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        priority: 200,
+        buffer_id: OFP_NO_BUFFER,
+        out_port: OFPP_NONE,
+        flags: 0,
+        actions: vec![Action::output(1)],
+    };
+    let ms = Duration::from_millis;
+    let ctrl = MockController {
+        script: vec![
+            (ms(1000), install([10, 0, 0, 0], vec![Action::output(2)]), 1),
+            // Routes only: a switch does not police L4.
+            (ms(1100), via_table(false), 2),
+            (ms(1200), by_port(FlowModCommand::Add), 3),
+            // An entry asks for ports: only a verified datagram has any.
+            (ms(1300), via_table(true), 4),
+            (ms(1400), via_table(false), 5),
+            (ms(1500), by_port(FlowModCommand::DeleteStrict), 6),
+            (ms(1600), via_table(true), 7),
+        ],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    let depth_at = |b: &mut Bench, at_ms| {
+        b.sim.run_until(rf_sim::Time::ZERO + ms(at_ms));
+        let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+        sw.flow_table().clone().depth()
+    };
+    assert_eq!(depth_at(&mut b, 900), KeyDepth::L2, "empty table");
+    assert_eq!(depth_at(&mut b, 1150), KeyDepth::L3, "prefix route");
+    assert_eq!(depth_at(&mut b, 1450), KeyDepth::L4, "tp_dst entry");
+    assert_eq!(depth_at(&mut b, 2000), KeyDepth::L3, "after its DELETE");
+    let frames = |b: &Bench, host| -> Vec<Bytes> {
+        let sink = b.sim.agent_as::<FrameSink>(host).unwrap();
+        sink.frames.iter().map(|(_, f)| f.clone()).collect()
+    };
+    assert_eq!(
+        frames(&b, b.host_a),
+        [datagram(true)],
+        "took the tp_dst entry"
+    );
+    assert_eq!(
+        frames(&b, b.host_b),
+        [datagram(false), datagram(false), datagram(true)],
+        "took the prefix route"
     );
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
     assert!(

@@ -26,6 +26,29 @@ pub const MIN_FRAME_NO_FCS: usize = 60;
 /// Ethernet II header: dst(6) + src(6) + ethertype(2).
 pub const ETHERNET_HEADER_LEN: usize = 14;
 
+/// The Ethernet II header, read where the frame lies. What follows it
+/// is `frame[ETHERNET_HEADER_LEN..]`; [`EthernetFrame::parse_bytes`] is
+/// this reader plus that one slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EthernetHeader {
+    pub dst: MacAddr,
+    pub src: MacAddr,
+    pub ethertype: EtherType,
+}
+
+impl EthernetHeader {
+    pub fn parse(frame: &[u8]) -> Result<EthernetHeader, WireError> {
+        if frame.len() < ETHERNET_HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        Ok(EthernetHeader {
+            dst: MacAddr::from_bytes(&frame[0..6])?,
+            src: MacAddr::from_bytes(&frame[6..12])?,
+            ethertype: EtherType(u16::from_be_bytes([frame[12], frame[13]])),
+        })
+    }
+}
+
 /// A parsed (owned) Ethernet II frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EthernetFrame {
@@ -42,13 +65,11 @@ impl EthernetFrame {
     /// payload is a zero-copy slice of `data`'s storage — every
     /// simulated hop of every frame parses here.
     pub fn parse_bytes(data: &Bytes) -> Result<EthernetFrame, WireError> {
-        if data.len() < ETHERNET_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
+        let h = EthernetHeader::parse(data)?;
         Ok(EthernetFrame {
-            dst: MacAddr::from_bytes(&data[0..6])?,
-            src: MacAddr::from_bytes(&data[6..12])?,
-            ethertype: EtherType(u16::from_be_bytes([data[12], data[13]])),
+            dst: h.dst,
+            src: h.src,
+            ethertype: h.ethertype,
             payload: data.slice(ETHERNET_HEADER_LEN..),
         })
     }

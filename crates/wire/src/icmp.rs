@@ -27,6 +27,32 @@ pub enum IcmpPacket {
 
 pub const ICMP_HEADER_LEN: usize = 8;
 
+/// What every ICMP message starts with, read and verified where the
+/// message lies; [`IcmpPacket::parse_bytes`] is this reader plus one
+/// slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IcmpHeader {
+    pub ty: u8,
+    pub code: u8,
+}
+
+impl IcmpHeader {
+    /// Parse and verify the checksum, which covers all of `data`: pass
+    /// the IPv4 body cut at `total_length`.
+    pub fn parse(data: &[u8]) -> Result<IcmpHeader, WireError> {
+        if data.len() < ICMP_HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        if internet_checksum(data) != 0 {
+            return Err(WireError::BadChecksum);
+        }
+        Ok(IcmpHeader {
+            ty: data[0],
+            code: data[1],
+        })
+    }
+}
+
 impl IcmpPacket {
     pub fn echo_request(ident: u16, seq: u16, payload: Bytes) -> Self {
         IcmpPacket::EchoRequest {
@@ -52,30 +78,22 @@ impl IcmpPacket {
         }
     }
 
-    /// Parse and verify the checksum; payloads are zero-copy slices of
-    /// `data`'s storage.
+    /// Parse and verify as [`IcmpHeader::parse`] does; the payload is
+    /// a zero-copy slice of `data`'s storage.
     pub fn parse_bytes(data: &Bytes) -> Result<IcmpPacket, WireError> {
-        if data.len() < ICMP_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        if internet_checksum(data) != 0 {
-            return Err(WireError::BadChecksum);
-        }
-        let ty = data[0];
-        let code = data[1];
+        let IcmpHeader { ty, code } = IcmpHeader::parse(data)?;
         let ident = u16::from_be_bytes([data[4], data[5]]);
         let seq = u16::from_be_bytes([data[6], data[7]]);
-        let payload = data.slice(8..);
         Ok(match (ty, code) {
             (8, 0) => IcmpPacket::EchoRequest {
                 ident,
                 seq,
-                payload,
+                payload: data.slice(ICMP_HEADER_LEN..),
             },
             (0, 0) => IcmpPacket::EchoReply {
                 ident,
                 seq,
-                payload,
+                payload: data.slice(ICMP_HEADER_LEN..),
             },
             _ => IcmpPacket::Other {
                 ty,

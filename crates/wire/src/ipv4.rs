@@ -27,6 +27,63 @@ pub const IPV4_HEADER_LEN: usize = 20;
 /// The TTL packets leave a host with.
 pub const DEFAULT_TTL: u8 = 64;
 
+/// The IPv4 header, read and verified where the packet lies. The body
+/// is `packet[ihl..total_len]` — options are skipped and trailing bytes
+/// (Ethernet padding) cut off; [`Ipv4Packet::parse_bytes`] is this
+/// reader plus that one slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ipv4Header {
+    pub dscp: u8,
+    pub identification: u16,
+    pub ttl: u8,
+    pub protocol: IpProtocol,
+    pub src: Ipv4Addr,
+    pub dst: Ipv4Addr,
+    /// Header length in bytes, options included.
+    pub ihl: usize,
+    /// `total_length`: header and body, at most the buffer's length.
+    pub total_len: usize,
+}
+
+impl Ipv4Header {
+    /// Parse and verify the header checksum.
+    pub fn parse(data: &[u8]) -> Result<Ipv4Header, WireError> {
+        if data.len() < IPV4_HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        let version = data[0] >> 4;
+        if version != 4 {
+            return Err(WireError::Unsupported);
+        }
+        let ihl = (data[0] & 0x0F) as usize * 4;
+        if ihl < IPV4_HEADER_LEN || data.len() < ihl {
+            return Err(WireError::Malformed);
+        }
+        if internet_checksum(&data[..ihl]) != 0 {
+            return Err(WireError::BadChecksum);
+        }
+        let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
+        if total_len < ihl || total_len > data.len() {
+            return Err(WireError::BadLength);
+        }
+        let flags_frag = u16::from_be_bytes([data[6], data[7]]);
+        if flags_frag & 0x3FFF != 0 {
+            // MF set or fragment offset non-zero: we don't reassemble.
+            return Err(WireError::Unsupported);
+        }
+        Ok(Ipv4Header {
+            dscp: data[1] >> 2,
+            identification: u16::from_be_bytes([data[4], data[5]]),
+            ttl: data[8],
+            protocol: IpProtocol(data[9]),
+            src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
+            dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
+            ihl,
+            total_len,
+        })
+    }
+}
+
 /// A parsed (owned) IPv4 packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ipv4Packet {
@@ -57,37 +114,15 @@ impl Ipv4Packet {
     /// `total_length` (Ethernet padding) are discarded; the payload is
     /// a zero-copy slice of `data`'s storage.
     pub fn parse_bytes(data: &Bytes) -> Result<Ipv4Packet, WireError> {
-        if data.len() < IPV4_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let version = data[0] >> 4;
-        if version != 4 {
-            return Err(WireError::Unsupported);
-        }
-        let ihl = (data[0] & 0x0F) as usize * 4;
-        if ihl < IPV4_HEADER_LEN || data.len() < ihl {
-            return Err(WireError::Malformed);
-        }
-        if internet_checksum(&data[..ihl]) != 0 {
-            return Err(WireError::BadChecksum);
-        }
-        let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
-        if total_len < ihl || total_len > data.len() {
-            return Err(WireError::BadLength);
-        }
-        let flags_frag = u16::from_be_bytes([data[6], data[7]]);
-        if flags_frag & 0x3FFF != 0 {
-            // MF set or fragment offset non-zero: we don't reassemble.
-            return Err(WireError::Unsupported);
-        }
+        let h = Ipv4Header::parse(data)?;
         Ok(Ipv4Packet {
-            dscp: data[1] >> 2,
-            identification: u16::from_be_bytes([data[4], data[5]]),
-            ttl: data[8],
-            protocol: IpProtocol(data[9]),
-            src: Ipv4Addr::new(data[12], data[13], data[14], data[15]),
-            dst: Ipv4Addr::new(data[16], data[17], data[18], data[19]),
-            payload: data.slice(ihl..total_len),
+            dscp: h.dscp,
+            identification: h.identification,
+            ttl: h.ttl,
+            protocol: h.protocol,
+            src: h.src,
+            dst: h.dst,
+            payload: data.slice(h.ihl..h.total_len),
         })
     }
 

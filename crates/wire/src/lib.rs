@@ -16,6 +16,15 @@
 //! plus [`FrameBuf`], the stream reassembler the three control-channel
 //! codecs (OpenFlow, RPC, RF-proto) frame their messages with.
 //!
+//! Each of the four headers a switch classifies on is described once,
+//! by a reader over `&[u8]` that makes every check — [`EthernetHeader`],
+//! [`Ipv4Header`], [`UdpHeader`], [`IcmpHeader`] — and the owning
+//! `parse_bytes` beside it ([`EthernetFrame`], [`Ipv4Packet`],
+//! [`UdpPacket`], [`IcmpPacket`]) is that reader plus one `Bytes::slice`
+//! for the body. Code that only reads fields (a switch building its
+//! match key) uses the reader and touches no reference count; code that
+//! hands the body on (a host stack) uses `parse_bytes`.
+//!
 //! Parsing follows the smoltcp philosophy: explicit, allocation-light,
 //! rejecting malformed input with a typed [`WireError`] instead of
 //! panicking. Emission always produces canonical encodings (checksums
@@ -33,12 +42,12 @@ pub mod udp;
 
 pub use addr::{Ipv4Cidr, MacAddr};
 pub use arp::{ArpOp, ArpPacket};
-pub use ethernet::{EtherType, EthernetFrame, MIN_FRAME_NO_FCS};
+pub use ethernet::{EtherType, EthernetFrame, EthernetHeader, MIN_FRAME_NO_FCS};
 pub use framebuf::FrameBuf;
-pub use icmp::IcmpPacket;
-pub use ipv4::{ipv4_frame, IpProtocol, Ipv4Body, Ipv4Packet};
+pub use icmp::{IcmpHeader, IcmpPacket};
+pub use ipv4::{ipv4_frame, IpProtocol, Ipv4Body, Ipv4Header, Ipv4Packet};
 pub use lldp::{LldpPacket, LldpTlv};
-pub use udp::UdpPacket;
+pub use udp::{UdpHeader, UdpPacket};
 
 use std::fmt;
 

@@ -9,6 +9,45 @@ use std::net::Ipv4Addr;
 
 pub const UDP_HEADER_LEN: usize = 8;
 
+/// The UDP header, read and verified where the datagram lies. The
+/// payload is `datagram[UDP_HEADER_LEN..length]`;
+/// [`UdpPacket::parse_bytes`] is this reader plus that one slice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UdpHeader {
+    pub src_port: u16,
+    pub dst_port: u16,
+    /// The `length` field: header and payload, at most the buffer's
+    /// length.
+    pub length: usize,
+}
+
+impl UdpHeader {
+    /// Parse, verifying the checksum against the pseudo-header built
+    /// from `src`/`dst` (pass the enclosing IPv4 addresses). A zero
+    /// checksum means "not computed" and is accepted, per RFC 768.
+    pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpHeader, WireError> {
+        if data.len() < UDP_HEADER_LEN {
+            return Err(WireError::Truncated);
+        }
+        let length = u16::from_be_bytes([data[4], data[5]]) as usize;
+        if length < UDP_HEADER_LEN || length > data.len() {
+            return Err(WireError::BadLength);
+        }
+        let wire_ck = u16::from_be_bytes([data[6], data[7]]);
+        if wire_ck != 0 {
+            let pseudo = pseudo_header(src, dst, length as u16);
+            if internet_checksum_parts(&[&pseudo, &data[..length]]) != 0 {
+                return Err(WireError::BadChecksum);
+            }
+        }
+        Ok(UdpHeader {
+            src_port: u16::from_be_bytes([data[0], data[1]]),
+            dst_port: u16::from_be_bytes([data[2], data[3]]),
+            length,
+        })
+    }
+}
+
 /// A parsed (owned) UDP datagram.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UdpPacket {
@@ -26,29 +65,14 @@ impl UdpPacket {
         }
     }
 
-    /// Parse, verifying the checksum against the pseudo-header built
-    /// from `src`/`dst` (pass the enclosing IPv4 addresses). A zero
-    /// checksum means "not computed" and is accepted, per RFC 768. The
-    /// payload is a zero-copy slice of `data`'s storage.
+    /// Parse and verify as [`UdpHeader::parse`] does. The payload is a
+    /// zero-copy slice of `data`'s storage.
     pub fn parse_bytes(data: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpPacket, WireError> {
-        if data.len() < UDP_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let length = u16::from_be_bytes([data[4], data[5]]) as usize;
-        if length < UDP_HEADER_LEN || length > data.len() {
-            return Err(WireError::BadLength);
-        }
-        let wire_ck = u16::from_be_bytes([data[6], data[7]]);
-        if wire_ck != 0 {
-            let pseudo = pseudo_header(src, dst, length as u16);
-            if internet_checksum_parts(&[&pseudo, &data[..length]]) != 0 {
-                return Err(WireError::BadChecksum);
-            }
-        }
+        let h = UdpHeader::parse(data, src, dst)?;
         Ok(UdpPacket {
-            src_port: u16::from_be_bytes([data[0], data[1]]),
-            dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: data.slice(UDP_HEADER_LEN..length),
+            src_port: h.src_port,
+            dst_port: h.dst_port,
+            payload: data.slice(UDP_HEADER_LEN..h.length),
         })
     }
 

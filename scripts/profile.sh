@@ -2,9 +2,13 @@
 # profile.sh — where does an rfbench workload spend its CPU time?
 #
 # Usage:
-#   scripts/profile.sh WORKLOAD [SEED] [SECONDS]
+#   scripts/profile.sh WORKLOAD [SEED] [SECONDS] [SAMPLER OPTION...]
 #       WORKLOAD is one of BENCHMARK.json's: autoconf_corpus, fault_fork,
 #       traffic_packet, traffic_flow. SEED defaults to 1, SECONDS to 8.
+#       Anything after SECONDS goes to scripts/ptrace_sampler.py, e.g.
+#       `--callers small_sort_general --callers quicksort` for a third
+#       table naming who calls the generic sort rows (on traffic_packet:
+#       EventQueue's lazy slot sort), or `--top 60`.
 #
 # For hosts without `perf`. Builds rfbench with frame pointers into its
 # own target directory (target/profile-fp — the flag would otherwise
@@ -35,9 +39,10 @@
 # benchmark numbers.
 set -euo pipefail
 
-workload=${1:?usage: scripts/profile.sh WORKLOAD [SEED] [SECONDS]}
+workload=${1:?usage: scripts/profile.sh WORKLOAD [SEED] [SECONDS] [SAMPLER OPTION...]}
 seed=${2:-1}
 seconds=${3:-8}
+shift $(($# < 3 ? $# : 3))
 root=$(cd "$(dirname "$0")/.." && pwd)
 target=$root/target/profile-fp
 
@@ -46,5 +51,5 @@ RUSTFLAGS="-Cforce-frame-pointers=yes" CARGO_TARGET_DIR="$target" \
 
 cd "$root"
 exec python3 scripts/ptrace_sampler.py --hz 400 --drop rfbench::hostcal \
-    --per pass "^rfbench: $workload pass [0-9]+:|^  setup_s " -- \
+    --per pass "^rfbench: $workload pass [0-9]+:|^  setup_s " "$@" -- \
     "$target/release/rfbench" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0

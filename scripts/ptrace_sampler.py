@@ -2,7 +2,8 @@
 """ptrace_sampler.py — a sampling CPU profiler for hosts without `perf`.
 
 Usage:
-    scripts/ptrace_sampler.py [--hz N] [--top N] [--drop SUBSTR]... [--per UNIT REGEX] -- CMD [ARG...]
+    scripts/ptrace_sampler.py [--hz N] [--top N] [--drop SUBSTR]... [--callers SUBSTR]...
+                              [--per UNIT REGEX] -- CMD [ARG...]
 
 Runs CMD, and about N times a second (default 400) stops each of its
 threads that is on a CPU (`PTRACE_SEIZE`, then `PTRACE_INTERRUPT` +
@@ -13,6 +14,14 @@ shared objects it maps): self time — samples whose innermost frame is
 the symbol — and inclusive time — samples with the symbol anywhere on
 the stack. A sample with a frame matching a `--drop` substring is
 discarded whole.
+
+`--callers SUBSTR` adds a third table per SUBSTR: the immediate callers
+of every frame whose symbol contains SUBSTR, ranked by the samples they
+appear in as such — who owns a row that the inclusive table shows under
+a generic name (`insertion_sort_shift_left`, `quicksort`: which `sort`
+call is it?). It reads the stacks already walked, so the limits below
+apply: a frame without frame pointers hides its caller, and a sample
+that ends at the symbol is counted under `[no caller frame]`.
 
 CMD's stdout is sent to stderr, so stdout carries the tables only.
 
@@ -308,11 +317,25 @@ def table(title, counts, total, top, per):
         print(f"{n:>8} {100.0 * n / total:>6.2f}{per_cell}  {name}")
 
 
+def callers_of(stacks, symbol):
+    """(callers ranked by samples, samples with `symbol` on the stack) over `stacks`."""
+    callers, hits = collections.Counter(), 0
+    for names in stacks:
+        at = [i for i, name in enumerate(names) if symbol in name]
+        if at:
+            hits += 1
+            # Once per sample; a callee that recurses is not its own caller.
+            above = {names[i + 1] if i + 1 < len(names) else "[no caller frame]" for i in at}
+            callers.update(name for name in above if symbol not in name)
+    return callers, hits
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--hz", type=float, default=400.0)
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--drop", action="append", default=[])
+    ap.add_argument("--callers", action="append", default=[], metavar="SUBSTR")
     ap.add_argument("--per", nargs=2, metavar=("UNIT", "REGEX"))
     ap.add_argument("cmd", nargs=argparse.REMAINDER)
     args = ap.parse_args()
@@ -359,21 +382,24 @@ def main():
     if not stacks:
         sys.exit(f"ptrace_sampler: no samples (command exited {exit_code})")
     self_time, inclusive = collections.Counter(), collections.Counter()
-    kept = 0
-    for names in stacks:
-        if any(d in n for d in args.drop for n in names):
-            continue
-        kept += 1
+    kept = [names for names in stacks if not any(d in n for d in args.drop for n in names)]
+    for names in kept:
         self_time[names[0]] += 1
         inclusive.update(set(names))
-    print(f"{len(stacks)} samples at ~{args.hz:g} Hz, {len(stacks) - kept} dropped; command exited {exit_code}")
+    print(f"{len(stacks)} samples at ~{args.hz:g} Hz, {len(stacks) - len(kept)} dropped; command exited {exit_code}")
     per = None
     if output:
         print(f"{output.matches} x {args.per[0]}: the /{args.per[0]} column is samples / {output.matches}")
         per = (args.per[0], output.matches) if output.matches else None
     if kept:
-        table("self time", self_time, kept, args.top, per)
-        table("inclusive time", inclusive, kept, args.top, per)
+        table("self time", self_time, len(kept), args.top, per)
+        table("inclusive time", inclusive, len(kept), args.top, per)
+    for symbol in args.callers:
+        callers, hits = callers_of(kept, symbol)
+        if hits:
+            table(f"immediate callers of *{symbol}*", callers, hits, args.top, per)
+        else:
+            print(f"\nno sample has *{symbol}* on its stack")
     sys.exit(exit_code)
 
 

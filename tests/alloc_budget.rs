@@ -19,8 +19,8 @@ use rf_core::traffic::packet::TrafficHost;
 use rf_discovery::{TopologyController, TopologyControllerConfig};
 use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
 use rf_openflow::{
-    Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, SwitchFeatures,
-    OFPP_NONE, OFP_NO_BUFFER,
+    Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketKey,
+    SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_routed::config::OspfConfig;
 use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
@@ -29,7 +29,8 @@ use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEve
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_vnet::vm::ospf_frame;
 use rf_wire::{
-    ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Cidr, Ipv4Packet, MacAddr, UdpPacket,
+    ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Cidr, Ipv4Packet, LldpPacket,
+    MacAddr, UdpPacket,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -230,6 +231,48 @@ fn a_routed_hop_copies_no_frame() {
         allocations <= 2,
         "{allocations} allocations for one frame through one switch"
     );
+}
+
+/// A switch builds its match key from the frame where it lies: no
+/// buffer, no handle, at whatever depth its table asks for.
+#[test]
+fn a_classification_allocates_nothing_at_any_depth() {
+    let eth = |ethertype, payload| EthernetFrame::new(MAC_SW, MAC_A, ethertype, payload).emit();
+    let icmp = IcmpPacket::echo_request(1, 1, Bytes::from(vec![b'p'; 56])).emit();
+    let frames = [
+        ("udp", data_frame(), 7000),
+        (
+            "icmp",
+            eth(
+                EtherType::IPV4,
+                Ipv4Packet::new(HOST_A, HOST_B, IpProtocol::ICMP, icmp).emit(),
+            ),
+            8,
+        ),
+        (
+            "arp",
+            eth(
+                EtherType::ARP,
+                ArpPacket::request(MAC_A, HOST_A, HOST_B).emit(),
+            ),
+            0,
+        ),
+        (
+            "lldp",
+            eth(EtherType::LLDP, LldpPacket::discovery_probe(1, 1).emit()),
+            0,
+        ),
+    ];
+    for (name, frame, tp_src) in &frames {
+        for depth in [KeyDepth::L2, KeyDepth::L3, KeyDepth::L4] {
+            let (key, allocations, _) = counted(|| PacketKey::from_frame(1, frame, depth));
+            let key = key.expect("an Ethernet header");
+            assert_eq!(allocations, 0, "{name} at {depth:?}");
+            // ... and it did read that far.
+            let want = if depth == KeyDepth::L4 { *tp_src } else { 0 };
+            assert_eq!(key.tp_src, want, "{name} at {depth:?}");
+        }
+    }
 }
 
 /// Taking a uniquely owned buffer back for writing and freezing it

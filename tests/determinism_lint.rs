@@ -18,10 +18,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "lookup-only: port_peer / hosts / installed / dpid_of; port_peer's one retain emits nothing",
     ),
     (
-        "crates/core/src/apps/discovery_bridge.rs",
-        "lookup-only: known-dpid set",
-    ),
-    (
         "crates/core/src/apps/engine.rs",
         "lookup-only: per-connection readers and dpids",
     ),
@@ -41,7 +37,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "crates/routed/src/rib.rs",
         "lookup-only: new-prefix set probed while walking the ordered candidate map",
     ),
-    ("crates/rpc/src/server.rs", "lookup-only: seen request ids"),
     (
         "crates/sim/src/kernel.rs",
         "lookup-only: listeners; the kill-path retain emits nothing",

@@ -1,6 +1,6 @@
 //! `rf_flowvisor::FlowVisor` as it was before a forwarded message was
 //! patched where it lies (`crates/flowvisor/src/proxy.rs` at 8ab2bff,
-//! verbatim but for one unread accessor and the three adaptations
+//! verbatim but for one unread accessor and the four adaptations
 //! marked `ADAPTED`): every message decoded in full, PACKET_OUTs
 //! included; every forwarded message copied to change its xid;
 //! connections and xids looked up in `HashMap`s; a chunk's messages
@@ -8,14 +8,16 @@
 //! proxy must match byte for byte, on every connection.
 
 // ADAPTED: the policy and configuration types are the real crate's.
+use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
 use rf_flowvisor::slice::FlowSpaceDecision;
 use rf_flowvisor::FlowVisorConfig;
-use rf_openflow::{
-    ErrorType, MessageReader, OfError, OfMessage, PacketKey, OFP_HEADER_LEN, OFP_NO_BUFFER,
-};
+use rf_openflow::{ErrorType, MessageReader, OfError, OfMessage, OFP_HEADER_LEN, OFP_NO_BUFFER};
 use rf_sim::{Agent, ConnId, Ctx, StreamEvent};
 use std::collections::HashMap;
+
+// ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
+// every frame — is `models/parent_key.rs`.
 
 // ADAPTED: `rf_openflow::reframe_with_xid` as it was — always a copy.
 fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
@@ -211,7 +213,7 @@ impl ModelFlowVisor {
                 ref data,
             } => {
                 ctx.count("fv.packet_in", 1);
-                let Some(key) = PacketKey::from_frame_bytes(in_port, data) else {
+                let Some(key) = from_frame_bytes(in_port, data) else {
                     return;
                 };
                 let _ = (buffer_id, total_len, reason);
@@ -368,7 +370,7 @@ impl ModelFlowVisor {
             } => {
                 // Policy-check the payload when we can see it.
                 if buffer_id == OFP_NO_BUFFER && !data.is_empty() {
-                    if let Some(key) = PacketKey::from_frame_bytes(in_port, &data) {
+                    if let Some(key) = from_frame_bytes(in_port, &data) {
                         if !self.cfg.slices[slice].owns_packet(&key) {
                             ctx.count("fv.packet_out_denied", 1);
                             if let Some(c) = up_conn {

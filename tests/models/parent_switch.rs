@@ -1,6 +1,6 @@
 //! `rf_switch::OpenFlowSwitch` as it was before a PACKET_OUT was read
 //! where it lies (`crates/switch/src/switch.rs` at 8ab2bff, verbatim
-//! but for five unread accessors and the two adaptations marked
+//! but for five unread accessors and the three adaptations marked
 //! `ADAPTED`): every message decoded in full, a chunk's messages
 //! drained into a list before any is handled, a PACKET_OUT's actions a
 //! `Vec`, an egress list per action list, punt templates in a
@@ -10,11 +10,12 @@
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
 // `apply_actions_matches_reference_model` holds to the owned one.
+use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
 use rf_openflow::{
-    ErrorType, FlowStatsEntry, MessageReader, OfMessage, PacketInReason, PacketKey, PhyPort,
-    PortNumber, PortStats, PortStatusReason, StatsBody, SwitchDesc, SwitchFeatures, TableStats,
-    Wildcards, OFPP_NONE, OFP_NO_BUFFER,
+    ErrorType, FlowStatsEntry, MessageReader, OfMessage, PacketInReason, PhyPort, PortNumber,
+    PortStats, PortStatusReason, StatsBody, SwitchDesc, SwitchFeatures, TableStats, Wildcards,
+    OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, Ctx, StreamEvent, Time};
 use rf_switch::{apply_actions, Egress, FlowTable, Removed, SwitchConfig};
@@ -26,6 +27,9 @@ const T_EXPIRY: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
 const T_ECHO: u64 = 3;
+
+// ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
+// every frame — is `models/parent_key.rs`.
 
 // ADAPTED: `rf_openflow::reframe_with_xid` as it was — always a copy.
 fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
@@ -229,7 +233,7 @@ impl ModelSwitch {
 
     /// Run a frame through the flow table and execute the result.
     fn pipeline(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
-        let Some(key) = PacketKey::from_frame_bytes(in_port, &frame) else {
+        let Some(key) = from_frame_bytes(in_port, &frame) else {
             ctx.count("switch.unparseable", 1);
             return;
         };

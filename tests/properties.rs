@@ -6,11 +6,12 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rf_openflow::{Action, OfMatch, OfMessage, PacketKey, Wildcards};
+use rf_openflow::{Action, KeyDepth, OfMatch, OfMessage, PacketKey, Wildcards};
 use rf_routed::rib::{Rib, Route, RouteProto};
 use rf_wire::{
-    internet_checksum, internet_checksum_parts, ipv4_frame, ArpPacket, EthernetFrame, Ipv4Body,
-    Ipv4Cidr, Ipv4Packet, LldpPacket, MacAddr, UdpPacket,
+    internet_checksum, internet_checksum_parts, ipv4_frame, ArpPacket, EthernetFrame,
+    EthernetHeader, IcmpHeader, IcmpPacket, Ipv4Body, Ipv4Cidr, Ipv4Header, Ipv4Packet, LldpPacket,
+    MacAddr, UdpHeader, UdpPacket,
 };
 use std::net::Ipv4Addr;
 
@@ -1170,10 +1171,176 @@ fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u1
     }
 }
 
+// ---------------- classification: the parent's extractor as the model ----------------
+
+/// `full` as an extraction that stopped at `depth` leaves it: the
+/// deeper fields zero.
+fn key_cut_at(full: PacketKey, depth: KeyDepth) -> PacketKey {
+    let mut key = full;
+    if depth < KeyDepth::L4 {
+        (key.tp_src, key.tp_dst) = (0, 0);
+    }
+    if depth < KeyDepth::L3 {
+        (key.nw_tos, key.nw_proto) = (0, 0);
+        (key.nw_src, key.nw_dst) = (Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
+    }
+    key
+}
+
+/// `PacketKey::from_frame` against the parent's extractor on one
+/// buffer, at every depth.
+fn assert_key_matches_model(in_port: u16, frame: &Bytes) {
+    let model = key_model::from_frame_bytes(in_port, frame);
+    for depth in [KeyDepth::L2, KeyDepth::L3, KeyDepth::L4] {
+        assert_eq!(
+            PacketKey::from_frame(in_port, frame, depth),
+            model.map(|full| key_cut_at(full, depth)),
+            "{depth:?} of {frame:?}"
+        );
+    }
+}
+
+/// Each owning `parse_bytes` against the parent's (same value or same
+/// error variant) and against its in-place reader plus one slice, on
+/// `data` taken as a frame, as a packet, as a datagram and as an ICMP
+/// message — and, where an outer layer parses, on what it carries.
+fn assert_layer_parsers_agree(data: &Bytes) {
+    let (src, dst) = (Ipv4Addr::LOCALHOST, Ipv4Addr::BROADCAST);
+    let eth = check_ethernet(data);
+    let ip = check_ipv4(data);
+    check_udp(data, src, dst);
+    check_icmp(data);
+    if let Some(ip) = eth.and_then(|eth| check_ipv4(&eth.payload)).or(ip) {
+        check_udp(&ip.payload, ip.src, ip.dst);
+        check_icmp(&ip.payload);
+    }
+}
+
+fn check_ethernet(data: &Bytes) -> Option<EthernetFrame> {
+    let owned = EthernetFrame::parse_bytes(data);
+    assert_eq!(owned, key_model::parse_ethernet(data), "{data:?}");
+    let read = EthernetHeader::parse(data).map(|h| EthernetFrame {
+        dst: h.dst,
+        src: h.src,
+        ethertype: h.ethertype,
+        payload: data.slice(14..),
+    });
+    assert_eq!(owned, read, "{data:?}");
+    owned.ok()
+}
+
+fn check_ipv4(data: &Bytes) -> Option<Ipv4Packet> {
+    let owned = Ipv4Packet::parse_bytes(data);
+    assert_eq!(owned, key_model::parse_ipv4(data), "{data:?}");
+    let read = Ipv4Header::parse(data).map(|h| Ipv4Packet {
+        dscp: h.dscp,
+        identification: h.identification,
+        ttl: h.ttl,
+        protocol: h.protocol,
+        src: h.src,
+        dst: h.dst,
+        payload: data.slice(h.ihl..h.total_len),
+    });
+    assert_eq!(owned, read, "{data:?}");
+    owned.ok()
+}
+
+fn check_udp(data: &Bytes, src: Ipv4Addr, dst: Ipv4Addr) {
+    let owned = UdpPacket::parse_bytes(data, src, dst);
+    assert_eq!(owned, key_model::parse_udp(data, src, dst), "{data:?}");
+    let read = UdpHeader::parse(data, src, dst).map(|h| UdpPacket {
+        src_port: h.src_port,
+        dst_port: h.dst_port,
+        payload: data.slice(8..h.length),
+    });
+    assert_eq!(owned, read, "{data:?}");
+}
+
+fn check_icmp(data: &Bytes) {
+    let owned = IcmpPacket::parse_bytes(data);
+    assert_eq!(owned, key_model::parse_icmp(data), "{data:?}");
+    let read = IcmpHeader::parse(data).map(|h| (h.ty, h.code));
+    let type_code = owned.map(|icmp| match icmp {
+        IcmpPacket::EchoRequest { .. } => (8, 0),
+        IcmpPacket::EchoReply { .. } => (0, 0),
+        IcmpPacket::Other { ty, code, .. } => (ty, code),
+    });
+    assert_eq!(type_code, read, "{data:?}");
+}
+
+/// `frame`, each of its prefixes, and each single-bit flip of its
+/// first 42 bytes (the Ethernet, IPv4 and UDP headers; all of an ARP
+/// body but its target address).
+fn damaged_variants(frame: &Bytes) -> Vec<Bytes> {
+    let mut variants = vec![frame.clone()];
+    variants.extend((0..frame.len()).map(|len| frame.slice(..len)));
+    for bit in 0..frame.len().min(42) * 8 {
+        let mut flipped = frame.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        variants.push(Bytes::from(flipped));
+    }
+    variants
+}
+
+/// One flow-table match built around `key`, a frame's full key: the
+/// shapes the apps install, an exact match, and one pinned field of
+/// each layer — at the value the frame carries, or at the zero an
+/// extraction that stops short leaves.
+fn build_table_match(kind: u8, len: u8, key: &PacketKey) -> OfMatch {
+    let pinned = |bits: u32| OfMatch {
+        wildcards: Wildcards(Wildcards::ALL & !bits),
+        in_port: key.in_port,
+        dl_src: key.dl_src,
+        dl_dst: key.dl_dst,
+        dl_type: key.dl_type,
+        nw_tos: key.nw_tos,
+        nw_proto: key.nw_proto,
+        nw_src: key.nw_src,
+        nw_dst: key.nw_dst,
+        tp_src: key.tp_src,
+        tp_dst: key.tp_dst,
+        ..OfMatch::any()
+    };
+    let zeroed = |bits: u32| OfMatch {
+        wildcards: Wildcards(Wildcards::ALL & !bits),
+        ..OfMatch::any()
+    };
+    let route = OfMatch::ipv4_dst_prefix(key.nw_dst, len % 33);
+    match kind % 24 {
+        // A third are routes: most tables most of the time read to L3.
+        0..=7 => route,
+        8 | 9 => OfMatch::lldp(),
+        10 | 11 => OfMatch::arp(),
+        12 => OfMatch::any(),
+        13 => pinned(Wildcards::ALL),
+        14 => pinned(Wildcards::TP_DST),
+        15 => pinned(Wildcards::TP_SRC | Wildcards::NW_PROTO),
+        16 => zeroed(Wildcards::TP_DST),
+        17 => pinned(Wildcards::NW_PROTO),
+        18 => zeroed(Wildcards::NW_PROTO),
+        19 => OfMatch {
+            wildcards: Wildcards::all().with_nw_src_bits(u32::from(len % 33)),
+            nw_src: key.nw_src,
+            ..OfMatch::any()
+        },
+        20 => pinned(Wildcards::NW_TOS | Wildcards::DL_TYPE),
+        21 => pinned(Wildcards::DL_SRC),
+        22 => pinned(Wildcards::IN_PORT),
+        _ => OfMatch {
+            // A route that also asks for the destination port.
+            wildcards: Wildcards(route.wildcards.0 & !Wildcards::TP_DST),
+            tp_dst: key.tp_dst,
+            ..route
+        },
+    }
+}
+
 // ---------------- control path: reference models and scripted peers ----------------
 
 #[path = "models/parent_flowvisor.rs"]
 mod flowvisor_model;
+#[path = "models/parent_key.rs"]
+mod key_model;
 #[path = "models/parent_switch.rs"]
 mod switch_model;
 
@@ -1241,7 +1408,9 @@ impl rf_sim::Agent for ScriptedController {
 }
 
 /// The far end of one switch port: sends its frames into the switch
-/// early (an empty table buffers them), logs what comes out.
+/// early (an empty table buffers them) and again every few
+/// milliseconds while the control stream plays (whatever the table
+/// then holds classifies them), logs what comes out.
 #[derive(Clone, Default)]
 struct PortTap {
     inject: Vec<Bytes>,
@@ -1252,6 +1421,9 @@ impl rf_sim::Agent for PortTap {
     fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
         for i in 0..self.inject.len() as u64 {
             ctx.schedule(std::time::Duration::from_millis(50 + i), i);
+            for round in 0..12 {
+                ctx.schedule(std::time::Duration::from_millis(101 + 3 * round + i), i);
+            }
         }
     }
     fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, token: u64) {
@@ -1501,14 +1673,17 @@ type ControlDraw = (
     u8,
 );
 
-/// One encoded control message: a PACKET_OUT half the time — 0–12
-/// actions of every kind, payload in the message / absent / in a
+/// One encoded control message: a PACKET_OUT three times in eight —
+/// 0–12 actions of every kind, payload in the message / absent / in a
 /// buffer, on either side of the slice's flowspace, below 60 bytes —
-/// else a FLOW_MOD, a BARRIER / STATS / GET_CONFIG / SET_CONFIG
-/// request, an ECHO, or something no controller should send. Five in
-/// sixteen are then damaged: cut short under a patched length, one bit
-/// flipped anywhere, an action of length 7, an action of unknown type,
-/// an `actions_len` running past the body.
+/// a FLOW_MOD one time in four — its match a punt, a route or
+/// everything, most of them with `tp_dst`, `tp_src`, `nw_proto`,
+/// `nw_src`, `dl_src` or `in_port` pinned as well — else a BARRIER /
+/// STATS / GET_CONFIG / SET_CONFIG request, an ECHO, or something no
+/// controller should send. Five in sixteen are then damaged: cut short
+/// under a patched length, one bit flipped anywhere, an action of
+/// length 7, an action of unknown type, an `actions_len` running past
+/// the body.
 fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw) -> Vec<u8> {
     use rf_openflow::{
         FlowModCommand, FlowStatsRequest, StatsBody, OFPP_NONE, OFP_HEADER_LEN, OFP_NO_BUFFER,
@@ -1531,9 +1706,40 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
         OfMatch::arp(),
         OfMatch::ipv4_dst_prefix(Ipv4Addr::from(b), (a % 33) as u8),
     ];
-    let of_match = matches[(b >> 8) as usize % matches.len()];
+    let mut of_match = matches[(b >> 8) as usize % matches.len()];
+    // Half of the matches pin one more field, so that a switch's table
+    // reads deeper — and, when such an entry is deleted, shallower
+    // again — from one frame to the next. The values are ones frames
+    // carry: 0 is also what an unread or unparseable layer leaves, so
+    // a key extracted too shallowly takes such an entry by mistake.
+    let mut pin = |bits: u32| of_match.wildcards.0 &= !bits;
+    match (b >> 16) % 10 {
+        0 => pin(Wildcards::TP_DST), // 0: an echo's code, an unverifiable datagram
+        1 => {
+            pin(Wildcards::TP_SRC | Wildcards::NW_PROTO);
+            (of_match.nw_proto, of_match.tp_src) = (1, 8); // echo requests
+        }
+        2 => {
+            pin(Wildcards::NW_PROTO);
+            of_match.nw_proto = [17, 1, 0][a as usize % 3];
+        }
+        3 => of_match.wildcards = of_match.wildcards.with_nw_src_bits(31), // 0.0.0.0/1
+        4 => {
+            pin(Wildcards::DL_SRC);
+            of_match.dl_src = MacAddr(frame.1 .0 .1);
+        }
+        5 => {
+            pin(Wildcards::IN_PORT);
+            of_match.in_port = in_port;
+        }
+        6 => {
+            pin(Wildcards::TP_DST);
+            of_match.tp_dst = frame.3; // a datagram's destination port
+        }
+        _ => {}
+    }
     let msg = match kind % 16 {
-        0..=7 => OfMessage::PacketOut {
+        0..=5 => OfMessage::PacketOut {
             buffer_id,
             in_port,
             actions,
@@ -1542,7 +1748,7 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
                 _ => build_frame(frame.clone()),
             },
         },
-        8 | 9 => OfMessage::FlowMod {
+        6..=9 => OfMessage::FlowMod {
             of_match,
             cookie: u64::from(a % 4),
             command: [
@@ -1853,11 +2059,9 @@ proptest! {
 
     #[test]
     fn wire_parsers_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let bytes = Bytes::from(data.clone());
-        let _ = EthernetFrame::parse_bytes(&bytes);
-        let _ = Ipv4Packet::parse_bytes(&bytes);
-        let _ = UdpPacket::parse_bytes(&bytes, Ipv4Addr::LOCALHOST, Ipv4Addr::BROADCAST);
-        let _ = rf_wire::IcmpPacket::parse_bytes(&bytes);
+        // The four owning parsers and their in-place readers, which
+        // must also agree on what they accept and why they refuse.
+        assert_layer_parsers_agree(&Bytes::from(data.clone()));
         let _ = ArpPacket::parse(&data);
         let _ = LldpPacket::parse(&data);
         let _ = rf_routed::ospf::packet::OspfPacket::parse(&data);
@@ -2240,6 +2444,113 @@ proptest! {
                 }
             }
         }
+    }
+
+    // ---------------- classification ----------------
+
+    /// A switch reads a frame where it lies and only as deep as asked.
+    /// At `L4` that is, field for field, the key the parent's
+    /// slice-per-layer extractor built — for every kind of frame a port
+    /// can see, every prefix of it, every single-bit flip of its
+    /// headers, and for random bytes — and at `L3` / `L2` the same key
+    /// with the deeper fields zero. The owning parsers the readers were
+    /// split out of accept, refuse and return what the parent's did on
+    /// the same inputs.
+    #[test]
+    fn key_extraction_matches_parent_model(
+        draws in proptest::collection::vec((arb_frame_draw(), any::<u16>()), 4..5),
+        soup in proptest::collection::vec(any::<u8>(), 0..128),
+    ) {
+        assert_key_matches_model(1, &Bytes::from(soup));
+        for (draw, in_port) in draws {
+            for variant in damaged_variants(&build_frame(draw)) {
+                assert_key_matches_model(in_port, &variant);
+                assert_layer_parsers_agree(&variant);
+            }
+        }
+    }
+
+    /// The depth a table asks for is enough for that table: through
+    /// any sequence of adds, deletes and expiries, looking a frame up
+    /// by a key extracted to `FlowTable::depth` finds the entry — and
+    /// bumps the counters — that the parent's full key finds. Entries
+    /// are routes, punts, exact matches and single pinned fields of
+    /// every layer, built around the frames that are then looked up.
+    #[test]
+    fn depth_limited_lookup_matches_full_key_lookup(
+        scripts in proptest::collection::vec(
+            (
+                proptest::collection::vec(arb_frame_draw(), 6..7),
+                proptest::collection::vec(any::<(u8, u8, u8, u8)>(), 1..64),
+            ),
+            8..9,
+        ),
+    ) {
+        use rf_openflow::{FlowModCommand, OFPP_NONE};
+        use rf_sim::Time;
+        use rf_switch::FlowTable;
+        // What the generator has to reach: lookups at each depth, and
+        // shallow keys (not the key the model used) that still hit.
+        let mut depths_used = std::collections::BTreeSet::new();
+        let mut shallow_hits = 0;
+        for (frames, steps) in scripts {
+            let frames: Vec<Bytes> = frames.into_iter().map(build_frame).collect();
+            let port_of = |which: usize| 1 + (which % 3) as u16;
+            let keys: Vec<PacketKey> = frames
+                .iter()
+                .enumerate()
+                .filter_map(|(which, frame)| key_model::from_frame_bytes(port_of(which), frame))
+                .collect();
+            let (mut real, mut model) = (FlowTable::new(), FlowTable::new());
+            for (step, (op, which, kind, len)) in (1u64..).zip(steps) {
+                let now = Time::from_secs(step / 4);
+                let which = which as usize % frames.len();
+                let around = keys.get(which % keys.len().max(1));
+                match (op % 8, around) {
+                    (0..=4, Some(around)) => {
+                        let command = match op % 8 {
+                            0..=2 => FlowModCommand::Add,
+                            3 => FlowModCommand::Delete,
+                            _ => FlowModCommand::DeleteStrict,
+                        };
+                        let of_match = build_table_match(kind, len, around);
+                        let (priority, hard) = (u16::from(len % 4), u16::from(len >> 6));
+                        for table in [&mut real, &mut model] {
+                            table.apply_flow_mod(
+                                command, of_match, priority, step, 0, hard, 0, OFPP_NONE,
+                                vec![Action::output(1)], now,
+                            );
+                        }
+                    }
+                    (5, _) => {
+                        prop_assert_eq!(real.expire(now).len(), model.expire(now).len());
+                    }
+                    _ => {
+                        let (in_port, frame) = (port_of(which), &frames[which]);
+                        let depth = real.depth();
+                        let full = key_model::from_frame_bytes(in_port, frame);
+                        let cut = PacketKey::from_frame(in_port, frame, depth);
+                        prop_assert_eq!(cut.is_some(), full.is_some());
+                        if let (Some(cut), Some(full)) = (cut, full) {
+                            let got = real.lookup(&cut, frame.len(), now).cloned();
+                            let want = model.lookup(&full, frame.len(), now).cloned();
+                            prop_assert_eq!(
+                                &got, &want, "step {} at {:?}: {:?}", step, depth, frame
+                            );
+                            depths_used.insert(depth);
+                            shallow_hits += u32::from(got.is_some() && cut != full);
+                        }
+                    }
+                }
+                prop_assert_eq!(real.entries(), model.entries(), "after step {}", step);
+            }
+            prop_assert_eq!(
+                (real.lookup_count, real.matched_count),
+                (model.lookup_count, model.matched_count)
+            );
+        }
+        prop_assert_eq!(depths_used.len(), 3, "{:?}", depths_used);
+        prop_assert!(shallow_hits > 0);
     }
 
     // ---------------- semantic invariants ----------------
