@@ -161,10 +161,6 @@ impl ControlApp for ArpProxyApp {
                 .insert(arp.sender_ip, (dpid, in_port, arp.sender_mac))
                 .is_none();
             if newly {
-                cx.trace(
-                    "rf.host_learned",
-                    format!("{} at {dpid:#x}:{in_port}", arp.sender_ip),
-                );
                 self.install_host_flow(cx, arp.sender_ip, dpid, in_port, arp.sender_mac);
             }
         }

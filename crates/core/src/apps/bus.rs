@@ -359,11 +359,6 @@ impl<'b> AppCtx<'_, 'b> {
         self.sim.remove_link(id)
     }
 
-    /// Emit an info-level trace event.
-    pub fn trace(&mut self, kind: &str, detail: impl Into<String>) {
-        self.sim.trace(kind, detail)
-    }
-
     /// Increment a named metric counter.
     pub fn count(&mut self, name: &str, delta: u64) {
         self.sim.count(name, delta)

@@ -49,13 +49,6 @@ impl VmLifecycleApp {
                 &format!("vm-{dpid:x}"),
                 Box::new(VmAgent::new(dpid, controller, boot_delay)),
             );
-            cx.trace(
-                "rf.vm_create",
-                format!(
-                    "dpid {dpid:#x} ({num_ports} ports, {} in flight)",
-                    self.in_flight.len() + 1
-                ),
-            );
             self.in_flight.insert(dpid);
             cx.state.switches.insert(
                 dpid,
@@ -145,10 +138,6 @@ impl ControlApp for VmLifecycleApp {
                 if let Some(rec) = cx.state.links.iter_mut().find(|l| l.a == a && l.b == b) {
                     rec.sim_link = Some(sim_link);
                 }
-                cx.trace(
-                    "rf.link_configured",
-                    format!("{:#x}:{} <-> {:#x}:{}", a.0, a.1, b.0, b.1),
-                );
                 // Rewrite both VMs' configuration files.
                 self.push_configs(cx, a.0);
                 self.push_configs(cx, b.0);
@@ -169,15 +158,9 @@ impl ControlApp for VmLifecycleApp {
 
     fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
         let now = cx.now();
-        let newly_green = cx.state.switches.get_mut(&dpid).is_some_and(|rec| {
-            rec.configured_at.is_none() && {
-                rec.configured_at = Some(now);
-                true
-            }
-        });
-        if newly_green {
+        if let Some(rec) = cx.state.switches.get_mut(&dpid) {
             // The GUI's red → green transition.
-            cx.trace("rf.switch_configured", format!("dpid {dpid:#x}"));
+            rec.configured_at.get_or_insert(now);
         }
         self.push_configs(cx, dpid);
         // The creation pipeline retires this dpid and tops back up.

@@ -29,7 +29,6 @@ use rf_topo::Topology;
 use rf_vnet::VmAgent;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::time::Duration;
 
 /// What the checker needs to know about the cell beyond the scenario
 /// itself.
@@ -436,15 +435,10 @@ fn neighbor_state_name(s: &rf_routed::ospf::NeighborState) -> &'static str {
     }
 }
 
-/// How much slack a chaos cell gets after its last disturbance heals:
-/// worst-case OSPF dead-interval expiry plus SPF/flow propagation.
-pub fn chaos_settle(ospf_dead: u16) -> Duration {
-    Duration::from_secs(u64::from(ospf_dead) * 2 + 20)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn surviving_state_replay_honors_order_and_healing() {

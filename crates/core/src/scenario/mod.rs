@@ -117,7 +117,7 @@ pub struct ScenarioConfig {
     pub channel_capacity: Option<usize>,
     /// What a full bounded channel does with overflow.
     pub overflow: OverflowPolicy,
-    /// Trace verbosity.
+    /// Whether counters count.
     pub trace_level: rf_sim::TraceLevel,
 }
 
@@ -485,26 +485,10 @@ impl Agent for ChaosAgent {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match &self.ops[token as usize].1 {
-            ChaosOp::Kill(agent) => {
-                let agent = *agent;
-                ctx.trace("chaos.kill", format!("{agent}"));
-                ctx.kill(agent);
-            }
-            ChaosOp::Revive(agent, fresh) => {
-                let (agent, fresh) = (*agent, fresh.clone());
-                ctx.trace("chaos.revive", format!("{agent}"));
-                ctx.revive(agent, fresh);
-            }
-            ChaosOp::SetLink(link, up) => {
-                let (link, up) = (*link, *up);
-                ctx.trace("chaos.link", format!("link {} -> {}", link.0, up));
-                ctx.set_link_up(link, up);
-            }
-            ChaosOp::SetLinkLoss(link, pct) => {
-                let (link, pct) = (*link, *pct);
-                ctx.trace("chaos.loss", format!("link {} -> {pct}% loss", link.0));
-                ctx.set_link_loss(link, pct);
-            }
+            ChaosOp::Kill(agent) => ctx.kill(*agent),
+            ChaosOp::Revive(agent, fresh) => ctx.revive(*agent, fresh.clone()),
+            ChaosOp::SetLink(link, up) => ctx.set_link_up(*link, *up),
+            ChaosOp::SetLinkLoss(link, pct) => ctx.set_link_loss(*link, *pct),
         }
     }
 }
@@ -622,7 +606,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Trace verbosity (default `Info`).
+    /// Whether counters count (default `Info`: they do).
     pub fn trace_level(mut self, level: rf_sim::TraceLevel) -> Self {
         self.cfg.trace_level = level;
         self
@@ -635,14 +619,6 @@ impl ScenarioBuilder {
             node,
             subnet: subnet.parse().expect("valid subnet"),
         });
-        self
-    }
-
-    /// Attach several hosts at once.
-    pub fn with_hosts<'a>(mut self, hosts: impl IntoIterator<Item = (usize, &'a str)>) -> Self {
-        for (node, subnet) in hosts {
-            self = self.with_host(node, subnet);
-        }
         self
     }
 
@@ -672,12 +648,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Register several extra apps.
-    pub fn with_apps(mut self, apps: impl IntoIterator<Item = Box<dyn ControlApp>>) -> Self {
-        self.extra_apps.extend(apps);
-        self
-    }
-
     /// Assemble the world: switches → FlowVisor → topology controller +
     /// RF-controller (RPC client in between), physical links, host
     /// slots, workload agents and the fault schedule.
@@ -695,7 +665,6 @@ impl ScenarioBuilder {
         // 10.(200+k).(2k)/((2k)+1) scheme; fan-ins extend the third
         // octet past it (the overlap assertion below catches any
         // pathological combination).
-        let user_hosts = cfg.hosts.len();
         let mut workload_slots: Vec<Vec<usize>> = Vec::new(); // per workload: host-slot indices
         for (k, w) in workloads.iter().enumerate() {
             let nodes = w.endpoint_nodes();
@@ -954,7 +923,6 @@ impl ScenarioBuilder {
             phys_links,
             host_slots,
             expected_switches: n,
-            user_hosts,
             workload_handles,
             chaos,
             last_parallel: None,
@@ -1227,8 +1195,6 @@ pub struct Scenario {
     pub host_slots: Vec<HostSlot>,
     /// Number of switches in the topology.
     pub expected_switches: usize,
-    /// How many of `host_slots` were declared via `with_host`.
-    user_hosts: usize,
     workload_handles: Vec<WorkloadHandle>,
     /// The always-present fault scheduler (possibly with an empty
     /// schedule); the fork path injects faults into it.
@@ -1323,23 +1289,11 @@ impl Scenario {
         ScenarioBuilder::from_config(ScenarioConfig::new(topology))
     }
 
-    /// Start building a scenario on a typed topology spec — anything
-    /// convertible into an [`rf_topo::TopoSpec`]. Building a spec is
-    /// infallible; parse names with `str::parse::<TopoSpec>()` first.
-    pub fn on_spec(spec: impl Into<rf_topo::TopoSpec>) -> ScenarioBuilder {
-        Scenario::on(spec.into().build())
-    }
-
     /// The control-plane engine (state, app list, counters).
     pub fn controller(&self) -> &ControlPlane {
         self.sim
             .agent_as::<ControlPlane>(self.rf_ctrl)
             .expect("controller agent alive")
-    }
-
-    /// Host slots declared via `with_host` (excludes workload slots).
-    pub fn user_host_slots(&self) -> &[HostSlot] {
-        &self.host_slots[..self.user_hosts]
     }
 
     /// Run until simulated time `t`.

@@ -137,16 +137,6 @@ impl TrafficSpec {
         self.start_at + self.duration
     }
 
-    /// A short stable tag for matrix cell keys (`rr`/`incast`/...).
-    pub fn shape_tag(&self) -> &'static str {
-        match self.shape {
-            TrafficShape::RequestResponse { .. } => "rr",
-            TrafficShape::Incast { .. } => "incast",
-            TrafficShape::Multicast { .. } => "mcast",
-            TrafficShape::CbrMix { .. } => "cbr",
-        }
-    }
-
     /// Place the shape's endpoints on `topo` and produce a validated
     /// [`TrafficConfig`].
     pub fn instantiate(&self, topo: &Topology) -> Result<TrafficConfig, WorkloadError> {

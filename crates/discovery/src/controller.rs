@@ -174,10 +174,7 @@ impl TopologyController {
 
     fn handle_link_up(&mut self, ctx: &mut Ctx<'_>, link: UndirectedLink) {
         let Some(subnet) = self.alloc.alloc() else {
-            ctx.trace(
-                "topo.alloc_exhausted",
-                format!("no subnet left for {link:?}"),
-            );
+            ctx.count("topo.alloc_exhausted", 1);
             return;
         };
         // Deterministic assignment: canonical endpoint `a` (lower
@@ -186,13 +183,6 @@ impl TopologyController {
         let ip_b = subnet.nth(2).expect("/30 has host addrs");
         self.subnets.insert(link, subnet);
         self.events.push(DiscoveryEvent::LinkUp { link, subnet });
-        ctx.trace(
-            "topo.link_up",
-            format!(
-                "{:?}:{} <-> {:?}:{} subnet {subnet}",
-                link.a.0, link.a.1, link.b.0, link.b.1
-            ),
-        );
         self.emit_rpc(
             ctx,
             RpcRequest::LinkDetected {
@@ -212,7 +202,6 @@ impl TopologyController {
             self.alloc.release(subnet);
         }
         self.events.push(DiscoveryEvent::LinkDown { link });
-        ctx.trace("topo.link_down", format!("{link:?}"));
         self.emit_rpc(
             ctx,
             RpcRequest::LinkRemoved {
@@ -255,10 +244,6 @@ impl TopologyController {
                     }],
                 };
                 ctx.conn_send(conn, punt.encode(xid));
-                ctx.trace(
-                    "topo.switch_join",
-                    format!("dpid {:#x} with {num_ports} ports", f.datapath_id),
-                );
                 self.events.push(DiscoveryEvent::SwitchJoin {
                     dpid: f.datapath_id,
                     num_ports,
@@ -472,14 +457,9 @@ impl Agent for TopologyController {
                         }
                         self.events.push(DiscoveryEvent::SwitchLeave { dpid });
                         self.emit_rpc(ctx, RpcRequest::SwitchRemoved { dpid });
-                        ctx.trace("topo.switch_leave", format!("dpid {dpid:#x}"));
                     }
                 }
             }
         }
     }
 }
-
-/// Placeholder to silence unused-import warnings in minimal builds.
-#[allow(dead_code)]
-fn _use(_b: Bytes) {}

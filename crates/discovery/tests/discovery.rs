@@ -227,3 +227,34 @@ fn each_request_goes_to_the_relay_once_per_connection() {
         vec![(1..=8).collect::<Vec<u64>>(), (3..=8).collect()]
     );
 }
+
+#[test]
+fn exhausted_range_counts_and_announces_no_link() {
+    // One /30 for a ring of four links: the first link discovered gets
+    // it, the other three find the pool empty.
+    let topo = ring(4);
+    let relay_id = rf_sim::AgentId(1 + topo.node_count());
+    let one_block = TopologyControllerConfig::new("172.31.0.0/30".parse().unwrap());
+    let (mut sim, tc) = build(&topo, one_block.with_rpc_client(relay_id));
+    let relay = sim.add_agent(
+        "rpc-client",
+        Box::new(PickyRelay {
+            drop_first_at: Duration::from_secs(60),
+            conns: Vec::new(),
+        }),
+    );
+    assert_eq!(relay, relay_id);
+    sim.run_until(Time::from_secs(5));
+
+    assert_eq!(sim.tracer().counter("topo.alloc_exhausted"), 3);
+    let t = sim.agent_as::<TopologyController>(tc).unwrap();
+    let ups = t
+        .events
+        .iter()
+        .filter(|e| matches!(e, DiscoveryEvent::LinkUp { .. }))
+        .count();
+    assert_eq!(ups, 1);
+    // 4 SwitchDetected + 1 LinkDetected: no RPC for the other three.
+    let (_, _, ids) = &sim.agent_as::<PickyRelay>(relay).unwrap().conns[0];
+    assert_eq!(*ids, (1..=5).collect::<Vec<u64>>());
+}

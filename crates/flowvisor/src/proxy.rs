@@ -248,10 +248,6 @@ impl FlowVisor {
                 if let Some((s, slice, orig)) = self.take_xid(xid) {
                     if slice == FV_SELF {
                         // Our own handshake: cache and bring up slices.
-                        ctx.trace_debug(
-                            "fv.features",
-                            format!("cached features of dpid {:#x}", f.datapath_id),
-                        );
                         self.switches[s].features = Some(f);
                         self.dial_upstreams(ctx, s);
                         self.flush_pending_features(ctx, s);

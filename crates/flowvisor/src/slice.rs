@@ -43,16 +43,6 @@ impl SlicePolicy {
         }
     }
 
-    /// Slice owning everything (used by the FlowVisor-bypass ablation).
-    pub fn full_slice(name: &str, controller: AgentId, service: u16) -> SlicePolicy {
-        SlicePolicy {
-            name: name.into(),
-            controller,
-            service,
-            flowspace: vec![OfMatch::any()],
-        }
-    }
-
     /// Does a packet belong to this slice?
     pub fn owns_packet(&self, key: &PacketKey) -> bool {
         self.flowspace.iter().any(|m| m.matches(key))

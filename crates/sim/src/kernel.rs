@@ -128,7 +128,7 @@ pub trait Agent: Any + Send + CloneAgent {
 pub struct SimConfig {
     /// Seed for the simulation's single RNG.
     pub seed: u64,
-    /// Trace verbosity.
+    /// Whether counters count.
     pub trace_level: TraceLevel,
     /// Hard stop: `run` never advances past this time.
     pub max_time: Option<Time>,
@@ -255,20 +255,6 @@ impl Inner {
             row.resize(end.port as usize + 1, NO_LINK);
         }
         &mut row[end.port as usize]
-    }
-
-    fn name(&self, id: AgentId) -> &str {
-        self.names.get(id.0).map(|s| s.as_str()).unwrap_or("?")
-    }
-
-    fn emit(&mut self, level: TraceLevel, source: AgentId, kind: &str, detail: String) {
-        // Same filter the tracer applies — checked here first so a
-        // filtered event never pays for the source-name copy.
-        if level == TraceLevel::Off || level > self.tracer.level() {
-            return;
-        }
-        let src = self.name(source).to_string();
-        self.tracer.emit(self.now, level, &src, kind, detail);
     }
 
     fn send_frame_from(&mut self, from: AgentId, port: u32, frame: Bytes) {
@@ -490,11 +476,6 @@ impl<'a> Ctx<'a> {
         self.id
     }
 
-    /// This agent's registered name.
-    pub fn self_name(&self) -> &str {
-        self.inner.name(self.id)
-    }
-
     /// Fire `on_timer(token)` after `delay`.
     pub fn schedule(&mut self, delay: Duration, token: u64) {
         let at = self.inner.now + delay;
@@ -627,18 +608,6 @@ impl<'a> Ctx<'a> {
         &mut self.inner.rng
     }
 
-    /// Emit an info-level trace event attributed to this agent.
-    pub fn trace(&mut self, kind: &str, detail: impl Into<String>) {
-        self.inner
-            .emit(TraceLevel::Info, self.id, kind, detail.into());
-    }
-
-    /// Emit a debug-level trace event attributed to this agent.
-    pub fn trace_debug(&mut self, kind: &str, detail: impl Into<String>) {
-        self.inner
-            .emit(TraceLevel::Debug, self.id, kind, detail.into());
-    }
-
     /// Increment a named metric counter.
     pub fn count(&mut self, name: &str, delta: u64) {
         self.inner.tracer.count(name, delta);
@@ -755,10 +724,6 @@ impl Sim {
         &self.inner.tracer
     }
 
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.inner.tracer
-    }
-
     /// Borrow an agent by concrete type (returns `None` on wrong type or
     /// dead agent). Intended for test assertions and result harvesting.
     pub fn agent_as<T: Agent>(&self, id: AgentId) -> Option<&T> {
@@ -774,7 +739,7 @@ impl Sim {
 
     /// Name of an agent.
     pub fn agent_name(&self, id: AgentId) -> &str {
-        self.inner.name(id)
+        self.inner.names.get(id.0).map_or("?", |s| s.as_str())
     }
 
     /// Number of live agents.
@@ -1395,9 +1360,8 @@ mod tests {
 
     #[test]
     fn counters_identical_across_counting_levels() {
-        // Verbosity chooses which *events* are stored; the counters
-        // must say exactly the same thing at every counting level —
-        // and stay untouched at Off (the release-sweep fast path).
+        // Info counts the kernel's slots; Off (the release-sweep fast
+        // path) leaves them untouched.
         fn counters_at(level: TraceLevel) -> std::collections::BTreeMap<String, u64> {
             let mut sim = Sim::new(SimConfig {
                 trace_level: level,
@@ -1431,11 +1395,7 @@ mod tests {
             sim.tracer().counters()
         }
         let info = counters_at(TraceLevel::Info);
-        let debug = counters_at(TraceLevel::Debug);
-        let trace = counters_at(TraceLevel::Trace);
         assert!(info.contains_key("link.tx_frames"), "{info:?}");
-        assert_eq!(info, debug);
-        assert_eq!(debug, trace);
         assert!(counters_at(TraceLevel::Off).is_empty());
     }
 

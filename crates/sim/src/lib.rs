@@ -39,7 +39,7 @@
 //!     }
 //!     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
 //!         assert_eq!(token, 7);
-//!         ctx.trace("echo", "timer fired");
+//!         ctx.count("echo.fired", 1);
 //!     }
 //! }
 //!
@@ -47,6 +47,7 @@
 //! sim.add_agent("echo", Box::new(Echo));
 //! sim.run();
 //! assert_eq!(sim.now().as_secs_f64(), 1.0);
+//! assert_eq!(sim.tracer().counter("echo.fired"), 1);
 //! ```
 
 pub mod kernel;
@@ -60,7 +61,7 @@ pub use kernel::{
 };
 pub use link::{FaultProfile, LinkProfile};
 pub use time::Time;
-pub use trace::{KernelCounter, TraceEvent, TraceLevel, Tracer};
+pub use trace::{KernelCounter, TraceLevel, Tracer};
 
 /// Inert stub. `rfbench/src/adapter.rs` (benchmark-owned, not editable
 /// outside a `[benchmark]` PR) compiles against this enum, a setter on

@@ -1,25 +1,20 @@
-//! Structured tracing and metric counters for simulations.
+//! Metric counters for simulations.
 //!
-//! The GUI timeline (red/green switch states in the paper's demo), the
-//! experiment harnesses and the integration tests all consume the trace
-//! stream; counters feed the benchmark reports.
+//! A [`Tracer`] holds the kernel's hot-path slots ([`KernelCounter`])
+//! and the agents' named counters ([`Ctx::count`](crate::Ctx::count)),
+//! read back through [`Tracer::counters`] — and nothing else. What
+//! happened *when* is typed state the agents keep.
 
-use crate::time::Time;
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// Verbosity filter for the tracer.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
+/// Whether the tracer counts.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TraceLevel {
-    /// Record nothing.
+    /// Count nothing.
     Off,
-    /// Milestones only: agent lifecycle, configuration completions.
+    /// Count everything, exactly.
     #[default]
     Info,
-    /// Per-message events (PACKET_IN, FLOW_MOD, RPC calls).
-    Debug,
-    /// Per-frame dataplane events. Very verbose.
-    Trace,
 }
 
 /// The kernel's hot-path counters, as dense array slots.
@@ -95,60 +90,25 @@ impl KernelCounter {
     }
 }
 
-/// A single trace record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub at: Time,
-    pub level: TraceLevel,
-    /// Name of the agent that emitted the event (or "sim" for the kernel).
-    pub source: String,
-    /// Event category, e.g. `"of.packet_in"`, `"rpc.call"`, `"vm.created"`.
-    pub kind: String,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{:>10}] {:<18} {:<22} {}",
-            self.at.to_string(),
-            self.source,
-            self.kind,
-            self.detail
-        )
-    }
-}
-
-/// Event sink plus named monotonic counters.
+/// Named monotonic counters.
 ///
 /// Counting is gated on the trace level: at [`TraceLevel::Off`] (the
 /// release-sweep setting) both the kernel slots and the named map are
-/// frozen, so the hot path pays one branch and nothing else. At every
-/// counting level the values are exact and identical — verbosity only
-/// changes which *events* are stored, never what the counters say.
+/// frozen, so the hot path pays one branch and nothing else; at
+/// [`TraceLevel::Info`] the values are exact.
 #[derive(Clone, Default)]
 pub struct Tracer {
     level: TraceLevel,
-    events: Vec<TraceEvent>,
     counters: BTreeMap<String, u64>,
     /// Dense slots for [`KernelCounter`] (no hashing on the hot path).
     kernel: [u64; KernelCounter::COUNT],
-    /// Cap on stored events; older events are dropped beyond this.
-    capacity: usize,
-    dropped: u64,
 }
 
 impl Tracer {
     pub fn new(level: TraceLevel) -> Self {
         Tracer {
             level,
-            events: Vec::new(),
-            counters: BTreeMap::new(),
-            kernel: [0; KernelCounter::COUNT],
-            capacity: 1_000_000,
-            dropped: 0,
+            ..Tracer::default()
         }
     }
 
@@ -156,36 +116,8 @@ impl Tracer {
         self.level
     }
 
-    pub fn set_level(&mut self, level: TraceLevel) {
-        self.level = level;
-    }
-
-    /// Limit stored events (counters are unaffected).
-    pub fn set_capacity(&mut self, cap: usize) {
-        self.capacity = cap;
-    }
-
-    /// Record an event if `level` passes the filter.
-    pub fn emit(&mut self, at: Time, level: TraceLevel, source: &str, kind: &str, detail: String) {
-        if level == TraceLevel::Off || level > self.level {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(TraceEvent {
-            at,
-            level,
-            source: source.to_string(),
-            kind: kind.to_string(),
-            detail,
-        });
-    }
-
     /// Increment a named counter. Gated on the level: `Off` counts
-    /// nothing (the release-sweep fast path); every other level counts
-    /// exactly.
+    /// nothing (the release-sweep fast path), `Info` counts exactly.
     pub fn count(&mut self, name: &str, delta: u64) {
         if self.level == TraceLevel::Off {
             return;
@@ -230,63 +162,11 @@ impl Tracer {
         }
         all
     }
-
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events whose `kind` starts with `prefix`.
-    pub fn events_with_kind<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.kind.starts_with(prefix))
-    }
-
-    /// Time of the first event matching `prefix`, if any.
-    pub fn first_time_of(&self, prefix: &str) -> Option<Time> {
-        self.events_with_kind(prefix).next().map(|e| e.at)
-    }
-
-    /// Time of the last event matching `prefix`, if any.
-    pub fn last_time_of(&self, prefix: &str) -> Option<Time> {
-        self.events_with_kind(prefix).last().map(|e| e.at)
-    }
-
-    /// Number of events silently dropped after hitting capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(tr: &mut Tracer, s: u64, kind: &str) {
-        tr.emit(
-            Time::from_secs(s),
-            TraceLevel::Info,
-            "t",
-            kind,
-            String::new(),
-        );
-    }
-
-    #[test]
-    fn level_filtering() {
-        let mut tr = Tracer::new(TraceLevel::Info);
-        tr.emit(Time::ZERO, TraceLevel::Debug, "a", "x", "hidden".into());
-        tr.emit(Time::ZERO, TraceLevel::Info, "a", "y", "shown".into());
-        assert_eq!(tr.events().len(), 1);
-        assert_eq!(tr.events()[0].kind, "y");
-    }
-
-    #[test]
-    fn off_records_nothing() {
-        let mut tr = Tracer::new(TraceLevel::Off);
-        tr.emit(Time::ZERO, TraceLevel::Info, "a", "x", String::new());
-        assert!(tr.events().is_empty());
-    }
 
     #[test]
     fn counters_accumulate() {
@@ -329,42 +209,5 @@ mod tests {
             assert_eq!(KernelCounter::from_name(slot.name()), Some(slot));
         }
         assert_eq!(KernelCounter::from_name("link.unknown"), None);
-    }
-
-    #[test]
-    fn kind_prefix_query() {
-        let mut tr = Tracer::new(TraceLevel::Info);
-        ev(&mut tr, 1, "vm.created");
-        ev(&mut tr, 2, "vm.configured");
-        ev(&mut tr, 3, "of.packet_in");
-        assert_eq!(tr.events_with_kind("vm.").count(), 2);
-        assert_eq!(tr.first_time_of("vm."), Some(Time::from_secs(1)));
-        assert_eq!(tr.last_time_of("vm."), Some(Time::from_secs(2)));
-        assert_eq!(tr.first_time_of("bgp."), None);
-    }
-
-    #[test]
-    fn capacity_drops_excess() {
-        let mut tr = Tracer::new(TraceLevel::Info);
-        tr.set_capacity(2);
-        ev(&mut tr, 1, "a");
-        ev(&mut tr, 2, "b");
-        ev(&mut tr, 3, "c");
-        assert_eq!(tr.events().len(), 2);
-        assert_eq!(tr.dropped(), 1);
-    }
-
-    #[test]
-    fn display_renders() {
-        let e = TraceEvent {
-            at: Time::from_millis(1500),
-            level: TraceLevel::Info,
-            source: "sw1".into(),
-            kind: "of.hello".into(),
-            detail: "v1".into(),
-        };
-        let s = e.to_string();
-        assert!(s.contains("1.500s"));
-        assert!(s.contains("of.hello"));
     }
 }

@@ -455,7 +455,6 @@ impl OpenFlowSwitch {
         match msg {
             OfMessage::Hello => {
                 self.ctrls[idx].state = ConnState::Ready;
-                ctx.trace_debug("of.hello", "control channel ready");
             }
             OfMessage::EchoRequest(data) => {
                 self.send_to(ctx, idx, OfMessage::EchoReply(data), xid);
@@ -717,7 +716,6 @@ impl Agent for OpenFlowSwitch {
                 }
             }
             StreamEvent::Closed => {
-                ctx.trace("of.disconnected", "control channel lost; will reconnect");
                 self.ctrls[idx].conn = None;
                 self.ctrls[idx].state = ConnState::Disconnected;
                 ctx.schedule(self.cfg.reconnect_backoff, T_RECONNECT_BASE + idx as u64);

@@ -26,4 +26,4 @@ pub mod rfproto;
 pub mod vm;
 
 pub use rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
-pub use vm::{VmAgent, VmConfigHandle};
+pub use vm::VmAgent;

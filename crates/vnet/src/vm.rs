@@ -65,10 +65,6 @@ pub struct VmAgent {
     pub routes_withdrawn: u64,
 }
 
-/// Placeholder handle kept for API stability (configuration flows over
-/// the RFClient channel; direct handles are not needed).
-pub struct VmConfigHandle;
-
 impl VmAgent {
     pub fn new(dpid: u64, rf_server: AgentId, boot_delay: Duration) -> VmAgent {
         VmAgent {
@@ -192,11 +188,11 @@ impl VmAgent {
 
     fn apply_configs(&mut self, ctx: &mut Ctx<'_>, zebra: &str, ospf_text: &str) {
         let Ok(zcfg) = ZebraConfig::parse(zebra) else {
-            ctx.trace("vm.bad_config", "unparseable zebra.conf");
+            ctx.count("vm.bad_config", 1);
             return;
         };
         let Ok(ocfg) = OspfConfig::parse(ospf_text) else {
-            ctx.trace("vm.bad_config", "unparseable ospfd.conf");
+            ctx.count("vm.bad_config", 1);
             return;
         };
         // Desired interface set from zebra.conf ("ethN" → N).
@@ -225,10 +221,6 @@ impl VmAgent {
                 .collect();
             self.push_rib_changes(ctx, changes);
             self.process_ospf_events(ctx, ev);
-            ctx.trace(
-                "vm.configured",
-                format!("dpid {:#x}: {} interfaces", self.dpid, self.ifaces.len()),
-            );
             return;
         }
         // Incremental reconfiguration: diff interfaces.
@@ -341,9 +333,7 @@ impl Agent for VmAgent {
         }
         match event {
             StreamEvent::Opened { .. } => {
-                let dpid = self.dpid;
-                self.send_rf(ctx, RfMessage::Booted { dpid });
-                ctx.trace("vm.booted", format!("dpid {dpid:#x}"));
+                self.send_rf(ctx, RfMessage::Booted { dpid: self.dpid });
             }
             StreamEvent::Data(data) => {
                 self.reader.push_bytes(data);

@@ -172,6 +172,45 @@ fn instrumented_sweep_matches_plain_run_and_counts_events() {
 }
 
 #[test]
+fn counting_never_feeds_back_into_behaviour() {
+    // The sweep runs at TraceLevel::Off, the benchmark's traced pass at
+    // Info. A faulted ping cell and a packet-traffic cell must report
+    // the same record and dispatch the same events either way.
+    let spec = MatrixSpec {
+        schedules: vec![FaultSchedule::link_flap(
+            0,
+            Duration::from_secs(12),
+            Duration::from_secs(4),
+            1,
+        )],
+        knobs: vec![
+            MatrixKnob::fast("fast"),
+            MatrixKnob::fast("fast-poisson").with_traffic(
+                TrafficSpec::poisson(2, 3.0, FlowSize::fixed(30_000))
+                    .window(Duration::from_secs(10), Duration::from_secs(8)),
+            ),
+        ],
+        ..tiny_spec()
+    };
+    let matrix = ScenarioMatrix::new(spec);
+    let at = |level: rf_sim::TraceLevel| {
+        let (report, stats) = matrix.run_instrumented(2, |cell| {
+            ScenarioMatrix::standard_builder(cell).map(|b| b.trace_level(level))
+        });
+        let events: Vec<u64> = stats.cells.iter().map(|c| c.events).collect();
+        (report.cells, events)
+    };
+    let (off_cells, off_events) = at(rf_sim::TraceLevel::Off);
+    let (info_cells, info_events) = at(rf_sim::TraceLevel::Info);
+    assert_eq!(off_cells.len(), 2);
+    for cell in &off_cells {
+        assert!(cell.metrics.contains_key("all_configured_ns"), "{cell:?}");
+    }
+    assert_eq!(off_cells, info_cells);
+    assert_eq!(off_events, info_events);
+}
+
+#[test]
 fn matrix_cell_order_is_sorted_not_completion_order() {
     // With more workers than cells, completion order is scheduler
     // noise; the report must come out keyed and sorted regardless. The
