@@ -20,6 +20,8 @@
 //! * [`ping::Pinger`] — ICMP echo round-trip probing for the
 //!   quickstart example and reachability assertions in tests.
 
+#![forbid(unsafe_code)]
+
 pub mod ping;
 pub mod stack;
 pub mod video;

@@ -5,6 +5,8 @@
 //! "Examples" section lists the binaries; wall-clock numbers are
 //! `rfbench`'s (README § Performance).
 
+#![forbid(unsafe_code)]
+
 use rf_core::manual::ManualConfigModel;
 use rf_core::scenario::{CellRecord, MatrixReport};
 use std::process::ExitCode;

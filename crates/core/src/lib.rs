@@ -40,6 +40,8 @@
 //! assert_eq!(sc.finish().configured_switches, 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod chaos;
 pub mod json;

@@ -22,6 +22,8 @@
 //! link losses emit the corresponding teardown messages and return the
 //! subnet to the pool.
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod controller;
 pub mod linkdb;

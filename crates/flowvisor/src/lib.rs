@@ -30,6 +30,8 @@
 //! virtual port remapping, no slice admin API — the demo framework
 //! uses none of these.
 
+#![forbid(unsafe_code)]
+
 pub mod proxy;
 pub mod slice;
 

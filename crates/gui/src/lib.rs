@@ -12,6 +12,8 @@
 //! green (`●` configured), plus an event timeline. A monochrome mode
 //! keeps CI logs readable.
 
+#![forbid(unsafe_code)]
+
 use rf_topo::Topology;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -25,6 +25,8 @@
 //! `QUEUE_GET_CONFIG`, vendor extensions beyond an opaque passthrough,
 //! and the emergency flow cache.
 
+#![forbid(unsafe_code)]
+
 pub mod actions;
 pub mod codec;
 pub mod flow_match;

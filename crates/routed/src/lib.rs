@@ -25,6 +25,8 @@
 //! NBMA, authentication, virtual links; BGP route exchange (only
 //! `bgpd.conf` generation and a session FSM stub).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod ospf;
 pub mod rib;

@@ -22,6 +22,8 @@
 //! * [`server::RpcServerEndpoint`] — the embeddable server half used by
 //!   the RF-controller: decodes requests, deduplicates, produces acks.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod codec;
 pub mod msg;

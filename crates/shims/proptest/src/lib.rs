@@ -4,6 +4,8 @@
 //! panics with its iteration seed so it can be replayed by reading the
 //! test output).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::marker::PhantomData;

@@ -4,6 +4,8 @@
 //! the simulator relies on; statistical quality is secondary, and
 //! splitmix64 passes the bar for fault injection and random topologies.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Raw generator interface.

@@ -50,6 +50,8 @@
 //! assert_eq!(sim.tracer().counter("echo.fired"), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod kernel;
 pub mod link;
 pub mod queue;

@@ -118,11 +118,17 @@ impl Tracer {
 
     /// Increment a named counter. Gated on the level: `Off` counts
     /// nothing (the release-sweep fast path), `Info` counts exactly.
+    /// Only a name's first increment allocates its key.
     pub fn count(&mut self, name: &str, delta: u64) {
         if self.level == TraceLevel::Off {
             return;
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Increment a kernel counter slot — a bounds-check-free array add,

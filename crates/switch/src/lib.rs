@@ -18,6 +18,8 @@
 //! * rewrites frames per the OF 1.0 action set ([`datapath`]),
 //!   recomputing IPv4/UDP checksums on header rewrites.
 
+#![forbid(unsafe_code)]
+
 pub mod datapath;
 pub mod flow_table;
 pub mod switch;

@@ -19,6 +19,8 @@
 //!   typed, name-round-tripping specification API ([`spec::TopoSpec`])
 //!   that reaches every family above.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod generators;
 pub mod graph;

@@ -22,6 +22,8 @@
 //!   `RouteAdd`/`RouteDel`, which RouteFlow translates into flow
 //!   entries on the mirrored physical switch.
 
+#![forbid(unsafe_code)]
+
 pub mod rfproto;
 pub mod vm;
 

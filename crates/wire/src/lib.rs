@@ -31,6 +31,8 @@
 //! filled in), and every format has encode/decode round-trip tests plus
 //! property-based fuzzing against arbitrary byte soup.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod arp;
 pub mod ethernet;

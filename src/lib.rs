@@ -53,6 +53,8 @@
 //! see [`Scenario::snapshot`](core::scenario::Scenario::snapshot) and
 //! the README's "Checkpoint + fork" section.
 
+#![forbid(unsafe_code)]
+
 pub use rf_apps as apps;
 pub use rf_core as core;
 pub use rf_discovery as discovery;

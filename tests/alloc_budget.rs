@@ -6,14 +6,17 @@
 //! nothing; an OpenFlow message that is only forwarded is patched
 //! where it lies — an LLDP probe's round trip allocates for the two
 //! messages that are new, a reply through FlowVisor for nothing.
-//! Counts, not timings, so they hold on any host — and fail the day
-//! someone adds a per-hop, per-layer, per-LSA or per-proxy copy.
+//! Underneath all of them, a buffer is one block: building a sized
+//! `BytesMut` and freezing it is one allocation, and an empty buffer,
+//! a slice or a freeze is none. Counts, not timings, so they hold on
+//! any host — and fail the day someone adds a per-hop, per-layer,
+//! per-LSA or per-proxy copy, or a second box per buffer.
 //!
 //! Its own test binary: the counting allocator below is this process's
 //! `#[global_allocator]` and affects nothing else. Counters are
 //! per-thread, so the tests here may run in parallel.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use rf_apps::{HostConfig, HostStack, Received};
 use rf_core::traffic::packet::TrafficHost;
 use rf_discovery::{TopologyController, TopologyControllerConfig};
@@ -25,7 +28,9 @@ use rf_openflow::{
 use rf_routed::config::OspfConfig;
 use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
 use rf_routed::ospf::{OspfDaemon, OspfEvent, OspfPacket, OspfPacketBody};
-use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time};
+use rf_sim::{
+    Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time, TraceLevel, Tracer,
+};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_vnet::vm::ospf_frame;
 use rf_wire::{
@@ -46,6 +51,7 @@ thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     static BIG_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static REALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -75,6 +81,9 @@ unsafe impl GlobalAlloc for Counting {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        if ARMED.with(Cell::get) {
+            REALLOCATIONS.with(|c| c.set(c.get() + 1));
+        }
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -88,10 +97,12 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// `(allocations, allocations of at least BIG bytes)` made by `f` on
-/// this thread.
+/// this thread. A `realloc` counts as an allocation; how many of them
+/// there were is [`reallocations`].
 fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
     ALLOCATIONS.with(|c| c.set(0));
     BIG_ALLOCATIONS.with(|c| c.set(0));
+    REALLOCATIONS.with(|c| c.set(0));
     ARMED.with(|a| a.set(true));
     let r = f();
     ARMED.with(|a| a.set(false));
@@ -100,6 +111,11 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
         ALLOCATIONS.with(Cell::get),
         BIG_ALLOCATIONS.with(Cell::get),
     )
+}
+
+/// The `realloc`s among the last [`counted`] call's allocations.
+fn reallocations() -> usize {
+    REALLOCATIONS.with(Cell::get)
 }
 
 const HOST_A: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
@@ -276,8 +292,7 @@ fn a_classification_allocates_nothing_at_any_depth() {
 }
 
 /// Taking a uniquely owned buffer back for writing and freezing it
-/// again is free: the storage goes back into the handle it left (1
-/// when `freeze` boxed a new handle).
+/// again is free: the block changes hands, nothing is boxed or copied.
 #[test]
 fn patching_an_owned_buffer_allocates_nothing() {
     let frame = data_frame();
@@ -293,6 +308,66 @@ fn patching_an_owned_buffer_allocates_nothing() {
     assert_eq!(patched.as_ptr(), storage);
     assert_eq!(&patched[..6], MAC_B.as_bytes());
     assert_eq!(&patched[6..], &data_frame()[6..]);
+}
+
+/// The empty buffers share one static block, and a clone, a slice or
+/// a freeze counts or moves a handle to a block that exists: none of
+/// them allocates.
+#[test]
+fn handles_and_empty_buffers_allocate_nothing() {
+    let frame = data_frame();
+    let mut open = BytesMut::with_capacity(64);
+    open.put_slice(&frame[..64]);
+
+    assert_eq!(counted(Bytes::new).1, 0, "Bytes::new");
+    assert_eq!(counted(BytesMut::new).1, 0, "BytesMut::new");
+    assert_eq!(
+        counted(|| Bytes::default().clone()).1,
+        0,
+        "a clone of Bytes::default"
+    );
+    assert_eq!(
+        counted(|| drop(frame.slice(14..34))).1,
+        0,
+        "a slice and its drop"
+    );
+    let (frozen, allocations, _) = counted(|| open.freeze());
+    assert_eq!(allocations, 0, "a freeze");
+    assert_eq!(frozen[..], frame[..64]);
+}
+
+/// A buffer sized up front is its one allocation: filled to exactly
+/// its capacity and frozen, it never grows.
+#[test]
+fn a_sized_buffer_filled_and_frozen_is_one_allocation() {
+    for n in [1, 64, BIG, 9000] {
+        let head = vec![b'h'; n / 2];
+
+        let (frozen, allocations, _) = counted(|| {
+            let mut buf = BytesMut::with_capacity(n);
+            buf.put_slice(&head);
+            buf.put_bytes(b't', n - head.len());
+            buf.freeze()
+        });
+
+        assert_eq!((allocations, reallocations()), (1, 0), "{n} bytes");
+        assert_eq!(frozen.len(), n);
+    }
+}
+
+/// A traced run looks its named counters up by `&str`: only a name's
+/// first increment allocates the key (one `String` per increment when
+/// every call made its key).
+#[test]
+fn a_named_counter_allocates_only_on_its_first_increment() {
+    let mut tracer = Tracer::new(TraceLevel::Info);
+
+    let ((), first, _) = counted(|| tracer.count("x", 1));
+    let ((), second, _) = counted(|| tracer.count("x", 1));
+
+    assert!(first > 0, "the key and its map node");
+    assert_eq!(second, 0, "allocations to count an existing name");
+    assert_eq!(tracer.counters().get("x"), Some(&2));
 }
 
 /// Two 2-port switches, wired port for port, behind a FlowVisor whose
@@ -337,14 +412,14 @@ fn discovery_loop() -> (Sim, AgentId) {
 /// One LLDP probe is five kernel events — controller → FlowVisor →
 /// switch → link → neighbour → FlowVisor → controller — and two new
 /// messages: the PACKET_OUT leaving the controller and the PACKET_IN
-/// leaving the neighbour, each a copy of its template (buffer and
-/// handle). Everything between only passes them on: FlowVisor checks
-/// the payload where it lies and writes the xid into the message it
+/// leaving the neighbour, each a copy of its template in a block of its
+/// own. Everything between only passes them on: FlowVisor checks the
+/// payload where it lies and writes the xid into the message it
 /// received, the switch runs the action off the wire into the list it
-/// keeps. 4 allocations per probe; 10 when every hop decoded the
-/// message into owned lists and copied it to change four bytes (this
-/// round of 4 probes: 23 = 16 + 7 of the kernel's; 48 = 40 + 8 at the
-/// parent commit, same harness).
+/// keeps. 2 allocations per probe; 4 when a buffer was a block and a
+/// box, 10 when every hop decoded the message into owned lists and
+/// copied it to change four bytes (this round of 4 probes: 15 = 8 + 7
+/// of the kernel's; 23 = 16 + 7 and 48 = 40 + 8 before, same harness).
 #[test]
 fn an_lldp_probe_round_trip_allocates_for_two_messages() {
     const PROBES: usize = 4;
@@ -372,9 +447,10 @@ fn an_lldp_probe_round_trip_allocates_for_two_messages() {
     // The seven are the kernel's: a wheel slot's first use, for the
     // five instants the round's messages arrive at and the timers
     // re-armed beside them.
-    assert!(
-        allocations <= 4 * PROBES + 7,
-        "{allocations} allocations for a round of {PROBES} probes"
+    assert_eq!(
+        allocations,
+        2 * PROBES + 7,
+        "allocations for a round of {PROBES} probes"
     );
 }
 
@@ -565,8 +641,8 @@ fn a_sent_datagram_is_one_buffer() {
 
     assert_eq!(sent, Some(data_frame()));
     assert_eq!(big, 1, "payload-sized allocations per sent datagram");
-    // The frame's buffer and its handle: it goes to the sink as built.
-    assert_eq!(allocations, 2, "allocations per sent datagram");
+    // The frame's block: it goes to the sink as built.
+    assert_eq!(allocations, 1, "allocations per sent datagram");
 }
 
 /// A received 1 KiB datagram reaches the application as a slice of the
@@ -588,9 +664,9 @@ fn a_received_datagram_is_a_view_of_its_frame() {
 }
 
 /// A traffic server answering one 64 KiB request sends its 64 frames
-/// straight from the stack to its link: four allocations per frame —
-/// the payload and the frame, buffer and handle each — and no list that
-/// grows with the flow.
+/// straight from the stack to its link: two allocations per frame —
+/// the payload and the frame, one block each (four when each was also
+/// a box) — and no list that grows with the flow.
 #[test]
 fn a_traffic_server_allocates_per_frame_not_per_flow() {
     const FRAMES: usize = 64;
@@ -644,7 +720,7 @@ fn a_traffic_server_allocates_per_frame_not_per_flow() {
     // the collected flow and the request list this was 337 (132).
     assert!(big <= 2 * FRAMES + 2, "{big} payload-sized allocations");
     assert!(
-        allocations <= 4 * FRAMES + 10,
+        allocations <= 2 * FRAMES + 10,
         "{allocations} allocations for a {FRAMES}-frame response"
     );
 }
@@ -769,10 +845,10 @@ fn foreign_update() -> Bytes {
 }
 
 /// A router that learns one new LSA floods it out of its k other
-/// adjacencies as one payload and k frames around it, each frame one
-/// buffer (2 + 2k: a `Bytes` is its storage and its handle). On top:
+/// adjacencies as one payload and k frames around it, each one block
+/// (1 + k; 2 + 2k when a `Bytes` was its storage and a box). On top:
 /// the installed LSA's link list, the event list, and the ack with its
-/// frame — six, whatever k is.
+/// frame — four, whatever k is.
 #[test]
 fn a_flood_is_one_payload_and_a_frame_per_adjacency() {
     for k in [1, 4, 16] {
@@ -783,15 +859,17 @@ fn a_flood_is_one_payload_and_a_frame_per_adjacency() {
 
         assert_eq!(frames, k + 1, "k floods and the ack");
         assert_eq!(star.hub.lsdb_len(), k + 3);
-        assert!(
-            allocations <= 2 + 2 * k + 6,
-            "{allocations} allocations to flood out of {k} adjacencies"
+        assert_eq!(
+            allocations,
+            1 + k + 4,
+            "allocations to flood out of {k} adjacencies"
         );
     }
 }
 
 /// Hearing the same update again costs the ack it is owed — its
-/// payload, its frame, the event list — and nothing else: the LSA is
+/// payload, its frame, the event list (5 when a buffer was a block and
+/// a box) — and nothing else: the LSA is
 /// recognised from its header where it lies, no list of LSAs, links or
 /// headers is built to find that out.
 #[test]
@@ -803,7 +881,7 @@ fn a_duplicate_update_costs_only_its_ack() {
     let (frames, allocations, _) = counted(|| star.hub_hears(&update));
 
     assert_eq!(frames, 1, "the ack");
-    assert_eq!(allocations, 5, "allocations for a duplicate update");
+    assert_eq!(allocations, 3, "allocations for a duplicate update");
 }
 
 /// In steady state a hello round re-sends the packets of the round
@@ -837,9 +915,10 @@ fn a_steady_state_hello_round_encodes_nothing() {
 /// benchmark's knobs: 106 236 allocations over 10 657 kernel events
 /// (9.97 per event) when every OSPF packet was three buffers out and a
 /// tree of `Vec`s in, 46 761 (4.39) once a packet was one buffer out
-/// and a view in, 44 624 (4.19) now that its discovery loop forwards
-/// LLDP probes without copying them. The budget is the last plus 10 %:
-/// 49 086, 4.606 per event — under half of the first.
+/// and a view in, 44 353 (4.16) once its discovery loop forwarded LLDP
+/// probes without copying them, 28 507 (2.67) now that a buffer is one
+/// block and not a block and a box. The budget is the last plus 10 %:
+/// 31 363, 2.943 per event — under a third of the first.
 #[test]
 fn a_cold_start_allocates_half_of_what_it_did() {
     let mut sc = rf_core::scenario::Scenario::on(rf_topo::leaf_spine(4, 8, 0))
@@ -854,7 +933,7 @@ fn a_cold_start_allocates_half_of_what_it_did() {
     assert!(green.is_some(), "all green");
     let events = sc.sim.events_dispatched() as usize;
     assert!(
-        1000 * allocations <= 4_606 * events,
+        1000 * allocations <= 2_943 * events,
         "{allocations} allocations over {events} kernel events"
     );
 }
