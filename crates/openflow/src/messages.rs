@@ -339,7 +339,12 @@ impl OfMessage {
     /// One buffer means one transport write: this is how the controller
     /// coalesces per-switch FLOW_MOD bursts.
     pub fn encode_batch(msgs: &[OfMessage], first_xid: u32) -> Bytes {
-        let mut out = BytesMut::new();
+        // Sized for the whole batch, so no message regrows the buffer.
+        let mut out = BytesMut::with_capacity(
+            msgs.iter()
+                .map(|m| OFP_HEADER_LEN + m.body_size_hint())
+                .sum(),
+        );
         for (i, m) in msgs.iter().enumerate() {
             m.encode_into(&mut out, first_xid.wrapping_add(i as u32));
         }
@@ -908,6 +913,65 @@ mod tests {
         }
         assert_eq!(decoded, msgs);
         assert_eq!(xids, vec![100, 101, 102]);
+    }
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    /// A batch as the encoder that reserved per message wrote it: the
+    /// wire format is pinned byte for byte, one line per message.
+    #[test]
+    fn encode_batch_golden() {
+        let msgs = [
+            OfMessage::FlowMod {
+                of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(172, 31, 1, 0), 24),
+                cookie: 1,
+                command: FlowModCommand::Add,
+                idle_timeout: 0,
+                hard_timeout: 0,
+                priority: 0x1010,
+                buffer_id: crate::OFP_NO_BUFFER,
+                out_port: crate::ports::OFPP_NONE,
+                flags: 0,
+                actions: vec![
+                    Action::SetDlSrc(MacAddr([2, 0, 0, 0, 0, 1])),
+                    Action::SetDlDst(MacAddr([2, 0, 0, 0, 0, 2])),
+                    Action::output(1),
+                ],
+            },
+            OfMessage::FlowMod {
+                of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(172, 31, 2, 0), 24),
+                cookie: 2,
+                command: FlowModCommand::DeleteStrict,
+                idle_timeout: 0,
+                hard_timeout: 0,
+                priority: 0x1010,
+                buffer_id: crate::OFP_NO_BUFFER,
+                out_port: crate::ports::OFPP_NONE,
+                flags: 0,
+                actions: vec![],
+            },
+            OfMessage::PacketOut {
+                buffer_id: crate::OFP_NO_BUFFER,
+                in_port: crate::ports::OFPP_NONE,
+                actions: vec![Action::output(3)],
+                data: Bytes::from_static(b"probe"),
+            },
+            OfMessage::BarrierRequest,
+        ];
+        let want = concat!(
+            "010e00700000006400323fef0000000000000000000000000000ffff00000800",
+            "0000000000000000ac1f01000000000000000000000000010000000000001010",
+            "ffffffffffff0000000400100200000000010000000000000005001002000000",
+            "00020000000000000000000800010000",
+            "010e00480000006500323fef0000000000000000000000000000ffff00000800",
+            "0000000000000000ac1f02000000000000000000000000020004000000001010",
+            "ffffffffffff0000",
+            "010d001d00000066ffffffffffff0008000000080003000070726f6265",
+            "0112000800000067",
+        );
+        assert_eq!(hex(&OfMessage::encode_batch(&msgs, 100)), want);
     }
 
     #[test]

@@ -13,40 +13,56 @@
 //! `BinaryHeap` pays `O(log n)` pointer-chasing for each of them
 //! against the whole future-event set. Instead, the near future — a
 //! `WHEEL_SPAN`-wide window starting at the last dispatched instant —
-//! is a circular array of buckets (`MIN_WHEEL_SLOTS` at first,
-//! doubling on demand up to `MAX_WHEEL_SLOTS`), each covering
-//! 2^`SLOT_NS_SHIFT` ns. Pushing into the window indexes a bucket
-//! directly; popping scans an occupancy bitmap for the first live
-//! bucket. Buckets are `Vec`s sorted lazily (descending) on first
-//! read, so a same-instant burst costs one sort and then O(1) pops
-//! from the back — cheaper than per-entry heap sifting at the burst
-//! sizes this simulation produces. Events beyond the window (OSPF dead
-//! intervals, scheduled faults tens of seconds out) go to an overflow
-//! `BinaryHeap`, which stays small because the hot traffic never
-//! touches it; pops compare the wheel's minimum against the overflow's
-//! and take the smaller, so ordering is *exactly* the `(time, seq)`
-//! total order a single heap would produce (see the equivalence
-//! tests).
+//! is a circular array of `WHEEL_SLOTS` slots, each covering
+//! 2^`SLOT_NS_SHIFT` ns. Pushing into the window indexes a slot
+//! directly; popping scans an occupancy bitmap for the first live slot.
+//! Events beyond the window (OSPF dead intervals, scheduled faults tens
+//! of seconds out) go to an overflow `BinaryHeap`, which stays small
+//! because the hot traffic never touches it; pops compare the wheel's
+//! minimum against the overflow's and take the smaller, so ordering is
+//! *exactly* the `(time, seq)` total order a single heap would produce
+//! (see the equivalence tests).
+//!
+//! **Buckets are kept ascending.** Pushes arrive almost in order: the
+//! sequence number always grows, and a fixed link or channel latency
+//! keeps time order, so nearly every push lands at or after the tail
+//! of its slot's entries. A bucket is a `VecDeque` in ascending
+//! `(time, seq)` order: the in-order push appends, the pop takes the
+//! front, and only a push below the tail clears the bucket's `sorted`
+//! flag, for one sort on its next read.
+//!
+//! **Buckets are pooled, not per slot.** Only a handful of the 8 192
+//! slots are live at once (7–16 on average over the benchmark's
+//! workloads), so a slot is a 4-byte index into a small pool of
+//! buckets. A drained bucket goes back to the pool with its capacity,
+//! and the next slot to open takes it. Memory is the pool's high-water
+//! mark, not every slot's, and a forked world (the queue is `Clone`)
+//! copies only the live buckets' entries.
+//!
+//! **A pop knows the next minimum without a scan.** The popped entry
+//! was the global minimum, so every entry of every other slot is later
+//! and lies in a later slot: if its bucket still holds entries, the
+//! bucket's new front — compared with the overflow's minimum — is the
+//! new minimum. Only a pop that drains its bucket scans the bitmap.
+//!
+//! **The wheel does not grow.** With a slot at 4 bytes the full
+//! `WHEEL_SPAN` window costs 32 KiB up front, so every world routes
+//! pushes between wheel and overflow by the same fixed window.
 
 use crate::time::Time;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// log2 of a wheel slot's width in nanoseconds (2^18 ≈ 262 µs) —
 /// narrower than the 1 ms control-channel latency, so frames scheduled
-/// from the currently-draining instant land in *later* slots and
-/// rarely dirty a sorted slot mid-drain.
+/// from the currently-draining instant land in *later* slots.
 const SLOT_NS_SHIFT: u32 = 18;
-/// Initial number of wheel slots (a power of two): ≈ 134 ms of window.
-/// Corpus sweeps build one simulator per matrix cell — and a fat-tree
-/// cell holds hundreds of switch agents each owning timer state — so
-/// the queue starts small and [grows](EventQueue::grow_to_cover) only
-/// when a push actually needs a wider window.
-const MIN_WHEEL_SLOTS: usize = 512;
-/// Maximum number of wheel slots; must be a power of two.
-const MAX_WHEEL_SLOTS: usize = 8192;
-/// The wheel's maximum window width: ≈ 2.15 s of simulated time.
-const WHEEL_SPAN: u64 = (MAX_WHEEL_SLOTS as u64) << SLOT_NS_SHIFT;
+/// Number of wheel slots; must be a power of two.
+const WHEEL_SLOTS: usize = 8192;
+/// The wheel's window width: ≈ 2.15 s of simulated time.
+const WHEEL_SPAN: u64 = (WHEEL_SLOTS as u64) << SLOT_NS_SHIFT;
+/// The `slots` entry of a slot that holds no bucket.
+const NO_BUCKET: u32 = u32::MAX;
 
 /// Sequence numbers below this bound are handed out by
 /// [`EventQueue::push_reserved`]; ordinary pushes start above it. A
@@ -89,28 +105,32 @@ impl<T> Ord for Entry<T> {
 /// Where the queue's current minimum entry lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Loc {
-    /// At the back of `wheel[slot]` once that slot is sorted.
+    /// At the front of wheel slot `slot`'s bucket once that is sorted.
     Wheel {
         slot: u32,
     },
     Overflow,
 }
 
-/// One wheel bucket: entries sorted descending by `(at, seq)` when
-/// `sorted` holds, so the minimum pops from the back in O(1). A push
-/// that lands out of order just clears the flag; the next read
-/// re-sorts once.
+/// A queue key: `(time, seq, location)`.
+type Key = (Time, u64, Loc);
+
+/// The entries of one live wheel slot, ascending by `(at, seq)` when
+/// `sorted` holds. A push below the tail clears the flag; the next
+/// read sorts once.
 #[derive(Clone)]
-struct Slot<T> {
-    entries: Vec<Entry<T>>,
+struct Bucket<T> {
+    entries: VecDeque<Entry<T>>,
     sorted: bool,
 }
 
-impl<T> Slot<T> {
+impl<T> Bucket<T> {
     fn ensure_sorted(&mut self) {
         if !self.sorted {
+            // Keys are unique, so an unstable sort is deterministic.
             self.entries
-                .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.at, e.seq));
             self.sorted = true;
         }
     }
@@ -119,24 +139,27 @@ impl<T> Slot<T> {
 /// Deterministic future-event list (tick wheel + overflow heap).
 #[derive(Clone)]
 pub struct EventQueue<T> {
-    /// Near-future buckets, indexed by
-    /// `(at >> SLOT_NS_SHIFT) % wheel.len()`. The length is a power of
-    /// two between [`MIN_WHEEL_SLOTS`] and [`MAX_WHEEL_SLOTS`].
-    wheel: Vec<Slot<T>>,
-    /// One bit per non-empty wheel slot (`wheel.len() / 64` words).
+    /// Index into `buckets` of each wheel slot's bucket, or
+    /// [`NO_BUCKET`]; slot `(at >> SLOT_NS_SHIFT) % WHEEL_SLOTS`.
+    slots: Vec<u32>,
+    /// One bit per wheel slot that holds a bucket.
     occupied: Vec<u64>,
+    /// The pool: live buckets and drained ones.
+    buckets: Vec<Bucket<T>>,
+    /// Drained (empty, sorted) buckets, which keep their capacity.
+    free: Vec<u32>,
     /// Slot-aligned start of the wheel window. Invariant: every wheel
-    /// entry's time lies in `[window_start, window_start + span())`,
-    /// so the global slot mapping never collides across window cycles.
+    /// entry's time lies in `[window_start, window_start + WHEEL_SPAN)`,
+    /// so the slot mapping never collides across window cycles.
     window_start: u64,
     /// Events at or beyond the window's end (and the rare push into
     /// the past, which the kernel never does but the API allows).
     overflow: BinaryHeap<Entry<T>>,
-    /// Memoized minimum `(time, seq, location)` — the kernel peeks
-    /// before every pop, and without this each of those would scan the
-    /// occupancy bitmap again. Kept exact: a push can only *lower* the
-    /// minimum (compared directly), a pop invalidates it.
-    cached_min: Option<(Time, u64, Loc)>,
+    /// Memoized minimum — the kernel peeks before every pop, and
+    /// without this each of those would scan the occupancy bitmap
+    /// again. Kept exact: a push can only *lower* the minimum (compared
+    /// directly), a pop sets it or invalidates it.
+    cached_min: Option<Key>,
     next_seq: u64,
     /// Next sequence in the reserved (always-first-at-an-instant) lane;
     /// stays below [`RESERVED_SEQS`].
@@ -153,13 +176,10 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..MIN_WHEEL_SLOTS)
-                .map(|_| Slot {
-                    entries: Vec::new(),
-                    sorted: true,
-                })
-                .collect(),
-            occupied: vec![0; MIN_WHEEL_SLOTS / 64],
+            slots: vec![NO_BUCKET; WHEEL_SLOTS],
+            occupied: vec![0; WHEEL_SLOTS / 64],
+            buckets: Vec::new(),
+            free: Vec::new(),
             window_start: 0,
             overflow: BinaryHeap::new(),
             cached_min: None,
@@ -167,49 +187,6 @@ impl<T> EventQueue<T> {
             next_reserved: 0,
             len: 0,
         }
-    }
-
-    /// Current width of the wheel window in nanoseconds.
-    fn span(&self) -> u64 {
-        (self.wheel.len() as u64) << SLOT_NS_SHIFT
-    }
-
-    /// Double the slot count until the window covers `offset` (or the
-    /// wheel hits [`MAX_WHEEL_SLOTS`]), re-bucketing existing entries
-    /// under the widened slot mapping. `cached_min` may name a wheel
-    /// slot by index, so it is invalidated.
-    fn grow_to_cover(&mut self, offset: u64) {
-        let mut slots = self.wheel.len();
-        while slots < MAX_WHEEL_SLOTS && (slots as u64) << SLOT_NS_SHIFT <= offset {
-            slots *= 2;
-        }
-        if slots == self.wheel.len() {
-            return;
-        }
-        let old: Vec<Entry<T>> = self
-            .wheel
-            .iter_mut()
-            .flat_map(|s| s.entries.drain(..))
-            .collect();
-        self.wheel = (0..slots)
-            .map(|_| Slot {
-                entries: Vec::new(),
-                sorted: true,
-            })
-            .collect();
-        self.occupied = vec![0; slots / 64];
-        for entry in old {
-            let slot_idx = ((entry.at.as_nanos() >> SLOT_NS_SHIFT) as usize) & (slots - 1);
-            let slot = &mut self.wheel[slot_idx];
-            if let Some(last) = slot.entries.last() {
-                if (last.at, last.seq) < (entry.at, entry.seq) {
-                    slot.sorted = false;
-                }
-            }
-            slot.entries.push(entry);
-            self.occupied[slot_idx / 64] |= 1 << (slot_idx % 64);
-        }
-        self.cached_min = None;
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -239,31 +216,19 @@ impl<T> EventQueue<T> {
             self.window_start = (t >> SLOT_NS_SHIFT) << SLOT_NS_SHIFT;
         }
         self.len += 1;
-        if t >= self.window_start {
-            let offset = t - self.window_start;
-            // In the full window but past the current capacity: widen
-            // the wheel rather than spill to overflow, so routing (and
-            // memory ceiling) match a fixed max-size wheel.
-            if offset >= self.span() && offset < WHEEL_SPAN {
-                self.grow_to_cover(offset);
-            }
-        }
         let entry = Entry { at, seq, payload };
-        let loc = if t >= self.window_start && t - self.window_start < self.span() {
-            let slot_idx = ((t >> SLOT_NS_SHIFT) as usize) & (self.wheel.len() - 1);
-            let slot = &mut self.wheel[slot_idx];
-            // Appending keeps descending order only if the new key is
-            // smaller than the current tail's.
-            if let Some(last) = slot.entries.last() {
-                if (last.at, last.seq) < (at, seq) {
-                    slot.sorted = false;
-                }
+        let loc = if t >= self.window_start && t - self.window_start < WHEEL_SPAN {
+            let slot = ((t >> SLOT_NS_SHIFT) as usize) & (WHEEL_SLOTS - 1);
+            let bucket = self.bucket_of(slot);
+            if bucket
+                .entries
+                .back()
+                .is_some_and(|last| (at, seq) < (last.at, last.seq))
+            {
+                bucket.sorted = false;
             }
-            slot.entries.push(entry);
-            self.occupied[slot_idx / 64] |= 1 << (slot_idx % 64);
-            Loc::Wheel {
-                slot: slot_idx as u32,
-            }
+            bucket.entries.push_back(entry);
+            Loc::Wheel { slot: slot as u32 }
         } else {
             self.overflow.push(entry);
             Loc::Overflow
@@ -275,11 +240,27 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// The bucket of wheel slot `slot`, which takes one from the pool
+    /// (or a new one) if it holds none.
+    fn bucket_of(&mut self, slot: usize) -> &mut Bucket<T> {
+        if self.slots[slot] == NO_BUCKET {
+            self.slots[slot] = self.free.pop().unwrap_or_else(|| {
+                self.buckets.push(Bucket {
+                    entries: VecDeque::new(),
+                    sorted: true,
+                });
+                (self.buckets.len() - 1) as u32
+            });
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        }
+        &mut self.buckets[self.slots[slot] as usize]
+    }
+
     /// First occupied wheel slot in circular time order from the
     /// window start — the slot holding the wheel's earliest entry.
     fn first_occupied_slot(&self) -> Option<usize> {
         let words = self.occupied.len();
-        let start = ((self.window_start >> SLOT_NS_SHIFT) as usize) & (self.wheel.len() - 1);
+        let start = ((self.window_start >> SLOT_NS_SHIFT) as usize) & (WHEEL_SLOTS - 1);
         let (word0, bit0) = (start / 64, start % 64);
         // Scan the partial first word, the remaining words wrapping
         // around, then the first word's low bits again.
@@ -300,58 +281,63 @@ impl<T> EventQueue<T> {
         None
     }
 
-    /// Key of the earliest pending event: wheel minimum vs overflow
-    /// minimum, whichever is smaller in `(time, seq)` order.
-    fn peek_key(&mut self) -> Option<(Time, u64, Loc)> {
-        if let Some(min) = self.cached_min {
-            return Some(min);
+    /// Key of the earliest pending event.
+    fn peek_key(&mut self) -> Option<Key> {
+        if self.cached_min.is_none() {
+            let wheel_min = self.first_occupied_slot().map(|slot| {
+                let bucket = &mut self.buckets[self.slots[slot] as usize];
+                bucket.ensure_sorted();
+                let e = bucket.entries.front().expect("occupied slot is non-empty");
+                (e.at, e.seq, Loc::Wheel { slot: slot as u32 })
+            });
+            self.cached_min = self.or_overflow(wheel_min);
         }
-        let key = self.compute_min();
-        self.cached_min = key;
-        key
+        self.cached_min
     }
 
-    fn compute_min(&mut self) -> Option<(Time, u64, Loc)> {
-        let wheel_min = self.first_occupied_slot().map(|s| {
-            let slot = &mut self.wheel[s];
-            slot.ensure_sorted();
-            let e = slot.entries.last().expect("occupied slot is non-empty");
-            (e.at, e.seq, Loc::Wheel { slot: s as u32 })
-        });
-        let over_min = self.overflow.peek().map(|e| (e.at, e.seq, Loc::Overflow));
-        match (wheel_min, over_min) {
-            (None, None) => None,
-            (Some(w), None) => Some(w),
-            (None, Some(o)) => Some(o),
-            (Some(w), Some(o)) => {
-                if (w.0, w.1) <= (o.0, o.1) {
-                    Some(w)
-                } else {
-                    Some(o)
-                }
-            }
+    /// The smaller of the wheel's minimum `wheel` and the overflow's.
+    fn or_overflow(&self, wheel: Option<Key>) -> Option<Key> {
+        let over = self.overflow.peek().map(|e| (e.at, e.seq, Loc::Overflow));
+        match (wheel, over) {
+            (Some(w), Some(o)) if (o.0, o.1) < (w.0, w.1) => over,
+            (None, _) => over,
+            _ => wheel,
         }
     }
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, T)> {
-        let (_at, _seq, loc) = self.peek_key()?;
-        self.cached_min = None;
+        let (_, _, loc) = self.peek_key()?;
         let entry = match loc {
             Loc::Wheel { slot } => {
-                let slot_idx = slot as usize;
-                let slot = &mut self.wheel[slot_idx];
-                // A push after the peek may have dirtied the slot; the
-                // cached (time, seq) minimum stays correct either way,
-                // and sorting puts it back at the tail.
-                slot.ensure_sorted();
-                let e = slot.entries.pop().expect("peeked wheel slot");
-                if slot.entries.is_empty() {
-                    self.occupied[slot_idx / 64] &= !(1 << (slot_idx % 64));
-                }
+                let slot = slot as usize;
+                let b = self.slots[slot];
+                let bucket = &mut self.buckets[b as usize];
+                // A push after the peek may have dirtied the bucket;
+                // the cached minimum is exact either way, and sorting
+                // puts it back at the front.
+                bucket.ensure_sorted();
+                let e = bucket.entries.pop_front().expect("peeked wheel slot");
+                // `e` was the global minimum, so the bucket's new
+                // front is the wheel's (module docs).
+                self.cached_min = match bucket.entries.front() {
+                    Some(next) => {
+                        let next = (next.at, next.seq, loc);
+                        self.or_overflow(Some(next))
+                    }
+                    None => {
+                        self.slots[slot] = NO_BUCKET;
+                        self.occupied[slot / 64] &= !(1 << (slot % 64));
+                        self.free.push(b);
+                        None
+                    }
+                };
                 e
             }
-            Loc::Overflow => self.overflow.pop().expect("peeked overflow"),
+            Loc::Overflow => {
+                self.cached_min = None;
+                self.overflow.pop().expect("peeked overflow")
+            }
         };
         self.len -= 1;
         // Advance the window to the dispatched instant — but never
@@ -380,6 +366,7 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -480,53 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_grows_on_demand_and_stays_ordered() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.wheel.len(), MIN_WHEEL_SLOTS);
-        // Fill the minimal window, then push progressively farther out
-        // so the wheel must re-bucket live entries as it doubles.
-        let mut expected = Vec::new();
-        for i in 0..64u64 {
-            let at = Time::from_nanos(i * ((MIN_WHEEL_SLOTS as u64) << SLOT_NS_SHIFT) / 64);
-            q.push(at, i);
-            expected.push((at, i));
-        }
-        let min_span = (MIN_WHEEL_SLOTS as u64) << SLOT_NS_SHIFT;
-        for i in 64..128u64 {
-            let at = Time::from_nanos(min_span + (i - 64) * (WHEEL_SPAN - min_span) / 64);
-            q.push(at, i);
-            expected.push((at, i));
-        }
-        assert_eq!(q.wheel.len(), MAX_WHEEL_SLOTS);
-        assert_eq!(q.occupied.len(), MAX_WHEEL_SLOTS / 64);
-        // Beyond the maximum span the overflow heap still catches it.
-        q.push(Time::from_nanos(WHEEL_SPAN * 3), 128);
-        expected.push((Time::from_nanos(WHEEL_SPAN * 3), 128));
-        assert_eq!(q.wheel.len(), MAX_WHEEL_SLOTS);
-        expected.sort_by_key(|&(at, i)| (at, i));
-        for want in expected {
-            assert_eq!(q.pop(), Some(want));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn growth_preserves_cached_min_correctness() {
-        // Peek (priming the memoized minimum, which names a wheel slot
-        // index), then force a growth that shifts slot indices; the
-        // next pop must still return the true minimum.
-        let mut q = EventQueue::new();
-        q.push(Time::from_millis(1), 1);
-        q.push(Time::from_millis(2), 2);
-        assert_eq!(q.peek_time(), Some(Time::from_millis(1)));
-        q.push(Time::from_millis(500), 3); // beyond the 134 ms minimal window
-        assert!(q.wheel.len() > MIN_WHEEL_SLOTS);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
     fn window_reanchors_after_drain() {
         let mut q = EventQueue::new();
         q.push(Time::from_millis(5), 1);
@@ -534,29 +474,38 @@ mod tests {
         // Hours later, near-future traffic resumes; the window must
         // re-anchor so ordering (and the wheel fast path) still work.
         let base = Time::from_secs(7200);
-        q.push(base + std::time::Duration::from_millis(2), 3);
-        q.push(base + std::time::Duration::from_millis(1), 2);
+        q.push(base + Duration::from_millis(2), 3);
+        q.push(base + Duration::from_millis(1), 2);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
     }
 
-    /// The pre-overhaul queue: one `BinaryHeap` over the same entries.
-    /// The equivalence tests drive it in lockstep with the tick wheel.
+    /// The pre-overhaul queue: one `BinaryHeap` over the same entries,
+    /// with the same reserved lane. The equivalence tests drive it in
+    /// lockstep with the tick wheel.
+    #[derive(Clone)]
     struct ReferenceQueue<T> {
         heap: BinaryHeap<Entry<T>>,
         next_seq: u64,
+        next_reserved: u64,
     }
 
     impl<T> ReferenceQueue<T> {
         fn new() -> Self {
             ReferenceQueue {
                 heap: BinaryHeap::new(),
-                next_seq: 0,
+                next_seq: RESERVED_SEQS,
+                next_reserved: 0,
             }
         }
         fn push(&mut self, at: Time, payload: T) {
             let seq = self.next_seq;
             self.next_seq += 1;
+            self.heap.push(Entry { at, seq, payload });
+        }
+        fn push_reserved(&mut self, at: Time, payload: T) {
+            let seq = self.next_reserved;
+            self.next_reserved += 1;
             self.heap.push(Entry { at, seq, payload });
         }
         fn pop(&mut self) -> Option<(Time, T)> {
@@ -569,6 +518,7 @@ mod tests {
 
     /// Tiny deterministic PRNG so the equivalence drive needs no seeds
     /// from outside (xorshift64*).
+    #[derive(Clone)]
     struct XorShift(u64);
     impl XorShift {
         fn next(&mut self) -> u64 {
@@ -581,19 +531,31 @@ mod tests {
         }
     }
 
-    /// Drive both queues with an identical random push/pop sequence
-    /// and assert identical pop streams. Times mix sub-slot jitter,
-    /// same-instant ties, whole-window jumps and far-future spikes —
-    /// every path between wheel and overflow.
-    fn equivalence_drive(seed: u64, ops: usize, monotonic: bool) {
-        let mut wheel = EventQueue::new();
-        let mut reference = ReferenceQueue::new();
-        let mut rng = XorShift(seed | 1);
-        let mut id = 0u64;
-        let mut floor = 0u64; // pops so far never exceed pushes ≥ floor
-        for _ in 0..ops {
+    /// A tick wheel and the reference heap, driven in lockstep.
+    #[derive(Clone)]
+    struct Pair {
+        wheel: EventQueue<u64>,
+        reference: ReferenceQueue<u64>,
+        /// Time of the last pop: kernel-like pushes never go below it.
+        floor: u64,
+    }
+
+    impl Pair {
+        fn new() -> Pair {
+            Pair {
+                wheel: EventQueue::new(),
+                reference: ReferenceQueue::new(),
+                floor: 0,
+            }
+        }
+
+        /// One random push (ordinary or reserved) or pop, checked
+        /// against the reference. Times mix sub-slot jitter,
+        /// same-instant ties, whole-window jumps and far-future spikes —
+        /// every path between wheel and overflow.
+        fn step(&mut self, rng: &mut XorShift, id: u64, monotonic: bool) {
             let roll = rng.next() % 100;
-            if roll < 60 || wheel.is_empty() {
+            if roll < 60 || self.wheel.is_empty() {
                 let jitter = match rng.next() % 5 {
                     0 => 0,                                         // exact tie with floor
                     1 => rng.next() % 1_000,                        // sub-microsecond
@@ -601,38 +563,54 @@ mod tests {
                     3 => rng.next() % WHEEL_SPAN,                   // anywhere in window
                     _ => WHEEL_SPAN + rng.next() % 100_000_000_000, // overflow
                 };
-                let base = if monotonic { floor } else { 0 };
+                let base = if monotonic { self.floor } else { 0 };
                 let at = Time::from_nanos(base.saturating_add(jitter));
-                wheel.push(at, id);
-                reference.push(at, id);
-                id += 1;
-            } else {
-                assert_eq!(wheel.peek_time(), reference.peek_time());
-                let got = wheel.pop();
-                let want = reference.pop();
-                match (&got, &want) {
-                    (Some((at, v)), Some((rat, rv))) => {
-                        assert_eq!((at, v), (rat, rv));
-                        if monotonic {
-                            floor = at.as_nanos();
-                        }
-                    }
-                    _ => assert_eq!(got.is_none(), want.is_none()),
+                if roll < 6 {
+                    self.wheel.push_reserved(at, id);
+                    self.reference.push_reserved(at, id);
+                } else {
+                    self.wheel.push(at, id);
+                    self.reference.push(at, id);
                 }
-                assert_eq!(wheel.len(), reference.heap.len());
+            } else {
+                assert_eq!(self.wheel.peek_time(), self.reference.peek_time());
+                let got = self.wheel.pop();
+                assert_eq!(got, self.reference.pop());
+                if let (Some((at, _)), true) = (got, monotonic) {
+                    self.floor = at.as_nanos();
+                }
+                assert_eq!(self.wheel.len(), self.reference.heap.len());
             }
         }
-        // Drain both and compare the full remaining order.
-        loop {
-            let got = wheel.pop();
-            let want = reference.pop();
-            assert_eq!(got.is_some(), want.is_some());
-            match (got, want) {
-                (Some(g), Some(w)) => assert_eq!(g, w),
-                _ => break,
+
+        /// Drain both and compare the full remaining order.
+        fn drain(mut self) {
+            while let Some(want) = self.reference.pop() {
+                assert_eq!(self.wheel.pop(), Some(want));
             }
+            assert_eq!(self.wheel.pop(), None);
+            assert!(self.wheel.is_empty());
         }
-        assert!(wheel.is_empty());
+    }
+
+    /// Drive a pair with an identical random push/pop sequence and
+    /// assert identical pop streams. Halfway, both queues are cloned —
+    /// as a fork clones a world — and the copy is driven on by a
+    /// stream of its own, then each is drained against its reference.
+    fn equivalence_drive(seed: u64, ops: usize, monotonic: bool) {
+        let mut pair = Pair::new();
+        let mut rng = XorShift(seed | 1);
+        for id in 0..ops as u64 / 2 {
+            pair.step(&mut rng, id, monotonic);
+        }
+        let mut fork = pair.clone();
+        let mut fork_rng = XorShift(rng.next() | 1);
+        for id in ops as u64 / 2..ops as u64 {
+            pair.step(&mut rng, id, monotonic);
+            fork.step(&mut fork_rng, id, monotonic);
+        }
+        pair.drain();
+        fork.drain();
     }
 
     #[test]
@@ -668,5 +646,115 @@ mod tests {
         for _ in 0..2000 {
             assert_eq!(wheel.pop(), reference.pop());
         }
+    }
+
+    /// Two latencies interleaved: each dispatched event re-schedules
+    /// itself 1 ms out or 150–250 µs out, so a short hop pushed later
+    /// often lands in the same slot *before* a long one pushed earlier.
+    /// Those buckets go dirty and sort on read; over 5 s the window
+    /// wraps twice and the same few buckets serve every slot.
+    #[test]
+    fn equivalence_with_two_latencies_out_of_order() {
+        let mut wheel = EventQueue::new();
+        let mut reference = ReferenceQueue::new();
+        for id in 0..64u64 {
+            let at = Time::from_nanos(id * 7_000);
+            wheel.push(at, id);
+            reference.push(at, id);
+        }
+        let (mut dirtied, mut now) = (0, Time::ZERO);
+        while now < Time::from_secs(5) {
+            assert_eq!(wheel.peek_time(), reference.peek_time());
+            let (at, id) = wheel.pop().expect("standing events");
+            assert_eq!(Some((at, id)), reference.pop());
+            now = at;
+            let hop = if id % 2 == 0 {
+                1_000_000
+            } else {
+                150_000 + at.as_nanos() % 100_000
+            };
+            let next = at + Duration::from_nanos(hop);
+            wheel.push(next, id);
+            reference.push(next, id);
+            dirtied += wheel.buckets.iter().filter(|b| !b.sorted).count();
+        }
+        assert!(dirtied > 1000, "{dirtied} dirty buckets seen");
+        assert!(wheel.buckets.len() <= 16, "{} buckets", wheel.buckets.len());
+        Pair {
+            wheel,
+            reference,
+            floor: 0,
+        }
+        .drain();
+    }
+
+    /// The kernel peeks, then its handler pushes, then it pops: a push
+    /// below the cached minimum in between — into the same slot, an
+    /// earlier slot, or the overflow — is what the pop returns.
+    #[test]
+    fn a_push_below_the_peeked_minimum_pops_first() {
+        let ns = Time::from_nanos;
+        let mut q = EventQueue::new();
+        q.push(ns(100_000_000), "first");
+        assert_eq!(q.pop(), Some((ns(100_000_000), "first")));
+        q.push(ns(110_000_000), "a");
+        q.push(ns(110_000_001), "b");
+        assert_eq!(q.peek_time(), Some(ns(110_000_000)));
+        // Same slot, below the tail: the bucket goes dirty.
+        q.push(ns(109_999_999), "same slot");
+        assert!(q.buckets.iter().any(|b| !b.sorted));
+        assert_eq!(q.peek_time(), Some(ns(109_999_999)));
+        // An earlier slot.
+        q.push(ns(105_000_000), "earlier slot");
+        // Before the window start (the last pop): the overflow.
+        q.push(ns(50_000_000), "overflow");
+        assert_eq!(q.pop(), Some((ns(50_000_000), "overflow")));
+        assert_eq!(q.pop(), Some((ns(105_000_000), "earlier slot")));
+        assert_eq!(q.pop(), Some((ns(109_999_999), "same slot")));
+        assert_eq!(q.pop(), Some((ns(110_000_000), "a")));
+        assert_eq!(q.pop(), Some((ns(110_000_001), "b")));
+        assert!(q.is_empty());
+    }
+
+    /// An event pushed beyond the window waits in the overflow; once the
+    /// window has moved over it, wheel entries can land in its slot on
+    /// both sides of it. A pop that leaves its bucket non-empty must
+    /// still compare the bucket's next entry with the overflow's.
+    #[test]
+    fn an_overflow_entry_inside_a_live_slot_pops_in_its_place() {
+        let far = WHEEL_SPAN + 1_000_000;
+        let mut q = EventQueue::new();
+        q.push(Time::ZERO, "anchor");
+        q.push(Time::from_nanos(far), "far");
+        assert_eq!(q.pop().map(|(_, v)| v), Some("anchor"));
+        q.push(Time::from_millis(2), "step");
+        assert_eq!(q.pop().map(|(_, v)| v), Some("step"));
+        // The window now covers `far`'s slot; both land in it.
+        q.push(Time::from_nanos(far - 1_000), "before");
+        q.push(Time::from_nanos(far + 1_000), "after");
+        assert_eq!(q.pop().map(|(_, v)| v), Some("before"));
+        assert_eq!(q.pop().map(|(_, v)| v), Some("far"));
+        assert_eq!(q.pop().map(|(_, v)| v), Some("after"));
+    }
+
+    /// 10 000 standing events, each re-pushed a little over 10 ms after
+    /// it pops, churned through 1 s of simulated time: about 40 slots
+    /// are live at once, and the pool never holds many more buckets
+    /// than that.
+    #[test]
+    fn standing_churn_keeps_the_pool_small() {
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.push(Time::from_nanos(1_000 * i), i);
+        }
+        let mut last = Time::ZERO;
+        while last < Time::from_secs(1) {
+            let (at, i) = q.pop().expect("standing events");
+            assert!(at >= last);
+            last = at;
+            q.push(at + Duration::from_nanos(10_000_000 + i % 1_000), i);
+        }
+        assert_eq!(q.len(), 10_000);
+        assert!(q.buckets.len() <= 64, "{} buckets", q.buckets.len());
     }
 }

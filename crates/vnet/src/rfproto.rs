@@ -62,17 +62,22 @@ fn get_string(data: &mut &[u8]) -> Option<String> {
 }
 
 impl RfMessage {
+    /// One buffer, sized for the frame: the header goes in first with
+    /// a zero length and tag, the body straight after it, and both
+    /// header fields are patched in at the end.
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
+        let mut out = BytesMut::with_capacity(5 + self.body_len());
+        out.put_u32(0);
+        out.put_u8(0);
         let tag: u8 = match self {
             RfMessage::Booted { dpid } => {
-                body.put_u64(*dpid);
+                out.put_u64(*dpid);
                 1
             }
             RfMessage::WriteConfigs { zebra, ospf, bgp } => {
-                put_string(&mut body, zebra);
-                put_string(&mut body, ospf);
-                put_string(&mut body, bgp);
+                put_string(&mut out, zebra);
+                put_string(&mut out, ospf);
+                put_string(&mut out, bgp);
                 2
             }
             RfMessage::RouteAdd {
@@ -81,24 +86,35 @@ impl RfMessage {
                 out_iface,
                 metric,
             } => {
-                body.put_slice(&prefix.addr.octets());
-                body.put_u8(prefix.prefix_len);
-                body.put_u32(next_hop.map(u32::from).unwrap_or(0));
-                body.put_u16(*out_iface);
-                body.put_u32(*metric);
+                out.put_slice(&prefix.addr.octets());
+                out.put_u8(prefix.prefix_len);
+                out.put_u32(next_hop.map(u32::from).unwrap_or(0));
+                out.put_u16(*out_iface);
+                out.put_u32(*metric);
                 3
             }
             RfMessage::RouteDel { prefix } => {
-                body.put_slice(&prefix.addr.octets());
-                body.put_u8(prefix.prefix_len);
+                out.put_slice(&prefix.addr.octets());
+                out.put_u8(prefix.prefix_len);
                 4
             }
         };
-        let mut out = BytesMut::with_capacity(5 + body.len());
-        out.put_u32(1 + body.len() as u32);
-        out.put_u8(tag);
-        out.put_slice(&body);
+        let length = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&length.to_be_bytes());
+        out[4] = tag;
         out.freeze()
+    }
+
+    /// The body's exact size in bytes.
+    fn body_len(&self) -> usize {
+        match self {
+            RfMessage::Booted { .. } => 8,
+            RfMessage::WriteConfigs { zebra, ospf, bgp } => {
+                12 + zebra.len() + ospf.len() + bgp.len()
+            }
+            RfMessage::RouteAdd { .. } => 15,
+            RfMessage::RouteDel { .. } => 5,
+        }
     }
 
     pub fn decode(mut data: &[u8]) -> Option<RfMessage> {
@@ -234,6 +250,33 @@ mod tests {
         for m in samples() {
             let enc = m.encode();
             assert_eq!(RfMessage::decode(&enc[4..]), Some(m));
+        }
+    }
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    /// The encodings as the header-behind-body encoder this one
+    /// replaced wrote them: the wire format is pinned byte for byte.
+    #[test]
+    fn golden_encodings() {
+        // Length, tag, body.
+        let golden = [
+            concat!("00000009", "01", "000000000000001c"),
+            concat!(
+                "00000039",
+                "02",
+                "0000000f686f73746e616d6520766d2d31630a",
+                "0000000c726f75746572206f7370660a",
+                "00000011726f75746572206267702036343531320a",
+            ),
+            concat!("00000010", "03", "ac1f00041eac1f0002000100000014"),
+            concat!("00000010", "03", "ac1f00001e00000000000200000000"),
+            concat!("00000006", "04", "ac1f00041e"),
+        ];
+        for (m, want) in samples().into_iter().zip(golden) {
+            assert_eq!(hex(&m.encode()), want, "{m:?}");
         }
     }
 

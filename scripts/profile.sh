@@ -6,9 +6,9 @@
 #       WORKLOAD is one of BENCHMARK.json's: autoconf_corpus, fault_fork,
 #       traffic_packet, traffic_flow. SEED defaults to 1, SECONDS to 8.
 #       Anything after SECONDS goes to scripts/ptrace_sampler.py, e.g.
-#       `--callers small_sort_general --callers quicksort` for a third
-#       table naming who calls the generic sort rows (on traffic_packet:
-#       EventQueue's lazy slot sort), or `--top 60`.
+#       `--callers 'BTreeMap<K,V,A>::insert'` for a third table naming
+#       who calls a generically named row (on fault_fork: mostly
+#       LinkDb::observe), or `--top 60`.
 #
 # For hosts without `perf`. Builds rfbench with frame pointers into its
 # own target directory (target/profile-fp — the flag would otherwise

@@ -28,11 +28,13 @@ use rf_openflow::{
 use rf_routed::config::OspfConfig;
 use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
 use rf_routed::ospf::{OspfDaemon, OspfEvent, OspfPacket, OspfPacketBody};
+use rf_sim::queue::EventQueue;
 use rf_sim::{
     Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time, TraceLevel, Tracer,
 };
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_vnet::vm::ospf_frame;
+use rf_vnet::RfMessage;
 use rf_wire::{
     ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Cidr, Ipv4Packet, LldpPacket,
     MacAddr, UdpPacket,
@@ -240,12 +242,14 @@ fn a_routed_hop_copies_no_frame() {
     assert_eq!((got.dst, got.src), (MAC_B, MAC_SW));
     assert_eq!(got.payload, data_frame().slice(14..));
     assert_eq!(big, 0, "payload-sized allocations on the hop");
-    // One event-queue slot per link crossed. The switch keeps its
-    // egress list between frames, and the patched frame goes back into
-    // the handle it came in (4 with a list and a new handle per hop).
-    assert!(
-        allocations <= 2,
-        "{allocations} allocations for one frame through one switch"
+    // The switch keeps its egress list between frames, the patched
+    // frame goes back into the handle it came in, and each link crossed
+    // opens a wheel slot with a warm bucket from the event queue's pool
+    // (2 when each slot owned its own list; 4 with a list and a new
+    // handle per hop as well).
+    assert_eq!(
+        allocations, 0,
+        "allocations for one frame through one switch"
     );
 }
 
@@ -418,8 +422,9 @@ fn discovery_loop() -> (Sim, AgentId) {
 /// received, the switch runs the action off the wire into the list it
 /// keeps. 2 allocations per probe; 4 when a buffer was a block and a
 /// box, 10 when every hop decoded the message into owned lists and
-/// copied it to change four bytes (this round of 4 probes: 15 = 8 + 7
-/// of the kernel's; 23 = 16 + 7 and 48 = 40 + 8 before, same harness).
+/// copied it to change four bytes (this round of 4 probes: 8; 15, 23
+/// and 48 before, same harness, when each also paid 7 or 8 for the
+/// event queue's first use of a wheel slot).
 #[test]
 fn an_lldp_probe_round_trip_allocates_for_two_messages() {
     const PROBES: usize = 4;
@@ -444,12 +449,11 @@ fn an_lldp_probe_round_trip_allocates_for_two_messages() {
     assert_eq!(sim.events_dispatched() - events, 5 * PROBES as u64 + 4);
     sim.run_until(Time::from_millis(6100));
     assert_eq!(controller(&sim, ctrl).links().len(), 2);
-    // The seven are the kernel's: a wheel slot's first use, for the
-    // five instants the round's messages arrive at and the timers
-    // re-armed beside them.
+    // Nothing is the kernel's: a wheel slot takes a warm bucket from
+    // the queue's pool.
     assert_eq!(
         allocations,
-        2 * PROBES + 7,
+        2 * PROBES,
         "allocations for a round of {PROBES} probes"
     );
 }
@@ -565,8 +569,8 @@ fn a_forwarded_reply_allocates_nothing() {
         Box::new(RequestingController {
             requests: requests.to_vec(),
             // With an idle timer where each measured reply arrives: it
-            // holds the kernel's wheel slot for that instant from the
-            // start, so queueing the reply is no first use of one.
+            // keeps the kernel's wheel slot for that instant open from
+            // the start, so queueing the reply opens none.
             at: [100, 110, 200, 300, 204, 304]
                 .map(Duration::from_millis)
                 .to_vec(),
@@ -715,9 +719,10 @@ fn a_traffic_server_allocates_per_frame_not_per_flow() {
         .expect("a host")
         .report();
     assert_eq!(report.frames_sent as usize, FRAMES);
-    // The ten are the kernel's: wheel slots growing to hold 64 frames
-    // in flight, two of them past 1 KiB. With a list per stack call,
-    // the collected flow and the request list this was 337 (132).
+    // The rest are the kernel's: event-queue buckets growing to hold
+    // 64 frames in flight, two of them past 1 KiB. With a list per
+    // stack call, the collected flow and the request list this was 337
+    // (132).
     assert!(big <= 2 * FRAMES + 2, "{big} payload-sized allocations");
     assert!(
         allocations <= 2 * FRAMES + 10,
@@ -916,9 +921,11 @@ fn a_steady_state_hello_round_encodes_nothing() {
 /// (9.97 per event) when every OSPF packet was three buffers out and a
 /// tree of `Vec`s in, 46 761 (4.39) once a packet was one buffer out
 /// and a view in, 44 353 (4.16) once its discovery loop forwarded LLDP
-/// probes without copying them, 28 507 (2.67) now that a buffer is one
-/// block and not a block and a box. The budget is the last plus 10 %:
-/// 31 363, 2.943 per event — under a third of the first.
+/// probes without copying them, 28 507 (2.67) once a buffer was one
+/// block and not a block and a box, 27 433 (2.57) now that the event
+/// queue's wheel slots share a pool of buckets and the RF-protocol and
+/// FLOW_MOD batch encoders size their buffers. The budget is the last
+/// plus 10 %: 30 176, 2.832 per event — under a third of the first.
 #[test]
 fn a_cold_start_allocates_half_of_what_it_did() {
     let mut sc = rf_core::scenario::Scenario::on(rf_topo::leaf_spine(4, 8, 0))
@@ -933,7 +940,86 @@ fn a_cold_start_allocates_half_of_what_it_did() {
     assert!(green.is_some(), "all green");
     let events = sc.sim.events_dispatched() as usize;
     assert!(
-        1000 * allocations <= 2_943 * events,
+        1000 * allocations <= 2_832 * events,
         "{allocations} allocations over {events} kernel events"
     );
+}
+
+/// The two builders that started empty write into one buffer sized up
+/// front: an RF-protocol `RouteAdd` is one allocation (3 when its body
+/// grew in a buffer of its own and was copied behind the header), and
+/// so is a batch of 16 FLOW_MODs (5 when the batch's buffer was
+/// reserved one message at a time and regrew 4 times).
+#[test]
+fn a_route_add_and_a_flow_mod_batch_are_one_buffer_each() {
+    let route = RfMessage::RouteAdd {
+        prefix: Ipv4Cidr::new(Ipv4Addr::new(172, 31, 0, 4), 30),
+        next_hop: Some(Ipv4Addr::new(172, 31, 0, 2)),
+        out_iface: 1,
+        metric: 20,
+    };
+    let (wire, allocations, _) = counted(|| route.encode());
+    assert_eq!((allocations, reallocations()), (1, 0), "a RouteAdd");
+    assert_eq!(wire.len(), 20);
+
+    let batch: Vec<OfMessage> = (0..16)
+        .map(|i| OfMessage::FlowMod {
+            of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, i, 0), 24),
+            cookie: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: 0x1000,
+            buffer_id: OFP_NO_BUFFER,
+            out_port: OFPP_NONE,
+            flags: 0,
+            actions: vec![
+                Action::SetDlSrc(MAC_SW),
+                Action::SetDlDst(MAC_B),
+                Action::output(2),
+            ],
+        })
+        .collect();
+    let (wire, allocations, _) = counted(|| OfMessage::encode_batch(&batch, 1));
+    assert_eq!(
+        (allocations, reallocations()),
+        (1, 0),
+        "a 16-FLOW_MOD batch"
+    );
+    assert_eq!(wire.len(), 16 * 112);
+}
+
+/// rfbench's queue loop: 10 000 standing events, each pushed back a
+/// little over 10 ms after it pops. Once the window has wrapped, a
+/// million pop/re-push cycles allocate nothing. A clone — the queue of
+/// a forked world — holds its live buckets at their lengths and the
+/// pool's drained ones empty, and a million cycles on it regrow only
+/// those: 45 allocations, 44 of them `realloc`s (3 818, 3 345 of them
+/// `realloc`s, when every wheel slot owned a `Vec` and the clone
+/// re-grew each slot it reached).
+#[test]
+fn a_cloned_queue_regrows_only_its_pool() {
+    fn churn(queue: &mut EventQueue<u64>, cycles: usize) {
+        for _ in 0..cycles {
+            let (at, i) = queue.pop().expect("standing events");
+            queue.push(at + Duration::from_nanos(10_000_000 + i % 1_000), i);
+        }
+    }
+    let mut queue = EventQueue::new();
+    for i in 0..10_000u64 {
+        queue.push(Time::from_nanos(1_000 * i), i);
+    }
+    churn(&mut queue, 3_000_000);
+
+    let ((), steady, _) = counted(|| churn(&mut queue, 1_000_000));
+    let mut fork = queue.clone();
+    let ((), forked, _) = counted(|| churn(&mut fork, 1_000_000));
+    let forked_reallocs = reallocations();
+
+    assert_eq!(steady, 0, "allocations to churn a warm queue");
+    assert!(
+        forked <= 64,
+        "{forked} allocations ({forked_reallocs} reallocs) to churn a clone"
+    );
+    assert_eq!((queue.len(), fork.len()), (10_000, 10_000));
 }
