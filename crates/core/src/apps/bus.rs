@@ -17,11 +17,11 @@
 
 use super::channel::{ChannelLayer, SendOutcome, SwitchChannel, VmSendOutcome};
 use crate::rfcontroller::RfControllerConfig;
+use crate::vnet::rfproto::RfMessage;
 use bytes::Bytes;
 use rf_openflow::OfMessage;
 use rf_rpc::RpcRequest;
 use rf_sim::{AgentId, ConnId, Ctx, LinkId, Time};
-use rf_vnet::rfproto::RfMessage;
 use rf_wire::{Ipv4Cidr, MacAddr};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;

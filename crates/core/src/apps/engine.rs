@@ -12,11 +12,11 @@
 use super::bus::{AppCtx, BusIo, ControlApp, ControlEvent, ControlState, FibChange};
 use super::channel::{ChannelLayer, CHANNEL_DRAIN_TOKEN};
 use super::{ArpProxyApp, DiscoveryBridgeApp, FibMirrorApp, VmLifecycleApp};
-use crate::rfcontroller::RfControllerConfig;
+use crate::rfcontroller::{RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
+use crate::vnet::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use rf_openflow::{MessageReader, OfMessage};
 use rf_rpc::{RpcServerEndpoint, RPC_SERVER_SERVICE};
 use rf_sim::{Agent, ConnId, Ctx, StreamEvent, Time};
-use rf_vnet::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use std::collections::{HashMap, VecDeque};
 
 /// The RouteFlow controller as an event-bus engine hosting pluggable
@@ -337,7 +337,7 @@ impl ControlPlane {
 
 impl Agent for ControlPlane {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.listen(self.cfg.of_service);
+        ctx.listen(RF_CONTROLLER_OF_SERVICE);
         ctx.listen(RPC_SERVER_SERVICE);
         ctx.listen(RF_SERVICE);
     }

@@ -4,9 +4,9 @@
 
 use super::bus::{AppCtx, ControlApp, ControlEvent, LinkChange, SwitchRec};
 use super::channel::VmSendOutcome;
+use crate::vnet::rfproto::RfMessage;
+use crate::vnet::vm::VmAgent;
 use rf_routed::config::VmRouterConfig;
-use rf_vnet::rfproto::RfMessage;
-use rf_vnet::vm::VmAgent;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Paper §2: "the RPC server creates a VM with an ID identical to the

@@ -25,8 +25,8 @@
 
 use crate::apps::OverflowPolicy;
 use crate::scenario::{port_plan, Fault, Scenario, WorkloadReport};
+use crate::vnet::VmAgent;
 use rf_topo::Topology;
-use rf_vnet::VmAgent;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 

@@ -33,11 +33,6 @@ impl Ipv4Allocator {
         }
     }
 
-    /// Default for the virtual environment: /30 per link.
-    pub fn slash30(range: Ipv4Cidr) -> Ipv4Allocator {
-        Ipv4Allocator::new(range, 30)
-    }
-
     fn block_size(&self) -> u32 {
         1u32 << (32 - self.block_prefix)
     }
@@ -74,11 +69,6 @@ impl Ipv4Allocator {
             self.free.push(idx);
         }
     }
-
-    /// Blocks currently handed out.
-    pub fn in_use(&self) -> u32 {
-        self.next_block - self.free.len() as u32
-    }
 }
 
 #[cfg(test)]
@@ -91,18 +81,18 @@ mod tests {
 
     #[test]
     fn allocates_disjoint_slash30s() {
-        let mut a = Ipv4Allocator::slash30(range());
+        let mut a = Ipv4Allocator::new(range(), 30);
         let b1 = a.alloc().unwrap();
         let b2 = a.alloc().unwrap();
         assert_eq!(b1.to_string(), "172.31.0.0/30");
         assert_eq!(b2.to_string(), "172.31.0.4/30");
         assert!(!b1.contains(b2.network()));
-        assert_eq!(a.in_use(), 2);
+        assert_eq!(a.alloc().unwrap().to_string(), "172.31.0.8/30");
     }
 
     #[test]
     fn exhaustion_returns_none() {
-        let mut a = Ipv4Allocator::slash30("10.0.0.0/28".parse().unwrap());
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
         // /28 holds four /30s.
         for _ in 0..4 {
             assert!(a.alloc().is_some());
@@ -112,7 +102,7 @@ mod tests {
 
     #[test]
     fn release_recycles() {
-        let mut a = Ipv4Allocator::slash30("10.0.0.0/28".parse().unwrap());
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
         let blocks: Vec<Ipv4Cidr> = (0..4).map(|_| a.alloc().unwrap()).collect();
         assert!(a.alloc().is_none());
         a.release(blocks[1]);
@@ -122,7 +112,7 @@ mod tests {
 
     #[test]
     fn double_release_is_idempotent() {
-        let mut a = Ipv4Allocator::slash30("10.0.0.0/28".parse().unwrap());
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
         let b = a.alloc().unwrap();
         a.release(b);
         a.release(b);
@@ -136,7 +126,7 @@ mod tests {
 
     #[test]
     fn foreign_block_ignored() {
-        let mut a = Ipv4Allocator::slash30("10.0.0.0/28".parse().unwrap());
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
         a.release("192.168.0.0/30".parse().unwrap());
         for _ in 0..4 {
             assert!(a.alloc().is_some());
@@ -147,7 +137,7 @@ mod tests {
     #[test]
     fn pan_european_fits_in_default_range() {
         // 41 links need 41 /30s = 164 addresses; a /16 is plenty.
-        let mut a = Ipv4Allocator::slash30("172.31.0.0/16".parse().unwrap());
+        let mut a = Ipv4Allocator::new("172.31.0.0/16".parse().unwrap(), 30);
         for _ in 0..41 {
             assert!(a.alloc().is_some());
         }
@@ -156,6 +146,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "narrower than block")]
     fn range_smaller_than_block_panics() {
-        Ipv4Allocator::slash30("10.0.0.0/31".parse().unwrap());
+        Ipv4Allocator::new("10.0.0.0/31".parse().unwrap(), 30);
     }
 }

@@ -1,7 +1,8 @@
 //! The topology-controller agent.
 
-use crate::alloc::Ipv4Allocator;
-use crate::linkdb::{LinkDb, UndirectedLink};
+use super::alloc::Ipv4Allocator;
+use super::linkdb::{LinkDb, UndirectedLink};
+use super::TOPOLOGY_OF_SERVICE;
 use bytes::Bytes;
 use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_CONTROLLER, OFPP_NONE,
@@ -21,8 +22,6 @@ const T_RPC_RECONNECT: u64 = 3;
 /// administrator-provided input of the whole framework.
 #[derive(Clone, Debug)]
 pub struct TopologyControllerConfig {
-    /// OpenFlow service this controller listens on.
-    pub service: u16,
     /// The RPC client to forward configuration messages to (None: run
     /// standalone, e.g. for discovery-only tests and benches).
     pub rpc_client: Option<AgentId>,
@@ -34,20 +33,16 @@ pub struct TopologyControllerConfig {
     pub probe_interval: Duration,
     /// A link is declared down after this long without probes.
     pub link_ttl: Duration,
-    /// Stream profile for the RPC-client connection.
-    pub conn: ConnProfile,
 }
 
 impl TopologyControllerConfig {
     pub fn new(ip_range: Ipv4Cidr) -> TopologyControllerConfig {
         TopologyControllerConfig {
-            service: 6641,
             rpc_client: None,
             ip_range,
             link_prefix: 30,
             probe_interval: Duration::from_secs(1),
             link_ttl: Duration::from_secs(3),
-            conn: ConnProfile::default(),
         }
     }
 
@@ -338,14 +333,14 @@ impl TopologyController {
         if let Some(client) = self.cfg.rpc_client {
             self.rpc_ready = false;
             self.rpc_reader = RpcFrameReader::new();
-            self.rpc_conn = Some(ctx.connect(client, RPC_CLIENT_SERVICE, self.cfg.conn));
+            self.rpc_conn = Some(ctx.connect(client, RPC_CLIENT_SERVICE, ConnProfile::default()));
         }
     }
 }
 
 impl Agent for TopologyController {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.listen(self.cfg.service);
+        ctx.listen(TOPOLOGY_OF_SERVICE);
         self.connect_rpc(ctx);
         ctx.schedule(self.cfg.probe_interval, T_PROBE);
         ctx.schedule(self.cfg.link_ttl, T_AGE);

@@ -101,10 +101,6 @@ impl LinkDb {
     pub fn links(&self) -> Vec<UndirectedLink> {
         self.up.iter().copied().collect()
     }
-
-    pub fn link_count(&self) -> usize {
-        self.up.len()
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +120,7 @@ mod tests {
         );
         // Reverse direction: same undirected link, no new event.
         assert_eq!(db.observe((2, 1), (1, 2), Time::from_secs(1)), None);
-        assert_eq!(db.link_count(), 1);
+        assert_eq!(db.links().len(), 1);
     }
 
     #[test]
@@ -143,7 +139,7 @@ mod tests {
         let down = db.expire(Time::from_secs(10), Duration::from_secs(5));
         assert_eq!(down.len(), 1);
         assert_eq!(down[0].a.0, 1);
-        assert_eq!(db.link_count(), 1);
+        assert_eq!(db.links().len(), 1);
     }
 
     #[test]
@@ -189,7 +185,7 @@ mod tests {
         db.observe((3, 2), (4, 1), Time::ZERO);
         let removed = db.remove_switch(2);
         assert_eq!(removed.len(), 2);
-        assert_eq!(db.link_count(), 1);
+        assert_eq!(db.links().len(), 1);
         assert_eq!(db.links()[0], UndirectedLink::canonical((3, 2), (4, 1)));
     }
 }

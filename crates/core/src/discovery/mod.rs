@@ -1,4 +1,4 @@
-//! # rf-discovery — the topology controller
+//! The topology controller.
 //!
 //! The second controller in the paper's framework (Fig. 2): it
 //! "contains a very small part of configurations from the administrator
@@ -22,8 +22,6 @@
 //! link losses emit the corresponding teardown messages and return the
 //! subnet to the pool.
 
-#![forbid(unsafe_code)]
-
 pub mod alloc;
 pub mod controller;
 pub mod linkdb;
@@ -31,3 +29,7 @@ pub mod linkdb;
 pub use alloc::Ipv4Allocator;
 pub use controller::{DiscoveryEvent, TopologyController, TopologyControllerConfig};
 pub use linkdb::{DirectedLink, LinkDb, UndirectedLink};
+
+/// OpenFlow service the topology controller listens on (FlowVisor's
+/// LLDP slice, or every switch directly, dials it).
+pub const TOPOLOGY_OF_SERVICE: u16 = 6641;

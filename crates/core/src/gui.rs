@@ -1,4 +1,4 @@
-//! # rf-gui — the red/green configuration view
+//! The red/green configuration view.
 //!
 //! The paper demonstrates automatic configuration "by showing switches
 //! with red and green colors in a GUI. The color of a switch remains
@@ -6,44 +6,34 @@
 //! to green. Note that a switch is considered as configured when it has
 //! a corresponding VM." (§3)
 //!
-//! This crate renders that view in the terminal: an ANSI canvas with
+//! This module renders that view in the terminal: an ANSI canvas with
 //! the topology laid out by node coordinates (the pan-European map uses
 //! real longitude/latitude), switches drawn red (`●` unconfigured) or
 //! green (`●` configured), plus an event timeline. A monochrome mode
 //! keeps CI logs readable.
 
-#![forbid(unsafe_code)]
-
 use rf_topo::Topology;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Per-switch GUI state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SwitchColor {
-    /// Not yet configured by the RPC server.
-    Red,
-    /// Has a corresponding VM.
-    Green,
-}
-
 /// The GUI state model, fed by the harness from RF-controller state.
 pub struct NetworkView {
     topo: Topology,
-    /// dpid = node + 1 by bootstrap convention.
-    colors: BTreeMap<u64, SwitchColor>,
+    /// Green (has a corresponding VM) or red, per dpid; dpid = node + 1
+    /// by bootstrap convention.
+    green: BTreeMap<u64, bool>,
     timeline: Vec<(String, String)>, // (time, event)
     pub use_ansi: bool,
 }
 
 impl NetworkView {
     pub fn new(topo: Topology) -> NetworkView {
-        let colors = (0..topo.node_count())
-            .map(|i| ((i + 1) as u64, SwitchColor::Red))
+        let green = (0..topo.node_count())
+            .map(|i| ((i + 1) as u64, false))
             .collect();
         NetworkView {
             topo,
-            colors,
+            green,
             timeline: Vec::new(),
             use_ansi: true,
         }
@@ -51,15 +41,8 @@ impl NetworkView {
 
     /// Update one switch's state (true = configured/green).
     pub fn set_configured(&mut self, dpid: u64, configured: bool) {
-        let color = if configured {
-            SwitchColor::Green
-        } else {
-            SwitchColor::Red
-        };
-        if let Some(c) = self.colors.get_mut(&dpid) {
-            if *c != color {
-                *c = color;
-            }
+        if let Some(green) = self.green.get_mut(&dpid) {
+            *green = configured;
         }
     }
 
@@ -76,22 +59,19 @@ impl NetworkView {
     }
 
     pub fn green_count(&self) -> usize {
-        self.colors
-            .values()
-            .filter(|c| **c == SwitchColor::Green)
-            .count()
+        self.green.values().filter(|&&green| green).count()
     }
 
     pub fn red_count(&self) -> usize {
-        self.colors.len() - self.green_count()
+        self.green.len() - self.green_count()
     }
 
-    fn dot(&self, color: SwitchColor) -> &'static str {
-        match (self.use_ansi, color) {
-            (true, SwitchColor::Green) => "\x1b[32m\u{25CF}\x1b[0m",
-            (true, SwitchColor::Red) => "\x1b[31m\u{25CF}\x1b[0m",
-            (false, SwitchColor::Green) => "G",
-            (false, SwitchColor::Red) => "r",
+    fn dot(&self, green: bool) -> &'static str {
+        match (self.use_ansi, green) {
+            (true, true) => "\x1b[32m\u{25CF}\x1b[0m",
+            (true, false) => "\x1b[31m\u{25CF}\x1b[0m",
+            (false, true) => "G",
+            (false, false) => "r",
         }
     }
 
@@ -127,8 +107,7 @@ impl NetworkView {
                 match row[col] {
                     Some(id) => {
                         let dpid = (id + 1) as u64;
-                        let color = self.colors[&dpid];
-                        line.push_str(self.dot(color));
+                        line.push_str(self.dot(self.green[&dpid]));
                         // Short label next to the dot.
                         let name = &self.topo.node(id).name;
                         let label: String = name.chars().take(3).collect();
@@ -147,7 +126,7 @@ impl NetworkView {
             out,
             "configured: {}/{} (green)",
             self.green_count(),
-            self.colors.len()
+            self.green.len()
         );
         for (t, e) in self.timeline.iter().rev().take(5).rev() {
             let _ = writeln!(out, "  [{t}] {e}");

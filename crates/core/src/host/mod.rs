@@ -1,9 +1,9 @@
-//! # rf-apps — hosts and applications for the demo workloads
+//! Hosts and applications for the demo workloads.
 //!
 //! The paper's demonstration "streams a video clip from a server to a
 //! remote client" across the freshly auto-configured network and
 //! reports that it arrives "within 4 minutes (including the
-//! configuration time)". This crate provides the endpoints:
+//! configuration time)". This module provides the endpoints:
 //!
 //! * [`stack::HostStack`] — a minimal sans-IO host IP stack: gratuitous
 //!   ARP at boot, gateway ARP resolution with packet queueing, ICMP echo
@@ -19,8 +19,6 @@
 //!   jitter buffer fills), sequence gaps and stall counts;
 //! * [`ping::Pinger`] — ICMP echo round-trip probing for the
 //!   quickstart example and reachability assertions in tests.
-
-#![forbid(unsafe_code)]
 
 pub mod ping;
 pub mod stack;

@@ -1,7 +1,7 @@
 //! ICMP echo probing: "is the network configured yet?"
 
-use crate::stack::{HostConfig, HostStack, Received};
-use crate::uplink;
+use super::stack::{HostConfig, HostStack, Received};
+use super::uplink;
 use bytes::Bytes;
 use rf_sim::{Agent, Ctx, Time};
 use std::net::Ipv4Addr;

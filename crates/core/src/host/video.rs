@@ -7,8 +7,8 @@
 //! remote client within 4 minutes" metric), playback start after its
 //! jitter buffer fills, loss and stalls.
 
-use crate::stack::{HostConfig, HostStack, Received};
-use crate::uplink;
+use super::stack::{HostConfig, HostStack, Received};
+use super::uplink;
 use bytes::{BufMut, Bytes, BytesMut};
 use rf_sim::{Agent, Ctx, Time};
 use std::net::Ipv4Addr;

@@ -29,6 +29,16 @@
 //!   model (5 min VM creation + 2 min interface mapping + 8 min routing
 //!   configuration per switch) used in Fig. 3.
 //!
+//! The framework's other pieces live beside them:
+//!
+//! * [`discovery`] — the topology controller: LLDP discovery, the link
+//!   database and the /30 allocator over the administrator's range;
+//! * [`vnet`] — the virtual environment: the VM agents and the
+//!   RouteFlow client/server protocol they speak;
+//! * [`host`] — the hosts the workloads run on: the sans-IO
+//!   [`host::HostStack`], the pinger and the CBR video pair;
+//! * [`gui`] — the red/green terminal network view.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -44,11 +54,15 @@
 
 pub mod apps;
 pub mod chaos;
+pub mod discovery;
+pub mod gui;
+pub mod host;
 pub mod json;
 pub mod manual;
 pub mod rfcontroller;
 pub mod scenario;
 pub mod traffic;
+pub mod vnet;
 
 pub use apps::{
     AppCtx, ControlApp, ControlEvent, ControlPlane, ControlState, FibChange, LinkChange,

@@ -10,6 +10,10 @@ use rf_wire::Ipv4Cidr;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
+/// OpenFlow service the RF-controller listens on (FlowVisor's IP
+/// slice, or every switch directly, dials it).
+pub const RF_CONTROLLER_OF_SERVICE: u16 = 6642;
+
 /// Administrator-declared host attachment point: the one piece of edge
 /// configuration LLDP discovery cannot learn (hosts do not speak LLDP).
 /// The paper's demo likewise pre-wires where the video server and
@@ -28,8 +32,6 @@ pub struct HostPortConfig {
 /// RF-controller configuration.
 #[derive(Clone, Debug)]
 pub struct RfControllerConfig {
-    /// OpenFlow service this controller listens on (FlowVisor dials it).
-    pub of_service: u16,
     /// Simulated VM provisioning/boot latency ("creating a VM" in the
     /// paper's manual model takes 5 minutes; LXC takes ~1 s).
     pub vm_boot_delay: Duration,
@@ -65,7 +67,6 @@ pub struct RfControllerConfig {
 impl Default for RfControllerConfig {
     fn default() -> Self {
         RfControllerConfig {
-            of_service: 6642,
             vm_boot_delay: Duration::from_secs(1),
             vm_link_profile: LinkProfile::default(),
             host_ports: Vec::new(),

@@ -44,15 +44,15 @@ use crate::apps::arp_proxy::ARP_RETRY_TOKEN;
 use crate::apps::channel::CHANNEL_DRAIN_TOKEN;
 use crate::apps::fib_mirror::FIB_FLUSH_TOKEN;
 use crate::apps::{ChannelStallWindow, ControlApp, ControlPlane, OverflowPolicy};
-use crate::rfcontroller::{HostPortConfig, RfControllerConfig};
+use crate::discovery::{TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE};
+use crate::host::video::{VideoClient, VideoClientReport, VideoServer};
+use crate::host::{EchoHost, HostConfig, Pinger};
+use crate::rfcontroller::{HostPortConfig, RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
 use crate::traffic::packet::TrafficHost;
 use crate::traffic::{
     paced_interval, ArrivalStream, FlowLevelEngine, TrafficConfig, TrafficMode, TrafficPattern,
     TrafficReport, WaveStream, WorkloadError,
 };
-use rf_apps::video::{VideoClient, VideoClientReport, VideoServer};
-use rf_apps::{EchoHost, HostConfig, Pinger};
-use rf_discovery::{TopologyController, TopologyControllerConfig};
 use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
 use rf_rpc::{RpcClientAgent, RpcClientConfig};
 use rf_sim::{Agent, AgentId, Ctx, LinkId, LinkProfile, Sim, SimConfig, Time};
@@ -741,7 +741,6 @@ impl ScenarioBuilder {
 
         // Controllers.
         let mut engine = ControlPlane::new(RfControllerConfig {
-            of_service: 6642,
             vm_boot_delay: cfg.vm_boot_delay,
             vm_link_profile: cfg.link_profile,
             host_ports: host_port_cfgs,
@@ -776,8 +775,8 @@ impl ScenarioBuilder {
             Some(sim.add_agent(
                 "flowvisor",
                 Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
-                    SlicePolicy::lldp_slice("topology", topo_ctrl, 6641),
-                    SlicePolicy::ip_slice("routeflow", rf_ctrl, 6642),
+                    SlicePolicy::lldp_slice("topology", topo_ctrl, TOPOLOGY_OF_SERVICE),
+                    SlicePolicy::ip_slice("routeflow", rf_ctrl, RF_CONTROLLER_OF_SERVICE),
                 ]))),
             ))
         } else {
@@ -796,8 +795,8 @@ impl ScenarioBuilder {
             let swcfg = match flowvisor {
                 Some(fv) => SwitchConfig::new(dpid, num_ports, fv),
                 None => SwitchConfig::new(dpid, num_ports, topo_ctrl)
-                    .with_service(6641)
-                    .add_controller(rf_ctrl, 6642),
+                    .with_service(TOPOLOGY_OF_SERVICE)
+                    .add_controller(rf_ctrl, RF_CONTROLLER_OF_SERVICE),
             };
             let name = cfg.topology.node(i).name.clone();
             switches.push(sim.add_agent(&name, Box::new(OpenFlowSwitch::new(swcfg.clone()))));

@@ -16,8 +16,8 @@
 use super::demand::{ArrivalStream, WaveStream};
 use super::report::TrafficReport;
 use super::{frames_for, CHUNK_BYTES, DATA_PORT, HEADER_BYTES, REQ_PORT};
+use crate::host::{uplink, HostConfig, HostStack, Received};
 use bytes::{BufMut, Bytes, BytesMut};
-use rf_apps::{uplink, HostConfig, HostStack, Received};
 use rf_sim::{Agent, Ctx, Time};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;

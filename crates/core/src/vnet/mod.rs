@@ -1,4 +1,4 @@
-//! # rf-vnet — the virtual environment
+//! The virtual environment.
 //!
 //! RouteFlow "executes switches' control logic through virtual machines
 //! which mirror a physical topology. Each virtual machine runs a
@@ -21,8 +21,6 @@
 //! * pushes every FIB change back to the RF-controller as
 //!   `RouteAdd`/`RouteDel`, which RouteFlow translates into flow
 //!   entries on the mirrored physical switch.
-
-#![forbid(unsafe_code)]
 
 pub mod rfproto;
 pub mod vm;

@@ -1,6 +1,6 @@
 //! The VM agent: a simulated container running zebra + ospfd.
 
-use crate::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
+use super::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use bytes::Bytes;
 use rf_routed::config::{OspfConfig, ZebraConfig};
 use rf_routed::ospf::daemon::{OspfDaemon, OspfEvent};
@@ -45,7 +45,6 @@ pub struct VmAgent {
     boot_delay: Duration,
     conn: Option<ConnId>,
     reader: RfFrameReader,
-    booted: bool,
     /// Configured interfaces: iface index → address.
     ifaces: BTreeMap<u16, Ipv4Cidr>,
     ospf: Option<OspfDaemon>,
@@ -60,9 +59,6 @@ pub struct VmAgent {
     /// pure function of `(dpid, iface, iface address, payload)`, and
     /// the cache is dropped whenever the interface table changes.
     tx_cache: BTreeMap<u16, (Bytes, Bytes)>,
-    /// Diagnostics: routes pushed to the RF-controller.
-    pub routes_announced: u64,
-    pub routes_withdrawn: u64,
 }
 
 impl VmAgent {
@@ -73,14 +69,11 @@ impl VmAgent {
             boot_delay,
             conn: None,
             reader: RfFrameReader::new(),
-            booted: false,
             ifaces: BTreeMap::new(),
             ospf: None,
             rib: Rib::new(),
             ospf_deadline: None,
             tx_cache: BTreeMap::new(),
-            routes_announced: 0,
-            routes_withdrawn: 0,
         }
     }
 
@@ -122,22 +115,16 @@ impl VmAgent {
     fn push_rib_changes(&mut self, ctx: &mut Ctx<'_>, changes: Vec<RibChange>) {
         for ch in changes {
             match ch {
-                RibChange::Installed(r) => {
-                    self.routes_announced += 1;
-                    self.send_rf(
-                        ctx,
-                        RfMessage::RouteAdd {
-                            prefix: r.prefix,
-                            next_hop: r.next_hop,
-                            out_iface: r.out_iface,
-                            metric: r.metric,
-                        },
-                    );
-                }
-                RibChange::Withdrawn(prefix) => {
-                    self.routes_withdrawn += 1;
-                    self.send_rf(ctx, RfMessage::RouteDel { prefix });
-                }
+                RibChange::Installed(r) => self.send_rf(
+                    ctx,
+                    RfMessage::RouteAdd {
+                        prefix: r.prefix,
+                        next_hop: r.next_hop,
+                        out_iface: r.out_iface,
+                        metric: r.metric,
+                    },
+                ),
+                RibChange::Withdrawn(prefix) => self.send_rf(ctx, RfMessage::RouteDel { prefix }),
             }
         }
     }
@@ -272,7 +259,6 @@ impl Agent for VmAgent {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             T_BOOT => {
-                self.booted = true;
                 self.conn = Some(ctx.connect(self.rf_server, RF_SERVICE, ConnProfile::default()));
             }
             T_OSPF => {

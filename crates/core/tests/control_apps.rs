@@ -235,7 +235,10 @@ fn ospf_timers_reach_the_vm_daemons() {
     sc.run_until_configured(Time::from_secs(120)).unwrap();
     let mut vms = 0;
     for id in 0..100 {
-        if let Some(vm) = sc.sim.agent_as::<rf_vnet::vm::VmAgent>(rf_sim::AgentId(id)) {
+        if let Some(vm) = sc
+            .sim
+            .agent_as::<rf_core::vnet::vm::VmAgent>(rf_sim::AgentId(id))
+        {
             assert_eq!(
                 vm.ospf_timers(),
                 Some((

@@ -55,23 +55,18 @@
 
 #![forbid(unsafe_code)]
 
-pub use rf_apps as apps;
 pub use rf_core as core;
-pub use rf_discovery as discovery;
 pub use rf_flowvisor as flowvisor;
-pub use rf_gui as gui;
 pub use rf_openflow as openflow;
 pub use rf_routed as routed;
 pub use rf_rpc as rpc;
 pub use rf_sim as sim;
 pub use rf_switch as switch;
 pub use rf_topo as topo;
-pub use rf_vnet as vnet;
 pub use rf_wire as wire;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use rf_apps::{EchoHost, HostConfig, Pinger, VideoClient, VideoServer};
     pub use rf_core::apps::{
         AppCtx, ControlApp, ControlEvent, ControlPlane, ControlState, FibChange, LinkChange,
         OverflowPolicy, SendOutcome,
@@ -80,6 +75,8 @@ pub mod prelude {
         check_invariants, ChaosCampaign, ChaosSpec, FaultClass, InvariantContext,
         InvariantViolation, ReproCase,
     };
+    pub use rf_core::gui::NetworkView;
+    pub use rf_core::host::{EchoHost, HostConfig, Pinger, VideoClient, VideoServer};
     pub use rf_core::manual::ManualConfigModel;
     pub use rf_core::scenario::{
         Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, Scenario,
@@ -90,7 +87,6 @@ pub mod prelude {
         ArrivalProcess, FlowSize, TrafficConfig, TrafficMode, TrafficPattern, TrafficReport,
         TrafficShape, TrafficSpec, WorkloadError,
     };
-    pub use rf_gui::NetworkView;
     pub use rf_sim::{LinkProfile, Sim, SimConfig, Time};
     pub use rf_topo::{
         fat_tree, leaf_spine, line, pan_european, ring, TopoParseError, TopoSpec, Topology,

@@ -17,9 +17,11 @@
 //! per-thread, so the tests here may run in parallel.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use rf_apps::{HostConfig, HostStack, Received};
+use rf_core::discovery::{TopologyController, TopologyControllerConfig};
+use rf_core::host::{HostConfig, HostStack, Received};
 use rf_core::traffic::packet::TrafficHost;
-use rf_discovery::{TopologyController, TopologyControllerConfig};
+use rf_core::vnet::vm::ospf_frame;
+use rf_core::vnet::RfMessage;
 use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
 use rf_openflow::{
     Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketKey,
@@ -33,8 +35,6 @@ use rf_sim::{
     Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time, TraceLevel, Tracer,
 };
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
-use rf_vnet::vm::ospf_frame;
-use rf_vnet::RfMessage;
 use rf_wire::{
     ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Cidr, Ipv4Packet, LldpPacket,
     MacAddr, UdpPacket,

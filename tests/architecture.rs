@@ -1,10 +1,104 @@
 //! E4 — Fig. 1 + Fig. 2 validation: the framework's architectural
-//! invariants on the paper's own 4-switch layout (OF-A … OF-D).
+//! invariants on the paper's own 4-switch layout (OF-A … OF-D), and
+//! the workspace's crate layering.
 
-use rf_discovery::TopologyController;
+use rf_core::discovery::TopologyController;
+use rf_core::vnet::vm::VmAgent;
 use rf_flowvisor::FlowVisor;
-use rf_vnet::vm::VmAgent;
 use routeflow_autoconf::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
+
+/// Every crate under `crates/` and its `[dependencies]`, bottom layer
+/// first: a crate depends only on crates listed above it.
+const EDGES: &[(&str, &[&str])] = &[
+    ("bytes", &[]),
+    ("rand", &[]),
+    ("proptest", &["rand"]),
+    ("rf-wire", &["bytes"]),
+    ("rf-sim", &["bytes", "rand"]),
+    ("rf-topo", &["rand"]),
+    ("rf-openflow", &["bytes", "rf-wire"]),
+    ("rf-routed", &["bytes", "rf-sim", "rf-wire"]),
+    ("rf-rpc", &["bytes", "rf-sim", "rf-wire"]),
+    ("rf-switch", &["bytes", "rf-openflow", "rf-sim", "rf-wire"]),
+    (
+        "rf-flowvisor",
+        &["bytes", "rf-openflow", "rf-sim", "rf-wire"],
+    ),
+    (
+        "rf-core",
+        &[
+            "bytes",
+            "rand",
+            "rf-flowvisor",
+            "rf-openflow",
+            "rf-routed",
+            "rf-rpc",
+            "rf-sim",
+            "rf-switch",
+            "rf-topo",
+            "rf-wire",
+        ],
+    ),
+    ("rf-bench", &["rf-core", "rf-sim", "rf-topo"]),
+];
+
+/// A manifest's package name and its `[dependencies]` keys.
+fn package_and_dependencies(manifest: &str) -> (String, BTreeSet<String>) {
+    let (mut section, mut name, mut deps) = ("", None, BTreeSet::new());
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        } else if let Some((key, value)) = line.split_once('=') {
+            let key = key.trim();
+            match section {
+                "[package]" if key == "name" => name = Some(value.trim().trim_matches('"')),
+                "[dependencies]" => {
+                    deps.insert(key.trim_end_matches(".workspace").to_string());
+                }
+                _ => {}
+            }
+        }
+    }
+    (name.expect("[package] name").to_string(), deps)
+}
+
+#[test]
+fn workspace_dependency_edges_point_down() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = BTreeMap::new();
+    for dir in ["crates", "crates/shims"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let manifest = entry.unwrap().path().join("Cargo.toml");
+            if let Ok(text) = std::fs::read_to_string(&manifest) {
+                let (name, deps) = package_and_dependencies(&text);
+                found.insert(name, deps);
+            }
+        }
+    }
+    let expected: BTreeMap<String, BTreeSet<String>> = EDGES
+        .iter()
+        .map(|(name, deps)| {
+            (
+                name.to_string(),
+                deps.iter().map(|d| d.to_string()).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        found, expected,
+        "a new crate or dependency edge is a deliberate edit of EDGES"
+    );
+    for (i, (name, deps)) in EDGES.iter().enumerate() {
+        for dep in *deps {
+            assert!(
+                EDGES[..i].iter().any(|(below, _)| below == dep),
+                "{name} depends on {dep}, which is not below it"
+            );
+        }
+    }
+}
 
 /// The Fig. 1 topology: OF-A — OF-B — OF-C — OF-D in a line, mirrored
 /// by VM-A … VM-D.
@@ -73,7 +167,7 @@ fn topology_controller_only_admin_input_is_the_ip_range() {
     assert_eq!(tc.links().len(), 3);
     // All allocated subnets fall inside the administrator's range.
     for ev in &tc.events {
-        if let rf_discovery::DiscoveryEvent::LinkUp { subnet, .. } = ev {
+        if let rf_core::discovery::DiscoveryEvent::LinkUp { subnet, .. } = ev {
             assert!(
                 Ipv4Cidr::new("172.31.0.0".parse().unwrap(), 16).contains(subnet.network()),
                 "{subnet} outside the admin range"

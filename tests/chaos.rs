@@ -3,8 +3,8 @@
 //! convergence, and typed fault-schedule validation.
 
 use routeflow_autoconf::core::scenario::{MatrixCell, MatrixKnob, MatrixSpec, ScenarioMatrix};
+use routeflow_autoconf::core::vnet::VmAgent;
 use routeflow_autoconf::prelude::*;
-use routeflow_autoconf::vnet::VmAgent;
 use std::time::Duration;
 
 fn ping_report(sc: &Scenario) -> Option<rf_core::scenario::PingProbeReport> {

@@ -1,7 +1,9 @@
 //! Discovery integration: real switches (optionally behind FlowVisor)
 //! discovered by the topology controller via LLDP.
 
-use rf_discovery::{DiscoveryEvent, TopologyController, TopologyControllerConfig};
+use rf_core::discovery::{
+    DiscoveryEvent, TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE,
+};
 use rf_sim::{LinkProfile, Sim, SimConfig, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_topo::{ring, Topology};
@@ -19,7 +21,7 @@ fn build(topo: &Topology, cfg: TopologyControllerConfig) -> (Sim, rf_sim::AgentI
     let tc = sim.add_agent("topo-ctrl", Box::new(TopologyController::new(cfg)));
     let mut port_next: Vec<u16> = vec![1; topo.node_count()];
     let mut swcfg: Vec<SwitchConfig> = (0..topo.node_count())
-        .map(|i| SwitchConfig::new((i + 1) as u64, 0, tc).with_service(6641))
+        .map(|i| SwitchConfig::new((i + 1) as u64, 0, tc).with_service(TOPOLOGY_OF_SERVICE))
         .collect();
     let mut links: Vec<(usize, u16, usize, u16)> = Vec::new();
     for e in topo.edges() {

@@ -1,7 +1,7 @@
 //! Workspace-level end-to-end tests: hosts exchanging real traffic
 //! across the automatically configured network — the demo scenario.
 
-use rf_apps::video::{VideoClient, VideoServer};
+use rf_core::host::video::{VideoClient, VideoServer};
 use rf_sim::LinkProfile;
 use routeflow_autoconf::prelude::*;
 use std::time::Duration;

@@ -660,7 +660,7 @@ mod datapath_model {
 /// `host_stack_matches_reference_model`.
 mod host_stack_model {
     use bytes::{Bytes, BytesMut};
-    use rf_apps::HostConfig;
+    use rf_core::host::HostConfig;
     use rf_wire::ipv4::DEFAULT_TTL;
     use rf_wire::{
         ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Body,
@@ -1859,7 +1859,7 @@ fn control_script(draws: &[ControlDraw], frames: &[FrameDraw]) -> ControlScript 
 
 // ---------------- host stack: scripts ----------------
 
-const HOST: rf_apps::HostConfig = rf_apps::HostConfig {
+const HOST: rf_core::host::HostConfig = rf_core::host::HostConfig {
     mac: MacAddr([2, 0, 0, 0, 0, 0x42]),
     addr: Ipv4Cidr {
         addr: Ipv4Addr::new(10, 9, 0, 2),
@@ -1951,7 +1951,7 @@ fn host_call((kind, peer, tweak, payload): HostDraw) -> HostCall {
 
 /// What one call did: the frames it transmitted, in order, what it
 /// delivered, and which peers' next hops are resolved after it.
-type HostOutcome = (Vec<Bytes>, Vec<rf_apps::Received>, Vec<bool>);
+type HostOutcome = (Vec<Bytes>, Vec<rf_core::host::Received>, Vec<bool>);
 
 fn play_host_model(calls: &[HostCall]) -> Vec<HostOutcome> {
     use host_stack_model::StackOutput;
@@ -1975,14 +1975,14 @@ fn play_host_model(calls: &[HostCall]) -> Vec<HostOutcome> {
                     src_port,
                     dst_port,
                     payload,
-                } => got.push(rf_apps::Received::Udp {
+                } => got.push(rf_core::host::Received::Udp {
                     src,
                     src_port,
                     dst_port,
                     payload,
                 }),
                 StackOutput::EchoReply { from, ident, seq } => {
-                    got.push(rf_apps::Received::EchoReply { from, ident, seq })
+                    got.push(rf_core::host::Received::EchoReply { from, ident, seq })
                 }
             }
         }
@@ -1995,7 +1995,7 @@ fn play_host_model(calls: &[HostCall]) -> Vec<HostOutcome> {
 }
 
 fn play_host_stack(calls: &[HostCall]) -> Vec<HostOutcome> {
-    let mut host = rf_apps::HostStack::new(HOST);
+    let mut host = rf_core::host::HostStack::new(HOST);
     let play = |call: &HostCall| {
         let mut sent = Vec::new();
         let tx = |frame| sent.push(frame);
@@ -2070,7 +2070,7 @@ proptest! {
     #[test]
     fn rpc_decoder_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = rf_rpc::decode_envelope(&data);
-        let _ = rf_vnet::rfproto::RfMessage::decode(&data);
+        let _ = rf_core::vnet::rfproto::RfMessage::decode(&data);
     }
 
     // ---------------- stream reassembly ----------------
@@ -2084,7 +2084,7 @@ proptest! {
     ) {
         use rf_openflow::{MessageReader, PacketInReason};
         use rf_rpc::{encode_envelope, Envelope, RpcAck, RpcFrameReader, RpcRequest};
-        use rf_vnet::rfproto::{RfFrameReader, RfMessage};
+        use rf_core::vnet::rfproto::{RfFrameReader, RfMessage};
 
         let of: Vec<(OfMessage, u32)> = vec![
             (OfMessage::Hello, 1),
@@ -2279,14 +2279,14 @@ proptest! {
         // Through the host stack, which sends at TTL 64: before the next
         // hop resolves (parked, destination MAC patched in on the ARP
         // reply) and after.
-        let cfg = rf_apps::HostConfig {
+        let cfg = rf_core::host::HostConfig {
             mac: src_mac,
             addr: Ipv4Cidr::new(src, 24),
             gateway: Ipv4Addr::from(u32::from(src) ^ 1),
         };
         let next_hop = if cfg.addr.contains(dst) { dst } else { cfg.gateway };
-        let mut host = rf_apps::HostStack::new(cfg);
-        let send = |host: &mut rf_apps::HostStack| {
+        let mut host = rf_core::host::HostStack::new(cfg);
+        let send = |host: &mut rf_core::host::HostStack| {
             let mut sent = Vec::new();
             let datagram = Bytes::copy_from_slice(&payload);
             host.send_udp(dst, ports.0, ports.1, datagram, |f| sent.push(f));

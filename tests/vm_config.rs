@@ -1,9 +1,9 @@
 //! A VM handed configuration text it cannot parse says so in a counter
 //! and starts nothing.
 
+use rf_core::vnet::{RfMessage, VmAgent, RF_SERVICE};
 use rf_routed::config::VmRouterConfig;
 use rf_sim::{Agent, ConnId, Ctx, Sim, SimConfig, StreamEvent, Time};
-use rf_vnet::{RfMessage, VmAgent, RF_SERVICE};
 use std::time::Duration;
 
 /// Stands in for the RF-controller: answers the VM's `Booted` with one
