@@ -302,14 +302,7 @@ impl ChaosCampaign {
     }
 
     fn check(&self, sc: &Scenario, topo: &Topology, faults: &[Fault]) -> Vec<InvariantViolation> {
-        check_invariants(
-            sc,
-            &InvariantContext {
-                topo,
-                faults,
-                overflow: self.knob.overflow,
-            },
-        )
+        check_invariants(sc, &InvariantContext { topo, faults })
     }
 
     /// Re-run `cell` with `faults` as its schedule — continuing `base`

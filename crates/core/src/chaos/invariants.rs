@@ -38,9 +38,6 @@ pub struct InvariantContext<'a> {
     /// The fault schedule that ran (replayed to compute the surviving
     /// graph).
     pub faults: &'a [Fault],
-    /// The knob's channel-overflow policy (for the defer-losslessness
-    /// check).
-    pub overflow: OverflowPolicy,
 }
 
 /// One violated predicate. `Display` renders a human-readable account;
@@ -362,8 +359,8 @@ pub fn check_invariants(sc: &Scenario, ctx: &InvariantContext<'_>) -> Vec<Invari
         }
     }
 
-    // 4. Defer losslessness.
-    if ctx.overflow == OverflowPolicy::Defer {
+    // 4. Defer losslessness, under the policy the controller ran with.
+    if sc.controller().config().overflow == OverflowPolicy::Defer {
         let dropped = sc.controller().of_dropped();
         if dropped > 0 {
             out.push(InvariantViolation::DeferLoss { dropped });

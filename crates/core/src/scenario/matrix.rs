@@ -28,7 +28,6 @@
 use super::exec::{self, Finished};
 use super::report::{CellRecord, MatrixReport};
 use super::{Fault, Scenario, ScenarioBuilder, Workload, WorkloadReport};
-use crate::apps::OverflowPolicy;
 use crate::traffic::{FlowSize, TrafficSpec, WorkloadError};
 use rf_sim::Time;
 use rf_topo::TopoSpec;
@@ -211,8 +210,6 @@ pub struct MatrixKnob {
     pub fib_batch: usize,
     /// Switch-channel send-queue bound (`None` = unbounded).
     pub channel_capacity: Option<usize>,
-    /// Overflow policy of a bounded channel.
-    pub overflow: OverflowPolicy,
     /// The probe workload built into each cell.
     pub workload: MatrixWorkload,
 }
@@ -231,7 +228,6 @@ impl MatrixKnob {
             provision_width: 1,
             fib_batch: 1,
             channel_capacity: None,
-            overflow: OverflowPolicy::Defer,
             workload: MatrixWorkload::FarthestPing,
         }
     }
@@ -248,7 +244,6 @@ impl MatrixKnob {
             provision_width: 1,
             fib_batch: 1,
             channel_capacity: None,
-            overflow: OverflowPolicy::Defer,
             workload: MatrixWorkload::FarthestPing,
         }
     }
@@ -313,8 +308,7 @@ impl MatrixKnob {
             .vm_boot_delay(self.vm_boot_delay)
             .ospf_timers(self.ospf_hello, self.ospf_dead)
             .provision_width(self.provision_width)
-            .fib_batch(self.fib_batch)
-            .overflow_policy(self.overflow);
+            .fib_batch(self.fib_batch);
         if let Some(cap) = self.channel_capacity {
             b = b.channel_capacity(cap);
         }

@@ -141,14 +141,6 @@ impl ScenarioConfig {
             trace_level: rf_sim::TraceLevel::Info,
         }
     }
-
-    pub fn with_host(mut self, node: usize, subnet: &str) -> Self {
-        self.hosts.push(HostAttachment {
-            node,
-            subnet: subnet.parse().expect("valid subnet"),
-        });
-        self
-    }
 }
 
 /// A scheduled disturbance, injected while the scenario runs.
@@ -868,8 +860,8 @@ impl ScenarioBuilder {
                 }
                 Workload::PingFanIn { ref clients, .. } => {
                     assert!(
-                        clients.len() <= 30,
-                        "fan-in wider than 30 exhausts the MAC scheme"
+                        clients.len() <= MAX_FAN_IN,
+                        "fan-in wider than {MAX_FAN_IN} exhausts the MAC scheme"
                     );
                     // The server slot is allocated last.
                     let srv = host_slots[*slots.last().expect("server slot")].clone();

@@ -296,7 +296,6 @@ impl FlowVisor {
             // Request replies: route by rewritten xid.
             OfMessage::BarrierReply
             | OfMessage::GetConfigReply { .. }
-            | OfMessage::StatsReply { .. }
             | OfMessage::Error { .. } => {
                 // An ERROR's context is a slice of `raw`: let go of it,
                 // so the xid can be written where the message lies.
@@ -418,7 +417,6 @@ impl FlowVisor {
             // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
             OfMessage::BarrierRequest
             | OfMessage::GetConfigRequest
-            | OfMessage::StatsRequest { .. }
             | OfMessage::SetConfig { .. } => {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, raw, new_xid);

@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
 use rf_openflow::{
-    Action, FlowModCommand, MessageReader, OfMatch, OfMessage, StatsBody, OFPP_NONE, OFP_NO_BUFFER,
+    Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -341,28 +341,4 @@ fn packet_out_outside_flowspace_denied() {
             ..
         }
     )));
-}
-
-#[test]
-fn stats_request_forwarded_and_reply_routed() {
-    let mut rf = SliceController::new(6642);
-    rf.script = vec![(
-        Duration::from_secs(1),
-        OfMessage::StatsRequest {
-            body: StatsBody::DescRequest,
-        },
-        0xD5,
-    )];
-    let mut w = world(SliceController::new(6641), rf);
-    w.sim.run_until(Time::from_secs(2));
-    let rfc = w.sim.agent_as::<SliceController>(w.rf_ctrl).unwrap();
-    let got = rfc.received.iter().zip(&rfc.received_xids).any(|(m, x)| {
-        matches!(
-            m,
-            OfMessage::StatsReply {
-                body: StatsBody::DescReply(_)
-            }
-        ) && *x == 0xD5
-    });
-    assert!(got);
 }

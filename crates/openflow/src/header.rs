@@ -26,6 +26,8 @@ pub enum MsgType {
     PortStatus = 12,
     PacketOut = 13,
     FlowMod = 14,
+    // Types 15–17 are named so that a message of one fails to decode
+    // as `OfError::Malformed`, not `UnknownType`: none is implemented.
     PortMod = 15,
     StatsRequest = 16,
     StatsReply = 17,

@@ -9,8 +9,7 @@
 //!   REPLY`, `SET_CONFIG`/`GET_CONFIG`, `ERROR`
 //! * the reactive path: `PACKET_IN`, `PACKET_OUT`
 //! * the proactive path: `FLOW_MOD`, `FLOW_REMOVED`, `BARRIER`
-//! * monitoring: `PORT_STATUS`, `STATS_REQUEST/REPLY` (desc, flow,
-//!   aggregate, table, port)
+//! * port changes: `PORT_STATUS`
 //! * the 40-byte `ofp_match` with the OF 1.0 wildcard bitfield and
 //!   CIDR-style nw_src/nw_dst masking, and the full OF 1.0 action list
 //!
@@ -23,7 +22,9 @@
 //! Out of scope: OF 1.1+, VLAN handling in the datapath, queues/QoS
 //! (`ENQUEUE` is encoded but our switch treats it as plain output),
 //! `QUEUE_GET_CONFIG`, vendor extensions beyond an opaque passthrough,
-//! and the emergency flow cache.
+//! and the emergency flow cache. `PORT_MOD` and `STATS_REQUEST/REPLY`
+//! (types 15–17), which nothing in the paper's loop sends, decode to a
+//! typed [`OfError::Malformed`].
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +34,6 @@ pub mod flow_match;
 pub mod header;
 pub mod messages;
 pub mod ports;
-pub mod stats;
 
 pub use actions::Action;
 pub use codec::{reframe_with_xid, MessageReader};
@@ -46,9 +46,6 @@ pub use messages::{
 pub use ports::{
     PhyPort, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_MAX,
     OFPP_NONE, OFPP_NORMAL, OFPP_TABLE,
-};
-pub use stats::{
-    AggregateStats, FlowStatsEntry, FlowStatsRequest, PortStats, StatsBody, SwitchDesc, TableStats,
 };
 
 /// `buffer_id` value meaning "packet not buffered".

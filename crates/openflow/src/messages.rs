@@ -5,7 +5,6 @@ use crate::actions::Action;
 use crate::flow_match::{OfMatch, OFP_MATCH_LEN};
 use crate::header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 use crate::ports::{PhyPort, PortNumber, OFP_PHY_PORT_LEN};
-use crate::stats::StatsBody;
 use crate::OfError;
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -176,13 +175,6 @@ pub enum OfMessage {
         flags: u16,
         actions: Vec<Action>,
     },
-    StatsRequest {
-        body: StatsBody,
-    },
-    StatsReply {
-        /// OFPSF_REPLY_MORE not modelled: replies are single-part.
-        body: StatsBody,
-    },
     BarrierRequest,
     BarrierReply,
     /// Vendor/experimenter passthrough.
@@ -295,8 +287,6 @@ impl OfMessage {
             OfMessage::PortStatus { .. } => MsgType::PortStatus,
             OfMessage::PacketOut { .. } => MsgType::PacketOut,
             OfMessage::FlowMod { .. } => MsgType::FlowMod,
-            OfMessage::StatsRequest { .. } => MsgType::StatsRequest,
-            OfMessage::StatsReply { .. } => MsgType::StatsReply,
             OfMessage::BarrierRequest => MsgType::BarrierRequest,
             OfMessage::BarrierReply => MsgType::BarrierReply,
             OfMessage::Vendor { .. } => MsgType::Vendor,
@@ -369,7 +359,6 @@ impl OfMessage {
             OfMessage::PortStatus { .. } => 56,
             OfMessage::PacketOut { actions, data, .. } => 8 + actions.len() * 16 + data.len(),
             OfMessage::FlowMod { actions, .. } => 64 + actions.len() * 16,
-            OfMessage::StatsRequest { .. } | OfMessage::StatsReply { .. } => 96,
             OfMessage::Vendor { data, .. } => 4 + data.len(),
         }
     }
@@ -500,11 +489,6 @@ impl OfMessage {
                 buf.put_u16(*out_port);
                 buf.put_u16(*flags);
                 Action::emit_list(actions, buf);
-            }
-            OfMessage::StatsRequest { body } | OfMessage::StatsReply { body } => {
-                buf.put_u16(body.stats_type());
-                buf.put_u16(0); // flags
-                body.emit_into(buf);
             }
             OfMessage::Vendor { vendor, data } => {
                 buf.put_u32(*vendor);
@@ -684,21 +668,12 @@ impl OfMessage {
                     actions: Action::parse_list(&body[o + 24..])?,
                 }
             }
-            MsgType::StatsRequest => {
-                need(4)?;
-                OfMessage::StatsRequest {
-                    body: StatsBody::parse_request(be16(0), &body[4..])?,
-                }
-            }
-            MsgType::StatsReply => {
-                need(4)?;
-                OfMessage::StatsReply {
-                    body: StatsBody::parse_reply(be16(0), &body[4..])?,
-                }
-            }
             MsgType::BarrierRequest => OfMessage::BarrierRequest,
             MsgType::BarrierReply => OfMessage::BarrierReply,
             MsgType::PortMod => return Err(OfError::Malformed("PORT_MOD not supported")),
+            MsgType::StatsRequest | MsgType::StatsReply => {
+                return Err(OfError::Malformed("STATS not supported"))
+            }
         };
         Ok((msg, header.xid))
     }
@@ -707,7 +682,6 @@ impl OfMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{FlowStatsRequest, SwitchDesc};
     use rf_wire::MacAddr;
     use std::net::Ipv4Addr;
 
@@ -837,20 +811,27 @@ mod tests {
         });
     }
 
+    /// STATS_REQUEST / STATS_REPLY are well-framed but not implemented:
+    /// a typed rejection, whatever the body, like PORT_MOD's.
     #[test]
-    fn stats_roundtrip() {
-        roundtrip(OfMessage::StatsRequest {
-            body: StatsBody::FlowRequest(FlowStatsRequest::all()),
-        });
-        roundtrip(OfMessage::StatsReply {
-            body: StatsBody::DescReply(SwitchDesc {
-                mfr_desc: "iMinds".into(),
-                hw_desc: "sim".into(),
-                sw_desc: "rf".into(),
-                serial_num: "1".into(),
-                dp_desc: "dp".into(),
-            }),
-        });
+    fn stats_is_rejected_typed() {
+        for msg_type in [MsgType::StatsRequest, MsgType::StatsReply] {
+            // Header alone, then with a desc-type body (type 0, flags 0).
+            for body in [&[][..], &[0, 0, 0, 0]] {
+                let mut wire = OfHeader {
+                    version: OFP_VERSION,
+                    msg_type,
+                    length: (OFP_HEADER_LEN + body.len()) as u16,
+                    xid: 9,
+                }
+                .emit()
+                .to_vec();
+                wire.extend_from_slice(body);
+                let want = Err(OfError::Malformed("STATS not supported"));
+                assert_eq!(OfMessage::decode(&wire), want);
+                assert_eq!(OfMessage::decode_bytes(&Bytes::from(wire)), want);
+            }
+        }
     }
 
     #[test]

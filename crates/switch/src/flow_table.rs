@@ -1,8 +1,9 @@
 //! The OF 1.0 flow table: priority-ordered wildcard matching with
 //! idle/hard timeouts and per-entry counters.
 
-use rf_openflow::{Action, FlowStatsEntry};
-use rf_openflow::{FlowModCommand, FlowRemovedReason, KeyDepth, OfMatch, PacketKey, Wildcards};
+use rf_openflow::{
+    Action, FlowModCommand, FlowRemovedReason, KeyDepth, OfMatch, PacketKey, Wildcards,
+};
 use rf_sim::Time;
 use std::net::Ipv4Addr;
 
@@ -51,24 +52,6 @@ impl FlowEntry {
         self.actions
             .iter()
             .any(|a| matches!(a, Action::Output { port, .. } if *port == out_port))
-    }
-
-    /// Convert to a stats-reply entry.
-    pub fn to_stats(&self, now: Time) -> FlowStatsEntry {
-        let dur = now.since(self.installed_at);
-        FlowStatsEntry {
-            table_id: 0,
-            of_match: self.of_match,
-            duration_sec: dur.as_secs() as u32,
-            duration_nsec: dur.subsec_nanos(),
-            priority: self.priority,
-            idle_timeout: self.idle_timeout,
-            hard_timeout: self.hard_timeout,
-            cookie: self.cookie,
-            packet_count: self.packet_count,
-            byte_count: self.byte_count,
-            actions: self.actions.clone(),
-        }
     }
 }
 
@@ -143,8 +126,6 @@ pub struct FlowTable {
     /// Deepest `OfMatch::depth` over `entries`.
     depth: KeyDepth,
     dirty: bool,
-    pub lookup_count: u64,
-    pub matched_count: u64,
 }
 
 /// `Some(wildcarded low bits of nw_dst)` when `m` constrains nothing
@@ -188,7 +169,6 @@ impl FlowTable {
             rest,
             depth,
             dirty,
-            ..
         } = self;
         order.clear();
         order.extend(0..entries.len());
@@ -259,7 +239,6 @@ impl FlowTable {
     /// Find the highest-priority entry matching `key` and update its
     /// counters.
     pub fn lookup(&mut self, key: &PacketKey, len: usize, now: Time) -> Option<&FlowEntry> {
-        self.lookup_count += 1;
         if self.dirty {
             self.rebuild_order();
         }
@@ -268,8 +247,7 @@ impl FlowTable {
         e.packet_count += 1;
         e.byte_count += len as u64;
         e.last_matched = now;
-        self.matched_count += 1;
-        Some(&self.entries[best])
+        Some(e)
     }
 
     /// Apply a FLOW_MOD. Returns entries removed as a side effect
@@ -399,14 +377,6 @@ impl FlowTable {
         }
         removed
     }
-
-    /// Entries matching a stats request (loose subset + out_port filter).
-    pub fn stats_matching(&self, of_match: &OfMatch, out_port: u16) -> Vec<&FlowEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.of_match.is_subset_of(of_match) && e.references_port(out_port))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -482,19 +452,18 @@ mod tests {
         assert_eq!(e.packet_count, 2);
         assert_eq!(e.byte_count, 100);
         assert_eq!(e.last_matched, Time::from_secs(2));
-        assert_eq!(t.lookup_count, 2);
-        assert_eq!(t.matched_count, 2);
     }
 
     #[test]
-    fn miss_returns_none_but_counts_lookup() {
+    fn miss_returns_none_and_touches_no_entry() {
         let mut t = FlowTable::new();
         add(&mut t, OfMatch::lldp(), 1, 1);
         assert!(t
-            .lookup(&key("9.9.9.9".parse().unwrap()), 1, Time::ZERO)
+            .lookup(&key("9.9.9.9".parse().unwrap()), 1, Time::from_secs(1))
             .is_none());
-        assert_eq!(t.lookup_count, 1);
-        assert_eq!(t.matched_count, 0);
+        let e = &t.entries()[0];
+        assert_eq!((e.packet_count, e.byte_count), (0, 0));
+        assert_eq!(e.last_matched, Time::ZERO);
     }
 
     #[test]
@@ -944,7 +913,6 @@ mod tests {
                     }
                 }
             }
-            assert!(t.lookup_count > 0 && t.matched_count > 0);
         }
         // The generator reached what it was widened for: every length
         // filed at some point, and winners from both halves.
@@ -954,24 +922,5 @@ mod tests {
             won_indexed > 500 && won_scanned > 500,
             "{won_indexed} / {won_scanned}"
         );
-    }
-
-    #[test]
-    fn stats_matching_filters() {
-        let mut t = FlowTable::new();
-        add(
-            &mut t,
-            OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16),
-            1,
-            1,
-        );
-        add(&mut t, OfMatch::lldp(), 1, 2);
-        let all = t.stats_matching(&OfMatch::any(), OFPP_NONE);
-        assert_eq!(all.len(), 2);
-        let v4 = t.stats_matching(
-            &OfMatch::ipv4_dst_prefix("10.0.0.0".parse().unwrap(), 8),
-            OFPP_NONE,
-        );
-        assert_eq!(v4.len(), 1);
     }
 }

@@ -12,9 +12,10 @@
 //!   wildcard [`flow_table::FlowTable`];
 //! * punts table misses to the controller as `PACKET_IN` (buffering
 //!   the frame and truncating to `miss_send_len`, like real OVS);
-//! * executes `FLOW_MOD` / `PACKET_OUT` / `STATS` / `BARRIER` / `ECHO`,
-//!   emits `FLOW_REMOVED` on timeout expiry and `PORT_STATUS` on port
-//!   changes;
+//! * executes `FLOW_MOD` / `PACKET_OUT` / `BARRIER` / `ECHO`, emits
+//!   `FLOW_REMOVED` on timeout expiry and `PORT_STATUS` on port
+//!   changes, and counts a message it cannot decode (a `STATS_REQUEST`
+//!   among them) as `switch.decode_error` without answering it;
 //! * rewrites frames per the OF 1.0 action set ([`datapath`]),
 //!   recomputing IPv4/UDP checksums on header rewrites.
 

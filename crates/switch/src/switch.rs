@@ -4,11 +4,10 @@ use crate::datapath::{apply_actions_owned, Egress};
 use crate::flow_table::{FlowTable, Removed};
 use bytes::Bytes;
 use rf_openflow::{
-    ErrorType, FlowStatsEntry, MessageReader, OfError, OfMessage, PacketInReason, PacketKey,
-    PacketOutView, PhyPort, PortNumber, PortStats, PortStatusReason, StatsBody, SwitchDesc,
-    SwitchFeatures, TableStats, Wildcards, OFPP_NONE, OFP_NO_BUFFER,
+    ErrorType, MessageReader, OfError, OfMessage, PacketInReason, PacketKey, PacketOutView,
+    PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
 };
-use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent, Time};
+use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::MacAddr;
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -103,8 +102,6 @@ pub struct OpenFlowSwitch {
     next_buffer: u32,
     miss_send_len: u16,
     config_flags: u16,
-    /// Per-port tx/rx counters, indexed by port-1.
-    port_stats: Vec<PortStats>,
     /// Administratively disabled ports (no tx/rx).
     ports_down: Vec<bool>,
     xid: u32,
@@ -152,12 +149,6 @@ impl OpenFlowSwitch {
             next_buffer: 1,
             miss_send_len: 128,
             config_flags: 0,
-            port_stats: (0..n)
-                .map(|i| PortStats {
-                    port_no: (i + 1) as u16,
-                    ..Default::default()
-                })
-                .collect(),
             ports_down: vec![false; n],
             xid: 1,
             pending_port_status: Vec::new(),
@@ -374,23 +365,20 @@ impl OpenFlowSwitch {
         self.egress = egress;
     }
 
-    fn tx(&mut self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
-        // There is no port 0 (`output:IN_PORT` of a PACKET_OUT that
-        // names none): nothing to send on, nobody's counter to bump.
-        let Some(idx) = port_index(port) else {
-            return;
-        };
-        if self.ports_down.get(idx).copied().unwrap_or(true) {
-            if let Some(s) = self.port_stats.get_mut(idx) {
-                s.tx_dropped += 1;
-            }
-            return;
+    /// Send `frame` out of `port` unless the port is down or does not
+    /// exist (port 0: the `output:IN_PORT` of a PACKET_OUT that names
+    /// none).
+    fn tx(&self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
+        if self.port_up(port) {
+            ctx.send_frame(port as u32, frame);
         }
-        if let Some(s) = self.port_stats.get_mut(idx) {
-            s.tx_packets += 1;
-            s.tx_bytes += frame.len() as u64;
-        }
-        ctx.send_frame(port as u32, frame);
+    }
+
+    /// Whether `port` exists and is administratively up.
+    fn port_up(&self, port: PortNumber) -> bool {
+        port_index(port)
+            .and_then(|idx| self.ports_down.get(idx))
+            .is_some_and(|down| !down)
     }
 
     fn flow_removed_msgs(&mut self, ctx: &mut Ctx<'_>, removed: Vec<Removed>) {
@@ -465,7 +453,7 @@ impl OpenFlowSwitch {
                     datapath_id: self.cfg.dpid,
                     n_buffers: self.cfg.n_buffers,
                     n_tables: 1,
-                    capabilities: 0x0000_0087, // FLOW_STATS|TABLE_STATS|PORT_STATS|ARP_MATCH_IP
+                    capabilities: 0x0000_0080, // ARP_MATCH_IP
                     actions: 0x0000_0FFF,      // all OF 1.0 actions
                     ports: self.phy_ports(),
                 });
@@ -518,10 +506,6 @@ impl OpenFlowSwitch {
                     }
                 }
             }
-            OfMessage::StatsRequest { body } => {
-                let reply = self.stats_reply(ctx.now(), body);
-                self.send_to(ctx, idx, OfMessage::StatsReply { body: reply }, xid);
-            }
             OfMessage::BarrierRequest => {
                 // Processing is already serial in the simulation, so a
                 // barrier completes immediately.
@@ -558,59 +542,6 @@ impl OpenFlowSwitch {
                     xid2,
                 );
             }
-        }
-    }
-
-    fn stats_reply(&mut self, now: Time, body: StatsBody) -> StatsBody {
-        match body {
-            StatsBody::DescRequest => StatsBody::DescReply(SwitchDesc {
-                mfr_desc: "Ghent University - iMinds (reproduction)".into(),
-                hw_desc: "rf-sim virtual datapath".into(),
-                sw_desc: "rf-switch 0.1 (Open vSwitch 1.4.1 substitute)".into(),
-                serial_num: format!("{:016x}", self.cfg.dpid),
-                dp_desc: format!("dpid {:#x}", self.cfg.dpid),
-            }),
-            StatsBody::FlowRequest(req) => {
-                let entries: Vec<FlowStatsEntry> = self
-                    .table
-                    .stats_matching(&req.of_match, req.out_port)
-                    .iter()
-                    .map(|e| e.to_stats(now))
-                    .collect();
-                StatsBody::FlowReply(entries)
-            }
-            StatsBody::AggregateRequest(req) => {
-                let matching = self.table.stats_matching(&req.of_match, req.out_port);
-                StatsBody::AggregateReply(rf_openflow::AggregateStats {
-                    packet_count: matching.iter().map(|e| e.packet_count).sum(),
-                    byte_count: matching.iter().map(|e| e.byte_count).sum(),
-                    flow_count: matching.len() as u32,
-                })
-            }
-            StatsBody::TableRequest => StatsBody::TableReply(vec![TableStats {
-                table_id: 0,
-                name: "classifier".into(),
-                wildcards: Wildcards::ALL,
-                max_entries: 1 << 20,
-                active_count: self.table.len() as u32,
-                lookup_count: self.table.lookup_count,
-                matched_count: self.table.matched_count,
-            }]),
-            StatsBody::PortRequest(port) => {
-                let ports = if port == OFPP_NONE {
-                    self.port_stats.clone()
-                } else {
-                    self.port_stats
-                        .iter()
-                        .filter(|p| p.port_no == port)
-                        .cloned()
-                        .collect()
-                };
-                StatsBody::PortReply(ports)
-            }
-            // Requests only arrive as requests; replies would be a
-            // protocol violation handled by the caller.
-            other => other,
         }
     }
 
@@ -677,20 +608,9 @@ impl Agent for OpenFlowSwitch {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let port = port as u16;
-        let Some(idx) = port_index(port) else {
-            return;
-        };
-        if self.ports_down.get(idx).copied().unwrap_or(true) {
-            if let Some(s) = self.port_stats.get_mut(idx) {
-                s.rx_dropped += 1;
-            }
-            return;
+        if self.port_up(port) {
+            self.pipeline(ctx, port, frame);
         }
-        if let Some(s) = self.port_stats.get_mut(idx) {
-            s.rx_packets += 1;
-            s.rx_bytes += frame.len() as u64;
-        }
-        self.pipeline(ctx, port, frame);
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {

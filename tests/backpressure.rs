@@ -4,6 +4,7 @@
 //! `DropOldest` policy takes must be visible in the accounting.
 
 use rf_core::apps::OverflowPolicy;
+use rf_core::chaos::{check_invariants, InvariantContext, InvariantViolation};
 use rf_core::scenario::{Fault, Scenario, ScenarioBuilder, Workload, WorkloadReport};
 use rf_sim::Time;
 use rf_switch::OpenFlowSwitch;
@@ -166,6 +167,16 @@ fn drop_oldest_loses_messages_and_accounts_for_them() {
     let m = sc.finish();
     assert!(m.of_dropped > 0, "a 1-slot DropOldest channel must evict");
     assert_eq!(m.of_deferred, 0, "DropOldest never defers");
+    // Losses the policy asked for are not a Defer violation: the
+    // invariant reads the policy the controller ran with.
+    let topo = ring(5);
+    let ctx = InvariantContext {
+        topo: &topo,
+        faults: &[],
+    };
+    assert!(!check_invariants(&sc, &ctx)
+        .iter()
+        .any(|v| matches!(v, InvariantViolation::DeferLoss { .. })));
     let lossy_flows: usize = flow_tables(&sc).iter().map(Vec::len).sum();
     assert!(
         lossy_flows < full_flows,

@@ -65,7 +65,6 @@ fn kill_then_revive_reconverges_on_ring4() {
         &InvariantContext {
             topo: &topo,
             faults: &faults,
-            overflow: OverflowPolicy::Defer,
         },
     );
     assert!(violations.is_empty(), "clean recovery, got: {violations:?}");

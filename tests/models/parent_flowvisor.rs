@@ -5,7 +5,8 @@
 //! included; every forwarded message copied to change its xid;
 //! connections and xids looked up in `HashMap`s; a chunk's messages
 //! drained into a list before any is handled. The reference the real
-//! proxy must match byte for byte, on every connection.
+//! proxy must match byte for byte, on every connection. Its two STATS
+//! arms are deleted here as in the real proxy: no STATS message decodes.
 
 // ADAPTED: the policy and configuration types are the real crate's.
 use super::key_model::from_frame_bytes;
@@ -241,7 +242,6 @@ impl ModelFlowVisor {
             // Request replies: route by rewritten xid.
             OfMessage::BarrierReply
             | OfMessage::GetConfigReply { .. }
-            | OfMessage::StatsReply { .. }
             | OfMessage::Error { .. } => {
                 if let Some(&(s, slice, orig)) = self.xid_map.get(&xid) {
                     self.xid_map.remove(&xid);
@@ -386,9 +386,7 @@ impl ModelFlowVisor {
                 self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
             }
             // Forwarded requests that expect a reply: remap the xid.
-            OfMessage::BarrierRequest
-            | OfMessage::GetConfigRequest
-            | OfMessage::StatsRequest { .. } => {
+            OfMessage::BarrierRequest | OfMessage::GetConfigRequest => {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
             }
