@@ -2,7 +2,7 @@
 //! VMs' behalf, learns host MACs from their ARP traffic, and installs
 //! per-host /32 delivery flows.
 
-use super::bus::{AppCtx, ControlApp};
+use super::bus::AppCtx;
 use super::channel::DeferBuffer;
 use super::fib_mirror::HOST_FLOW_PRIORITY;
 use bytes::Bytes;
@@ -28,20 +28,14 @@ const ARP_RETRY_TICK: Duration = Duration::from_millis(50);
 /// data-plane traffic — a deferred one is shed and the protocol's own
 /// retry recovers.
 #[derive(Clone)]
-pub struct ArpProxyApp {
+pub(crate) struct ArpProxy {
     /// Host FLOW_MODs refused by a bounded channel, retried in order.
     deferred: DeferBuffer,
 }
 
-impl Default for ArpProxyApp {
-    fn default() -> Self {
-        ArpProxyApp::new()
-    }
-}
-
-impl ArpProxyApp {
-    pub fn new() -> ArpProxyApp {
-        ArpProxyApp {
+impl ArpProxy {
+    pub(crate) fn new() -> ArpProxy {
+        ArpProxy {
             deferred: DeferBuffer::new(ARP_RETRY_TOKEN, ARP_RETRY_TICK),
         }
     }
@@ -53,7 +47,7 @@ impl ArpProxyApp {
             self.deferred.park(cx, dpid, vec![fm]);
             return;
         }
-        let outcome = cx.send_of(dpid, fm);
+        let outcome = cx.send_of(dpid, vec![fm]);
         let _ = self
             .deferred
             .absorb(cx, dpid, outcome, "rf.host_flow_deferred");
@@ -61,9 +55,10 @@ impl ArpProxyApp {
 
     /// Offer a PACKET_OUT; shed it if the channel pushes back.
     fn offer_packet_out(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, po: OfMessage) {
-        let outcome = cx.send_of(dpid, po);
+        let outcome = cx.send_of(dpid, vec![po]);
         if !outcome.deferred.is_empty() {
-            cx.count("rf.packet_out_shed", outcome.deferred.len() as u64);
+            cx.sim
+                .count("rf.packet_out_shed", outcome.deferred.len() as u64);
         }
     }
 
@@ -92,17 +87,17 @@ impl ArpProxyApp {
             ],
         };
         cx.state.flows_installed += 1;
-        cx.count("rf.flow_add", 1);
+        cx.sim.count("rf.flow_add", 1);
         self.offer_flow(cx, dpid, fm);
     }
-}
 
-impl ControlApp for ArpProxyApp {
-    fn name(&self) -> &'static str {
-        "arp-proxy"
-    }
-
-    fn on_packet_in(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, in_port: u16, data: &Bytes) {
+    pub(crate) fn on_packet_in(
+        &mut self,
+        cx: &mut AppCtx<'_, '_>,
+        dpid: u64,
+        in_port: u16,
+        data: &Bytes,
+    ) {
         let Ok(eth) = EthernetFrame::parse_bytes(data) else {
             return;
         };
@@ -115,7 +110,7 @@ impl ControlApp for ArpProxyApp {
             if let Ok(ip) = rf_wire::Ipv4Packet::parse_bytes(&eth.payload) {
                 if !cx.state.hosts.contains_key(&ip.dst) {
                     let target = cx
-                        .config()
+                        .config
                         .host_ports
                         .iter()
                         .find(|h| h.dpid == dpid && h.subnet.contains(ip.dst))
@@ -135,7 +130,7 @@ impl ControlApp for ArpProxyApp {
                             actions: vec![Action::output(h.port)],
                             data: frame.emit(),
                         };
-                        cx.count("rf.arp_probe", 1);
+                        cx.sim.count("rf.arp_probe", 1);
                         self.offer_packet_out(cx, dpid, po);
                     }
                 }
@@ -150,7 +145,7 @@ impl ControlApp for ArpProxyApp {
         };
         // Learn the sender if it is a host on a declared port.
         let on_host_port = cx
-            .config()
+            .config
             .host_ports
             .iter()
             .any(|h| h.dpid == dpid && h.port == in_port && h.subnet.contains(arp.sender_ip));
@@ -167,7 +162,7 @@ impl ControlApp for ArpProxyApp {
         // Answer gateway ARP requests on the VM's behalf.
         if arp.op == ArpOp::Request {
             let gw = cx
-                .config()
+                .config
                 .host_ports
                 .iter()
                 .find(|h| h.dpid == dpid && h.port == in_port && h.gateway == arp.target_ip)
@@ -184,26 +179,26 @@ impl ControlApp for ArpProxyApp {
                     data: frame.emit(),
                 };
                 cx.state.arp_replies += 1;
-                cx.count("rf.arp_reply", 1);
+                cx.sim.count("rf.arp_reply", 1);
                 self.offer_packet_out(cx, dpid, po);
             }
         }
     }
 
-    fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
+    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
         if !self.deferred.on_tick(token) {
             return;
         }
         for dpid in self.deferred.dpids() {
             let msgs = self.deferred.take(dpid);
-            let outcome = cx.send_of_batch(dpid, msgs);
+            let outcome = cx.send_of(dpid, msgs);
             let _ = self
                 .deferred
                 .absorb(cx, dpid, outcome, "rf.host_flow_deferred");
         }
     }
 
-    fn on_switch_down(&mut self, _cx: &mut AppCtx<'_, '_>, dpid: u64) {
+    pub(crate) fn on_switch_down(&mut self, dpid: u64) {
         self.deferred.forget(dpid);
     }
 }

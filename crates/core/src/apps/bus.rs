@@ -1,19 +1,12 @@
-//! The control-plane event bus: typed events, the [`ControlApp`] trait,
-//! and the shared state apps cooperate through.
+//! The control-plane event bus: typed events, the state the four
+//! stages share, and the context a stage handles one event with.
 //!
-//! The RF-controller used to be one 700-line agent; it is now an
-//! [`engine::ControlPlane`](super::engine::ControlPlane) that owns the
-//! wire I/O (OpenFlow channels, the RPC server, VM channels) and a set
-//! of registered apps. The engine translates I/O into [`ControlEvent`]s
-//! and publishes them; every app sees every event in registration
-//! order, and any app may raise further events, which are dispatched
-//! breadth-first after the current one completes. With a single event
-//! queue and deterministic ordering, a run is reproducible regardless
-//! of how the controller logic is partitioned.
-//!
-//! Third-party extensions implement [`ControlApp`] and register via
-//! [`ControlPlane::register`](super::engine::ControlPlane::register) or
-//! `ScenarioBuilder::with_app`.
+//! The [`ControlPlane`](super::ControlPlane) owns the wire I/O
+//! (OpenFlow channels, the RPC server, VM channels), translates it into
+//! [`ControlEvent`]s and routes each to the stages that act on it. A
+//! stage may raise further events, which are dispatched breadth-first
+//! after the current one completes, so a run is deterministic however
+//! far the stages cascade.
 
 use super::channel::{ChannelLayer, SendOutcome, SwitchChannel, VmSendOutcome};
 use crate::rfcontroller::RfControllerConfig;
@@ -27,14 +20,13 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 /// A FIB change reported by a VM's routing stack.
-#[derive(Clone, Debug)]
-pub enum FibChange {
+#[derive(Clone)]
+pub(crate) enum FibChange {
     Add {
         dpid: u64,
         prefix: Ipv4Cidr,
         next_hop: Option<Ipv4Addr>,
         out_iface: u16,
-        metric: u32,
     },
     Del {
         dpid: u64,
@@ -42,50 +34,42 @@ pub enum FibChange {
     },
 }
 
-/// A physical-link change, as refined by the discovery bridge.
-#[derive(Clone, Debug)]
-pub enum LinkChange {
+/// A physical-link change, as refined by the discovery bridge (the
+/// link's addressing is already in [`ControlState::links`]).
+#[derive(Clone)]
+pub(crate) enum LinkChange {
     Up {
         a: (u64, u16),
         b: (u64, u16),
-        subnet: Ipv4Cidr,
-        ip_a: Ipv4Addr,
-        ip_b: Ipv4Addr,
     },
     Down {
         a: (u64, u16),
         b: (u64, u16),
         /// Virtual-interconnect link mirroring the dead physical link,
-        /// if one was built (carried so the lifecycle app can tear it
+        /// if one was built (carried so the lifecycle stage can tear it
         /// down after the bridge has already dropped the record).
         sim_link: Option<LinkId>,
     },
-    /// A port flap reported by the switch (OSPF dead-interval handles
-    /// the routing consequences; apps rarely care).
-    PortStatus { dpid: u64, port: u16, up: bool },
 }
 
 /// Everything that flows over the control-plane bus.
-#[derive(Clone, Debug)]
-pub enum ControlEvent {
+#[derive(Clone)]
+pub(crate) enum ControlEvent {
     /// A raw configuration request from the topology controller,
-    /// exactly as received by the RPC server. The discovery bridge
-    /// refines these into the typed events below; other apps normally
-    /// subscribe to those instead.
+    /// exactly as received by the RPC server; the discovery bridge
+    /// refines it into the typed events below.
     Rpc(RpcRequest),
     /// A switch was detected (first announcement only).
     SwitchUp { dpid: u64, num_ports: u16 },
     /// A switch left the network.
     SwitchDown { dpid: u64 },
-    /// A link changed, with addressing already allocated.
+    /// A link changed.
     Link(LinkChange),
-    /// The VM mirroring `dpid` was provisioned (record exists; not
+    /// A VM was provisioned (its switch record exists; the VM is not
     /// necessarily booted yet).
-    VmSpawned { dpid: u64 },
+    VmSpawned,
     /// The VM mirroring `dpid` finished booting and opened its channel.
     VmUp { dpid: u64 },
-    /// The OpenFlow channel to `dpid` completed its handshake.
-    ChannelUp { dpid: u64 },
     /// A data-plane packet punted to the controller.
     PacketIn {
         dpid: u64,
@@ -94,11 +78,11 @@ pub enum ControlEvent {
     },
     /// A VM pushed a FIB change.
     Fib(FibChange),
-    /// A timer scheduled through [`AppCtx::schedule`] fired.
+    /// A timer a stage scheduled on the controller fired.
     Timer { token: u64 },
 }
 
-/// Per-switch record shared by all apps.
+/// Per-switch record shared by all stages.
 #[derive(Clone, Debug)]
 pub struct SwitchRec {
     pub num_ports: u16,
@@ -107,7 +91,7 @@ pub struct SwitchRec {
     pub configured_at: Option<Time>,
 }
 
-/// Per-link record shared by all apps.
+/// Per-link record shared by all stages.
 #[derive(Clone, Debug)]
 pub struct LinkRec {
     pub a: (u64, u16),
@@ -118,10 +102,10 @@ pub struct LinkRec {
     pub sim_link: Option<LinkId>,
 }
 
-/// State shared across apps: the controller's view of the network.
+/// State shared across stages: the controller's view of the network.
 ///
-/// Apps own their private state; anything two apps must agree on lives
-/// here. The split mirrors the paper's architecture — switches/links
+/// Stages own their private state; anything two stages must agree on
+/// lives here. The split mirrors the paper's architecture — switches/links
 /// come from discovery, hosts from the edge, `installed` from the
 /// route-to-flow mirror.
 #[derive(Clone, Default)]
@@ -152,19 +136,13 @@ pub struct ControlState {
     /// Multi-message FLOW_MOD pushes flushed by the FIB-mirror batch
     /// stage (0 when `fib_batch` is 1).
     pub fib_batches: u64,
-    /// Refusal *events* under
-    /// [`super::channel::OverflowPolicy::Defer`]: incremented every
-    /// time a bounded channel bounces a message back to its producer,
-    /// including re-offers of the same message from a retry backlog.
-    /// It therefore measures how long and how hard producers leaned on
-    /// a full channel (scaling with stall duration × retry cadence),
-    /// not the count of distinct messages. Producers retry, so
-    /// deferral is pacing, not loss.
+    /// Refusal *events*: incremented every time a bounded channel
+    /// bounces a message back to its producer, including re-offers of
+    /// the same message from a retry backlog. It therefore measures how
+    /// long and how hard producers leaned on a full channel (scaling
+    /// with stall duration × retry cadence), not the count of distinct
+    /// messages. Producers retry, so deferral is pacing, not loss.
     pub of_deferred: u64,
-    /// Queued messages evicted under
-    /// [`super::channel::OverflowPolicy::DropOldest`] — real loss,
-    /// visible as FIB divergence.
-    pub of_dropped: u64,
     /// Deepest per-switch channel queue observed over the run: how
     /// hard producers leaned on the bounded channels.
     pub of_queue_hwm: u64,
@@ -172,7 +150,11 @@ pub struct ControlState {
 
 impl ControlState {
     /// Interface table for a VM: link interfaces + host-port gateways.
-    pub fn vm_interfaces(&self, cfg: &RfControllerConfig, dpid: u64) -> Vec<(u16, Ipv4Cidr)> {
+    pub(crate) fn vm_interfaces(
+        &self,
+        cfg: &RfControllerConfig,
+        dpid: u64,
+    ) -> Vec<(u16, Ipv4Cidr)> {
         let mut out = Vec::new();
         for l in &self.links {
             if l.a.0 == dpid {
@@ -192,31 +174,9 @@ impl ControlState {
     }
 }
 
-/// Object-safe cloning for boxed control apps; blanket-implemented for
-/// every `ControlApp + Clone` type, making `Box<dyn ControlApp>: Clone`
-/// (the controller-side mirror of [`rf_sim::CloneAgent`]).
-pub trait CloneControlApp {
-    fn clone_app(&self) -> Box<dyn ControlApp>;
-}
-
-impl<T> CloneControlApp for T
-where
-    T: 'static + ControlApp + Clone,
-{
-    fn clone_app(&self) -> Box<dyn ControlApp> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn ControlApp> {
-    fn clone(&self) -> Self {
-        self.clone_app()
-    }
-}
-
-/// Engine-owned I/O surface the apps reach through [`AppCtx`].
+/// Engine-owned I/O surface the stages reach through [`AppCtx`].
 ///
-/// Keeping the connection maps out of [`ControlState`] means apps can
+/// Keeping the connection maps out of [`ControlState`] means stages
 /// never depend on transport details — everything they send goes
 /// through the dpid-addressed [`SwitchChannel`] layer, which bounds
 /// and meters the queues (and parks messages while channels are down).
@@ -255,177 +215,49 @@ impl BusIo {
     }
 }
 
-/// The handle an app uses while processing one event: simulator access,
-/// shared state, dpid-addressed send helpers, and `raise` to publish
-/// follow-up events onto the bus.
-pub struct AppCtx<'a, 'b> {
+/// What a stage handles one event with: the simulator, the shared
+/// state, the configuration, the dpid-addressed send helpers, and
+/// `raise` to publish follow-up events onto the bus.
+pub(crate) struct AppCtx<'a, 'b> {
     pub(crate) sim: &'a mut Ctx<'b>,
-    pub state: &'a mut ControlState,
+    pub(crate) state: &'a mut ControlState,
     pub(crate) config: &'a RfControllerConfig,
     pub(crate) io: &'a mut BusIo,
     pub(crate) bus: &'a mut VecDeque<ControlEvent>,
 }
 
-impl<'b> AppCtx<'_, 'b> {
-    fn channel_layer(&mut self) -> ChannelLayer<'_, 'b> {
+impl AppCtx<'_, '_> {
+    /// Publish a follow-up event; it is dispatched after the current
+    /// event finishes.
+    pub(crate) fn raise(&mut self, ev: ControlEvent) {
+        self.bus.push_back(ev);
+    }
+
+    /// Offer OpenFlow messages to `dpid`'s bounded send channel. They
+    /// go to the wire at once, as one multi-message push, when the
+    /// channel is up, un-stalled and has credits; otherwise they queue
+    /// within the capacity bound, and past the bound the channel
+    /// refuses the tail. Consume the outcome: a deferred message is the
+    /// caller's to retry.
+    pub(crate) fn send_of(&mut self, dpid: u64, msgs: Vec<OfMessage>) -> SendOutcome {
         ChannelLayer {
             io: self.io,
             state: self.state,
             config: self.config,
             sim: self.sim,
         }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.sim.now()
-    }
-
-    /// The controller agent's id (e.g. as the VM's RF-server address).
-    pub fn controller_id(&self) -> AgentId {
-        self.sim.self_id()
-    }
-
-    /// Controller configuration (host ports, boot delay, link profile).
-    pub fn config(&self) -> &RfControllerConfig {
-        self.config
-    }
-
-    /// Publish a follow-up event; it is dispatched to every app (in
-    /// registration order) after the current event finishes.
-    pub fn raise(&mut self, ev: ControlEvent) {
-        self.bus.push_back(ev);
-    }
-
-    /// Offer an OpenFlow message to `dpid`'s bounded send channel. The
-    /// message goes to the wire immediately when the channel is up,
-    /// un-stalled and has credits; otherwise it queues within the
-    /// capacity bound, and past the bound the configured
-    /// [`super::channel::OverflowPolicy`] decides. Consume the outcome:
-    /// a deferred message is the caller's to retry.
-    pub fn send_of(&mut self, dpid: u64, msg: OfMessage) -> SendOutcome {
-        self.channel_layer().offer(dpid, vec![msg])
-    }
-
-    /// Offer several OpenFlow messages to `dpid`'s channel at once.
-    /// Contiguous runs that clear the queue go out as one multi-message
-    /// push (one transport write, consecutive xids; see
-    /// [`OfMessage::encode_batch`]); a bounded channel may split the
-    /// run at its credit limit and defer or drop the tail.
-    pub fn send_of_batch(&mut self, dpid: u64, msgs: Vec<OfMessage>) -> SendOutcome {
-        self.channel_layer().offer(dpid, msgs)
+        .offer(dpid, msgs)
     }
 
     /// Send an RF-protocol message to the VM mirroring `dpid`. Returns
     /// [`VmSendOutcome::Deferred`] when the VM channel is not open —
     /// the producer re-pushes on the next `VmUp`.
-    pub fn send_to_vm(&mut self, dpid: u64, msg: RfMessage) -> VmSendOutcome {
+    pub(crate) fn send_to_vm(&mut self, dpid: u64, msg: RfMessage) -> VmSendOutcome {
         if let Some(conn) = self.state.switches.get(&dpid).and_then(|s| s.vm_conn) {
             self.sim.conn_send(conn, msg.encode());
             VmSendOutcome::Delivered
         } else {
             VmSendOutcome::Deferred
-        }
-    }
-
-    /// Fire a [`ControlEvent::Timer`] on the bus after `delay`. Tokens
-    /// share one namespace across apps; use a per-app prefix.
-    pub fn schedule(&mut self, delay: std::time::Duration, token: u64) {
-        self.sim.schedule(delay, token);
-    }
-
-    /// Spawn an agent into the simulation (the lifecycle app's VMs).
-    pub fn spawn_agent(&mut self, name: &str, agent: Box<dyn rf_sim::Agent>) -> AgentId {
-        self.sim.spawn(name, agent)
-    }
-
-    /// Remove an agent from the simulation.
-    pub fn kill_agent(&mut self, agent: AgentId) {
-        self.sim.kill(agent)
-    }
-
-    /// Mirror a link in the virtual environment.
-    pub fn add_sim_link(
-        &mut self,
-        a: (AgentId, u32),
-        b: (AgentId, u32),
-        profile: rf_sim::LinkProfile,
-    ) -> LinkId {
-        self.sim.add_link(a, b, profile)
-    }
-
-    /// Tear a virtual link down.
-    pub fn remove_sim_link(&mut self, id: LinkId) {
-        self.sim.remove_link(id)
-    }
-
-    /// Increment a named metric counter.
-    pub fn count(&mut self, name: &str, delta: u64) {
-        self.sim.count(name, delta)
-    }
-}
-
-/// A composable control-plane application.
-///
-/// Implement the hooks you care about; [`ControlApp::on_event`] routes
-/// each [`ControlEvent`] to the matching hook by default, so an app
-/// that only mirrors FIB entries overrides nothing but
-/// [`ControlApp::on_fib_update`]. Override `on_event` itself to observe
-/// the raw stream (loggers, invariant checkers).
-///
-/// Apps must be `Send`: the whole controller (and the `Sim` holding it)
-/// crosses thread boundaries when scenarios are swept in parallel by
-/// [`crate::scenario::ScenarioMatrix`]. App state is plain owned data
-/// in practice, so this costs nothing. They must also be `Clone` (the
-/// [`CloneControlApp`] supertrait, satisfied by `#[derive(Clone)]`): a
-/// converged controller is deep-copied wholesale when a scenario is
-/// checkpointed for fork (see `Scenario::snapshot`).
-#[allow(unused_variables)]
-pub trait ControlApp: 'static + Send + CloneControlApp {
-    /// Stable name, for traces and diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// A raw topology-controller RPC request arrived (normally only
-    /// the discovery bridge cares; most apps use the refined events).
-    fn on_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: &RpcRequest) {}
-    /// A switch was detected for the first time.
-    fn on_switch_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, num_ports: u16) {}
-    /// A switch left.
-    fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {}
-    /// A link came up, went down, or flapped a port.
-    fn on_link_event(&mut self, cx: &mut AppCtx<'_, '_>, change: &LinkChange) {}
-    /// A packet was punted to the controller.
-    fn on_packet_in(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, in_port: u16, data: &Bytes) {}
-    /// A VM reported a FIB change.
-    fn on_fib_update(&mut self, cx: &mut AppCtx<'_, '_>, change: &FibChange) {}
-    /// A bus timer fired.
-    fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {}
-    /// The VM mirroring `dpid` was provisioned (not yet booted).
-    fn on_vm_spawned(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {}
-    /// The VM mirroring `dpid` booted and opened its channel.
-    fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {}
-    /// The OpenFlow channel to `dpid` completed its handshake.
-    fn on_channel_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {}
-
-    /// Full-fidelity event hook; the default routes every event to its
-    /// named hook. Override only to observe the raw stream (loggers,
-    /// invariant checkers) — everything else belongs in a named hook.
-    fn on_event(&mut self, cx: &mut AppCtx<'_, '_>, ev: &ControlEvent) {
-        match ev {
-            ControlEvent::Rpc(req) => self.on_rpc(cx, req),
-            ControlEvent::SwitchUp { dpid, num_ports } => self.on_switch_up(cx, *dpid, *num_ports),
-            ControlEvent::SwitchDown { dpid } => self.on_switch_down(cx, *dpid),
-            ControlEvent::Link(change) => self.on_link_event(cx, change),
-            ControlEvent::PacketIn {
-                dpid,
-                in_port,
-                data,
-            } => self.on_packet_in(cx, *dpid, *in_port, data),
-            ControlEvent::Fib(change) => self.on_fib_update(cx, change),
-            ControlEvent::Timer { token } => self.on_timer(cx, *token),
-            ControlEvent::VmSpawned { dpid } => self.on_vm_spawned(cx, *dpid),
-            ControlEvent::VmUp { dpid } => self.on_vm_up(cx, *dpid),
-            ControlEvent::ChannelUp { dpid } => self.on_channel_up(cx, *dpid),
         }
     }
 }

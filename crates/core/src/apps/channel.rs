@@ -1,10 +1,8 @@
 //! Backpressure-aware control channels: one bounded, credit-metered
 //! send queue per switch.
 //!
-//! The controller used to push OpenFlow messages into an unbounded
-//! per-dpid `Vec` whenever a channel was down — a slow or stalled
-//! switch would silently absorb infinite FLOW_MODs. Every producer now
-//! routes through a `SwitchChannel`:
+//! Every OpenFlow message a stage sends toward a switch routes through
+//! a `SwitchChannel`:
 //!
 //! * **Bounded queue.** `channel_capacity` caps how many messages may
 //!   wait per switch (`None` = unbounded, the paper-faithful default).
@@ -12,11 +10,11 @@
 //!   channel `capacity` send credits; wire writes spend one credit per
 //!   message, so a bounded channel drains at a bounded rate instead of
 //!   blasting arbitrarily large bursts into one push.
-//! * **Overflow policy.** When the queue is full the channel either
-//!   refuses the tail ([`OverflowPolicy::Defer`] — the producer keeps
-//!   the messages and retries), evicts the oldest queued message
-//!   ([`OverflowPolicy::DropOldest`]), or aborts the run
-//!   ([`OverflowPolicy::Fatal`]).
+//! * **Deferral.** When the queue is full the channel refuses the
+//!   tail: the messages come back to the producer in
+//!   [`SendOutcome::deferred`], and the producer retries them from a
+//!   [`DeferBuffer`]. Nothing is dropped, so final FIBs are
+//!   byte-identical to the unbounded run.
 //! * **Stall faults.** `Fault::ChannelStall { dpid, from, until }`
 //!   (carried here as [`ChannelStallWindow`]) freezes a channel's wire
 //!   for a window of simulated time: offers keep queueing, nothing
@@ -24,9 +22,8 @@
 //!   closes.
 //!
 //! Every outcome is accounted in [`ControlState`]: `of_deferred`
-//! (messages refused back to producers), `of_dropped` (evictions), and
-//! `of_queue_hwm` (deepest queue observed) — the schema-v3 sweep
-//! metrics.
+//! (messages refused back to producers) and `of_queue_hwm` (deepest
+//! queue observed).
 
 use super::bus::{AppCtx, BusIo, ControlState};
 use crate::rfcontroller::RfControllerConfig;
@@ -35,36 +32,9 @@ use rf_sim::{Ctx, Time};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-/// What a bounded channel does with an offer that does not fit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Refuse the overflow: the messages come back to the producer in
-    /// [`SendOutcome::deferred`] and remain its responsibility. With a
-    /// retrying producer this policy is lossless — final FIBs are
-    /// byte-identical to the unbounded run.
-    #[default]
-    Defer,
-    /// Evict the oldest queued message to make room (accounted in
-    /// `of_dropped`). Lossy by design: freshest state wins.
-    DropOldest,
-    /// Panic. For experiments asserting that a workload fits a budget.
-    Fatal,
-}
-
-impl OverflowPolicy {
-    /// Stable lower-case name, used in knob names and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            OverflowPolicy::Defer => "defer",
-            OverflowPolicy::DropOldest => "drop-oldest",
-            OverflowPolicy::Fatal => "fatal",
-        }
-    }
-}
-
 /// A control-channel stall window: the OpenFlow channel to `dpid`
 /// stops draining between `from` and `until` (simulated time from the
-/// scenario epoch). Queues fill, policies engage, and the drain tick
+/// scenario epoch). Queues fill, offers defer, and the drain tick
 /// releases the backlog once the window closes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChannelStallWindow {
@@ -84,33 +54,21 @@ impl ChannelStallWindow {
 /// the channel layer exists to surface.
 #[must_use = "a deferred tail must be retried or deliberately shed"]
 #[derive(Debug, Default)]
-pub struct SendOutcome {
-    /// Messages of this offer that entered the channel (wire or queue).
-    pub accepted: usize,
+pub(crate) struct SendOutcome {
     /// Messages written to the wire during this offer. FIFO order means
     /// this may include backlog from earlier offers that flushed first.
-    pub wired: usize,
-    /// Queued messages evicted by [`OverflowPolicy::DropOldest`] to
-    /// make room (always the oldest in the queue at that moment).
-    pub dropped: u64,
-    /// Messages the channel refused under [`OverflowPolicy::Defer`],
-    /// in offer order. The caller retries them (before anything newer
-    /// for the same switch, or per-switch ordering breaks).
-    pub deferred: Vec<OfMessage>,
-}
-
-impl SendOutcome {
-    /// True when nothing was refused or evicted.
-    pub fn fully_accepted(&self) -> bool {
-        self.deferred.is_empty() && self.dropped == 0
-    }
+    pub(crate) wired: usize,
+    /// Messages the channel refused, in offer order. The caller retries
+    /// them (before anything newer for the same switch, or per-switch
+    /// ordering breaks).
+    pub(crate) deferred: Vec<OfMessage>,
 }
 
 /// Whether an RF-protocol push toward a VM was delivered or must wait
 /// for the VM channel to (re)open.
 #[must_use = "a deferred config push must be re-sent when the VM channel opens"]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VmSendOutcome {
+pub(crate) enum VmSendOutcome {
     /// Written to the VM channel.
     Delivered,
     /// The VM channel is not open; the engine re-raises `VmUp` when it
@@ -120,25 +78,25 @@ pub enum VmSendOutcome {
 
 /// Timer token of the engine-owned channel drain tick. Fires only
 /// while some up-channel holds queued messages; intercepted by the
-/// engine before bus dispatch, so apps never see it.
+/// engine before bus dispatch, so stages never see it.
 pub(crate) const CHANNEL_DRAIN_TOKEN: u64 = 0xC4A7_0000_0000_0000;
 
 /// The credit replenish / retry cadence of a blocked channel.
 pub(crate) const CHANNEL_DRAIN_TICK: Duration = Duration::from_millis(25);
 
 /// A producer-side retry backlog for messages a bounded channel
-/// refused under [`OverflowPolicy::Defer`].
+/// refused.
 ///
-/// Both FLOW_MOD producers ([`super::FibMirrorApp`],
-/// [`super::ArpProxyApp`]) own one: refused tails park here per
+/// Both FLOW_MOD producers ([`super::fib_mirror::FibMirror`],
+/// [`super::arp_proxy::ArpProxy`]) own one: refused tails park here per
 /// switch, a bus timer retries them in order, and while a switch has
 /// a backlog every new message for it joins the tail — so the wire
 /// never sees reordering within one switch. One implementation, two
-/// apps: the retry logic cannot diverge between them.
+/// stages: the retry logic cannot diverge between them.
 #[derive(Clone)]
 pub(crate) struct DeferBuffer {
     /// Bus-timer token of the retry tick (tokens share one namespace
-    /// across a controller's apps, so each buffer gets its owner's).
+    /// across a controller's stages, so each buffer gets its owner's).
     token: u64,
     /// Retry cadence.
     tick: Duration,
@@ -183,7 +141,7 @@ impl DeferBuffer {
     ) -> bool {
         let wired = outcome.wired > 0;
         if !outcome.deferred.is_empty() {
-            cx.count(counter, outcome.deferred.len() as u64);
+            cx.sim.count(counter, outcome.deferred.len() as u64);
             self.park(cx, dpid, outcome.deferred);
         }
         wired
@@ -217,7 +175,7 @@ impl DeferBuffer {
 
     fn arm(&mut self, cx: &mut AppCtx<'_, '_>) {
         if !self.tick_armed {
-            cx.schedule(self.tick, self.token);
+            cx.sim.schedule(self.tick, self.token);
             self.tick_armed = true;
         }
     }
@@ -245,7 +203,7 @@ impl SwitchChannel {
 
 /// The channel layer's view over the engine's split borrows: the I/O
 /// table, the shared counters, the configuration and the simulator.
-/// Both the apps (through `AppCtx`) and the engine (channel-up flush,
+/// Both the stages (through `AppCtx`) and the engine (channel-up flush,
 /// drain tick) operate on channels through this one type, so the
 /// accounting can never diverge between paths.
 pub(crate) struct ChannelLayer<'a, 'b> {
@@ -265,15 +223,13 @@ impl ChannelLayer<'_, '_> {
     }
 
     /// Offer messages to `dpid`'s channel: enqueue within the bound,
-    /// flush what credits and stall state allow, apply the overflow
-    /// policy to the rest.
+    /// flush what credits and stall state allow, refuse the rest.
     pub(crate) fn offer(&mut self, dpid: u64, msgs: Vec<OfMessage>) -> SendOutcome {
         let mut out = SendOutcome::default();
         if msgs.is_empty() {
             return out;
         }
         let capacity = self.config.channel_capacity;
-        let policy = self.config.overflow;
         self.io
             .channels
             .entry(dpid)
@@ -283,7 +239,6 @@ impl ChannelLayer<'_, '_> {
                 let ch = self.io.channels.get_mut(&dpid).expect("channel exists");
                 if capacity.is_none_or(|cap| ch.queue.len() < cap) {
                     ch.queue.push_back(msg);
-                    out.accepted += 1;
                     self.state.of_queue_hwm = self.state.of_queue_hwm.max(ch.queue.len() as u64);
                     break;
                 }
@@ -294,26 +249,8 @@ impl ChannelLayer<'_, '_> {
                 if self.io.channels[&dpid].queue.len() < before {
                     continue;
                 }
-                match policy {
-                    OverflowPolicy::Defer => {
-                        self.state.of_deferred += 1;
-                        out.deferred.push(msg);
-                    }
-                    OverflowPolicy::DropOldest => {
-                        let ch = self.io.channels.get_mut(&dpid).expect("channel exists");
-                        ch.queue.pop_front();
-                        ch.queue.push_back(msg);
-                        out.accepted += 1;
-                        self.state.of_dropped += 1;
-                        out.dropped += 1;
-                        self.sim.count("rf.channel_drop_oldest", 1);
-                    }
-                    OverflowPolicy::Fatal => panic!(
-                        "switch channel {dpid:#x} overflowed its capacity of {} \
-                         under OverflowPolicy::Fatal",
-                        capacity.unwrap_or(usize::MAX)
-                    ),
-                }
+                self.state.of_deferred += 1;
+                out.deferred.push(msg);
                 break;
             }
         }
@@ -326,7 +263,7 @@ impl ChannelLayer<'_, '_> {
     /// of messages wired.
     pub(crate) fn flush(&mut self, dpid: u64) -> usize {
         let Some(&conn) = self.io.dpid_of.get(&dpid) else {
-            return 0; // channel down: ChannelUp replays the queue
+            return 0; // channel down: the FEATURES_REPLY flush replays the queue
         };
         if self.stalled(dpid) {
             self.arm_drain();
@@ -404,7 +341,7 @@ mod tests {
     struct Harness {
         cfg: RfControllerConfig,
         out: Arc<Mutex<Vec<SendOutcome>>>,
-        counters: Arc<Mutex<(u64, u64, u64)>>, // deferred, dropped, hwm
+        counters: Arc<Mutex<(u64, u64)>>, // deferred, hwm
         script: Vec<(u64, Vec<OfMessage>)>,
         /// Pretend this dpid's OF channel is up (conn id 0 — a real
         /// conn the harness opens to itself so writes are harmless).
@@ -431,23 +368,25 @@ mod tests {
                 .offer(dpid, msgs);
                 self.out.lock().unwrap().push(outcome);
             }
-            *self.counters.lock().unwrap() =
-                (state.of_deferred, state.of_dropped, state.of_queue_hwm);
+            *self.counters.lock().unwrap() = (state.of_deferred, state.of_queue_hwm);
         }
     }
 
     fn run_script(
-        cfg: RfControllerConfig,
+        capacity: Option<usize>,
         up_dpid: Option<u64>,
         script: Vec<(u64, Vec<OfMessage>)>,
-    ) -> (Vec<SendOutcome>, (u64, u64, u64)) {
+    ) -> (Vec<SendOutcome>, (u64, u64)) {
         let out = Arc::new(Mutex::new(Vec::new()));
-        let counters = Arc::new(Mutex::new((0, 0, 0)));
+        let counters = Arc::new(Mutex::new((0, 0)));
         let mut sim = Sim::new(SimConfig::default());
         sim.add_agent(
             "harness",
             Box::new(Harness {
-                cfg,
+                cfg: RfControllerConfig {
+                    channel_capacity: capacity,
+                    ..RfControllerConfig::default()
+                },
                 out: Arc::clone(&out),
                 counters: Arc::clone(&counters),
                 script,
@@ -460,55 +399,30 @@ mod tests {
         (o, c)
     }
 
-    fn cfg(capacity: Option<usize>, overflow: OverflowPolicy) -> RfControllerConfig {
-        RfControllerConfig {
-            channel_capacity: capacity,
-            overflow,
-            ..RfControllerConfig::default()
-        }
-    }
-
     #[test]
     fn capacity_zero_defers_every_message() {
-        let (outs, (deferred, dropped, hwm)) = run_script(
-            cfg(Some(0), OverflowPolicy::Defer),
+        let (outs, (deferred, hwm)) = run_script(
+            Some(0),
             Some(1),
             vec![(1, vec![po(1), po(2)]), (1, vec![po(3)])],
         );
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].deferred.len(), 2);
         assert_eq!(outs[1].deferred.len(), 1);
-        assert_eq!(outs[0].accepted + outs[1].accepted, 0);
-        assert_eq!((deferred, dropped, hwm), (3, 0, 0));
-    }
-
-    #[test]
-    fn drop_oldest_accounting_matches_of_dropped() {
-        // Channel down (no conn): nothing can flush, so a capacity-3
-        // queue offered 10 messages must evict exactly 7 — and keep
-        // the newest 3.
-        let (outs, (deferred, dropped, hwm)) = run_script(
-            cfg(Some(3), OverflowPolicy::DropOldest),
-            None,
-            vec![(5, (0..10).map(po).collect())],
-        );
-        assert_eq!(outs[0].dropped, 7);
-        assert_eq!(outs[0].accepted, 10, "every offered message entered");
-        assert!(outs[0].deferred.is_empty());
-        assert_eq!((deferred, dropped), (0, 7));
-        assert_eq!(hwm, 3, "high-water mark is the capacity");
+        assert_eq!(outs[0].wired + outs[1].wired, 0);
+        assert_eq!((deferred, hwm), (3, 0));
     }
 
     #[test]
     fn defer_returns_tail_in_order_when_channel_down() {
-        let (outs, (deferred, ..)) = run_script(
-            cfg(Some(2), OverflowPolicy::Defer),
-            None,
-            vec![(5, (0..5).map(po).collect())],
-        );
-        assert_eq!(outs[0].accepted, 2);
+        // Channel down (no conn): nothing can flush, so a capacity-2
+        // queue offered 5 messages keeps the first 2 and refuses 3.
+        let (outs, (deferred, hwm)) =
+            run_script(Some(2), None, vec![(5, (0..5).map(po).collect())]);
+        assert_eq!(outs[0].wired, 0);
         assert_eq!(outs[0].deferred.len(), 3);
         assert_eq!(deferred, 3);
+        assert_eq!(hwm, 2, "high-water mark is the capacity");
         // The refused tail preserves offer order (2, 3, 4).
         for (i, m) in outs[0].deferred.iter().enumerate() {
             let OfMessage::PacketOut { data, .. } = m else {
@@ -522,32 +436,14 @@ mod tests {
     fn credits_meter_the_wire_but_unbounded_flows_freely() {
         // Up channel, capacity 2: the first offer wires 2 (spending
         // both credits), queues what fits, defers the rest.
-        let (outs, ..) = run_script(
-            cfg(Some(2), OverflowPolicy::Defer),
-            Some(1),
-            vec![(1, (0..6).map(po).collect())],
-        );
+        let (outs, (_, hwm)) = run_script(Some(2), Some(1), vec![(1, (0..6).map(po).collect())]);
         assert_eq!(outs[0].wired, 2, "capacity grants that many credits");
-        assert_eq!(outs[0].accepted, 4, "2 wired + a full queue of 2");
+        assert_eq!(hwm, 2, "2 wired + a full queue of 2");
         assert_eq!(outs[0].deferred.len(), 2, "the rest bounces");
         // Unbounded: everything wires immediately.
-        let (outs, (d, dr, _)) = run_script(
-            cfg(None, OverflowPolicy::Defer),
-            Some(1),
-            vec![(1, (0..6).map(po).collect())],
-        );
+        let (outs, (d, _)) = run_script(None, Some(1), vec![(1, (0..6).map(po).collect())]);
         assert_eq!(outs[0].wired, 6);
-        assert!(outs[0].fully_accepted());
-        assert_eq!((d, dr), (0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "OverflowPolicy::Fatal")]
-    fn fatal_policy_panics_on_overflow() {
-        let _ = run_script(
-            cfg(Some(1), OverflowPolicy::Fatal),
-            None,
-            vec![(1, vec![po(0), po(1)])],
-        );
+        assert!(outs[0].deferred.is_empty());
+        assert_eq!(d, 0);
     }
 }

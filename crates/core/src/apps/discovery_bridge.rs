@@ -1,8 +1,8 @@
 //! Discovery bridge: refines raw topology-controller RPC requests into
-//! typed bus events and owns the link/port bookkeeping every other app
-//! reads.
+//! typed bus events and owns the link/port bookkeeping every other
+//! stage reads.
 
-use super::bus::{AppCtx, ControlApp, ControlEvent, LinkChange, LinkRec};
+use super::bus::{AppCtx, ControlEvent, LinkChange, LinkRec};
 use rf_rpc::RpcRequest;
 use std::collections::BTreeSet;
 
@@ -14,25 +14,20 @@ use std::collections::BTreeSet;
 /// * `LinkDetected` → [`LinkChange::Up`], held back until the VMs on
 ///   both ends have been provisioned (re-tried on every
 ///   [`ControlEvent::VmSpawned`]);
-/// * `LinkRemoved` → [`LinkChange::Down`];
-/// * `PortStatus` → [`LinkChange::PortStatus`].
-#[derive(Clone)]
-pub struct DiscoveryBridgeApp {
+/// * `LinkRemoved` → [`LinkChange::Down`].
+///
+/// `PortStatus` raises nothing: a port flap reaches routing through
+/// OSPF's dead interval on the mirrored interface.
+#[derive(Clone, Default)]
+pub(crate) struct DiscoveryBridge {
     /// Switches already announced on the bus.
     known: BTreeSet<u64>,
     /// Links seen before both VMs existed.
     pending_links: Vec<RpcRequest>,
 }
 
-impl DiscoveryBridgeApp {
-    pub fn new() -> DiscoveryBridgeApp {
-        DiscoveryBridgeApp {
-            known: BTreeSet::new(),
-            pending_links: Vec::new(),
-        }
-    }
-
-    fn handle_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: RpcRequest) {
+impl DiscoveryBridge {
+    pub(crate) fn on_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: RpcRequest) {
         match req {
             RpcRequest::SwitchDetected { dpid, num_ports } => {
                 if !self.known.insert(dpid) {
@@ -98,9 +93,6 @@ impl DiscoveryBridgeApp {
                 cx.raise(ControlEvent::Link(LinkChange::Up {
                     a: (a_dpid, a_port),
                     b: (b_dpid, b_port),
-                    subnet,
-                    ip_a,
-                    ip_b,
                 }));
             }
             RpcRequest::LinkRemoved {
@@ -118,7 +110,7 @@ impl DiscoveryBridgeApp {
                 cx.state.port_peer.remove(&(a_dpid, a_port));
                 cx.state.port_peer.remove(&(b_dpid, b_port));
                 // Even when the record is already gone (e.g. the switch
-                // vanished first), downstream apps still get the event
+                // vanished first), the lifecycle stage still gets the event
                 // so both ends' configurations are rewritten.
                 cx.raise(ControlEvent::Link(LinkChange::Down {
                     a: (a_dpid, a_port),
@@ -126,38 +118,15 @@ impl DiscoveryBridgeApp {
                     sim_link,
                 }));
             }
-            RpcRequest::PortStatus { dpid, port, up } => {
-                cx.raise(ControlEvent::Link(LinkChange::PortStatus {
-                    dpid,
-                    port,
-                    up,
-                }));
-            }
+            RpcRequest::PortStatus { .. } => {}
         }
     }
-}
 
-impl Default for DiscoveryBridgeApp {
-    fn default() -> Self {
-        DiscoveryBridgeApp::new()
-    }
-}
-
-impl ControlApp for DiscoveryBridgeApp {
-    fn name(&self) -> &'static str {
-        "discovery-bridge"
-    }
-
-    fn on_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: &RpcRequest) {
-        self.handle_rpc(cx, req.clone());
-    }
-
-    fn on_vm_spawned(&mut self, cx: &mut AppCtx<'_, '_>, _dpid: u64) {
-        // A new VM may complete the endpoint pair of links that
-        // arrived early.
-        let pending = std::mem::take(&mut self.pending_links);
-        for req in pending {
-            self.handle_rpc(cx, req);
+    /// A new VM may complete the endpoint pair of links that arrived
+    /// early.
+    pub(crate) fn on_vm_spawned(&mut self, cx: &mut AppCtx<'_, '_>) {
+        for req in std::mem::take(&mut self.pending_links) {
+            self.on_rpc(cx, req);
         }
     }
 }

@@ -1,17 +1,20 @@
-//! The control-plane engine: wire I/O demultiplexing and bus dispatch.
+//! The control-plane engine: wire I/O demultiplexing and the routing
+//! of bus events to the four stages.
 //!
 //! The engine is the only [`Agent`] on the controller side. It owns the
 //! OpenFlow channels (from FlowVisor or switches), the embedded RPC
 //! server (from the topology controller) and the RF-protocol channels
 //! (from the VMs), translates their bytes into [`ControlEvent`]s, and
-//! publishes them to the registered [`ControlApp`]s. Transport chores
-//! that no app should ever see — Hello/Echo, handshake bookkeeping,
-//! flushing FLOW_MODs queued while a channel was down, RPC acks and
-//! dedup — are handled here.
+//! hands each to the stages that act on it. Transport chores no stage
+//! sees — Hello/Echo, handshake bookkeeping, flushing FLOW_MODs queued
+//! while a channel was down, RPC acks and dedup — are handled here.
 
-use super::bus::{AppCtx, BusIo, ControlApp, ControlEvent, ControlState, FibChange};
+use super::arp_proxy::ArpProxy;
+use super::bus::{AppCtx, BusIo, ControlEvent, ControlState, FibChange};
 use super::channel::{ChannelLayer, CHANNEL_DRAIN_TOKEN};
-use super::{ArpProxyApp, DiscoveryBridgeApp, FibMirrorApp, VmLifecycleApp};
+use super::discovery_bridge::DiscoveryBridge;
+use super::fib_mirror::FibMirror;
+use super::lifecycle::VmLifecycle;
 use crate::rfcontroller::{RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
 use crate::vnet::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use rf_openflow::{MessageReader, OfMessage};
@@ -19,18 +22,20 @@ use rf_rpc::{RpcServerEndpoint, RPC_SERVER_SERVICE};
 use rf_sim::{Agent, ConnId, Ctx, StreamEvent, Time};
 use std::collections::{HashMap, VecDeque};
 
-/// The RouteFlow controller as an event-bus engine hosting pluggable
-/// control apps.
+/// The RouteFlow controller: the paper's four fixed stages behind one
+/// event bus.
 #[derive(Clone)]
 pub struct ControlPlane {
     cfg: RfControllerConfig,
-    apps: Vec<Box<dyn ControlApp>>,
+    bridge: DiscoveryBridge,
+    lifecycle: VmLifecycle,
+    fib: FibMirror,
+    arp: ArpProxy,
     state: ControlState,
     io: BusIo,
+    /// Events waiting for dispatch; empty between publishes, kept for
+    /// its capacity.
     bus: VecDeque<ControlEvent>,
-    /// True while the bus loop is draining (re-entrant publishes from
-    /// nested I/O must only enqueue, not start a second drain).
-    dispatching: bool,
     // Wire demux.
     of_readers: HashMap<ConnId, MessageReader>,
     of_dpid: HashMap<ConnId, u64>,
@@ -43,28 +48,18 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// Engine with the standard four apps: discovery bridge, VM
-    /// lifecycle, FIB mirror, ARP proxy — together they reproduce the
-    /// monolithic RF-controller's behaviour.
+    /// The controller with its four stages: discovery bridge, VM
+    /// lifecycle, FIB mirror and ARP proxy.
     pub fn new(cfg: RfControllerConfig) -> ControlPlane {
-        let mut cp = ControlPlane::bare(cfg);
-        cp.register(Box::new(DiscoveryBridgeApp::new()));
-        cp.register(Box::new(VmLifecycleApp::new()));
-        cp.register(Box::new(FibMirrorApp::new()));
-        cp.register(Box::new(ArpProxyApp::new()));
-        cp
-    }
-
-    /// Engine with no apps registered — for tests and bespoke stacks
-    /// that compose their own pipeline.
-    pub fn bare(cfg: RfControllerConfig) -> ControlPlane {
         ControlPlane {
             cfg,
-            apps: Vec::new(),
+            bridge: DiscoveryBridge::default(),
+            lifecycle: VmLifecycle::default(),
+            fib: FibMirror::new(),
+            arp: ArpProxy::new(),
             state: ControlState::default(),
             io: BusIo::new(),
             bus: VecDeque::new(),
-            dispatching: false,
             of_readers: HashMap::new(),
             of_dpid: HashMap::new(),
             rpc: RpcServerEndpoint::new(),
@@ -75,32 +70,9 @@ impl ControlPlane {
         }
     }
 
-    /// Register an app; it sees every event after the ones registered
-    /// before it. Returns `self` for chaining.
-    pub fn register(&mut self, app: Box<dyn ControlApp>) -> &mut ControlPlane {
-        self.apps.push(app);
-        self
-    }
-
-    /// Builder-style [`ControlPlane::register`].
-    pub fn with_app(mut self, app: Box<dyn ControlApp>) -> ControlPlane {
-        self.apps.push(app);
-        self
-    }
-
-    /// Names of the registered apps, in dispatch order.
-    pub fn app_names(&self) -> Vec<&'static str> {
-        self.apps.iter().map(|a| a.name()).collect()
-    }
-
     /// Shared control-plane state (tests, metrics harvesting).
     pub fn state(&self) -> &ControlState {
         &self.state
-    }
-
-    /// Controller configuration.
-    pub fn config(&self) -> &RfControllerConfig {
-        &self.cfg
     }
 
     /// Append a channel-stall window to the configuration at runtime.
@@ -108,7 +80,7 @@ impl ControlPlane {
     /// from one declared at construction (stalls only act through
     /// `covers(now)` checks at send/drain time), which is what lets a
     /// forked scenario inject a cell's stall schedule post-fork.
-    pub fn add_channel_stall(&mut self, window: crate::apps::ChannelStallWindow) {
+    pub fn add_channel_stall(&mut self, window: super::ChannelStallWindow) {
         self.cfg.channel_stalls.push(window);
     }
 
@@ -202,14 +174,9 @@ impl ControlPlane {
         self.state.fib_batches
     }
 
-    /// Messages refused back to producers by bounded channels (Defer).
+    /// Messages refused back to producers by bounded channels.
     pub fn of_deferred(&self) -> u64 {
         self.state.of_deferred
-    }
-
-    /// Queued messages evicted by bounded channels (DropOldest).
-    pub fn of_dropped(&self) -> u64 {
-        self.state.of_dropped
     }
 
     /// Deepest switch-channel queue observed over the run.
@@ -227,29 +194,45 @@ impl ControlPlane {
     // Bus dispatch.
     // ------------------------------------------------------------------
 
-    /// Publish an event and drain the bus: every app sees every event
-    /// in registration order; events raised while handling one are
-    /// processed after it (breadth-first), keeping dispatch
-    /// deterministic however deeply apps cascade.
-    pub fn publish(&mut self, ctx: &mut Ctx<'_>, ev: ControlEvent) {
+    /// Publish an event and drain the bus. Each event goes to the
+    /// stages that act on it, in the order below; events raised while
+    /// handling one are processed after it (breadth-first), keeping
+    /// dispatch deterministic however far the stages cascade.
+    fn publish(&mut self, ctx: &mut Ctx<'_>, ev: ControlEvent) {
         self.bus.push_back(ev);
-        if self.dispatching {
-            return; // the active drain loop will pick it up
-        }
-        self.dispatching = true;
         while let Some(ev) = self.bus.pop_front() {
-            for app in &mut self.apps {
-                let mut cx = AppCtx {
-                    sim: ctx,
-                    state: &mut self.state,
-                    config: &self.cfg,
-                    io: &mut self.io,
-                    bus: &mut self.bus,
-                };
-                app.on_event(&mut cx, &ev);
+            let cx = &mut AppCtx {
+                sim: ctx,
+                state: &mut self.state,
+                config: &self.cfg,
+                io: &mut self.io,
+                bus: &mut self.bus,
+            };
+            match ev {
+                ControlEvent::Rpc(req) => self.bridge.on_rpc(cx, req),
+                ControlEvent::VmSpawned => self.bridge.on_vm_spawned(cx),
+                ControlEvent::SwitchUp { dpid, num_ports } => {
+                    self.lifecycle.on_switch_up(cx, dpid, num_ports)
+                }
+                ControlEvent::SwitchDown { dpid } => {
+                    self.lifecycle.on_switch_down(cx, dpid);
+                    self.fib.on_switch_down(dpid);
+                    self.arp.on_switch_down(dpid);
+                }
+                ControlEvent::Link(change) => self.lifecycle.on_link(cx, change),
+                ControlEvent::VmUp { dpid } => self.lifecycle.on_vm_up(cx, dpid),
+                ControlEvent::Fib(change) => self.fib.on_fib(cx, change),
+                ControlEvent::PacketIn {
+                    dpid,
+                    in_port,
+                    data,
+                } => self.arp.on_packet_in(cx, dpid, in_port, &data),
+                ControlEvent::Timer { token } => {
+                    self.fib.on_timer(cx, token);
+                    self.arp.on_timer(cx, token);
+                }
             }
         }
-        self.dispatching = false;
     }
 
     // ------------------------------------------------------------------
@@ -276,7 +259,6 @@ impl ControlPlane {
                     sim: ctx,
                 }
                 .flush(dpid);
-                self.publish(ctx, ControlEvent::ChannelUp { dpid });
             }
             OfMessage::PacketIn { in_port, data, .. } => {
                 let Some(&dpid) = self.of_dpid.get(&conn) else {
@@ -308,7 +290,7 @@ impl ControlPlane {
                 prefix,
                 next_hop,
                 out_iface,
-                metric,
+                ..
             } => {
                 let Some(&dpid) = self.vm_dpid.get(&conn) else {
                     return;
@@ -320,7 +302,6 @@ impl ControlPlane {
                         prefix,
                         next_hop,
                         out_iface,
-                        metric,
                     }),
                 );
             }
@@ -345,7 +326,7 @@ impl Agent for ControlPlane {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == CHANNEL_DRAIN_TOKEN {
             // Engine-owned transport chore: replenish channel credits
-            // and flush what can move. Apps never see this tick.
+            // and flush what can move. Stages never see this tick.
             ChannelLayer {
                 io: &mut self.io,
                 state: &mut self.state,

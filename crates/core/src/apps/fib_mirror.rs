@@ -11,7 +11,7 @@
 //! starts. Per-switch message order is preserved, so the final FIB is
 //! identical to the unbatched run (see `tests/fib_batching.rs`).
 
-use super::bus::{AppCtx, ControlApp, FibChange};
+use super::bus::{AppCtx, FibChange};
 use super::channel::DeferBuffer;
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
 use rf_wire::MacAddr;
@@ -20,16 +20,16 @@ use std::time::Duration;
 
 /// Flow priority encoding: longest-prefix-match via OF 1.0 priorities.
 /// A /32 lands at `0x1100`, still below [`HOST_FLOW_PRIORITY`].
-pub fn route_priority(prefix_len: u8) -> u16 {
+pub(crate) fn route_priority(prefix_len: u8) -> u16 {
     0x1000 + u16::from(prefix_len) * 8
 }
 
 /// Host /32 delivery flows outrank every routed prefix.
-pub const HOST_FLOW_PRIORITY: u16 = 0x2000;
+pub(crate) const HOST_FLOW_PRIORITY: u16 = 0x2000;
 
 /// Bus-timer token of the batch flush tick (timer tokens share one
-/// namespace across this controller's apps, so the prefix is the
-/// app's). The scenario harness also fires it at harvest time so a
+/// namespace across this controller's stages, so the prefix is the
+/// stage's). The scenario harness also fires it at harvest time so a
 /// sub-tick tail batch cannot be left unsent in a short cell.
 pub(crate) const FIB_FLUSH_TOKEN: u64 = 0xF1B0_0000_0000_0000;
 
@@ -39,29 +39,22 @@ const FIB_FLUSH_TICK: Duration = Duration::from_millis(50);
 
 /// Mirrors VM FIB changes onto the data plane.
 #[derive(Clone)]
-pub struct FibMirrorApp {
+pub(crate) struct FibMirror {
     /// FLOW_MODs queued per switch while a batch fills (`fib_batch > 1`
     /// only; keyed deterministically so flush order never wobbles).
     pending: BTreeMap<u64, Vec<OfMessage>>,
-    /// FLOW_MODs a bounded switch channel refused under `Defer`,
-    /// retried on the flush tick. That retry loop is what makes
-    /// `Defer` lossless: the final FIB is byte-identical to the
-    /// unbounded run whenever nothing is dropped.
+    /// FLOW_MODs a bounded switch channel refused, retried on the
+    /// flush tick. That retry loop is what makes deferral lossless: the
+    /// final FIB is byte-identical to the unbounded run.
     deferred: DeferBuffer,
     /// True while a flush tick is scheduled for the *batch* stage (the
     /// deferral backlog arms its own, sharing the same token).
     tick_armed: bool,
 }
 
-impl Default for FibMirrorApp {
-    fn default() -> Self {
-        FibMirrorApp::new()
-    }
-}
-
-impl FibMirrorApp {
-    pub fn new() -> FibMirrorApp {
-        FibMirrorApp {
+impl FibMirror {
+    pub(crate) fn new() -> FibMirror {
+        FibMirror {
             pending: BTreeMap::new(),
             deferred: DeferBuffer::new(FIB_FLUSH_TOKEN, FIB_FLUSH_TICK),
             tick_armed: false,
@@ -70,7 +63,7 @@ impl FibMirrorApp {
 
     fn arm_tick(&mut self, cx: &mut AppCtx<'_, '_>) {
         if !self.tick_armed {
-            cx.schedule(FIB_FLUSH_TICK, FIB_FLUSH_TOKEN);
+            cx.sim.schedule(FIB_FLUSH_TICK, FIB_FLUSH_TOKEN);
             self.tick_armed = true;
         }
     }
@@ -80,13 +73,13 @@ impl FibMirrorApp {
     /// and flush on the size threshold. A switch with a deferral
     /// backlog keeps accumulating behind it so per-switch order holds.
     fn emit(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, fm: OfMessage) {
-        let batch = cx.config().fib_batch;
+        let batch = cx.config.fib_batch;
         if batch <= 1 {
             if self.deferred.is_backlogged(dpid) {
                 self.deferred.park(cx, dpid, vec![fm]);
                 return;
             }
-            let outcome = cx.send_of(dpid, fm);
+            let outcome = cx.send_of(dpid, vec![fm]);
             let _ = self.deferred.absorb(cx, dpid, outcome, "rf.fib_deferred");
             return;
         }
@@ -109,27 +102,20 @@ impl FibMirrorApp {
         if msgs.is_empty() {
             return;
         }
-        let outcome = cx.send_of_batch(dpid, msgs);
+        let outcome = cx.send_of(dpid, msgs);
         if self.deferred.absorb(cx, dpid, outcome, "rf.fib_deferred") {
-            cx.count("rf.fib_batch_flush", 1);
+            cx.sim.count("rf.fib_batch_flush", 1);
             cx.state.fib_batches += 1;
         }
     }
-}
 
-impl ControlApp for FibMirrorApp {
-    fn name(&self) -> &'static str {
-        "fib-mirror"
-    }
-
-    fn on_fib_update(&mut self, cx: &mut AppCtx<'_, '_>, change: &FibChange) {
-        match *change {
+    pub(crate) fn on_fib(&mut self, cx: &mut AppCtx<'_, '_>, change: FibChange) {
+        match change {
             FibChange::Add {
                 dpid,
                 prefix,
                 next_hop,
                 out_iface,
-                metric: _,
             } => {
                 if next_hop.is_none() {
                     // Connected routes need no transit flow: traffic to
@@ -164,7 +150,7 @@ impl ControlApp for FibMirrorApp {
                     route_priority(prefix.prefix_len),
                 );
                 cx.state.flows_installed += 1;
-                cx.count("rf.flow_add", 1);
+                cx.sim.count("rf.flow_add", 1);
                 self.emit(cx, dpid, fm);
             }
             FibChange::Del { dpid, prefix } => {
@@ -185,13 +171,13 @@ impl ControlApp for FibMirrorApp {
                     actions: vec![],
                 };
                 cx.state.flows_removed += 1;
-                cx.count("rf.flow_del", 1);
+                cx.sim.count("rf.flow_del", 1);
                 self.emit(cx, dpid, fm);
             }
         }
     }
 
-    fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
+    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
         if !self.deferred.on_tick(token) {
             return; // the buffer shares FIB_FLUSH_TOKEN with the batch stage
         }
@@ -203,7 +189,7 @@ impl ControlApp for FibMirrorApp {
         }
     }
 
-    fn on_switch_down(&mut self, _cx: &mut AppCtx<'_, '_>, dpid: u64) {
+    pub(crate) fn on_switch_down(&mut self, dpid: u64) {
         // Drop FLOW_MODs still waiting in the dead switch's batch
         // window or deferral backlog: flushing them would only park
         // stale routes in the channel's replay queue, to be installed

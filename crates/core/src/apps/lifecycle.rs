@@ -2,7 +2,7 @@
 //! mirrors physical links in the virtual interconnect, and (re)writes
 //! each VM's routing configuration files.
 
-use super::bus::{AppCtx, ControlApp, ControlEvent, LinkChange, SwitchRec};
+use super::bus::{AppCtx, ControlEvent, LinkChange, SwitchRec};
 use super::channel::VmSendOutcome;
 use crate::vnet::rfproto::RfMessage;
 use crate::vnet::vm::VmAgent;
@@ -19,33 +19,26 @@ use std::collections::{BTreeSet, VecDeque};
 /// on the event bus: each [`ControlEvent::VmUp`] retires its dpid from
 /// the in-flight set and tops the pipeline back up, so there is no
 /// lockstep sequencing anywhere.
-#[derive(Clone)]
-pub struct VmLifecycleApp {
+#[derive(Clone, Default)]
+pub(crate) struct VmLifecycle {
     vm_queue: VecDeque<(u64, u16)>,
     /// Dpids whose VM was spawned but has not reported `VmUp` yet.
     in_flight: BTreeSet<u64>,
 }
 
-impl VmLifecycleApp {
-    pub fn new() -> VmLifecycleApp {
-        VmLifecycleApp {
-            vm_queue: VecDeque::new(),
-            in_flight: BTreeSet::new(),
-        }
-    }
-
+impl VmLifecycle {
     /// Provision queued VMs until the pipeline holds `provision_width`
     /// in-flight creations (FIFO, so spawn order — and therefore the
     /// whole run — stays deterministic at any width).
     fn fill_pipeline(&mut self, cx: &mut AppCtx<'_, '_>) {
-        let width = cx.config().provision_width.max(1);
+        let width = cx.config.provision_width.max(1);
         while self.in_flight.len() < width {
             let Some((dpid, num_ports)) = self.vm_queue.pop_front() else {
                 return;
             };
-            let controller = cx.controller_id();
-            let boot_delay = cx.config().vm_boot_delay;
-            let vm = cx.spawn_agent(
+            let controller = cx.sim.self_id();
+            let boot_delay = cx.config.vm_boot_delay;
+            let vm = cx.sim.spawn(
                 &format!("vm-{dpid:x}"),
                 Box::new(VmAgent::new(dpid, controller, boot_delay)),
             );
@@ -59,7 +52,7 @@ impl VmLifecycleApp {
                     configured_at: None,
                 },
             );
-            cx.raise(ControlEvent::VmSpawned { dpid });
+            cx.raise(ControlEvent::VmSpawned);
         }
     }
 
@@ -78,32 +71,20 @@ impl VmLifecycleApp {
         let cfg = VmRouterConfig::generate_with_timers(
             dpid,
             &ifaces,
-            cx.config().ospf_hello,
-            cx.config().ospf_dead,
+            cx.config.ospf_hello,
+            cx.config.ospf_dead,
         );
         let (zebra, ospf, bgp) = cfg.render_all();
         match cx.send_to_vm(dpid, RfMessage::WriteConfigs { zebra, ospf, bgp }) {
-            VmSendOutcome::Delivered => cx.count("rf.configs_written", 1),
+            VmSendOutcome::Delivered => cx.sim.count("rf.configs_written", 1),
             // Unreachable given the guard above, but the outcome is
             // consumed explicitly: a deferred config push is re-sent by
             // the next `VmUp` (the engine re-raises it on reconnect).
-            VmSendOutcome::Deferred => cx.count("rf.configs_deferred", 1),
+            VmSendOutcome::Deferred => cx.sim.count("rf.configs_deferred", 1),
         }
     }
-}
 
-impl Default for VmLifecycleApp {
-    fn default() -> Self {
-        VmLifecycleApp::new()
-    }
-}
-
-impl ControlApp for VmLifecycleApp {
-    fn name(&self) -> &'static str {
-        "vm-lifecycle"
-    }
-
-    fn on_switch_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, num_ports: u16) {
+    pub(crate) fn on_switch_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, num_ports: u16) {
         if cx.state.switches.contains_key(&dpid) || self.vm_queue.iter().any(|(d, _)| *d == dpid) {
             return;
         }
@@ -111,10 +92,10 @@ impl ControlApp for VmLifecycleApp {
         self.fill_pipeline(cx);
     }
 
-    fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
+    pub(crate) fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
         if let Some(rec) = cx.state.switches.remove(&dpid) {
             if let Some(vm) = rec.vm {
-                cx.kill_agent(vm);
+                cx.sim.kill(vm);
             }
         }
         self.vm_queue.retain(|(d, _)| *d != dpid);
@@ -123,9 +104,9 @@ impl ControlApp for VmLifecycleApp {
         }
     }
 
-    fn on_link_event(&mut self, cx: &mut AppCtx<'_, '_>, change: &LinkChange) {
-        match *change {
-            LinkChange::Up { a, b, .. } => {
+    pub(crate) fn on_link(&mut self, cx: &mut AppCtx<'_, '_>, change: LinkChange) {
+        match change {
+            LinkChange::Up { a, b } => {
                 let (Some(va), Some(vb)) = (
                     cx.state.switches.get(&a.0).and_then(|s| s.vm),
                     cx.state.switches.get(&b.0).and_then(|s| s.vm),
@@ -133,8 +114,10 @@ impl ControlApp for VmLifecycleApp {
                     return; // bridge only raises Up once both exist
                 };
                 // Mirror the physical link in the virtual environment.
-                let profile = cx.config().vm_link_profile;
-                let sim_link = cx.add_sim_link((va, u32::from(a.1)), (vb, u32::from(b.1)), profile);
+                let profile = cx.config.vm_link_profile;
+                let sim_link = cx
+                    .sim
+                    .add_link((va, u32::from(a.1)), (vb, u32::from(b.1)), profile);
                 if let Some(rec) = cx.state.links.iter_mut().find(|l| l.a == a && l.b == b) {
                     rec.sim_link = Some(sim_link);
                 }
@@ -144,20 +127,16 @@ impl ControlApp for VmLifecycleApp {
             }
             LinkChange::Down { a, b, sim_link } => {
                 if let Some(l) = sim_link {
-                    cx.remove_sim_link(l);
+                    cx.sim.remove_link(l);
                 }
                 self.push_configs(cx, a.0);
                 self.push_configs(cx, b.0);
             }
-            LinkChange::PortStatus { .. } => {
-                // Port flaps are handled by OSPF's dead-interval on the
-                // mirrored interface; nothing to do here.
-            }
         }
     }
 
-    fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
-        let now = cx.now();
+    pub(crate) fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
+        let now = cx.sim.now();
         if let Some(rec) = cx.state.switches.get_mut(&dpid) {
             // The GUI's red → green transition.
             rec.configured_at.get_or_insert(now);

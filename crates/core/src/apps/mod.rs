@@ -1,41 +1,34 @@
-//! Composable control-plane applications.
+//! The RF-controller: the paper's four fixed stages behind one event
+//! bus.
 //!
-//! The controller side of the framework is an event pipeline: the
-//! [`engine::ControlPlane`] agent owns the wire I/O and publishes
-//! [`bus::ControlEvent`]s to registered [`bus::ControlApp`]s. The four
-//! standard apps reproduce the paper's RF-controller:
+//! The [`ControlPlane`] agent owns the wire I/O, turns it into bus
+//! events and routes each event to the stages that act on it:
 //!
-//! | app | subscribes to | does |
-//! |-----|---------------|------|
-//! | [`DiscoveryBridgeApp`] | `Rpc`, `VmSpawned` | refines raw topology-controller RPC into typed switch/link events; owns link records |
-//! | [`VmLifecycleApp`] | `SwitchUp/Down`, `Link`, `VmUp` | provisions one VM per switch (serially), mirrors links in the virtual interconnect, writes Quagga configs |
-//! | [`FibMirrorApp`] | `Fib` | turns VM FIB changes into FLOW_MODs with LPM priority encoding |
-//! | [`ArpProxyApp`] | `PacketIn` | answers gateway ARPs, learns hosts, installs /32 delivery flows |
+//! | stage | acts on | does |
+//! |-------|---------|------|
+//! | discovery bridge | `Rpc`, `VmSpawned` | refines raw topology-controller RPC into typed switch/link events; owns link records |
+//! | VM lifecycle | `SwitchUp/Down`, `Link`, `VmUp` | provisions one VM per switch (serially), mirrors links in the virtual interconnect, writes Quagga configs |
+//! | FIB mirror | `Fib`, `SwitchDown`, `Timer` | turns VM FIB changes into FLOW_MODs with LPM priority encoding |
+//! | ARP proxy | `PacketIn`, `SwitchDown`, `Timer` | answers gateway ARPs, learns hosts, installs /32 delivery flows |
 //!
-//! Anything else — a flow auditor, a latency monitor, an alternative
-//! route-to-flow policy — registers alongside them with
-//! [`engine::ControlPlane::register`] and sees the same event stream.
-//!
-//! Everything the apps send toward a switch passes through the
-//! bounded, credit-metered [`channel`] layer: per-dpid queues with a
-//! capacity knob, an explicit [`OverflowPolicy`], stall-fault support
-//! and full deferral/drop accounting — so a slow switch exerts
-//! backpressure instead of absorbing unbounded state.
+//! Everything the stages send toward a switch passes through a
+//! bounded, credit-metered channel per dpid: a capacity knob, stall
+//! windows ([`ChannelStallWindow`]) and deferral accounting — a full
+//! channel hands the tail back to its producer, which retries it, so a
+//! slow switch exerts backpressure instead of absorbing unbounded
+//! state, and nothing is lost.
 
-pub mod arp_proxy;
-pub mod bus;
-pub mod channel;
-pub mod discovery_bridge;
-pub mod engine;
-pub mod fib_mirror;
-pub mod lifecycle;
+mod arp_proxy;
+mod bus;
+mod channel;
+mod discovery_bridge;
+mod engine;
+mod fib_mirror;
+mod lifecycle;
 
-pub use arp_proxy::ArpProxyApp;
-pub use bus::{
-    AppCtx, ControlApp, ControlEvent, ControlState, FibChange, LinkChange, LinkRec, SwitchRec,
-};
-pub use channel::{ChannelStallWindow, OverflowPolicy, SendOutcome, VmSendOutcome};
-pub use discovery_bridge::DiscoveryBridgeApp;
+pub(crate) use arp_proxy::ARP_RETRY_TOKEN;
+pub use bus::{ControlState, LinkRec, SwitchRec};
+pub use channel::ChannelStallWindow;
+pub(crate) use channel::CHANNEL_DRAIN_TOKEN;
 pub use engine::ControlPlane;
-pub use fib_mirror::{route_priority, FibMirrorApp, HOST_FLOW_PRIORITY};
-pub use lifecycle::VmLifecycleApp;
+pub(crate) use fib_mirror::FIB_FLUSH_TOKEN;

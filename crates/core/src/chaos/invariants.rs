@@ -14,16 +14,13 @@
 //!    out an interface consistent with shortest paths on the
 //!    *surviving* graph, and every such route is mirrored into the
 //!    switch flow table the controller tracks.
-//! 4. **Defer losslessness** — a `Defer` overflow policy must never
-//!    record a dropped controller message.
-//! 5. **Traffic conservation** — sinks never accept more than sources
+//! 4. **Traffic conservation** — sinks never accept more than sources
 //!    offered; no counter underflows.
 //!
 //! Violations are *data*, not panics: each is a typed
 //! [`InvariantViolation`] that the campaign folds into cell metrics
 //! (`inv_<code>` counts) and into minimized repro artifacts.
 
-use crate::apps::OverflowPolicy;
 use crate::scenario::{port_plan, Fault, Scenario, WorkloadReport};
 use crate::vnet::VmAgent;
 use rf_topo::Topology;
@@ -77,8 +74,6 @@ pub enum InvariantViolation {
         dpid: u64,
         prefix: String,
     },
-    /// `Defer` overflow policy recorded dropped controller messages.
-    DeferLoss { dropped: u64 },
     /// A sink accounted more than its sources offered.
     Conservation {
         what: &'static str,
@@ -96,7 +91,6 @@ impl InvariantViolation {
             | InvariantViolation::StuckAdjacency { .. } => "adjacency",
             InvariantViolation::FibSpfMismatch { .. } => "fib_spf",
             InvariantViolation::MirrorMissing { .. } => "fib_mirror",
-            InvariantViolation::DeferLoss { .. } => "defer_loss",
             InvariantViolation::Conservation { .. } => "conservation",
         }
     }
@@ -138,9 +132,6 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "node {node}: OSPF route {prefix} missing from dpid {dpid}'s flow table"
             ),
-            InvariantViolation::DeferLoss { dropped } => {
-                write!(f, "Defer overflow policy dropped {dropped} messages")
-            }
             InvariantViolation::Conservation {
                 what,
                 offered,
@@ -359,15 +350,7 @@ pub fn check_invariants(sc: &Scenario, ctx: &InvariantContext<'_>) -> Vec<Invari
         }
     }
 
-    // 4. Defer losslessness, under the policy the controller ran with.
-    if sc.controller().config().overflow == OverflowPolicy::Defer {
-        let dropped = sc.controller().of_dropped();
-        if dropped > 0 {
-            out.push(InvariantViolation::DeferLoss { dropped });
-        }
-    }
-
-    // 5. Traffic conservation (workload accounting).
+    // 4. Traffic conservation (workload accounting).
     for report in sc.workload_reports() {
         match report {
             WorkloadReport::Ping(p) => {

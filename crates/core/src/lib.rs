@@ -3,24 +3,21 @@
 //! The primary contribution of the paper, assembled from the substrate
 //! crates and exposed as two composable layers:
 //!
-//! * **Controller side** — [`apps`]: the RF-controller is an event-bus
-//!   engine ([`apps::ControlPlane`]) running pluggable
-//!   [`apps::ControlApp`]s. The four standard apps reproduce the
-//!   paper's behaviour: on `SwitchDetected` the lifecycle app spawns a
-//!   VM whose ID equals the switch's datapath id; on `LinkDetected` it
+//! * **Controller side** — [`apps`]: the RF-controller
+//!   ([`apps::ControlPlane`]) is the paper's four fixed stages behind
+//!   one event bus. On `SwitchDetected` the lifecycle stage spawns a VM
+//!   whose ID equals the switch's datapath id; on `LinkDetected` it
 //!   builds the virtual interconnect mirroring the physical link and
-//!   (re)writes the Quagga configuration files; every FIB change a VM
-//!   reports becomes a `FLOW_MOD` with prefix length encoded in flow
-//!   priority so OF 1.0's single table performs longest-prefix
-//!   matching; and the ARP proxy answers hosts' gateway ARPs and
-//!   installs per-host /32 delivery flows. Your own apps register on
-//!   the same bus and see the same events.
+//!   (re)writes the Quagga configuration files; the FIB mirror turns
+//!   every FIB change a VM reports into a `FLOW_MOD` with prefix length
+//!   encoded in flow priority so OF 1.0's single table performs
+//!   longest-prefix matching; and the ARP proxy answers hosts' gateway
+//!   ARPs and installs per-host /32 delivery flows.
 //! * **Experiment side** — [`scenario`]: the fluent
 //!   [`scenario::ScenarioBuilder`] assembles the full Fig. 2 stack
 //!   (switches → FlowVisor → topology controller + RF-controller, RPC
 //!   client in between) on any [`rf_topo::Topology`], with hosts,
-//!   traffic workloads, fault schedules and extra control apps, and
-//!   hands back a [`scenario::Scenario`] with typed metrics. A
+//!   traffic workloads and fault schedules, and hands back a [`scenario::Scenario`] with typed metrics. A
 //!   converged scenario can be checkpointed with
 //!   [`scenario::Scenario::snapshot`] and forked into divergent
 //!   continuations with [`scenario::Scenario::fork`] — the sweep's
@@ -64,9 +61,7 @@ pub mod scenario;
 pub mod traffic;
 pub mod vnet;
 
-pub use apps::{
-    AppCtx, ControlApp, ControlEvent, ControlPlane, ControlState, FibChange, LinkChange,
-};
+pub use apps::{ControlPlane, ControlState};
 pub use chaos::{
     CampaignStats, ChaosCampaign, ChaosOutcome, ChaosSpec, FaultClass, InvariantViolation,
     ReproCase,

@@ -1,8 +1,7 @@
 //! The RF-controller's configuration.
 //!
-//! The controller itself is the [`crate::apps::ControlPlane`] event-bus
-//! engine running four standard [`crate::apps::ControlApp`]s; this
-//! module holds what it is configured with.
+//! The controller itself is the [`crate::apps::ControlPlane`] with its
+//! four fixed stages; this module holds what it is configured with.
 
 use rf_openflow::PortNumber;
 use rf_sim::LinkProfile;
@@ -56,9 +55,9 @@ pub struct RfControllerConfig {
     /// per-drain-interval send credits. `None` (default) reproduces
     /// the paper's unbounded fire-and-forget behaviour; `Some(0)`
     /// refuses every message (the degenerate everything-defers case).
+    /// A full channel hands the overflow back to its producer, which
+    /// retries it.
     pub channel_capacity: Option<usize>,
-    /// What a full bounded channel does with the overflow.
-    pub overflow: crate::apps::OverflowPolicy,
     /// Scheduled control-channel stalls (normally injected through
     /// `Fault::ChannelStall` on a `ScenarioBuilder`).
     pub channel_stalls: Vec<crate::apps::ChannelStallWindow>,
@@ -75,7 +74,6 @@ impl Default for RfControllerConfig {
             provision_width: 1,
             fib_batch: 1,
             channel_capacity: None,
-            overflow: crate::apps::OverflowPolicy::Defer,
             channel_stalls: Vec::new(),
         }
     }

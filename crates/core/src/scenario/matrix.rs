@@ -3,9 +3,8 @@
 //! The simulator is single-threaded, but scenarios are independent:
 //! each (seed × topology × fault-schedule × knob) cell builds its own
 //! [`Sim`](rf_sim::Sim) and runs to completion inside one worker thread. The
-//! [`Agent`](rf_sim::Agent) and [`ControlApp`](crate::apps::ControlApp)
-//! traits are `Send`, so the whole build path crosses the spawn
-//! boundary without ceremony.
+//! [`Agent`](rf_sim::Agent) trait is `Send`, so the whole build path
+//! crosses the spawn boundary without ceremony.
 //!
 //! Determinism contract: a grid produces the *same report bytes* at
 //! any worker count. Cells are keyed and sorted, each cell's sim is
@@ -288,9 +287,10 @@ impl MatrixKnob {
         self
     }
 
-    /// Replace the probe workload with an `n`-client fan-in.
+    /// Replace the probe workload with an `n`-client fan-in. A count no
+    /// cell can place (0, or more than the topology's other nodes)
+    /// fails that cell at build time with a typed `WorkloadError`.
     pub fn with_fan_in(mut self, clients: usize) -> Self {
-        assert!(clients >= 1);
         self.workload = MatrixWorkload::PingFanIn { clients };
         self
     }
@@ -946,10 +946,12 @@ pub(super) fn finish_cell(
     put("of_bytes_sent", m.of_bytes_sent as i64);
     put("of_pushes", m.of_pushes as i64);
     put("fib_batches", m.fib_batches as i64);
-    // Backpressure accounting (schema v3): deferral pacing, drop loss,
-    // and the deepest channel queue the run provoked.
+    // Backpressure accounting (schema v3): deferral pacing and the
+    // deepest channel queue the run provoked. A channel only defers, so
+    // `of_dropped` is 0 in every cell; the column stays so reports keep
+    // their schema.
     put("of_deferred", m.of_deferred as i64);
-    put("of_dropped", m.of_dropped as i64);
+    put("of_dropped", 0);
     put("of_queue_hwm", m.of_queue_hwm as i64);
 
     // Workloads: ping probes yield reply counts, first contact, and —

@@ -1,7 +1,6 @@
 //! The experiment-side API: a fluent [`ScenarioBuilder`] that assembles
-//! the paper's Fig. 2 stack on any topology, with hosts, workloads,
-//! fault schedules and custom [`ControlApp`]s, and a [`Scenario`]
-//! handle exposing typed metrics.
+//! the paper's Fig. 2 stack on any topology, with hosts, workloads and
+//! fault schedules, and a [`Scenario`] handle exposing typed metrics.
 //!
 //! This module is the single build path. A converged scenario can be
 //! captured with
@@ -40,10 +39,9 @@ pub use matrix::{
 };
 pub use report::{CellRecord, MatrixReport, MetricSummary};
 
-use crate::apps::arp_proxy::ARP_RETRY_TOKEN;
-use crate::apps::channel::CHANNEL_DRAIN_TOKEN;
-use crate::apps::fib_mirror::FIB_FLUSH_TOKEN;
-use crate::apps::{ChannelStallWindow, ControlApp, ControlPlane, OverflowPolicy};
+use crate::apps::{
+    ChannelStallWindow, ControlPlane, ARP_RETRY_TOKEN, CHANNEL_DRAIN_TOKEN, FIB_FLUSH_TOKEN,
+};
 use crate::discovery::{TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE};
 use crate::host::video::{VideoClient, VideoClientReport, VideoServer};
 use crate::host::{EchoHost, HostConfig, Pinger};
@@ -115,8 +113,6 @@ pub struct ScenarioConfig {
     /// Switch-channel send-queue bound (`None` = unbounded, the
     /// paper's fire-and-forget behaviour).
     pub channel_capacity: Option<usize>,
-    /// What a full bounded channel does with overflow.
-    pub overflow: OverflowPolicy,
     /// Whether counters count.
     pub trace_level: rf_sim::TraceLevel,
 }
@@ -137,7 +133,6 @@ impl ScenarioConfig {
             provision_width: 1,
             fib_batch: 1,
             channel_capacity: None,
-            overflow: OverflowPolicy::Defer,
             trace_level: rf_sim::TraceLevel::Info,
         }
     }
@@ -170,8 +165,8 @@ pub enum Fault {
     },
     /// Stall the controller's OpenFlow channel to `dpid` between
     /// `from` and `until`: nothing the control plane sends that switch
-    /// reaches the wire inside the window. Queues fill, the overflow
-    /// policy engages, and the drain tick releases the backlog when
+    /// reaches the wire inside the window. Queues fill, a bounded
+    /// channel defers, and the drain tick releases the backlog when
     /// the window closes. (Injected into the controller's
     /// configuration, not the chaos agent — the stall is a
     /// control-plane condition, not a data-plane one.)
@@ -437,12 +432,10 @@ pub struct ScenarioMetrics {
     /// Multi-message FLOW_MOD pushes flushed by the FIB batch stage.
     pub fib_batches: u64,
     /// Deferral events: every time a bounded channel refused a
-    /// message back to its producer (`Defer` pacing — producers
+    /// message back to its producer (pacing, not loss — producers
     /// retried them, and each re-refusal counts again, so this scales
     /// with how long the channel stayed full).
     pub of_deferred: u64,
-    /// Queued messages bounded channels evicted (`DropOldest` loss).
-    pub of_dropped: u64,
     /// Deepest per-switch channel queue observed over the run.
     pub of_queue_hwm: u64,
 }
@@ -506,7 +499,6 @@ pub struct ScenarioBuilder {
     cfg: ScenarioConfig,
     faults: Vec<Fault>,
     workloads: Vec<Workload>,
-    extra_apps: Vec<Box<dyn ControlApp>>,
 }
 
 impl ScenarioBuilder {
@@ -516,7 +508,6 @@ impl ScenarioBuilder {
             cfg,
             faults: Vec::new(),
             workloads: Vec::new(),
-            extra_apps: Vec::new(),
         }
     }
 
@@ -571,17 +562,11 @@ impl ScenarioBuilder {
     /// Bound each switch channel's send queue to `n` messages, which
     /// also sets the channel's per-drain-interval send credits. The
     /// default is unbounded (the paper's fire-and-forget behaviour);
-    /// `0` is the degenerate everything-defers channel.
+    /// `0` is the degenerate everything-defers channel. A full channel
+    /// hands the overflow back to the stage that sent it, which
+    /// retries, so nothing is lost.
     pub fn channel_capacity(mut self, n: usize) -> Self {
         self.cfg.channel_capacity = Some(n);
-        self
-    }
-
-    /// What a full bounded channel does with overflow (default
-    /// [`OverflowPolicy::Defer`], which is lossless with the standard
-    /// retrying apps).
-    pub fn overflow_policy(mut self, policy: OverflowPolicy) -> Self {
-        self.cfg.overflow = policy;
         self
     }
 
@@ -633,13 +618,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Register an extra [`ControlApp`] on the controller's event bus,
-    /// after the four standard apps.
-    pub fn with_app(mut self, app: Box<dyn ControlApp>) -> Self {
-        self.extra_apps.push(app);
-        self
-    }
-
     /// Assemble the world: switches → FlowVisor → topology controller +
     /// RF-controller (RPC client in between), physical links, host
     /// slots, workload agents and the fault schedule.
@@ -648,7 +626,6 @@ impl ScenarioBuilder {
             mut cfg,
             faults,
             workloads,
-            extra_apps,
         } = self;
 
         // Workload endpoints ride on auto-allocated host subnets,
@@ -732,7 +709,7 @@ impl ScenarioBuilder {
             .collect();
 
         // Controllers.
-        let mut engine = ControlPlane::new(RfControllerConfig {
+        let engine = ControlPlane::new(RfControllerConfig {
             vm_boot_delay: cfg.vm_boot_delay,
             vm_link_profile: cfg.link_profile,
             host_ports: host_port_cfgs,
@@ -741,12 +718,8 @@ impl ScenarioBuilder {
             provision_width: cfg.provision_width,
             fib_batch: cfg.fib_batch,
             channel_capacity: cfg.channel_capacity,
-            overflow: cfg.overflow,
             channel_stalls,
         });
-        for app in extra_apps {
-            engine.register(app);
-        }
         let rf_ctrl = sim.add_agent("rf-controller", Box::new(engine));
         let rpc_client = sim.add_agent(
             "rpc-client",
@@ -1280,7 +1253,7 @@ impl Scenario {
         ScenarioBuilder::from_config(ScenarioConfig::new(topology))
     }
 
-    /// The control-plane engine (state, app list, counters).
+    /// The RF-controller (its shared state and counters).
     pub fn controller(&self) -> &ControlPlane {
         self.sim
             .agent_as::<ControlPlane>(self.rf_ctrl)
@@ -1348,7 +1321,7 @@ impl Scenario {
     /// * the controller's channel queues are empty
     ///   ([`SnapshotError::UndrainedChannels`] otherwise) — a buffered
     ///   tail batch would be replayed into every fork from a state the
-    ///   producer apps no longer agree with. Snapshotting never
+    ///   producing stages no longer agree with. Snapshotting never
     ///   force-drains; run further and retry instead.
     ///
     /// Pending *timers* (probes, hellos, workload arrivals) are part of
@@ -1496,7 +1469,6 @@ impl Scenario {
             of_pushes: ctrl.of_pushes(),
             fib_batches: ctrl.fib_batches(),
             of_deferred: ctrl.of_deferred(),
-            of_dropped: ctrl.of_dropped(),
             of_queue_hwm: ctrl.of_queue_hwm(),
         }
     }

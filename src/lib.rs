@@ -8,14 +8,13 @@
 //! This facade crate re-exports the public API of every member crate;
 //! see `README.md` for the architecture tour. The API has two layers:
 //!
-//! * **Controller side** — the [`core::apps`] event pipeline: a
-//!   [`ControlPlane`](core::apps::ControlPlane) engine publishes typed
-//!   [`ControlEvent`](core::apps::ControlEvent)s to pluggable
-//!   [`ControlApp`](core::apps::ControlApp)s (discovery bridge, VM
-//!   lifecycle, FIB mirror, ARP proxy — plus yours).
+//! * **Controller side** — [`core::apps`]: the
+//!   [`ControlPlane`](core::apps::ControlPlane) is the paper's
+//!   RF-controller, four fixed stages behind one event bus (discovery
+//!   bridge, VM lifecycle, FIB mirror, ARP proxy).
 //! * **Experiment side** — the fluent
 //!   [`ScenarioBuilder`](core::scenario::ScenarioBuilder): topology in,
-//!   hosts/workloads/faults/apps composed on top, typed metrics out.
+//!   hosts/workloads/faults composed on top, typed metrics out.
 //!
 //! ## The ninety-second tour
 //!
@@ -67,10 +66,7 @@ pub use rf_wire as wire;
 
 /// The names most programs need.
 pub mod prelude {
-    pub use rf_core::apps::{
-        AppCtx, ControlApp, ControlEvent, ControlPlane, ControlState, FibChange, LinkChange,
-        OverflowPolicy, SendOutcome,
-    };
+    pub use rf_core::apps::{ControlPlane, ControlState};
     pub use rf_core::chaos::{
         check_invariants, ChaosCampaign, ChaosSpec, FaultClass, InvariantContext,
         InvariantViolation, ReproCase,

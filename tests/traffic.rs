@@ -236,8 +236,8 @@ fn stochastic_matrix_bytes_identical_across_worker_counts() {
 
 #[test]
 fn bad_cell_fails_alone_not_the_sweep() {
-    // A fan-in wider than the topology used to assert! inside the
-    // worker and poison the whole sweep; now the one cell records
+    // A fan-in wider than the topology, or with no clients at all, used
+    // to assert! and poison the whole sweep; now the one cell records
     // build_error and every other cell still reports.
     let spec = MatrixSpec {
         seeds: vec![1],
@@ -246,6 +246,7 @@ fn bad_cell_fails_alone_not_the_sweep() {
         knobs: vec![
             MatrixKnob::fast("fast"),
             MatrixKnob::fast("fan9").with_fan_in(9),
+            MatrixKnob::fast("fan0").with_fan_in(0),
             // One frame per nanosecond and more: a zero pacing interval.
             MatrixKnob::fast("cbr-9t").with_traffic(TrafficSpec::cbr_mix(vec![9_000_000_000_000])),
             MatrixKnob::fast("mcast-9t-flow")
@@ -256,8 +257,13 @@ fn bad_cell_fails_alone_not_the_sweep() {
         settle: Duration::from_secs(5),
     };
     let report = ScenarioMatrix::new(spec).run(2);
-    assert_eq!(report.cells.len(), 4);
-    for knob in ["knob=fan9", "knob=cbr-9t", "knob=mcast-9t-flow"] {
+    assert_eq!(report.cells.len(), 5);
+    for knob in [
+        "knob=fan9",
+        "knob=fan0",
+        "knob=cbr-9t",
+        "knob=mcast-9t-flow",
+    ] {
         let bad = report
             .cells
             .iter()
