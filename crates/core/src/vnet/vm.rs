@@ -263,9 +263,8 @@ impl Agent for VmAgent {
             }
             T_OSPF => {
                 self.ospf_deadline = None;
-                if let Some(mut d) = self.ospf.take() {
+                if let Some(d) = self.ospf.as_mut() {
                     let ev = d.tick(ctx.now());
-                    self.ospf = Some(d);
                     self.process_ospf_events(ctx, ev);
                 }
             }
@@ -302,9 +301,8 @@ impl Agent for VmAgent {
                     && (ip.dst == ALL_SPF_ROUTERS
                         || self.ifaces.get(&iface).is_some_and(|a| a.addr == ip.dst))
                 {
-                    if let Some(mut d) = self.ospf.take() {
+                    if let Some(d) = self.ospf.as_mut() {
                         let ev = d.handle_packet(iface, ip.src, &ip.payload, ctx.now());
-                        self.ospf = Some(d);
                         self.process_ospf_events(ctx, ev);
                     }
                 }

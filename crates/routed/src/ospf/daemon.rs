@@ -317,12 +317,17 @@ impl OspfDaemon {
     /// Earliest time `tick` must run again.
     pub fn poll_at(&self) -> Option<Time> {
         let mut t = Time::MAX;
+        let mut heard = Time::MAX;
         for f in self.ifaces.values() {
             t = t.min(f.next_hello);
             if let Some(n) = &f.neighbor {
-                t = t.min(n.last_heard + self.dead_interval);
+                heard = heard.min(n.last_heard);
                 t = t.min(n.next_rxmt);
             }
+        }
+        // The first neighbor to fall silent is the one heard from first.
+        if heard != Time::MAX {
+            t = t.min(heard + self.dead_interval);
         }
         if let Some(s) = self.spf_due {
             t = t.min(s);
@@ -374,14 +379,11 @@ impl OspfDaemon {
             .fold(Time::MAX, Time::min);
     }
 
-    fn effective_age(&self, key: &LsaKey, now: Time) -> u16 {
-        match self.lsdb.get(key) {
-            Some((lsa, installed)) => {
-                let aged = u64::from(lsa.header.age) + now.since(*installed).as_secs();
-                aged.min(u64::from(MAX_AGE)) as u16
-            }
-            None => MAX_AGE,
-        }
+    /// The age an LSDB entry, `lsa` installed at `installed`, has
+    /// reached by `now` (capped at MaxAge).
+    fn age_at(lsa: &Lsa, installed: Time, now: Time) -> u16 {
+        let aged = u64::from(lsa.header.age) + now.since(installed).as_secs();
+        aged.min(u64::from(MAX_AGE)) as u16
     }
 
     fn my_key(&self) -> LsaKey {
@@ -427,9 +429,12 @@ impl OspfDaemon {
         }
     }
 
-    /// True when `key`'s LSA participates in SPF right `now`.
-    fn spf_live(&self, key: &LsaKey, lsa: &Lsa, now: Time) -> bool {
-        key.ls_type == 1 && self.effective_age(key, now) < MAX_AGE && lsa.header.seq >= INITIAL_SEQ
+    /// True when the LSDB entry (`key`, `lsa` installed at
+    /// `installed`) participates in SPF right `now`.
+    fn spf_live(key: &LsaKey, lsa: &Lsa, installed: Time, now: Time) -> bool {
+        key.ls_type == 1
+            && Self::age_at(lsa, installed, now) < MAX_AGE
+            && lsa.header.seq >= INITIAL_SEQ
     }
 
     fn run_spf(&mut self, now: Time, ev: &mut Vec<OspfEvent>) {
@@ -442,8 +447,8 @@ impl OspfDaemon {
         // deliberately excluded: they change on every refresh without
         // moving a single route.
         let mut fp: u64 = 0x243F_6A88_85A3_08D3;
-        for (k, (lsa, _)) in &self.lsdb {
-            if !self.spf_live(k, lsa, now) {
+        for (k, (lsa, installed)) in &self.lsdb {
+            if !Self::spf_live(k, lsa, *installed, now) {
                 continue;
             }
             fp = fp_mix(fp, u64::from(k.adv_router));
@@ -474,13 +479,16 @@ impl OspfDaemon {
             return;
         }
         self.spf_fingerprint = Some(fp);
-        let router_lsas: BTreeMap<u32, Lsa> = self
+        // The live entries, borrowed where they lie. Every router LSA's
+        // link-state id is its advertising router (`LsaView::parse`
+        // refuses any other), so the LSDB's key order is router-id
+        // order and holds one LSA per router.
+        let live = self
             .lsdb
             .iter()
-            .filter(|(k, (lsa, _))| self.spf_live(k, lsa, now))
-            .map(|(k, (lsa, _))| (k.adv_router, lsa.clone()))
-            .collect();
-        let routes = spf::compute(&router_lsas, self.router_id, &adjacent);
+            .filter(|(k, (lsa, installed))| Self::spf_live(k, lsa, *installed, now))
+            .map(|(k, (lsa, _))| (&k.adv_router, lsa));
+        let routes = spf::compute(live, self.router_id, &adjacent);
         if routes != self.last_routes {
             self.last_routes = routes.clone();
             ev.push(OspfEvent::RoutesChanged(routes));
@@ -633,11 +641,10 @@ impl OspfDaemon {
     /// Current LSDB summary (all headers, with effective ages).
     fn db_summary(&self, now: Time) -> Vec<LsaHeader> {
         self.lsdb
-            .keys()
-            .map(|k| {
-                let mut h = self.lsdb[k].0.header;
-                h.age = self.effective_age(k, now);
-                h
+            .values()
+            .map(|(lsa, installed)| LsaHeader {
+                age: Self::age_at(lsa, *installed, now),
+                ..lsa.header
             })
             .collect()
     }
@@ -714,18 +721,20 @@ impl OspfDaemon {
     /// other side of a ring while an LSR to the original neighbor is
     /// still outstanding). Equal instances count: the request asked for
     /// "at least this", and that is what arrived.
+    ///
+    /// Only a neighbor that still has requests outstanding is looked
+    /// into. Finishing one adjacency's Loading touches no other's request
+    /// list, so each is finished as soon as its request is struck.
     fn satisfy_requests(&mut self, key: &LsaKey, now: Time, ev: &mut Vec<OspfEvent>) {
-        let affected: Vec<u16> = self
-            .ifaces
-            .iter_mut()
-            .filter_map(|(i, f)| {
-                f.neighbor
-                    .as_mut()
-                    .and_then(|n| n.ls_requests.remove(key).then_some(*i))
-            })
-            .collect();
-        for idx in affected {
-            self.maybe_finish_loading(idx, now, ev);
+        for i in 0..self.ifaces.entries.len() {
+            let (idx, f) = &mut self.ifaces.entries[i];
+            let Some(n) = f.neighbor.as_mut() else {
+                continue;
+            };
+            if !n.ls_requests.is_empty() && n.ls_requests.remove(key) {
+                let idx = *idx;
+                self.maybe_finish_loading(idx, now, ev);
+            }
         }
     }
 
@@ -773,6 +782,17 @@ impl OspfDaemon {
                     || dead_interval != self.dead_interval.as_secs() as u32
                 {
                     return ev; // timer mismatch: not a neighbor
+                }
+                // Another router on a link whose adjacency is Full: the
+                // old neighbor is gone (RFC 2328 §10.3 KillNbr). Its
+                // link leaves our router LSA now, not when — or if — the
+                // newcomer reaches Full.
+                let replaces_full = self.ifaces[&idx]
+                    .neighbor
+                    .as_ref()
+                    .is_some_and(|n| n.id != pkt.router_id && n.state == NeighborState::Full);
+                if replaces_full {
+                    self.kill_neighbor(idx, now, &mut ev);
                 }
                 let is_new = {
                     let f = self.ifaces.get_mut(&idx).unwrap();
@@ -951,7 +971,8 @@ impl OspfDaemon {
             }
             OspfBodyView::LinkStateRequest { keys } => {
                 let lsas: Vec<(&Lsa, u16)> = keys
-                    .filter_map(|k| Some((&self.lsdb.get(&k)?.0, self.effective_age(&k, now))))
+                    .filter_map(|k| self.lsdb.get(&k))
+                    .map(|(lsa, installed)| (lsa, Self::age_at(lsa, *installed, now)))
                     .collect();
                 self.transmit_update(idx, &lsas, &mut ev);
             }
@@ -963,17 +984,20 @@ impl OspfDaemon {
                 for lsa in lsas {
                     let header = lsa.header;
                     let key = header.key();
-                    // Our copy's header at the age it has reached.
-                    let have = self.lsdb.get(&key).map(|(mine, _)| LsaHeader {
-                        age: self.effective_age(&key, now),
+                    // Our copy, looked up once, and its header at the
+                    // age it has reached.
+                    let mine = self.lsdb.get(&key);
+                    let have = mine.map(|(mine, installed)| LsaHeader {
+                        age: Self::age_at(mine, *installed, now),
                         ..mine.header
                     });
                     let newer = have.is_none_or(|cur| header.is_newer_than(&cur));
-                    if !newer && have.is_some_and(|cur| cur.is_newer_than(&header)) {
-                        // We hold a newer instance: send it back.
-                        let age = self.effective_age(&key, now);
-                        self.transmit_update(idx, &[(&self.lsdb[&key].0, age)], &mut ev);
-                        continue;
+                    if let (Some((mine, _)), Some(cur)) = (mine, have) {
+                        if !newer && cur.is_newer_than(&header) {
+                            // We hold a newer instance: send it back.
+                            self.transmit_update(idx, &[(mine, cur.age)], &mut ev);
+                            continue;
+                        }
                     }
                     // New to us, or the instance we hold: acked either way.
                     ack.get_or_insert_with(|| PacketWriter::ack(self.router_id, room))
@@ -1113,7 +1137,8 @@ impl OspfDaemon {
             // Unacked LSAs (any state ≥ Exchange).
             let lsas: Vec<(&Lsa, u16)> = retrans_keys
                 .iter()
-                .filter_map(|k| Some((&self.lsdb.get(k)?.0, self.effective_age(k, now))))
+                .filter_map(|k| self.lsdb.get(k))
+                .map(|(lsa, installed)| (lsa, Self::age_at(lsa, *installed, now)))
                 .collect();
             self.transmit_update(idx, &lsas, &mut ev);
             let rxmt = self.rxmt_interval;
@@ -1132,10 +1157,10 @@ impl OspfDaemon {
         if now >= self.lsdb_min_expiry {
             let expired: Vec<LsaKey> = self
                 .lsdb
-                .keys()
-                .filter(|k| k.adv_router != self.router_id)
-                .filter(|k| self.effective_age(k, now) >= MAX_AGE)
-                .copied()
+                .iter()
+                .filter(|(k, _)| k.adv_router != self.router_id)
+                .filter(|(_, (lsa, installed))| Self::age_at(lsa, *installed, now) >= MAX_AGE)
+                .map(|(k, _)| *k)
                 .collect();
             if !expired.is_empty() {
                 for k in expired {

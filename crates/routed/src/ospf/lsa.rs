@@ -264,6 +264,11 @@ impl<'a> LsaView<'a> {
         if header.ls_type != 1 {
             return Err(WireError::Unsupported);
         }
+        // A router LSA's link-state id is its advertising router (RFC
+        // 2328 §12.4.1): one LSA per router, which SPF relies on.
+        if header.ls_id != header.adv_router {
+            return Err(WireError::Malformed);
+        }
         let mut b = &data[LSA_HEADER_LEN..length];
         if b.len() < 4 {
             return Err(WireError::Truncated);
@@ -277,10 +282,21 @@ impl<'a> LsaView<'a> {
             header,
             wire: &data[..length],
         };
+        // A link record can only fail on its type byte.
         for link in view.link_records() {
-            parse_link(link)?;
+            RouterLinkType::from_u8(link[8])?;
         }
         Ok(view)
+    }
+
+    /// The LSA at the front of `data`, which [`LsaView::parse`] has
+    /// already accepted: only its header is read again.
+    pub(crate) fn checked(data: &'a [u8]) -> LsaView<'a> {
+        let header = LsaHeader::parse(data).expect("checked by LsaView::parse");
+        LsaView {
+            header,
+            wire: &data[..header.length as usize],
+        }
     }
 
     /// Exactly this LSA's bytes.
@@ -311,10 +327,31 @@ fn fletcher_sums(data: &[u8]) -> (u32, u32) {
     // The modulo is deferred to the end of each block. Entering a block
     // with both sums below 255, `c1` peaks at 254 + 254·n + 255·n(n+1)/2,
     // which for n = 4096 is ≈ 2.14e9 even on all-0xFF input: inside u32.
+    //
+    // Eight bytes are taken per step: after bytes b0..b7 the serial sums
+    // are c0 + Σ b_i and c1 + 8·c0 + Σ (8 − i)·b_i, so each step ends on
+    // exactly the values the byte-serial loop has there, and never
+    // exceeds them in between. The step reads its bytes as one
+    // little-endian word and splits them into even and odd bytes, one per
+    // 16-bit lane; multiplying a lane word by a constant gathers a sum of
+    // its lanes, each times its weight, into the top lane (at most
+    // 255 · 20 there and below it, so no lane carries into the next).
     const BLOCK: usize = 4096;
+    const LANES: u64 = 0x00FF_00FF_00FF_00FF;
+    const ONES: u64 = 0x0001_0001_0001_0001;
+    const EVEN_WEIGHTS: u64 = 2 | 4 << 16 | 6 << 32 | 8 << 48; // b6, b4, b2, b0
+    const ODD_WEIGHTS: u64 = 1 | 3 << 16 | 5 << 32 | 7 << 48; // b7, b5, b3, b1
+    let top = |lanes: u64, weights: u64| (lanes.wrapping_mul(weights) >> 48) as u32;
     let (mut c0, mut c1) = (0u32, 0u32);
     for block in data.chunks(BLOCK) {
-        for &b in block {
+        let mut steps = block.chunks_exact(8);
+        for step in &mut steps {
+            let word = u64::from_le_bytes(step.try_into().expect("an 8-byte step"));
+            let (even, odd) = (word & LANES, word >> 8 & LANES);
+            c1 += 8 * c0 + top(even, EVEN_WEIGHTS) + top(odd, ODD_WEIGHTS);
+            c0 += top(even + odd, ONES);
+        }
+        for &b in steps.remainder() {
             c0 += u32::from(b);
             c1 += c0;
         }

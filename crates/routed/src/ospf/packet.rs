@@ -294,6 +294,8 @@ fn key(mut b: &[u8]) -> LsaKey {
 
 /// The LSAs of a checked update. One whose own Fletcher sum fails is
 /// dropped on its own — passed over here — and the rest still count.
+/// [`OspfView::parse`] has checked each one's structure, so walking them
+/// reads headers only.
 #[derive(Clone)]
 pub struct Lsas<'a> {
     rest: &'a [u8],
@@ -313,7 +315,7 @@ impl<'a> Iterator for Lsas<'a> {
     fn next(&mut self) -> Option<LsaView<'a>> {
         while self.left > 0 {
             self.left -= 1;
-            let lsa = LsaView::parse(self.rest).expect("checked by OspfView::parse");
+            let lsa = LsaView::checked(self.rest);
             self.rest = &self.rest[lsa.wire().len()..];
             if Lsa::checksum_ok(lsa.wire()) {
                 return Some(lsa);
@@ -697,16 +699,49 @@ mod tests {
         )
         .emit()
         .to_vec();
-        // Damage the first LSA's ls_id, then make the packet checksum
-        // right again: only the LSA's own Fletcher can tell.
-        wire[OSPF_HEADER_LEN + 4 + 7] ^= 0x10;
-        wire[12..14].fill(0);
-        let ck = internet_checksum(&wire);
-        wire[12..14].copy_from_slice(&ck.to_be_bytes());
+        // Damage the first LSA's sequence number, then make the packet
+        // checksum right again: only the LSA's own Fletcher can tell.
+        wire[OSPF_HEADER_LEN + 4 + 15] ^= 0x10;
+        reseal(&mut wire);
         assert_eq!(
             OspfPacket::parse(&wire).unwrap().body,
             OspfPacketBody::LinkStateUpdate { lsas: vec![good] }
         );
+    }
+
+    /// Make the packet checksum right again after an edit.
+    fn reseal(wire: &mut [u8]) {
+        wire[12..14].fill(0);
+        let ck = internet_checksum(wire);
+        wire[12..14].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    /// A router LSA whose link-state id is not its advertising router
+    /// (RFC 2328 §12.4.1) is malformed, and like an unknown LS type it
+    /// voids the whole update — even with its Fletcher sum made right.
+    #[test]
+    fn router_lsa_under_a_foreign_id_voids_the_update() {
+        let good = Lsa::router(9, INITIAL_SEQ, 0, vec![]);
+        let mut stray = Lsa::router(8, INITIAL_SEQ, 0, vec![]);
+        stray.header.ls_id = 7;
+        stray.finalize();
+        assert_eq!(
+            Lsa::parse(&{
+                let mut b = BytesMut::new();
+                stray.emit_into(&mut b);
+                b
+            }),
+            Err(WireError::Malformed)
+        );
+        let wire = OspfPacket::new(
+            9,
+            OspfPacketBody::LinkStateUpdate {
+                lsas: vec![good, stray],
+            },
+        )
+        .emit();
+        assert_eq!(OspfPacket::parse(&wire), Err(WireError::Malformed));
+        assert!(OspfView::parse(&wire).is_err());
     }
 
     #[test]

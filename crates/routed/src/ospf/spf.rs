@@ -5,88 +5,134 @@
 //! point-to-point link to B **and** B's advertises one back (the
 //! bidirectional check of §16.1 step 2b). Stub links hang prefixes off
 //! their router.
+//!
+//! The LSAs are read where they lie — the daemon hands in its live LSDB
+//! entries, borrowed — and Dijkstra runs on a dense index of the routers
+//! in ascending id order: the edges in one array with an offset per
+//! router, distances and first hops in `Vec`s. Since index order is id
+//! order, the heap pops in the same `(distance, router id, first hop)`
+//! order as a search keyed by id, and equal-cost ties break the same
+//! way. A run allocates the same handful of buffers whatever the size of
+//! the LSDB.
 
-use super::lsa::{Lsa, LsaBody, RouterLinkType};
+use super::lsa::{Lsa, LsaBody, RouterLinkType, RouterLsa};
 use crate::rib::{Route, RouteProto};
 use rf_wire::Ipv4Cidr;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::net::Ipv4Addr;
 
-/// Input: the LSDB's router LSAs keyed by router id, the computing
-/// router's id, and its directly-connected neighbor map
+/// The first hop of a router the search has not reached.
+const UNREACHED: u32 = u32::MAX;
+
+/// Input: the LSDB's router LSAs as `(router id, LSA)` pairs, one per
+/// router — a `&BTreeMap<u32, Lsa>`, or the daemon's live entries — the
+/// computing router's id, and its directly-connected neighbor map
 /// `neighbor router id → (out interface, neighbor interface address)`.
 ///
 /// Output: OSPF candidate routes for every reachable stub prefix, with
-/// next hops resolved through the first hop on each shortest path.
-pub fn compute(
-    router_lsas: &BTreeMap<u32, Lsa>,
+/// next hops resolved through the first hop on each shortest path, in
+/// (network, prefix length) order. A prefix advertised more than once
+/// takes the lowest metric; on equal metrics, the router with the lowest
+/// id.
+pub fn compute<'a>(
+    router_lsas: impl IntoIterator<Item = (&'a u32, &'a Lsa)>,
     self_id: u32,
     adjacent: &HashMap<u32, (u16, Ipv4Addr)>,
 ) -> Vec<Route> {
-    // Bidirectional adjacency graph.
-    let mut edges: HashMap<u32, Vec<(u32, u16)>> = HashMap::new(); // from → (to, cost)
-    for (&rid, lsa) in router_lsas {
+    // The dense index: router `i` is `routers[i]`, ascending id. A
+    // filtered LSDB walk knows only an upper bound on its length, which
+    // is what the buffer is sized to.
+    let lsas = router_lsas.into_iter();
+    let (low, high) = lsas.size_hint();
+    let mut routers: Vec<(u32, &RouterLsa)> = Vec::with_capacity(high.unwrap_or(low));
+    routers.extend(lsas.map(|(&rid, lsa)| {
         let LsaBody::Router(body) = &lsa.body;
+        (rid, body)
+    }));
+    if !routers.is_sorted_by_key(|r| r.0) {
+        routers.sort_unstable_by_key(|r| r.0);
+    }
+    debug_assert!(
+        routers.windows(2).all(|w| w[0].0 < w[1].0),
+        "one LSA per router"
+    );
+    let index = |rid: u32| routers.binary_search_by_key(&rid, |r| r.0).ok();
+    // Without our own LSA no edge leaves us: nothing is reachable.
+    let Some(me) = index(self_id) else {
+        return Vec::new();
+    };
+    let p2p = |body: &'a RouterLsa| {
+        body.links
+            .iter()
+            .filter(|l| l.link_type == RouterLinkType::PointToPoint)
+    };
+
+    // Bidirectional adjacency graph: router i's edges are
+    // `edges[offsets[i]..offsets[i + 1]]`, as (to, cost) in link order.
+    let mut offsets: Vec<u32> = Vec::with_capacity(routers.len() + 1);
+    let mut edges: Vec<(u32, u16)> =
+        Vec::with_capacity(routers.iter().map(|r| p2p(r.1).count()).sum());
+    let mut stubs = 0;
+    offsets.push(0);
+    for &(rid, body) in &routers {
         for link in &body.links {
-            if link.link_type == RouterLinkType::PointToPoint {
-                let to = link.link_id;
-                // Check the reverse direction exists.
-                let reverse_ok = router_lsas.get(&to).is_some_and(|peer| {
-                    let LsaBody::Router(pb) = &peer.body;
-                    pb.links
-                        .iter()
-                        .any(|l| l.link_type == RouterLinkType::PointToPoint && l.link_id == rid)
-                });
-                if reverse_ok {
-                    edges.entry(rid).or_default().push((to, link.metric));
+            match link.link_type {
+                RouterLinkType::PointToPoint => {
+                    // Check the reverse direction exists.
+                    let reverse = index(link.link_id)
+                        .filter(|&to| p2p(routers[to].1).any(|l| l.link_id == rid));
+                    if let Some(to) = reverse {
+                        edges.push((to as u32, link.metric));
+                    }
                 }
+                RouterLinkType::Stub => stubs += 1,
             }
         }
+        offsets.push(edges.len() as u32);
     }
 
-    // Dijkstra from self. `first_hop[rid]` = the adjacent router id the
-    // shortest path leaves through.
-    let mut dist: HashMap<u32, u32> = HashMap::new();
-    let mut first_hop: HashMap<u32, u32> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::new(); // (dist, rid, fh)
-    dist.insert(self_id, 0);
-    heap.push(Reverse((0, self_id, self_id)));
-    while let Some(Reverse((d, rid, fh))) = heap.pop() {
-        if dist.get(&rid).copied().unwrap_or(u32::MAX) < d {
+    // Dijkstra from self. `first_hop[i]` = the index of the adjacent
+    // router the shortest path to router i leaves through.
+    let mut dist = vec![u32::MAX; routers.len()];
+    let mut first_hop = vec![UNREACHED; routers.len()];
+    // Each router's edges are relaxed once, each relaxation pushes at
+    // most one entry: the heap never outgrows this.
+    let mut heap: BinaryHeap<Reverse<(u32, u32, u32)>> = BinaryHeap::with_capacity(edges.len() + 1); // (dist, index, fh)
+    dist[me] = 0;
+    heap.push(Reverse((0, me as u32, me as u32)));
+    while let Some(Reverse((d, i, fh))) = heap.pop() {
+        let i = i as usize;
+        if dist[i] < d {
             continue;
         }
-        if rid != self_id && !first_hop.contains_key(&rid) {
-            first_hop.insert(rid, fh);
+        if i != me && first_hop[i] == UNREACHED {
+            first_hop[i] = fh;
         }
-        for &(to, cost) in edges.get(&rid).into_iter().flatten() {
+        for &(to, cost) in &edges[offsets[i] as usize..offsets[i + 1] as usize] {
             let nd = d + u32::from(cost);
-            let better = match dist.get(&to) {
-                None => true,
-                Some(&old) => nd < old,
-            };
-            if better {
-                dist.insert(to, nd);
-                let hop = if rid == self_id { to } else { fh };
+            if nd < dist[to as usize] {
+                dist[to as usize] = nd;
+                let hop = if i == me { to } else { fh };
                 heap.push(Reverse((nd, to, hop)));
             }
         }
     }
 
-    // Routes: stub prefixes of every reachable remote router.
-    let mut best: BTreeMap<(u32, u8), Route> = BTreeMap::new();
-    for (&rid, lsa) in router_lsas {
-        if rid == self_id {
+    // Routes: stub prefixes of every reachable remote router, each keyed
+    // by (network, prefix length, metric, position). The position makes
+    // every key distinct, so the unstable sort orders the candidates as
+    // a stable sort by the first three would — without a scratch buffer
+    // — and the first of each prefix is its lowest metric, advertised by
+    // the lowest router id.
+    let mut candidates: Vec<((u32, u8, u32, u32), Route)> = Vec::with_capacity(stubs);
+    for (i, &(_, body)) in routers.iter().enumerate() {
+        if i == me || first_hop[i] == UNREACHED {
             continue; // own stubs are connected routes
         }
-        let Some(&d) = dist.get(&rid) else { continue };
-        let Some(&fh) = first_hop.get(&rid) else {
+        let Some(&(iface, nh_addr)) = adjacent.get(&routers[first_hop[i] as usize].0) else {
             continue;
         };
-        let Some(&(iface, nh_addr)) = adjacent.get(&fh) else {
-            continue;
-        };
-        let LsaBody::Router(body) = &lsa.body;
         for link in &body.links {
             if link.link_type != RouterLinkType::Stub {
                 continue;
@@ -95,7 +141,7 @@ pub fn compute(
             // A mask of 0 would be a default route; routers don't emit
             // those as stubs here, but guard anyway.
             let prefix = Ipv4Cidr::new(Ipv4Addr::from(link.link_id), prefix_len.min(32));
-            let metric = d + u32::from(link.metric);
+            let metric = dist[i] + u32::from(link.metric);
             let route = Route {
                 prefix,
                 next_hop: Some(nh_addr),
@@ -103,22 +149,28 @@ pub fn compute(
                 proto: RouteProto::Ospf,
                 metric,
             };
-            let key = (u32::from(prefix.network()), prefix.prefix_len);
-            match best.get(&key) {
-                Some(existing) if existing.metric <= metric => {}
-                _ => {
-                    best.insert(key, route);
-                }
-            }
+            let position = candidates.len() as u32;
+            let key = (
+                u32::from(prefix.network()),
+                prefix.prefix_len,
+                metric,
+                position,
+            );
+            candidates.push((key, route));
         }
     }
-    best.into_values().collect()
+    candidates.sort_unstable_by_key(|c| c.0);
+    candidates.dedup_by_key(|c| (c.0 .0, c.0 .1));
+    let mut routes = Vec::with_capacity(candidates.len());
+    routes.extend(candidates.into_iter().map(|(_, route)| route));
+    routes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ospf::lsa::{RouterLink, INITIAL_SEQ};
+    use std::collections::BTreeMap;
 
     /// Build a router LSA for `rid` with p2p links `(to, cost, my_addr)`
     /// and stub links `(net, mask, cost)`.

@@ -157,13 +157,17 @@ impl Rib {
     /// OSPF delivers after each SPF run). Emits the minimal diff.
     pub fn replace_protocol(&mut self, proto: RouteProto, routes: &[Route]) -> Vec<RibChange> {
         let mut changes = Vec::new();
-        let new_keys: std::collections::HashSet<PrefixKey> =
-            routes.iter().map(|r| key(r.prefix)).collect();
+        // Sorted already when SPF hands them over (it emits in prefix
+        // order); the sort is then one pass.
+        let mut new_keys: Vec<PrefixKey> = routes.iter().map(|r| key(r.prefix)).collect();
+        new_keys.sort_unstable();
         // Remove stale candidates of this protocol.
         let stale: Vec<PrefixKey> = self
             .candidates
             .iter()
-            .filter(|(k, cands)| cands.iter().any(|r| r.proto == proto) && !new_keys.contains(*k))
+            .filter(|(k, cands)| {
+                cands.iter().any(|r| r.proto == proto) && new_keys.binary_search(k).is_err()
+            })
             .map(|(k, _)| *k)
             .collect();
         for k in stale {
@@ -180,8 +184,14 @@ impl Rib {
             debug_assert_eq!(r.proto, proto);
             let k = key(r.prefix);
             let cands = self.candidates.entry(k).or_default();
-            cands.retain(|c| c.proto != proto);
-            cands.push(*r);
+            // One candidate per protocol, and no two protocols share a
+            // distance: where a candidate sits in the list decides no
+            // best route, so it is replaced where it is.
+            match cands.iter_mut().find(|c| c.proto == proto) {
+                Some(c) if c == r => continue, // unchanged: the FIB stands
+                Some(c) => *c = *r,
+                None => cands.push(*r),
+            }
             self.refresh(k, &mut changes);
         }
         changes

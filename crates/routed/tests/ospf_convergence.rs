@@ -448,3 +448,83 @@ fn pan_european_scale_converges() {
         assert_eq!(d.lsdb_len(), 28, "complete LSDB on every router");
     }
 }
+
+/// RFC 2328 §10.3 KillNbr: a hello from another router on a link whose
+/// adjacency is Full replaces the neighbor, and the old adjacency leaves
+/// our router LSA at once — flooded to the other neighbors, SPF
+/// rerouting. Swapped in silently, the dead link stayed advertised until
+/// the newcomer reached Full, and for ever if it never did.
+#[test]
+fn new_router_on_a_full_link_withdraws_the_old_adjacency() {
+    use rf_routed::ospf::lsa::{LsaBody, RouterLinkType};
+    use rf_routed::ospf::neighbor::NeighborState;
+    use rf_routed::ospf::packet::{OspfPacket, OspfPacketBody};
+    use std::time::Duration;
+
+    // B (10.0.0.2) on interface 1 of A (10.0.0.1), D (10.0.0.3) on 2.
+    let mut net = Net::build(3, &[(0, 1), (0, 2)], 1, 4);
+    net.start();
+    net.run_until(Time::from_secs(10));
+    assert!(net.all_full(), "precondition: both adjacencies Full");
+    let id = |last: u8| u32::from(Ipv4Addr::new(10, 0, 0, last));
+    assert!(net.routes[0].iter().any(|r| r.out_iface == 1));
+
+    let newcomer = id(99);
+    let hello = OspfPacket::new(
+        newcomer,
+        OspfPacketBody::Hello {
+            network_mask: 0xFFFF_FFFC,
+            hello_interval: 1,
+            dead_interval: 4,
+            neighbors: vec![],
+        },
+    )
+    .emit();
+    let now = net.now;
+    let src = net.iface_addr(1, 1);
+    let events = net.daemons[0].handle_packet(1, src, &hello, now);
+
+    let n0 = net.daemons[0].neighbors();
+    assert!(n0.contains(&(1, newcomer, NeighborState::Init)), "{n0:?}");
+    // A's fresh router LSA, flooded to D, lists D alone.
+    let flooded = events.iter().find_map(|ev| match ev {
+        OspfEvent::Transmit {
+            iface: 2, packet, ..
+        } => match OspfPacket::parse(packet).unwrap().body {
+            OspfPacketBody::LinkStateUpdate { lsas } => {
+                lsas.into_iter().find(|l| l.header.adv_router == id(1))
+            }
+            _ => None,
+        },
+        _ => None,
+    });
+    let lsa = flooded.unwrap_or_else(|| panic!("no router LSA flooded to D: {events:?}"));
+    let LsaBody::Router(body) = &lsa.body;
+    let adjacencies: Vec<u32> = body
+        .links
+        .iter()
+        .filter(|l| l.link_type == RouterLinkType::PointToPoint)
+        .map(|l| l.link_id)
+        .collect();
+    assert_eq!(adjacencies, [id(3)]);
+
+    // SPF runs on its own timers and withdraws every route through B.
+    let mut routes = None;
+    let mut t = now;
+    for _ in 0..100 {
+        t = net.daemons[0]
+            .poll_at()
+            .unwrap()
+            .max(t + Duration::from_millis(1));
+        for ev in net.daemons[0].tick(t) {
+            if let OspfEvent::RoutesChanged(r) = ev {
+                routes = Some(r);
+            }
+        }
+        if routes.is_some() || t > now + Duration::from_secs(2) {
+            break;
+        }
+    }
+    let routes = routes.expect("SPF rerouted within its hold time");
+    assert!(routes.iter().all(|r| r.out_iface == 2), "{routes:?}");
+}

@@ -43,6 +43,11 @@ impl FlowEntry {
         }
     }
 
+    /// Can this entry ever expire?
+    fn is_timed(&self) -> bool {
+        self.idle_timeout > 0 || self.hard_timeout > 0
+    }
+
     /// Does this entry reference `out_port` in any output action?
     /// (`OFPP_NONE` means "don't filter".)
     fn references_port(&self, out_port: u16) -> bool {
@@ -126,6 +131,10 @@ pub struct FlowTable {
     /// Deepest `OfMatch::depth` over `entries`.
     depth: KeyDepth,
     dirty: bool,
+    /// How many of `entries` have an idle or hard timeout. The apps
+    /// install none, so on every switch of every run this is 0 and the
+    /// periodic expiry tick has nothing to scan.
+    timed: usize,
 }
 
 /// `Some(wildcarded low bits of nw_dst)` when `m` constrains nothing
@@ -169,6 +178,7 @@ impl FlowTable {
             rest,
             depth,
             dirty,
+            timed: _,
         } = self;
         order.clear();
         order.extend(0..entries.len());
@@ -270,8 +280,13 @@ impl FlowTable {
             FlowModCommand::Add => {
                 // Identical match+priority replaces (counters reset),
                 // per OF 1.0 §4.6.
-                self.entries
-                    .retain(|e| !(e.of_match == of_match && e.priority == priority));
+                let timed = &mut self.timed;
+                self.entries.retain(|e| {
+                    let replaced = e.of_match == of_match && e.priority == priority;
+                    *timed -= usize::from(replaced && e.is_timed());
+                    !replaced
+                });
+                self.timed += usize::from(idle_timeout > 0 || hard_timeout > 0);
                 self.entries.push(FlowEntry {
                     of_match,
                     priority,
@@ -291,7 +306,8 @@ impl FlowTable {
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
                 // Only actions and cookie change: entry positions,
                 // exactness and priorities — everything the lookup
-                // order depends on — stay put, so no rebuild needed.
+                // order depends on — stay put, so no rebuild needed;
+                // timeouts stay too, and with them the timed count.
                 let strict = command == FlowModCommand::ModifyStrict;
                 let mut touched = false;
                 for e in &mut self.entries {
@@ -326,6 +342,7 @@ impl FlowTable {
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let strict = command == FlowModCommand::DeleteStrict;
                 let mut removed = Vec::new();
+                let timed = &mut self.timed;
                 self.entries.retain(|e| {
                     let hit = if strict {
                         e.of_match == of_match && e.priority == priority
@@ -333,6 +350,7 @@ impl FlowTable {
                         e.of_match.is_subset_of(&of_match)
                     } && e.references_port(out_port);
                     if hit {
+                        *timed -= usize::from(e.is_timed());
                         removed.push(Removed {
                             entry: e.clone(),
                             reason: FlowRemovedReason::Delete,
@@ -348,9 +366,13 @@ impl FlowTable {
         }
     }
 
-    /// Remove entries whose idle or hard timeout has elapsed.
+    /// Remove entries whose idle or hard timeout has elapsed. A table
+    /// with no timed entry has nothing to look at.
     pub fn expire(&mut self, now: Time) -> Vec<Removed> {
         let mut removed = Vec::new();
+        if self.timed == 0 {
+            return removed;
+        }
         self.entries.retain(|e| {
             if e.hard_timeout > 0
                 && now.since(e.installed_at).as_secs() >= u64::from(e.hard_timeout)
@@ -373,6 +395,7 @@ impl FlowTable {
             true
         });
         if !removed.is_empty() {
+            self.timed -= removed.len();
             self.dirty = true;
         }
         removed
@@ -737,6 +760,67 @@ mod tests {
         let removed = t.expire(Time::from_secs(5));
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].reason, FlowRemovedReason::IdleTimeout);
+    }
+
+    /// The timed count is what lets `expire` skip its scan, so it must
+    /// equal a recount after every kind of mutation — a replacing add, a
+    /// modify, a delete, an expiry — and an untimed table never loses an
+    /// entry to `expire`, while timed ones among them still go on time.
+    #[test]
+    fn timed_count_follows_every_mutation() {
+        let recount = |t: &FlowTable| t.entries().iter().filter(|e| e.is_timed()).count();
+        let prefix = |i: u8| OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, i, 0, 0), 16);
+        let flow_mod = |t: &mut FlowTable, command, m, idle, hard, now| {
+            let removed = t.apply_flow_mod(
+                command,
+                m,
+                1,
+                0,
+                idle,
+                hard,
+                0,
+                OFPP_NONE,
+                vec![Action::output(1)],
+                Time::from_secs(now),
+            );
+            assert_eq!(t.timed, recount(t), "{command:?}");
+            removed
+        };
+        let mut t = FlowTable::new();
+        for i in 0..4 {
+            flow_mod(&mut t, FlowModCommand::Add, prefix(i), 0, 0, 0);
+        }
+        assert_eq!(t.timed, 0);
+        assert!(t.expire(Time::from_secs(1_000_000)).is_empty());
+        assert_eq!(t.len(), 4, "untimed entries never expire");
+
+        // Timed entries among them: replacing an untimed one with a
+        // timed one and back, a modify (timeouts kept), a delete.
+        flow_mod(&mut t, FlowModCommand::Add, prefix(0), 0, 7, 0);
+        assert_eq!(t.timed, 1);
+        flow_mod(&mut t, FlowModCommand::Add, prefix(0), 0, 0, 0);
+        assert_eq!(t.timed, 0);
+        flow_mod(&mut t, FlowModCommand::Add, prefix(10), 2, 0, 10);
+        flow_mod(&mut t, FlowModCommand::Add, prefix(11), 0, 3, 10);
+        flow_mod(&mut t, FlowModCommand::Add, prefix(12), 0, 3, 10);
+        flow_mod(&mut t, FlowModCommand::ModifyStrict, prefix(11), 0, 0, 10);
+        assert_eq!(t.timed, 3);
+        assert_eq!(
+            flow_mod(&mut t, FlowModCommand::DeleteStrict, prefix(12), 0, 0, 10).len(),
+            1
+        );
+        assert_eq!(t.timed, 2);
+
+        assert!(t.expire(Time::from_secs(11)).is_empty());
+        let idle = t.expire(Time::from_secs(12));
+        assert_eq!(idle.len(), 1);
+        assert_eq!(idle[0].reason, FlowRemovedReason::IdleTimeout);
+        assert_eq!(t.timed, recount(&t));
+        let hard = t.expire(Time::from_secs(13));
+        assert_eq!(hard.len(), 1);
+        assert_eq!(hard[0].reason, FlowRemovedReason::HardTimeout);
+        assert_eq!(t.timed, 0);
+        assert_eq!(t.len(), 4, "the untimed entries stay");
     }
 
     /// The pre-index lookup semantics, verbatim: linear scan, last

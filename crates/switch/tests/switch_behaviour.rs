@@ -630,6 +630,63 @@ fn hard_timeout_emits_flow_removed() {
     assert_eq!(reason, rf_openflow::FlowRemovedReason::HardTimeout);
 }
 
+/// Every flow the apps install is untimed, and the switch's expiry tick
+/// skips a table holding only such entries. Timed entries among them
+/// still expire on time, each with its FLOW_REMOVED.
+#[test]
+fn timed_entries_among_untimed_ones_expire_on_time() {
+    let flow = |i: u8, cookie, idle_timeout, hard_timeout| OfMessage::FlowMod {
+        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, i, 0, 0), 16),
+        cookie,
+        command: FlowModCommand::Add,
+        idle_timeout,
+        hard_timeout,
+        priority: 1,
+        buffer_id: OFP_NO_BUFFER,
+        out_port: OFPP_NONE,
+        flags: rf_openflow::messages::OFPFF_SEND_FLOW_REM,
+        actions: vec![Action::output(2)],
+    };
+    let at = Duration::from_secs(1);
+    let ctrl = MockController {
+        script: vec![
+            (at, flow(1, 1, 0, 0), 1),
+            (at, flow(2, 2, 2, 0), 2),
+            (at, flow(3, 3, 0, 0), 3),
+            (at, flow(4, 4, 0, 3), 4),
+            (at, flow(5, 5, 0, 0), 5),
+        ],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    // Installed just after 1 s; the expiry tick runs every 500 ms.
+    let mut flows_at = |secs: u64, millis: u64| {
+        b.sim
+            .run_until(rf_sim::Time::from_secs(secs) + Duration::from_millis(millis));
+        b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap().flow_count()
+    };
+    assert_eq!(flows_at(3, 200), 5);
+    assert_eq!(flows_at(4, 0), 4, "idle for 2 s");
+    assert_eq!(flows_at(5, 0), 3, "3 s since installed");
+    assert_eq!(flows_at(30, 0), 3, "untimed entries never expire");
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    let removed: Vec<_> = ctrl
+        .received
+        .iter()
+        .filter_map(|(m, _)| match m {
+            OfMessage::FlowRemoved { cookie, reason, .. } => Some((*cookie, *reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        removed,
+        [
+            (2, rf_openflow::FlowRemovedReason::IdleTimeout),
+            (4, rf_openflow::FlowRemovedReason::HardTimeout),
+        ]
+    );
+}
+
 #[test]
 fn switch_reconnects_after_controller_restart() {
     // Controller that closes the first connection after 1 s.

@@ -915,6 +915,86 @@ fn a_steady_state_hello_round_encodes_nothing() {
     assert_eq!(allocations, 1, "the event list");
 }
 
+/// An update from peer 0 that puts `far` more routers behind it: its
+/// own router LSA, newer, now listing them, and one LSA from each, with
+/// a /24 of its own.
+fn routers_beyond_peer(far: usize) -> Bytes {
+    let peer_addr = star_link(0).1;
+    let link = |link_type, link_id, link_data| RouterLink {
+        link_type,
+        link_id,
+        link_data,
+        metric: 10,
+    };
+    let far_id = |i: usize| 0x0A00_1000 + i as u32;
+    let mut peer_links = vec![
+        link(RouterLinkType::PointToPoint, HUB_ID, u32::from(peer_addr)),
+        link(RouterLinkType::Stub, 0xAC1F_0000, 0xFFFF_FFFC),
+    ];
+    peer_links.extend((0..far).map(|i| {
+        link(
+            RouterLinkType::PointToPoint,
+            far_id(i),
+            u32::from(peer_addr),
+        )
+    }));
+    let mut lsas = vec![Lsa::router(peer_id(0), INITIAL_SEQ + 1000, 0, peer_links)];
+    lsas.extend((0..far).map(|i| {
+        let links = vec![
+            link(RouterLinkType::PointToPoint, peer_id(0), far_id(i)),
+            link(
+                RouterLinkType::Stub,
+                0x0A64_0000 + ((i as u32) << 8),
+                0xFFFF_FF00,
+            ),
+        ];
+        Lsa::router(far_id(i), INITIAL_SEQ, 0, links)
+    }));
+    OspfPacket::new(peer_id(0), OspfPacketBody::LinkStateUpdate { lsas }).emit()
+}
+
+/// SPF reads the LSDB where it lies: the tick that runs it allocates the
+/// same 11 times for 4, 16 or 64 routers — the dense index, its edge
+/// offsets and edges, distances, first hops, heap, route candidates and
+/// routes (8), the adjacency map, the copy of the routes the daemon
+/// keeps, the event list. When SPF ran over a `BTreeMap` of cloned LSAs
+/// it was 21, 62 and 181: every LSA's link list, and the search's
+/// `HashMap`s regrowing with the graph.
+#[test]
+fn an_spf_run_copies_no_lsa() {
+    let per_size: Vec<(usize, usize)> = [4, 16, 64]
+        .into_iter()
+        .map(|routers| {
+            let mut star = Star::converged(1);
+            star.hub_hears(&routers_beyond_peer(routers - 2));
+            assert_eq!(star.hub.lsdb_len(), routers);
+            let mut spf = None;
+            for _ in 0..100 {
+                let due = star.hub.poll_at().unwrap();
+                let (events, allocations, _) = counted(|| star.hub.tick(due));
+                let routes = events.iter().find_map(|ev| match ev {
+                    OspfEvent::RoutesChanged(routes) => Some(routes.len()),
+                    _ => None,
+                });
+                if let Some(routes) = routes {
+                    assert!(routes > routers - 2, "every far /24 routed: {routes}");
+                    spf = Some(allocations);
+                    break;
+                }
+            }
+            (routers, spf.expect("SPF ran"))
+        })
+        .collect();
+    let (_, small) = per_size[0];
+    assert_eq!(small, 11, "{per_size:?}");
+    for &(routers, allocations) in &per_size {
+        assert_eq!(
+            allocations, small,
+            "an SPF tick over {routers} routers: {per_size:?}"
+        );
+    }
+}
+
 /// A cold start is flooding. The 12 routers of a 4×8 leaf-spine, every
 /// leaf adjacent to every spine, from nothing to all green under the
 /// benchmark's knobs: 106 236 allocations over 10 657 kernel events
@@ -922,10 +1002,11 @@ fn a_steady_state_hello_round_encodes_nothing() {
 /// tree of `Vec`s in, 46 761 (4.39) once a packet was one buffer out
 /// and a view in, 44 353 (4.16) once its discovery loop forwarded LLDP
 /// probes without copying them, 28 507 (2.67) once a buffer was one
-/// block and not a block and a box, 27 433 (2.57) now that the event
-/// queue's wheel slots share a pool of buckets and the RF-protocol and
-/// FLOW_MOD batch encoders size their buffers. The budget is the last
-/// plus 10 %: 30 176, 2.832 per event — under a third of the first.
+/// block and not a block and a box, 27 433 (2.57) once the event
+/// queue's wheel slots shared a pool of buckets and the RF-protocol and
+/// FLOW_MOD batch encoders sized their buffers, 27 139 (2.55) now that
+/// SPF reads the LSDB in place instead of cloning it. The budget is the
+/// last plus 10 %: 29 853, 2.801 per event — under a third of the first.
 #[test]
 fn a_cold_start_allocates_half_of_what_it_did() {
     let mut sc = rf_core::scenario::Scenario::on(rf_topo::leaf_spine(4, 8, 0))
@@ -940,7 +1021,7 @@ fn a_cold_start_allocates_half_of_what_it_did() {
     assert!(green.is_some(), "all green");
     let events = sc.sim.events_dispatched() as usize;
     assert!(
-        1000 * allocations <= 2_832 * events,
+        1000 * allocations <= 2_801 * events,
         "{allocations} allocations over {events} kernel events"
     );
 }

@@ -31,11 +31,7 @@ const ALLOWED: &[(&str, &str)] = &[
     ),
     (
         "crates/routed/src/ospf/spf.rs",
-        "lookup-only: edges / dist / first_hop; routes are emitted in BTreeMap LSA order",
-    ),
-    (
-        "crates/routed/src/rib.rs",
-        "lookup-only: new-prefix set probed while walking the ordered candidate map",
+        "lookup-only: the adjacency map, probed once per reachable router; routes are emitted in prefix order",
     ),
     (
         "crates/sim/src/kernel.rs",

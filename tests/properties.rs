@@ -1012,6 +1012,34 @@ fn fletcher_matches_per_byte_modulo_on_saturated_buffers() {
     }
 }
 
+/// Uniform input cannot tell which byte of an eight-byte step carries
+/// which weight; random bytes at every length and alignment can.
+#[test]
+fn fletcher_matches_per_byte_modulo_on_random_buffers() {
+    use rf_routed::ospf::lsa::fletcher_checksum;
+    let mut s = 0x2545_F491_4F6C_DD1Du64;
+    let mut data: Vec<u8> = (0..9000)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s as u8
+        })
+        .collect();
+    data[4095] = 0xFF; // straddle a block boundary with a saturated byte
+    for len in (0..=80).chain([4095, 4096, 4097, 4103, 8191, 8200, 9000]) {
+        for start in 0..8.min(data.len() - len + 1) {
+            let slice = &data[start..start + len];
+            let ck_off = len.saturating_sub(1) / 2;
+            assert_eq!(
+                fletcher_checksum(slice, ck_off),
+                fletcher_checksum_per_byte_modulo(slice, ck_off),
+                "{len} random bytes at offset {start}"
+            );
+        }
+    }
+}
+
 /// The raw draws one random frame is built from: (shape, addressing,
 /// payload, tweak).
 type FrameDraw = (u8, (([u8; 6], [u8; 6]), u32, u32, u16), Vec<u8>, u16);
@@ -2742,6 +2770,353 @@ proptest! {
                 .map(|(pr, _)| *pr);
             let got = rib.lookup(Ipv4Addr::new(10, 5, 1, 1)).map(|r| r.proto);
             prop_assert_eq!(got, expected);
+        }
+    }
+}
+
+#[path = "models/parent_spf.rs"]
+mod spf_model;
+
+/// A seeded xorshift stream for the hand-rolled generators below.
+struct Xorshift(u64);
+
+impl Xorshift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn percent(&mut self, p: u64) -> bool {
+        self.below(100) < p
+    }
+}
+
+/// The stub prefixes routers pick from, as (link id, mask): a default
+/// route, host routes, and subnets some of whose link ids carry host
+/// bits. Shared, so one prefix is often advertised by several routers
+/// at several metrics.
+const STUB_POOL: [(u32, u32); 8] = [
+    (0, 0),
+    (0x0A00_0001, 0xFFFF_FFFF),
+    (0x0A00_0002, 0xFFFF_FFFF),
+    (0xAC1F_0000, 0xFFFF_FFFC),
+    (0xAC1F_0001, 0xFFFF_FFFC),
+    (0xAC1F_0004, 0xFFFF_FFFC),
+    (0xC0A8_0100, 0xFFFF_FF00),
+    (0xC0A8_0000, 0xFFFF_0000),
+];
+
+type SpfCase = (
+    std::collections::BTreeMap<u32, rf_routed::ospf::Lsa>,
+    u32,
+    std::collections::HashMap<u32, (u16, Ipv4Addr)>,
+);
+
+/// One random LSDB: 1–12 routers with scattered ids; links listed by
+/// both ends, by one end only, or twice at two metrics; metrics from a
+/// small set so that equal-cost paths are common; stubs from
+/// [`STUB_POOL`] plus one /32 of each router's own; the computing router
+/// usually, not always, in the LSDB; a neighbor now and then missing
+/// from the adjacency map.
+fn random_lsdb(rng: &mut Xorshift) -> SpfCase {
+    use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
+    let n = 1 + rng.below(12) as usize;
+    let mut ids: Vec<u32> = Vec::new();
+    while ids.len() < n {
+        let id = 1 + rng.below(24) as u32;
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    let self_id = if rng.percent(10) {
+        100 // absent from the LSDB
+    } else {
+        ids[rng.below(n as u64) as usize]
+    };
+    let metric = |rng: &mut Xorshift| [1u16, 1, 2, 10, 10, 65535][rng.below(6) as usize];
+    let mut links: Vec<Vec<RouterLink>> = vec![Vec::new(); n];
+    let p2p = |to: u32, cost: u16| RouterLink {
+        link_type: RouterLinkType::PointToPoint,
+        link_id: to,
+        link_data: 0xAC1F_0000 | to,
+        metric: cost,
+    };
+    for _ in 0..rng.below(3 * n as u64 + 1) {
+        let (a, b) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+        if a == b {
+            continue;
+        }
+        let cost = metric(rng);
+        links[a].push(p2p(ids[b], cost));
+        if rng.percent(85) {
+            let back = if rng.percent(70) { cost } else { metric(rng) };
+            links[b].push(p2p(ids[a], back));
+        }
+        if rng.percent(10) {
+            links[a].push(p2p(ids[b], metric(rng))); // a parallel link
+        }
+    }
+    for (i, l) in links.iter_mut().enumerate() {
+        for _ in 0..rng.below(3) {
+            let (net, mask) = STUB_POOL[rng.below(STUB_POOL.len() as u64) as usize];
+            l.push(RouterLink {
+                link_type: RouterLinkType::Stub,
+                link_id: net,
+                link_data: mask,
+                metric: metric(rng),
+            });
+        }
+        l.push(RouterLink {
+            link_type: RouterLinkType::Stub,
+            link_id: 0xC0A8_6300 | ids[i],
+            link_data: 0xFFFF_FFFF,
+            metric: 1,
+        });
+        // Links in no particular order.
+        for j in (1..l.len()).rev() {
+            l.swap(j, rng.below(j as u64 + 1) as usize);
+        }
+    }
+    let db = ids
+        .iter()
+        .zip(links)
+        .map(|(&id, l)| (id, Lsa::router(id, INITIAL_SEQ, 0, l)))
+        .collect();
+    let mut adjacent = std::collections::HashMap::new();
+    for (k, &id) in ids.iter().enumerate() {
+        if rng.percent(90) {
+            adjacent.insert(id, (k as u16 + 1, Ipv4Addr::from(0xAC1F_0100 | id)));
+        }
+    }
+    (db, self_id, adjacent)
+}
+
+/// Router id → shortest distance from `from`, over the bidirectional
+/// point-to-point links of `db` (Bellman–Ford: slow, and plainly right).
+fn distances_from(
+    db: &std::collections::BTreeMap<u32, rf_routed::ospf::Lsa>,
+    from: u32,
+) -> std::collections::BTreeMap<u32, u64> {
+    use rf_routed::ospf::lsa::{LsaBody, RouterLinkType};
+    let p2p = |rid: u32| {
+        db.get(&rid).into_iter().flat_map(|lsa| {
+            let LsaBody::Router(body) = &lsa.body;
+            body.links
+                .iter()
+                .filter(|l| l.link_type == RouterLinkType::PointToPoint)
+        })
+    };
+    let mut dist = std::collections::BTreeMap::from([(from, 0u64)]);
+    for _ in 0..db.len() {
+        for &rid in db.keys() {
+            let Some(&d) = dist.get(&rid) else { continue };
+            for l in p2p(rid) {
+                if p2p(l.link_id).any(|back| back.link_id == rid) {
+                    let nd = d + u64::from(l.metric);
+                    if dist.get(&l.link_id).is_none_or(|&old| nd < old) {
+                        dist.insert(l.link_id, nd);
+                    }
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// Dijkstra on a dense index over the live LSDB must route exactly as
+/// the parent's `HashMap` search over a `BTreeMap` of clones: same
+/// routes, same order, on every LSDB — handed over in key order, as the
+/// daemon does, or shuffled. The generator's corners are counted, so a
+/// narrowed generator fails here rather than passing vacuously.
+#[test]
+fn spf_matches_the_parent_on_random_lsdbs() {
+    use rf_routed::ospf::lsa::{LsaBody, RouterLinkType};
+    use rf_routed::ospf::spf;
+    let mut rng = Xorshift(0x5EED_0F5F_u64);
+    let mut seen = std::collections::BTreeMap::<&str, u32>::new();
+    let mut note = |what: &'static str, yes: bool| *seen.entry(what).or_default() += u32::from(yes);
+    for case in 0..600 {
+        let (db, self_id, adjacent) = random_lsdb(&mut rng);
+        let want = spf_model::compute(&db, self_id, &adjacent);
+        assert_eq!(spf::compute(&db, self_id, &adjacent), want, "case {case}");
+        let mut shuffled: Vec<(&u32, &rf_routed::ospf::Lsa)> = db.iter().collect();
+        for j in (1..shuffled.len()).rev() {
+            shuffled.swap(j, rng.below(j as u64 + 1) as usize);
+        }
+        assert_eq!(
+            spf::compute(shuffled, self_id, &adjacent),
+            want,
+            "case {case}, shuffled"
+        );
+
+        let links = |rid: u32| match db.get(&rid).map(|lsa| &lsa.body) {
+            Some(LsaBody::Router(body)) => body.links.clone(),
+            None => Vec::new(),
+        };
+        let p2p_to = |rid: u32, to: u32| {
+            links(rid)
+                .iter()
+                .filter(|l| l.link_type == RouterLinkType::PointToPoint && l.link_id == to)
+                .count()
+        };
+        note("self absent", !db.contains_key(&self_id));
+        note(
+            "one-way link",
+            db.keys()
+                .any(|&a| db.keys().any(|&b| p2p_to(a, b) > 0 && p2p_to(b, a) == 0)),
+        );
+        note(
+            "parallel links",
+            db.keys().any(|&a| db.keys().any(|&b| p2p_to(a, b) > 1)),
+        );
+        let dist = distances_from(&db, self_id);
+        note(
+            "unreachable router",
+            db.keys().any(|rid| !dist.contains_key(rid)),
+        );
+        // Some router is as near through one first hop as through
+        // another.
+        let firsts: Vec<(u32, u64)> = links(self_id)
+            .iter()
+            .filter(|l| l.link_type == RouterLinkType::PointToPoint)
+            .filter(|l| p2p_to(l.link_id, self_id) > 0)
+            .map(|l| (l.link_id, u64::from(l.metric)))
+            .collect();
+        let via: Vec<(u32, std::collections::BTreeMap<u32, u64>)> = firsts
+            .iter()
+            .map(|&(hop, cost)| {
+                let d = distances_from(&db, hop);
+                (hop, d.into_iter().map(|(r, x)| (r, x + cost)).collect())
+            })
+            .collect();
+        note(
+            "equal-cost tie",
+            dist.iter().any(|(&r, &d)| {
+                let hops: std::collections::BTreeSet<u32> = via
+                    .iter()
+                    .filter(|(_, v)| v.get(&r) == Some(&d))
+                    .map(|(hop, _)| *hop)
+                    .collect();
+                r != self_id && hops.len() > 1
+            }),
+        );
+        let stubs: Vec<(u32, u8, u16)> = db
+            .keys()
+            .flat_map(|&rid| links(rid))
+            .filter(|l| l.link_type == RouterLinkType::Stub)
+            .map(|l| {
+                let len = 32 - l.link_data.trailing_zeros() as u8;
+                (l.link_id & l.link_data, len, l.metric)
+            })
+            .collect();
+        note("/0 route", want.iter().any(|r| r.prefix.prefix_len == 0));
+        note(
+            "/32 route",
+            want.iter()
+                .any(|r| r.prefix.prefix_len == 32 && r.prefix.addr.octets()[2] != 0x63),
+        );
+        note(
+            "one prefix at two metrics",
+            stubs
+                .iter()
+                .any(|a| stubs.iter().any(|b| (a.0, a.1) == (b.0, b.1) && a.2 != b.2)),
+        );
+    }
+    for (what, count) in &seen {
+        assert!(*count >= 20, "{what}: only {count} of 600 LSDBs: {seen:?}");
+    }
+    assert_eq!(seen.len(), 8, "{seen:?}");
+}
+
+/// `Rib::replace_protocol` against a map of candidates: after every
+/// operation the FIB holds the best candidate of each prefix, and the
+/// changes reported are exactly the FIB's moves — the stale prefixes' in
+/// prefix order first, then the new set's in the order given.
+#[test]
+fn rib_replace_protocol_reports_exactly_the_fib_moves() {
+    use rf_routed::rib::RibChange;
+    use std::collections::BTreeMap;
+    let mut rng = Xorshift(0x0B1B_0B1B);
+    let prefix = |i: u64| Ipv4Cidr::new(Ipv4Addr::new(10, i as u8, 0, 0), 16);
+    let key = |p: Ipv4Cidr| (u32::from(p.network()), p.prefix_len);
+    let protos = [RouteProto::Connected, RouteProto::Ospf, RouteProto::Rip];
+    for _ in 0..40 {
+        let mut rib = Rib::new();
+        // prefix key → proto → route
+        let mut model: BTreeMap<(u32, u8), BTreeMap<RouteProto, Route>> = BTreeMap::new();
+        let best = |model: &BTreeMap<(u32, u8), BTreeMap<RouteProto, Route>>| {
+            model
+                .iter()
+                .filter_map(|(k, c)| {
+                    let r = c
+                        .values()
+                        .min_by_key(|r| (r.proto.admin_distance(), r.metric))?;
+                    Some((*k, *r))
+                })
+                .collect::<BTreeMap<_, _>>()
+        };
+        for _ in 0..60 {
+            let route = |rng: &mut Xorshift, proto| Route {
+                prefix: prefix(rng.below(8)),
+                next_hop: Some(Ipv4Addr::new(1, 1, 1, 1 + rng.below(2) as u8)),
+                out_iface: 1 + rng.below(2) as u16,
+                proto,
+                metric: rng.below(3) as u32,
+            };
+            let before = best(&model);
+            let (changes, touched): (Vec<RibChange>, Vec<(u32, u8)>) = match rng.below(4) {
+                0 => {
+                    let proto = protos[rng.below(3) as usize];
+                    let r = route(&mut rng, proto);
+                    model.entry(key(r.prefix)).or_default().insert(r.proto, r);
+                    (rib.add(r), vec![key(r.prefix)])
+                }
+                _ => {
+                    let proto = protos[1 + rng.below(2) as usize];
+                    let mut set: BTreeMap<(u32, u8), Route> = BTreeMap::new();
+                    for _ in 0..rng.below(7) {
+                        let r = route(&mut rng, proto);
+                        set.insert(key(r.prefix), r);
+                    }
+                    let mut routes: Vec<Route> = set.values().copied().collect();
+                    if rng.percent(30) {
+                        routes.reverse();
+                    }
+                    let stale: Vec<(u32, u8)> = model
+                        .iter()
+                        .filter(|(k, c)| c.contains_key(&proto) && !set.contains_key(k))
+                        .map(|(k, _)| *k)
+                        .collect();
+                    for k in &stale {
+                        model.get_mut(k).unwrap().remove(&proto);
+                    }
+                    for r in &routes {
+                        model.entry(key(r.prefix)).or_default().insert(proto, *r);
+                    }
+                    let order = stale
+                        .into_iter()
+                        .chain(routes.iter().map(|r| key(r.prefix)))
+                        .collect();
+                    (rib.replace_protocol(proto, &routes), order)
+                }
+            };
+            let after = best(&model);
+            let want: Vec<RibChange> = touched
+                .into_iter()
+                .filter_map(|k| match (before.get(&k), after.get(&k)) {
+                    (old, Some(new)) if old != Some(new) => Some(RibChange::Installed(*new)),
+                    (Some(old), None) => Some(RibChange::Withdrawn(old.prefix)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(changes, want);
+            assert_eq!(rib.fib(), after.values().copied().collect::<Vec<_>>());
         }
     }
 }
