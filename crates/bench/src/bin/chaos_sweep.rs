@@ -169,12 +169,13 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let outcome = args.campaign.run(args.threads);
     eprintln!(
-        "ran {} schedules in {:.1}s wall clock: {} violation(s) in {} cell(s), {} build error(s)",
+        "ran {} schedules in {:.1}s wall clock: {} violation(s) in {} cell(s), {} build error(s), {} panic(s)",
         outcome.stats.schedules,
         started.elapsed().as_secs_f64(),
         outcome.stats.violations,
         outcome.stats.cells_with_violations,
         outcome.stats.build_errors,
+        outcome.stats.panics,
     );
     for s in &outcome.stats.shrinks {
         eprintln!(
@@ -251,7 +252,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if outcome.stats.violations > 0 || outcome.stats.build_errors > 0 {
+    if outcome.stats.violations > 0 || outcome.stats.build_errors > 0 || outcome.stats.panics > 0 {
         eprintln!("campaign NOT green");
         return ExitCode::FAILURE;
     }

@@ -8,7 +8,7 @@
 //! after the current one completes, so a run is deterministic however
 //! far the stages cascade.
 
-use super::channel::{ChannelLayer, SendOutcome, SwitchChannel, VmSendOutcome};
+use super::channel::{ChannelLayer, ChannelStallWindow, SendOutcome, SwitchChannel, VmSendOutcome};
 use crate::rfcontroller::RfControllerConfig;
 use crate::vnet::rfproto::RfMessage;
 use bytes::Bytes;
@@ -190,6 +190,9 @@ pub(crate) struct BusIo {
     /// scheduled.
     pub(crate) drain_armed: bool,
     pub(crate) xid: u32,
+    /// Armed channel-stall windows (see
+    /// [`ControlPlane::add_channel_stall`](super::ControlPlane::add_channel_stall)).
+    pub(crate) stalls: Vec<ChannelStallWindow>,
 }
 
 impl BusIo {
@@ -199,6 +202,7 @@ impl BusIo {
             channels: BTreeMap::new(),
             drain_armed: false,
             xid: 1,
+            stalls: Vec::new(),
         }
     }
 

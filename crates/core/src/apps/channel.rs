@@ -216,10 +216,7 @@ pub(crate) struct ChannelLayer<'a, 'b> {
 impl ChannelLayer<'_, '_> {
     fn stalled(&self, dpid: u64) -> bool {
         let now = self.sim.now();
-        self.config
-            .channel_stalls
-            .iter()
-            .any(|w| w.covers(dpid, now))
+        self.io.stalls.iter().any(|w| w.covers(dpid, now))
     }
 
     /// Offer messages to `dpid`'s channel: enqueue within the bound,

@@ -75,13 +75,12 @@ impl ControlPlane {
         &self.state
     }
 
-    /// Append a channel-stall window to the configuration at runtime.
-    /// A window that lies entirely in the future is indistinguishable
-    /// from one declared at construction (stalls only act through
-    /// `covers(now)` checks at send/drain time), which is what lets a
-    /// forked scenario inject a cell's stall schedule post-fork.
+    /// Arm a channel-stall window — the only way one gets in. Stalls
+    /// act only through `covers(now)` checks at send/drain time, so a
+    /// window armed before it opens, on a fresh world or on a fork,
+    /// behaves the same.
     pub fn add_channel_stall(&mut self, window: super::ChannelStallWindow) {
-        self.cfg.channel_stalls.push(window);
+        self.io.stalls.push(window);
     }
 
     // ------------------------------------------------------------------
@@ -95,15 +94,6 @@ impl ControlPlane {
             .switches
             .iter()
             .map(|(d, s)| (*d, s.configured_at.is_some()))
-            .collect()
-    }
-
-    /// Port count recorded for each switch.
-    pub fn switch_port_counts(&self) -> Vec<(u64, u16)> {
-        self.state
-            .switches
-            .iter()
-            .map(|(d, s)| (*d, s.num_ports))
             .collect()
     }
 
@@ -135,53 +125,6 @@ impl ControlPlane {
             .values()
             .filter_map(|s| s.configured_at)
             .max()
-    }
-
-    /// Routed + host flows pushed to the data plane.
-    pub fn flows_installed(&self) -> u64 {
-        self.state.flows_installed
-    }
-
-    /// Flow deletions pushed to the data plane.
-    pub fn flows_removed(&self) -> u64 {
-        self.state.flows_removed
-    }
-
-    /// Gateway ARPs answered on behalf of the VMs.
-    pub fn arp_replies(&self) -> u64 {
-        self.state.arp_replies
-    }
-
-    /// OpenFlow messages written toward switches (excludes Hello/Echo
-    /// transport chores).
-    pub fn of_msgs_sent(&self) -> u64 {
-        self.state.of_msgs_sent
-    }
-
-    /// Wire bytes of those messages.
-    pub fn of_bytes_sent(&self) -> u64 {
-        self.state.of_bytes_sent
-    }
-
-    /// Transport writes carrying them (smaller than `of_msgs_sent`
-    /// when multi-message pushes coalesce bursts).
-    pub fn of_pushes(&self) -> u64 {
-        self.state.of_pushes
-    }
-
-    /// Multi-message FLOW_MOD pushes flushed by the FIB batching stage.
-    pub fn fib_batches(&self) -> u64 {
-        self.state.fib_batches
-    }
-
-    /// Messages refused back to producers by bounded channels.
-    pub fn of_deferred(&self) -> u64 {
-        self.state.of_deferred
-    }
-
-    /// Deepest switch-channel queue observed over the run.
-    pub fn of_queue_hwm(&self) -> u64 {
-        self.state.of_queue_hwm
     }
 
     /// Messages currently parked in switch-channel queues (stalled,

@@ -57,6 +57,8 @@ pub struct CampaignStats {
     pub schedules: usize,
     /// Cells whose builder rejected the axes.
     pub build_errors: usize,
+    /// Cells that panicked (recorded as `panic = 1`).
+    pub panics: usize,
     /// Cells with at least one invariant violation.
     pub cells_with_violations: usize,
     /// Total violations across all cells.
@@ -362,6 +364,9 @@ impl ChaosCampaign {
             let (rec, violations) = (done.rec, done.post);
             if rec.metrics.contains_key("build_error") {
                 stats.build_errors += 1;
+            }
+            if rec.metrics.contains_key("panic") {
+                stats.panics += 1;
             }
             if !violations.is_empty() {
                 stats.cells_with_violations += 1;

@@ -70,8 +70,8 @@ pub use manual::ManualConfigModel;
 pub use rfcontroller::{HostPortConfig, RfControllerConfig};
 pub use scenario::{
     CellRecord, Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, MatrixCell,
-    MatrixKnob, MatrixReport, MatrixSpec, Scenario, ScenarioBuilder, ScenarioConfig,
-    ScenarioMatrix, ScenarioMetrics, Snapshot, SnapshotError, Workload, WorkloadReport,
+    MatrixKnob, MatrixReport, MatrixSpec, Scenario, ScenarioBuilder, ScenarioMatrix,
+    ScenarioMetrics, Snapshot, SnapshotError, Workload, WorkloadReport,
 };
 pub use traffic::{
     TrafficConfig, TrafficMode, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,

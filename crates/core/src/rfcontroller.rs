@@ -58,11 +58,11 @@ pub struct RfControllerConfig {
     /// A full channel hands the overflow back to its producer, which
     /// retries it.
     pub channel_capacity: Option<usize>,
-    /// Scheduled control-channel stalls (normally injected through
-    /// `Fault::ChannelStall` on a `ScenarioBuilder`).
-    pub channel_stalls: Vec<crate::apps::ChannelStallWindow>,
 }
 
+/// The paper's controller: Quagga's 10 s / 40 s hello/dead, a 1 s
+/// (LXC-like) VM boot, serial provisioning, unbatched FLOW_MODs and
+/// unbounded channels. The one place these defaults are written.
 impl Default for RfControllerConfig {
     fn default() -> Self {
         RfControllerConfig {
@@ -74,7 +74,6 @@ impl Default for RfControllerConfig {
             provision_width: 1,
             fib_batch: 1,
             channel_capacity: None,
-            channel_stalls: Vec::new(),
         }
     }
 }

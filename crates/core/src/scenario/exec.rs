@@ -13,6 +13,9 @@
 //! at or before the capture, or when the prefix never converged or
 //! quiesced. Forking is therefore a pure optimisation: the records are
 //! byte-identical to cold ones, at any thread count.
+//!
+//! A panic is caught per cell: the cell records `panic = 1`, the sweep
+//! goes on, and a panicking capture sends its whole group cold.
 
 use super::matrix::{expected_cost, finish_cell, CellStat, FaultSchedule, MatrixCell, MatrixSpec};
 use super::report::CellRecord;
@@ -107,28 +110,44 @@ where
     H: Fn(usize, &mut CellRecord, &Scenario) -> T,
     T: Default,
 {
-    // A singleton unit has no prefix worth sharing.
+    // A singleton unit has no prefix worth sharing. A capture that
+    // panics sends every member to a cold start, where each records
+    // its own outcome.
+    let first = &cells[unit[0]];
     let mut prefix = (unit.len() >= 2)
-        .then(|| Prefix::capture(spec, &cells[unit[0]], build))
+        .then(|| caught(first, || Prefix::capture(spec, first, build)).flatten())
         .flatten();
     unit.iter()
         .map(|&index| {
             let cell = &cells[index];
             let t0 = Instant::now();
-            let resumed = prefix.as_mut().and_then(|p| p.resume(spec, cell));
-            let forked = resumed.is_some();
-            let mut fin = resumed.unwrap_or_else(|| run_cold(spec, cell, build));
-            let post = match fin.scenario {
-                Some(sc) => hook(index, &mut fin.rec, &sc),
-                None => T::default(),
-            };
+            let outcome = caught(cell, || {
+                let resumed = prefix.as_mut().and_then(|p| p.resume(spec, cell));
+                let forked = resumed.is_some();
+                let mut fin = resumed.unwrap_or_else(|| run_cold(spec, cell, build));
+                let post = match fin.scenario {
+                    Some(sc) => hook(index, &mut fin.rec, &sc),
+                    None => T::default(),
+                };
+                (fin.rec, fin.events, post, forked)
+            });
+            // A panicking cell records `panic = 1` and nothing else,
+            // like a `build_error` cell.
+            let (rec, events, post, forked) = outcome.unwrap_or_else(|| {
+                let metrics = BTreeMap::from([("panic".to_string(), 1)]);
+                let rec = CellRecord {
+                    key: cell.key(),
+                    metrics,
+                };
+                (rec, 0, T::default(), false)
+            });
             let stat = CellStat {
-                key: fin.rec.key.clone(),
+                key: rec.key.clone(),
                 wall: t0.elapsed(),
-                events: fin.events,
+                events,
             };
             Done {
-                rec: fin.rec,
+                rec,
                 stat,
                 post,
                 forked,
@@ -136,6 +155,24 @@ where
             }
         })
         .collect()
+}
+
+/// Run `f`, one cell's (or one capture's) work, turning a panic into
+/// `None` so the rest of the sweep goes on. The message goes to stderr
+/// only: its file:line moves with every edit, so it is not byte-stable
+/// and never enters a report.
+fn caught<R>(cell: &MatrixCell, f: impl FnOnce() -> R) -> Option<R> {
+    let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(r) => return Some(r),
+        Err(payload) => payload,
+    };
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)");
+    eprintln!("cell {} panicked: {msg}", cell.key());
+    None
 }
 
 /// Build `cell`'s world on this thread and run its configuration
@@ -177,14 +214,6 @@ where
             scenario: None,
         },
     }
-}
-
-/// Can `schedule` still be injected after a capture taken at `t`?
-/// Anything at or before the capture would already have dispatched in
-/// a cold run.
-fn forkable(schedule: &FaultSchedule, taken_at: Time) -> bool {
-    let after = |f: &super::Fault| Time::ZERO + f.first_effect() > taken_at;
-    schedule.faults.iter().all(after)
 }
 
 /// A converged, quiesced, fault-free world, captured once and continued
@@ -242,13 +271,12 @@ impl Prefix {
     }
 
     /// Continue `cell` from the capture: fork, inject its faults, run
-    /// to the horizon, harvest. `None` — run it cold instead — when a
-    /// fault fires at or before the capture or does not fit the
-    /// topology (the cold path then records the `build_error`).
+    /// to the horizon, harvest. `None` — run it cold instead — when
+    /// `inject_faults` refuses the schedule: a fault fires at or before
+    /// the capture (a cold run would already have dispatched it), or
+    /// does not fit the topology (the cold path then records the
+    /// `build_error`).
     pub(crate) fn resume(&mut self, spec: &MatrixSpec, cell: &MatrixCell) -> Option<Finished> {
-        if !forkable(&cell.schedule, self.snap.taken_at()) {
-            return None;
-        }
         let mut sc = self
             .live
             .take()

@@ -82,62 +82,6 @@ pub struct HostSlot {
     pub host_ip: Ipv4Addr,
 }
 
-/// Scenario parameters — everything [`ScenarioBuilder`]'s fluent
-/// methods write into.
-#[derive(Clone)]
-pub struct ScenarioConfig {
-    pub topology: Topology,
-    pub seed: u64,
-    /// Administrator IP range for the virtual environment.
-    pub ip_range: Ipv4Cidr,
-    /// LLDP probe period.
-    pub probe_interval: Duration,
-    /// Simulated VM provisioning time.
-    pub vm_boot_delay: Duration,
-    /// Physical link profile (also used for the virtual interconnect).
-    pub link_profile: LinkProfile,
-    /// Put FlowVisor between switches and controllers (the paper's
-    /// layout). `false` wires both controllers directly into every
-    /// switch (OVS multi-controller mode) for the A4 ablation.
-    pub use_flowvisor: bool,
-    /// Host attachment points.
-    pub hosts: Vec<HostAttachment>,
-    /// OSPF hello/dead intervals written into every ospfd.conf.
-    pub ospf_hello: u16,
-    pub ospf_dead: u16,
-    /// VM provisioning pipeline width (1 = the paper's serial rftest
-    /// behaviour).
-    pub provision_width: usize,
-    /// FIB-mirror FLOW_MOD batch size per switch (1 = unbatched).
-    pub fib_batch: usize,
-    /// Switch-channel send-queue bound (`None` = unbounded, the
-    /// paper's fire-and-forget behaviour).
-    pub channel_capacity: Option<usize>,
-    /// Whether counters count.
-    pub trace_level: rf_sim::TraceLevel,
-}
-
-impl ScenarioConfig {
-    pub fn new(topology: Topology) -> ScenarioConfig {
-        ScenarioConfig {
-            topology,
-            seed: 0xC0FFEE,
-            ip_range: Ipv4Cidr::new(Ipv4Addr::new(172, 31, 0, 0), 16),
-            probe_interval: Duration::from_secs(1),
-            vm_boot_delay: Duration::from_secs(1),
-            link_profile: LinkProfile::default(),
-            use_flowvisor: true,
-            hosts: Vec::new(),
-            ospf_hello: 10,
-            ospf_dead: 40,
-            provision_width: 1,
-            fib_batch: 1,
-            channel_capacity: None,
-            trace_level: rf_sim::TraceLevel::Info,
-        }
-    }
-}
-
 /// A scheduled disturbance, injected while the scenario runs.
 #[derive(Clone, Debug)]
 pub enum Fault {
@@ -167,9 +111,9 @@ pub enum Fault {
     /// `from` and `until`: nothing the control plane sends that switch
     /// reaches the wire inside the window. Queues fill, a bounded
     /// channel defers, and the drain tick releases the backlog when
-    /// the window closes. (Injected into the controller's
-    /// configuration, not the chaos agent — the stall is a
-    /// control-plane condition, not a data-plane one.)
+    /// the window closes. (Armed in the controller, not the chaos
+    /// agent — the stall is a control-plane condition, not a
+    /// data-plane one.)
     ChannelStall {
         dpid: u64,
         from: Duration,
@@ -440,7 +384,8 @@ pub struct ScenarioMetrics {
     pub of_queue_hwm: u64,
 }
 
-/// Internal fault-scheduler agent: one timer per scheduled fault.
+/// Internal fault-scheduler agent: one reserved-lane timer per
+/// scheduled fault, armed by [`Scenario::inject_faults`].
 #[derive(Clone)]
 struct ChaosAgent {
     ops: Vec<(Duration, ChaosOp)>,
@@ -458,16 +403,6 @@ enum ChaosOp {
 }
 
 impl Agent for ChaosAgent {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Reserved-lane timers: a fault fires before every ordinarily
-        // scheduled event at its instant, whether it was armed here at
-        // t=0 or injected into a forked scenario mid-run — so cold and
-        // forked runs dispatch identically around fault instants.
-        for (i, (at, _)) in self.ops.iter().enumerate() {
-            ctx.schedule_reserved(*at, i as u64);
-        }
-    }
-
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match &self.ops[token as usize].1 {
             ChaosOp::Kill(agent) => ctx.kill(*agent),
@@ -494,40 +429,56 @@ enum WorkloadHandle {
     Traffic { parts: Vec<TrafficPart> },
 }
 
-/// Fluent assembly of a full experiment; start with [`Scenario::on`].
+/// Fluent assembly of a full experiment — the one way to build a
+/// [`Scenario`]; start with [`Scenario::on`].
 pub struct ScenarioBuilder {
-    cfg: ScenarioConfig,
+    topology: Topology,
+    seed: u64,
+    /// Administrator IP range for the virtual environment.
+    ip_range: Ipv4Cidr,
+    /// LLDP probe period.
+    probe_interval: Duration,
+    /// Physical link profile (also used for the virtual interconnect).
+    link_profile: LinkProfile,
+    /// Put FlowVisor between switches and controllers (the paper's
+    /// layout); `false` wires both controllers directly into every
+    /// switch for the A4 ablation.
+    use_flowvisor: bool,
+    hosts: Vec<HostAttachment>,
+    trace_level: rf_sim::TraceLevel,
+    /// The RF-controller's settings; `start` fills in the host ports
+    /// and the virtual interconnect's link profile.
+    controller: RfControllerConfig,
     faults: Vec<Fault>,
     workloads: Vec<Workload>,
 }
 
 impl ScenarioBuilder {
-    /// Builder over an existing [`ScenarioConfig`].
-    pub fn from_config(cfg: ScenarioConfig) -> ScenarioBuilder {
-        ScenarioBuilder {
-            cfg,
-            faults: Vec::new(),
-            workloads: Vec::new(),
-        }
-    }
-
     /// Simulation seed (default `0xC0FFEE`).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
+        self.seed = seed;
         self
     }
 
-    /// OSPF hello/dead intervals written into every ospfd.conf
-    /// (defaults: Quagga's 10 s / 40 s).
+    /// The administrator's IP range, from which the topology
+    /// controller allocates every link's /30 (default `172.31.0.0/16`).
+    pub fn ip_range(mut self, range: Ipv4Cidr) -> Self {
+        self.ip_range = range;
+        self
+    }
+
+    /// OSPF hello/dead intervals written into every ospfd.conf. This
+    /// and the controller setters below default to
+    /// [`RfControllerConfig::default`], the paper's controller.
     pub fn ospf_timers(mut self, hello: u16, dead: u16) -> Self {
-        self.cfg.ospf_hello = hello;
-        self.cfg.ospf_dead = dead;
+        self.controller.ospf_hello = hello;
+        self.controller.ospf_dead = dead;
         self
     }
 
     /// LLDP probe period of the topology controller.
     pub fn probe_interval(mut self, d: Duration) -> Self {
-        self.cfg.probe_interval = d;
+        self.probe_interval = d;
         self
     }
 
@@ -538,9 +489,9 @@ impl ScenarioBuilder {
             .probe_interval(Duration::from_millis(500))
     }
 
-    /// Simulated VM provisioning time (default 1 s, LXC-like).
+    /// Simulated VM provisioning time.
     pub fn vm_boot_delay(mut self, d: Duration) -> Self {
-        self.cfg.vm_boot_delay = d;
+        self.controller.vm_boot_delay = d;
         self
     }
 
@@ -548,14 +499,14 @@ impl ScenarioBuilder {
     /// operations in flight at once (default 1, the paper's serial
     /// rftest behaviour — the Fig. 3 bottleneck).
     pub fn provision_width(mut self, k: usize) -> Self {
-        self.cfg.provision_width = k.max(1);
+        self.controller.provision_width = k.max(1);
         self
     }
 
     /// FIB-mirror batching: coalesce up to `n` FLOW_MODs per switch
     /// into one multi-message push (default 1 = send each immediately).
     pub fn fib_batch(mut self, n: usize) -> Self {
-        self.cfg.fib_batch = n.max(1);
+        self.controller.fib_batch = n.max(1);
         self
     }
 
@@ -566,33 +517,33 @@ impl ScenarioBuilder {
     /// hands the overflow back to the stage that sent it, which
     /// retries, so nothing is lost.
     pub fn channel_capacity(mut self, n: usize) -> Self {
-        self.cfg.channel_capacity = Some(n);
+        self.controller.channel_capacity = Some(n);
         self
     }
 
     /// Physical link profile (also used for the virtual interconnect).
     pub fn link_profile(mut self, p: LinkProfile) -> Self {
-        self.cfg.link_profile = p;
+        self.link_profile = p;
         self
     }
 
     /// Wire both controllers directly into every switch instead of
     /// going through FlowVisor (the A4 ablation).
     pub fn without_flowvisor(mut self) -> Self {
-        self.cfg.use_flowvisor = false;
+        self.use_flowvisor = false;
         self
     }
 
     /// Whether counters count (default `Info`: they do).
     pub fn trace_level(mut self, level: rf_sim::TraceLevel) -> Self {
-        self.cfg.trace_level = level;
+        self.trace_level = level;
         self
     }
 
     /// Attach a host subnet at a topology node; slots appear in
     /// [`Scenario::host_slots`] in declaration order.
     pub fn with_host(mut self, node: usize, subnet: &str) -> Self {
-        self.cfg.hosts.push(HostAttachment {
+        self.hosts.push(HostAttachment {
             node,
             subnet: subnet.parse().expect("valid subnet"),
         });
@@ -620,13 +571,16 @@ impl ScenarioBuilder {
 
     /// Assemble the world: switches → FlowVisor → topology controller +
     /// RF-controller (RPC client in between), physical links, host
-    /// slots, workload agents and the fault schedule.
-    pub fn start(self) -> Scenario {
-        let ScenarioBuilder {
-            mut cfg,
-            faults,
-            workloads,
-        } = self;
+    /// slots and workload agents — then arm the fault schedule through
+    /// [`Scenario::inject_faults`], the same path a fork takes.
+    ///
+    /// # Panics
+    ///
+    /// If `inject_faults` refuses a fault (one that does not fit the
+    /// topology, or one at t = 0), with the refusal's text.
+    pub fn start(mut self) -> Scenario {
+        let faults = std::mem::take(&mut self.faults);
+        let workloads = std::mem::take(&mut self.workloads);
 
         // Workload endpoints ride on auto-allocated host subnets,
         // appended after user-declared hosts so explicit slot indices
@@ -637,7 +591,7 @@ impl ScenarioBuilder {
         let mut workload_slots: Vec<Vec<usize>> = Vec::new(); // per workload: host-slot indices
         for (k, w) in workloads.iter().enumerate() {
             let nodes = w.endpoint_nodes();
-            let base = cfg.hosts.len();
+            let base = self.hosts.len();
             let oct = 200 + (k as u8 % 50);
             for (j, &node) in nodes.iter().enumerate() {
                 let third = 2 * k + j;
@@ -645,7 +599,7 @@ impl ScenarioBuilder {
                     third < 256,
                     "workload {k} endpoint {j}: subnet space exhausted"
                 );
-                cfg.hosts.push(HostAttachment {
+                self.hosts.push(HostAttachment {
                     node,
                     subnet: Ipv4Cidr::new(Ipv4Addr::new(10, oct, third as u8, 0), 24),
                 });
@@ -656,8 +610,8 @@ impl ScenarioBuilder {
         // No two host subnets (user-declared or workload-allocated) may
         // overlap: duplicate gateway/host addresses would make ARP
         // learning deliver one host's traffic to the other's switch.
-        for (i, a) in cfg.hosts.iter().enumerate() {
-            for b in &cfg.hosts[i + 1..] {
+        for (i, a) in self.hosts.iter().enumerate() {
+            for b in &self.hosts[i + 1..] {
                 assert!(
                     !a.subnet.contains(b.subnet.network())
                         && !b.subnet.contains(a.subnet.network()),
@@ -670,23 +624,22 @@ impl ScenarioBuilder {
             }
         }
 
-        let n = cfg.topology.node_count();
+        let n = self.topology.node_count();
         let mut sim = Sim::new(SimConfig {
-            seed: cfg.seed,
-            trace_level: cfg.trace_level,
+            seed: self.seed,
+            trace_level: self.trace_level,
             max_time: None,
         });
 
         // Port plan: edges first, then host ports.
-        let (edge_ports, mut next_port) = port_plan(&cfg.topology);
-        let mut host_port_cfgs = Vec::new();
+        let (edge_ports, mut next_port) = port_plan(&self.topology);
         let mut host_plan = Vec::new(); // (node, port, subnet, gw, host_ip)
-        for h in &cfg.hosts {
+        for h in &self.hosts {
             let port = next_port[h.node];
             next_port[h.node] += 1;
             let gw = h.subnet.nth(1).expect("subnet too small");
             let host_ip = h.subnet.nth(2).expect("subnet too small");
-            host_port_cfgs.push(HostPortConfig {
+            self.controller.host_ports.push(HostPortConfig {
                 dpid: (h.node + 1) as u64,
                 port,
                 subnet: h.subnet,
@@ -695,31 +648,9 @@ impl ScenarioBuilder {
             host_plan.push((h.node, port, h.subnet, gw, host_ip));
         }
 
-        // Channel stalls are a controller-side condition: they ride in
-        // the engine configuration, not the chaos agent.
-        let channel_stalls: Vec<ChannelStallWindow> = faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::ChannelStall { dpid, from, until } => {
-                    assert!(from < until, "stall window must be non-empty");
-                    Some(ChannelStallWindow { dpid, from, until })
-                }
-                _ => None,
-            })
-            .collect();
-
         // Controllers.
-        let engine = ControlPlane::new(RfControllerConfig {
-            vm_boot_delay: cfg.vm_boot_delay,
-            vm_link_profile: cfg.link_profile,
-            host_ports: host_port_cfgs,
-            ospf_hello: cfg.ospf_hello,
-            ospf_dead: cfg.ospf_dead,
-            provision_width: cfg.provision_width,
-            fib_batch: cfg.fib_batch,
-            channel_capacity: cfg.channel_capacity,
-            channel_stalls,
-        });
+        self.controller.vm_link_profile = self.link_profile;
+        let engine = ControlPlane::new(std::mem::take(&mut self.controller));
         let rf_ctrl = sim.add_agent("rf-controller", Box::new(engine));
         let rpc_client = sim.add_agent(
             "rpc-client",
@@ -729,14 +660,14 @@ impl ScenarioBuilder {
             "topology-controller",
             Box::new(TopologyController::new(
                 TopologyControllerConfig {
-                    probe_interval: cfg.probe_interval,
-                    link_ttl: cfg.probe_interval * 3,
-                    ..TopologyControllerConfig::new(cfg.ip_range)
+                    probe_interval: self.probe_interval,
+                    link_ttl: self.probe_interval * 3,
+                    ..TopologyControllerConfig::new(self.ip_range)
                 }
                 .with_rpc_client(rpc_client),
             )),
         );
-        let flowvisor = if cfg.use_flowvisor {
+        let flowvisor = if self.use_flowvisor {
             Some(sim.add_agent(
                 "flowvisor",
                 Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
@@ -763,18 +694,18 @@ impl ScenarioBuilder {
                     .with_service(TOPOLOGY_OF_SERVICE)
                     .add_controller(rf_ctrl, RF_CONTROLLER_OF_SERVICE),
             };
-            let name = cfg.topology.node(i).name.clone();
+            let name = self.topology.node(i).name.clone();
             switches.push(sim.add_agent(&name, Box::new(OpenFlowSwitch::new(swcfg.clone()))));
             switch_cfgs.push(swcfg);
         }
 
         // Physical links (ids kept for the fault schedule).
         let mut phys_links = Vec::with_capacity(edge_ports.len());
-        for (e, (pa, pb)) in cfg.topology.edges().iter().zip(edge_ports) {
+        for (e, (pa, pb)) in self.topology.edges().iter().zip(edge_ports) {
             phys_links.push(sim.add_link(
                 (switches[e.a], u32::from(pa)),
                 (switches[e.b], u32::from(pb)),
-                cfg.link_profile,
+                self.link_profile,
             ));
         }
 
@@ -812,8 +743,12 @@ impl ScenarioBuilder {
                         &format!("pinger-{k}"),
                         Box::new(Pinger::new(host_cfg(&a, 0), b.host_ip)),
                     );
-                    sim.add_link((b.switch, u32::from(b.port)), (echo, 1), cfg.link_profile);
-                    sim.add_link((a.switch, u32::from(a.port)), (pinger, 1), cfg.link_profile);
+                    sim.add_link((b.switch, u32::from(b.port)), (echo, 1), self.link_profile);
+                    sim.add_link(
+                        (a.switch, u32::from(a.port)),
+                        (pinger, 1),
+                        self.link_profile,
+                    );
                     WorkloadHandle::Ping { pinger }
                 }
                 Workload::Video { .. } => {
@@ -827,8 +762,16 @@ impl ScenarioBuilder {
                         &format!("video-client-{k}"),
                         Box::new(VideoClient::new(host_cfg(&b, 1), a.host_ip)),
                     );
-                    sim.add_link((a.switch, u32::from(a.port)), (server, 1), cfg.link_profile);
-                    sim.add_link((b.switch, u32::from(b.port)), (client, 1), cfg.link_profile);
+                    sim.add_link(
+                        (a.switch, u32::from(a.port)),
+                        (server, 1),
+                        self.link_profile,
+                    );
+                    sim.add_link(
+                        (b.switch, u32::from(b.port)),
+                        (client, 1),
+                        self.link_profile,
+                    );
                     WorkloadHandle::Video { client }
                 }
                 Workload::PingFanIn { ref clients, .. } => {
@@ -845,7 +788,7 @@ impl ScenarioBuilder {
                     sim.add_link(
                         (srv.switch, u32::from(srv.port)),
                         (echo, 1),
-                        cfg.link_profile,
+                        self.link_profile,
                     );
                     let mut pingers = Vec::with_capacity(clients.len());
                     for (j, _) in clients.iter().enumerate() {
@@ -854,29 +797,31 @@ impl ScenarioBuilder {
                             &format!("pinger-{k}-{j}"),
                             Box::new(Pinger::new(host_cfg(&c, 1 + j as u8), srv.host_ip)),
                         );
-                        sim.add_link((c.switch, u32::from(c.port)), (pinger, 1), cfg.link_profile);
+                        sim.add_link(
+                            (c.switch, u32::from(c.port)),
+                            (pinger, 1),
+                            self.link_profile,
+                        );
                         pingers.push(pinger);
                     }
                     WorkloadHandle::PingFanIn { pingers }
                 }
                 Workload::Traffic(ref tcfg) => WorkloadHandle::Traffic {
-                    parts: wire_traffic(&mut sim, &cfg, k, tcfg, slots, &host_slots),
+                    parts: wire_traffic(&mut sim, &self, k, tcfg, slots, &host_slots),
                 },
             };
             workload_handles.push(handle);
         }
 
-        // Fault schedule. The chaos agent is *always* present — with an
-        // empty schedule when no faults were declared — so every world
-        // built from the same (topology, knob, seed) has an identical
-        // agent table regardless of its fault axis. That structural
-        // identity is what lets a fork of a fault-free prefix inject a
-        // cell's faults ([`Scenario::inject_faults`]) and still match a
-        // cold run byte for byte.
-        let ops = chaos_ops(&faults, &switches, &switch_cfgs, &phys_links);
-        let chaos = sim.add_agent("chaos", Box::new(ChaosAgent { ops }));
+        // The chaos agent is *always* present, built empty: every world
+        // from the same (topology, knob, seed) has the same agent table
+        // whatever its fault axis, and the faults go in below exactly
+        // as a fork of the fault-free prefix takes them. Its timers are
+        // the reserved lane's only users, so arming them now, before
+        // the first step, gives them the keys a fork's injection does.
+        let chaos = sim.add_agent("chaos", Box::new(ChaosAgent { ops: Vec::new() }));
 
-        Scenario {
+        let mut sc = Scenario {
             sim,
             rf_ctrl,
             topo_ctrl,
@@ -890,7 +835,9 @@ impl ScenarioBuilder {
             workload_handles,
             chaos,
             last_parallel: None,
-        }
+        };
+        sc.inject_faults(&faults).unwrap_or_else(|e| panic!("{e}"));
+        sc
     }
 }
 
@@ -914,45 +861,28 @@ pub(crate) fn port_plan(topo: &Topology) -> (Vec<(u16, u16)>, Vec<u16>) {
     (edge_ports, next_port)
 }
 
-/// Map a fault schedule onto chaos-agent operations against already
-/// constructed switch agents and physical links. (`ChannelStall` is a
-/// controller-side condition and is handled in the engine
-/// configuration, not here.)
+/// Map a validated fault schedule onto chaos-agent operations against
+/// already constructed switch agents and physical links.
+/// (`ChannelStall` is a controller-side condition and goes to the
+/// controller, not here.)
 fn chaos_ops(
     faults: &[Fault],
     switches: &[AgentId],
     switch_cfgs: &[SwitchConfig],
     phys_links: &[LinkId],
 ) -> Vec<(Duration, ChaosOp)> {
-    let switch_of = |node: usize| {
-        *switches.get(node).unwrap_or_else(|| {
-            panic!(
-                "fault references node {node}, topology has {}",
-                switches.len()
-            )
-        })
-    };
-    let link_of = |edge: usize| {
-        *phys_links.get(edge).unwrap_or_else(|| {
-            panic!(
-                "fault references edge {edge}, topology has {}",
-                phys_links.len()
-            )
-        })
-    };
     faults
         .iter()
         .filter_map(|f| match *f {
-            Fault::KillSwitch { node, at } => Some((at, ChaosOp::Kill(switch_of(node)))),
+            Fault::KillSwitch { node, at } => Some((at, ChaosOp::Kill(switches[node]))),
             Fault::ReviveSwitch { node, at } => {
-                let id = switch_of(node);
                 let fresh = Box::new(OpenFlowSwitch::new(switch_cfgs[node].clone()));
-                Some((at, ChaosOp::Revive(id, fresh)))
+                Some((at, ChaosOp::Revive(switches[node], fresh)))
             }
-            Fault::LinkDown { edge, at } => Some((at, ChaosOp::SetLink(link_of(edge), false))),
-            Fault::LinkUp { edge, at } => Some((at, ChaosOp::SetLink(link_of(edge), true))),
+            Fault::LinkDown { edge, at } => Some((at, ChaosOp::SetLink(phys_links[edge], false))),
+            Fault::LinkUp { edge, at } => Some((at, ChaosOp::SetLink(phys_links[edge], true))),
             Fault::LinkLoss { edge, loss_pct, at } => {
-                Some((at, ChaosOp::SetLinkLoss(link_of(edge), loss_pct)))
+                Some((at, ChaosOp::SetLinkLoss(phys_links[edge], loss_pct)))
             }
             Fault::ChannelStall { .. } => None,
         })
@@ -965,7 +895,7 @@ fn chaos_ops(
 /// Returns typed handles for the harvest.
 fn wire_traffic(
     sim: &mut Sim,
-    cfg: &ScenarioConfig,
+    cfg: &ScenarioBuilder,
     k: usize,
     tcfg: &TrafficConfig,
     slots: &[usize],
@@ -1248,9 +1178,22 @@ impl Snapshot {
 }
 
 impl Scenario {
-    /// Start building a scenario on `topology`.
+    /// Start building a scenario on `topology`, with the paper's
+    /// defaults (the controller's are [`RfControllerConfig::default`]).
     pub fn on(topology: Topology) -> ScenarioBuilder {
-        ScenarioBuilder::from_config(ScenarioConfig::new(topology))
+        ScenarioBuilder {
+            topology,
+            seed: 0xC0FFEE,
+            ip_range: Ipv4Cidr::new(Ipv4Addr::new(172, 31, 0, 0), 16),
+            probe_interval: Duration::from_secs(1),
+            link_profile: LinkProfile::default(),
+            use_flowvisor: true,
+            hosts: Vec::new(),
+            trace_level: rf_sim::TraceLevel::Info,
+            controller: RfControllerConfig::default(),
+            faults: Vec::new(),
+            workloads: Vec::new(),
+        }
     }
 
     /// The RF-controller (its shared state and counters).
@@ -1270,17 +1213,12 @@ impl Scenario {
 
     /// Switches whose VM is up (green in the paper's GUI).
     pub fn configured_switches(&self) -> usize {
-        self.sim
-            .agent_as::<ControlPlane>(self.rf_ctrl)
-            .map(|c| c.configured_switches())
-            .unwrap_or(0)
+        self.controller().configured_switches()
     }
 
     /// When the last switch turned green, if all have.
     pub fn all_configured_at(&self) -> Option<Time> {
-        self.sim
-            .agent_as::<ControlPlane>(self.rf_ctrl)?
-            .all_configured_at(self.expected_switches)
+        self.controller().all_configured_at(self.expected_switches)
     }
 
     /// Run until every switch is configured (or `deadline`), stepping
@@ -1355,13 +1293,13 @@ impl Scenario {
         snapshot.scenario.clone()
     }
 
-    /// Schedule `faults` into a running (typically just-forked)
-    /// scenario, exactly as if they had been declared on the builder:
-    /// data-plane faults go to the resident chaos agent through the
-    /// event queue's reserved lane (so dispatch order at each fault
-    /// instant matches a cold run that armed the same schedule at t=0),
-    /// and [`Fault::ChannelStall`] windows are appended to the
-    /// controller's configuration.
+    /// Schedule `faults` into a scenario — the one way a fault gets
+    /// in: [`ScenarioBuilder::start`] calls it on the fresh world, and
+    /// a fork calls it after the capture. Data-plane faults go to the
+    /// resident chaos agent through the event queue's reserved lane
+    /// (so a fault injected mid-run sorts at its instant exactly where
+    /// the cold run's, armed before the first step, does), and
+    /// [`Fault::ChannelStall`] windows go to the controller.
     ///
     /// Every fault's first effect (`at`, or `from` for a stall) must
     /// lie strictly after the current instant — a cold run would
@@ -1414,9 +1352,12 @@ impl Scenario {
     /// cannot move, so a mid-stall harvest converges too). Bounded, so
     /// it terminates even with a producer that keeps deferring.
     pub fn drain_pending_output(&mut self) {
+        let progress = |ctrl: &ControlPlane| {
+            let s = ctrl.state();
+            (s.of_pushes, s.of_msgs_sent, ctrl.channel_queued())
+        };
         for _ in 0..64 {
-            let ctrl = self.controller();
-            let before = (ctrl.of_pushes(), ctrl.of_msgs_sent(), ctrl.channel_queued());
+            let before = progress(self.controller());
             self.sim
                 .schedule_timer(self.rf_ctrl, Duration::ZERO, FIB_FLUSH_TOKEN);
             self.sim
@@ -1427,9 +1368,7 @@ impl Scenario {
             // and land in the switch tables.
             let t = self.sim.now() + Duration::from_millis(10);
             self.sim.run_until(t);
-            let ctrl = self.controller();
-            let after = (ctrl.of_pushes(), ctrl.of_msgs_sent(), ctrl.channel_queued());
-            if after == before {
+            if progress(self.controller()) == before {
                 break;
             }
         }
@@ -1455,21 +1394,22 @@ impl Scenario {
     /// mid-retry is simply not counted yet.
     pub fn peek_metrics(&self) -> ScenarioMetrics {
         let ctrl = self.controller();
+        let s = ctrl.state();
         ScenarioMetrics {
             expected_switches: self.expected_switches,
             configured_switches: ctrl.configured_switches(),
             per_switch_config_time: ctrl.configured_times(),
             all_configured_at: ctrl.all_configured_at(self.expected_switches),
-            flows_installed: ctrl.flows_installed(),
-            flows_removed: ctrl.flows_removed(),
+            flows_installed: s.flows_installed,
+            flows_removed: s.flows_removed,
             dataplane_flows: self.total_flows(),
-            arp_replies: ctrl.arp_replies(),
-            of_msgs_sent: ctrl.of_msgs_sent(),
-            of_bytes_sent: ctrl.of_bytes_sent(),
-            of_pushes: ctrl.of_pushes(),
-            fib_batches: ctrl.fib_batches(),
-            of_deferred: ctrl.of_deferred(),
-            of_queue_hwm: ctrl.of_queue_hwm(),
+            arp_replies: s.arp_replies,
+            of_msgs_sent: s.of_msgs_sent,
+            of_bytes_sent: s.of_bytes_sent,
+            of_pushes: s.of_pushes,
+            fib_batches: s.fib_batches,
+            of_deferred: s.of_deferred,
+            of_queue_hwm: s.of_queue_hwm,
         }
     }
 

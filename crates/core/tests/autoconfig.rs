@@ -27,8 +27,12 @@ fn vms_mirror_switch_port_counts() {
     let mut sc = Scenario::on(ring(4)).fast_timers().start();
     sc.run_until_configured(Time::from_secs(120)).unwrap();
     let rf = sc.sim.agent_as::<ControlPlane>(sc.rf_ctrl).unwrap();
-    let mut counts = rf.switch_port_counts();
-    counts.sort();
+    let counts: Vec<(u64, u16)> = rf
+        .state()
+        .switches
+        .iter()
+        .map(|(&dpid, rec)| (dpid, rec.num_ports))
+        .collect();
     // Every ring node has exactly 2 ports, and VM ids equal dpids.
     assert_eq!(counts, vec![(1, 2), (2, 2), (3, 2), (4, 2)]);
 }

@@ -8,6 +8,7 @@
 use rf_core::scenario::{Fault, FaultError, ForkError, Scenario, SnapshotError};
 use rf_sim::Time;
 use rf_topo::ring;
+use rf_wire::Ipv4Cidr;
 use std::time::Duration;
 
 /// Run to convergence, then step in 100 ms slices until the snapshot
@@ -186,6 +187,96 @@ fn inject_faults_refuses_malformed_faults_typed_and_atomically() {
     let cold = format!("{:?}", cold.peek_metrics());
     assert_eq!(format!("{:?}", fork.peek_metrics()), cold);
     assert_eq!(format!("{:?}", sibling.peek_metrics()), cold);
+}
+
+#[test]
+fn a_builder_fault_is_checked_exactly_like_an_injected_one() {
+    // A cold run arms its faults through `inject_faults`, so the
+    // builder refuses what a fork refuses, with the same error — a
+    // stall naming a dpid no switch carries is no longer silently
+    // inert on a cold start.
+    let mut prefix = Scenario::on(ring(4)).fast_timers().seed(3).start();
+    let snap = converge_and_snapshot(&mut prefix);
+    let later = Duration::from_secs(600);
+    let cases = [
+        (
+            Fault::ChannelStall {
+                dpid: 99,
+                from: later,
+                until: later + Duration::from_secs(10),
+            },
+            FaultError::StallDpidOutOfRange { dpid: 99, nodes: 4 },
+        ),
+        (
+            Fault::ChannelStall {
+                dpid: 2,
+                from: later,
+                until: later,
+            },
+            FaultError::EmptyStallWindow {
+                from: later,
+                until: later,
+            },
+        ),
+        (
+            Fault::LinkLoss {
+                edge: 0,
+                loss_pct: 150.0,
+                at: later,
+            },
+            FaultError::LossOutOfRange { loss_pct: 150.0 },
+        ),
+        (
+            Fault::KillSwitch { node: 9, at: later },
+            FaultError::NodeOutOfRange { node: 9, nodes: 4 },
+        ),
+        (
+            Fault::LinkDown { edge: 9, at: later },
+            FaultError::EdgeOutOfRange { edge: 9, edges: 4 },
+        ),
+    ];
+    for (bad, why) in cases {
+        let cold = std::panic::catch_unwind(|| {
+            Scenario::on(ring(4))
+                .fast_timers()
+                .seed(3)
+                .with_fault(bad.clone())
+                .start()
+        });
+        let payload = cold
+            .err()
+            .unwrap_or_else(|| panic!("{bad:?} must be refused"));
+        assert_eq!(
+            payload.downcast_ref::<String>(),
+            Some(&why.to_string()),
+            "the builder refuses {bad:?} with the fault's error text"
+        );
+        assert_eq!(
+            Scenario::fork(&snap).inject_faults(&[bad]),
+            Err(ForkError::BadFault(why))
+        );
+    }
+}
+
+#[test]
+fn ip_range_moves_every_link_subnet_into_the_range() {
+    // The paper's one administrator input: every /30 the topology
+    // controller allocates comes out of the declared range.
+    let range: Ipv4Cidr = "10.99.0.0/16".parse().unwrap();
+    let mut sc = Scenario::on(ring(4)).fast_timers().ip_range(range).start();
+    sc.run_until_configured(Time::from_secs(120))
+        .expect("ring-4 converges");
+    let links = &sc.controller().state().links;
+    assert_eq!(links.len(), 4, "one /30 per ring link");
+    for l in links {
+        assert_eq!(l.subnet.prefix_len, 30, "{}", l.subnet);
+        assert!(
+            range.contains(l.subnet.network()),
+            "{} outside {range}",
+            l.subnet
+        );
+        assert!(range.contains(l.ip_a) && range.contains(l.ip_b));
+    }
 }
 
 #[test]

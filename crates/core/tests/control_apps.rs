@@ -49,8 +49,8 @@ fn same_seed_reproduces_the_controller_run() {
         let ctrl = sc.controller();
         (
             ctrl.configured_times(),
-            ctrl.flows_installed(),
-            ctrl.of_msgs_sent(),
+            ctrl.state().flows_installed,
+            ctrl.state().of_msgs_sent,
         )
     };
     let first = run(42);

@@ -488,25 +488,6 @@ impl<'a> Ctx<'a> {
         );
     }
 
-    /// Fire `on_timer(token)` after `delay`, in the event queue's
-    /// *reserved* lane: the timer dispatches before every ordinarily
-    /// scheduled event at the same instant, and reserved timers order
-    /// among themselves by scheduling order — independent of *when*
-    /// they were scheduled. Harness-level injectors (fault schedules
-    /// that must order identically whether armed at t=0 or injected
-    /// into a forked simulation mid-run) use this; protocol agents
-    /// should use [`schedule`](Self::schedule).
-    pub fn schedule_reserved(&mut self, delay: Duration, token: u64) {
-        let at = self.inner.now + delay;
-        self.inner.queue.push_reserved(
-            at,
-            Ev::Timer {
-                agent: self.id,
-                token,
-            },
-        );
-    }
-
     /// Fire `on_timer(token)` at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: Time, token: u64) {
         let at = at.max(self.inner.now);
@@ -703,12 +684,14 @@ impl Sim {
     }
 
     /// Like [`schedule_timer`](Self::schedule_timer), but in the event
-    /// queue's reserved lane (see [`Ctx::schedule_reserved`]): the
-    /// timer dispatches before every ordinarily scheduled event at the
-    /// same instant, ordered among reserved timers by scheduling order.
-    /// This is the fork-side fault-injection hook — a fault timer
-    /// injected into a cloned simulation lands in exactly the dispatch
-    /// position it would have had if armed at t=0 in a cold run.
+    /// queue's reserved lane: the timer dispatches before every
+    /// ordinarily scheduled event at the same instant, and reserved
+    /// timers order among themselves by scheduling order — not by
+    /// *when* they were scheduled. This is the fault-injection hook: a
+    /// cold run arms its faults here before the first step, a fork
+    /// after its capture, and each fault timer lands in the same
+    /// dispatch position either way. Protocol agents use
+    /// [`Ctx::schedule`].
     pub fn schedule_timer_reserved(&mut self, agent: AgentId, delay: Duration, token: u64) {
         let at = self.inner.now + delay;
         self.inner

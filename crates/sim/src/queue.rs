@@ -68,9 +68,9 @@ const NO_BUCKET: u32 = u32::MAX;
 /// [`EventQueue::push_reserved`]; ordinary pushes start above it. A
 /// reserved entry therefore sorts *before* every ordinary entry at the
 /// same instant, no matter when either was scheduled — which is what
-/// lets a forked scenario inject a fault timer mid-run and still match
-/// a cold run that scheduled the same timer at t=0 (see
-/// `rf-core::scenario::Snapshot`).
+/// lets one injection path (`rf_core::scenario::Scenario::inject_faults`)
+/// arm a cold run's fault timers before its first step and a fork's
+/// mid-run, with the same dispatch order.
 const RESERVED_SEQS: u64 = 1 << 32;
 
 /// An entry in the event queue. `T` is the kernel's event payload.

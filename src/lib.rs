@@ -36,15 +36,6 @@
 //! let metrics = sc.finish();
 //! assert_eq!(metrics.configured_switches, 4);
 //! assert!(metrics.flows_installed > 0);
-//!
-//! // Programmatic configuration: build the parameter struct directly
-//! // and hand it to the builder.
-//! let mut cfg = ScenarioConfig::new(ring(4));
-//! cfg.ospf_hello = 1;
-//! cfg.ospf_dead = 4;
-//! let mut sc = ScenarioBuilder::from_config(cfg).start();
-//! sc.run_until(Time::from_secs(1));
-//! assert_eq!(sc.configured_switches(), 0); // nothing green this early
 //! ```
 //!
 //! Parameter sweeps that share a convergence prefix can snapshot the
@@ -76,8 +67,7 @@ pub mod prelude {
     pub use rf_core::manual::ManualConfigModel;
     pub use rf_core::scenario::{
         Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, Scenario,
-        ScenarioBuilder, ScenarioConfig, ScenarioMetrics, Snapshot, SnapshotError, Workload,
-        WorkloadReport,
+        ScenarioBuilder, ScenarioMetrics, Snapshot, SnapshotError, Workload, WorkloadReport,
     };
     pub use rf_core::traffic::{
         ArrivalProcess, FlowSize, TrafficConfig, TrafficMode, TrafficPattern, TrafficReport,

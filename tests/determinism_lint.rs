@@ -5,13 +5,17 @@
 //! cross-process nondeterminism was exactly that. Every file below was
 //! read and carries the reason it is safe; a file that starts using one
 //! fails here until it is reviewed and listed, and a listed file that
-//! stops must be struck, so the list only shrinks.
+//! stops must be struck, so the list only shrinks. Within a listed
+//! file, the "lookup-only" reason is checked too: no name bound to a
+//! `HashMap` / `HashSet` there may be iterated.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Sorted by path. "lookup-only" means the map is only probed by key
 /// (`get` / `insert` / `remove` / `contains_key` / `entry` / `len`, or an
-/// order-independent `retain`) and never iterated.
+/// order-independent `retain`) and never iterated — which
+/// `allow_listed_hash_collections_are_never_iterated` checks.
 const ALLOWED: &[(&str, &str)] = &[
     (
         "crates/core/src/apps/bus.rs",
@@ -92,4 +96,156 @@ fn hash_collections_stay_on_the_reviewed_allow_list() {
     );
     assert_eq!(using, allowed, "ALLOWED must stay sorted by path");
     assert!(ALLOWED.iter().all(|(_, reason)| !reason.is_empty()));
+}
+
+/// Calls that walk a collection in its (per-process, for a hash
+/// collection) storage order.
+const ITERATING: &[&str] = &[
+    ".iter()",
+    ".iter_mut()",
+    ".values()",
+    ".values_mut()",
+    ".keys()",
+    ".into_keys()",
+    ".into_values()",
+    ".drain()",
+    ".into_iter()",
+];
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The names a file binds to a `HashMap` / `HashSet`: fields, params
+/// and annotated locals (`name: [&[mut ]]HashMap<..>`) and locals or
+/// fields built from one (`name = HashMap::new()`).
+fn hash_bound_names(text: &str) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for line in text.lines() {
+        let code = line.trim_start();
+        if code.starts_with("//") || code.starts_with("use ") {
+            continue;
+        }
+        for kind in ["HashMap", "HashSet"] {
+            for (at, _) in line.match_indices(kind) {
+                let before = line[..at].trim_end_matches("std::collections::").trim_end();
+                let before = before
+                    .strip_suffix("&mut")
+                    .or_else(|| before.strip_suffix('&'))
+                    .unwrap_or(before)
+                    .trim_end();
+                let Some(binder) = before
+                    .strip_suffix(':')
+                    .or_else(|| before.strip_suffix('='))
+                else {
+                    continue;
+                };
+                let binder = binder.trim_end();
+                let start = binder.rfind(|c| !is_ident(c)).map_or(0, |i| i + 1);
+                let name = &binder[start..];
+                if !name.is_empty() && !name.starts_with(|c: char| c.is_ascii_digit()) {
+                    names.insert(name.to_string());
+                }
+            }
+        }
+    }
+    names
+}
+
+/// Every place `text` iterates one of `names`: an [`ITERATING`] call
+/// on it (whitespace, line breaks included, may sit before the dot),
+/// or a `for .. in [&[mut ]][path.]name` loop. As `(line, name, how)`.
+fn iterations(text: &str, names: &BTreeSet<String>) -> Vec<(usize, String, String)> {
+    let mut found = Vec::new();
+    for name in names {
+        for (at, _) in text.match_indices(name.as_str()) {
+            let end = at + name.len();
+            let bounded = !text[..at].ends_with(is_ident) && !text[end..].starts_with(is_ident);
+            if !bounded {
+                continue;
+            }
+            let line = text[..at].matches('\n').count() + 1;
+            let after = text[end..].trim_start();
+            if let Some(call) = ITERATING.iter().find(|c| after.starts_with(**c)) {
+                found.push((line, name.clone(), call.to_string()));
+                continue;
+            }
+            // `for x in &self.name {`: walk back over the path and the
+            // borrow to the `in` keyword.
+            let path = text[..at].trim_end_matches(|c: char| is_ident(c) || c == '.');
+            let borrow = path.trim_end();
+            let borrow = borrow
+                .strip_suffix("&mut")
+                .or_else(|| borrow.strip_suffix('&'))
+                .unwrap_or(borrow)
+                .trim_end();
+            let looped = borrow
+                .strip_suffix("in")
+                .is_some_and(|b| b.ends_with(char::is_whitespace));
+            if looped && !after.starts_with(['.', '(', '[']) {
+                found.push((line, name.clone(), "for .. in".to_string()));
+            }
+        }
+    }
+    found.sort();
+    found
+}
+
+#[test]
+fn the_iteration_lint_sees_loops_and_walks_but_not_lookups() {
+    let src = "\
+use std::collections::HashMap;
+/// A `HashMap` in a comment binds nothing.
+struct S {
+    pub(crate) peers: HashMap<u64, u64>,
+    by_port: &mut std::collections::HashSet<u16>,
+}
+fn f(s: &S, routes: Vec<u32>) {
+    let mut seen = HashSet::new();
+    let n = compute(&HashMap::new());
+    for (k, v) in &s.peers {}
+    let total: u64 = s
+        .peers
+        .values()
+        .sum();
+    for r in &routes {}
+    for p in s.by_port.get(&1) {}
+    seen.insert(1);
+    let peers_len = s.peers.len();
+}
+";
+    let names = hash_bound_names(src);
+    assert_eq!(
+        names.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["by_port", "peers", "seen"]
+    );
+    let found = iterations(src, &names);
+    assert_eq!(
+        found,
+        [
+            (10, "peers".to_string(), "for .. in".to_string()),
+            (12, "peers".to_string(), ".values()".to_string()),
+        ]
+    );
+}
+
+#[test]
+fn allow_listed_hash_collections_are_never_iterated() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for (path, _) in ALLOWED {
+        let text = std::fs::read_to_string(root.join(path)).expect("source file is UTF-8");
+        let names = hash_bound_names(&text);
+        assert!(
+            !names.is_empty(),
+            "{path} is allow-listed but binds no HashMap/HashSet name the lint can see"
+        );
+        for (line, name, how) in iterations(&text, &names) {
+            found.push(format!("{path}:{line}: `{how}` over `{name}`"));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a hash collection's order is per-process — iterate a BTreeMap, or sort first: {found:#?}"
+    );
 }

@@ -5,7 +5,8 @@
 //! to end — ROADMAP noted only `KillSwitch` was exercised before.
 
 use rf_core::scenario::{
-    FaultSchedule, MatrixKnob, MatrixSpec, Scenario, ScenarioMatrix, Workload, WorkloadReport,
+    FaultSchedule, MatrixCell, MatrixKnob, MatrixSpec, Scenario, ScenarioMatrix, Workload,
+    WorkloadReport,
 };
 use rf_core::traffic::{FlowSize, TrafficSpec};
 use rf_sim::Time;
@@ -515,6 +516,85 @@ fn malformed_topology_records_build_error_cell() {
         .unwrap();
     assert!(!good.metrics.contains_key("build_error"));
     assert!(good.metrics["ping_replies"] > 0);
+}
+
+#[test]
+fn a_panicking_cell_is_a_record_not_a_dead_sweep() {
+    // A builder that panics on seed 2: its two cells record `panic = 1`
+    // and nothing else, the seed-1 cells run normally, and the bytes
+    // are the same cold and forked (where the seed-2 group's capture
+    // panics first and sends both members cold), at 1 and 2 threads.
+    let spec = MatrixSpec {
+        seeds: vec![1, 2],
+        topologies: vec!["ring-4".into()],
+        schedules: vec![
+            FaultSchedule::none(),
+            FaultSchedule::kill_switch(1, Duration::from_secs(12)),
+        ],
+        knobs: vec![MatrixKnob::fast("fast")],
+        configure_deadline: Duration::from_secs(60),
+        post_fault_window: Duration::from_secs(5),
+        settle: Duration::from_secs(5),
+    };
+    let build = |cell: &MatrixCell| {
+        assert_ne!(cell.seed, 2, "the builder refuses seed 2 by panicking");
+        ScenarioMatrix::standard_builder(cell)
+    };
+    let matrix = ScenarioMatrix::new(spec);
+    let (report, _) = matrix.run_instrumented(1, build);
+    let panicked: Vec<&str> = report
+        .cells
+        .iter()
+        .filter(|c| c.key.ends_with("/seed=2"))
+        .map(|c| {
+            assert_eq!(
+                c.metrics,
+                std::collections::BTreeMap::from([("panic".to_string(), 1)]),
+                "{}",
+                c.key
+            );
+            c.key.as_str()
+        })
+        .collect();
+    assert_eq!(panicked.len(), 2);
+    for cell in report.cells.iter().filter(|c| c.key.ends_with("/seed=1")) {
+        assert!(!cell.metrics.contains_key("panic"), "{}", cell.key);
+        assert!(cell.metrics["ping_replies"] > 0, "{}", cell.key);
+    }
+    let cold = report.to_json();
+    for threads in [1, 2] {
+        assert_eq!(matrix.run_instrumented(threads, build).0.to_json(), cold);
+        let (forked, stats) = matrix.run_instrumented_forked(threads, build);
+        assert_eq!(forked.to_json(), cold, "forked at {threads} threads");
+        assert_eq!(stats.forked, 2, "seed 1's two cells fork; seed 2 went cold");
+    }
+}
+
+#[test]
+fn no_profile_aborts_on_panic() {
+    // Catching a cell's panic needs unwinding: a `panic = "abort"` in
+    // any profile would turn one bad cell back into a dead sweep.
+    for manifest in ["Cargo.toml", "rfbench/Cargo.toml"] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(manifest);
+        let text = std::fs::read_to_string(&path).expect("manifest is readable");
+        let mut section = String::new();
+        for line in text.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line.to_string();
+            } else if section.starts_with("[profile") {
+                let setting: String = line
+                    .split('#')
+                    .next()
+                    .unwrap_or("")
+                    .split_whitespace()
+                    .collect();
+                assert_ne!(
+                    setting, "panic=\"abort\"",
+                    "{manifest} {section} must unwind on panic"
+                );
+            }
+        }
+    }
 }
 
 #[test]
