@@ -43,8 +43,9 @@ pub struct ControlPlane {
     rpc_conns: Vec<ConnId>,
     vm_readers: HashMap<ConnId, RfFrameReader>,
     vm_dpid: HashMap<ConnId, u64>,
-    /// Reused per-event decode buffer (capacity persists across events).
+    /// Reused per-event decode buffers (capacity persists across events).
     of_scratch: Vec<(OfMessage, u32)>,
+    vm_scratch: Vec<RfMessage>,
 }
 
 impl ControlPlane {
@@ -67,6 +68,7 @@ impl ControlPlane {
             vm_readers: HashMap::new(),
             vm_dpid: HashMap::new(),
             of_scratch: Vec::new(),
+            vm_scratch: Vec::new(),
         }
     }
 
@@ -315,19 +317,14 @@ impl Agent for ControlPlane {
                     for req in fresh {
                         self.publish(ctx, ControlEvent::Rpc(req));
                     }
-                } else if self.vm_readers.contains_key(&conn) {
-                    let msgs = {
-                        let r = self.vm_readers.get_mut(&conn).unwrap();
-                        r.push(&data);
-                        let mut v = Vec::new();
-                        while let Some(m) = r.next() {
-                            v.push(m);
-                        }
-                        v
-                    };
-                    for m in msgs {
+                } else if let Some(r) = self.vm_readers.get_mut(&conn) {
+                    let mut msgs = std::mem::take(&mut self.vm_scratch);
+                    r.push_bytes(data);
+                    msgs.extend(std::iter::from_fn(|| r.next()));
+                    for m in msgs.drain(..) {
                         self.handle_vm_msg(ctx, conn, m);
                     }
+                    self.vm_scratch = msgs;
                 } else if let Some(r) = self.of_readers.get_mut(&conn) {
                     let mut msgs = std::mem::take(&mut self.of_scratch);
                     msgs.clear();

@@ -13,8 +13,8 @@ use super::shrink::shrink_schedule;
 use super::{fault_from_json, fault_to_json, ChaosSpec};
 use crate::json::Json;
 use crate::scenario::{
-    run_cold, sweep, CellRecord, Fault, FaultSchedule, MatrixCell, MatrixKnob, MatrixReport,
-    MatrixSpec, Prefix, Scenario, ScenarioMatrix,
+    caught, run_cold, sweep, CellRecord, Fault, FaultSchedule, MatrixCell, MatrixKnob,
+    MatrixReport, MatrixSpec, Prefix, Scenario, ScenarioMatrix,
 };
 use rf_topo::Topology;
 use std::cell::RefCell;
@@ -445,7 +445,8 @@ impl ChaosCampaign {
     /// returns the violations it provokes (the repro is confirmed when
     /// they match the artifact's recorded ones). `Err` says why the
     /// repro could not be run at all — recorded under another knob, an
-    /// unparseable topology, a schedule the builder rejects — which is
+    /// unparseable topology, a schedule the builder rejects or the
+    /// world refuses (a fault at t = 0), a run that panics — which is
     /// not the same thing as running it and finding nothing.
     pub fn replay(&self, repro: &ReproCase) -> Result<Vec<InvariantViolation>, String> {
         if repro.knob != self.knob.name {
@@ -470,10 +471,11 @@ impl ChaosCampaign {
             ScenarioMatrix::standard_builder(c)
                 .inspect_err(|e| *rejected.borrow_mut() = e.to_string())
         };
-        match run_cold(&self.matrix_spec(), &cell, &build).scenario {
-            Some(sc) => Ok(self.check(&sc, &topo, &repro.faults)),
-            None => Err(rejected.into_inner()),
-        }
+        let run = caught(&cell, || {
+            let sc = run_cold(&self.matrix_spec(), &cell, &build).scenario?;
+            Some(self.check(&sc, &topo, &repro.faults))
+        })?;
+        run.ok_or_else(|| rejected.into_inner())
     }
 }
 

@@ -329,14 +329,20 @@ pub fn fault_to_json(f: &Fault) -> Json {
     }
 }
 
-/// Parse a fault back out of its [`fault_to_json`] form.
+/// Parse a fault back out of its [`fault_to_json`] form. A negative
+/// instant is refused, naming its field.
 pub fn fault_from_json(j: &Json) -> Result<Fault, String> {
     let geti = |k: &str| {
         j.get(k)
             .and_then(Json::as_i64)
             .ok_or_else(|| format!("fault missing integer field {k:?}"))
     };
-    let dur = |v: i64| Duration::from_nanos(v as u64);
+    let instant = |k: &str| {
+        let ns = geti(k)?;
+        u64::try_from(ns)
+            .map(Duration::from_nanos)
+            .map_err(|_| format!("fault field {k:?} is a negative instant ({ns})"))
+    };
     let kind = j
         .get("kind")
         .and_then(Json::as_str)
@@ -344,29 +350,29 @@ pub fn fault_from_json(j: &Json) -> Result<Fault, String> {
     Ok(match kind {
         "kill_switch" => Fault::KillSwitch {
             node: geti("node")? as usize,
-            at: dur(geti("at_ns")?),
+            at: instant("at_ns")?,
         },
         "revive_switch" => Fault::ReviveSwitch {
             node: geti("node")? as usize,
-            at: dur(geti("at_ns")?),
+            at: instant("at_ns")?,
         },
         "link_down" => Fault::LinkDown {
             edge: geti("edge")? as usize,
-            at: dur(geti("at_ns")?),
+            at: instant("at_ns")?,
         },
         "link_up" => Fault::LinkUp {
             edge: geti("edge")? as usize,
-            at: dur(geti("at_ns")?),
+            at: instant("at_ns")?,
         },
         "link_loss" => Fault::LinkLoss {
             edge: geti("edge")? as usize,
             loss_pct: geti("loss_pct_x10")? as f64 / 10.0,
-            at: dur(geti("at_ns")?),
+            at: instant("at_ns")?,
         },
         "channel_stall" => Fault::ChannelStall {
             dpid: geti("dpid")? as u64,
-            from: dur(geti("from_ns")?),
-            until: dur(geti("until_ns")?),
+            from: instant("from_ns")?,
+            until: instant("until_ns")?,
         },
         other => return Err(format!("unknown fault kind {other:?}")),
     })

@@ -115,7 +115,8 @@ where
     // its own outcome.
     let first = &cells[unit[0]];
     let mut prefix = (unit.len() >= 2)
-        .then(|| caught(first, || Prefix::capture(spec, first, build)).flatten())
+        .then(|| caught(first, || Prefix::capture(spec, first, build)).ok())
+        .flatten()
         .flatten();
     unit.iter()
         .map(|&index| {
@@ -133,7 +134,7 @@ where
             });
             // A panicking cell records `panic = 1` and nothing else,
             // like a `build_error` cell.
-            let (rec, events, post, forked) = outcome.unwrap_or_else(|| {
+            let (rec, events, post, forked) = outcome.unwrap_or_else(|_| {
                 let metrics = BTreeMap::from([("panic".to_string(), 1)]);
                 let rec = CellRecord {
                     key: cell.key(),
@@ -157,13 +158,14 @@ where
         .collect()
 }
 
-/// Run `f`, one cell's (or one capture's) work, turning a panic into
-/// `None` so the rest of the sweep goes on. The message goes to stderr
-/// only: its file:line moves with every edit, so it is not byte-stable
-/// and never enters a report.
-fn caught<R>(cell: &MatrixCell, f: impl FnOnce() -> R) -> Option<R> {
+/// Run `f`, one cell's (or one capture's, or one replay's) work, turning
+/// a panic into `Err` with its message so the rest of the sweep goes on.
+/// The message also goes to stderr, and a sweep keeps it nowhere else:
+/// its file:line moves with every edit, so it is not byte-stable and
+/// never enters a report.
+pub(crate) fn caught<R>(cell: &MatrixCell, f: impl FnOnce() -> R) -> Result<R, String> {
     let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(r) => return Some(r),
+        Ok(r) => return Ok(r),
         Err(payload) => payload,
     };
     let msg = payload
@@ -172,7 +174,7 @@ fn caught<R>(cell: &MatrixCell, f: impl FnOnce() -> R) -> Option<R> {
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("(no message)");
     eprintln!("cell {} panicked: {msg}", cell.key());
-    None
+    Err(msg.to_string())
 }
 
 /// Build `cell`'s world on this thread and run its configuration

@@ -31,7 +31,7 @@ mod exec;
 pub mod matrix;
 pub mod report;
 
-pub(crate) use exec::{run_cold, sweep, Prefix};
+pub(crate) use exec::{caught, run_cold, sweep, Prefix};
 
 pub use matrix::{
     CellStat, FaultSchedule, MatrixCell, MatrixKnob, MatrixSpec, MatrixWorkload, ScenarioMatrix,

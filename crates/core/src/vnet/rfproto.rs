@@ -193,10 +193,6 @@ impl RfFrameReader {
         RfFrameReader::default()
     }
 
-    pub fn push(&mut self, data: &[u8]) {
-        self.frames.push(data);
-    }
-
     /// Feed a whole stream chunk without copying when drained.
     pub fn push_bytes(&mut self, data: Bytes) {
         self.frames.push_bytes(data);

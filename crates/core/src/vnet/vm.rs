@@ -4,7 +4,8 @@ use super::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use bytes::Bytes;
 use rf_routed::config::{OspfConfig, ZebraConfig};
 use rf_routed::ospf::daemon::{OspfDaemon, OspfEvent};
-use rf_routed::ospf::{OspfPacket, ALL_SPF_ROUTERS};
+use rf_routed::ospf::packet::is_hello;
+use rf_routed::ospf::ALL_SPF_ROUTERS;
 use rf_routed::rib::{Rib, RibChange, Route, RouteProto};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent, Time};
 use rf_wire::{
@@ -146,7 +147,7 @@ impl VmAgent {
                         }
                     }
                     let frame = ospf_frame(self.dpid, iface, addr.addr, dst, &packet);
-                    if dst == ALL_SPF_ROUTERS && OspfPacket::is_hello(&packet) {
+                    if dst == ALL_SPF_ROUTERS && is_hello(&packet) {
                         self.tx_cache.insert(iface, (packet, frame.clone()));
                     }
                     ctx.send_frame(u32::from(iface), frame);

@@ -57,7 +57,7 @@ impl Agent for SliceController {
             }
             StreamEvent::Data(data) => {
                 if let Some((_, r)) = self.conns.iter_mut().find(|(c, _)| *c == conn) {
-                    r.push(&data);
+                    r.push_bytes(data);
                     while let Some(Ok((m, xid))) = r.next() {
                         if let OfMessage::FeaturesReply(f) = &m {
                             self.features_dpids.push(f.datapath_id);

@@ -43,11 +43,6 @@ impl MessageReader {
         MessageReader::default()
     }
 
-    /// Feed raw bytes from the stream.
-    pub fn push(&mut self, data: &[u8]) {
-        self.frames.push(data);
-    }
-
     /// Feed a whole stream chunk, zero-copy when the reader is drained.
     pub fn push_bytes(&mut self, data: Bytes) {
         self.frames.push_bytes(data);
@@ -102,7 +97,7 @@ mod tests {
     #[test]
     fn single_message() {
         let mut r = MessageReader::new();
-        r.push(&OfMessage::Hello.encode(7));
+        r.push_bytes(OfMessage::Hello.encode(7));
         let (msg, xid) = r.next().unwrap().unwrap();
         assert_eq!(msg, OfMessage::Hello);
         assert_eq!(xid, 7);
@@ -117,7 +112,7 @@ mod tests {
         stream.extend_from_slice(&OfMessage::Hello.encode(1));
         stream.extend_from_slice(&OfMessage::FeaturesRequest.encode(2));
         stream.extend_from_slice(&OfMessage::BarrierRequest.encode(3));
-        r.push(&stream);
+        r.push_bytes(Bytes::from(stream));
         let msgs = r.drain().unwrap();
         assert_eq!(msgs.len(), 3);
         assert_eq!(msgs[1], (OfMessage::FeaturesRequest, 2));
@@ -139,8 +134,8 @@ mod tests {
         .encode(1)
         .to_vec();
         bad[16] = 99; // reason byte → invalid
-        r.push(&bad);
-        r.push(&OfMessage::Hello.encode(2));
+        r.push_bytes(Bytes::from(bad));
+        r.push_bytes(OfMessage::Hello.encode(2));
         assert!(r.next().unwrap().is_err());
         assert_eq!(r.next().unwrap().unwrap(), (OfMessage::Hello, 2));
     }
@@ -148,7 +143,7 @@ mod tests {
     #[test]
     fn garbage_clears_buffer() {
         let mut r = MessageReader::new();
-        r.push(&[0xFF; 32]); // bad version
+        r.push_bytes(Bytes::from_static(&[0xFF; 32])); // bad version
         assert!(r.next().unwrap().is_err());
         assert_eq!(r.buffered(), 0);
     }

@@ -9,10 +9,7 @@
 
 use super::lsa::{Lsa, LsaBody, LsaHeader, LsaKey, RouterLink, RouterLinkType, INITIAL_SEQ};
 use super::neighbor::{Neighbor, NeighborState};
-use super::packet::{
-    OspfBodyView, OspfPacket, OspfPacketBody, OspfView, PacketWriter, DBD_INIT, DBD_MASTER,
-    DBD_MORE,
-};
+use super::packet::{OspfBodyView, OspfView, PacketWriter, DBD_INIT, DBD_MASTER, DBD_MORE};
 use super::spf;
 use super::{ALL_SPF_ROUTERS, LS_REFRESH_TIME, MAX_AGE};
 use crate::config::OspfConfig;
@@ -36,6 +33,15 @@ pub enum OspfEvent {
     },
     /// The OSPF route set changed; replace all OSPF routes with this.
     RoutesChanged(Vec<Route>),
+}
+
+/// Queue `packet` for interface `iface`, to AllSPFRouters.
+fn transmit(ev: &mut Vec<OspfEvent>, iface: u16, packet: Bytes) {
+    ev.push(OspfEvent::Transmit {
+        iface,
+        dst: ALL_SPF_ROUTERS,
+        packet,
+    });
 }
 
 /// Interface table: a sorted-by-ifindex vector behind a BTreeMap-like
@@ -495,23 +501,12 @@ impl OspfDaemon {
         }
     }
 
-    fn transmit(&self, iface: u16, pkt: &OspfPacket, ev: &mut Vec<OspfEvent>) {
-        ev.push(OspfEvent::Transmit {
-            iface,
-            dst: ALL_SPF_ROUTERS,
-            packet: pkt.emit(),
-        });
-    }
-
     /// Send `lsas`, database copies each at its present age, in one
     /// update — or nothing when there are none.
     fn transmit_update(&self, iface: u16, lsas: &[(&Lsa, u16)], ev: &mut Vec<OspfEvent>) {
         if !lsas.is_empty() {
-            ev.push(OspfEvent::Transmit {
-                iface,
-                dst: ALL_SPF_ROUTERS,
-                packet: OspfPacket::update(self.router_id, lsas),
-            });
+            let packet = PacketWriter::update(self.router_id, lsas);
+            transmit(ev, iface, packet.finish());
         }
     }
 
@@ -520,30 +515,20 @@ impl OspfDaemon {
         let key = f.neighbor.as_ref().map(|n| n.id);
         if let Some((cached_key, payload)) = &f.hello_cache {
             if *cached_key == key {
-                ev.push(OspfEvent::Transmit {
-                    iface: idx,
-                    dst: ALL_SPF_ROUTERS,
-                    packet: payload.clone(),
-                });
+                transmit(ev, idx, payload.clone());
                 return;
             }
         }
-        let pkt = OspfPacket::new(
+        let payload = PacketWriter::hello(
             self.router_id,
-            OspfPacketBody::Hello {
-                network_mask: f.addr.mask(),
-                hello_interval: self.hello_interval.as_secs() as u16,
-                dead_interval: self.dead_interval.as_secs() as u32,
-                neighbors: key.map(|id| vec![id]).unwrap_or_default(),
-            },
-        );
-        let payload = pkt.emit();
-        self.ifaces.get_mut(&idx).unwrap().hello_cache = Some((key, payload.clone()));
-        ev.push(OspfEvent::Transmit {
-            iface: idx,
-            dst: ALL_SPF_ROUTERS,
-            packet: payload,
-        });
+            f.addr.mask(),
+            self.hello_interval.as_secs() as u16,
+            self.dead_interval.as_secs() as u32,
+            key.as_slice(),
+        )
+        .finish();
+        f.hello_cache = Some((key, payload.clone()));
+        transmit(ev, idx, payload);
     }
 
     /// Flood the database copy of `key` on every adjacency except
@@ -575,13 +560,9 @@ impl OspfDaemon {
                 n.next_rxmt = now + self.rxmt_interval;
             }
             let packet = packet.get_or_insert_with(|| {
-                OspfPacket::update(self.router_id, &[(lsa, lsa.header.age)])
+                PacketWriter::update(self.router_id, &[(lsa, lsa.header.age)]).finish()
             });
-            ev.push(OspfEvent::Transmit {
-                iface: *idx,
-                dst: ALL_SPF_ROUTERS,
-                packet: packet.clone(),
-            });
+            transmit(ev, *idx, packet.clone());
             self.lsas_flooded += 1;
         }
     }
@@ -589,64 +570,50 @@ impl OspfDaemon {
     fn start_exstart(&mut self, idx: u16, ev: &mut Vec<OspfEvent>, now: Time) {
         self.dd_counter += 1;
         let dd_seq = self.dd_counter;
-        let (their_id, pkt) = {
-            let f = self.ifaces.get_mut(&idx).unwrap();
-            let n = f.neighbor.as_mut().unwrap();
-            n.state = NeighborState::ExStart;
-            n.we_are_master = self.router_id > n.id;
-            n.dd_seq = dd_seq;
-            n.next_rxmt = now + self.rxmt_interval;
-            (
-                n.id,
-                OspfPacket::new(
-                    self.router_id,
-                    OspfPacketBody::DatabaseDescription {
-                        mtu: 1500,
-                        flags: DBD_INIT | DBD_MORE | DBD_MASTER,
-                        dd_seq,
-                        headers: vec![],
-                    },
-                ),
-            )
-        };
-        let _ = their_id;
-        self.transmit(idx, &pkt, ev);
+        let f = self.ifaces.get_mut(&idx).unwrap();
+        let n = f.neighbor.as_mut().unwrap();
+        n.state = NeighborState::ExStart;
+        n.we_are_master = self.router_id > n.id;
+        n.dd_seq = dd_seq;
+        n.next_rxmt = now + self.rxmt_interval;
+        let flags = DBD_INIT | DBD_MORE | DBD_MASTER;
+        self.send_dbd(idx, flags, dd_seq, false, now, ev);
     }
 
     /// Accept the peer as master of the DBD exchange: respond to its
     /// INIT DBD with our full summary echoing its sequence number, and
     /// enter Exchange as slave.
     fn become_slave_of(&mut self, idx: u16, dd_seq: u32, now: Time, ev: &mut Vec<OspfEvent>) {
-        let summary = self.db_summary(now);
-        {
-            let f = self.ifaces.get_mut(&idx).unwrap();
-            let n = f.neighbor.as_mut().unwrap();
-            n.we_are_master = false;
-            n.dd_seq = dd_seq;
-            n.state = NeighborState::Exchange;
-            n.next_rxmt = now + self.rxmt_interval;
-        }
-        let pkt = OspfPacket::new(
-            self.router_id,
-            OspfPacketBody::DatabaseDescription {
-                mtu: 1500,
-                flags: 0, // not master, no more
-                dd_seq,
-                headers: summary,
-            },
-        );
-        self.transmit(idx, &pkt, ev);
+        let f = self.ifaces.get_mut(&idx).unwrap();
+        let n = f.neighbor.as_mut().unwrap();
+        n.we_are_master = false;
+        n.dd_seq = dd_seq;
+        n.state = NeighborState::Exchange;
+        n.next_rxmt = now + self.rxmt_interval;
+        self.send_dbd(idx, 0, dd_seq, true, now, ev); // not master, no more
     }
 
-    /// Current LSDB summary (all headers, with effective ages).
-    fn db_summary(&self, now: Time) -> Vec<LsaHeader> {
-        self.lsdb
-            .values()
-            .map(|(lsa, installed)| LsaHeader {
+    /// Send a Database Description with `flags` and `dd_seq` — and,
+    /// with `summary`, every LSDB header at the age it has reached by
+    /// `now`, written straight into the packet.
+    fn send_dbd(
+        &self,
+        idx: u16,
+        flags: u8,
+        dd_seq: u32,
+        summary: bool,
+        now: Time,
+        ev: &mut Vec<OspfEvent>,
+    ) {
+        let headers = if summary { self.lsdb.len() } else { 0 };
+        let mut w = PacketWriter::dbd(self.router_id, flags, dd_seq, headers);
+        for (lsa, installed) in self.lsdb.values().take(headers) {
+            w.put_header(&LsaHeader {
                 age: Self::age_at(lsa, *installed, now),
                 ..lsa.header
-            })
-            .collect()
+            });
+        }
+        transmit(ev, idx, w.finish());
     }
 
     /// Build LS requests for headers newer than what we hold.
@@ -660,17 +627,14 @@ impl OspfDaemon {
             .collect()
     }
 
-    fn send_lsr(&mut self, idx: u16, ev: &mut Vec<OspfEvent>) {
-        let keys: Vec<LsaKey> = {
-            let f = &self.ifaces[&idx];
-            let Some(n) = &f.neighbor else { return };
-            n.ls_requests.iter().copied().collect()
-        };
-        if keys.is_empty() {
+    fn send_lsr(&self, idx: u16, ev: &mut Vec<OspfEvent>) {
+        let Some(n) = &self.ifaces[&idx].neighbor else {
             return;
+        };
+        if !n.ls_requests.is_empty() {
+            let packet = PacketWriter::request(self.router_id, n.ls_requests.iter());
+            transmit(ev, idx, packet.finish());
         }
-        let pkt = OspfPacket::new(self.router_id, OspfPacketBody::LinkStateRequest { keys });
-        self.transmit(idx, &pkt, ev);
     }
 
     fn maybe_finish_loading(&mut self, idx: u16, now: Time, ev: &mut Vec<OspfEvent>) {
@@ -822,8 +786,6 @@ impl OspfDaemon {
                         let f = self.ifaces.get_mut(&idx).unwrap();
                         let n = f.neighbor.as_mut().unwrap();
                         n.state = NeighborState::Init;
-                        n.db_summary.clear();
-                        n.peer_has_more = true;
                         n.ls_requests.clear();
                         n.retransmit.clear();
                         n.next_rxmt = Time::MAX;
@@ -859,7 +821,6 @@ impl OspfDaemon {
                             if we_master && dd_seq == our_seq {
                                 // Their summary received; send ours.
                                 let requests = self.note_summary(headers);
-                                let summary = self.db_summary(now);
                                 let next_seq = our_seq + 1;
                                 {
                                     let f = self.ifaces.get_mut(&idx).unwrap();
@@ -868,16 +829,8 @@ impl OspfDaemon {
                                     n.state = NeighborState::Exchange;
                                     n.next_rxmt = now + self.rxmt_interval;
                                 }
-                                let pkt = OspfPacket::new(
-                                    self.router_id,
-                                    OspfPacketBody::DatabaseDescription {
-                                        mtu: 1500,
-                                        flags: DBD_MASTER, // M=0: last
-                                        dd_seq: next_seq,
-                                        headers: summary,
-                                    },
-                                );
-                                self.transmit(idx, &pkt, &mut ev);
+                                // M=0: last
+                                self.send_dbd(idx, DBD_MASTER, next_seq, true, now, &mut ev);
                                 self.enter_exchange_or_beyond(idx, requests, now, &mut ev);
                             }
                         }
@@ -903,8 +856,6 @@ impl OspfDaemon {
                                 // LSA build or the fresh LSA would
                                 // still carry the dead adjacency.
                                 n.state = NeighborState::ExStart;
-                                n.db_summary.clear();
-                                n.peer_has_more = true;
                                 n.ls_requests.clear();
                                 n.retransmit.clear();
                             }
@@ -938,16 +889,7 @@ impl OspfDaemon {
                                     let n = f.neighbor.as_mut().unwrap();
                                     n.dd_seq = dd_seq;
                                 }
-                                let pkt = OspfPacket::new(
-                                    self.router_id,
-                                    OspfPacketBody::DatabaseDescription {
-                                        mtu: 1500,
-                                        flags: 0,
-                                        dd_seq,
-                                        headers: vec![],
-                                    },
-                                );
-                                self.transmit(idx, &pkt, &mut ev);
+                                self.send_dbd(idx, 0, dd_seq, false, now, &mut ev);
                                 if !requests.is_empty()
                                     || self.ifaces[&idx].neighbor.as_ref().unwrap().state
                                         == NeighborState::Exchange
@@ -1038,11 +980,7 @@ impl OspfDaemon {
                     self.maybe_finish_loading(idx, now, &mut ev);
                 }
                 if let Some(ack) = ack {
-                    ev.push(OspfEvent::Transmit {
-                        iface: idx,
-                        dst: ALL_SPF_ROUTERS,
-                        packet: ack.finish(),
-                    });
+                    transmit(&mut ev, idx, ack.finish());
                 }
             }
             OspfBodyView::LinkStateAck { headers } => {
@@ -1105,29 +1043,11 @@ impl OspfDaemon {
             };
             match state {
                 NeighborState::ExStart => {
-                    let pkt = OspfPacket::new(
-                        self.router_id,
-                        OspfPacketBody::DatabaseDescription {
-                            mtu: 1500,
-                            flags: DBD_INIT | DBD_MORE | DBD_MASTER,
-                            dd_seq,
-                            headers: vec![],
-                        },
-                    );
-                    self.transmit(idx, &pkt, &mut ev);
+                    let flags = DBD_INIT | DBD_MORE | DBD_MASTER;
+                    self.send_dbd(idx, flags, dd_seq, false, now, &mut ev);
                 }
                 NeighborState::Exchange if we_master => {
-                    let summary = self.db_summary(now);
-                    let pkt = OspfPacket::new(
-                        self.router_id,
-                        OspfPacketBody::DatabaseDescription {
-                            mtu: 1500,
-                            flags: DBD_MASTER,
-                            dd_seq,
-                            headers: summary,
-                        },
-                    );
-                    self.transmit(idx, &pkt, &mut ev);
+                    self.send_dbd(idx, DBD_MASTER, dd_seq, true, now, &mut ev);
                 }
                 NeighborState::Loading => {
                     self.send_lsr(idx, &mut ev);

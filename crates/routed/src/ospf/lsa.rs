@@ -213,14 +213,8 @@ impl Lsa {
         }
     }
 
-    /// Parse one LSA; returns `(lsa, bytes_consumed)`.
-    pub fn parse(data: &[u8]) -> Result<(Lsa, usize), WireError> {
-        let view = LsaView::parse(data)?;
-        Ok((view.to_lsa(), view.wire.len()))
-    }
-
     /// Verify the Fletcher checksum embedded in one LSA as received:
-    /// `wire` is exactly the LSA's bytes (what [`Lsa::parse`] consumed),
+    /// `wire` is exactly the LSA's bytes (what [`LsaView::parse`] checked),
     /// so a byte the owned struct does not keep cannot hide corruption.
     pub fn checksum_ok(wire: &[u8]) -> bool {
         // The age field (first two bytes) is outside the checksum.
@@ -413,9 +407,9 @@ mod tests {
         assert!(Lsa::checksum_ok(&buf), "fresh LSA must checksum");
         assert_eq!(buf.len(), lsa.wire_len());
         assert_eq!(lsa.header.length as usize, buf.len());
-        let (parsed, used) = Lsa::parse(&buf).unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!(parsed, lsa);
+        let view = LsaView::parse(&buf).unwrap();
+        assert_eq!(view.wire().len(), buf.len());
+        assert_eq!(view.to_lsa(), lsa);
     }
 
     #[test]
@@ -428,7 +422,7 @@ mod tests {
         // The flags byte, which parsing does not keep, is covered too.
         buf[25] ^= 0x01;
         buf[20] ^= 0x01;
-        assert!(Lsa::parse(&buf).is_ok());
+        assert!(LsaView::parse(&buf).is_ok());
         assert!(!Lsa::checksum_ok(&buf));
     }
 
@@ -471,6 +465,6 @@ mod tests {
         let mut buf = BytesMut::new();
         sample().emit_into(&mut buf);
         buf[3] = 5; // AS-external LSA
-        assert_eq!(Lsa::parse(&buf).unwrap_err(), WireError::Unsupported);
+        assert_eq!(LsaView::parse(&buf).err(), Some(WireError::Unsupported));
     }
 }

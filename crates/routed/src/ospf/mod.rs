@@ -17,7 +17,6 @@ pub mod spf;
 pub use daemon::{OspfDaemon, OspfEvent};
 pub use lsa::{Lsa, LsaBody, LsaHeader, LsaKey, RouterLink, RouterLinkType, RouterLsa};
 pub use neighbor::NeighborState;
-pub use packet::{OspfPacket, OspfPacketBody};
 
 /// The AllSPFRouters multicast address (224.0.0.5), destination of all
 /// OSPF packets on point-to-point links.

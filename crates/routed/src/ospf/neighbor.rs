@@ -1,6 +1,6 @@
 //! Neighbor state (RFC 2328 §10) for point-to-point interfaces.
 
-use super::lsa::{LsaHeader, LsaKey};
+use super::lsa::LsaKey;
 use rf_sim::Time;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -32,10 +32,6 @@ pub struct Neighbor {
     pub we_are_master: bool,
     /// DD sequence number in use.
     pub dd_seq: u32,
-    /// Database summary still to be described to this neighbor.
-    pub db_summary: Vec<LsaHeader>,
-    /// Whether the peer has more DBDs to send (its last M bit).
-    pub peer_has_more: bool,
     /// LSAs to request (Loading).
     pub ls_requests: BTreeSet<LsaKey>,
     /// LSAs flooded but not yet acked (retransmission list).
@@ -54,8 +50,6 @@ impl Neighbor {
             last_heard: now,
             we_are_master: false,
             dd_seq: 0,
-            db_summary: Vec::new(),
-            peer_has_more: true,
             ls_requests: BTreeSet::new(),
             retransmit: BTreeSet::new(),
             next_rxmt: Time::MAX,

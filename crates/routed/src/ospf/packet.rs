@@ -5,8 +5,8 @@
 //! ([`PacketWriter`]), and read where it arrived ([`OspfView`]): the
 //! daemon floods every LSA out of every adjacency and hears it back on
 //! most of them, so neither direction may build per-packet `Vec`s the
-//! receiver mostly throws away. [`OspfPacket`] is the owned form of the
-//! same two.
+//! receiver mostly throws away. The two are the format's only encoder
+//! and decoder.
 
 use super::lsa::{Lsa, LsaHeader, LsaKey, LsaView, LSA_HEADER_LEN};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -26,70 +26,103 @@ const DBD_LEN: usize = 8;
 /// One Link State Request entry.
 const LSA_KEY_LEN: usize = 12;
 
+/// The interface MTU every Database Description states.
+pub const INTERFACE_MTU: u16 = 1500;
+
 /// DBD flag bits.
 pub const DBD_INIT: u8 = 0x04;
 pub const DBD_MORE: u8 = 0x02;
 pub const DBD_MASTER: u8 = 0x01;
 
-/// A parsed OSPF packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OspfPacket {
-    pub router_id: u32,
-    pub area_id: u32,
-    pub body: OspfPacketBody,
-}
-
-/// The five OSPFv2 packet types.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OspfPacketBody {
-    Hello {
-        network_mask: u32,
-        hello_interval: u16,
-        dead_interval: u32,
-        neighbors: Vec<u32>,
-    },
-    DatabaseDescription {
-        mtu: u16,
-        flags: u8,
-        dd_seq: u32,
-        headers: Vec<LsaHeader>,
-    },
-    LinkStateRequest {
-        keys: Vec<LsaKey>,
-    },
-    LinkStateUpdate {
-        lsas: Vec<Lsa>,
-    },
-    LinkStateAck {
-        headers: Vec<LsaHeader>,
-    },
-}
-
 /// One OSPF packet being written, header first, in the buffer it is
 /// sent from: [`finish`](PacketWriter::finish) fills in the length and
-/// the checksum where they lie.
+/// the checksum where they lie. Every packet is from the backbone area.
 pub struct PacketWriter {
     buf: BytesMut,
 }
 
 impl PacketWriter {
-    fn new(packet_type: u8, router_id: u32, area_id: u32, body_len: usize) -> PacketWriter {
+    fn new(packet_type: u8, router_id: u32, body_len: usize) -> PacketWriter {
         let mut buf = BytesMut::with_capacity(OSPF_HEADER_LEN + body_len);
         buf.put_u8(2); // version
         buf.put_u8(packet_type);
         buf.put_u16(0); // length, known at `finish`
         buf.put_u32(router_id);
-        buf.put_u32(area_id);
+        buf.put_u32(0); // area: backbone
         buf.put_u16(0); // checksum, likewise
         buf.put_u16(0); // autype: null
         buf.put_u64(0); // authentication (null)
         PacketWriter { buf }
     }
 
-    /// A Link State Ack from `router_id` (backbone area) with room for
-    /// `headers` LSA headers.
+    /// A Hello from `router_id` on a link with `network_mask`, listing
+    /// the `neighbors` heard there.
+    pub fn hello(
+        router_id: u32,
+        network_mask: u32,
+        hello_interval: u16,
+        dead_interval: u32,
+        neighbors: &[u32],
+    ) -> PacketWriter {
+        let body_len = HELLO_LEN + 4 * neighbors.len();
+        let mut w = PacketWriter::new(TYPE_HELLO, router_id, body_len);
+        w.buf.put_u32(network_mask);
+        w.buf.put_u16(hello_interval);
+        w.buf.put_u8(0x02); // options: E
+        w.buf.put_u8(1); // router priority
+        w.buf.put_u32(dead_interval);
+        w.buf.put_u32(0); // DR (none on p2p)
+        w.buf.put_u32(0); // BDR
+        for n in neighbors {
+            w.buf.put_u32(*n);
+        }
+        w
+    }
+
+    /// A Database Description from `router_id`, stating
+    /// [`INTERFACE_MTU`], with room for `headers` LSA headers.
+    pub fn dbd(router_id: u32, flags: u8, dd_seq: u32, headers: usize) -> PacketWriter {
+        let body_len = DBD_LEN + headers * LSA_HEADER_LEN;
+        let mut w = PacketWriter::new(TYPE_DATABASE_DESCRIPTION, router_id, body_len);
+        w.buf.put_u16(INTERFACE_MTU);
+        w.buf.put_u8(0x02); // options
+        w.buf.put_u8(flags);
+        w.buf.put_u32(dd_seq);
+        w
+    }
+
+    /// A Link State Request from `router_id` for each of `keys`.
+    pub fn request<'k>(
+        router_id: u32,
+        keys: impl ExactSizeIterator<Item = &'k LsaKey>,
+    ) -> PacketWriter {
+        let body_len = keys.len() * LSA_KEY_LEN;
+        let mut w = PacketWriter::new(TYPE_LINK_STATE_REQUEST, router_id, body_len);
+        for k in keys {
+            w.buf.put_u32(u32::from(k.ls_type));
+            w.buf.put_u32(k.ls_id);
+            w.buf.put_u32(k.adv_router);
+        }
+        w
+    }
+
+    /// A Link State Update from `router_id` carrying each of `lsas` at
+    /// the age given with it — database copies go out borrowed, with
+    /// the age they have reached by now.
+    pub fn update(router_id: u32, lsas: &[(&Lsa, u16)]) -> PacketWriter {
+        let body_len = 4 + lsas.iter().map(|(l, _)| l.wire_len()).sum::<usize>();
+        let mut w = PacketWriter::new(TYPE_LINK_STATE_UPDATE, router_id, body_len);
+        w.buf.put_u32(lsas.len() as u32);
+        for (lsa, age) in lsas {
+            lsa.emit_aged(*age, &mut w.buf);
+        }
+        w
+    }
+
+    /// A Link State Ack from `router_id` with room for `headers` LSA
+    /// headers.
     pub fn ack(router_id: u32, headers: usize) -> PacketWriter {
-        PacketWriter::new(TYPE_LINK_STATE_ACK, router_id, 0, headers * LSA_HEADER_LEN)
+        PacketWriter::new(TYPE_LINK_STATE_ACK, router_id, headers * LSA_HEADER_LEN)
     }
 
     /// Append one LSA header (a DBD's or an ack's entry).
@@ -110,161 +143,9 @@ impl PacketWriter {
     }
 }
 
-impl OspfPacketBody {
-    fn type_code(&self) -> u8 {
-        match self {
-            OspfPacketBody::Hello { .. } => TYPE_HELLO,
-            OspfPacketBody::DatabaseDescription { .. } => TYPE_DATABASE_DESCRIPTION,
-            OspfPacketBody::LinkStateRequest { .. } => TYPE_LINK_STATE_REQUEST,
-            OspfPacketBody::LinkStateUpdate { .. } => TYPE_LINK_STATE_UPDATE,
-            OspfPacketBody::LinkStateAck { .. } => TYPE_LINK_STATE_ACK,
-        }
-    }
-
-    fn wire_len(&self) -> usize {
-        match self {
-            OspfPacketBody::Hello { neighbors, .. } => HELLO_LEN + 4 * neighbors.len(),
-            OspfPacketBody::DatabaseDescription { headers, .. } => {
-                DBD_LEN + LSA_HEADER_LEN * headers.len()
-            }
-            OspfPacketBody::LinkStateRequest { keys } => LSA_KEY_LEN * keys.len(),
-            OspfPacketBody::LinkStateUpdate { lsas } => {
-                4 + lsas.iter().map(Lsa::wire_len).sum::<usize>()
-            }
-            OspfPacketBody::LinkStateAck { headers } => LSA_HEADER_LEN * headers.len(),
-        }
-    }
-}
-
-impl OspfPacket {
-    pub fn new(router_id: u32, body: OspfPacketBody) -> OspfPacket {
-        OspfPacket {
-            router_id,
-            area_id: 0, // backbone only
-            body,
-        }
-    }
-
-    pub fn emit(&self) -> Bytes {
-        let mut w = PacketWriter::new(
-            self.body.type_code(),
-            self.router_id,
-            self.area_id,
-            self.body.wire_len(),
-        );
-        match &self.body {
-            OspfPacketBody::Hello {
-                network_mask,
-                hello_interval,
-                dead_interval,
-                neighbors,
-            } => {
-                w.buf.put_u32(*network_mask);
-                w.buf.put_u16(*hello_interval);
-                w.buf.put_u8(0x02); // options: E
-                w.buf.put_u8(1); // router priority
-                w.buf.put_u32(*dead_interval);
-                w.buf.put_u32(0); // DR (none on p2p)
-                w.buf.put_u32(0); // BDR
-                for n in neighbors {
-                    w.buf.put_u32(*n);
-                }
-            }
-            OspfPacketBody::DatabaseDescription {
-                mtu,
-                flags,
-                dd_seq,
-                headers,
-            } => {
-                w.buf.put_u16(*mtu);
-                w.buf.put_u8(0x02); // options
-                w.buf.put_u8(*flags);
-                w.buf.put_u32(*dd_seq);
-                for h in headers {
-                    w.put_header(h);
-                }
-            }
-            OspfPacketBody::LinkStateRequest { keys } => {
-                for k in keys {
-                    w.buf.put_u32(u32::from(k.ls_type));
-                    w.buf.put_u32(k.ls_id);
-                    w.buf.put_u32(k.adv_router);
-                }
-            }
-            OspfPacketBody::LinkStateUpdate { lsas } => {
-                w.buf.put_u32(lsas.len() as u32);
-                for l in lsas {
-                    l.emit_into(&mut w.buf);
-                }
-            }
-            OspfPacketBody::LinkStateAck { headers } => {
-                for h in headers {
-                    w.put_header(h);
-                }
-            }
-        }
-        w.finish()
-    }
-
-    /// A Link State Update from `router_id` (backbone area) carrying
-    /// each of `lsas` at the age given with it — database copies go out
-    /// borrowed, with the age they have reached by now.
-    pub fn update(router_id: u32, lsas: &[(&Lsa, u16)]) -> Bytes {
-        let body_len = 4 + lsas.iter().map(|(l, _)| l.wire_len()).sum::<usize>();
-        let mut w = PacketWriter::new(TYPE_LINK_STATE_UPDATE, router_id, 0, body_len);
-        w.buf.put_u32(lsas.len() as u32);
-        for (lsa, age) in lsas {
-            lsa.emit_aged(*age, &mut w.buf);
-        }
-        w.finish()
-    }
-
-    /// Is the emitted packet `wire` a Hello? Reads the type byte only.
-    pub fn is_hello(wire: &[u8]) -> bool {
-        wire.get(1) == Some(&TYPE_HELLO)
-    }
-
-    pub fn parse(data: &[u8]) -> Result<OspfPacket, WireError> {
-        let view = OspfView::parse(data)?;
-        let body = match view.body {
-            OspfBodyView::Hello {
-                network_mask,
-                hello_interval,
-                dead_interval,
-                neighbors,
-            } => OspfPacketBody::Hello {
-                network_mask,
-                hello_interval,
-                dead_interval,
-                neighbors: neighbors.collect(),
-            },
-            OspfBodyView::DatabaseDescription {
-                mtu,
-                flags,
-                dd_seq,
-                headers,
-            } => OspfPacketBody::DatabaseDescription {
-                mtu,
-                flags,
-                dd_seq,
-                headers: headers.collect(),
-            },
-            OspfBodyView::LinkStateRequest { keys } => OspfPacketBody::LinkStateRequest {
-                keys: keys.collect(),
-            },
-            OspfBodyView::LinkStateUpdate { lsas } => OspfPacketBody::LinkStateUpdate {
-                lsas: lsas.map(|l| l.to_lsa()).collect(),
-            },
-            OspfBodyView::LinkStateAck { headers } => OspfPacketBody::LinkStateAck {
-                headers: headers.collect(),
-            },
-        };
-        Ok(OspfPacket {
-            router_id: view.router_id,
-            area_id: view.area_id,
-            body,
-        })
-    }
+/// Is the written packet `wire` a Hello? Reads the type byte only.
+pub fn is_hello(wire: &[u8]) -> bool {
+    wire.get(1) == Some(&TYPE_HELLO)
 }
 
 /// Fixed-size records laid end to end in a received packet, decoded as
@@ -334,8 +215,8 @@ pub struct OspfView<'a> {
     pub body: OspfBodyView<'a>,
 }
 
-/// [`OspfPacketBody`], with iterators over the received bytes where
-/// that has `Vec`s.
+/// The five OSPFv2 packet types, each list an iterator over the
+/// received bytes.
 pub enum OspfBodyView<'a> {
     Hello {
         network_mask: u32,
@@ -452,50 +333,90 @@ mod tests {
     use super::*;
     use crate::ospf::lsa::{RouterLink, RouterLinkType, INITIAL_SEQ};
 
-    fn roundtrip(p: OspfPacket) {
-        let wire = p.emit();
-        let parsed = OspfPacket::parse(&wire).unwrap();
-        assert_eq!(parsed, p);
+    /// Write `wire`'s packet again from what [`OspfView`] reads of it.
+    fn rewrite(wire: &[u8]) -> Bytes {
+        let view = OspfView::parse(wire).unwrap();
+        assert_eq!(view.area_id, 0);
+        let id = view.router_id;
+        match view.body {
+            OspfBodyView::Hello {
+                network_mask,
+                hello_interval,
+                dead_interval,
+                neighbors,
+            } => {
+                let neighbors: Vec<u32> = neighbors.collect();
+                PacketWriter::hello(id, network_mask, hello_interval, dead_interval, &neighbors)
+            }
+            OspfBodyView::DatabaseDescription {
+                mtu,
+                flags,
+                dd_seq,
+                headers,
+            } => {
+                assert_eq!(mtu, INTERFACE_MTU);
+                let mut w = PacketWriter::dbd(id, flags, dd_seq, headers.len());
+                headers.for_each(|h| w.put_header(&h));
+                w
+            }
+            OspfBodyView::LinkStateRequest { keys } => {
+                PacketWriter::request(id, keys.collect::<Vec<_>>().iter())
+            }
+            OspfBodyView::LinkStateUpdate { lsas } => {
+                let lsas: Vec<Lsa> = lsas.map(|l| l.to_lsa()).collect();
+                let aged: Vec<(&Lsa, u16)> = lsas.iter().map(|l| (l, l.header.age)).collect();
+                PacketWriter::update(id, &aged)
+            }
+            OspfBodyView::LinkStateAck { headers } => {
+                let mut w = PacketWriter::ack(id, headers.len());
+                headers.for_each(|h| w.put_header(&h));
+                w
+            }
+        }
+        .finish()
+    }
+
+    /// The reader loses nothing the writer wrote.
+    fn roundtrip(w: PacketWriter) {
+        let wire = w.finish();
+        assert_eq!(rewrite(&wire), wire);
+    }
+
+    fn ack_of(router_id: u32, headers: &[LsaHeader]) -> PacketWriter {
+        let mut w = PacketWriter::ack(router_id, headers.len());
+        headers.iter().for_each(|h| w.put_header(h));
+        w
+    }
+
+    fn dbd_of(router_id: u32, flags: u8, dd_seq: u32, headers: &[LsaHeader]) -> PacketWriter {
+        let mut w = PacketWriter::dbd(router_id, flags, dd_seq, headers.len());
+        headers.iter().for_each(|h| w.put_header(h));
+        w
     }
 
     #[test]
     fn hello_roundtrip() {
-        roundtrip(OspfPacket::new(
+        roundtrip(PacketWriter::hello(
             0x0A00_0001,
-            OspfPacketBody::Hello {
-                network_mask: 0xFFFF_FFFC,
-                hello_interval: 10,
-                dead_interval: 40,
-                neighbors: vec![0x0A00_0002, 0x0A00_0003],
-            },
+            0xFFFF_FFFC,
+            10,
+            40,
+            &[0x0A00_0002, 0x0A00_0003],
         ));
     }
 
     #[test]
     fn empty_hello_roundtrip() {
-        roundtrip(OspfPacket::new(
-            1,
-            OspfPacketBody::Hello {
-                network_mask: 0,
-                hello_interval: 1,
-                dead_interval: 4,
-                neighbors: vec![],
-            },
-        ));
+        let wire = PacketWriter::hello(1, 0, 1, 4, &[]).finish();
+        assert!(is_hello(&wire));
+        assert_eq!(rewrite(&wire), wire);
     }
 
     #[test]
     fn dbd_roundtrip() {
         let lsa = Lsa::router(7, INITIAL_SEQ, 0, vec![]);
-        roundtrip(OspfPacket::new(
-            7,
-            OspfPacketBody::DatabaseDescription {
-                mtu: 1500,
-                flags: DBD_INIT | DBD_MORE | DBD_MASTER,
-                dd_seq: 0x1234,
-                headers: vec![lsa.header],
-            },
-        ));
+        let flags = DBD_INIT | DBD_MORE | DBD_MASTER;
+        roundtrip(dbd_of(7, flags, 0x1234, &[lsa.header]));
     }
 
     #[test]
@@ -511,24 +432,9 @@ mod tests {
                 metric: 1,
             }],
         );
-        roundtrip(OspfPacket::new(
-            9,
-            OspfPacketBody::LinkStateRequest {
-                keys: vec![lsa.header.key()],
-            },
-        ));
-        roundtrip(OspfPacket::new(
-            9,
-            OspfPacketBody::LinkStateUpdate {
-                lsas: vec![lsa.clone()],
-            },
-        ));
-        roundtrip(OspfPacket::new(
-            9,
-            OspfPacketBody::LinkStateAck {
-                headers: vec![lsa.header],
-            },
-        ));
+        roundtrip(PacketWriter::request(9, [lsa.header.key()].iter()));
+        roundtrip(PacketWriter::update(9, &[(&lsa, lsa.header.age)]));
+        roundtrip(ack_of(9, &[lsa.header]));
     }
 
     fn hex(b: &[u8]) -> String {
@@ -557,35 +463,21 @@ mod tests {
         let a = Lsa::router(0x0A00_0001, INITIAL_SEQ, 0, links(2));
         let b = Lsa::router(0x0A00_0002, INITIAL_SEQ + 7, 300, links(0));
         let c = Lsa::router(0x0A00_0003, 5, 3599, links(3));
-        let golden: [(OspfPacketBody, &str); 7] = [
+        let id = 0x0A00_0009;
+        let golden: [(PacketWriter, &str); 7] = [
             (
-                OspfPacketBody::Hello {
-                    network_mask: 0xFFFF_FFFC,
-                    hello_interval: 10,
-                    dead_interval: 40,
-                    neighbors: vec![0x0A00_0002, 0x0A00_0003],
-                },
+                PacketWriter::hello(id, 0xFFFF_FFFC, 10, 40, &[0x0A00_0002, 0x0A00_0003]),
                 concat!(
                     "020100340a00000900000000dd8c00000000000000000000fffffffc000a0201",
                     "0000002800000000000000000a0000020a000003",
                 ),
             ),
             (
-                OspfPacketBody::DatabaseDescription {
-                    mtu: 1500,
-                    flags: DBD_INIT | DBD_MORE | DBD_MASTER,
-                    dd_seq: 0x1001,
-                    headers: vec![],
-                },
+                dbd_of(id, DBD_INIT | DBD_MORE | DBD_MASTER, 0x1001, &[]),
                 "020200200a00000900000000dbf00000000000000000000005dc020700001001",
             ),
             (
-                OspfPacketBody::DatabaseDescription {
-                    mtu: 1500,
-                    flags: DBD_MASTER,
-                    dd_seq: 0x1002,
-                    headers: vec![a.header, b.header, c.header],
-                },
+                dbd_of(id, DBD_MASTER, 0x1002, &[a.header, b.header, c.header]),
                 concat!(
                     "0202005c0a00000900000000fbde0000000000000000000005dc020100001002",
                     "000002010a0000010a00000180000001481d0030012c02010a0000020a000002",
@@ -593,18 +485,14 @@ mod tests {
                 ),
             ),
             (
-                OspfPacketBody::LinkStateRequest {
-                    keys: vec![a.header.key(), c.header.key()],
-                },
+                PacketWriter::request(id, [a.header.key(), c.header.key()].iter()),
                 concat!(
                     "020300300a00000900000000cbb900000000000000000000000000010a000001",
                     "0a000001000000010a0000030a000003",
                 ),
             ),
             (
-                OspfPacketBody::LinkStateUpdate {
-                    lsas: vec![a.clone()],
-                },
+                PacketWriter::update(id, &[(&a, a.header.age)]),
                 concat!(
                     "0204004c0a00000900000000a2f6000000000000000000000000000100000201",
                     "0a0000010a00000180000001481d0030000000020a000100ac1f00010100000a",
@@ -612,9 +500,10 @@ mod tests {
                 ),
             ),
             (
-                OspfPacketBody::LinkStateUpdate {
-                    lsas: vec![a.clone(), b.clone(), c.clone()],
-                },
+                PacketWriter::update(
+                    id,
+                    &[(&a, a.header.age), (&b, b.header.age), (&c, c.header.age)],
+                ),
                 concat!(
                     "020400a00a000009000000007682000000000000000000000000000300000201",
                     "0a0000010a00000180000001481d0030000000020a000100ac1f00010100000a",
@@ -624,89 +513,69 @@ mod tests {
                 ),
             ),
             (
-                OspfPacketBody::LinkStateAck {
-                    headers: vec![c.header, a.header],
-                },
+                ack_of(id, &[c.header, a.header]),
                 concat!(
                     "020500400a000009000000001ff8000000000000000000000e0f02010a000003",
                     "0a00000300000005d110003c000002010a0000010a00000180000001481d0030",
                 ),
             ),
         ];
-        for (body, want) in golden {
-            let p = OspfPacket::new(0x0A00_0009, body);
-            let wire = p.emit();
-            assert_eq!(hex(&wire), want, "{p:?}");
-            assert_eq!(OspfPacket::parse(&wire).unwrap(), p);
+        for (w, want) in golden {
+            let wire = w.finish();
+            assert_eq!(hex(&wire), want);
+            assert_eq!(rewrite(&wire), wire, "{want}");
         }
     }
 
-    fn summary_of(headers: usize) -> OspfPacket {
+    fn summary_of(headers: usize) -> Bytes {
         let header = Lsa::router(7, INITIAL_SEQ, 0, vec![]).header;
-        OspfPacket::new(
-            7,
-            OspfPacketBody::DatabaseDescription {
-                mtu: 1500,
-                flags: 0,
-                dd_seq: 1,
-                headers: vec![header; headers],
-            },
-        )
+        dbd_of(7, 0, 1, &vec![header; headers]).finish()
     }
 
     /// The length field is 16 bits: 3 275 headers are the most a
     /// one-packet summary holds.
     #[test]
     fn largest_packet_states_its_length() {
-        let wire = summary_of(3275).emit();
+        let wire = summary_of(3275);
         assert_eq!(wire.len(), 65_532);
         assert_eq!(wire[2..4], [0xFF, 0xFC]);
-        assert_eq!(OspfPacket::parse(&wire).unwrap(), summary_of(3275));
+        assert_eq!(rewrite(&wire), wire);
     }
 
     #[test]
     #[should_panic(expected = "OSPF packet too large")]
     fn oversized_packet_panics_instead_of_lying_about_its_length() {
-        summary_of(3300).emit();
+        summary_of(3300);
     }
 
     #[test]
     fn checksum_enforced() {
-        let wire = OspfPacket::new(
-            1,
-            OspfPacketBody::Hello {
-                network_mask: 0,
-                hello_interval: 10,
-                dead_interval: 40,
-                neighbors: vec![],
-            },
-        )
-        .emit();
+        let wire = PacketWriter::hello(1, 0, 10, 40, &[]).finish();
         let mut bad = wire.to_vec();
         bad[4] ^= 0xFF;
-        assert_eq!(OspfPacket::parse(&bad), Err(WireError::BadChecksum));
+        assert_eq!(OspfView::parse(&bad).err(), Some(WireError::BadChecksum));
     }
 
     #[test]
     fn corrupt_lsa_dropped_from_update_on_its_own() {
         let good = Lsa::router(9, INITIAL_SEQ, 0, vec![]);
         let bad = Lsa::router(8, INITIAL_SEQ, 0, vec![]);
-        let mut wire = OspfPacket::new(
-            9,
-            OspfPacketBody::LinkStateUpdate {
-                lsas: vec![bad, good.clone()],
-            },
-        )
-        .emit()
-        .to_vec();
+        let mut wire = PacketWriter::update(9, &[(&bad, 0), (&good, 0)])
+            .finish()
+            .to_vec();
         // Damage the first LSA's sequence number, then make the packet
         // checksum right again: only the LSA's own Fletcher can tell.
         wire[OSPF_HEADER_LEN + 4 + 15] ^= 0x10;
         reseal(&mut wire);
-        assert_eq!(
-            OspfPacket::parse(&wire).unwrap().body,
-            OspfPacketBody::LinkStateUpdate { lsas: vec![good] }
-        );
+        let Ok(OspfView {
+            body: OspfBodyView::LinkStateUpdate { lsas },
+            ..
+        }) = OspfView::parse(&wire)
+        else {
+            panic!("an update");
+        };
+        assert_eq!(lsas.remaining(), 2);
+        assert_eq!(lsas.map(|l| l.to_lsa()).collect::<Vec<_>>(), vec![good]);
     }
 
     /// Make the packet checksum right again after an edit.
@@ -725,39 +594,18 @@ mod tests {
         let mut stray = Lsa::router(8, INITIAL_SEQ, 0, vec![]);
         stray.header.ls_id = 7;
         stray.finalize();
-        assert_eq!(
-            Lsa::parse(&{
-                let mut b = BytesMut::new();
-                stray.emit_into(&mut b);
-                b
-            }),
-            Err(WireError::Malformed)
-        );
-        let wire = OspfPacket::new(
-            9,
-            OspfPacketBody::LinkStateUpdate {
-                lsas: vec![good, stray],
-            },
-        )
-        .emit();
-        assert_eq!(OspfPacket::parse(&wire), Err(WireError::Malformed));
-        assert!(OspfView::parse(&wire).is_err());
+        let mut b = BytesMut::new();
+        stray.emit_into(&mut b);
+        assert_eq!(LsaView::parse(&b).err(), Some(WireError::Malformed));
+        let wire = PacketWriter::update(9, &[(&good, 0), (&stray, 0)]).finish();
+        assert_eq!(OspfView::parse(&wire).err(), Some(WireError::Malformed));
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let wire = OspfPacket::new(
-            1,
-            OspfPacketBody::Hello {
-                network_mask: 0,
-                hello_interval: 10,
-                dead_interval: 40,
-                neighbors: vec![],
-            },
-        )
-        .emit();
+        let wire = PacketWriter::hello(1, 0, 10, 40, &[]).finish();
         let mut bad = wire.to_vec();
         bad[0] = 3;
-        assert_eq!(OspfPacket::parse(&bad), Err(WireError::Unsupported));
+        assert_eq!(OspfView::parse(&bad).err(), Some(WireError::Unsupported));
     }
 }

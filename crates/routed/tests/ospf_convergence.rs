@@ -342,7 +342,7 @@ fn parallel_adjacencies_requesting_same_lsas_both_reach_full() {
 #[test]
 fn hello_without_us_knocks_adjacency_back_to_init() {
     use rf_routed::ospf::neighbor::NeighborState;
-    use rf_routed::ospf::packet::{OspfPacket, OspfPacketBody};
+    use rf_routed::ospf::packet::PacketWriter;
 
     let mut net = Net::build(2, &[(0, 1)], 1, 4);
     net.start();
@@ -350,23 +350,13 @@ fn hello_without_us_knocks_adjacency_back_to_init() {
     assert!(net.all_full(), "precondition: adjacency Full");
 
     let peer_id = u32::from(Ipv4Addr::new(10, 0, 0, 2));
-    let hello = |neighbors: Vec<u32>| {
-        OspfPacket::new(
-            peer_id,
-            OspfPacketBody::Hello {
-                network_mask: 0xFFFF_FFFC,
-                hello_interval: 1,
-                dead_interval: 4,
-                neighbors,
-            },
-        )
-        .emit()
-    };
+    let hello =
+        |neighbors: &[u32]| PacketWriter::hello(peer_id, 0xFFFF_FFFC, 1, 4, neighbors).finish();
     let src = net.iface_addr(1, 1);
 
     // The 1-way hello: the peer no longer knows us.
     let now = Time::from_millis(10_100);
-    net.daemons[0].handle_packet(1, src, &hello(vec![]), now);
+    net.daemons[0].handle_packet(1, src, &hello(&[]), now);
     let n0 = net.daemons[0].neighbors();
     assert_eq!(
         n0[0].2,
@@ -378,7 +368,7 @@ fn hello_without_us_knocks_adjacency_back_to_init() {
     // (point-to-point links skip TwoWay).
     let our_id = u32::from(Ipv4Addr::new(10, 0, 0, 1));
     let now = Time::from_millis(10_200);
-    net.daemons[0].handle_packet(1, src, &hello(vec![our_id]), now);
+    net.daemons[0].handle_packet(1, src, &hello(&[our_id]), now);
     let n0 = net.daemons[0].neighbors();
     assert_eq!(n0[0].2, NeighborState::ExStart, "{n0:?}");
 }
@@ -458,7 +448,7 @@ fn pan_european_scale_converges() {
 fn new_router_on_a_full_link_withdraws_the_old_adjacency() {
     use rf_routed::ospf::lsa::{LsaBody, RouterLinkType};
     use rf_routed::ospf::neighbor::NeighborState;
-    use rf_routed::ospf::packet::{OspfPacket, OspfPacketBody};
+    use rf_routed::ospf::packet::{OspfBodyView, OspfView, PacketWriter};
     use std::time::Duration;
 
     // B (10.0.0.2) on interface 1 of A (10.0.0.1), D (10.0.0.3) on 2.
@@ -470,16 +460,7 @@ fn new_router_on_a_full_link_withdraws_the_old_adjacency() {
     assert!(net.routes[0].iter().any(|r| r.out_iface == 1));
 
     let newcomer = id(99);
-    let hello = OspfPacket::new(
-        newcomer,
-        OspfPacketBody::Hello {
-            network_mask: 0xFFFF_FFFC,
-            hello_interval: 1,
-            dead_interval: 4,
-            neighbors: vec![],
-        },
-    )
-    .emit();
+    let hello = PacketWriter::hello(newcomer, 0xFFFF_FFFC, 1, 4, &[]).finish();
     let now = net.now;
     let src = net.iface_addr(1, 1);
     let events = net.daemons[0].handle_packet(1, src, &hello, now);
@@ -490,10 +471,10 @@ fn new_router_on_a_full_link_withdraws_the_old_adjacency() {
     let flooded = events.iter().find_map(|ev| match ev {
         OspfEvent::Transmit {
             iface: 2, packet, ..
-        } => match OspfPacket::parse(packet).unwrap().body {
-            OspfPacketBody::LinkStateUpdate { lsas } => {
-                lsas.into_iter().find(|l| l.header.adv_router == id(1))
-            }
+        } => match OspfView::parse(packet).unwrap().body {
+            OspfBodyView::LinkStateUpdate { mut lsas } => lsas
+                .find(|l| l.header.adv_router == id(1))
+                .map(|l| l.to_lsa()),
             _ => None,
         },
         _ => None,

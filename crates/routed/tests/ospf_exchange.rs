@@ -1,11 +1,13 @@
 //! One scripted exchange between three daemons, pinned byte for byte.
 //!
 //! `fixtures/ospf_exchange.txt` was recorded from the decoder that
-//! built an owned `OspfPacket` (every `Vec<Lsa>`, `Vec<LsaHeader>`,
-//! `Vec<u32>`) before the daemon looked at it. The daemon now walks the
-//! received bytes in place and `OspfPacket::parse` sits on the same
-//! walker, so the reference for "same verdicts" cannot come from this
-//! tree: it is the recorded transcript — every packet fed in, every
+//! built an owned packet (every `Vec<Lsa>`, `Vec<LsaHeader>`,
+//! `Vec<u32>`) before the daemon looked at it, and from the encoder
+//! that wrote such owned packets out. The daemon now walks the received
+//! bytes in place and writes each packet straight into its buffer, and
+//! those are the format's only decoder and encoder, so the reference
+//! for "same verdicts, same bytes" cannot come from this tree: it is
+//! the recorded transcript — every packet fed in, every
 //! `OspfEvent::Transmit` that came out, in order.
 //!
 //! Routers B — A — C in a line come up Down → Full; then A is handed
@@ -18,7 +20,7 @@ use bytes::Bytes;
 use rf_routed::config::OspfConfig;
 use rf_routed::ospf::daemon::{OspfDaemon, OspfEvent};
 use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
-use rf_routed::ospf::packet::{OspfPacket, OspfPacketBody, DBD_MASTER};
+use rf_routed::ospf::packet::{PacketWriter, DBD_MASTER};
 use rf_routed::ospf::MAX_AGE;
 use rf_sim::Time;
 use rf_wire::{internet_checksum, Ipv4Cidr};
@@ -159,9 +161,8 @@ fn links(n: u32) -> Vec<RouterLink> {
 }
 
 fn update_from_b(lsas: Vec<Lsa>) -> Vec<u8> {
-    OspfPacket::new(router_id(B), OspfPacketBody::LinkStateUpdate { lsas })
-        .emit()
-        .to_vec()
+    let aged: Vec<(&Lsa, u16)> = lsas.iter().map(|l| (l, l.header.age)).collect();
+    PacketWriter::update(router_id(B), &aged).finish().to_vec()
 }
 
 /// Set the length field to what is there and make the packet checksum
@@ -257,33 +258,21 @@ fn truncations_and_bit_flips_change_nothing() {
         (events.len(), format!("{a:?}"))
     };
     let lsa = Lsa::router(0x63, INITIAL_SEQ, 0, links(2));
-    let bodies = [
-        OspfPacketBody::Hello {
-            network_mask: 0xFFFF_FFFC,
-            hello_interval: 1,
-            dead_interval: 4,
-            neighbors: vec![router_id(A)],
-        },
-        OspfPacketBody::DatabaseDescription {
-            mtu: 1500,
-            flags: DBD_MASTER,
-            dd_seq: 0x1002,
-            headers: vec![lsa.header],
-        },
-        OspfPacketBody::LinkStateRequest {
-            keys: vec![Lsa::router(router_id(A), INITIAL_SEQ, 0, vec![])
-                .header
-                .key()],
-        },
-        OspfPacketBody::LinkStateUpdate {
-            lsas: vec![lsa.clone()],
-        },
-        OspfPacketBody::LinkStateAck {
-            headers: vec![lsa.header],
-        },
+    let b = router_id(B);
+    let mut dbd = PacketWriter::dbd(b, DBD_MASTER, 0x1002, 1);
+    dbd.put_header(&lsa.header);
+    let mut ack = PacketWriter::ack(b, 1);
+    ack.put_header(&lsa.header);
+    let a_header = Lsa::router(router_id(A), INITIAL_SEQ, 0, vec![]).header;
+    let packets = [
+        PacketWriter::hello(b, 0xFFFF_FFFC, 1, 4, &[router_id(A)]),
+        dbd,
+        PacketWriter::request(b, [a_header.key()].iter()),
+        PacketWriter::update(b, &[(&lsa, lsa.header.age)]),
+        ack,
     ];
-    for body in bodies {
-        let valid = OspfPacket::new(router_id(B), body).emit().to_vec();
+    for packet in packets {
+        let valid = packet.finish().to_vec();
         // Intact, it is heard — if only as a sign of life from B.
         assert_ne!(handled(&valid).1, before, "{}", hex(&valid));
         for cut in 0..valid.len() {

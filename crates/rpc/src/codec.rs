@@ -89,10 +89,6 @@ impl RpcFrameReader {
         RpcFrameReader::default()
     }
 
-    pub fn push(&mut self, data: &[u8]) {
-        self.frames.push(data);
-    }
-
     /// Feed a whole stream chunk without copying when drained.
     pub fn push_bytes(&mut self, data: Bytes) {
         self.frames.push_bytes(data);
@@ -151,7 +147,7 @@ mod tests {
     #[test]
     fn bad_magic_poisons_buffer() {
         let mut r = RpcFrameReader::new();
-        r.push(&[0xAA; 20]);
+        r.push_bytes(Bytes::from_static(&[0xAA; 20]));
         assert_eq!(r.next().unwrap(), Err(RpcError::BadMagic));
         assert!(r.next().is_none());
     }

@@ -29,12 +29,12 @@ impl RpcServerEndpoint {
         RpcServerEndpoint::default()
     }
 
-    /// Feed raw stream bytes. Returns `(fresh_requests, ack_frames)`:
-    /// every well-formed request produces an ack frame; only
-    /// first-delivery requests appear in `fresh_requests`.
+    /// Feed raw stream bytes, copied once into a chunk of their own.
+    /// Returns `(fresh_requests, ack_frames)`: every well-formed request
+    /// produces an ack frame; only first-delivery requests appear in
+    /// `fresh_requests`.
     pub fn feed(&mut self, data: &[u8]) -> (Vec<RpcRequest>, Vec<Bytes>) {
-        self.reader.push(data);
-        self.drain_frames()
+        self.feed_bytes(Bytes::copy_from_slice(data))
     }
 
     /// [`RpcServerEndpoint::feed`] over an owned chunk (zero-copy).

@@ -79,7 +79,7 @@ impl Agent for MockController {
             StreamEvent::Data(data) => {
                 let msgs: Vec<_> = {
                     let reader = self.reader_for(conn);
-                    reader.push(&data);
+                    reader.push_bytes(data);
                     std::iter::from_fn(|| reader.next()).collect()
                 };
                 for msg in msgs {

@@ -30,12 +30,6 @@ pub struct FrameBuf {
 }
 
 impl FrameBuf {
-    /// Feed raw bytes from the stream.
-    pub fn push(&mut self, data: &[u8]) {
-        self.spill();
-        self.buf.extend_from_slice(data);
-    }
-
     /// Feed a whole stream chunk, keeping it zero-copy when the buffer
     /// is drained (the overwhelmingly common case: one `conn_send` per
     /// message, delivered as one chunk).
@@ -181,14 +175,14 @@ mod tests {
         let mut fb = FrameBuf::default();
         fb.push_bytes(Bytes::from(vec![4, b'a']));
         assert_eq!(fb.take_frame(rule), Ok(None));
-        fb.push(b"bc");
+        fb.push_bytes(Bytes::from_static(b"bc"));
         assert_eq!(fb.take_frame(rule), Ok(None));
         assert_eq!(fb.buffered(), 4);
         // The last piece also carries the start of the next frame.
         fb.push_bytes(Bytes::from(vec![b'd', 1]));
         assert_eq!(drain(&mut fb), vec![vec![4, b'a', b'b', b'c', b'd']]);
         assert_eq!(fb.buffered(), 1);
-        fb.push(b"e");
+        fb.push_bytes(Bytes::from_static(b"e"));
         assert_eq!(drain(&mut fb), vec![vec![1, b'e']]);
     }
 
@@ -208,8 +202,8 @@ mod tests {
         for fragmented in [false, true] {
             let mut fb = FrameBuf::default();
             if fragmented {
-                fb.push(&[1]);
-                fb.push(&[b'k', 0xFF, 9, 9]);
+                fb.push_bytes(Bytes::from(vec![1]));
+                fb.push_bytes(Bytes::from(vec![b'k', 0xFF, 9, 9]));
             } else {
                 fb.push_bytes(Bytes::from(vec![1, b'k', 0xFF, 9, 9]));
             }

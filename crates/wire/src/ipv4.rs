@@ -141,17 +141,6 @@ impl Ipv4Packet {
         buf.put_slice(&self.payload);
         buf.freeze()
     }
-
-    /// Copy with TTL decremented (router forwarding). Returns `None`
-    /// when the TTL would reach zero and the packet must be dropped.
-    pub fn forwarded(&self) -> Option<Ipv4Packet> {
-        if self.ttl <= 1 {
-            return None;
-        }
-        let mut p = self.clone();
-        p.ttl -= 1;
-        Some(p)
-    }
 }
 
 /// The 20-byte option-less header in front of `payload_len` bytes,
@@ -304,15 +293,6 @@ mod tests {
             Ipv4Packet::parse_bytes(&Bytes::from(wire)),
             Err(WireError::Unsupported)
         );
-    }
-
-    #[test]
-    fn forwarded_decrements_ttl() {
-        let mut p = sample();
-        p.ttl = 2;
-        let f = p.forwarded().unwrap();
-        assert_eq!(f.ttl, 1);
-        assert!(f.forwarded().is_none());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use ethernet::{EtherType, EthernetFrame, EthernetHeader, MIN_FRAME_NO_FCS};
 pub use framebuf::FrameBuf;
 pub use icmp::{IcmpHeader, IcmpPacket};
 pub use ipv4::{ipv4_frame, IpProtocol, Ipv4Body, Ipv4Header, Ipv4Packet};
-pub use lldp::{LldpPacket, LldpTlv};
+pub use lldp::LldpPacket;
 pub use udp::{UdpHeader, UdpPacket};
 
 use std::fmt;

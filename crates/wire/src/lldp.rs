@@ -6,265 +6,103 @@
 //! neighbouring switch it is punted back (PACKET_IN), and the pair
 //! `(origin dpid/port, receiving dpid/port)` identifies a link.
 //!
-//! We implement the standard TLV structure (chassis id, port id, TTL,
-//! optional system name, organizationally specific TLVs, end marker)
-//! and the discovery encoding: chassis id and port id with "locally
-//! assigned" subtype 7 carrying the big-endian datapath id and port
-//! number respectively.
+//! A discovery probe is a chassis id and a port id, both with the
+//! "locally assigned" subtype 7 and carrying the big-endian datapath id
+//! and port number respectively, a TTL, and the end marker. The
+//! controller writes probes and reads them back, so that is what this
+//! module encodes and decodes; any other LLDPDU reads as "not a probe".
 
-use crate::WireError;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Subtype value "locally assigned" shared by chassis-id and port-id TLVs.
 pub const SUBTYPE_LOCAL: u8 = 7;
 
-/// One LLDP TLV.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LldpTlv {
-    End,
-    ChassisId {
-        subtype: u8,
-        id: Bytes,
-    },
-    PortId {
-        subtype: u8,
-        id: Bytes,
-    },
-    Ttl(u16),
-    SystemName(String),
-    OrgSpecific {
-        oui: [u8; 3],
-        subtype: u8,
-        info: Bytes,
-    },
-    /// Any other TLV type, preserved opaquely.
-    Unknown {
-        ty: u8,
-        value: Bytes,
-    },
-}
+const TLV_END: u8 = 0;
+const TLV_CHASSIS_ID: u8 = 1;
+const TLV_PORT_ID: u8 = 2;
+const TLV_TTL: u8 = 3;
+const TLV_SYSTEM_NAME: u8 = 5;
+const TLV_ORG_SPECIFIC: u8 = 127;
 
-impl LldpTlv {
-    fn type_code(&self) -> u8 {
-        match self {
-            LldpTlv::End => 0,
-            LldpTlv::ChassisId { .. } => 1,
-            LldpTlv::PortId { .. } => 2,
-            LldpTlv::Ttl(_) => 3,
-            LldpTlv::SystemName(_) => 5,
-            LldpTlv::OrgSpecific { .. } => 127,
-            LldpTlv::Unknown { ty, .. } => *ty,
-        }
-    }
+/// The TTL a probe states, in seconds.
+const PROBE_TTL: u16 = 120;
+/// A probe on the wire: four TLV headers, a subtype and a datapath id,
+/// a subtype and a port number, and the TTL.
+const PROBE_LEN: usize = 4 * 2 + 9 + 3 + 2;
 
-    fn value_bytes(&self) -> Bytes {
-        match self {
-            LldpTlv::End => Bytes::new(),
-            LldpTlv::ChassisId { subtype, id } | LldpTlv::PortId { subtype, id } => {
-                let mut b = BytesMut::with_capacity(1 + id.len());
-                b.put_u8(*subtype);
-                b.put_slice(id);
-                b.freeze()
-            }
-            LldpTlv::Ttl(t) => Bytes::copy_from_slice(&t.to_be_bytes()),
-            LldpTlv::SystemName(s) => Bytes::copy_from_slice(s.as_bytes()),
-            LldpTlv::OrgSpecific { oui, subtype, info } => {
-                let mut b = BytesMut::with_capacity(4 + info.len());
-                b.put_slice(oui);
-                b.put_u8(*subtype);
-                b.put_slice(info);
-                b.freeze()
-            }
-            LldpTlv::Unknown { value, .. } => value.clone(),
-        }
-    }
-}
-
-/// A full LLDPDU: a sequence of TLVs ending with `End`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The discovery probe naming one switch port.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LldpPacket {
-    pub tlvs: Vec<LldpTlv>,
+    pub dpid: u64,
+    pub port: u16,
+}
+
+fn put_tlv_header(buf: &mut BytesMut, ty: u8, len: usize) {
+    buf.put_u16((u16::from(ty) << 9) | len as u16);
 }
 
 impl LldpPacket {
-    /// Build the discovery probe for `(dpid, port)` with a TTL of 120 s.
+    /// The probe for `(dpid, port)`, with a TTL of 120 s.
     pub fn discovery_probe(dpid: u64, port: u16) -> LldpPacket {
-        LldpPacket {
-            tlvs: vec![
-                LldpTlv::ChassisId {
-                    subtype: SUBTYPE_LOCAL,
-                    id: Bytes::copy_from_slice(&dpid.to_be_bytes()),
-                },
-                LldpTlv::PortId {
-                    subtype: SUBTYPE_LOCAL,
-                    id: Bytes::copy_from_slice(&port.to_be_bytes()),
-                },
-                LldpTlv::Ttl(120),
-            ],
-        }
+        LldpPacket { dpid, port }
     }
 
-    /// Extract `(dpid, port)` from a discovery probe, if this LLDPDU is
-    /// one (locally-assigned chassis id of 8 bytes + port id of 2).
-    pub fn decode_discovery(&self) -> Option<(u64, u16)> {
-        let mut dpid = None;
-        let mut port = None;
-        for tlv in &self.tlvs {
-            match tlv {
-                LldpTlv::ChassisId { subtype, id }
-                    if *subtype == SUBTYPE_LOCAL && id.len() == 8 =>
-                {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(id);
-                    dpid = Some(u64::from_be_bytes(b));
-                }
-                LldpTlv::PortId { subtype, id } if *subtype == SUBTYPE_LOCAL && id.len() == 2 => {
-                    port = Some(u16::from_be_bytes([id[0], id[1]]));
-                }
-                _ => {}
-            }
-        }
-        Some((dpid?, port?))
+    pub fn emit(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(PROBE_LEN);
+        put_tlv_header(&mut buf, TLV_CHASSIS_ID, 9);
+        buf.put_u8(SUBTYPE_LOCAL);
+        buf.put_u64(self.dpid);
+        put_tlv_header(&mut buf, TLV_PORT_ID, 3);
+        buf.put_u8(SUBTYPE_LOCAL);
+        buf.put_u16(self.port);
+        put_tlv_header(&mut buf, TLV_TTL, 2);
+        buf.put_u16(PROBE_TTL);
+        put_tlv_header(&mut buf, TLV_END, 0);
+        buf.freeze()
     }
 
-    /// Allocation-free equivalent of `parse(data)` followed by
-    /// [`LldpPacket::decode_discovery`]: walks the TLVs in place and
-    /// returns exactly what that pair would — `None` whenever `parse`
-    /// would error *or* the LLDPDU is not a discovery probe. This is
-    /// the per-probe hot path of topology discovery; the TLV vector
-    /// only exists for callers that inspect arbitrary LLDPDUs.
+    /// `(dpid, port)` of the discovery probe `data`, read in place: a
+    /// locally-assigned chassis id of 8 bytes and port id of 2, in a
+    /// well-formed LLDPDU. `None` for anything else — a TLV running past
+    /// the data, no end marker, an empty chassis or port id, a short TTL
+    /// or organizationally specific TLV, a system name that is not
+    /// UTF-8, or a well-formed LLDPDU that is not a probe. This is the
+    /// per-probe hot path of topology discovery.
     pub fn parse_discovery(data: &[u8]) -> Option<(u64, u16)> {
         let mut dpid = None;
         let mut port = None;
         let mut off = 0usize;
         loop {
             if off + 2 > data.len() {
-                return None; // parse: Truncated
+                return None;
             }
             let hdr = u16::from_be_bytes([data[off], data[off + 1]]);
             let ty = (hdr >> 9) as u8;
             let len = (hdr & 0x1FF) as usize;
             off += 2;
             if off + len > data.len() {
-                return None; // parse: Malformed
+                return None;
             }
             let value = &data[off..off + len];
             off += len;
             match ty {
-                0 => break,
-                1 => {
-                    if value.is_empty() {
-                        return None; // parse: Malformed
-                    }
-                    if value[0] == SUBTYPE_LOCAL && value.len() == 9 {
-                        let mut b = [0u8; 8];
-                        b.copy_from_slice(&value[1..]);
-                        dpid = Some(u64::from_be_bytes(b));
-                    }
+                TLV_END => break,
+                TLV_CHASSIS_ID | TLV_PORT_ID if value.is_empty() => return None,
+                TLV_CHASSIS_ID if value[0] == SUBTYPE_LOCAL && value.len() == 9 => {
+                    let mut b = [0u8; 8];
+                    b.copy_from_slice(&value[1..]);
+                    dpid = Some(u64::from_be_bytes(b));
                 }
-                2 => {
-                    if value.is_empty() {
-                        return None; // parse: Malformed
-                    }
-                    if value[0] == SUBTYPE_LOCAL && value.len() == 3 {
-                        port = Some(u16::from_be_bytes([value[1], value[2]]));
-                    }
+                TLV_PORT_ID if value[0] == SUBTYPE_LOCAL && value.len() == 3 => {
+                    port = Some(u16::from_be_bytes([value[1], value[2]]));
                 }
-                3 if value.len() < 2 => return None, // parse: Malformed
-                5 if std::str::from_utf8(value).is_err() => return None, // parse: Malformed
-                127 if value.len() < 4 => return None, // parse: Malformed
+                TLV_TTL if value.len() < 2 => return None,
+                TLV_SYSTEM_NAME if std::str::from_utf8(value).is_err() => return None,
+                TLV_ORG_SPECIFIC if value.len() < 4 => return None,
                 _ => {}
             }
         }
         Some((dpid?, port?))
-    }
-
-    pub fn parse(data: &[u8]) -> Result<LldpPacket, WireError> {
-        let mut tlvs = Vec::new();
-        let mut off = 0usize;
-        loop {
-            if off + 2 > data.len() {
-                return Err(WireError::Truncated);
-            }
-            let hdr = u16::from_be_bytes([data[off], data[off + 1]]);
-            let ty = (hdr >> 9) as u8;
-            let len = (hdr & 0x1FF) as usize;
-            off += 2;
-            if off + len > data.len() {
-                return Err(WireError::Malformed);
-            }
-            let value = &data[off..off + len];
-            off += len;
-            let tlv = match ty {
-                0 => {
-                    tlvs.push(LldpTlv::End);
-                    break;
-                }
-                1 => {
-                    if value.is_empty() {
-                        return Err(WireError::Malformed);
-                    }
-                    LldpTlv::ChassisId {
-                        subtype: value[0],
-                        id: Bytes::copy_from_slice(&value[1..]),
-                    }
-                }
-                2 => {
-                    if value.is_empty() {
-                        return Err(WireError::Malformed);
-                    }
-                    LldpTlv::PortId {
-                        subtype: value[0],
-                        id: Bytes::copy_from_slice(&value[1..]),
-                    }
-                }
-                3 => {
-                    if value.len() < 2 {
-                        return Err(WireError::Malformed);
-                    }
-                    LldpTlv::Ttl(u16::from_be_bytes([value[0], value[1]]))
-                }
-                5 => LldpTlv::SystemName(
-                    String::from_utf8(value.to_vec()).map_err(|_| WireError::Malformed)?,
-                ),
-                127 => {
-                    if value.len() < 4 {
-                        return Err(WireError::Malformed);
-                    }
-                    LldpTlv::OrgSpecific {
-                        oui: [value[0], value[1], value[2]],
-                        subtype: value[3],
-                        info: Bytes::copy_from_slice(&value[4..]),
-                    }
-                }
-                other => LldpTlv::Unknown {
-                    ty: other,
-                    value: Bytes::copy_from_slice(value),
-                },
-            };
-            tlvs.push(tlv);
-        }
-        Ok(LldpPacket { tlvs })
-    }
-
-    pub fn emit(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        let mut wrote_end = false;
-        for tlv in &self.tlvs {
-            let value = tlv.value_bytes();
-            assert!(value.len() < 512, "TLV value too long");
-            let hdr = ((tlv.type_code() as u16) << 9) | value.len() as u16;
-            buf.put_u16(hdr);
-            buf.put_slice(&value);
-            if matches!(tlv, LldpTlv::End) {
-                wrote_end = true;
-                break;
-            }
-        }
-        if !wrote_end {
-            buf.put_u16(0);
-        }
-        buf.freeze()
     }
 }
 
@@ -272,134 +110,49 @@ impl LldpPacket {
 mod tests {
     use super::*;
 
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    /// The probe as the TLV-tree encoder this one replaced wrote it.
     #[test]
-    fn discovery_probe_roundtrip() {
-        let p = LldpPacket::discovery_probe(0xDEADBEEF, 17);
-        let parsed = LldpPacket::parse(&p.emit()).unwrap();
-        assert_eq!(parsed.decode_discovery(), Some((0xDEADBEEF, 17)));
+    fn golden_probe() {
+        let wire = LldpPacket::discovery_probe(0x1234_5678_9ABC_DEF0, 42).emit();
+        assert_eq!(hex(&wire), "020907123456789abcdef0040307002a060200780000");
+        assert_eq!(wire.len(), PROBE_LEN);
     }
 
     #[test]
-    fn end_tlv_is_appended_automatically() {
-        let p = LldpPacket::discovery_probe(1, 1);
-        let wire = p.emit();
-        // Last two bytes are the End TLV (0x0000).
+    fn discovery_probe_roundtrip() {
+        let wire = LldpPacket::discovery_probe(0xDEADBEEF, 17).emit();
+        assert_eq!(LldpPacket::parse_discovery(&wire), Some((0xDEADBEEF, 17)));
+    }
+
+    #[test]
+    fn end_tlv_closes_the_probe() {
+        let wire = LldpPacket::discovery_probe(1, 1).emit();
         assert_eq!(&wire[wire.len() - 2..], &[0, 0]);
     }
 
     #[test]
-    fn non_discovery_lldp_yields_none() {
-        let p = LldpPacket {
-            tlvs: vec![
-                LldpTlv::ChassisId {
-                    subtype: 4, // MAC address subtype
-                    id: Bytes::from_static(&[1, 2, 3, 4, 5, 6]),
-                },
-                LldpTlv::PortId {
-                    subtype: 1,
-                    id: Bytes::from_static(b"ge-0/0/1"),
-                },
-                LldpTlv::Ttl(120),
-            ],
-        };
-        let parsed = LldpPacket::parse(&p.emit()).unwrap();
-        assert_eq!(parsed.decode_discovery(), None);
-    }
-
-    #[test]
-    fn system_name_and_org_specific_roundtrip() {
-        let p = LldpPacket {
-            tlvs: vec![
-                LldpTlv::ChassisId {
-                    subtype: SUBTYPE_LOCAL,
-                    id: Bytes::copy_from_slice(&1u64.to_be_bytes()),
-                },
-                LldpTlv::PortId {
-                    subtype: SUBTYPE_LOCAL,
-                    id: Bytes::copy_from_slice(&2u16.to_be_bytes()),
-                },
-                LldpTlv::Ttl(60),
-                LldpTlv::SystemName("of-a".to_string()),
-                LldpTlv::OrgSpecific {
-                    oui: [0x00, 0x26, 0xE1],
-                    subtype: 0,
-                    info: Bytes::from_static(b"cookie"),
-                },
-            ],
-        };
-        let parsed = LldpPacket::parse(&p.emit()).unwrap();
-        // parse appends the End it saw.
-        assert_eq!(&parsed.tlvs[..5], &p.tlvs[..]);
-        assert_eq!(parsed.tlvs[5], LldpTlv::End);
+    fn a_port_id_of_another_subtype_is_not_a_probe() {
+        let mut wire = LldpPacket::discovery_probe(3, 4).emit().to_vec();
+        wire[13] = 1; // port id subtype: interface alias
+        assert_eq!(LldpPacket::parse_discovery(&wire), None);
     }
 
     #[test]
     fn truncated_rejected() {
-        let p = LldpPacket::discovery_probe(9, 9);
-        let wire = p.emit();
-        assert!(LldpPacket::parse(&wire[..wire.len() - 3]).is_err());
-        assert_eq!(LldpPacket::parse(&[0x02]), Err(WireError::Truncated));
+        let wire = LldpPacket::discovery_probe(9, 9).emit();
+        for cut in 0..wire.len() {
+            assert_eq!(LldpPacket::parse_discovery(&wire[..cut]), None, "{cut}");
+        }
     }
 
     #[test]
     fn tlv_overrun_rejected() {
         // TLV claiming 100 bytes with only 2 present.
         let data = [(1u16 << 9 | 100).to_be_bytes(), [0xAA, 0xBB]].concat();
-        assert_eq!(LldpPacket::parse(&data), Err(WireError::Malformed));
-    }
-
-    #[test]
-    fn unknown_tlv_preserved() {
-        let p = LldpPacket {
-            tlvs: vec![
-                LldpTlv::ChassisId {
-                    subtype: SUBTYPE_LOCAL,
-                    id: Bytes::copy_from_slice(&3u64.to_be_bytes()),
-                },
-                LldpTlv::PortId {
-                    subtype: SUBTYPE_LOCAL,
-                    id: Bytes::copy_from_slice(&4u16.to_be_bytes()),
-                },
-                LldpTlv::Ttl(30),
-                LldpTlv::Unknown {
-                    ty: 8, // management address, which we don't model
-                    value: Bytes::from_static(&[9, 9, 9]),
-                },
-            ],
-        };
-        let parsed = LldpPacket::parse(&p.emit()).unwrap();
-        assert!(parsed
-            .tlvs
-            .iter()
-            .any(|t| matches!(t, LldpTlv::Unknown { ty: 8, .. })));
-        assert_eq!(parsed.decode_discovery(), Some((3, 4)));
-    }
-
-    #[test]
-    fn parse_discovery_matches_parse_plus_decode() {
-        // The fused hot-path parser must agree with parse + decode on
-        // probes, non-probes, and malformed input alike.
-        let probe = LldpPacket::discovery_probe(0x1234_5678_9ABC_DEF0, 42).emit();
-        assert_eq!(
-            LldpPacket::parse_discovery(&probe),
-            Some((0x1234_5678_9ABC_DEF0, 42))
-        );
-        let cases: Vec<Vec<u8>> = vec![
-            probe.to_vec(),
-            probe[..probe.len() - 1].to_vec(), // truncated
-            vec![],
-            vec![0xFF; 16],
-            LldpPacket {
-                tlvs: vec![LldpTlv::Ttl(9), LldpTlv::SystemName("x".into())],
-            }
-            .emit()
-            .to_vec(),
-        ];
-        for wire in cases {
-            let slow = LldpPacket::parse(&wire)
-                .ok()
-                .and_then(|p| p.decode_discovery());
-            assert_eq!(LldpPacket::parse_discovery(&wire), slow, "{wire:02x?}");
-        }
+        assert_eq!(LldpPacket::parse_discovery(&data), None);
     }
 }

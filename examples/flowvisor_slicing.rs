@@ -63,7 +63,7 @@ impl Agent for Greedy {
                 ctx.conn_send(conn, OfMessage::Hello.encode(0));
             }
             StreamEvent::Data(d) => {
-                self.reader.push(&d);
+                self.reader.push_bytes(d);
                 while let Some(Ok((m, xid))) = self.reader.next() {
                     if let OfMessage::Error { err_type, code, .. } = m {
                         println!("controller got ERROR {err_type:?} code {code} (xid {xid})");

@@ -29,7 +29,8 @@ use rf_openflow::{
 };
 use rf_routed::config::OspfConfig;
 use rf_routed::ospf::lsa::{Lsa, RouterLink, RouterLinkType, INITIAL_SEQ};
-use rf_routed::ospf::{OspfDaemon, OspfEvent, OspfPacket, OspfPacketBody};
+use rf_routed::ospf::packet::PacketWriter;
+use rf_routed::ospf::{OspfDaemon, OspfEvent};
 use rf_sim::queue::EventQueue;
 use rf_sim::{
     Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time, TraceLevel, Tracer,
@@ -842,11 +843,7 @@ fn foreign_update() -> Bytes {
         metric: 10,
     }];
     let lsa = Lsa::router(0x63, INITIAL_SEQ, 0, links);
-    OspfPacket::new(
-        peer_id(0),
-        OspfPacketBody::LinkStateUpdate { lsas: vec![lsa] },
-    )
-    .emit()
+    PacketWriter::update(peer_id(0), &[(&lsa, lsa.header.age)]).finish()
 }
 
 /// A router that learns one new LSA floods it out of its k other
@@ -950,7 +947,8 @@ fn routers_beyond_peer(far: usize) -> Bytes {
         ];
         Lsa::router(far_id(i), INITIAL_SEQ, 0, links)
     }));
-    OspfPacket::new(peer_id(0), OspfPacketBody::LinkStateUpdate { lsas }).emit()
+    let aged: Vec<(&Lsa, u16)> = lsas.iter().map(|l| (l, l.header.age)).collect();
+    PacketWriter::update(peer_id(0), &aged).finish()
 }
 
 /// SPF reads the LSDB where it lies: the tick that runs it allocates the

@@ -264,6 +264,15 @@ fn replay_reports_why_a_repro_cannot_run() {
         }],
         ..good.clone()
     };
+    // Fits the topology, but a world cannot take it: the refusal is
+    // the answer, not a panic out of `replay`.
+    let at_time_zero = ReproCase {
+        faults: vec![Fault::LinkDown {
+            edge: 0,
+            at: Duration::ZERO,
+        }],
+        ..good.clone()
+    };
     let other_knob = ReproCase {
         knob: "paper".into(),
         ..good
@@ -271,12 +280,52 @@ fn replay_reports_why_a_repro_cannot_run() {
     for (repro, needle) in [
         (bad_topology, "hypercube-9"),
         (bad_schedule, "node 99"),
+        (at_time_zero, "not strictly after"),
         (other_knob, "\"paper\""),
     ] {
         let why = campaign
             .replay(&repro)
             .expect_err("an unrunnable repro is an error");
         assert!(why.contains(needle), "{why:?} should mention {needle}");
+    }
+}
+
+/// A repro file is outside input: an instant written as a negative
+/// number of nanoseconds is refused, naming its field, not read as an
+/// instant some 584 years out.
+#[test]
+fn negative_instants_in_a_repro_are_refused() {
+    let good = ReproCase {
+        key: "topo=ring-4/fault=manual/knob=chaos/seed=11".into(),
+        topology: "ring-4".into(),
+        knob: "chaos".into(),
+        seed: 11,
+        schedule: "manual".into(),
+        faults: vec![
+            Fault::LinkDown {
+                edge: 1,
+                at: Duration::from_secs(30),
+            },
+            Fault::ChannelStall {
+                dpid: 2,
+                from: Duration::from_secs(31),
+                until: Duration::from_secs(32),
+            },
+        ],
+        violations: Vec::new(),
+    };
+    let text = good.to_json();
+    assert_eq!(ReproCase::parse(&text).unwrap().to_json(), text);
+    for (field, ns) in [
+        ("at_ns", 30_000_000_000u64),
+        ("from_ns", 31_000_000_000),
+        ("until_ns", 32_000_000_000),
+    ] {
+        let written = format!("\"{field}\": {ns}");
+        assert!(text.contains(&written), "{text}");
+        let bad = text.replace(&written, &format!("\"{field}\": -{ns}"));
+        let why = ReproCase::parse(&bad).expect_err("a negative instant is an error");
+        assert!(why.contains(field), "{why:?} should name {field}");
     }
 }
 
