@@ -15,8 +15,10 @@
 //! cargo run --release -p rf-bench --bin matrix_sweep -- --full
 //!
 //! # Checkpoint/fork execution: cells sharing a (topology × knob ×
-//! # seed) group run their convergence prefix once and fork. The
-//! # report is byte-identical to the cold run's — CI gates on that:
+//! # seed) group run their fault-free prefix once and fork, each from
+//! # just before its first fault; stderr says how many of the logical
+//! # (cold-equivalent) events were actually dispatched. The report is
+//! # byte-identical to the cold run's — CI gates on that:
 //! cargo run --release -p rf-bench --bin matrix_sweep -- --smoke --fork \
 //!     --check crates/bench/baselines/smoke.json
 //!
@@ -112,9 +114,15 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let matrix = ScenarioMatrix::new(args.spec);
     let report = if args.fork {
-        matrix
-            .run_instrumented_forked(args.threads, ScenarioMatrix::standard_builder)
-            .0
+        let (report, stats) =
+            matrix.run_instrumented_forked(args.threads, ScenarioMatrix::standard_builder);
+        eprintln!(
+            "{} of {cells} cells forked; dispatched {} of {} logical events",
+            stats.forked,
+            stats.dispatched,
+            stats.total_events()
+        );
+        report
     } else {
         matrix.run(args.threads)
     };

@@ -307,17 +307,19 @@ impl ChaosCampaign {
         check_invariants(sc, &InvariantContext { topo, faults })
     }
 
-    /// Re-run `cell` with `faults` as its schedule — continuing `base`
-    /// when every fault lies past the capture, from a cold start
+    /// Re-run `cell` with `faults` as its schedule — from a fork of
+    /// `base` when every fault lies past the capture, from a cold start
     /// otherwise — and return the violations the finished world shows.
-    /// `None` if the builder rejects the cell.
+    /// `base` is neither consumed nor advanced, so every candidate
+    /// forks from the same convergence capture. `None` if the builder
+    /// rejects the cell.
     fn run_candidate(
         &self,
         mspec: &MatrixSpec,
         cell: &MatrixCell,
         topo: &Topology,
         faults: &[Fault],
-        base: Option<&mut Prefix>,
+        base: Option<&Prefix>,
     ) -> Option<Vec<InvariantViolation>> {
         let cand = MatrixCell {
             schedule: FaultSchedule::new(cell.schedule.name.clone(), faults.to_vec()),
@@ -352,7 +354,7 @@ impl ChaosCampaign {
         };
         let units = (0..cells.len()).map(|i| vec![i]).collect();
         let build = ScenarioMatrix::standard_builder;
-        let (done, _wall) = sweep(&mspec, &cells, units, threads, &build, &verdict);
+        let done = sweep(&mspec, &cells, units, threads, &build, &verdict).done;
 
         let mut stats = CampaignStats {
             schedules: cells.len(),
@@ -386,10 +388,14 @@ impl ChaosCampaign {
             let Some(topo) = &topos[i] else { continue };
             let codes: Vec<&'static str> = violations.iter().map(|v| v.code()).collect();
             let (min_faults, runs) = if self.shrink && !cell.schedule.faults.is_empty() {
-                let mut base = Prefix::capture(&mspec, cell, &build);
+                let base = caught(cell, || Prefix::capture(&mspec, cell, &build))
+                    .ok()
+                    .and_then(Result::ok);
                 let out = shrink_schedule(&cell.schedule.faults, |cand| {
-                    self.run_candidate(&mspec, cell, topo, cand, base.as_mut())
-                        .is_some_and(|vs| vs.iter().any(|v| codes.contains(&v.code())))
+                    reproduces(cell, || {
+                        self.run_candidate(&mspec, cell, topo, cand, base.as_ref())
+                            .is_some_and(|vs| vs.iter().any(|v| codes.contains(&v.code())))
+                    })
                 });
                 (out.faults, out.runs)
             } else {
@@ -479,6 +485,14 @@ impl ChaosCampaign {
     }
 }
 
+/// Whether a shrink candidate still reproduces, run inside the
+/// executor's catch: a candidate that panics counts as not
+/// reproducing, and its text goes to stderr only, so one panicking
+/// subset cannot take the campaign down.
+fn reproduces(cell: &MatrixCell, run: impl FnOnce() -> bool) -> bool {
+    caught(cell, run).unwrap_or(false)
+}
+
 /// Fold the chaos accounting into a cell's metric map.
 fn annotate(rec: &mut CellRecord, faults: &[Fault], violations: &[InvariantViolation]) {
     rec.metrics
@@ -518,6 +532,41 @@ mod tests {
                 format!("{:?}", y.0.schedule.faults)
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_candidate_does_not_reproduce_and_the_shrink_goes_on() {
+        // "Fails" iff node 2's kill is present — except that the
+        // subset {kill 2, kill 3}, ddmin's first candidate, panics.
+        // Through the campaign's wrapper it counts as not reproducing,
+        // and the search still ends at the culprit.
+        let kill = |node: usize| Fault::KillSwitch {
+            node,
+            at: Duration::from_secs(30 + node as u64),
+        };
+        let faults: Vec<Fault> = (0..4).map(kill).collect();
+        let cell = MatrixCell {
+            seed: 1,
+            topology: "ring-4".into(),
+            schedule: FaultSchedule::new("culprit", faults.clone()),
+            knob: MatrixKnob::fast("fast"),
+        };
+        let has = |cand: &[Fault], n: usize| {
+            cand.iter()
+                .any(|f| matches!(f, Fault::KillSwitch { node, .. } if *node == n))
+        };
+        let panicked = std::cell::Cell::new(0);
+        let out = shrink_schedule(&faults, |cand| {
+            reproduces(&cell, || {
+                if cand.len() == 2 && has(cand, 2) && has(cand, 3) {
+                    panicked.set(panicked.get() + 1);
+                    panic!("candidate {{kill 2, kill 3}} panics");
+                }
+                has(cand, 2)
+            })
+        });
+        assert!(panicked.get() > 0, "the panicking subset was tried");
+        assert_eq!(format!("{:?}", out.faults), format!("{:?}", [kill(2)]));
     }
 
     #[test]

@@ -7,23 +7,32 @@
 //! pulls from the shared cursor. A unit of one cell is a cold start. A
 //! unit of several cells (a forked sweep's `(topology × knob × seed)`
 //! group, whose members differ only in fault schedule) shares one
-//! [`Prefix`]: the fault-free world is built and converged once,
-//! captured at a quiesce point, and each member continues from a fork
-//! of the capture — or falls back to a cold start when its faults fire
-//! at or before the capture, or when the prefix never converged or
-//! quiesced. Forking is therefore a pure optimisation: the records are
-//! byte-identical to cold ones, at any thread count.
+//! [`Prefix`]: the fault-free world is built and converged once and
+//! captured at a quiesce point. Members are served in the order their
+//! faults first take effect, and before each one the capture moves
+//! forward to a quiesce point just before that member's first fault,
+//! so each continues from a fork of the latest fault-free instant it
+//! shares with the rest — or falls back to a cold start when its
+//! faults fire at or before the capture, or when the prefix never
+//! converged or quiesced. Forking is therefore a pure optimisation:
+//! the records are byte-identical to cold ones, at any thread count.
+//!
+//! The capture moves and is never copied: its world runs on and
+//! becomes the next capture, and the last member takes it by value.
+//! A worker so holds at most two worlds, the capture and the member
+//! running from it, and a capture holds no spare capacity a copy of it
+//! would not (see [`Scenario::into_snapshot`]).
 //!
 //! A panic is caught per cell: the cell records `panic = 1`, the sweep
-//! goes on, and a panicking capture sends its whole group cold.
+//! goes on, and a panicking capture sends the rest of its group cold.
 
 use super::matrix::{expected_cost, finish_cell, CellStat, FaultSchedule, MatrixCell, MatrixSpec};
 use super::report::CellRecord;
-use super::{Scenario, ScenarioBuilder, Snapshot, SnapshotError};
+use super::{Fault, Scenario, ScenarioBuilder, Snapshot, SnapshotError};
 use crate::traffic::WorkloadError;
 use rf_sim::Time;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -50,15 +59,27 @@ pub(crate) struct Done<T> {
     index: usize,
 }
 
+/// What a sweep produced.
+pub(crate) struct Swept<T> {
+    /// One outcome per cell, in cell-list order.
+    pub done: Vec<Done<T>>,
+    /// Kernel events the sweep actually simulated: each shared prefix
+    /// once, each forked cell from its fork point on, each cold cell
+    /// whole.
+    pub dispatched: u64,
+    /// End-to-end wall time.
+    pub wall: Duration,
+}
+
 /// Run `cells`, cut into `units`, over `threads` workers (one per unit
 /// when there are fewer units). Units are pulled from a shared atomic
 /// cursor, costliest first (work stealing: a worker that lands a cheap
 /// unit immediately takes another; the expensive ones all start
-/// early). `build` assembles each world on
-/// the worker thread — once per cold cell, once per shared prefix —
+/// early). `build` assembles each world on the worker thread — once
+/// per cold cell, once per shared prefix —
 /// and `hook` sees every finished scenario with its cell index and may
-/// extend the record. Returns the outcomes in cell-list order — they do
-/// not depend on `threads` — and the end-to-end wall time.
+/// extend the record. The outcomes come back in cell-list order — they
+/// do not depend on `threads`.
 pub(crate) fn sweep<B, H, T>(
     spec: &MatrixSpec,
     cells: &[MatrixCell],
@@ -66,7 +87,7 @@ pub(crate) fn sweep<B, H, T>(
     threads: usize,
     build: &B,
     hook: &H,
-) -> (Vec<Done<T>>, Duration)
+) -> Swept<T>
 where
     B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError> + Sync,
     H: Fn(usize, &mut CellRecord, &Scenario) -> T + Sync,
@@ -81,13 +102,15 @@ where
     });
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<Done<T>>> = Mutex::new(Vec::with_capacity(cells.len()));
+    let dispatched = AtomicU64::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(units.len()) {
             scope.spawn(|| loop {
                 let pos = next.fetch_add(1, Ordering::SeqCst);
                 let Some(unit) = units.get(pos) else { break };
-                let out = run_unit(spec, cells, unit, build, hook);
+                let (out, events) = run_unit(spec, cells, unit, build, hook);
+                dispatched.fetch_add(events, Ordering::Relaxed);
                 done.lock().expect("a worker panicked").extend(out);
             });
         }
@@ -95,67 +118,121 @@ where
     let wall = started.elapsed();
     let mut done = done.into_inner().expect("a worker panicked");
     done.sort_by_key(|d| d.index);
-    (done, wall)
+    Swept {
+        done,
+        dispatched: dispatched.into_inner(),
+        wall,
+    }
 }
 
+/// Serve one unit: its outcomes, and the kernel events it actually
+/// simulated.
 fn run_unit<B, H, T>(
     spec: &MatrixSpec,
     cells: &[MatrixCell],
     unit: &[usize],
     build: &B,
     hook: &H,
-) -> Vec<Done<T>>
+) -> (Vec<Done<T>>, u64)
 where
     B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
     H: Fn(usize, &mut CellRecord, &Scenario) -> T,
     T: Default,
 {
+    // Members are served in the order their faults first take effect
+    // (fault-free ones first, ties by index), so the capture only
+    // ever has to move forward.
+    let mut order = unit.to_vec();
+    order.sort_by_key(|&i| (first_effect(&cells[i]), i));
     // A singleton unit has no prefix worth sharing. A capture that
     // panics sends every member to a cold start, where each records
-    // its own outcome.
-    let first = &cells[unit[0]];
-    let mut prefix = (unit.len() >= 2)
-        .then(|| caught(first, || Prefix::capture(spec, first, build)).ok())
-        .flatten()
-        .flatten();
-    unit.iter()
-        .map(|&index| {
-            let cell = &cells[index];
-            let t0 = Instant::now();
-            let outcome = caught(cell, || {
-                let resumed = prefix.as_mut().and_then(|p| p.resume(spec, cell));
-                let forked = resumed.is_some();
-                let mut fin = resumed.unwrap_or_else(|| run_cold(spec, cell, build));
-                let post = match fin.scenario {
-                    Some(sc) => hook(index, &mut fin.rec, &sc),
-                    None => T::default(),
-                };
-                (fin.rec, fin.events, post, forked)
-            });
-            // A panicking cell records `panic = 1` and nothing else,
-            // like a `build_error` cell.
-            let (rec, events, post, forked) = outcome.unwrap_or_else(|_| {
-                let metrics = BTreeMap::from([("panic".to_string(), 1)]);
-                let rec = CellRecord {
-                    key: cell.key(),
-                    metrics,
-                };
-                (rec, 0, T::default(), false)
-            });
-            let stat = CellStat {
-                key: rec.key.clone(),
-                wall: t0.elapsed(),
-                events,
+    // its own outcome. `shared` is what the capture's world has
+    // dispatched: the unit's common work, counted once.
+    let mut shared = 0;
+    let mut prefix = None;
+    if order.len() >= 2 {
+        let first = &cells[order[0]];
+        prefix = keep(
+            caught(first, || Prefix::capture(spec, first, build)),
+            &mut shared,
+        );
+    }
+    let mut done = Vec::with_capacity(order.len());
+    // What the members dispatched past their fork points.
+    let mut own = 0;
+    for (served, &index) in order.iter().enumerate() {
+        let cell = &cells[index];
+        let last = served + 1 == order.len();
+        if let Some(limit) = first_effect(cell).filter(|_| !last) {
+            prefix = prefix
+                .take()
+                .and_then(|p| keep(caught(cell, || p.advance(limit)), &mut shared));
+        }
+        let fork_point = prefix.as_ref().map_or(0, Prefix::events);
+        let t0 = Instant::now();
+        let outcome = caught(cell, || {
+            // The last member continues in the captured world itself.
+            let resumed = if last {
+                prefix.take().and_then(|p| p.resume_last(spec, cell))
+            } else {
+                prefix.as_ref().and_then(|p| p.resume(spec, cell))
             };
-            Done {
-                rec,
-                stat,
-                post,
-                forked,
-                index,
-            }
-        })
-        .collect()
+            let forked = resumed.is_some();
+            let mut fin = resumed.unwrap_or_else(|| run_cold(spec, cell, build));
+            let post = match fin.scenario {
+                Some(sc) => hook(index, &mut fin.rec, &sc),
+                None => T::default(),
+            };
+            (fin.rec, fin.events, post, forked)
+        });
+        // A panicking cell records `panic = 1` and nothing else,
+        // like a `build_error` cell.
+        let (rec, events, post, forked) = outcome.unwrap_or_else(|_| {
+            let metrics = BTreeMap::from([("panic".to_string(), 1)]);
+            let rec = CellRecord {
+                key: cell.key(),
+                metrics,
+            };
+            (rec, 0, T::default(), false)
+        });
+        own += if forked { events - fork_point } else { events };
+        let stat = CellStat {
+            key: rec.key.clone(),
+            wall: t0.elapsed(),
+            events,
+        };
+        done.push(Done {
+            rec,
+            stat,
+            post,
+            forked,
+            index,
+        });
+    }
+    (done, shared + own)
+}
+
+/// When `cell`'s faults first disturb the world; `None` if it has none.
+fn first_effect(cell: &MatrixCell) -> Option<Duration> {
+    cell.schedule.faults.iter().map(Fault::first_effect).min()
+}
+
+/// Keep a capture (or an advance of one) that succeeded, noting what
+/// its world has dispatched. A refused one sends the rest of the unit
+/// cold, and its world's events still count as work done; a panicking
+/// one sends the rest cold too, its work uncounted.
+fn keep(attempt: Result<Result<Prefix, u64>, String>, shared: &mut u64) -> Option<Prefix> {
+    match attempt {
+        Ok(Ok(p)) => {
+            *shared = p.events();
+            Some(p)
+        }
+        Ok(Err(spent)) => {
+            *shared = spent;
+            None
+        }
+        Err(_) => None,
+    }
 }
 
 /// Run `f`, one cell's (or one capture's, or one replay's) work, turning
@@ -218,16 +295,27 @@ where
     }
 }
 
-/// A converged, quiesced, fault-free world, captured once and continued
-/// by every cell that differs from it only in fault schedule.
+/// Quiesce probes step the world this far at a time.
+const PROBE_SLICE: Duration = Duration::from_millis(100);
+/// An advance runs the capture to this long before the next member's
+/// first fault, then probes for a quiesce point in the remaining gap.
+const ADVANCE_LEAD: Duration = Duration::from_secs(1);
+
+/// A converged, quiesced, fault-free world that every cell differing
+/// from it only in fault schedule continues from.
+///
+/// The capture is a ladder: taken at convergence, then moved forward
+/// ([`Prefix::advance`]) to just before each next member's first
+/// fault, so a member forks from the latest fault-free instant it
+/// shares with the others instead of re-simulating it. The capture is
+/// always moved, never copied — its world runs on and becomes the next
+/// capture, and the last member takes it by value — so a worker holds
+/// at most two worlds: the capture and the member running from it.
 pub(crate) struct Prefix {
     snap: Snapshot,
-    /// The prefix scenario *is* the snapshot state — it goes to the
-    /// first member that forks, instead of cloning one more world.
-    live: Option<Scenario>,
     configured_at: Time,
     /// The instant a cold run's settle window starts from; forks must
-    /// measure from here, not from any later quiesce-probe instant.
+    /// measure from here, not from any later capture instant.
     config_now: Time,
 }
 
@@ -236,10 +324,11 @@ impl Prefix {
     /// snapshot at a quiesce point. Every cell of the same (topology,
     /// knob, seed) builds the identical world apart from that axis
     /// (the chaos agent is present either way, with an empty op list
-    /// here), so one capture serves them all. `None` if the builder
-    /// rejects the cell, the world never converges, or it never
-    /// quiesces — a cold start is then the answer for every member.
-    pub(crate) fn capture<B>(spec: &MatrixSpec, cell: &MatrixCell, build: &B) -> Option<Prefix>
+    /// here), so one capture serves them all. `Err` — a cold start is
+    /// then the answer for every member — if the builder rejects the
+    /// cell, the world never converges, or it never quiesces; it
+    /// carries the kernel events the abandoned world dispatched.
+    pub(crate) fn capture<B>(spec: &MatrixSpec, cell: &MatrixCell, build: &B) -> Result<Prefix, u64>
     where
         B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
     {
@@ -247,54 +336,97 @@ impl Prefix {
             schedule: FaultSchedule::none(),
             ..cell.clone()
         };
-        let (mut sc, configured_at, config_now) = converge(spec, &bare, build)?;
-        let configured_at = configured_at?;
-        // The capture is refused while a tail batch waits out its
-        // tick, so step in short slices — bounded well inside the
-        // settle window every member runs through anyway, which keeps
-        // the probe invisible to the determinism contract.
-        let probe_limit = config_now + spec.settle;
-        let snap = loop {
-            let next = sc.sim.now() + Duration::from_millis(100);
-            match sc.snapshot() {
-                Ok(snap) => break snap,
-                Err(SnapshotError::UndrainedChannels { .. }) if next <= probe_limit => {
-                    sc.run_until(next)
-                }
-                Err(_) => return None,
-            }
+        let (sc, configured_at, config_now) = converge(spec, &bare, build).ok_or(0u64)?;
+        let Some(configured_at) = configured_at else {
+            return Err(sc.sim.events_dispatched());
         };
-        Some(Prefix {
+        // Probing stays well inside the settle window every member
+        // runs through anyway, which keeps it invisible to the
+        // determinism contract.
+        let snap = quiesce(sc, |next| next <= config_now + spec.settle)?;
+        Ok(Prefix {
             snap,
-            live: Some(sc),
             configured_at,
             config_now,
         })
     }
 
-    /// Continue `cell` from the capture: fork, inject its faults, run
-    /// to the horizon, harvest. `None` — run it cold instead — when
-    /// `inject_faults` refuses the schedule: a fault fires at or before
-    /// the capture (a cold run would already have dispatched it), or
-    /// does not fit the topology (the cold path then records the
-    /// `build_error`).
-    pub(crate) fn resume(&mut self, spec: &MatrixSpec, cell: &MatrixCell) -> Option<Finished> {
-        let mut sc = self
-            .live
-            .take()
-            .unwrap_or_else(|| Scenario::fork(&self.snap));
-        if sc.inject_faults(&cell.schedule.faults).is_err() {
-            // A refused injection schedules nothing: this world is
-            // still the capture, so the next member can have it.
-            self.live = Some(sc);
-            return None;
+    /// Move the capture forward to a quiesce point just before
+    /// `first_fault`, the next member's: run the captured world to
+    /// [`ADVANCE_LEAD`] before it, then probe in [`PROBE_SLICE`]s
+    /// strictly before it. Every member still to be served faults no
+    /// earlier, and nothing has faulted in this world, so each of them
+    /// forks from the new capture exactly as from the old one. A gap of
+    /// at most twice the lead is not worth the probe and leaves the
+    /// capture where it is. `Err`, with the events the abandoned world
+    /// dispatched, if no quiesce point comes before `first_fault` —
+    /// the old capture is gone by then, so the remaining members go
+    /// cold.
+    pub(crate) fn advance(self, first_fault: Duration) -> Result<Prefix, u64> {
+        let limit = Time::ZERO + first_fault;
+        if limit <= self.snap.taken_at() + 2 * ADVANCE_LEAD {
+            return Ok(self);
         }
-        Some(finish_cell(
-            spec,
-            cell,
-            sc,
-            Some(self.configured_at),
-            self.config_now,
-        ))
+        let mut sc = self.snap.scenario;
+        sc.run_until(Time::ZERO + (first_fault - ADVANCE_LEAD));
+        Ok(Prefix {
+            snap: quiesce(sc, |next| next < limit)?,
+            ..self
+        })
+    }
+
+    /// Kernel events the captured world has dispatched — where a fork
+    /// of it starts counting.
+    pub(crate) fn events(&self) -> u64 {
+        self.snap.scenario.sim.events_dispatched()
+    }
+
+    /// Continue `cell` from a fork of the capture: inject its faults,
+    /// run to the horizon, harvest. The capture itself is untouched.
+    /// `None` — run it cold instead — when `inject_faults` refuses the
+    /// schedule: a fault fires at or before the capture (a cold run
+    /// would already have dispatched it), or does not fit the topology
+    /// (the cold path then records the `build_error`).
+    pub(crate) fn resume(&self, spec: &MatrixSpec, cell: &MatrixCell) -> Option<Finished> {
+        let sc = Scenario::fork(&self.snap);
+        resume_in(spec, cell, sc, self.configured_at, self.config_now)
+    }
+
+    /// [`Prefix::resume`] for the capture's last member, which
+    /// continues in the captured world itself instead of a copy.
+    pub(crate) fn resume_last(self, spec: &MatrixSpec, cell: &MatrixCell) -> Option<Finished> {
+        let sc = self.snap.scenario;
+        resume_in(spec, cell, sc, self.configured_at, self.config_now)
+    }
+}
+
+fn resume_in(
+    spec: &MatrixSpec,
+    cell: &MatrixCell,
+    mut sc: Scenario,
+    configured_at: Time,
+    config_now: Time,
+) -> Option<Finished> {
+    sc.inject_faults(&cell.schedule.faults).ok()?;
+    Some(finish_cell(spec, cell, sc, Some(configured_at), config_now))
+}
+
+/// Snapshot `sc` at its first quiesce point, stepping [`PROBE_SLICE`]
+/// at a time while the controller still holds queued channel output
+/// (a tail batch waiting out its tick), for as long as `in_window`
+/// admits the end of the next slice. The world becomes the capture;
+/// `Err` carries the events it dispatched when it never quiesced.
+fn quiesce(mut sc: Scenario, in_window: impl Fn(Time) -> bool) -> Result<Snapshot, u64> {
+    loop {
+        let next = sc.sim.now() + PROBE_SLICE;
+        sc = match sc.into_snapshot() {
+            Ok(snap) => return Ok(snap),
+            Err((sc, SnapshotError::UndrainedChannels { .. })) if in_window(next) => {
+                let mut sc = *sc;
+                sc.run_until(next);
+                sc
+            }
+            Err((sc, _)) => return Err(sc.sim.events_dispatched()),
+        };
     }
 }

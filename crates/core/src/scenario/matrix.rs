@@ -634,7 +634,11 @@ pub struct CellStat {
     /// Wall-clock time to build, run and harvest the cell.
     pub wall: Duration,
     /// Kernel events dispatched by the cell's simulation
-    /// (deterministic — same cell, same count, any machine).
+    /// (deterministic — same cell, same count, any machine). This is
+    /// the logical, cold-equivalent count: a forked cell inherits its
+    /// capture's counter, so it includes the shared prefix the cell
+    /// never simulated itself ([`SweepStats::dispatched`] is the work
+    /// actually done).
     pub events: u64,
 }
 
@@ -647,12 +651,21 @@ pub struct SweepStats {
     pub cells: Vec<CellStat>,
     /// How many cells ran as forks of a shared prefix snapshot (always
     /// zero for a cold sweep; in a forked one, the rest of the cells
-    /// fell back to a cold start).
+    /// fell back to a cold start). A fork's [`CellStat::events`] still
+    /// counts its whole run from time zero.
     pub forked: usize,
+    /// Kernel events the sweep actually simulated: each shared prefix
+    /// once (up to its last capture), each forked cell from its fork
+    /// point on, each cold cell whole. Equal to
+    /// [`SweepStats::total_events`] for a cold sweep; a forked one
+    /// saves the difference.
+    pub dispatched: u64,
 }
 
 impl SweepStats {
-    /// Total events dispatched across all cells.
+    /// Total events across all cells, each counted as if it had run
+    /// cold (the sum of [`CellStat::events`]) — the logical work the
+    /// sweep stands for, whatever it actually simulated.
     pub fn total_events(&self) -> u64 {
         self.cells.iter().map(|c| c.events).sum()
     }
@@ -662,7 +675,7 @@ impl SweepStats {
 /// (standard builder, cold) or one of the instrumented entry points
 /// (custom builder closure, per-cell wall-clock observations):
 /// [`run_instrumented`] cold-starts every cell,
-/// [`run_instrumented_forked`] shares convergence prefixes.
+/// [`run_instrumented_forked`] shares fault-free prefixes.
 ///
 /// [`run`]: ScenarioMatrix::run
 /// [`run_instrumented`]: ScenarioMatrix::run_instrumented
@@ -822,14 +835,19 @@ impl ScenarioMatrix {
     /// Like [`run_instrumented`], but cells that differ only in fault
     /// schedule share their expensive prefix: the scheduling unit is
     /// the (topology × knob × seed) group, which builds one fault-free
-    /// scenario, runs it to configuration, [`Scenario::snapshot`]s at
-    /// a quiesce point and [`Scenario::fork`]s every member from the
-    /// capture, injecting the member's fault schedule post-fork.
-    /// Members whose faults fire at or before the snapshot instant
-    /// (the smoke grid's early channel stalls, say) fall back to a
-    /// cold start — as does the whole group if its prefix never
-    /// converges or never quiesces — so the mode is a pure
-    /// optimisation, never a semantics change.
+    /// scenario, runs it to configuration and [`Scenario::snapshot`]s
+    /// it at a quiesce point. Members are served in the order their
+    /// faults first take effect; before each, the capture moves
+    /// forward to a quiesce point just before that member's first
+    /// fault, and the member [`Scenario::fork`]s from it, injecting
+    /// its fault schedule post-fork — so the fault-free prefix is
+    /// simulated once, not once per member. Members whose faults fire
+    /// at or before the capture (the smoke grid's early channel
+    /// stalls, say) fall back to a cold start — as does the rest of
+    /// the group if its prefix never converges or never quiesces — so
+    /// the mode is a pure optimisation, never a semantics change.
+    /// [`SweepStats::dispatched`] says how much of the logical work
+    /// was actually simulated.
     ///
     /// Determinism contract: the report is **byte-identical** to
     /// [`run_instrumented`]'s, at any thread count. The builder closure
@@ -871,18 +889,18 @@ impl ScenarioMatrix {
     {
         let cells = self.spec.cells();
         let no_hook = |_, _: &mut CellRecord, _: &Scenario| ();
-        let (done, wall) =
-            exec::sweep(&self.spec, &cells, units(&cells), threads, &build, &no_hook);
-        let forked = done.iter().filter(|d| d.forked).count();
+        let swept = exec::sweep(&self.spec, &cells, units(&cells), threads, &build, &no_hook);
+        let forked = swept.done.iter().filter(|d| d.forked).count();
         let (records, mut stats): (Vec<CellRecord>, Vec<CellStat>) =
-            done.into_iter().map(|d| (d.rec, d.stat)).unzip();
+            swept.done.into_iter().map(|d| (d.rec, d.stat)).unzip();
         stats.sort_by(|a, b| a.key.cmp(&b.key));
         (
             MatrixReport::new(self.spec.grid_axes(), records),
             SweepStats {
-                wall,
+                wall: swept.wall,
                 cells: stats,
                 forked,
+                dispatched: swept.dispatched,
             },
         )
     }

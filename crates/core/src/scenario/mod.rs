@@ -6,7 +6,7 @@
 //! captured with
 //! [`Scenario::snapshot`] and resumed any number of times with
 //! [`Scenario::fork`] — the checkpoint/fork mechanism the matrix sweep
-//! uses to run each (topology × knob × seed) convergence prefix once.
+//! uses to run each (topology × knob × seed) fault-free prefix once.
 //!
 //! ```
 //! use rf_core::scenario::{Scenario, Workload};
@@ -1266,10 +1266,35 @@ impl Scenario {
     /// the capture — they must be, for forks to continue the run
     /// rather than restart it.
     pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        let configured = self.configured_switches();
+        self.quiesced()?;
+        Ok(Snapshot {
+            scenario: self.clone(),
+            taken_at: self.sim.now(),
+        })
+    }
+
+    /// [`Scenario::snapshot`] without the copy: this world *becomes*
+    /// the capture. A refusal hands the world back untouched (boxed,
+    /// to keep the error small), so the caller can run it further and
+    /// retry.
+    pub(crate) fn into_snapshot(mut self) -> Result<Snapshot, (Box<Scenario>, SnapshotError)> {
+        if let Err(e) = self.quiesced() {
+            return Err((Box::new(self), e));
+        }
+        // A copy would not carry the event queue's spare buckets, and a
+        // capture kept beside a running fork should not either.
+        self.sim.release_spare_capacity();
+        Ok(Snapshot {
+            taken_at: self.sim.now(),
+            scenario: self,
+        })
+    }
+
+    /// The quiesce contract of [`Scenario::snapshot`].
+    fn quiesced(&self) -> Result<(), SnapshotError> {
         if self.all_configured_at().is_none() {
             return Err(SnapshotError::NotConverged {
-                configured,
+                configured: self.configured_switches(),
                 expected: self.expected_switches,
             });
         }
@@ -1277,10 +1302,7 @@ impl Scenario {
         if queued > 0 {
             return Err(SnapshotError::UndrainedChannels { queued });
         }
-        Ok(Snapshot {
-            scenario: self.clone(),
-            taken_at: self.sim.now(),
-        })
+        Ok(())
     }
 
     /// Resume a fresh, independent scenario from a [`Snapshot`]. The

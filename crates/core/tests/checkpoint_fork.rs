@@ -5,18 +5,25 @@
 //! divergent faults. The matrix-level byte-identity contract rides on
 //! these in `tests/matrix_sweeps.rs`.
 
-use rf_core::scenario::{Fault, FaultError, ForkError, Scenario, SnapshotError};
+use rf_core::scenario::{
+    Fault, FaultError, FaultSchedule, ForkError, Scenario, Snapshot, SnapshotError, Workload,
+};
 use rf_sim::Time;
 use rf_topo::ring;
 use rf_wire::Ipv4Cidr;
 use std::time::Duration;
 
-/// Run to convergence, then step in 100 ms slices until the snapshot
-/// is accepted (a FIB batch waiting out its tick refuses the capture;
-/// the matrix's fork path probes the same way).
-fn converge_and_snapshot(sc: &mut Scenario) -> rf_core::scenario::Snapshot {
+/// Run to convergence, then capture at the first quiesce point.
+fn converge_and_snapshot(sc: &mut Scenario) -> Snapshot {
     sc.run_until_configured(Time::from_secs(120))
         .expect("ring-4 converges");
+    snapshot_when_quiet(sc)
+}
+
+/// Step in 100 ms slices until the snapshot is accepted (a FIB batch
+/// waiting out its tick refuses the capture; the matrix's fork path
+/// probes the same way).
+fn snapshot_when_quiet(sc: &mut Scenario) -> Snapshot {
     loop {
         match sc.snapshot() {
             Ok(s) => return s,
@@ -369,4 +376,64 @@ fn many_forks_from_one_snapshot_are_independent() {
         format!("{:?}", disturbed.peek_metrics()),
         "the kill must actually change the disturbed fork"
     );
+}
+
+#[test]
+fn a_capture_just_before_the_fault_matches_cold() {
+    // The sweep's capture ladder in miniature: for every fault kind of
+    // the benchmark's fork grid, a fork from a capture taken 1 s before
+    // the fault ends exactly where the cold run and the convergence
+    // fork do — same metrics after `finish()`, same workload reports.
+    // The loss window draws from the kernel RNG for every frame it
+    // carries, so that case also proves the stream continues across a
+    // later capture.
+    let at = Duration::from_secs(25);
+    let heal = at + Duration::from_secs(10);
+    let horizon = Time::from_secs(60);
+    let schedules = [
+        FaultSchedule::kill_switch(1, at),
+        FaultSchedule::kill_revive(1, at, heal),
+        FaultSchedule::link_flap(0, at, Duration::from_secs(4), 3),
+        FaultSchedule::channel_stall(2, at, heal),
+        FaultSchedule::link_loss(0, 30.0, at..heal),
+    ];
+    let world = || {
+        Scenario::on(ring(4))
+            .fast_timers()
+            .seed(3)
+            .with_workload(Workload::ping(0, 2))
+    };
+    let outcome = |mut sc: Scenario| {
+        sc.run_until(horizon);
+        let m = sc.finish();
+        format!("{m:?}\n{:?}", sc.workload_reports())
+    };
+
+    let mut prefix = world().start();
+    let at_convergence = converge_and_snapshot(&mut prefix);
+    prefix.run_until(Time::ZERO + (at - Duration::from_secs(1)));
+    let before_fault = snapshot_when_quiet(&mut prefix);
+    assert!(
+        at_convergence.taken_at() + Duration::from_secs(10) < before_fault.taken_at()
+            && before_fault.taken_at() < Time::ZERO + at,
+        "captures at {} and {}",
+        at_convergence.taken_at(),
+        before_fault.taken_at()
+    );
+
+    for schedule in &schedules {
+        let cold = outcome(world().with_faults(schedule.faults.clone()).start());
+        for snap in [&at_convergence, &before_fault] {
+            let mut fork = Scenario::fork(snap);
+            fork.inject_faults(&schedule.faults)
+                .expect("every fault lies past both captures");
+            assert_eq!(
+                outcome(fork),
+                cold,
+                "{} forked at {}",
+                schedule.name,
+                snap.taken_at()
+            );
+        }
+    }
 }

@@ -140,6 +140,65 @@ fn forked_sweep_with_early_faults_falls_back_cold_and_stays_identical() {
     );
 }
 
+/// A grid for the capture ladder: each (knob × seed) group holds a
+/// fault-free member, members whose first faults fall at three distinct
+/// instants (30 s, 60 s twice, 90 s), and a stall that opens at 2 s,
+/// before ring-4 converges, so that member can never fork. Every fault
+/// is short and the post-fault window too, so most of what a cold run
+/// simulates is the fault-free prefix.
+fn ladder_spec() -> MatrixSpec {
+    let s = Duration::from_secs;
+    MatrixSpec {
+        seeds: vec![7, 8],
+        topologies: vec!["ring-4".into()],
+        schedules: vec![
+            FaultSchedule::none(),
+            FaultSchedule::channel_stall(2, s(2), s(3)),
+            FaultSchedule::kill_switch(1, s(30)),
+            FaultSchedule::kill_revive(1, s(60), s(62)),
+            FaultSchedule::link_flap(0, s(60), s(2), 1),
+            FaultSchedule::link_loss(0, 30.0, s(90)..s(92)),
+        ],
+        knobs: vec![
+            MatrixKnob::fast("fast"),
+            MatrixKnob::fast("fast-k3b4c8")
+                .with_provision_width(3)
+                .with_fib_batch(4)
+                .with_channel_capacity(8),
+        ],
+        configure_deadline: s(60),
+        post_fault_window: s(8),
+        settle: s(5),
+    }
+}
+
+#[test]
+fn a_forked_group_runs_its_fault_free_prefix_once() {
+    // Each group's capture moves forward to just before the next
+    // member's first fault, so a member forks from the latest instant
+    // it shares with the rest. The report stays the cold bytes at any
+    // thread count, and what the sweep actually simulates is pinned:
+    // a capture that stayed at convergence would re-run up to 60 s per
+    // member and miss the pinned count by far.
+    let matrix = ScenarioMatrix::new(ladder_spec());
+    let (cold, cold_stats) = matrix.run_instrumented(2, ScenarioMatrix::standard_builder);
+    let cold_json = cold.to_json();
+    assert_eq!(cold_stats.forked, 0);
+    assert_eq!(cold_stats.dispatched, cold_stats.total_events());
+    for threads in [1, 4, 8] {
+        let (report, stats) =
+            matrix.run_instrumented_forked(threads, ScenarioMatrix::standard_builder);
+        assert_eq!(report.to_json(), cold_json, "forked at {threads} threads");
+        assert_eq!(
+            stats.forked, 20,
+            "4 groups × 5: only the early stall goes cold"
+        );
+        assert_eq!(stats.total_events(), cold_stats.total_events());
+        assert!(stats.dispatched * 2 < cold_stats.total_events());
+        assert_eq!(stats.dispatched, 82_492, "events actually simulated");
+    }
+}
+
 #[test]
 fn matrix_report_bytes_identical_across_worker_counts() {
     let matrix = ScenarioMatrix::new(tiny_spec());
