@@ -390,7 +390,7 @@ impl ChaosCampaign {
             let (min_faults, runs) = if self.shrink && !cell.schedule.faults.is_empty() {
                 let base = caught(cell, || Prefix::capture(&mspec, cell, &build))
                     .ok()
-                    .and_then(Result::ok);
+                    .flatten();
                 let out = shrink_schedule(&cell.schedule.faults, |cand| {
                     reproduces(cell, || {
                         self.run_candidate(&mspec, cell, topo, cand, base.as_ref())

@@ -17,11 +17,10 @@
 //! converged or quiesced. Forking is therefore a pure optimisation:
 //! the records are byte-identical to cold ones, at any thread count.
 //!
-//! The capture moves and is never copied: its world runs on and
-//! becomes the next capture, and the last member takes it by value.
-//! A worker so holds at most two worlds, the capture and the member
-//! running from it, and a capture holds no spare capacity a copy of it
-//! would not (see [`Scenario::into_snapshot`]).
+//! A worker holds at most two worlds: the capture and the member
+//! running from it. An advance runs the captured world on, snapshots
+//! it and drops it while no member runs, and the last member takes
+//! the capture by value.
 //!
 //! A panic is caught per cell: the cell records `panic = 1`, the sweep
 //! goes on, and a panicking capture sends the rest of its group cold.
@@ -139,36 +138,40 @@ where
     H: Fn(usize, &mut CellRecord, &Scenario) -> T,
     T: Default,
 {
-    // Members are served in the order their faults first take effect
-    // (fault-free ones first, ties by index), so the capture only
-    // ever has to move forward.
+    // Members are served in the order their faults first take effect,
+    // ties by index, so the capture only ever moves forward. Members
+    // with no fault must come first (`None` sorts before any instant):
+    // `finish_cell` runs a fault-free cell only to the end of its
+    // settle window, so it must fork before any advance.
     let mut order = unit.to_vec();
     order.sort_by_key(|&i| (first_effect(&cells[i]), i));
     // A singleton unit has no prefix worth sharing. A capture that
     // panics sends every member to a cold start, where each records
-    // its own outcome. `shared` is what the capture's world has
-    // dispatched: the unit's common work, counted once.
-    let mut shared = 0;
+    // its own outcome.
     let mut prefix = None;
     if order.len() >= 2 {
         let first = &cells[order[0]];
-        prefix = keep(
-            caught(first, || Prefix::capture(spec, first, build)),
-            &mut shared,
-        );
+        prefix = caught(first, || Prefix::capture(spec, first, build))
+            .ok()
+            .flatten();
     }
     let mut done = Vec::with_capacity(order.len());
-    // What the members dispatched past their fork points.
-    let mut own = 0;
+    // `shared` is what the latest capture's world has dispatched: the
+    // unit's common work, counted once. A prefix abandoned after its
+    // last capture (it never converged or quiesced, or it panicked)
+    // goes uncounted. `own` is what the members dispatched past their
+    // fork points.
+    let (mut shared, mut own) = (0, 0);
     for (served, &index) in order.iter().enumerate() {
         let cell = &cells[index];
         let last = served + 1 == order.len();
         if let Some(limit) = first_effect(cell).filter(|_| !last) {
             prefix = prefix
                 .take()
-                .and_then(|p| keep(caught(cell, || p.advance(limit)), &mut shared));
+                .and_then(|p| caught(cell, || p.advance(limit)).ok().flatten());
         }
         let fork_point = prefix.as_ref().map_or(0, Prefix::events);
+        shared = shared.max(fork_point);
         let t0 = Instant::now();
         let outcome = caught(cell, || {
             // The last member continues in the captured world itself.
@@ -215,24 +218,6 @@ where
 /// When `cell`'s faults first disturb the world; `None` if it has none.
 fn first_effect(cell: &MatrixCell) -> Option<Duration> {
     cell.schedule.faults.iter().map(Fault::first_effect).min()
-}
-
-/// Keep a capture (or an advance of one) that succeeded, noting what
-/// its world has dispatched. A refused one sends the rest of the unit
-/// cold, and its world's events still count as work done; a panicking
-/// one sends the rest cold too, its work uncounted.
-fn keep(attempt: Result<Result<Prefix, u64>, String>, shared: &mut u64) -> Option<Prefix> {
-    match attempt {
-        Ok(Ok(p)) => {
-            *shared = p.events();
-            Some(p)
-        }
-        Ok(Err(spent)) => {
-            *shared = spent;
-            None
-        }
-        Err(_) => None,
-    }
 }
 
 /// Run `f`, one cell's (or one capture's, or one replay's) work, turning
@@ -307,9 +292,7 @@ const ADVANCE_LEAD: Duration = Duration::from_secs(1);
 /// The capture is a ladder: taken at convergence, then moved forward
 /// ([`Prefix::advance`]) to just before each next member's first
 /// fault, so a member forks from the latest fault-free instant it
-/// shares with the others instead of re-simulating it. The capture is
-/// always moved, never copied — its world runs on and becomes the next
-/// capture, and the last member takes it by value — so a worker holds
+/// shares with the others instead of re-simulating it. A worker holds
 /// at most two worlds: the capture and the member running from it.
 pub(crate) struct Prefix {
     snap: Snapshot,
@@ -324,11 +307,10 @@ impl Prefix {
     /// snapshot at a quiesce point. Every cell of the same (topology,
     /// knob, seed) builds the identical world apart from that axis
     /// (the chaos agent is present either way, with an empty op list
-    /// here), so one capture serves them all. `Err` — a cold start is
-    /// then the answer for every member — if the builder rejects the
-    /// cell, the world never converges, or it never quiesces; it
-    /// carries the kernel events the abandoned world dispatched.
-    pub(crate) fn capture<B>(spec: &MatrixSpec, cell: &MatrixCell, build: &B) -> Result<Prefix, u64>
+    /// here), so one capture serves them all. `None` if the builder
+    /// rejects the cell, the world never converges, or it never
+    /// quiesces — a cold start is then the answer for every member.
+    pub(crate) fn capture<B>(spec: &MatrixSpec, cell: &MatrixCell, build: &B) -> Option<Prefix>
     where
         B: Fn(&MatrixCell) -> Result<ScenarioBuilder, WorkloadError>,
     {
@@ -336,15 +318,13 @@ impl Prefix {
             schedule: FaultSchedule::none(),
             ..cell.clone()
         };
-        let (sc, configured_at, config_now) = converge(spec, &bare, build).ok_or(0u64)?;
-        let Some(configured_at) = configured_at else {
-            return Err(sc.sim.events_dispatched());
-        };
+        let (sc, configured_at, config_now) = converge(spec, &bare, build)?;
+        let configured_at = configured_at?;
         // Probing stays well inside the settle window every member
         // runs through anyway, which keeps it invisible to the
         // determinism contract.
         let snap = quiesce(sc, |next| next <= config_now + spec.settle)?;
-        Ok(Prefix {
+        Some(Prefix {
             snap,
             configured_at,
             config_now,
@@ -358,18 +338,18 @@ impl Prefix {
     /// earlier, and nothing has faulted in this world, so each of them
     /// forks from the new capture exactly as from the old one. A gap of
     /// at most twice the lead is not worth the probe and leaves the
-    /// capture where it is. `Err`, with the events the abandoned world
-    /// dispatched, if no quiesce point comes before `first_fault` —
-    /// the old capture is gone by then, so the remaining members go
-    /// cold.
-    pub(crate) fn advance(self, first_fault: Duration) -> Result<Prefix, u64> {
+    /// capture where it is. The old capture is consumed: its world runs
+    /// on and is captured again, so no member may still need it. `None`
+    /// if no quiesce point comes before `first_fault`: the old capture
+    /// is gone by then, so the remaining members go cold.
+    pub(crate) fn advance(self, first_fault: Duration) -> Option<Prefix> {
         let limit = Time::ZERO + first_fault;
         if limit <= self.snap.taken_at() + 2 * ADVANCE_LEAD {
-            return Ok(self);
+            return Some(self);
         }
         let mut sc = self.snap.scenario;
         sc.run_until(Time::ZERO + (first_fault - ADVANCE_LEAD));
-        Ok(Prefix {
+        Some(Prefix {
             snap: quiesce(sc, |next| next < limit)?,
             ..self
         })
@@ -414,19 +394,15 @@ fn resume_in(
 /// Snapshot `sc` at its first quiesce point, stepping [`PROBE_SLICE`]
 /// at a time while the controller still holds queued channel output
 /// (a tail batch waiting out its tick), for as long as `in_window`
-/// admits the end of the next slice. The world becomes the capture;
-/// `Err` carries the events it dispatched when it never quiesced.
-fn quiesce(mut sc: Scenario, in_window: impl Fn(Time) -> bool) -> Result<Snapshot, u64> {
+/// admits the end of the next slice. `sc` itself is dropped; `None`
+/// if it never quiesced.
+fn quiesce(mut sc: Scenario, in_window: impl Fn(Time) -> bool) -> Option<Snapshot> {
     loop {
         let next = sc.sim.now() + PROBE_SLICE;
-        sc = match sc.into_snapshot() {
-            Ok(snap) => return Ok(snap),
-            Err((sc, SnapshotError::UndrainedChannels { .. })) if in_window(next) => {
-                let mut sc = *sc;
-                sc.run_until(next);
-                sc
-            }
-            Err((sc, _)) => return Err(sc.sim.events_dispatched()),
-        };
+        match sc.snapshot() {
+            Ok(snap) => return Some(snap),
+            Err(SnapshotError::UndrainedChannels { .. }) if in_window(next) => sc.run_until(next),
+            Err(_) => return None,
+        }
     }
 }

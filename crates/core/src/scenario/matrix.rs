@@ -655,8 +655,9 @@ pub struct SweepStats {
     /// counts its whole run from time zero.
     pub forked: usize,
     /// Kernel events the sweep actually simulated: each shared prefix
-    /// once (up to its last capture), each forked cell from its fork
-    /// point on, each cold cell whole. Equal to
+    /// once, up to its last capture (what an abandoned prefix ran past
+    /// it goes uncounted), each forked cell from its fork point on,
+    /// each cold cell whole. Equal to
     /// [`SweepStats::total_events`] for a cold sweep; a forked one
     /// saves the difference.
     pub dispatched: u64,
@@ -909,10 +910,11 @@ impl ScenarioMatrix {
 /// The post-configuration half of a cell run: settle, play out faults
 /// and workloads, harvest. Shared verbatim by the executor's cold and
 /// fork paths; `config_now` is the instant the configuration phase
-/// handed the scenario over (a forked scenario's clock may already be
-/// slightly past it from quiesce probing, which the horizon arithmetic
-/// must not see). All times are reported in nanoseconds of simulated
-/// time.
+/// handed the scenario over. A forked scenario's clock may be anywhere
+/// before the cell's first fault (its capture was moved up to just
+/// before it), which the horizon arithmetic must not see; a fault-free
+/// cell's fork is never past the end of its settle window. All times
+/// are reported in nanoseconds of simulated time.
 pub(super) fn finish_cell(
     spec: &MatrixSpec,
     cell: &MatrixCell,

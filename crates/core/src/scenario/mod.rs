@@ -1266,35 +1266,10 @@ impl Scenario {
     /// the capture — they must be, for forks to continue the run
     /// rather than restart it.
     pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
-        self.quiesced()?;
-        Ok(Snapshot {
-            scenario: self.clone(),
-            taken_at: self.sim.now(),
-        })
-    }
-
-    /// [`Scenario::snapshot`] without the copy: this world *becomes*
-    /// the capture. A refusal hands the world back untouched (boxed,
-    /// to keep the error small), so the caller can run it further and
-    /// retry.
-    pub(crate) fn into_snapshot(mut self) -> Result<Snapshot, (Box<Scenario>, SnapshotError)> {
-        if let Err(e) = self.quiesced() {
-            return Err((Box::new(self), e));
-        }
-        // A copy would not carry the event queue's spare buckets, and a
-        // capture kept beside a running fork should not either.
-        self.sim.release_spare_capacity();
-        Ok(Snapshot {
-            taken_at: self.sim.now(),
-            scenario: self,
-        })
-    }
-
-    /// The quiesce contract of [`Scenario::snapshot`].
-    fn quiesced(&self) -> Result<(), SnapshotError> {
+        let configured = self.configured_switches();
         if self.all_configured_at().is_none() {
             return Err(SnapshotError::NotConverged {
-                configured: self.configured_switches(),
+                configured,
                 expected: self.expected_switches,
             });
         }
@@ -1302,7 +1277,10 @@ impl Scenario {
         if queued > 0 {
             return Err(SnapshotError::UndrainedChannels { queued });
         }
-        Ok(())
+        Ok(Snapshot {
+            scenario: self.clone(),
+            taken_at: self.sim.now(),
+        })
     }
 
     /// Resume a fresh, independent scenario from a [`Snapshot`]. The

@@ -901,13 +901,6 @@ impl Sim {
         self.inner.queue.len()
     }
 
-    /// Give back the capacity the event queue keeps for reuse (its
-    /// drained buckets), so a world kept as a checkpoint holds no more
-    /// than a clone of it would. Behaviour is unchanged.
-    pub fn release_spare_capacity(&mut self) {
-        self.inner.queue.release_spare();
-    }
-
     /// Total events dispatched since construction — the denominator of
     /// the perf harness's events/sec figures. Monotonic, wall-clock
     /// free, and identical across runs of the same scenario.

@@ -354,15 +354,6 @@ impl<T> EventQueue<T> {
         self.peek_key().map(|(at, _, _)| at)
     }
 
-    /// Give back the capacity the drained buckets keep for reuse, so
-    /// the queue holds what a clone of it would. Order and contents are
-    /// untouched; the next bursts re-grow what they need.
-    pub fn release_spare(&mut self) {
-        for &b in &self.free {
-            self.buckets[b as usize].entries = VecDeque::new();
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.len
     }
@@ -765,41 +756,5 @@ mod tests {
         }
         assert_eq!(q.len(), 10_000);
         assert!(q.buckets.len() <= 64, "{} buckets", q.buckets.len());
-    }
-
-    #[test]
-    fn released_spare_capacity_changes_no_order() {
-        // A burst fills buckets that then drain into the pool; releasing
-        // their capacity leaves the queue popping exactly as one that
-        // kept it.
-        let burst = || {
-            let mut q = EventQueue::new();
-            for i in 0..5_000u64 {
-                q.push(Time::from_nanos(97 * i), i);
-            }
-            for _ in 0..4_000 {
-                q.pop();
-            }
-            q
-        };
-        let spare = |q: &EventQueue<u64>| -> usize {
-            q.free
-                .iter()
-                .map(|&b| q.buckets[b as usize].entries.capacity())
-                .sum()
-        };
-        let (mut q, mut kept) = (burst(), burst());
-        q.release_spare();
-        assert!(spare(&kept) > 0, "the burst left a drained bucket");
-        assert_eq!(spare(&q), 0);
-        for i in 0..2_000u64 {
-            let at = Time::from_nanos(300_000 + 131 * i);
-            q.push(at, i);
-            kept.push(at, i);
-        }
-        while let Some(next) = kept.pop() {
-            assert_eq!(q.pop(), Some(next));
-        }
-        assert!(q.is_empty());
     }
 }
