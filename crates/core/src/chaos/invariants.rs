@@ -161,19 +161,11 @@ impl SurvivingState {
         let mut alive = vec![true; nodes];
         let mut up = vec![true; edges];
         let mut loss = vec![0.0f64; edges];
-        // Sort by (effective instant, original index): schedule order
-        // breaks same-instant ties, matching the chaos agent's
-        // one-lane timer ordering.
-        let eff = |f: &Fault| match *f {
-            Fault::KillSwitch { at, .. }
-            | Fault::ReviveSwitch { at, .. }
-            | Fault::LinkDown { at, .. }
-            | Fault::LinkUp { at, .. }
-            | Fault::LinkLoss { at, .. } => at,
-            Fault::ChannelStall { until, .. } => until,
-        };
+        // Sort by (last effect, original index): schedule order breaks
+        // same-instant ties, matching the chaos agent's one-lane timer
+        // ordering.
         let mut order: Vec<usize> = (0..faults.len()).collect();
-        order.sort_by_key(|&i| (eff(&faults[i]), i));
+        order.sort_by_key(|&i| (faults[i].last_effect(), i));
         for i in order {
             match faults[i] {
                 Fault::KillSwitch { node, .. } => alive[node] = false,

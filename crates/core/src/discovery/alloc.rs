@@ -6,35 +6,35 @@
 use rf_wire::Ipv4Cidr;
 use std::net::Ipv4Addr;
 
-/// Carves fixed-size blocks (default /30, point-to-point) out of a
-/// range, recycling freed blocks.
+/// The per-link subnet: a /30, the smallest IPv4 block with two host
+/// addresses, one for each end of a point-to-point link.
+pub const LINK_PREFIX: u8 = 30;
+
+/// Carves [`LINK_PREFIX`] blocks out of a range, recycling freed blocks.
 #[derive(Clone, Debug)]
 pub struct Ipv4Allocator {
     range: Ipv4Cidr,
-    block_prefix: u8,
     next_block: u32,
     free: Vec<u32>,
 }
 
 impl Ipv4Allocator {
     /// `range` must be at least as wide as one block.
-    pub fn new(range: Ipv4Cidr, block_prefix: u8) -> Ipv4Allocator {
-        assert!(block_prefix <= 32);
+    pub fn new(range: Ipv4Cidr) -> Ipv4Allocator {
         assert!(
-            range.prefix_len <= block_prefix,
-            "range /{} narrower than block /{block_prefix}",
+            range.prefix_len <= LINK_PREFIX,
+            "range /{} narrower than block /{LINK_PREFIX}",
             range.prefix_len
         );
         Ipv4Allocator {
             range,
-            block_prefix,
             next_block: 0,
             free: Vec::new(),
         }
     }
 
     fn block_size(&self) -> u32 {
-        1u32 << (32 - self.block_prefix)
+        1u32 << (32 - LINK_PREFIX)
     }
 
     fn total_blocks(&self) -> u32 {
@@ -54,13 +54,13 @@ impl Ipv4Allocator {
             return None;
         };
         let base = u32::from(self.range.network()) + idx * self.block_size();
-        Some(Ipv4Cidr::new(Ipv4Addr::from(base), self.block_prefix))
+        Some(Ipv4Cidr::new(Ipv4Addr::from(base), LINK_PREFIX))
     }
 
     /// Return a block to the pool. Blocks from foreign ranges are
     /// ignored (defensive; indicates a caller bug, surfaced by tests).
     pub fn release(&mut self, block: Ipv4Cidr) {
-        if block.prefix_len != self.block_prefix || !self.range.contains(block.network()) {
+        if block.prefix_len != LINK_PREFIX || !self.range.contains(block.network()) {
             return;
         }
         let off = u32::from(block.network()) - u32::from(self.range.network());
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn allocates_disjoint_slash30s() {
-        let mut a = Ipv4Allocator::new(range(), 30);
+        let mut a = Ipv4Allocator::new(range());
         let b1 = a.alloc().unwrap();
         let b2 = a.alloc().unwrap();
         assert_eq!(b1.to_string(), "172.31.0.0/30");
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn exhaustion_returns_none() {
-        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap());
         // /28 holds four /30s.
         for _ in 0..4 {
             assert!(a.alloc().is_some());
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn release_recycles() {
-        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap());
         let blocks: Vec<Ipv4Cidr> = (0..4).map(|_| a.alloc().unwrap()).collect();
         assert!(a.alloc().is_none());
         a.release(blocks[1]);
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn double_release_is_idempotent() {
-        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap());
         let b = a.alloc().unwrap();
         a.release(b);
         a.release(b);
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn foreign_block_ignored() {
-        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap(), 30);
+        let mut a = Ipv4Allocator::new("10.0.0.0/28".parse().unwrap());
         a.release("192.168.0.0/30".parse().unwrap());
         for _ in 0..4 {
             assert!(a.alloc().is_some());
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn pan_european_fits_in_default_range() {
         // 41 links need 41 /30s = 164 addresses; a /16 is plenty.
-        let mut a = Ipv4Allocator::new("172.31.0.0/16".parse().unwrap(), 30);
+        let mut a = Ipv4Allocator::new("172.31.0.0/16".parse().unwrap());
         for _ in 0..41 {
             assert!(a.alloc().is_some());
         }
@@ -146,6 +146,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "narrower than block")]
     fn range_smaller_than_block_panics() {
-        Ipv4Allocator::new("10.0.0.0/31".parse().unwrap(), 30);
+        Ipv4Allocator::new("10.0.0.0/31".parse().unwrap());
     }
 }

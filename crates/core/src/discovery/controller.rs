@@ -27,12 +27,9 @@ pub struct TopologyControllerConfig {
     pub rpc_client: Option<AgentId>,
     /// Administrator-provided address range for the virtual environment.
     pub ip_range: Ipv4Cidr,
-    /// Per-link subnet size (default /30).
-    pub link_prefix: u8,
-    /// LLDP probe period per switch (every port each round).
+    /// LLDP probe period per switch (every port each round). A link is
+    /// declared down after three periods without a probe.
     pub probe_interval: Duration,
-    /// A link is declared down after this long without probes.
-    pub link_ttl: Duration,
 }
 
 impl TopologyControllerConfig {
@@ -40,10 +37,14 @@ impl TopologyControllerConfig {
         TopologyControllerConfig {
             rpc_client: None,
             ip_range,
-            link_prefix: 30,
             probe_interval: Duration::from_secs(1),
-            link_ttl: Duration::from_secs(3),
         }
+    }
+
+    /// How long a link lives without a probe: three probe periods, so
+    /// two lost probes in a row do not take it down.
+    fn link_lifetime(&self) -> Duration {
+        self.probe_interval * 3
     }
 
     pub fn with_rpc_client(mut self, client: AgentId) -> Self {
@@ -111,7 +112,7 @@ pub struct TopologyController {
 
 impl TopologyController {
     pub fn new(cfg: TopologyControllerConfig) -> TopologyController {
-        let alloc = Ipv4Allocator::new(cfg.ip_range, cfg.link_prefix);
+        let alloc = Ipv4Allocator::new(cfg.ip_range);
         TopologyController {
             cfg,
             sessions: BTreeMap::new(),
@@ -343,7 +344,7 @@ impl Agent for TopologyController {
         ctx.listen(TOPOLOGY_OF_SERVICE);
         self.connect_rpc(ctx);
         ctx.schedule(self.cfg.probe_interval, T_PROBE);
-        ctx.schedule(self.cfg.link_ttl, T_AGE);
+        ctx.schedule(self.cfg.link_lifetime(), T_AGE);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -358,11 +359,11 @@ impl Agent for TopologyController {
                 ctx.schedule(self.cfg.probe_interval, T_PROBE);
             }
             T_AGE => {
-                let down = self.linkdb.expire(ctx.now(), self.cfg.link_ttl);
+                let down = self.linkdb.expire(ctx.now(), self.cfg.link_lifetime());
                 for link in down {
                     self.handle_link_down(ctx, link);
                 }
-                ctx.schedule(self.cfg.link_ttl, T_AGE);
+                ctx.schedule(self.cfg.link_lifetime(), T_AGE);
             }
             T_RPC_RECONNECT if self.rpc_conn.is_none() => {
                 self.connect_rpc(ctx);

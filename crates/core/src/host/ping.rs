@@ -8,14 +8,16 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 const T_PING: u64 = 1;
+/// One echo request a second, `ping`'s default cadence.
+const PING_INTERVAL: Duration = Duration::from_secs(1);
+/// ICMP identifier of every echo request ("RF" in ASCII).
+const PING_IDENT: u16 = 0x5246;
 
 /// Sends pings to a target on an interval and records round trips.
 #[derive(Clone)]
 pub struct Pinger {
     stack: HostStack,
     pub target: Ipv4Addr,
-    pub interval: Duration,
-    pub ident: u16,
     next_seq: u16,
     /// When each ping went out: (seq, send time).
     pub sent_at: Vec<(u16, Time)>,
@@ -27,7 +29,6 @@ pub struct Pinger {
     pub replies: Vec<(u16, Time)>,
     /// Time of the first successful reply — "the network works now".
     pub first_reply_at: Option<Time>,
-    pub max_pings: u16,
 }
 
 impl Pinger {
@@ -35,14 +36,11 @@ impl Pinger {
         Pinger {
             stack: HostStack::new(cfg),
             target,
-            interval: Duration::from_secs(1),
-            ident: 0x5246,
             next_seq: 0,
             sent_at: Vec::new(),
             rtts: Vec::new(),
             replies: Vec::new(),
             first_reply_at: None,
-            max_pings: 0,
         }
     }
 }
@@ -50,22 +48,19 @@ impl Pinger {
 impl Agent for Pinger {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.boot(uplink(ctx));
-        ctx.schedule(self.interval, T_PING);
+        ctx.schedule(PING_INTERVAL, T_PING);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token != T_PING {
             return;
         }
-        if self.max_pings != 0 && self.next_seq >= self.max_pings {
-            return;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.sent_at.push((seq, ctx.now()));
         self.stack
-            .send_ping(self.target, self.ident, seq, uplink(ctx));
-        ctx.schedule(self.interval, T_PING);
+            .send_ping(self.target, PING_IDENT, seq, uplink(ctx));
+        ctx.schedule(PING_INTERVAL, T_PING);
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, _port: u32, frame: Bytes) {
@@ -74,7 +69,7 @@ impl Agent for Pinger {
         else {
             return;
         };
-        if from == self.target && ident == self.ident {
+        if from == self.target && ident == PING_IDENT {
             if let Some(&(_, at)) = self.sent_at.iter().find(|(s, _)| *s == seq) {
                 self.rtts.push((seq, ctx.now().since(at)));
                 self.replies.push((seq, ctx.now()));

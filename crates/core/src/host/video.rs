@@ -2,7 +2,7 @@
 //!
 //! The client first sends a small request ("play") to the server —
 //! exercising the freshly installed client→server path — and the server
-//! then paces fixed-size frames at the configured bitrate. The client
+//! then paces fixed-size frames at a fixed 2 Mb/s. The client
 //! reports time-to-first-byte (the paper's headline "video reaches the
 //! remote client within 4 minutes" metric), playback start after its
 //! jitter buffer fills, loss and stalls.
@@ -23,49 +23,49 @@ const T_FRAME: u64 = 1;
 const T_BOOT: u64 = 2;
 const T_REQ_RETRY: u64 = 3;
 
+/// The stream's bitrate, 2 Mb/s, one value for the server's pacing and
+/// the client's jitter buffer.
+const BITRATE_BPS: u64 = 2_000_000;
+/// Payload bytes per frame packet: seven 188-byte MPEG-TS packets, as
+/// MPEG-TS over UDP carries them.
+const FRAME_LEN: usize = 1316;
+/// Gap between frame packets that paces [`FRAME_LEN`] at [`BITRATE_BPS`].
+const FRAME_INTERVAL: Duration =
+    Duration::from_nanos(FRAME_LEN as u64 * 8 * 1_000_000_000 / BITRATE_BPS);
+/// Media the client buffers before playback starts: one second.
+const JITTER_BUFFER: Duration = Duration::from_secs(1);
+/// Retry interval for the PLAY request until media arrives (the
+/// network may not be configured yet; that is the whole point of the
+/// measurement).
+const PLAY_RETRY: Duration = Duration::from_secs(2);
+
 /// The streaming server host.
 #[derive(Clone)]
 pub struct VideoServer {
     stack: HostStack,
-    /// Stream bitrate in bits per second.
-    pub bitrate_bps: u64,
-    /// Payload bytes per frame packet (MPEG-TS over UDP uses 1316).
-    pub frame_len: usize,
     client: Option<(Ipv4Addr, u16)>,
     next_seq: u64,
     pub frames_sent: u64,
-    /// Total stream length in frames (0 = endless).
-    pub max_frames: u64,
 }
 
 impl VideoServer {
     pub fn new(cfg: HostConfig) -> VideoServer {
         VideoServer {
             stack: HostStack::new(cfg),
-            bitrate_bps: 2_000_000,
-            frame_len: 1316,
             client: None,
             next_seq: 0,
             frames_sent: 0,
-            max_frames: 0,
         }
-    }
-
-    fn frame_interval(&self) -> Duration {
-        Duration::from_nanos(self.frame_len as u64 * 8 * 1_000_000_000 / self.bitrate_bps)
     }
 
     fn send_frame_packet(&mut self, ctx: &mut Ctx<'_>) {
         let Some((client_ip, client_port)) = self.client else {
             return;
         };
-        if self.max_frames != 0 && self.frames_sent >= self.max_frames {
-            return;
-        }
-        let mut payload = BytesMut::with_capacity(self.frame_len);
+        let mut payload = BytesMut::with_capacity(FRAME_LEN);
         payload.put_u64(self.next_seq);
         payload.put_u64(ctx.now().as_nanos());
-        payload.resize(self.frame_len, b'V');
+        payload.resize(FRAME_LEN, b'V');
         self.stack.send_udp(
             client_ip,
             VIDEO_PORT,
@@ -75,7 +75,7 @@ impl VideoServer {
         );
         self.next_seq += 1;
         self.frames_sent += 1;
-        ctx.schedule(self.frame_interval(), T_FRAME);
+        ctx.schedule(FRAME_INTERVAL, T_FRAME);
     }
 }
 
@@ -127,17 +127,8 @@ pub struct VideoClientReport {
 pub struct VideoClient {
     stack: HostStack,
     server: Ipv4Addr,
-    /// Media to buffer before starting playback.
-    pub jitter_buffer: Duration,
-    pub bitrate_bps: u64,
     pub report: VideoClientReport,
-    /// When to send the PLAY request (simulation start offset).
-    pub start_at: Duration,
     next_expected_seq: u64,
-    /// Retry interval for the PLAY request until media arrives (the
-    /// network may not be configured yet — that is the whole point of
-    /// the measurement).
-    pub request_retry: Duration,
 }
 
 impl VideoClient {
@@ -145,12 +136,8 @@ impl VideoClient {
         VideoClient {
             stack: HostStack::new(cfg),
             server,
-            jitter_buffer: Duration::from_secs(1),
-            bitrate_bps: 2_000_000,
             report: VideoClientReport::default(),
-            start_at: Duration::ZERO,
             next_expected_seq: 0,
-            request_retry: Duration::from_secs(2),
         }
     }
 
@@ -168,14 +155,15 @@ impl VideoClient {
             Bytes::from_static(b"PLAY"),
             uplink(ctx),
         );
-        ctx.schedule(self.request_retry, T_REQ_RETRY);
+        ctx.schedule(PLAY_RETRY, T_REQ_RETRY);
     }
 }
 
 impl Agent for VideoClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.stack.boot(uplink(ctx));
-        ctx.schedule(self.start_at, T_BOOT);
+        // The first PLAY is an event of its own, at boot time.
+        ctx.schedule(Duration::ZERO, T_BOOT);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -209,7 +197,7 @@ impl Agent for VideoClient {
         self.report.bytes += payload.len() as u64;
         if self.report.playback_at.is_none() {
             let buffered_bits = self.report.bytes * 8;
-            let need = self.bitrate_bps * self.jitter_buffer.as_millis() as u64 / 1000;
+            let need = BITRATE_BPS * JITTER_BUFFER.as_millis() as u64 / 1000;
             if buffered_bits >= need {
                 self.report.playback_at = Some(now);
             }

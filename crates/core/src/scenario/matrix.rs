@@ -156,17 +156,7 @@ impl FaultSchedule {
     /// coming, so the next successful probe marks the healed network.
     /// (A stall window "fires" when it closes.)
     pub fn last_fault_at(&self) -> Option<Duration> {
-        self.faults
-            .iter()
-            .map(|f| match f {
-                Fault::KillSwitch { at, .. }
-                | Fault::ReviveSwitch { at, .. }
-                | Fault::LinkDown { at, .. }
-                | Fault::LinkUp { at, .. }
-                | Fault::LinkLoss { at, .. } => *at,
-                Fault::ChannelStall { until, .. } => *until,
-            })
-            .max()
+        self.faults.iter().map(Fault::last_effect).max()
     }
 }
 
@@ -737,7 +727,6 @@ pub(super) fn expected_cost(spec: &MatrixSpec, cell: &MatrixCell) -> u64 {
             crate::traffic::TrafficShape::RequestResponse { clients, .. } => clients + 1,
             crate::traffic::TrafficShape::Incast { senders, .. } => senders + 1,
             crate::traffic::TrafficShape::Multicast { receivers, .. } => receivers + 1,
-            crate::traffic::TrafficShape::CbrMix { ref rates_bps } => 2 * rates_bps.len(),
         } as u64;
         run_window = run_window.max(tspec.stop_at().as_secs() + 2)
             + weight * tspec.duration.as_secs() * endpoints.div_ceil(4);

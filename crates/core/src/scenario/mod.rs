@@ -51,8 +51,8 @@ use crate::traffic::{
     paced_interval, ArrivalStream, FlowLevelEngine, TrafficConfig, TrafficMode, TrafficPattern,
     TrafficReport, WaveStream, WorkloadError,
 };
-use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
-use rf_rpc::{RpcClientAgent, RpcClientConfig};
+use rf_flowvisor::{FlowVisor, SlicePolicy};
+use rf_rpc::RpcClientAgent;
 use rf_sim::{Agent, AgentId, Ctx, LinkId, LinkProfile, Sim, SimConfig, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_topo::Topology;
@@ -221,6 +221,15 @@ impl Fault {
             | Fault::LinkUp { at, .. }
             | Fault::LinkLoss { at, .. } => at,
             Fault::ChannelStall { from, .. } => from,
+        }
+    }
+
+    /// When this fault last disturbs the world: its instant, or the
+    /// closing of a stall window.
+    pub fn last_effect(&self) -> Duration {
+        match *self {
+            Fault::ChannelStall { until, .. } => until,
+            _ => self.first_effect(),
         }
     }
 
@@ -652,16 +661,12 @@ impl ScenarioBuilder {
         self.controller.vm_link_profile = self.link_profile;
         let engine = ControlPlane::new(std::mem::take(&mut self.controller));
         let rf_ctrl = sim.add_agent("rf-controller", Box::new(engine));
-        let rpc_client = sim.add_agent(
-            "rpc-client",
-            Box::new(RpcClientAgent::new(RpcClientConfig::new(rf_ctrl))),
-        );
+        let rpc_client = sim.add_agent("rpc-client", Box::new(RpcClientAgent::new(rf_ctrl)));
         let topo_ctrl = sim.add_agent(
             "topology-controller",
             Box::new(TopologyController::new(
                 TopologyControllerConfig {
                     probe_interval: self.probe_interval,
-                    link_ttl: self.probe_interval * 3,
                     ..TopologyControllerConfig::new(self.ip_range)
                 }
                 .with_rpc_client(rpc_client),
@@ -670,10 +675,10 @@ impl ScenarioBuilder {
         let flowvisor = if self.use_flowvisor {
             Some(sim.add_agent(
                 "flowvisor",
-                Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
+                Box::new(FlowVisor::new(vec![
                     SlicePolicy::lldp_slice("topology", topo_ctrl, TOPOLOGY_OF_SERVICE),
                     SlicePolicy::ip_slice("routeflow", rf_ctrl, RF_CONTROLLER_OF_SERVICE),
-                ]))),
+                ])),
             ))
         } else {
             None
@@ -955,7 +960,7 @@ fn wire_traffic(
     match &tcfg.pattern {
         TrafficPattern::RequestResponse {
             clients,
-            arrivals,
+            rate_per_sec,
             response,
             ..
         } => {
@@ -969,7 +974,7 @@ fn wire_traffic(
             for j in 0..clients.len() {
                 let stream = ArrivalStream::new(
                     endpoint_seed(cfg.seed, k, j),
-                    *arrivals,
+                    *rate_per_sec,
                     *response,
                     start_at,
                     tcfg.stop_at,
@@ -978,28 +983,6 @@ fn wire_traffic(
                     format!("traffic-client-{k}-{j}"),
                     j,
                     TrafficHost::client(host_cfg(j), j, start_at, ip_of(server_j), stream),
-                );
-            }
-        }
-        TrafficPattern::CbrMix { streams } => {
-            for (i, s) in streams.iter().enumerate() {
-                let (src_j, sink_j) = (2 * i, 2 * i + 1);
-                attach(
-                    format!("traffic-sink-{k}-{i}"),
-                    sink_j,
-                    TrafficHost::sink(host_cfg(sink_j), start_at),
-                );
-                attach(
-                    format!("traffic-cbr-{k}-{i}"),
-                    src_j,
-                    TrafficHost::paced(
-                        host_cfg(src_j),
-                        src_j,
-                        start_at,
-                        tcfg.stop_at,
-                        vec![ip_of(sink_j)],
-                        paced_interval(s.rate_bps),
-                    ),
                 );
             }
         }

@@ -11,77 +11,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
 
-/// When requests leave an endpoint.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ArrivalProcess {
-    /// One arrival every `interval` (closed-loop cadence, like the
-    /// legacy ping workload).
-    Fixed { interval: Duration },
-    /// Memoryless arrivals at `rate_per_sec` (exponential gaps).
-    Poisson { rate_per_sec: f64 },
-    /// Heavy-tailed gaps: bounded Pareto on `[min_gap, max_gap]` with
-    /// shape `alpha_milli / 1000` — long silences punctuated by bursts.
-    ParetoGaps {
-        min_gap: Duration,
-        max_gap: Duration,
-        alpha_milli: u32,
-    },
-}
-
-impl ArrivalProcess {
-    pub fn validate(&self) -> Result<(), WorkloadError> {
-        match *self {
-            ArrivalProcess::Fixed { interval } => {
-                if interval.is_zero() {
-                    return Err(WorkloadError::ZeroRate("fixed arrival interval"));
-                }
-            }
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                Exp::new(rate_per_sec).map_err(WorkloadError::BadDistribution)?;
-            }
-            ArrivalProcess::ParetoGaps {
-                min_gap,
-                max_gap,
-                alpha_milli,
-            } => {
-                BoundedPareto::new(
-                    f64::from(alpha_milli) / 1000.0,
-                    min_gap.as_nanos() as f64,
-                    max_gap.as_nanos() as f64,
-                )
-                .map_err(WorkloadError::BadDistribution)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Draw the next inter-arrival gap (at least 1 µs, so a pathological
-    /// rate cannot collapse the event loop into zero-width steps).
-    pub fn next_gap(&self, rng: &mut StdRng) -> Duration {
-        let ns = match *self {
-            ArrivalProcess::Fixed { interval } => return interval,
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                let exp = Exp::new(rate_per_sec).expect("validated rate");
-                (exp.sample(rng) * 1e9) as u64
-            }
-            ArrivalProcess::ParetoGaps {
-                min_gap,
-                max_gap,
-                alpha_milli,
-            } => {
-                let p = BoundedPareto::new(
-                    f64::from(alpha_milli) / 1000.0,
-                    min_gap.as_nanos() as f64,
-                    max_gap.as_nanos() as f64,
-                )
-                .expect("validated gap distribution");
-                p.sample(rng) as u64
-            }
-        };
-        Duration::from_nanos(ns.max(1_000))
-    }
-}
-
 /// How many payload bytes a flow carries.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FlowSize {
@@ -156,12 +85,13 @@ impl FlowSize {
     }
 }
 
-/// One endpoint's arrival timeline: absolute offsets from t = 0, with
-/// a flow size drawn per arrival. Both granularities step this with
-/// identical draw order, so the offered load matches exactly.
+/// One endpoint's Poisson arrival timeline: absolute offsets from
+/// t = 0, exponential gaps, a flow size drawn per arrival. Both
+/// granularities step this with identical draw order, so the offered
+/// load matches exactly.
 #[derive(Clone, Debug)]
 pub struct ArrivalStream {
-    arrivals: ArrivalProcess,
+    gaps: Exp,
     size: FlowSize,
     rng: StdRng,
     cursor: Duration,
@@ -169,15 +99,19 @@ pub struct ArrivalStream {
 }
 
 impl ArrivalStream {
+    /// `rate_per_sec` arrivals a second on average; the rate must pass
+    /// [`Exp::new`], which [`TrafficConfig::validate`] checks.
+    ///
+    /// [`TrafficConfig::validate`]: super::TrafficConfig::validate
     pub fn new(
         seed: u64,
-        arrivals: ArrivalProcess,
+        rate_per_sec: f64,
         size: FlowSize,
         start: Duration,
         stop: Duration,
     ) -> ArrivalStream {
         ArrivalStream {
-            arrivals,
+            gaps: Exp::new(rate_per_sec).expect("validated rate"),
             size,
             rng: StdRng::seed_from_u64(seed),
             cursor: start,
@@ -188,10 +122,12 @@ impl ArrivalStream {
     /// The next `(arrival offset, flow bytes)`, or `None` once the
     /// window is exhausted. The gap is drawn before the bounds check
     /// and the size only after it, so every consumer observes the same
-    /// stream positions.
+    /// stream positions. A gap is at least 1 µs, so a pathological rate
+    /// cannot collapse the event loop into zero-width steps.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(Duration, u64)> {
-        let at = self.cursor + self.arrivals.next_gap(&mut self.rng);
+        let gap_ns = (self.gaps.sample(&mut self.rng) * 1e9) as u64;
+        let at = self.cursor + Duration::from_nanos(gap_ns.max(1_000));
         if at >= self.stop {
             return None;
         }
@@ -252,7 +188,7 @@ mod tests {
         let mk = || {
             ArrivalStream::new(
                 42,
-                ArrivalProcess::Poisson { rate_per_sec: 10.0 },
+                10.0,
                 FlowSize::pareto(1_000, 100_000),
                 secs(5),
                 secs(15),
@@ -274,10 +210,9 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let arrivals = ArrivalProcess::Poisson { rate_per_sec: 5.0 };
         let size = FlowSize::pareto(1_000, 50_000);
-        let mut a = ArrivalStream::new(1, arrivals, size, secs(0), secs(10));
-        let mut b = ArrivalStream::new(2, arrivals, size, secs(0), secs(10));
+        let mut a = ArrivalStream::new(1, 5.0, size, secs(0), secs(10));
+        let mut b = ArrivalStream::new(2, 5.0, size, secs(0), secs(10));
         assert_ne!(a.next(), b.next());
     }
 
@@ -286,21 +221,5 @@ mod tests {
         let mut w = WaveStream::new(3, FlowSize::fixed(9_000), secs(2), secs(4), 3);
         let times: Vec<Duration> = std::iter::from_fn(|| w.next()).map(|(t, _)| t).collect();
         assert_eq!(times, vec![secs(2), secs(6), secs(10)]);
-    }
-
-    #[test]
-    fn fixed_cadence_never_drifts() {
-        let mut s = ArrivalStream::new(
-            0,
-            ArrivalProcess::Fixed {
-                interval: Duration::from_millis(250),
-            },
-            FlowSize::fixed(100),
-            secs(1),
-            secs(2),
-        );
-        let times: Vec<Duration> = std::iter::from_fn(|| s.next()).map(|(t, _)| t).collect();
-        assert_eq!(times.len(), 3, "1.25, 1.5, 1.75 — 2.0 is out of window");
-        assert_eq!(times[0], Duration::from_millis(1250));
     }
 }

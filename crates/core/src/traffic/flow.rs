@@ -17,10 +17,10 @@
 //! generators the packet agents use, drawn in the same order — offered
 //! load is identical between granularities by construction.
 //!
-//! Paced (CBR / multicast) streams are handled analytically: they
-//! reserve no state per frame, and their sent/delivered counts are
-//! closed-form functions of the clock. They assume the configured rates
-//! fit the links — matrix knobs keep paced mixes under capacity.
+//! Paced (multicast) streams are handled analytically: they reserve no
+//! state per frame, and their sent/delivered counts are closed-form
+//! functions of the clock. They assume the configured rates fit the
+//! links — matrix knobs keep paced streams under capacity.
 
 use super::demand::{ArrivalStream, WaveStream};
 use super::report::TrafficReport;
@@ -99,7 +99,7 @@ struct ActiveFlow {
     rate_bps: f64,
 }
 
-/// An analytic paced stream (CBR unicast or one multicast branch).
+/// An analytic paced stream: one multicast branch.
 #[derive(Clone, Copy)]
 struct PacedStream {
     interval_ns: u64,
@@ -467,7 +467,7 @@ impl FlowLevelEngine {
             TrafficPattern::RequestResponse {
                 clients,
                 server,
-                arrivals,
+                rate_per_sec,
                 response,
             } => {
                 let server_ep = clients.len();
@@ -478,7 +478,7 @@ impl FlowLevelEngine {
                     core.gens.push(Gen::Arrivals {
                         stream: ArrivalStream::new(
                             endpoint_seed(cell_seed, workload_idx, j),
-                            *arrivals,
+                            *rate_per_sec,
                             *response,
                             start,
                             stop,
@@ -518,14 +518,6 @@ impl FlowLevelEngine {
                         hops: hop_of(node, *receiver),
                     });
                     core.flow_seqs.push(0);
-                }
-            }
-            TrafficPattern::CbrMix { streams } => {
-                for s in streams {
-                    core.paced.push(PacedStream {
-                        interval_ns: paced_interval(s.rate_bps).as_nanos() as u64,
-                        lat_ns: stream_lat(hop_of(s.source, s.sink)),
-                    });
                 }
             }
             TrafficPattern::Multicast {
@@ -576,7 +568,7 @@ impl Agent for FlowLevelEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::demand::{ArrivalProcess, FlowSize};
+    use super::super::demand::FlowSize;
     use super::super::TrafficMode;
     use super::*;
 
@@ -595,24 +587,22 @@ mod tests {
 
     #[test]
     fn lone_flow_runs_at_line_rate() {
-        // One client, fixed 100 KB responses every 500 ms, 100 Mbps,
-        // 3 hops at 1 ms each.
-        let c = cfg(TrafficPattern::RequestResponse {
-            clients: vec![0],
-            server: 2,
-            arrivals: ArrivalProcess::Fixed {
-                interval: Duration::from_millis(500),
-            },
-            response: FlowSize::fixed(100_000),
+        // One sender, one wave of a fixed 100 KB flow, 100 Mbps, 3 hops
+        // at 1 ms each.
+        let c = cfg(TrafficPattern::Incast {
+            senders: vec![0],
+            receiver: 2,
+            flow: FlowSize::fixed(100_000),
+            period: secs(1),
+            waves: 1,
         });
         let eng =
             FlowLevelEngine::from_config(&c, 7, 0, 100_000_000, Duration::from_millis(1), |_, _| 3);
         let r = eng.report_at(Time::ZERO + secs(10));
-        // Arrivals at 1.5, 2.0, 2.5 (3.0 is out of window).
-        assert_eq!(r.flows_started, 3);
-        assert_eq!(r.flows_completed, 3);
-        assert_eq!(r.offered_bytes, 300_000);
-        assert_eq!(r.delivered_bytes, 300_000);
+        assert_eq!(r.flows_started, 1);
+        assert_eq!(r.flows_completed, 1);
+        assert_eq!(r.offered_bytes, 100_000);
+        assert_eq!(r.delivered_bytes, 100_000);
         // Uncontended: wire = 100000 + 98 frames * 74 B ≈ 107.3 KB at
         // 100 Mbps ≈ 8.58 ms drain + 3 ms propagation + 2 store-and-
         // forward serializations ≈ 11.8 ms.
@@ -651,12 +641,10 @@ mod tests {
 
     #[test]
     fn paced_streams_count_in_closed_form() {
-        let c = cfg(TrafficPattern::CbrMix {
-            streams: vec![super::super::CbrStream {
-                source: 0,
-                sink: 1,
-                rate_bps: 1_000_000,
-            }],
+        let c = cfg(TrafficPattern::Multicast {
+            source: 0,
+            receivers: vec![1],
+            rate_bps: 1_000_000,
         });
         let eng =
             FlowLevelEngine::from_config(&c, 7, 0, 100_000_000, Duration::from_millis(1), |_, _| 2);
@@ -679,7 +667,7 @@ mod tests {
         let c = cfg(TrafficPattern::RequestResponse {
             clients: vec![0, 1, 2],
             server: 3,
-            arrivals: ArrivalProcess::Poisson { rate_per_sec: 20.0 },
+            rate_per_sec: 20.0,
             response: FlowSize::pareto(2_000, 200_000),
         });
         let mk = || {

@@ -2,12 +2,12 @@
 //!
 //! Every workload the scenario layer previously knew was fixed-cadence
 //! (1 Hz pings, one CBR video). This module generates the shapes real
-//! deployments see — Poisson and heavy-tailed request/response flows,
-//! CBR mixes, SCDP-style incast and SRMCA-style multicast fan-out —
-//! under the same determinism contract as everything else in the
-//! matrix: all randomness flows from per-endpoint [`rand`] generators
-//! seeded by `(cell seed, workload index, endpoint index)` alone, so a
-//! cell's offered load is a pure function of its key.
+//! deployments see — Poisson request/response flows, SCDP-style incast
+//! and SRMCA-style multicast fan-out — under the same determinism
+//! contract as everything else in the matrix: all randomness flows
+//! from per-endpoint [`rand`] generators seeded by `(cell seed,
+//! workload index, endpoint index)` alone, so a cell's offered load is
+//! a pure function of its key.
 //!
 //! Two simulation granularities share one demand model:
 //!
@@ -29,11 +29,12 @@ pub mod packet;
 pub mod report;
 pub mod spec;
 
-pub use demand::{ArrivalProcess, ArrivalStream, FlowSize, WaveStream};
+pub use demand::{ArrivalStream, FlowSize, WaveStream};
 pub use flow::FlowLevelEngine;
 pub use report::{percentile, TrafficReport};
 pub use spec::{TrafficShape, TrafficSpec};
 
+use rand::distributions::Exp;
 use std::fmt;
 use std::time::Duration;
 
@@ -99,31 +100,18 @@ pub enum TrafficMode {
     Flow,
 }
 
-/// One CBR stream of a [`TrafficPattern::CbrMix`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CbrStream {
-    /// Topology node hosting the source.
-    pub source: usize,
-    /// Topology node hosting the sink.
-    pub sink: usize,
-    /// Offered payload rate in bits per second.
-    pub rate_bps: u64,
-}
-
 /// The load shape a traffic workload generates.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrafficPattern {
-    /// Open-loop request/response: each client draws request arrivals
-    /// from `arrivals` and asks the server for a response flow whose
-    /// size is drawn from `response`.
+    /// Open-loop request/response: each client sends Poisson requests,
+    /// `rate_per_sec` a second on average, and asks the server for a
+    /// response flow whose size is drawn from `response`.
     RequestResponse {
         clients: Vec<usize>,
         server: usize,
-        arrivals: ArrivalProcess,
+        rate_per_sec: f64,
         response: FlowSize,
     },
-    /// Constant-bit-rate streams with distinct per-stream rates.
-    CbrMix { streams: Vec<CbrStream> },
     /// `senders` synchronized onto one receiver (SCDP-style): every
     /// `period`, each sender blasts a flow drawn from `flow` at the
     /// receiver, `waves` times.
@@ -156,9 +144,6 @@ impl TrafficPattern {
                 let mut v = clients.clone();
                 v.push(*server);
                 v
-            }
-            TrafficPattern::CbrMix { streams } => {
-                streams.iter().flat_map(|s| [s.source, s.sink]).collect()
             }
             TrafficPattern::Incast {
                 senders, receiver, ..
@@ -193,19 +178,13 @@ impl TrafficPattern {
         match self {
             TrafficPattern::RequestResponse {
                 clients,
-                arrivals,
+                rate_per_sec,
                 response,
                 ..
             } => {
                 check_count(clients.len(), "request/response needs clients")?;
-                arrivals.validate()?;
+                Exp::new(*rate_per_sec).map_err(WorkloadError::BadDistribution)?;
                 response.validate()
-            }
-            TrafficPattern::CbrMix { streams } => {
-                check_count(streams.len(), "CBR mix needs streams")?;
-                streams
-                    .iter()
-                    .try_for_each(|s| check_paced_rate(s.rate_bps, "CBR stream rate"))
             }
             TrafficPattern::Incast {
                 senders,

@@ -78,9 +78,9 @@ enum Role {
         waves: WaveStream,
         pending: Option<(Duration, u64)>,
     },
-    /// Paced source: one full-chunk frame per destination per tick — CBR
-    /// unicast with a single destination, multicast fan-out with many
-    /// (replication happens at this source's access link, SRMCA-style).
+    /// Paced source: one full-chunk frame per destination per tick —
+    /// multicast fan-out, replicated at this source's access link
+    /// (SRMCA-style).
     Paced {
         dsts: Vec<Ipv4Addr>,
         interval: Duration,

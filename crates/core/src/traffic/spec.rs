@@ -12,20 +12,20 @@
 //! still fail, as a typed [`WorkloadError`] that marks the cell, not
 //! the sweep.
 
-use super::demand::{ArrivalProcess, FlowSize};
-use super::{CbrStream, TrafficConfig, TrafficMode, TrafficPattern, WorkloadError, MAX_ENDPOINTS};
+use super::demand::FlowSize;
+use super::{TrafficConfig, TrafficMode, TrafficPattern, WorkloadError, MAX_ENDPOINTS};
 use rf_topo::Topology;
 use std::time::Duration;
 
 /// The shape of a traffic knob, sized in endpoint *caps*.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TrafficShape {
-    /// Open-loop request/response: up to `clients` clients draw
-    /// arrivals from `arrivals` and fetch `response`-sized flows from
-    /// one far-away server.
+    /// Open-loop request/response: up to `clients` clients send
+    /// Poisson requests, `rate_per_sec` a second each, and fetch
+    /// `response`-sized flows from one far-away server.
     RequestResponse {
         clients: usize,
-        arrivals: ArrivalProcess,
+        rate_per_sec: f64,
         response: FlowSize,
     },
     /// Up to `senders` synchronized senders blast `flow`-sized
@@ -40,9 +40,6 @@ pub enum TrafficShape {
     /// One far-away source paces a `rate_bps` stream to up to
     /// `receivers` receivers.
     Multicast { receivers: usize, rate_bps: u64 },
-    /// One CBR stream per rate, each on its own source/sink pair
-    /// (pairs wrap around small topologies).
-    CbrMix { rates_bps: Vec<u64> },
 }
 
 /// A topology-independent traffic workload: shape + granularity +
@@ -72,26 +69,7 @@ impl TrafficSpec {
     pub fn poisson(clients: usize, rate_per_sec: f64, response: FlowSize) -> TrafficSpec {
         TrafficSpec::new(TrafficShape::RequestResponse {
             clients,
-            arrivals: ArrivalProcess::Poisson { rate_per_sec },
-            response,
-        })
-    }
-
-    /// Heavy-tailed request/response: bounded-Pareto gaps between
-    /// `min_gap` and `max_gap` per client.
-    pub fn pareto_requests(
-        clients: usize,
-        min_gap: Duration,
-        max_gap: Duration,
-        response: FlowSize,
-    ) -> TrafficSpec {
-        TrafficSpec::new(TrafficShape::RequestResponse {
-            clients,
-            arrivals: ArrivalProcess::ParetoGaps {
-                min_gap,
-                max_gap,
-                alpha_milli: 1200,
-            },
+            rate_per_sec,
             response,
         })
     }
@@ -112,11 +90,6 @@ impl TrafficSpec {
             receivers,
             rate_bps,
         })
-    }
-
-    /// A CBR mix with one stream per listed rate.
-    pub fn cbr_mix(rates_bps: Vec<u64>) -> TrafficSpec {
-        TrafficSpec::new(TrafficShape::CbrMix { rates_bps })
     }
 
     /// Simulate at flow granularity instead of per-frame.
@@ -156,12 +129,12 @@ impl TrafficSpec {
         let pattern = match &self.shape {
             TrafficShape::RequestResponse {
                 clients,
-                arrivals,
+                rate_per_sec,
                 response,
             } => TrafficPattern::RequestResponse {
                 clients: others(far, *clients),
                 server: far,
-                arrivals: *arrivals,
+                rate_per_sec: *rate_per_sec,
                 response: *response,
             },
             TrafficShape::Incast {
@@ -184,27 +157,6 @@ impl TrafficSpec {
                 receivers: others(near, *receivers),
                 rate_bps: *rate_bps,
             },
-            TrafficShape::CbrMix { rates_bps } => {
-                // Pair stream i as (2i, 2i+1) mod n, skipping self-loops
-                // by offsetting the sink when the pair collapses.
-                let streams = rates_bps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &rate_bps)| {
-                        let source = (2 * i) % n;
-                        let mut sink = (2 * i + 1) % n;
-                        if sink == source {
-                            sink = (sink + 1) % n;
-                        }
-                        CbrStream {
-                            source,
-                            sink,
-                            rate_bps,
-                        }
-                    })
-                    .collect();
-                TrafficPattern::CbrMix { streams }
-            }
         };
         let cfg = TrafficConfig {
             pattern,
@@ -259,22 +211,6 @@ mod tests {
             } => {
                 assert_eq!(*server, far);
                 assert_eq!(clients.len(), 3);
-            }
-            p => panic!("wrong pattern: {p:?}"),
-        }
-    }
-
-    #[test]
-    fn cbr_pairs_avoid_self_loops_on_tiny_topologies() {
-        let cfg = TrafficSpec::cbr_mix(vec![1_000_000, 2_000_000, 3_000_000])
-            .instantiate(&ring(3))
-            .unwrap();
-        match &cfg.pattern {
-            TrafficPattern::CbrMix { streams } => {
-                assert_eq!(streams.len(), 3);
-                for s in streams {
-                    assert_ne!(s.source, s.sink);
-                }
             }
             p => panic!("wrong pattern: {p:?}"),
         }

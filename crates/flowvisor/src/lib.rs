@@ -35,5 +35,5 @@
 pub mod proxy;
 pub mod slice;
 
-pub use proxy::{FlowVisor, FlowVisorConfig};
+pub use proxy::FlowVisor;
 pub use slice::SlicePolicy;

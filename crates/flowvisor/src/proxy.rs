@@ -22,29 +22,12 @@ const XID_WINDOW: u32 = 4096;
 /// Timer token base for upstream redials: `BASE + sw * 64 + slice`.
 const T_REDIAL_BASE: u64 = 1 << 32;
 
-/// FlowVisor configuration.
-#[derive(Clone, Debug)]
-pub struct FlowVisorConfig {
-    /// Service switches dial (conventionally 6633).
-    pub listen_service: u16,
-    /// The slices, in priority order for PACKET_IN classification.
-    pub slices: Vec<SlicePolicy>,
-    /// Stream profile toward slice controllers.
-    pub conn: ConnProfile,
-    /// Backoff before redialing a dead controller.
-    pub redial_backoff: Duration,
-}
-
-impl FlowVisorConfig {
-    pub fn new(slices: Vec<SlicePolicy>) -> FlowVisorConfig {
-        FlowVisorConfig {
-            listen_service: 6633,
-            slices,
-            conn: ConnProfile::default(),
-            redial_backoff: Duration::from_secs(1),
-        }
-    }
-}
+/// Service switches dial: 6633, the OpenFlow 1.0 controller port every
+/// switch dials by default.
+const LISTEN_SERVICE: u16 = 6633;
+/// Wait before redialling a dead slice controller: the 1 s first
+/// backoff of an Open vSwitch rconn, as the switches use.
+const REDIAL_BACKOFF: Duration = Duration::from_secs(1);
 
 #[derive(Clone)]
 struct Upstream {
@@ -85,7 +68,8 @@ struct XidSlot {
 /// switches to a fixed set of slice controllers.
 #[derive(Clone)]
 pub struct FlowVisor {
-    cfg: FlowVisorConfig,
+    /// The slices, in priority order for PACKET_IN classification.
+    slices: Vec<SlicePolicy>,
     /// The deepest layer any slice's flowspace reads: how far a punted
     /// or injected frame is parsed before `owns_packet` sees its key.
     key_depth: KeyDepth,
@@ -106,16 +90,15 @@ pub struct FlowVisor {
 }
 
 impl FlowVisor {
-    pub fn new(cfg: FlowVisorConfig) -> FlowVisor {
-        let key_depth = cfg
-            .slices
+    pub fn new(slices: Vec<SlicePolicy>) -> FlowVisor {
+        let key_depth = slices
             .iter()
             .flat_map(|slice| &slice.flowspace)
             .map(|m| m.depth())
             .max()
             .unwrap_or_default();
         FlowVisor {
-            cfg,
+            slices,
             key_depth,
             switches: Vec::new(),
             roles: Vec::new(),
@@ -173,12 +156,12 @@ impl FlowVisor {
     }
 
     fn dial_upstreams(&mut self, ctx: &mut Ctx<'_>, sw: usize) {
-        for slice_idx in 0..self.cfg.slices.len() {
+        for slice_idx in 0..self.slices.len() {
             if self.switches[sw].upstreams[slice_idx].conn.is_some() {
                 continue;
             }
-            let policy = self.cfg.slices[slice_idx].clone();
-            let conn = ctx.connect(policy.controller, policy.service, self.cfg.conn);
+            let policy = self.slices[slice_idx].clone();
+            let conn = ctx.connect(policy.controller, policy.service, ConnProfile::default());
             self.set_role(
                 conn,
                 Role::Upstream {
@@ -268,8 +251,8 @@ impl FlowVisor {
                     return;
                 };
                 let _ = (buffer_id, total_len, reason);
-                for slice_idx in 0..self.cfg.slices.len() {
-                    if self.cfg.slices[slice_idx].owns_packet(&key) {
+                for slice_idx in 0..self.slices.len() {
+                    if self.slices[slice_idx].owns_packet(&key) {
                         // Same bytes, same xid: hand the wire frame on.
                         self.forward_raw_to_slice(ctx, sw, slice_idx, raw);
                         // Exactly one slice owns a packet in this
@@ -280,7 +263,7 @@ impl FlowVisor {
             }
             OfMessage::PortStatus { reason, desc } => {
                 let _ = (reason, desc, xid);
-                for slice_idx in 0..self.cfg.slices.len() {
+                for slice_idx in 0..self.slices.len() {
                     self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
                 }
             }
@@ -288,7 +271,7 @@ impl FlowVisor {
                 if let Some(&slice) = self.cookie_owner.get(&(sw, cookie)) {
                     self.forward_raw_to_slice(ctx, sw, slice, raw);
                 } else {
-                    for slice_idx in 0..self.cfg.slices.len() {
+                    for slice_idx in 0..self.slices.len() {
                         self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
                     }
                 }
@@ -316,7 +299,7 @@ impl FlowVisor {
         let Some(features) = self.switches[sw].features.clone() else {
             return;
         };
-        for slice_idx in 0..self.cfg.slices.len() {
+        for slice_idx in 0..self.slices.len() {
             let pend = std::mem::take(&mut self.switches[sw].upstreams[slice_idx].pending_features);
             for xid in pend {
                 self.send_to_slice(
@@ -371,7 +354,7 @@ impl FlowVisor {
                 flags,
                 actions,
             } => {
-                let decision = self.cfg.slices[slice].check_flow_mod(&of_match);
+                let decision = self.slices[slice].check_flow_mod(&of_match);
                 let effective_match = match decision {
                     FlowSpaceDecision::Allow => of_match,
                     FlowSpaceDecision::Rewrite(m) => {
@@ -447,7 +430,7 @@ impl FlowVisor {
         // Policy-check the payload when we can see it.
         let denied = out.buffer_id == OFP_NO_BUFFER
             && PacketKey::from_frame(out.in_port, out.payload(&raw), self.key_depth)
-                .is_some_and(|key| !self.cfg.slices[slice].owns_packet(&key));
+                .is_some_and(|key| !self.slices[slice].owns_packet(&key));
         if denied {
             ctx.count("fv.packet_out_denied", 1);
             if let Some(c) = self.switches[sw].upstreams[slice].conn {
@@ -467,7 +450,7 @@ impl FlowVisor {
 
 impl Agent for FlowVisor {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.listen(self.cfg.listen_service);
+        ctx.listen(LISTEN_SERVICE);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -479,8 +462,8 @@ impl Agent for FlowVisor {
                 && self.switches[sw].alive
                 && self.switches[sw].upstreams[slice].conn.is_none()
             {
-                let policy = self.cfg.slices[slice].clone();
-                let conn = ctx.connect(policy.controller, policy.service, self.cfg.conn);
+                let policy = self.slices[slice].clone();
+                let conn = ctx.connect(policy.controller, policy.service, ConnProfile::default());
                 self.set_role(conn, Role::Upstream { sw, slice });
                 let up = &mut self.switches[sw].upstreams[slice];
                 up.conn = Some(conn);
@@ -501,7 +484,7 @@ impl Agent for FlowVisor {
                         conn,
                         reader: MessageReader::new(),
                         features: None,
-                        upstreams: (0..self.cfg.slices.len())
+                        upstreams: (0..self.slices.len())
                             .map(|_| Upstream {
                                 conn: None,
                                 ready: false,
@@ -553,7 +536,7 @@ impl Agent for FlowVisor {
                     Role::Switch(sw) => {
                         self.switches[sw].alive = false;
                         // Tear down that session's controller legs.
-                        for slice in 0..self.cfg.slices.len() {
+                        for slice in 0..self.slices.len() {
                             if let Some(c) = self.switches[sw].upstreams[slice].conn.take() {
                                 self.clear_role(c);
                                 ctx.conn_close(c);
@@ -565,7 +548,7 @@ impl Agent for FlowVisor {
                         self.switches[sw].upstreams[slice].ready = false;
                         if self.switches[sw].alive {
                             ctx.schedule(
-                                self.cfg.redial_backoff,
+                                REDIAL_BACKOFF,
                                 T_REDIAL_BASE + (sw as u64) * 64 + slice as u64,
                             );
                         }
@@ -712,9 +695,9 @@ mod tests {
         let prober = sim.add_agent("topo-ctrl", Box::new(Prober::default()));
         let fv = sim.add_agent(
             "flowvisor",
-            Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
-                SlicePolicy::lldp_slice("topology", prober, 6641),
-            ]))),
+            Box::new(FlowVisor::new(vec![SlicePolicy::lldp_slice(
+                "topology", prober, 6641,
+            )])),
         );
         let sw = sim.add_agent(
             "sw5",

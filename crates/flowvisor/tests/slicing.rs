@@ -2,7 +2,7 @@
 //! scripted slice controllers (the Fig. 2 layout).
 
 use bytes::Bytes;
-use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
+use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
 };
@@ -124,10 +124,10 @@ fn world(topo: SliceController, rf: SliceController) -> World {
     let rf_ctrl = sim.add_agent("rf-ctrl", Box::new(rf));
     let fv = sim.add_agent(
         "flowvisor",
-        Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
+        Box::new(FlowVisor::new(vec![
             SlicePolicy::lldp_slice("topology", topo_ctrl, 6641),
             SlicePolicy::ip_slice("routeflow", rf_ctrl, 6642),
-        ]))),
+        ])),
     );
     let sw = sim.add_agent(
         "sw5",

@@ -396,12 +396,10 @@ fn neighbor_restart_reconverges_within_dead_interval() {
     assert_eq!(net.daemons[1].lsdb_len(), 2);
 }
 
-/// Periodic LSA refreshes (same links, new sequence number) must not
-/// cost a Dijkstra pass: the SPF input fingerprint is unchanged, so
-/// the daemon answers from its cache — and the route set must not
-/// move while it does.
+/// Periodic LSA refreshes (same links, new sequence number) trigger
+/// SPF on every receiver, and the route set must not move.
 #[test]
-fn lsa_refresh_hits_spf_fingerprint_cache() {
+fn lsa_refresh_reruns_spf_and_keeps_routes() {
     let mut net = Net::build(3, &[(0, 1), (1, 2)], 1, 4);
     net.start();
     net.run_until(Time::from_secs(20));
@@ -416,10 +414,6 @@ fn lsa_refresh_hits_spf_fingerprint_cache() {
         assert!(
             d.spf_runs > runs_before[i],
             "refresh floods must still trigger SPF on router {i}"
-        );
-        assert!(
-            d.spf_skipped > 0,
-            "content-identical refresh must hit the fingerprint cache on router {i}"
         );
     }
     assert_eq!(net.routes, routes_before, "routes must not move");

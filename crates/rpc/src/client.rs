@@ -17,29 +17,13 @@ use std::time::Duration;
 const T_RETX: u64 = 1;
 const T_RECONNECT: u64 = 2;
 
-/// Configuration of the relay.
-#[derive(Clone, Debug)]
-pub struct RpcClientConfig {
-    /// The RF-controller hosting the RPC server.
-    pub server: AgentId,
-    /// Retransmission timeout for unacked requests.
-    pub retransmit: Duration,
-    /// Reconnect backoff after losing the server connection.
-    pub reconnect_backoff: Duration,
-    /// Stream profile toward the server.
-    pub conn: ConnProfile,
-}
-
-impl RpcClientConfig {
-    pub fn new(server: AgentId) -> RpcClientConfig {
-        RpcClientConfig {
-            server,
-            retransmit: Duration::from_millis(500),
-            reconnect_backoff: Duration::from_millis(500),
-            conn: ConnProfile::default(),
-        }
-    }
-}
+/// Retransmission timeout for unacked requests. The relay's own value,
+/// not the paper's: hundreds of round trips of the 1 ms control stream,
+/// so a live server always acks first.
+const RETRANSMIT: Duration = Duration::from_millis(500);
+/// Wait before redialling the server after losing its connection; the
+/// relay's own value, one retransmission timeout.
+const RECONNECT_BACKOFF: Duration = RETRANSMIT;
 
 /// The RPC client agent.
 ///
@@ -49,7 +33,8 @@ impl RpcClientConfig {
 /// server on [`RPC_SERVER_SERVICE`].
 #[derive(Clone)]
 pub struct RpcClientAgent {
-    cfg: RpcClientConfig,
+    /// The RF-controller hosting the RPC server.
+    server: AgentId,
     upstream_readers: Vec<(ConnId, RpcFrameReader)>,
     server_conn: Option<ConnId>,
     server_ready: bool,
@@ -61,9 +46,9 @@ pub struct RpcClientAgent {
 }
 
 impl RpcClientAgent {
-    pub fn new(cfg: RpcClientConfig) -> RpcClientAgent {
+    pub fn new(server: AgentId) -> RpcClientAgent {
         RpcClientAgent {
-            cfg,
+            server,
             upstream_readers: Vec::new(),
             server_conn: None,
             server_ready: false,
@@ -84,7 +69,8 @@ impl RpcClientAgent {
     fn connect_server(&mut self, ctx: &mut Ctx<'_>) {
         self.server_ready = false;
         self.server_reader = RpcFrameReader::new();
-        self.server_conn = Some(ctx.connect(self.cfg.server, RPC_SERVER_SERVICE, self.cfg.conn));
+        self.server_conn =
+            Some(ctx.connect(self.server, RPC_SERVER_SERVICE, ConnProfile::default()));
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_>) {
@@ -105,7 +91,7 @@ impl Agent for RpcClientAgent {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.listen(RPC_CLIENT_SERVICE);
         self.connect_server(ctx);
-        ctx.schedule(self.cfg.retransmit, T_RETX);
+        ctx.schedule(RETRANSMIT, T_RETX);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -117,7 +103,7 @@ impl Agent for RpcClientAgent {
                     self.retransmissions += 1;
                     self.flush(ctx);
                 }
-                ctx.schedule(self.cfg.retransmit, T_RETX);
+                ctx.schedule(RETRANSMIT, T_RETX);
             }
             T_RECONNECT if self.server_conn.is_none() => {
                 self.connect_server(ctx);
@@ -147,7 +133,7 @@ impl Agent for RpcClientAgent {
                 StreamEvent::Closed => {
                     self.server_conn = None;
                     self.server_ready = false;
-                    ctx.schedule(self.cfg.reconnect_backoff, T_RECONNECT);
+                    ctx.schedule(RECONNECT_BACKOFF, T_RECONNECT);
                 }
             }
             return;

@@ -30,7 +30,7 @@ pub mod msg;
 pub mod outbox;
 pub mod server;
 
-pub use client::{RpcClientAgent, RpcClientConfig};
+pub use client::RpcClientAgent;
 pub use codec::{decode_envelope, encode_envelope, Envelope, RpcFrameReader};
 pub use msg::{RpcAck, RpcRequest};
 pub use outbox::Outbox;

@@ -14,8 +14,7 @@
 //!   to events; between events they hold no locks and spin no threads.
 //! * **Links** ([`link::LinkProfile`]) are lossy packet pipes carrying
 //!   Ethernet frames between `(agent, port)` endpoints, with latency,
-//!   bandwidth serialization and fault injection (drop / corrupt /
-//!   duplicate), in the spirit of the smoltcp fault-injection examples.
+//!   bandwidth serialization and an independent per-frame drop chance.
 //! * **Streams** ([`ConnId`]) are reliable, in-order byte channels that
 //!   model TCP control connections (switch ↔ FlowVisor ↔ controllers,
 //!   RPC client ↔ RPC server). Bytes go in, the same bytes come out
@@ -61,7 +60,7 @@ pub mod trace;
 pub use kernel::{
     Agent, AgentId, CloneAgent, ConnId, ConnProfile, Ctx, LinkId, Sim, SimConfig, StreamEvent,
 };
-pub use link::{FaultProfile, LinkProfile};
+pub use link::LinkProfile;
 pub use time::Time;
 pub use trace::{KernelCounter, TraceLevel, Tracer};
 

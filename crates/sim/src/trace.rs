@@ -36,10 +36,8 @@ pub enum KernelCounter {
     TxNoLink,
     /// `link.tx_down` — sends on an administratively-down link.
     TxDown,
-    /// `link.dropped` — frames lost to the link's fault model.
+    /// `link.dropped` — frames lost to the link's `drop_chance`.
     Dropped,
-    /// `link.duplicated` — frames duplicated by the fault model.
-    Duplicated,
     /// `conn.opened` — stream handshakes completed.
     ConnOpened,
     /// `conn.refused` — connects to a non-listening peer.
@@ -52,7 +50,7 @@ pub enum KernelCounter {
 
 impl KernelCounter {
     /// Number of slots (the array length inside [`Tracer`]).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every variant, in slot order.
     pub const ALL: [KernelCounter; KernelCounter::COUNT] = [
@@ -61,7 +59,6 @@ impl KernelCounter {
         KernelCounter::TxNoLink,
         KernelCounter::TxDown,
         KernelCounter::Dropped,
-        KernelCounter::Duplicated,
         KernelCounter::ConnOpened,
         KernelCounter::ConnRefused,
         KernelCounter::ConnTxClosed,
@@ -76,7 +73,6 @@ impl KernelCounter {
             KernelCounter::TxNoLink => "link.tx_no_link",
             KernelCounter::TxDown => "link.tx_down",
             KernelCounter::Dropped => "link.dropped",
-            KernelCounter::Duplicated => "link.duplicated",
             KernelCounter::ConnOpened => "conn.opened",
             KernelCounter::ConnRefused => "conn.refused",
             KernelCounter::ConnTxClosed => "conn.tx_closed",
@@ -141,11 +137,6 @@ impl Tracer {
         self.kernel[slot as usize] += delta;
     }
 
-    /// Read a kernel counter slot directly.
-    pub fn kernel_counter(&self, slot: KernelCounter) -> u64 {
-        self.kernel[slot as usize]
-    }
-
     /// Read a counter by name; kernel slot names resolve to their
     /// array slots, everything else to the named map.
     pub fn counter(&self, name: &str) -> u64 {
@@ -200,7 +191,7 @@ mod tests {
         tr.count_kernel(KernelCounter::TxBytes, 300);
         tr.count("rf.flow_add", 1);
         assert_eq!(tr.counter("link.tx_frames"), 2);
-        assert_eq!(tr.kernel_counter(KernelCounter::TxBytes), 300);
+        assert_eq!(tr.counter("link.tx_bytes"), 300);
         let all = tr.counters();
         assert_eq!(all.get("link.tx_frames"), Some(&2));
         assert_eq!(all.get("link.tx_bytes"), Some(&300));

@@ -18,6 +18,18 @@ const T_EXPIRY: u64 = 1;
 const T_RECONNECT_BASE: u64 = 1000;
 const T_ECHO: u64 = 3;
 
+/// Packet buffer pool size: Open vSwitch's 256 PACKET_IN buffers.
+const N_BUFFERS: u32 = 256;
+/// Flow-expiry scan period, this model's own value: a hard or idle
+/// timeout fires at most half a second late.
+const EXPIRY_INTERVAL: Duration = Duration::from_millis(500);
+/// Keepalive ECHO_REQUEST period on a ready control channel, this
+/// model's own value.
+const ECHO_INTERVAL: Duration = Duration::from_secs(15);
+/// Wait before redialling a dropped controller: the 1 s first backoff
+/// of Open vSwitch's rconn.
+const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
+
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
 pub struct SwitchConfig {
@@ -29,16 +41,6 @@ pub struct SwitchConfig {
     /// several simultaneous controllers; the FlowVisor-bypass ablation
     /// uses two, normal deployments one (FlowVisor itself).
     pub controllers: Vec<(rf_sim::AgentId, u16)>,
-    /// Control-channel latency profile.
-    pub conn: ConnProfile,
-    /// Packet buffer pool size (OVS default 256).
-    pub n_buffers: u32,
-    /// Flow-expiry scan period.
-    pub expiry_interval: Duration,
-    /// Keepalive echo period (0 = disabled).
-    pub echo_interval: Duration,
-    /// Reconnect backoff after the control channel drops.
-    pub reconnect_backoff: Duration,
 }
 
 impl SwitchConfig {
@@ -47,11 +49,6 @@ impl SwitchConfig {
             dpid,
             num_ports,
             controllers: vec![(controller, 6633)],
-            conn: ConnProfile::default(),
-            n_buffers: 256,
-            expiry_interval: Duration::from_millis(500),
-            echo_interval: Duration::from_secs(15),
-            reconnect_backoff: Duration::from_secs(1),
         }
     }
 
@@ -94,7 +91,7 @@ pub struct OpenFlowSwitch {
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
     /// PACKET_IN buffer pool, oldest first: `(id, frame, in_port)`. A
-    /// ring of `n_buffers` slots — a miss that finds it full overwrites
+    /// ring of [`N_BUFFERS`] slots — a miss that finds it full overwrites
     /// the oldest frame, as OVS's pktbuf does, so a controller that
     /// never releases buffers cannot pin frames or change what later
     /// PACKET_INs look like.
@@ -236,11 +233,10 @@ impl OpenFlowSwitch {
 
     fn connect(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let target = self.ctrls[idx].target;
-        let profile = self.cfg.conn;
         let c = &mut self.ctrls[idx];
         c.state = ConnState::Connecting;
         c.reader = MessageReader::new();
-        c.conn = Some(ctx.connect(target.0, target.1, profile));
+        c.conn = Some(ctx.connect(target.0, target.1, ConnProfile::default()));
     }
 
     /// Emit PACKET_IN for a table miss (buffering the frame).
@@ -250,18 +246,13 @@ impl OpenFlowSwitch {
             return;
         }
         let total_len = frame.len() as u16;
-        let (buffer_id, data) = if self.cfg.n_buffers > 0 {
-            if self.buffers.len() as u32 >= self.cfg.n_buffers {
-                self.buffers.pop_front();
-            }
-            let id = self.next_buffer;
-            self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
-            self.buffers.push_back((id, frame.clone(), in_port));
-            let cut = frame.len().min(self.miss_send_len as usize);
-            (id, frame.slice(..cut))
-        } else {
-            (OFP_NO_BUFFER, frame)
-        };
+        if self.buffers.len() as u32 >= N_BUFFERS {
+            self.buffers.pop_front();
+        }
+        let buffer_id = self.next_buffer;
+        self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
+        self.buffers.push_back((buffer_id, frame.clone(), in_port));
+        let data = frame.slice(..frame.len().min(self.miss_send_len as usize));
         let xid = self.next_xid();
         ctx.count("of.packet_in", 1);
         self.send(
@@ -451,7 +442,7 @@ impl OpenFlowSwitch {
             OfMessage::FeaturesRequest => {
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: self.cfg.dpid,
-                    n_buffers: self.cfg.n_buffers,
+                    n_buffers: N_BUFFERS,
                     n_tables: 1,
                     capabilities: 0x0000_0080, // ARP_MATCH_IP
                     actions: 0x0000_0FFF,      // all OF 1.0 actions
@@ -575,10 +566,8 @@ impl Agent for OpenFlowSwitch {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
         }
-        ctx.schedule(self.cfg.expiry_interval, T_EXPIRY);
-        if !self.cfg.echo_interval.is_zero() {
-            ctx.schedule(self.cfg.echo_interval, T_ECHO);
-        }
+        ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
+        ctx.schedule(ECHO_INTERVAL, T_ECHO);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -587,14 +576,14 @@ impl Agent for OpenFlowSwitch {
                 let removed = self.table.expire(ctx.now());
                 self.flow_removed_msgs(ctx, removed);
                 self.drain_port_status(ctx);
-                ctx.schedule(self.cfg.expiry_interval, T_EXPIRY);
+                ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
             }
             T_ECHO => {
                 if self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
                     let xid = self.next_xid();
                     self.send(ctx, OfMessage::EchoRequest(Bytes::from_static(b"ka")), xid);
                 }
-                ctx.schedule(self.cfg.echo_interval, T_ECHO);
+                ctx.schedule(ECHO_INTERVAL, T_ECHO);
             }
             t if t >= T_RECONNECT_BASE => {
                 let idx = (t - T_RECONNECT_BASE) as usize;
@@ -638,7 +627,7 @@ impl Agent for OpenFlowSwitch {
             StreamEvent::Closed => {
                 self.ctrls[idx].conn = None;
                 self.ctrls[idx].state = ConnState::Disconnected;
-                ctx.schedule(self.cfg.reconnect_backoff, T_RECONNECT_BASE + idx as u64);
+                ctx.schedule(RECONNECT_BACKOFF, T_RECONNECT_BASE + idx as u64);
             }
         }
     }

@@ -7,7 +7,7 @@
 //! cargo run --release --example flowvisor_slicing
 //! ```
 
-use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
+use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
 };
@@ -106,10 +106,10 @@ fn main() {
     let passive = sim.add_agent("ip-slice-controller", Box::new(Passive { service: 7002 }));
     let fv = sim.add_agent(
         "flowvisor",
-        Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
+        Box::new(FlowVisor::new(vec![
             SlicePolicy::lldp_slice("topology", greedy, 7001),
             SlicePolicy::ip_slice("routeflow", passive, 7002),
-        ]))),
+        ])),
     );
     let sw = sim.add_agent(
         "switch",

@@ -70,8 +70,8 @@ pub mod prelude {
         ScenarioBuilder, ScenarioMetrics, Snapshot, SnapshotError, Workload, WorkloadReport,
     };
     pub use rf_core::traffic::{
-        ArrivalProcess, FlowSize, TrafficConfig, TrafficMode, TrafficPattern, TrafficReport,
-        TrafficShape, TrafficSpec, WorkloadError,
+        FlowSize, TrafficConfig, TrafficMode, TrafficPattern, TrafficReport, TrafficShape,
+        TrafficSpec, WorkloadError,
     };
     pub use rf_sim::{LinkProfile, Sim, SimConfig, Time};
     pub use rf_topo::{

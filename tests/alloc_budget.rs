@@ -22,7 +22,7 @@ use rf_core::host::{HostConfig, HostStack, Received};
 use rf_core::traffic::packet::TrafficHost;
 use rf_core::vnet::vm::ospf_frame;
 use rf_core::vnet::RfMessage;
-use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
+use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_openflow::{
     Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketKey,
     SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
@@ -394,9 +394,9 @@ fn discovery_loop() -> (Sim, AgentId) {
     );
     let fv = sim.add_agent(
         "flowvisor",
-        Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
-            SlicePolicy::lldp_slice("topology", ctrl, 6641),
-        ]))),
+        Box::new(FlowVisor::new(vec![SlicePolicy::lldp_slice(
+            "topology", ctrl, 6641,
+        )])),
     );
     let switches = [1, 2].map(|dpid| {
         sim.add_agent(
@@ -580,9 +580,9 @@ fn a_forwarded_reply_allocates_nothing() {
     );
     let fv = sim.add_agent(
         "flowvisor",
-        Box::new(FlowVisor::new(FlowVisorConfig::new(vec![
-            SlicePolicy::lldp_slice("topology", ctrl, 6641),
-        ]))),
+        Box::new(FlowVisor::new(vec![SlicePolicy::lldp_slice(
+            "topology", ctrl, 6641,
+        )])),
     );
     sim.add_agent(
         "sw1",

@@ -93,11 +93,36 @@ fn discovery_time_scales_with_probe_interval() {
     let topo = ring(8);
     let mut fast = cfg();
     fast.probe_interval = Duration::from_millis(200);
-    fast.link_ttl = Duration::from_millis(600);
     let (mut sim, tc) = build(&topo, fast);
     sim.run_until(Time::from_secs(2));
     let t = sim.agent_as::<TopologyController>(tc).unwrap();
     assert_eq!(t.links().len(), 8);
+}
+
+#[test]
+fn a_silent_link_lives_three_probe_intervals() {
+    // The link lifetime is derived, not set: three probe intervals. A
+    // link that stops carrying probes outlives two lost probes and is
+    // gone well before six intervals have passed.
+    let probe = Duration::from_millis(200);
+    let mut fast = cfg();
+    fast.probe_interval = probe;
+    let (mut sim, tc) = build(&ring(4), fast);
+    sim.run_until(Time::from_secs(2));
+    let links = |sim: &Sim| {
+        sim.agent_as::<TopologyController>(tc)
+            .unwrap()
+            .links()
+            .len()
+    };
+    assert_eq!(links(&sim), 4);
+    // `build` adds no link before the topology's first edge.
+    sim.set_link_up(rf_sim::LinkId(0), false);
+    let down_at = sim.now();
+    sim.run_until(down_at + probe.mul_f64(1.9));
+    assert_eq!(links(&sim), 4, "dropped before three probe intervals");
+    sim.run_until(down_at + probe * 6);
+    assert_eq!(links(&sim), 3, "still listed after six probe intervals");
 }
 
 #[test]

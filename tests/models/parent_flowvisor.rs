@@ -1,6 +1,6 @@
 //! `rf_flowvisor::FlowVisor` as it was before a forwarded message was
 //! patched where it lies (`crates/flowvisor/src/proxy.rs` at 8ab2bff,
-//! verbatim but for one unread accessor and the four adaptations
+//! verbatim but for one unread accessor and the five adaptations
 //! marked `ADAPTED`): every message decoded in full, PACKET_OUTs
 //! included; every forwarded message copied to change its xid;
 //! connections and xids looked up in `HashMap`s; a chunk's messages
@@ -8,14 +8,25 @@
 //! proxy must match byte for byte, on every connection. Its two STATS
 //! arms are deleted here as in the real proxy: no STATS message decodes.
 
-// ADAPTED: the policy and configuration types are the real crate's.
+// ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
 use rf_flowvisor::slice::FlowSpaceDecision;
-use rf_flowvisor::FlowVisorConfig;
+use rf_flowvisor::SlicePolicy;
 use rf_openflow::{ErrorType, MessageReader, OfError, OfMessage, OFP_HEADER_LEN, OFP_NO_BUFFER};
-use rf_sim::{Agent, ConnId, Ctx, StreamEvent};
+use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use std::collections::HashMap;
+use std::time::Duration;
+
+// ADAPTED: the parent's configuration type, which the real proxy has
+// folded into constants; the model keeps its own copy of the values.
+#[derive(Clone, Debug)]
+struct FlowVisorConfig {
+    listen_service: u16,
+    slices: Vec<SlicePolicy>,
+    conn: ConnProfile,
+    redial_backoff: Duration,
+}
 
 // ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
 // every frame — is `models/parent_key.rs`.
@@ -94,9 +105,14 @@ pub struct ModelFlowVisor {
 }
 
 impl ModelFlowVisor {
-    pub fn new(cfg: FlowVisorConfig) -> ModelFlowVisor {
+    pub fn new(slices: Vec<SlicePolicy>) -> ModelFlowVisor {
         ModelFlowVisor {
-            cfg,
+            cfg: FlowVisorConfig {
+                listen_service: 6633,
+                slices,
+                conn: ConnProfile::default(),
+                redial_backoff: Duration::from_secs(1),
+            },
             switches: Vec::new(),
             roles: HashMap::new(),
             next_xid: 1,

@@ -1,6 +1,6 @@
 //! `rf_switch::OpenFlowSwitch` as it was before a PACKET_OUT was read
 //! where it lies (`crates/switch/src/switch.rs` at 8ab2bff, verbatim
-//! but for five unread accessors and the three adaptations marked
+//! but for five unread accessors and the four adaptations marked
 //! `ADAPTED`): every message decoded in full, a chunk's messages
 //! drained into a list before any is handled, a PACKET_OUT's actions a
 //! `Vec`, an egress list per action list, punt templates in a
@@ -18,16 +18,24 @@ use rf_openflow::{
     ErrorType, MessageReader, OfMessage, PacketInReason, PhyPort, PortNumber, PortStatusReason,
     SwitchFeatures, OFP_NO_BUFFER,
 };
-use rf_sim::{Agent, ConnId, Ctx, StreamEvent};
+use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_switch::{apply_actions, Egress, FlowTable, Removed, SwitchConfig};
 use rf_wire::MacAddr;
 use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 /// Timer tokens.
 const T_EXPIRY: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
 const T_ECHO: u64 = 3;
+
+// ADAPTED: the parent read these from `SwitchConfig`, whose defaults
+// they are; the real switch now fixes them as constants of its own.
+const N_BUFFERS: u32 = 256;
+const EXPIRY_INTERVAL: Duration = Duration::from_millis(500);
+const ECHO_INTERVAL: Duration = Duration::from_secs(15);
+const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
 
 // ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
 // every frame — is `models/parent_key.rs`.
@@ -174,7 +182,7 @@ impl ModelSwitch {
 
     fn connect(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let target = self.ctrls[idx].target;
-        let profile = self.cfg.conn;
+        let profile = ConnProfile::default();
         let c = &mut self.ctrls[idx];
         c.state = ConnState::Connecting;
         c.reader = MessageReader::new();
@@ -188,8 +196,8 @@ impl ModelSwitch {
             return;
         }
         let total_len = frame.len() as u16;
-        let (buffer_id, data) = if self.cfg.n_buffers > 0 {
-            if self.buffers.len() as u32 >= self.cfg.n_buffers {
+        let (buffer_id, data) = if N_BUFFERS > 0 {
+            if self.buffers.len() as u32 >= N_BUFFERS {
                 self.buffers.pop_front();
             }
             let id = self.next_buffer;
@@ -343,7 +351,7 @@ impl ModelSwitch {
             OfMessage::FeaturesRequest => {
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: self.cfg.dpid,
-                    n_buffers: self.cfg.n_buffers,
+                    n_buffers: N_BUFFERS,
                     n_tables: 1,
                     capabilities: 0x0000_0080, // ARP_MATCH_IP
                     actions: 0x0000_0FFF,      // all OF 1.0 actions
@@ -498,9 +506,9 @@ impl Agent for ModelSwitch {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
         }
-        ctx.schedule(self.cfg.expiry_interval, T_EXPIRY);
-        if !self.cfg.echo_interval.is_zero() {
-            ctx.schedule(self.cfg.echo_interval, T_ECHO);
+        ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
+        if !ECHO_INTERVAL.is_zero() {
+            ctx.schedule(ECHO_INTERVAL, T_ECHO);
         }
     }
 
@@ -510,14 +518,14 @@ impl Agent for ModelSwitch {
                 let removed = self.table.expire(ctx.now());
                 self.flow_removed_msgs(ctx, removed);
                 self.drain_port_status(ctx);
-                ctx.schedule(self.cfg.expiry_interval, T_EXPIRY);
+                ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
             }
             T_ECHO => {
                 if self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
                     let xid = self.next_xid();
                     self.send(ctx, OfMessage::EchoRequest(Bytes::from_static(b"ka")), xid);
                 }
-                ctx.schedule(self.cfg.echo_interval, T_ECHO);
+                ctx.schedule(ECHO_INTERVAL, T_ECHO);
             }
             t if t >= T_RECONNECT_BASE => {
                 let idx = (t - T_RECONNECT_BASE) as usize;
@@ -575,7 +583,7 @@ impl Agent for ModelSwitch {
             StreamEvent::Closed => {
                 self.ctrls[idx].conn = None;
                 self.ctrls[idx].state = ConnState::Disconnected;
-                ctx.schedule(self.cfg.reconnect_backoff, T_RECONNECT_BASE + idx as u64);
+                ctx.schedule(RECONNECT_BACKOFF, T_RECONNECT_BASE + idx as u64);
             }
         }
     }

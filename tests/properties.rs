@@ -64,11 +64,22 @@ fn rechunked<R, M>(
 /// reference the real relay must match message for message.
 mod relay_model {
     use rf_rpc::{
-        encode_envelope, Envelope, RpcAck, RpcClientConfig, RpcFrameReader, RpcRequest,
-        RPC_CLIENT_SERVICE, RPC_SERVER_SERVICE,
+        encode_envelope, Envelope, RpcAck, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE,
+        RPC_SERVER_SERVICE,
     };
-    use rf_sim::{Agent, ConnId, Ctx, StreamEvent};
+    use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
     use std::collections::VecDeque;
+    use std::time::Duration;
+
+    /// The parent's relay configuration, which the real relay has
+    /// folded into constants; the model keeps its own copy of the values.
+    #[derive(Clone, Debug)]
+    struct RpcClientConfig {
+        server: AgentId,
+        retransmit: Duration,
+        reconnect_backoff: Duration,
+        conn: ConnProfile,
+    }
 
     const T_RETX: u64 = 1;
     const T_RECONNECT: u64 = 2;
@@ -94,9 +105,14 @@ mod relay_model {
     }
 
     impl ModelRelay {
-        pub fn new(cfg: RpcClientConfig) -> ModelRelay {
+        pub fn new(server: AgentId) -> ModelRelay {
             ModelRelay {
-                cfg,
+                cfg: RpcClientConfig {
+                    server,
+                    retransmit: Duration::from_millis(500),
+                    reconnect_backoff: Duration::from_millis(500),
+                    conn: ConnProfile::default(),
+                },
                 upstream_readers: Vec::new(),
                 server_conn: None,
                 server_ready: false,
@@ -342,7 +358,7 @@ impl rf_sim::Agent for ScriptedServer {
 /// the server saw, when, and the relay's `(acked, retransmissions)`.
 fn play_relay<R: rf_sim::Agent>(
     script: &RelayScript,
-    make_relay: impl FnOnce(rf_rpc::RpcClientConfig) -> R,
+    make_relay: impl FnOnce(rf_sim::AgentId) -> R,
     counters: impl FnOnce(&R) -> (u64, u64),
 ) -> (Vec<(rf_sim::Time, rf_rpc::Envelope)>, (u64, u64)) {
     let mut sim = rf_sim::Sim::new(rf_sim::SimConfig::default());
@@ -356,10 +372,7 @@ fn play_relay<R: rf_sim::Agent>(
             log: Vec::new(),
         }),
     );
-    let relay = sim.add_agent(
-        "rpc-client",
-        Box::new(make_relay(rf_rpc::RpcClientConfig::new(server))),
-    );
+    let relay = sim.add_agent("rpc-client", Box::new(make_relay(server)));
     sim.add_agent(
         "topo-ctrl",
         Box::new(ScriptedUpstream {
@@ -1588,7 +1601,7 @@ fn play_control(
     model: bool,
     hold: bool,
 ) -> (ControlTranscript, Vec<Bytes>) {
-    use rf_flowvisor::{FlowVisor, FlowVisorConfig, SlicePolicy};
+    use rf_flowvisor::{FlowVisor, SlicePolicy};
     use rf_sim::{Agent, LinkProfile, Sim, SimConfig, Time};
     use rf_switch::{OpenFlowSwitch, SwitchConfig};
 
@@ -1610,7 +1623,7 @@ fn play_control(
     let fv = (layout != ControlLayout::SwitchOnly).then(|| {
         // LLDP and the lower half of IPv4: payloads and FLOW_MODs fall
         // on both sides of it.
-        let cfg = FlowVisorConfig::new(vec![SlicePolicy {
+        let slices = vec![SlicePolicy {
             name: "half".into(),
             controller: ctrl,
             service: CTRL_SERVICE,
@@ -1618,11 +1631,11 @@ fn play_control(
                 OfMatch::lldp(),
                 OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 1),
             ],
-        }]);
+        }];
         let agent: Box<dyn Agent> = if model {
-            Box::new(flowvisor_model::ModelFlowVisor::new(cfg))
+            Box::new(flowvisor_model::ModelFlowVisor::new(slices))
         } else {
-            Box::new(FlowVisor::new(cfg))
+            Box::new(FlowVisor::new(slices))
         };
         sim.add_agent("flowvisor", agent)
     });

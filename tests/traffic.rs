@@ -10,7 +10,7 @@ use rf_core::scenario::{
     FaultSchedule, MatrixKnob, MatrixSpec, Scenario, ScenarioMatrix, Workload, WorkloadReport,
 };
 use rf_core::traffic::{
-    CbrStream, FlowSize, TrafficConfig, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,
+    FlowSize, TrafficConfig, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,
 };
 use rf_openflow::{Action, OFPP_CONTROLLER};
 use rf_sim::{LinkProfile, Time};
@@ -248,7 +248,8 @@ fn bad_cell_fails_alone_not_the_sweep() {
             MatrixKnob::fast("fan9").with_fan_in(9),
             MatrixKnob::fast("fan0").with_fan_in(0),
             // One frame per nanosecond and more: a zero pacing interval.
-            MatrixKnob::fast("cbr-9t").with_traffic(TrafficSpec::cbr_mix(vec![9_000_000_000_000])),
+            MatrixKnob::fast("mcast-9t-packet")
+                .with_traffic(TrafficSpec::multicast(2, 9_000_000_000_000)),
             MatrixKnob::fast("mcast-9t-flow")
                 .with_traffic(TrafficSpec::multicast(2, 9_000_000_000_000).flow_level()),
         ],
@@ -261,7 +262,7 @@ fn bad_cell_fails_alone_not_the_sweep() {
     for knob in [
         "knob=fan9",
         "knob=fan0",
-        "knob=cbr-9t",
+        "knob=mcast-9t-packet",
         "knob=mcast-9t-flow",
     ] {
         let bad = report
@@ -305,14 +306,13 @@ fn workload_constructors_return_typed_errors() {
     // A paced rate past one frame per nanosecond has a zero interval:
     // the flow model would divide by it, the packet pacer spin on it.
     let too_fast = 9_000_000_000_000;
-    let cbr = |source, sink, rate_bps| CbrStream {
-        source,
-        sink,
-        rate_bps,
-    };
     for pattern in [
-        TrafficPattern::CbrMix {
-            streams: vec![cbr(0, 1, 1_000_000), cbr(2, 3, too_fast)],
+        // The slowest such rate: 8 192 bits a frame, just over one
+        // frame per nanosecond.
+        TrafficPattern::Multicast {
+            source: 3,
+            receivers: vec![1],
+            rate_bps: 8_192_000_000_001,
         },
         TrafficPattern::Multicast {
             source: 0,
