@@ -28,7 +28,7 @@
 //! (add `--json FILE` to save the report, `--threads N` to override
 //! the worker count)
 
-use rf_bench::{fmt_dur, manual_config_time, print_table, report_duration, sweep_args};
+use rf_bench::{fmt_dur, print_table, report_duration, sweep_args};
 use rf_core::scenario::{FaultSchedule, MatrixCell, MatrixKnob, MatrixSpec, ScenarioMatrix};
 use std::time::Duration;
 
@@ -114,7 +114,7 @@ fn main() {
             report_duration(rec_of(topology, 1), "green_median_ns").expect("switches configured");
         let median_k8 =
             report_duration(rec_of(topology, 8), "green_median_ns").expect("switches configured");
-        let manual = manual_config_time(n);
+        let manual = rf_core::manual::total(n);
         let auto_k8 = report_duration(rec_of(topology, 8), "all_configured_ns").unwrap();
         cols.push(fmt_dur(median_k1));
         cols.push(fmt_dur(median_k8));

@@ -7,15 +7,9 @@
 
 #![forbid(unsafe_code)]
 
-use rf_core::manual::ManualConfigModel;
 use rf_core::scenario::{CellRecord, MatrixReport};
 use std::process::ExitCode;
 use std::time::Duration;
-
-/// The manual baseline for `n` switches (paper model).
-pub fn manual_config_time(n: usize) -> Duration {
-    ManualConfigModel::default().total(n)
-}
 
 /// Shared CLI shape of the sweep-emitting table binaries: worker
 /// thread count (`--threads N`), report destination (`--json FILE`)

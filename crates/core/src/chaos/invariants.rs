@@ -345,20 +345,11 @@ pub fn check_invariants(sc: &Scenario, ctx: &InvariantContext<'_>) -> Vec<Invari
     // 4. Traffic conservation (workload accounting).
     for report in sc.workload_reports() {
         match report {
-            WorkloadReport::Ping(p) => {
-                if p.replies.len() > p.sent.len() {
-                    out.push(InvariantViolation::Conservation {
-                        what: "ping replies",
-                        offered: p.sent.len() as u64,
-                        delivered: p.replies.len() as u64,
-                    });
-                }
-            }
-            WorkloadReport::PingFanIn { clients } => {
+            WorkloadReport::Ping(clients) => {
                 for c in &clients {
                     if c.replies.len() > c.sent.len() {
                         out.push(InvariantViolation::Conservation {
-                            what: "fan-in replies",
+                            what: "ping replies",
                             offered: c.sent.len() as u64,
                             delivered: c.replies.len() as u64,
                         });

@@ -330,47 +330,49 @@ pub fn fault_to_json(f: &Fault) -> Json {
 }
 
 /// Parse a fault back out of its [`fault_to_json`] form. A negative
-/// instant is refused, naming its field.
+/// instant, node, edge or dpid is refused, naming its field.
 pub fn fault_from_json(j: &Json) -> Result<Fault, String> {
     let geti = |k: &str| {
         j.get(k)
             .and_then(Json::as_i64)
             .ok_or_else(|| format!("fault missing integer field {k:?}"))
     };
-    let instant = |k: &str| {
-        let ns = geti(k)?;
-        u64::try_from(ns)
-            .map(Duration::from_nanos)
-            .map_err(|_| format!("fault field {k:?} is a negative instant ({ns})"))
+    // Every integer field but the loss counts something or names an
+    // instant, so none may be negative.
+    let natural = |k: &str| {
+        let v = geti(k)?;
+        u64::try_from(v).map_err(|_| format!("fault field {k:?} is negative ({v})"))
     };
+    let instant = |k: &str| natural(k).map(Duration::from_nanos);
+    let index = |k: &str| natural(k).map(|v| v as usize);
     let kind = j
         .get("kind")
         .and_then(Json::as_str)
         .ok_or("fault missing kind")?;
     Ok(match kind {
         "kill_switch" => Fault::KillSwitch {
-            node: geti("node")? as usize,
+            node: index("node")?,
             at: instant("at_ns")?,
         },
         "revive_switch" => Fault::ReviveSwitch {
-            node: geti("node")? as usize,
+            node: index("node")?,
             at: instant("at_ns")?,
         },
         "link_down" => Fault::LinkDown {
-            edge: geti("edge")? as usize,
+            edge: index("edge")?,
             at: instant("at_ns")?,
         },
         "link_up" => Fault::LinkUp {
-            edge: geti("edge")? as usize,
+            edge: index("edge")?,
             at: instant("at_ns")?,
         },
         "link_loss" => Fault::LinkLoss {
-            edge: geti("edge")? as usize,
+            edge: index("edge")?,
             loss_pct: geti("loss_pct_x10")? as f64 / 10.0,
             at: instant("at_ns")?,
         },
         "channel_stall" => Fault::ChannelStall {
-            dpid: geti("dpid")? as u64,
+            dpid: natural("dpid")?,
             from: instant("from_ns")?,
             until: instant("until_ns")?,
         },

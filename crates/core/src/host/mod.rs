@@ -17,14 +17,21 @@
 //!   server paces fixed-size frames at the configured bitrate, and the
 //!   client records time-to-first-byte, playback start (after its
 //!   jitter buffer fills), sequence gaps and stall counts;
-//! * [`ping::Pinger`] — ICMP echo round-trip probing for the
-//!   quickstart example and reachability assertions in tests.
+//! * [`ping::Pinger`] / [`ping::EchoHost`] — ICMP echo probing: each
+//!   pinger keeps one [`ping::PingProbeReport`] (what it sent, what came
+//!   back), from which round trips, first contact and recovery after a
+//!   fault are read.
+//!
+//! These hosts exist only as workload endpoints: a
+//! [`crate::scenario::Workload`] names the topology nodes they hang
+//! off, and [`crate::scenario::ScenarioBuilder::start`] gives each
+//! endpoint its host port, subnet and agent.
 
 pub mod ping;
 pub mod stack;
 pub mod video;
 
-pub use ping::{EchoHost, Pinger};
+pub use ping::{EchoHost, PingProbeReport, Pinger};
 pub use stack::{HostConfig, HostStack, Received};
 pub use video::{VideoClient, VideoClientReport, VideoServer};
 

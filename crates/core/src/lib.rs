@@ -16,13 +16,14 @@
 //! * **Experiment side** — [`scenario`]: the fluent
 //!   [`scenario::ScenarioBuilder`] assembles the full Fig. 2 stack
 //!   (switches → FlowVisor → topology controller + RF-controller, RPC
-//!   client in between) on any [`rf_topo::Topology`], with hosts,
-//!   traffic workloads and fault schedules, and hands back a [`scenario::Scenario`] with typed metrics. A
+//!   client in between) on any [`rf_topo::Topology`], with traffic
+//!   workloads (whose endpoints are its hosts) and fault schedules, and
+//!   hands back a [`scenario::Scenario`] with typed metrics. A
 //!   converged scenario can be checkpointed with
 //!   [`scenario::Scenario::snapshot`] and forked into divergent
 //!   continuations with [`scenario::Scenario::fork`] — the sweep's
 //!   shared-prefix mechanism.
-//! * [`manual::ManualConfigModel`] — the paper's manual-baseline time
+//! * [`manual::total`] — the paper's manual-baseline time
 //!   model (5 min VM creation + 2 min interface mapping + 8 min routing
 //!   configuration per switch) used in Fig. 3.
 //!
@@ -66,12 +67,11 @@ pub use chaos::{
     CampaignStats, ChaosCampaign, ChaosOutcome, ChaosSpec, FaultClass, InvariantViolation,
     ReproCase,
 };
-pub use manual::ManualConfigModel;
 pub use rfcontroller::{HostPortConfig, RfControllerConfig};
 pub use scenario::{
-    CellRecord, Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, MatrixCell,
-    MatrixKnob, MatrixReport, MatrixSpec, Scenario, ScenarioBuilder, ScenarioMatrix,
-    ScenarioMetrics, Snapshot, SnapshotError, Workload, WorkloadReport,
+    CellRecord, Fault, FaultError, FaultSchedule, ForkError, MatrixCell, MatrixKnob, MatrixReport,
+    MatrixSpec, Scenario, ScenarioBuilder, ScenarioMatrix, ScenarioMetrics, Snapshot,
+    SnapshotError, Workload, WorkloadReport,
 };
 pub use traffic::{
     TrafficConfig, TrafficMode, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,

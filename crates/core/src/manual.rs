@@ -10,38 +10,21 @@
 
 use std::time::Duration;
 
-/// The per-switch manual effort model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ManualConfigModel {
-    /// Creating a VM (write configs, install distro + Quagga).
-    pub vm_creation: Duration,
-    /// Mapping switch interfaces ↔ VM interfaces.
-    pub interface_mapping: Duration,
-    /// Writing the routing configuration files.
-    pub routing_config: Duration,
-}
+/// Creating a VM (write configs, install distro + Quagga).
+pub const VM_CREATION: Duration = Duration::from_secs(5 * 60);
+/// Mapping switch interfaces ↔ VM interfaces.
+pub const INTERFACE_MAPPING: Duration = Duration::from_secs(2 * 60);
+/// Writing the routing configuration files.
+pub const ROUTING_CONFIG: Duration = Duration::from_secs(8 * 60);
+/// Time to configure one switch.
+pub const PER_SWITCH: Duration = VM_CREATION
+    .saturating_add(INTERFACE_MAPPING)
+    .saturating_add(ROUTING_CONFIG);
 
-impl Default for ManualConfigModel {
-    fn default() -> Self {
-        ManualConfigModel {
-            vm_creation: Duration::from_secs(5 * 60),
-            interface_mapping: Duration::from_secs(2 * 60),
-            routing_config: Duration::from_secs(8 * 60),
-        }
-    }
-}
-
-impl ManualConfigModel {
-    /// Time to configure one switch.
-    pub fn per_switch(&self) -> Duration {
-        self.vm_creation + self.interface_mapping + self.routing_config
-    }
-
-    /// Total manual configuration time for `n` switches (serial: one
-    /// administrator, as in the paper).
-    pub fn total(&self, n: usize) -> Duration {
-        self.per_switch() * n as u32
-    }
+/// Total manual configuration time for `n` switches (serial: one
+/// administrator, as in the paper).
+pub fn total(n: usize) -> Duration {
+    PER_SWITCH * n as u32
 }
 
 #[cfg(test)]
@@ -50,24 +33,21 @@ mod tests {
 
     #[test]
     fn paper_model_is_15_minutes_per_switch() {
-        let m = ManualConfigModel::default();
-        assert_eq!(m.per_switch(), Duration::from_secs(15 * 60));
+        assert_eq!(PER_SWITCH, Duration::from_secs(15 * 60));
     }
 
     #[test]
     fn twenty_eight_switches_take_seven_hours() {
         // The intro's headline number: "typically 7 hours for 28
         // switches".
-        let m = ManualConfigModel::default();
-        assert_eq!(m.total(28), Duration::from_secs(7 * 3600));
+        assert_eq!(total(28), Duration::from_secs(7 * 3600));
     }
 
     #[test]
     fn thousand_switches_take_days() {
         // "For a large topology (typically for 1000 switches), it may
         // take many days": 15 min × 1000 = 250 h ≈ 10.4 days.
-        let m = ManualConfigModel::default();
-        let days = m.total(1000).as_secs_f64() / 86_400.0;
+        let days = total(1000).as_secs_f64() / 86_400.0;
         assert!(days > 10.0 && days < 11.0, "{days} days");
     }
 }

@@ -27,6 +27,7 @@
 use super::exec::{self, Finished};
 use super::report::{CellRecord, MatrixReport};
 use super::{Fault, Scenario, ScenarioBuilder, Workload, WorkloadReport};
+use crate::host::PingProbeReport;
 use crate::traffic::{FlowSize, TrafficSpec, WorkloadError};
 use rf_sim::Time;
 use rf_topo::TopoSpec;
@@ -773,7 +774,7 @@ impl ScenarioMatrix {
             .farthest_pair()
             .expect("topology has at least two nodes");
         let workload = match cell.knob.workload {
-            MatrixWorkload::FarthestPing => Workload::ping(a, b),
+            MatrixWorkload::FarthestPing => Workload::ping(vec![a], b)?,
             MatrixWorkload::PingFanIn { clients } => {
                 // The first `clients` nodes that are not the server,
                 // deterministically.
@@ -787,7 +788,7 @@ impl ScenarioMatrix {
                         have: topo.node_count(),
                     });
                 }
-                Workload::ping_fan_in(picked, b)?
+                Workload::ping(picked, b)?
             }
             MatrixWorkload::Traffic(ref spec) => Workload::traffic(spec.instantiate(&topo)?)?,
         };
@@ -969,89 +970,40 @@ pub(super) fn finish_cell(
     // §3 timeline. Only the first workload of each kind reports.
     let mut seen_ping = false;
     let mut seen_video = false;
-    let mut seen_fanin = false;
     let mut seen_traffic = false;
     for report in sc.workload_reports() {
         match report {
-            WorkloadReport::Ping(probe) if !seen_ping => {
+            WorkloadReport::Ping(clients) if !seen_ping => {
                 seen_ping = true;
-                put("ping_replies", probe.replies.len() as i64);
-                if let Some(t) = probe.first_reply_at {
-                    put("ping_first_reply_ns", t.as_nanos() as i64);
-                }
-                if let Some(last) = cell.schedule.last_fault_at() {
-                    // Recovery counts only probes *sent* after the
-                    // last fault: a reply already in flight when the
-                    // fault fires would otherwise record a near-zero
-                    // recovery that says nothing about reconvergence.
+                // A probe is through, and has healed, when its worst
+                // client is: every client must get an answer.
+                let all_served = latest(clients.iter().map(PingProbeReport::first_reply_at));
+                let recovery = cell.schedule.last_fault_at().and_then(|last| {
                     let fault_t = Time::ZERO + last;
-                    let answered = probe
-                        .replies
-                        .iter()
-                        .filter(|(seq, _)| {
-                            probe
-                                .sent
-                                .iter()
-                                .any(|(s, sent_t)| s == seq && *sent_t > fault_t)
-                        })
-                        .map(|(_, t)| *t)
-                        .min();
-                    if let Some(t) = answered {
-                        put("recovery_ns", (t.as_nanos() - fault_t.as_nanos()) as i64);
-                    }
-                }
-            }
-            WorkloadReport::PingFanIn { clients } if !seen_fanin => {
-                seen_fanin = true;
-                put("fanin_clients", clients.len() as i64);
-                put(
-                    "fanin_replies",
-                    clients.iter().map(|c| c.replies.len() as i64).sum(),
-                );
-                put(
-                    "fanin_clients_served",
-                    clients
-                        .iter()
-                        .filter(|c| c.first_reply_at.is_some())
-                        .count() as i64,
-                );
-                // The fan-in's "everyone is through" instant: the last
-                // client's first successful round trip.
-                if let Some(worst) = clients
-                    .iter()
-                    .map(|c| c.first_reply_at)
-                    .collect::<Option<Vec<_>>>()
-                    .and_then(|ts| ts.into_iter().max())
-                {
-                    put("fanin_all_served_ns", worst.as_nanos() as i64);
-                }
-                if let Some(last) = cell.schedule.last_fault_at() {
-                    // Worst-client recovery: every client must heal.
-                    let fault_t = Time::ZERO + last;
-                    let per_client: Vec<Option<Time>> = clients
-                        .iter()
-                        .map(|c| {
-                            c.replies
-                                .iter()
-                                .filter(|(seq, _)| {
-                                    c.sent
-                                        .iter()
-                                        .any(|(s, sent_t)| s == seq && *sent_t > fault_t)
-                                })
-                                .map(|(_, t)| *t)
-                                .min()
-                        })
-                        .collect();
-                    if let Some(worst) = per_client
-                        .into_iter()
-                        .collect::<Option<Vec<_>>>()
-                        .and_then(|ts| ts.into_iter().max())
-                    {
+                    latest(clients.iter().map(|c| c.recovered_after(fault_t)))
+                        .map(|t| t.since(fault_t))
+                });
+                let replies = clients.iter().map(|c| c.replies.len() as i64).sum();
+                let (replies_key, served_key, recovery_key) =
+                    if let MatrixWorkload::PingFanIn { .. } = cell.knob.workload {
+                        put("fanin_clients", clients.len() as i64);
                         put(
-                            "fanin_recovery_ns",
-                            (worst.as_nanos() - fault_t.as_nanos()) as i64,
+                            "fanin_clients_served",
+                            clients
+                                .iter()
+                                .filter(|c| c.first_reply_at().is_some())
+                                .count() as i64,
                         );
-                    }
+                        ("fanin_replies", "fanin_all_served_ns", "fanin_recovery_ns")
+                    } else {
+                        ("ping_replies", "ping_first_reply_ns", "recovery_ns")
+                    };
+                put(replies_key, replies);
+                if let Some(t) = all_served {
+                    put(served_key, t.as_nanos() as i64);
+                }
+                if let Some(d) = recovery {
+                    put(recovery_key, d.as_nanos() as i64);
                 }
             }
             WorkloadReport::Video(v) if !seen_video => {
@@ -1101,6 +1053,11 @@ pub(super) fn finish_cell(
         events: sc.sim.events_dispatched(),
         scenario: Some(sc),
     }
+}
+
+/// The latest of the instants, if there is one and none is missing.
+fn latest(instants: impl Iterator<Item = Option<Time>>) -> Option<Time> {
+    instants.collect::<Option<Vec<_>>>()?.into_iter().max()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The experiment-side API: a fluent [`ScenarioBuilder`] that assembles
-//! the paper's Fig. 2 stack on any topology, with hosts, workloads and
-//! fault schedules, and a [`Scenario`] handle exposing typed metrics.
+//! the paper's Fig. 2 stack on any topology, with workloads and fault
+//! schedules, and a [`Scenario`] handle exposing typed metrics.
 //!
 //! This module is the single build path. A converged scenario can be
 //! captured with
@@ -17,7 +17,7 @@
 //! // workload crosses the fabric.
 //! let mut sc = Scenario::on(rf_topo::ring(4))
 //!     .fast_timers()
-//!     .with_workload(Workload::ping(0, 2))
+//!     .with_workload(Workload::ping(vec![0], 2).unwrap())
 //!     .start();
 //! let done = sc.run_until_configured(Time::from_secs(120)).unwrap();
 //! assert!(done < Time::from_secs(60), "configured in {done}");
@@ -44,7 +44,7 @@ use crate::apps::{
 };
 use crate::discovery::{TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE};
 use crate::host::video::{VideoClient, VideoClientReport, VideoServer};
-use crate::host::{EchoHost, HostConfig, Pinger};
+use crate::host::{EchoHost, HostConfig, PingProbeReport, Pinger};
 use crate::rfcontroller::{HostPortConfig, RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
 use crate::traffic::packet::TrafficHost;
 use crate::traffic::{
@@ -59,28 +59,6 @@ use rf_topo::Topology;
 use rf_wire::{Ipv4Cidr, MacAddr};
 use std::net::Ipv4Addr;
 use std::time::Duration;
-
-/// Where to attach a host (edge configuration, declared up front).
-#[derive(Clone, Debug)]
-pub struct HostAttachment {
-    /// Topology node the host hangs off.
-    pub node: usize,
-    /// The host subnet (a /24 by convention).
-    pub subnet: Ipv4Cidr,
-}
-
-/// A reserved host port, returned to the caller for wiring host agents.
-#[derive(Clone, Debug)]
-pub struct HostSlot {
-    pub node: usize,
-    pub switch: AgentId,
-    pub port: u16,
-    pub subnet: Ipv4Cidr,
-    /// The VM-side gateway address (first host address of the subnet).
-    pub gateway: Ipv4Addr,
-    /// A free address for the host itself (second host address).
-    pub host_ip: Ipv4Addr,
-}
 
 /// A scheduled disturbance, injected while the scenario runs.
 #[derive(Clone, Debug)]
@@ -243,20 +221,19 @@ impl Fault {
     }
 }
 
-/// A traffic workload attached to the scenario's edge.
+/// A traffic workload attached to the scenario's edge. Its endpoints
+/// are the scenario's hosts.
 #[derive(Clone, Debug)]
 pub enum Workload {
-    /// ICMP echo probing from a host on `client` to a host on `server`,
-    /// one ping per second.
-    Ping { client: usize, server: usize },
+    /// ICMP echo probing from a host on each of `clients` to one echo
+    /// host on `server`, one ping per second per client. A lone ping is
+    /// a fan-in of one; a wider fan-in turns a stalled or bounded
+    /// control channel into visible backpressure (every client needs
+    /// ARP answers and /32 flows from the same edge switch).
+    Ping { clients: Vec<usize>, server: usize },
     /// The paper's §3 demo: a CBR UDP video stream from a host on
     /// `server` to a host on `client`.
     Video { server: usize, client: usize },
-    /// Many pingers converging on one server — the fan-in pattern that
-    /// turns a stalled or bounded control channel into visible
-    /// backpressure (every client needs ARP answers and /32 flows from
-    /// the same edge switch).
-    PingFanIn { clients: Vec<usize>, server: usize },
     /// A stochastic traffic workload (see [`crate::traffic`]): seeded
     /// arrival processes, incast/multicast patterns, at packet or flow
     /// granularity.
@@ -267,19 +244,12 @@ pub enum Workload {
 const MAX_FAN_IN: usize = 30;
 
 impl Workload {
-    pub fn ping(client: usize, server: usize) -> Workload {
-        Workload::Ping { client, server }
-    }
-
-    pub fn video(server: usize, client: usize) -> Workload {
-        Workload::Video { server, client }
-    }
-
-    /// A fan-in of pingers. Fails typed (instead of panicking) so a bad
-    /// matrix axis marks one cell, not the whole sweep.
-    pub fn ping_fan_in(clients: Vec<usize>, server: usize) -> Result<Workload, WorkloadError> {
+    /// Pingers on `clients`, all probing an echo host on `server`.
+    /// Fails typed (instead of panicking) so a bad matrix axis marks
+    /// one cell, not the whole sweep.
+    pub fn ping(clients: Vec<usize>, server: usize) -> Result<Workload, WorkloadError> {
         if clients.is_empty() {
-            return Err(WorkloadError::NoEndpoints("fan-in needs clients"));
+            return Err(WorkloadError::NoEndpoints("ping needs clients"));
         }
         if clients.len() > MAX_FAN_IN {
             return Err(WorkloadError::TooManyEndpoints {
@@ -287,7 +257,11 @@ impl Workload {
                 max: MAX_FAN_IN,
             });
         }
-        Ok(Workload::PingFanIn { clients, server })
+        Ok(Workload::Ping { clients, server })
+    }
+
+    pub fn video(server: usize, client: usize) -> Workload {
+        Workload::Video { server, client }
     }
 
     /// A validated stochastic traffic workload.
@@ -300,59 +274,26 @@ impl Workload {
     /// allocation order.
     fn endpoint_nodes(&self) -> Vec<usize> {
         match self {
-            Workload::Ping { client, server } => vec![*client, *server],
-            Workload::Video { server, client } => vec![*server, *client],
-            Workload::PingFanIn { clients, server } => {
+            Workload::Ping { clients, server } => {
                 let mut v = clients.clone();
                 v.push(*server);
                 v
             }
+            Workload::Video { server, client } => vec![*server, *client],
             Workload::Traffic(cfg) => cfg.pattern.endpoint_nodes(),
         }
     }
 }
 
-/// One pinger's timeline (used standalone by [`WorkloadReport::Ping`]
-/// and per client by [`WorkloadReport::PingFanIn`]).
-#[derive(Clone, Debug)]
-pub struct PingProbeReport {
-    /// Time of the first successful round trip.
-    pub first_reply_at: Option<Time>,
-    /// Completed round trips: (seq, rtt).
-    pub rtts: Vec<(u16, Duration)>,
-    /// Ping departure times: (seq, when sent).
-    pub sent: Vec<(u16, Time)>,
-    /// Reply arrival times: (seq, when) — together with `sent`, the
-    /// timeline recovery measurements are read off.
-    pub replies: Vec<(u16, Time)>,
-}
-
 /// What a workload measured, harvested via [`Scenario::workload_reports`].
 #[derive(Clone, Debug)]
 pub enum WorkloadReport {
-    /// A lone pinger's timeline.
-    Ping(PingProbeReport),
+    /// Per-client ping timelines, in `clients` declaration order.
+    Ping(Vec<PingProbeReport>),
     Video(VideoClientReport),
-    /// Per-client timelines of a fan-in, in `clients` declaration
-    /// order.
-    PingFanIn {
-        clients: Vec<PingProbeReport>,
-    },
     /// Aggregated traffic accounting, merged across the workload's
     /// agents (or produced whole by the flow-level engine).
     Traffic(TrafficReport),
-}
-
-impl PingProbeReport {
-    /// Read a pinger's timeline off the live agent.
-    fn harvest(p: &Pinger) -> PingProbeReport {
-        PingProbeReport {
-            first_reply_at: p.first_reply_at,
-            rtts: p.rtts.clone(),
-            sent: p.sent_at.clone(),
-            replies: p.replies.clone(),
-        }
-    }
 }
 
 /// Typed scenario metrics: the numbers the paper's figures are made of.
@@ -432,9 +373,8 @@ enum TrafficPart {
 
 #[derive(Clone)]
 enum WorkloadHandle {
-    Ping { pinger: AgentId },
+    Ping { pingers: Vec<AgentId> },
     Video { client: AgentId },
-    PingFanIn { pingers: Vec<AgentId> },
     Traffic { parts: Vec<TrafficPart> },
 }
 
@@ -453,7 +393,6 @@ pub struct ScenarioBuilder {
     /// layout); `false` wires both controllers directly into every
     /// switch for the A4 ablation.
     use_flowvisor: bool,
-    hosts: Vec<HostAttachment>,
     trace_level: rf_sim::TraceLevel,
     /// The RF-controller's settings; `start` fills in the host ports
     /// and the virtual interconnect's link profile.
@@ -549,16 +488,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Attach a host subnet at a topology node; slots appear in
-    /// [`Scenario::host_slots`] in declaration order.
-    pub fn with_host(mut self, node: usize, subnet: &str) -> Self {
-        self.hosts.push(HostAttachment {
-            node,
-            subnet: subnet.parse().expect("valid subnet"),
-        });
-        self
-    }
-
     /// Schedule a fault.
     pub fn with_fault(mut self, fault: Fault) -> Self {
         self.faults.push(fault);
@@ -572,7 +501,8 @@ impl ScenarioBuilder {
     }
 
     /// Attach a traffic workload; its endpoints get auto-allocated
-    /// `10.200+k.0.0/24` host subnets.
+    /// `10.200+k.0.0/24` host subnets. Workload endpoints are the
+    /// scenario's only hosts.
     pub fn with_workload(mut self, workload: Workload) -> Self {
         self.workloads.push(workload);
         self
@@ -591,44 +521,59 @@ impl ScenarioBuilder {
         let faults = std::mem::take(&mut self.faults);
         let workloads = std::mem::take(&mut self.workloads);
 
-        // Workload endpoints ride on auto-allocated host subnets,
-        // appended after user-declared hosts so explicit slot indices
-        // stay stable. Two-endpoint workloads keep the historical
-        // 10.(200+k).(2k)/((2k)+1) scheme; fan-ins extend the third
-        // octet past it (the overlap assertion below catches any
-        // pathological combination).
-        let mut workload_slots: Vec<Vec<usize>> = Vec::new(); // per workload: host-slot indices
+        // Port plan: edges first, then one host port per workload
+        // endpoint, each with a /24 of its own. Two-endpoint workloads
+        // keep the historical 10.(200+k).(2k)/((2k)+1) scheme; fan-ins
+        // extend the third octet past it (the overlap assertion below
+        // catches any pathological combination).
+        let (edge_ports, mut next_port) = port_plan(&self.topology);
+        let mut host_plan = Vec::new(); // (node, port, host address, gateway)
+        let mut spans = Vec::with_capacity(workloads.len()); // per workload: its endpoints
         for (k, w) in workloads.iter().enumerate() {
-            let nodes = w.endpoint_nodes();
-            let base = self.hosts.len();
+            let first = host_plan.len();
             let oct = 200 + (k as u8 % 50);
-            for (j, &node) in nodes.iter().enumerate() {
+            for (j, node) in w.endpoint_nodes().into_iter().enumerate() {
                 let third = 2 * k + j;
                 assert!(
                     third < 256,
                     "workload {k} endpoint {j}: subnet space exhausted"
                 );
-                self.hosts.push(HostAttachment {
-                    node,
-                    subnet: Ipv4Cidr::new(Ipv4Addr::new(10, oct, third as u8, 0), 24),
+                let subnet = Ipv4Cidr::new(Ipv4Addr::new(10, oct, third as u8, 0), 24);
+                let port = next_port[node];
+                next_port[node] += 1;
+                let gateway = subnet.nth(1).expect("subnet too small");
+                let host_ip = subnet.nth(2).expect("subnet too small");
+                self.controller.host_ports.push(HostPortConfig {
+                    dpid: (node + 1) as u64,
+                    port,
+                    subnet,
+                    gateway,
                 });
+                host_plan.push((
+                    node,
+                    port,
+                    Ipv4Cidr::new(host_ip, subnet.prefix_len),
+                    gateway,
+                ));
             }
-            workload_slots.push((base..base + nodes.len()).collect());
+            spans.push(first..host_plan.len());
         }
 
-        // No two host subnets (user-declared or workload-allocated) may
-        // overlap: duplicate gateway/host addresses would make ARP
-        // learning deliver one host's traffic to the other's switch.
-        for (i, a) in self.hosts.iter().enumerate() {
-            for b in &self.hosts[i + 1..] {
+        // No two host subnets may overlap: duplicate gateway/host
+        // addresses would make ARP learning deliver one host's traffic
+        // to the other's switch. The octet scheme wraps after 50
+        // workloads.
+        let hosts = &self.controller.host_ports;
+        for (i, a) in hosts.iter().enumerate() {
+            for b in &hosts[i + 1..] {
                 assert!(
                     !a.subnet.contains(b.subnet.network())
                         && !b.subnet.contains(a.subnet.network()),
-                    "host subnets overlap: {} (node {}) and {} (node {})",
+                    "host subnets overlap: {} (dpid {}) and {} (dpid {})",
                     a.subnet,
-                    a.node,
+                    a.dpid,
                     b.subnet,
-                    b.node
+                    b.dpid
                 );
             }
         }
@@ -639,23 +584,6 @@ impl ScenarioBuilder {
             trace_level: self.trace_level,
             max_time: None,
         });
-
-        // Port plan: edges first, then host ports.
-        let (edge_ports, mut next_port) = port_plan(&self.topology);
-        let mut host_plan = Vec::new(); // (node, port, subnet, gw, host_ip)
-        for h in &self.hosts {
-            let port = next_port[h.node];
-            next_port[h.node] += 1;
-            let gw = h.subnet.nth(1).expect("subnet too small");
-            let host_ip = h.subnet.nth(2).expect("subnet too small");
-            self.controller.host_ports.push(HostPortConfig {
-                dpid: (h.node + 1) as u64,
-                port,
-                subnet: h.subnet,
-                gateway: gw,
-            });
-            host_plan.push((h.node, port, h.subnet, gw, host_ip));
-        }
 
         // Controllers.
         self.controller.vm_link_profile = self.link_profile;
@@ -716,103 +644,60 @@ impl ScenarioBuilder {
 
         let host_slots: Vec<HostSlot> = host_plan
             .into_iter()
-            .map(|(node, port, subnet, gateway, host_ip)| HostSlot {
-                node,
+            .map(|(node, port, addr, gateway)| HostSlot {
                 switch: switches[node],
                 port,
-                subnet,
+                addr,
                 gateway,
-                host_ip,
             })
             .collect();
 
         // Workload endpoint agents.
-        let mut workload_handles = Vec::new();
-        for (k, w) in workloads.iter().enumerate() {
-            let slots = &workload_slots[k];
+        let link = self.link_profile;
+        let mut workload_handles = Vec::with_capacity(workloads.len());
+        for (k, (w, span)) in workloads.iter().zip(spans).enumerate() {
+            let slots = &host_slots[span];
             let mac = |which: u8| MacAddr([2, 0xE0 + which, k as u8, 0, 0, 1]);
-            let host_cfg = |slot: &HostSlot, which: u8| HostConfig {
-                mac: mac(which),
-                addr: Ipv4Cidr::new(slot.host_ip, slot.subnet.prefix_len),
-                gateway: slot.gateway,
-            };
-            let handle = match *w {
-                Workload::Ping { .. } => {
-                    let a = host_slots[slots[0]].clone();
-                    let b = host_slots[slots[1]].clone();
-                    let echo = sim.add_agent(
-                        &format!("echo-host-{k}"),
-                        Box::new(EchoHost::new(host_cfg(&b, 1))),
-                    );
-                    let pinger = sim.add_agent(
-                        &format!("pinger-{k}"),
-                        Box::new(Pinger::new(host_cfg(&a, 0), b.host_ip)),
-                    );
-                    sim.add_link((b.switch, u32::from(b.port)), (echo, 1), self.link_profile);
-                    sim.add_link(
-                        (a.switch, u32::from(a.port)),
-                        (pinger, 1),
-                        self.link_profile,
-                    );
-                    WorkloadHandle::Ping { pinger }
-                }
-                Workload::Video { .. } => {
-                    let a = host_slots[slots[0]].clone();
-                    let b = host_slots[slots[1]].clone();
-                    let server = sim.add_agent(
-                        &format!("video-server-{k}"),
-                        Box::new(VideoServer::new(host_cfg(&a, 0))),
-                    );
-                    let client = sim.add_agent(
-                        &format!("video-client-{k}"),
-                        Box::new(VideoClient::new(host_cfg(&b, 1), a.host_ip)),
-                    );
-                    sim.add_link(
-                        (a.switch, u32::from(a.port)),
-                        (server, 1),
-                        self.link_profile,
-                    );
-                    sim.add_link(
-                        (b.switch, u32::from(b.port)),
-                        (client, 1),
-                        self.link_profile,
-                    );
-                    WorkloadHandle::Video { client }
-                }
-                Workload::PingFanIn { ref clients, .. } => {
+            let handle = match w {
+                Workload::Ping { clients, .. } => {
                     assert!(
                         clients.len() <= MAX_FAN_IN,
                         "fan-in wider than {MAX_FAN_IN} exhausts the MAC scheme"
                     );
                     // The server slot is allocated last.
-                    let srv = host_slots[*slots.last().expect("server slot")].clone();
+                    let (srv, client_slots) = slots.split_last().expect("server slot");
                     let echo = sim.add_agent(
                         &format!("echo-host-{k}"),
-                        Box::new(EchoHost::new(host_cfg(&srv, 0))),
+                        Box::new(EchoHost::new(srv.host(mac(0)))),
                     );
-                    sim.add_link(
-                        (srv.switch, u32::from(srv.port)),
-                        (echo, 1),
-                        self.link_profile,
-                    );
-                    let mut pingers = Vec::with_capacity(clients.len());
-                    for (j, _) in clients.iter().enumerate() {
-                        let c = host_slots[slots[j]].clone();
+                    srv.attach(&mut sim, echo, link);
+                    let mut pingers = Vec::with_capacity(client_slots.len());
+                    for (j, c) in client_slots.iter().enumerate() {
                         let pinger = sim.add_agent(
                             &format!("pinger-{k}-{j}"),
-                            Box::new(Pinger::new(host_cfg(&c, 1 + j as u8), srv.host_ip)),
+                            Box::new(Pinger::new(c.host(mac(1 + j as u8)), srv.addr.addr)),
                         );
-                        sim.add_link(
-                            (c.switch, u32::from(c.port)),
-                            (pinger, 1),
-                            self.link_profile,
-                        );
+                        c.attach(&mut sim, pinger, link);
                         pingers.push(pinger);
                     }
-                    WorkloadHandle::PingFanIn { pingers }
+                    WorkloadHandle::Ping { pingers }
                 }
-                Workload::Traffic(ref tcfg) => WorkloadHandle::Traffic {
-                    parts: wire_traffic(&mut sim, &self, k, tcfg, slots, &host_slots),
+                Workload::Video { .. } => {
+                    let (a, b) = (&slots[0], &slots[1]);
+                    let server = sim.add_agent(
+                        &format!("video-server-{k}"),
+                        Box::new(VideoServer::new(a.host(mac(0)))),
+                    );
+                    let client = sim.add_agent(
+                        &format!("video-client-{k}"),
+                        Box::new(VideoClient::new(b.host(mac(1)), a.addr.addr)),
+                    );
+                    a.attach(&mut sim, server, link);
+                    b.attach(&mut sim, client, link);
+                    WorkloadHandle::Video { client }
+                }
+                Workload::Traffic(tcfg) => WorkloadHandle::Traffic {
+                    parts: wire_traffic(&mut sim, &self, k, tcfg, slots),
                 },
             };
             workload_handles.push(handle);
@@ -835,7 +720,6 @@ impl ScenarioBuilder {
             switches,
             switch_cfgs,
             phys_links,
-            host_slots,
             expected_switches: n,
             workload_handles,
             chaos,
@@ -843,6 +727,32 @@ impl ScenarioBuilder {
         };
         sc.inject_faults(&faults).unwrap_or_else(|e| panic!("{e}"));
         sc
+    }
+}
+
+/// A workload endpoint's reserved host port on its switch, with the
+/// address the host takes and the VM-side gateway it routes through.
+struct HostSlot {
+    switch: AgentId,
+    port: u16,
+    /// The host's address: the subnet's second host address.
+    addr: Ipv4Cidr,
+    /// The subnet's first host address.
+    gateway: Ipv4Addr,
+}
+
+impl HostSlot {
+    fn host(&self, mac: MacAddr) -> HostConfig {
+        HostConfig {
+            mac,
+            addr: self.addr,
+            gateway: self.gateway,
+        }
+    }
+
+    /// Plug the host agent `host` into this slot's switch port.
+    fn attach(&self, sim: &mut Sim, host: AgentId, profile: LinkProfile) {
+        sim.add_link((self.switch, u32::from(self.port)), (host, 1), profile);
     }
 }
 
@@ -903,19 +813,12 @@ fn wire_traffic(
     cfg: &ScenarioBuilder,
     k: usize,
     tcfg: &TrafficConfig,
-    slots: &[usize],
-    host_slots: &[HostSlot],
+    slots: &[HostSlot],
 ) -> Vec<TrafficPart> {
     use crate::traffic::endpoint_seed;
-    let host_cfg = |j: usize| {
-        let slot = &host_slots[slots[j]];
-        HostConfig {
-            mac: MacAddr([2, 0xD0, k as u8, (j >> 8) as u8, j as u8, 1]),
-            addr: Ipv4Cidr::new(slot.host_ip, slot.subnet.prefix_len),
-            gateway: slot.gateway,
-        }
-    };
-    let ip_of = |j: usize| host_slots[slots[j]].host_ip;
+    let host_cfg =
+        |j: usize| slots[j].host(MacAddr([2, 0xD0, k as u8, (j >> 8) as u8, j as u8, 1]));
+    let ip_of = |j: usize| slots[j].addr.addr;
 
     if tcfg.mode == TrafficMode::Flow {
         // The endpoints' host slots stay allocated (the control plane
@@ -948,12 +851,7 @@ fn wire_traffic(
     // Host `j` of the workload, attached to its slot's switch port.
     let mut attach = |name: String, j: usize, host: TrafficHost| {
         let id = sim.add_agent(&name, Box::new(host));
-        let slot = &host_slots[slots[j]];
-        sim.add_link(
-            (slot.switch, u32::from(slot.port)),
-            (id, 1),
-            cfg.link_profile,
-        );
+        slots[j].attach(sim, id, cfg.link_profile);
         parts.push(TrafficPart::Host(id));
     };
     let start_at = tcfg.start_at;
@@ -1068,8 +966,6 @@ pub struct Scenario {
     switch_cfgs: Vec<SwitchConfig>,
     /// Physical link ids, indexed like `topology.edges()`.
     pub phys_links: Vec<LinkId>,
-    /// Reserved host ports: user-declared first, then two per workload.
-    pub host_slots: Vec<HostSlot>,
     /// Number of switches in the topology.
     pub expected_switches: usize,
     workload_handles: Vec<WorkloadHandle>,
@@ -1171,7 +1067,6 @@ impl Scenario {
             probe_interval: Duration::from_secs(1),
             link_profile: LinkProfile::default(),
             use_flowvisor: true,
-            hosts: Vec::new(),
             trace_level: rf_sim::TraceLevel::Info,
             controller: RfControllerConfig::default(),
             faults: Vec::new(),
@@ -1401,13 +1296,15 @@ impl Scenario {
         self.workload_handles
             .iter()
             .map(|h| match *h {
-                WorkloadHandle::Ping { pinger } => {
-                    let p = self
-                        .sim
-                        .agent_as::<Pinger>(pinger)
-                        .expect("pinger agent alive");
-                    WorkloadReport::Ping(PingProbeReport::harvest(p))
-                }
+                WorkloadHandle::Ping { ref pingers } => WorkloadReport::Ping(
+                    pingers
+                        .iter()
+                        .map(|&id| {
+                            let p = self.sim.agent_as::<Pinger>(id).expect("pinger agent alive");
+                            p.report().clone()
+                        })
+                        .collect(),
+                ),
                 WorkloadHandle::Video { client } => {
                     let c = self
                         .sim
@@ -1415,18 +1312,6 @@ impl Scenario {
                         .expect("video client agent alive");
                     WorkloadReport::Video(c.report)
                 }
-                WorkloadHandle::PingFanIn { ref pingers } => WorkloadReport::PingFanIn {
-                    clients: pingers
-                        .iter()
-                        .map(|&id| {
-                            let p = self
-                                .sim
-                                .agent_as::<Pinger>(id)
-                                .expect("fan-in pinger agent alive");
-                            PingProbeReport::harvest(p)
-                        })
-                        .collect(),
-                },
                 WorkloadHandle::Traffic { ref parts } => {
                     let mut total = TrafficReport::default();
                     for part in parts {

@@ -401,7 +401,7 @@ fn a_capture_just_before_the_fault_matches_cold() {
         Scenario::on(ring(4))
             .fast_timers()
             .seed(3)
-            .with_workload(Workload::ping(0, 2))
+            .with_workload(Workload::ping(vec![0], 2).expect("one client"))
     };
     let outcome = |mut sc: Scenario| {
         sc.run_until(horizon);

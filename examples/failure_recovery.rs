@@ -16,7 +16,7 @@ fn main() {
     // kills that switch at t = 60 s, well after convergence.
     let mut sc = Scenario::on(ring(5))
         .fast_timers()
-        .with_workload(Workload::ping(0, 2))
+        .with_workload(Workload::ping(vec![0], 2).expect("one client"))
         .with_fault(Fault::KillSwitch {
             node: 1,
             at: Duration::from_secs(60),
@@ -26,14 +26,14 @@ fn main() {
     sc.run_until(Time::from_secs(180));
 
     let reports = sc.workload_reports();
-    let WorkloadReport::Ping(probe) = &reports[0] else {
+    let WorkloadReport::Ping(probes) = &reports[0] else {
         unreachable!("ping workload");
     };
-    let (first_reply_at, rtts) = (&probe.first_reply_at, &probe.rtts);
+    let (first_reply_at, rtts) = (probes[0].first_reply_at(), probes[0].rtts());
     println!("ping timeline (1 ping per second):");
     let mut last_seq: i64 = -1;
     let mut outage: u64 = 0;
-    for &(seq, rtt) in rtts {
+    for &(seq, rtt) in &rtts {
         if i64::from(seq) != last_seq + 1 {
             let lost = i64::from(seq) - last_seq - 1;
             outage += lost as u64;

@@ -6,10 +6,10 @@
 //! cargo run --release --example manual_vs_auto
 //! ```
 
+use routeflow_autoconf::core::manual;
 use routeflow_autoconf::prelude::*;
 
 fn main() {
-    let manual = ManualConfigModel::default();
     println!(
         "{:>10} {:>16} {:>14} {:>10}",
         "switches", "automatic (s)", "manual (min)", "speedup"
@@ -20,7 +20,7 @@ fn main() {
             .run_until_configured(Time::from_secs(1800))
             .expect("must configure");
         let auto_s = done.as_secs_f64();
-        let manual_s = manual.total(n).as_secs_f64();
+        let manual_s = manual::total(n).as_secs_f64();
         println!(
             "{n:>10} {auto_s:>16.1} {:>14.0} {:>9.0}x",
             manual_s / 60.0,
@@ -29,8 +29,8 @@ fn main() {
     }
     println!(
         "\nmanual model (paper §2.1): {}s VM + {}s mapping + {}s routing per switch",
-        manual.vm_creation.as_secs(),
-        manual.interface_mapping.as_secs(),
-        manual.routing_config.as_secs()
+        manual::VM_CREATION.as_secs(),
+        manual::INTERFACE_MAPPING.as_secs(),
+        manual::ROUTING_CONFIG.as_secs()
     );
 }

@@ -15,7 +15,7 @@ fn main() {
     //    defaults are Quagga's 10 s hello / 40 s dead).
     let mut sc = Scenario::on(ring(4))
         .fast_timers()
-        .with_workload(Workload::ping(0, 2))
+        .with_workload(Workload::ping(vec![0], 2).expect("one client"))
         .start();
 
     // 2. Cold start. No VM exists, no flow is installed, the pinger
@@ -31,10 +31,10 @@ fn main() {
     );
 
     let reports = sc.workload_reports();
-    let WorkloadReport::Ping(probe) = &reports[0] else {
+    let WorkloadReport::Ping(probes) = &reports[0] else {
         unreachable!("ping workload");
     };
-    let (first_reply_at, rtts) = (&probe.first_reply_at, &probe.rtts);
+    let (first_reply_at, rtts) = (probes[0].first_reply_at(), probes[0].rtts());
     let first = first_reply_at.expect("ping succeeds once routed");
     println!("first successful ping at        t = {first}");
     let (seq, rtt) = rtts.last().unwrap();

@@ -14,7 +14,8 @@
 //!   bridge, VM lifecycle, FIB mirror, ARP proxy).
 //! * **Experiment side** — the fluent
 //!   [`ScenarioBuilder`](core::scenario::ScenarioBuilder): topology in,
-//!   hosts/workloads/faults composed on top, typed metrics out.
+//!   workloads (whose endpoints are the hosts) and faults composed on
+//!   top, typed metrics out.
 //!
 //! ## The ninety-second tour
 //!
@@ -25,7 +26,7 @@
 //! // it, OSPF timers sped up so the doctest stays fast.
 //! let mut sc = Scenario::on(ring(4))
 //!     .fast_timers()
-//!     .with_workload(Workload::ping(0, 2))
+//!     .with_workload(Workload::ping(vec![0], 2).unwrap())
 //!     .start();
 //!
 //! // Run: discovery finds switches and links, the RPC path creates
@@ -64,10 +65,9 @@ pub mod prelude {
     };
     pub use rf_core::gui::NetworkView;
     pub use rf_core::host::{EchoHost, HostConfig, Pinger, VideoClient, VideoServer};
-    pub use rf_core::manual::ManualConfigModel;
     pub use rf_core::scenario::{
-        Fault, FaultError, FaultSchedule, ForkError, HostAttachment, HostSlot, Scenario,
-        ScenarioBuilder, ScenarioMetrics, Snapshot, SnapshotError, Workload, WorkloadReport,
+        Fault, FaultError, FaultSchedule, ForkError, Scenario, ScenarioBuilder, ScenarioMetrics,
+        Snapshot, SnapshotError, Workload, WorkloadReport,
     };
     pub use rf_core::traffic::{
         FlowSize, TrafficConfig, TrafficMode, TrafficPattern, TrafficReport, TrafficShape,

@@ -184,7 +184,7 @@ fn stalled_bounded_channel_recovers_traffic_after_release() {
         .seed(3)
         .trace_level(rf_sim::TraceLevel::Off)
         .channel_capacity(2)
-        .with_workload(Workload::ping(0, 2))
+        .with_workload(Workload::ping(vec![0], 2).expect("one client"))
         .with_fault(Fault::ChannelStall {
             dpid: 2,
             from: Duration::from_secs(2),
@@ -194,10 +194,10 @@ fn stalled_bounded_channel_recovers_traffic_after_release() {
     sc.run_until(Time::ZERO + stall_until + Duration::from_secs(30));
     sc.finish();
     let reports = sc.workload_reports();
-    let WorkloadReport::Ping(probe) = &reports[0] else {
+    let WorkloadReport::Ping(probes) = &reports[0] else {
         unreachable!("ping workload attached above");
     };
-    let replies = &probe.replies;
+    let replies = &probes[0].replies;
     assert!(
         replies.iter().any(|(_, t)| *t > Time::ZERO + stall_until),
         "pings must flow after the stall clears (got {} replies)",
@@ -213,20 +213,20 @@ fn fan_in_workload_reports_every_client() {
         .fast_timers()
         .seed(9)
         .trace_level(rf_sim::TraceLevel::Off)
-        .with_workload(Workload::ping_fan_in(vec![0, 1, 3], 2).expect("valid fan-in"))
+        .with_workload(Workload::ping(vec![0, 1, 3], 2).expect("valid fan-in"))
         .start();
     sc.run_until_configured(Time::from_secs(120))
         .expect("ring-4 must configure");
     let settle = sc.sim.now() + Duration::from_secs(20);
     sc.run_until(settle);
     let reports = sc.workload_reports();
-    let WorkloadReport::PingFanIn { clients } = &reports[0] else {
+    let WorkloadReport::Ping(clients) = &reports[0] else {
         unreachable!("fan-in workload attached above");
     };
     assert_eq!(clients.len(), 3);
     for (j, c) in clients.iter().enumerate() {
         assert!(
-            c.first_reply_at.is_some(),
+            c.first_reply_at().is_some(),
             "fan-in client {j} must reach the server"
         );
         assert!(!c.replies.is_empty());

@@ -7,9 +7,9 @@ use routeflow_autoconf::core::vnet::VmAgent;
 use routeflow_autoconf::prelude::*;
 use std::time::Duration;
 
-fn ping_report(sc: &Scenario) -> Option<rf_core::scenario::PingProbeReport> {
+fn ping_report(sc: &Scenario) -> Option<rf_core::host::PingProbeReport> {
     sc.workload_reports().into_iter().find_map(|r| match r {
-        WorkloadReport::Ping(p) => Some(p),
+        WorkloadReport::Ping(mut p) => p.pop(),
         _ => None,
     })
 }
@@ -32,7 +32,7 @@ fn kill_then_revive_reconverges_on_ring4() {
     ];
     let mut sc = Scenario::on(ring(4))
         .fast_timers()
-        .with_workload(Workload::ping(0, 2))
+        .with_workload(Workload::ping(vec![0], 2).expect("one client"))
         .with_faults(faults.iter().cloned())
         .start();
     sc.run_until_configured(Time::from_secs(120))
@@ -136,7 +136,7 @@ fn wan_ping_recovers(name: &str) {
     let mut sc = Scenario::on(topo)
         .fast_timers()
         .provision_width(8)
-        .with_workload(Workload::ping(a, b))
+        .with_workload(Workload::ping(vec![a], b).expect("one client"))
         .with_faults([
             Fault::LinkDown { edge, at: down_at },
             Fault::LinkUp { edge, at: up_at },
@@ -290,9 +290,9 @@ fn replay_reports_why_a_repro_cannot_run() {
     }
 }
 
-/// A repro file is outside input: an instant written as a negative
-/// number of nanoseconds is refused, naming its field, not read as an
-/// instant some 584 years out.
+/// A repro file is outside input: an instant, node, edge or dpid
+/// written as a negative number is refused, naming its field, not read
+/// as an instant some 584 years out or an index the file never named.
 #[test]
 fn negative_instants_in_a_repro_are_refused() {
     let good = ReproCase {
@@ -311,20 +311,27 @@ fn negative_instants_in_a_repro_are_refused() {
                 from: Duration::from_secs(31),
                 until: Duration::from_secs(32),
             },
+            Fault::KillSwitch {
+                node: 3,
+                at: Duration::from_secs(33),
+            },
         ],
         violations: Vec::new(),
     };
     let text = good.to_json();
     assert_eq!(ReproCase::parse(&text).unwrap().to_json(), text);
-    for (field, ns) in [
+    for (field, v) in [
         ("at_ns", 30_000_000_000u64),
         ("from_ns", 31_000_000_000),
         ("until_ns", 32_000_000_000),
+        ("node", 3),
+        ("edge", 1),
+        ("dpid", 2),
     ] {
-        let written = format!("\"{field}\": {ns}");
+        let written = format!("\"{field}\": {v}");
         assert!(text.contains(&written), "{text}");
-        let bad = text.replace(&written, &format!("\"{field}\": -{ns}"));
-        let why = ReproCase::parse(&bad).expect_err("a negative instant is an error");
+        let bad = text.replace(&written, &format!("\"{field}\": -{v}"));
+        let why = ReproCase::parse(&bad).expect_err("a negative field is an error");
         assert!(why.contains(field), "{why:?} should name {field}");
     }
 }
@@ -379,7 +386,7 @@ fn shrinker_minimizes_a_seeded_violation() {
     let still_fails = |faults: &[Fault]| -> bool {
         let mut sc = Scenario::on(line(4))
             .fast_timers()
-            .with_workload(Workload::ping(0, 3))
+            .with_workload(Workload::ping(vec![0], 3).expect("one client"))
             .with_faults(faults.iter().cloned())
             .start();
         sc.run_until_configured(Time::from_secs(120))

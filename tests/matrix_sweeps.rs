@@ -300,16 +300,16 @@ fn link_flap_soak_heals_end_to_end() {
     let mut sc = Scenario::on(ring(4))
         .fast_timers()
         .seed(11)
-        .with_workload(Workload::ping(0, 2))
+        .with_workload(Workload::ping(vec![0], 2).expect("one client"))
         .with_faults(flap.faults.iter().cloned())
         .start();
     sc.run_until(last_fault + Duration::from_secs(30));
 
     let reports = sc.workload_reports();
-    let WorkloadReport::Ping(probe) = &reports[0] else {
+    let WorkloadReport::Ping(probes) = &reports[0] else {
         unreachable!("ping workload attached above");
     };
-    let replies = &probe.replies;
+    let replies = &probes[0].replies;
     assert!(
         replies.iter().any(|(_, t)| *t < Time::from_secs(20)),
         "network must converge before the first flap"
@@ -421,16 +421,16 @@ fn sustained_loss_soak_degrades_then_heals() {
         .fast_timers()
         .seed(11)
         .trace_level(rf_sim::TraceLevel::Off)
-        .with_workload(Workload::ping(0, 2))
+        .with_workload(Workload::ping(vec![0], 2).expect("one client"))
         .with_faults(loss.faults.iter().cloned())
         .start();
     sc.run_until(heal_at + Duration::from_secs(30));
 
     let reports = sc.workload_reports();
-    let WorkloadReport::Ping(probe) = &reports[0] else {
+    let WorkloadReport::Ping(probes) = &reports[0] else {
         unreachable!("ping workload attached above");
     };
-    let (sent, replies) = (&probe.sent, &probe.replies);
+    let (sent, replies) = (&probes[0].sent, &probes[0].replies);
     assert!(
         replies.iter().any(|(_, t)| *t < Time::from_secs(20)),
         "network must converge before the loss window"

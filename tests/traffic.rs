@@ -144,13 +144,13 @@ fn apps_install_only_wildcard_mac_rewrite_and_punt_flows() {
         .fast_timers()
         .seed(5)
         .trace_level(rf_sim::TraceLevel::Off)
-        .with_workload(Workload::ping(0, 4))
+        .with_workload(Workload::ping(vec![0], 4).expect("one client"))
         .with_workload(Workload::traffic(cfg).expect("validated config"))
         .start();
     sc.run_until(Time::ZERO + spec.stop_at() + Duration::from_secs(2));
     for report in sc.workload_reports() {
         match report {
-            WorkloadReport::Ping(p) => assert!(!p.replies.is_empty(), "ping crossed the ring"),
+            WorkloadReport::Ping(p) => assert!(!p[0].replies.is_empty(), "ping crossed the ring"),
             WorkloadReport::Traffic(t) => assert!(t.delivered_bytes > 0, "flows crossed the ring"),
             other => unreachable!("not attached: {other:?}"),
         }
@@ -283,11 +283,11 @@ fn bad_cell_fails_alone_not_the_sweep() {
 #[test]
 fn workload_constructors_return_typed_errors() {
     assert!(matches!(
-        Workload::ping_fan_in(vec![], 2),
+        Workload::ping(vec![], 2),
         Err(WorkloadError::NoEndpoints(_))
     ));
     assert!(matches!(
-        Workload::ping_fan_in((0..40).collect(), 41),
+        Workload::ping((0..40).collect(), 41),
         Err(WorkloadError::TooManyEndpoints { given: 40, .. })
     ));
 
