@@ -50,6 +50,9 @@ pub struct VmAgent {
     ifaces: BTreeMap<u16, Ipv4Cidr>,
     ospf: Option<OspfDaemon>,
     rib: Rib,
+    /// The instant of the one armed `T_OSPF` wake-up. A wake-up at any
+    /// other instant is a timer an earlier deadline replaced: the
+    /// daemon has nothing due before `poll_at()`, so it is ignored.
     ospf_deadline: Option<Time>,
     /// Per-iface cache of the last multicast OSPF Hello:
     /// `payload → emitted frame`. Steady-state hellos repeat the same
@@ -161,9 +164,17 @@ impl VmAgent {
         self.reschedule_ospf(ctx);
     }
 
+    /// Arm a wake-up at the daemon's `poll_at()` unless the armed one
+    /// is still ahead and no later. An earlier deadline arms an earlier
+    /// timer; the one it replaces still fires, once, and `on_timer`
+    /// ignores it.
     fn reschedule_ospf(&mut self, ctx: &mut Ctx<'_>) {
         let Some(d) = &self.ospf else { return };
-        let Some(at) = d.poll_at() else { return };
+        // `schedule_at` clamps to now; the deadline must name the
+        // instant the timer actually fires at.
+        let Some(at) = d.poll_at().map(|at| at.max(ctx.now())) else {
+            return;
+        };
         let need = match self.ospf_deadline {
             Some(cur) => at < cur || cur <= ctx.now(),
             None => true,
@@ -263,6 +274,9 @@ impl Agent for VmAgent {
                 self.conn = Some(ctx.connect(self.rf_server, RF_SERVICE, ConnProfile::default()));
             }
             T_OSPF => {
+                if self.ospf_deadline != Some(ctx.now()) {
+                    return;
+                }
                 self.ospf_deadline = None;
                 if let Some(d) = self.ospf.as_mut() {
                     let ev = d.tick(ctx.now());

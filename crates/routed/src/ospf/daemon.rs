@@ -305,7 +305,9 @@ impl OspfDaemon {
         ev
     }
 
-    /// Earliest time `tick` must run again.
+    /// Earliest time `tick` must run again. A `tick` at any earlier
+    /// instant does nothing, which lets the VM ignore every wake-up but
+    /// the one armed here (`tests/tick_premise.rs` pins it).
     pub fn poll_at(&self) -> Option<Time> {
         let mut t = Time::MAX;
         let mut heard = Time::MAX;

@@ -28,23 +28,29 @@ pub enum Envelope {
     Ack(RpcAck),
 }
 
-/// Encode an envelope to wire bytes.
+/// Bytes before the body: magic, length, kind, req_id, tag.
+const HEADER_LEN: usize = 2 + 4 + 1 + 8 + 1;
+
+/// Encode an envelope to wire bytes: the header with a zero length,
+/// the body straight after it, then the length patched — one buffer.
 pub fn encode_envelope(env: &Envelope) -> Bytes {
-    let mut body = BytesMut::new();
-    let (kind, req_id, tag) = match env {
+    let (kind, req_id, tag, request) = match env {
         Envelope::Request { req_id, request } => {
-            request.emit_body(&mut body);
-            (KIND_REQUEST, *req_id, request.tag())
+            (KIND_REQUEST, *req_id, request.tag(), Some(request))
         }
-        Envelope::Ack(ack) => (KIND_ACK, ack.req_id, u8::from(ack.ok)),
+        Envelope::Ack(ack) => (KIND_ACK, ack.req_id, u8::from(ack.ok), None),
     };
-    let mut out = BytesMut::with_capacity(16 + body.len());
+    let mut out = BytesMut::with_capacity(HEADER_LEN + request.map_or(0, RpcRequest::body_len));
     out.put_u16(MAGIC);
-    out.put_u32((1 + 8 + 1 + body.len()) as u32);
+    out.put_u32(0); // length, patched below
     out.put_u8(kind);
     out.put_u64(req_id);
     out.put_u8(tag);
-    out.put_slice(&body);
+    if let Some(request) = request {
+        request.emit_body(&mut out);
+    }
+    let length = (out.len() - 6) as u32;
+    out[2..6].copy_from_slice(&length.to_be_bytes());
     out.freeze()
 }
 
@@ -142,6 +148,65 @@ mod tests {
             ok: true,
         });
         assert_eq!(decode_envelope(&encode_envelope(&ack)).unwrap(), ack);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire bytes of the longest request, a short one and an ack,
+    /// field by field as the module doc lays them out.
+    #[test]
+    fn envelope_golden_bytes() {
+        assert_eq!(
+            hex(&encode_envelope(&sample())),
+            [
+                "5246",
+                "0000002b",
+                "00",
+                "000000000000002a",
+                "03",
+                "0000000000000001",
+                "0002",
+                "0000000000000003",
+                "0001",
+                "ac1f0000",
+                "1e",
+                "ac1f0001",
+                "ac1f0002",
+            ]
+            .concat()
+        );
+        let ack = Envelope::Ack(RpcAck {
+            req_id: 7,
+            ok: false,
+        });
+        assert_eq!(
+            hex(&encode_envelope(&ack)),
+            ["5246", "0000000a", "01", "0000000000000007", "00"].concat()
+        );
+        let status = Envelope::Request {
+            req_id: 1,
+            request: RpcRequest::PortStatus {
+                dpid: 0x0102,
+                port: 3,
+                up: true,
+            },
+        };
+        assert_eq!(
+            hex(&encode_envelope(&status)),
+            [
+                "5246",
+                "00000015",
+                "00",
+                "0000000000000001",
+                "05",
+                "0000000000000102",
+                "0003",
+                "01",
+            ]
+            .concat()
+        );
     }
 
     #[test]

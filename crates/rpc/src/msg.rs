@@ -51,6 +51,17 @@ impl RpcRequest {
         }
     }
 
+    /// The length of what [`Self::emit_body`] writes.
+    pub(crate) fn body_len(&self) -> usize {
+        match self {
+            RpcRequest::SwitchDetected { .. } => 8 + 2,
+            RpcRequest::SwitchRemoved { .. } => 8,
+            RpcRequest::LinkDetected { .. } => 8 + 2 + 8 + 2 + 4 + 1 + 4 + 4,
+            RpcRequest::LinkRemoved { .. } => 8 + 2 + 8 + 2,
+            RpcRequest::PortStatus { .. } => 8 + 2 + 1,
+        }
+    }
+
     pub(crate) fn emit_body(&self, buf: &mut BytesMut) {
         match self {
             RpcRequest::SwitchDetected { dpid, num_ports } => {

@@ -103,8 +103,20 @@ impl IcmpPacket {
         })
     }
 
+    /// The message's length on the wire.
+    fn wire_len(&self) -> usize {
+        match self {
+            IcmpPacket::EchoRequest { payload, .. } | IcmpPacket::EchoReply { payload, .. } => {
+                ICMP_HEADER_LEN + payload.len()
+            }
+            IcmpPacket::Other { rest, .. } => 4 + rest.len(),
+        }
+    }
+
+    /// Write the message, checksum included, into one buffer of its
+    /// length.
     pub fn emit(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         match self {
             IcmpPacket::EchoRequest {
                 ident,

@@ -1002,9 +1002,11 @@ fn an_spf_run_copies_no_lsa() {
 /// probes without copying them, 28 507 (2.67) once a buffer was one
 /// block and not a block and a box, 27 433 (2.57) once the event
 /// queue's wheel slots shared a pool of buckets and the RF-protocol and
-/// FLOW_MOD batch encoders sized their buffers, 27 139 (2.55) now that
-/// SPF reads the LSDB in place instead of cloning it. The budget is the
-/// last plus 10 %: 29 853, 2.801 per event — under a third of the first.
+/// FLOW_MOD batch encoders sized their buffers, 27 139 (2.55) once SPF
+/// read the LSDB in place instead of cloning it, 25 844 (2.43) before
+/// an RPC envelope was one buffer and 25 540 (2.40) after. The budget
+/// is 27 139 plus 10 %: 29 853, 2.801 per event — under a third of the
+/// first.
 #[test]
 fn a_cold_start_allocates_half_of_what_it_did() {
     let mut sc = rf_core::scenario::Scenario::on(rf_topo::leaf_spine(4, 8, 0))
@@ -1066,6 +1068,41 @@ fn a_route_add_and_a_flow_mod_batch_are_one_buffer_each() {
         "a 16-FLOW_MOD batch"
     );
     assert_eq!(wire.len(), 16 * 112);
+}
+
+/// An RPC envelope writes its header, then its body in place, then
+/// patches the length: one allocation (a `LinkDetected` took 5, 3 of
+/// them `realloc`s, when its body grew from an empty buffer and was
+/// copied behind the header). An ICMP echo is sized up front: one
+/// allocation (2 when its buffer started empty and regrew).
+#[test]
+fn an_rpc_envelope_and_an_icmp_echo_are_one_buffer_each() {
+    let link = rf_rpc::Envelope::Request {
+        req_id: 9,
+        request: rf_rpc::RpcRequest::LinkDetected {
+            a_dpid: 1,
+            a_port: 2,
+            b_dpid: 3,
+            b_port: 1,
+            subnet: Ipv4Cidr::new(Ipv4Addr::new(172, 31, 0, 0), 30),
+            ip_a: Ipv4Addr::new(172, 31, 0, 1),
+            ip_b: Ipv4Addr::new(172, 31, 0, 2),
+        },
+    };
+    let ack = rf_rpc::Envelope::Ack(rf_rpc::RpcAck {
+        req_id: 9,
+        ok: true,
+    });
+    for (name, env, len) in [("a LinkDetected", link, 49), ("an ack", ack, 16)] {
+        let (wire, allocations, _) = counted(|| rf_rpc::encode_envelope(&env));
+        assert_eq!((allocations, reallocations()), (1, 0), "{name}");
+        assert_eq!(wire.len(), len, "{name}");
+    }
+
+    let echo = IcmpPacket::echo_request(7, 3, Bytes::from(vec![b'E'; 56]));
+    let (wire, allocations, _) = counted(|| echo.emit());
+    assert_eq!((allocations, reallocations()), (1, 0), "an echo request");
+    assert_eq!(wire.len(), 64);
 }
 
 /// rfbench's queue loop: 10 000 standing events, each pushed back a

@@ -180,6 +180,73 @@ fn ping_recovers_after_link_flap_on_abilene() {
     wan_ping_recovers("abilene");
 }
 
+/// A healed fault leaves nothing behind to simulate: on ring-8, the
+/// 30 s after each of three fault/heal cycles dispatch the same number
+/// of kernel events. A VM that re-armed its OSPF timer on a stale
+/// wake-up kept one more timer chain alive per cycle, and each window
+/// cost more than the last (7 538, 8 078, 8 618 under `fast-k8b16`
+/// kill/revive).
+#[test]
+fn a_healed_world_costs_the_same_after_every_fault() {
+    let heals = [80, 220, 360];
+    // Down at 60 / 200 / 340 s, up 20 s later.
+    let cycles = |down: fn(Duration) -> Fault, up: fn(Duration) -> Fault| -> Vec<Fault> {
+        heals
+            .iter()
+            .flat_map(|&t| {
+                [
+                    down(Duration::from_secs(t - 20)),
+                    up(Duration::from_secs(t)),
+                ]
+            })
+            .collect()
+    };
+    let kill_revive = cycles(
+        |at| Fault::KillSwitch { node: 1, at },
+        |at| Fault::ReviveSwitch { node: 1, at },
+    );
+    let flap = cycles(
+        |at| Fault::LinkDown { edge: 0, at },
+        |at| Fault::LinkUp { edge: 0, at },
+    );
+    let knobs = [
+        MatrixKnob::fast("fast"),
+        MatrixKnob::fast("fast-k8b16")
+            .with_provision_width(8)
+            .with_fib_batch(16),
+    ];
+    let mut windows = Vec::new();
+    for knob in knobs {
+        for schedule in [
+            FaultSchedule::new("kill-revive", kill_revive.clone()),
+            FaultSchedule::new("flap", flap.clone()),
+        ] {
+            let key = format!("{}/{}", knob.name, schedule.name);
+            let cell = MatrixCell {
+                seed: 1,
+                topology: "ring-8".into(),
+                schedule,
+                knob: knob.clone(),
+            };
+            let mut sc = ScenarioMatrix::standard_builder(&cell)
+                .expect("ring-8 builds")
+                .start();
+            // Each window opens 80 s after its heal.
+            let events = heals.map(|up| {
+                sc.run_until(Time::from_secs(up + 80));
+                let before = sc.sim.events_dispatched();
+                sc.run_until(Time::from_secs(up + 110));
+                sc.sim.events_dispatched() - before
+            });
+            windows.push((key, events));
+        }
+    }
+    assert!(
+        windows.iter().all(|(_, e)| e.iter().all(|&n| n == e[0])),
+        "events per window after each heal: {windows:?}"
+    );
+}
+
 /// The campaign's report is byte-identical at any worker-thread count
 /// and fully reproducible from its seed — and the smoke campaign runs
 /// green (no invariant violations).

@@ -195,7 +195,7 @@ fn a_forked_group_runs_its_fault_free_prefix_once() {
         );
         assert_eq!(stats.total_events(), cold_stats.total_events());
         assert!(stats.dispatched * 2 < cold_stats.total_events());
-        assert_eq!(stats.dispatched, 82_492, "events actually simulated");
+        assert_eq!(stats.dispatched, 78_716, "events actually simulated");
     }
 }
 
