@@ -5,12 +5,13 @@ use super::linkdb::{LinkDb, UndirectedLink};
 use super::TOPOLOGY_OF_SERVICE;
 use bytes::Bytes;
 use rf_openflow::{
-    Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_CONTROLLER, OFPP_NONE,
-    OFP_NO_BUFFER,
+    Action, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketInView, OFPP_CONTROLLER,
+    OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_rpc::{Envelope, Outbox, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
-use rf_wire::{EtherType, EthernetFrame, Ipv4Cidr, LldpPacket, MacAddr};
+use rf_wire::ethernet::ETHERNET_HEADER_LEN;
+use rf_wire::{EtherType, EthernetFrame, EthernetHeader, Ipv4Cidr, LldpPacket, MacAddr};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -106,8 +107,6 @@ pub struct TopologyController {
     pub events: Vec<DiscoveryEvent>,
     /// Probe rounds completed (diagnostics).
     pub probe_rounds: u64,
-    /// Reused per-event decode buffer (capacity persists across events).
-    msg_scratch: Vec<(OfMessage, u32)>,
 }
 
 impl TopologyController {
@@ -126,7 +125,6 @@ impl TopologyController {
             xid: 1,
             events: Vec::new(),
             probe_rounds: 0,
-            msg_scratch: Vec::new(),
         }
     }
 
@@ -209,11 +207,60 @@ impl TopologyController {
         );
     }
 
-    fn handle_of(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage, _xid: u32) {
+    /// One message off a switch's connection. A PACKET_IN — every
+    /// returning LLDP probe is one — is read where it lies
+    /// ([`PacketInView`], then the punted frame's Ethernet header and
+    /// LLDPDU in place); everything else is decoded in full. A message
+    /// that does not decode is dropped.
+    fn handle_frame(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, raw: Bytes) {
+        match PacketInView::parse(&raw) {
+            Ok(Some(packet_in)) => {
+                let frame = packet_in.payload(&raw);
+                self.handle_packet_in(ctx, conn, packet_in.in_port, frame);
+            }
+            Ok(None) => {
+                if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
+                    self.handle_of(ctx, conn, msg, xid);
+                }
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// A punted frame: if it is another switch's discovery probe, the
+    /// link it crossed is confirmed.
+    fn handle_packet_in(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, in_port: u16, frame: &[u8]) {
+        let Some(dpid) = self.sessions.get(&conn).and_then(|s| s.dpid) else {
+            return;
+        };
+        let Ok(eth) = EthernetHeader::parse(frame) else {
+            return;
+        };
+        if eth.ethertype != EtherType::LLDP {
+            return;
+        }
+        let Some((origin_dpid, origin_port)) =
+            LldpPacket::parse_discovery(&frame[ETHERNET_HEADER_LEN..])
+        else {
+            return;
+        };
+        if origin_dpid == dpid {
+            return; // self-loop probe; ignore
+        }
+        ctx.count("topo.lldp_in", 1);
+        if let Some(link) =
+            self.linkdb
+                .observe((origin_dpid, origin_port), (dpid, in_port), ctx.now())
+        {
+            self.handle_link_up(ctx, link);
+        }
+    }
+
+    fn handle_of(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage, xid: u32) {
         match msg {
             OfMessage::Hello => {}
+            // A reply carries its request's xid (OF 1.0).
             OfMessage::EchoRequest(d) => {
-                let xid = self.next_xid();
                 ctx.conn_send(conn, OfMessage::EchoReply(d).encode(xid));
             }
             OfMessage::FeaturesReply(f) => {
@@ -254,31 +301,6 @@ impl TopologyController {
                 // Probe immediately rather than waiting a full period.
                 if let Some(s) = self.sessions.get_mut(&conn) {
                     Self::probe_switch(ctx, conn, s, &mut self.xid);
-                }
-            }
-            OfMessage::PacketIn { in_port, data, .. } => {
-                let Some(dpid) = self.sessions.get(&conn).and_then(|s| s.dpid) else {
-                    return;
-                };
-                let Ok(eth) = EthernetFrame::parse_bytes(&data) else {
-                    return;
-                };
-                if eth.ethertype != EtherType::LLDP {
-                    return;
-                }
-                let Some((origin_dpid, origin_port)) = LldpPacket::parse_discovery(&eth.payload)
-                else {
-                    return;
-                };
-                if origin_dpid == dpid {
-                    return; // self-loop probe; ignore
-                }
-                ctx.count("topo.lldp_in", 1);
-                if let Some(link) =
-                    self.linkdb
-                        .observe((origin_dpid, origin_port), (dpid, in_port), ctx.now())
-                {
-                    self.handle_link_up(ctx, link);
                 }
             }
             OfMessage::PortStatus { desc, .. } => {
@@ -426,24 +448,22 @@ impl Agent for TopologyController {
                 );
             }
             StreamEvent::Data(data) => {
-                let mut msgs = std::mem::take(&mut self.msg_scratch);
-                msgs.clear();
+                let Some(s) = self.sessions.get_mut(&conn) else {
+                    return;
+                };
+                s.reader.push_bytes(data);
+                // No handler resets or removes this session, so taking
+                // the messages one at a time sees what draining them
+                // first would. A frame that breaks the framing is dropped.
+                while let Some(raw) = self
+                    .sessions
+                    .get_mut(&conn)
+                    .and_then(|s| s.reader.next_frame())
                 {
-                    let Some(s) = self.sessions.get_mut(&conn) else {
-                        self.msg_scratch = msgs;
-                        return;
-                    };
-                    s.reader.push_bytes(data);
-                    while let Some(r) = s.reader.next() {
-                        if let Ok(m) = r {
-                            msgs.push(m);
-                        }
+                    if let Ok(raw) = raw {
+                        self.handle_frame(ctx, conn, raw);
                     }
                 }
-                for (msg, xid) in msgs.drain(..) {
-                    self.handle_of(ctx, conn, msg, xid);
-                }
-                self.msg_scratch = msgs;
             }
             StreamEvent::Closed => {
                 if let Some(s) = self.sessions.remove(&conn) {

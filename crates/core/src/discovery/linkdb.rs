@@ -50,8 +50,18 @@ impl LinkDb {
 
     /// Record a probe arrival. Returns `Some(link)` if this brought a
     /// new undirected link up.
+    ///
+    /// A direction seen before only has its time refreshed: every
+    /// observation's canonical link is in `up` (each method below keeps
+    /// it so), so the insert below would find its link there and return
+    /// `None`. That is every probe of a steady network.
     pub fn observe(&mut self, from: EndPoint, to: EndPoint, now: Time) -> Option<UndirectedLink> {
-        self.observations.insert(DirectedLink { from, to }, now);
+        let seen = DirectedLink { from, to };
+        if let Some(last) = self.observations.get_mut(&seen) {
+            *last = now;
+            return None;
+        }
+        self.observations.insert(seen, now);
         let link = UndirectedLink::canonical(from, to);
         // NOX-style: a single direction is enough to declare the link
         // (the reverse probe typically confirms within one period).
@@ -175,6 +185,76 @@ mod tests {
         assert!(ascending(&removed), "{removed:?}");
         let down = db.expire(Time::from_secs(10), Duration::from_secs(5));
         assert_eq!(down, links);
+    }
+
+    /// `observe` as it was before the refresh fast path: always the
+    /// insert.
+    fn observe_by_insert(
+        db: &mut LinkDb,
+        from: EndPoint,
+        to: EndPoint,
+        now: Time,
+    ) -> Option<UndirectedLink> {
+        db.observations.insert(DirectedLink { from, to }, now);
+        let link = UndirectedLink::canonical(from, to);
+        db.up.insert(link).then_some(link)
+    }
+
+    /// The fast path's premise and its result, over random sequences of
+    /// observations (self-loops and both directions included), expiries
+    /// and switch departures on a few endpoints: after every step each
+    /// observation's canonical link is up, and the database answers and
+    /// ends exactly as one whose `observe` always inserts.
+    #[test]
+    fn every_observation_keeps_its_link_up() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let ttl = Duration::from_secs(3);
+        let (mut refreshed, mut brought_up) = (0, 0);
+        for seed in 0..50 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let endpoint = |rng: &mut StdRng| (rng.gen_range(1..4u64), rng.gen_range(1..3u16));
+            let (mut db, mut model) = (LinkDb::new(), LinkDb::new());
+            let mut now = Time::ZERO;
+            for step in 0..400 {
+                now += Duration::from_millis(rng.gen_range(0..500u64));
+                match rng.gen_range(0..20u32) {
+                    0 | 1 => {
+                        let got = db.expire(now, ttl);
+                        assert_eq!(got, model.expire(now, ttl), "seed {seed} step {step}");
+                    }
+                    2 => {
+                        let dpid = rng.gen_range(1..4u64);
+                        let got = db.remove_switch(dpid);
+                        assert_eq!(got, model.remove_switch(dpid), "seed {seed} step {step}");
+                    }
+                    _ => {
+                        let (from, to) = (endpoint(&mut rng), endpoint(&mut rng));
+                        if db.observations.contains_key(&DirectedLink { from, to }) {
+                            refreshed += 1;
+                        }
+                        let got = db.observe(from, to, now);
+                        brought_up += usize::from(got.is_some());
+                        let want = observe_by_insert(&mut model, from, to, now);
+                        assert_eq!(got, want, "seed {seed} step {step}");
+                    }
+                }
+                for seen in db.observations.keys() {
+                    let link = UndirectedLink::canonical(seen.from, seen.to);
+                    assert!(db.up.contains(&link), "seed {seed} step {step}: {seen:?}");
+                }
+                assert_eq!(
+                    db.observations, model.observations,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(db.up, model.up, "seed {seed} step {step}");
+            }
+        }
+        // Both paths ran, many times.
+        assert!(
+            refreshed > 4000 && brought_up > 4000,
+            "{refreshed} refreshed, {brought_up} up"
+        );
     }
 
     #[test]

@@ -14,6 +14,13 @@
 //! dpid/port)* identifies a unidirectional link. Links age out when
 //! probes stop arriving.
 //!
+//! A returning probe is most of what the controller handles, so it is
+//! read where it lies: the `PACKET_IN` through
+//! [`PacketInView`](rf_openflow::PacketInView), then the punted frame's
+//! Ethernet header and LLDPDU in place, and a direction already seen
+//! only has its time refreshed ([`LinkDb::observe`]). Every other
+//! message is decoded in full.
+//!
 //! On **switch join** the controller emits `SwitchDetected {dpid,
 //! num_ports}` toward the RPC client; on **link detection** it carves a
 //! /30 out of the administrator's range ([`alloc::Ipv4Allocator`]),

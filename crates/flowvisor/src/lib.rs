@@ -26,6 +26,13 @@
 //! * `PORT_STATUS` fans out to all slices; `FLOW_REMOVED` is routed by
 //!   installer slice (tracked by cookie).
 //!
+//! The two messages of every LLDP probe are only passed on, so neither
+//! is decoded: a switch's `PACKET_IN` is routed from a
+//! [`PacketInView`](rf_openflow::PacketInView) and forwarded in the
+//! buffer it arrived in, and a slice's `PACKET_OUT` is checked through a
+//! [`PacketOutView`](rf_openflow::PacketOutView) and forwarded with its
+//! xid written where it lies.
+//!
 //! Simplifications vs. the real FlowVisor: no rate limiting, no
 //! virtual port remapping, no slice admin API — the demo framework
 //! uses none of these.

@@ -3,8 +3,8 @@
 use crate::slice::{FlowSpaceDecision, SlicePolicy};
 use bytes::Bytes;
 use rf_openflow::{
-    reframe_with_xid, ErrorType, KeyDepth, MessageReader, OfMessage, PacketKey, PacketOutView,
-    OFP_NO_BUFFER,
+    reframe_with_xid, ErrorType, KeyDepth, MessageReader, OfMessage, PacketInView, PacketKey,
+    PacketOutView, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use std::collections::BTreeMap;
@@ -239,28 +239,6 @@ impl FlowVisor {
                     }
                 }
             }
-            OfMessage::PacketIn {
-                buffer_id,
-                total_len,
-                in_port,
-                reason,
-                ref data,
-            } => {
-                ctx.count("fv.packet_in", 1);
-                let Some(key) = PacketKey::from_frame(in_port, data, self.key_depth) else {
-                    return;
-                };
-                let _ = (buffer_id, total_len, reason);
-                for slice_idx in 0..self.slices.len() {
-                    if self.slices[slice_idx].owns_packet(&key) {
-                        // Same bytes, same xid: hand the wire frame on.
-                        self.forward_raw_to_slice(ctx, sw, slice_idx, raw);
-                        // Exactly one slice owns a packet in this
-                        // framework (flowspaces are disjoint).
-                        break;
-                    }
-                }
-            }
             OfMessage::PortStatus { reason, desc } => {
                 let _ = (reason, desc, xid);
                 for slice_idx in 0..self.slices.len() {
@@ -289,9 +267,39 @@ impl FlowVisor {
                     }
                 }
             }
+            // (A PACKET_IN never gets here: `handle_switch_frame`.)
             _ => {
                 ctx.count("fv.unexpected_from_switch", 1);
             }
+        }
+    }
+
+    /// One message off a switch's connection. A PACKET_IN — every
+    /// returning LLDP probe is one — is only routed to the slice that
+    /// owns its frame, so it is read where it lies ([`PacketInView`]:
+    /// no message is decoded and no slice of `raw` is kept); everything
+    /// else is decoded in full. A message that does not decode is
+    /// dropped.
+    fn handle_switch_frame(&mut self, ctx: &mut Ctx<'_>, sw: usize, raw: Bytes) {
+        let packet_in = match PacketInView::parse(&raw) {
+            Ok(Some(packet_in)) => packet_in,
+            Ok(None) => {
+                if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
+                    self.handle_switch_msg(ctx, sw, msg, xid, raw);
+                }
+                return;
+            }
+            Err(_) => return,
+        };
+        ctx.count("fv.packet_in", 1);
+        let frame = packet_in.payload(&raw);
+        let Some(key) = PacketKey::from_frame(packet_in.in_port, frame, self.key_depth) else {
+            return;
+        };
+        // Exactly one slice owns a packet in this framework (flowspaces
+        // are disjoint). Same bytes, same xid: hand the wire frame on.
+        if let Some(slice) = self.slices.iter().position(|s| s.owns_packet(&key)) {
+            self.forward_raw_to_slice(ctx, sw, slice, raw);
         }
     }
 
@@ -514,9 +522,7 @@ impl Agent for FlowVisor {
                     self.switches[sw].reader.push_bytes(data);
                     while let Some(raw) = self.switches[sw].reader.next_frame() {
                         let Ok(raw) = raw else { continue };
-                        if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
-                            self.handle_switch_msg(ctx, sw, msg, xid, raw);
-                        }
+                        self.handle_switch_frame(ctx, sw, raw);
                     }
                 }
                 Some(Role::Upstream { sw, slice }) => {

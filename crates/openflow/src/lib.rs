@@ -41,7 +41,7 @@ pub use flow_match::{KeyDepth, OfMatch, PacketKey, Wildcards, OFP_VLAN_NONE};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 pub use messages::{
     ErrorCode, ErrorType, FlowModCommand, FlowRemovedReason, OfMessage, PacketInReason,
-    PacketOutView, PortStatusReason, SwitchFeatures,
+    PacketInView, PacketOutView, PortStatusReason, SwitchFeatures,
 };
 pub use ports::{
     PhyPort, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_MAX,

@@ -267,6 +267,71 @@ impl PacketOutView {
     }
 }
 
+/// Length of `ofp_packet_in` up to its payload, header included.
+const PACKET_IN_FIXED_LEN: usize = OFP_HEADER_LEN + 10;
+
+/// A PACKET_IN read where it lies: the fixed fields, and where in the
+/// message the punted frame ends. A proxy that routes the message by
+/// its frame and a controller that reads only the frame need nothing
+/// else, so neither decodes an [`OfMessage`] or keeps a slice of the
+/// message alive.
+///
+/// [`PacketInView::parse`] makes every check
+/// [`OfMessage::decode_bytes`] makes, in the same order: it accepts a
+/// message exactly when that decodes it, and fails with the same error
+/// when not.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PacketInView {
+    pub xid: u32,
+    pub buffer_id: u32,
+    pub total_len: u16,
+    pub in_port: PortNumber,
+    pub reason: PacketInReason,
+    /// `ofp_header.length`: the payload ends here.
+    length: usize,
+}
+
+impl PacketInView {
+    /// The PACKET_IN whose header said `header` and whose body (the
+    /// `header.length - 8` bytes after it) is `body`.
+    fn fixed(header: &OfHeader, body: &[u8]) -> Result<PacketInView, OfError> {
+        if body.len() < PACKET_IN_FIXED_LEN - OFP_HEADER_LEN {
+            return Err(OfError::Truncated);
+        }
+        Ok(PacketInView {
+            xid: header.xid,
+            buffer_id: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
+            total_len: u16::from_be_bytes([body[4], body[5]]),
+            in_port: u16::from_be_bytes([body[6], body[7]]),
+            reason: match body[8] {
+                0 => PacketInReason::NoMatch,
+                1 => PacketInReason::Action,
+                _ => return Err(OfError::Malformed("packet_in reason")),
+            },
+            length: header.length as usize,
+        })
+    }
+
+    /// Read `raw`, a complete message. `Ok(None)`: well-framed, but not
+    /// a PACKET_IN.
+    pub fn parse(raw: &[u8]) -> Result<Option<PacketInView>, OfError> {
+        let header = OfHeader::parse(raw)?;
+        if raw.len() < header.length as usize {
+            return Err(OfError::Truncated);
+        }
+        if header.msg_type != MsgType::PacketIn {
+            return Ok(None);
+        }
+        Self::fixed(&header, &raw[OFP_HEADER_LEN..header.length as usize]).map(Some)
+    }
+
+    /// The punted frame, borrowed from the message this view was parsed
+    /// from.
+    pub fn payload<'a>(&self, raw: &'a [u8]) -> &'a [u8] {
+        &raw[PACKET_IN_FIXED_LEN..self.length]
+    }
+}
+
 /// `OFPFF_SEND_FLOW_REM` flag for FLOW_MOD.
 pub const OFPFF_SEND_FLOW_REM: u16 = 1;
 
@@ -596,17 +661,13 @@ impl OfMessage {
                 }
             }
             MsgType::PacketIn => {
-                need(10)?;
+                let view = PacketInView::fixed(&header, body)?;
                 OfMessage::PacketIn {
-                    buffer_id: be32(0),
-                    total_len: be16(4),
-                    in_port: be16(6),
-                    reason: match body[8] {
-                        0 => PacketInReason::NoMatch,
-                        1 => PacketInReason::Action,
-                        _ => return Err(OfError::Malformed("packet_in reason")),
-                    },
-                    data: grab(body, 10),
+                    buffer_id: view.buffer_id,
+                    total_len: view.total_len,
+                    in_port: view.in_port,
+                    reason: view.reason,
+                    data: grab(body, PACKET_IN_FIXED_LEN - OFP_HEADER_LEN),
                 }
             }
             MsgType::FlowRemoved => {
@@ -974,6 +1035,188 @@ mod tests {
         assert_eq!(
             OfMessage::decode(&wire[..wire.len() - 4]),
             Err(OfError::Truncated)
+        );
+    }
+
+    /// `raw` with its header's length field set to `length`.
+    fn with_length(raw: &[u8], length: u16) -> Vec<u8> {
+        let mut out = raw.to_vec();
+        out[2..4].copy_from_slice(&length.to_be_bytes());
+        out
+    }
+
+    /// Each encoding damaged every way a view checks for: cut at every
+    /// length, with the header's length left as it was and rewritten
+    /// to match; a bad version; every type byte; a length field below
+    /// the header, short of and beyond the body; every value of bytes
+    /// 15 and 16 (a PACKET_OUT's `actions_len` low byte, a PACKET_IN's
+    /// `reason`); and, apart, five bad action lists in a PACKET_OUT.
+    fn mutations(encodings: &[Bytes]) -> Vec<Bytes> {
+        let mut out = Vec::new();
+        for raw in encodings {
+            out.push(raw.clone());
+            for n in 0..raw.len() {
+                out.push(raw.slice(..n));
+                if n >= OFP_HEADER_LEN {
+                    out.push(with_length(&raw[..n], n as u16).into());
+                }
+            }
+            let mut bad_version = raw.to_vec();
+            bad_version[0] = OFP_VERSION + 1;
+            out.push(bad_version.into());
+            for msg_type in 0..=u8::MAX {
+                let mut retyped = raw.to_vec();
+                retyped[1] = msg_type;
+                out.push(retyped.into());
+            }
+            let len = raw.len() as u16;
+            for length in [0, 7, 8, len - 1, len + 1, u16::MAX] {
+                out.push(with_length(raw, length).into());
+            }
+            let mut padded = raw.to_vec();
+            padded.extend_from_slice(b"trailing");
+            out.push(padded.into());
+            for at in [15, 16].into_iter().filter(|&at| at < raw.len()) {
+                for byte in 0..=u8::MAX {
+                    let mut damaged = raw.to_vec();
+                    damaged[at] = byte;
+                    out.push(damaged.into());
+                }
+            }
+        }
+        let bad_actions: [&[u8]; 5] = [
+            &[0, 0, 0, 4, 0, 1, 0, 0],       // shorter than an action
+            &[0, 0, 0, 12, 0, 1, 0, 0],      // not a multiple of 8
+            &[0, 0, 0, 16, 0, 1, 0, 0],      // past the list
+            &[0, 99, 0, 8, 0, 0, 0, 0],      // unknown type
+            &[0, 4, 0, 8, 0, 0, 0, 0, 0, 0], // SET_DL_SRC of 8 bytes
+        ];
+        for actions in bad_actions {
+            let mut raw = OfMessage::PacketOut {
+                buffer_id: crate::OFP_NO_BUFFER,
+                in_port: 1,
+                actions: Vec::new(),
+                data: Bytes::from_static(b"frame"),
+            }
+            .encode(3)
+            .to_vec();
+            raw.splice(16..16, actions.iter().copied());
+            raw[14..16].copy_from_slice(&(actions.len() as u16).to_be_bytes());
+            let length = raw.len() as u16;
+            out.push(with_length(&raw, length).into());
+        }
+        out
+    }
+
+    /// Encodings of both messages the views read, and of their
+    /// neighbours in type number.
+    fn view_corpus() -> Vec<Bytes> {
+        let frame = Bytes::from_static(b"\x01\x80\xc2\x00\x00\x0e lldp frame bytes");
+        vec![
+            OfMessage::PacketIn {
+                buffer_id: crate::OFP_NO_BUFFER,
+                total_len: frame.len() as u16,
+                in_port: 2,
+                reason: PacketInReason::Action,
+                data: frame.clone(),
+            }
+            .encode(0x0102_0304),
+            OfMessage::PacketIn {
+                buffer_id: 9,
+                total_len: 1500,
+                in_port: 1,
+                reason: PacketInReason::NoMatch,
+                data: Bytes::new(),
+            }
+            .encode(5),
+            OfMessage::PacketOut {
+                buffer_id: crate::OFP_NO_BUFFER,
+                in_port: crate::ports::OFPP_NONE,
+                actions: vec![
+                    Action::SetDlSrc(rf_wire::MacAddr([2, 0, 0, 0, 0, 1])),
+                    Action::output(3),
+                ],
+                data: frame,
+            }
+            .encode(6),
+            OfMessage::PacketOut {
+                buffer_id: 7,
+                in_port: 1,
+                actions: Vec::new(),
+                data: Bytes::new(),
+            }
+            .encode(8),
+            OfMessage::FlowRemoved {
+                of_match: OfMatch::any(),
+                cookie: 1,
+                priority: 2,
+                reason: FlowRemovedReason::Delete,
+                duration_sec: 3,
+                duration_nsec: 4,
+                idle_timeout: 5,
+                packet_count: 6,
+                byte_count: 7,
+            }
+            .encode(9),
+        ]
+    }
+
+    /// [`PacketInView::parse`] and [`PacketOutView::parse`] against
+    /// [`OfMessage::decode_bytes`], on every mutation of every encoding:
+    /// a view accepts exactly the messages of its type that decode, with
+    /// the same fields and payload (and actions), rejects the rest with
+    /// the decoder's error, and passes over — `Ok(None)` — only a
+    /// well-framed message of another type.
+    #[test]
+    fn the_views_agree_with_the_decoder() {
+        let (mut ins, mut outs) = (0, 0);
+        for raw in mutations(&view_corpus()) {
+            let decoded = OfMessage::decode_bytes(&raw);
+            let other_type = |decoded: &Result<(OfMessage, u32), OfError>, want: MsgType| {
+                let header = OfHeader::parse(&raw).expect("passed over: the header parses");
+                assert!(raw.len() >= header.length as usize, "passed over: framed");
+                assert_ne!(header.msg_type, want);
+                if let Ok((msg, _)) = decoded {
+                    assert_eq!(msg.msg_type(), header.msg_type);
+                }
+            };
+            match (PacketInView::parse(&raw), &decoded) {
+                (Ok(Some(view)), Ok((msg, xid))) => {
+                    ins += 1;
+                    let want = OfMessage::PacketIn {
+                        buffer_id: view.buffer_id,
+                        total_len: view.total_len,
+                        in_port: view.in_port,
+                        reason: view.reason,
+                        data: Bytes::copy_from_slice(view.payload(&raw)),
+                    };
+                    assert_eq!((msg, *xid), (&want, view.xid), "{raw:?}");
+                }
+                (Ok(None), _) => other_type(&decoded, MsgType::PacketIn),
+                (Err(view), Err(dec)) => assert_eq!(view, *dec, "{raw:?}"),
+                (view, dec) => panic!("PacketInView {view:?}, decoder {dec:?}: {raw:?}"),
+            }
+            match (PacketOutView::parse(&raw), &decoded) {
+                (Ok(Some(view)), Ok((msg, xid))) => {
+                    outs += 1;
+                    let want = OfMessage::PacketOut {
+                        buffer_id: view.buffer_id,
+                        in_port: view.in_port,
+                        actions: view.actions(&raw).collect(),
+                        data: view.data(&raw),
+                    };
+                    assert_eq!(view.payload(&raw), &view.data(&raw)[..]);
+                    assert_eq!((msg, *xid), (&want, view.xid), "{raw:?}");
+                }
+                (Ok(None), _) => other_type(&decoded, MsgType::PacketOut),
+                (Err(view), Err(dec)) => assert_eq!(view, *dec, "{raw:?}"),
+                (view, dec) => panic!("PacketOutView {view:?}, decoder {dec:?}: {raw:?}"),
+            }
+        }
+        // Both views saw accepted messages, not only rejections.
+        assert!(
+            ins > 10 && outs > 10,
+            "accepted: {ins} PACKET_IN, {outs} PACKET_OUT"
         );
     }
 

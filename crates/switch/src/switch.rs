@@ -116,6 +116,13 @@ pub struct OpenFlowSwitch {
     /// that equals re-encoding). Compared by content, so any other
     /// frame just misses and refreshes the entry; a punt that names no
     /// data-plane port (a PACKET_OUT's `in_port`) is encoded afresh.
+    ///
+    /// The template is the message last sent. Once every receiver has
+    /// let go of it — a round later, when the probe has long been read —
+    /// the entry is its only handle and the next xid is written where
+    /// it lies; while anything else holds the block (a fork sharing it
+    /// with its capture) the re-frame copies, and the copy becomes the
+    /// entry.
     punt_cache: Vec<Option<(Bytes, usize, Bytes)>>,
 }
 
@@ -330,7 +337,10 @@ impl OpenFlowSwitch {
                         .and_then(|idx| self.punt_cache.get_mut(idx));
                     let encoded = match slot {
                         Some(Some((f, c, template))) if *c == cut && *f == frame => {
-                            rf_openflow::reframe_with_xid(template.clone(), xid)
+                            let encoded =
+                                rf_openflow::reframe_with_xid(std::mem::take(template), xid);
+                            *template = encoded.clone();
+                            encoded
                         }
                         slot => {
                             let encoded = OfMessage::PacketIn {

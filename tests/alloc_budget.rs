@@ -4,8 +4,9 @@
 //! buffer out and a borrowed view in — a flood is one payload and a
 //! frame per adjacency, a duplicate costs its ack, a steady-state hello
 //! nothing; an OpenFlow message that is only forwarded is patched
-//! where it lies — an LLDP probe's round trip allocates for the two
-//! messages that are new, a reply through FlowVisor for nothing.
+//! where it lies — an LLDP probe's round trip allocates for the one
+//! message that is new (a fork's first round also copies what it
+//! shares with its capture), a reply through FlowVisor for nothing.
 //! Underneath all of them, a buffer is one block: building a sized
 //! `BytesMut` and freezing it is one allocation, and an empty buffer,
 //! a slice or a freeze is none. Counts, not timings, so they hold on
@@ -414,26 +415,31 @@ fn discovery_loop() -> (Sim, AgentId) {
     (sim, ctrl)
 }
 
+fn controller(sim: &Sim, id: AgentId) -> &TopologyController {
+    sim.agent_as::<TopologyController>(id)
+        .expect("the controller")
+}
+
 /// One LLDP probe is five kernel events — controller → FlowVisor →
-/// switch → link → neighbour → FlowVisor → controller — and two new
-/// messages: the PACKET_OUT leaving the controller and the PACKET_IN
-/// leaving the neighbour, each a copy of its template in a block of its
-/// own. Everything between only passes them on: FlowVisor checks the
-/// payload where it lies and writes the xid into the message it
-/// received, the switch runs the action off the wire into the list it
-/// keeps. 2 allocations per probe; 4 when a buffer was a block and a
-/// box, 10 when every hop decoded the message into owned lists and
-/// copied it to change four bytes (this round of 4 probes: 8; 15, 23
-/// and 48 before, same harness, when each also paid 7 or 8 for the
-/// event queue's first use of a wheel slot).
+/// switch → link → neighbour → FlowVisor → controller — and one new
+/// message: the PACKET_OUT leaving the controller, a copy of its
+/// template in a block of its own. Everything else only passes the
+/// messages on or reads them where they lie: FlowVisor checks the
+/// PACKET_OUT's payload in place and writes its xid into the message
+/// it received, the switch runs the action off the wire into the list
+/// it keeps, the neighbour writes the next xid into the PACKET_IN it
+/// sent last round (its only handle by then), and FlowVisor and the
+/// controller read that PACKET_IN through a view. 1 allocation per
+/// probe; 2 when the neighbour copied its PACKET_IN template and every
+/// receiver decoded it, 4 when a buffer was a block and a box, 10 when
+/// every hop decoded the message into owned lists and copied it to
+/// change four bytes (this round of 4 probes: 4; 8, 15, 23 and 48
+/// before, same harness, when each also paid 7 or 8 for the event
+/// queue's first use of a wheel slot).
 #[test]
-fn an_lldp_probe_round_trip_allocates_for_two_messages() {
+fn an_lldp_probe_round_trip_allocates_for_one_message() {
     const PROBES: usize = 4;
     let (mut sim, ctrl) = discovery_loop();
-    fn controller(sim: &Sim, id: AgentId) -> &TopologyController {
-        sim.agent_as::<TopologyController>(id)
-            .expect("the controller")
-    }
     // The join probes and the rounds at 1 s and 2 s warm every path:
     // templates, reader buffers, the switch's egress list.
     sim.run_until(Time::from_millis(2900));
@@ -453,10 +459,53 @@ fn an_lldp_probe_round_trip_allocates_for_two_messages() {
     // Nothing is the kernel's: a wheel slot takes a warm bucket from
     // the queue's pool.
     assert_eq!(
-        allocations,
-        2 * PROBES,
+        allocations, PROBES,
         "allocations for a round of {PROBES} probes"
     );
+}
+
+/// A fork shares every block with the capture it was cloned from,
+/// the neighbours' PACKET_IN templates among them. Its first round
+/// writes no xid into those: each re-frame sees a second handle and
+/// copies, so that round allocates one more block per probe, and the
+/// copies become the fork's own templates — its next round is back to
+/// one per probe. (The first round also regrows what a clone holds
+/// empty: 4 event-queue buckets and the two switches' egress lists.)
+/// The capture, run on afterwards, behaves as a twin that was never
+/// forked: same events, same links, same discovery history.
+#[test]
+fn a_fork_copies_the_templates_it_shares_once() {
+    const PROBES: usize = 4;
+    let (mut capture, ctrl) = discovery_loop();
+    capture.run_until(Time::from_millis(2900));
+    let mut fork = capture.clone();
+
+    let ((), first, _) = counted(|| fork.run_until(Time::from_millis(3400)));
+    fork.run_until(Time::from_millis(3900));
+    let ((), second, _) = counted(|| fork.run_until(Time::from_millis(4400)));
+
+    assert_eq!(controller(&fork, ctrl).probe_rounds, 4);
+    assert_eq!(
+        (first, second),
+        (2 * PROBES + 4 + 2, PROBES),
+        "allocations for the fork's first two rounds of {PROBES} probes"
+    );
+
+    let (mut twin, _) = discovery_loop();
+    for sim in [&mut capture, &mut fork, &mut twin] {
+        sim.run_until(Time::from_millis(6100));
+    }
+    for (name, sim) in [("capture", &capture), ("fork", &fork)] {
+        assert_eq!(
+            sim.events_dispatched(),
+            twin.events_dispatched(),
+            "{name}: events"
+        );
+        let (got, want) = (controller(sim, ctrl), controller(&twin, ctrl));
+        assert_eq!(got.links(), want.links(), "{name}: links");
+        assert_eq!(got.events, want.events, "{name}: discovery history");
+    }
+    assert_eq!(controller(&twin, ctrl).links().len(), 2);
 }
 
 /// Answers what FlowVisor needs to bring a slice up, then every
