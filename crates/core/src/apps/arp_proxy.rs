@@ -2,8 +2,7 @@
 //! VMs' behalf, learns host MACs from their ARP traffic, and installs
 //! per-host /32 delivery flows.
 
-use super::bus::AppCtx;
-use super::channel::DeferBuffer;
+use super::channel::{AppCtx, DeferBuffer};
 use super::fib_mirror::HOST_FLOW_PRIORITY;
 use bytes::Bytes;
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
@@ -11,7 +10,7 @@ use rf_wire::{ArpOp, ArpPacket, EtherType, EthernetFrame, MacAddr};
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-/// Bus-timer token of the deferred host-flow retry tick. The scenario
+/// Timer token of the deferred host-flow retry tick. The scenario
 /// harness also fires it at harvest time so a backlog mid-retry cannot
 /// be left unsent in a short cell.
 pub(crate) const ARP_RETRY_TOKEN: u64 = 0xA4B0_0000_0000_0000;
@@ -185,10 +184,9 @@ impl ArpProxy {
         }
     }
 
-    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
-        if !self.deferred.on_tick(token) {
-            return;
-        }
+    /// The [`ARP_RETRY_TOKEN`] tick: re-offer every backlog.
+    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>) {
+        self.deferred.on_tick();
         for dpid in self.deferred.dpids() {
             let msgs = self.deferred.take(dpid);
             let outcome = cx.send_of(dpid, msgs);
@@ -198,7 +196,10 @@ impl ArpProxy {
         }
     }
 
-    pub(crate) fn on_switch_down(&mut self, dpid: u64) {
+    /// Forget a dead switch's backlog and the hosts learned on it: a
+    /// revived switch learns them again, re-installing their /32s.
+    pub(crate) fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
         self.deferred.forget(dpid);
+        cx.state.hosts.retain(|_, (d, _, _)| *d != dpid);
     }
 }

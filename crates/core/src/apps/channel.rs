@@ -23,13 +23,14 @@
 //!
 //! Every outcome is accounted in [`ControlState`]: `of_deferred`
 //! (messages refused back to producers) and `of_queue_hwm` (deepest
-//! queue observed).
+//! queue observed). The stages and the engine's channel chores reach
+//! the channels through one context, [`AppCtx`].
 
-use super::bus::{AppCtx, BusIo, ControlState};
+use super::state::ControlState;
 use crate::rfcontroller::RfControllerConfig;
 use rf_openflow::OfMessage;
-use rf_sim::{Ctx, Time};
-use std::collections::{BTreeMap, VecDeque};
+use rf_sim::{ConnId, Ctx, Time};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
 
 /// A control-channel stall window: the OpenFlow channel to `dpid`
@@ -64,21 +65,8 @@ pub(crate) struct SendOutcome {
     pub(crate) deferred: Vec<OfMessage>,
 }
 
-/// Whether an RF-protocol push toward a VM was delivered or must wait
-/// for the VM channel to (re)open.
-#[must_use = "a deferred config push must be re-sent when the VM channel opens"]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum VmSendOutcome {
-    /// Written to the VM channel.
-    Delivered,
-    /// The VM channel is not open; the engine re-raises `VmUp` when it
-    /// is, and the producer re-pushes then.
-    Deferred,
-}
-
 /// Timer token of the engine-owned channel drain tick. Fires only
-/// while some up-channel holds queued messages; intercepted by the
-/// engine before bus dispatch, so stages never see it.
+/// while some up-channel holds queued messages; stages never see it.
 pub(crate) const CHANNEL_DRAIN_TOKEN: u64 = 0xC4A7_0000_0000_0000;
 
 /// The credit replenish / retry cadence of a blocked channel.
@@ -89,13 +77,13 @@ pub(crate) const CHANNEL_DRAIN_TICK: Duration = Duration::from_millis(25);
 ///
 /// Both FLOW_MOD producers ([`super::fib_mirror::FibMirror`],
 /// [`super::arp_proxy::ArpProxy`]) own one: refused tails park here per
-/// switch, a bus timer retries them in order, and while a switch has
+/// switch, a timer retries them in order, and while a switch has
 /// a backlog every new message for it joins the tail — so the wire
 /// never sees reordering within one switch. One implementation, two
 /// stages: the retry logic cannot diverge between them.
 #[derive(Clone)]
 pub(crate) struct DeferBuffer {
-    /// Bus-timer token of the retry tick (tokens share one namespace
+    /// Timer token of the retry tick (tokens share one namespace
     /// across a controller's stages, so each buffer gets its owner's).
     token: u64,
     /// Retry cadence.
@@ -158,14 +146,10 @@ impl DeferBuffer {
         self.backlog.keys().copied().collect()
     }
 
-    /// Handle a bus timer: returns true (with the tick disarmed) when
-    /// it is this buffer's retry tick and the owner should re-offer.
-    pub(crate) fn on_tick(&mut self, token: u64) -> bool {
-        if token != self.token {
-            return false;
-        }
+    /// The retry tick fired: the owner re-offers, and the next park
+    /// arms it again.
+    pub(crate) fn on_tick(&mut self) {
         self.tick_armed = false;
-        true
     }
 
     /// Drop a dead switch's backlog.
@@ -201,27 +185,73 @@ impl SwitchChannel {
     }
 }
 
-/// The channel layer's view over the engine's split borrows: the I/O
-/// table, the shared counters, the configuration and the simulator.
-/// Both the stages (through `AppCtx`) and the engine (channel-up flush,
-/// drain tick) operate on channels through this one type, so the
-/// accounting can never diverge between paths.
-pub(crate) struct ChannelLayer<'a, 'b> {
-    pub(crate) io: &'a mut BusIo,
-    pub(crate) state: &'a mut ControlState,
-    pub(crate) config: &'a RfControllerConfig,
-    pub(crate) sim: &'a mut Ctx<'b>,
+/// The connection table the channel layer writes through. Keeping it
+/// out of [`ControlState`] means stages never depend on transport
+/// details: everything they send goes through the dpid-addressed
+/// channels, which bound and meter the queues (and park messages while
+/// a channel is down).
+#[derive(Clone)]
+pub(crate) struct ChannelIo {
+    pub(crate) dpid_of: HashMap<u64, ConnId>,
+    /// Per-switch bounded send channels (keyed deterministically; the
+    /// drain tick iterates this map).
+    pub(crate) channels: BTreeMap<u64, SwitchChannel>,
+    /// True while a [`CHANNEL_DRAIN_TOKEN`] tick is scheduled.
+    pub(crate) drain_armed: bool,
+    pub(crate) xid: u32,
+    /// Armed channel-stall windows (see
+    /// [`ControlPlane::add_channel_stall`](super::ControlPlane::add_channel_stall)).
+    pub(crate) stalls: Vec<ChannelStallWindow>,
 }
 
-impl ChannelLayer<'_, '_> {
+impl ChannelIo {
+    pub(crate) fn new() -> ChannelIo {
+        ChannelIo {
+            dpid_of: HashMap::new(),
+            channels: BTreeMap::new(),
+            drain_armed: false,
+            xid: 1,
+            stalls: Vec::new(),
+        }
+    }
+
+    pub(crate) fn next_xid(&mut self) -> u32 {
+        self.xid = self.xid.wrapping_add(1);
+        self.xid
+    }
+
+    /// Reserve `n` consecutive xids; returns the first.
+    fn take_xids(&mut self, n: u32) -> u32 {
+        let first = self.xid.wrapping_add(1);
+        self.xid = self.xid.wrapping_add(n);
+        first
+    }
+}
+
+/// What a stage, and the engine's channel chores (channel-up flush,
+/// drain tick), work with: the simulator, the shared state, the
+/// configuration and the connection table. Every send toward a switch
+/// goes through its one set of channel methods, so the accounting
+/// cannot diverge between paths.
+pub(crate) struct AppCtx<'a, 'b> {
+    pub(crate) sim: &'a mut Ctx<'b>,
+    pub(crate) state: &'a mut ControlState,
+    pub(crate) config: &'a RfControllerConfig,
+    pub(crate) io: &'a mut ChannelIo,
+}
+
+impl AppCtx<'_, '_> {
     fn stalled(&self, dpid: u64) -> bool {
         let now = self.sim.now();
         self.io.stalls.iter().any(|w| w.covers(dpid, now))
     }
 
-    /// Offer messages to `dpid`'s channel: enqueue within the bound,
-    /// flush what credits and stall state allow, refuse the rest.
-    pub(crate) fn offer(&mut self, dpid: u64, msgs: Vec<OfMessage>) -> SendOutcome {
+    /// Offer OpenFlow messages to `dpid`'s channel. They go to the
+    /// wire at once, as one multi-message push, when the channel is up,
+    /// un-stalled and has credits; otherwise they queue within the
+    /// capacity bound, and past the bound the channel refuses the tail.
+    /// Consume the outcome: a deferred message is the caller's to retry.
+    pub(crate) fn send_of(&mut self, dpid: u64, msgs: Vec<OfMessage>) -> SendOutcome {
         let mut out = SendOutcome::default();
         if msgs.is_empty() {
             return out;
@@ -317,7 +347,6 @@ impl ChannelLayer<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::bus::BusIo;
     use rf_openflow::{Action, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
     use rf_sim::{Agent, Sim, SimConfig};
     use std::sync::{Arc, Mutex};
@@ -348,7 +377,7 @@ mod tests {
     impl Agent for Harness {
         fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
             ctx.listen(9); // self-connection target
-            let mut io = BusIo::new();
+            let mut io = ChannelIo::new();
             if let Some(d) = self.up_dpid {
                 let conn = ctx.connect(ctx.self_id(), 9, Default::default());
                 io.dpid_of.insert(d, conn);
@@ -356,13 +385,13 @@ mod tests {
             let mut state = ControlState::default();
             let script = std::mem::take(&mut self.script);
             for (dpid, msgs) in script {
-                let outcome = ChannelLayer {
-                    io: &mut io,
+                let outcome = AppCtx {
+                    sim: ctx,
                     state: &mut state,
                     config: &self.cfg,
-                    sim: ctx,
+                    io: &mut io,
                 }
-                .offer(dpid, msgs);
+                .send_of(dpid, msgs);
                 self.out.lock().unwrap().push(outcome);
             }
             *self.counters.lock().unwrap() = (state.of_deferred, state.of_queue_hwm);

@@ -1,41 +1,92 @@
-//! The control-plane engine: wire I/O demultiplexing and the routing
-//! of bus events to the four stages.
+//! The control-plane engine: wire I/O demultiplexing and the fixed
+//! order in which it calls the four stages.
 //!
 //! The engine is the only [`Agent`] on the controller side. It owns the
 //! OpenFlow channels (from FlowVisor or switches), the embedded RPC
 //! server (from the topology controller) and the RF-protocol channels
-//! (from the VMs), translates their bytes into [`ControlEvent`]s, and
-//! hands each to the stages that act on it. Transport chores no stage
-//! sees — Hello/Echo, handshake bookkeeping, flushing FLOW_MODs queued
-//! while a channel was down, RPC acks and dedup — are handled here.
+//! (from the VMs), decodes their bytes and calls the stage each message
+//! is for; a stage returns what it refined, and the engine calls the
+//! next one. Transport chores no stage sees — Hello/Echo, handshake
+//! bookkeeping, flushing FLOW_MODs queued while a channel was down,
+//! the channel drain tick, RPC acks and dedup — are handled here.
 
-use super::arp_proxy::ArpProxy;
-use super::bus::{AppCtx, BusIo, ControlEvent, ControlState, FibChange};
-use super::channel::{ChannelLayer, CHANNEL_DRAIN_TOKEN};
-use super::discovery_bridge::DiscoveryBridge;
-use super::fib_mirror::FibMirror;
+use super::arp_proxy::{ArpProxy, ARP_RETRY_TOKEN};
+use super::channel::{AppCtx, ChannelIo, CHANNEL_DRAIN_TOKEN};
+use super::discovery_bridge::{DiscoveryBridge, Refined};
+use super::fib_mirror::{FibMirror, FIB_FLUSH_TOKEN};
 use super::lifecycle::VmLifecycle;
+use super::state::ControlState;
 use crate::rfcontroller::{RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
 use crate::vnet::rfproto::{RfFrameReader, RfMessage, RF_SERVICE};
 use rf_openflow::{MessageReader, OfMessage};
-use rf_rpc::{RpcServerEndpoint, RPC_SERVER_SERVICE};
+use rf_rpc::{RpcRequest, RpcServerEndpoint, RPC_SERVER_SERVICE};
 use rf_sim::{Agent, ConnId, Ctx, StreamEvent, Time};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-/// The RouteFlow controller: the paper's four fixed stages behind one
-/// event bus.
+/// The four stages, called in the paper's pipeline order.
 #[derive(Clone)]
-pub struct ControlPlane {
-    cfg: RfControllerConfig,
+struct Stages {
     bridge: DiscoveryBridge,
     lifecycle: VmLifecycle,
     fib: FibMirror,
     arp: ArpProxy,
+}
+
+impl Stages {
+    /// A configuration request from the topology controller: the
+    /// bridge refines it, and the lifecycle acts on what it derived (a
+    /// dead switch also leaves the FIB mirror and the ARP proxy).
+    fn on_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: RpcRequest) {
+        match self.bridge.on_rpc(cx, req) {
+            Some(Refined::SwitchUp { dpid, num_ports }) => {
+                let spawned = self.lifecycle.on_switch_up(cx, dpid, num_ports);
+                self.after_spawn(cx, spawned);
+            }
+            Some(Refined::SwitchDown { dpid }) => {
+                let spawned = self.lifecycle.on_switch_down(cx, dpid);
+                self.fib.on_switch_down(dpid);
+                self.arp.on_switch_down(cx, dpid);
+                self.after_spawn(cx, spawned);
+            }
+            Some(Refined::Link(change)) => self.lifecycle.on_link(cx, change),
+            None => {}
+        }
+    }
+
+    fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
+        let spawned = self.lifecycle.on_vm_up(cx, dpid);
+        self.after_spawn(cx, spawned);
+    }
+
+    /// After a lifecycle call that spawned VMs: the bridge releases the
+    /// links that waited for them, and then the lifecycle mirrors each.
+    /// One release after the last spawn sees every VM the call spawned.
+    fn after_spawn(&mut self, cx: &mut AppCtx<'_, '_>, spawned: bool) {
+        if spawned {
+            for change in self.bridge.on_vm_spawned(cx) {
+                self.lifecycle.on_link(cx, change);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
+        match token {
+            CHANNEL_DRAIN_TOKEN => cx.drain_all(),
+            FIB_FLUSH_TOKEN => self.fib.on_timer(cx),
+            ARP_RETRY_TOKEN => self.arp.on_timer(cx),
+            _ => {}
+        }
+    }
+}
+
+/// The RouteFlow controller: the paper's four fixed stages, called in a
+/// fixed order.
+#[derive(Clone)]
+pub struct ControlPlane {
+    cfg: RfControllerConfig,
+    stages: Stages,
     state: ControlState,
-    io: BusIo,
-    /// Events waiting for dispatch; empty between publishes, kept for
-    /// its capacity.
-    bus: VecDeque<ControlEvent>,
+    io: ChannelIo,
     // Wire demux.
     of_readers: HashMap<ConnId, MessageReader>,
     of_dpid: HashMap<ConnId, u64>,
@@ -43,9 +94,6 @@ pub struct ControlPlane {
     rpc_conns: Vec<ConnId>,
     vm_readers: HashMap<ConnId, RfFrameReader>,
     vm_dpid: HashMap<ConnId, u64>,
-    /// Reused per-event decode buffers (capacity persists across events).
-    of_scratch: Vec<(OfMessage, u32)>,
-    vm_scratch: Vec<RfMessage>,
 }
 
 impl ControlPlane {
@@ -54,21 +102,20 @@ impl ControlPlane {
     pub fn new(cfg: RfControllerConfig) -> ControlPlane {
         ControlPlane {
             cfg,
-            bridge: DiscoveryBridge::default(),
-            lifecycle: VmLifecycle::default(),
-            fib: FibMirror::new(),
-            arp: ArpProxy::new(),
+            stages: Stages {
+                bridge: DiscoveryBridge::default(),
+                lifecycle: VmLifecycle::default(),
+                fib: FibMirror::new(),
+                arp: ArpProxy::new(),
+            },
             state: ControlState::default(),
-            io: BusIo::new(),
-            bus: VecDeque::new(),
+            io: ChannelIo::new(),
             of_readers: HashMap::new(),
             of_dpid: HashMap::new(),
             rpc: RpcServerEndpoint::new(),
             rpc_conns: Vec::new(),
             vm_readers: HashMap::new(),
             vm_dpid: HashMap::new(),
-            of_scratch: Vec::new(),
-            vm_scratch: Vec::new(),
         }
     }
 
@@ -135,49 +182,15 @@ impl ControlPlane {
         self.io.channels.values().map(|c| c.queue.len()).sum()
     }
 
-    // ------------------------------------------------------------------
-    // Bus dispatch.
-    // ------------------------------------------------------------------
-
-    /// Publish an event and drain the bus. Each event goes to the
-    /// stages that act on it, in the order below; events raised while
-    /// handling one are processed after it (breadth-first), keeping
-    /// dispatch deterministic however far the stages cascade.
-    fn publish(&mut self, ctx: &mut Ctx<'_>, ev: ControlEvent) {
-        self.bus.push_back(ev);
-        while let Some(ev) = self.bus.pop_front() {
-            let cx = &mut AppCtx {
-                sim: ctx,
-                state: &mut self.state,
-                config: &self.cfg,
-                io: &mut self.io,
-                bus: &mut self.bus,
-            };
-            match ev {
-                ControlEvent::Rpc(req) => self.bridge.on_rpc(cx, req),
-                ControlEvent::VmSpawned => self.bridge.on_vm_spawned(cx),
-                ControlEvent::SwitchUp { dpid, num_ports } => {
-                    self.lifecycle.on_switch_up(cx, dpid, num_ports)
-                }
-                ControlEvent::SwitchDown { dpid } => {
-                    self.lifecycle.on_switch_down(cx, dpid);
-                    self.fib.on_switch_down(dpid);
-                    self.arp.on_switch_down(dpid);
-                }
-                ControlEvent::Link(change) => self.lifecycle.on_link(cx, change),
-                ControlEvent::VmUp { dpid } => self.lifecycle.on_vm_up(cx, dpid),
-                ControlEvent::Fib(change) => self.fib.on_fib(cx, change),
-                ControlEvent::PacketIn {
-                    dpid,
-                    in_port,
-                    data,
-                } => self.arp.on_packet_in(cx, dpid, in_port, &data),
-                ControlEvent::Timer { token } => {
-                    self.fib.on_timer(cx, token);
-                    self.arp.on_timer(cx, token);
-                }
-            }
-        }
+    /// Run `f` over the stages with this controller's context.
+    fn with_cx(&mut self, sim: &mut Ctx<'_>, f: impl FnOnce(&mut Stages, &mut AppCtx<'_, '_>)) {
+        let cx = &mut AppCtx {
+            sim,
+            state: &mut self.state,
+            config: &self.cfg,
+            io: &mut self.io,
+        };
+        f(&mut self.stages, cx);
     }
 
     // ------------------------------------------------------------------
@@ -197,26 +210,15 @@ impl ControlPlane {
                 // Flush messages queued before the channel came up —
                 // one multi-message push, as far as credits and stall
                 // windows allow (the drain tick finishes the rest).
-                let _ = ChannelLayer {
-                    io: &mut self.io,
-                    state: &mut self.state,
-                    config: &self.cfg,
-                    sim: ctx,
-                }
-                .flush(dpid);
+                self.with_cx(ctx, |_, cx| {
+                    cx.flush(dpid);
+                });
             }
             OfMessage::PacketIn { in_port, data, .. } => {
                 let Some(&dpid) = self.of_dpid.get(&conn) else {
                     return;
                 };
-                self.publish(
-                    ctx,
-                    ControlEvent::PacketIn {
-                        dpid,
-                        in_port,
-                        data,
-                    },
-                );
+                self.with_cx(ctx, |s, cx| s.arp.on_packet_in(cx, dpid, in_port, &data));
             }
             _ => {}
         }
@@ -229,7 +231,7 @@ impl ControlPlane {
                 if let Some(rec) = self.state.switches.get_mut(&dpid) {
                     rec.vm_conn = Some(conn);
                 }
-                self.publish(ctx, ControlEvent::VmUp { dpid });
+                self.with_cx(ctx, |s, cx| s.on_vm_up(cx, dpid));
             }
             RfMessage::RouteAdd {
                 prefix,
@@ -240,21 +242,15 @@ impl ControlPlane {
                 let Some(&dpid) = self.vm_dpid.get(&conn) else {
                     return;
                 };
-                self.publish(
-                    ctx,
-                    ControlEvent::Fib(FibChange::Add {
-                        dpid,
-                        prefix,
-                        next_hop,
-                        out_iface,
-                    }),
-                );
+                self.with_cx(ctx, |s, cx| {
+                    s.fib.on_route_add(cx, dpid, prefix, next_hop, out_iface);
+                });
             }
             RfMessage::RouteDel { prefix } => {
                 let Some(&dpid) = self.vm_dpid.get(&conn) else {
                     return;
                 };
-                self.publish(ctx, ControlEvent::Fib(FibChange::Del { dpid, prefix }));
+                self.with_cx(ctx, |s, cx| s.fib.on_route_del(cx, dpid, prefix));
             }
             RfMessage::WriteConfigs { .. } => {} // server → VM only
         }
@@ -269,19 +265,7 @@ impl Agent for ControlPlane {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == CHANNEL_DRAIN_TOKEN {
-            // Engine-owned transport chore: replenish channel credits
-            // and flush what can move. Stages never see this tick.
-            ChannelLayer {
-                io: &mut self.io,
-                state: &mut self.state,
-                config: &self.cfg,
-                sim: ctx,
-            }
-            .drain_all();
-            return;
-        }
-        self.publish(ctx, ControlEvent::Timer { token });
+        self.with_cx(ctx, |s, cx| s.on_timer(cx, token));
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
@@ -315,27 +299,25 @@ impl Agent for ControlPlane {
                         ctx.conn_send(conn, ack);
                     }
                     for req in fresh {
-                        self.publish(ctx, ControlEvent::Rpc(req));
+                        self.with_cx(ctx, |s, cx| s.on_rpc(cx, req));
                     }
                 } else if let Some(r) = self.vm_readers.get_mut(&conn) {
-                    let mut msgs = std::mem::take(&mut self.vm_scratch);
                     r.push_bytes(data);
-                    msgs.extend(std::iter::from_fn(|| r.next()));
-                    for m in msgs.drain(..) {
+                    // No handler removes a reader, so taking the
+                    // messages one at a time sees what reading them all
+                    // first would.
+                    while let Some(m) = self.vm_readers.get_mut(&conn).and_then(|r| r.next()) {
                         self.handle_vm_msg(ctx, conn, m);
                     }
-                    self.vm_scratch = msgs;
                 } else if let Some(r) = self.of_readers.get_mut(&conn) {
-                    let mut msgs = std::mem::take(&mut self.of_scratch);
-                    msgs.clear();
                     r.push_bytes(data);
-                    while let Some(Ok(m)) = r.next() {
-                        msgs.push(m);
+                    // Likewise; a frame that fails to decode is dropped
+                    // and the ones behind it are read on.
+                    while let Some(m) = self.of_readers.get_mut(&conn).and_then(|r| r.next()) {
+                        if let Ok((m, xid)) = m {
+                            self.handle_of_msg(ctx, conn, m, xid);
+                        }
                     }
-                    for (m, xid) in msgs.drain(..) {
-                        self.handle_of_msg(ctx, conn, m, xid);
-                    }
-                    self.of_scratch = msgs;
                 }
             }
             StreamEvent::Closed => {

@@ -11,11 +11,11 @@
 //! starts. Per-switch message order is preserved, so the final FIB is
 //! identical to the unbatched run (see `tests/fib_batching.rs`).
 
-use super::bus::{AppCtx, FibChange};
-use super::channel::DeferBuffer;
+use super::channel::{AppCtx, DeferBuffer};
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
-use rf_wire::MacAddr;
+use rf_wire::{Ipv4Cidr, MacAddr};
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// Flow priority encoding: longest-prefix-match via OF 1.0 priorities.
@@ -27,7 +27,7 @@ pub(crate) fn route_priority(prefix_len: u8) -> u16 {
 /// Host /32 delivery flows outrank every routed prefix.
 pub(crate) const HOST_FLOW_PRIORITY: u16 = 0x2000;
 
-/// Bus-timer token of the batch flush tick (timer tokens share one
+/// Timer token of the batch flush tick (timer tokens share one
 /// namespace across this controller's stages, so the prefix is the
 /// stage's). The scenario harness also fires it at harvest time so a
 /// sub-tick tail batch cannot be left unsent in a short cell.
@@ -109,78 +109,77 @@ impl FibMirror {
         }
     }
 
-    pub(crate) fn on_fib(&mut self, cx: &mut AppCtx<'_, '_>, change: FibChange) {
-        match change {
-            FibChange::Add {
-                dpid,
-                prefix,
-                next_hop,
-                out_iface,
-            } => {
-                if next_hop.is_none() {
-                    // Connected routes need no transit flow: traffic to
-                    // the hosts behind this switch is delivered by the
-                    // learned per-host /32 flows; traffic to the /30
-                    // router addresses stays in the VM environment.
-                    return;
-                }
-                let Some(&(peer_dpid, peer_port)) = cx.state.port_peer.get(&(dpid, out_iface))
-                else {
-                    return; // stale route onto a vanished link
-                };
-                let fm = OfMessage::FlowMod {
-                    of_match: OfMatch::ipv4_dst_prefix(prefix.network(), prefix.prefix_len),
-                    cookie: u64::from(u32::from(prefix.network())) << 8
-                        | u64::from(prefix.prefix_len),
-                    command: FlowModCommand::Add,
-                    idle_timeout: 0,
-                    hard_timeout: 0,
-                    priority: route_priority(prefix.prefix_len),
-                    buffer_id: OFP_NO_BUFFER,
-                    out_port: OFPP_NONE,
-                    flags: 0,
-                    actions: vec![
-                        Action::SetDlSrc(MacAddr::from_dpid_port(dpid, out_iface)),
-                        Action::SetDlDst(MacAddr::from_dpid_port(peer_dpid, peer_port)),
-                        Action::output(out_iface),
-                    ],
-                };
-                cx.state.installed.insert(
-                    (dpid, u32::from(prefix.network()), prefix.prefix_len),
-                    route_priority(prefix.prefix_len),
-                );
-                cx.state.flows_installed += 1;
-                cx.sim.count("rf.flow_add", 1);
-                self.emit(cx, dpid, fm);
-            }
-            FibChange::Del { dpid, prefix } => {
-                let key = (dpid, u32::from(prefix.network()), prefix.prefix_len);
-                let Some(priority) = cx.state.installed.remove(&key) else {
-                    return;
-                };
-                let fm = OfMessage::FlowMod {
-                    of_match: OfMatch::ipv4_dst_prefix(prefix.network(), prefix.prefix_len),
-                    cookie: 0,
-                    command: FlowModCommand::DeleteStrict,
-                    idle_timeout: 0,
-                    hard_timeout: 0,
-                    priority,
-                    buffer_id: OFP_NO_BUFFER,
-                    out_port: OFPP_NONE,
-                    flags: 0,
-                    actions: vec![],
-                };
-                cx.state.flows_removed += 1;
-                cx.sim.count("rf.flow_del", 1);
-                self.emit(cx, dpid, fm);
-            }
+    /// The VM mirroring `dpid` installed a route.
+    pub(crate) fn on_route_add(
+        &mut self,
+        cx: &mut AppCtx<'_, '_>,
+        dpid: u64,
+        prefix: Ipv4Cidr,
+        next_hop: Option<Ipv4Addr>,
+        out_iface: u16,
+    ) {
+        if next_hop.is_none() {
+            // Connected routes need no transit flow: traffic to the
+            // hosts behind this switch is delivered by the learned
+            // per-host /32 flows; traffic to the /30 router addresses
+            // stays in the VM environment.
+            return;
         }
+        let Some(&(peer_dpid, peer_port)) = cx.state.port_peer.get(&(dpid, out_iface)) else {
+            return; // stale route onto a vanished link
+        };
+        let fm = OfMessage::FlowMod {
+            of_match: OfMatch::ipv4_dst_prefix(prefix.network(), prefix.prefix_len),
+            cookie: u64::from(u32::from(prefix.network())) << 8 | u64::from(prefix.prefix_len),
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: route_priority(prefix.prefix_len),
+            buffer_id: OFP_NO_BUFFER,
+            out_port: OFPP_NONE,
+            flags: 0,
+            actions: vec![
+                Action::SetDlSrc(MacAddr::from_dpid_port(dpid, out_iface)),
+                Action::SetDlDst(MacAddr::from_dpid_port(peer_dpid, peer_port)),
+                Action::output(out_iface),
+            ],
+        };
+        cx.state.installed.insert(
+            (dpid, u32::from(prefix.network()), prefix.prefix_len),
+            route_priority(prefix.prefix_len),
+        );
+        cx.state.flows_installed += 1;
+        cx.sim.count("rf.flow_add", 1);
+        self.emit(cx, dpid, fm);
     }
 
-    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>, token: u64) {
-        if !self.deferred.on_tick(token) {
-            return; // the buffer shares FIB_FLUSH_TOKEN with the batch stage
-        }
+    /// The VM mirroring `dpid` withdrew a route.
+    pub(crate) fn on_route_del(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, prefix: Ipv4Cidr) {
+        let key = (dpid, u32::from(prefix.network()), prefix.prefix_len);
+        let Some(priority) = cx.state.installed.remove(&key) else {
+            return;
+        };
+        let fm = OfMessage::FlowMod {
+            of_match: OfMatch::ipv4_dst_prefix(prefix.network(), prefix.prefix_len),
+            cookie: 0,
+            command: FlowModCommand::DeleteStrict,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority,
+            buffer_id: OFP_NO_BUFFER,
+            out_port: OFPP_NONE,
+            flags: 0,
+            actions: vec![],
+        };
+        cx.state.flows_removed += 1;
+        cx.sim.count("rf.flow_del", 1);
+        self.emit(cx, dpid, fm);
+    }
+
+    /// The [`FIB_FLUSH_TOKEN`] tick, shared by the batch window and the
+    /// deferral backlog: flush both.
+    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>) {
+        self.deferred.on_tick();
         self.tick_armed = false;
         let mut dpids: Vec<u64> = self.pending.keys().copied().collect();
         dpids.extend(self.deferred.dpids());

@@ -2,8 +2,9 @@
 //! mirrors physical links in the virtual interconnect, and (re)writes
 //! each VM's routing configuration files.
 
-use super::bus::{AppCtx, ControlEvent, LinkChange, SwitchRec};
-use super::channel::VmSendOutcome;
+use super::channel::AppCtx;
+use super::discovery_bridge::LinkChange;
+use super::state::SwitchRec;
 use crate::vnet::rfproto::RfMessage;
 use crate::vnet::vm::VmAgent;
 use rf_routed::config::VmRouterConfig;
@@ -15,10 +16,12 @@ use std::collections::{BTreeSet, VecDeque};
 /// flight at once. The paper-faithful default of 1 reproduces the
 /// serial rftest pipeline — what makes automatic configuration time
 /// grow with switch count in Fig. 3; wider pipelines overlap the
-/// create/boot latency and flatten that curve. Completion is tracked
-/// on the event bus: each [`ControlEvent::VmUp`] retires its dpid from
-/// the in-flight set and tops the pipeline back up, so there is no
-/// lockstep sequencing anywhere.
+/// create/boot latency and flatten that curve. Each
+/// [`VmLifecycle::on_vm_up`] retires its dpid from the in-flight set
+/// and tops the pipeline back up, so there is no lockstep sequencing
+/// anywhere. The calls that can spawn a VM return whether they did:
+/// the engine then lets the discovery bridge release links that were
+/// waiting for it.
 #[derive(Clone, Default)]
 pub(crate) struct VmLifecycle {
     vm_queue: VecDeque<(u64, u16)>,
@@ -29,12 +32,14 @@ pub(crate) struct VmLifecycle {
 impl VmLifecycle {
     /// Provision queued VMs until the pipeline holds `provision_width`
     /// in-flight creations (FIFO, so spawn order — and therefore the
-    /// whole run — stays deterministic at any width).
-    fn fill_pipeline(&mut self, cx: &mut AppCtx<'_, '_>) {
+    /// whole run — stays deterministic at any width). Returns whether
+    /// it spawned any.
+    fn fill_pipeline(&mut self, cx: &mut AppCtx<'_, '_>) -> bool {
         let width = cx.config.provision_width.max(1);
+        let mut spawned = false;
         while self.in_flight.len() < width {
             let Some((dpid, num_ports)) = self.vm_queue.pop_front() else {
-                return;
+                break;
             };
             let controller = cx.sim.self_id();
             let boot_delay = cx.config.vm_boot_delay;
@@ -52,8 +57,9 @@ impl VmLifecycle {
                     configured_at: None,
                 },
             );
-            cx.raise(ControlEvent::VmSpawned);
+            spawned = true;
         }
+        spawned
     }
 
     /// Regenerate and push this VM's configuration files — "the RPC
@@ -61,12 +67,9 @@ impl VmLifecycle {
     /// zebra.conf, bgp.conf) using the information present in the
     /// configuration message" (§2).
     fn push_configs(&self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
-        let Some(rec) = cx.state.switches.get(&dpid) else {
-            return;
+        let Some(conn) = cx.state.switches.get(&dpid).and_then(|s| s.vm_conn) else {
+            return; // VM not booted yet; configs sent on VM up
         };
-        if rec.vm_conn.is_none() {
-            return; // VM not booted yet; configs sent on VmUp
-        }
         let ifaces = cx.state.vm_interfaces(cx.config, dpid);
         let cfg = VmRouterConfig::generate_with_timers(
             dpid,
@@ -75,33 +78,35 @@ impl VmLifecycle {
             cx.config.ospf_dead,
         );
         let (zebra, ospf, bgp) = cfg.render_all();
-        match cx.send_to_vm(dpid, RfMessage::WriteConfigs { zebra, ospf, bgp }) {
-            VmSendOutcome::Delivered => cx.sim.count("rf.configs_written", 1),
-            // Unreachable given the guard above, but the outcome is
-            // consumed explicitly: a deferred config push is re-sent by
-            // the next `VmUp` (the engine re-raises it on reconnect).
-            VmSendOutcome::Deferred => cx.sim.count("rf.configs_deferred", 1),
-        }
+        let msg = RfMessage::WriteConfigs { zebra, ospf, bgp };
+        cx.sim.conn_send(conn, msg.encode());
+        cx.sim.count("rf.configs_written", 1);
     }
 
-    pub(crate) fn on_switch_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, num_ports: u16) {
+    /// Queue a VM for a new switch; returns whether one was spawned.
+    pub(crate) fn on_switch_up(
+        &mut self,
+        cx: &mut AppCtx<'_, '_>,
+        dpid: u64,
+        num_ports: u16,
+    ) -> bool {
         if cx.state.switches.contains_key(&dpid) || self.vm_queue.iter().any(|(d, _)| *d == dpid) {
-            return;
+            return false;
         }
         self.vm_queue.push_back((dpid, num_ports));
-        self.fill_pipeline(cx);
+        self.fill_pipeline(cx)
     }
 
-    pub(crate) fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
+    /// Kill a dead switch's VM; returns whether its pipeline slot went
+    /// to a queued VM.
+    pub(crate) fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) -> bool {
         if let Some(rec) = cx.state.switches.remove(&dpid) {
             if let Some(vm) = rec.vm {
                 cx.sim.kill(vm);
             }
         }
         self.vm_queue.retain(|(d, _)| *d != dpid);
-        if self.in_flight.remove(&dpid) {
-            self.fill_pipeline(cx);
-        }
+        self.in_flight.remove(&dpid) && self.fill_pipeline(cx)
     }
 
     pub(crate) fn on_link(&mut self, cx: &mut AppCtx<'_, '_>, change: LinkChange) {
@@ -111,7 +116,7 @@ impl VmLifecycle {
                     cx.state.switches.get(&a.0).and_then(|s| s.vm),
                     cx.state.switches.get(&b.0).and_then(|s| s.vm),
                 ) else {
-                    return; // bridge only raises Up once both exist
+                    return; // the bridge only releases Up once both exist
                 };
                 // Mirror the physical link in the virtual environment.
                 let profile = cx.config.vm_link_profile;
@@ -135,7 +140,9 @@ impl VmLifecycle {
         }
     }
 
-    pub(crate) fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
+    /// A VM finished booting; returns whether its pipeline slot went
+    /// to a queued VM.
+    pub(crate) fn on_vm_up(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) -> bool {
         let now = cx.sim.now();
         if let Some(rec) = cx.state.switches.get_mut(&dpid) {
             // The GUI's red → green transition.
@@ -143,8 +150,6 @@ impl VmLifecycle {
         }
         self.push_configs(cx, dpid);
         // The creation pipeline retires this dpid and tops back up.
-        if self.in_flight.remove(&dpid) {
-            self.fill_pipeline(cx);
-        }
+        self.in_flight.remove(&dpid) && self.fill_pipeline(cx)
     }
 }

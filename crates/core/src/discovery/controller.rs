@@ -404,8 +404,12 @@ impl Agent for TopologyController {
                 }
                 StreamEvent::Data(data) => {
                     self.rpc_reader.push_bytes(data);
-                    while let Some(Ok(Envelope::Ack(ack))) = self.rpc_reader.next() {
-                        self.rpc_backlog.ack(ack.req_id);
+                    // Anything but an ack — a frame that fails to
+                    // decode included — is dropped, and the rest read on.
+                    while let Some(env) = self.rpc_reader.next() {
+                        if let Ok(Envelope::Ack(ack)) = env {
+                            self.rpc_backlog.ack(ack.req_id);
+                        }
                     }
                 }
                 StreamEvent::Closed => {

@@ -4,8 +4,8 @@
 //! crates and exposed as two composable layers:
 //!
 //! * **Controller side** — [`apps`]: the RF-controller
-//!   ([`apps::ControlPlane`]) is the paper's four fixed stages behind
-//!   one event bus. On `SwitchDetected` the lifecycle stage spawns a VM
+//!   ([`apps::ControlPlane`]) is the paper's four fixed stages, called
+//!   in a fixed order. On `SwitchDetected` the lifecycle stage spawns a VM
 //!   whose ID equals the switch's datapath id; on `LinkDetected` it
 //!   builds the virtual interconnect mirroring the physical link and
 //!   (re)writes the Quagga configuration files; the FIB mirror turns

@@ -124,8 +124,10 @@ impl Agent for RpcClientAgent {
                 }
                 StreamEvent::Data(data) => {
                     self.server_reader.push_bytes(data);
-                    while let Some(Ok(env)) = self.server_reader.next() {
-                        if let Envelope::Ack(ack) = env {
+                    // A frame that fails to decode is dropped; the ones
+                    // behind it are read on.
+                    while let Some(env) = self.server_reader.next() {
+                        if let Ok(Envelope::Ack(ack)) = env {
                             self.acked += u64::from(self.queue.ack(ack.req_id));
                         }
                     }
@@ -149,8 +151,8 @@ impl Agent for RpcClientAgent {
                     self.upstream_readers.iter_mut().find(|(c, _)| *c == conn)
                 {
                     reader.push_bytes(data);
-                    while let Some(Ok(env)) = reader.next() {
-                        if let Envelope::Request { req_id, request } = env {
+                    while let Some(env) = reader.next() {
+                        if let Ok(Envelope::Request { req_id, request }) = env {
                             incoming.push((req_id, request));
                         }
                     }

@@ -10,8 +10,8 @@
 //!
 //! * **Controller side** — [`core::apps`]: the
 //!   [`ControlPlane`](core::apps::ControlPlane) is the paper's
-//!   RF-controller, four fixed stages behind one event bus (discovery
-//!   bridge, VM lifecycle, FIB mirror, ARP proxy).
+//!   RF-controller, four fixed stages called in a fixed order
+//!   (discovery bridge, VM lifecycle, FIB mirror, ARP proxy).
 //! * **Experiment side** — the fluent
 //!   [`ScenarioBuilder`](core::scenario::ScenarioBuilder): topology in,
 //!   workloads (whose endpoints are the hosts) and faults composed on

@@ -1,0 +1,167 @@
+//! A frame that fails to decode is dropped, and the frames behind it in
+//! the same chunk are read at once: they are not left buffered until
+//! the next chunk arrives.
+
+use bytes::Bytes;
+use rf_core::apps::ControlPlane;
+use rf_core::rfcontroller::{RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
+use rf_openflow::{MessageReader, OfMessage, PacketInReason, OFP_NO_BUFFER};
+use rf_rpc::{
+    encode_envelope, Envelope, RpcAck, RpcClientAgent, RpcFrameReader, RpcRequest,
+    RPC_CLIENT_SERVICE,
+};
+use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, Sim, SimConfig, StreamEvent, Time};
+use std::time::Duration;
+
+/// How long after the first chunk the peer writes the second.
+const GAP: Duration = Duration::from_millis(100);
+
+/// Dials `target:service`, writes `first` as one chunk as soon as the
+/// connection opens and `second` [`GAP`] later, and keeps every chunk
+/// it receives with the instant it arrived.
+#[derive(Clone)]
+struct Peer {
+    target: AgentId,
+    service: u16,
+    first: Bytes,
+    second: Bytes,
+    conn: Option<ConnId>,
+    sent: Vec<Time>,
+    received: Vec<(Time, Bytes)>,
+}
+
+impl Agent for Peer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.conn = Some(ctx.connect(self.target, self.service, ConnProfile::default()));
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        ctx.conn_send(self.conn.expect("dialled"), self.second.clone());
+        self.sent.push(ctx.now());
+    }
+    fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
+        if Some(conn) != self.conn {
+            return;
+        }
+        match event {
+            StreamEvent::Opened { .. } => {
+                ctx.conn_send(conn, self.first.clone());
+                self.sent.push(ctx.now());
+                ctx.schedule(GAP, 0);
+            }
+            StreamEvent::Data(data) => self.received.push((ctx.now(), data)),
+            StreamEvent::Closed => {}
+        }
+    }
+}
+
+/// Run `target` (agent 0) against a [`Peer`] (agent 1) for a second;
+/// return what the peer sent when, and what it received.
+fn run(target: Box<dyn Agent>, service: u16, first: Bytes, second: Bytes) -> Peer {
+    let mut sim = Sim::new(SimConfig::default());
+    let target = sim.add_agent("target", target);
+    let peer = sim.add_agent(
+        "peer",
+        Box::new(Peer {
+            target,
+            service,
+            first,
+            second,
+            conn: None,
+            sent: Vec::new(),
+            received: Vec::new(),
+        }),
+    );
+    sim.run_until(Time::from_secs(1));
+    sim.agent_as::<Peer>(peer).expect("peer agent").clone()
+}
+
+fn concat(a: &Bytes, b: &Bytes) -> Bytes {
+    Bytes::from([&a[..], &b[..]].concat())
+}
+
+/// The RF-controller answers an ECHO_REQUEST that follows a PACKET_IN
+/// it cannot decode (reason 7) in the same chunk one round trip after
+/// the chunk, as it answers one sent alone.
+#[test]
+fn the_controller_reads_past_a_frame_it_cannot_decode() {
+    let mut bad = OfMessage::PacketIn {
+        buffer_id: OFP_NO_BUFFER,
+        total_len: 4,
+        in_port: 1,
+        reason: PacketInReason::NoMatch,
+        data: Bytes::from_static(b"junk"),
+    }
+    .encode(3)
+    .to_vec();
+    bad[16] = 7; // the reason: header (8), buffer_id (4), total_len (2), in_port (2)
+    let bad = Bytes::from(bad);
+    assert!(
+        OfMessage::decode_bytes(&bad).is_err(),
+        "reason 7 is malformed"
+    );
+    let echo = |xid| OfMessage::EchoRequest(Bytes::from_static(b"e")).encode(xid);
+    let peer = run(
+        Box::new(ControlPlane::new(RfControllerConfig::default())),
+        RF_CONTROLLER_OF_SERVICE,
+        concat(&bad, &echo(9)),
+        echo(10),
+    );
+    let mut replies = Vec::new();
+    for (at, chunk) in &peer.received {
+        let mut reader = MessageReader::new();
+        reader.push_bytes(chunk.clone());
+        while let Some(Ok((msg, xid))) = reader.next() {
+            if matches!(msg, OfMessage::EchoReply(_)) {
+                replies.push((xid, *at));
+            }
+        }
+    }
+    let rtt = |i: usize| replies[i].1.since(peer.sent[i]);
+    assert_eq!(
+        replies.iter().map(|(xid, _)| *xid).collect::<Vec<_>>(),
+        [9, 10]
+    );
+    assert_eq!(rtt(0), rtt(1), "echo 9 waited for the next chunk");
+}
+
+/// The RPC relay acks a request that follows an envelope it cannot
+/// decode (an unknown kind) in the same chunk one round trip after the
+/// chunk, as it acks one sent alone.
+#[test]
+fn the_relay_reads_past_an_envelope_it_cannot_decode() {
+    let request = |req_id| {
+        encode_envelope(&Envelope::Request {
+            req_id,
+            request: RpcRequest::SwitchDetected {
+                dpid: 1,
+                num_ports: 2,
+            },
+        })
+    };
+    let mut bad = request(4).to_vec();
+    bad[6] = 9; // the envelope kind, after the magic and the length
+    let bad = Bytes::from(bad);
+    assert!(
+        rf_rpc::decode_envelope(&bad).is_err(),
+        "kind 9 is malformed"
+    );
+    // The relay's server is the peer, which refuses it: only the
+    // upstream side is under test.
+    let peer = run(
+        Box::new(RpcClientAgent::new(AgentId(1))),
+        RPC_CLIENT_SERVICE,
+        concat(&bad, &request(5)),
+        request(6),
+    );
+    let mut acks = Vec::new();
+    for (at, chunk) in &peer.received {
+        let mut reader = RpcFrameReader::new();
+        reader.push_bytes(chunk.clone());
+        while let Some(Ok(Envelope::Ack(RpcAck { req_id, .. }))) = reader.next() {
+            acks.push((req_id, *at));
+        }
+    }
+    let rtt = |i: usize| acks[i].1.since(peer.sent[i]);
+    assert_eq!(acks.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [5, 6]);
+    assert_eq!(rtt(0), rtt(1), "request 5 waited for the next chunk");
+}

@@ -84,6 +84,38 @@ fn kill_then_revive_reconverges_on_ring4() {
     assert!(after_revive > 0, "pings recovered after the revive");
 }
 
+/// Regression: a revived switch serves its host again. The controller
+/// forgets the hosts learned on a switch that dies, so after the revive
+/// it learns them anew and re-installs their /32s. Whether the client's
+/// switch (node 0) or the server's (node 2) died, a ping sent after the
+/// revive is answered within 10 s.
+#[test]
+fn a_revived_endpoint_switch_serves_its_host_again() {
+    for node in [0, 2] {
+        let mut sc = Scenario::on(ring(4))
+            .fast_timers()
+            .with_workload(Workload::ping(vec![0], 2).expect("one client"))
+            .with_faults([
+                Fault::KillSwitch {
+                    node,
+                    at: Duration::from_secs(30),
+                },
+                Fault::ReviveSwitch {
+                    node,
+                    at: Duration::from_secs(40),
+                },
+            ])
+            .start();
+        sc.run_until(Time::from_secs(60));
+        let probe = ping_report(&sc).expect("ping workload reports");
+        let back = probe.recovered_after(Time::from_secs(40));
+        assert!(
+            back.is_some_and(|at| at <= Time::from_secs(50)),
+            "node {node} revived at 40 s: first reply to a later ping at {back:?}"
+        );
+    }
+}
+
 /// Pick an edge that lies on a shortest path between `a` and `b` and
 /// whose removal keeps the topology connected.
 fn transit_edge(topo: &Topology, a: usize, b: usize) -> usize {

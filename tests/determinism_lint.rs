@@ -7,7 +7,9 @@
 //! fails here until it is reviewed and listed, and a listed file that
 //! stops must be struck, so the list only shrinks. Within a listed
 //! file, the "lookup-only" reason is checked too: no name bound to a
-//! `HashMap` / `HashSet` there may be iterated.
+//! `HashMap` / `HashSet` there may be iterated. `ControlState`'s maps
+//! are bound in one file and used in the stages' files, so those are
+//! checked for iterating one through `state.<field>`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -18,12 +20,17 @@ use std::path::{Path, PathBuf};
 /// `allow_listed_hash_collections_are_never_iterated` checks.
 const ALLOWED: &[(&str, &str)] = &[
     (
-        "crates/core/src/apps/bus.rs",
-        "lookup-only: port_peer / hosts / installed / dpid_of; port_peer's one retain emits nothing",
+        "crates/core/src/apps/channel.rs",
+        "lookup-only: dpid_of, the connection of each switch's channel",
     ),
     (
         "crates/core/src/apps/engine.rs",
         "lookup-only: per-connection readers and dpids",
+    ),
+    (
+        "crates/core/src/apps/state.rs",
+        "lookup-only: ControlState's port_peer / hosts / installed, which no stage iterates \
+         through `state.` (their order-independent retains emit nothing)",
     ),
     (
         "crates/core/src/chaos/invariants.rs",
@@ -155,13 +162,26 @@ fn hash_bound_names(text: &str) -> BTreeSet<String> {
 /// Every place `text` iterates one of `names`: an [`ITERATING`] call
 /// on it (whitespace, line breaks included, may sit before the dot),
 /// or a `for .. in [&[mut ]][path.]name` loop. As `(line, name, how)`.
-fn iterations(text: &str, names: &BTreeSet<String>) -> Vec<(usize, String, String)> {
+/// With `through`, only a name reached as a field of it counts
+/// (`cx.state.hosts`, `state\n    .hosts`).
+fn iterations(
+    text: &str,
+    names: &BTreeSet<String>,
+    through: Option<&str>,
+) -> Vec<(usize, String, String)> {
     let mut found = Vec::new();
     for name in names {
         for (at, _) in text.match_indices(name.as_str()) {
             let end = at + name.len();
             let bounded = !text[..at].ends_with(is_ident) && !text[end..].starts_with(is_ident);
-            if !bounded {
+            let reached = through.is_none_or(|owner| {
+                text[..at]
+                    .trim_end()
+                    .strip_suffix('.')
+                    .and_then(|path| path.trim_end().strip_suffix(owner))
+                    .is_some_and(|path| !path.ends_with(is_ident))
+            });
+            if !bounded || !reached {
                 continue;
             }
             let line = text[..at].matches('\n').count() + 1;
@@ -219,12 +239,33 @@ fn f(s: &S, routes: Vec<u32>) {
         names.iter().map(String::as_str).collect::<Vec<_>>(),
         ["by_port", "peers", "seen"]
     );
-    let found = iterations(src, &names);
+    let found = iterations(src, &names, None);
     assert_eq!(
         found,
         [
             (10, "peers".to_string(), "for .. in".to_string()),
             (12, "peers".to_string(), ".values()".to_string()),
+        ]
+    );
+    let through = "\
+fn g(cx: &mut Cx, hosts: Vec<u32>) {
+    for h in &cx.state.hosts {}
+    let n = cx
+        .state
+        .hosts
+        .keys()
+        .count();
+    cx.state.hosts.retain(|_, h| h.0 != 1);
+    for h in &hosts {}
+    let m = other_state.hosts.iter();
+}
+";
+    let fields = BTreeSet::from(["hosts".to_string()]);
+    assert_eq!(
+        iterations(through, &fields, Some("state")),
+        [
+            (2, "hosts".to_string(), "for .. in".to_string()),
+            (5, "hosts".to_string(), ".keys()".to_string()),
         ]
     );
 }
@@ -240,8 +281,50 @@ fn allow_listed_hash_collections_are_never_iterated() {
             !names.is_empty(),
             "{path} is allow-listed but binds no HashMap/HashSet name the lint can see"
         );
-        for (line, name, how) in iterations(&text, &names) {
+        for (line, name, how) in iterations(&text, &names, None) {
             found.push(format!("{path}:{line}: `{how}` over `{name}`"));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a hash collection's order is per-process — iterate a BTreeMap, or sort first: {found:#?}"
+    );
+}
+
+/// The file that holds `ControlState`, whose hash maps every stage
+/// reaches through `cx.state`.
+const CONTROL_STATE: &str = "crates/core/src/apps/state.rs";
+
+/// A `ControlState` map bound in one file and iterated in another is
+/// out of the per-file check's sight: no stage may iterate one
+/// through `state.<field>`.
+#[test]
+fn control_state_maps_are_never_iterated_through_state() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join(CONTROL_STATE)).expect("source file is UTF-8");
+    assert!(
+        text.contains("pub struct ControlState"),
+        "{CONTROL_STATE} holds ControlState"
+    );
+    let fields = hash_bound_names(&text);
+    for field in ["port_peer", "hosts", "installed"] {
+        assert!(
+            fields.contains(field),
+            "the lint sees ControlState::{field}"
+        );
+    }
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src/apps"), &mut files);
+    files.sort();
+    let mut found = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("source file is UTF-8");
+        let rel = path
+            .strip_prefix(root)
+            .expect("walked from the root")
+            .display();
+        for (line, name, how) in iterations(&text, &fields, Some("state")) {
+            found.push(format!("{rel}:{line}: `{how}` over `state.{name}`"));
         }
     }
     assert!(
