@@ -305,14 +305,16 @@ impl Agent for ControlPlane {
                     r.push_bytes(data);
                     // No handler removes a reader, so taking the
                     // messages one at a time sees what reading them all
-                    // first would.
+                    // first would; a frame that fails to decode is
+                    // dropped and the ones behind it are read on.
                     while let Some(m) = self.vm_readers.get_mut(&conn).and_then(|r| r.next()) {
-                        self.handle_vm_msg(ctx, conn, m);
+                        if let Ok(m) = m {
+                            self.handle_vm_msg(ctx, conn, m);
+                        }
                     }
                 } else if let Some(r) = self.of_readers.get_mut(&conn) {
                     r.push_bytes(data);
-                    // Likewise; a frame that fails to decode is dropped
-                    // and the ones behind it are read on.
+                    // Likewise.
                     while let Some(m) = self.of_readers.get_mut(&conn).and_then(|r| r.next()) {
                         if let Ok((m, xid)) = m {
                             self.handle_of_msg(ctx, conn, m, xid);

@@ -73,6 +73,4 @@ pub use scenario::{
     MatrixSpec, Scenario, ScenarioBuilder, ScenarioMatrix, ScenarioMetrics, Snapshot,
     SnapshotError, Workload, WorkloadReport,
 };
-pub use traffic::{
-    TrafficConfig, TrafficMode, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,
-};
+pub use traffic::{TrafficMode, TrafficReport, TrafficSpec, WorkloadError};

@@ -180,7 +180,7 @@ pub enum MatrixWorkload {
     /// switch).
     PingFanIn { clients: usize },
     /// A stochastic traffic workload, placed on the concrete topology
-    /// at cell build time (see [`TrafficSpec::instantiate`]).
+    /// at cell build time (see [`Workload::traffic`]).
     Traffic(TrafficSpec),
 }
 
@@ -790,7 +790,7 @@ impl ScenarioMatrix {
                 }
                 Workload::ping(picked, b)?
             }
-            MatrixWorkload::Traffic(ref spec) => Workload::traffic(spec.instantiate(&topo)?)?,
+            MatrixWorkload::Traffic(ref spec) => Workload::traffic(spec.clone(), &topo)?,
         };
         Ok(cell
             .knob

@@ -48,8 +48,8 @@ use crate::host::{EchoHost, HostConfig, PingProbeReport, Pinger};
 use crate::rfcontroller::{HostPortConfig, RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
 use crate::traffic::packet::TrafficHost;
 use crate::traffic::{
-    paced_interval, ArrivalStream, FlowLevelEngine, TrafficConfig, TrafficMode, TrafficPattern,
-    TrafficReport, WaveStream, WorkloadError,
+    paced_interval, ArrivalStream, FlowLevelEngine, TrafficMode, TrafficReport, TrafficShape,
+    TrafficSpec, WaveStream, WorkloadError,
 };
 use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_rpc::RpcClientAgent;
@@ -236,8 +236,11 @@ pub enum Workload {
     Video { server: usize, client: usize },
     /// A stochastic traffic workload (see [`crate::traffic`]): seeded
     /// arrival processes, incast/multicast patterns, at packet or flow
-    /// granularity.
-    Traffic(TrafficConfig),
+    /// granularity. `nodes` host its endpoints, in host-slot order.
+    Traffic {
+        spec: TrafficSpec,
+        nodes: Vec<usize>,
+    },
 }
 
 /// Widest fan-in the `[2, 0xE1.., k, 0, 0, 1]` MAC scheme can address.
@@ -264,10 +267,29 @@ impl Workload {
         Workload::Video { server, client }
     }
 
-    /// A validated stochastic traffic workload.
-    pub fn traffic(cfg: TrafficConfig) -> Result<Workload, WorkloadError> {
-        cfg.validate()?;
-        Ok(Workload::Traffic(cfg))
+    /// `spec` placed on `topo`: the server, incast receiver or
+    /// multicast source at one end of the diameter, endpoint counts
+    /// capped by the nodes there are. Fails typed on a topology of
+    /// fewer than two nodes and on a spec that cannot run (an empty
+    /// window, no endpoints, a bad distribution, a zero period or rate).
+    ///
+    /// ```
+    /// use rf_core::scenario::{Scenario, Workload};
+    /// use rf_core::traffic::{FlowSize, TrafficSpec};
+    /// use std::time::Duration;
+    ///
+    /// let topo = rf_topo::ring(6);
+    /// let spec = TrafficSpec::incast(3, FlowSize::fixed(50_000), Duration::from_secs(1), 4)
+    ///     .flow_level();
+    /// let incast = Workload::traffic(spec, &topo)?;
+    /// // ring-6's diameter is (0, 3): three senders, then the receiver.
+    /// assert!(matches!(&incast, Workload::Traffic { nodes, .. } if nodes == &[0, 1, 2, 3]));
+    /// let _scenario = Scenario::on(topo).with_workload(incast);
+    /// # Ok::<(), rf_core::traffic::WorkloadError>(())
+    /// ```
+    pub fn traffic(spec: TrafficSpec, topo: &Topology) -> Result<Workload, WorkloadError> {
+        let nodes = spec.place(topo)?;
+        Ok(Workload::Traffic { spec, nodes })
     }
 
     /// Topology nodes hosting this workload's endpoints, in host-slot
@@ -280,7 +302,7 @@ impl Workload {
                 v
             }
             Workload::Video { server, client } => vec![*server, *client],
-            Workload::Traffic(cfg) => cfg.pattern.endpoint_nodes(),
+            Workload::Traffic { nodes, .. } => nodes.clone(),
         }
     }
 }
@@ -696,8 +718,8 @@ impl ScenarioBuilder {
                     b.attach(&mut sim, client, link);
                     WorkloadHandle::Video { client }
                 }
-                Workload::Traffic(tcfg) => WorkloadHandle::Traffic {
-                    parts: wire_traffic(&mut sim, &self, k, tcfg, slots),
+                Workload::Traffic { spec, nodes } => WorkloadHandle::Traffic {
+                    parts: wire_traffic(&mut sim, &self, k, spec, nodes, slots),
                 },
             };
             workload_handles.push(handle);
@@ -812,7 +834,8 @@ fn wire_traffic(
     sim: &mut Sim,
     cfg: &ScenarioBuilder,
     k: usize,
-    tcfg: &TrafficConfig,
+    spec: &TrafficSpec,
+    nodes: &[usize],
     slots: &[HostSlot],
 ) -> Vec<TrafficPart> {
     use crate::traffic::endpoint_seed;
@@ -820,13 +843,14 @@ fn wire_traffic(
         |j: usize| slots[j].host(MacAddr([2, 0xD0, k as u8, (j >> 8) as u8, j as u8, 1]));
     let ip_of = |j: usize| slots[j].addr.addr;
 
-    if tcfg.mode == TrafficMode::Flow {
+    if spec.mode == TrafficMode::Flow {
         // The endpoints' host slots stay allocated (the control plane
         // configures the same ports either way), but no host agents
         // exist — one engine replays the whole workload on timers.
         let topo = &cfg.topology;
-        let engine = FlowLevelEngine::from_config(
-            tcfg,
+        let engine = FlowLevelEngine::new(
+            spec,
+            nodes,
             cfg.seed,
             k,
             cfg.link_profile.bandwidth_bps,
@@ -854,72 +878,61 @@ fn wire_traffic(
         slots[j].attach(sim, id, cfg.link_profile);
         parts.push(TrafficPart::Host(id));
     };
-    let start_at = tcfg.start_at;
-    match &tcfg.pattern {
-        TrafficPattern::RequestResponse {
-            clients,
+    let (start_at, stop_at) = (spec.start_at, spec.stop_at());
+    // The fan: clients, senders or receivers.
+    let fan = nodes.len() - 1;
+    match spec.shape {
+        TrafficShape::RequestResponse {
             rate_per_sec,
             response,
             ..
         } => {
             // The server slot is allocated last, like a fan-in's.
-            let server_j = clients.len();
             attach(
                 format!("traffic-server-{k}"),
-                server_j,
-                TrafficHost::server(host_cfg(server_j), start_at),
+                fan,
+                TrafficHost::server(host_cfg(fan), start_at),
             );
-            for j in 0..clients.len() {
+            for j in 0..fan {
                 let stream = ArrivalStream::new(
                     endpoint_seed(cfg.seed, k, j),
-                    *rate_per_sec,
-                    *response,
+                    rate_per_sec,
+                    response,
                     start_at,
-                    tcfg.stop_at,
+                    stop_at,
                 );
                 attach(
                     format!("traffic-client-{k}-{j}"),
                     j,
-                    TrafficHost::client(host_cfg(j), j, start_at, ip_of(server_j), stream),
+                    TrafficHost::client(host_cfg(j), j, start_at, ip_of(fan), stream),
                 );
             }
         }
-        TrafficPattern::Incast {
-            senders,
+        TrafficShape::Incast {
             flow,
             period,
             waves,
             ..
         } => {
-            let recv_j = senders.len();
             attach(
                 format!("traffic-sink-{k}"),
-                recv_j,
-                TrafficHost::sink(host_cfg(recv_j), start_at),
+                fan,
+                TrafficHost::sink(host_cfg(fan), start_at),
             );
-            for j in 0..senders.len() {
-                let stream = WaveStream::new(
-                    endpoint_seed(cfg.seed, k, j),
-                    *flow,
-                    start_at,
-                    *period,
-                    *waves,
-                );
+            for j in 0..fan {
+                let stream =
+                    WaveStream::new(endpoint_seed(cfg.seed, k, j), flow, start_at, period, waves);
                 attach(
                     format!("traffic-incast-{k}-{j}"),
                     j,
-                    TrafficHost::incast(host_cfg(j), j, start_at, ip_of(recv_j), stream),
+                    TrafficHost::incast(host_cfg(j), j, start_at, ip_of(fan), stream),
                 );
             }
         }
-        TrafficPattern::Multicast {
-            receivers,
-            rate_bps,
-            ..
-        } => {
+        TrafficShape::Multicast { rate_bps, .. } => {
             // Source at slot 0, receivers after.
-            let mut dsts = Vec::with_capacity(receivers.len());
-            for r in 0..receivers.len() {
+            let mut dsts = Vec::with_capacity(fan);
+            for r in 0..fan {
                 let sink_j = 1 + r;
                 dsts.push(ip_of(sink_j));
                 attach(
@@ -935,9 +948,9 @@ fn wire_traffic(
                     host_cfg(0),
                     0,
                     start_at,
-                    tcfg.stop_at,
+                    stop_at,
                     dsts,
-                    paced_interval(*rate_bps),
+                    paced_interval(rate_bps),
                 ),
             );
         }

@@ -100,9 +100,9 @@ pub struct ArrivalStream {
 
 impl ArrivalStream {
     /// `rate_per_sec` arrivals a second on average; the rate must pass
-    /// [`Exp::new`], which [`TrafficConfig::validate`] checks.
+    /// [`Exp::new`], which [`Workload::traffic`] checks.
     ///
-    /// [`TrafficConfig::validate`]: super::TrafficConfig::validate
+    /// [`Workload::traffic`]: crate::scenario::Workload::traffic
     pub fn new(
         seed: u64,
         rate_per_sec: f64,

@@ -24,9 +24,9 @@
 
 use super::demand::{ArrivalStream, WaveStream};
 use super::report::TrafficReport;
+use super::spec::{TrafficShape, TrafficSpec};
 use super::{
-    chunk_wire_bytes, endpoint_seed, frames_for, paced_interval, wire_bytes, TrafficConfig,
-    TrafficPattern, STACK_OVERHEAD,
+    chunk_wire_bytes, endpoint_seed, frames_for, paced_interval, wire_bytes, STACK_OVERHEAD,
 };
 use rf_sim::{Agent, Ctx, Time};
 use std::collections::BTreeMap;
@@ -423,22 +423,26 @@ pub struct FlowLevelEngine {
 }
 
 impl FlowLevelEngine {
-    /// Build the engine for `cfg`, mirroring the packet-level wiring:
-    /// `hop_of(a, b)` must return the number of *link* hops between the
-    /// hosts at topology nodes `a` and `b`, including both access
-    /// links. `capacity_bps` is the fabric's per-link bandwidth (0 for
-    /// infinite) and `hop_latency` its per-link latency — the same
-    /// values the packet-level cell gives its links.
-    pub fn from_config(
-        cfg: &TrafficConfig,
+    /// Build the engine for `spec` placed on `nodes` (host-slot order,
+    /// as [`Workload::traffic`] placed them), mirroring the packet-level
+    /// wiring: `hop_of(a, b)` must return the number of *link* hops
+    /// between the hosts at topology nodes `a` and `b`, including both
+    /// access links. `capacity_bps` is the fabric's per-link bandwidth
+    /// (0 for infinite) and `hop_latency` its per-link latency — the
+    /// same values the packet-level cell gives its links.
+    ///
+    /// [`Workload::traffic`]: crate::scenario::Workload::traffic
+    pub fn new(
+        spec: &TrafficSpec,
+        nodes: &[usize],
         cell_seed: u64,
         workload_idx: usize,
         capacity_bps: u64,
         hop_latency: Duration,
         hop_of: impl Fn(usize, usize) -> u32,
     ) -> FlowLevelEngine {
-        let start = cfg.start_at;
-        let stop = cfg.stop_at;
+        let start = spec.start_at;
+        let stop = spec.stop_at();
         let latency_ns = hop_latency.as_nanos() as u64;
         let mut core = Core {
             capacity_bps,
@@ -463,23 +467,23 @@ impl FlowLevelEngine {
         };
         let stream_lat =
             |hops: u32| u64::from(hops) * (latency_ns + ser_ns(chunk_wire_bytes(), capacity_bps));
-        match &cfg.pattern {
-            TrafficPattern::RequestResponse {
-                clients,
-                server,
+        match spec.shape {
+            TrafficShape::RequestResponse {
                 rate_per_sec,
                 response,
+                ..
             } => {
+                let (&server, clients) = nodes.split_last().expect("placed endpoints");
                 let server_ep = clients.len();
                 for (j, &node) in clients.iter().enumerate() {
-                    let hops = hop_of(node, *server);
+                    let hops = hop_of(node, server);
                     let req_delay_ns =
                         u64::from(hops) * (latency_ns + ser_ns(REQ_WIRE_BYTES, capacity_bps));
                     core.gens.push(Gen::Arrivals {
                         stream: ArrivalStream::new(
                             endpoint_seed(cell_seed, workload_idx, j),
-                            *rate_per_sec,
-                            *response,
+                            rate_per_sec,
+                            response,
                             start,
                             stop,
                         ),
@@ -494,41 +498,38 @@ impl FlowLevelEngine {
                     core.flow_seqs.push(0);
                 }
             }
-            TrafficPattern::Incast {
-                senders,
-                receiver,
+            TrafficShape::Incast {
                 flow,
                 period,
                 waves,
+                ..
             } => {
+                let (&receiver, senders) = nodes.split_last().expect("placed endpoints");
                 let receiver_ep = senders.len();
                 for (j, &node) in senders.iter().enumerate() {
                     core.gens.push(Gen::Waves {
                         stream: WaveStream::new(
                             endpoint_seed(cell_seed, workload_idx, j),
-                            *flow,
+                            flow,
                             start,
-                            *period,
-                            *waves,
+                            period,
+                            waves,
                         ),
                     });
                     core.routes.push(GenRoute {
                         src_ep: j,
                         dst_ep: receiver_ep,
-                        hops: hop_of(node, *receiver),
+                        hops: hop_of(node, receiver),
                     });
                     core.flow_seqs.push(0);
                 }
             }
-            TrafficPattern::Multicast {
-                source,
-                receivers,
-                rate_bps,
-            } => {
+            TrafficShape::Multicast { rate_bps, .. } => {
+                let (&source, receivers) = nodes.split_first().expect("placed endpoints");
                 for &node in receivers {
                     core.paced.push(PacedStream {
-                        interval_ns: paced_interval(*rate_bps).as_nanos() as u64,
-                        lat_ns: stream_lat(hop_of(*source, node)),
+                        interval_ns: paced_interval(rate_bps).as_nanos() as u64,
+                        lat_ns: stream_lat(hop_of(source, node)),
                     });
                 }
             }
@@ -569,35 +570,31 @@ impl Agent for FlowLevelEngine {
 #[cfg(test)]
 mod tests {
     use super::super::demand::FlowSize;
-    use super::super::TrafficMode;
     use super::*;
 
     fn secs(s: u64) -> Duration {
         Duration::from_secs(s)
     }
 
-    fn cfg(pattern: TrafficPattern) -> TrafficConfig {
-        TrafficConfig {
-            pattern,
-            mode: TrafficMode::Flow,
-            start_at: secs(1),
-            stop_at: secs(3),
-        }
+    /// `spec` at flow level over [1 s, 3 s).
+    fn flow(spec: TrafficSpec) -> TrafficSpec {
+        spec.flow_level().window(secs(1), secs(2))
     }
 
     #[test]
     fn lone_flow_runs_at_line_rate() {
         // One sender, one wave of a fixed 100 KB flow, 100 Mbps, 3 hops
         // at 1 ms each.
-        let c = cfg(TrafficPattern::Incast {
-            senders: vec![0],
-            receiver: 2,
-            flow: FlowSize::fixed(100_000),
-            period: secs(1),
-            waves: 1,
-        });
-        let eng =
-            FlowLevelEngine::from_config(&c, 7, 0, 100_000_000, Duration::from_millis(1), |_, _| 3);
+        let c = flow(TrafficSpec::incast(1, FlowSize::fixed(100_000), secs(1), 1));
+        let eng = FlowLevelEngine::new(
+            &c,
+            &[0, 2],
+            7,
+            0,
+            100_000_000,
+            Duration::from_millis(1),
+            |_, _| 3,
+        );
         let r = eng.report_at(Time::ZERO + secs(10));
         assert_eq!(r.flows_started, 1);
         assert_eq!(r.flows_completed, 1);
@@ -618,15 +615,17 @@ mod tests {
         // 4 senders, one wave of fixed 50 KB each: the receiver's rx
         // link is the bottleneck, so each flow gets C/4 and finishes
         // ~4x slower than it would alone.
-        let c = cfg(TrafficPattern::Incast {
-            senders: vec![0, 1, 2, 3],
-            receiver: 4,
-            flow: FlowSize::fixed(50_000),
-            period: secs(1),
-            waves: 1,
-        });
-        let eng =
-            FlowLevelEngine::from_config(&c, 7, 0, 100_000_000, Duration::from_millis(1), |_, _| 2);
+        let c = flow(TrafficSpec::incast(4, FlowSize::fixed(50_000), secs(1), 1));
+        let nodes = [0, 1, 2, 3, 4];
+        let eng = FlowLevelEngine::new(
+            &c,
+            &nodes,
+            7,
+            0,
+            100_000_000,
+            Duration::from_millis(1),
+            |_, _| 2,
+        );
         let r = eng.report_at(Time::ZERO + secs(10));
         assert_eq!(r.flows_completed, 4);
         // Wire ≈ 53.6 KB; alone ≈ 4.3 ms; shared 4 ways ≈ 17.2 ms
@@ -641,13 +640,16 @@ mod tests {
 
     #[test]
     fn paced_streams_count_in_closed_form() {
-        let c = cfg(TrafficPattern::Multicast {
-            source: 0,
-            receivers: vec![1],
-            rate_bps: 1_000_000,
-        });
-        let eng =
-            FlowLevelEngine::from_config(&c, 7, 0, 100_000_000, Duration::from_millis(1), |_, _| 2);
+        let c = flow(TrafficSpec::multicast(1, 1_000_000));
+        let eng = FlowLevelEngine::new(
+            &c,
+            &[0, 1],
+            7,
+            0,
+            100_000_000,
+            Duration::from_millis(1),
+            |_, _| 2,
+        );
         // Mid-window: ~0.5 s of 1 Mbps in 8.192 ms ticks.
         let mid = eng.report_at(Time::ZERO + Duration::from_millis(1500));
         assert_eq!(mid.frames_sent, 500_000_000 / 8_192_000 + 1);
@@ -664,24 +666,30 @@ mod tests {
 
     #[test]
     fn report_at_is_pure_and_deterministic() {
-        let c = cfg(TrafficPattern::RequestResponse {
-            clients: vec![0, 1, 2],
-            server: 3,
-            rate_per_sec: 20.0,
-            response: FlowSize::pareto(2_000, 200_000),
-        });
-        let mk = || {
-            FlowLevelEngine::from_config(&c, 11, 0, 50_000_000, Duration::from_millis(1), |_, _| 3)
+        let c = flow(TrafficSpec::poisson(
+            3,
+            20.0,
+            FlowSize::pareto(2_000, 200_000),
+        ));
+        let nodes = [0, 1, 2, 3];
+        let mk = |seed| {
+            FlowLevelEngine::new(
+                &c,
+                &nodes,
+                seed,
+                0,
+                50_000_000,
+                Duration::from_millis(1),
+                |_, _| 3,
+            )
         };
-        let eng = mk();
+        let eng = mk(11);
         let a = eng.report_at(Time::ZERO + secs(5));
         let b = eng.report_at(Time::ZERO + secs(5));
         assert_eq!(a, b, "report_at must not mutate the engine");
-        let fresh = mk().report_at(Time::ZERO + secs(5));
+        let fresh = mk(11).report_at(Time::ZERO + secs(5));
         assert_eq!(a, fresh, "same seed, same report");
-        let other =
-            FlowLevelEngine::from_config(&c, 12, 0, 50_000_000, Duration::from_millis(1), |_, _| 3)
-                .report_at(Time::ZERO + secs(5));
+        let other = mk(12).report_at(Time::ZERO + secs(5));
         assert_ne!(a.offered_bytes, other.offered_bytes, "seeds must matter");
         assert!(a.flows_started > 50, "three 20/s clients over 2 s");
         assert!(a.flows_completed <= a.flows_started);

@@ -9,6 +9,11 @@
 //! workload index, endpoint index)` alone, so a cell's offered load is
 //! a pure function of its key.
 //!
+//! A workload is described once, by a topology-free [`TrafficSpec`]
+//! (shape, granularity, offered-load window), and placed on a topology
+//! by [`Workload::traffic`], which checks it in the same call. Both
+//! engines read the spec and the placed endpoint nodes.
+//!
 //! Two simulation granularities share one demand model:
 //!
 //! * **Packet level** ([`packet`]) — real host agents blast UDP frames
@@ -22,6 +27,8 @@
 //! Both modes draw arrivals and flow sizes from the *same*
 //! [`demand::ArrivalStream`]s, so offered load is identical between
 //! them by construction, not by coincidence.
+//!
+//! [`Workload::traffic`]: crate::scenario::Workload::traffic
 
 pub mod demand;
 pub mod flow;
@@ -34,7 +41,6 @@ pub use flow::FlowLevelEngine;
 pub use report::{percentile, TrafficReport};
 pub use spec::{TrafficShape, TrafficSpec};
 
-use rand::distributions::Exp;
 use std::fmt;
 use std::time::Duration;
 
@@ -100,184 +106,11 @@ pub enum TrafficMode {
     Flow,
 }
 
-/// The load shape a traffic workload generates.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TrafficPattern {
-    /// Open-loop request/response: each client sends Poisson requests,
-    /// `rate_per_sec` a second on average, and asks the server for a
-    /// response flow whose size is drawn from `response`.
-    RequestResponse {
-        clients: Vec<usize>,
-        server: usize,
-        rate_per_sec: f64,
-        response: FlowSize,
-    },
-    /// `senders` synchronized onto one receiver (SCDP-style): every
-    /// `period`, each sender blasts a flow drawn from `flow` at the
-    /// receiver, `waves` times.
-    Incast {
-        senders: Vec<usize>,
-        receiver: usize,
-        flow: FlowSize,
-        period: Duration,
-        waves: u32,
-    },
-    /// One source paces a stream to every receiver (SRMCA-style
-    /// multicast delivery, replicated at the source's access link).
-    Multicast {
-        source: usize,
-        receivers: Vec<usize>,
-        rate_bps: u64,
-    },
-}
-
-impl TrafficPattern {
-    /// Topology nodes hosting the pattern's endpoints, in host-slot
-    /// allocation order. Senders/clients first, sinks after — except
-    /// request/response and incast, whose single server/receiver slot
-    /// is allocated last (mirroring `PingFanIn`).
-    pub fn endpoint_nodes(&self) -> Vec<usize> {
-        match self {
-            TrafficPattern::RequestResponse {
-                clients, server, ..
-            } => {
-                let mut v = clients.clone();
-                v.push(*server);
-                v
-            }
-            TrafficPattern::Incast {
-                senders, receiver, ..
-            } => {
-                let mut v = senders.clone();
-                v.push(*receiver);
-                v
-            }
-            TrafficPattern::Multicast {
-                source, receivers, ..
-            } => {
-                let mut v = vec![*source];
-                v.extend(receivers);
-                v
-            }
-        }
-    }
-
-    fn validate(&self) -> Result<(), WorkloadError> {
-        let check_count = |n: usize, what: &'static str| {
-            if n == 0 {
-                Err(WorkloadError::NoEndpoints(what))
-            } else if n > MAX_ENDPOINTS {
-                Err(WorkloadError::TooManyEndpoints {
-                    given: n,
-                    max: MAX_ENDPOINTS,
-                })
-            } else {
-                Ok(())
-            }
-        };
-        match self {
-            TrafficPattern::RequestResponse {
-                clients,
-                rate_per_sec,
-                response,
-                ..
-            } => {
-                check_count(clients.len(), "request/response needs clients")?;
-                Exp::new(*rate_per_sec).map_err(WorkloadError::BadDistribution)?;
-                response.validate()
-            }
-            TrafficPattern::Incast {
-                senders,
-                flow,
-                period,
-                waves,
-                ..
-            } => {
-                check_count(senders.len(), "incast needs senders")?;
-                flow.validate()?;
-                if period.is_zero() {
-                    return Err(WorkloadError::ZeroRate("incast wave period"));
-                }
-                if *waves == 0 {
-                    return Err(WorkloadError::EmptyWindow);
-                }
-                Ok(())
-            }
-            TrafficPattern::Multicast {
-                receivers,
-                rate_bps,
-                ..
-            } => {
-                check_count(receivers.len(), "multicast needs receivers")?;
-                check_paced_rate(*rate_bps, "multicast stream rate")
-            }
-        }
-    }
-}
-
-/// A paced stream must offer something, and no faster than a frame per
-/// nanosecond: [`paced_interval`] rounds anything faster to zero, which
-/// the flow model divides by and the packet-level pacer re-arms at.
-fn check_paced_rate(rate_bps: u64, what: &'static str) -> Result<(), WorkloadError> {
-    if rate_bps == 0 {
-        Err(WorkloadError::ZeroRate(what))
-    } else if paced_interval(rate_bps).is_zero() {
-        Err(WorkloadError::ZeroInterval(what))
-    } else {
-        Ok(())
-    }
-}
-
-/// Endpoint cap per traffic workload — bounds the MAC/subnet scheme
+/// Cap on a traffic workload's fan (clients, senders or receivers;
+/// placement takes no more) — bounds the MAC/subnet scheme
 /// (the traffic MAC encodes the endpoint index in two bytes, but the
 /// subnet third octet is the real ceiling).
 pub const MAX_ENDPOINTS: usize = 120;
-
-/// A fully-specified traffic workload, ready for
-/// `Workload::traffic(..)`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TrafficConfig {
-    pub pattern: TrafficPattern,
-    pub mode: TrafficMode,
-    /// When sources start offering load (simulated time from t = 0).
-    /// Leave room for the cell's configuration phase: traffic into an
-    /// unconfigured fabric is simply lost at packet level, while the
-    /// flow model assumes a converged network.
-    pub start_at: Duration,
-    /// When sources stop offering load.
-    pub stop_at: Duration,
-}
-
-impl TrafficConfig {
-    pub fn new(pattern: TrafficPattern) -> TrafficConfig {
-        TrafficConfig {
-            pattern,
-            mode: TrafficMode::Packet,
-            start_at: Duration::from_secs(25),
-            stop_at: Duration::from_secs(40),
-        }
-    }
-
-    /// Switch to the flow-level abstraction.
-    pub fn flow_level(mut self) -> Self {
-        self.mode = TrafficMode::Flow;
-        self
-    }
-
-    /// Offer load over `[start, start + duration)`.
-    pub fn window(mut self, start: Duration, duration: Duration) -> Self {
-        self.start_at = start;
-        self.stop_at = start + duration;
-        self
-    }
-
-    pub fn validate(&self) -> Result<(), WorkloadError> {
-        if self.stop_at <= self.start_at {
-            return Err(WorkloadError::EmptyWindow);
-        }
-        self.pattern.validate()
-    }
-}
 
 /// Why a workload constructor rejected its parameters. Surfaced as a
 /// failed matrix *cell* (`build_error = 1`), never a sweep panic: one
@@ -375,32 +208,21 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_axes() {
-        let empty = TrafficPattern::Incast {
-            senders: vec![],
-            receiver: 0,
-            flow: FlowSize::fixed(1000),
-            period: Duration::from_secs(1),
-            waves: 3,
+        let placed =
+            |spec: TrafficSpec| crate::scenario::Workload::traffic(spec, &rf_topo::ring(4)).err();
+        let incast = |senders| {
+            TrafficSpec::incast(senders, FlowSize::fixed(1000), Duration::from_secs(1), 3)
         };
         assert_eq!(
-            TrafficConfig::new(empty).validate(),
-            Err(WorkloadError::NoEndpoints("incast needs senders"))
+            placed(incast(0)),
+            Some(WorkloadError::NoEndpoints("incast needs senders"))
         );
-        let zero_rate = TrafficPattern::Multicast {
-            source: 0,
-            receivers: vec![1, 2],
-            rate_bps: 0,
-        };
-        assert!(matches!(
-            TrafficConfig::new(zero_rate).validate(),
-            Err(WorkloadError::ZeroRate(_))
-        ));
-        let ok = TrafficPattern::Multicast {
-            source: 0,
-            receivers: vec![1, 2],
-            rate_bps: 1_000_000,
-        };
-        let inverted = TrafficConfig::new(ok).window(Duration::from_secs(10), Duration::ZERO);
-        assert_eq!(inverted.validate(), Err(WorkloadError::EmptyWindow));
+        assert_eq!(
+            placed(TrafficSpec::multicast(2, 0)),
+            Some(WorkloadError::ZeroRate("multicast stream rate"))
+        );
+        // The window is checked first, before the empty sender list.
+        let inverted = incast(0).window(Duration::from_secs(10), Duration::ZERO);
+        assert_eq!(placed(inverted), Some(WorkloadError::EmptyWindow));
     }
 }

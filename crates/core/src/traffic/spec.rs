@@ -2,18 +2,21 @@
 //!
 //! A [`TrafficSpec`] names a load *shape* without naming nodes — the
 //! matrix multiplies knobs across topologies of wildly different sizes,
-//! so a knob cannot hard-code "senders 0..5". [`TrafficSpec::
-//! instantiate`] places the endpoints on a concrete topology at cell
-//! build time: servers and multicast roots go to one end of the
+//! so a knob cannot hard-code "senders 0..5". [`Workload::traffic`]
+//! places the endpoints on a concrete topology at cell build time:
+//! servers and multicast roots go to one end of the
 //! diameter (maximum path stress, mirroring how the demo places its
 //! video server), and endpoint *counts are caps* — a 6-sender incast on
 //! a 4-node ring becomes a 3-sender incast rather than a permanently
 //! failed cell. Genuinely impossible placements (fewer than two nodes)
 //! still fail, as a typed [`WorkloadError`] that marks the cell, not
 //! the sweep.
+//!
+//! [`Workload::traffic`]: crate::scenario::Workload::traffic
 
 use super::demand::FlowSize;
-use super::{TrafficConfig, TrafficMode, TrafficPattern, WorkloadError, MAX_ENDPOINTS};
+use super::{paced_interval, TrafficMode, WorkloadError, MAX_ENDPOINTS};
+use rand::distributions::Exp;
 use rf_topo::Topology;
 use std::time::Duration;
 
@@ -110,9 +113,14 @@ impl TrafficSpec {
         self.start_at + self.duration
     }
 
-    /// Place the shape's endpoints on `topo` and produce a validated
-    /// [`TrafficConfig`].
-    pub fn instantiate(&self, topo: &Topology) -> Result<TrafficConfig, WorkloadError> {
+    /// Place the shape's endpoints on `topo` and check the spec: the
+    /// topology nodes hosting them, in host-slot order — the fan
+    /// (clients, senders) before the far-end server or receiver, the
+    /// multicast source before its receivers. What
+    /// [`Workload::traffic`] holds.
+    ///
+    /// [`Workload::traffic`]: crate::scenario::Workload::traffic
+    pub(crate) fn place(&self, topo: &Topology) -> Result<Vec<usize>, WorkloadError> {
         let n = topo.node_count();
         if n < 2 {
             return Err(WorkloadError::TopologyTooSmall { need: 2, have: n });
@@ -120,127 +128,144 @@ impl TrafficSpec {
         // Far end of the diameter hosts the hot endpoint.
         let (near, far) = topo.farthest_pair().expect("non-empty topology");
         // Everyone else, nearest slots first.
-        let others = |exclude: usize, cap: usize| -> Vec<usize> {
+        let others = |exclude: usize, cap: usize| {
             (0..n)
-                .filter(|&v| v != exclude)
+                .filter(move |&v| v != exclude)
                 .take(cap.min(MAX_ENDPOINTS))
-                .collect()
         };
-        let pattern = match &self.shape {
+        let nodes: Vec<usize> = match self.shape {
+            TrafficShape::RequestResponse { clients: fan, .. }
+            | TrafficShape::Incast { senders: fan, .. } => others(far, fan).chain([far]).collect(),
+            TrafficShape::Multicast { receivers, .. } => {
+                [near].into_iter().chain(others(near, receivers)).collect()
+            }
+        };
+        self.validate(nodes.len() - 1)?;
+        Ok(nodes)
+    }
+
+    /// The spec's checks, given the `fan` endpoints placement found:
+    /// window, fan size, distribution, wave period and count, paced
+    /// rate — the first failure wins.
+    fn validate(&self, fan: usize) -> Result<(), WorkloadError> {
+        if self.duration.is_zero() {
+            return Err(WorkloadError::EmptyWindow);
+        }
+        let fan_of = |what| match fan {
+            0 => Err(WorkloadError::NoEndpoints(what)),
+            _ => Ok(()),
+        };
+        match self.shape {
             TrafficShape::RequestResponse {
-                clients,
                 rate_per_sec,
                 response,
-            } => TrafficPattern::RequestResponse {
-                clients: others(far, *clients),
-                server: far,
-                rate_per_sec: *rate_per_sec,
-                response: *response,
-            },
+                ..
+            } => {
+                fan_of("request/response needs clients")?;
+                Exp::new(rate_per_sec).map_err(WorkloadError::BadDistribution)?;
+                response.validate()
+            }
             TrafficShape::Incast {
-                senders,
                 flow,
                 period,
                 waves,
-            } => TrafficPattern::Incast {
-                senders: others(far, *senders),
-                receiver: far,
-                flow: *flow,
-                period: *period,
-                waves: *waves,
-            },
-            TrafficShape::Multicast {
-                receivers,
-                rate_bps,
-            } => TrafficPattern::Multicast {
-                source: near,
-                receivers: others(near, *receivers),
-                rate_bps: *rate_bps,
-            },
-        };
-        let cfg = TrafficConfig {
-            pattern,
-            mode: self.mode,
-            start_at: self.start_at,
-            stop_at: self.stop_at(),
-        };
-        cfg.validate()?;
-        Ok(cfg)
+                ..
+            } => {
+                fan_of("incast needs senders")?;
+                flow.validate()?;
+                if period.is_zero() {
+                    Err(WorkloadError::ZeroRate("incast wave period"))
+                } else if waves == 0 {
+                    Err(WorkloadError::EmptyWindow)
+                } else {
+                    Ok(())
+                }
+            }
+            // A paced stream must offer something, and no faster than a
+            // frame per nanosecond: `paced_interval` rounds anything
+            // faster to zero, which the flow model divides by and the
+            // packet-level pacer re-arms at.
+            TrafficShape::Multicast { rate_bps, .. } => {
+                fan_of("multicast needs receivers")?;
+                if rate_bps == 0 {
+                    Err(WorkloadError::ZeroRate("multicast stream rate"))
+                } else if paced_interval(rate_bps).is_zero() {
+                    Err(WorkloadError::ZeroInterval("multicast stream rate"))
+                } else {
+                    Ok(())
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Workload;
     use rf_topo::{ring, star};
 
-    #[test]
-    fn endpoint_counts_clamp_to_the_topology() {
-        let spec = TrafficSpec::incast(6, FlowSize::fixed(10_000), Duration::from_secs(2), 3);
-        let small = spec.instantiate(&ring(4)).unwrap();
-        match &small.pattern {
-            TrafficPattern::Incast {
-                senders, receiver, ..
-            } => {
-                assert_eq!(
-                    senders.len(),
-                    3,
-                    "6 senders clamp to ring-4's 3 non-receivers"
-                );
-                assert!(!senders.contains(receiver));
-            }
-            p => panic!("wrong pattern: {p:?}"),
-        }
-        let big = spec.instantiate(&ring(16)).unwrap();
-        match &big.pattern {
-            TrafficPattern::Incast { senders, .. } => assert_eq!(senders.len(), 6),
-            p => panic!("wrong pattern: {p:?}"),
+    /// The three shapes, sized to fill ring-4 or to overflow it.
+    fn shapes() -> [TrafficSpec; 3] {
+        [
+            TrafficSpec::poisson(3, 5.0, FlowSize::fixed(20_000)),
+            TrafficSpec::incast(6, FlowSize::fixed(10_000), Duration::from_secs(2), 3),
+            TrafficSpec::multicast(4, 1_000_000),
+        ]
+    }
+
+    /// Where `Workload::traffic` puts `spec`'s endpoints, slot by slot.
+    fn placed(spec: &TrafficSpec, topo: &Topology) -> Result<Vec<usize>, WorkloadError> {
+        match Workload::traffic(spec.clone(), topo)? {
+            Workload::Traffic { nodes, .. } => Ok(nodes),
+            w => panic!("wrong workload: {w:?}"),
         }
     }
 
     #[test]
+    fn endpoint_counts_clamp_to_the_topology() {
+        // ring-4's diameter is (0, 2), ring-16's (0, 8): a cap larger
+        // than the topology takes every other node, in index order.
+        let [poisson, incast, mcast] = shapes();
+        let small = ring(4);
+        assert_eq!(placed(&poisson, &small), Ok(vec![0, 1, 3, 2]));
+        assert_eq!(placed(&incast, &small), Ok(vec![0, 1, 3, 2]));
+        assert_eq!(placed(&mcast, &small), Ok(vec![0, 1, 2, 3]));
+        let big = ring(16);
+        assert_eq!(placed(&poisson, &big), Ok(vec![0, 1, 2, 8]));
+        assert_eq!(placed(&incast, &big), Ok(vec![0, 1, 2, 3, 4, 5, 8]));
+        assert_eq!(placed(&mcast, &big), Ok(vec![0, 1, 2, 3, 4]));
+    }
+
+    #[test]
     fn server_lands_on_the_far_end_of_the_diameter() {
+        // star-8's diameter runs leaf 1 → hub → leaf 2: the server and
+        // the incast receiver take slot last on node 2, the multicast
+        // source slot 0 on node 1.
         let topo = star(8);
-        let (_, far) = topo.farthest_pair().unwrap();
-        let cfg = TrafficSpec::poisson(3, 5.0, FlowSize::fixed(20_000))
-            .instantiate(&topo)
-            .unwrap();
-        match &cfg.pattern {
-            TrafficPattern::RequestResponse {
-                clients, server, ..
-            } => {
-                assert_eq!(*server, far);
-                assert_eq!(clients.len(), 3);
-            }
-            p => panic!("wrong pattern: {p:?}"),
-        }
+        assert_eq!(topo.farthest_pair(), Some((1, 2)));
+        let [poisson, incast, mcast] = shapes();
+        assert_eq!(placed(&poisson, &topo), Ok(vec![0, 1, 3, 2]));
+        assert_eq!(placed(&incast, &topo), Ok(vec![0, 1, 3, 4, 5, 6, 2]));
+        assert_eq!(placed(&mcast, &topo), Ok(vec![1, 0, 2, 3, 4]));
     }
 
     #[test]
     fn impossible_placements_fail_typed() {
         let mut lonely = Topology::new();
         lonely.add_node("s0", (0.0, 0.0));
-        let spec = TrafficSpec::multicast(4, 1_000_000);
-        let err = spec.instantiate(&lonely).unwrap_err();
-        assert_eq!(err, WorkloadError::TopologyTooSmall { need: 2, have: 1 });
+        for spec in shapes() {
+            assert_eq!(
+                placed(&spec, &lonely),
+                Err(WorkloadError::TopologyTooSmall { need: 2, have: 1 })
+            );
+        }
         // Bad distribution parameters also surface as errors, not
         // panics.
         let bad = TrafficSpec::poisson(2, 0.0, FlowSize::fixed(1_000));
         assert!(matches!(
-            bad.instantiate(&ring(4)),
+            placed(&bad, &ring(4)),
             Err(WorkloadError::BadDistribution(_))
         ));
-    }
-
-    #[test]
-    fn window_and_mode_carry_through() {
-        let cfg = TrafficSpec::multicast(2, 5_000_000)
-            .flow_level()
-            .window(Duration::from_secs(30), Duration::from_secs(20))
-            .instantiate(&ring(6))
-            .unwrap();
-        assert_eq!(cfg.mode, TrafficMode::Flow);
-        assert_eq!(cfg.start_at, Duration::from_secs(30));
-        assert_eq!(cfg.stop_at, Duration::from_secs(50));
     }
 }

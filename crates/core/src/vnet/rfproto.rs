@@ -180,9 +180,14 @@ impl RfMessage {
     }
 }
 
+/// A whole RF frame whose body [`RfMessage::decode`] refuses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BadRfFrame;
+
 /// Stream reassembler for RF frames: [`FrameBuf`] framed by the u32
 /// length prefix. The header has nothing to validate, so framing
-/// cannot fail; a frame whose body does not decode is dropped.
+/// cannot fail; a frame whose body does not decode is an `Err`, and the
+/// frames behind it are read on.
 #[derive(Clone, Default)]
 pub struct RfFrameReader {
     frames: FrameBuf,
@@ -198,8 +203,9 @@ impl RfFrameReader {
         self.frames.push_bytes(data);
     }
 
+    /// Pop the next whole frame if buffered, decoded.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<RfMessage> {
+    pub fn next(&mut self) -> Option<Result<RfMessage, BadRfFrame>> {
         let frame =
             self.frames.take_frame(|avail| {
                 Ok::<_, Infallible>((avail.len() >= 4).then(|| {
@@ -207,7 +213,7 @@ impl RfFrameReader {
                 }))
             });
         let Ok(frame) = frame;
-        RfMessage::decode(&frame?[4..])
+        Some(RfMessage::decode(&frame?[4..]).ok_or(BadRfFrame))
     }
 }
 
@@ -274,6 +280,21 @@ mod tests {
         for (m, want) in samples().into_iter().zip(golden) {
             assert_eq!(hex(&m.encode()), want, "{m:?}");
         }
+    }
+
+    #[test]
+    fn the_reader_reads_past_a_frame_it_cannot_decode() {
+        let del = RfMessage::RouteDel {
+            prefix: "172.31.0.4/30".parse().unwrap(),
+        };
+        let mut r = RfFrameReader::new();
+        // A one-byte body with the unknown tag 9, then a route withdrawal.
+        r.push_bytes(Bytes::from(
+            [&[0, 0, 0, 1, 9][..], &del.encode()[..]].concat(),
+        ));
+        assert_eq!(r.next(), Some(Err(BadRfFrame)));
+        assert_eq!(r.next(), Some(Ok(del)));
+        assert_eq!(r.next(), None);
     }
 
     #[test]

@@ -336,8 +336,10 @@ impl Agent for VmAgent {
             }
             StreamEvent::Data(data) => {
                 self.reader.push_bytes(data);
+                // A frame that fails to decode is dropped and the ones
+                // behind it are read on.
                 while let Some(msg) = self.reader.next() {
-                    if let RfMessage::WriteConfigs { zebra, ospf, .. } = msg {
+                    if let Ok(RfMessage::WriteConfigs { zebra, ospf, .. }) = msg {
                         self.apply_configs(ctx, &zebra, &ospf);
                     }
                 }

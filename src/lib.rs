@@ -70,8 +70,7 @@ pub mod prelude {
         Snapshot, SnapshotError, Workload, WorkloadReport,
     };
     pub use rf_core::traffic::{
-        FlowSize, TrafficConfig, TrafficMode, TrafficPattern, TrafficReport, TrafficShape,
-        TrafficSpec, WorkloadError,
+        FlowSize, TrafficMode, TrafficReport, TrafficShape, TrafficSpec, WorkloadError,
     };
     pub use rf_sim::{LinkProfile, Sim, SimConfig, Time};
     pub use rf_topo::{

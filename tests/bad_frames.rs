@@ -5,7 +5,9 @@
 use bytes::Bytes;
 use rf_core::apps::ControlPlane;
 use rf_core::rfcontroller::{RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
+use rf_core::vnet::{RfMessage, VmAgent, RF_SERVICE};
 use rf_openflow::{MessageReader, OfMessage, PacketInReason, OFP_NO_BUFFER};
+use rf_routed::config::VmRouterConfig;
 use rf_rpc::{
     encode_envelope, Envelope, RpcAck, RpcClientAgent, RpcFrameReader, RpcRequest,
     RPC_CLIENT_SERVICE,
@@ -16,12 +18,13 @@ use std::time::Duration;
 /// How long after the first chunk the peer writes the second.
 const GAP: Duration = Duration::from_millis(100);
 
-/// Dials `target:service`, writes `first` as one chunk as soon as the
-/// connection opens and `second` [`GAP`] later, and keeps every chunk
-/// it receives with the instant it arrived.
+/// Dials `target:service` (or, with no target, listens on `service`),
+/// writes `first` as one chunk as soon as the connection opens and
+/// `second` [`GAP`] later, and keeps every chunk it receives with the
+/// instant it arrived.
 #[derive(Clone)]
 struct Peer {
-    target: AgentId,
+    target: Option<AgentId>,
     service: u16,
     first: Bytes,
     second: Bytes,
@@ -32,18 +35,24 @@ struct Peer {
 
 impl Agent for Peer {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.conn = Some(ctx.connect(self.target, self.service, ConnProfile::default()));
+        match self.target {
+            Some(target) => {
+                self.conn = Some(ctx.connect(target, self.service, ConnProfile::default()))
+            }
+            None => ctx.listen(self.service),
+        }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.conn_send(self.conn.expect("dialled"), self.second.clone());
+        ctx.conn_send(self.conn.expect("opened"), self.second.clone());
         self.sent.push(ctx.now());
     }
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
-        if Some(conn) != self.conn {
+        if self.conn.is_some_and(|c| c != conn) {
             return;
         }
         match event {
             StreamEvent::Opened { .. } => {
+                self.conn = Some(conn);
                 ctx.conn_send(conn, self.first.clone());
                 self.sent.push(ctx.now());
                 ctx.schedule(GAP, 0);
@@ -54,15 +63,15 @@ impl Agent for Peer {
     }
 }
 
-/// Run `target` (agent 0) against a [`Peer`] (agent 1) for a second;
-/// return what the peer sent when, and what it received.
-fn run(target: Box<dyn Agent>, service: u16, first: Bytes, second: Bytes) -> Peer {
+/// `target` (agent 0) and a [`Peer`] (agent 1) in one world; the peer
+/// dials the target unless `dial` is false.
+fn world(target: Box<dyn Agent>, dial: bool, service: u16, first: Bytes, second: Bytes) -> Sim {
     let mut sim = Sim::new(SimConfig::default());
     let target = sim.add_agent("target", target);
-    let peer = sim.add_agent(
+    sim.add_agent(
         "peer",
         Box::new(Peer {
-            target,
+            target: dial.then_some(target),
             service,
             first,
             second,
@@ -71,8 +80,21 @@ fn run(target: Box<dyn Agent>, service: u16, first: Bytes, second: Bytes) -> Pee
             received: Vec::new(),
         }),
     );
+    sim
+}
+
+fn peer(sim: &Sim) -> Peer {
+    sim.agent_as::<Peer>(AgentId(1))
+        .expect("peer agent")
+        .clone()
+}
+
+/// Run `target` against a peer that dials it for a second; return what
+/// the peer sent when, and what it received.
+fn run(target: Box<dyn Agent>, service: u16, first: Bytes, second: Bytes) -> Peer {
+    let mut sim = world(target, true, service, first, second);
     sim.run_until(Time::from_secs(1));
-    sim.agent_as::<Peer>(peer).expect("peer agent").clone()
+    peer(&sim)
 }
 
 fn concat(a: &Bytes, b: &Bytes) -> Bytes {
@@ -164,4 +186,34 @@ fn the_relay_reads_past_an_envelope_it_cannot_decode() {
     let rtt = |i: usize| acks[i].1.since(peer.sent[i]);
     assert_eq!(acks.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [5, 6]);
     assert_eq!(rtt(0), rtt(1), "request 5 waited for the next chunk");
+}
+
+/// A VM applies the configuration files that follow an RF frame it
+/// cannot decode (an unknown tag) in the same chunk at once, not when
+/// the next chunk arrives.
+#[test]
+fn a_vm_reads_past_a_frame_it_cannot_decode() {
+    let iface = [(1, "172.31.0.1/30".parse().unwrap())];
+    let (zebra, ospf, bgp) = VmRouterConfig::generate(1, &iface).render_all();
+    let configs = RfMessage::WriteConfigs { zebra, ospf, bgp }.encode();
+    // A one-byte body: the unknown tag 9.
+    let bad = Bytes::from_static(&[0, 0, 0, 1, 9]);
+    // The VM (agent 0) dials its RF server, the peer, once it has
+    // booted.
+    let vm = VmAgent::new(1, AgentId(1), Duration::from_millis(10));
+    let mut sim = world(
+        Box::new(vm),
+        false,
+        RF_SERVICE,
+        concat(&bad, &configs),
+        configs,
+    );
+    sim.run_until(Time::from_millis(100));
+    let sent = peer(&sim).sent;
+    assert_eq!(sent.len(), 1, "only the first chunk is out: {sent:?}");
+    let vm = sim.agent_as::<VmAgent>(AgentId(0)).expect("vm agent");
+    assert!(
+        vm.ospf_timers().is_some(),
+        "the configuration waited for the next chunk"
+    );
 }

@@ -2244,7 +2244,7 @@ proptest! {
             RfFrameReader::push_bytes,
             RfFrameReader::next,
         );
-        prop_assert_eq!(got, rf);
+        prop_assert_eq!(got, rf.into_iter().map(Ok).collect::<Vec<_>>());
     }
 
     // ---------------- roundtrips ----------------

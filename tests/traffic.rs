@@ -9,9 +9,7 @@
 use rf_core::scenario::{
     FaultSchedule, MatrixKnob, MatrixSpec, Scenario, ScenarioMatrix, Workload, WorkloadReport,
 };
-use rf_core::traffic::{
-    FlowSize, TrafficConfig, TrafficPattern, TrafficReport, TrafficSpec, WorkloadError,
-};
+use rf_core::traffic::{FlowSize, TrafficReport, TrafficSpec, WorkloadError};
 use rf_openflow::{Action, OFPP_CONTROLLER};
 use rf_sim::{LinkProfile, Time};
 use rf_switch::OpenFlowSwitch;
@@ -36,13 +34,13 @@ fn run_traffic(
     spec: &TrafficSpec,
     profile: LinkProfile,
 ) -> TrafficReport {
-    let cfg = spec.instantiate(&topo).expect("spec fits the topology");
+    let workload = Workload::traffic(spec.clone(), &topo).expect("spec fits the topology");
     let mut sc = Scenario::on(topo)
         .fast_timers()
         .seed(seed)
         .trace_level(rf_sim::TraceLevel::Off)
         .link_profile(profile)
-        .with_workload(Workload::traffic(cfg).expect("validated config"))
+        .with_workload(workload)
         .start();
     sc.run_until(Time::ZERO + spec.stop_at() + Duration::from_secs(2));
     let reports = sc.workload_reports();
@@ -139,13 +137,13 @@ fn apps_install_only_wildcard_mac_rewrite_and_punt_flows() {
     let topo = ring(8);
     let spec = TrafficSpec::poisson(3, 6.0, FlowSize::pareto(2_000, 100_000))
         .window(Duration::from_secs(25), Duration::from_secs(10));
-    let cfg = spec.instantiate(&topo).expect("spec fits the topology");
+    let traffic = Workload::traffic(spec.clone(), &topo).expect("spec fits the topology");
     let mut sc = Scenario::on(topo)
         .fast_timers()
         .seed(5)
         .trace_level(rf_sim::TraceLevel::Off)
         .with_workload(Workload::ping(vec![0], 4).expect("one client"))
-        .with_workload(Workload::traffic(cfg).expect("validated config"))
+        .with_workload(traffic)
         .start();
     sc.run_until(Time::ZERO + spec.stop_at() + Duration::from_secs(2));
     for report in sc.workload_reports() {
@@ -291,47 +289,33 @@ fn workload_constructors_return_typed_errors() {
         Err(WorkloadError::TooManyEndpoints { given: 40, .. })
     ));
 
-    // Traffic spec errors surface through instantiate/validate instead
+    // Traffic spec errors surface through Workload::traffic instead
     // of panicking mid-sweep.
-    assert!(TrafficSpec::poisson(0, 4.0, FlowSize::fixed(1_000))
-        .instantiate(&ring(4))
-        .is_err());
-    assert!(TrafficSpec::poisson(2, 0.0, FlowSize::fixed(1_000))
-        .instantiate(&ring(4))
-        .is_err());
+    let ring4 = ring(4);
+    let placed = |spec: TrafficSpec| Workload::traffic(spec, &ring4).err();
+    assert!(placed(TrafficSpec::poisson(0, 4.0, FlowSize::fixed(1_000))).is_some());
+    assert!(placed(TrafficSpec::poisson(2, 0.0, FlowSize::fixed(1_000))).is_some());
     assert!(matches!(
-        TrafficSpec::multicast(3, 0).instantiate(&ring(4)),
-        Err(WorkloadError::ZeroRate(_))
+        placed(TrafficSpec::multicast(3, 0)),
+        Some(WorkloadError::ZeroRate(_))
     ));
     // A paced rate past one frame per nanosecond has a zero interval:
     // the flow model would divide by it, the packet pacer spin on it.
-    let too_fast = 9_000_000_000_000;
-    for pattern in [
-        // The slowest such rate: 8 192 bits a frame, just over one
-        // frame per nanosecond.
-        TrafficPattern::Multicast {
-            source: 3,
-            receivers: vec![1],
-            rate_bps: 8_192_000_000_001,
-        },
-        TrafficPattern::Multicast {
-            source: 0,
-            receivers: vec![1, 2],
-            rate_bps: too_fast,
-        },
+    // The first is the slowest such rate: 8 192 bits a frame, just over
+    // one frame per nanosecond.
+    for packet in [
+        TrafficSpec::multicast(1, 8_192_000_000_001),
+        TrafficSpec::multicast(2, 9_000_000_000_000),
     ] {
-        let packet = TrafficConfig::new(pattern);
-        for cfg in [packet.clone(), packet.flow_level()] {
-            assert!(matches!(
-                Workload::traffic(cfg),
-                Err(WorkloadError::ZeroInterval(_))
-            ));
+        for spec in [packet.clone(), packet.flow_level()] {
+            assert!(matches!(placed(spec), Some(WorkloadError::ZeroInterval(_))));
         }
     }
     let mut one = Topology::new();
     one.add_node("s0", (0.0, 0.0));
+    let incast = TrafficSpec::incast(3, FlowSize::fixed(1_000), Duration::from_secs(1), 2);
     assert!(matches!(
-        TrafficSpec::incast(3, FlowSize::fixed(1_000), Duration::from_secs(1), 2).instantiate(&one),
+        Workload::traffic(incast, &one),
         Err(WorkloadError::TopologyTooSmall { .. })
     ));
 }
