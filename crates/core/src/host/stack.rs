@@ -6,10 +6,13 @@
 //! thing a frame can deliver, if it delivered anything.
 
 use bytes::{Bytes, BytesMut};
+use rf_wire::ethernet::ETHERNET_HEADER_LEN;
+use rf_wire::icmp::ICMP_HEADER_LEN;
 use rf_wire::ipv4::DEFAULT_TTL;
+use rf_wire::udp::UDP_HEADER_LEN;
 use rf_wire::{
-    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Body,
-    Ipv4Cidr, Ipv4Packet, MacAddr, UdpPacket,
+    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, EthernetHeader, IcmpHeader, IcmpPacket,
+    IpProtocol, Ipv4Body, Ipv4Cidr, Ipv4Header, MacAddr, UdpHeader,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -127,19 +130,22 @@ impl HostStack {
         }
     }
 
-    /// Send a UDP datagram.
+    /// Send a UDP datagram whose payload is the concatenation of
+    /// `payload`'s parts. The parts are borrowed — a header on the
+    /// caller's stack, a fill from a static — and each byte is copied
+    /// once, into the frame.
     pub fn send_udp(
         &mut self,
         dst: Ipv4Addr,
         src_port: u16,
         dst_port: u16,
-        payload: Bytes,
+        payload: &[&[u8]],
         tx: impl FnMut(Bytes),
     ) {
         let body = Ipv4Body::Udp {
             src_port,
             dst_port,
-            payload: &payload,
+            payload,
         };
         self.emit_ip(dst, body, tx);
     }
@@ -150,26 +156,28 @@ impl HostStack {
         self.emit_ip(dst, Ipv4Body::Raw(IpProtocol::ICMP, &icmp.emit()), tx);
     }
 
-    /// Process a received frame (zero-copy: inner layers slice the
-    /// caller's buffer). Whatever it makes the stack transmit — an ARP
-    /// or echo reply, datagrams the ARP reply released — goes to `tx`.
+    /// Process a received frame. Each header is read where it lies in
+    /// `frame`; the one slice taken is a delivered datagram's payload
+    /// (or an echo request's, to answer it). Whatever it makes the
+    /// stack transmit — an ARP or echo reply, datagrams the ARP reply
+    /// released — goes to `tx`.
     pub fn on_frame(&mut self, frame: &Bytes, tx: impl FnMut(Bytes)) -> Option<Received> {
-        let eth = EthernetFrame::parse_bytes(frame).ok()?;
+        let eth = EthernetHeader::parse(frame).ok()?;
         if !eth.dst.is_broadcast() && eth.dst != self.cfg.mac && !eth.dst.is_multicast() {
             return None;
         }
         match eth.ethertype {
             EtherType::ARP => {
-                self.on_arp(&eth, tx);
+                self.on_arp(&frame[ETHERNET_HEADER_LEN..], tx);
                 None
             }
-            EtherType::IPV4 => self.on_ip(&eth, tx),
+            EtherType::IPV4 => self.on_ip(frame, tx),
             _ => None,
         }
     }
 
-    fn on_arp(&mut self, eth: &EthernetFrame, mut tx: impl FnMut(Bytes)) {
-        let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+    fn on_arp(&mut self, packet: &[u8], mut tx: impl FnMut(Bytes)) {
+        let Ok(arp) = ArpPacket::parse(packet) else {
             return;
         };
         // Learn the sender either way.
@@ -192,34 +200,49 @@ impl HostStack {
         }
     }
 
-    fn on_ip(&mut self, eth: &EthernetFrame, tx: impl FnMut(Bytes)) -> Option<Received> {
-        let ip = Ipv4Packet::parse_bytes(&eth.payload).ok()?;
+    /// An IPv4 frame: the packet starts at [`ETHERNET_HEADER_LEN`] and
+    /// its body runs from `ihl` to `total_len` past that (Ethernet
+    /// padding cut off).
+    fn on_ip(&mut self, frame: &Bytes, tx: impl FnMut(Bytes)) -> Option<Received> {
+        let ip = Ipv4Header::parse(&frame[ETHERNET_HEADER_LEN..]).ok()?;
         if ip.dst != self.cfg.addr.addr {
             return None;
         }
+        let body = ETHERNET_HEADER_LEN + ip.ihl..ETHERNET_HEADER_LEN + ip.total_len;
         match ip.protocol {
             IpProtocol::UDP => {
-                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok()?;
+                let udp = UdpHeader::parse(&frame[body.clone()], ip.src, ip.dst).ok()?;
+                let payload = body.start + UDP_HEADER_LEN..body.start + udp.length;
                 Some(Received::Udp {
                     src: ip.src,
                     src_port: udp.src_port,
                     dst_port: udp.dst_port,
-                    payload: udp.payload,
+                    payload: frame.slice(payload),
                 })
             }
-            IpProtocol::ICMP => match IcmpPacket::parse_bytes(&ip.payload).ok()? {
-                icmp @ IcmpPacket::EchoRequest { .. } => {
-                    let reply = IcmpPacket::reply_to(&icmp);
-                    self.emit_ip(ip.src, Ipv4Body::Raw(IpProtocol::ICMP, &reply.emit()), tx);
-                    None
+            IpProtocol::ICMP => {
+                let message = &frame[body.clone()];
+                let IcmpHeader { ty, code } = IcmpHeader::parse(message).ok()?;
+                let ident = u16::from_be_bytes([message[4], message[5]]);
+                let seq = u16::from_be_bytes([message[6], message[7]]);
+                match (ty, code) {
+                    (8, 0) => {
+                        let reply = IcmpPacket::EchoReply {
+                            ident,
+                            seq,
+                            payload: frame.slice(body.start + ICMP_HEADER_LEN..body.end),
+                        };
+                        self.emit_ip(ip.src, Ipv4Body::Raw(IpProtocol::ICMP, &reply.emit()), tx);
+                        None
+                    }
+                    (0, 0) => Some(Received::EchoReply {
+                        from: ip.src,
+                        ident,
+                        seq,
+                    }),
+                    _ => None,
                 }
-                IcmpPacket::EchoReply { ident, seq, .. } => Some(Received::EchoReply {
-                    from: ip.src,
-                    ident,
-                    seq,
-                }),
-                IcmpPacket::Other { .. } => None,
-            },
+            }
             _ => None,
         }
     }
@@ -228,6 +251,7 @@ impl HostStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rf_wire::{Ipv4Packet, UdpPacket};
 
     fn host(ip: &str, gw: &str) -> HostStack {
         HostStack::new(HostConfig {
@@ -253,13 +277,9 @@ mod tests {
     fn off_link_udp_arps_gateway_then_flushes() {
         let mut h = host("10.9.0.2", "10.9.0.1");
         let mut out = Vec::new();
-        h.send_udp(
-            "10.8.0.5".parse().unwrap(),
-            1000,
-            2000,
-            Bytes::from_static(b"x"),
-            |f| out.push(f),
-        );
+        h.send_udp("10.8.0.5".parse().unwrap(), 1000, 2000, &[b"x"], |f| {
+            out.push(f)
+        });
         // First an ARP request for the gateway.
         let eth = EthernetFrame::parse_bytes(&out[0]).unwrap();
         assert_eq!(eth.ethertype, EtherType::ARP);
@@ -281,9 +301,7 @@ mod tests {
     fn on_link_udp_arps_destination() {
         let mut h = host("10.9.0.2", "10.9.0.1");
         let mut out = Vec::new();
-        h.send_udp("10.9.0.7".parse().unwrap(), 1, 2, Bytes::new(), |f| {
-            out.push(f)
-        });
+        h.send_udp("10.9.0.7".parse().unwrap(), 1, 2, &[], |f| out.push(f));
         let arp = ArpPacket::parse(&EthernetFrame::parse_bytes(&out[0]).unwrap().payload).unwrap();
         assert_eq!(arp.target_ip, "10.9.0.7".parse::<Ipv4Addr>().unwrap());
     }

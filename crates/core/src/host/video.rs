@@ -9,7 +9,7 @@
 
 use super::stack::{HostConfig, HostStack, Received};
 use super::uplink;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use rf_sim::{Agent, Ctx, Time};
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -29,6 +29,9 @@ const BITRATE_BPS: u64 = 2_000_000;
 /// Payload bytes per frame packet: seven 188-byte MPEG-TS packets, as
 /// MPEG-TS over UDP carries them.
 const FRAME_LEN: usize = 1316;
+/// What follows a frame packet's 16-byte header (sequence number, send
+/// time) up to [`FRAME_LEN`].
+static FILL: [u8; FRAME_LEN - 16] = [b'V'; FRAME_LEN - 16];
 /// Gap between frame packets that paces [`FRAME_LEN`] at [`BITRATE_BPS`].
 const FRAME_INTERVAL: Duration =
     Duration::from_nanos(FRAME_LEN as u64 * 8 * 1_000_000_000 / BITRATE_BPS);
@@ -62,17 +65,13 @@ impl VideoServer {
         let Some((client_ip, client_port)) = self.client else {
             return;
         };
-        let mut payload = BytesMut::with_capacity(FRAME_LEN);
-        payload.put_u64(self.next_seq);
-        payload.put_u64(ctx.now().as_nanos());
-        payload.resize(FRAME_LEN, b'V');
-        self.stack.send_udp(
-            client_ip,
-            VIDEO_PORT,
-            client_port,
-            payload.freeze(),
-            uplink(ctx),
-        );
+        let payload: [&[u8]; 3] = [
+            &self.next_seq.to_be_bytes(),
+            &ctx.now().as_nanos().to_be_bytes(),
+            &FILL,
+        ];
+        self.stack
+            .send_udp(client_ip, VIDEO_PORT, client_port, &payload, uplink(ctx));
         self.next_seq += 1;
         self.frames_sent += 1;
         ctx.schedule(FRAME_INTERVAL, T_FRAME);
@@ -152,7 +151,7 @@ impl VideoClient {
             self.server,
             CLIENT_PORT,
             VIDEO_PORT,
-            Bytes::from_static(b"PLAY"),
+            &[b"PLAY"],
             uplink(ctx),
         );
         ctx.schedule(PLAY_RETRY, T_REQ_RETRY);

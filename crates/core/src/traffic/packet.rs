@@ -17,7 +17,7 @@ use super::demand::{ArrivalStream, WaveStream};
 use super::report::TrafficReport;
 use super::{frames_for, CHUNK_BYTES, DATA_PORT, HEADER_BYTES, REQ_PORT};
 use crate::host::{uplink, HostConfig, HostStack, Received};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use rf_sim::{Agent, Ctx, Time};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -31,24 +31,29 @@ const T_WARM: u64 = 4;
 /// Any off-subnet destination resolves the gateway.
 const OFF_SUBNET: Ipv4Addr = Ipv4Addr::new(10, 255, 255, 254);
 
-/// Build one data frame's payload.
-fn data_frame(
+/// What every data frame carries behind its header: its chunk is a
+/// prefix of this one static fill.
+static FILL: [u8; CHUNK_BYTES as usize] = [b'T'; CHUNK_BYTES as usize];
+
+/// One data frame's 32-byte header, on the stack; the chunk behind it
+/// is `FILL`.
+fn data_header(
     flow_id: u64,
     flow_bytes: u64,
     flow_start_ns: u64,
     send_ns: u64,
-    chunk: u64,
-) -> Bytes {
-    let mut b = BytesMut::with_capacity((HEADER_BYTES + chunk) as usize);
-    b.put_u64(flow_id);
-    b.put_u64(flow_bytes);
-    b.put_u64(flow_start_ns);
-    b.put_u64(send_ns);
-    b.put_bytes(b'T', chunk as usize);
-    b.freeze()
+) -> [u8; HEADER_BYTES as usize] {
+    let mut h = [0u8; HEADER_BYTES as usize];
+    for (at, word) in [flow_id, flow_bytes, flow_start_ns, send_ns]
+        .into_iter()
+        .enumerate()
+    {
+        h[at * 8..at * 8 + 8].copy_from_slice(&word.to_be_bytes());
+    }
+    h
 }
 
-fn read_u64(p: &Bytes, at: usize) -> u64 {
+fn read_u64(p: &[u8], at: usize) -> u64 {
     u64::from_be_bytes(p[at..at + 8].try_into().expect("bounds checked"))
 }
 
@@ -212,11 +217,9 @@ impl TrafficHost {
         self.flow_seq += 1;
         match self.role {
             Role::Client { server, .. } => {
-                let mut req = BytesMut::with_capacity(16);
-                req.put_u64(flow_id);
-                req.put_u64(bytes);
+                let request: [&[u8]; 2] = [&flow_id.to_be_bytes(), &bytes.to_be_bytes()];
                 self.stack
-                    .send_udp(server, REQ_PORT, REQ_PORT, req.freeze(), uplink(ctx));
+                    .send_udp(server, REQ_PORT, REQ_PORT, &request, uplink(ctx));
             }
             Role::Incast { receiver, .. } => self.blast(ctx, receiver, flow_id, bytes),
             _ => {}
@@ -241,10 +244,9 @@ impl TrafficHost {
         let now_ns = now.as_nanos();
         let start_ns = self.start_at.as_nanos() as u64;
         for (d, &dst) in dsts.iter().enumerate() {
-            let flow_id = self.flow_tag | d as u64;
-            let data = data_frame(flow_id, 0, start_ns, now_ns, CHUNK_BYTES);
+            let header = data_header(self.flow_tag | d as u64, 0, start_ns, now_ns);
             self.stack
-                .send_udp(dst, DATA_PORT, DATA_PORT, data, uplink(ctx));
+                .send_udp(dst, DATA_PORT, DATA_PORT, &[&header, &FILL], uplink(ctx));
             self.report.offered_bytes += CHUNK_BYTES;
             self.report.frames_sent += 1;
         }
@@ -255,20 +257,21 @@ impl TrafficHost {
     fn blast(&mut self, ctx: &mut Ctx<'_>, dst: Ipv4Addr, flow_id: u64, bytes: u64) {
         let frames = frames_for(bytes);
         let now_ns = ctx.now().as_nanos();
+        let header = data_header(flow_id, bytes, now_ns, now_ns);
         for i in 0..frames {
             let chunk = if i + 1 == frames {
                 bytes - i * CHUNK_BYTES
             } else {
                 CHUNK_BYTES
             };
-            let data = data_frame(flow_id, bytes, now_ns, now_ns, chunk);
+            let payload = [&header[..], &FILL[..chunk as usize]];
             self.stack
-                .send_udp(dst, DATA_PORT, DATA_PORT, data, uplink(ctx));
+                .send_udp(dst, DATA_PORT, DATA_PORT, &payload, uplink(ctx));
         }
         self.report.frames_sent += frames;
     }
 
-    fn on_data(&mut self, now: Time, payload: &Bytes) {
+    fn on_data(&mut self, now: Time, payload: &[u8]) {
         if payload.len() < HEADER_BYTES as usize {
             return;
         }
@@ -361,14 +364,27 @@ impl Agent for TrafficHost {
 mod tests {
     use super::*;
 
+    /// A data frame's payload as it arrives: header, then `chunk` bytes
+    /// of fill.
+    fn data_payload(
+        flow_id: u64,
+        flow_bytes: u64,
+        start_ns: u64,
+        send_ns: u64,
+        chunk: u64,
+    ) -> Vec<u8> {
+        let mut p = data_header(flow_id, flow_bytes, start_ns, send_ns).to_vec();
+        p.extend_from_slice(&FILL[..chunk as usize]);
+        p
+    }
+
     #[test]
-    fn data_frame_round_trips_header() {
-        let f = data_frame(0x0000_0001_0000_0007, 5000, 111, 222, 512);
-        assert_eq!(f.len(), 32 + 512);
-        assert_eq!(read_u64(&f, 0), 0x0000_0001_0000_0007);
-        assert_eq!(read_u64(&f, 8), 5000);
-        assert_eq!(read_u64(&f, 16), 111);
-        assert_eq!(read_u64(&f, 24), 222);
+    fn data_header_round_trips() {
+        let h = data_header(0x0000_0001_0000_0007, 5000, 111, 222);
+        assert_eq!(read_u64(&h, 0), 0x0000_0001_0000_0007);
+        assert_eq!(read_u64(&h, 8), 5000);
+        assert_eq!(read_u64(&h, 16), 111);
+        assert_eq!(read_u64(&h, 24), 222);
     }
 
     #[test]
@@ -380,14 +396,14 @@ mod tests {
         };
         let mut host = TrafficHost::sink(cfg, Duration::ZERO);
         let t1 = Time::ZERO + Duration::from_millis(5);
-        host.on_data(t1, &data_frame(1, 2048, 1_000_000, 1_000_000, 1024));
+        host.on_data(t1, &data_payload(1, 2048, 1_000_000, 1_000_000, 1024));
         assert_eq!(host.report.flows_completed, 0);
-        host.on_data(t1, &data_frame(1, 2048, 1_000_000, 1_000_000, 1024));
+        host.on_data(t1, &data_payload(1, 2048, 1_000_000, 1_000_000, 1024));
         assert_eq!(host.report.flows_completed, 1);
         assert_eq!(host.report.fct_ns, vec![4_000_000]);
         assert_eq!(host.report.delivered_bytes, 2048);
         // A paced frame (total = 0) records latency, not completion.
-        host.on_data(t1, &data_frame(9, 0, 0, 4_000_000, 1024));
+        host.on_data(t1, &data_payload(9, 0, 0, 4_000_000, 1024));
         assert_eq!(host.report.flows_completed, 1);
         assert_eq!(host.report.frame_latency_ns, vec![1_000_000]);
         assert_eq!(host.report.frames_delivered, 3);

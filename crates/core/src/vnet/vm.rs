@@ -8,9 +8,10 @@ use rf_routed::ospf::packet::is_hello;
 use rf_routed::ospf::ALL_SPF_ROUTERS;
 use rf_routed::rib::{Rib, RibChange, Route, RouteProto};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent, Time};
+use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::{
-    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, IpProtocol, Ipv4Body, Ipv4Cidr,
-    Ipv4Packet, MacAddr,
+    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, EthernetHeader, IpProtocol, Ipv4Body,
+    Ipv4Cidr, Ipv4Header, MacAddr,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -289,12 +290,14 @@ impl Agent for VmAgent {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let iface = port as u16;
-        let Ok(eth) = EthernetFrame::parse_bytes(&frame) else {
+        // Every header is read where it lies in the frame.
+        let Ok(eth) = EthernetHeader::parse(&frame) else {
             return;
         };
+        let packet = &frame[ETHERNET_HEADER_LEN..];
         match eth.ethertype {
             EtherType::ARP => {
-                let Ok(arp) = ArpPacket::parse(&eth.payload) else {
+                let Ok(arp) = ArpPacket::parse(packet) else {
                     return;
                 };
                 let Some(addr) = self.ifaces.get(&iface) else {
@@ -309,7 +312,7 @@ impl Agent for VmAgent {
                 }
             }
             EtherType::IPV4 => {
-                let Ok(ip) = Ipv4Packet::parse_bytes(&eth.payload) else {
+                let Ok(ip) = Ipv4Header::parse(packet) else {
                     return;
                 };
                 if ip.protocol == IpProtocol::OSPF
@@ -317,7 +320,8 @@ impl Agent for VmAgent {
                         || self.ifaces.get(&iface).is_some_and(|a| a.addr == ip.dst))
                 {
                     if let Some(d) = self.ospf.as_mut() {
-                        let ev = d.handle_packet(iface, ip.src, &ip.payload, ctx.now());
+                        let body = &packet[ip.ihl..ip.total_len];
+                        let ev = d.handle_packet(iface, ip.src, body, ctx.now());
                         self.process_ospf_events(ctx, ev);
                     }
                 }

@@ -174,12 +174,14 @@ fn header(
 /// What an [`ipv4_frame`] carries behind the IPv4 header.
 #[derive(Clone, Copy, Debug)]
 pub enum Ipv4Body<'a> {
-    /// A UDP datagram around `payload`; its header and pseudo-header
-    /// checksum are written with it.
+    /// A UDP datagram around `payload`, the concatenation of its parts
+    /// (a sender's header on its stack and a fill from a static, say —
+    /// nothing is joined before it goes into the frame); the UDP header
+    /// and pseudo-header checksum are written with it.
     Udp {
         src_port: u16,
         dst_port: u16,
-        payload: &'a [u8],
+        payload: &'a [&'a [u8]],
     },
     /// An already encoded packet of any other protocol.
     Raw(IpProtocol, &'a [u8]),
@@ -187,8 +189,9 @@ pub enum Ipv4Body<'a> {
 
 /// One Ethernet frame around one IPv4 packet from `src` to `dst` leaving
 /// with `ttl`, built in a single buffer: the headers are written in
-/// front of the body and the checksums computed where they lie, so the
-/// body is copied once. Byte for byte what
+/// front of the body and the checksums computed where they lie, so each
+/// byte of the body is copied once, from wherever its part lies. Byte
+/// for byte what
 /// `EthernetFrame::new(.., Ipv4Packet::new(.., body).emit()).emit()`
 /// yields (`tests/properties.rs` holds the two against each other) —
 /// that chain allocates and copies per layer, which is what a host
@@ -205,7 +208,9 @@ pub fn ipv4_frame(
     body: Ipv4Body<'_>,
 ) -> BytesMut {
     let (protocol, body_len) = match body {
-        Ipv4Body::Udp { payload, .. } => (IpProtocol::UDP, UDP_HEADER_LEN + payload.len()),
+        Ipv4Body::Udp { payload, .. } => {
+            (IpProtocol::UDP, UDP_HEADER_LEN + udp::payload_len(payload))
+        }
         Ipv4Body::Raw(protocol, packet) => (protocol, packet.len()),
     };
     let len = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + body_len;

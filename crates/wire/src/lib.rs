@@ -21,9 +21,13 @@
 //! [`Ipv4Header`], [`UdpHeader`], [`IcmpHeader`] — and the owning
 //! `parse_bytes` beside it ([`EthernetFrame`], [`Ipv4Packet`],
 //! [`UdpPacket`], [`IcmpPacket`]) is that reader plus one `Bytes::slice`
-//! for the body. Code that only reads fields (a switch building its
-//! match key) uses the reader and touches no reference count; code that
-//! hands the body on (a host stack) uses `parse_bytes`.
+//! for the body. The simulated network reads through the readers: a
+//! switch building its match key touches no reference count, and a host
+//! stack or a VM reads every header of a received frame where it lies
+//! and slices the frame once, for the payload it hands on. The owned
+//! types are what a switch rewriting an IPv4 or UDP field re-emits
+//! through, and the reference the readers and [`ipv4_frame`] are
+//! tested against.
 //!
 //! Parsing follows the smoltcp philosophy: explicit, allocation-light,
 //! rejecting malformed input with a typed [`WireError`] instead of

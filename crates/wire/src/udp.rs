@@ -86,7 +86,7 @@ impl UdpPacket {
             dst,
             self.src_port,
             self.dst_port,
-            &self.payload,
+            &[&self.payload],
         );
         buf.freeze()
     }
@@ -103,30 +103,37 @@ fn pseudo_header(src: Ipv4Addr, dst: Ipv4Addr, length: u16) -> [u8; 12] {
     pseudo
 }
 
-/// Append a datagram — header, then `payload` — to `buf` and fill in
-/// its checksum over the bytes just written.
+/// Append a datagram — header, then the parts of `payload` in order —
+/// to `buf` and fill in its checksum over the bytes just written.
 pub(crate) fn put_datagram(
     buf: &mut BytesMut,
     src: Ipv4Addr,
     dst: Ipv4Addr,
     src_port: u16,
     dst_port: u16,
-    payload: &[u8],
+    payload: &[&[u8]],
 ) {
-    let length = UDP_HEADER_LEN + payload.len();
+    let length = UDP_HEADER_LEN + payload_len(payload);
     assert!(length <= u16::MAX as usize, "UDP datagram too large");
     let at = buf.len();
     buf.put_u16(src_port);
     buf.put_u16(dst_port);
     buf.put_u16(length as u16);
     buf.put_u16(0);
-    buf.put_slice(payload);
+    for part in payload {
+        buf.put_slice(part);
+    }
     let pseudo = pseudo_header(src, dst, length as u16);
     let mut ck = internet_checksum_parts(&[&pseudo, &buf[at..]]);
     if ck == 0 {
         ck = 0xFFFF; // 0 is reserved for "no checksum"
     }
     buf[at + 6..at + 8].copy_from_slice(&ck.to_be_bytes());
+}
+
+/// The length of a payload given as parts.
+pub(crate) fn payload_len(payload: &[&[u8]]) -> usize {
+    payload.iter().map(|part| part.len()).sum()
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use rf_core::discovery::{TopologyController, TopologyControllerConfig};
-use rf_core::host::{HostConfig, HostStack, Received};
+use rf_core::host::{HostConfig, HostStack, Received, VideoServer};
 use rf_core::traffic::packet::TrafficHost;
 use rf_core::vnet::vm::ospf_frame;
 use rf_core::vnet::RfMessage;
@@ -683,15 +683,17 @@ fn resolved_host() -> HostStack {
 
 /// A host sending 1 KiB to a resolved next hop allocates the frame and
 /// nothing else of that size: headers are written around the payload in
-/// the one buffer.
+/// the one buffer, the payload's parts copied into it where they lie.
 #[test]
 fn a_sent_datagram_is_one_buffer() {
     let mut host = resolved_host();
-    let payload = Bytes::from(vec![b'T'; BIG]);
+    let fill = [b'T'; BIG];
     let mut sent = None;
 
-    let ((), allocations, big) =
-        counted(|| host.send_udp(HOST_B, 7000, 7000, payload, |f| sent = Some(f)));
+    let ((), allocations, big) = counted(|| {
+        let payload: [&[u8]; 2] = [&fill[..32], &fill[32..]];
+        host.send_udp(HOST_B, 7000, 7000, &payload, |f| sent = Some(f))
+    });
 
     assert_eq!(sent, Some(data_frame()));
     assert_eq!(big, 1, "payload-sized allocations per sent datagram");
@@ -718,9 +720,11 @@ fn a_received_datagram_is_a_view_of_its_frame() {
 }
 
 /// A traffic server answering one 64 KiB request sends its 64 frames
-/// straight from the stack to its link: two allocations per frame —
-/// the payload and the frame, one block each (four when each was also
-/// a box) — and no list that grows with the flow.
+/// straight from the stack to its link: one allocation per frame, the
+/// frame's block, into which the header (on the stack) and the chunk
+/// (a static fill) are written — two when the payload was built in a
+/// block of its own first, four when each block was also a box — and
+/// no list that grows with the flow.
 #[test]
 fn a_traffic_server_allocates_per_frame_not_per_flow() {
     const FRAMES: usize = 64;
@@ -770,13 +774,99 @@ fn a_traffic_server_allocates_per_frame_not_per_flow() {
         .report();
     assert_eq!(report.frames_sent as usize, FRAMES);
     // The rest are the kernel's: event-queue buckets growing to hold
-    // 64 frames in flight, two of them past 1 KiB. With a list per
-    // stack call, the collected flow and the request list this was 337
+    // 64 frames in flight, two of them past 1 KiB. With a payload block
+    // per frame this was 2 * FRAMES + 10 (2 * FRAMES + 2); with a list
+    // per stack call, the collected flow and the request list, 337
     // (132).
-    assert!(big <= 2 * FRAMES + 2, "{big} payload-sized allocations");
+    assert!(big <= FRAMES + 2, "{big} payload-sized allocations");
     assert!(
-        allocations <= 2 * FRAMES + 10,
+        allocations <= FRAMES + 10,
         "{allocations} allocations for a {FRAMES}-frame response"
+    );
+}
+
+/// Runs a warmed sender for a tenth of a second, its gateway (a [`Stub`]
+/// sending `frames` at `at`) answering on the other end of its link:
+/// `(frames sent, allocations, payload-sized allocations)` in that
+/// window.
+fn steady_sender(
+    sender: Box<dyn Agent>,
+    frames: Vec<Bytes>,
+    at: Vec<Duration>,
+    sent: impl Fn(&Sim, AgentId) -> u64,
+) -> (u64, usize, usize) {
+    let mut sim = Sim::new(SimConfig::default());
+    let sender = sim.add_agent("sender", sender);
+    let gateway = sim.add_agent(
+        "gateway",
+        Box::new(Stub {
+            frames,
+            at,
+            ..Stub::default()
+        }),
+    );
+    sim.add_link((gateway, 1), (sender, 1), LinkProfile::default());
+    // Mid-interval edges, long after the stream started: warm queue
+    // buckets, nothing parked.
+    sim.run_until(Time::from_nanos(2_105_000_000));
+    let before = sent(&sim, sender);
+    let ((), allocations, big) = counted(|| sim.run_until(Time::from_nanos(2_205_000_000)));
+    (sent(&sim, sender) - before, allocations, big)
+}
+
+/// The gateway's unsolicited ARP answer to host A.
+fn gateway_answer() -> Bytes {
+    let answer = ArpPacket::reply_to(
+        &ArpPacket::request(MAC_A, HOST_A, HOST_A_CFG.gateway),
+        MAC_SW,
+    );
+    EthernetFrame::new(MAC_A, MAC_SW, EtherType::ARP, answer.emit()).emit()
+}
+
+/// A paced traffic source and the video server each send a data frame
+/// as one allocation, the frame's block: the header is on the stack and
+/// the fill static, so nothing is built ahead of the frame and copied
+/// into it (two allocations each, both payload-sized, when the payload
+/// was a block of its own).
+#[test]
+fn a_paced_frame_and_a_video_frame_are_one_allocation_each() {
+    let paced = TrafficHost::paced(
+        HOST_A_CFG,
+        0,
+        Duration::from_secs(2),
+        Duration::from_secs(10),
+        vec![HOST_B],
+        Duration::from_millis(10),
+    );
+    let (frames, allocations, big) = steady_sender(
+        Box::new(paced),
+        vec![gateway_answer()],
+        vec![Duration::from_millis(10)],
+        |sim, id| {
+            sim.agent_as::<TrafficHost>(id)
+                .unwrap()
+                .report()
+                .frames_sent
+        },
+    );
+    assert_eq!(frames, 10, "paced frames in the window");
+    assert_eq!((allocations, big), (10, 10), "allocations per paced frame");
+
+    let play = UdpPacket::new(5005, 5004, Bytes::from_static(b"PLAY"));
+    let play = Ipv4Packet::new(HOST_B, HOST_A, IpProtocol::UDP, play.emit(HOST_B, HOST_A));
+    let play = EthernetFrame::new(MAC_A, MAC_SW, EtherType::IPV4, play.emit()).emit();
+    let (frames, allocations, big) = steady_sender(
+        Box::new(VideoServer::new(HOST_A_CFG)),
+        // Popped from the back: the ARP answer first.
+        vec![play, gateway_answer()],
+        vec![Duration::from_millis(10), Duration::from_millis(20)],
+        |sim, id| sim.agent_as::<VideoServer>(id).unwrap().frames_sent,
+    );
+    assert!(frames >= 18, "{frames} video frames in the window");
+    assert_eq!(
+        (allocations, big),
+        (frames as usize, frames as usize),
+        "allocations per video frame"
     );
 }
 

@@ -668,8 +668,10 @@ mod datapath_model {
 
 /// The list-returning host stack as it stood before `HostStack` took a
 /// sink: every call returns what to transmit and what arrived as one
-/// `Vec`. Kept verbatim (less two accessors and two counters nothing
-/// here reads) as the reference model for
+/// `Vec`, and every received frame is sliced per layer by the owning
+/// `parse_bytes` chain. Kept verbatim (less two accessors and two
+/// counters nothing here reads, and with its datagram handed to
+/// `ipv4_frame` as a payload of one part) as the reference model for
 /// `host_stack_matches_reference_model`.
 mod host_stack_model {
     use bytes::{Bytes, BytesMut};
@@ -809,7 +811,7 @@ mod host_stack_model {
                 Ipv4Body::Udp {
                     src_port,
                     dst_port,
-                    payload: &payload,
+                    payload: &[&payload],
                 },
             )
         }
@@ -2029,7 +2031,9 @@ fn play_host_stack(calls: &[HostCall]) -> Vec<HostOutcome> {
         match call {
             HostCall::Boot => host.boot(tx),
             HostCall::SendUdp(dst, ports, payload) => {
-                host.send_udp(*dst, ports.0, ports.1, payload.clone(), tx)
+                // In two parts, as the traffic senders hand it over.
+                let (head, tail) = payload.split_at(payload.len() / 3);
+                host.send_udp(*dst, ports.0, ports.1, &[head, tail], tx)
             }
             HostCall::SendPing(dst, ident, seq) => host.send_ping(*dst, *ident, *seq, tx),
             HostCall::Resolve(dst) => host.resolve(*dst, tx),
@@ -2073,6 +2077,52 @@ fn parked_datagrams_flush_in_send_order_after_the_reply() {
     let via = |last_octet, tag: &'static [u8]| (last_octet, Bytes::from_static(tag));
     assert_eq!(flushed(5), [via(1, b"1"), via(1, b"3"), via(1, b"4")]);
     assert_eq!(flushed(6), [via(3, b"2")]);
+}
+
+/// The parts writer puts a payload into its frame exactly as the owned
+/// twins write it whole: at the payload lengths around the 60-byte
+/// padding edge (17 bytes pad up to it, 18 fill it), at a traffic
+/// header alone (32) and at a chunk with and without one in front
+/// (1 024, 1 056) — cut into two parts at every point, and up to 32
+/// bytes into three at every pair of points.
+#[test]
+fn the_parts_writer_matches_the_owned_twins_at_every_split() {
+    use rf_wire::ipv4::DEFAULT_TTL;
+    use rf_wire::{EtherType, IpProtocol};
+    let (src, dst) = (Ipv4Addr::new(10, 0, 1, 2), Ipv4Addr::new(10, 0, 2, 2));
+    let (dst_mac, src_mac) = (MacAddr([2, 0, 0, 0, 1, 0]), MacAddr([2, 0, 0, 0, 0, 0xA]));
+    let write = |parts: &[&[u8]]| {
+        let body = Ipv4Body::Udp {
+            src_port: 7701,
+            dst_port: 7700,
+            payload: parts,
+        };
+        ipv4_frame(dst_mac, src_mac, src, dst, DEFAULT_TTL, body).freeze()
+    };
+    for len in [0usize, 1, 17, 18, 31, 32, 1024, 1056] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        let udp = UdpPacket::new(7701, 7700, Bytes::copy_from_slice(&payload)).emit(src, dst);
+        let ip = Ipv4Packet::new(src, dst, IpProtocol::UDP, udp).emit();
+        let owned = EthernetFrame::new(dst_mac, src_mac, EtherType::IPV4, ip).emit();
+        assert_eq!(owned.len(), (42 + len).max(60), "{len} bytes");
+        assert_eq!(write(&[&payload]), owned, "{len} bytes in one part");
+        for i in 0..=len {
+            let (head, rest) = payload.split_at(i);
+            assert_eq!(write(&[head, rest]), owned, "{len} bytes cut at {i}");
+            if len <= 32 {
+                for j in 0..=rest.len() {
+                    let (mid, tail) = rest.split_at(j);
+                    let cut = (i, i + j);
+                    assert_eq!(
+                        write(&[head, mid, tail]),
+                        owned,
+                        "{len} bytes cut at {cut:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(write(&[]), write(&[&[]]), "no parts is an empty payload");
 }
 
 #[path = "models/lldp_tlv.rs"]
@@ -2337,7 +2387,7 @@ proptest! {
         };
         let nested_udp = |payload: &[u8]| nested_udp_at(ttl, payload);
         let one_buffer_udp = |payload: &[u8]| {
-            let body = Ipv4Body::Udp { src_port: ports.0, dst_port: ports.1, payload };
+            let body = Ipv4Body::Udp { src_port: ports.0, dst_port: ports.1, payload: &[payload] };
             ipv4_frame(dst_mac, src_mac, src, dst, ttl, body).freeze()
         };
         // As drawn, and cut short enough to need padding.
@@ -2384,8 +2434,7 @@ proptest! {
         let mut host = rf_core::host::HostStack::new(cfg);
         let send = |host: &mut rf_core::host::HostStack| {
             let mut sent = Vec::new();
-            let datagram = Bytes::copy_from_slice(&payload);
-            host.send_udp(dst, ports.0, ports.1, datagram, |f| sent.push(f));
+            host.send_udp(dst, ports.0, ports.1, &[&payload], |f| sent.push(f));
             sent
         };
         let asked = send(&mut host);
@@ -2779,6 +2828,112 @@ proptest! {
         let mut calls = vec![HostCall::Boot];
         calls.extend(draws.into_iter().map(host_call));
         prop_assert_eq!(play_host_stack(&calls), play_host_model(&calls));
+    }
+
+    /// A host reads a received datagram's headers where they lie and
+    /// accepts and refuses what the owning `parse_bytes` chain (the
+    /// reference model's `on_frame`) does: it
+    /// takes a datagram for it as sent, with trailing bytes, with a zero
+    /// UDP checksum ("none") or sent to broadcast or multicast, and
+    /// refuses a bad UDP or IPv4 checksum, a `total_len` cut short, a
+    /// fragment, a foreign destination MAC or IP. What it delivers are
+    /// the chain's bytes, a slice of the frame they arrived in.
+    #[test]
+    fn in_place_receive_matches_the_parse_bytes_chain(
+        src in arb_ip(),
+        ports in any::<(u16, u16)>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..80),
+        tweak in any::<u16>(),
+    ) {
+        use rf_wire::{EtherType, IpProtocol};
+        let us = HOST.addr.addr;
+        let udp = UdpPacket::new(ports.0, ports.1, Bytes::from(payload.clone())).emit(src, us);
+        let ip = Ipv4Packet::new(src, us, IpProtocol::UDP, udp).emit();
+        let sent = EthernetFrame::new(HOST.mac, MacAddr([2; 6]), EtherType::IPV4, ip).emit();
+        let reseal_ip = |frame: &mut Vec<u8>| {
+            frame[24..26].fill(0);
+            let ck = internet_checksum(&frame[14..34]);
+            frame[24..26].copy_from_slice(&ck.to_be_bytes());
+        };
+        let bit = 1u8 << (tweak % 8);
+        for mutation in 0..9 {
+            let mut frame = sent.to_vec();
+            // Which of the mutations below leave a datagram for the host.
+            let accepted = match mutation {
+                // As sent.
+                0 => true,
+                // A bit of the UDP checksum flipped: refused, unless that
+                // made it the zero that means "none".
+                1 => {
+                    frame[40 + (tweak >> 3) as usize % 2] ^= bit;
+                    frame[40..42] == [0, 0]
+                }
+                // A bit of the IPv4 checksum flipped.
+                2 => {
+                    frame[24 + (tweak >> 3) as usize % 2] ^= bit;
+                    false
+                }
+                // `total_len` short of the packet, resealed.
+                3 => {
+                    let short = tweak as usize % (28 + payload.len());
+                    frame[16..18].copy_from_slice(&(short as u16).to_be_bytes());
+                    reseal_ip(&mut frame);
+                    false
+                }
+                // More fragments, or a fragment offset, resealed.
+                4 => {
+                    let offset = 1 + (tweak >> 1) % 0x1FFF;
+                    let flags_frag = if tweak % 2 == 0 { 0x2000 } else { offset };
+                    frame[20..22].copy_from_slice(&flags_frag.to_be_bytes());
+                    reseal_ip(&mut frame);
+                    false
+                }
+                // Another destination MAC: someone else's, broadcast or a
+                // multicast group.
+                5 => {
+                    let (mac, taken) = match tweak % 3 {
+                        0 => (MacAddr([2, 0, 0, 0, 0, 0x43]), false),
+                        1 => (MacAddr::BROADCAST, true),
+                        _ => (MacAddr([0x01, 0x00, 0x5E, 0, 0, 5]), true),
+                    };
+                    frame[0..6].copy_from_slice(mac.as_bytes());
+                    taken
+                }
+                // Another destination IP, resealed, and no UDP checksum
+                // to bind the old one: only the address check refuses it.
+                6 => {
+                    let other = Ipv4Addr::from(u32::from(us) ^ u32::from(tweak | 1));
+                    frame[30..34].copy_from_slice(&other.octets());
+                    reseal_ip(&mut frame);
+                    frame[40..42].fill(0);
+                    false
+                }
+                // No UDP checksum.
+                7 => {
+                    frame[40..42].fill(0);
+                    true
+                }
+                // Trailing bytes past `total_len`.
+                _ => {
+                    frame.extend(std::iter::repeat_n(0xA5, 1 + tweak as usize % 16));
+                    true
+                }
+            };
+            let frame = Bytes::from(frame);
+            let call = [HostCall::Frame(frame.clone())];
+            let outcome = play_host_stack(&call);
+            prop_assert_eq!(&outcome, &play_host_model(&call));
+            let (sent, got, _) = &outcome[0];
+            prop_assert!(sent.is_empty());
+            prop_assert_eq!(got.len(), usize::from(accepted));
+            if let Some(rf_core::host::Received::Udp { payload: delivered, .. }) = got.first() {
+                prop_assert_eq!(&delivered[..], &payload[..]);
+                let within = frame.as_ptr_range();
+                let at = delivered.as_ptr();
+                let end = at as usize + delivered.len();
+                prop_assert!(within.start <= at && end <= within.end as usize);
+            }
+        }
     }
 
     // ---------------- RPC relay ----------------
