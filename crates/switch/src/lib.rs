@@ -9,7 +9,8 @@
 //!   reconnecting with backoff if the control channel drops;
 //! * classifies every data-plane frame into an OF 1.0
 //!   [`rf_openflow::PacketKey`] and looks it up in a priority-ordered
-//!   wildcard [`flow_table::FlowTable`];
+//!   wildcard [`flow_table::FlowTable`] — or, for a repeated frame of an
+//!   IPv4 flow, finds the answer in the table's exact-match cache;
 //! * punts table misses to the controller as `PACKET_IN` (buffering
 //!   the frame and truncating to `miss_send_len`, like real OVS);
 //! * executes `FLOW_MOD` / `PACKET_OUT` / `BARRIER` / `ECHO`, emits

@@ -4,8 +4,8 @@ use crate::datapath::{apply_actions_owned, Egress};
 use crate::flow_table::{FlowTable, Removed};
 use bytes::Bytes;
 use rf_openflow::{
-    ErrorType, MessageReader, OfError, OfMessage, PacketInReason, PacketKey, PacketOutView,
-    PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
+    ErrorType, MessageReader, OfError, OfMessage, PacketInReason, PacketOutView, PhyPort,
+    PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::MacAddr;
@@ -285,17 +285,21 @@ impl OpenFlowSwitch {
     }
 
     /// Run a frame through the flow table and execute the result.
+    ///
+    /// [`FlowTable::classify`] decides which entry the frame matches: a
+    /// frame of an IPv4 flow this switch has classified before is
+    /// answered from the table's exact-match cache, without reading a
+    /// header field; anything else is read as deep as the table's
+    /// entries do, no deeper, and looked up. The matched entry's action
+    /// list is read where it lies, and the frame given up to the
+    /// interpreter: a routed hop allocates no action list and copies no
+    /// frame. A miss goes to the controller as a PACKET_IN.
     fn pipeline(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
-        // Read as deep as the table's entries do, no deeper.
-        let depth = self.table.depth();
-        let Some(key) = PacketKey::from_frame(in_port, &frame, depth) else {
+        let Some(matched) = self.table.classify(in_port, &frame, ctx.now()) else {
             ctx.count("switch.unparseable", 1);
             return;
         };
-        // The matched entry's action list is read where it lies, and the
-        // frame given up to the interpreter: a routed hop allocates no
-        // action list and copies no frame.
-        let Some(entry) = self.table.lookup(&key, frame.len(), ctx.now()) else {
+        let Some(entry) = matched else {
             return self.packet_in(ctx, in_port, frame);
         };
         let actions = entry.actions.iter().copied();

@@ -208,9 +208,11 @@ fn stub(sim: &Sim, id: AgentId) -> &Stub {
     sim.agent_as::<Stub>(id).expect("a stub")
 }
 
-/// One 1 KiB frame through one switch: classified, looked up, both MACs
-/// rewritten, sent on — without a payload-sized allocation, because the
-/// switch is the frame's only owner and patches the 12 bytes in place.
+/// One 1 KiB frame through one switch: classified — by the flow table's
+/// exact-match cache, which the first two frames of the flow filled —
+/// both MACs rewritten, sent on — without a payload-sized allocation,
+/// because the switch is the frame's only owner and patches the 12
+/// bytes in place.
 #[test]
 fn a_routed_hop_copies_no_frame() {
     let mut sim = Sim::new(SimConfig::default());
@@ -219,10 +221,10 @@ fn a_routed_hop_copies_no_frame() {
         "sw1",
         Box::new(OpenFlowSwitch::new(SwitchConfig::new(1, 2, ctrl))),
     );
-    // The first two frames warm the path up (the table's lookup order,
-    // the event queue's slots); the third is measured, in a window that
-    // holds nothing else — the switch's expiry tick falls on the half
-    // seconds.
+    // The first two frames warm the path up (the table's lookup order
+    // and cache, the event queue's slots); the third is measured, in a
+    // window that holds nothing else — the switch's expiry tick falls on
+    // the half seconds.
     let a = sim.add_agent(
         "a",
         Box::new(Stub {
@@ -236,10 +238,20 @@ fn a_routed_hop_copies_no_frame() {
     sim.add_link((sw, 2), (b, 1), LinkProfile::default());
     sim.run_until(Time::from_millis(3100));
     assert_eq!(stub(&sim, b).received, 2, "the flow forwards");
+    let table = |sim: &Sim| {
+        let table = sim.agent_as::<OpenFlowSwitch>(sw).unwrap().flow_table();
+        (table.classified, table.cache_hits)
+    };
+    let (classified, hits) = table(&sim);
 
     let ((), allocations, big) = counted(|| sim.run_until(Time::from_millis(3400)));
 
     assert_eq!(stub(&sim, b).received, 3);
+    assert_eq!(
+        table(&sim),
+        (classified + 1, hits + 1),
+        "the third frame of the flow is answered by the switch's exact-match cache"
+    );
     let got = EthernetFrame::parse_bytes(stub(&sim, b).last.as_ref().unwrap()).unwrap();
     assert_eq!((got.dst, got.src), (MAC_B, MAC_SW));
     assert_eq!(got.payload, data_frame().slice(14..));

@@ -1325,6 +1325,27 @@ fn damaged_variants(frame: &Bytes) -> Vec<Bytes> {
     variants
 }
 
+/// Each single-bit flip of an IPv4 frame's 20-byte header outside its
+/// checksum, with the checksum mended: a header that verifies but has
+/// options (IHL ≠ 5), MF or a fragment offset, another length, another
+/// address. Nothing for a frame too short to hold the header.
+fn mended_header_flips(frame: &Bytes) -> Vec<Bytes> {
+    if frame.len() < 34 || frame[12..14] != [0x08, 0x00] {
+        return Vec::new();
+    }
+    (14 * 8..34 * 8)
+        .filter(|bit| !(24 * 8..26 * 8).contains(bit))
+        .map(|bit| {
+            let mut flipped = frame.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped[24..26].fill(0);
+            let ck = internet_checksum(&flipped[14..34]);
+            flipped[24..26].copy_from_slice(&ck.to_be_bytes());
+            Bytes::from(flipped)
+        })
+        .collect()
+}
+
 /// One flow-table match built around `key`, a frame's full key: the
 /// shapes the apps install, an exact match, and one pinned field of
 /// each layer — at the value the frame carries, or at the zero an
@@ -2727,6 +2748,111 @@ proptest! {
         }
         prop_assert_eq!(depths_used.len(), 3, "{:?}", depths_used);
         prop_assert!(shallow_hits > 0);
+    }
+
+    /// What a switch hop calls, `FlowTable::classify`, answers a frame
+    /// of a flow it has seen from its exact-match cache. Whatever the
+    /// cache holds, it finds the entry — and bumps the counters — that
+    /// the parent's full key finds in a twin table's `lookup`: for
+    /// frames that repeat, on several ports, one header at two lengths
+    /// (padded past its IP packet, or cut inside it), and damaged
+    /// copies (every prefix, every bit flip of the first 42 bytes, and
+    /// flips of the IPv4 header with its checksum mended: IHL ≠ 5, MF
+    /// or an offset set, another address), with FLOW_MOD add, modify,
+    /// delete and expiry between the lookups.
+    #[test]
+    fn cached_classification_matches_full_key_lookup(
+        scripts in proptest::collection::vec(
+            (
+                proptest::collection::vec(arb_frame_draw(), 4..5),
+                proptest::collection::vec(any::<(u8, u16, u8, u8)>(), 32..256),
+            ),
+            8..9,
+        ),
+    ) {
+        use rf_openflow::{FlowModCommand, OFPP_NONE};
+        use rf_sim::Time;
+        use rf_switch::FlowTable;
+        // What the generator has to reach: hits that found an entry and
+        // hits that found none.
+        let (mut matched_hits, mut missed_hits) = (0u32, 0u32);
+        for (draws, steps) in scripts {
+            let mut flows = Vec::new();
+            let mut damaged = Vec::new();
+            for frame in draws.into_iter().map(build_frame) {
+                damaged.extend(damaged_variants(&frame));
+                damaged.extend(mended_header_flips(&frame));
+                let mut padded = frame.to_vec();
+                padded.extend_from_slice(&[0xEE; 9]);
+                let cut = if frame.len() >= 39 { frame.len() - 5 } else { frame.len() };
+                flows.extend([frame.slice(..cut), Bytes::from(padded), frame]);
+            }
+            let port_of = |which: usize| 1 + (which % 3) as u16;
+            let keys: Vec<PacketKey> = flows
+                .iter()
+                .enumerate()
+                .filter_map(|(which, frame)| key_model::from_frame_bytes(port_of(which), frame))
+                .collect();
+            let (mut real, mut model) = (FlowTable::new(), FlowTable::new());
+            for (step, (op, which, kind, len)) in (1u64..).zip(steps) {
+                let now = Time::from_secs(step / 8);
+                let which = which as usize;
+                let around = keys.get(which % keys.len().max(1));
+                match (op % 32, around) {
+                    (0..=3, Some(around)) => {
+                        let command = match (op % 32, kind % 2) {
+                            (0 | 1, _) => FlowModCommand::Add,
+                            (2, 0) => FlowModCommand::Modify,
+                            (2, _) => FlowModCommand::ModifyStrict,
+                            (_, 0) => FlowModCommand::Delete,
+                            _ => FlowModCommand::DeleteStrict,
+                        };
+                        // A table at L4 reads past the cached head, so
+                        // it bypasses the cache: one add in eight may
+                        // take it there.
+                        let mut of_match = build_table_match(kind >> 1, len, around);
+                        if of_match.depth() == KeyDepth::L4 && kind % 8 != 0 {
+                            of_match = OfMatch::ipv4_dst_prefix(around.nw_dst, len % 33);
+                        }
+                        let (priority, idle, hard) =
+                            (u16::from(len % 4), u16::from(op >> 7), u16::from(len >> 6));
+                        let out = Action::output(u16::from(op >> 4));
+                        for table in [&mut real, &mut model] {
+                            table.apply_flow_mod(
+                                command, of_match, priority, step, idle, hard, 0, OFPP_NONE,
+                                vec![out], now,
+                            );
+                        }
+                    }
+                    (4, _) => {
+                        prop_assert_eq!(real.expire(now).len(), model.expire(now).len());
+                    }
+                    _ => {
+                        // A quarter of the lookups take a damaged copy;
+                        // any frame may come in on any of three ports.
+                        let frame = if op >> 6 == 0 {
+                            &damaged[which % damaged.len()]
+                        } else {
+                            &flows[which % flows.len()]
+                        };
+                        let in_port = 1 + (kind % 3) as u16;
+                        let hits = real.cache_hits;
+                        let got = real.classify(in_port, frame, now).map(|e| e.cloned());
+                        let full = key_model::from_frame_bytes(in_port, frame);
+                        let want = full.map(|full| model.lookup(&full, frame.len(), now).cloned());
+                        prop_assert_eq!(&got, &want, "step {}, port {}: {:?}", step, in_port, frame);
+                        if real.cache_hits > hits {
+                            match got {
+                                Some(Some(_)) => matched_hits += 1,
+                                _ => missed_hits += 1,
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(real.entries(), model.entries(), "after step {}", step);
+            }
+        }
+        prop_assert!(matched_hits > 0 && missed_hits > 0, "{} / {}", matched_hits, missed_hits);
     }
 
     // ---------------- semantic invariants ----------------
