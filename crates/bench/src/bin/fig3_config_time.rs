@@ -13,12 +13,12 @@
 //! * `provision_width` — the paper's pipeline provisions VMs serially
 //!   (k=1); the k-wide pipeline (k=2/4/8) overlaps create/boot latency,
 //!   and the k=8 curve must sit strictly below the serial one.
-//! * `channel_capacity` — the same curves under a bounded (capacity-4,
-//!   `Defer`) control channel. Config time barely moves (it is VM-side)
-//!   but the *channel pressure* explodes with k: a wider pipeline slams
-//!   its cold-start FLOW_MOD burst into the bounded channel all at
-//!   once, visible as `of_queue_hwm`/`of_deferred` growing with k —
-//!   the Fig. 3 story under constrained channels.
+//! * `channel_capacity` — the same curves under a bounded (capacity-4)
+//!   control channel. Config time barely moves (it is VM-side) but
+//!   the *channel pressure* explodes with k: a wider pipeline slams its
+//!   cold-start FLOW_MOD burst into the bounded channel all at once,
+//!   visible as `of_queue_hwm`/`of_deferred` growing with k — the
+//!   Fig. 3 story under constrained channels.
 //!
 //! Cells run in parallel worker threads and land in the same stable
 //! [`MatrixReport`](rf_core::scenario::MatrixReport) JSON the CI sweep

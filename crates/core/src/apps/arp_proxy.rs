@@ -1,68 +1,27 @@
 //! ARP proxy and host learning: answers hosts' gateway ARPs on the
 //! VMs' behalf, learns host MACs from their ARP traffic, and installs
 //! per-host /32 delivery flows.
+//!
+//! Everything it sends goes through the switch's channel FIFO: a host
+//! /32 FLOW_MOD is state and waits there behind anything earlier,
+//! while a PACKET_OUT (an ARP reply or probe) that a bounded channel
+//! cannot admit is shed, and the host's own ARP retry recovers it.
 
-use super::channel::{AppCtx, DeferBuffer};
+use super::channel::AppCtx;
 use super::fib_mirror::HOST_FLOW_PRIORITY;
 use bytes::Bytes;
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
 use rf_wire::{ArpOp, ArpPacket, EtherType, EthernetFrame, MacAddr};
 use std::net::Ipv4Addr;
-use std::time::Duration;
-
-/// Timer token of the deferred host-flow retry tick. The scenario
-/// harness also fires it at harvest time so a backlog mid-retry cannot
-/// be left unsent in a short cell.
-pub(crate) const ARP_RETRY_TOKEN: u64 = 0xA4B0_0000_0000_0000;
-
-/// Retry cadence for host FLOW_MODs a bounded channel refused.
-const ARP_RETRY_TICK: Duration = Duration::from_millis(50);
 
 /// Edge behaviour for declared host ports (the one piece of
 /// configuration LLDP discovery cannot learn — hosts don't speak LLDP).
-///
-/// Channel backpressure: host /32 FLOW_MODs are state and must land,
-/// so a deferred one goes into a per-switch `DeferBuffer` and
-/// retries on a tick. PACKET_OUTs (ARP replies and probes) are
-/// data-plane traffic — a deferred one is shed and the protocol's own
-/// retry recovers.
 #[derive(Clone)]
-pub(crate) struct ArpProxy {
-    /// Host FLOW_MODs refused by a bounded channel, retried in order.
-    deferred: DeferBuffer,
-}
+pub(crate) struct ArpProxy;
 
 impl ArpProxy {
-    pub(crate) fn new() -> ArpProxy {
-        ArpProxy {
-            deferred: DeferBuffer::new(ARP_RETRY_TOKEN, ARP_RETRY_TICK),
-        }
-    }
-
-    /// Offer a host FLOW_MOD; park the refused tail for the retry tick
-    /// (behind any existing backlog, preserving per-switch order).
-    fn offer_flow(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, fm: OfMessage) {
-        if self.deferred.is_backlogged(dpid) {
-            self.deferred.park(cx, dpid, vec![fm]);
-            return;
-        }
-        let outcome = cx.send_of(dpid, vec![fm]);
-        let _ = self
-            .deferred
-            .absorb(cx, dpid, outcome, "rf.host_flow_deferred");
-    }
-
-    /// Offer a PACKET_OUT; shed it if the channel pushes back.
-    fn offer_packet_out(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, po: OfMessage) {
-        let outcome = cx.send_of(dpid, vec![po]);
-        if !outcome.deferred.is_empty() {
-            cx.sim
-                .count("rf.packet_out_shed", outcome.deferred.len() as u64);
-        }
-    }
-
     fn install_host_flow(
-        &mut self,
+        &self,
         cx: &mut AppCtx<'_, '_>,
         ip: Ipv4Addr,
         dpid: u64,
@@ -87,11 +46,11 @@ impl ArpProxy {
         };
         cx.state.flows_installed += 1;
         cx.sim.count("rf.flow_add", 1);
-        self.offer_flow(cx, dpid, fm);
+        cx.send_of(dpid, vec![fm]);
     }
 
     pub(crate) fn on_packet_in(
-        &mut self,
+        &self,
         cx: &mut AppCtx<'_, '_>,
         dpid: u64,
         in_port: u16,
@@ -130,7 +89,7 @@ impl ArpProxy {
                             data: frame.emit(),
                         };
                         cx.sim.count("rf.arp_probe", 1);
-                        self.offer_packet_out(cx, dpid, po);
+                        cx.send_of(dpid, vec![po]);
                     }
                 }
             }
@@ -179,27 +138,14 @@ impl ArpProxy {
                 };
                 cx.state.arp_replies += 1;
                 cx.sim.count("rf.arp_reply", 1);
-                self.offer_packet_out(cx, dpid, po);
+                cx.send_of(dpid, vec![po]);
             }
         }
     }
 
-    /// The [`ARP_RETRY_TOKEN`] tick: re-offer every backlog.
-    pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>) {
-        self.deferred.on_tick();
-        for dpid in self.deferred.dpids() {
-            let msgs = self.deferred.take(dpid);
-            let outcome = cx.send_of(dpid, msgs);
-            let _ = self
-                .deferred
-                .absorb(cx, dpid, outcome, "rf.host_flow_deferred");
-        }
-    }
-
-    /// Forget a dead switch's backlog and the hosts learned on it: a
-    /// revived switch learns them again, re-installing their /32s.
-    pub(crate) fn on_switch_down(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
-        self.deferred.forget(dpid);
+    /// Forget the hosts learned on a dead switch: a revived switch
+    /// learns them again, re-installing their /32s.
+    pub(crate) fn on_switch_down(&self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
         cx.state.hosts.retain(|_, (d, _, _)| *d != dpid);
     }
 }

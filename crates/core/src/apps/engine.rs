@@ -10,7 +10,7 @@
 //! bookkeeping, flushing FLOW_MODs queued while a channel was down,
 //! the channel drain tick, RPC acks and dedup — are handled here.
 
-use super::arp_proxy::{ArpProxy, ARP_RETRY_TOKEN};
+use super::arp_proxy::ArpProxy;
 use super::channel::{AppCtx, ChannelIo, CHANNEL_DRAIN_TOKEN};
 use super::discovery_bridge::{DiscoveryBridge, Refined};
 use super::fib_mirror::{FibMirror, FIB_FLUSH_TOKEN};
@@ -35,7 +35,8 @@ struct Stages {
 impl Stages {
     /// A configuration request from the topology controller: the
     /// bridge refines it, and the lifecycle acts on what it derived (a
-    /// dead switch also leaves the FIB mirror and the ARP proxy).
+    /// dead switch also leaves the FIB mirror, its channel's backlog
+    /// and the ARP proxy).
     fn on_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: RpcRequest) {
         match self.bridge.on_rpc(cx, req) {
             Some(Refined::SwitchUp { dpid, num_ports }) => {
@@ -45,6 +46,7 @@ impl Stages {
             Some(Refined::SwitchDown { dpid }) => {
                 let spawned = self.lifecycle.on_switch_down(cx, dpid);
                 self.fib.on_switch_down(dpid);
+                cx.drop_backlog(dpid);
                 self.arp.on_switch_down(cx, dpid);
                 self.after_spawn(cx, spawned);
             }
@@ -73,7 +75,6 @@ impl Stages {
         match token {
             CHANNEL_DRAIN_TOKEN => cx.drain_all(),
             FIB_FLUSH_TOKEN => self.fib.on_timer(cx),
-            ARP_RETRY_TOKEN => self.arp.on_timer(cx),
             _ => {}
         }
     }
@@ -105,8 +106,8 @@ impl ControlPlane {
             stages: Stages {
                 bridge: DiscoveryBridge::default(),
                 lifecycle: VmLifecycle::default(),
-                fib: FibMirror::new(),
-                arp: ArpProxy::new(),
+                fib: FibMirror::default(),
+                arp: ArpProxy,
             },
             state: ControlState::default(),
             io: ChannelIo::new(),
@@ -176,8 +177,9 @@ impl ControlPlane {
             .max()
     }
 
-    /// Messages currently parked in switch-channel queues (stalled,
-    /// credit-capped, or waiting for their channel to come up).
+    /// Messages currently waiting in switch-channel FIFOs (stalled,
+    /// credit-capped, beyond a bounded window, or waiting for their
+    /// channel to come up). A FIB batch still filling is not counted.
     pub fn channel_queued(&self) -> usize {
         self.io.channels.values().map(|c| c.queue.len()).sum()
     }

@@ -9,9 +9,11 @@
 //! reaches the batch threshold or the next flush tick fires — cutting
 //! controller transport writes on reconvergence bursts and cold
 //! starts. Per-switch message order is preserved, so the final FIB is
-//! identical to the unbatched run (see `tests/fib_batching.rs`).
+//! identical to the unbatched run (see `tests/fib_batching.rs`). What a
+//! bounded channel cannot send yet waits in the switch's channel FIFO,
+//! not here.
 
-use super::channel::{AppCtx, DeferBuffer};
+use super::channel::AppCtx;
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
 use rf_wire::{Ipv4Cidr, MacAddr};
 use std::collections::BTreeMap;
@@ -38,29 +40,16 @@ pub(crate) const FIB_FLUSH_TOKEN: u64 = 0xF1B0_0000_0000_0000;
 const FIB_FLUSH_TICK: Duration = Duration::from_millis(50);
 
 /// Mirrors VM FIB changes onto the data plane.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct FibMirror {
     /// FLOW_MODs queued per switch while a batch fills (`fib_batch > 1`
     /// only; keyed deterministically so flush order never wobbles).
     pending: BTreeMap<u64, Vec<OfMessage>>,
-    /// FLOW_MODs a bounded switch channel refused, retried on the
-    /// flush tick. That retry loop is what makes deferral lossless: the
-    /// final FIB is byte-identical to the unbounded run.
-    deferred: DeferBuffer,
-    /// True while a flush tick is scheduled for the *batch* stage (the
-    /// deferral backlog arms its own, sharing the same token).
+    /// True while a flush tick is scheduled.
     tick_armed: bool,
 }
 
 impl FibMirror {
-    pub(crate) fn new() -> FibMirror {
-        FibMirror {
-            pending: BTreeMap::new(),
-            deferred: DeferBuffer::new(FIB_FLUSH_TOKEN, FIB_FLUSH_TICK),
-            tick_armed: false,
-        }
-    }
-
     fn arm_tick(&mut self, cx: &mut AppCtx<'_, '_>) {
         if !self.tick_armed {
             cx.sim.schedule(FIB_FLUSH_TICK, FIB_FLUSH_TOKEN);
@@ -70,17 +59,11 @@ impl FibMirror {
 
     /// Hand a FLOW_MOD to the batching stage: immediate send at
     /// `fib_batch <= 1` (paper-faithful), otherwise queue per switch
-    /// and flush on the size threshold. A switch with a deferral
-    /// backlog keeps accumulating behind it so per-switch order holds.
+    /// and flush on the size threshold.
     fn emit(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64, fm: OfMessage) {
         let batch = cx.config.fib_batch;
         if batch <= 1 {
-            if self.deferred.is_backlogged(dpid) {
-                self.deferred.park(cx, dpid, vec![fm]);
-                return;
-            }
-            let outcome = cx.send_of(dpid, vec![fm]);
-            let _ = self.deferred.absorb(cx, dpid, outcome, "rf.fib_deferred");
+            cx.send_of(dpid, vec![fm]);
             return;
         }
         let q = self.pending.entry(dpid).or_default();
@@ -92,18 +75,15 @@ impl FibMirror {
         }
     }
 
-    /// Push one switch's backlog + pending batch as a single
-    /// multi-message offer. Only counts a batch when the push actually
-    /// reaches the wire — a down, stalled or credit-starved channel
-    /// queues (or defers) the messages instead.
+    /// Push one switch's pending batch as a single multi-message offer.
+    /// Only counts a batch when the push actually reaches the wire — a
+    /// down, stalled or credit-starved channel queues the messages
+    /// instead.
     fn flush_switch(&mut self, cx: &mut AppCtx<'_, '_>, dpid: u64) {
-        let mut msgs = self.deferred.take(dpid);
-        msgs.extend(self.pending.remove(&dpid).unwrap_or_default());
-        if msgs.is_empty() {
+        let Some(msgs) = self.pending.remove(&dpid) else {
             return;
-        }
-        let outcome = cx.send_of(dpid, msgs);
-        if self.deferred.absorb(cx, dpid, outcome, "rf.fib_deferred") {
+        };
+        if cx.send_of(dpid, msgs) > 0 {
             cx.sim.count("rf.fib_batch_flush", 1);
             cx.state.fib_batches += 1;
         }
@@ -176,13 +156,10 @@ impl FibMirror {
         self.emit(cx, dpid, fm);
     }
 
-    /// The [`FIB_FLUSH_TOKEN`] tick, shared by the batch window and the
-    /// deferral backlog: flush both.
+    /// The [`FIB_FLUSH_TOKEN`] tick: flush every batch window.
     pub(crate) fn on_timer(&mut self, cx: &mut AppCtx<'_, '_>) {
-        self.deferred.on_tick();
         self.tick_armed = false;
-        let mut dpids: Vec<u64> = self.pending.keys().copied().collect();
-        dpids.extend(self.deferred.dpids());
+        let dpids: Vec<u64> = self.pending.keys().copied().collect();
         for dpid in dpids {
             self.flush_switch(cx, dpid);
         }
@@ -190,10 +167,9 @@ impl FibMirror {
 
     pub(crate) fn on_switch_down(&mut self, dpid: u64) {
         // Drop FLOW_MODs still waiting in the dead switch's batch
-        // window or deferral backlog: flushing them would only park
-        // stale routes in the channel's replay queue, to be installed
-        // if a switch ever re-attaches with this dpid.
+        // window: flushing them would only park stale routes in the
+        // channel's replay queue, to be installed if a switch ever
+        // re-attaches with this dpid.
         self.pending.remove(&dpid);
-        self.deferred.forget(dpid);
     }
 }

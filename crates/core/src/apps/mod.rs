@@ -10,19 +10,20 @@
 //! | discovery bridge | an RPC request; after a VM spawn | refines raw topology-controller RPC into switch-up/-down and link changes; owns link records; releases links held for a VM |
 //! | VM lifecycle | switch up/down, link change, VM up | provisions one VM per switch (serially), mirrors links in the virtual interconnect, writes Quagga configs |
 //! | FIB mirror | route add/del, switch down, its flush tick | turns VM FIB changes into FLOW_MODs with LPM priority encoding |
-//! | ARP proxy | PACKET_IN, switch down, its retry tick | answers gateway ARPs, learns hosts, installs /32 delivery flows |
+//! | ARP proxy | PACKET_IN, switch down | answers gateway ARPs, learns hosts, installs /32 delivery flows |
 //!
 //! A switch-down reaches the lifecycle, then the FIB mirror, then the
-//! ARP proxy. When a lifecycle call spawns a VM, the bridge then
+//! switch's channel (which drops what waits beyond its window), then
+//! the ARP proxy. When a lifecycle call spawns a VM, the bridge then
 //! releases the links that waited for it and the lifecycle mirrors
 //! each, in release order.
 //!
-//! Everything the stages send toward a switch passes through a
-//! bounded, credit-metered channel per dpid: a capacity knob, stall
-//! windows ([`ChannelStallWindow`]) and deferral accounting — a full
-//! channel hands the tail back to its producer, which retries it, so a
-//! slow switch exerts backpressure instead of absorbing unbounded
-//! state, and nothing is lost.
+//! Everything the stages send toward a switch passes through one
+//! bounded, credit-metered FIFO per dpid: a capacity knob, stall
+//! windows ([`ChannelStallWindow`]) and deferral accounting. A FLOW_MOD
+//! beyond the admitted window waits in the FIFO for the drain tick, in
+//! offer order across the stages, and a PACKET_OUT there is shed, so a
+//! slow switch exerts backpressure and no flow is lost.
 
 mod arp_proxy;
 mod channel;
@@ -32,7 +33,6 @@ mod fib_mirror;
 mod lifecycle;
 mod state;
 
-pub(crate) use arp_proxy::ARP_RETRY_TOKEN;
 pub use channel::ChannelStallWindow;
 pub(crate) use channel::CHANNEL_DRAIN_TOKEN;
 pub use engine::ControlPlane;

@@ -61,15 +61,16 @@ pub struct ControlState {
     /// Multi-message FLOW_MOD pushes flushed by the FIB-mirror batch
     /// stage (0 when `fib_batch` is 1).
     pub fib_batches: u64,
-    /// Refusal *events*: incremented every time a bounded channel
-    /// bounces a message back to its producer, including re-offers of
-    /// the same message from a retry backlog. It therefore measures how
-    /// long and how hard producers leaned on a full channel (scaling
-    /// with stall duration × retry cadence), not the count of distinct
-    /// messages. Producers retry, so deferral is pacing, not loss.
+    /// Deferral *events*: incremented every time a message lands
+    /// beyond a bounded channel's admitted window, and again for a
+    /// FLOW_MOD at every drain tick that leaves it there. It therefore
+    /// measures how long and how hard producers leaned on a full
+    /// channel (scaling with stall duration × drain cadence), not the
+    /// count of distinct messages. A waiting FLOW_MOD still reaches
+    /// the wire, so deferral is pacing, not loss.
     pub of_deferred: u64,
-    /// Deepest per-switch channel queue observed over the run: how
-    /// hard producers leaned on the bounded channels.
+    /// Deepest admitted window of a per-switch channel observed over
+    /// the run: how hard producers leaned on the bounded channels.
     pub of_queue_hwm: u64,
 }
 

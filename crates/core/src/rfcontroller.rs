@@ -51,12 +51,12 @@ pub struct RfControllerConfig {
     /// immediately (paper-faithful); larger values flush on the batch
     /// threshold or the next flush tick.
     pub fib_batch: usize,
-    /// Bound on each switch channel's send queue, which also sets the
-    /// per-drain-interval send credits. `None` (default) reproduces
+    /// Bound on each switch channel's admitted window, which also sets
+    /// the per-drain-interval send credits. `None` (default) reproduces
     /// the paper's unbounded fire-and-forget behaviour; `Some(0)`
-    /// refuses every message (the degenerate everything-defers case).
-    /// A full channel hands the overflow back to its producer, which
-    /// retries it.
+    /// admits nothing (the degenerate everything-defers case). A
+    /// FLOW_MOD beyond the window waits in the channel's FIFO for the
+    /// drain tick; a PACKET_OUT there is shed.
     pub channel_capacity: Option<usize>,
 }
 

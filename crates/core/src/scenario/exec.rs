@@ -392,10 +392,10 @@ fn resume_in(
 }
 
 /// Snapshot `sc` at its first quiesce point, stepping [`PROBE_SLICE`]
-/// at a time while the controller still holds queued channel output
-/// (a tail batch waiting out its tick), for as long as `in_window`
-/// admits the end of the next slice. `sc` itself is dropped; `None`
-/// if it never quiesced.
+/// at a time while a switch-channel FIFO still holds messages (a FIB
+/// batch still filling is part of the capture), for as long as
+/// `in_window` admits the end of the next slice. `sc` itself is
+/// dropped; `None` if it never quiesced.
 fn quiesce(mut sc: Scenario, in_window: impl Fn(Time) -> bool) -> Option<Snapshot> {
     loop {
         let next = sc.sim.now() + PROBE_SLICE;

@@ -39,9 +39,7 @@ pub use matrix::{
 };
 pub use report::{CellRecord, MatrixReport, MetricSummary};
 
-use crate::apps::{
-    ChannelStallWindow, ControlPlane, ARP_RETRY_TOKEN, CHANNEL_DRAIN_TOKEN, FIB_FLUSH_TOKEN,
-};
+use crate::apps::{ChannelStallWindow, ControlPlane, CHANNEL_DRAIN_TOKEN, FIB_FLUSH_TOKEN};
 use crate::discovery::{TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE};
 use crate::host::video::{VideoClient, VideoClientReport, VideoServer};
 use crate::host::{EchoHost, HostConfig, PingProbeReport, Pinger};
@@ -347,12 +345,13 @@ pub struct ScenarioMetrics {
     pub of_pushes: u64,
     /// Multi-message FLOW_MOD pushes flushed by the FIB batch stage.
     pub fib_batches: u64,
-    /// Deferral events: every time a bounded channel refused a
-    /// message back to its producer (pacing, not loss — producers
-    /// retried them, and each re-refusal counts again, so this scales
+    /// Deferral events: every time a message landed beyond a bounded
+    /// channel's admitted window, and again for a FLOW_MOD at every
+    /// drain tick that left it there (pacing, not loss, so this scales
     /// with how long the channel stayed full).
     pub of_deferred: u64,
-    /// Deepest per-switch channel queue observed over the run.
+    /// Deepest admitted window of a per-switch channel observed over
+    /// the run.
     pub of_queue_hwm: u64,
 }
 
@@ -480,12 +479,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Bound each switch channel's send queue to `n` messages, which
-    /// also sets the channel's per-drain-interval send credits. The
-    /// default is unbounded (the paper's fire-and-forget behaviour);
-    /// `0` is the degenerate everything-defers channel. A full channel
-    /// hands the overflow back to the stage that sent it, which
-    /// retries, so nothing is lost.
+    /// Bound each switch channel's admitted window to `n` messages,
+    /// which also sets the channel's per-drain-interval send credits.
+    /// The default is unbounded (the paper's fire-and-forget
+    /// behaviour); `0` is the degenerate everything-defers channel. A
+    /// FLOW_MOD beyond the window waits in the channel's FIFO for the
+    /// drain tick, so no flow is lost; a PACKET_OUT there is shed.
     pub fn channel_capacity(mut self, n: usize) -> Self {
         self.controller.channel_capacity = Some(n);
         self
@@ -998,9 +997,10 @@ pub struct Scenario {
 pub enum SnapshotError {
     /// Not every switch has turned green yet.
     NotConverged { configured: usize, expected: usize },
-    /// The controller still holds queued channel output (a FIB batch
-    /// waiting out its tick, a deferral backlog, credit-capped
-    /// messages). Run further — e.g. another
+    /// A switch-channel FIFO still holds messages that have not
+    /// reached the wire (credit-capped, stalled, or deferred beyond a
+    /// bounded window). A FIB batch still filling is not checked: it
+    /// is part of the capture. Run further — e.g. another
     /// [`Scenario::run_until`] slice — and retry; snapshotting never
     /// force-drains, because a drain mutates the very state being
     /// captured.
@@ -1147,15 +1147,14 @@ impl Scenario {
     /// * every switch is configured ([`SnapshotError::NotConverged`]
     ///   otherwise) — forks diverge *after* the shared convergence
     ///   prefix, never during it;
-    /// * the controller's channel queues are empty
-    ///   ([`SnapshotError::UndrainedChannels`] otherwise) — a buffered
-    ///   tail batch would be replayed into every fork from a state the
-    ///   producing stages no longer agree with. Snapshotting never
-    ///   force-drains; run further and retry instead.
+    /// * every switch-channel FIFO is empty, its deferral backlog
+    ///   included ([`SnapshotError::UndrainedChannels`] otherwise).
+    ///   Snapshotting never force-drains; run further and retry
+    ///   instead.
     ///
-    /// Pending *timers* (probes, hellos, workload arrivals) are part of
-    /// the capture — they must be, for forks to continue the run
-    /// rather than restart it.
+    /// A FIB batch still filling, like the pending *timers* (probes,
+    /// hellos, workload arrivals), is part of the capture: a fork is a
+    /// deep clone, and continues the run rather than restarting it.
     pub fn snapshot(&self) -> Result<Snapshot, SnapshotError> {
         let configured = self.configured_switches();
         if self.all_configured_at().is_none() {
@@ -1235,8 +1234,8 @@ impl Scenario {
     }
 
     /// Drain the controller's buffered output so a harvest observes a
-    /// settled control plane: a FIB batch waiting out its 50 ms tick,
-    /// a deferral backlog mid-retry, or a credit-capped channel queue
+    /// settled control plane: a FIB batch waiting out its 50 ms tick
+    /// or a credit-capped channel FIFO (its deferral backlog included)
     /// would otherwise leave the last FLOW_MODs unsent in a cell that
     /// stops inside the window. Fires the flush/drain timers and runs
     /// short slices until the counters stop moving (stalled channels
@@ -1251,8 +1250,6 @@ impl Scenario {
             let before = progress(self.controller());
             self.sim
                 .schedule_timer(self.rf_ctrl, Duration::ZERO, FIB_FLUSH_TOKEN);
-            self.sim
-                .schedule_timer(self.rf_ctrl, Duration::ZERO, ARP_RETRY_TOKEN);
             self.sim
                 .schedule_timer(self.rf_ctrl, Duration::from_millis(1), CHANNEL_DRAIN_TOKEN);
             // Long enough for the pushes to traverse the FlowVisor hop
@@ -1281,8 +1278,8 @@ impl Scenario {
     /// Read the scenario's typed metrics as they stand, without the
     /// tail drain: pure observation, no simulation step, safe at any
     /// instant (including just before a [`Scenario::snapshot`]). A
-    /// FIB batch still waiting out its tick or a deferral backlog
-    /// mid-retry is simply not counted yet.
+    /// FIB batch still waiting out its tick or a channel backlog
+    /// waiting for the drain tick is simply not counted yet.
     pub fn peek_metrics(&self) -> ScenarioMetrics {
         let ctrl = self.controller();
         let s = ctrl.state();

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 /// `provision_width`/`fib_batch` knob axes.
 /// v3: backpressure metrics (`of_deferred`, `of_dropped`,
 /// `of_queue_hwm`) joined every cell; grids may carry
-/// `channel_capacity`/`overflow` knob axes, `stall*` fault schedules
+/// `channel_capacity` knob axes, `stall*` fault schedules
 /// and fan-in workload knobs (`fanin_*` metrics).
 /// v4: traffic-engine knobs joined the grids (`traffic_*` metrics:
 /// offered/delivered bytes, flow counts, frame loss, FCT and latency

@@ -70,7 +70,7 @@ fn snapshot_never_force_drains_queued_channel_output() {
         .fib_batch(8)
         .start();
     sc.run_until_configured(Time::from_secs(120))
-        .expect("a capacity-1 Defer channel still converges");
+        .expect("a capacity-1 channel still converges");
     let mut saw_refusal = false;
     for _ in 0..100 {
         match sc.snapshot() {

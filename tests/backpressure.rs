@@ -1,7 +1,7 @@
 //! Backpressure end-to-end: bounded, credit-metered switch channels
 //! must change *when* control traffic moves, never *what* the data
-//! plane ends up holding — a full channel defers, and the producers
-//! retry everything it refused.
+//! plane ends up holding — a FLOW_MOD beyond a full channel's window
+//! waits in the switch's FIFO, and the drain tick moves it on.
 
 use rf_core::scenario::{Fault, Scenario, ScenarioBuilder, Workload, WorkloadReport};
 use rf_sim::Time;
@@ -57,28 +57,42 @@ fn run_to_steady(mut sc: Scenario) -> Scenario {
 fn defer_with_finite_capacity_converges_to_unbounded_fibs() {
     // The acceptance bar: any finite capacity >= 1 ends
     // with final FIBs byte-identical to the unbounded run, because
-    // deferral paces the wire but the producers retry everything.
-    let mut unbounded = run_to_steady(base(31).start());
-    let baseline = flow_tables(&unbounded);
-    assert!(baseline.iter().all(|t| !t.is_empty()));
-    let um = unbounded.finish();
+    // deferral paces the wire but every FLOW_MOD still reaches it. With
+    // a ping attached, the host /32 FLOW_MODs share the bounded FIFO
+    // with the route FLOW_MODs.
+    for ping in [false, true] {
+        let build = |b: ScenarioBuilder| {
+            if ping {
+                b.with_workload(Workload::ping(vec![0], 2).expect("one client"))
+            } else {
+                b
+            }
+        };
+        let mut unbounded = run_to_steady(build(base(31)).start());
+        let baseline = flow_tables(&unbounded);
+        assert!(baseline.iter().all(|t| !t.is_empty()));
+        let um = unbounded.finish();
 
-    for capacity in [1, 2, 4] {
-        let mut sc = run_to_steady(base(31).channel_capacity(capacity).start());
-        let m = sc.finish();
-        assert_eq!(
-            flow_tables(&sc),
-            baseline,
-            "capacity {capacity} final FIBs must match unbounded"
-        );
-        // Same controller decisions reach the wire, just in different
-        // pushes.
-        assert_eq!(m.of_msgs_sent, um.of_msgs_sent, "capacity {capacity}");
-        assert!(
-            m.of_queue_hwm <= capacity as u64,
-            "queue bound must hold (hwm {} > {capacity})",
-            m.of_queue_hwm
-        );
+        for capacity in [1, 2, 4] {
+            let mut sc = run_to_steady(build(base(31)).channel_capacity(capacity).start());
+            let m = sc.finish();
+            assert_eq!(
+                flow_tables(&sc),
+                baseline,
+                "capacity {capacity} (ping: {ping}) final FIBs must match unbounded"
+            );
+            // Same controller decisions reach the wire, just in
+            // different pushes.
+            assert_eq!(
+                m.of_msgs_sent, um.of_msgs_sent,
+                "capacity {capacity} (ping: {ping})"
+            );
+            assert!(
+                m.of_queue_hwm <= capacity as u64,
+                "queue bound must hold (hwm {} > {capacity})",
+                m.of_queue_hwm
+            );
+        }
     }
 }
 
@@ -170,6 +184,39 @@ fn channel_stall_queues_then_releases() {
         flow_tables(&sc),
         baseline,
         "post-stall FIBs must match the never-stalled run"
+    );
+}
+
+#[test]
+fn a_longer_stall_defers_more() {
+    // `of_deferred` counts a FLOW_MOD again at every drain tick that
+    // leaves it beyond the window, so it grows with how long the
+    // channel stayed full: the same cold-start burst stalled for 18 s
+    // instead of 8 s must defer strictly more, within the same bound.
+    let deferred = |until: u64| {
+        let mut sc = run_to_steady(
+            base(11)
+                .channel_capacity(2)
+                .with_fault(Fault::ChannelStall {
+                    dpid: 2,
+                    from: Duration::from_secs(2),
+                    until: Duration::from_secs(until),
+                })
+                .start(),
+        );
+        let m = sc.finish();
+        assert!(
+            m.of_queue_hwm <= 2,
+            "stall to {until} s: hwm {}",
+            m.of_queue_hwm
+        );
+        m.of_deferred
+    };
+    let (short, long) = (deferred(10), deferred(20));
+    assert!(short > 0, "the stall must defer");
+    assert!(
+        long > short,
+        "an 18 s stall deferred {long}, an 8 s one {short}"
     );
 }
 

@@ -179,7 +179,9 @@ fn a_forked_group_runs_its_fault_free_prefix_once() {
     // it shares with the rest. The report stays the cold bytes at any
     // thread count, and what the sweep actually simulates is pinned:
     // a capture that stayed at convergence would re-run up to 60 s per
-    // member and miss the pinned count by far.
+    // member and miss the pinned count by far. The count includes each
+    // cell's harvest drain: one pass per cell here, which wakes the
+    // controller for the batch flush and the channel drain.
     let matrix = ScenarioMatrix::new(ladder_spec());
     let (cold, cold_stats) = matrix.run_instrumented(2, ScenarioMatrix::standard_builder);
     let cold_json = cold.to_json();
@@ -195,7 +197,7 @@ fn a_forked_group_runs_its_fault_free_prefix_once() {
         );
         assert_eq!(stats.total_events(), cold_stats.total_events());
         assert!(stats.dispatched * 2 < cold_stats.total_events());
-        assert_eq!(stats.dispatched, 78_716, "events actually simulated");
+        assert_eq!(stats.dispatched, 78_692, "events actually simulated");
     }
 }
 
