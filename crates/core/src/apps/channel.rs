@@ -55,7 +55,8 @@ impl ChannelStallWindow {
 }
 
 /// Timer token of the engine-owned channel drain tick. Fires only
-/// while some up-channel holds queued messages; stages never see it.
+/// while some up-channel holds queued messages that a refill or the end
+/// of a stall can move; stages never see it.
 pub(crate) const CHANNEL_DRAIN_TOKEN: u64 = 0xC4A7_0000_0000_0000;
 
 /// The credit replenish cadence of a blocked channel.
@@ -196,8 +197,10 @@ impl AppCtx<'_, '_> {
         };
         let n = ch.queue.len().min(ch.credits);
         if n == 0 {
-            if !ch.queue.is_empty() {
-                self.arm_drain(); // out of credits: wait for a refill
+            // Out of credits: wait for a refill — unless the capacity is
+            // 0, when no refill grants one and the queue waits for good.
+            if !ch.queue.is_empty() && self.capacity() > 0 {
+                self.arm_drain();
             }
             return 0;
         }
@@ -219,8 +222,8 @@ impl AppCtx<'_, '_> {
     /// The drain tick: refill every channel's credits and flush what
     /// can move. A FLOW_MOD the tick leaves beyond the window is
     /// deferred once more. Re-arms itself while any up-channel still
-    /// holds queued messages (a stalled window, a credit-capped
-    /// backlog).
+    /// holds queued messages a later tick can move (a stalled window, a
+    /// credit-capped backlog); a capacity-0 channel has none.
     pub(crate) fn drain_all(&mut self) {
         self.io.drain_armed = false;
         let cap = self.capacity();
@@ -321,6 +324,10 @@ mod tests {
         queued: Vec<String>,
         deferred: u64,
         hwm: u64,
+        /// Drain ticks that fired.
+        ticks: u32,
+        /// Whether a drain tick is pending at the end.
+        drain_armed: bool,
     }
 
     /// Exercise the channel layer from inside a real dispatch (a `Ctx`
@@ -351,6 +358,7 @@ mod tests {
             let mut seen = self.seen.lock().unwrap();
             seen.deferred = self.state.of_deferred;
             seen.hwm = self.state.of_queue_hwm;
+            seen.drain_armed = self.io.drain_armed;
             seen.queued = self
                 .io
                 .channels
@@ -409,6 +417,7 @@ mod tests {
                 token, CHANNEL_DRAIN_TOKEN,
                 "the drain tick is the only timer"
             );
+            self.seen.lock().unwrap().ticks += 1;
             self.with_cx(ctx, |cx| cx.drain_all());
         }
 
@@ -471,22 +480,27 @@ mod tests {
         tags.into_iter().map(|t| label(&fm(t))).collect()
     }
 
+    /// A capacity-0 channel never gets a credit, so no drain tick is
+    /// armed for it: each waiting FLOW_MOD is deferred once, on arrival,
+    /// and the controller is not woken to move nothing. A PACKET_OUT is
+    /// shed, and counted once, as on any full channel.
     #[test]
     fn capacity_zero_wires_nothing() {
         let (seen, shed) = run(
             Some(0),
             true,
             None,
-            vec![Offer::Msgs(1, vec![fm(1), po(2), fm(3)])],
+            vec![Offer::Msgs(1, vec![fm(1), fm(3)])],
         );
         assert!(seen.arrived.is_empty());
         assert_eq!(seen.queued, labels([1, 3]), "the FLOW_MODs wait, in order");
-        assert_eq!(shed, 1, "the PACKET_OUT is shed");
-        assert_eq!(seen.hwm, 0);
-        assert!(
-            seen.deferred > 3,
-            "waiting FLOW_MODs count again at every drain tick"
-        );
+        assert_eq!(seen.deferred, 2, "each counted once, on arrival");
+        assert_eq!((seen.ticks, seen.drain_armed), (0, false), "no drain tick");
+        assert_eq!((seen.hwm, shed), (0, 0));
+        let (seen, shed) = run(Some(0), true, None, vec![Offer::Msgs(1, vec![po(2)])]);
+        assert_eq!((seen.deferred, shed), (1, 1), "the PACKET_OUT is shed");
+        assert!(seen.queued.is_empty());
+        assert_eq!((seen.ticks, seen.drain_armed), (0, false));
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //!   flowspace are rewritten to the intersection when possible and
 //!   rejected with an `EPERM` error otherwise; `PACKET_OUT` payloads
 //!   are policy-checked the same way;
-//! * `PORT_STATUS` fans out to all slices; `FLOW_REMOVED` is routed by
-//!   installer slice (tracked by cookie).
+//! * `PORT_STATUS` fans out to all slices; a switch's `ERROR` goes
+//!   back to the slice whose request it answers;
+//! * a message that does not decode (`GET_CONFIG`, `BARRIER` and
+//!   `FLOW_REMOVED` among them) is dropped, from either side.
 //!
 //! The two messages of every LLDP probe are only passed on, so neither
 //! is decoded: a switch's `PACKET_IN` is routed from a

@@ -7,7 +7,6 @@ use rf_openflow::{
     PacketOutView, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Marker for FlowVisor-originated requests in the xid ring.
@@ -81,8 +80,6 @@ pub struct FlowVisor {
     /// `x % XID_WINDOW`: allocating `x` overwrites the entry that just
     /// left the window, `x - XID_WINDOW`.
     xids: Vec<XidSlot>,
-    /// (switch, cookie) → slice, for FLOW_REMOVED routing.
-    cookie_owner: BTreeMap<(usize, u64), usize>,
     /// FLOW_MODs rejected by flowspace policy.
     pub denied_flow_mods: u64,
     /// FLOW_MODs narrowed to the slice's flowspace.
@@ -104,7 +101,6 @@ impl FlowVisor {
             roles: Vec::new(),
             next_xid: 1,
             xids: vec![XidSlot::default(); XID_WINDOW as usize],
-            cookie_owner: BTreeMap::new(),
             denied_flow_mods: 0,
             rewritten_flow_mods: 0,
         }
@@ -245,19 +241,9 @@ impl FlowVisor {
                     self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
                 }
             }
-            OfMessage::FlowRemoved { cookie, .. } => {
-                if let Some(&slice) = self.cookie_owner.get(&(sw, cookie)) {
-                    self.forward_raw_to_slice(ctx, sw, slice, raw);
-                } else {
-                    for slice_idx in 0..self.slices.len() {
-                        self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
-                    }
-                }
-            }
-            // Request replies: route by rewritten xid.
-            OfMessage::BarrierReply
-            | OfMessage::GetConfigReply { .. }
-            | OfMessage::Error { .. } => {
+            // A switch's one reply to a forwarded request is an ERROR
+            // (a FLOW_MOD or PACKET_OUT it refused): route by xid.
+            OfMessage::Error { .. } => {
                 // An ERROR's context is a slice of `raw`: let go of it,
                 // so the xid can be written where the message lies.
                 drop(msg);
@@ -383,7 +369,6 @@ impl FlowVisor {
                         return;
                     }
                 };
-                self.cookie_owner.insert((sw, cookie), slice);
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 if matches!(decision, FlowSpaceDecision::Allow) {
                     // Untouched flowspace: only the xid changes.
@@ -404,11 +389,8 @@ impl FlowVisor {
                     self.send_to_switch(ctx, sw, &fm, new_xid);
                 }
             }
-            // Forwarded requests that expect a reply: remap the xid.
             // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
-            OfMessage::BarrierRequest
-            | OfMessage::GetConfigRequest
-            | OfMessage::SetConfig { .. } => {
+            OfMessage::SetConfig { .. } => {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, raw, new_xid);
             }

@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_openflow::{
-    Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
+    Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -295,26 +295,55 @@ fn disjoint_flow_mod_rejected_with_eperm() {
     assert!(got_err, "controller must get EPERM with its own xid");
 }
 
+/// Each slice's refused request comes back to that slice alone, under
+/// the slice's own xid: the RF slice's FLOW_MOD with a hard timeout
+/// (FLOW_MOD_FAILED / UNSUPPORTED), the topology slice's PACKET_OUT
+/// naming a buffer (BAD_REQUEST / BUFFER_UNKNOWN). Both pass the
+/// flowspace check; the switch refuses them.
 #[test]
-fn barrier_xid_restored_per_slice() {
+fn refusal_xid_restored_per_slice() {
     let mut rf = SliceController::new(6642);
-    rf.script = vec![(Duration::from_secs(1), OfMessage::BarrierRequest, 0xAAAA)];
+    let timed = OfMessage::FlowMod {
+        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8),
+        cookie: 7,
+        command: FlowModCommand::Add,
+        idle_timeout: 0,
+        hard_timeout: 30,
+        priority: 100,
+        buffer_id: OFP_NO_BUFFER,
+        out_port: OFPP_NONE,
+        flags: 0,
+        actions: vec![Action::output(1)],
+    };
+    rf.script = vec![(Duration::from_secs(1), timed, 0xAAAA)];
     let mut topo = SliceController::new(6641);
-    topo.script = vec![(Duration::from_secs(1), OfMessage::BarrierRequest, 0xBBBB)];
+    let buffered = OfMessage::PacketOut {
+        buffer_id: 7,
+        in_port: 1,
+        actions: vec![Action::output(1)],
+        data: Bytes::new(),
+    };
+    topo.script = vec![(Duration::from_secs(1), buffered, 0xBBBB)];
     let mut w = world(topo, rf);
     w.sim.run_until(Time::from_secs(2));
-    let rfc = w.sim.agent_as::<SliceController>(w.rf_ctrl).unwrap();
-    assert!(rfc
-        .received
-        .iter()
-        .zip(&rfc.received_xids)
-        .any(|(m, x)| matches!(m, OfMessage::BarrierReply) && *x == 0xAAAA));
-    let tc = w.sim.agent_as::<SliceController>(w.topo_ctrl).unwrap();
-    assert!(tc
-        .received
-        .iter()
-        .zip(&tc.received_xids)
-        .any(|(m, x)| matches!(m, OfMessage::BarrierReply) && *x == 0xBBBB));
+    let errors = |ctrl| {
+        let c = w.sim.agent_as::<SliceController>(ctrl).unwrap();
+        c.received
+            .iter()
+            .zip(&c.received_xids)
+            .filter_map(|(m, x)| match m {
+                OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *x)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(errors(w.rf_ctrl), [(ErrorType::FlowModFailed, 5, 0xAAAA)]);
+    assert_eq!(errors(w.topo_ctrl), [(ErrorType::BadRequest, 8, 0xBBBB)]);
+    let sw = w.sim.agent_as::<OpenFlowSwitch>(w.sw).unwrap();
+    assert!(
+        sw.flow_table().is_empty(),
+        "the timed FLOW_MOD went nowhere"
+    );
 }
 
 #[test]

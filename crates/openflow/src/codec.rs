@@ -111,7 +111,7 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(&OfMessage::Hello.encode(1));
         stream.extend_from_slice(&OfMessage::FeaturesRequest.encode(2));
-        stream.extend_from_slice(&OfMessage::BarrierRequest.encode(3));
+        stream.extend_from_slice(&OfMessage::EchoRequest(Bytes::from_static(b"ka")).encode(3));
         r.push_bytes(Bytes::from(stream));
         let msgs = r.drain().unwrap();
         assert_eq!(msgs.len(), 3);

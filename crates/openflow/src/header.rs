@@ -18,6 +18,9 @@ pub enum MsgType {
     Vendor = 4,
     FeaturesRequest = 5,
     FeaturesReply = 6,
+    // Types 7, 8, 11 and 15–19 are named so that a message of one
+    // fails to decode as `OfError::Malformed`, not `UnknownType`: none
+    // is implemented, because nothing in the loop sends one.
     GetConfigRequest = 7,
     GetConfigReply = 8,
     SetConfig = 9,
@@ -26,8 +29,6 @@ pub enum MsgType {
     PortStatus = 12,
     PacketOut = 13,
     FlowMod = 14,
-    // Types 15–17 are named so that a message of one fails to decode
-    // as `OfError::Malformed`, not `UnknownType`: none is implemented.
     PortMod = 15,
     StatsRequest = 16,
     StatsReply = 17,

@@ -6,9 +6,9 @@
 //! big-endian wire encodings per the OpenFlow 1.0.0 specification:
 //!
 //! * connection setup: `HELLO`, `ECHO_REQUEST/REPLY`, `FEATURES_REQUEST/
-//!   REPLY`, `SET_CONFIG`/`GET_CONFIG`, `ERROR`
+//!   REPLY`, `SET_CONFIG`, `ERROR`
 //! * the reactive path: `PACKET_IN`, `PACKET_OUT`
-//! * the proactive path: `FLOW_MOD`, `FLOW_REMOVED`, `BARRIER`
+//! * the proactive path: `FLOW_MOD`
 //! * port changes: `PORT_STATUS`
 //! * the 40-byte `ofp_match` with the OF 1.0 wildcard bitfield and
 //!   CIDR-style nw_src/nw_dst masking, and the full OF 1.0 action list
@@ -22,9 +22,12 @@
 //! Out of scope: OF 1.1+, VLAN handling in the datapath, queues/QoS
 //! (`ENQUEUE` is encoded but our switch treats it as plain output),
 //! `QUEUE_GET_CONFIG`, vendor extensions beyond an opaque passthrough,
-//! and the emergency flow cache. `PORT_MOD` and `STATS_REQUEST/REPLY`
-//! (types 15–17), which nothing in the paper's loop sends, decode to a
-//! typed [`OfError::Malformed`].
+//! and the emergency flow cache. `GET_CONFIG_REQUEST/REPLY`,
+//! `FLOW_REMOVED`, `PORT_MOD`, `STATS_REQUEST/REPLY` and
+//! `BARRIER_REQUEST/REPLY` (types 7, 8, 11, 15–19), which nothing in the
+//! paper's loop sends, decode to a typed [`OfError::Malformed`]: its
+//! flows are installed for good and deleted by the controller, so no
+//! switch times one out, reports one removed or counts its traffic.
 
 #![forbid(unsafe_code)]
 
@@ -40,8 +43,8 @@ pub use codec::{reframe_with_xid, MessageReader};
 pub use flow_match::{KeyDepth, OfMatch, PacketKey, Wildcards, OFP_VLAN_NONE};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 pub use messages::{
-    ErrorCode, ErrorType, FlowModCommand, FlowRemovedReason, OfMessage, PacketInReason,
-    PacketInView, PacketOutView, PortStatusReason, SwitchFeatures,
+    ErrorCode, ErrorType, FlowModCommand, OfMessage, PacketInReason, PacketInView, PacketOutView,
+    PortStatusReason, SwitchFeatures,
 };
 pub use ports::{
     PhyPort, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_MAX,

@@ -49,14 +49,6 @@ pub enum PacketInReason {
     Action,
 }
 
-/// Why a FLOW_REMOVED was sent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowRemovedReason {
-    IdleTimeout,
-    HardTimeout,
-    Delete,
-}
-
 /// Why a PORT_STATUS was sent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PortStatusReason {
@@ -126,11 +118,6 @@ pub enum OfMessage {
     EchoReply(Bytes),
     FeaturesRequest,
     FeaturesReply(SwitchFeatures),
-    GetConfigRequest,
-    GetConfigReply {
-        flags: u16,
-        miss_send_len: u16,
-    },
     SetConfig {
         flags: u16,
         miss_send_len: u16,
@@ -141,17 +128,6 @@ pub enum OfMessage {
         in_port: PortNumber,
         reason: PacketInReason,
         data: Bytes,
-    },
-    FlowRemoved {
-        of_match: OfMatch,
-        cookie: u64,
-        priority: u16,
-        reason: FlowRemovedReason,
-        duration_sec: u32,
-        duration_nsec: u32,
-        idle_timeout: u16,
-        packet_count: u64,
-        byte_count: u64,
     },
     PortStatus {
         reason: PortStatusReason,
@@ -175,8 +151,6 @@ pub enum OfMessage {
         flags: u16,
         actions: Vec<Action>,
     },
-    BarrierRequest,
-    BarrierReply,
     /// Vendor/experimenter passthrough.
     Vendor {
         vendor: u32,
@@ -332,9 +306,6 @@ impl PacketInView {
     }
 }
 
-/// `OFPFF_SEND_FLOW_REM` flag for FLOW_MOD.
-pub const OFPFF_SEND_FLOW_REM: u16 = 1;
-
 impl OfMessage {
     pub fn msg_type(&self) -> MsgType {
         match self {
@@ -344,16 +315,11 @@ impl OfMessage {
             OfMessage::EchoReply(_) => MsgType::EchoReply,
             OfMessage::FeaturesRequest => MsgType::FeaturesRequest,
             OfMessage::FeaturesReply(_) => MsgType::FeaturesReply,
-            OfMessage::GetConfigRequest => MsgType::GetConfigRequest,
-            OfMessage::GetConfigReply { .. } => MsgType::GetConfigReply,
             OfMessage::SetConfig { .. } => MsgType::SetConfig,
             OfMessage::PacketIn { .. } => MsgType::PacketIn,
-            OfMessage::FlowRemoved { .. } => MsgType::FlowRemoved,
             OfMessage::PortStatus { .. } => MsgType::PortStatus,
             OfMessage::PacketOut { .. } => MsgType::PacketOut,
             OfMessage::FlowMod { .. } => MsgType::FlowMod,
-            OfMessage::BarrierRequest => MsgType::BarrierRequest,
-            OfMessage::BarrierReply => MsgType::BarrierReply,
             OfMessage::Vendor { .. } => MsgType::Vendor,
         }
     }
@@ -410,17 +376,12 @@ impl OfMessage {
     /// a capacity hint — never affects the emitted bytes).
     fn body_size_hint(&self) -> usize {
         match self {
-            OfMessage::Hello
-            | OfMessage::FeaturesRequest
-            | OfMessage::GetConfigRequest
-            | OfMessage::BarrierRequest
-            | OfMessage::BarrierReply => 0,
+            OfMessage::Hello | OfMessage::FeaturesRequest => 0,
             OfMessage::Error { data, .. } => 4 + data.len(),
             OfMessage::EchoRequest(d) | OfMessage::EchoReply(d) => d.len(),
             OfMessage::FeaturesReply(f) => 24 + f.ports.len() * 48,
-            OfMessage::GetConfigReply { .. } | OfMessage::SetConfig { .. } => 4,
+            OfMessage::SetConfig { .. } => 4,
             OfMessage::PacketIn { data, .. } => 10 + data.len(),
-            OfMessage::FlowRemoved { .. } => 80,
             OfMessage::PortStatus { .. } => 56,
             OfMessage::PacketOut { actions, data, .. } => 8 + actions.len() * 16 + data.len(),
             OfMessage::FlowMod { actions, .. } => 64 + actions.len() * 16,
@@ -430,11 +391,7 @@ impl OfMessage {
 
     fn emit_body(&self, buf: &mut BytesMut) {
         match self {
-            OfMessage::Hello
-            | OfMessage::FeaturesRequest
-            | OfMessage::GetConfigRequest
-            | OfMessage::BarrierRequest
-            | OfMessage::BarrierReply => {}
+            OfMessage::Hello | OfMessage::FeaturesRequest => {}
             OfMessage::Error {
                 err_type,
                 code,
@@ -456,11 +413,7 @@ impl OfMessage {
                     p.emit_into(buf);
                 }
             }
-            OfMessage::GetConfigReply {
-                flags,
-                miss_send_len,
-            }
-            | OfMessage::SetConfig {
+            OfMessage::SetConfig {
                 flags,
                 miss_send_len,
             } => {
@@ -483,33 +436,6 @@ impl OfMessage {
                 });
                 buf.put_u8(0);
                 buf.put_slice(data);
-            }
-            OfMessage::FlowRemoved {
-                of_match,
-                cookie,
-                priority,
-                reason,
-                duration_sec,
-                duration_nsec,
-                idle_timeout,
-                packet_count,
-                byte_count,
-            } => {
-                of_match.emit_into(buf);
-                buf.put_u64(*cookie);
-                buf.put_u16(*priority);
-                buf.put_u8(match reason {
-                    FlowRemovedReason::IdleTimeout => 0,
-                    FlowRemovedReason::HardTimeout => 1,
-                    FlowRemovedReason::Delete => 2,
-                });
-                buf.put_u8(0);
-                buf.put_u32(*duration_sec);
-                buf.put_u32(*duration_nsec);
-                buf.put_u16(*idle_timeout);
-                buf.put_u16(0);
-                buf.put_u64(*packet_count);
-                buf.put_u64(*byte_count);
             }
             OfMessage::PortStatus { reason, desc } => {
                 buf.put_u8(match reason {
@@ -645,14 +571,6 @@ impl OfMessage {
                     ports,
                 })
             }
-            MsgType::GetConfigRequest => OfMessage::GetConfigRequest,
-            MsgType::GetConfigReply => {
-                need(4)?;
-                OfMessage::GetConfigReply {
-                    flags: be16(0),
-                    miss_send_len: be16(2),
-                }
-            }
             MsgType::SetConfig => {
                 need(4)?;
                 OfMessage::SetConfig {
@@ -668,27 +586,6 @@ impl OfMessage {
                     in_port: view.in_port,
                     reason: view.reason,
                     data: grab(body, PACKET_IN_FIXED_LEN - OFP_HEADER_LEN),
-                }
-            }
-            MsgType::FlowRemoved => {
-                need(OFP_MATCH_LEN + 40)?;
-                let of_match = OfMatch::parse(&body[..OFP_MATCH_LEN])?;
-                let o = OFP_MATCH_LEN;
-                OfMessage::FlowRemoved {
-                    of_match,
-                    cookie: be64(o),
-                    priority: be16(o + 8),
-                    reason: match body[o + 10] {
-                        0 => FlowRemovedReason::IdleTimeout,
-                        1 => FlowRemovedReason::HardTimeout,
-                        2 => FlowRemovedReason::Delete,
-                        _ => return Err(OfError::Malformed("flow_removed reason")),
-                    },
-                    duration_sec: be32(o + 12),
-                    duration_nsec: be32(o + 16),
-                    idle_timeout: be16(o + 20),
-                    packet_count: be64(o + 24),
-                    byte_count: be64(o + 32),
                 }
             }
             MsgType::PortStatus => {
@@ -729,11 +626,16 @@ impl OfMessage {
                     actions: Action::parse_list(&body[o + 24..])?,
                 }
             }
-            MsgType::BarrierRequest => OfMessage::BarrierRequest,
-            MsgType::BarrierReply => OfMessage::BarrierReply,
+            MsgType::GetConfigRequest | MsgType::GetConfigReply => {
+                return Err(OfError::Malformed("GET_CONFIG not supported"))
+            }
+            MsgType::FlowRemoved => return Err(OfError::Malformed("FLOW_REMOVED not supported")),
             MsgType::PortMod => return Err(OfError::Malformed("PORT_MOD not supported")),
             MsgType::StatsRequest | MsgType::StatsReply => {
                 return Err(OfError::Malformed("STATS not supported"))
+            }
+            MsgType::BarrierRequest | MsgType::BarrierReply => {
+                return Err(OfError::Malformed("BARRIER not supported"))
             }
         };
         Ok((msg, header.xid))
@@ -790,11 +692,6 @@ mod tests {
 
     #[test]
     fn config_roundtrip() {
-        roundtrip(OfMessage::GetConfigRequest);
-        roundtrip(OfMessage::GetConfigReply {
-            flags: 0,
-            miss_send_len: 128,
-        });
         roundtrip(OfMessage::SetConfig {
             flags: 0,
             miss_send_len: 0xFFFF,
@@ -840,27 +737,12 @@ mod tests {
             priority: 0x8000,
             buffer_id: crate::OFP_NO_BUFFER,
             out_port: crate::ports::OFPP_NONE,
-            flags: OFPFF_SEND_FLOW_REM,
+            flags: 1, // SEND_FLOW_REM: carried, though no switch here takes it
             actions: vec![
                 Action::SetDlSrc(MacAddr([2, 0, 0, 0, 0, 1])),
                 Action::SetDlDst(MacAddr([2, 0, 0, 0, 0, 2])),
                 Action::output(2),
             ],
-        });
-    }
-
-    #[test]
-    fn flow_removed_roundtrip() {
-        roundtrip(OfMessage::FlowRemoved {
-            of_match: OfMatch::any(),
-            cookie: 1,
-            priority: 100,
-            reason: FlowRemovedReason::IdleTimeout,
-            duration_sec: 30,
-            duration_nsec: 12345,
-            idle_timeout: 10,
-            packet_count: 99,
-            byte_count: 9900,
         });
     }
 
@@ -872,12 +754,24 @@ mod tests {
         });
     }
 
-    /// STATS_REQUEST / STATS_REPLY are well-framed but not implemented:
-    /// a typed rejection, whatever the body, like PORT_MOD's.
+    /// The OF 1.0 types nothing in the loop sends — GET_CONFIG,
+    /// FLOW_REMOVED, PORT_MOD, STATS and BARRIER — are well-framed but
+    /// not implemented: a typed rejection, whatever the body.
     #[test]
-    fn stats_is_rejected_typed() {
-        for msg_type in [MsgType::StatsRequest, MsgType::StatsReply] {
-            // Header alone, then with a desc-type body (type 0, flags 0).
+    fn unimplemented_types_are_rejected_typed() {
+        let types = [
+            (MsgType::GetConfigRequest, "GET_CONFIG not supported"),
+            (MsgType::GetConfigReply, "GET_CONFIG not supported"),
+            (MsgType::FlowRemoved, "FLOW_REMOVED not supported"),
+            (MsgType::PortMod, "PORT_MOD not supported"),
+            (MsgType::StatsRequest, "STATS not supported"),
+            (MsgType::StatsReply, "STATS not supported"),
+            (MsgType::BarrierRequest, "BARRIER not supported"),
+            (MsgType::BarrierReply, "BARRIER not supported"),
+        ];
+        for (msg_type, why) in types {
+            // Header alone, then with four bytes of body (a STATS desc
+            // request's type and flags, a GET_CONFIG reply's fields).
             for body in [&[][..], &[0, 0, 0, 0]] {
                 let mut wire = OfHeader {
                     version: OFP_VERSION,
@@ -888,7 +782,7 @@ mod tests {
                 .emit()
                 .to_vec();
                 wire.extend_from_slice(body);
-                let want = Err(OfError::Malformed("STATS not supported"));
+                let want = Err(OfError::Malformed(why));
                 assert_eq!(OfMessage::decode(&wire), want);
                 assert_eq!(OfMessage::decode_bytes(&Bytes::from(wire)), want);
             }
@@ -896,9 +790,7 @@ mod tests {
     }
 
     #[test]
-    fn barrier_and_vendor() {
-        roundtrip(OfMessage::BarrierRequest);
-        roundtrip(OfMessage::BarrierReply);
+    fn vendor_roundtrip() {
         roundtrip(OfMessage::Vendor {
             vendor: 0x0026E1,
             data: Bytes::from_static(b"opaque"),
@@ -932,7 +824,6 @@ mod tests {
                 flags: 0,
                 actions: vec![],
             },
-            OfMessage::BarrierRequest,
         ];
         let wire = OfMessage::encode_batch(&msgs, 100);
         // Byte-for-byte the concatenation of the individual encodings.
@@ -954,7 +845,7 @@ mod tests {
             xids.push(xid);
         }
         assert_eq!(decoded, msgs);
-        assert_eq!(xids, vec![100, 101, 102]);
+        assert_eq!(xids, vec![100, 101]);
     }
 
     fn hex(b: &[u8]) -> String {
@@ -1000,7 +891,6 @@ mod tests {
                 actions: vec![Action::output(3)],
                 data: Bytes::from_static(b"probe"),
             },
-            OfMessage::BarrierRequest,
         ];
         let want = concat!(
             "010e00700000006400323fef0000000000000000000000000000ffff00000800",
@@ -1011,7 +901,6 @@ mod tests {
             "0000000000000000ac1f02000000000000000000000000020004000000001010",
             "ffffffffffff0000",
             "010d001d00000066ffffffffffff0008000000080003000070726f6265",
-            "0112000800000067",
         );
         assert_eq!(hex(&OfMessage::encode_batch(&msgs, 100)), want);
     }
@@ -1146,16 +1035,9 @@ mod tests {
                 data: Bytes::new(),
             }
             .encode(8),
-            OfMessage::FlowRemoved {
-                of_match: OfMatch::any(),
-                cookie: 1,
-                priority: 2,
-                reason: FlowRemovedReason::Delete,
-                duration_sec: 3,
-                duration_nsec: 4,
-                idle_timeout: 5,
-                packet_count: 6,
-                byte_count: 7,
+            OfMessage::SetConfig {
+                flags: 0,
+                miss_send_len: 128,
             }
             .encode(9),
         ]

@@ -15,15 +15,17 @@
 //!   delay/hold timers — everything **sans-IO** (smoltcp style): the
 //!   daemon consumes packets and clock ticks, and returns packets to
 //!   send plus route updates;
-//! * [`config`] — Quagga-style configuration files: the RPC server
-//!   *writes* `zebra.conf` / `ospfd.conf` / `bgpd.conf` text and the
-//!   daemons *parse it back* to configure themselves, because those
-//!   files are precisely the artifact the paper automates (§1 item 4).
+//! * [`config`] — Quagga-style configuration files, because those files
+//!   are precisely the artifact the paper automates (§1 item 4): the
+//!   RPC server *writes* `zebra.conf` / `ospfd.conf` / `bgpd.conf` text
+//!   and sends all three to the VM, which *parses* `zebra.conf` and
+//!   `ospfd.conf` back to configure its interfaces and its OSPF daemon.
+//!   `bgpd.conf` is rendered and sent, and nothing reads it.
 //!
 //! Out of scope: OSPF areas other than 0, broadcast-network DR
 //! election (the virtual interconnect is all point-to-point /30s),
-//! NBMA, authentication, virtual links; BGP route exchange (only
-//! `bgpd.conf` generation and a session FSM stub).
+//! NBMA, authentication, virtual links; BGP itself (there is no BGP
+//! speaker, only the `bgpd.conf` text).
 
 #![forbid(unsafe_code)]
 

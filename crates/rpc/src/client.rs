@@ -59,9 +59,8 @@ impl RpcClientAgent {
         }
     }
 
-    /// Enqueue a request programmatically (used when the topology
-    /// controller embeds the client instead of dialing it).
-    pub fn submit(&mut self, ctx: &mut Ctx<'_>, request: RpcRequest) {
+    /// Queue a request relayed from upstream and flush what can go.
+    fn submit(&mut self, ctx: &mut Ctx<'_>, request: RpcRequest) {
         self.queue.push(request);
         self.flush(ctx);
     }

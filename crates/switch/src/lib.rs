@@ -11,12 +11,17 @@
 //!   [`rf_openflow::PacketKey`] and looks it up in a priority-ordered
 //!   wildcard [`flow_table::FlowTable`] — or, for a repeated frame of an
 //!   IPv4 flow, finds the answer in the table's exact-match cache;
-//! * punts table misses to the controller as `PACKET_IN` (buffering
-//!   the frame and truncating to `miss_send_len`, like real OVS);
-//! * executes `FLOW_MOD` / `PACKET_OUT` / `BARRIER` / `ECHO`, emits
-//!   `FLOW_REMOVED` on timeout expiry and `PORT_STATUS` on port
-//!   changes, and counts a message it cannot decode (a `STATS_REQUEST`
-//!   among them) as `switch.decode_error` without answering it;
+//! * punts table misses to the controller as `PACKET_IN`, the frame
+//!   cut to `miss_send_len` and buffered nowhere (`OFP_NO_BUFFER`;
+//!   FEATURES_REPLY advertises `n_buffers` 0);
+//! * executes `FLOW_MOD` / `PACKET_OUT` / `ECHO` and announces port
+//!   changes as `PORT_STATUS`. A flow lives until it is deleted: a
+//!   `FLOW_MOD` with a timeout or a flag is refused with
+//!   `FLOW_MOD_FAILED` / `UNSUPPORTED`, and one naming a buffer (as a
+//!   `PACKET_OUT` naming one) with `BAD_REQUEST` / `BUFFER_UNKNOWN`,
+//!   each installing nothing. A message it cannot decode (a
+//!   `STATS_REQUEST`, `GET_CONFIG_REQUEST` or `BARRIER_REQUEST` among
+//!   them) counts as `switch.decode_error` and is not answered;
 //! * rewrites frames per the OF 1.0 action set ([`datapath`]),
 //!   recomputing IPv4/UDP checksums on header rewrites.
 
@@ -27,5 +32,5 @@ pub mod flow_table;
 pub mod switch;
 
 pub use datapath::{apply_actions, apply_actions_owned, Egress};
-pub use flow_table::{FlowEntry, FlowTable, Removed};
+pub use flow_table::{FlowEntry, FlowTable};
 pub use switch::{OpenFlowSwitch, SwitchConfig};

@@ -1,34 +1,44 @@
 //! The [`OpenFlowSwitch`] simulation agent — our Open vSwitch 1.4.1.
 
 use crate::datapath::{apply_actions_owned, Egress};
-use crate::flow_table::{FlowTable, Removed};
+use crate::flow_table::FlowTable;
 use bytes::Bytes;
 use rf_openflow::{
-    ErrorType, MessageReader, OfError, OfMessage, PacketInReason, PacketOutView, PhyPort,
-    PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
+    ErrorCode, ErrorType, MessageReader, OfError, OfMessage, PacketInReason, PacketOutView,
+    PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::MacAddr;
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Timer tokens.
-const T_EXPIRY: u64 = 1;
+const T_PORT_STATUS: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
 const T_ECHO: u64 = 3;
 
-/// Packet buffer pool size: Open vSwitch's 256 PACKET_IN buffers.
-const N_BUFFERS: u32 = 256;
-/// Flow-expiry scan period, this model's own value: a hard or idle
-/// timeout fires at most half a second late.
-const EXPIRY_INTERVAL: Duration = Duration::from_millis(500);
+/// PORT_STATUS announcement period, this model's own value: a port
+/// change is reported at most half a second late. The tick runs from
+/// start whether or not a change is pending; arming it on demand would
+/// reorder it against same-instant events (the LLDP probe rounds run on
+/// the same 500 ms grid).
+const PORT_STATUS_INTERVAL: Duration = Duration::from_millis(500);
 /// Keepalive ECHO_REQUEST period on a ready control channel, this
 /// model's own value.
 const ECHO_INTERVAL: Duration = Duration::from_secs(15);
 /// Wait before redialling a dropped controller: the 1 s first backoff
 /// of Open vSwitch's rconn.
 const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
+
+/// `OFPBRC_BAD_TYPE`: a message a switch does not take.
+const BAD_TYPE: ErrorCode = 1;
+/// `OFPBRC_BAD_VENDOR`.
+const BAD_VENDOR: ErrorCode = 3;
+/// `OFPBRC_BUFFER_UNKNOWN`: this switch buffers no frame.
+const BUFFER_UNKNOWN: ErrorCode = 8;
+/// `OFPFMFC_UNSUPPORTED`, the closest OF 1.0 code for a timeout or a
+/// flag: every flow lives until it is deleted, and reports nothing.
+const UNSUPPORTED: ErrorCode = 5;
 
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
@@ -90,15 +100,9 @@ pub struct OpenFlowSwitch {
     cfg: SwitchConfig,
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
-    /// PACKET_IN buffer pool, oldest first: `(id, frame, in_port)`. A
-    /// ring of [`N_BUFFERS`] slots — a miss that finds it full overwrites
-    /// the oldest frame, as OVS's pktbuf does, so a controller that
-    /// never releases buffers cannot pin frames or change what later
-    /// PACKET_INs look like.
-    buffers: VecDeque<(u32, Bytes, PortNumber)>,
-    next_buffer: u32,
+    /// How much of a missed frame a PACKET_IN carries (SET_CONFIG's
+    /// field). The switch buffers no frame, so this is a cut only.
     miss_send_len: u16,
-    config_flags: u16,
     /// Administratively disabled ports (no tx/rx).
     ports_down: Vec<bool>,
     xid: u32,
@@ -149,10 +153,7 @@ impl OpenFlowSwitch {
             cfg,
             ctrls,
             table: FlowTable::new(),
-            buffers: VecDeque::new(),
-            next_buffer: 1,
             miss_send_len: 128,
-            config_flags: 0,
             ports_down: vec![false; n],
             xid: 1,
             pending_port_status: Vec::new(),
@@ -184,7 +185,7 @@ impl OpenFlowSwitch {
     /// Administratively take a port down/up; emits PORT_STATUS.
     /// Exposed for failure-injection experiments (tests reach it via
     /// `Sim::agent_as_mut`, then the change takes effect immediately;
-    /// the PORT_STATUS goes out on the next expiry tick).
+    /// the PORT_STATUS goes out on the next port-status tick).
     pub fn set_port_admin(&mut self, port: PortNumber, down: bool) {
         if let Some(slot) = port_index(port).and_then(|idx| self.ports_down.get_mut(idx)) {
             *slot = down;
@@ -246,26 +247,46 @@ impl OpenFlowSwitch {
         c.conn = Some(ctx.connect(target.0, target.1, ConnProfile::default()));
     }
 
-    /// Emit PACKET_IN for a table miss (buffering the frame).
+    /// Answer a request on control channel `idx` with an ERROR under
+    /// the request's own xid, so a proxy can route it back to the
+    /// slice that sent it.
+    fn refuse(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: usize,
+        err_type: ErrorType,
+        code: ErrorCode,
+        xid: u32,
+    ) {
+        self.errors_sent += 1;
+        let data = Bytes::new();
+        self.send_to(
+            ctx,
+            idx,
+            OfMessage::Error {
+                err_type,
+                code,
+                data,
+            },
+            xid,
+        );
+    }
+
+    /// Emit PACKET_IN for a table miss: the frame cut to
+    /// `miss_send_len`, buffered nowhere (`OFP_NO_BUFFER`).
     fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
         if !self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
             ctx.count("switch.miss_no_controller", 1);
             return;
         }
         let total_len = frame.len() as u16;
-        if self.buffers.len() as u32 >= N_BUFFERS {
-            self.buffers.pop_front();
-        }
-        let buffer_id = self.next_buffer;
-        self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
-        self.buffers.push_back((buffer_id, frame.clone(), in_port));
         let data = frame.slice(..frame.len().min(self.miss_send_len as usize));
         let xid = self.next_xid();
         ctx.count("of.packet_in", 1);
         self.send(
             ctx,
             OfMessage::PacketIn {
-                buffer_id,
+                buffer_id: OFP_NO_BUFFER,
                 total_len,
                 in_port,
                 reason: PacketInReason::NoMatch,
@@ -273,15 +294,6 @@ impl OpenFlowSwitch {
             },
             xid,
         );
-    }
-
-    /// Release a buffered frame; `None` once it was released or
-    /// overwritten.
-    fn take_buffer(&mut self, buffer_id: u32) -> Option<(Bytes, PortNumber)> {
-        let at = self.buffers.iter().position(|b| b.0 == buffer_id)?;
-        self.buffers
-            .remove(at)
-            .map(|(_, frame, port)| (frame, port))
     }
 
     /// Run a frame through the flow table and execute the result.
@@ -295,7 +307,7 @@ impl OpenFlowSwitch {
     /// interpreter: a routed hop allocates no action list and copies no
     /// frame. A miss goes to the controller as a PACKET_IN.
     fn pipeline(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
-        let Some(matched) = self.table.classify(in_port, &frame, ctx.now()) else {
+        let Some(matched) = self.table.classify(in_port, &frame) else {
             ctx.count("switch.unparseable", 1);
             return;
         };
@@ -386,30 +398,6 @@ impl OpenFlowSwitch {
             .is_some_and(|down| !down)
     }
 
-    fn flow_removed_msgs(&mut self, ctx: &mut Ctx<'_>, removed: Vec<Removed>) {
-        for r in removed {
-            if r.entry.flags & rf_openflow::messages::OFPFF_SEND_FLOW_REM != 0 {
-                let dur = ctx.now().since(r.entry.installed_at);
-                let xid = self.next_xid();
-                self.send(
-                    ctx,
-                    OfMessage::FlowRemoved {
-                        of_match: r.entry.of_match,
-                        cookie: r.entry.cookie,
-                        priority: r.entry.priority,
-                        reason: r.reason,
-                        duration_sec: dur.as_secs() as u32,
-                        duration_nsec: dur.subsec_nanos(),
-                        idle_timeout: r.entry.idle_timeout,
-                        packet_count: r.entry.packet_count,
-                        byte_count: r.entry.byte_count,
-                    },
-                    xid,
-                );
-            }
-        }
-    }
-
     /// One message off control channel `idx`. A PACKET_OUT — every
     /// LLDP probe is one — is executed from the message where it lies
     /// ([`PacketOutView`]): its actions are decoded as the interpreter
@@ -422,21 +410,11 @@ impl OpenFlowSwitch {
             return Ok(());
         };
         ctx.count("of.packet_out", 1);
-        let frame = if out.buffer_id == OFP_NO_BUFFER {
-            out.data(&raw)
-        } else if let Some((frame, _)) = self.take_buffer(out.buffer_id) {
-            frame
-        } else {
-            self.errors_sent += 1;
-            let xid = self.next_xid();
-            let unknown = OfMessage::Error {
-                err_type: ErrorType::BadRequest,
-                code: 8, // OFPBRC_BUFFER_UNKNOWN
-                data: Bytes::new(),
-            };
-            self.send_to(ctx, idx, unknown, xid);
+        if out.buffer_id != OFP_NO_BUFFER {
+            self.refuse(ctx, idx, ErrorType::BadRequest, BUFFER_UNKNOWN, out.xid);
             return Ok(());
-        };
+        }
+        let frame = out.data(&raw);
         let mut egress = std::mem::take(&mut self.egress);
         let ports = self.cfg.num_ports;
         apply_actions_owned(frame, out.actions(&raw), out.in_port, ports, &mut egress);
@@ -456,7 +434,7 @@ impl OpenFlowSwitch {
             OfMessage::FeaturesRequest => {
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: self.cfg.dpid,
-                    n_buffers: N_BUFFERS,
+                    n_buffers: 0,
                     n_tables: 1,
                     capabilities: 0x0000_0080, // ARP_MATCH_IP
                     actions: 0x0000_0FFF,      // all OF 1.0 actions
@@ -464,89 +442,54 @@ impl OpenFlowSwitch {
                 });
                 self.send_to(ctx, idx, reply, xid);
             }
-            OfMessage::SetConfig {
-                flags,
-                miss_send_len,
-            } => {
-                self.config_flags = flags;
+            OfMessage::SetConfig { miss_send_len, .. } => {
                 self.miss_send_len = miss_send_len;
             }
-            OfMessage::GetConfigRequest => {
-                let reply = OfMessage::GetConfigReply {
-                    flags: self.config_flags,
-                    miss_send_len: self.miss_send_len,
-                };
-                self.send_to(ctx, idx, reply, xid);
+            // A flow lives until it is deleted, and a frame is never
+            // buffered: a FLOW_MOD asking otherwise is refused whole.
+            OfMessage::FlowMod {
+                idle_timeout,
+                hard_timeout,
+                flags,
+                ..
+            } if idle_timeout | hard_timeout | flags != 0 => {
+                self.refuse(ctx, idx, ErrorType::FlowModFailed, UNSUPPORTED, xid);
+            }
+            OfMessage::FlowMod { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
+                self.refuse(ctx, idx, ErrorType::BadRequest, BUFFER_UNKNOWN, xid);
             }
             OfMessage::FlowMod {
                 of_match,
                 cookie,
                 command,
-                idle_timeout,
-                hard_timeout,
                 priority,
-                buffer_id,
                 out_port,
-                flags,
                 actions,
+                ..
             } => {
                 ctx.count("of.flow_mod", 1);
-                let removed = self.table.apply_flow_mod(
+                // Deleted entries are moved out and dropped: nothing
+                // reports a flow removed.
+                self.table.apply_flow_mod(
                     command,
                     of_match,
                     priority,
                     cookie,
-                    idle_timeout,
-                    hard_timeout,
-                    flags,
+                    0,
+                    0,
+                    0,
                     out_port,
                     actions,
                     ctx.now(),
                 );
-                self.flow_removed_msgs(ctx, removed);
-                // Release the buffered packet through the new state.
-                if buffer_id != OFP_NO_BUFFER {
-                    if let Some((frame, in_port)) = self.take_buffer(buffer_id) {
-                        self.pipeline(ctx, in_port, frame);
-                    }
-                }
-            }
-            OfMessage::BarrierRequest => {
-                // Processing is already serial in the simulation, so a
-                // barrier completes immediately.
-                self.send_to(ctx, idx, OfMessage::BarrierReply, xid);
             }
             OfMessage::Vendor { .. } => {
-                self.errors_sent += 1;
-                let xid2 = self.next_xid();
-                self.send_to(
-                    ctx,
-                    idx,
-                    OfMessage::Error {
-                        err_type: ErrorType::BadRequest,
-                        code: 3, // OFPBRC_BAD_VENDOR
-                        data: Bytes::new(),
-                    },
-                    xid2,
-                );
+                self.refuse(ctx, idx, ErrorType::BadRequest, BAD_VENDOR, xid);
             }
             // Symmetric / controller-role messages a switch should not
             // receive; reply with an error like OVS does. (A PACKET_OUT
             // never gets here: `handle_frame`.)
-            _ => {
-                self.errors_sent += 1;
-                let xid2 = self.next_xid();
-                self.send_to(
-                    ctx,
-                    idx,
-                    OfMessage::Error {
-                        err_type: ErrorType::BadRequest,
-                        code: 1, // OFPBRC_BAD_TYPE
-                        data: Bytes::new(),
-                    },
-                    xid2,
-                );
-            }
+            _ => self.refuse(ctx, idx, ErrorType::BadRequest, BAD_TYPE, xid),
         }
     }
 
@@ -580,17 +523,15 @@ impl Agent for OpenFlowSwitch {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
         }
-        ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
+        ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
         ctx.schedule(ECHO_INTERVAL, T_ECHO);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
-            T_EXPIRY => {
-                let removed = self.table.expire(ctx.now());
-                self.flow_removed_msgs(ctx, removed);
+            T_PORT_STATUS => {
                 self.drain_port_status(ctx);
-                ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
+                ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
             }
             T_ECHO => {
                 if self.ctrls.iter().any(|c| c.state == ConnState::Ready) {

@@ -1,12 +1,12 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
-//! miss → PACKET_IN, FLOW_MOD install, buffered-packet release, the
-//! buffer ring, PACKET_OUT, `output:TABLE`, classification depth, an
-//! unsupported request, timeouts, reconnect.
+//! miss → PACKET_IN, FLOW_MOD install, PACKET_OUT, `output:TABLE`,
+//! classification depth, undecodable requests, refused timeouts, flags
+//! and buffers, reconnect.
 
 use bytes::Bytes;
 use rf_openflow::{
-    Action, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketInReason, Wildcards,
-    OFPP_NONE, OFPP_TABLE, OFP_NO_BUFFER,
+    Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketInReason,
+    Wildcards, OFPP_NONE, OFPP_TABLE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -28,9 +28,6 @@ struct MockController {
     /// Raw bytes to write onto the control channel (delay, bytes) after
     /// start.
     raw: Vec<(Duration, Bytes)>,
-    /// Respond to PACKET_IN by installing this flow (match, actions)
-    /// with the packet's buffer id.
-    on_packet_in_install: Option<(OfMatch, Vec<Action>)>,
     pub features: Vec<rf_openflow::SwitchFeatures>,
 }
 
@@ -89,23 +86,6 @@ impl Agent for MockController {
                     };
                     if let OfMessage::FeaturesReply(f) = &msg {
                         self.features.push(f.clone());
-                    }
-                    if let OfMessage::PacketIn { buffer_id, .. } = &msg {
-                        if let Some((m, actions)) = self.on_packet_in_install.clone() {
-                            let fm = OfMessage::FlowMod {
-                                of_match: m,
-                                cookie: 0,
-                                command: FlowModCommand::Add,
-                                idle_timeout: 0,
-                                hard_timeout: 0,
-                                priority: 100,
-                                buffer_id: *buffer_id,
-                                out_port: OFPP_NONE,
-                                flags: 0,
-                                actions,
-                            };
-                            ctx.conn_send(conn, fm.encode(99));
-                        }
                     }
                     self.received.push((msg, xid));
                 }
@@ -201,6 +181,7 @@ fn handshake_reports_features() {
     assert_eq!(f.datapath_id, 0x1C);
     assert_eq!(f.ports.len(), 2);
     assert_eq!(f.n_tables, 1);
+    assert_eq!(f.n_buffers, 0, "a miss is never buffered");
     assert_eq!(f.capabilities, 0x80, "ARP_MATCH_IP, and no STATS");
     assert!(b
         .sim
@@ -209,15 +190,19 @@ fn handshake_reports_features() {
         .is_connected());
 }
 
+/// A miss goes to the controller cut to `miss_send_len` (128 by
+/// default), with `total_len` the frame's length and no buffer behind
+/// it, every time it happens.
 #[test]
-fn table_miss_sends_packet_in_with_buffer() {
+fn table_miss_sends_a_cut_unbuffered_packet_in() {
     let mut b = bench(MockController::default());
-    // Host A sends a frame after the handshake settles.
-    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((
-        1,
-        udp_frame(Ipv4Addr::new(10, 0, 0, 5)),
-        Duration::from_secs(1),
-    ));
+    // Host A sends a 242-byte frame twice after the handshake settles.
+    let frame = udp_frame_carrying(Ipv4Addr::new(10, 0, 0, 5), Bytes::from(vec![0x5A; 200]));
+    {
+        let host_a = b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap();
+        host_a.tx = Some((1, frame.clone(), Duration::from_secs(1)));
+        host_a.repeat = 1;
+    }
     b.sim.run_until(rf_sim::Time::from_secs(2));
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
     let pins: Vec<_> = ctrl
@@ -234,44 +219,16 @@ fn table_miss_sends_packet_in_with_buffer() {
             _ => None,
         })
         .collect();
-    assert_eq!(pins.len(), 1);
-    let (buffer_id, in_port, reason, data_len, total_len) = pins[0];
-    assert_ne!(buffer_id, OFP_NO_BUFFER);
-    assert_eq!(in_port, 1);
-    assert_eq!(reason, PacketInReason::NoMatch);
-    assert!(data_len <= 128, "miss_send_len truncation");
-    assert!(total_len as usize >= data_len);
-}
-
-#[test]
-fn flow_mod_with_buffer_releases_packet() {
-    let ctrl = MockController {
-        on_packet_in_install: Some((
-            OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8),
-            vec![Action::output(2)],
-        )),
-        ..MockController::default()
-    };
-    let mut b = bench(ctrl);
-    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((
+    let want = (
+        OFP_NO_BUFFER,
         1,
-        udp_frame(Ipv4Addr::new(10, 0, 0, 5)),
-        Duration::from_secs(1),
-    ));
-    b.sim.run_until(rf_sim::Time::from_secs(2));
-    // The buffered frame must come out of port 2 after the FLOW_MOD.
+        PacketInReason::NoMatch,
+        128,
+        frame.len() as u16,
+    );
+    assert_eq!(pins, [want, want]);
     let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
-    assert_eq!(host_b.frames.len(), 1);
-    // And subsequent frames flow without further PACKET_INs.
-    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((
-        1,
-        udp_frame(Ipv4Addr::new(10, 0, 0, 6)),
-        Duration::from_millis(100),
-    ));
-    // re-trigger the tx timer by scheduling through a fresh run window
-    b.sim.run_until(rf_sim::Time::from_secs(3));
-    let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
-    assert_eq!(sw.flow_count(), 1);
+    assert!(host_b.frames.is_empty());
 }
 
 /// FLOW_MOD ADD of a /8 destination prefix with no buffer to release.
@@ -288,66 +245,6 @@ fn install(net: [u8; 4], actions: Vec<Action>) -> OfMessage {
         flags: 0,
         actions,
     }
-}
-
-#[test]
-fn buffer_pool_is_a_ring_that_overwrites_the_oldest() {
-    // No controller app ever releases a buffer (they all answer with
-    // OFP_NO_BUFFER), so the pool must recycle on its own: every miss,
-    // however late, is buffered and cut to miss_send_len.
-    let packet_out = |buffer_id| OfMessage::PacketOut {
-        buffer_id,
-        in_port: 1,
-        actions: vec![Action::output(2)],
-        data: Bytes::new(),
-    };
-    let ctrl = MockController {
-        script: vec![
-            (Duration::from_secs(2), packet_out(1), 71),
-            (Duration::from_millis(2100), packet_out(300), 72),
-        ],
-        ..MockController::default()
-    };
-    let mut b = bench(ctrl);
-    let frame = udp_frame_carrying(Ipv4Addr::new(10, 0, 0, 5), Bytes::from(vec![0x5A; 200]));
-    {
-        let host_a = b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap();
-        host_a.tx = Some((1, frame.clone(), Duration::from_secs(1)));
-        host_a.repeat = 299;
-    }
-    b.sim.run_until(rf_sim::Time::from_secs(3));
-    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    let pins: Vec<(u32, usize, u16)> = ctrl
-        .received
-        .iter()
-        .filter_map(|(m, _)| match m {
-            OfMessage::PacketIn {
-                buffer_id,
-                data,
-                total_len,
-                ..
-            } => Some((*buffer_id, data.len(), *total_len)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(pins.len(), 300);
-    assert_eq!(
-        pins[299],
-        (300, 128, frame.len() as u16),
-        "the 300th miss is still buffered and cut to miss_send_len"
-    );
-    // Id 1 was overwritten 44 misses ago; id 300 is still there.
-    let unknown_buffer: Vec<u32> = ctrl
-        .received
-        .iter()
-        .filter_map(|(m, xid)| match m {
-            OfMessage::Error { code: 8, .. } => Some(*xid),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(unknown_buffer.len(), 1, "only the overwritten id errors");
-    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
-    assert_eq!(host_b.frames, vec![(1, frame)]);
 }
 
 #[test]
@@ -551,140 +448,114 @@ fn echo_request_answered() {
         .any(|(m, xid)| matches!(m, OfMessage::EchoReply(d) if &d[..] == b"hello?") && *xid == 7));
 }
 
-#[test]
-fn barrier_answered_with_same_xid() {
-    let ctrl = MockController {
-        script: vec![(Duration::from_secs(1), OfMessage::BarrierRequest, 0xAB)],
-        ..MockController::default()
-    };
-    let mut b = bench(ctrl);
-    b.sim.run_until(rf_sim::Time::from_secs(2));
-    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    assert!(ctrl
-        .received
-        .iter()
-        .any(|(m, xid)| matches!(m, OfMessage::BarrierReply) && *xid == 0xAB));
-}
-
-/// A STATS_REQUEST is well-framed, but nothing decodes it: the switch
-/// counts it as a decode error and answers nothing, and the BARRIER
-/// right behind it in the same chunk is answered as usual.
+/// A STATS_REQUEST, a GET_CONFIG_REQUEST and a BARRIER_REQUEST are
+/// well-framed, but nothing decodes them: the switch counts each as a
+/// decode error and answers none, and the ECHO_REQUEST right behind
+/// them in the same chunk is answered as usual.
 #[test]
 fn stats_request_is_counted_and_unanswered() {
     // `ofp_header` (version 1, type 16, length 12, xid 0x51), then a
-    // desc request's `ofp_stats_request` type and flags.
+    // desc request's `ofp_stats_request` type and flags; then bare
+    // headers of type 7 (GET_CONFIG_REQUEST) and 18 (BARRIER_REQUEST).
     let mut chunk = vec![1, 16, 0, 12, 0, 0, 0, 0x51, 0, 0, 0, 0];
-    chunk.extend_from_slice(&OfMessage::BarrierRequest.encode(0x52));
+    chunk.extend_from_slice(&[1, 7, 0, 8, 0, 0, 0, 0x53]);
+    chunk.extend_from_slice(&[1, 18, 0, 8, 0, 0, 0, 0x54]);
+    let echo = OfMessage::EchoRequest(Bytes::from_static(b"still there?"));
+    chunk.extend_from_slice(&echo.encode(0x52));
     let ctrl = MockController {
         raw: vec![(Duration::from_secs(1), Bytes::from(chunk))],
         ..MockController::default()
     };
     let mut b = bench(ctrl);
     b.sim.run_until(rf_sim::Time::from_secs(2));
-    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 1);
+    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 3);
     let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
     assert_eq!(sw.errors_sent, 0);
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
     assert_eq!(ctrl.undecoded, 0);
-    // Past the handshake, the barrier's reply alone.
+    // Past the handshake, the echo's reply alone.
     let after_handshake: Vec<_> = ctrl
         .received
         .iter()
         .filter(|(m, _)| !matches!(m, OfMessage::Hello | OfMessage::FeaturesReply(_)))
         .collect();
-    assert_eq!(after_handshake, [&(OfMessage::BarrierReply, 0x52)]);
+    let reply = OfMessage::EchoReply(Bytes::from_static(b"still there?"));
+    assert_eq!(after_handshake, [&(reply, 0x52)]);
 }
 
+/// What the switch does not do, it refuses, typed and under the
+/// request's own xid, and installs or sends nothing: a FLOW_MOD with an
+/// idle or hard timeout or with SEND_FLOW_REM gets FLOW_MOD_FAILED /
+/// UNSUPPORTED (a flow lives until it is deleted, and nothing reports
+/// it removed); a FLOW_MOD or a PACKET_OUT naming a buffer gets
+/// BAD_REQUEST / BUFFER_UNKNOWN (a miss is never buffered).
 #[test]
-fn hard_timeout_emits_flow_removed() {
-    let ctrl = MockController {
-        script: vec![(
-            Duration::from_secs(1),
-            OfMessage::FlowMod {
-                of_match: OfMatch::any(),
-                cookie: 5,
-                command: FlowModCommand::Add,
-                idle_timeout: 0,
-                hard_timeout: 2,
-                priority: 1,
-                buffer_id: OFP_NO_BUFFER,
-                out_port: OFPP_NONE,
-                flags: rf_openflow::messages::OFPFF_SEND_FLOW_REM,
-                actions: vec![Action::output(2)],
-            },
-            1,
-        )],
-        ..MockController::default()
-    };
-    let mut b = bench(ctrl);
-    b.sim.run_until(rf_sim::Time::from_secs(5));
-    let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
-    assert_eq!(sw.flow_count(), 0, "entry must expire");
-    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    let removed = ctrl.received.iter().find_map(|(m, _)| match m {
-        OfMessage::FlowRemoved { cookie, reason, .. } => Some((*cookie, *reason)),
-        _ => None,
-    });
-    let (cookie, reason) = removed.expect("FLOW_REMOVED must be sent");
-    assert_eq!(cookie, 5);
-    assert_eq!(reason, rf_openflow::FlowRemovedReason::HardTimeout);
-}
-
-/// Every flow the apps install is untimed, and the switch's expiry tick
-/// skips a table holding only such entries. Timed entries among them
-/// still expire on time, each with its FLOW_REMOVED.
-#[test]
-fn timed_entries_among_untimed_ones_expire_on_time() {
-    let flow = |i: u8, cookie, idle_timeout, hard_timeout| OfMessage::FlowMod {
-        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, i, 0, 0), 16),
-        cookie,
+fn timeouts_flags_and_buffers_are_refused_typed() {
+    let flow_mod = |idle_timeout, hard_timeout, flags, buffer_id| OfMessage::FlowMod {
+        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(11, 0, 0, 0), 8),
+        cookie: 0,
         command: FlowModCommand::Add,
         idle_timeout,
         hard_timeout,
-        priority: 1,
-        buffer_id: OFP_NO_BUFFER,
+        priority: 100,
+        buffer_id,
         out_port: OFPP_NONE,
-        flags: rf_openflow::messages::OFPFF_SEND_FLOW_REM,
+        flags,
         actions: vec![Action::output(2)],
     };
-    let at = Duration::from_secs(1);
+    let ms = Duration::from_millis;
     let ctrl = MockController {
         script: vec![
-            (at, flow(1, 1, 0, 0), 1),
-            (at, flow(2, 2, 2, 0), 2),
-            (at, flow(3, 3, 0, 0), 3),
-            (at, flow(4, 4, 0, 3), 4),
-            (at, flow(5, 5, 0, 0), 5),
+            (ms(1000), install([10, 0, 0, 0], vec![Action::output(2)]), 1),
+            (ms(1100), flow_mod(10, 0, 0, OFP_NO_BUFFER), 0x11),
+            (ms(1100), flow_mod(0, 30, 0, OFP_NO_BUFFER), 0x12),
+            (ms(1100), flow_mod(0, 0, 1, OFP_NO_BUFFER), 0x13), // SEND_FLOW_REM
+            (ms(1100), flow_mod(0, 0, 0, 7), 0x14),
+            (
+                ms(1100),
+                OfMessage::PacketOut {
+                    buffer_id: 7,
+                    in_port: 1,
+                    actions: vec![Action::output(2)],
+                    data: Bytes::new(),
+                },
+                0x15,
+            ),
         ],
         ..MockController::default()
     };
     let mut b = bench(ctrl);
-    // Installed just after 1 s; the expiry tick runs every 500 ms.
-    let mut flows_at = |secs: u64, millis: u64| {
-        b.sim
-            .run_until(rf_sim::Time::from_secs(secs) + Duration::from_millis(millis));
-        b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap().flow_count()
-    };
-    assert_eq!(flows_at(3, 200), 5);
-    assert_eq!(flows_at(4, 0), 4, "idle for 2 s");
-    assert_eq!(flows_at(5, 0), 3, "3 s since installed");
-    assert_eq!(flows_at(30, 0), 3, "untimed entries never expire");
+    b.sim.run_until(rf_sim::Time::from_millis(1050));
+    let before = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    let before = before.flow_table().entries().to_vec();
+    assert_eq!(before.len(), 1, "the route went in");
+    b.sim.run_until(rf_sim::Time::from_secs(2));
+    let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    assert_eq!(sw.flow_table().entries(), before, "nothing was installed");
+    assert_eq!(sw.errors_sent, 5);
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    let removed: Vec<_> = ctrl
+    let errors: Vec<_> = ctrl
         .received
         .iter()
-        .filter_map(|(m, _)| match m {
-            OfMessage::FlowRemoved { cookie, reason, .. } => Some((*cookie, *reason)),
+        .filter_map(|(m, xid)| match m {
+            OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *xid)),
             _ => None,
         })
         .collect();
+    let unsupported = |xid| (ErrorType::FlowModFailed, 5, xid);
+    let unknown = |xid| (ErrorType::BadRequest, 8, xid);
     assert_eq!(
-        removed,
+        errors,
         [
-            (2, rf_openflow::FlowRemovedReason::IdleTimeout),
-            (4, rf_openflow::FlowRemovedReason::HardTimeout),
+            unsupported(0x11),
+            unsupported(0x12),
+            unsupported(0x13),
+            unknown(0x14),
+            unknown(0x15),
         ]
     );
+    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
+    assert!(host_b.frames.is_empty(), "the PACKET_OUT sent nothing");
 }
 
 #[test]

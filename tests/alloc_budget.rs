@@ -223,8 +223,8 @@ fn a_routed_hop_copies_no_frame() {
     );
     // The first two frames warm the path up (the table's lookup order
     // and cache, the event queue's slots); the third is measured, in a
-    // window that holds nothing else — the switch's expiry tick falls on
-    // the half seconds.
+    // window that holds nothing else — the switch's port-status tick
+    // falls on the half seconds.
     let a = sim.add_agent(
         "a",
         Box::new(Stub {
@@ -459,7 +459,7 @@ fn an_lldp_probe_round_trip_allocates_for_one_message() {
     assert_eq!(controller(&sim, ctrl).links().len(), 2, "probes come back");
     let events = sim.events_dispatched();
 
-    // The round at 3 s, with both switches' expiry ticks and the
+    // The round at 3 s, with both switches' port-status ticks and the
     // controller's ageing pass in the window: the links stay up only
     // if this round's probes are heard.
     let ((), allocations, _) = counted(|| sim.run_until(Time::from_millis(3400)));
@@ -521,8 +521,8 @@ fn a_fork_copies_the_templates_it_shares_once() {
 }
 
 /// Answers what FlowVisor needs to bring a slice up, then every
-/// BARRIER_REQUEST with its reply and every FLOW_MOD with an ERROR that
-/// quotes it.
+/// PACKET_OUT naming a buffer with a bare BUFFER_UNKNOWN ERROR and every
+/// FLOW_MOD with an ERROR that quotes it.
 #[derive(Clone)]
 struct ReplyingSwitch {
     fv: AgentId,
@@ -550,7 +550,13 @@ impl Agent for ReplyingSwitch {
                     actions: 0,
                     ports: Vec::new(),
                 }),
-                OfMessage::BarrierRequest => OfMessage::BarrierReply,
+                OfMessage::PacketOut { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
+                    OfMessage::Error {
+                        err_type: ErrorType::BadRequest,
+                        code: 8, // OFPBRC_BUFFER_UNKNOWN
+                        data: Bytes::new(),
+                    }
+                }
                 OfMessage::FlowMod { .. } => OfMessage::Error {
                     err_type: ErrorType::FlowModFailed,
                     code: 0,
@@ -597,8 +603,9 @@ impl Agent for RequestingController {
     }
 }
 
-/// A reply on its way back through FlowVisor — a BARRIER_REPLY, an
-/// ERROR whose quoted request is a slice of the message — is decoded
+/// A reply on its way back through FlowVisor — an ERROR quoting
+/// nothing, an ERROR whose quoted request is a slice of the message —
+/// is decoded
 /// to be routed, let go of, and sent on in the buffer it arrived in
 /// with the slice's own xid written over FlowVisor's. Nothing is
 /// allocated: not a copy, not a handle, not a map entry (2 per reply
@@ -617,12 +624,18 @@ fn a_forwarded_reply_allocates_nothing() {
         flags: 0,
         actions: vec![Action::output(1)],
     };
+    let buffered = OfMessage::PacketOut {
+        buffer_id: 9,
+        in_port: 1,
+        actions: vec![Action::output(2)],
+        data: Bytes::new(),
+    };
     let requests = [
         // Two to warm up FlowVisor's readers, at 100 and 110 ms.
-        OfMessage::BarrierRequest.encode(0x51),
+        buffered.encode(0x51),
         flow_mod.encode(0x52),
         // The two measured, at 200 and 300 ms.
-        OfMessage::BarrierRequest.encode(0xB1),
+        buffered.encode(0xB1),
         flow_mod.encode(0xE1),
     ];
     let mut sim = Sim::new(SimConfig::default());
@@ -659,7 +672,7 @@ fn a_forwarded_reply_allocates_nothing() {
     // A request sent at t reaches FlowVisor at t + 1 ms, the switch at
     // + 2, its reply FlowVisor at + 3 and the controller at + 4: the
     // window (t + 2.5, t + 3.5) holds FlowVisor's pass and nothing else.
-    for (sent_ms, xid, is_error) in [(200, 0xB1, false), (300, 0xE1, true)] {
+    for (sent_ms, xid, quotes) in [(200, 0xB1, false), (300, 0xE1, true)] {
         sim.run_until(Time::from_nanos(sent_ms * 1_000_000 + 2_500_000));
 
         let ((), allocations, _) =
@@ -670,13 +683,12 @@ fn a_forwarded_reply_allocates_nothing() {
         let (reply, reply_xid) = last(&sim);
         assert_eq!(reply_xid, xid, "routed back under the slice's own xid");
         match reply {
-            OfMessage::BarrierReply => assert!(!is_error),
-            OfMessage::Error { data, .. } => {
-                assert!(is_error);
-                // It quotes the FLOW_MOD as the switch saw it: under
-                // FlowVisor's xid, not the slice's.
+            // It quotes the FLOW_MOD as the switch saw it: under
+            // FlowVisor's xid, not the slice's.
+            OfMessage::Error { data, .. } if quotes => {
                 assert_eq!(data[8..], flow_mod.encode(0)[8..64]);
             }
+            OfMessage::Error { data, .. } => assert!(data.is_empty()),
             other => panic!("{other:?}"),
         }
     }

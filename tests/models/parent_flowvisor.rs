@@ -7,6 +7,8 @@
 //! drained into a list before any is handled. The reference the real
 //! proxy must match byte for byte, on every connection. Its two STATS
 //! arms are deleted here as in the real proxy: no STATS message decodes.
+//! Nor does a GET_CONFIG, BARRIER or FLOW_REMOVED: their arms and the
+//! cookie map that routed FLOW_REMOVED are deleted likewise.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
@@ -94,8 +96,6 @@ pub struct ModelFlowVisor {
     next_xid: u32,
     /// rewritten xid → (switch, slice, original xid).
     xid_map: HashMap<u32, (usize, usize, u32)>,
-    /// (switch, cookie) → slice, for FLOW_REMOVED routing.
-    cookie_owner: HashMap<(usize, u64), usize>,
     /// FLOW_MODs rejected by flowspace policy.
     pub denied_flow_mods: u64,
     /// FLOW_MODs narrowed to the slice's flowspace.
@@ -117,7 +117,6 @@ impl ModelFlowVisor {
             roles: HashMap::new(),
             next_xid: 1,
             xid_map: HashMap::new(),
-            cookie_owner: HashMap::new(),
             denied_flow_mods: 0,
             rewritten_flow_mods: 0,
             scratch: Vec::new(),
@@ -246,19 +245,8 @@ impl ModelFlowVisor {
                     self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
                 }
             }
-            OfMessage::FlowRemoved { cookie, .. } => {
-                if let Some(&slice) = self.cookie_owner.get(&(sw, cookie)) {
-                    self.forward_raw_to_slice(ctx, sw, slice, raw);
-                } else {
-                    for slice_idx in 0..self.cfg.slices.len() {
-                        self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
-                    }
-                }
-            }
             // Request replies: route by rewritten xid.
-            OfMessage::BarrierReply
-            | OfMessage::GetConfigReply { .. }
-            | OfMessage::Error { .. } => {
+            OfMessage::Error { .. } => {
                 if let Some(&(s, slice, orig)) = self.xid_map.get(&xid) {
                     self.xid_map.remove(&xid);
                     if slice != FV_SELF {
@@ -353,7 +341,6 @@ impl ModelFlowVisor {
                         return;
                     }
                 };
-                self.cookie_owner.insert((sw, cookie), slice);
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 if matches!(decision, FlowSpaceDecision::Allow) {
                     // Untouched flowspace: only the xid changes.
@@ -398,11 +385,6 @@ impl ModelFlowVisor {
                     }
                 }
                 let _ = (actions, data);
-                let new_xid = self.alloc_xid(sw, slice, xid);
-                self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
-            }
-            // Forwarded requests that expect a reply: remap the xid.
-            OfMessage::BarrierRequest | OfMessage::GetConfigRequest => {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
             }

@@ -7,7 +7,13 @@
 //! `HashMap`. The reference the real switch must match byte for byte,
 //! on every connection and port. The STATS reply path and the per-port
 //! counters only it read are deleted here as in the real switch, and
-//! FEATURES_REPLY advertises the same capabilities.
+//! FEATURES_REPLY advertises the same capabilities. So are flow expiry
+//! and FLOW_REMOVED, the PACKET_IN buffer pool, and the GET_CONFIG and
+//! BARRIER replies: a miss is cut to `miss_send_len` and buffered
+//! nowhere, FEATURES_REPLY advertises no buffers, and the requests the
+//! real switch refuses — a FLOW_MOD with a timeout or a flag, a
+//! FLOW_MOD or PACKET_OUT naming a buffer — are refused with the same
+//! ERROR; every ERROR answers under the request's own xid.
 
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
@@ -19,21 +25,20 @@ use rf_openflow::{
     SwitchFeatures, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
-use rf_switch::{apply_actions, Egress, FlowTable, Removed, SwitchConfig};
+use rf_switch::{apply_actions, Egress, FlowTable, SwitchConfig};
 use rf_wire::MacAddr;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Timer tokens.
-const T_EXPIRY: u64 = 1;
+const T_PORT_STATUS: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
 const T_ECHO: u64 = 3;
 
 // ADAPTED: the parent read these from `SwitchConfig`, whose defaults
 // they are; the real switch now fixes them as constants of its own.
-const N_BUFFERS: u32 = 256;
-const EXPIRY_INTERVAL: Duration = Duration::from_millis(500);
+const PORT_STATUS_INTERVAL: Duration = Duration::from_millis(500);
 const ECHO_INTERVAL: Duration = Duration::from_secs(15);
 const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
 
@@ -71,15 +76,7 @@ pub struct ModelSwitch {
     cfg: SwitchConfig,
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
-    /// PACKET_IN buffer pool, oldest first: `(id, frame, in_port)`. A
-    /// ring of `n_buffers` slots — a miss that finds it full overwrites
-    /// the oldest frame, as OVS's pktbuf does, so a controller that
-    /// never releases buffers cannot pin frames or change what later
-    /// PACKET_INs look like.
-    buffers: VecDeque<(u32, Bytes, PortNumber)>,
-    next_buffer: u32,
     miss_send_len: u16,
-    config_flags: u16,
     /// Administratively disabled ports (no tx/rx).
     ports_down: Vec<bool>,
     xid: u32,
@@ -121,10 +118,7 @@ impl ModelSwitch {
             cfg,
             ctrls,
             table: FlowTable::new(),
-            buffers: VecDeque::new(),
-            next_buffer: 1,
             miss_send_len: 128,
-            config_flags: 0,
             ports_down: vec![false; n],
             xid: 1,
             pending_port_status: Vec::new(),
@@ -189,25 +183,32 @@ impl ModelSwitch {
         c.conn = Some(ctx.connect(target.0, target.1, profile));
     }
 
-    /// Emit PACKET_IN for a table miss (buffering the frame).
+    // ADAPTED: an ERROR answers under the request's xid.
+    fn refuse(&mut self, ctx: &mut Ctx<'_>, idx: usize, err_type: ErrorType, code: u16, xid: u32) {
+        self.errors_sent += 1;
+        let data = Bytes::new();
+        self.send_to(
+            ctx,
+            idx,
+            OfMessage::Error {
+                err_type,
+                code,
+                data,
+            },
+            xid,
+        );
+    }
+
+    /// Emit PACKET_IN for a table miss.
     fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
         if !self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
             ctx.count("switch.miss_no_controller", 1);
             return;
         }
         let total_len = frame.len() as u16;
-        let (buffer_id, data) = if N_BUFFERS > 0 {
-            if self.buffers.len() as u32 >= N_BUFFERS {
-                self.buffers.pop_front();
-            }
-            let id = self.next_buffer;
-            self.next_buffer = self.next_buffer.wrapping_add(1).max(1);
-            self.buffers.push_back((id, frame.clone(), in_port));
-            let cut = frame.len().min(self.miss_send_len as usize);
-            (id, frame.slice(..cut))
-        } else {
-            (OFP_NO_BUFFER, frame)
-        };
+        // ADAPTED: no buffer pool; the frame is still cut.
+        let cut = frame.len().min(self.miss_send_len as usize);
+        let (buffer_id, data) = (OFP_NO_BUFFER, frame.slice(..cut));
         let xid = self.next_xid();
         ctx.count("of.packet_in", 1);
         self.send(
@@ -221,15 +222,6 @@ impl ModelSwitch {
             },
             xid,
         );
-    }
-
-    /// Release a buffered frame; `None` once it was released or
-    /// overwritten.
-    fn take_buffer(&mut self, buffer_id: u32) -> Option<(Bytes, PortNumber)> {
-        let at = self.buffers.iter().position(|b| b.0 == buffer_id)?;
-        self.buffers
-            .remove(at)
-            .map(|(_, frame, port)| (frame, port))
     }
 
     /// Run a frame through the flow table and execute the result.
@@ -315,30 +307,6 @@ impl ModelSwitch {
         ctx.send_frame(port as u32, frame);
     }
 
-    fn flow_removed_msgs(&mut self, ctx: &mut Ctx<'_>, removed: Vec<Removed>) {
-        for r in removed {
-            if r.entry.flags & rf_openflow::messages::OFPFF_SEND_FLOW_REM != 0 {
-                let dur = ctx.now().since(r.entry.installed_at);
-                let xid = self.next_xid();
-                self.send(
-                    ctx,
-                    OfMessage::FlowRemoved {
-                        of_match: r.entry.of_match,
-                        cookie: r.entry.cookie,
-                        priority: r.entry.priority,
-                        reason: r.reason,
-                        duration_sec: dur.as_secs() as u32,
-                        duration_nsec: dur.subsec_nanos(),
-                        idle_timeout: r.entry.idle_timeout,
-                        packet_count: r.entry.packet_count,
-                        byte_count: r.entry.byte_count,
-                    },
-                    xid,
-                );
-            }
-        }
-    }
-
     fn handle_message(&mut self, ctx: &mut Ctx<'_>, idx: usize, msg: OfMessage, xid: u32) {
         match msg {
             OfMessage::Hello => {
@@ -351,7 +319,7 @@ impl ModelSwitch {
             OfMessage::FeaturesRequest => {
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: self.cfg.dpid,
-                    n_buffers: N_BUFFERS,
+                    n_buffers: 0,
                     n_tables: 1,
                     capabilities: 0x0000_0080, // ARP_MATCH_IP
                     actions: 0x0000_0FFF,      // all OF 1.0 actions
@@ -359,19 +327,20 @@ impl ModelSwitch {
                 });
                 self.send_to(ctx, idx, reply, xid);
             }
-            OfMessage::SetConfig {
-                flags,
-                miss_send_len,
-            } => {
-                self.config_flags = flags;
+            OfMessage::SetConfig { miss_send_len, .. } => {
                 self.miss_send_len = miss_send_len;
             }
-            OfMessage::GetConfigRequest => {
-                let reply = OfMessage::GetConfigReply {
-                    flags: self.config_flags,
-                    miss_send_len: self.miss_send_len,
-                };
-                self.send_to(ctx, idx, reply, xid);
+            // ADAPTED: what the real switch refuses.
+            OfMessage::FlowMod {
+                idle_timeout,
+                hard_timeout,
+                flags,
+                ..
+            } if idle_timeout != 0 || hard_timeout != 0 || flags != 0 => {
+                self.refuse(ctx, idx, ErrorType::FlowModFailed, 5, xid); // OFPFMFC_UNSUPPORTED
+            }
+            OfMessage::FlowMod { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
+                self.refuse(ctx, idx, ErrorType::BadRequest, 8, xid); // OFPBRC_BUFFER_UNKNOWN
             }
             OfMessage::FlowMod {
                 of_match,
@@ -380,13 +349,13 @@ impl ModelSwitch {
                 idle_timeout,
                 hard_timeout,
                 priority,
-                buffer_id,
                 out_port,
                 flags,
                 actions,
+                ..
             } => {
                 ctx.count("of.flow_mod", 1);
-                let removed = self.table.apply_flow_mod(
+                self.table.apply_flow_mod(
                     command,
                     of_match,
                     priority,
@@ -398,13 +367,6 @@ impl ModelSwitch {
                     actions,
                     ctx.now(),
                 );
-                self.flow_removed_msgs(ctx, removed);
-                // Release the buffered packet through the new state.
-                if buffer_id != OFP_NO_BUFFER {
-                    if let Some((frame, in_port)) = self.take_buffer(buffer_id) {
-                        self.pipeline(ctx, in_port, frame);
-                    }
-                }
             }
             OfMessage::PacketOut {
                 buffer_id,
@@ -414,64 +376,22 @@ impl ModelSwitch {
             } => {
                 ctx.count("of.packet_out", 1);
                 let frame = if buffer_id != OFP_NO_BUFFER {
-                    match self.take_buffer(buffer_id) {
-                        Some((f, _)) => f,
-                        None => {
-                            self.errors_sent += 1;
-                            let xid2 = self.next_xid();
-                            self.send_to(
-                                ctx,
-                                idx,
-                                OfMessage::Error {
-                                    err_type: ErrorType::BadRequest,
-                                    code: 8, // OFPBRC_BUFFER_UNKNOWN
-                                    data: Bytes::new(),
-                                },
-                                xid2,
-                            );
-                            return;
-                        }
-                    }
+                    // ADAPTED: no buffer is ever known.
+                    self.refuse(ctx, idx, ErrorType::BadRequest, 8, xid); // OFPBRC_BUFFER_UNKNOWN
+                    return;
                 } else {
                     data
                 };
                 let egress = apply_actions(&frame, &actions, in_port, self.cfg.num_ports);
                 self.dispatch(ctx, in_port, egress, true);
             }
-            OfMessage::BarrierRequest => {
-                // Processing is already serial in the simulation, so a
-                // barrier completes immediately.
-                self.send_to(ctx, idx, OfMessage::BarrierReply, xid);
-            }
             OfMessage::Vendor { .. } => {
-                self.errors_sent += 1;
-                let xid2 = self.next_xid();
-                self.send_to(
-                    ctx,
-                    idx,
-                    OfMessage::Error {
-                        err_type: ErrorType::BadRequest,
-                        code: 3, // OFPBRC_BAD_VENDOR
-                        data: Bytes::new(),
-                    },
-                    xid2,
-                );
+                self.refuse(ctx, idx, ErrorType::BadRequest, 3, xid); // OFPBRC_BAD_VENDOR
             }
             // Symmetric / controller-role messages a switch should not
             // receive; reply with an error like OVS does.
             _ => {
-                self.errors_sent += 1;
-                let xid2 = self.next_xid();
-                self.send_to(
-                    ctx,
-                    idx,
-                    OfMessage::Error {
-                        err_type: ErrorType::BadRequest,
-                        code: 1, // OFPBRC_BAD_TYPE
-                        data: Bytes::new(),
-                    },
-                    xid2,
-                );
+                self.refuse(ctx, idx, ErrorType::BadRequest, 1, xid); // OFPBRC_BAD_TYPE
             }
         }
     }
@@ -506,7 +426,7 @@ impl Agent for ModelSwitch {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
         }
-        ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
+        ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
         if !ECHO_INTERVAL.is_zero() {
             ctx.schedule(ECHO_INTERVAL, T_ECHO);
         }
@@ -514,11 +434,9 @@ impl Agent for ModelSwitch {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
-            T_EXPIRY => {
-                let removed = self.table.expire(ctx.now());
-                self.flow_removed_msgs(ctx, removed);
+            T_PORT_STATUS => {
                 self.drain_port_status(ctx);
-                ctx.schedule(EXPIRY_INTERVAL, T_EXPIRY);
+                ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
             }
             T_ECHO => {
                 if self.ctrls.iter().any(|c| c.state == ConnState::Ready) {

@@ -1472,7 +1472,7 @@ impl rf_sim::Agent for ScriptedController {
 }
 
 /// The far end of one switch port: sends its frames into the switch
-/// early (an empty table buffers them) and again every few
+/// early (an empty table punts them) and again every few
 /// milliseconds while the control stream plays (whatever the table
 /// then holds classifies them), logs what comes out.
 #[derive(Clone, Default)]
@@ -1500,9 +1500,10 @@ impl rf_sim::Agent for PortTap {
 
 /// Stands in for the switch below a FlowVisor: logs every chunk and
 /// answers enough to drive each of the proxy's switch→controller arms
-/// — FEATURES, BARRIER / GET_CONFIG replies, an ERROR quoting
-/// every other FLOW_MOD, FLOW_REMOVED for the rest, the payload of a
-/// PACKET_OUT punted back as a PACKET_IN, PORT_STATUS on SET_CONFIG.
+/// — FEATURES, an ERROR quoting every other FLOW_MOD, for the rest a
+/// bare FLOW_REMOVED header (which no proxy decodes: dropped), the
+/// payload of a PACKET_OUT punted back as a PACKET_IN, PORT_STATUS on
+/// SET_CONFIG.
 #[derive(Clone)]
 struct StubSwitch {
     fv: rf_sim::AgentId,
@@ -1522,8 +1523,8 @@ impl rf_sim::Agent for StubSwitch {
         event: rf_sim::StreamEvent,
     ) {
         use rf_openflow::{
-            ErrorType, FlowRemovedReason, PacketInReason, PhyPort, PortStatusReason,
-            SwitchFeatures, OFP_NO_BUFFER,
+            ErrorType, MsgType, OfHeader, PacketInReason, PhyPort, PortStatusReason,
+            SwitchFeatures, OFP_NO_BUFFER, OFP_VERSION,
         };
         let data = match event {
             rf_sim::StreamEvent::Opened { .. } => {
@@ -1546,41 +1547,27 @@ impl rf_sim::Agent for StubSwitch {
                     actions: 0xFFF,
                     ports: (1..=TAP_PORTS).map(port).collect(),
                 }),
-                OfMessage::BarrierRequest => OfMessage::BarrierReply,
-                OfMessage::GetConfigRequest => OfMessage::GetConfigReply {
-                    flags: 0,
-                    miss_send_len: 128,
-                },
                 OfMessage::SetConfig { .. } => OfMessage::PortStatus {
                     reason: PortStatusReason::Modify,
                     desc: port(1),
                 },
-                OfMessage::FlowMod {
-                    of_match,
-                    cookie,
-                    priority,
-                    ..
-                } => {
+                OfMessage::FlowMod { .. } => {
                     self.flow_mods += 1;
-                    if self.flow_mods.is_multiple_of(2) {
-                        let quoted = msg.encode(xid);
-                        OfMessage::Error {
-                            err_type: ErrorType::FlowModFailed,
-                            code: 0,
-                            data: quoted.slice(..quoted.len().min(64)),
-                        }
-                    } else {
-                        OfMessage::FlowRemoved {
-                            of_match,
-                            cookie,
-                            priority,
-                            reason: FlowRemovedReason::Delete,
-                            duration_sec: 0,
-                            duration_nsec: 0,
-                            idle_timeout: 0,
-                            packet_count: 0,
-                            byte_count: 0,
-                        }
+                    if !self.flow_mods.is_multiple_of(2) {
+                        let header = OfHeader {
+                            version: OFP_VERSION,
+                            msg_type: MsgType::FlowRemoved,
+                            length: 8,
+                            xid,
+                        };
+                        ctx.conn_send(conn, Bytes::copy_from_slice(&header.emit()));
+                        continue;
+                    }
+                    let quoted = msg.encode(xid);
+                    OfMessage::Error {
+                        err_type: ErrorType::FlowModFailed,
+                        code: 0,
+                        data: quoted.slice(..quoted.len().min(64)),
                     }
                 }
                 OfMessage::PacketOut { data, .. } if !data.is_empty() => OfMessage::PacketIn {
@@ -1735,8 +1722,9 @@ type ControlDraw = (
 /// buffer, on either side of the slice's flowspace, below 60 bytes —
 /// a FLOW_MOD one time in four — its match a punt, a route or
 /// everything, most of them with `tp_dst`, `tp_src`, `nw_proto`,
-/// `nw_src`, `dl_src` or `in_port` pinned as well — else a BARRIER /
-/// GET_CONFIG / SET_CONFIG request, a STATS_REQUEST (raw bytes: no
+/// `nw_src`, `dl_src` or `in_port` pinned as well, some with a
+/// timeout, a flag or a buffer, which a switch refuses — else a
+/// SET_CONFIG, a BARRIER, GET_CONFIG or STATS_REQUEST (raw bytes: no
 /// decoder takes one), an ECHO, or something no controller should
 /// send. Five in sixteen are then damaged: cut short under a patched
 /// length, one bit flipped anywhere, an action of length 7, an action
@@ -1750,8 +1738,7 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
         .iter()
         .map(|&(kind, port, value, mac)| build_action((kind % 21, port, value, mac), TAP_PORTS))
         .collect();
-    // One in four names a buffer: ids 1..=4 exist once the taps' frames
-    // missed the empty table, until something releases them.
+    // One in four names a buffer, which no switch holds.
     let buffer_id = match b % 4 {
         0 => 1 + (b >> 2) % 5,
         _ => OFP_NO_BUFFER,
@@ -1798,13 +1785,25 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
     let xid = b.rotate_left(7);
     // Where a PACKET_OUT's first action starts, if it has one.
     let first_action = (kind % 16 <= 5 && !actions.is_empty()).then_some(OFP_HEADER_LEN + 8);
+    // A bare `ofp_header` of a type nothing encodes any more.
+    let bare = |msg_type: MsgType| {
+        let mut wire = vec![OFP_VERSION, msg_type as u8, 0, 8];
+        wire.extend_from_slice(&xid.to_be_bytes());
+        wire
+    };
     let mut wire = if kind % 16 == 11 {
         // `ofp_header`, then `ofp_stats_request`'s type (one of OF 1.0's
-        // five) and flags: nothing encodes a STATS_REQUEST any more.
+        // five) and flags.
         let mut wire = vec![OFP_VERSION, MsgType::StatsRequest as u8, 0, 12];
         wire.extend_from_slice(&xid.to_be_bytes());
         wire.extend_from_slice(&[0, (a % 5) as u8, 0, 0]);
         wire
+    } else if kind % 16 == 10 {
+        bare(MsgType::BarrierRequest)
+    } else if kind % 16 == 12 {
+        bare(MsgType::GetConfigRequest)
+    } else if kind % 16 == 15 && a % 4 == 2 {
+        bare(MsgType::BarrierReply)
     } else {
         let msg = match kind % 16 {
             0..=5 => OfMessage::PacketOut {
@@ -1827,15 +1826,13 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
                     FlowModCommand::DeleteStrict,
                 ][(b >> 4) as usize % 5],
                 idle_timeout: 0,
-                hard_timeout: 0,
+                hard_timeout: u16::from((b >> 20) % 16 == 0),
                 priority: a,
                 buffer_id,
                 out_port: OFPP_NONE,
-                flags: (b >> 12) as u16 & 1,
+                flags: u16::from((b >> 12) % 8 == 0), // SEND_FLOW_REM
                 actions,
             },
-            10 => OfMessage::BarrierRequest,
-            12 => OfMessage::GetConfigRequest,
             13 => OfMessage::SetConfig {
                 flags: 0,
                 miss_send_len: a,
@@ -1844,7 +1841,6 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
             _ => match a % 4 {
                 0 => OfMessage::FeaturesRequest,
                 1 => OfMessage::Hello,
-                2 => OfMessage::BarrierReply,
                 _ => OfMessage::Vendor {
                     vendor: b,
                     data: Bytes::new(),
@@ -2269,7 +2265,7 @@ proptest! {
                 },
                 3,
             ),
-            (OfMessage::BarrierRequest, 4),
+            (OfMessage::SetConfig { flags: 0, miss_send_len: 0xFFFF }, 4),
         ];
         let stream: Vec<u8> = of.iter().flat_map(|(m, xid)| m.encode(*xid).to_vec()).collect();
         let got = rechunked(
@@ -2672,11 +2668,11 @@ proptest! {
     }
 
     /// The depth a table asks for is enough for that table: through
-    /// any sequence of adds, deletes and expiries, looking a frame up
-    /// by a key extracted to `FlowTable::depth` finds the entry — and
-    /// bumps the counters — that the parent's full key finds. Entries
-    /// are routes, punts, exact matches and single pinned fields of
-    /// every layer, built around the frames that are then looked up.
+    /// any sequence of adds, deletes and deletes of every entry,
+    /// looking a frame up by a key extracted to `FlowTable::depth`
+    /// finds the entry that the parent's full key finds. Entries are
+    /// routes, punts, exact matches and single pinned fields of every
+    /// layer, built around the frames that are then looked up.
     #[test]
     fn depth_limited_lookup_matches_full_key_lookup(
         scripts in proptest::collection::vec(
@@ -2715,16 +2711,23 @@ proptest! {
                             _ => FlowModCommand::DeleteStrict,
                         };
                         let of_match = build_table_match(kind, len, around);
-                        let (priority, hard) = (u16::from(len % 4), u16::from(len >> 6));
+                        let priority = u16::from(len % 4);
                         for table in [&mut real, &mut model] {
                             table.apply_flow_mod(
-                                command, of_match, priority, step, 0, hard, 0, OFPP_NONE,
+                                command, of_match, priority, step, 0, 0, 0, OFPP_NONE,
                                 vec![Action::output(1)], now,
                             );
                         }
                     }
                     (5, _) => {
-                        prop_assert_eq!(real.expire(now).len(), model.expire(now).len());
+                        // Every entry leaves at once, and the depth
+                        // drops to L2.
+                        for table in [&mut real, &mut model] {
+                            table.apply_flow_mod(
+                                FlowModCommand::Delete, OfMatch::any(), 0, 0, 0, 0, 0,
+                                OFPP_NONE, Vec::new(), now,
+                            );
+                        }
                     }
                     _ => {
                         let (in_port, frame) = (port_of(which), &frames[which]);
@@ -2752,14 +2755,14 @@ proptest! {
 
     /// What a switch hop calls, `FlowTable::classify`, answers a frame
     /// of a flow it has seen from its exact-match cache. Whatever the
-    /// cache holds, it finds the entry — and bumps the counters — that
-    /// the parent's full key finds in a twin table's `lookup`: for
-    /// frames that repeat, on several ports, one header at two lengths
-    /// (padded past its IP packet, or cut inside it), and damaged
+    /// cache holds, it finds the entry that the parent's full key finds
+    /// in a twin table's `lookup`: for frames that repeat, on several
+    /// ports, one header at two lengths (padded past its IP packet, or
+    /// cut inside it), and damaged
     /// copies (every prefix, every bit flip of the first 42 bytes, and
     /// flips of the IPv4 header with its checksum mended: IHL ≠ 5, MF
-    /// or an offset set, another address), with FLOW_MOD add, modify,
-    /// delete and expiry between the lookups.
+    /// or an offset set, another address), with FLOW_MOD add, modify
+    /// and delete between the lookups.
     #[test]
     fn cached_classification_matches_full_key_lookup(
         scripts in proptest::collection::vec(
@@ -2814,18 +2817,14 @@ proptest! {
                         if of_match.depth() == KeyDepth::L4 && kind % 8 != 0 {
                             of_match = OfMatch::ipv4_dst_prefix(around.nw_dst, len % 33);
                         }
-                        let (priority, idle, hard) =
-                            (u16::from(len % 4), u16::from(op >> 7), u16::from(len >> 6));
+                        let priority = u16::from(len % 4);
                         let out = Action::output(u16::from(op >> 4));
                         for table in [&mut real, &mut model] {
                             table.apply_flow_mod(
-                                command, of_match, priority, step, idle, hard, 0, OFPP_NONE,
+                                command, of_match, priority, step, 0, 0, 0, OFPP_NONE,
                                 vec![out], now,
                             );
                         }
-                    }
-                    (4, _) => {
-                        prop_assert_eq!(real.expire(now).len(), model.expire(now).len());
                     }
                     _ => {
                         // A quarter of the lookups take a damaged copy;
@@ -2837,7 +2836,7 @@ proptest! {
                         };
                         let in_port = 1 + (kind % 3) as u16;
                         let hits = real.cache_hits;
-                        let got = real.classify(in_port, frame, now).map(|e| e.cloned());
+                        let got = real.classify(in_port, frame).map(|e| e.cloned());
                         let full = key_model::from_frame_bytes(in_port, frame);
                         let want = full.map(|full| model.lookup(&full, frame.len(), now).cloned());
                         prop_assert_eq!(&got, &want, "step {}, port {}: {:?}", step, in_port, frame);
