@@ -25,8 +25,12 @@
 //!   are policy-checked the same way;
 //! * `PORT_STATUS` fans out to all slices; a switch's `ERROR` goes
 //!   back to the slice whose request it answers;
-//! * a message that does not decode (`GET_CONFIG`, `BARRIER` and
-//!   `FLOW_REMOVED` among them) is dropped, from either side.
+//! * a slice's `FLOW_MOD` or `PACKET_OUT` naming an action other than
+//!   `OUTPUT`, `SET_DL_SRC` and `SET_DL_DST` does not decode, and is
+//!   refused to that slice as a switch would refuse it (`BAD_ACTION` /
+//!   `BAD_TYPE`, under the slice's xid); any other message that does
+//!   not decode (`GET_CONFIG`, `BARRIER` and `FLOW_REMOVED` among them)
+//!   is dropped, from either side.
 //!
 //! The two messages of every LLDP probe are only passed on, so neither
 //! is decoded: a switch's `PACKET_IN` is routed from a

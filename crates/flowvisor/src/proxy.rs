@@ -3,8 +3,8 @@
 use crate::slice::{FlowSpaceDecision, SlicePolicy};
 use bytes::Bytes;
 use rf_openflow::{
-    reframe_with_xid, ErrorType, KeyDepth, MessageReader, OfMessage, PacketInView, PacketKey,
-    PacketOutView, OFP_NO_BUFFER,
+    reframe_with_xid, ErrorCode, ErrorType, KeyDepth, MessageReader, OfError, OfHeader, OfMessage,
+    PacketInView, PacketKey, PacketOutView, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use std::time::Duration;
@@ -33,8 +33,6 @@ struct Upstream {
     conn: Option<ConnId>,
     ready: bool,
     reader: MessageReader,
-    /// FEATURES_REQUEST xids awaiting the switch's cached features.
-    pending_features: Vec<u32>,
 }
 
 #[derive(Clone)]
@@ -223,16 +221,13 @@ impl FlowVisor {
                 self.send_to_switch(ctx, sw, &OfMessage::EchoReply(data), xid);
             }
             OfMessage::EchoReply(_) => {}
+            // Only our own handshake asks a switch for its features (a
+            // slice is answered from the cache): cache them and bring up
+            // the slices.
             OfMessage::FeaturesReply(f) => {
-                if let Some((s, slice, orig)) = self.take_xid(xid) {
-                    if slice == FV_SELF {
-                        // Our own handshake: cache and bring up slices.
-                        self.switches[s].features = Some(f);
-                        self.dial_upstreams(ctx, s);
-                        self.flush_pending_features(ctx, s);
-                    } else {
-                        self.send_to_slice(ctx, s, slice, &OfMessage::FeaturesReply(f), orig);
-                    }
+                if let Some((s, FV_SELF, _)) = self.take_xid(xid) {
+                    self.switches[s].features = Some(f);
+                    self.dial_upstreams(ctx, s);
                 }
             }
             OfMessage::PortStatus { reason, desc } => {
@@ -289,24 +284,6 @@ impl FlowVisor {
         }
     }
 
-    fn flush_pending_features(&mut self, ctx: &mut Ctx<'_>, sw: usize) {
-        let Some(features) = self.switches[sw].features.clone() else {
-            return;
-        };
-        for slice_idx in 0..self.slices.len() {
-            let pend = std::mem::take(&mut self.switches[sw].upstreams[slice_idx].pending_features);
-            for xid in pend {
-                self.send_to_slice(
-                    ctx,
-                    sw,
-                    slice_idx,
-                    &OfMessage::FeaturesReply(features.clone()),
-                    xid,
-                );
-            }
-        }
-    }
-
     fn handle_controller_msg(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -316,24 +293,21 @@ impl FlowVisor {
         xid: u32,
         raw: Bytes,
     ) {
-        let up_conn = self.switches[sw].upstreams[slice].conn;
         match msg {
             OfMessage::Hello => {
                 self.switches[sw].upstreams[slice].ready = true;
             }
             OfMessage::EchoRequest(data) => {
-                if let Some(c) = up_conn {
+                if let Some(c) = self.switches[sw].upstreams[slice].conn {
                     ctx.conn_send(c, OfMessage::EchoReply(data).encode(xid));
                 }
             }
             OfMessage::EchoReply(_) => {}
+            // A slice is only dialled once the switch's features are
+            // cached, and the cache outlives every redial.
             OfMessage::FeaturesRequest => {
                 if let Some(f) = self.switches[sw].features.clone() {
                     self.send_to_slice(ctx, sw, slice, &OfMessage::FeaturesReply(f), xid);
-                } else {
-                    self.switches[sw].upstreams[slice]
-                        .pending_features
-                        .push(xid);
                 }
             }
             OfMessage::FlowMod {
@@ -358,14 +332,8 @@ impl FlowVisor {
                     FlowSpaceDecision::Deny => {
                         self.denied_flow_mods += 1;
                         ctx.count("fv.flow_mod_denied", 1);
-                        if let Some(c) = up_conn {
-                            let err = OfMessage::Error {
-                                err_type: ErrorType::FlowModFailed,
-                                code: 2, // OFPFMFC_EPERM
-                                data: Bytes::new(),
-                            };
-                            ctx.conn_send(c, err.encode(xid));
-                        }
+                        let eperm = 2; // OFPFMFC_EPERM
+                        self.refuse(ctx, sw, slice, ErrorType::FlowModFailed, eperm, xid);
                         return;
                     }
                 };
@@ -394,28 +362,64 @@ impl FlowVisor {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, raw, new_xid);
             }
-            // (A PACKET_OUT never gets here: `handle_controller_frame`.)
+            // (A PACKET_OUT never gets here: `pass_on`.)
             _ => {
                 ctx.count("fv.unexpected_from_controller", 1);
             }
         }
     }
 
-    /// One message off a slice controller's connection. A PACKET_OUT
-    /// is only passed on, so it is read where it lies
-    /// ([`PacketOutView`]: no action list is built, and nothing holds
-    /// on to `raw` once the flowspace check is done); everything else
-    /// is decoded in full. A message that does not decode is dropped.
+    /// Answer a slice's request with an ERROR under the slice's own
+    /// xid, on its connection whether or not it is ready.
+    fn refuse(
+        &self,
+        ctx: &mut Ctx<'_>,
+        sw: usize,
+        slice: usize,
+        err_type: ErrorType,
+        code: ErrorCode,
+        xid: u32,
+    ) {
+        if let Some(c) = self.switches[sw].upstreams[slice].conn {
+            let data = Bytes::new();
+            let err = OfMessage::Error {
+                err_type,
+                code,
+                data,
+            };
+            ctx.conn_send(c, err.encode(xid));
+        }
+    }
+
+    /// One message off a slice controller's connection. A FLOW_MOD or
+    /// PACKET_OUT naming an action no switch takes does not decode; it
+    /// is refused as a switch refuses it, under the slice's own xid.
+    /// Any other message that does not decode is dropped.
     fn handle_controller_frame(&mut self, ctx: &mut Ctx<'_>, sw: usize, slice: usize, raw: Bytes) {
-        let out = match PacketOutView::parse(&raw) {
-            Ok(Some(out)) => out,
-            Ok(None) => {
-                if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
-                    self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
-                }
-                return;
-            }
-            Err(_) => return,
+        let Ok(header) = OfHeader::parse(&raw) else {
+            return;
+        };
+        if let Err(OfError::BadAction(_)) = self.pass_on(ctx, sw, slice, raw) {
+            let bad_type = 0; // OFPBAC_BAD_TYPE
+            self.refuse(ctx, sw, slice, ErrorType::BadAction, bad_type, header.xid);
+        }
+    }
+
+    /// A slice's message that decodes. A PACKET_OUT is only passed on,
+    /// so it is read where it lies ([`PacketOutView`]: no action list is
+    /// built, and nothing holds on to `raw` once the flowspace check is
+    /// done); everything else is decoded in full.
+    fn pass_on(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        sw: usize,
+        slice: usize,
+        raw: Bytes,
+    ) -> Result<(), OfError> {
+        let Some(out) = PacketOutView::parse(&raw)? else {
+            let (msg, xid) = OfMessage::decode_bytes(&raw)?;
+            self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
+            return Ok(());
         };
         // Policy-check the payload when we can see it.
         let denied = out.buffer_id == OFP_NO_BUFFER
@@ -423,18 +427,13 @@ impl FlowVisor {
                 .is_some_and(|key| !self.slices[slice].owns_packet(&key));
         if denied {
             ctx.count("fv.packet_out_denied", 1);
-            if let Some(c) = self.switches[sw].upstreams[slice].conn {
-                let err = OfMessage::Error {
-                    err_type: ErrorType::BadRequest,
-                    code: 4, // OFPBRC_EPERM
-                    data: Bytes::new(),
-                };
-                ctx.conn_send(c, err.encode(out.xid));
-            }
-            return;
+            let eperm = 4; // OFPBRC_EPERM
+            self.refuse(ctx, sw, slice, ErrorType::BadRequest, eperm, out.xid);
+            return Ok(());
         }
         let new_xid = self.alloc_xid(sw, slice, out.xid);
         self.forward_raw_to_switch(ctx, sw, raw, new_xid);
+        Ok(())
     }
 }
 
@@ -479,7 +478,6 @@ impl Agent for FlowVisor {
                                 conn: None,
                                 ready: false,
                                 reader: MessageReader::new(),
-                                pending_features: Vec::new(),
                             })
                             .collect(),
                         alive: true,

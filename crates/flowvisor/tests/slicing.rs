@@ -3,8 +3,10 @@
 
 use bytes::Bytes;
 use rf_flowvisor::{FlowVisor, SlicePolicy};
+use rf_openflow::flow_match::OFP_MATCH_LEN;
 use rf_openflow::{
-    Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
+    Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE,
+    OFP_HEADER_LEN, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -21,6 +23,8 @@ struct SliceController {
     pub received_xids: Vec<u32>,
     /// (delay, message, xid) scripted sends on the first connection.
     script: Vec<(Duration, OfMessage, u32)>,
+    /// (delay, bytes) scripted raw writes on the first connection.
+    raw: Vec<(Duration, Bytes)>,
     pub features_dpids: Vec<u64>,
 }
 
@@ -39,13 +43,20 @@ impl Agent for SliceController {
         for (i, (d, _, _)) in self.script.iter().enumerate() {
             ctx.schedule(*d, i as u64);
         }
+        for (i, (d, _)) in self.raw.iter().enumerate() {
+            ctx.schedule(*d, 1000 + i as u64);
+        }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if let Some((_, msg, xid)) = self.script.get(token as usize).cloned() {
-            if let Some((c, _)) = self.conns.first() {
-                let c = *c;
-                ctx.conn_send(c, msg.encode(xid));
-            }
+        let bytes = match token {
+            1000.. => self.raw.get(token as usize - 1000).map(|r| r.1.clone()),
+            _ => self
+                .script
+                .get(token as usize)
+                .map(|(_, msg, xid)| msg.encode(*xid)),
+        };
+        if let (Some(bytes), Some((c, _))) = (bytes, self.conns.first()) {
+            ctx.conn_send(*c, bytes);
         }
     }
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, ev: StreamEvent) {
@@ -72,11 +83,13 @@ impl Agent for SliceController {
     }
 }
 
-/// Injects a frame into the switch's data port at a given time.
+/// Injects a frame into the switch's data port at a given time, and
+/// counts the frames the switch sends it.
 #[derive(Clone)]
 struct Injector {
     frame: Bytes,
     at: Duration,
+    received: usize,
 }
 impl Agent for Injector {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -84,6 +97,9 @@ impl Agent for Injector {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
         ctx.send_frame(1, self.frame.clone());
+    }
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: u32, _frame: Bytes) {
+        self.received += 1;
     }
 }
 
@@ -116,6 +132,7 @@ struct World {
     rf_ctrl: AgentId,
     fv: AgentId,
     sw: AgentId,
+    injector: AgentId,
 }
 
 fn world(topo: SliceController, rf: SliceController) -> World {
@@ -138,6 +155,7 @@ fn world(topo: SliceController, rf: SliceController) -> World {
         Box::new(Injector {
             frame: Bytes::new(),
             at: Duration::from_secs(3600), // overridden per test
+            received: 0,
         }),
     );
     sim.add_link((sw, 1), (injector, 1), LinkProfile::default());
@@ -147,6 +165,7 @@ fn world(topo: SliceController, rf: SliceController) -> World {
         rf_ctrl,
         fv,
         sw,
+        injector,
     }
 }
 
@@ -344,6 +363,79 @@ fn refusal_xid_restored_per_slice() {
         sw.flow_table().is_empty(),
         "the timed FLOW_MOD went nowhere"
     );
+}
+
+/// `msg`, whose one action is an 8-byte OUTPUT, encoded under `xid`
+/// with that action's bytes replaced by `action`: the encoder writes
+/// only the three kinds of action there are.
+fn with_action(msg: OfMessage, xid: u32, action: [u8; 8]) -> Bytes {
+    let at = match msg {
+        OfMessage::FlowMod { .. } => OFP_HEADER_LEN + OFP_MATCH_LEN + 24,
+        _ => OFP_HEADER_LEN + 8,
+    };
+    let mut wire = msg.encode(xid).to_vec();
+    assert_eq!(wire[at..at + 4], [0, 0, 0, 8], "an OUTPUT is there");
+    wire[at..at + 8].copy_from_slice(&action);
+    wire.into()
+}
+
+/// A slice's FLOW_MOD or PACKET_OUT naming an action other than OUTPUT,
+/// SET_DL_SRC and SET_DL_DST is refused as a switch refuses it — BAD_ACTION
+/// / BAD_TYPE — to the slice that sent it, under the slice's own xid,
+/// though each lies inside its flowspace: FlowVisor cannot decode it,
+/// so it reaches no switch, and nothing is installed or sent.
+#[test]
+fn actions_outside_the_three_are_refused_to_their_slice() {
+    const SET_VLAN_VID: [u8; 8] = [0, 1, 0, 8, 0, 100, 0, 0];
+    const SET_NW_DST: [u8; 8] = [0, 7, 0, 8, 172, 16, 0, 1];
+    const TYPE_FFFF: [u8; 8] = [0xFF, 0xFF, 0, 8, 0, 0, 0, 0];
+    let route = OfMessage::FlowMod {
+        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8),
+        cookie: 7,
+        command: FlowModCommand::Add,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        priority: 100,
+        buffer_id: OFP_NO_BUFFER,
+        out_port: OFPP_NONE,
+        flags: 0,
+        actions: vec![Action::output(1)],
+    };
+    let probe = OfMessage::PacketOut {
+        buffer_id: OFP_NO_BUFFER,
+        in_port: OFPP_NONE,
+        actions: vec![Action::output(1)],
+        data: lldp_frame(),
+    };
+    let at = Duration::from_secs(1);
+    let mut rf = SliceController::new(6642);
+    rf.raw = vec![
+        (at, with_action(route.clone(), 0xA1, SET_NW_DST)),
+        (at, with_action(route, 0xA3, TYPE_FFFF)),
+    ];
+    let mut topo = SliceController::new(6641);
+    topo.raw = vec![(at, with_action(probe, 0xB2, SET_VLAN_VID))];
+    let mut w = world(topo, rf);
+    w.sim.run_until(Time::from_secs(2));
+    let errors = |ctrl| {
+        let c = w.sim.agent_as::<SliceController>(ctrl).unwrap();
+        c.received
+            .iter()
+            .zip(&c.received_xids)
+            .filter_map(|(m, x)| match m {
+                OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *x)),
+                _ => None,
+            })
+            .collect::<Vec<_>>()
+    };
+    let bad_type = |xid| (ErrorType::BadAction, 0, xid);
+    assert_eq!(errors(w.rf_ctrl), [bad_type(0xA1), bad_type(0xA3)]);
+    assert_eq!(errors(w.topo_ctrl), [bad_type(0xB2)]);
+    let sw = w.sim.agent_as::<OpenFlowSwitch>(w.sw).unwrap();
+    assert!(sw.flow_table().is_empty(), "no FLOW_MOD was installed");
+    assert_eq!(sw.errors_sent, 0, "the switch saw none of them");
+    let injector = w.sim.agent_as::<Injector>(w.injector).unwrap();
+    assert_eq!(injector.received, 0, "the PACKET_OUT sent nothing");
 }
 
 #[test]

@@ -1,18 +1,33 @@
-//! OpenFlow 1.0 actions (`ofp_action_*`).
+//! OpenFlow 1.0 actions (`ofp_action_*`): the three the loop installs.
 //!
-//! RouteFlow's route-to-flow translation uses exactly three of these
-//! per flow entry — rewrite `dl_src` to the output interface's MAC,
-//! rewrite `dl_dst` to the next hop's MAC, and `OUTPUT` — but we
-//! implement the full OF 1.0 action list so the switch is a faithful
-//! OVS 1.4 substitute.
+//! RouteFlow's route-to-flow translation puts exactly one action shape
+//! in a flow entry — rewrite `dl_src` to the output interface's MAC,
+//! rewrite `dl_dst` to the next hop's MAC, then `OUTPUT` — discovery's
+//! punt is one `OUTPUT:CONTROLLER`, and every PACKET_OUT (an LLDP
+//! probe, an ARP reply) is a plain `OUTPUT`. Those three types are the
+//! action set. Any other type, one OF 1.0 defines (VLAN, IPv4, UDP,
+//! `ENQUEUE`) or not, decodes to [`OfError::BadAction`], and a switch
+//! or FlowVisor answers the request naming it with
+//! `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)`.
 
 use crate::ports::PortNumber;
 use crate::OfError;
 use bytes::{BufMut, BytesMut};
 use rf_wire::MacAddr;
-use std::net::Ipv4Addr;
 
-/// An OF 1.0 action.
+/// `OFPAT_OUTPUT`.
+const OUTPUT: u16 = 0;
+/// `OFPAT_SET_DL_SRC`.
+const SET_DL_SRC: u16 = 4;
+/// `OFPAT_SET_DL_DST`.
+const SET_DL_DST: u16 = 5;
+
+/// The FEATURES_REPLY `actions` bitmap of a switch that takes exactly
+/// [`Action`]'s three kinds: bit `1 << type` for OUTPUT, SET_DL_SRC and
+/// SET_DL_DST.
+pub const SUPPORTED_ACTIONS: u32 = 1 << OUTPUT | 1 << SET_DL_SRC | 1 << SET_DL_DST;
+
+/// An OF 1.0 action, of the three kinds this system speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
     /// Forward out a port; `max_len` caps bytes sent when the port is
@@ -21,22 +36,8 @@ pub enum Action {
         port: PortNumber,
         max_len: u16,
     },
-    SetVlanVid(u16),
-    SetVlanPcp(u8),
-    StripVlan,
     SetDlSrc(MacAddr),
     SetDlDst(MacAddr),
-    SetNwSrc(Ipv4Addr),
-    SetNwDst(Ipv4Addr),
-    SetNwTos(u8),
-    SetTpSrc(u16),
-    SetTpDst(u16),
-    /// Queue-based output; our datapath treats it as plain output
-    /// (queues are out of scope: links have no QoS model).
-    Enqueue {
-        port: PortNumber,
-        queue_id: u32,
-    },
 }
 
 impl Action {
@@ -48,87 +49,27 @@ impl Action {
     /// Wire length of this action.
     pub fn wire_len(&self) -> usize {
         match self {
-            Action::SetDlSrc(_) | Action::SetDlDst(_) | Action::Enqueue { .. } => 16,
-            _ => 8,
+            Action::Output { .. } => 8,
+            Action::SetDlSrc(_) | Action::SetDlDst(_) => 16,
         }
     }
 
     pub fn emit_into(&self, buf: &mut BytesMut) {
         match self {
             Action::Output { port, max_len } => {
-                buf.put_u16(0);
+                buf.put_u16(OUTPUT);
                 buf.put_u16(8);
                 buf.put_u16(*port);
                 buf.put_u16(*max_len);
             }
-            Action::SetVlanVid(vid) => {
-                buf.put_u16(1);
-                buf.put_u16(8);
-                buf.put_u16(*vid);
-                buf.put_u16(0);
-            }
-            Action::SetVlanPcp(pcp) => {
-                buf.put_u16(2);
-                buf.put_u16(8);
-                buf.put_u8(*pcp);
-                buf.put_slice(&[0; 3]);
-            }
-            Action::StripVlan => {
-                buf.put_u16(3);
-                buf.put_u16(8);
-                buf.put_u32(0);
-            }
-            Action::SetDlSrc(mac) => {
-                buf.put_u16(4);
-                buf.put_u16(16);
-                buf.put_slice(mac.as_bytes());
-                buf.put_slice(&[0; 6]);
-            }
-            Action::SetDlDst(mac) => {
-                buf.put_u16(5);
-                buf.put_u16(16);
-                buf.put_slice(mac.as_bytes());
-                buf.put_slice(&[0; 6]);
-            }
-            Action::SetNwSrc(ip) => {
-                buf.put_u16(6);
-                buf.put_u16(8);
-                buf.put_slice(&ip.octets());
-            }
-            Action::SetNwDst(ip) => {
-                buf.put_u16(7);
-                buf.put_u16(8);
-                buf.put_slice(&ip.octets());
-            }
-            Action::SetNwTos(tos) => {
-                buf.put_u16(8);
-                buf.put_u16(8);
-                buf.put_u8(*tos);
-                buf.put_slice(&[0; 3]);
-            }
-            Action::SetTpSrc(p) => {
-                buf.put_u16(9);
-                buf.put_u16(8);
-                buf.put_u16(*p);
-                buf.put_u16(0);
-            }
-            Action::SetTpDst(p) => {
-                buf.put_u16(10);
-                buf.put_u16(8);
-                buf.put_u16(*p);
-                buf.put_u16(0);
-            }
-            Action::Enqueue { port, queue_id } => {
-                buf.put_u16(11);
-                buf.put_u16(16);
-                buf.put_u16(*port);
-                buf.put_slice(&[0; 6]);
-                buf.put_u32(*queue_id);
-            }
+            Action::SetDlSrc(mac) => emit_mac(buf, SET_DL_SRC, mac),
+            Action::SetDlDst(mac) => emit_mac(buf, SET_DL_DST, mac),
         }
     }
 
-    /// Parse one action; returns the action and bytes consumed.
+    /// Parse one action; returns the action and bytes consumed. The
+    /// length is checked before the type: a well-framed action of any
+    /// other type is [`OfError::BadAction`].
     pub fn parse(data: &[u8]) -> Result<(Action, usize), OfError> {
         if data.len() < 4 {
             return Err(OfError::Truncated);
@@ -142,66 +83,16 @@ impl Action {
             return Err(OfError::Truncated);
         }
         let body = &data[4..len];
-        let need = |n: usize| -> Result<(), OfError> {
-            if body.len() < n {
-                Err(OfError::Malformed("action body too short"))
-            } else {
-                Ok(())
-            }
-        };
+        let mac =
+            || MacAddr::from_bytes(body).map_err(|_| OfError::Malformed("action body too short"));
         let act = match ty {
-            0 => {
-                need(4)?;
-                Action::Output {
-                    port: u16::from_be_bytes([body[0], body[1]]),
-                    max_len: u16::from_be_bytes([body[2], body[3]]),
-                }
-            }
-            1 => {
-                need(2)?;
-                Action::SetVlanVid(u16::from_be_bytes([body[0], body[1]]))
-            }
-            2 => {
-                need(1)?;
-                Action::SetVlanPcp(body[0])
-            }
-            3 => Action::StripVlan,
-            4 => {
-                need(6)?;
-                Action::SetDlSrc(MacAddr::from_bytes(body).map_err(|_| OfError::Truncated)?)
-            }
-            5 => {
-                need(6)?;
-                Action::SetDlDst(MacAddr::from_bytes(body).map_err(|_| OfError::Truncated)?)
-            }
-            6 => {
-                need(4)?;
-                Action::SetNwSrc(Ipv4Addr::new(body[0], body[1], body[2], body[3]))
-            }
-            7 => {
-                need(4)?;
-                Action::SetNwDst(Ipv4Addr::new(body[0], body[1], body[2], body[3]))
-            }
-            8 => {
-                need(1)?;
-                Action::SetNwTos(body[0])
-            }
-            9 => {
-                need(2)?;
-                Action::SetTpSrc(u16::from_be_bytes([body[0], body[1]]))
-            }
-            10 => {
-                need(2)?;
-                Action::SetTpDst(u16::from_be_bytes([body[0], body[1]]))
-            }
-            11 => {
-                need(12)?;
-                Action::Enqueue {
-                    port: u16::from_be_bytes([body[0], body[1]]),
-                    queue_id: u32::from_be_bytes([body[8], body[9], body[10], body[11]]),
-                }
-            }
-            _ => return Err(OfError::Malformed("unknown action type")),
+            OUTPUT => Action::Output {
+                port: u16::from_be_bytes([body[0], body[1]]),
+                max_len: u16::from_be_bytes([body[2], body[3]]),
+            },
+            SET_DL_SRC => Action::SetDlSrc(mac()?),
+            SET_DL_DST => Action::SetDlDst(mac()?),
+            _ => return Err(OfError::BadAction(ty)),
         };
         Ok((act, len))
     }
@@ -254,6 +145,14 @@ impl Iterator for ActionIter<'_> {
     }
 }
 
+/// `ofp_action_dl_addr`: 16 bytes, the MAC and 6 of padding.
+fn emit_mac(buf: &mut BytesMut, ty: u16, mac: &MacAddr) {
+    buf.put_u16(ty);
+    buf.put_u16(16);
+    buf.put_slice(mac.as_bytes());
+    buf.put_slice(&[0; 6]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,20 +163,8 @@ mod tests {
                 port: 3,
                 max_len: 128,
             },
-            Action::SetVlanVid(100),
-            Action::SetVlanPcp(5),
-            Action::StripVlan,
             Action::SetDlSrc(MacAddr([1, 2, 3, 4, 5, 6])),
             Action::SetDlDst(MacAddr([6, 5, 4, 3, 2, 1])),
-            Action::SetNwSrc(Ipv4Addr::new(10, 0, 0, 1)),
-            Action::SetNwDst(Ipv4Addr::new(10, 0, 0, 2)),
-            Action::SetNwTos(0x20),
-            Action::SetTpSrc(8080),
-            Action::SetTpDst(443),
-            Action::Enqueue {
-                port: 2,
-                queue_id: 9,
-            },
         ]
     }
 
@@ -305,14 +192,16 @@ mod tests {
     #[test]
     fn a_walk_ends_at_the_first_bad_action() {
         let mut b = BytesMut::new();
-        Action::emit_list(&[Action::output(1), Action::StripVlan], &mut b);
+        let mac = Action::SetDlSrc(MacAddr([9; 6]));
+        Action::emit_list(&[Action::output(1), mac], &mut b);
         b.put_slice(&[0, 99, 0, 8, 0, 0, 0, 0]); // unknown type
         Action::output(2).emit_into(&mut b);
         let walked: Vec<_> = Action::iter_list(&b).collect();
-        assert_eq!(walked.len(), 3);
-        assert_eq!(walked[..2], [Ok(Action::output(1)), Ok(Action::StripVlan)]);
-        assert!(matches!(walked[2], Err(OfError::Malformed(_))));
-        assert!(Action::parse_list(&b).is_err());
+        assert_eq!(
+            walked,
+            [Ok(Action::output(1)), Ok(mac), Err(OfError::BadAction(99))]
+        );
+        assert_eq!(Action::parse_list(&b), Err(OfError::BadAction(99)));
     }
 
     #[test]
@@ -320,14 +209,26 @@ mod tests {
         // Action claiming 7 bytes (not multiple of 8).
         let data = [0u8, 0, 0, 7, 0, 0, 0];
         assert!(matches!(Action::parse(&data), Err(OfError::Malformed(_))));
+        // A MAC rewrite of 8 bytes has no room for its MAC.
+        let data = [0u8, 4, 0, 8, 1, 2, 3, 4];
+        assert!(matches!(Action::parse(&data), Err(OfError::Malformed(_))));
         // Truncated.
         assert_eq!(Action::parse(&[0, 0]), Err(OfError::Truncated));
     }
 
+    /// Every type but the three, well framed: the nine other OF 1.0
+    /// actions (VLAN, IPv4, UDP, ENQUEUE, at their spec lengths), the
+    /// first types past them, the vendor type and the last.
     #[test]
-    fn unknown_type_rejected() {
-        let data = [0u8, 99, 0, 8, 0, 0, 0, 0];
-        assert!(matches!(Action::parse(&data), Err(OfError::Malformed(_))));
+    fn every_other_type_is_a_bad_action() {
+        let others = (1u16..=3).chain(6..=11).chain([12, 13, 0xFFFE, 0xFFFF]);
+        for ty in others {
+            let len: u16 = if ty == 11 { 16 } else { 8 };
+            let mut data = vec![0; len as usize];
+            data[..2].copy_from_slice(&ty.to_be_bytes());
+            data[2..4].copy_from_slice(&len.to_be_bytes());
+            assert_eq!(Action::parse(&data), Err(OfError::BadAction(ty)), "{ty}");
+        }
     }
 
     #[test]
@@ -339,5 +240,6 @@ mod tests {
             Action::output(4),
         ];
         assert_eq!(Action::list_len(&acts), 16 + 16 + 8);
+        assert_eq!(std::mem::size_of::<Action>(), 8);
     }
 }

@@ -11,7 +11,9 @@
 //! * the proactive path: `FLOW_MOD`
 //! * port changes: `PORT_STATUS`
 //! * the 40-byte `ofp_match` with the OF 1.0 wildcard bitfield and
-//!   CIDR-style nw_src/nw_dst masking, and the full OF 1.0 action list
+//!   CIDR-style nw_src/nw_dst masking
+//! * the three actions the loop installs: `OUTPUT`, `SET_DL_SRC` and
+//!   `SET_DL_DST`
 //!
 //! Byte-exactness matters here: FlowVisor sits *between* switches and
 //! controllers and rewrites these messages on the wire, so both sides
@@ -19,10 +21,11 @@
 //! has encode/decode round-trip tests, and proptest fuzzes the decoder
 //! with arbitrary byte soup (it must never panic).
 //!
-//! Out of scope: OF 1.1+, VLAN handling in the datapath, queues/QoS
-//! (`ENQUEUE` is encoded but our switch treats it as plain output),
-//! `QUEUE_GET_CONFIG`, vendor extensions beyond an opaque passthrough,
-//! and the emergency flow cache. `GET_CONFIG_REQUEST/REPLY`,
+//! Out of scope: OF 1.1+, `QUEUE_GET_CONFIG`, vendor extensions beyond
+//! an opaque passthrough, and the emergency flow cache. The other nine
+//! OF 1.0 actions (VLAN, IPv4 and UDP rewrites, `ENQUEUE`), which no
+//! app installs, decode to a typed [`OfError::BadAction`], as does any
+//! action type OF 1.0 does not define. `GET_CONFIG_REQUEST/REPLY`,
 //! `FLOW_REMOVED`, `PORT_MOD`, `STATS_REQUEST/REPLY` and
 //! `BARRIER_REQUEST/REPLY` (types 7, 8, 11, 15–19), which nothing in the
 //! paper's loop sends, decode to a typed [`OfError::Malformed`]: its
@@ -38,7 +41,7 @@ pub mod header;
 pub mod messages;
 pub mod ports;
 
-pub use actions::Action;
+pub use actions::{Action, SUPPORTED_ACTIONS};
 pub use codec::{reframe_with_xid, MessageReader};
 pub use flow_match::{KeyDepth, OfMatch, PacketKey, Wildcards, OFP_VLAN_NONE};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
@@ -68,6 +71,10 @@ pub enum OfError {
     UnknownType(u8),
     /// Structurally invalid content.
     Malformed(&'static str),
+    /// A well-framed action of a type other than the three in
+    /// [`Action`]; a switch answers the request that carried it with
+    /// `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)`.
+    BadAction(u16),
 }
 
 impl fmt::Display for OfError {
@@ -77,6 +84,7 @@ impl fmt::Display for OfError {
             OfError::BadVersion(v) => write!(f, "unsupported OpenFlow version 0x{v:02x}"),
             OfError::UnknownType(t) => write!(f, "unknown OpenFlow message type {t}"),
             OfError::Malformed(what) => write!(f, "malformed OpenFlow message: {what}"),
+            OfError::BadAction(t) => write!(f, "unsupported OpenFlow action type {t}"),
         }
     }
 }

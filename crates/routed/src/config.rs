@@ -5,10 +5,12 @@
 //! (8 of the 15 minutes per switch). The RPC server *generates* these
 //! files from the link information in the configuration messages, and
 //! the daemons *parse them back* at VM boot — the full automated path.
+//! BGP is out of scope: `bgpd.conf` is written, never read.
 //!
 //! The grammar is a faithful subset of Quagga's: `hostname`,
 //! `interface`/`ip address`, `router ospf`/`ospf router-id`/`network
-//! … area …`/`timers`, `router bgp`/`neighbor … remote-as`.
+//! … area …`/`timers`; and, rendered only, `router bgp`/`neighbor …
+//! remote-as`.
 
 use rf_wire::Ipv4Cidr;
 use std::fmt::Write as _;
@@ -209,16 +211,6 @@ pub struct BgpConfig {
     pub neighbors: Vec<(Ipv4Addr, u32)>,
 }
 
-impl Default for BgpConfig {
-    fn default() -> Self {
-        BgpConfig {
-            asn: 0,
-            router_id: Ipv4Addr::UNSPECIFIED,
-            neighbors: Vec::new(),
-        }
-    }
-}
-
 impl BgpConfig {
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -230,38 +222,6 @@ impl BgpConfig {
         }
         let _ = writeln!(out, "!");
         out
-    }
-
-    pub fn parse(text: &str) -> Result<BgpConfig, ConfigError> {
-        let mut cfg = BgpConfig::default();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            let lineno = i + 1;
-            if line.is_empty() || line.starts_with('!') {
-                continue;
-            }
-            let words: Vec<&str> = line.split_whitespace().collect();
-            let bad = |m: String| ConfigError {
-                line: lineno,
-                msg: m,
-            };
-            match words.as_slice() {
-                ["router", "bgp", asn] => {
-                    cfg.asn = asn.parse().map_err(|_| bad(format!("bad asn {asn}")))?;
-                }
-                ["bgp", "router-id", id] => {
-                    cfg.router_id = id.parse().map_err(|_| bad(format!("bad id {id}")))?;
-                }
-                ["neighbor", addr, "remote-as", asn] => {
-                    cfg.neighbors.push((
-                        addr.parse().map_err(|_| bad(format!("bad addr {addr}")))?,
-                        asn.parse().map_err(|_| bad(format!("bad asn {asn}")))?,
-                    ));
-                }
-                _ => return Err(bad(format!("unrecognized: {line}"))),
-            }
-        }
-        Ok(cfg)
     }
 }
 
@@ -327,15 +287,6 @@ impl VmRouterConfig {
     pub fn render_all(&self) -> (String, String, String) {
         (self.zebra.render(), self.ospf.render(), self.bgp.render())
     }
-
-    /// Parse all three files back.
-    pub fn parse_all(zebra: &str, ospf: &str, bgp: &str) -> Result<VmRouterConfig, ConfigError> {
-        Ok(VmRouterConfig {
-            zebra: ZebraConfig::parse(zebra)?,
-            ospf: OspfConfig::parse(ospf)?,
-            bgp: BgpConfig::parse(bgp)?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -355,9 +306,9 @@ mod tests {
     #[test]
     fn full_roundtrip() {
         let cfg = sample();
-        let (z, o, b) = cfg.render_all();
-        let parsed = VmRouterConfig::parse_all(&z, &o, &b).unwrap();
-        assert_eq!(parsed, cfg);
+        let (z, o, _) = cfg.render_all();
+        assert_eq!(ZebraConfig::parse(&z).unwrap(), cfg.zebra);
+        assert_eq!(OspfConfig::parse(&o).unwrap(), cfg.ospf);
     }
 
     #[test]
@@ -396,22 +347,6 @@ mod tests {
     fn ospf_rejects_garbage_with_line_number() {
         let err = OspfConfig::parse("router ospf\n ospf router-id nonsense\n").unwrap_err();
         assert_eq!(err.line, 2);
-    }
-
-    #[test]
-    fn bgp_roundtrip_with_neighbors() {
-        let mut b = BgpConfig {
-            asn: 64512,
-            router_id: "10.0.0.28".parse().unwrap(),
-            neighbors: vec![
-                ("172.31.0.2".parse().unwrap(), 64513),
-                ("172.31.0.5".parse().unwrap(), 64514),
-            ],
-        };
-        let text = b.render();
-        assert_eq!(BgpConfig::parse(&text).unwrap(), b);
-        b.neighbors.clear();
-        assert_eq!(BgpConfig::parse(&b.render()).unwrap(), b);
     }
 
     #[test]

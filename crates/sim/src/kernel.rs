@@ -566,11 +566,6 @@ impl<'a> Ctx<'a> {
         self.inner.set_link_loss(id, pct);
     }
 
-    /// Deterministic RNG shared by the whole simulation.
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.inner.rng
-    }
-
     /// Increment a named metric counter.
     pub fn count(&mut self, name: &str, delta: u64) {
         self.inner.tracer.count(name, delta);

@@ -1,15 +1,16 @@
 //! Frame rewriting and output resolution — the action interpreter.
 //!
-//! What it is asked to do, in every scenario this repository runs: the
-//! RouteFlow apps install `[SetDlSrc, SetDlDst, Output(port)]` per
-//! mirrored route (the routed hop) and discovery installs
-//! `[Output(CONTROLLER)]`; PACKET_OUTs are plain outputs. No app
-//! rewrites an L3/L4 field and no frame is shorter than the 60-byte
-//! minimum (`tests/traffic.rs::apps_install_only_wildcard_mac_rewrite_and_punt_flows`
-//! pins the installed shapes and keeps that assumption honest). So
-//! there is one loop over the action list, working on the frame's
-//! bytes: a MAC rewrite patches 6 header bytes and touches nothing
-//! behind them.
+//! The action set is what the RouteFlow loop installs: the apps put
+//! `[SetDlSrc, SetDlDst, Output(port)]` in a flow entry per mirrored
+//! route (the routed hop), discovery installs `[Output(CONTROLLER)]`,
+//! and PACKET_OUTs are plain outputs
+//! (`tests/traffic.rs::apps_install_only_wildcard_mac_rewrite_and_punt_flows`
+//! pins the installed shapes). [`Action`] has exactly those three
+//! kinds — a request naming any other never decodes, and the switch
+//! refuses it whole — so there is one loop over the action list,
+//! working on the frame's bytes: a MAC rewrite patches 6 header bytes
+//! and touches nothing behind them, and no action reads past the
+//! Ethernet header.
 //!
 //! Where those 6 bytes are written depends on who else can see the
 //! frame. The switch forwarding a frame it received is its only owner
@@ -19,29 +20,19 @@
 //! copies nothing. Counted on one pass of the `traffic_packet`
 //! benchmark: all 1 639 377 MAC rewrites found the frame uniquely owned.
 //! When any other handle is alive — the caller of the borrowing
-//! [`apply_actions`], a flood's earlier copies, a PACKET_IN buffer —
-//! `try_into_mut` refuses and the rewrite goes into a private copy;
+//! [`apply_actions`], a flood's earlier copies — `try_into_mut`
+//! refuses and the rewrite goes into a private copy;
 //! `tests/properties.rs` runs every case both ways against a
 //! parse-everything reference interpreter and checks that no held
 //! handle ever sees a byte change, and `tests/alloc_budget.rs` that the
 //! hop makes no payload-sized allocation.
-//!
-//! The IPv4/UDP actions — OF 1.0 says hardware (and OVS) fix up the
-//! checksums as a side effect — re-emit the affected layers through
-//! `rf-wire` at the action; they are the rare case and pay for their
-//! own parse. Actions are sequential and carry no state between them:
-//! each one sees the frame as the one before left it, so whether a
-//! `SetTp*` finds a valid UDP datagram is decided against the addresses
-//! the preceding `SetNw*` wrote, not the ones the frame arrived with.
 
 use bytes::{Bytes, BytesMut};
 use rf_openflow::{
     Action, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_MAX, OFPP_TABLE,
 };
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
-use rf_wire::{
-    EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, UdpPacket, MIN_FRAME_NO_FCS,
-};
+use rf_wire::{MacAddr, MIN_FRAME_NO_FCS};
 
 /// Where a processed frame must go.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,30 +112,8 @@ pub fn apply_actions_owned(
             Action::Output { port, max_len } => {
                 route(port, max_len, on_wire(settle(&mut cur, &mut patch)));
             }
-            // Queues are not modelled: a plain output, and only a
-            // physical port can carry a queue.
-            Action::Enqueue { port, .. } if port <= OFPP_MAX => {
-                route(port, 0, on_wire(settle(&mut cur, &mut patch)));
-            }
             Action::SetDlDst(mac) => set_mac(&mut cur, &mut patch, 0, mac),
             Action::SetDlSrc(mac) => set_mac(&mut cur, &mut patch, 6, mac),
-            Action::SetNwSrc(_)
-            | Action::SetNwDst(_)
-            | Action::SetNwTos(_)
-            | Action::SetTpSrc(_)
-            | Action::SetTpDst(_) => {
-                if let Some(rewritten) = reemit(settle(&mut cur, &mut patch), &action) {
-                    cur = Some(rewritten);
-                }
-            }
-            // VLAN actions: tagging is out of scope (the data plane
-            // carries untagged Ethernet II only); the actions are
-            // accepted and ignored, as OVS does when the packet has
-            // no VLAN context to modify.
-            Action::Enqueue { .. }
-            | Action::SetVlanVid(_)
-            | Action::SetVlanPcp(_)
-            | Action::StripVlan => {}
         }
     }
 }
@@ -188,40 +157,10 @@ fn on_wire(frame: &Bytes) -> Bytes {
     }
 }
 
-/// Apply one `SetNw*` / `SetTp*` action: re-emit the IPv4 packet, and
-/// the UDP datagram in it if there is a valid one, with the field
-/// changed and both checksums recomputed. `None` leaves the frame as it
-/// is: no valid IPv4 packet, or a transport rewrite without a valid UDP
-/// datagram to apply it to. Each action parses the frame as the one
-/// before left it.
-fn reemit(frame: &Bytes, action: &Action) -> Option<Bytes> {
-    let eth = EthernetFrame::parse_bytes(frame).ok()?;
-    if eth.ethertype != EtherType::IPV4 {
-        return None;
-    }
-    let mut ip = Ipv4Packet::parse_bytes(&eth.payload).ok()?;
-    let mut udp = match ip.protocol {
-        IpProtocol::UDP => UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok(),
-        _ => None,
-    };
-    match (*action, &mut udp) {
-        (Action::SetNwSrc(a), _) => ip.src = a,
-        (Action::SetNwDst(a), _) => ip.dst = a,
-        (Action::SetNwTos(tos), _) => ip.dscp = tos >> 2,
-        (Action::SetTpSrc(p), Some(udp)) => udp.src_port = p,
-        (Action::SetTpDst(p), Some(udp)) => udp.dst_port = p,
-        _ => return None,
-    }
-    if let Some(udp) = udp {
-        ip.payload = udp.emit(ip.src, ip.dst);
-    }
-    Some(EthernetFrame::new(eth.dst, eth.src, eth.ethertype, ip.emit()).emit())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rf_wire::IcmpPacket;
+    use rf_wire::{EtherType, EthernetFrame, IcmpPacket, IpProtocol, Ipv4Packet, UdpPacket};
     use std::net::Ipv4Addr;
 
     fn udp_frame() -> Bytes {
@@ -286,67 +225,6 @@ mod tests {
                 // Inner packet untouched and still checksum-valid.
                 let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
                 UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn nw_rewrite_fixes_checksums() {
-        let f = udp_frame();
-        let out = apply_actions(
-            &f,
-            &[
-                Action::SetNwDst(Ipv4Addr::new(172, 16, 0, 1)),
-                Action::SetTpDst(1234),
-                Action::output(1),
-            ],
-            2,
-            4,
-        );
-        match &out[0] {
-            Egress::Port(1, bytes) => {
-                let eth = EthernetFrame::parse_bytes(bytes).unwrap();
-                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
-                assert_eq!(ip.dst, Ipv4Addr::new(172, 16, 0, 1));
-                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
-                assert_eq!(udp.dst_port, 1234);
-                assert_eq!(&udp.payload[..], b"payload");
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn tp_rewrite_sees_the_addresses_the_nw_rewrite_left() {
-        // A datagram whose checksum is wrong for the addresses it arrives
-        // with and right for the one `SetNwDst` writes.
-        let src = Ipv4Addr::new(10, 0, 0, 1);
-        let new_dst = Ipv4Addr::new(172, 16, 0, 1);
-        let udp = UdpPacket::new(5004, 9000, Bytes::from_static(b"payload"));
-        let ip = Ipv4Packet::new(
-            src,
-            Ipv4Addr::new(10, 0, 9, 9),
-            IpProtocol::UDP,
-            udp.emit(src, new_dst),
-        );
-        let f = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::IPV4, ip.emit()).emit();
-        // As it arrived there is no valid datagram to rewrite.
-        let out = apply_actions(&f, &[Action::SetTpDst(1234), Action::output(1)], 2, 4);
-        assert_eq!(out, vec![Egress::Port(1, f.clone())]);
-        // Behind the address rewrite there is one.
-        let actions = [
-            Action::SetNwDst(new_dst),
-            Action::SetTpDst(1234),
-            Action::output(1),
-        ];
-        match &apply_actions(&f, &actions, 2, 4)[0] {
-            Egress::Port(1, bytes) => {
-                let eth = EthernetFrame::parse_bytes(bytes).unwrap();
-                let ip = Ipv4Packet::parse_bytes(&eth.payload).unwrap();
-                assert_eq!(ip.dst, new_dst);
-                let udp = UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).unwrap();
-                assert_eq!((udp.src_port, udp.dst_port), (5004, 1234));
             }
             other => panic!("{other:?}"),
         }

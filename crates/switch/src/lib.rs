@@ -19,11 +19,14 @@
 //!   `FLOW_MOD` with a timeout or a flag is refused with
 //!   `FLOW_MOD_FAILED` / `UNSUPPORTED`, and one naming a buffer (as a
 //!   `PACKET_OUT` naming one) with `BAD_REQUEST` / `BUFFER_UNKNOWN`,
-//!   each installing nothing. A message it cannot decode (a
-//!   `STATS_REQUEST`, `GET_CONFIG_REQUEST` or `BARRIER_REQUEST` among
-//!   them) counts as `switch.decode_error` and is not answered;
-//! * rewrites frames per the OF 1.0 action set ([`datapath`]),
-//!   recomputing IPv4/UDP checksums on header rewrites.
+//!   and a `FLOW_MOD` or `PACKET_OUT` naming an action other than
+//!   `OUTPUT`, `SET_DL_SRC` and `SET_DL_DST` with `BAD_ACTION` /
+//!   `BAD_TYPE`, each installing and sending nothing. A message it
+//!   cannot decode (a `STATS_REQUEST`, `GET_CONFIG_REQUEST` or
+//!   `BARRIER_REQUEST` among them) counts as `switch.decode_error` and
+//!   is not answered;
+//! * applies those three actions to a frame's bytes ([`datapath`]):
+//!   a MAC rewrite patches the Ethernet header and nothing behind it.
 
 #![forbid(unsafe_code)]
 

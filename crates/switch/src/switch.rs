@@ -4,8 +4,9 @@ use crate::datapath::{apply_actions_owned, Egress};
 use crate::flow_table::FlowTable;
 use bytes::Bytes;
 use rf_openflow::{
-    ErrorCode, ErrorType, MessageReader, OfError, OfMessage, PacketInReason, PacketOutView,
-    PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
+    ErrorCode, ErrorType, MessageReader, OfError, OfHeader, OfMessage, PacketInReason,
+    PacketOutView, PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
+    SUPPORTED_ACTIONS,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::MacAddr;
@@ -39,6 +40,9 @@ const BUFFER_UNKNOWN: ErrorCode = 8;
 /// `OFPFMFC_UNSUPPORTED`, the closest OF 1.0 code for a timeout or a
 /// flag: every flow lives until it is deleted, and reports nothing.
 const UNSUPPORTED: ErrorCode = 5;
+/// `OFPBAC_BAD_TYPE`: an action other than OUTPUT, SET_DL_SRC and
+/// SET_DL_DST.
+const BAD_ACTION_TYPE: ErrorCode = 0;
 
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
@@ -398,12 +402,28 @@ impl OpenFlowSwitch {
             .is_some_and(|down| !down)
     }
 
-    /// One message off control channel `idx`. A PACKET_OUT — every
-    /// LLDP probe is one — is executed from the message where it lies
-    /// ([`PacketOutView`]): its actions are decoded as the interpreter
-    /// reaches them, its frame is a slice of `raw`. Everything else is
-    /// decoded in full and goes to `handle_message`.
+    /// One message off control channel `idx`. A FLOW_MOD or PACKET_OUT
+    /// naming an action outside [`rf_openflow::Action`]'s three kinds
+    /// does not decode; it is refused whole, under its own xid, before
+    /// any of it runs. Any other message that does not decode is the
+    /// caller's to count.
     fn handle_frame(&mut self, ctx: &mut Ctx<'_>, idx: usize, raw: Bytes) -> Result<(), OfError> {
+        let xid = OfHeader::parse(&raw)?.xid;
+        match self.run_frame(ctx, idx, raw) {
+            Err(OfError::BadAction(_)) => {
+                self.refuse(ctx, idx, ErrorType::BadAction, BAD_ACTION_TYPE, xid);
+                Ok(())
+            }
+            handled => handled,
+        }
+    }
+
+    /// A message that decodes. A PACKET_OUT — every LLDP probe is one —
+    /// is executed from the message where it lies ([`PacketOutView`]):
+    /// its actions are decoded as the interpreter reaches them, its
+    /// frame is a slice of `raw`. Everything else is decoded in full
+    /// and goes to `handle_message`.
+    fn run_frame(&mut self, ctx: &mut Ctx<'_>, idx: usize, raw: Bytes) -> Result<(), OfError> {
         let Some(out) = PacketOutView::parse(&raw)? else {
             let (msg, xid) = OfMessage::decode_bytes(&raw)?;
             self.handle_message(ctx, idx, msg, xid);
@@ -437,7 +457,7 @@ impl OpenFlowSwitch {
                     n_buffers: 0,
                     n_tables: 1,
                     capabilities: 0x0000_0080, // ARP_MATCH_IP
-                    actions: 0x0000_0FFF,      // all OF 1.0 actions
+                    actions: SUPPORTED_ACTIONS,
                     ports: self.phy_ports(),
                 });
                 self.send_to(ctx, idx, reply, xid);
@@ -488,7 +508,7 @@ impl OpenFlowSwitch {
             }
             // Symmetric / controller-role messages a switch should not
             // receive; reply with an error like OVS does. (A PACKET_OUT
-            // never gets here: `handle_frame`.)
+            // never gets here: `run_frame`.)
             _ => self.refuse(ctx, idx, ErrorType::BadRequest, BAD_TYPE, xid),
         }
     }

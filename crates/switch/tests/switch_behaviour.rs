@@ -1,12 +1,13 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
 //! miss → PACKET_IN, FLOW_MOD install, PACKET_OUT, `output:TABLE`,
-//! classification depth, undecodable requests, refused timeouts, flags
-//! and buffers, reconnect.
+//! classification depth, undecodable requests, refused timeouts, flags,
+//! buffers and actions, reconnect.
 
 use bytes::Bytes;
+use rf_openflow::flow_match::OFP_MATCH_LEN;
 use rf_openflow::{
     Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketInReason,
-    Wildcards, OFPP_NONE, OFPP_TABLE, OFP_NO_BUFFER,
+    Wildcards, OFPP_NONE, OFPP_TABLE, OFP_HEADER_LEN, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -183,6 +184,7 @@ fn handshake_reports_features() {
     assert_eq!(f.n_tables, 1);
     assert_eq!(f.n_buffers, 0, "a miss is never buffered");
     assert_eq!(f.capabilities, 0x80, "ARP_MATCH_IP, and no STATS");
+    assert_eq!(f.actions, 0x31, "OUTPUT, SET_DL_SRC and SET_DL_DST");
     assert!(b
         .sim
         .agent_as::<OpenFlowSwitch>(b.sw)
@@ -556,6 +558,75 @@ fn timeouts_flags_and_buffers_are_refused_typed() {
     );
     let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
     assert!(host_b.frames.is_empty(), "the PACKET_OUT sent nothing");
+}
+
+/// `msg`, whose one action is an 8-byte OUTPUT, encoded under `xid`
+/// with that action's bytes replaced by `action`: the encoder writes
+/// only the three kinds of action there are.
+fn with_action(msg: OfMessage, xid: u32, action: [u8; 8]) -> Bytes {
+    let at = match msg {
+        OfMessage::FlowMod { .. } => OFP_HEADER_LEN + OFP_MATCH_LEN + 24,
+        _ => OFP_HEADER_LEN + 8,
+    };
+    let mut wire = msg.encode(xid).to_vec();
+    assert_eq!(wire[at..at + 4], [0, 0, 0, 8], "an OUTPUT is there");
+    wire[at..at + 8].copy_from_slice(&action);
+    wire.into()
+}
+
+/// A FLOW_MOD or PACKET_OUT naming an action other than OUTPUT,
+/// SET_DL_SRC and SET_DL_DST — one OF 1.0 defines or one it does not —
+/// is refused whole with BAD_ACTION / BAD_TYPE under its own xid:
+/// nothing is installed, nothing leaves a port, nothing counts as
+/// undecodable.
+#[test]
+fn actions_outside_the_three_are_refused_typed() {
+    const SET_VLAN_VID: [u8; 8] = [0, 1, 0, 8, 0, 100, 0, 0];
+    const SET_NW_DST: [u8; 8] = [0, 7, 0, 8, 172, 16, 0, 1];
+    const TYPE_FFFF: [u8; 8] = [0xFF, 0xFF, 0, 8, 0, 0, 0, 0];
+    let route = || install([11, 0, 0, 0], vec![Action::output(2)]);
+    let packet_out = OfMessage::PacketOut {
+        buffer_id: OFP_NO_BUFFER,
+        in_port: 1,
+        actions: vec![Action::output(2)],
+        data: udp_frame(Ipv4Addr::new(11, 0, 0, 5)),
+    };
+    let ms = Duration::from_millis;
+    let ctrl = MockController {
+        script: vec![(ms(1000), install([10, 0, 0, 0], vec![Action::output(2)]), 1)],
+        raw: vec![
+            (ms(1100), with_action(route(), 0x21, SET_NW_DST)),
+            (ms(1100), with_action(packet_out, 0x22, SET_VLAN_VID)),
+            (ms(1100), with_action(route(), 0x23, TYPE_FFFF)),
+        ],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    b.sim.run_until(rf_sim::Time::from_millis(1050));
+    let before = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    let before = before.flow_table().entries().to_vec();
+    assert_eq!(before.len(), 1, "the route went in");
+    b.sim.run_until(rf_sim::Time::from_secs(2));
+    let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    assert_eq!(sw.flow_table().entries(), before, "nothing was installed");
+    assert_eq!(sw.errors_sent, 3);
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    let errors: Vec<_> = ctrl
+        .received
+        .iter()
+        .filter_map(|(m, xid)| match m {
+            OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *xid)),
+            _ => None,
+        })
+        .collect();
+    let bad_type = |xid| (ErrorType::BadAction, 0, xid);
+    assert_eq!(errors, [bad_type(0x21), bad_type(0x22), bad_type(0x23)]);
+    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
+    assert!(host_b.frames.is_empty(), "the PACKET_OUT sent nothing");
+    let tracer = b.sim.tracer();
+    assert_eq!(tracer.counter("switch.decode_error"), 0);
+    assert_eq!(tracer.counter("of.flow_mod"), 1, "the route alone");
+    assert_eq!(tracer.counter("of.packet_out"), 0);
 }
 
 #[test]

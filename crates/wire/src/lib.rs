@@ -24,10 +24,10 @@
 //! for the body. The simulated network reads through the readers: a
 //! switch building its match key touches no reference count, and a host
 //! stack or a VM reads every header of a received frame where it lies
-//! and slices the frame once, for the payload it hands on. The owned
-//! types are what a switch rewriting an IPv4 or UDP field re-emits
-//! through, and the reference the readers and [`ipv4_frame`] are
-//! tested against.
+//! and slices the frame once, for the payload it hands on; a switch's
+//! actions rewrite MACs only and read nothing past Ethernet. The owned
+//! types are the reference the readers and [`ipv4_frame`] are tested
+//! against.
 //!
 //! Parsing follows the smoltcp philosophy: explicit, allocation-light,
 //! rejecting malformed input with a typed [`WireError`] instead of

@@ -1,6 +1,6 @@
 //! `rf_flowvisor::FlowVisor` as it was before a forwarded message was
 //! patched where it lies (`crates/flowvisor/src/proxy.rs` at 8ab2bff,
-//! verbatim but for one unread accessor and the five adaptations
+//! verbatim but for one unread accessor and the adaptations
 //! marked `ADAPTED`): every message decoded in full, PACKET_OUTs
 //! included; every forwarded message copied to change its xid;
 //! connections and xids looked up in `HashMap`s; a chunk's messages
@@ -8,7 +8,11 @@
 //! proxy must match byte for byte, on every connection. Its two STATS
 //! arms are deleted here as in the real proxy: no STATS message decodes.
 //! Nor does a GET_CONFIG, BARRIER or FLOW_REMOVED: their arms and the
-//! cookie map that routed FLOW_REMOVED are deleted likewise.
+//! cookie map that routed FLOW_REMOVED are deleted likewise. A slice's
+//! FLOW_MOD or PACKET_OUT naming an action outside the real crate's
+//! three does not decode; it is refused with
+//! `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` under the slice's xid, as the
+//! real proxy refuses it.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
@@ -101,7 +105,8 @@ pub struct ModelFlowVisor {
     /// FLOW_MODs narrowed to the slice's flowspace.
     pub rewritten_flow_mods: u64,
     /// Reused per-event decode buffer (capacity persists across events).
-    scratch: Vec<(OfMessage, u32, bytes::Bytes)>,
+    // ADAPTED: a request refused for its actions is kept as its xid.
+    scratch: Vec<Result<(OfMessage, u32, bytes::Bytes), u32>>,
 }
 
 impl ModelFlowVisor {
@@ -471,11 +476,11 @@ impl Agent for ModelFlowVisor {
                             reader.push_bytes(data);
                             while let Some(r) = next_raw(reader) {
                                 if let Ok(m) = r {
-                                    msgs.push(m);
+                                    msgs.push(Ok(m));
                                 }
                             }
                         }
-                        for (msg, xid, raw) in msgs.drain(..) {
+                        for (msg, xid, raw) in msgs.drain(..).flatten() {
                             self.handle_switch_msg(ctx, sw, msg, xid, raw);
                         }
                     }
@@ -483,14 +488,36 @@ impl Agent for ModelFlowVisor {
                         {
                             let reader = &mut self.switches[sw].upstreams[slice].reader;
                             reader.push_bytes(data);
-                            while let Some(r) = next_raw(reader) {
-                                if let Ok(m) = r {
-                                    msgs.push(m);
+                            while let Some(raw) = reader.next_frame() {
+                                let Ok(raw) = raw else { continue };
+                                // ADAPTED: a request naming an unknown
+                                // action is refused under its xid.
+                                match OfMessage::decode_bytes(&raw) {
+                                    Ok((msg, xid)) => msgs.push(Ok((msg, xid, raw))),
+                                    Err(OfError::BadAction(_)) => {
+                                        let header = rf_openflow::OfHeader::parse(&raw);
+                                        msgs.push(Err(header.expect("framed").xid));
+                                    }
+                                    Err(_) => {}
                                 }
                             }
                         }
-                        for (msg, xid, raw) in msgs.drain(..) {
-                            self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
+                        for m in msgs.drain(..) {
+                            match m {
+                                Ok((msg, xid, raw)) => {
+                                    self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
+                                }
+                                Err(xid) => {
+                                    if let Some(c) = self.switches[sw].upstreams[slice].conn {
+                                        let err = OfMessage::Error {
+                                            err_type: ErrorType::BadAction,
+                                            code: 0, // OFPBAC_BAD_TYPE
+                                            data: Bytes::new(),
+                                        };
+                                        ctx.conn_send(c, err.encode(xid));
+                                    }
+                                }
+                            }
                         }
                     }
                 }

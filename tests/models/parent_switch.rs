@@ -1,6 +1,6 @@
 //! `rf_switch::OpenFlowSwitch` as it was before a PACKET_OUT was read
 //! where it lies (`crates/switch/src/switch.rs` at 8ab2bff, verbatim
-//! but for five unread accessors and the four adaptations marked
+//! but for five unread accessors and the adaptations marked
 //! `ADAPTED`): every message decoded in full, a chunk's messages
 //! drained into a list before any is handled, a PACKET_OUT's actions a
 //! `Vec`, an egress list per action list, punt templates in a
@@ -13,7 +13,11 @@
 //! nowhere, FEATURES_REPLY advertises no buffers, and the requests the
 //! real switch refuses — a FLOW_MOD with a timeout or a flag, a
 //! FLOW_MOD or PACKET_OUT naming a buffer — are refused with the same
-//! ERROR; every ERROR answers under the request's own xid.
+//! ERROR; every ERROR answers under the request's own xid. Its actions
+//! are the real crate's three, so FEATURES_REPLY advertises those, and a
+//! FLOW_MOD or PACKET_OUT naming any other — it does not decode — is
+//! refused with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` as the real switch
+//! refuses it.
 
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
@@ -85,7 +89,8 @@ pub struct ModelSwitch {
     /// Copies of ERROR messages we sent (for tests/diagnostics).
     pub errors_sent: u64,
     /// Reused per-event decode buffer (capacity persists across events).
-    msg_scratch: Vec<Option<(OfMessage, u32)>>,
+    // ADAPTED: a request refused for its actions is kept as its xid.
+    msg_scratch: Vec<Option<Result<(OfMessage, u32), u32>>>,
     /// Per-port template of the last action-punt PACKET_IN:
     /// `(punted frame, cut, encoded message)`. LLDP probes punt the
     /// identical frame every round; on a match the wire bytes are the
@@ -322,7 +327,8 @@ impl ModelSwitch {
                     n_buffers: 0,
                     n_tables: 1,
                     capabilities: 0x0000_0080, // ARP_MATCH_IP
-                    actions: 0x0000_0FFF,      // all OF 1.0 actions
+                    // ADAPTED: the three actions there are.
+                    actions: rf_openflow::SUPPORTED_ACTIONS,
                     ports: self.phy_ports(),
                 });
                 self.send_to(ctx, idx, reply, xid);
@@ -482,17 +488,24 @@ impl Agent for ModelSwitch {
                 {
                     let reader = &mut self.ctrls[idx].reader;
                     reader.push_bytes(data);
-                    loop {
-                        match reader.next() {
-                            Some(Ok(m)) => msgs.push(Some(m)),
-                            Some(Err(_)) => msgs.push(None),
-                            None => break,
-                        }
+                    // ADAPTED: framed, then decoded, so that a request
+                    // naming an unknown action is refused under its xid.
+                    while let Some(raw) = reader.next_frame() {
+                        let decoded = raw.and_then(|raw| {
+                            let xid = rf_openflow::OfHeader::parse(&raw)?.xid;
+                            match OfMessage::decode_bytes(&raw) {
+                                Err(rf_openflow::OfError::BadAction(_)) => Ok(Err(xid)),
+                                decoded => decoded.map(Ok),
+                            }
+                        });
+                        msgs.push(decoded.ok());
                     }
                 }
                 for m in msgs.drain(..) {
                     match m {
-                        Some((msg, xid)) => self.handle_message(ctx, idx, msg, xid),
+                        Some(Ok((msg, xid))) => self.handle_message(ctx, idx, msg, xid),
+                        // OFPBAC_BAD_TYPE
+                        Some(Err(xid)) => self.refuse(ctx, idx, ErrorType::BadAction, 0, xid),
                         None => ctx.count("switch.decode_error", 1),
                     }
                 }

@@ -394,19 +394,12 @@ fn play_relay<R: rf_sim::Agent>(
 // ---------------- switch datapath: reference model ----------------
 
 /// The action interpreter as it was before it became one loop over the
-/// frame's bytes: a fast path for lists without rewrites, and a
-/// `FrameEditor` that parsed Ethernet + IPv4 + UDP up front and
-/// re-emitted lazily at each output. Kept verbatim as the reference the
-/// real `apply_actions` must match byte for byte.
-///
-/// One difference is intended and out of this generator's reach: the
-/// editor verified the UDP checksum once, against the frame's original
-/// addresses, while the loop re-parses at each `SetNw*` / `SetTp*`. A
-/// datagram whose checksum is wrong for its own addresses but right
-/// for rewritten ones (2^-16 for a random corruption) is therefore
-/// open to a later `SetTp*` in the loop and was not in the editor;
-/// rf-switch's `tp_rewrite_sees_the_addresses_the_nw_rewrite_left`
-/// builds that frame by hand and pins the loop's side.
+/// frame's bytes: a fast path for lists without rewrites, and an editor
+/// that parsed the frame up front and re-emitted it at each output.
+/// Kept as the reference the real `apply_actions` must match byte for
+/// byte, less the IPv4 and UDP rewrites it also applied: those actions
+/// no longer exist, and what is left of the editor is the Ethernet
+/// frame whose MACs it rewrites.
 mod datapath_model {
     use bytes::Bytes;
     use rf_openflow::{
@@ -414,108 +407,7 @@ mod datapath_model {
         OFPP_TABLE,
     };
     use rf_switch::Egress;
-    use rf_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, UdpPacket};
-    use std::net::Ipv4Addr;
-
-    /// Working copy of a frame that applies header rewrites lazily.
-    #[derive(Clone)]
-    struct FrameEditor {
-        eth: EthernetFrame,
-        ip: Option<Ipv4Packet>,
-        udp: Option<UdpPacket>,
-        dirty: bool,
-    }
-
-    impl FrameEditor {
-        fn new(frame: &Bytes) -> Option<FrameEditor> {
-            let eth = EthernetFrame::parse_bytes(frame).ok()?;
-            let (ip, udp) = if eth.ethertype == EtherType::IPV4 {
-                match Ipv4Packet::parse_bytes(&eth.payload) {
-                    Ok(ip) => {
-                        let udp = if ip.protocol == IpProtocol::UDP {
-                            UdpPacket::parse_bytes(&ip.payload, ip.src, ip.dst).ok()
-                        } else {
-                            None
-                        };
-                        (Some(ip), udp)
-                    }
-                    Err(_) => (None, None),
-                }
-            } else {
-                (None, None)
-            };
-            Some(FrameEditor {
-                eth,
-                ip,
-                udp,
-                dirty: false,
-            })
-        }
-
-        fn set_nw_src(&mut self, a: Ipv4Addr) {
-            if let Some(ip) = &mut self.ip {
-                ip.src = a;
-                self.dirty = true;
-            }
-        }
-
-        fn set_nw_dst(&mut self, a: Ipv4Addr) {
-            if let Some(ip) = &mut self.ip {
-                ip.dst = a;
-                self.dirty = true;
-            }
-        }
-
-        fn set_nw_tos(&mut self, tos: u8) {
-            if let Some(ip) = &mut self.ip {
-                ip.dscp = tos >> 2;
-                self.dirty = true;
-            }
-        }
-
-        fn set_tp_src(&mut self, p: u16) {
-            if let Some(udp) = &mut self.udp {
-                udp.src_port = p;
-                self.dirty = true;
-            }
-        }
-
-        fn set_tp_dst(&mut self, p: u16) {
-            if let Some(udp) = &mut self.udp {
-                udp.dst_port = p;
-                self.dirty = true;
-            }
-        }
-
-        fn render(&self, original: &Bytes) -> Bytes {
-            if !self.dirty {
-                // Only MAC rewrites (or nothing): patch in place, cheap path.
-                let mut eth = self.eth.clone();
-                return eth_rebuild(&mut eth, None);
-            }
-            let mut eth = self.eth.clone();
-            let inner = match (&self.ip, &self.udp) {
-                (Some(ip), Some(udp)) => {
-                    let mut ip = ip.clone();
-                    ip.payload = udp.emit(ip.src, ip.dst);
-                    Some(ip.emit())
-                }
-                (Some(ip), None) => Some(ip.emit()),
-                _ => None,
-            };
-            match inner {
-                Some(bytes) => eth_rebuild(&mut eth, Some(bytes)),
-                None => original.clone(),
-            }
-        }
-    }
-
-    fn eth_rebuild(eth: &mut EthernetFrame, new_payload: Option<Bytes>) -> Bytes {
-        if let Some(p) = new_payload {
-            eth.payload = p;
-        }
-        eth.emit()
-    }
+    use rf_wire::EthernetFrame;
 
     /// Apply an OF 1.0 action list to `frame` received on `in_port`.
     ///
@@ -536,131 +428,70 @@ mod datapath_model {
         // themselves; shorter ones (never produced by `emit`, but possible
         // via hand-built PACKET_OUT data) take the slow path, which pads
         // exactly as before.
-        let mutates = actions.iter().any(|a| {
-            matches!(
-                a,
-                Action::SetDlSrc(_)
-                    | Action::SetDlDst(_)
-                    | Action::SetNwSrc(_)
-                    | Action::SetNwDst(_)
-                    | Action::SetNwTos(_)
-                    | Action::SetTpSrc(_)
-                    | Action::SetTpDst(_)
-            )
-        });
+        let mutates = actions
+            .iter()
+            .any(|a| matches!(a, Action::SetDlSrc(_) | Action::SetDlDst(_)));
+        let mut out = Vec::new();
         if !mutates && frame.len() >= rf_wire::MIN_FRAME_NO_FCS {
-            let mut out = Vec::new();
             for action in actions {
-                match action {
-                    Action::Output { port, max_len } => match *port {
-                        OFPP_CONTROLLER => out.push(Egress::Controller {
-                            max_len: *max_len,
-                            frame: frame.clone(),
-                        }),
-                        OFPP_IN_PORT => out.push(Egress::Port(in_port, frame.clone())),
-                        OFPP_TABLE => out.push(Egress::Table(frame.clone())),
-                        OFPP_FLOOD | OFPP_ALL => {
-                            for p in 1..=num_ports {
-                                if p != in_port {
-                                    out.push(Egress::Port(p, frame.clone()));
-                                }
-                            }
-                        }
-                        p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
-                            out.push(Egress::Port(p, frame.clone()));
-                        }
-                        _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
-                    },
-                    Action::Enqueue { port, .. } if *port >= 1 && *port <= num_ports => {
-                        out.push(Egress::Port(*port, frame.clone()));
-                    }
-                    _ => { /* dropped Enqueue / VLAN actions: accepted and ignored */ }
+                if let Action::Output { port, max_len } = action {
+                    route(&mut out, frame.clone(), *port, *max_len, in_port, num_ports);
                 }
             }
             return out;
         }
-        let mut editor = FrameEditor::new(frame);
-        let mut out = Vec::new();
-        let render = |e: &Option<FrameEditor>| -> Bytes {
-            match e {
-                Some(ed) => ed.render(frame),
-                None => frame.clone(),
-            }
-        };
+        let mut editor = EthernetFrame::parse_bytes(frame).ok();
         for action in actions {
             match action {
                 Action::Output { port, max_len } => {
-                    let bytes = render(&editor);
-                    match *port {
-                        OFPP_CONTROLLER => out.push(Egress::Controller {
-                            max_len: *max_len,
-                            frame: bytes,
-                        }),
-                        OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
-                        OFPP_TABLE => out.push(Egress::Table(bytes)),
-                        OFPP_FLOOD | OFPP_ALL => {
-                            for p in 1..=num_ports {
-                                if p != in_port {
-                                    out.push(Egress::Port(p, bytes.clone()));
-                                }
-                            }
-                        }
-                        p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
-                            out.push(Egress::Port(p, bytes));
-                        }
-                        _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
-                    }
-                }
-                Action::Enqueue { port, .. } => {
-                    // Queues are not modelled: treated as plain output.
-                    let bytes = render(&editor);
-                    if *port >= 1 && *port <= num_ports {
-                        out.push(Egress::Port(*port, bytes));
-                    }
+                    let bytes = match &editor {
+                        Some(eth) => eth.emit(),
+                        None => frame.clone(),
+                    };
+                    route(&mut out, bytes, *port, *max_len, in_port, num_ports);
                 }
                 Action::SetDlSrc(mac) => {
-                    if let Some(e) = &mut editor {
-                        e.eth.src = *mac;
+                    if let Some(eth) = &mut editor {
+                        eth.src = *mac;
                     }
                 }
                 Action::SetDlDst(mac) => {
-                    if let Some(e) = &mut editor {
-                        e.eth.dst = *mac;
+                    if let Some(eth) = &mut editor {
+                        eth.dst = *mac;
                     }
                 }
-                Action::SetNwSrc(a) => {
-                    if let Some(e) = &mut editor {
-                        e.set_nw_src(*a);
-                    }
-                }
-                Action::SetNwDst(a) => {
-                    if let Some(e) = &mut editor {
-                        e.set_nw_dst(*a);
-                    }
-                }
-                Action::SetNwTos(t) => {
-                    if let Some(e) = &mut editor {
-                        e.set_nw_tos(*t);
-                    }
-                }
-                Action::SetTpSrc(p) => {
-                    if let Some(e) = &mut editor {
-                        e.set_tp_src(*p);
-                    }
-                }
-                Action::SetTpDst(p) => {
-                    if let Some(e) = &mut editor {
-                        e.set_tp_dst(*p);
-                    }
-                }
-                // VLAN actions: tagging is out of scope (the data plane
-                // carries untagged Ethernet II only); the actions are
-                // accepted and ignored, as OVS does when the packet has
-                // no VLAN context to modify.
-                Action::SetVlanVid(_) | Action::SetVlanPcp(_) | Action::StripVlan => {}
             }
         }
         out
+    }
+
+    fn route(
+        out: &mut Vec<Egress>,
+        bytes: Bytes,
+        port: PortNumber,
+        max_len: u16,
+        in_port: PortNumber,
+        num_ports: u16,
+    ) {
+        match port {
+            OFPP_CONTROLLER => out.push(Egress::Controller {
+                max_len,
+                frame: bytes,
+            }),
+            OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
+            OFPP_TABLE => out.push(Egress::Table(bytes)),
+            OFPP_FLOOD | OFPP_ALL => {
+                for p in 1..=num_ports {
+                    if p != in_port {
+                        out.push(Egress::Port(p, bytes.clone()));
+                    }
+                }
+            }
+            p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
+                out.push(Egress::Port(p, bytes));
+            }
+            _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
+        }
     }
 }
 
@@ -1164,7 +995,7 @@ fn build_frame((shape, (macs, src, dst, port), payload, tweak): FrameDraw) -> By
     Bytes::from(frame)
 }
 
-/// One action of any of the twelve kinds; outputs cover physical,
+/// One action of any of the three kinds; outputs cover physical,
 /// out-of-range and every reserved port.
 fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u16) -> Action {
     use rf_openflow::{
@@ -1193,24 +1024,8 @@ fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u1
             port,
             max_len: value as u16,
         },
-        8 => Action::Enqueue {
-            port: match value % 3 {
-                0 => physical,
-                1 => reserved[port as usize % reserved.len()],
-                _ => port,
-            },
-            queue_id: value,
-        },
-        9 => Action::SetVlanVid(port),
-        10 => Action::SetVlanPcp(value as u8),
-        11 => Action::StripVlan,
-        12 | 13 => Action::SetDlSrc(MacAddr(mac)),
-        14 | 15 => Action::SetDlDst(MacAddr(mac)),
-        16 => Action::SetNwSrc(Ipv4Addr::from(value)),
-        17 => Action::SetNwDst(Ipv4Addr::from(value)),
-        18 => Action::SetNwTos(value as u8),
-        19 => Action::SetTpSrc(port),
-        _ => Action::SetTpDst(port),
+        8 | 9 => Action::SetDlSrc(MacAddr(mac)),
+        _ => Action::SetDlDst(MacAddr(mac)),
     }
 }
 
@@ -1727,8 +1542,9 @@ type ControlDraw = (
 /// SET_CONFIG, a BARRIER, GET_CONFIG or STATS_REQUEST (raw bytes: no
 /// decoder takes one), an ECHO, or something no controller should
 /// send. Five in sixteen are then damaged: cut short under a patched
-/// length, one bit flipped anywhere, an action of length 7, an action
-/// of unknown type, an `actions_len` running past the body.
+/// length, one bit flipped anywhere, a first action of length 7 or of
+/// a type no switch takes (refused under its xid), a PACKET_OUT's
+/// `actions_len` running past the body.
 fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw) -> Vec<u8> {
     use rf_openflow::{
         FlowModCommand, MsgType, OFPP_NONE, OFP_HEADER_LEN, OFP_NO_BUFFER, OFP_VERSION,
@@ -1736,7 +1552,7 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
     let (a, b) = (*a, *b);
     let actions: Vec<Action> = actions
         .iter()
-        .map(|&(kind, port, value, mac)| build_action((kind % 21, port, value, mac), TAP_PORTS))
+        .map(|&(kind, port, value, mac)| build_action((kind % 12, port, value, mac), TAP_PORTS))
         .collect();
     // One in four names a buffer, which no switch holds.
     let buffer_id = match b % 4 {
@@ -1783,8 +1599,14 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
         _ => {}
     }
     let xid = b.rotate_left(7);
-    // Where a PACKET_OUT's first action starts, if it has one.
-    let first_action = (kind % 16 <= 5 && !actions.is_empty()).then_some(OFP_HEADER_LEN + 8);
+    // Where a PACKET_OUT's or a FLOW_MOD's first action starts, if it
+    // has one.
+    let first_action = match kind % 16 {
+        0..=5 => Some(OFP_HEADER_LEN + 8),
+        6..=9 => Some(OFP_HEADER_LEN + rf_openflow::flow_match::OFP_MATCH_LEN + 24),
+        _ => None,
+    }
+    .filter(|_| !actions.is_empty());
     // A bare `ofp_header` of a type nothing encodes any more.
     let bare = |msg_type: MsgType| {
         let mut wire = vec![OFP_VERSION, msg_type as u8, 0, 8];
@@ -1857,8 +1679,13 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
             wire[2..4].copy_from_slice(&length.to_be_bytes());
         }
         (2, Some(action)) => wire[action + 3] = 7,
-        (3, Some(action)) => wire[action + 1] = 99,
-        (4, Some(_)) => wire[OFP_HEADER_LEN + 6] = 0xFF,
+        (3, Some(action)) => {
+            // OF 1.0's SET_VLAN_VID and SET_NW_DST, an unknown type, the
+            // last type.
+            let ty: u16 = [1, 7, 99, 0xFFFF][at % 4];
+            wire[action..action + 2].copy_from_slice(&ty.to_be_bytes());
+        }
+        (4, Some(_)) if kind % 16 <= 5 => wire[OFP_HEADER_LEN + 6] = 0xFF,
         (1..=4, _) => {
             let bit = at % (wire.len() * 8);
             wire[bit / 8] ^= 1 << (bit % 8);
@@ -2542,11 +2369,10 @@ proptest! {
     }
 
     #[test]
-    fn of_actions_roundtrip(port in 1u16..1000, mac in arb_mac(), ip in arb_ip()) {
+    fn of_actions_roundtrip(port in 1u16..1000, mac in arb_mac()) {
         let actions = vec![
             Action::SetDlSrc(mac),
             Action::SetDlDst(mac),
-            Action::SetNwDst(ip),
             Action::output(port),
         ];
         let mut buf = bytes::BytesMut::new();
@@ -2580,7 +2406,7 @@ proptest! {
             let frame = build_frame(draw);
             let drawn: Vec<Action> = action_draws
                 .into_iter()
-                .map(|(kind, port, value, mac)| build_action((kind % 21, port, value, mac), num_ports))
+                .map(|(kind, port, value, mac)| build_action((kind % 12, port, value, mac), num_ports))
                 .collect();
             // The drawn list, and one that floods before, between and
             // after MAC rewrites: every copy an earlier output handed
