@@ -64,8 +64,7 @@ impl DiscoveryBridge {
     pub(crate) fn on_rpc(&mut self, cx: &mut AppCtx<'_, '_>, req: RpcRequest) -> Option<Refined> {
         match req {
             RpcRequest::SwitchDetected { dpid, num_ports } => {
-                // Once only: a relay retransmission or switch re-probe
-                // yields nothing.
+                // Once only: a repeated announcement yields nothing.
                 self.known
                     .insert(dpid)
                     .then_some(Refined::SwitchUp { dpid, num_ports })

@@ -8,7 +8,7 @@
 //! is for; a stage returns what it refined, and the engine calls the
 //! next one. Transport chores no stage sees — Hello/Echo, handshake
 //! bookkeeping, flushing FLOW_MODs queued while a channel was down,
-//! the channel drain tick, RPC acks and dedup — are handled here.
+//! the channel drain tick, RPC framing — are handled here.
 
 use super::arp_proxy::ArpProxy;
 use super::channel::{AppCtx, ChannelIo, CHANNEL_DRAIN_TOKEN};
@@ -296,11 +296,10 @@ impl Agent for ControlPlane {
             }
             StreamEvent::Data(data) => {
                 if self.rpc_conns.contains(&conn) {
-                    let (fresh, acks) = self.rpc.feed_bytes(data);
-                    for ack in acks {
-                        ctx.conn_send(conn, ack);
-                    }
-                    for req in fresh {
+                    // The relay reads nothing back, so the acks stay unsent.
+                    let (requests, _acks) = self.rpc.feed_bytes(data);
+                    ctx.count("rpc.received", requests.len() as u64);
+                    for req in requests {
                         self.with_cx(ctx, |s, cx| s.on_rpc(cx, req));
                     }
                 } else if let Some(r) = self.vm_readers.get_mut(&conn) {

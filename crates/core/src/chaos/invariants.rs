@@ -181,37 +181,6 @@ impl SurvivingState {
     }
 }
 
-/// BFS distances over the surviving graph from `src` (usable edges
-/// between alive nodes only); `usize::MAX` = unreachable.
-fn surviving_distances(topo: &Topology, s: &SurvivingState, src: usize) -> Vec<usize> {
-    let n = topo.node_count();
-    let mut dist = vec![usize::MAX; n];
-    if !s.alive[src] {
-        return dist;
-    }
-    dist[src] = 0;
-    let mut queue = std::collections::VecDeque::from([src]);
-    while let Some(u) = queue.pop_front() {
-        for (e, edge) in topo.edges().iter().enumerate() {
-            if !s.usable[e] {
-                continue;
-            }
-            let v = if edge.a == u {
-                edge.b
-            } else if edge.b == u {
-                edge.a
-            } else {
-                continue;
-            };
-            if s.alive[v] && dist[v] == usize::MAX {
-                dist[v] = dist[u] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// Check every invariant against a finished scenario. The returned
 /// vector is empty iff the run was clean; order is deterministic
 /// (nodes ascending, then the cross-cutting checks).
@@ -224,7 +193,9 @@ pub fn check_invariants(sc: &Scenario, ctx: &InvariantContext<'_>) -> Vec<Invari
 
     // Per-node distance tables on the surviving graph, computed once.
     let dist: Vec<Vec<usize>> = (0..nodes)
-        .map(|n| surviving_distances(ctx.topo, &surviving, n))
+        .map(|n| {
+            super::masked_distances(ctx.topo, n, |v| surviving.alive[v], |e| surviving.usable[e])
+        })
         .collect();
 
     // iface → (edge index, peer node) per node, for usable edges.

@@ -39,6 +39,42 @@ use rf_topo::Topology;
 use std::ops::Range;
 use std::time::Duration;
 
+/// BFS hop counts from `src` over the edges `edge_ok` keeps between
+/// the nodes `node_ok` keeps; `usize::MAX` = unreachable. A `src` that
+/// is not kept reaches nothing.
+fn masked_distances(
+    topo: &Topology,
+    src: usize,
+    node_ok: impl Fn(usize) -> bool,
+    edge_ok: impl Fn(usize) -> bool,
+) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; topo.node_count()];
+    if !node_ok(src) {
+        return dist;
+    }
+    dist[src] = 0;
+    let mut queue = std::collections::VecDeque::from([src]);
+    while let Some(u) = queue.pop_front() {
+        for (e, edge) in topo.edges().iter().enumerate() {
+            if !edge_ok(e) {
+                continue;
+            }
+            let v = if edge.a == u {
+                edge.b
+            } else if edge.b == u {
+                edge.a
+            } else {
+                continue;
+            };
+            if node_ok(v) && dist[v] == usize::MAX {
+                dist[v] = dist[u] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
 /// The fault families a [`ChaosSpec`] may draw from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultClass {
@@ -155,28 +191,8 @@ impl ChaosSpec {
                 let Some(src) = (0..nodes).find(|&n| ok_node(n)) else {
                     return true;
                 };
-                let mut seen = vec![false; nodes];
-                seen[src] = true;
-                let mut stack = vec![src];
-                while let Some(u) = stack.pop() {
-                    for (e, edge) in edges.iter().enumerate() {
-                        if !up[e] || Some(e) == drop_edge {
-                            continue;
-                        }
-                        let v = if edge.a == u {
-                            edge.b
-                        } else if edge.b == u {
-                            edge.a
-                        } else {
-                            continue;
-                        };
-                        if ok_node(v) && !seen[v] {
-                            seen[v] = true;
-                            stack.push(v);
-                        }
-                    }
-                }
-                (0..nodes).all(|n| !ok_node(n) || seen[n])
+                let dist = masked_distances(topo, src, ok_node, |e| up[e] && Some(e) != drop_edge);
+                (0..nodes).all(|n| !ok_node(n) || dist[n] != usize::MAX)
             };
 
         for t in onsets {

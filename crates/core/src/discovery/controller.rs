@@ -8,7 +8,7 @@ use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketInView, OFPP_CONTROLLER,
     OFPP_NONE, OFP_NO_BUFFER,
 };
-use rf_rpc::{Envelope, Outbox, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE};
+use rf_rpc::{encode_envelope, Envelope, RpcRequest, RPC_CLIENT_SERVICE};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::{EtherType, EthernetFrame, EthernetHeader, Ipv4Cidr, LldpPacket, MacAddr};
@@ -17,7 +17,10 @@ use std::time::Duration;
 
 const T_PROBE: u64 = 1;
 const T_AGE: u64 = 2;
-const T_RPC_RECONNECT: u64 = 3;
+
+/// The LLDP probe period a topology controller starts with, the
+/// paper's 1 s.
+pub(crate) const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Configuration of the topology controller. The `ip_range` is the one
 /// administrator-provided input of the whole framework.
@@ -38,7 +41,7 @@ impl TopologyControllerConfig {
         TopologyControllerConfig {
             rpc_client: None,
             ip_range,
-            probe_interval: Duration::from_secs(1),
+            probe_interval: DEFAULT_PROBE_INTERVAL,
         }
     }
 
@@ -96,12 +99,10 @@ pub struct TopologyController {
     alloc: Ipv4Allocator,
     /// Subnet assigned to each up link.
     subnets: BTreeMap<UndirectedLink, Ipv4Cidr>,
+    /// The stream to the RPC client, dialled at start.
     rpc_conn: Option<ConnId>,
-    rpc_ready: bool,
-    rpc_reader: RpcFrameReader,
-    /// Requests the relay has not acked yet. Each goes out once per
-    /// connection; a reconnect sends the whole backlog again.
-    rpc_backlog: Outbox,
+    /// Request ids handed out so far; the first request gets id 1.
+    rpc_issued: u64,
     xid: u32,
     /// Full event history, in order.
     pub events: Vec<DiscoveryEvent>,
@@ -119,9 +120,7 @@ impl TopologyController {
             alloc,
             subnets: BTreeMap::new(),
             rpc_conn: None,
-            rpc_ready: false,
-            rpc_reader: RpcFrameReader::new(),
-            rpc_backlog: Outbox::new(),
+            rpc_issued: 0,
             xid: 1,
             events: Vec::new(),
             probe_rounds: 0,
@@ -149,21 +148,17 @@ impl TopologyController {
         self.xid
     }
 
+    /// Send `request` to the RPC client. Bytes sent before the stream
+    /// opens are delivered after the open, so nothing waits here.
     fn emit_rpc(&mut self, ctx: &mut Ctx<'_>, request: RpcRequest) {
-        self.rpc_backlog.push(request);
-        self.flush_rpc(ctx);
-    }
-
-    fn flush_rpc(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.rpc_ready {
-            return;
-        }
         let Some(conn) = self.rpc_conn else { return };
-        for frame in self.rpc_backlog.take_unsent() {
-            ctx.conn_send(conn, frame);
-        }
-        // The relay acks on receipt and owns delivery from here.
-        // Entries are dropped when their ack arrives (see on_stream).
+        self.rpc_issued += 1;
+        let req_id = self.rpc_issued;
+        ctx.conn_send(
+            conn,
+            encode_envelope(&Envelope::Request { req_id, request }),
+        );
+        ctx.count("topo.rpc_out", 1);
     }
 
     fn handle_link_up(&mut self, ctx: &mut Ctx<'_>, link: UndirectedLink) {
@@ -351,20 +346,15 @@ impl TopologyController {
             ctx.count("topo.lldp_out", 1);
         }
     }
-
-    fn connect_rpc(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(client) = self.cfg.rpc_client {
-            self.rpc_ready = false;
-            self.rpc_reader = RpcFrameReader::new();
-            self.rpc_conn = Some(ctx.connect(client, RPC_CLIENT_SERVICE, ConnProfile::default()));
-        }
-    }
 }
 
 impl Agent for TopologyController {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.listen(TOPOLOGY_OF_SERVICE);
-        self.connect_rpc(ctx);
+        self.rpc_conn = self
+            .cfg
+            .rpc_client
+            .map(|client| ctx.connect(client, RPC_CLIENT_SERVICE, ConnProfile::default()));
         ctx.schedule(self.cfg.probe_interval, T_PROBE);
         ctx.schedule(self.cfg.link_lifetime(), T_AGE);
     }
@@ -387,45 +377,17 @@ impl Agent for TopologyController {
                 }
                 ctx.schedule(self.cfg.link_lifetime(), T_AGE);
             }
-            T_RPC_RECONNECT if self.rpc_conn.is_none() => {
-                self.connect_rpc(ctx);
-            }
             _ => {}
         }
     }
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
-        if Some(conn) == self.rpc_conn {
-            match event {
-                StreamEvent::Opened { .. } => {
-                    self.rpc_ready = true;
-                    self.rpc_backlog.rewind();
-                    self.flush_rpc(ctx);
-                }
-                StreamEvent::Data(data) => {
-                    self.rpc_reader.push_bytes(data);
-                    // Anything but an ack — a frame that fails to
-                    // decode included — is dropped, and the rest read on.
-                    while let Some(env) = self.rpc_reader.next() {
-                        if let Ok(Envelope::Ack(ack)) = env {
-                            self.rpc_backlog.ack(ack.req_id);
-                        }
-                    }
-                }
-                StreamEvent::Closed => {
-                    self.rpc_conn = None;
-                    self.rpc_ready = false;
-                    ctx.schedule(Duration::from_millis(500), T_RPC_RECONNECT);
-                }
-            }
-            return;
-        }
         match event {
             StreamEvent::Opened {
                 initiated_by_us, ..
             } => {
                 if initiated_by_us {
-                    return; // handled above (rpc) — nothing else dials out
+                    return; // the RPC stream: nothing else dials out
                 }
                 self.sessions.insert(
                     conn,

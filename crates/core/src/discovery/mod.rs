@@ -34,6 +34,7 @@ pub mod controller;
 pub mod linkdb;
 
 pub use alloc::Ipv4Allocator;
+pub(crate) use controller::DEFAULT_PROBE_INTERVAL;
 pub use controller::{DiscoveryEvent, TopologyController, TopologyControllerConfig};
 pub use linkdb::{DirectedLink, LinkDb, UndirectedLink};
 

@@ -27,7 +27,9 @@
 use super::exec::{self, Finished};
 use super::report::{CellRecord, MatrixReport};
 use super::{Fault, Scenario, ScenarioBuilder, Workload, WorkloadReport};
+use crate::discovery::DEFAULT_PROBE_INTERVAL;
 use crate::host::PingProbeReport;
+use crate::rfcontroller::RfControllerConfig;
 use crate::traffic::{FlowSize, TrafficSpec, WorkloadError};
 use rf_sim::Time;
 use rf_topo::TopoSpec;
@@ -206,34 +208,30 @@ pub struct MatrixKnob {
 
 impl MatrixKnob {
     /// The fast-timer settings every quick test uses (1 s hello / 4 s
-    /// dead / 500 ms probes).
+    /// dead / 500 ms probes) over [`MatrixKnob::paper`].
     pub fn fast(name: impl Into<String>) -> MatrixKnob {
         MatrixKnob {
-            name: name.into(),
-            probe_interval: Duration::from_millis(500),
-            vm_boot_delay: Duration::from_secs(1),
-            ospf_hello: 1,
-            ospf_dead: 4,
-            use_flowvisor: true,
-            provision_width: 1,
-            fib_batch: 1,
-            channel_capacity: None,
-            workload: MatrixWorkload::FarthestPing,
+            probe_interval: super::FAST_PROBE_INTERVAL,
+            ospf_hello: super::FAST_OSPF_HELLO,
+            ospf_dead: super::FAST_OSPF_DEAD,
+            ..MatrixKnob::paper(name)
         }
     }
 
-    /// The paper's defaults (Quagga 10 s / 40 s timers, 1 s probes).
+    /// The paper's defaults (Quagga 10 s / 40 s timers, 1 s probes):
+    /// a [`ScenarioBuilder`]'s own, with the farthest-pair ping.
     pub fn paper(name: impl Into<String>) -> MatrixKnob {
+        let c = RfControllerConfig::default();
         MatrixKnob {
             name: name.into(),
-            probe_interval: Duration::from_secs(1),
-            vm_boot_delay: Duration::from_secs(1),
-            ospf_hello: 10,
-            ospf_dead: 40,
+            probe_interval: DEFAULT_PROBE_INTERVAL,
+            vm_boot_delay: c.vm_boot_delay,
+            ospf_hello: c.ospf_hello,
+            ospf_dead: c.ospf_dead,
             use_flowvisor: true,
-            provision_width: 1,
-            fib_batch: 1,
-            channel_capacity: None,
+            provision_width: c.provision_width,
+            fib_batch: c.fib_batch,
+            channel_capacity: c.channel_capacity,
             workload: MatrixWorkload::FarthestPing,
         }
     }

@@ -40,7 +40,9 @@ pub use matrix::{
 pub use report::{CellRecord, MatrixReport, MetricSummary};
 
 use crate::apps::{ChannelStallWindow, ControlPlane, CHANNEL_DRAIN_TOKEN, FIB_FLUSH_TOKEN};
-use crate::discovery::{TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE};
+use crate::discovery::{
+    TopologyController, TopologyControllerConfig, DEFAULT_PROBE_INTERVAL, TOPOLOGY_OF_SERVICE,
+};
 use crate::host::video::{VideoClient, VideoClientReport, VideoServer};
 use crate::host::{EchoHost, HostConfig, PingProbeReport, Pinger};
 use crate::rfcontroller::{HostPortConfig, RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
@@ -399,6 +401,13 @@ enum WorkloadHandle {
     Traffic { parts: Vec<TrafficPart> },
 }
 
+// The fast timers of [`ScenarioBuilder::fast_timers`] and
+// [`MatrixKnob::fast`]: OSPF hello and dead intervals (s) and the LLDP
+// probe period.
+const FAST_OSPF_HELLO: u16 = 1;
+const FAST_OSPF_DEAD: u16 = 4;
+const FAST_PROBE_INTERVAL: Duration = Duration::from_millis(500);
+
 /// Fluent assembly of a full experiment — the one way to build a
 /// [`Scenario`]; start with [`Scenario::on`].
 pub struct ScenarioBuilder {
@@ -454,8 +463,8 @@ impl ScenarioBuilder {
     /// 1 s hello / 4 s dead / 500 ms probes — the settings every fast
     /// test uses.
     pub fn fast_timers(self) -> Self {
-        self.ospf_timers(1, 4)
-            .probe_interval(Duration::from_millis(500))
+        self.ospf_timers(FAST_OSPF_HELLO, FAST_OSPF_DEAD)
+            .probe_interval(FAST_PROBE_INTERVAL)
     }
 
     /// Simulated VM provisioning time.
@@ -1077,7 +1086,7 @@ impl Scenario {
             topology,
             seed: 0xC0FFEE,
             ip_range: Ipv4Cidr::new(Ipv4Addr::new(172, 31, 0, 0), 16),
-            probe_interval: Duration::from_secs(1),
+            probe_interval: DEFAULT_PROBE_INTERVAL,
             link_profile: LinkProfile::default(),
             use_flowvisor: true,
             trace_level: rf_sim::TraceLevel::Info,

@@ -10,8 +10,7 @@ use rf_routed::rib::{Rib, RibChange, Route, RouteProto};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent, Time};
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::{
-    ipv4_frame, ArpOp, ArpPacket, EtherType, EthernetFrame, EthernetHeader, IpProtocol, Ipv4Body,
-    Ipv4Cidr, Ipv4Header, MacAddr,
+    ipv4_frame, EtherType, EthernetHeader, IpProtocol, Ipv4Body, Ipv4Cidr, Ipv4Header, MacAddr,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -288,45 +287,30 @@ impl Agent for VmAgent {
         }
     }
 
+    /// Only OSPF arrives on the virtual interconnect (to the multicast
+    /// MAC): hosts' ARP is answered by the RF-controller's proxy.
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let iface = port as u16;
         // Every header is read where it lies in the frame.
         let Ok(eth) = EthernetHeader::parse(&frame) else {
             return;
         };
+        if eth.ethertype != EtherType::IPV4 {
+            return;
+        }
         let packet = &frame[ETHERNET_HEADER_LEN..];
-        match eth.ethertype {
-            EtherType::ARP => {
-                let Ok(arp) = ArpPacket::parse(packet) else {
-                    return;
-                };
-                let Some(addr) = self.ifaces.get(&iface) else {
-                    return;
-                };
-                if arp.op == ArpOp::Request && arp.target_ip == addr.addr {
-                    let my_mac = MacAddr::from_dpid_port(self.dpid, iface);
-                    let reply = ArpPacket::reply_to(&arp, my_mac);
-                    let out =
-                        EthernetFrame::new(arp.sender_mac, my_mac, EtherType::ARP, reply.emit());
-                    ctx.send_frame(port, out.emit());
-                }
+        let Ok(ip) = Ipv4Header::parse(packet) else {
+            return;
+        };
+        if ip.protocol == IpProtocol::OSPF
+            && (ip.dst == ALL_SPF_ROUTERS
+                || self.ifaces.get(&iface).is_some_and(|a| a.addr == ip.dst))
+        {
+            if let Some(d) = self.ospf.as_mut() {
+                let body = &packet[ip.ihl..ip.total_len];
+                let ev = d.handle_packet(iface, ip.src, body, ctx.now());
+                self.process_ospf_events(ctx, ev);
             }
-            EtherType::IPV4 => {
-                let Ok(ip) = Ipv4Header::parse(packet) else {
-                    return;
-                };
-                if ip.protocol == IpProtocol::OSPF
-                    && (ip.dst == ALL_SPF_ROUTERS
-                        || self.ifaces.get(&iface).is_some_and(|a| a.addr == ip.dst))
-                {
-                    if let Some(d) = self.ospf.as_mut() {
-                        let body = &packet[ip.ihl..ip.total_len];
-                        let ev = d.handle_packet(iface, ip.src, body, ctx.now());
-                        self.process_ospf_events(ctx, ev);
-                    }
-                }
-            }
-            _ => {}
         }
     }
 

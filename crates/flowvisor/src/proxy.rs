@@ -7,7 +7,6 @@ use rf_openflow::{
     PacketInView, PacketKey, PacketOutView, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
-use std::time::Duration;
 
 /// Marker for FlowVisor-originated requests in the xid ring.
 const FV_SELF: usize = u32::MAX as usize;
@@ -18,15 +17,10 @@ const FV_SELF: usize = u32::MAX as usize;
 /// trip; the window has to outlast the requests forwarded (to all
 /// switches) in that time, nothing more.
 const XID_WINDOW: u32 = 4096;
-/// Timer token base for upstream redials: `BASE + sw * 64 + slice`.
-const T_REDIAL_BASE: u64 = 1 << 32;
 
 /// Service switches dial: 6633, the OpenFlow 1.0 controller port every
 /// switch dials by default.
 const LISTEN_SERVICE: u16 = 6633;
-/// Wait before redialling a dead slice controller: the 1 s first
-/// backoff of an Open vSwitch rconn, as the switches use.
-const REDIAL_BACKOFF: Duration = Duration::from_secs(1);
 
 #[derive(Clone)]
 struct Upstream {
@@ -149,24 +143,14 @@ impl FlowVisor {
         self.roles.get_mut(conn.0).and_then(Option::take)
     }
 
+    /// Dial every slice controller for switch `sw`, once: only the
+    /// answer to FlowVisor's own FEATURES_REQUEST calls this.
     fn dial_upstreams(&mut self, ctx: &mut Ctx<'_>, sw: usize) {
-        for slice_idx in 0..self.slices.len() {
-            if self.switches[sw].upstreams[slice_idx].conn.is_some() {
-                continue;
-            }
-            let policy = self.slices[slice_idx].clone();
+        for slice in 0..self.slices.len() {
+            let policy = &self.slices[slice];
             let conn = ctx.connect(policy.controller, policy.service, ConnProfile::default());
-            self.set_role(
-                conn,
-                Role::Upstream {
-                    sw,
-                    slice: slice_idx,
-                },
-            );
-            let up = &mut self.switches[sw].upstreams[slice_idx];
-            up.conn = Some(conn);
-            up.ready = false;
-            up.reader = MessageReader::new();
+            self.set_role(conn, Role::Upstream { sw, slice });
+            self.switches[sw].upstreams[slice].conn = Some(conn);
         }
     }
 
@@ -304,7 +288,7 @@ impl FlowVisor {
             }
             OfMessage::EchoReply(_) => {}
             // A slice is only dialled once the switch's features are
-            // cached, and the cache outlives every redial.
+            // cached.
             OfMessage::FeaturesRequest => {
                 if let Some(f) = self.switches[sw].features.clone() {
                     self.send_to_slice(ctx, sw, slice, &OfMessage::FeaturesReply(f), xid);
@@ -442,25 +426,6 @@ impl Agent for FlowVisor {
         ctx.listen(LISTEN_SERVICE);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token >= T_REDIAL_BASE {
-            let v = token - T_REDIAL_BASE;
-            let sw = (v / 64) as usize;
-            let slice = (v % 64) as usize;
-            if sw < self.switches.len()
-                && self.switches[sw].alive
-                && self.switches[sw].upstreams[slice].conn.is_none()
-            {
-                let policy = self.slices[slice].clone();
-                let conn = ctx.connect(policy.controller, policy.service, ConnProfile::default());
-                self.set_role(conn, Role::Upstream { sw, slice });
-                let up = &mut self.switches[sw].upstreams[slice];
-                up.conn = Some(conn);
-                up.reader = MessageReader::new();
-            }
-        }
-    }
-
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
         match event {
             StreamEvent::Opened {
@@ -514,30 +479,19 @@ impl Agent for FlowVisor {
                 }
                 None => {}
             },
+            // Only a switch's leg closes here: every slice controller
+            // listens from its start and never closes a leg (the kernel
+            // tells only the far end about a close).
             StreamEvent::Closed => {
-                let Some(role) = self.clear_role(conn) else {
+                let Some(Role::Switch(sw)) = self.clear_role(conn) else {
                     return;
                 };
-                match role {
-                    Role::Switch(sw) => {
-                        self.switches[sw].alive = false;
-                        // Tear down that session's controller legs.
-                        for slice in 0..self.slices.len() {
-                            if let Some(c) = self.switches[sw].upstreams[slice].conn.take() {
-                                self.clear_role(c);
-                                ctx.conn_close(c);
-                            }
-                        }
-                    }
-                    Role::Upstream { sw, slice } => {
-                        self.switches[sw].upstreams[slice].conn = None;
-                        self.switches[sw].upstreams[slice].ready = false;
-                        if self.switches[sw].alive {
-                            ctx.schedule(
-                                REDIAL_BACKOFF,
-                                T_REDIAL_BASE + (sw as u64) * 64 + slice as u64,
-                            );
-                        }
+                self.switches[sw].alive = false;
+                // Tear down that session's controller legs.
+                for slice in 0..self.slices.len() {
+                    if let Some(c) = self.switches[sw].upstreams[slice].conn.take() {
+                        self.clear_role(c);
+                        ctx.conn_close(c);
                     }
                 }
             }
@@ -551,6 +505,7 @@ mod tests {
     use rf_openflow::{Action, FlowModCommand, OfMatch, SwitchFeatures, OFPP_NONE};
     use rf_sim::{AgentId, Sim, SimConfig, Time};
     use rf_wire::{EtherType, EthernetFrame, LldpPacket, MacAddr};
+    use std::time::Duration;
 
     const PORTS: u16 = 4;
     const ROUNDS: u64 = 2000;

@@ -13,27 +13,25 @@
 //!   topology controller allocated), link removed, port status;
 //! * [`codec`] — a hand-rolled, length-prefixed binary encoding (no
 //!   serde; explicit bytes, like every other protocol in this repo);
-//! * [`client::RpcClientAgent`] — a store-and-forward relay with
-//!   at-least-once delivery: requests are retransmitted until acked,
-//!   and survive RPC-server reconnects. Duplicate suppression happens
-//!   server-side via request ids (exactly-once effect);
-//! * [`outbox::Outbox`] — the id-ordered unacked-request queue behind
-//!   that relay and behind the topology controller's feed into it;
+//! * [`client::RpcClientAgent`] — a relay that forwards each request
+//!   to the RPC server once, in arrival order, over one stream. No end
+//!   of the path fails in the simulation (only switches and VMs do), so
+//!   nothing is retransmitted, redialled or deduplicated;
 //! * [`server::RpcServerEndpoint`] — the embeddable server half used by
-//!   the RF-controller: decodes requests, deduplicates, produces acks.
+//!   the RF-controller: decodes requests and encodes an ack for each
+//!   (the RF-controller sends none; rfbench's `rpc.roundtrip_ns` probe
+//!   reads them).
 
 #![forbid(unsafe_code)]
 
 pub mod client;
 pub mod codec;
 pub mod msg;
-pub mod outbox;
 pub mod server;
 
 pub use client::RpcClientAgent;
 pub use codec::{decode_envelope, encode_envelope, Envelope, RpcFrameReader};
 pub use msg::{RpcAck, RpcRequest};
-pub use outbox::Outbox;
 pub use server::RpcServerEndpoint;
 
 /// Service number the RPC client listens on (for the topology

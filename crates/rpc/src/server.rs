@@ -2,25 +2,19 @@
 //!
 //! The RPC server "resides in the RF-controller", so rather than being
 //! its own agent it is a state machine the RF-controller embeds: feed
-//! it stream bytes, get back deduplicated requests and the ack bytes to
-//! send.
+//! it stream bytes, get back the requests and an ack frame for each.
 
 use crate::codec::{encode_envelope, Envelope, RpcFrameReader};
 use crate::msg::{RpcAck, RpcRequest};
 use bytes::Bytes;
-use std::collections::BTreeSet;
 
-/// Decodes, deduplicates and acks RPC requests.
+/// Decodes RPC requests and encodes their acks.
 ///
-/// The client provides at-least-once delivery; the server suppresses
-/// duplicates by request id so the combination is exactly-once from the
-/// configuration logic's point of view (duplicates are re-acked but not
-/// re-delivered).
+/// The relay forwards each request once over one stream that never
+/// closes, so every request decoded is delivered.
 #[derive(Clone, Default)]
 pub struct RpcServerEndpoint {
     reader: RpcFrameReader,
-    seen: BTreeSet<u64>,
-    pub duplicates: u64,
     pub decode_errors: u64,
 }
 
@@ -30,9 +24,8 @@ impl RpcServerEndpoint {
     }
 
     /// Feed raw stream bytes, copied once into a chunk of their own.
-    /// Returns `(fresh_requests, ack_frames)`: every well-formed request
-    /// produces an ack frame; only first-delivery requests appear in
-    /// `fresh_requests`.
+    /// Returns `(requests, ack_frames)`: every well-formed request
+    /// appears in `requests` and produces an ack frame.
     pub fn feed(&mut self, data: &[u8]) -> (Vec<RpcRequest>, Vec<Bytes>) {
         self.feed_bytes(Bytes::copy_from_slice(data))
     }
@@ -44,17 +37,13 @@ impl RpcServerEndpoint {
     }
 
     fn drain_frames(&mut self) -> (Vec<RpcRequest>, Vec<Bytes>) {
-        let mut fresh = Vec::new();
+        let mut requests = Vec::new();
         let mut acks = Vec::new();
         loop {
             match self.reader.next() {
                 Some(Ok(Envelope::Request { req_id, request })) => {
                     acks.push(encode_envelope(&Envelope::Ack(RpcAck { req_id, ok: true })));
-                    if self.seen.insert(req_id) {
-                        fresh.push(request);
-                    } else {
-                        self.duplicates += 1;
-                    }
+                    requests.push(request);
                 }
                 Some(Ok(Envelope::Ack(_))) => { /* servers ignore stray acks */ }
                 Some(Err(_)) => {
@@ -63,7 +52,7 @@ impl RpcServerEndpoint {
                 None => break,
             }
         }
-        (fresh, acks)
+        (requests, acks)
     }
 }
 
@@ -87,11 +76,6 @@ mod tests {
         let (fresh, acks) = s.feed(&req_frame(1));
         assert_eq!(fresh.len(), 1);
         assert_eq!(acks.len(), 1);
-        // Duplicate: acked again, not delivered again.
-        let (fresh, acks) = s.feed(&req_frame(1));
-        assert!(fresh.is_empty());
-        assert_eq!(acks.len(), 1);
-        assert_eq!(s.duplicates, 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Simulated time: a monotonically increasing nanosecond counter.
 //!
 //! All protocol timers in the reproduction (OSPF hello/dead intervals,
-//! LLDP probe periods, RPC retransmission, VM boot delays, video frame
-//! pacing) are expressed as [`std::time::Duration`] offsets from the
-//! current [`Time`], so experiment results are independent of wall-clock
-//! speed and host load — unlike the paper's testbed measurements.
+//! LLDP probe periods, VM boot delays, video frame pacing) are
+//! expressed as [`std::time::Duration`] offsets from the current
+//! [`Time`], so experiment results are independent of wall-clock speed
+//! and host load — unlike the paper's testbed measurements.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

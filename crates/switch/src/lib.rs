@@ -14,8 +14,9 @@
 //! * punts table misses to the controller as `PACKET_IN`, the frame
 //!   cut to `miss_send_len` and buffered nowhere (`OFP_NO_BUFFER`;
 //!   FEATURES_REPLY advertises `n_buffers` 0);
-//! * executes `FLOW_MOD` / `PACKET_OUT` / `ECHO` and announces port
-//!   changes as `PORT_STATUS`. A flow lives until it is deleted: a
+//! * executes `FLOW_MOD` / `PACKET_OUT`, answers `ECHO_REQUEST` (it
+//!   sends no keepalive of its own) and announces port changes as
+//!   `PORT_STATUS`. A flow lives until it is deleted: a
 //!   `FLOW_MOD` with a timeout or a flag is refused with
 //!   `FLOW_MOD_FAILED` / `UNSUPPORTED`, and one naming a buffer (as a
 //!   `PACKET_OUT` naming one) with `BAD_REQUEST` / `BUFFER_UNKNOWN`,

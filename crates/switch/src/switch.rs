@@ -16,7 +16,6 @@ use std::time::Duration;
 const T_PORT_STATUS: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
-const T_ECHO: u64 = 3;
 
 /// PORT_STATUS announcement period, this model's own value: a port
 /// change is reported at most half a second late. The tick runs from
@@ -24,9 +23,6 @@ const T_ECHO: u64 = 3;
 /// reorder it against same-instant events (the LLDP probe rounds run on
 /// the same 500 ms grid).
 const PORT_STATUS_INTERVAL: Duration = Duration::from_millis(500);
-/// Keepalive ECHO_REQUEST period on a ready control channel, this
-/// model's own value.
-const ECHO_INTERVAL: Duration = Duration::from_secs(15);
 /// Wait before redialling a dropped controller: the 1 s first backoff
 /// of Open vSwitch's rconn.
 const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
@@ -544,7 +540,6 @@ impl Agent for OpenFlowSwitch {
             self.connect(ctx, idx);
         }
         ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
-        ctx.schedule(ECHO_INTERVAL, T_ECHO);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -552,13 +547,6 @@ impl Agent for OpenFlowSwitch {
             T_PORT_STATUS => {
                 self.drain_port_status(ctx);
                 ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
-            }
-            T_ECHO => {
-                if self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
-                    let xid = self.next_xid();
-                    self.send(ctx, OfMessage::EchoRequest(Bytes::from_static(b"ka")), xid);
-                }
-                ctx.schedule(ECHO_INTERVAL, T_ECHO);
             }
             t if t >= T_RECONNECT_BASE => {
                 let idx = (t - T_RECONNECT_BASE) as usize;

@@ -8,6 +8,7 @@ use rf_flowvisor::FlowVisor;
 use routeflow_autoconf::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::time::Duration;
 
 /// Every crate under `crates/` and its `[dependencies]`, bottom layer
 /// first: a crate depends only on crates listed above it.
@@ -176,22 +177,45 @@ fn topology_controller_only_admin_input_is_the_ip_range() {
     }
 }
 
+/// No end of the RPC path fails: through switch kills and revivals,
+/// link flaps and a stalled channel, no dial is refused and the RPC
+/// server receives every request the topology controller sends, once —
+/// with nothing on the path retransmitting, redialling or
+/// deduplicating.
 #[test]
-fn rpc_path_is_exactly_once_under_retransmission() {
-    // The relay retransmits; the server dedups. After a full bootstrap
-    // there must be exactly one VM per switch even though rpc.sent can
-    // exceed the number of distinct requests.
-    let mut dep = fig1();
-    dep.run_until_configured(Time::from_secs(120)).unwrap();
+fn rpc_path_delivers_every_request_once_through_faults() {
+    let s = Duration::from_secs;
+    let mut dep = Scenario::on(ring(6))
+        .fast_timers()
+        .trace_level(rf_sim::TraceLevel::Info)
+        .with_faults([
+            Fault::KillSwitch { node: 2, at: s(20) },
+            Fault::LinkDown { edge: 4, at: s(22) },
+            Fault::ChannelStall {
+                dpid: 1,
+                from: s(24),
+                until: s(28),
+            },
+            Fault::ReviveSwitch { node: 2, at: s(30) },
+            Fault::LinkUp { edge: 4, at: s(32) },
+        ])
+        .start();
+    dep.run_until(Time::from_secs(90));
+    let count = |name| dep.sim.tracer().counter(name);
+    assert_eq!(count("conn.refused"), 0);
+    let sent = count("topo.rpc_out");
+    assert!(
+        sent > 12,
+        "the faults add requests to the 6 switches and 6 links: {sent}"
+    );
+    assert_eq!(count("rpc.sent"), sent, "the relay forwards each once");
+    assert_eq!(count("rpc.received"), sent, "the server gets each once");
     let rf = dep.sim.agent_as::<ControlPlane>(dep.rf_ctrl).unwrap();
-    assert_eq!(rf.configured_switches(), 4);
-    let mut vm_count = 0;
-    for id in 0..200 {
-        if dep.sim.agent_as::<VmAgent>(rf_sim::AgentId(id)).is_some() {
-            vm_count += 1;
-        }
-    }
-    assert_eq!(vm_count, 4, "exactly one VM per switch");
+    assert_eq!(rf.configured_switches(), 6);
+    let vms = (0..200)
+        .filter(|&id| dep.sim.agent_as::<VmAgent>(rf_sim::AgentId(id)).is_some())
+        .count();
+    assert_eq!(vms, 6, "exactly one VM per switch");
 }
 
 #[test]

@@ -9,8 +9,8 @@ use rf_core::vnet::{RfMessage, VmAgent, RF_SERVICE};
 use rf_openflow::{MessageReader, OfMessage, PacketInReason, OFP_NO_BUFFER};
 use rf_routed::config::VmRouterConfig;
 use rf_rpc::{
-    encode_envelope, Envelope, RpcAck, RpcClientAgent, RpcFrameReader, RpcRequest,
-    RPC_CLIENT_SERVICE,
+    encode_envelope, Envelope, RpcClientAgent, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE,
+    RPC_SERVER_SERVICE,
 };
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, Sim, SimConfig, StreamEvent, Time};
 use std::time::Duration;
@@ -63,6 +63,39 @@ impl Agent for Peer {
     }
 }
 
+impl Peer {
+    fn new(target: Option<AgentId>, service: u16, first: Bytes, second: Bytes) -> Peer {
+        Peer {
+            target,
+            service,
+            first,
+            second,
+            conn: None,
+            sent: Vec::new(),
+            received: Vec::new(),
+        }
+    }
+}
+
+/// Listens on `service` and keeps every chunk it receives with the
+/// instant it arrived.
+#[derive(Clone)]
+struct Sink {
+    service: u16,
+    received: Vec<(Time, Bytes)>,
+}
+
+impl Agent for Sink {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.listen(self.service);
+    }
+    fn on_stream(&mut self, ctx: &mut Ctx<'_>, _conn: ConnId, event: StreamEvent) {
+        if let StreamEvent::Data(data) = event {
+            self.received.push((ctx.now(), data));
+        }
+    }
+}
+
 /// `target` (agent 0) and a [`Peer`] (agent 1) in one world; the peer
 /// dials the target unless `dial` is false.
 fn world(target: Box<dyn Agent>, dial: bool, service: u16, first: Bytes, second: Bytes) -> Sim {
@@ -70,15 +103,7 @@ fn world(target: Box<dyn Agent>, dial: bool, service: u16, first: Bytes, second:
     let target = sim.add_agent("target", target);
     sim.add_agent(
         "peer",
-        Box::new(Peer {
-            target: dial.then_some(target),
-            service,
-            first,
-            second,
-            conn: None,
-            sent: Vec::new(),
-            received: Vec::new(),
-        }),
+        Box::new(Peer::new(dial.then_some(target), service, first, second)),
     );
     sim
 }
@@ -146,16 +171,18 @@ fn the_controller_reads_past_a_frame_it_cannot_decode() {
     assert_eq!(rtt(0), rtt(1), "echo 9 waited for the next chunk");
 }
 
-/// The RPC relay acks a request that follows an envelope it cannot
-/// decode (an unknown kind) in the same chunk one round trip after the
-/// chunk, as it acks one sent alone.
+/// The RPC relay forwards a request that follows an envelope it
+/// cannot decode (an unknown kind) in the same chunk to the server one
+/// relay hop after the chunk, as it forwards one sent alone.
 #[test]
 fn the_relay_reads_past_an_envelope_it_cannot_decode() {
+    // The request names its own id as the dpid: the relay forwards it
+    // under an id of its own.
     let request = |req_id| {
         encode_envelope(&Envelope::Request {
             req_id,
             request: RpcRequest::SwitchDetected {
-                dpid: 1,
+                dpid: req_id,
                 num_ports: 2,
             },
         })
@@ -167,25 +194,48 @@ fn the_relay_reads_past_an_envelope_it_cannot_decode() {
         rf_rpc::decode_envelope(&bad).is_err(),
         "kind 9 is malformed"
     );
-    // The relay's server is the peer, which refuses it: only the
-    // upstream side is under test.
-    let peer = run(
-        Box::new(RpcClientAgent::new(AgentId(1))),
-        RPC_CLIENT_SERVICE,
-        concat(&bad, &request(5)),
-        request(6),
+    // The server listens before the relay dials it at start.
+    let mut sim = Sim::new(SimConfig::default());
+    let server = sim.add_agent(
+        "server",
+        Box::new(Sink {
+            service: RPC_SERVER_SERVICE,
+            received: Vec::new(),
+        }),
     );
-    let mut acks = Vec::new();
-    for (at, chunk) in &peer.received {
+    let relay = sim.add_agent("relay", Box::new(RpcClientAgent::new(server)));
+    let writer = sim.add_agent(
+        "peer",
+        Box::new(Peer::new(
+            Some(relay),
+            RPC_CLIENT_SERVICE,
+            concat(&bad, &request(5)),
+            request(6),
+        )),
+    );
+    sim.run_until(Time::from_secs(1));
+    let sent = sim
+        .agent_as::<Peer>(writer)
+        .expect("peer agent")
+        .sent
+        .clone();
+    let mut forwarded = Vec::new();
+    for (at, chunk) in &sim.agent_as::<Sink>(server).expect("sink agent").received {
         let mut reader = RpcFrameReader::new();
         reader.push_bytes(chunk.clone());
-        while let Some(Ok(Envelope::Ack(RpcAck { req_id, .. }))) = reader.next() {
-            acks.push((req_id, *at));
+        while let Some(Ok(Envelope::Request { request, .. })) = reader.next() {
+            let RpcRequest::SwitchDetected { dpid, .. } = request else {
+                panic!("the relay forwards what it reads: {request:?}");
+            };
+            forwarded.push((dpid, *at));
         }
     }
-    let rtt = |i: usize| acks[i].1.since(peer.sent[i]);
-    assert_eq!(acks.iter().map(|(id, _)| *id).collect::<Vec<_>>(), [5, 6]);
-    assert_eq!(rtt(0), rtt(1), "request 5 waited for the next chunk");
+    let hop = |i: usize| forwarded[i].1.since(sent[i]);
+    assert_eq!(
+        forwarded.iter().map(|(dpid, _)| *dpid).collect::<Vec<_>>(),
+        [5, 6]
+    );
+    assert_eq!(hop(0), hop(1), "request 5 waited for the next chunk");
 }
 
 /// A VM applies the configuration files that follow an RF frame it

@@ -18,6 +18,25 @@ fn cfg() -> TopologyControllerConfig {
 /// port k+1 on that node.
 fn build(topo: &Topology, cfg: TopologyControllerConfig) -> (Sim, rf_sim::AgentId) {
     let mut sim = Sim::new(SimConfig::default());
+    let tc = build_into(&mut sim, topo, cfg);
+    (sim, tc)
+}
+
+/// [`build`] behind a [`RecordingRelay`], added first so that it
+/// listens before the controller dials it. Returns the controller and
+/// the relay.
+fn build_with_relay(
+    topo: &Topology,
+    cfg: TopologyControllerConfig,
+) -> (Sim, rf_sim::AgentId, rf_sim::AgentId) {
+    let mut sim = Sim::new(SimConfig::default());
+    let relay = sim.add_agent("rpc-client", Box::new(RecordingRelay::default()));
+    let tc = build_into(&mut sim, topo, cfg.with_rpc_client(relay));
+    (sim, tc, relay)
+}
+
+/// The controller, the switches and their links, added to `sim`.
+fn build_into(sim: &mut Sim, topo: &Topology, cfg: TopologyControllerConfig) -> rf_sim::AgentId {
     let tc = sim.add_agent("topo-ctrl", Box::new(TopologyController::new(cfg)));
     let mut port_next: Vec<u16> = vec![1; topo.node_count()];
     let mut swcfg: Vec<SwitchConfig> = (0..topo.node_count())
@@ -46,7 +65,7 @@ fn build(topo: &Topology, cfg: TopologyControllerConfig) -> (Sim, rf_sim::AgentI
             LinkProfile::default(),
         );
     }
-    (sim, tc)
+    tc
 }
 
 #[test]
@@ -178,25 +197,19 @@ fn pan_european_topology_discovered() {
 }
 
 /// Stands in for the RPC relay: logs the request ids each connection
-/// carries, acks only ids 1 and 2, and drops its first connection at
-/// `drop_first_at`.
-#[derive(Clone)]
-struct PickyRelay {
-    drop_first_at: Duration,
+/// carries.
+#[derive(Clone, Default)]
+struct RecordingRelay {
     conns: Vec<(rf_sim::ConnId, rf_rpc::RpcFrameReader, Vec<u64>)>,
 }
 
-impl rf_sim::Agent for PickyRelay {
+impl rf_sim::Agent for RecordingRelay {
     fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
         ctx.listen(rf_rpc::RPC_CLIENT_SERVICE);
-        ctx.schedule(self.drop_first_at, 0);
-    }
-    fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, _token: u64) {
-        ctx.conn_close(self.conns[0].0);
     }
     fn on_stream(
         &mut self,
-        ctx: &mut rf_sim::Ctx<'_>,
+        _ctx: &mut rf_sim::Ctx<'_>,
         conn: rf_sim::ConnId,
         event: rf_sim::StreamEvent,
     ) {
@@ -214,10 +227,6 @@ impl rf_sim::Agent for PickyRelay {
                 reader.push_bytes(data);
                 while let Some(Ok(rf_rpc::Envelope::Request { req_id, .. })) = reader.next() {
                     ids.push(req_id);
-                    if req_id <= 2 {
-                        let ack = rf_rpc::Envelope::Ack(rf_rpc::RpcAck { req_id, ok: true });
-                        ctx.conn_send(conn, rf_rpc::encode_envelope(&ack));
-                    }
                 }
             }
             rf_sim::StreamEvent::Closed => {}
@@ -225,52 +234,32 @@ impl rf_sim::Agent for PickyRelay {
     }
 }
 
-#[test]
-fn each_request_goes_to_the_relay_once_per_connection() {
-    let topo = ring(4);
-    // `build` adds the controller and the four switches first.
-    let relay_id = rf_sim::AgentId(1 + topo.node_count());
-    let (mut sim, _tc) = build(&topo, cfg().with_rpc_client(relay_id));
-    let relay = sim.add_agent(
-        "rpc-client",
-        Box::new(PickyRelay {
-            drop_first_at: Duration::from_secs(5),
-            conns: Vec::new(),
-        }),
-    );
-    assert_eq!(relay, relay_id);
-    sim.run_until(Time::from_secs(8));
-    let per_conn: Vec<Vec<u64>> = sim
-        .agent_as::<PickyRelay>(relay)
+/// The controller's requests, per connection to the relay.
+fn relay_log(sim: &Sim, relay: rf_sim::AgentId) -> Vec<Vec<u64>> {
+    sim.agent_as::<RecordingRelay>(relay)
         .unwrap()
         .conns
         .iter()
         .map(|(_, _, ids)| ids.clone())
-        .collect();
-    // 4 switches + 4 links, never repeated while the connection lives;
-    // after the reconnect, everything still unacked — once more.
-    assert_eq!(
-        per_conn,
-        vec![(1..=8).collect::<Vec<u64>>(), (3..=8).collect()]
-    );
+        .collect()
+}
+
+#[test]
+fn each_request_goes_to_the_relay_once_per_connection() {
+    let (mut sim, _tc, relay) = build_with_relay(&ring(4), cfg());
+    sim.run_until(Time::from_secs(8));
+    // One connection, dialled once: 4 switches + 4 links, each once.
+    assert_eq!(sim.tracer().counter("conn.refused"), 0);
+    assert_eq!(relay_log(&sim, relay), [(1..=8).collect::<Vec<u64>>()]);
+    assert_eq!(sim.tracer().counter("topo.rpc_out"), 8);
 }
 
 #[test]
 fn exhausted_range_counts_and_announces_no_link() {
     // One /30 for a ring of four links: the first link discovered gets
     // it, the other three find the pool empty.
-    let topo = ring(4);
-    let relay_id = rf_sim::AgentId(1 + topo.node_count());
     let one_block = TopologyControllerConfig::new("172.31.0.0/30".parse().unwrap());
-    let (mut sim, tc) = build(&topo, one_block.with_rpc_client(relay_id));
-    let relay = sim.add_agent(
-        "rpc-client",
-        Box::new(PickyRelay {
-            drop_first_at: Duration::from_secs(60),
-            conns: Vec::new(),
-        }),
-    );
-    assert_eq!(relay, relay_id);
+    let (mut sim, tc, relay) = build_with_relay(&ring(4), one_block);
     sim.run_until(Time::from_secs(5));
 
     assert_eq!(sim.tracer().counter("topo.alloc_exhausted"), 3);
@@ -282,8 +271,7 @@ fn exhausted_range_counts_and_announces_no_link() {
         .count();
     assert_eq!(ups, 1);
     // 4 SwitchDetected + 1 LinkDetected: no RPC for the other three.
-    let (_, _, ids) = &sim.agent_as::<PickyRelay>(relay).unwrap().conns[0];
-    assert_eq!(*ids, (1..=5).collect::<Vec<u64>>());
+    assert_eq!(relay_log(&sim, relay), [(1..=5).collect::<Vec<u64>>()]);
 }
 
 /// Dials the topology controller as a switch, sends two ECHO_REQUESTs

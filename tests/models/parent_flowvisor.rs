@@ -12,7 +12,8 @@
 //! FLOW_MOD or PACKET_OUT naming an action outside the real crate's
 //! three does not decode; it is refused with
 //! `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` under the slice's xid, as the
-//! real proxy refuses it.
+//! real proxy refuses it. Like the real proxy it does not redial a
+//! slice controller: no slice controller closes a leg.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
@@ -22,7 +23,6 @@ use rf_flowvisor::SlicePolicy;
 use rf_openflow::{ErrorType, MessageReader, OfError, OfMessage, OFP_HEADER_LEN, OFP_NO_BUFFER};
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use std::collections::HashMap;
-use std::time::Duration;
 
 // ADAPTED: the parent's configuration type, which the real proxy has
 // folded into constants; the model keeps its own copy of the values.
@@ -31,7 +31,7 @@ struct FlowVisorConfig {
     listen_service: u16,
     slices: Vec<SlicePolicy>,
     conn: ConnProfile,
-    redial_backoff: Duration,
+    // ADAPTED: no `redial_backoff`.
 }
 
 // ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
@@ -63,8 +63,7 @@ const FV_SELF: usize = usize::MAX;
 /// trip; the window has to outlast the requests forwarded (to all
 /// switches) in that time, nothing more.
 const XID_WINDOW: u32 = 4096;
-/// Timer token base for upstream redials: `BASE + sw * 64 + slice`.
-const T_REDIAL_BASE: u64 = 1 << 32;
+// ADAPTED: no upstream redial timer (`T_REDIAL_BASE`).
 
 #[derive(Clone)]
 struct Upstream {
@@ -116,7 +115,6 @@ impl ModelFlowVisor {
                 listen_service: 6633,
                 slices,
                 conn: ConnProfile::default(),
-                redial_backoff: Duration::from_secs(1),
             },
             switches: Vec::new(),
             roles: HashMap::new(),
@@ -410,24 +408,7 @@ impl Agent for ModelFlowVisor {
         ctx.listen(self.cfg.listen_service);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token >= T_REDIAL_BASE {
-            let v = token - T_REDIAL_BASE;
-            let sw = (v / 64) as usize;
-            let slice = (v % 64) as usize;
-            if sw < self.switches.len()
-                && self.switches[sw].alive
-                && self.switches[sw].upstreams[slice].conn.is_none()
-            {
-                let policy = self.cfg.slices[slice].clone();
-                let conn = ctx.connect(policy.controller, policy.service, self.cfg.conn);
-                self.roles.insert(conn, Role::Upstream { sw, slice });
-                let up = &mut self.switches[sw].upstreams[slice];
-                up.conn = Some(conn);
-                up.reader = MessageReader::new();
-            }
-        }
-    }
+    // ADAPTED: no `on_timer`; its one timer was the upstream redial.
 
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
         match event {
@@ -538,16 +519,8 @@ impl Agent for ModelFlowVisor {
                             }
                         }
                     }
-                    Role::Upstream { sw, slice } => {
-                        self.switches[sw].upstreams[slice].conn = None;
-                        self.switches[sw].upstreams[slice].ready = false;
-                        if self.switches[sw].alive {
-                            ctx.schedule(
-                                self.cfg.redial_backoff,
-                                T_REDIAL_BASE + (sw as u64) * 64 + slice as u64,
-                            );
-                        }
-                    }
+                    // ADAPTED: a closed leg is forgotten, not redialled.
+                    Role::Upstream { .. } => {}
                 }
             }
         }

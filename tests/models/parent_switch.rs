@@ -17,7 +17,8 @@
 //! are the real crate's three, so FEATURES_REPLY advertises those, and a
 //! FLOW_MOD or PACKET_OUT naming any other — it does not decode — is
 //! refused with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` as the real switch
-//! refuses it.
+//! refuses it. Like the real switch it sends no keepalive ECHO_REQUEST
+//! (it still answers one, and still redials a dropped controller).
 
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
@@ -38,12 +39,12 @@ use std::time::Duration;
 const T_PORT_STATUS: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
-const T_ECHO: u64 = 3;
+// ADAPTED: no keepalive timer (`T_ECHO`, `ECHO_INTERVAL`): nothing
+// read its ECHO_REPLY.
 
 // ADAPTED: the parent read these from `SwitchConfig`, whose defaults
 // they are; the real switch now fixes them as constants of its own.
 const PORT_STATUS_INTERVAL: Duration = Duration::from_millis(500);
-const ECHO_INTERVAL: Duration = Duration::from_secs(15);
 const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
 
 // ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
@@ -433,9 +434,6 @@ impl Agent for ModelSwitch {
             self.connect(ctx, idx);
         }
         ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
-        if !ECHO_INTERVAL.is_zero() {
-            ctx.schedule(ECHO_INTERVAL, T_ECHO);
-        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -443,13 +441,6 @@ impl Agent for ModelSwitch {
             T_PORT_STATUS => {
                 self.drain_port_status(ctx);
                 ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
-            }
-            T_ECHO => {
-                if self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
-                    let xid = self.next_xid();
-                    self.send(ctx, OfMessage::EchoRequest(Bytes::from_static(b"ka")), xid);
-                }
-                ctx.schedule(ECHO_INTERVAL, T_ECHO);
             }
             t if t >= T_RECONNECT_BASE => {
                 let idx = (t - T_RECONNECT_BASE) as usize;

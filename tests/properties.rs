@@ -56,341 +56,6 @@ fn rechunked<R, M>(
     out
 }
 
-// ---------------- RPC relay: reference model and scripted peers ----------------
-
-/// The relay as it was before its queue became an id-ordered
-/// `rf_rpc::Outbox`: a `sent` flag per entry, a scan of the whole
-/// backlog per flush and a `retain` over it per ack. Kept as the
-/// reference the real relay must match message for message.
-mod relay_model {
-    use rf_rpc::{
-        encode_envelope, Envelope, RpcAck, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE,
-        RPC_SERVER_SERVICE,
-    };
-    use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
-    use std::collections::VecDeque;
-    use std::time::Duration;
-
-    /// The parent's relay configuration, which the real relay has
-    /// folded into constants; the model keeps its own copy of the values.
-    #[derive(Clone, Debug)]
-    struct RpcClientConfig {
-        server: AgentId,
-        retransmit: Duration,
-        reconnect_backoff: Duration,
-        conn: ConnProfile,
-    }
-
-    const T_RETX: u64 = 1;
-    const T_RECONNECT: u64 = 2;
-
-    #[derive(Clone)]
-    struct Pending {
-        req_id: u64,
-        request: RpcRequest,
-        sent: bool,
-    }
-
-    #[derive(Clone)]
-    pub struct ModelRelay {
-        cfg: RpcClientConfig,
-        upstream_readers: Vec<(ConnId, RpcFrameReader)>,
-        server_conn: Option<ConnId>,
-        server_ready: bool,
-        server_reader: RpcFrameReader,
-        queue: VecDeque<Pending>,
-        next_req_id: u64,
-        pub acked: u64,
-        pub retransmissions: u64,
-    }
-
-    impl ModelRelay {
-        pub fn new(server: AgentId) -> ModelRelay {
-            ModelRelay {
-                cfg: RpcClientConfig {
-                    server,
-                    retransmit: Duration::from_millis(500),
-                    reconnect_backoff: Duration::from_millis(500),
-                    conn: ConnProfile::default(),
-                },
-                upstream_readers: Vec::new(),
-                server_conn: None,
-                server_ready: false,
-                server_reader: RpcFrameReader::new(),
-                queue: VecDeque::new(),
-                next_req_id: 1,
-                acked: 0,
-                retransmissions: 0,
-            }
-        }
-
-        fn connect_server(&mut self, ctx: &mut Ctx<'_>) {
-            self.server_ready = false;
-            self.server_reader = RpcFrameReader::new();
-            self.server_conn =
-                Some(ctx.connect(self.cfg.server, RPC_SERVER_SERVICE, self.cfg.conn));
-        }
-
-        fn flush(&mut self, ctx: &mut Ctx<'_>) {
-            let (true, Some(conn)) = (self.server_ready, self.server_conn) else {
-                return;
-            };
-            for p in self.queue.iter_mut().filter(|p| !p.sent) {
-                let env = Envelope::Request {
-                    req_id: p.req_id,
-                    request: p.request.clone(),
-                };
-                ctx.conn_send(conn, encode_envelope(&env));
-                p.sent = true;
-            }
-        }
-
-        fn mark_all_unsent(&mut self) {
-            for p in self.queue.iter_mut() {
-                p.sent = false;
-            }
-        }
-    }
-
-    impl Agent for ModelRelay {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.listen(RPC_CLIENT_SERVICE);
-            self.connect_server(ctx);
-            ctx.schedule(self.cfg.retransmit, T_RETX);
-        }
-
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-            match token {
-                T_RETX => {
-                    if self.queue.iter().any(|p| p.sent) && self.server_ready {
-                        self.mark_all_unsent();
-                        self.retransmissions += 1;
-                        self.flush(ctx);
-                    }
-                    ctx.schedule(self.cfg.retransmit, T_RETX);
-                }
-                T_RECONNECT if self.server_conn.is_none() => self.connect_server(ctx),
-                _ => {}
-            }
-        }
-
-        fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
-            if Some(conn) == self.server_conn {
-                match event {
-                    StreamEvent::Opened { .. } => {
-                        self.server_ready = true;
-                        self.mark_all_unsent();
-                        self.flush(ctx);
-                    }
-                    StreamEvent::Data(data) => {
-                        self.server_reader.push_bytes(data);
-                        while let Some(Ok(env)) = self.server_reader.next() {
-                            if let Envelope::Ack(ack) = env {
-                                let before = self.queue.len();
-                                self.queue.retain(|p| p.req_id != ack.req_id);
-                                if self.queue.len() < before {
-                                    self.acked += 1;
-                                }
-                            }
-                        }
-                    }
-                    StreamEvent::Closed => {
-                        self.server_conn = None;
-                        self.server_ready = false;
-                        ctx.schedule(self.cfg.reconnect_backoff, T_RECONNECT);
-                    }
-                }
-                return;
-            }
-            match event {
-                StreamEvent::Opened { .. } => {
-                    self.upstream_readers.push((conn, RpcFrameReader::new()));
-                }
-                StreamEvent::Data(data) => {
-                    let mut incoming = Vec::new();
-                    if let Some((_, reader)) =
-                        self.upstream_readers.iter_mut().find(|(c, _)| *c == conn)
-                    {
-                        reader.push_bytes(data);
-                        while let Some(Ok(env)) = reader.next() {
-                            if let Envelope::Request { req_id, request } = env {
-                                incoming.push((req_id, request));
-                            }
-                        }
-                    }
-                    for (upstream_id, request) in incoming {
-                        let ack = Envelope::Ack(RpcAck {
-                            req_id: upstream_id,
-                            ok: true,
-                        });
-                        ctx.conn_send(conn, encode_envelope(&ack));
-                        let req_id = self.next_req_id;
-                        self.next_req_id += 1;
-                        self.queue.push_back(Pending {
-                            req_id,
-                            request,
-                            sent: false,
-                        });
-                        self.flush(ctx);
-                    }
-                }
-                StreamEvent::Closed => self.upstream_readers.retain(|(c, _)| *c != conn),
-            }
-        }
-    }
-}
-
-/// One scripted step of the relay test, fired at a scripted instant.
-#[derive(Clone, Copy, Debug)]
-enum RelayOp {
-    /// The topology controller hands the relay this many more requests.
-    Submit(u8),
-    /// The server acks this id — whether or not the relay ever issued
-    /// it, has it outstanding, or had it acked already.
-    Ack(u64),
-    /// The server acks the oldest request it holds unacked (the
-    /// in-order case).
-    AckOldest,
-    /// The server drops the connection; the relay redials.
-    Close,
-}
-
-type RelayScript = Vec<(std::time::Duration, RelayOp)>;
-
-/// Plays the `Submit` steps into the relay's upstream port.
-#[derive(Clone)]
-struct ScriptedUpstream {
-    relay: rf_sim::AgentId,
-    script: RelayScript,
-    conn: Option<rf_sim::ConnId>,
-    next_id: u64,
-}
-
-impl rf_sim::Agent for ScriptedUpstream {
-    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
-        let profile = rf_sim::ConnProfile::default();
-        self.conn = Some(ctx.connect(self.relay, rf_rpc::RPC_CLIENT_SERVICE, profile));
-        for (i, (at, _)) in self.script.iter().enumerate() {
-            ctx.schedule(*at, i as u64);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, token: u64) {
-        let (RelayOp::Submit(n), Some(conn)) = (self.script[token as usize].1, self.conn) else {
-            return;
-        };
-        for _ in 0..n {
-            let env = rf_rpc::Envelope::Request {
-                req_id: self.next_id,
-                request: rf_rpc::RpcRequest::SwitchRemoved { dpid: self.next_id },
-            };
-            self.next_id += 1;
-            ctx.conn_send(conn, rf_rpc::encode_envelope(&env));
-        }
-    }
-}
-
-/// Plays the server's steps and logs every envelope the relay sends it.
-#[derive(Clone)]
-struct ScriptedServer {
-    script: RelayScript,
-    conn: Option<rf_sim::ConnId>,
-    reader: rf_rpc::RpcFrameReader,
-    /// Request ids received on any connection and not yet `AckOldest`ed.
-    unacked: std::collections::BTreeSet<u64>,
-    log: Vec<(rf_sim::Time, rf_rpc::Envelope)>,
-}
-
-impl rf_sim::Agent for ScriptedServer {
-    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
-        ctx.listen(rf_rpc::RPC_SERVER_SERVICE);
-        for (i, (at, _)) in self.script.iter().enumerate() {
-            ctx.schedule(*at, i as u64);
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut rf_sim::Ctx<'_>, token: u64) {
-        let Some(conn) = self.conn else { return };
-        let req_id = match self.script[token as usize].1 {
-            RelayOp::Submit(_) => return,
-            RelayOp::Ack(id) => id,
-            RelayOp::AckOldest => match self.unacked.pop_first() {
-                Some(id) => id,
-                None => return,
-            },
-            RelayOp::Close => {
-                ctx.conn_close(conn);
-                self.conn = None;
-                return;
-            }
-        };
-        let ack = rf_rpc::Envelope::Ack(rf_rpc::RpcAck { req_id, ok: true });
-        ctx.conn_send(conn, rf_rpc::encode_envelope(&ack));
-    }
-    fn on_stream(
-        &mut self,
-        ctx: &mut rf_sim::Ctx<'_>,
-        conn: rf_sim::ConnId,
-        event: rf_sim::StreamEvent,
-    ) {
-        match event {
-            rf_sim::StreamEvent::Opened { .. } => {
-                self.conn = Some(conn);
-                self.reader = rf_rpc::RpcFrameReader::new();
-            }
-            rf_sim::StreamEvent::Data(data) => {
-                self.reader.push_bytes(data);
-                while let Some(Ok(env)) = self.reader.next() {
-                    if let rf_rpc::Envelope::Request { req_id, .. } = &env {
-                        self.unacked.insert(*req_id);
-                    }
-                    self.log.push((ctx.now(), env));
-                }
-            }
-            rf_sim::StreamEvent::Closed => {
-                if self.conn == Some(conn) {
-                    self.conn = None;
-                }
-            }
-        }
-    }
-}
-
-/// Run `script` against the relay `make_relay` builds; returns what
-/// the server saw, when, and the relay's `(acked, retransmissions)`.
-fn play_relay<R: rf_sim::Agent>(
-    script: &RelayScript,
-    make_relay: impl FnOnce(rf_sim::AgentId) -> R,
-    counters: impl FnOnce(&R) -> (u64, u64),
-) -> (Vec<(rf_sim::Time, rf_rpc::Envelope)>, (u64, u64)) {
-    let mut sim = rf_sim::Sim::new(rf_sim::SimConfig::default());
-    let server = sim.add_agent(
-        "rpc-server",
-        Box::new(ScriptedServer {
-            script: script.clone(),
-            conn: None,
-            reader: rf_rpc::RpcFrameReader::new(),
-            unacked: Default::default(),
-            log: Vec::new(),
-        }),
-    );
-    let relay = sim.add_agent("rpc-client", Box::new(make_relay(server)));
-    sim.add_agent(
-        "topo-ctrl",
-        Box::new(ScriptedUpstream {
-            relay,
-            script: script.clone(),
-            conn: None,
-            next_id: 1,
-        }),
-    );
-    // Past the last step by several retransmission periods.
-    let end = script
-        .last()
-        .map_or(std::time::Duration::ZERO, |(at, _)| *at);
-    sim.run_until(rf_sim::Time::ZERO + end + std::time::Duration::from_secs(3));
-    let log = sim.agent_as::<ScriptedServer>(server).unwrap().log.clone();
-    (log, counters(sim.agent_as::<R>(relay).unwrap()))
-}
-
 // ---------------- switch datapath: reference model ----------------
 
 /// The action interpreter as it was before it became one loop over the
@@ -2885,40 +2550,6 @@ proptest! {
                 prop_assert!(within.start <= at && end <= within.end as usize);
             }
         }
-    }
-
-    // ---------------- RPC relay ----------------
-
-    /// Whatever the topology controller submits and the server acks
-    /// (in order, out of order, twice, ids never issued) or drops,
-    /// across retransmission ticks and reconnects, the relay sends the
-    /// server the envelopes its reference model sends, at the same
-    /// instants, and counts the same acks and retransmissions.
-    #[test]
-    fn relay_matches_reference_model(
-        steps in proptest::collection::vec((0u64..400, 0u8..10, 0u8..24), 1..40),
-    ) {
-        let mut at = std::time::Duration::ZERO;
-        let script: RelayScript = steps
-            .into_iter()
-            .map(|(dt_ms, kind, arg)| {
-                at += std::time::Duration::from_millis(dt_ms);
-                let op = match kind {
-                    0..=3 => RelayOp::Submit(1 + arg % 4),
-                    4..=5 => RelayOp::Ack(u64::from(arg)),
-                    6..=8 => RelayOp::AckOldest,
-                    _ => RelayOp::Close,
-                };
-                (at, op)
-            })
-            .collect();
-        let model = play_relay(&script, relay_model::ModelRelay::new, |r| {
-            (r.acked, r.retransmissions)
-        });
-        let real = play_relay(&script, rf_rpc::RpcClientAgent::new, |r| {
-            (r.acked, r.retransmissions)
-        });
-        prop_assert_eq!(real, model);
     }
 
     /// FlowVisor and the switch read a PACKET_OUT where it lies, patch
