@@ -295,7 +295,10 @@ mod tests {
     /// A FLOW_MOD by its destination, a PACKET_OUT by its tag byte.
     fn label(m: &OfMessage) -> String {
         match m {
-            OfMessage::FlowMod { of_match, .. } => of_match.nw_dst.to_string(),
+            OfMessage::FlowMod { of_match, .. } => {
+                let (addr, _) = of_match.nw_dst().expect("a route");
+                addr.to_string()
+            }
             OfMessage::PacketOut { data, .. } => format!("po{}", data[0]),
             other => format!("{other:?}"),
         }

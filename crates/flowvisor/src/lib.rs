@@ -19,18 +19,23 @@
 //!   rewritten to globally unique ones on the way down and restored on
 //!   the way up, so replies reach the requesting slice;
 //! * **Flowspace enforcement** — `PACKET_IN`s are routed to the slice
-//!   whose flowspace matches the packet; `FLOW_MOD`s outside a slice's
-//!   flowspace are rewritten to the intersection when possible and
-//!   rejected with an `EPERM` error otherwise; `PACKET_OUT` payloads
-//!   are policy-checked the same way;
+//!   whose flowspace matches the packet; a `FLOW_MOD` whose match lies
+//!   inside the slice's flowspace is forwarded as it came, but for its
+//!   xid, and any other is refused with an `EPERM` error (none is
+//!   narrowed: the loop sends none that would need it); a `PACKET_OUT`
+//!   whose payload the slice does not own, or that is too short to
+//!   classify, is refused with `EPERM` likewise;
 //! * `PORT_STATUS` fans out to all slices; a switch's `ERROR` goes
 //!   back to the slice whose request it answers;
 //! * a slice's `FLOW_MOD` or `PACKET_OUT` naming an action other than
-//!   `OUTPUT`, `SET_DL_SRC` and `SET_DL_DST` does not decode, and is
-//!   refused to that slice as a switch would refuse it (`BAD_ACTION` /
-//!   `BAD_TYPE`, under the slice's xid); any other message that does
-//!   not decode (`GET_CONFIG`, `BARRIER` and `FLOW_REMOVED` among them)
-//!   is dropped, from either side.
+//!   `OUTPUT`, `SET_DL_SRC` and `SET_DL_DST`, and a `FLOW_MOD` that
+//!   MODIFYs, deletes loosely or matches on anything but an EtherType
+//!   and an IPv4 destination prefix, does not decode, and is refused to
+//!   that slice as a switch would refuse it (`BAD_ACTION` / `BAD_TYPE`,
+//!   `FLOW_MOD_FAILED` / `BAD_COMMAND` or `UNSUPPORTED`, under the
+//!   slice's xid); any other message that does not decode
+//!   (`GET_CONFIG`, `BARRIER` and `FLOW_REMOVED` among them) is
+//!   dropped, from either side.
 //!
 //! The two messages of every LLDP probe are only passed on, so neither
 //! is decoded: a switch's `PACKET_IN` is routed from a

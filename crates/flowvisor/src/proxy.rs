@@ -1,9 +1,9 @@
 //! The FlowVisor proxy agent.
 
-use crate::slice::{FlowSpaceDecision, SlicePolicy};
+use crate::slice::SlicePolicy;
 use bytes::Bytes;
 use rf_openflow::{
-    reframe_with_xid, ErrorCode, ErrorType, KeyDepth, MessageReader, OfError, OfHeader, OfMessage,
+    reframe_with_xid, ErrorCode, ErrorType, MessageReader, OfError, OfHeader, OfMessage,
     PacketInView, PacketKey, PacketOutView, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
@@ -61,9 +61,6 @@ struct XidSlot {
 pub struct FlowVisor {
     /// The slices, in priority order for PACKET_IN classification.
     slices: Vec<SlicePolicy>,
-    /// The deepest layer any slice's flowspace reads: how far a punted
-    /// or injected frame is parsed before `owns_packet` sees its key.
-    key_depth: KeyDepth,
     switches: Vec<SwitchSession>,
     /// What each of our connections is, indexed by `ConnId`.
     roles: Vec<Option<Role>>,
@@ -74,27 +71,17 @@ pub struct FlowVisor {
     xids: Vec<XidSlot>,
     /// FLOW_MODs rejected by flowspace policy.
     pub denied_flow_mods: u64,
-    /// FLOW_MODs narrowed to the slice's flowspace.
-    pub rewritten_flow_mods: u64,
 }
 
 impl FlowVisor {
     pub fn new(slices: Vec<SlicePolicy>) -> FlowVisor {
-        let key_depth = slices
-            .iter()
-            .flat_map(|slice| &slice.flowspace)
-            .map(|m| m.depth())
-            .max()
-            .unwrap_or_default();
         FlowVisor {
             slices,
-            key_depth,
             switches: Vec::new(),
             roles: Vec::new(),
             next_xid: 1,
             xids: vec![XidSlot::default(); XID_WINDOW as usize],
             denied_flow_mods: 0,
-            rewritten_flow_mods: 0,
         }
     }
 
@@ -258,7 +245,7 @@ impl FlowVisor {
         };
         ctx.count("fv.packet_in", 1);
         let frame = packet_in.payload(&raw);
-        let Some(key) = PacketKey::from_frame(packet_in.in_port, frame, self.key_depth) else {
+        let Some(key) = PacketKey::from_frame(packet_in.in_port, frame) else {
             return;
         };
         // Exactly one slice owns a packet in this framework (flowspaces
@@ -294,52 +281,18 @@ impl FlowVisor {
                     self.send_to_slice(ctx, sw, slice, &OfMessage::FeaturesReply(f), xid);
                 }
             }
-            OfMessage::FlowMod {
-                of_match,
-                cookie,
-                command,
-                idle_timeout,
-                hard_timeout,
-                priority,
-                buffer_id,
-                out_port,
-                flags,
-                actions,
-            } => {
-                let decision = self.slices[slice].check_flow_mod(&of_match);
-                let effective_match = match decision {
-                    FlowSpaceDecision::Allow => of_match,
-                    FlowSpaceDecision::Rewrite(m) => {
-                        self.rewritten_flow_mods += 1;
-                        m
-                    }
-                    FlowSpaceDecision::Deny => {
-                        self.denied_flow_mods += 1;
-                        ctx.count("fv.flow_mod_denied", 1);
-                        let eperm = 2; // OFPFMFC_EPERM
-                        self.refuse(ctx, sw, slice, ErrorType::FlowModFailed, eperm, xid);
-                        return;
-                    }
-                };
-                let new_xid = self.alloc_xid(sw, slice, xid);
-                if matches!(decision, FlowSpaceDecision::Allow) {
-                    // Untouched flowspace: only the xid changes.
-                    self.forward_raw_to_switch(ctx, sw, raw, new_xid);
-                } else {
-                    let fm = OfMessage::FlowMod {
-                        of_match: effective_match,
-                        cookie,
-                        command,
-                        idle_timeout,
-                        hard_timeout,
-                        priority,
-                        buffer_id,
-                        out_port,
-                        flags,
-                        actions,
-                    };
-                    self.send_to_switch(ctx, sw, &fm, new_xid);
+            // A FLOW_MOD inside the slice's flowspace goes on as it
+            // came, but for its xid; any other is refused whole.
+            OfMessage::FlowMod { of_match, .. } => {
+                if !self.slices[slice].owns_match(&of_match) {
+                    self.denied_flow_mods += 1;
+                    ctx.count("fv.flow_mod_denied", 1);
+                    let eperm = 2; // OFPFMFC_EPERM
+                    self.refuse(ctx, sw, slice, ErrorType::FlowModFailed, eperm, xid);
+                    return;
                 }
+                let new_xid = self.alloc_xid(sw, slice, xid);
+                self.forward_raw_to_switch(ctx, sw, raw, new_xid);
             }
             // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
             OfMessage::SetConfig { .. } => {
@@ -376,16 +329,17 @@ impl FlowVisor {
     }
 
     /// One message off a slice controller's connection. A FLOW_MOD or
-    /// PACKET_OUT naming an action no switch takes does not decode; it
-    /// is refused as a switch refuses it, under the slice's own xid.
-    /// Any other message that does not decode is dropped.
+    /// PACKET_OUT that a switch would refuse for its actions, command or
+    /// match does not decode; it is refused here as the switch refuses
+    /// it ([`OfError::refusal`]), under the slice's own xid. Any other
+    /// message that does not decode is dropped.
     fn handle_controller_frame(&mut self, ctx: &mut Ctx<'_>, sw: usize, slice: usize, raw: Bytes) {
         let Ok(header) = OfHeader::parse(&raw) else {
             return;
         };
-        if let Err(OfError::BadAction(_)) = self.pass_on(ctx, sw, slice, raw) {
-            let bad_type = 0; // OFPBAC_BAD_TYPE
-            self.refuse(ctx, sw, slice, ErrorType::BadAction, bad_type, header.xid);
+        let refused = self.pass_on(ctx, sw, slice, raw).err();
+        if let Some((err_type, code)) = refused.and_then(|e| e.refusal()) {
+            self.refuse(ctx, sw, slice, err_type, code, header.xid);
         }
     }
 
@@ -405,10 +359,12 @@ impl FlowVisor {
             self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
             return Ok(());
         };
-        // Policy-check the payload when we can see it.
+        // Policy-check the payload when it is in the message: one the
+        // slice does not own, or that is too short to classify, is
+        // refused. (One naming a buffer goes on; the switch refuses it.)
         let denied = out.buffer_id == OFP_NO_BUFFER
-            && PacketKey::from_frame(out.in_port, out.payload(&raw), self.key_depth)
-                .is_some_and(|key| !self.slices[slice].owns_packet(&key));
+            && !PacketKey::from_frame(out.in_port, out.payload(&raw))
+                .is_some_and(|key| self.slices[slice].owns_packet(&key));
         if denied {
             ctx.count("fv.packet_out_denied", 1);
             let eperm = 4; // OFPBRC_EPERM

@@ -14,7 +14,7 @@ pub struct SlicePolicy {
     pub service: u16,
     /// The flowspace: a packet belongs to this slice when it matches
     /// any of these. A FLOW_MOD is permitted when its match falls
-    /// within (or can be narrowed to) one of these.
+    /// within one of these.
     pub flowspace: Vec<OfMatch>,
 }
 
@@ -48,32 +48,11 @@ impl SlicePolicy {
         self.flowspace.iter().any(|m| m.matches(key))
     }
 
-    /// Check a FLOW_MOD match against the flowspace.
-    ///
-    /// Returns `Allow` when the match is already inside the flowspace,
-    /// `Rewrite(m)` when a flowspace entry is strictly narrower and the
-    /// flow mod can be restricted to it, and `Deny` otherwise.
-    pub fn check_flow_mod(&self, m: &OfMatch) -> FlowSpaceDecision {
-        for fs in &self.flowspace {
-            if m.is_subset_of(fs) {
-                return FlowSpaceDecision::Allow;
-            }
-        }
-        for fs in &self.flowspace {
-            if fs.is_subset_of(m) {
-                return FlowSpaceDecision::Rewrite(*fs);
-            }
-        }
-        FlowSpaceDecision::Deny
+    /// Does a FLOW_MOD with this match stay inside the flowspace? One
+    /// that does not is refused whole (`EPERM`); none is narrowed.
+    pub fn owns_match(&self, m: &OfMatch) -> bool {
+        self.flowspace.iter().any(|fs| m.within(fs))
     }
-}
-
-/// Outcome of flowspace-checking a FLOW_MOD.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlowSpaceDecision {
-    Allow,
-    Rewrite(OfMatch),
-    Deny,
 }
 
 #[cfg(test)]
@@ -116,24 +95,25 @@ mod tests {
     #[test]
     fn flow_mod_inside_flowspace_allowed() {
         let s = SlicePolicy::ip_slice("rf", AgentId(0), 6633);
-        let m = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16);
-        assert_eq!(s.check_flow_mod(&m), FlowSpaceDecision::Allow);
-    }
-
-    #[test]
-    fn too_wide_flow_mod_gets_rewritten() {
-        let s = SlicePolicy::lldp_slice("topo", AgentId(0), 6633);
-        // The topology controller asks for match-any: narrowed to LLDP.
-        match s.check_flow_mod(&OfMatch::any()) {
-            FlowSpaceDecision::Rewrite(m) => assert_eq!(m, OfMatch::lldp()),
-            other => panic!("{other:?}"),
+        for m in [
+            OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 1, 0, 0), 16),
+            OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0),
+            OfMatch::ethertype(0x0800),
+            OfMatch::arp(),
+        ] {
+            assert!(s.owns_match(&m), "{m:?}");
         }
+        let topo = SlicePolicy::lldp_slice("topo", AgentId(0), 6633);
+        assert!(topo.owns_match(&OfMatch::lldp()));
     }
 
     #[test]
-    fn disjoint_flow_mod_denied() {
+    fn flow_mod_outside_flowspace_denied() {
         let s = SlicePolicy::lldp_slice("topo", AgentId(0), 6633);
         let m = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8);
-        assert_eq!(s.check_flow_mod(&m), FlowSpaceDecision::Deny);
+        assert!(!s.owns_match(&m));
+        assert!(!s.owns_match(&OfMatch::arp()));
+        let rf = SlicePolicy::ip_slice("rf", AgentId(0), 6633);
+        assert!(!rf.owns_match(&OfMatch::lldp()));
     }
 }

@@ -3,7 +3,6 @@
 
 use bytes::Bytes;
 use rf_flowvisor::{FlowVisor, SlicePolicy};
-use rf_openflow::flow_match::OFP_MATCH_LEN;
 use rf_openflow::{
     Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE,
     OFP_HEADER_LEN, OFP_NO_BUFFER,
@@ -13,6 +12,9 @@ use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, LldpPacket, MacAddr, UdpPacket};
 use std::net::Ipv4Addr;
 use std::time::Duration;
+
+/// Size of `ofp_match`: a FLOW_MOD's fixed fields follow it.
+const OFP_MATCH_LEN: usize = 40;
 
 /// A slice controller that performs the handshake and records traffic.
 #[derive(Default, Clone)]
@@ -241,36 +243,86 @@ fn ipv4_packet_in_goes_to_rf_slice() {
         .any(|m| matches!(m, OfMessage::PacketIn { .. })));
 }
 
+/// `msg` encoded under `xid`, then `patch`ed: each `(offset, bytes)`
+/// written over the wire bytes. The encoder writes only the matches and
+/// commands the loop sends.
+fn patched(msg: &OfMessage, xid: u32, patch: &[(usize, &[u8])]) -> Bytes {
+    let mut wire = msg.encode(xid).to_vec();
+    for (at, bytes) in patch {
+        wire[*at..at + bytes.len()].copy_from_slice(bytes);
+    }
+    wire.into()
+}
+
+/// The FlowVisor twin of the switch's refusals: a slice's FLOW_MOD that
+/// matches on a transport port, on the ingress port or on nothing at
+/// all comes back `FLOW_MOD_FAILED` / `UNSUPPORTED`, a MODIFY or loose
+/// DELETE `FLOW_MOD_FAILED` / `BAD_COMMAND` — from FlowVisor, which
+/// cannot decode them, so no switch sees them — and one filtering by an
+/// `out_port` `FLOW_MOD_FAILED` / `UNSUPPORTED` from the switch. Each
+/// answers under the slice's own xid, and nothing is installed.
 #[test]
-fn overbroad_flow_mod_is_narrowed_to_flowspace() {
-    let mut topo = SliceController::new(6641);
-    topo.script = vec![(
-        Duration::from_secs(1),
-        OfMessage::FlowMod {
-            of_match: OfMatch::any(), // asks for everything
-            cookie: 7,
-            command: FlowModCommand::Add,
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority: 50,
-            buffer_id: OFP_NO_BUFFER,
-            out_port: OFPP_NONE,
-            flags: 0,
-            actions: vec![Action::Output {
-                port: rf_openflow::OFPP_CONTROLLER,
-                max_len: 0xFFFF,
-            }],
-        },
-        11,
-    )];
-    let mut w = world(topo, SliceController::new(6642));
+fn matches_and_commands_outside_the_loop_are_refused_to_their_slice() {
+    let route = OfMessage::FlowMod {
+        of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8),
+        cookie: 7,
+        command: FlowModCommand::Add,
+        idle_timeout: 0,
+        hard_timeout: 0,
+        priority: 100,
+        buffer_id: OFP_NO_BUFFER,
+        out_port: OFPP_NONE,
+        flags: 0,
+        actions: vec![Action::output(1)],
+    };
+    let (wildcards, command) = (OFP_HEADER_LEN, OFP_HEADER_LEN + OFP_MATCH_LEN + 8);
+    // The route's wildcards but OFPFW_TP_DST, with tp_dst 5004; but
+    // OFPFW_IN_PORT, with in_port 1; all of them (`any`).
+    let tp_dst: &[(usize, &[u8])] = &[(wildcards + 3, &[0x6F]), (46, &[0x13, 0x8C])];
+    let in_port: &[(usize, &[u8])] = &[(wildcards + 3, &[0xEE]), (12, &[0, 1])];
+    let any: &[(usize, &[u8])] = &[(wildcards, &[0x00, 0x3F, 0xFF, 0xFF])];
+    // A DELETE_STRICT of the route's entries that output to port 1.
+    let out_port = command + 12;
+    let filtered: &[(usize, &[u8])] = &[(command, &[0, 4]), (out_port, &[0, 1])];
+    let at = Duration::from_secs(1);
+    let mut rf = SliceController::new(6642);
+    rf.raw = vec![
+        (at, patched(&route, 0xC1, tp_dst)),
+        (at, patched(&route, 0xC2, in_port)),
+        (at, patched(&route, 0xC3, any)),
+        (at, patched(&route, 0xC4, &[(command, &[0, 1])])),
+        (at, patched(&route, 0xC5, &[(command, &[0, 3])])),
+        (at, patched(&route, 0xC6, filtered)),
+    ];
+    let mut w = world(SliceController::new(6641), rf);
     w.sim.run_until(Time::from_secs(2));
+    let c = w.sim.agent_as::<SliceController>(w.rf_ctrl).unwrap();
+    let errors: Vec<_> = c
+        .received
+        .iter()
+        .zip(&c.received_xids)
+        .filter_map(|(m, x)| match m {
+            OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *x)),
+            _ => None,
+        })
+        .collect();
+    let failed = |code, xid| (ErrorType::FlowModFailed, code, xid);
+    assert_eq!(
+        errors,
+        [
+            failed(5, 0xC1),
+            failed(5, 0xC2),
+            failed(5, 0xC3),
+            failed(4, 0xC4),
+            failed(4, 0xC5),
+            failed(5, 0xC6),
+        ]
+    );
     let sw = w.sim.agent_as::<OpenFlowSwitch>(w.sw).unwrap();
-    assert_eq!(sw.flow_count(), 1);
-    let entry = &sw.flow_table().entries()[0];
-    assert_eq!(entry.of_match, OfMatch::lldp(), "match must be narrowed");
+    assert!(sw.flow_table().is_empty(), "no FLOW_MOD was installed");
+    assert_eq!(sw.errors_sent, 1, "the switch saw the out_port filter only");
     let fv = w.sim.agent_as::<FlowVisor>(w.fv).unwrap();
-    assert_eq!(fv.rewritten_flow_mods, 1);
+    assert_eq!(fv.denied_flow_mods, 0, "each lay inside the flowspace");
 }
 
 #[test]
@@ -462,4 +514,37 @@ fn packet_out_outside_flowspace_denied() {
             ..
         }
     )));
+}
+
+/// A PACKET_OUT whose payload is too short for an Ethernet header
+/// cannot be classified, so no slice owns it: it is refused with `EPERM`
+/// under the slice's xid, and the switch sends nothing.
+#[test]
+fn packet_out_too_short_to_classify_denied() {
+    let mut topo = SliceController::new(6641);
+    topo.script = vec![(
+        Duration::from_secs(1),
+        OfMessage::PacketOut {
+            buffer_id: OFP_NO_BUFFER,
+            in_port: OFPP_NONE,
+            actions: vec![Action::output(1)],
+            data: Bytes::from_static(&[0xAB; 10]),
+        },
+        0x5E,
+    )];
+    let mut w = world(topo, SliceController::new(6642));
+    w.sim.run_until(Time::from_secs(2));
+    let tc = w.sim.agent_as::<SliceController>(w.topo_ctrl).unwrap();
+    let errors: Vec<_> = tc
+        .received
+        .iter()
+        .zip(&tc.received_xids)
+        .filter_map(|(m, x)| match m {
+            OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *x)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(errors, [(ErrorType::BadRequest, 4, 0x5E)]);
+    let injector = w.sim.agent_as::<Injector>(w.injector).unwrap();
+    assert_eq!(injector.received, 0, "the runt left no port");
 }

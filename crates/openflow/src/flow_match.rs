@@ -1,348 +1,171 @@
-//! The OpenFlow 1.0 `ofp_match` (40 bytes) and packet classification.
+//! The OpenFlow 1.0 match as the paper's loop writes it, and packet
+//! classification.
 //!
-//! OF 1.0 matching is a fixed 12-tuple with a wildcard bitfield;
-//! `nw_src`/`nw_dst` carry 6-bit "number of wildcarded low bits"
-//! subfields enabling CIDR-prefix matching — which is exactly what
-//! RouteFlow relies on to translate a VM's RIB entry (`10.2.0.0/16 via
-//! ...`) into a flow entry.
+//! OF 1.0 matching is a fixed 12-tuple under a wildcard bitfield, with
+//! `nw_src`/`nw_dst` carrying 6-bit "number of wildcarded low bits"
+//! subfields for CIDR-prefix matching. The loop names two of those
+//! fields: every match it sends constrains an EtherType — LLDP for the
+//! discovery punt, IPv4 and ARP for FlowVisor's slices — and a route
+//! adds an IPv4 destination prefix, which is how RouteFlow translates a
+//! VM's RIB entry (`10.2.0.0/16 via ...`) into a flow entry. That is all
+//! an [`OfMatch`] holds. A well-framed `ofp_match` that constrains
+//! anything else — the ingress port, a MAC, the VLAN fields, `nw_src`,
+//! `nw_proto`, `nw_tos`, a transport port, a prefix on another
+//! EtherType, or no EtherType at all — decodes to
+//! [`OfError::UnsupportedMatch`].
 
 use crate::ports::PortNumber;
 use crate::OfError;
 use bytes::{BufMut, BytesMut};
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
-use rf_wire::{
-    ArpOp, ArpPacket, EtherType, EthernetHeader, IcmpHeader, IpProtocol, Ipv4Header, MacAddr,
-    UdpHeader,
-};
-use std::fmt;
+use rf_wire::{EtherType, EthernetHeader, Ipv4Header, MacAddr};
 use std::net::Ipv4Addr;
 
 /// Size of `ofp_match` on the wire.
-pub const OFP_MATCH_LEN: usize = 40;
+pub(crate) const OFP_MATCH_LEN: usize = 40;
 
-/// The OF 1.0 wildcard bitfield (`OFPFW_*`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Wildcards(pub u32);
+/// The `OFPFW_*` bits of the fields an [`OfMatch`] leaves wildcarded:
+/// `in_port`, `dl_vlan`, `dl_src`, `dl_dst`, `nw_proto`, `tp_src`,
+/// `tp_dst`, `dl_vlan_pcp` and `nw_tos`.
+const OTHER_FIELDS: u32 = 0b11_0000_0000_0000_1110_1111;
+/// `OFPFW_DL_TYPE`.
+const DL_TYPE: u32 = 1 << 4;
+/// Where the 6-bit wildcarded-low-bits counts of `nw_src` and `nw_dst`
+/// sit.
+const NW_SRC_SHIFT: u32 = 8;
+const NW_DST_SHIFT: u32 = 14;
+/// `dl_vlan` of a match that leaves it wildcarded: `OFP_VLAN_NONE`.
+const VLAN_NONE: u16 = 0xFFFF;
 
-impl Wildcards {
-    pub const IN_PORT: u32 = 1 << 0;
-    pub const DL_VLAN: u32 = 1 << 1;
-    pub const DL_SRC: u32 = 1 << 2;
-    pub const DL_DST: u32 = 1 << 3;
-    pub const DL_TYPE: u32 = 1 << 4;
-    pub const NW_PROTO: u32 = 1 << 5;
-    pub const TP_SRC: u32 = 1 << 6;
-    pub const TP_DST: u32 = 1 << 7;
-    pub const NW_SRC_SHIFT: u32 = 8;
-    pub const NW_DST_SHIFT: u32 = 14;
-    pub const DL_VLAN_PCP: u32 = 1 << 20;
-    pub const NW_TOS: u32 = 1 << 21;
-    /// Everything wildcarded (the table-miss match).
-    pub const ALL: u32 = (1 << 22) - 1;
-
-    pub fn all() -> Wildcards {
-        Wildcards(Self::ALL)
-    }
-
-    pub fn none() -> Wildcards {
-        Wildcards(0)
-    }
-
-    pub fn contains(&self, bit: u32) -> bool {
-        self.0 & bit != 0
-    }
-
-    /// Number of wildcarded low bits in nw_src (0..=32; values ≥ 32
-    /// mean "fully wildcarded" per spec).
-    pub fn nw_src_bits(&self) -> u32 {
-        ((self.0 >> Self::NW_SRC_SHIFT) & 0x3F).min(32)
-    }
-
-    pub fn nw_dst_bits(&self) -> u32 {
-        ((self.0 >> Self::NW_DST_SHIFT) & 0x3F).min(32)
-    }
-
-    pub fn with_nw_src_bits(mut self, bits: u32) -> Wildcards {
-        self.0 &= !(0x3F << Self::NW_SRC_SHIFT);
-        self.0 |= (bits.min(63)) << Self::NW_SRC_SHIFT;
-        self
-    }
-
-    pub fn with_nw_dst_bits(mut self, bits: u32) -> Wildcards {
-        self.0 &= !(0x3F << Self::NW_DST_SHIFT);
-        self.0 |= (bits.min(63)) << Self::NW_DST_SHIFT;
-        self
-    }
-
-    fn mask_from_bits(bits: u32) -> u32 {
-        if bits >= 32 {
-            0
-        } else {
-            u32::MAX << bits
-        }
-    }
-
-    pub fn nw_src_mask(&self) -> u32 {
-        Self::mask_from_bits(self.nw_src_bits())
-    }
-
-    pub fn nw_dst_mask(&self) -> u32 {
-        Self::mask_from_bits(self.nw_dst_bits())
-    }
+/// `addr` with all but its `len` high bits cleared.
+fn masked(addr: Ipv4Addr, len: u8) -> u32 {
+    u32::from(addr) & u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0)
 }
 
-impl fmt::Debug for Wildcards {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Wildcards({:#08x})", self.0)
-    }
-}
-
-/// `dl_vlan` of a frame without an 802.1Q tag (`OFP_VLAN_NONE`) —
-/// every frame here: the parser reads no tags.
-pub const OFP_VLAN_NONE: u16 = 0xFFFF;
-
-/// How far into a frame a match reads, and so how far
-/// [`PacketKey::from_frame`] has to: `L2` is the Ethernet header (and
-/// the ingress port and VLAN fields), `L3` adds the IPv4 header or the
-/// ARP body (`nw_*`), `L4` the UDP ports or ICMP type/code (`tp_*`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
-pub enum KeyDepth {
-    #[default]
-    L2,
-    L3,
-    L4,
-}
-
-/// The OF 1.0 12-tuple match.
+/// An OF 1.0 match on an EtherType and, for IPv4, optionally a
+/// destination prefix.
+///
+/// A `/0` route and an EtherType-only IPv4 match cover the same packets
+/// but are written differently on the wire (32 and 63 wildcarded
+/// `nw_dst` bits), so they stay two values: a match re-encodes to the
+/// bytes it was built as, and a DELETE_STRICT tells them apart as the
+/// switch that installed them does.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct OfMatch {
-    pub wildcards: Wildcards,
-    pub in_port: PortNumber,
-    pub dl_src: MacAddr,
-    pub dl_dst: MacAddr,
-    pub dl_vlan: u16,
-    pub dl_vlan_pcp: u8,
-    pub dl_type: u16,
-    pub nw_tos: u8,
-    pub nw_proto: u8,
-    pub nw_src: Ipv4Addr,
-    pub nw_dst: Ipv4Addr,
-    pub tp_src: u16,
-    pub tp_dst: u16,
-}
-
-impl Default for OfMatch {
-    fn default() -> Self {
-        OfMatch::any()
-    }
+    dl_type: u16,
+    /// `(address, prefix length)`, IPv4 only.
+    nw_dst: Option<(Ipv4Addr, u8)>,
 }
 
 impl OfMatch {
-    /// Match-everything (all fields wildcarded).
-    pub fn any() -> OfMatch {
+    /// Match every frame of EtherType `dl_type`.
+    pub fn ethertype(dl_type: u16) -> OfMatch {
         OfMatch {
-            wildcards: Wildcards::all(),
-            in_port: 0,
-            dl_src: MacAddr::ZERO,
-            dl_dst: MacAddr::ZERO,
-            dl_vlan: OFP_VLAN_NONE,
-            dl_vlan_pcp: 0,
-            dl_type: 0,
-            nw_tos: 0,
-            nw_proto: 0,
-            nw_src: Ipv4Addr::UNSPECIFIED,
-            nw_dst: Ipv4Addr::UNSPECIFIED,
-            tp_src: 0,
-            tp_dst: 0,
+            dl_type,
+            nw_dst: None,
         }
     }
 
     /// Match IPv4 traffic to a destination prefix — the shape RouteFlow
     /// installs for every RIB entry.
     pub fn ipv4_dst_prefix(prefix: Ipv4Addr, prefix_len: u8) -> OfMatch {
-        let mut m = OfMatch::any();
-        m.dl_type = 0x0800;
-        m.nw_dst = prefix;
-        m.wildcards = Wildcards(Wildcards::ALL & !Wildcards::DL_TYPE)
-            .with_nw_dst_bits(32 - prefix_len as u32);
-        m
+        assert!(prefix_len <= 32, "an IPv4 prefix is at most 32 bits long");
+        OfMatch {
+            dl_type: EtherType::IPV4.0,
+            nw_dst: Some((prefix, prefix_len)),
+        }
     }
 
     /// Match all LLDP frames (the slice FlowVisor grants the topology
     /// controller).
     pub fn lldp() -> OfMatch {
-        let mut m = OfMatch::any();
-        m.dl_type = 0x88CC;
-        m.wildcards = Wildcards(Wildcards::ALL & !Wildcards::DL_TYPE);
-        m
+        OfMatch::ethertype(EtherType::LLDP.0)
     }
 
     /// Match all ARP frames.
     pub fn arp() -> OfMatch {
-        let mut m = OfMatch::any();
-        m.dl_type = 0x0806;
-        m.wildcards = Wildcards(Wildcards::ALL & !Wildcards::DL_TYPE);
-        m
+        OfMatch::ethertype(EtherType::ARP.0)
     }
 
-    /// The deepest layer this match constrains a field of: a key
-    /// extracted to this depth (or deeper) gives [`OfMatch::matches`]
-    /// the answer a fully extracted one does.
-    pub fn depth(&self) -> KeyDepth {
-        let w = &self.wildcards;
-        if !w.contains(Wildcards::TP_SRC) || !w.contains(Wildcards::TP_DST) {
-            KeyDepth::L4
-        } else if !w.contains(Wildcards::NW_PROTO)
-            || !w.contains(Wildcards::NW_TOS)
-            || w.nw_src_bits() < 32
-            || w.nw_dst_bits() < 32
-        {
-            KeyDepth::L3
-        } else {
-            KeyDepth::L2
-        }
+    /// The EtherType matched.
+    pub fn dl_type(&self) -> u16 {
+        self.dl_type
     }
 
-    /// Does this match cover `key`? Every key is of an untagged frame
-    /// (see [`OFP_VLAN_NONE`]), so a match that names a VLAN or a
-    /// non-zero VLAN priority covers none.
+    /// The IPv4 destination prefix matched, as `(address, length)`.
+    pub fn nw_dst(&self) -> Option<(Ipv4Addr, u8)> {
+        self.nw_dst
+    }
+
+    /// The prefix, with an EtherType-only match read as `/0`.
+    fn prefix(&self) -> (Ipv4Addr, u8) {
+        self.nw_dst.unwrap_or((Ipv4Addr::UNSPECIFIED, 0))
+    }
+
+    /// Does this match cover `key`?
     pub fn matches(&self, key: &PacketKey) -> bool {
-        let w = &self.wildcards;
-        if !w.contains(Wildcards::IN_PORT) && self.in_port != key.in_port {
-            return false;
-        }
-        if !w.contains(Wildcards::DL_VLAN) && self.dl_vlan != OFP_VLAN_NONE {
-            return false;
-        }
-        if !w.contains(Wildcards::DL_VLAN_PCP) && self.dl_vlan_pcp != 0 {
-            return false;
-        }
-        if !w.contains(Wildcards::DL_SRC) && self.dl_src != key.dl_src {
-            return false;
-        }
-        if !w.contains(Wildcards::DL_DST) && self.dl_dst != key.dl_dst {
-            return false;
-        }
-        if !w.contains(Wildcards::DL_TYPE) && self.dl_type != key.dl_type {
-            return false;
-        }
-        if !w.contains(Wildcards::NW_PROTO) && self.nw_proto != key.nw_proto {
-            return false;
-        }
-        if !w.contains(Wildcards::NW_TOS) && self.nw_tos != key.nw_tos {
-            return false;
-        }
-        let src_mask = w.nw_src_mask();
-        if u32::from(self.nw_src) & src_mask != u32::from(key.nw_src) & src_mask {
-            return false;
-        }
-        let dst_mask = w.nw_dst_mask();
-        if u32::from(self.nw_dst) & dst_mask != u32::from(key.nw_dst) & dst_mask {
-            return false;
-        }
-        if !w.contains(Wildcards::TP_SRC) && self.tp_src != key.tp_src {
-            return false;
-        }
-        if !w.contains(Wildcards::TP_DST) && self.tp_dst != key.tp_dst {
-            return false;
-        }
-        true
+        let (net, len) = self.prefix();
+        self.dl_type == key.dl_type && masked(key.nw_dst, len) == masked(net, len)
     }
 
-    /// Is `self` at least as specific as `other` on every field `other`
-    /// constrains (used for OFPFC_DELETE's loose matching)?
-    pub fn is_subset_of(&self, other: &OfMatch) -> bool {
-        let (sw, ow) = (&self.wildcards, &other.wildcards);
-        let field = |bit: u32, eq: bool| -> bool {
-            if ow.contains(bit) {
-                true // other doesn't constrain this field
-            } else {
-                !sw.contains(bit) && eq
-            }
-        };
-        field(Wildcards::IN_PORT, self.in_port == other.in_port)
-            && field(Wildcards::DL_VLAN, self.dl_vlan == other.dl_vlan)
-            && field(
-                Wildcards::DL_VLAN_PCP,
-                self.dl_vlan_pcp == other.dl_vlan_pcp,
-            )
-            && field(Wildcards::DL_SRC, self.dl_src == other.dl_src)
-            && field(Wildcards::DL_DST, self.dl_dst == other.dl_dst)
-            && field(Wildcards::DL_TYPE, self.dl_type == other.dl_type)
-            && field(Wildcards::NW_PROTO, self.nw_proto == other.nw_proto)
-            && field(Wildcards::NW_TOS, self.nw_tos == other.nw_tos)
-            && field(Wildcards::TP_SRC, self.tp_src == other.tp_src)
-            && field(Wildcards::TP_DST, self.tp_dst == other.tp_dst)
-            && {
-                // self's prefix must be at least as long and agree.
-                let ob = ow.nw_src_bits();
-                let sb = sw.nw_src_bits();
-                sb <= ob && {
-                    let m = Wildcards::mask_from_bits(ob);
-                    u32::from(self.nw_src) & m == u32::from(other.nw_src) & m
-                }
-            }
-            && {
-                let ob = ow.nw_dst_bits();
-                let sb = sw.nw_dst_bits();
-                sb <= ob && {
-                    let m = Wildcards::mask_from_bits(ob);
-                    u32::from(self.nw_dst) & m == u32::from(other.nw_dst) & m
-                }
-            }
+    /// Does every packet this match covers fall inside `space` (a
+    /// flowspace entry)?
+    pub fn within(&self, space: &OfMatch) -> bool {
+        let ((net, len), (space_net, space_len)) = (self.prefix(), space.prefix());
+        self.dl_type == space.dl_type
+            && len >= space_len
+            && masked(net, space_len) == masked(space_net, space_len)
     }
 
-    pub fn parse(data: &[u8]) -> Result<OfMatch, OfError> {
+    pub(crate) fn parse(data: &[u8]) -> Result<OfMatch, OfError> {
         if data.len() < OFP_MATCH_LEN {
             return Err(OfError::Truncated);
         }
-        Ok(OfMatch {
-            wildcards: Wildcards(u32::from_be_bytes([data[0], data[1], data[2], data[3]])),
-            in_port: u16::from_be_bytes([data[4], data[5]]),
-            dl_src: MacAddr::from_bytes(&data[6..12]).map_err(|_| OfError::Truncated)?,
-            dl_dst: MacAddr::from_bytes(&data[12..18]).map_err(|_| OfError::Truncated)?,
-            dl_vlan: u16::from_be_bytes([data[18], data[19]]),
-            dl_vlan_pcp: data[20],
-            // data[21] pad
-            dl_type: u16::from_be_bytes([data[22], data[23]]),
-            nw_tos: data[24],
-            nw_proto: data[25],
-            // data[26..28] pad
-            nw_src: Ipv4Addr::new(data[28], data[29], data[30], data[31]),
-            nw_dst: Ipv4Addr::new(data[32], data[33], data[34], data[35]),
-            tp_src: u16::from_be_bytes([data[36], data[37]]),
-            tp_dst: u16::from_be_bytes([data[38], data[39]]),
-        })
+        let wildcards = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
+        let nw_src_bits = (wildcards >> NW_SRC_SHIFT) & 0x3F;
+        let nw_dst_bits = (wildcards >> NW_DST_SHIFT) & 0x3F;
+        if wildcards & OTHER_FIELDS != OTHER_FIELDS || nw_src_bits < 32 || wildcards & DL_TYPE != 0
+        {
+            return Err(OfError::UnsupportedMatch);
+        }
+        let dl_type = u16::from_be_bytes([data[22], data[23]]);
+        let nw_dst = Ipv4Addr::new(data[32], data[33], data[34], data[35]);
+        let nw_dst = match nw_dst_bits {
+            33.. => None,
+            bits if dl_type == EtherType::IPV4.0 => Some((nw_dst, (32 - bits) as u8)),
+            32 => None,
+            _ => return Err(OfError::UnsupportedMatch),
+        };
+        Ok(OfMatch { dl_type, nw_dst })
     }
 
-    pub fn emit_into(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.wildcards.0);
-        buf.put_u16(self.in_port);
-        buf.put_slice(self.dl_src.as_bytes());
-        buf.put_slice(self.dl_dst.as_bytes());
-        buf.put_u16(self.dl_vlan);
-        buf.put_u8(self.dl_vlan_pcp);
+    pub(crate) fn emit_into(&self, buf: &mut BytesMut) {
+        let (nw_dst, nw_dst_bits) = match self.nw_dst {
+            Some((addr, len)) => (addr, 32 - u32::from(len)),
+            None => (Ipv4Addr::UNSPECIFIED, 0x3F),
+        };
+        let nw_src_bits = 0x3F << NW_SRC_SHIFT;
+        buf.put_u32(OTHER_FIELDS | nw_src_bits | nw_dst_bits << NW_DST_SHIFT);
+        buf.put_u16(0); // in_port
+        buf.put_bytes(0, 12); // dl_src, dl_dst
+        buf.put_u16(VLAN_NONE);
+        buf.put_u8(0); // dl_vlan_pcp
         buf.put_u8(0); // pad
         buf.put_u16(self.dl_type);
-        buf.put_u8(self.nw_tos);
-        buf.put_u8(self.nw_proto);
+        buf.put_u8(0); // nw_tos
+        buf.put_u8(0); // nw_proto
         buf.put_u16(0); // pad
-        buf.put_slice(&self.nw_src.octets());
-        buf.put_slice(&self.nw_dst.octets());
-        buf.put_u16(self.tp_src);
-        buf.put_u16(self.tp_dst);
+        buf.put_u32(0); // nw_src
+        buf.put_slice(&nw_dst.octets());
+        buf.put_u32(0); // tp_src, tp_dst
     }
 }
 
-/// The classification key extracted from a packet, against which
-/// matches are evaluated. Mirrors the OF 1.0 parse rules, including the
-/// ARP quirk (nw_proto = ARP opcode, nw_src/dst = ARP IPs) and the ICMP
-/// quirk (tp_src/dst = ICMP type/code).
-///
-/// Which fields [`PacketKey::from_frame`] fills depends on the
-/// [`KeyDepth`] asked for: `in_port`, `dl_src`, `dl_dst` and `dl_type`
-/// always; `nw_tos`, `nw_proto`, `nw_src` and `nw_dst` from `L3` on;
-/// `tp_src` and `tp_dst` at `L4` only. The rest stay zero.
+/// The classification key extracted from a frame: its ingress port,
+/// Ethernet header and, for IPv4, the fields of its IPv4 header. An
+/// [`OfMatch`] reads `dl_type` and `nw_dst` of it; `tp_src` and `tp_dst`
+/// are always 0. (It keeps the other fields because the benchmark's
+/// probes build one field by field.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PacketKey {
     pub in_port: PortNumber,
@@ -359,15 +182,13 @@ pub struct PacketKey {
 
 impl PacketKey {
     /// Classify a raw Ethernet frame received on `in_port`, reading it
-    /// where it lies and only as deep as `depth` — pass the deepest
-    /// [`OfMatch::depth`] of the matches the key will be held against,
-    /// which then cannot tell it from a fully extracted one. A layer
-    /// deeper than `depth` is not looked at, not even to verify it; a
-    /// layer that does not parse leaves its own and the deeper fields
-    /// zero, matching how a hardware parser degrades. So a UDP datagram is
-    /// checksummed only for a table that matches on ports. This runs
-    /// per frame per switch hop: no allocation, no reference count.
-    pub fn from_frame(in_port: PortNumber, frame: &[u8], depth: KeyDepth) -> Option<PacketKey> {
+    /// where it lies: the Ethernet header, and the IPv4 header of an
+    /// IPv4 frame. An IPv4 header that does not parse leaves the `nw_*`
+    /// fields zero, matching how a hardware parser degrades; nothing
+    /// behind it is read. `None` when the frame is too short for an
+    /// Ethernet header. This runs per frame per switch hop: no
+    /// allocation, no reference count.
+    pub fn from_frame(in_port: PortNumber, frame: &[u8]) -> Option<PacketKey> {
         let eth = EthernetHeader::parse(frame).ok()?;
         let mut key = PacketKey {
             in_port,
@@ -381,49 +202,13 @@ impl PacketKey {
             tp_src: 0,
             tp_dst: 0,
         };
-        if depth < KeyDepth::L3 {
-            return Some(key);
-        }
-        let payload = &frame[ETHERNET_HEADER_LEN..];
-        match eth.ethertype {
-            EtherType::IPV4 => {
-                if let Ok(ip) = Ipv4Header::parse(payload) {
-                    key.nw_tos = ip.dscp << 2;
-                    key.nw_proto = ip.protocol.0;
-                    key.nw_src = ip.src;
-                    key.nw_dst = ip.dst;
-                    if depth < KeyDepth::L4 {
-                        return Some(key);
-                    }
-                    let body = &payload[ip.ihl..ip.total_len];
-                    match ip.protocol {
-                        IpProtocol::UDP => {
-                            if let Ok(udp) = UdpHeader::parse(body, ip.src, ip.dst) {
-                                key.tp_src = udp.src_port;
-                                key.tp_dst = udp.dst_port;
-                            }
-                        }
-                        IpProtocol::ICMP => {
-                            if let Ok(icmp) = IcmpHeader::parse(body) {
-                                key.tp_src = u16::from(icmp.ty);
-                                key.tp_dst = u16::from(icmp.code);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+        if eth.ethertype == EtherType::IPV4 {
+            if let Ok(ip) = Ipv4Header::parse(&frame[ETHERNET_HEADER_LEN..]) {
+                key.nw_tos = ip.dscp << 2;
+                key.nw_proto = ip.protocol.0;
+                key.nw_src = ip.src;
+                key.nw_dst = ip.dst;
             }
-            EtherType::ARP => {
-                if let Ok(arp) = ArpPacket::parse(payload) {
-                    key.nw_proto = match arp.op {
-                        ArpOp::Request => 1,
-                        ArpOp::Reply => 2,
-                    };
-                    key.nw_src = arp.sender_ip;
-                    key.nw_dst = arp.target_ip;
-                }
-            }
-            _ => {}
         }
         Some(key)
     }
@@ -433,7 +218,7 @@ impl PacketKey {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rf_wire::{EthernetFrame, IcmpPacket, Ipv4Packet, UdpPacket};
+    use rf_wire::{ArpPacket, EthernetFrame, IpProtocol, Ipv4Packet, UdpPacket};
 
     fn wire(m: &OfMatch) -> Vec<u8> {
         let mut b = BytesMut::new();
@@ -441,97 +226,135 @@ mod tests {
         b.to_vec()
     }
 
-    #[test]
-    fn match_roundtrip() {
-        let m = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16);
-        let w = wire(&m);
-        assert_eq!(w.len(), OFP_MATCH_LEN);
-        assert_eq!(OfMatch::parse(&w).unwrap(), m);
-    }
-
-    #[test]
-    fn any_matches_everything() {
-        let m = OfMatch::any();
-        let key = PacketKey {
-            in_port: 3,
-            dl_src: MacAddr([1; 6]),
-            dl_dst: MacAddr([2; 6]),
-            dl_type: 0x0800,
-            nw_tos: 0,
-            nw_proto: 17,
-            nw_src: Ipv4Addr::new(1, 2, 3, 4),
-            nw_dst: Ipv4Addr::new(5, 6, 7, 8),
-            tp_src: 1000,
-            tp_dst: 2000,
-        };
-        assert!(m.matches(&key));
-    }
-
-    #[test]
-    fn prefix_match_semantics() {
-        let m = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16);
-        let mut key = PacketKey {
-            in_port: 1,
-            dl_src: MacAddr::ZERO,
-            dl_dst: MacAddr::ZERO,
-            dl_type: 0x0800,
-            nw_tos: 0,
-            nw_proto: 6,
-            nw_src: Ipv4Addr::new(9, 9, 9, 9),
-            nw_dst: Ipv4Addr::new(10, 2, 200, 1),
-            tp_src: 0,
-            tp_dst: 0,
-        };
-        assert!(m.matches(&key));
-        key.nw_dst = Ipv4Addr::new(10, 3, 0, 1);
-        assert!(!m.matches(&key));
-        key.dl_type = 0x0806;
-        key.nw_dst = Ipv4Addr::new(10, 2, 0, 1);
-        assert!(!m.matches(&key), "dl_type must be checked");
-    }
-
-    #[test]
-    fn lldp_match_only_matches_lldp() {
-        let m = OfMatch::lldp();
-        let mk = |dl_type| PacketKey {
+    fn key(dl_type: u16, nw_dst: Ipv4Addr) -> PacketKey {
+        PacketKey {
             in_port: 1,
             dl_src: MacAddr::ZERO,
             dl_dst: MacAddr::ZERO,
             dl_type,
             nw_tos: 0,
-            nw_proto: 0,
-            nw_src: Ipv4Addr::UNSPECIFIED,
-            nw_dst: Ipv4Addr::UNSPECIFIED,
+            nw_proto: 17,
+            nw_src: Ipv4Addr::new(9, 9, 9, 9),
+            nw_dst,
             tp_src: 0,
             tp_dst: 0,
+        }
+    }
+
+    /// The bytes the full OF 1.0 encoder wrote for each constructor.
+    #[test]
+    fn constructors_write_the_of10_bytes() {
+        let route = wire(&OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16));
+        let mut want = vec![0x00, 0x34, 0x3F, 0xEF, 0, 0];
+        want.extend([0; 12]);
+        want.extend([0xFF, 0xFF, 0, 0, 0x08, 0x00, 0, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend([10, 2, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(route, want);
+        let lldp = wire(&OfMatch::lldp());
+        assert_eq!(lldp[..4], [0x00, 0x3F, 0xFF, 0xEF]);
+        assert_eq!(lldp[22..24], [0x88, 0xCC]);
+        // A /0 keeps its 32 wildcarded bits and its address.
+        let default = wire(&OfMatch::ipv4_dst_prefix(Ipv4Addr::new(1, 2, 3, 4), 0));
+        assert_eq!(default[..4], [0x00, 0x38, 0x3F, 0xEF]);
+        assert_eq!(default[32..36], [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn match_roundtrip() {
+        for m in [
+            OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16),
+            OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 7), 32),
+            OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 7), 0),
+            OfMatch::ethertype(0x0800),
+            OfMatch::lldp(),
+            OfMatch::arp(),
+        ] {
+            let w = wire(&m);
+            assert_eq!(w.len(), OFP_MATCH_LEN);
+            assert_eq!(OfMatch::parse(&w).unwrap(), m);
+        }
+        assert_ne!(
+            OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0),
+            OfMatch::ethertype(0x0800),
+        );
+    }
+
+    /// One field pinned (or the EtherType left open) is refused.
+    #[test]
+    fn a_match_on_any_other_field_is_unsupported() {
+        let lldp = wire(&OfMatch::lldp());
+        let with = |wildcards: u32, at: usize, value: u8| {
+            let mut w = lldp.clone();
+            w[..4].copy_from_slice(&wildcards.to_be_bytes());
+            w[at] = value;
+            OfMatch::parse(&w)
         };
-        assert!(m.matches(&mk(0x88CC)));
-        assert!(!m.matches(&mk(0x0800)));
+        let all = u32::from_be_bytes(lldp[..4].try_into().unwrap());
+        for bit in 0..22 {
+            if (8..20).contains(&bit) {
+                continue;
+            }
+            assert_eq!(
+                with(all ^ (1 << bit), 0, 0),
+                Err(OfError::UnsupportedMatch),
+                "bit {bit}"
+            );
+        }
+        // nw_src /1; a prefix on LLDP; a /0 or a wider count on LLDP is
+        // no constraint.
+        let nw_src_31 = all & !(0x20 << NW_SRC_SHIFT);
+        assert_eq!(with(nw_src_31, 28, 1), Err(OfError::UnsupportedMatch));
+        let nw_dst_bits = |bits: u32| all & !(0x3F << NW_DST_SHIFT) | bits << NW_DST_SHIFT;
+        assert_eq!(with(nw_dst_bits(8), 32, 10), Err(OfError::UnsupportedMatch));
+        assert_eq!(with(nw_dst_bits(32), 32, 10), Ok(OfMatch::lldp()));
+        assert_eq!(with(nw_dst_bits(40), 32, 10), Ok(OfMatch::lldp()));
+        // A wildcarded field's value is not read.
+        assert_eq!(with(all, 4, 7), Ok(OfMatch::lldp()));
     }
 
     #[test]
-    fn wildcard_bits_encoding() {
-        let w = Wildcards::all();
-        assert_eq!(w.nw_src_bits(), 32);
-        assert_eq!(w.nw_src_mask(), 0);
-        let w = Wildcards::none().with_nw_dst_bits(8);
-        assert_eq!(w.nw_dst_bits(), 8);
-        assert_eq!(w.nw_dst_mask(), 0xFFFF_FF00);
+    fn prefix_match_semantics() {
+        let m = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16);
+        assert!(m.matches(&key(0x0800, Ipv4Addr::new(10, 2, 200, 1))));
+        assert!(!m.matches(&key(0x0800, Ipv4Addr::new(10, 3, 0, 1))));
+        assert!(
+            !m.matches(&key(0x0806, Ipv4Addr::new(10, 2, 0, 1))),
+            "dl_type must be checked"
+        );
+        let default = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 0);
+        assert!(default.matches(&key(0x0800, Ipv4Addr::new(99, 0, 0, 1))));
+        assert!(OfMatch::ethertype(0x0800).matches(&key(0x0800, Ipv4Addr::new(99, 0, 0, 1))));
     }
 
     #[test]
-    fn subset_relation() {
+    fn lldp_match_only_matches_lldp() {
+        let m = OfMatch::lldp();
+        assert!(m.matches(&key(0x88CC, Ipv4Addr::UNSPECIFIED)));
+        assert!(!m.matches(&key(0x0800, Ipv4Addr::UNSPECIFIED)));
+    }
+
+    #[test]
+    fn within_relation() {
         let wide = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8);
         let narrow = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16);
-        assert!(narrow.is_subset_of(&wide));
-        assert!(!wide.is_subset_of(&narrow));
-        assert!(narrow.is_subset_of(&OfMatch::any()));
+        assert!(narrow.within(&wide));
+        assert!(!wide.within(&narrow));
         let other = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(11, 0, 0, 0), 8);
-        assert!(!narrow.is_subset_of(&other));
+        assert!(!narrow.within(&other));
+        // Every IPv4 match is within a /0, and an EtherType-only one
+        // only there.
+        let ipv4 = OfMatch::ethertype(0x0800);
+        let default = OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0);
+        for m in [wide, narrow, ipv4, default] {
+            assert!(m.within(&default) && m.within(&ipv4));
+        }
+        assert!(!ipv4.within(&wide));
+        assert!(!narrow.within(&OfMatch::arp()));
+        assert!(OfMatch::lldp().within(&OfMatch::lldp()));
     }
 
     #[test]
-    fn key_from_udp_frame() {
+    fn key_from_udp_frame_reads_the_ipv4_header() {
         let udp = UdpPacket::new(5004, 9000, Bytes::from_static(b"v"));
         let src = Ipv4Addr::new(10, 0, 0, 1);
         let dst = Ipv4Addr::new(10, 0, 9, 9);
@@ -542,120 +365,17 @@ mod tests {
             EtherType::IPV4,
             ip.emit(),
         );
-        let key = PacketKey::from_frame(7, &eth.emit(), KeyDepth::L4).unwrap();
+        let key = PacketKey::from_frame(7, &eth.emit()).unwrap();
         assert_eq!(key.in_port, 7);
         assert_eq!(key.dl_type, 0x0800);
         assert_eq!(key.nw_proto, 17);
         assert_eq!(key.nw_src, src);
         assert_eq!(key.nw_dst, dst);
-        assert_eq!(key.tp_src, 5004);
-        assert_eq!(key.tp_dst, 9000);
-        // Shallower keys are the same key with the deeper fields zero.
-        let l3 = PacketKey {
-            tp_src: 0,
-            tp_dst: 0,
-            ..key
-        };
-        assert_eq!(
-            PacketKey::from_frame(7, &eth.emit(), KeyDepth::L3),
-            Some(l3)
-        );
-        let l2 = PacketKey {
-            nw_proto: 0,
-            nw_src: Ipv4Addr::UNSPECIFIED,
-            nw_dst: Ipv4Addr::UNSPECIFIED,
-            ..l3
-        };
-        assert_eq!(
-            PacketKey::from_frame(7, &eth.emit(), KeyDepth::L2),
-            Some(l2)
-        );
+        assert_eq!((key.tp_src, key.tp_dst), (0, 0), "ports are not read");
     }
 
     #[test]
-    fn depth_is_the_deepest_constrained_field() {
-        assert_eq!(OfMatch::any().depth(), KeyDepth::L2);
-        assert_eq!(OfMatch::lldp().depth(), KeyDepth::L2);
-        assert_eq!(OfMatch::arp().depth(), KeyDepth::L2);
-        let route = OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 2, 0, 0), 16);
-        assert_eq!(route.depth(), KeyDepth::L3);
-        // A /0 reads no address bit, whatever the raw 6-bit count.
-        let mut default = OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0);
-        assert_eq!(default.depth(), KeyDepth::L2);
-        default.wildcards = default.wildcards.with_nw_dst_bits(63);
-        assert_eq!(default.depth(), KeyDepth::L2);
-        let clear = |bit: u32| Wildcards(Wildcards::ALL & !bit);
-        for l2 in [
-            Wildcards::IN_PORT,
-            Wildcards::DL_VLAN,
-            Wildcards::DL_SRC,
-            Wildcards::DL_DST,
-            Wildcards::DL_TYPE,
-            Wildcards::DL_VLAN_PCP,
-        ] {
-            let m = OfMatch {
-                wildcards: clear(l2),
-                ..OfMatch::any()
-            };
-            assert_eq!(m.depth(), KeyDepth::L2, "{l2:#x}");
-        }
-        for (wildcards, depth) in [
-            (clear(Wildcards::NW_PROTO), KeyDepth::L3),
-            (clear(Wildcards::NW_TOS), KeyDepth::L3),
-            (Wildcards::all().with_nw_src_bits(31), KeyDepth::L3),
-            (clear(Wildcards::TP_SRC), KeyDepth::L4),
-            (clear(Wildcards::TP_DST), KeyDepth::L4),
-            (Wildcards::none(), KeyDepth::L4),
-        ] {
-            let m = OfMatch {
-                wildcards,
-                ..OfMatch::any()
-            };
-            assert_eq!(m.depth(), depth, "{wildcards:?}");
-        }
-        assert!(KeyDepth::L2 < KeyDepth::L3 && KeyDepth::L3 < KeyDepth::L4);
-    }
-
-    #[test]
-    fn a_vlan_match_covers_no_untagged_frame() {
-        let key = PacketKey {
-            in_port: 1,
-            dl_src: MacAddr::ZERO,
-            dl_dst: MacAddr::ZERO,
-            dl_type: 0x0800,
-            nw_tos: 0,
-            nw_proto: 17,
-            nw_src: Ipv4Addr::new(1, 2, 3, 4),
-            nw_dst: Ipv4Addr::new(5, 6, 7, 8),
-            tp_src: 0,
-            tp_dst: 0,
-        };
-        let vlan = |dl_vlan| OfMatch {
-            wildcards: Wildcards(Wildcards::ALL & !Wildcards::DL_VLAN),
-            dl_vlan,
-            ..OfMatch::any()
-        };
-        assert!(!vlan(5).matches(&key), "tagged-only entry, untagged frame");
-        assert!(vlan(OFP_VLAN_NONE).matches(&key), "untagged-only entry");
-        assert!(OfMatch::any().matches(&key), "wildcarded dl_vlan");
-        let pcp = |dl_vlan_pcp| OfMatch {
-            wildcards: Wildcards(Wildcards::ALL & !Wildcards::DL_VLAN_PCP),
-            dl_vlan_pcp,
-            ..OfMatch::any()
-        };
-        assert!(!pcp(3).matches(&key));
-        assert!(pcp(0).matches(&key));
-        // Two matches that differ only in VLAN are not each other's
-        // subsets; a VLAN match is a subset of the wildcard.
-        assert!(!vlan(5).is_subset_of(&vlan(6)));
-        assert!(vlan(5).is_subset_of(&vlan(5)));
-        assert!(vlan(5).is_subset_of(&OfMatch::any()));
-        assert!(!OfMatch::any().is_subset_of(&vlan(5)));
-        assert!(!pcp(3).is_subset_of(&pcp(0)));
-    }
-
-    #[test]
-    fn key_from_arp_frame_uses_of10_quirk() {
+    fn key_from_arp_frame_reads_only_ethernet() {
         let arp = ArpPacket::request(
             MacAddr([2, 0, 0, 0, 0, 1]),
             Ipv4Addr::new(10, 0, 0, 1),
@@ -667,24 +387,10 @@ mod tests {
             EtherType::ARP,
             arp.emit(),
         );
-        let key = PacketKey::from_frame(1, &eth.emit(), KeyDepth::L4).unwrap();
+        let key = PacketKey::from_frame(1, &eth.emit()).unwrap();
         assert_eq!(key.dl_type, 0x0806);
-        assert_eq!(key.nw_proto, 1, "ARP opcode in nw_proto");
-        assert_eq!(key.nw_src, Ipv4Addr::new(10, 0, 0, 1));
-        assert_eq!(key.nw_dst, Ipv4Addr::new(10, 0, 0, 254));
-    }
-
-    #[test]
-    fn key_from_icmp_frame_maps_type_code() {
-        let icmp = IcmpPacket::echo_request(1, 2, Bytes::new());
-        let src = Ipv4Addr::new(1, 1, 1, 1);
-        let dst = Ipv4Addr::new(2, 2, 2, 2);
-        let ip = Ipv4Packet::new(src, dst, IpProtocol::ICMP, icmp.emit());
-        let eth = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::IPV4, ip.emit());
-        let key = PacketKey::from_frame(1, &eth.emit(), KeyDepth::L4).unwrap();
-        assert_eq!(key.nw_proto, 1);
-        assert_eq!(key.tp_src, 8, "ICMP type in tp_src");
-        assert_eq!(key.tp_dst, 0, "ICMP code in tp_dst");
+        assert_eq!((key.nw_proto, key.nw_dst), (0, Ipv4Addr::UNSPECIFIED));
+        assert_eq!(PacketKey::from_frame(1, &eth.emit()[..13]), None);
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //! * connection setup: `HELLO`, `ECHO_REQUEST/REPLY`, `FEATURES_REQUEST/
 //!   REPLY`, `SET_CONFIG`, `ERROR`
 //! * the reactive path: `PACKET_IN`, `PACKET_OUT`
-//! * the proactive path: `FLOW_MOD`
+//! * the proactive path: `FLOW_MOD` ADD and DELETE_STRICT
 //! * port changes: `PORT_STATUS`
-//! * the 40-byte `ofp_match` with the OF 1.0 wildcard bitfield and
-//!   CIDR-style nw_src/nw_dst masking
+//! * the matches the loop writes into the 40-byte `ofp_match`: an
+//!   EtherType and, for IPv4, a CIDR-style destination prefix
 //! * the three actions the loop installs: `OUTPUT`, `SET_DL_SRC` and
 //!   `SET_DL_DST`
 //!
 //! Byte-exactness matters here: FlowVisor sits *between* switches and
-//! controllers and rewrites these messages on the wire, so both sides
-//! of every encoding are hit in normal operation. Every message kind
+//! controllers and rewrites the xids of these messages on the wire, so
+//! both sides of every encoding are hit in normal operation. Every message kind
 //! has encode/decode round-trip tests, and proptest fuzzes the decoder
 //! with arbitrary byte soup (it must never panic).
 //!
@@ -31,6 +31,13 @@
 //! paper's loop sends, decode to a typed [`OfError::Malformed`]: its
 //! flows are installed for good and deleted by the controller, so no
 //! switch times one out, reports one removed or counts its traffic.
+//! A `FLOW_MOD` that MODIFYs or deletes loosely (commands 1–3), or
+//! names a command OF 1.0 does not define, decodes to
+//! [`OfError::BadCommand`], and one whose match names any field but
+//! the EtherType and an IPv4 destination prefix to
+//! [`OfError::UnsupportedMatch`]. [`OfError::refusal`] is the `ERROR` a
+//! switch answers each such request with, and FlowVisor refuses it to
+//! the slice with the same.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +50,7 @@ pub mod ports;
 
 pub use actions::{Action, SUPPORTED_ACTIONS};
 pub use codec::{reframe_with_xid, MessageReader};
-pub use flow_match::{KeyDepth, OfMatch, PacketKey, Wildcards, OFP_VLAN_NONE};
+pub use flow_match::{OfMatch, PacketKey};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 pub use messages::{
     ErrorCode, ErrorType, FlowModCommand, OfMessage, PacketInReason, PacketInView, PacketOutView,
@@ -75,6 +82,29 @@ pub enum OfError {
     /// [`Action`]; a switch answers the request that carried it with
     /// `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)`.
     BadAction(u16),
+    /// A FLOW_MOD command other than ADD and DELETE_STRICT: MODIFY,
+    /// MODIFY_STRICT, loose DELETE, or one OF 1.0 does not define.
+    BadCommand(u16),
+    /// A well-framed `ofp_match` that constrains a field other than the
+    /// EtherType and an IPv4 destination prefix, or no EtherType.
+    UnsupportedMatch,
+}
+
+impl OfError {
+    /// The `ERROR` a switch answers a request that decodes to this
+    /// with, under the request's xid — `None` for a message it does not
+    /// answer at all (it counts it as undecodable).
+    pub fn refusal(self) -> Option<(ErrorType, ErrorCode)> {
+        match self {
+            OfError::BadAction(_) => Some((ErrorType::BadAction, 0)), // OFPBAC_BAD_TYPE
+            OfError::BadCommand(_) => Some((ErrorType::FlowModFailed, 4)), // OFPFMFC_BAD_COMMAND
+            OfError::UnsupportedMatch => Some((ErrorType::FlowModFailed, 5)), // OFPFMFC_UNSUPPORTED
+            OfError::Truncated
+            | OfError::BadVersion(_)
+            | OfError::UnknownType(_)
+            | OfError::Malformed(_) => None,
+        }
+    }
 }
 
 impl fmt::Display for OfError {
@@ -85,6 +115,8 @@ impl fmt::Display for OfError {
             OfError::UnknownType(t) => write!(f, "unknown OpenFlow message type {t}"),
             OfError::Malformed(what) => write!(f, "malformed OpenFlow message: {what}"),
             OfError::BadAction(t) => write!(f, "unsupported OpenFlow action type {t}"),
+            OfError::BadCommand(c) => write!(f, "unsupported FLOW_MOD command {c}"),
+            OfError::UnsupportedMatch => write!(f, "unsupported OpenFlow match"),
         }
     }
 }

@@ -8,13 +8,12 @@ use crate::ports::{PhyPort, PortNumber, OFP_PHY_PORT_LEN};
 use crate::OfError;
 use bytes::{BufMut, Bytes, BytesMut};
 
-/// `ofp_flow_mod` commands.
+/// `ofp_flow_mod` commands: the two the paper's loop sends. MODIFY,
+/// MODIFY_STRICT and loose DELETE (1–3), like a command OF 1.0 does not
+/// define, decode to [`OfError::BadCommand`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlowModCommand {
     Add,
-    Modify,
-    ModifyStrict,
-    Delete,
     DeleteStrict,
 }
 
@@ -22,20 +21,14 @@ impl FlowModCommand {
     fn to_u16(self) -> u16 {
         match self {
             FlowModCommand::Add => 0,
-            FlowModCommand::Modify => 1,
-            FlowModCommand::ModifyStrict => 2,
-            FlowModCommand::Delete => 3,
             FlowModCommand::DeleteStrict => 4,
         }
     }
     fn from_u16(v: u16) -> Result<Self, OfError> {
         Ok(match v {
             0 => FlowModCommand::Add,
-            1 => FlowModCommand::Modify,
-            2 => FlowModCommand::ModifyStrict,
-            3 => FlowModCommand::Delete,
             4 => FlowModCommand::DeleteStrict,
-            _ => return Err(OfError::Malformed("flow_mod command")),
+            _ => return Err(OfError::BadCommand(v)),
         })
     }
 }
@@ -744,6 +737,54 @@ mod tests {
                 Action::output(2),
             ],
         });
+    }
+
+    /// MODIFY, MODIFY_STRICT, loose DELETE and a command OF 1.0 does
+    /// not define, and a match on a field the loop never names, decode
+    /// to the errors a switch refuses them with.
+    #[test]
+    fn flow_mod_outside_the_loop_is_refused_typed() {
+        let wire = OfMessage::FlowMod {
+            of_match: OfMatch::lldp(),
+            cookie: 0,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: 1,
+            buffer_id: crate::OFP_NO_BUFFER,
+            out_port: crate::ports::OFPP_NONE,
+            flags: 0,
+            actions: Vec::new(),
+        }
+        .encode(9)
+        .to_vec();
+        let command_at = OFP_HEADER_LEN + OFP_MATCH_LEN + 8;
+        for (command, want) in [
+            (1, Err(OfError::BadCommand(1))),
+            (2, Err(OfError::BadCommand(2))),
+            (3, Err(OfError::BadCommand(3))),
+            (5, Err(OfError::BadCommand(5))),
+        ] {
+            let mut raw = wire.clone();
+            raw[command_at + 1] = command;
+            assert_eq!(OfMessage::decode(&raw), want, "command {command}");
+        }
+        let mut in_port = wire.clone();
+        in_port[OFP_HEADER_LEN + 3] &= !1; // OFPFW_IN_PORT
+        assert_eq!(OfMessage::decode(&in_port), Err(OfError::UnsupportedMatch));
+        assert_eq!(
+            OfError::UnsupportedMatch.refusal(),
+            Some((ErrorType::FlowModFailed, 5))
+        );
+        assert_eq!(
+            OfError::BadCommand(3).refusal(),
+            Some((ErrorType::FlowModFailed, 4))
+        );
+        assert_eq!(
+            OfError::BadAction(7).refusal(),
+            Some((ErrorType::BadAction, 0))
+        );
+        assert_eq!(OfError::Truncated.refusal(), None);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! The OF 1.0 flow table: priority-ordered wildcard matching behind an
+//! The OF 1.0 flow table: priority-ordered matching behind an
 //! exact-match cache that answers the repeated frames of an IPv4 flow.
 
-use rf_openflow::{Action, FlowModCommand, KeyDepth, OfMatch, PacketKey, PortNumber, Wildcards};
+use rf_openflow::{Action, FlowModCommand, OfMatch, PacketKey, PortNumber, OFPP_NONE};
 use rf_sim::Time;
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::ipv4::IPV4_HEADER_LEN;
+use rf_wire::EtherType;
 use std::net::Ipv4Addr;
 
 /// One installed flow entry. It has no timeout and no counters: it
-/// lives until a DELETE removes it.
+/// lives until a DELETE_STRICT removes it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowEntry {
     pub of_match: OfMatch,
@@ -17,64 +18,31 @@ pub struct FlowEntry {
     pub actions: Vec<Action>,
 }
 
-impl FlowEntry {
-    /// True if this entry is exact (no wildcards): such entries always
-    /// take precedence over wildcarded ones in OF 1.0.
-    pub fn is_exact(&self) -> bool {
-        self.of_match.wildcards.0 & Wildcards::ALL == 0
-    }
-
-    /// Effective priority: exact-match entries outrank all wildcard
-    /// entries regardless of their `priority` field.
-    fn effective_priority(&self) -> u32 {
-        if self.is_exact() {
-            u32::from(u16::MAX) + 1
-        } else {
-            u32::from(self.priority)
-        }
-    }
-
-    /// Does this entry reference `out_port` in any output action?
-    /// (`OFPP_NONE` means "don't filter".)
-    fn references_port(&self, out_port: u16) -> bool {
-        if out_port == rf_openflow::OFPP_NONE {
-            return true;
-        }
-        self.actions
-            .iter()
-            .any(|a| matches!(a, Action::Output { port, .. } if *port == out_port))
-    }
-}
-
 /// The single flow table of an OF 1.0 switch (`n_tables = 1`, matching
 /// Open vSwitch 1.4's userspace datapath as the paper used it).
 ///
 /// A flow lives until it is deleted. The paper's loop installs every
-/// flow proactively and for good — a FLOW_MOD per mirrored route, taken
+/// flow proactively and for good — an ADD per mirrored route, taken
 /// back with DELETE_STRICT when the route is withdrawn — so no entry
 /// carries a timeout, a `SEND_FLOW_REM` flag or traffic counters, and a
 /// lookup writes nothing to the entry it finds.
 ///
-/// What it holds, in every scenario this repository runs: wildcard
-/// entries only. The RouteFlow apps install one `ipv4_dst_prefix` entry
-/// per mirrored RIB route (a host is a /32 *prefix*, not an exact
-/// match) and discovery one `lldp` punt, a few dozen entries per
-/// switch; `tests/traffic.rs::apps_install_only_wildcard_mac_rewrite_and_punt_flows`
-/// pins that shape. So there is one lookup order — every entry, sorted
-/// by (effective priority, recency); the first match in it wins, and an
-/// entry's position in it is its *rank*. Exact entries still outrank
-/// wildcards (OF 1.0 §3.4) — through their effective priority, in the
-/// same order.
+/// What it holds: matches on an EtherType and, for IPv4, a destination
+/// prefix — the only matches a switch takes. The RouteFlow apps install
+/// one `ipv4_dst_prefix` entry per mirrored RIB route (a host is a /32)
+/// and discovery one `lldp` punt, a few dozen entries per switch;
+/// `tests/traffic.rs::apps_install_only_wildcard_mac_rewrite_and_punt_flows`
+/// pins their actions. There is one lookup order — every entry, sorted by
+/// (priority, recency); the first match in it wins, and an entry's
+/// position in it is its *rank*.
 ///
 /// A lookup does not walk that order (27–36 entries on the benchmark
-/// topologies, and as long as the FIB): the order is indexed by what
-/// the entries are. The ones shaped exactly like
-/// `OfMatch::ipv4_dst_prefix` (dl_type 0x0800, everything but a
-/// destination prefix wildcarded) are filed by prefix length, so the
-/// best of them is one binary search per length present; whatever is
-/// left (the LLDP punt, anything an app may install tomorrow) is
-/// scanned in rank order, but only as far as a rank that could beat the
-/// indexed candidate. Counted on one `traffic_packet` pass: of
+/// topologies, and as long as the FIB): the IPv4 entries are filed by
+/// prefix length (an EtherType-only IPv4 entry as a /0), so the best of
+/// them is one binary search per length present; the others (the LLDP
+/// punt, an ARP entry) are scanned in rank order. An IPv4 key can match
+/// only an indexed entry and any other key only a scanned one, so each
+/// lookup asks one of the two. Counted on one `traffic_packet` pass: of
 /// 1 690 447 lookups the index answered 1 639 377 (2.76 lengths probed
 /// each) and the scan 50 850 — LLDP, the one entry it ever had to match
 /// against — with 220 misses. Lowest rank wins either way, so priority
@@ -83,39 +51,24 @@ impl FlowEntry {
 /// other. Order and index are rebuilt lazily after table mutations, so
 /// a burst of FLOW_MODs costs one sort.
 ///
-/// How much of a frame a lookup needs read follows from the same
-/// entries: [`FlowTable::depth`] is the deepest [`OfMatch::depth`] among
-/// them, rebuilt with the order. The invariant: *the depth a key was
-/// extracted to is never shallower than any entry the lookup consults* —
-/// every field such an entry compares was filled, so `lookup` of a key
-/// from `PacketKey::from_frame(.., table.depth())` returns the entry
-/// that a fully extracted key would (`tests/properties.rs` holds the
-/// two against each other). With routes and punts only that is `L3`:
-/// no switch checksums a datagram to fetch ports nothing matches on. A
-/// FLOW_MOD that adds a `tp_dst` match makes the very next frame a
-/// full, verified `L4` classification; deleting it drops back. (A /0 route reads no address bit and is `L2`: the index
-/// masks all 32 bits of `nw_dst` away before comparing.)
-///
 /// In front of all that sits an exact-match cache, as in Open vSwitch's
 /// datapath: [`FlowTable::classify`], the switch's per-frame entry
 /// point, answers a frame of a flow it has classified before without
 /// reading a header field or probing the index. A frame is *eligible*
-/// when its classification at `depth()` reads nothing but its first
-/// 34 bytes and its length: depth at most `L3`, EtherType IPv4, first
-/// IPv4 byte `0x45` (no options), at least 34 bytes long (and, so that
-/// a slot stays 40 bytes, under 64 KiB, in a table of fewer than
-/// 65 535 entries). Such a frame is looked up in 64 direct-mapped slots
-/// keyed by (ingress port, frame length, those 34 bytes); a slot holds
-/// the matched entry's index or "no match". The key is exactly what
-/// classification reads, checksum and fragment bits included, so a hit
-/// returns what a fresh classification would. A miss, and every
-/// ineligible frame (ARP, LLDP, IPv4 with options, a table at `L4`), is
-/// keyed with `PacketKey::from_frame` and looked up; a miss then fills
-/// its slot. The cache is emptied wherever the lookup order is rebuilt
-/// — after an add, or a delete that changed the table; a MODIFY keeps
-/// every entry's index, so a cached index still names the right entry.
-/// It is allocated on the first eligible frame: a table that never
-/// sees IPv4 carries none.
+/// when its classification reads nothing but its first 34 bytes and
+/// its length: EtherType IPv4, first IPv4 byte `0x45` (no options), at
+/// least 34 bytes long (and, so that a slot stays 40 bytes, under
+/// 64 KiB, in a table of fewer than 65 535 entries). Such a frame is
+/// looked up in 64 direct-mapped slots keyed by (ingress port, frame
+/// length, those 34 bytes); a slot holds the matched entry's index or
+/// "no match". The key is exactly what classification reads, checksum
+/// and fragment bits included, so a hit returns what a fresh
+/// classification would. A miss, and every ineligible frame (ARP, LLDP,
+/// IPv4 with options), is keyed with `PacketKey::from_frame` and looked
+/// up; a miss then fills its slot. The cache is emptied wherever the
+/// lookup order is rebuilt — after an add, or a delete that changed the
+/// table. It is allocated on the first eligible frame: a table that
+/// never sees IPv4 carries none.
 /// Counted on the same `traffic_packet` pass: of the 1 690 447 frames
 /// the cache answered 1 543 030 (91.3 %); 96 347 eligible frames missed
 /// and filled a slot (76 360 would with 4 096 slots: most misses are a
@@ -124,22 +77,20 @@ impl FlowEntry {
 #[derive(Clone, Default)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
-    /// Indices into `entries` by rank: sorted by (effective priority
-    /// desc, index desc), so the first match in this order is the entry
-    /// a linear `max_by_key` scan of `entries` returns.
+    /// Indices into `entries` by rank: sorted by (priority desc, index
+    /// desc), so the first match in this order is the entry a linear
+    /// `max_by_key` scan of `entries` returns.
     order: Vec<usize>,
-    /// The prefix-shaped entries of `order` as `(wildcarded low bits,
-    /// masked nw_dst, rank)`, sorted: one run per prefix length, each
-    /// run sorted by prefix, equal prefixes by rank. A sorted vector,
-    /// not a hash map: nothing here depends on hasher state.
+    /// The IPv4 entries of `order` as `(wildcarded low bits, masked
+    /// nw_dst, rank)`, sorted: one run per prefix length, each run
+    /// sorted by prefix, equal prefixes by rank. A sorted vector, not a
+    /// hash map: nothing here depends on hasher state.
     prefixes: Vec<(u32, u32, u32)>,
     /// `(wildcarded low bits, start, end)` of each run of `prefixes` —
     /// what a lookup has to probe.
     runs: Vec<(u32, u32, u32)>,
     /// Ranks of the entries not in `prefixes`, ascending.
     rest: Vec<u32>,
-    /// Deepest `OfMatch::depth` over `entries`.
-    depth: KeyDepth,
     dirty: bool,
     /// The exact-match cache: [`CACHE_SLOTS`] slots once an eligible
     /// frame arrived, none before.
@@ -181,12 +132,12 @@ impl Cached {
     };
 }
 
-/// The cache key of `frame` — its head and length — when a
-/// classification at `depth` reads nothing else of it (and the length
-/// fits a slot).
-fn cache_key(frame: &[u8], depth: KeyDepth) -> Option<(&[u8; CACHED_HEAD], u16)> {
+/// The cache key of `frame` — its head and length — when its
+/// classification reads nothing else of it (and the length fits a
+/// slot).
+fn cache_key(frame: &[u8]) -> Option<(&[u8; CACHED_HEAD], u16)> {
     let head: &[u8; CACHED_HEAD] = frame.get(..CACHED_HEAD)?.try_into().ok()?;
-    let eligible = depth <= KeyDepth::L3 && head[12..15] == [0x08, 0x00, 0x45];
+    let eligible = head[12..15] == [0x08, 0x00, 0x45];
     Some((head, u16::try_from(frame.len()).ok()?)).filter(|_| eligible)
 }
 
@@ -196,16 +147,6 @@ fn cache_slot(in_port: PortNumber, len: u16, head: &[u8; CACHED_HEAD]) -> usize 
     let word = |at: usize| u32::from_be_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
     let mix = word(30) ^ word(26).rotate_left(16) ^ u32::from(len) ^ (u32::from(in_port) << 24);
     (mix.wrapping_mul(0x9E37_79B1) >> (32 - CACHE_SLOTS.trailing_zeros())) as usize
-}
-
-/// `Some(wildcarded low bits of nw_dst)` when `m` constrains nothing
-/// but dl_type = IPv4 and a destination prefix — the shape
-/// `OfMatch::ipv4_dst_prefix` builds, whatever the raw 6-bit count
-/// (32..=63 all mean /0).
-fn prefix_shape(m: &OfMatch) -> Option<u32> {
-    let any_dst = 0x3F << Wildcards::NW_DST_SHIFT;
-    let shaped = (m.wildcards.0 & Wildcards::ALL) | any_dst == Wildcards::ALL & !Wildcards::DL_TYPE;
-    (shaped && m.dl_type == 0x0800).then(|| m.wildcards.nw_dst_bits())
 }
 
 /// `nw_dst` with its `bits` low bits cleared.
@@ -237,28 +178,26 @@ impl FlowTable {
             prefixes,
             runs,
             rest,
-            depth,
             dirty,
             cache,
             classified: _,
             cache_hits: _,
         } = self;
-        // Entry indices and the depth are about to change.
+        // Entry indices are about to change.
         cache.fill(Cached::EMPTY);
         order.clear();
         order.extend(0..entries.len());
-        order.sort_unstable_by(|&a, &b| {
-            (entries[b].effective_priority(), b).cmp(&(entries[a].effective_priority(), a))
-        });
+        order.sort_unstable_by(|&a, &b| (entries[b].priority, b).cmp(&(entries[a].priority, a)));
         prefixes.clear();
         rest.clear();
-        *depth = KeyDepth::L2;
         for (rank, &i) in order.iter().enumerate() {
             let m = &entries[i].of_match;
-            *depth = m.depth().max(*depth);
-            match prefix_shape(m) {
-                Some(bits) => prefixes.push((bits, masked(m.nw_dst, bits), rank as u32)),
-                None => rest.push(rank as u32),
+            if m.dl_type() == EtherType::IPV4.0 {
+                let (net, len) = m.nw_dst().unwrap_or((Ipv4Addr::UNSPECIFIED, 0));
+                let bits = 32 - u32::from(len);
+                prefixes.push((bits, masked(net, bits), rank as u32));
+            } else {
+                rest.push(rank as u32);
             }
         }
         prefixes.sort_unstable();
@@ -272,40 +211,27 @@ impl FlowTable {
         *dirty = false;
     }
 
-    /// How deep a frame must be read for [`FlowTable::lookup`] to see
-    /// every field an installed entry compares.
-    pub fn depth(&mut self) -> KeyDepth {
-        if self.dirty {
-            self.rebuild_order();
-        }
-        self.depth
-    }
-
-    /// Rank of the first entry in the lookup order that matches `key`.
+    /// Rank of the first entry in the lookup order that matches `key`:
+    /// an IPv4 key's from the prefix index, any other key's from the
+    /// scan.
     fn best_rank(&self, key: &PacketKey) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        if key.dl_type == 0x0800 {
-            for &(bits, start, end) in &self.runs {
-                let run = &self.prefixes[start as usize..end as usize];
-                let probe = masked(key.nw_dst, bits);
-                // Equal prefixes sort by rank: the first is the best.
-                let at = run.partition_point(|&(_, prefix, _)| prefix < probe);
-                if let Some(&(_, prefix, rank)) = run.get(at) {
-                    if prefix == probe && best.is_none_or(|b| rank < b) {
-                        best = Some(rank);
-                    }
-                }
-            }
+        if key.dl_type != EtherType::IPV4.0 {
+            return self.rest.iter().copied().find(|&rank| {
+                self.entries[self.order[rank as usize]]
+                    .of_match
+                    .matches(key)
+            });
         }
-        for &rank in &self.rest {
-            if best.is_some_and(|b| b < rank) {
-                break;
-            }
-            if self.entries[self.order[rank as usize]]
-                .of_match
-                .matches(key)
-            {
-                return Some(rank);
+        let mut best: Option<u32> = None;
+        for &(bits, start, end) in &self.runs {
+            let run = &self.prefixes[start as usize..end as usize];
+            let probe = masked(key.nw_dst, bits);
+            // Equal prefixes sort by rank: the first is the best.
+            let at = run.partition_point(|&(_, prefix, _)| prefix < probe);
+            if let Some(&(_, prefix, rank)) = run.get(at) {
+                if prefix == probe && best.is_none_or(|b| rank < b) {
+                    best = Some(rank);
+                }
             }
         }
         best
@@ -330,13 +256,15 @@ impl FlowTable {
     /// the exact-match cache when the frame is eligible: `None` when it
     /// is too short for an Ethernet header, `Some(None)` on a table
     /// miss. Whatever answers, the entry found is the one `lookup` of
-    /// `PacketKey::from_frame(in_port, frame, self.depth())` would give.
+    /// `PacketKey::from_frame(in_port, frame)` would give.
     pub fn classify(&mut self, in_port: PortNumber, frame: &[u8]) -> Option<Option<&FlowEntry>> {
-        let depth = self.depth();
+        if self.dirty {
+            self.rebuild_order();
+        }
         self.classified += 1;
         let cacheable = self.entries.len() < usize::from(NO_MATCH);
-        let Some((head, len)) = cache_key(frame, depth).filter(|_| cacheable) else {
-            let key = PacketKey::from_frame(in_port, frame, depth)?;
+        let Some((head, len)) = cache_key(frame).filter(|_| cacheable) else {
+            let key = PacketKey::from_frame(in_port, frame)?;
             return Some(self.best(&key).map(|i| &self.entries[i]));
         };
         if self.cache.is_empty() {
@@ -348,7 +276,7 @@ impl FlowTable {
             self.cache_hits += 1;
             cached.entry
         } else {
-            let key = PacketKey::from_frame(in_port, frame, depth)?;
+            let key = PacketKey::from_frame(in_port, frame)?;
             let entry = self.best(&key).map_or(NO_MATCH, |i| i as u16);
             self.cache[slot] = Cached {
                 head: *head,
@@ -361,10 +289,12 @@ impl FlowTable {
         Some((entry != NO_MATCH).then(|| &self.entries[usize::from(entry)]))
     }
 
-    /// Apply a FLOW_MOD. Returns the entries a DELETE removed, moved
-    /// out of the table. The timeouts and the flags must be 0 (a switch
-    /// refuses any other FLOW_MOD before it gets here), and `now` is not
-    /// read: an entry neither expires nor remembers when it came.
+    /// Apply a FLOW_MOD: ADD, or DELETE_STRICT of the entry of identical
+    /// match and priority. Returns the entries a delete removed, moved
+    /// out of the table. The timeouts and the flags must be 0 and
+    /// `out_port` `OFPP_NONE` (a switch refuses any other FLOW_MOD
+    /// before it gets here), and `now` is not read: an entry neither
+    /// expires nor remembers when it came.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_flow_mod(
         &mut self,
@@ -380,54 +310,26 @@ impl FlowTable {
         _now: Time,
     ) -> Vec<FlowEntry> {
         assert_eq!(
-            (idle_timeout, hard_timeout, flags),
-            (0, 0, 0),
-            "a flow entry has no timeout and no flags"
+            (idle_timeout, hard_timeout, flags, out_port),
+            (0, 0, 0, OFPP_NONE),
+            "a flow entry has no timeout and no flags, and a delete filters by no port"
         );
         match command {
-            FlowModCommand::Add => self.add(of_match, priority, cookie, actions),
-            FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-                // Only actions and cookie change: entry positions,
-                // exactness and priorities — everything the lookup
-                // order depends on — stay put, so no rebuild needed.
-                let strict = command == FlowModCommand::ModifyStrict;
-                let mut touched = false;
-                for e in &mut self.entries {
-                    let hit = if strict {
-                        e.of_match == of_match && e.priority == priority
-                    } else {
-                        e.of_match.is_subset_of(&of_match)
-                    };
-                    if hit {
-                        e.actions = actions.clone();
-                        e.cookie = cookie;
-                        touched = true;
-                    }
-                }
-                if !touched {
-                    // Per spec, MODIFY with no match behaves like ADD.
-                    self.add(of_match, priority, cookie, actions);
-                }
+            FlowModCommand::Add => {
+                self.add(of_match, priority, cookie, actions);
+                Vec::new()
             }
-            FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-                let strict = command == FlowModCommand::DeleteStrict;
+            FlowModCommand::DeleteStrict => {
                 let removed: Vec<FlowEntry> = self
                     .entries
-                    .extract_if(.., |e| {
-                        if strict {
-                            e.of_match == of_match && e.priority == priority
-                        } else {
-                            e.of_match.is_subset_of(&of_match)
-                        }
-                    } && e.references_port(out_port))
+                    .extract_if(.., |e| e.of_match == of_match && e.priority == priority)
                     .collect();
                 if !removed.is_empty() {
                     self.dirty = true;
                 }
-                return removed;
+                removed
             }
         }
-        Vec::new()
     }
 
     /// Install an entry, replacing one of identical match and priority
@@ -448,7 +350,6 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rf_openflow::OFPP_NONE;
     use rf_wire::MacAddr;
     use std::net::Ipv4Addr;
 
@@ -462,14 +363,14 @@ mod tests {
             nw_proto: 17,
             nw_src: Ipv4Addr::new(1, 1, 1, 1),
             nw_dst: dst,
-            tp_src: 10,
-            tp_dst: 20,
+            tp_src: 0,
+            tp_dst: 0,
         }
     }
 
-    fn add(t: &mut FlowTable, m: OfMatch, prio: u16, port: u16) {
+    fn apply(t: &mut FlowTable, command: FlowModCommand, m: OfMatch, prio: u16, port: u16) {
         t.apply_flow_mod(
-            FlowModCommand::Add,
+            command,
             m,
             prio,
             0,
@@ -480,6 +381,25 @@ mod tests {
             vec![Action::output(port)],
             Time::ZERO,
         );
+    }
+
+    fn add(t: &mut FlowTable, m: OfMatch, prio: u16, port: u16) {
+        apply(t, FlowModCommand::Add, m, prio, port);
+    }
+
+    fn delete_strict(t: &mut FlowTable, m: OfMatch, prio: u16) -> Vec<FlowEntry> {
+        t.apply_flow_mod(
+            FlowModCommand::DeleteStrict,
+            m,
+            prio,
+            0,
+            0,
+            0,
+            0,
+            OFPP_NONE,
+            vec![],
+            Time::ZERO,
+        )
     }
 
     #[test]
@@ -520,8 +440,8 @@ mod tests {
     #[test]
     fn add_identical_replaces() {
         let mut t = FlowTable::new();
-        add(&mut t, OfMatch::any(), 5, 1);
-        add(&mut t, OfMatch::any(), 5, 2);
+        add(&mut t, OfMatch::lldp(), 5, 1);
+        add(&mut t, OfMatch::lldp(), 5, 2);
         assert_eq!(t.len(), 1);
         assert_eq!(t.entries()[0].actions, vec![Action::output(2)]);
     }
@@ -533,7 +453,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.apply_flow_mod(
             FlowModCommand::Add,
-            OfMatch::any(),
+            OfMatch::lldp(),
             1,
             0,
             0,
@@ -546,37 +466,22 @@ mod tests {
     }
 
     #[test]
-    fn delete_loose_removes_subsets() {
+    #[should_panic(expected = "a delete filters by no port")]
+    fn an_out_port_filter_is_not_applied() {
         let mut t = FlowTable::new();
-        add(
-            &mut t,
-            OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16),
+        add(&mut t, OfMatch::lldp(), 1, 2);
+        t.apply_flow_mod(
+            FlowModCommand::DeleteStrict,
+            OfMatch::lldp(),
             1,
-            1,
-        );
-        add(
-            &mut t,
-            OfMatch::ipv4_dst_prefix("10.2.0.0".parse().unwrap(), 16),
-            1,
+            0,
+            0,
+            0,
+            0,
             2,
-        );
-        add(&mut t, OfMatch::lldp(), 1, 3);
-        let removed = t.apply_flow_mod(
-            FlowModCommand::Delete,
-            OfMatch::ipv4_dst_prefix("10.0.0.0".parse().unwrap(), 8),
-            0,
-            0,
-            0,
-            0,
-            0,
-            OFPP_NONE,
             vec![],
             Time::ZERO,
         );
-        // Moved out whole, in table order.
-        let actions: Vec<_> = removed.into_iter().map(|e| e.actions).collect();
-        assert_eq!(actions, [[Action::output(1)], [Action::output(2)]]);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -584,182 +489,56 @@ mod tests {
         let mut t = FlowTable::new();
         let m = OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16);
         add(&mut t, m, 7, 1);
-        // Wrong priority: no-op.
-        let removed = t.apply_flow_mod(
-            FlowModCommand::DeleteStrict,
-            m,
-            8,
-            0,
-            0,
-            0,
-            0,
-            OFPP_NONE,
-            vec![],
-            Time::ZERO,
-        );
-        assert!(removed.is_empty());
-        assert_eq!(t.len(), 1);
-        let removed = t.apply_flow_mod(
-            FlowModCommand::DeleteStrict,
-            m,
-            7,
-            0,
-            0,
-            0,
-            0,
-            OFPP_NONE,
-            vec![],
-            Time::ZERO,
-        );
-        assert_eq!(removed.len(), 1);
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn delete_tells_vlan_twins_apart() {
-        let vlan = |dl_vlan| OfMatch {
-            wildcards: Wildcards(Wildcards::ALL & !Wildcards::DL_VLAN),
-            dl_vlan,
-            ..OfMatch::any()
-        };
-        for command in [FlowModCommand::DeleteStrict, FlowModCommand::Delete] {
-            let mut t = FlowTable::new();
-            add(&mut t, vlan(5), 7, 1);
-            add(&mut t, vlan(6), 7, 2);
-            let removed = t.apply_flow_mod(
-                command,
-                vlan(5),
-                7,
-                0,
-                0,
-                0,
-                0,
-                OFPP_NONE,
-                vec![],
-                Time::ZERO,
-            );
-            assert_eq!(removed.len(), 1, "{command:?}");
-            assert_eq!(t.len(), 1);
-            assert_eq!(t.entries()[0].of_match, vlan(6), "{command:?}");
-            // Neither twin ever matched an untagged frame.
-            assert!(t
-                .lookup(&key("1.2.3.4".parse().unwrap()), 64, Time::ZERO)
-                .is_none());
-        }
-    }
-
-    #[test]
-    fn depth_follows_the_entries() {
-        let mut t = FlowTable::new();
-        assert_eq!(t.depth(), KeyDepth::L2, "an empty table reads nothing");
-        add(&mut t, OfMatch::lldp(), 1, 1);
-        add(&mut t, OfMatch::arp(), 1, 1);
-        assert_eq!(t.depth(), KeyDepth::L2);
-        let route = OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16);
-        add(&mut t, route, 1, 1);
-        assert_eq!(t.depth(), KeyDepth::L3);
-        let mut by_port = route;
-        by_port.wildcards.0 &= !Wildcards::TP_DST;
-        by_port.tp_dst = 5004;
-        add(&mut t, by_port, 9, 2);
-        assert_eq!(t.depth(), KeyDepth::L4);
-        t.apply_flow_mod(
-            FlowModCommand::DeleteStrict,
-            by_port,
-            9,
-            0,
-            0,
-            0,
-            0,
-            OFPP_NONE,
-            vec![],
-            Time::ZERO,
-        );
-        assert_eq!(t.depth(), KeyDepth::L3);
-    }
-
-    #[test]
-    fn delete_filters_by_out_port() {
-        let mut t = FlowTable::new();
-        add(
-            &mut t,
-            OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16),
-            1,
-            1,
-        );
-        add(
-            &mut t,
-            OfMatch::ipv4_dst_prefix("10.2.0.0".parse().unwrap(), 16),
-            1,
-            2,
-        );
-        let removed = t.apply_flow_mod(
-            FlowModCommand::Delete,
-            OfMatch::any(),
-            0,
-            0,
-            0,
-            0,
-            0,
-            2, // only entries outputting to port 2
-            vec![],
-            Time::ZERO,
-        );
-        assert_eq!(removed.len(), 1);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.entries()[0].actions, vec![Action::output(1)]);
-    }
-
-    #[test]
-    fn modify_updates_actions_or_adds() {
-        let mut t = FlowTable::new();
-        let m = OfMatch::ipv4_dst_prefix("10.1.0.0".parse().unwrap(), 16);
-        add(&mut t, m, 1, 1);
-        t.apply_flow_mod(
-            FlowModCommand::Modify,
-            OfMatch::ipv4_dst_prefix("10.0.0.0".parse().unwrap(), 8),
-            0,
-            9,
-            0,
-            0,
-            0,
-            OFPP_NONE,
-            vec![Action::output(5)],
-            Time::ZERO,
-        );
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.entries()[0].actions, vec![Action::output(5)]);
-        assert_eq!(t.entries()[0].cookie, 9);
-        // No match → behaves as ADD.
-        t.apply_flow_mod(
-            FlowModCommand::Modify,
-            OfMatch::arp(),
-            3,
-            0,
-            0,
-            0,
-            0,
-            OFPP_NONE,
-            vec![Action::output(6)],
-            Time::ZERO,
-        );
+        add(&mut t, OfMatch::lldp(), 7, 2);
+        // Wrong priority, or a wider prefix: no-op.
+        assert!(delete_strict(&mut t, m, 8).is_empty());
+        let wider = OfMatch::ipv4_dst_prefix("10.0.0.0".parse().unwrap(), 8);
+        assert!(delete_strict(&mut t, wider, 7).is_empty());
         assert_eq!(t.len(), 2);
+        // Moved out whole.
+        let removed = delete_strict(&mut t, m, 7);
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].actions, [Action::output(1)]);
+        assert_eq!(t.entries()[0].of_match, OfMatch::lldp());
+        assert!(t
+            .lookup(&key("10.1.2.3".parse().unwrap()), 64, Time::ZERO)
+            .is_none());
+    }
+
+    /// A /0 route and an EtherType-only IPv4 entry match the same
+    /// frames but are two entries: each is deleted by its own match.
+    #[test]
+    fn delete_strict_tells_a_default_route_from_an_ethertype_entry() {
+        let default = OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0);
+        let ipv4 = OfMatch::ethertype(0x0800);
+        let mut t = FlowTable::new();
+        add(&mut t, default, 7, 1);
+        add(&mut t, ipv4, 7, 2);
+        assert_eq!(t.len(), 2);
+        let out = |t: &mut FlowTable| {
+            t.lookup(&key("1.2.3.4".parse().unwrap()), 64, Time::ZERO)
+                .map(|e| e.actions.clone())
+        };
+        assert_eq!(out(&mut t), Some(vec![Action::output(2)]), "the later one");
+        assert_eq!(delete_strict(&mut t, ipv4, 7).len(), 1);
+        assert_eq!(out(&mut t), Some(vec![Action::output(1)]));
+        assert_eq!(t.entries()[0].of_match, default);
     }
 
     /// Keys that share a cache slot stay apart: the same head on another
-    /// port, or cut to another length, is classified afresh. An entry
-    /// pinned to port 1 tells the ports apart; a cut inside the IP
-    /// packet leaves the frame no address, so no route takes it.
+    /// port, or cut to another length, is classified afresh. A cut
+    /// inside the IP packet leaves the frame no address, so no route
+    /// takes it; the other port is told apart by the hit count.
     #[test]
     fn cache_tells_keys_in_one_slot_apart() {
         use bytes::Bytes;
-        use rf_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet};
+        use rf_wire::{EthernetFrame, IpProtocol, Ipv4Packet};
         let dst = Ipv4Addr::new(10, 1, 0, 7);
         let payload = Bytes::from(vec![0; 1000]);
         let ip = Ipv4Packet::new(Ipv4Addr::new(10, 2, 0, 9), dst, IpProtocol::UDP, payload);
         let frame = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::IPV4, ip.emit());
         let frame = frame.emit();
-        let (head, len) = cache_key(&frame, KeyDepth::L3).expect("eligible");
+        let (head, len) = cache_key(&frame).expect("eligible");
         let slot = cache_slot(1, len, head);
         let port = (2..).find(|&p| cache_slot(p, len, head) == slot).unwrap();
         let cut = (34..len)
@@ -768,10 +547,7 @@ mod tests {
             .unwrap();
 
         let mut t = FlowTable::new();
-        let mut on_port_1 = OfMatch::ipv4_dst_prefix(dst, 16);
-        on_port_1.wildcards.0 &= !Wildcards::IN_PORT;
-        on_port_1.in_port = 1;
-        add(&mut t, on_port_1, 1, 7);
+        add(&mut t, OfMatch::ipv4_dst_prefix(dst, 16), 1, 7);
         let mut out = |port, frame: &[u8]| {
             let matched = t.classify(port, frame).expect("an Ethernet header");
             matched.map(|e| e.actions.clone())
@@ -779,7 +555,7 @@ mod tests {
         for _ in 0..2 {
             assert_eq!(out(1, &frame), Some(vec![Action::output(7)]));
             assert_eq!(out(1, &frame[..cut as usize]), None, "cut to {cut} bytes");
-            assert_eq!(out(port, &frame), None, "on port {port}");
+            assert_eq!(out(port, &frame), Some(vec![Action::output(7)]));
         }
         for _ in 0..2 {
             assert_eq!(out(1, &frame), Some(vec![Action::output(7)]));
@@ -788,33 +564,15 @@ mod tests {
         assert_eq!(t.classified, 8);
     }
 
-    /// The pre-index lookup semantics, verbatim: linear scan, last
-    /// maximal effective priority wins.
+    /// The pre-index lookup semantics: linear scan, last maximal
+    /// priority wins.
     fn reference_lookup(entries: &[FlowEntry], key: &PacketKey) -> Option<u64> {
         entries
             .iter()
             .enumerate()
             .filter(|(_, e)| e.of_match.matches(key))
-            .max_by_key(|(i, e)| (e.effective_priority(), *i))
+            .max_by_key(|(i, e)| (e.priority, *i))
             .map(|(_, e)| e.cookie)
-    }
-
-    fn exact_of(key: &PacketKey) -> OfMatch {
-        OfMatch {
-            wildcards: Wildcards(0),
-            in_port: key.in_port,
-            dl_src: key.dl_src,
-            dl_dst: key.dl_dst,
-            dl_vlan: 0xFFFF,
-            dl_vlan_pcp: 0,
-            dl_type: key.dl_type,
-            nw_tos: key.nw_tos,
-            nw_proto: key.nw_proto,
-            nw_src: key.nw_src,
-            nw_dst: key.nw_dst,
-            tp_src: key.tp_src,
-            tp_dst: key.tp_dst,
-        }
     }
 
     #[test]
@@ -834,36 +592,33 @@ mod tests {
             };
             let mut t = FlowTable::new();
             // Mostly IPv4 to a handful of destinations the installed
-            // prefixes cover at several lengths; ARP (whose nw_dst is
-            // the target IP — no IPv4 prefix may claim it) and LLDP.
+            // prefixes cover at several lengths; ARP (whose target IP no
+            // IPv4 prefix may claim) and LLDP.
             let some_key = |r: u64| PacketKey {
-                in_port: (r % 2) as u16 + 1,
-                dl_src: MacAddr::ZERO,
-                dl_dst: MacAddr::ZERO,
                 dl_type: match (r >> 8) % 8 {
                     0 => 0x0806,
                     1 => 0x88CC,
                     _ => 0x0800,
                 },
-                nw_tos: 0,
-                nw_proto: 17,
-                nw_src: Ipv4Addr::new(1, 1, 1, (r % 3) as u8),
-                nw_dst: Ipv4Addr::new(10, (r % 2) as u8, (r % 5) as u8, 1 + (r >> 16) as u8 % 6),
-                tp_src: 10,
-                tp_dst: (r % 2) as u16,
+                ..key(Ipv4Addr::new(
+                    10,
+                    (r % 2) as u8,
+                    (r % 5) as u8,
+                    1 + (r >> 16) as u8 % 6,
+                ))
             };
             for step in 0..2500u64 {
                 let now = Time::from_secs(step / 100);
                 match rng() % 10 {
                     0..=3 => {
-                        // Install: exact entries and assorted wildcard
-                        // shapes, colliding priorities on purpose.
+                        // Install assorted shapes, colliding priorities
+                        // on purpose.
                         let r = rng();
                         let dst = some_key(rng()).nw_dst;
                         let len = [0u8, 8, 16, 24, 30, 32][(r >> 8) as usize % 6];
                         let mut priority = (rng() % 4) as u16;
-                        let m = match r % 9 {
-                            0 => exact_of(&some_key(rng())),
+                        let m = match r % 8 {
+                            0 => OfMatch::ethertype(0x0800),
                             1 => OfMatch::ipv4_dst_prefix(dst, len),
                             2 => {
                                 // As the apps install them: a route at
@@ -877,39 +632,9 @@ mod tests {
                                 let len = if priority == 0x2000 { 32 } else { len };
                                 OfMatch::ipv4_dst_prefix(dst, len)
                             }
-                            3 => {
-                                // Raw wildcard counts past 32 all mean /0.
-                                let mut m = OfMatch::ipv4_dst_prefix(dst, 0);
-                                m.wildcards =
-                                    m.wildcards.with_nw_dst_bits(32 + (r >> 8) as u32 % 32);
-                                m
-                            }
-                            4 => {
-                                // A prefix with one more field pinned
-                                // is not prefix-shaped: scanned.
-                                let mut m = OfMatch::ipv4_dst_prefix(dst, len);
-                                let key = some_key(rng());
-                                match (r >> 16) % 4 {
-                                    0 => {
-                                        m.wildcards.0 &= !Wildcards::IN_PORT;
-                                        m.in_port = key.in_port;
-                                    }
-                                    1 => {
-                                        m.wildcards.0 &= !Wildcards::TP_DST;
-                                        m.tp_dst = key.tp_dst;
-                                    }
-                                    2 => {
-                                        m.wildcards = m.wildcards.with_nw_src_bits(0);
-                                        m.nw_src = key.nw_src;
-                                    }
-                                    _ => m.dl_type = 0x0806,
-                                }
-                                assert_eq!(prefix_shape(&m), None);
-                                m
-                            }
-                            5 => OfMatch::any(),
-                            6 => OfMatch::arp(),
-                            7 => OfMatch::ipv4_dst_prefix(
+                            3 => OfMatch::ipv4_dst_prefix(dst, 0),
+                            4 => OfMatch::arp(),
+                            5 => OfMatch::ipv4_dst_prefix(
                                 Ipv4Addr::new(10, (r >> 8) as u8 % 2, 0, 0),
                                 16,
                             ),
@@ -928,31 +653,19 @@ mod tests {
                             now,
                         );
                     }
-                    4 => {
-                        t.apply_flow_mod(
-                            FlowModCommand::Delete,
-                            OfMatch::ipv4_dst_prefix(
-                                Ipv4Addr::new(10, (rng() % 2) as u8, 0, 0),
-                                16,
-                            ),
-                            0,
-                            0,
-                            0,
-                            0,
-                            0,
-                            OFPP_NONE,
-                            vec![],
-                            now,
-                        );
+                    4 if !t.is_empty() => {
+                        let victim = &t.entries()[rng() as usize % t.len()];
+                        let (m, priority) = (victim.of_match, victim.priority);
+                        assert_eq!(delete_strict(&mut t, m, priority).len(), 1);
                     }
                     _ => {
                         let key = some_key(rng());
                         let expected = reference_lookup(t.entries(), &key);
                         let got = t.lookup(&key, 64, now).map(|e| (e.cookie, e.of_match));
                         assert_eq!(got.map(|g| g.0), expected, "seed {seed} step {step}");
-                        match got.map(|g| prefix_shape(&g.1)) {
-                            Some(Some(_)) => won_indexed += 1,
-                            Some(None) => won_scanned += 1,
+                        match got.map(|g| g.1.dl_type()) {
+                            Some(0x0800) => won_indexed += 1,
+                            Some(_) => won_scanned += 1,
                             None => {}
                         }
                         lens_seen |= t.runs.iter().fold(0, |m, r| m | 1 << r.0);

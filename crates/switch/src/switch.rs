@@ -5,7 +5,7 @@ use crate::flow_table::FlowTable;
 use bytes::Bytes;
 use rf_openflow::{
     ErrorCode, ErrorType, MessageReader, OfError, OfHeader, OfMessage, PacketInReason,
-    PacketOutView, PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFP_NO_BUFFER,
+    PacketOutView, PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
     SUPPORTED_ACTIONS,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
@@ -33,12 +33,10 @@ const BAD_TYPE: ErrorCode = 1;
 const BAD_VENDOR: ErrorCode = 3;
 /// `OFPBRC_BUFFER_UNKNOWN`: this switch buffers no frame.
 const BUFFER_UNKNOWN: ErrorCode = 8;
-/// `OFPFMFC_UNSUPPORTED`, the closest OF 1.0 code for a timeout or a
-/// flag: every flow lives until it is deleted, and reports nothing.
+/// `OFPFMFC_UNSUPPORTED`, the closest OF 1.0 code for a timeout, a
+/// flag or an `out_port` filter: every flow lives until it is deleted,
+/// reports nothing, and is deleted by its match and priority.
 const UNSUPPORTED: ErrorCode = 5;
-/// `OFPBAC_BAD_TYPE`: an action other than OUTPUT, SET_DL_SRC and
-/// SET_DL_DST.
-const BAD_ACTION_TYPE: ErrorCode = 0;
 
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
@@ -399,19 +397,18 @@ impl OpenFlowSwitch {
     }
 
     /// One message off control channel `idx`. A FLOW_MOD or PACKET_OUT
-    /// naming an action outside [`rf_openflow::Action`]'s three kinds
-    /// does not decode; it is refused whole, under its own xid, before
-    /// any of it runs. Any other message that does not decode is the
-    /// caller's to count.
+    /// naming an action outside [`rf_openflow::Action`]'s three kinds,
+    /// and a FLOW_MOD whose command or match the loop never sends, does
+    /// not decode; it is refused whole with its [`OfError::refusal`],
+    /// under its own xid, before any of it runs. Any other message that
+    /// does not decode is the caller's to count.
     fn handle_frame(&mut self, ctx: &mut Ctx<'_>, idx: usize, raw: Bytes) -> Result<(), OfError> {
         let xid = OfHeader::parse(&raw)?.xid;
-        match self.run_frame(ctx, idx, raw) {
-            Err(OfError::BadAction(_)) => {
-                self.refuse(ctx, idx, ErrorType::BadAction, BAD_ACTION_TYPE, xid);
-                Ok(())
-            }
-            handled => handled,
-        }
+        self.run_frame(ctx, idx, raw).or_else(|e| {
+            let (err_type, code) = e.refusal().ok_or(e)?;
+            self.refuse(ctx, idx, err_type, code, xid);
+            Ok(())
+        })
     }
 
     /// A message that decodes. A PACKET_OUT — every LLDP probe is one —
@@ -452,7 +449,8 @@ impl OpenFlowSwitch {
                     datapath_id: self.cfg.dpid,
                     n_buffers: 0,
                     n_tables: 1,
-                    capabilities: 0x0000_0080, // ARP_MATCH_IP
+                    // No match reads an ARP body: not ARP_MATCH_IP.
+                    capabilities: 0,
                     actions: SUPPORTED_ACTIONS,
                     ports: self.phy_ports(),
                 });
@@ -461,14 +459,16 @@ impl OpenFlowSwitch {
             OfMessage::SetConfig { miss_send_len, .. } => {
                 self.miss_send_len = miss_send_len;
             }
-            // A flow lives until it is deleted, and a frame is never
-            // buffered: a FLOW_MOD asking otherwise is refused whole.
+            // A flow lives until it is deleted by its match and
+            // priority, and a frame is never buffered: a FLOW_MOD asking
+            // otherwise is refused whole.
             OfMessage::FlowMod {
                 idle_timeout,
                 hard_timeout,
                 flags,
+                out_port,
                 ..
-            } if idle_timeout | hard_timeout | flags != 0 => {
+            } if idle_timeout | hard_timeout | flags != 0 || out_port != OFPP_NONE => {
                 self.refuse(ctx, idx, ErrorType::FlowModFailed, UNSUPPORTED, xid);
             }
             OfMessage::FlowMod { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
@@ -479,7 +479,6 @@ impl OpenFlowSwitch {
                 cookie,
                 command,
                 priority,
-                out_port,
                 actions,
                 ..
             } => {
@@ -494,7 +493,7 @@ impl OpenFlowSwitch {
                     0,
                     0,
                     0,
-                    out_port,
+                    OFPP_NONE,
                     actions,
                     ctx.now(),
                 );

@@ -1,19 +1,21 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
 //! miss → PACKET_IN, FLOW_MOD install, PACKET_OUT, `output:TABLE`,
-//! classification depth, undecodable requests, refused timeouts, flags,
+//! undecodable requests, refused matches, commands, timeouts, flags,
 //! buffers and actions, reconnect.
 
 use bytes::Bytes;
-use rf_openflow::flow_match::OFP_MATCH_LEN;
 use rf_openflow::{
-    Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketInReason,
-    Wildcards, OFPP_NONE, OFPP_TABLE, OFP_HEADER_LEN, OFP_NO_BUFFER,
+    Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketInReason,
+    OFPP_NONE, OFPP_TABLE, OFP_HEADER_LEN, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_wire::{EtherType, EthernetFrame, IpProtocol, Ipv4Packet, MacAddr, UdpPacket};
 use std::net::Ipv4Addr;
 use std::time::Duration;
+
+/// Size of `ofp_match`: a FLOW_MOD's fixed fields follow it.
+const OFP_MATCH_LEN: usize = 40;
 
 /// A scripted controller for testing: completes the handshake, records
 /// everything, and sends canned messages on timers.
@@ -183,7 +185,7 @@ fn handshake_reports_features() {
     assert_eq!(f.ports.len(), 2);
     assert_eq!(f.n_tables, 1);
     assert_eq!(f.n_buffers, 0, "a miss is never buffered");
-    assert_eq!(f.capabilities, 0x80, "ARP_MATCH_IP, and no STATS");
+    assert_eq!(f.capabilities, 0, "no ARP_MATCH_IP, and no STATS");
     assert_eq!(f.actions, 0x31, "OUTPUT, SET_DL_SRC and SET_DL_DST");
     assert!(b
         .sim
@@ -311,11 +313,39 @@ fn output_table_is_honoured_in_packet_out_and_dropped_in_a_flow_entry() {
     );
 }
 
+/// `msg` encoded under `xid`, then `patch`ed: each `(offset, bytes)`
+/// written over the wire bytes. The encoder writes only the matches and
+/// commands the loop sends.
+fn patched(msg: &OfMessage, xid: u32, patch: &[(usize, &[u8])]) -> Bytes {
+    let mut wire = msg.encode(xid).to_vec();
+    for (at, bytes) in patch {
+        wire[*at..at + bytes.len()].copy_from_slice(bytes);
+    }
+    wire.into()
+}
+
+/// A FLOW_MOD that matches on a transport port, on the ingress port or
+/// on nothing at all, or filters a delete by `out_port`, is refused
+/// with FLOW_MOD_FAILED / UNSUPPORTED, and a MODIFY or loose DELETE with
+/// FLOW_MOD_FAILED / BAD_COMMAND, each under its own xid: nothing is
+/// installed, changed or deleted, nothing counts as undecodable. The
+/// routes left are all a frame is classified by: a datagram whose UDP
+/// checksum fails is routed like any other.
 #[test]
-fn classification_depth_follows_the_table() {
-    // A datagram to 10.0.0.1:5004, intact or with a payload bit flipped
-    // under an unchanged UDP checksum.
-    let datagram = |intact: bool| {
+fn matches_and_commands_outside_the_loop_are_refused_typed() {
+    let route = install([10, 0, 0, 0], vec![Action::output(2)]);
+    let (wildcards, command) = (OFP_HEADER_LEN, OFP_HEADER_LEN + OFP_MATCH_LEN + 8);
+    let out_port = command + 12;
+    // The route's wildcards but OFPFW_TP_DST, with tp_dst 5004; but
+    // OFPFW_IN_PORT, with in_port 1; all of them (`any`).
+    let tp_dst: &[(usize, &[u8])] = &[(wildcards + 3, &[0x6F]), (46, &[0x13, 0x8C])];
+    let in_port: &[(usize, &[u8])] = &[(wildcards + 3, &[0xEE]), (12, &[0, 1])];
+    let any: &[(usize, &[u8])] = &[(wildcards, &[0x00, 0x3F, 0xFF, 0xFF])];
+    // A DELETE_STRICT of the route's entries that output to port 2.
+    let filtered: &[(usize, &[u8])] = &[(command, &[0, 4]), (out_port, &[0, 2])];
+    // A datagram to 10.0.0.1 with a payload bit flipped under an
+    // unchanged UDP checksum.
+    let corrupt = {
         let dst = Ipv4Addr::new(10, 0, 0, 1);
         let src = Ipv4Addr::new(192, 168, 0, 1);
         let udp = UdpPacket::new(4000, 5004, Bytes::from_static(b"data"));
@@ -328,80 +358,64 @@ fn classification_depth_follows_the_table() {
         )
         .emit()
         .to_vec();
-        if !intact {
-            frame[14 + 20 + 8] ^= 1;
-        }
+        frame[14 + 20 + 8] ^= 1;
         Bytes::from(frame)
     };
-    let via_table = |intact| OfMessage::PacketOut {
+    let via_table = OfMessage::PacketOut {
         buffer_id: OFP_NO_BUFFER,
         in_port: OFPP_NONE,
         actions: vec![Action::output(OFPP_TABLE)],
-        data: datagram(intact),
-    };
-    let mut by_port = OfMatch::ipv4_dst_prefix(Ipv4Addr::UNSPECIFIED, 0);
-    by_port.wildcards.0 &= !(Wildcards::NW_PROTO | Wildcards::TP_DST);
-    by_port.nw_proto = IpProtocol::UDP.0;
-    by_port.tp_dst = 5004;
-    let by_port = |command| OfMessage::FlowMod {
-        of_match: by_port,
-        cookie: 0,
-        command,
-        idle_timeout: 0,
-        hard_timeout: 0,
-        priority: 200,
-        buffer_id: OFP_NO_BUFFER,
-        out_port: OFPP_NONE,
-        flags: 0,
-        actions: vec![Action::output(1)],
+        data: corrupt.clone(),
     };
     let ms = Duration::from_millis;
     let ctrl = MockController {
-        script: vec![
-            (ms(1000), install([10, 0, 0, 0], vec![Action::output(2)]), 1),
-            // Routes only: a switch does not police L4.
-            (ms(1100), via_table(false), 2),
-            (ms(1200), by_port(FlowModCommand::Add), 3),
-            // An entry asks for ports: only a verified datagram has any.
-            (ms(1300), via_table(true), 4),
-            (ms(1400), via_table(false), 5),
-            (ms(1500), by_port(FlowModCommand::DeleteStrict), 6),
-            (ms(1600), via_table(true), 7),
+        script: vec![(ms(1000), route.clone(), 1), (ms(1200), via_table, 2)],
+        raw: vec![
+            (ms(1100), patched(&route, 0x31, tp_dst)),
+            (ms(1100), patched(&route, 0x32, in_port)),
+            (ms(1100), patched(&route, 0x33, any)),
+            (ms(1100), patched(&route, 0x34, &[(command, &[0, 1])])),
+            (ms(1100), patched(&route, 0x35, &[(command, &[0, 3])])),
+            (ms(1100), patched(&route, 0x36, filtered)),
         ],
         ..MockController::default()
     };
     let mut b = bench(ctrl);
-    let depth_at = |b: &mut Bench, at_ms| {
-        b.sim.run_until(rf_sim::Time::ZERO + ms(at_ms));
-        let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
-        sw.flow_table().clone().depth()
-    };
-    assert_eq!(depth_at(&mut b, 900), KeyDepth::L2, "empty table");
-    assert_eq!(depth_at(&mut b, 1150), KeyDepth::L3, "prefix route");
-    assert_eq!(depth_at(&mut b, 1450), KeyDepth::L4, "tp_dst entry");
-    assert_eq!(depth_at(&mut b, 2000), KeyDepth::L3, "after its DELETE");
-    let frames = |b: &Bench, host| -> Vec<Bytes> {
-        let sink = b.sim.agent_as::<FrameSink>(host).unwrap();
-        sink.frames.iter().map(|(_, f)| f.clone()).collect()
-    };
-    assert_eq!(
-        frames(&b, b.host_a),
-        [datagram(true)],
-        "took the tp_dst entry"
-    );
-    assert_eq!(
-        frames(&b, b.host_b),
-        [datagram(false), datagram(false), datagram(true)],
-        "took the prefix route"
-    );
+    b.sim.run_until(rf_sim::Time::from_millis(1050));
+    let before = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    let before = before.flow_table().entries().to_vec();
+    assert_eq!(before.len(), 1, "the route went in");
+    b.sim.run_until(rf_sim::Time::from_secs(2));
+    let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    assert_eq!(sw.flow_table().entries(), before, "nothing changed");
+    assert_eq!(sw.errors_sent, 6);
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    assert!(
-        !ctrl
-            .received
-            .iter()
-            .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })),
-        "every frame matched an entry"
+    let errors: Vec<_> = ctrl
+        .received
+        .iter()
+        .filter_map(|(m, xid)| match m {
+            OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *xid)),
+            _ => None,
+        })
+        .collect();
+    let failed = |code, xid| (ErrorType::FlowModFailed, code, xid);
+    assert_eq!(
+        errors,
+        [
+            failed(5, 0x31),
+            failed(5, 0x32),
+            failed(5, 0x33),
+            failed(4, 0x34),
+            failed(4, 0x35),
+            failed(5, 0x36),
+        ]
     );
+    let tracer = b.sim.tracer();
+    assert_eq!(tracer.counter("switch.decode_error"), 0);
+    assert_eq!(tracer.counter("of.flow_mod"), 1, "the route alone");
+    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
+    let routed: Vec<_> = host_b.frames.iter().map(|(_, f)| f.clone()).collect();
+    assert_eq!(routed, [corrupt], "took the route");
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! FlowVisor in isolation: two slice controllers sharing one switch,
-//! with flowspace enforcement visible — the topology controller's
-//! over-broad FLOW_MOD is narrowed to LLDP, and its attempt to touch
-//! IPv4 is rejected with EPERM.
+//! with flowspace enforcement visible — the topology controller's LLDP
+//! rule lands, and its attempts to install an IPv4 route and to send a
+//! frame too short to classify are both rejected with EPERM.
 //!
 //! ```sh
 //! cargo run --release --example flowvisor_slicing
 //! ```
 
+use bytes::Bytes;
 use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_openflow::{
     Action, FlowModCommand, MessageReader, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER,
@@ -17,7 +18,7 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// A controller that tries to install one in-space and one out-of-space
-/// flow and records what comes back.
+/// flow, sends a runt frame, and records what comes back.
 #[derive(Clone)]
 struct Greedy {
     service: u16,
@@ -48,13 +49,21 @@ impl Agent for Greedy {
                 max_len: 0xFFFF,
             }],
         };
-        // Within flowspace after narrowing: match-any → becomes LLDP.
-        ctx.conn_send(conn, mk(OfMatch::any()).encode(1));
+        // Within flowspace: lands as sent.
+        ctx.conn_send(conn, mk(OfMatch::lldp()).encode(1));
         // Outside flowspace: denied.
         ctx.conn_send(
             conn,
             mk(OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8)).encode(2),
         );
+        // Too short for an Ethernet header, so no slice owns it: denied.
+        let runt = OfMessage::PacketOut {
+            buffer_id: OFP_NO_BUFFER,
+            in_port: OFPP_NONE,
+            actions: vec![Action::output(1)],
+            data: Bytes::from_static(&[0xAB; 10]),
+        };
+        ctx.conn_send(conn, runt.encode(3));
     }
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, ev: StreamEvent) {
         match ev {
@@ -76,12 +85,17 @@ impl Agent for Greedy {
     }
 }
 
-/// Passive controller for the second slice.
+/// Passive controller for the second slice; as the switch's port peer,
+/// it counts the frames it gets.
 #[derive(Clone)]
 struct Passive {
     service: u16,
+    frames: u32,
 }
 impl Agent for Passive {
+    fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _port: u32, _frame: Bytes) {
+        self.frames += 1;
+    }
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.listen(self.service);
     }
@@ -103,7 +117,13 @@ fn main() {
             errors: 0,
         }),
     );
-    let passive = sim.add_agent("ip-slice-controller", Box::new(Passive { service: 7002 }));
+    let passive = sim.add_agent(
+        "ip-slice-controller",
+        Box::new(Passive {
+            service: 7002,
+            frames: 0,
+        }),
+    );
     let fv = sim.add_agent(
         "flowvisor",
         Box::new(FlowVisor::new(vec![
@@ -115,8 +135,14 @@ fn main() {
         "switch",
         Box::new(OpenFlowSwitch::new(SwitchConfig::new(0x1C, 4, fv))),
     );
-    // A port so the switch has a data plane (unused here).
-    let sink = sim.add_agent("sink", Box::new(Passive { service: 9 }));
+    // A port so the switch has a data plane: the runt must not reach it.
+    let sink = sim.add_agent(
+        "sink",
+        Box::new(Passive {
+            service: 9,
+            frames: 0,
+        }),
+    );
     sim.add_link((sw, 1), (sink, 1), rf_sim::LinkProfile::default());
 
     sim.run_until(Time::from_secs(3));
@@ -125,18 +151,19 @@ fn main() {
     println!("\nswitch flow table after the greedy controller's two FLOW_MODs:");
     for e in s.flow_table().entries() {
         println!(
-            "  priority {} dl_type {:#06x} wildcards {:?}",
-            e.priority, e.of_match.dl_type, e.of_match.wildcards
+            "  priority {} dl_type {:#06x} nw_dst {:?}",
+            e.priority,
+            e.of_match.dl_type(),
+            e.of_match.nw_dst()
         );
     }
-    assert_eq!(s.flow_count(), 1, "only the narrowed LLDP rule lands");
+    assert_eq!(s.flow_count(), 1, "only the LLDP rule lands");
     assert_eq!(s.flow_table().entries()[0].of_match, OfMatch::lldp());
     let f = sim.agent_as::<FlowVisor>(fv).unwrap();
-    println!(
-        "\nflowvisor: {} FLOW_MOD rewritten, {} denied",
-        f.rewritten_flow_mods, f.denied_flow_mods
-    );
+    println!("\nflowvisor: {} FLOW_MOD denied", f.denied_flow_mods);
+    let sink = sim.agent_as::<Passive>(sink).unwrap();
     let g = sim.agent_as::<Greedy>(greedy).unwrap();
-    assert_eq!(g.errors, 1, "exactly one EPERM");
-    println!("slicing enforced: match-any narrowed to LLDP, IPv4 FLOW_MOD rejected.");
+    assert_eq!(g.errors, 2, "an EPERM for the route and one for the runt");
+    assert_eq!(sink.frames, 0, "the runt left no port");
+    println!("slicing enforced: LLDP rule installed, IPv4 FLOW_MOD and runt PACKET_OUT rejected.");
 }

@@ -25,7 +25,7 @@ use rf_core::vnet::vm::ospf_frame;
 use rf_core::vnet::RfMessage;
 use rf_flowvisor::{FlowVisor, SlicePolicy};
 use rf_openflow::{
-    Action, ErrorType, FlowModCommand, KeyDepth, MessageReader, OfMatch, OfMessage, PacketKey,
+    Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketKey,
     SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_routed::config::OspfConfig;
@@ -268,20 +268,20 @@ fn a_routed_hop_copies_no_frame() {
 }
 
 /// A switch builds its match key from the frame where it lies: no
-/// buffer, no handle, at whatever depth its table asks for.
+/// buffer, no handle.
 #[test]
-fn a_classification_allocates_nothing_at_any_depth() {
+fn a_classification_allocates_nothing() {
     let eth = |ethertype, payload| EthernetFrame::new(MAC_SW, MAC_A, ethertype, payload).emit();
     let icmp = IcmpPacket::echo_request(1, 1, Bytes::from(vec![b'p'; 56])).emit();
     let frames = [
-        ("udp", data_frame(), 7000),
+        ("udp", data_frame(), HOST_B),
         (
             "icmp",
             eth(
                 EtherType::IPV4,
                 Ipv4Packet::new(HOST_A, HOST_B, IpProtocol::ICMP, icmp).emit(),
             ),
-            8,
+            HOST_B,
         ),
         (
             "arp",
@@ -289,23 +289,20 @@ fn a_classification_allocates_nothing_at_any_depth() {
                 EtherType::ARP,
                 ArpPacket::request(MAC_A, HOST_A, HOST_B).emit(),
             ),
-            0,
+            Ipv4Addr::UNSPECIFIED,
         ),
         (
             "lldp",
             eth(EtherType::LLDP, LldpPacket::discovery_probe(1, 1).emit()),
-            0,
+            Ipv4Addr::UNSPECIFIED,
         ),
     ];
-    for (name, frame, tp_src) in &frames {
-        for depth in [KeyDepth::L2, KeyDepth::L3, KeyDepth::L4] {
-            let (key, allocations, _) = counted(|| PacketKey::from_frame(1, frame, depth));
-            let key = key.expect("an Ethernet header");
-            assert_eq!(allocations, 0, "{name} at {depth:?}");
-            // ... and it did read that far.
-            let want = if depth == KeyDepth::L4 { *tp_src } else { 0 };
-            assert_eq!(key.tp_src, want, "{name} at {depth:?}");
-        }
+    for (name, frame, nw_dst) in &frames {
+        let (key, allocations, _) = counted(|| PacketKey::from_frame(1, frame));
+        let key = key.expect("an Ethernet header");
+        assert_eq!(allocations, 0, "{name}");
+        // ... and it did read the IPv4 header of an IPv4 frame.
+        assert_eq!(key.nw_dst, *nw_dst, "{name}");
     }
 }
 

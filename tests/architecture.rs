@@ -153,6 +153,14 @@ fn flowvisor_proxies_every_switch_for_both_controllers() {
     assert_eq!(fv.switch_count(), 4, "one session per switch");
     // No slice violation occurred during a clean bootstrap.
     assert_eq!(fv.denied_flow_mods, 0);
+    for report in dep.workload_reports() {
+        match report {
+            rf_core::scenario::WorkloadReport::Traffic(t) => {
+                assert!(t.delivered_bytes > 0, "flows crossed the ring")
+            }
+            other => unreachable!("not attached: {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -216,6 +224,60 @@ fn rpc_path_delivers_every_request_once_through_faults() {
         .filter(|&id| dep.sim.agent_as::<VmAgent>(rf_sim::AgentId(id)).is_some())
         .count();
     assert_eq!(vms, 6, "exactly one VM per switch");
+}
+
+/// The premise of the switch's FLOW_MOD set: the loop sends only ADDs
+/// and DELETE_STRICTs of an EtherType or an IPv4 destination prefix,
+/// with no `out_port` filter. Through a switch killed and revived, a
+/// link flap and a channel stall, under traffic, no switch refuses a
+/// request and FlowVisor denies no FLOW_MOD — and withdrawn routes were
+/// deleted, so DELETE_STRICT ran.
+#[test]
+fn every_flow_mod_the_loop_sends_is_taken_through_faults() {
+    use rf_core::scenario::Workload;
+    use rf_core::traffic::{FlowSize, TrafficSpec};
+    use rf_switch::OpenFlowSwitch;
+    let s = Duration::from_secs;
+    let topo = ring(6);
+    let traffic =
+        TrafficSpec::poisson(3, 4.0, FlowSize::pareto(2_000, 50_000)).window(s(15), s(30));
+    let mut dep = Scenario::on(topo.clone())
+        .fast_timers()
+        .trace_level(rf_sim::TraceLevel::Info)
+        .with_workload(Workload::traffic(traffic, &topo).expect("spec fits the topology"))
+        .with_faults([
+            Fault::KillSwitch { node: 2, at: s(20) },
+            Fault::LinkDown { edge: 4, at: s(22) },
+            Fault::ChannelStall {
+                dpid: 1,
+                from: s(24),
+                until: s(28),
+            },
+            Fault::ReviveSwitch { node: 2, at: s(30) },
+            Fault::LinkUp { edge: 4, at: s(32) },
+        ])
+        .start();
+    dep.run_until(Time::from_secs(60));
+    let count = |name| dep.sim.tracer().counter(name);
+    assert!(count("rf.flow_add") > 0);
+    assert!(count("rf.flow_del") > 0, "a withdrawn route was deleted");
+    for &id in &dep.switches {
+        let sw = dep
+            .sim
+            .agent_as::<OpenFlowSwitch>(id)
+            .expect("switch agent");
+        assert_eq!(
+            sw.errors_sent,
+            0,
+            "switch {:#x} refused a request",
+            sw.dpid()
+        );
+    }
+    let fv = dep
+        .sim
+        .agent_as::<FlowVisor>(dep.flowvisor.expect("default layout uses FlowVisor"))
+        .unwrap();
+    assert_eq!(fv.denied_flow_mods, 0);
 }
 
 #[test]

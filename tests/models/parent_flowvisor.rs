@@ -13,12 +13,16 @@
 //! three does not decode; it is refused with
 //! `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` under the slice's xid, as the
 //! real proxy refuses it. Like the real proxy it does not redial a
-//! slice controller: no slice controller closes a leg.
+//! slice controller: no slice controller closes a leg. Nor does it
+//! narrow a FLOW_MOD to the flowspace: one inside goes on, any other is
+//! refused with `EPERM`; one that MODIFYs, deletes loosely or matches
+//! on a field a switch does not take is refused as the real proxy
+//! refuses it; and a PACKET_OUT whose payload is too short to classify
+//! is refused with `EPERM` like one the slice does not own.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
-use rf_flowvisor::slice::FlowSpaceDecision;
 use rf_flowvisor::SlicePolicy;
 use rf_openflow::{ErrorType, MessageReader, OfError, OfMessage, OFP_HEADER_LEN, OFP_NO_BUFFER};
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
@@ -53,6 +57,10 @@ fn next_raw(reader: &mut MessageReader) -> Option<Result<(OfMessage, u32, Bytes)
         OfMessage::decode_bytes(&raw).map(|(msg, xid)| (msg, xid, raw))
     })
 }
+
+// ADAPTED: a request refused as it decoded: its xid, and the ERROR's
+// type and code.
+type Refused = (u32, ErrorType, u16);
 
 /// Marker for FlowVisor-originated requests in the xid map.
 const FV_SELF: usize = usize::MAX;
@@ -101,11 +109,10 @@ pub struct ModelFlowVisor {
     xid_map: HashMap<u32, (usize, usize, u32)>,
     /// FLOW_MODs rejected by flowspace policy.
     pub denied_flow_mods: u64,
-    /// FLOW_MODs narrowed to the slice's flowspace.
-    pub rewritten_flow_mods: u64,
+    // ADAPTED: no counter of narrowed FLOW_MODs: nothing is narrowed.
     /// Reused per-event decode buffer (capacity persists across events).
-    // ADAPTED: a request refused for its actions is kept as its xid.
-    scratch: Vec<Result<(OfMessage, u32, bytes::Bytes), u32>>,
+    // ADAPTED: a refused request is kept as its xid and its ERROR.
+    scratch: Vec<Result<(OfMessage, u32, bytes::Bytes), Refused>>,
 }
 
 impl ModelFlowVisor {
@@ -121,7 +128,6 @@ impl ModelFlowVisor {
             next_xid: 1,
             xid_map: HashMap::new(),
             denied_flow_mods: 0,
-            rewritten_flow_mods: 0,
             scratch: Vec::new(),
         }
     }
@@ -311,58 +317,25 @@ impl ModelFlowVisor {
                         .push(xid);
                 }
             }
-            OfMessage::FlowMod {
-                of_match,
-                cookie,
-                command,
-                idle_timeout,
-                hard_timeout,
-                priority,
-                buffer_id,
-                out_port,
-                flags,
-                actions,
-            } => {
-                let decision = self.cfg.slices[slice].check_flow_mod(&of_match);
-                let effective_match = match decision {
-                    FlowSpaceDecision::Allow => of_match,
-                    FlowSpaceDecision::Rewrite(m) => {
-                        self.rewritten_flow_mods += 1;
-                        m
+            // ADAPTED: a FLOW_MOD outside the flowspace is refused, not
+            // narrowed.
+            OfMessage::FlowMod { of_match, .. } => {
+                if !self.cfg.slices[slice].owns_match(&of_match) {
+                    self.denied_flow_mods += 1;
+                    ctx.count("fv.flow_mod_denied", 1);
+                    if let Some(c) = up_conn {
+                        let err = OfMessage::Error {
+                            err_type: ErrorType::FlowModFailed,
+                            code: 2, // OFPFMFC_EPERM
+                            data: Bytes::new(),
+                        };
+                        ctx.conn_send(c, err.encode(xid));
                     }
-                    FlowSpaceDecision::Deny => {
-                        self.denied_flow_mods += 1;
-                        ctx.count("fv.flow_mod_denied", 1);
-                        if let Some(c) = up_conn {
-                            let err = OfMessage::Error {
-                                err_type: ErrorType::FlowModFailed,
-                                code: 2, // OFPFMFC_EPERM
-                                data: Bytes::new(),
-                            };
-                            ctx.conn_send(c, err.encode(xid));
-                        }
-                        return;
-                    }
-                };
-                let new_xid = self.alloc_xid(sw, slice, xid);
-                if matches!(decision, FlowSpaceDecision::Allow) {
-                    // Untouched flowspace: only the xid changes.
-                    self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
-                } else {
-                    let fm = OfMessage::FlowMod {
-                        of_match: effective_match,
-                        cookie,
-                        command,
-                        idle_timeout,
-                        hard_timeout,
-                        priority,
-                        buffer_id,
-                        out_port,
-                        flags,
-                        actions,
-                    };
-                    self.send_to_switch(ctx, sw, &fm, new_xid);
+                    return;
                 }
+                let new_xid = self.alloc_xid(sw, slice, xid);
+                // Untouched flowspace: only the xid changes.
+                self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
             }
             OfMessage::PacketOut {
                 buffer_id,
@@ -371,20 +344,21 @@ impl ModelFlowVisor {
                 data,
             } => {
                 // Policy-check the payload when we can see it.
-                if buffer_id == OFP_NO_BUFFER && !data.is_empty() {
-                    if let Some(key) = from_frame_bytes(in_port, &data) {
-                        if !self.cfg.slices[slice].owns_packet(&key) {
-                            ctx.count("fv.packet_out_denied", 1);
-                            if let Some(c) = up_conn {
-                                let err = OfMessage::Error {
-                                    err_type: ErrorType::BadRequest,
-                                    code: 4, // OFPBRC_EPERM
-                                    data: Bytes::new(),
-                                };
-                                ctx.conn_send(c, err.encode(xid));
-                            }
-                            return;
+                // ADAPTED: one too short to classify is refused too.
+                if buffer_id == OFP_NO_BUFFER {
+                    let owned = from_frame_bytes(in_port, &data)
+                        .is_some_and(|key| self.cfg.slices[slice].owns_packet(&key));
+                    if !owned {
+                        ctx.count("fv.packet_out_denied", 1);
+                        if let Some(c) = up_conn {
+                            let err = OfMessage::Error {
+                                err_type: ErrorType::BadRequest,
+                                code: 4, // OFPBRC_EPERM
+                                data: Bytes::new(),
+                            };
+                            ctx.conn_send(c, err.encode(xid));
                         }
+                        return;
                     }
                 }
                 let _ = (actions, data);
@@ -472,15 +446,24 @@ impl Agent for ModelFlowVisor {
                             while let Some(raw) = reader.next_frame() {
                                 let Ok(raw) = raw else { continue };
                                 // ADAPTED: a request naming an unknown
-                                // action is refused under its xid.
-                                match OfMessage::decode_bytes(&raw) {
-                                    Ok((msg, xid)) => msgs.push(Ok((msg, xid, raw))),
-                                    Err(OfError::BadAction(_)) => {
-                                        let header = rf_openflow::OfHeader::parse(&raw);
-                                        msgs.push(Err(header.expect("framed").xid));
+                                // action, a command other than ADD and
+                                // DELETE_STRICT or a match on another
+                                // field is refused under its xid.
+                                let refusal = match OfMessage::decode_bytes(&raw) {
+                                    Ok((msg, xid)) => {
+                                        msgs.push(Ok((msg, xid, raw)));
+                                        continue;
                                     }
-                                    Err(_) => {}
-                                }
+                                    // OFPBAC_BAD_TYPE
+                                    Err(OfError::BadAction(_)) => (ErrorType::BadAction, 0),
+                                    // OFPFMFC_BAD_COMMAND
+                                    Err(OfError::BadCommand(_)) => (ErrorType::FlowModFailed, 4),
+                                    // OFPFMFC_UNSUPPORTED
+                                    Err(OfError::UnsupportedMatch) => (ErrorType::FlowModFailed, 5),
+                                    Err(_) => continue,
+                                };
+                                let header = rf_openflow::OfHeader::parse(&raw);
+                                msgs.push(Err((header.expect("framed").xid, refusal.0, refusal.1)));
                             }
                         }
                         for m in msgs.drain(..) {
@@ -488,11 +471,11 @@ impl Agent for ModelFlowVisor {
                                 Ok((msg, xid, raw)) => {
                                     self.handle_controller_msg(ctx, sw, slice, msg, xid, raw);
                                 }
-                                Err(xid) => {
+                                Err((xid, err_type, code)) => {
                                     if let Some(c) = self.switches[sw].upstreams[slice].conn {
                                         let err = OfMessage::Error {
-                                            err_type: ErrorType::BadAction,
-                                            code: 0, // OFPBAC_BAD_TYPE
+                                            err_type,
+                                            code,
                                             data: Bytes::new(),
                                         };
                                         ctx.conn_send(c, err.encode(xid));

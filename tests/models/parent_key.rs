@@ -1,18 +1,16 @@
 //! `rf_openflow::PacketKey::from_frame_bytes` as it was before a
 //! switch read a frame where it lies and only as deep as its table
 //! asks (`crates/openflow/src/flow_match.rs` at 28b7fc8, verbatim but
-//! for the two adaptations marked `ADAPTED`): the whole 12-tuple from
-//! every frame, a `Bytes::slice` per layer, every checksum verified.
-//! The reference `PacketKey::from_frame(.., KeyDepth::L4)` must match
-//! field for field on every input, and the shallower depths with the
-//! deeper fields zeroed; the model switch and the model FlowVisor
-//! classify with it.
+//! for the three adaptations marked `ADAPTED`): a `Bytes::slice` per
+//! layer, every checksum verified. The reference
+//! `PacketKey::from_frame` must match field for field on every input;
+//! the model switch and the model FlowVisor classify with it.
 
 use bytes::Bytes;
 use rf_openflow::{PacketKey, PortNumber};
 use rf_wire::{
-    internet_checksum, internet_checksum_parts, ArpPacket, EtherType, EthernetFrame, IcmpPacket,
-    IpProtocol, Ipv4Packet, MacAddr, UdpPacket, WireError,
+    internet_checksum, internet_checksum_parts, EtherType, EthernetFrame, IcmpPacket, IpProtocol,
+    Ipv4Packet, MacAddr, UdpPacket, WireError,
 };
 use std::net::Ipv4Addr;
 
@@ -20,6 +18,10 @@ use std::net::Ipv4Addr;
 // the four owning layer parsers are the parent's too, kept below: the
 // real `parse_bytes` are now built on the in-place readers the real
 // extractor uses, and the model must share no check with them.
+// ADAPTED: no ARP arm and no UDP or ICMP arm — no match reads an ARP
+// body or a transport port any more — so a key is the Ethernet header
+// and an IPv4 frame's IPv4 header; the UDP and ICMP parsers below are
+// the models of the owning `parse_bytes` alone.
 /// Classify a raw Ethernet frame received on `in_port`.
 /// Unparseable inner layers simply leave the deeper fields zero,
 /// matching how a hardware parser degrades. The layer parses are
@@ -39,46 +41,13 @@ pub fn from_frame_bytes(in_port: PortNumber, frame: &Bytes) -> Option<PacketKey>
         tp_src: 0,
         tp_dst: 0,
     };
-    match eth.ethertype {
-        EtherType::IPV4 => {
-            if let Ok(ip) = parse_ipv4(&eth.payload) {
-                key.nw_tos = ip.dscp << 2;
-                key.nw_proto = ip.protocol.0;
-                key.nw_src = ip.src;
-                key.nw_dst = ip.dst;
-                match ip.protocol {
-                    IpProtocol::UDP => {
-                        if let Ok(udp) = parse_udp(&ip.payload, ip.src, ip.dst) {
-                            key.tp_src = udp.src_port;
-                            key.tp_dst = udp.dst_port;
-                        }
-                    }
-                    IpProtocol::ICMP => {
-                        if let Ok(icmp) = parse_icmp(&ip.payload) {
-                            let (ty, code) = match icmp {
-                                IcmpPacket::EchoRequest { .. } => (8u16, 0u16),
-                                IcmpPacket::EchoReply { .. } => (0, 0),
-                                IcmpPacket::Other { ty, code, .. } => (ty as u16, code as u16),
-                            };
-                            key.tp_src = ty;
-                            key.tp_dst = code;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+    if eth.ethertype == EtherType::IPV4 {
+        if let Ok(ip) = parse_ipv4(&eth.payload) {
+            key.nw_tos = ip.dscp << 2;
+            key.nw_proto = ip.protocol.0;
+            key.nw_src = ip.src;
+            key.nw_dst = ip.dst;
         }
-        EtherType::ARP => {
-            if let Ok(arp) = ArpPacket::parse(&eth.payload) {
-                key.nw_proto = match arp.op {
-                    rf_wire::ArpOp::Request => 1,
-                    rf_wire::ArpOp::Reply => 2,
-                };
-                key.nw_src = arp.sender_ip;
-                key.nw_dst = arp.target_ip;
-            }
-        }
-        _ => {}
     }
     Some(key)
 }

@@ -18,7 +18,12 @@
 //! FLOW_MOD or PACKET_OUT naming any other — it does not decode — is
 //! refused with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` as the real switch
 //! refuses it. Like the real switch it sends no keepalive ECHO_REQUEST
-//! (it still answers one, and still redials a dropped controller).
+//! (it still answers one, and still redials a dropped controller). Its
+//! FLOW_MODs are the real crate's ADD and DELETE_STRICT of an EtherType
+//! or an IPv4 destination prefix: a MODIFY, a loose DELETE or a match on
+//! another field does not decode and is refused as the real switch
+//! refuses it, as is an `out_port` filter, and FEATURES_REPLY no longer
+//! advertises `ARP_MATCH_IP`.
 
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
@@ -27,7 +32,7 @@ use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
 use rf_openflow::{
     ErrorType, MessageReader, OfMessage, PacketInReason, PhyPort, PortNumber, PortStatusReason,
-    SwitchFeatures, OFP_NO_BUFFER,
+    SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_switch::{apply_actions, Egress, FlowTable, SwitchConfig};
@@ -57,6 +62,10 @@ fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
     out[4..8].copy_from_slice(&xid.to_be_bytes());
     out.freeze()
 }
+
+// ADAPTED: a request refused as it decoded: its xid, and the ERROR's
+// type and code.
+type Refused = (u32, ErrorType, u16);
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ConnState {
@@ -90,8 +99,8 @@ pub struct ModelSwitch {
     /// Copies of ERROR messages we sent (for tests/diagnostics).
     pub errors_sent: u64,
     /// Reused per-event decode buffer (capacity persists across events).
-    // ADAPTED: a request refused for its actions is kept as its xid.
-    msg_scratch: Vec<Option<Result<(OfMessage, u32), u32>>>,
+    // ADAPTED: a refused request is kept as its xid and its ERROR.
+    msg_scratch: Vec<Option<Result<(OfMessage, u32), Refused>>>,
     /// Per-port template of the last action-punt PACKET_IN:
     /// `(punted frame, cut, encoded message)`. LLDP probes punt the
     /// identical frame every round; on a match the wire bytes are the
@@ -327,7 +336,8 @@ impl ModelSwitch {
                     datapath_id: self.cfg.dpid,
                     n_buffers: 0,
                     n_tables: 1,
-                    capabilities: 0x0000_0080, // ARP_MATCH_IP
+                    // ADAPTED: no match reads an ARP body.
+                    capabilities: 0,
                     // ADAPTED: the three actions there are.
                     actions: rf_openflow::SUPPORTED_ACTIONS,
                     ports: self.phy_ports(),
@@ -337,13 +347,15 @@ impl ModelSwitch {
             OfMessage::SetConfig { miss_send_len, .. } => {
                 self.miss_send_len = miss_send_len;
             }
-            // ADAPTED: what the real switch refuses.
+            // ADAPTED: what the real switch refuses (an `out_port` filter
+            // too).
             OfMessage::FlowMod {
                 idle_timeout,
                 hard_timeout,
                 flags,
+                out_port,
                 ..
-            } if idle_timeout != 0 || hard_timeout != 0 || flags != 0 => {
+            } if idle_timeout != 0 || hard_timeout != 0 || flags != 0 || out_port != OFPP_NONE => {
                 self.refuse(ctx, idx, ErrorType::FlowModFailed, 5, xid); // OFPFMFC_UNSUPPORTED
             }
             OfMessage::FlowMod { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
@@ -480,12 +492,26 @@ impl Agent for ModelSwitch {
                     let reader = &mut self.ctrls[idx].reader;
                     reader.push_bytes(data);
                     // ADAPTED: framed, then decoded, so that a request
-                    // naming an unknown action is refused under its xid.
+                    // naming an unknown action, a command other than ADD
+                    // and DELETE_STRICT or a match on another field is
+                    // refused under its xid.
                     while let Some(raw) = reader.next_frame() {
                         let decoded = raw.and_then(|raw| {
+                            use rf_openflow::OfError;
                             let xid = rf_openflow::OfHeader::parse(&raw)?.xid;
                             match OfMessage::decode_bytes(&raw) {
-                                Err(rf_openflow::OfError::BadAction(_)) => Ok(Err(xid)),
+                                // OFPBAC_BAD_TYPE
+                                Err(OfError::BadAction(_)) => {
+                                    Ok(Err((xid, ErrorType::BadAction, 0)))
+                                }
+                                // OFPFMFC_BAD_COMMAND
+                                Err(OfError::BadCommand(_)) => {
+                                    Ok(Err((xid, ErrorType::FlowModFailed, 4)))
+                                }
+                                // OFPFMFC_UNSUPPORTED
+                                Err(OfError::UnsupportedMatch) => {
+                                    Ok(Err((xid, ErrorType::FlowModFailed, 5)))
+                                }
                                 decoded => decoded.map(Ok),
                             }
                         });
@@ -495,8 +521,9 @@ impl Agent for ModelSwitch {
                 for m in msgs.drain(..) {
                     match m {
                         Some(Ok((msg, xid))) => self.handle_message(ctx, idx, msg, xid),
-                        // OFPBAC_BAD_TYPE
-                        Some(Err(xid)) => self.refuse(ctx, idx, ErrorType::BadAction, 0, xid),
+                        Some(Err((xid, err_type, code))) => {
+                            self.refuse(ctx, idx, err_type, code, xid)
+                        }
                         None => ctx.count("switch.decode_error", 1),
                     }
                 }

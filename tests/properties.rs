@@ -1,12 +1,12 @@
 //! Property-based tests (proptest) on the load-bearing codecs and data
 //! structures: decoders must never panic, encode∘decode must be
-//! identity, matching must respect the wildcard algebra, and the RIB
+//! identity, matching must respect prefix containment, and the RIB
 //! must keep its best-route invariant under arbitrary operation
 //! sequences.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rf_openflow::{Action, KeyDepth, OfMatch, OfMessage, PacketKey, Wildcards};
+use rf_openflow::{Action, OfMatch, OfMessage, PacketKey};
 use rf_routed::rib::{Rib, Route, RouteProto};
 use rf_wire::{
     internet_checksum, internet_checksum_parts, ipv4_frame, ArpPacket, EthernetFrame,
@@ -696,31 +696,14 @@ fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u1
 
 // ---------------- classification: the parent's extractor as the model ----------------
 
-/// `full` as an extraction that stopped at `depth` leaves it: the
-/// deeper fields zero.
-fn key_cut_at(full: PacketKey, depth: KeyDepth) -> PacketKey {
-    let mut key = full;
-    if depth < KeyDepth::L4 {
-        (key.tp_src, key.tp_dst) = (0, 0);
-    }
-    if depth < KeyDepth::L3 {
-        (key.nw_tos, key.nw_proto) = (0, 0);
-        (key.nw_src, key.nw_dst) = (Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-    }
-    key
-}
-
 /// `PacketKey::from_frame` against the parent's extractor on one
-/// buffer, at every depth.
+/// buffer.
 fn assert_key_matches_model(in_port: u16, frame: &Bytes) {
-    let model = key_model::from_frame_bytes(in_port, frame);
-    for depth in [KeyDepth::L2, KeyDepth::L3, KeyDepth::L4] {
-        assert_eq!(
-            PacketKey::from_frame(in_port, frame, depth),
-            model.map(|full| key_cut_at(full, depth)),
-            "{depth:?} of {frame:?}"
-        );
-    }
+    assert_eq!(
+        PacketKey::from_frame(in_port, frame),
+        key_model::from_frame_bytes(in_port, frame),
+        "{frame:?}"
+    );
 }
 
 /// Each owning `parse_bytes` against the parent's (same value or same
@@ -826,56 +809,19 @@ fn mended_header_flips(frame: &Bytes) -> Vec<Bytes> {
         .collect()
 }
 
-/// One flow-table match built around `key`, a frame's full key: the
-/// shapes the apps install, an exact match, and one pinned field of
-/// each layer — at the value the frame carries, or at the zero an
-/// extraction that stops short leaves.
+/// One flow-table match built around `key`, a frame's key: the shapes
+/// a switch takes — routes toward the frame's destination, LLDP and ARP
+/// punts, the frame's own EtherType, an EtherType-only IPv4 entry and a
+/// `/0` beside it.
 fn build_table_match(kind: u8, len: u8, key: &PacketKey) -> OfMatch {
-    let pinned = |bits: u32| OfMatch {
-        wildcards: Wildcards(Wildcards::ALL & !bits),
-        in_port: key.in_port,
-        dl_src: key.dl_src,
-        dl_dst: key.dl_dst,
-        dl_type: key.dl_type,
-        nw_tos: key.nw_tos,
-        nw_proto: key.nw_proto,
-        nw_src: key.nw_src,
-        nw_dst: key.nw_dst,
-        tp_src: key.tp_src,
-        tp_dst: key.tp_dst,
-        ..OfMatch::any()
-    };
-    let zeroed = |bits: u32| OfMatch {
-        wildcards: Wildcards(Wildcards::ALL & !bits),
-        ..OfMatch::any()
-    };
-    let route = OfMatch::ipv4_dst_prefix(key.nw_dst, len % 33);
-    match kind % 24 {
-        // A third are routes: most tables most of the time read to L3.
-        0..=7 => route,
+    match kind % 16 {
+        // Half are routes.
+        0..=7 => OfMatch::ipv4_dst_prefix(key.nw_dst, len % 33),
         8 | 9 => OfMatch::lldp(),
         10 | 11 => OfMatch::arp(),
-        12 => OfMatch::any(),
-        13 => pinned(Wildcards::ALL),
-        14 => pinned(Wildcards::TP_DST),
-        15 => pinned(Wildcards::TP_SRC | Wildcards::NW_PROTO),
-        16 => zeroed(Wildcards::TP_DST),
-        17 => pinned(Wildcards::NW_PROTO),
-        18 => zeroed(Wildcards::NW_PROTO),
-        19 => OfMatch {
-            wildcards: Wildcards::all().with_nw_src_bits(u32::from(len % 33)),
-            nw_src: key.nw_src,
-            ..OfMatch::any()
-        },
-        20 => pinned(Wildcards::NW_TOS | Wildcards::DL_TYPE),
-        21 => pinned(Wildcards::DL_SRC),
-        22 => pinned(Wildcards::IN_PORT),
-        _ => OfMatch {
-            // A route that also asks for the destination port.
-            wildcards: Wildcards(route.wildcards.0 & !Wildcards::TP_DST),
-            tp_dst: key.tp_dst,
-            ..route
-        },
+        12 => OfMatch::ethertype(key.dl_type),
+        13 => OfMatch::ethertype(0x0800),
+        _ => OfMatch::ipv4_dst_prefix(key.nw_dst, 0),
     }
 }
 
@@ -1197,19 +1143,23 @@ type ControlDraw = (
     u8,
 );
 
+/// Size of `ofp_match`: a FLOW_MOD's fixed fields follow it.
+const OFP_MATCH_LEN: usize = 40;
+
 /// One encoded control message: a PACKET_OUT three times in eight —
 /// 0–12 actions of every kind, payload in the message / absent / in a
 /// buffer, on either side of the slice's flowspace, below 60 bytes —
-/// a FLOW_MOD one time in four — its match a punt, a route or
-/// everything, most of them with `tp_dst`, `tp_src`, `nw_proto`,
-/// `nw_src`, `dl_src` or `in_port` pinned as well, some with a
-/// timeout, a flag or a buffer, which a switch refuses — else a
-/// SET_CONFIG, a BARRIER, GET_CONFIG or STATS_REQUEST (raw bytes: no
-/// decoder takes one), an ECHO, or something no controller should
-/// send. Five in sixteen are then damaged: cut short under a patched
-/// length, one bit flipped anywhere, a first action of length 7 or of
-/// a type no switch takes (refused under its xid), a PACKET_OUT's
-/// `actions_len` running past the body.
+/// a FLOW_MOD one time in four — its match a punt, a route, IPv4 or
+/// everything, half of them with `tp_dst`, `tp_src`, `nw_proto`,
+/// `nw_src`, `dl_src` or `in_port` pinned as well, its command a
+/// MODIFY or a loose DELETE two times in five, its `out_port` a data
+/// port one time in eight, some with a timeout, a flag or a buffer, all
+/// of which a switch refuses — else a SET_CONFIG, a BARRIER, GET_CONFIG
+/// or STATS_REQUEST (raw bytes: no decoder takes one), an ECHO, or
+/// something no controller should send. Five in sixteen are then
+/// damaged: cut short under a patched length, one bit flipped anywhere,
+/// a first action of length 7 or of a type no switch takes (refused
+/// under its xid), a PACKET_OUT's `actions_len` running past the body.
 fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw) -> Vec<u8> {
     use rf_openflow::{
         FlowModCommand, MsgType, OFPP_NONE, OFP_HEADER_LEN, OFP_NO_BUFFER, OFP_VERSION,
@@ -1227,48 +1177,18 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
     let in_port = [OFPP_NONE, 1, 2, 3, 4, 5, 0][a as usize % 7];
     let matches = [
         OfMatch::lldp(),
-        OfMatch::any(),
+        OfMatch::ethertype(0x0800), // everything, once written over below
         OfMatch::arp(),
         OfMatch::ipv4_dst_prefix(Ipv4Addr::from(b), (a % 33) as u8),
+        OfMatch::ethertype(0x0800),
     ];
-    let mut of_match = matches[(b >> 8) as usize % matches.len()];
-    // Half of the matches pin one more field, so that a switch's table
-    // reads deeper — and, when such an entry is deleted, shallower
-    // again — from one frame to the next. The values are ones frames
-    // carry: 0 is also what an unread or unparseable layer leaves, so
-    // a key extracted too shallowly takes such an entry by mistake.
-    let mut pin = |bits: u32| of_match.wildcards.0 &= !bits;
-    match (b >> 16) % 10 {
-        0 => pin(Wildcards::TP_DST), // 0: an echo's code, an unverifiable datagram
-        1 => {
-            pin(Wildcards::TP_SRC | Wildcards::NW_PROTO);
-            (of_match.nw_proto, of_match.tp_src) = (1, 8); // echo requests
-        }
-        2 => {
-            pin(Wildcards::NW_PROTO);
-            of_match.nw_proto = [17, 1, 0][a as usize % 3];
-        }
-        3 => of_match.wildcards = of_match.wildcards.with_nw_src_bits(31), // 0.0.0.0/1
-        4 => {
-            pin(Wildcards::DL_SRC);
-            of_match.dl_src = MacAddr(frame.1 .0 .1);
-        }
-        5 => {
-            pin(Wildcards::IN_PORT);
-            of_match.in_port = in_port;
-        }
-        6 => {
-            pin(Wildcards::TP_DST);
-            of_match.tp_dst = frame.3; // a datagram's destination port
-        }
-        _ => {}
-    }
+    let which = (b >> 8) as usize % matches.len();
     let xid = b.rotate_left(7);
     // Where a PACKET_OUT's or a FLOW_MOD's first action starts, if it
     // has one.
     let first_action = match kind % 16 {
         0..=5 => Some(OFP_HEADER_LEN + 8),
-        6..=9 => Some(OFP_HEADER_LEN + rf_openflow::flow_match::OFP_MATCH_LEN + 24),
+        6..=9 => Some(OFP_HEADER_LEN + OFP_MATCH_LEN + 24),
         _ => None,
     }
     .filter(|_| !actions.is_empty());
@@ -1303,20 +1223,17 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
                 },
             },
             6..=9 => OfMessage::FlowMod {
-                of_match,
+                of_match: matches[which],
                 cookie: u64::from(a % 4),
-                command: [
-                    FlowModCommand::Add,
-                    FlowModCommand::Add,
-                    FlowModCommand::Modify,
-                    FlowModCommand::Delete,
-                    FlowModCommand::DeleteStrict,
-                ][(b >> 4) as usize % 5],
+                command: FlowModCommand::Add, // written over below
                 idle_timeout: 0,
                 hard_timeout: u16::from((b >> 20) % 16 == 0),
                 priority: a,
                 buffer_id,
-                out_port: OFPP_NONE,
+                out_port: match a >> 13 {
+                    0 => 1 + a % TAP_PORTS,
+                    _ => OFPP_NONE,
+                },
                 flags: u16::from((b >> 12) % 8 == 0), // SEND_FLOW_REM
                 actions,
             },
@@ -1336,6 +1253,50 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
         };
         msg.encode(xid).to_vec()
     };
+    if matches!(kind % 16, 6..=9) {
+        // What the encoder does not write, written over its bytes. Half
+        // of the matches pin one more field; the values are ones frames
+        // carry (0 is also what an unread layer leaves), so a switch
+        // that took such an entry would forward by mistake.
+        let field = |wire: &mut Vec<u8>, at: usize, bytes: &[u8]| {
+            let at = OFP_HEADER_LEN + at;
+            wire[at..at + bytes.len()].copy_from_slice(bytes);
+        };
+        let mut wildcards = u32::from_be_bytes(wire[8..12].try_into().expect("four bytes"));
+        if which == 1 {
+            wildcards = (1 << 22) - 1; // OFPFW_ALL
+        }
+        match (b >> 16) % 10 {
+            0 => wildcards &= !(1 << 7), // tp_dst 0: an echo's code
+            1 => {
+                wildcards &= !(3 << 5); // echo requests
+                field(&mut wire, 25, &[1]);
+                field(&mut wire, 36, &[0, 8]);
+            }
+            2 => {
+                wildcards &= !(1 << 5);
+                field(&mut wire, 25, &[[17, 1, 0][a as usize % 3]]);
+            }
+            3 => wildcards = wildcards & !(0x3F << 8) | 31 << 8, // nw_src 0.0.0.0/1
+            4 => {
+                wildcards &= !(1 << 2);
+                field(&mut wire, 6, &frame.1 .0 .1);
+            }
+            5 => {
+                wildcards &= !1;
+                field(&mut wire, 4, &in_port.to_be_bytes());
+            }
+            6 => {
+                wildcards &= !(1 << 7); // a datagram's destination port
+                field(&mut wire, 38, &frame.3.to_be_bytes());
+            }
+            _ => {}
+        }
+        field(&mut wire, 0, &wildcards.to_be_bytes());
+        // ADD, MODIFY, loose DELETE, DELETE_STRICT.
+        let command: u16 = [0, 0, 1, 3, 4][(b >> 4) as usize % 5];
+        field(&mut wire, OFP_MATCH_LEN + 8, &command.to_be_bytes());
+    }
     let at = *at as usize;
     match (damage % 16, first_action) {
         (0, _) => {
@@ -2002,35 +1963,65 @@ proptest! {
         }
     }
 
+    /// A match a switch takes survives a FLOW_MOD's encode and decode;
+    /// any other `ofp_match` decodes to `UnsupportedMatch`, never to a
+    /// match that would cover other packets.
     #[test]
     fn of_match_roundtrip(
-        wildcards in 0u32..(1 << 22),
-        in_port in any::<u16>(),
-        dl_src in arb_mac(),
-        dl_dst in arb_mac(),
-        dl_type in any::<u16>(),
-        nw_src in arb_ip(),
-        nw_dst in arb_ip(),
-        tp in any::<(u16, u16)>(),
+        built in (any::<u16>(), any::<bool>(), arb_ip(), 0u8..=32),
+        drawn in (0u32..(1 << 22), any::<bool>()),
+        raw in any::<[u8; 36]>(),
     ) {
-        let m = OfMatch {
-            wildcards: Wildcards(wildcards),
-            in_port,
-            dl_src,
-            dl_dst,
-            dl_vlan: 0xFFFF,
-            dl_vlan_pcp: 0,
-            dl_type,
-            nw_tos: 0,
-            nw_proto: 0,
-            nw_src,
-            nw_dst,
-            tp_src: tp.0,
-            tp_dst: tp.1,
+        use rf_openflow::{FlowModCommand, OfError, OFPP_NONE, OFP_NO_BUFFER};
+        let ((dl_type, is_route, net, len), (wildcards, shaped)) = (built, drawn);
+        let m = match is_route {
+            true => OfMatch::ipv4_dst_prefix(net, len),
+            false => OfMatch::ethertype(dl_type),
         };
-        let mut buf = bytes::BytesMut::new();
-        m.emit_into(&mut buf);
-        prop_assert_eq!(OfMatch::parse(&buf).unwrap(), m);
+        let fm = OfMessage::FlowMod {
+            of_match: m,
+            cookie: 1,
+            command: FlowModCommand::Add,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority: 2,
+            buffer_id: OFP_NO_BUFFER,
+            out_port: OFPP_NONE,
+            flags: 0,
+            actions: Vec::new(),
+        };
+        let wire = fm.encode(3);
+        prop_assert_eq!(OfMessage::decode(&wire), Ok((fm, 3)));
+        // The same FLOW_MOD over an arbitrary `ofp_match`.
+        // Half of them shaped like a supported one but for what the
+        // draw leaves in the nw_dst count and the EtherType.
+        let wildcards = match shaped {
+            true => wildcards & !0x10 | 0x30_00EF | 0x20 << 8,
+            false => wildcards,
+        };
+        let mut other = wire.to_vec();
+        other[8..12].copy_from_slice(&wildcards.to_be_bytes());
+        other[12..48].copy_from_slice(&raw);
+        let dl_type = u16::from_be_bytes([raw[18], raw[19]]);
+        let nw_dst_bits = (wildcards >> 14) & 0x3F;
+        let supported = wildcards & 0x30_00FF == 0x30_00EF
+            && (wildcards >> 8) & 0x3F >= 32
+            && (nw_dst_bits >= 32 || dl_type == 0x0800);
+        match OfMessage::decode(&other) {
+            Ok((OfMessage::FlowMod { of_match, .. }, _)) => {
+                prop_assert!(supported);
+                prop_assert_eq!(of_match.dl_type(), dl_type);
+                let want = (nw_dst_bits <= 32).then(|| {
+                    let at = &raw[28..32];
+                    (Ipv4Addr::new(at[0], at[1], at[2], at[3]), (32 - nw_dst_bits) as u8)
+                });
+                prop_assert_eq!(of_match.nw_dst(), want.filter(|_| dl_type == 0x0800));
+            }
+            decoded => {
+                prop_assert!(!supported);
+                prop_assert_eq!(decoded, Err(OfError::UnsupportedMatch));
+            }
+        }
     }
 
     #[test]
@@ -2136,14 +2127,13 @@ proptest! {
 
     // ---------------- classification ----------------
 
-    /// A switch reads a frame where it lies and only as deep as asked.
-    /// At `L4` that is, field for field, the key the parent's
-    /// slice-per-layer extractor built — for every kind of frame a port
-    /// can see, every prefix of it, every single-bit flip of its
-    /// headers, and for random bytes — and at `L3` / `L2` the same key
-    /// with the deeper fields zero. The owning parsers the readers were
-    /// split out of accept, refuse and return what the parent's did on
-    /// the same inputs.
+    /// A switch reads a frame's Ethernet and IPv4 headers where they
+    /// lie. That is, field for field, the key the parent's
+    /// slice-per-layer extractor built from those headers — for every
+    /// kind of frame a port can see, every prefix of it, every
+    /// single-bit flip of its headers, and for random bytes. The owning
+    /// parsers the readers were split out of accept, refuse and return
+    /// what the parent's did on the same inputs.
     #[test]
     fn key_extraction_matches_parent_model(
         draws in proptest::collection::vec((arb_frame_draw(), any::<u16>()), 4..5),
@@ -2158,92 +2148,6 @@ proptest! {
         }
     }
 
-    /// The depth a table asks for is enough for that table: through
-    /// any sequence of adds, deletes and deletes of every entry,
-    /// looking a frame up by a key extracted to `FlowTable::depth`
-    /// finds the entry that the parent's full key finds. Entries are
-    /// routes, punts, exact matches and single pinned fields of every
-    /// layer, built around the frames that are then looked up.
-    #[test]
-    fn depth_limited_lookup_matches_full_key_lookup(
-        scripts in proptest::collection::vec(
-            (
-                proptest::collection::vec(arb_frame_draw(), 6..7),
-                proptest::collection::vec(any::<(u8, u8, u8, u8)>(), 1..64),
-            ),
-            8..9,
-        ),
-    ) {
-        use rf_openflow::{FlowModCommand, OFPP_NONE};
-        use rf_sim::Time;
-        use rf_switch::FlowTable;
-        // What the generator has to reach: lookups at each depth, and
-        // shallow keys (not the key the model used) that still hit.
-        let mut depths_used = std::collections::BTreeSet::new();
-        let mut shallow_hits = 0;
-        for (frames, steps) in scripts {
-            let frames: Vec<Bytes> = frames.into_iter().map(build_frame).collect();
-            let port_of = |which: usize| 1 + (which % 3) as u16;
-            let keys: Vec<PacketKey> = frames
-                .iter()
-                .enumerate()
-                .filter_map(|(which, frame)| key_model::from_frame_bytes(port_of(which), frame))
-                .collect();
-            let (mut real, mut model) = (FlowTable::new(), FlowTable::new());
-            for (step, (op, which, kind, len)) in (1u64..).zip(steps) {
-                let now = Time::from_secs(step / 4);
-                let which = which as usize % frames.len();
-                let around = keys.get(which % keys.len().max(1));
-                match (op % 8, around) {
-                    (0..=4, Some(around)) => {
-                        let command = match op % 8 {
-                            0..=2 => FlowModCommand::Add,
-                            3 => FlowModCommand::Delete,
-                            _ => FlowModCommand::DeleteStrict,
-                        };
-                        let of_match = build_table_match(kind, len, around);
-                        let priority = u16::from(len % 4);
-                        for table in [&mut real, &mut model] {
-                            table.apply_flow_mod(
-                                command, of_match, priority, step, 0, 0, 0, OFPP_NONE,
-                                vec![Action::output(1)], now,
-                            );
-                        }
-                    }
-                    (5, _) => {
-                        // Every entry leaves at once, and the depth
-                        // drops to L2.
-                        for table in [&mut real, &mut model] {
-                            table.apply_flow_mod(
-                                FlowModCommand::Delete, OfMatch::any(), 0, 0, 0, 0, 0,
-                                OFPP_NONE, Vec::new(), now,
-                            );
-                        }
-                    }
-                    _ => {
-                        let (in_port, frame) = (port_of(which), &frames[which]);
-                        let depth = real.depth();
-                        let full = key_model::from_frame_bytes(in_port, frame);
-                        let cut = PacketKey::from_frame(in_port, frame, depth);
-                        prop_assert_eq!(cut.is_some(), full.is_some());
-                        if let (Some(cut), Some(full)) = (cut, full) {
-                            let got = real.lookup(&cut, frame.len(), now).cloned();
-                            let want = model.lookup(&full, frame.len(), now).cloned();
-                            prop_assert_eq!(
-                                &got, &want, "step {} at {:?}: {:?}", step, depth, frame
-                            );
-                            depths_used.insert(depth);
-                            shallow_hits += u32::from(got.is_some() && cut != full);
-                        }
-                    }
-                }
-                prop_assert_eq!(real.entries(), model.entries(), "after step {}", step);
-            }
-        }
-        prop_assert_eq!(depths_used.len(), 3, "{:?}", depths_used);
-        prop_assert!(shallow_hits > 0);
-    }
-
     /// What a switch hop calls, `FlowTable::classify`, answers a frame
     /// of a flow it has seen from its exact-match cache. Whatever the
     /// cache holds, it finds the entry that the parent's full key finds
@@ -2252,8 +2156,8 @@ proptest! {
     /// cut inside it), and damaged
     /// copies (every prefix, every bit flip of the first 42 bytes, and
     /// flips of the IPv4 header with its checksum mended: IHL ≠ 5, MF
-    /// or an offset set, another address), with FLOW_MOD add, modify
-    /// and delete between the lookups.
+    /// or an offset set, another address), with FLOW_MOD add and
+    /// delete between the lookups.
     #[test]
     fn cached_classification_matches_full_key_lookup(
         scripts in proptest::collection::vec(
@@ -2294,20 +2198,11 @@ proptest! {
                 let around = keys.get(which % keys.len().max(1));
                 match (op % 32, around) {
                     (0..=3, Some(around)) => {
-                        let command = match (op % 32, kind % 2) {
-                            (0 | 1, _) => FlowModCommand::Add,
-                            (2, 0) => FlowModCommand::Modify,
-                            (2, _) => FlowModCommand::ModifyStrict,
-                            (_, 0) => FlowModCommand::Delete,
+                        let command = match op % 32 {
+                            0..=2 => FlowModCommand::Add,
                             _ => FlowModCommand::DeleteStrict,
                         };
-                        // A table at L4 reads past the cached head, so
-                        // it bypasses the cache: one add in eight may
-                        // take it there.
-                        let mut of_match = build_table_match(kind >> 1, len, around);
-                        if of_match.depth() == KeyDepth::L4 && kind % 8 != 0 {
-                            of_match = OfMatch::ipv4_dst_prefix(around.nw_dst, len % 33);
-                        }
+                        let of_match = build_table_match(kind >> 1, len, around);
                         let priority = u16::from(len % 4);
                         let out = Action::output(u16::from(op >> 4));
                         for table in [&mut real, &mut model] {
@@ -2368,15 +2263,41 @@ proptest! {
         prop_assert_eq!(m.matches(&key), cidr.contains(probe));
     }
 
-    /// A narrower prefix is always a subset of a wider one on the same
-    /// network.
+    /// A narrower prefix always lies within a wider one on the same
+    /// network, and within IPv4 as a whole; and what lies within a
+    /// match covers no packet that match does not.
     #[test]
-    fn subset_reflexive_and_monotone(net in arb_ip(), len in 1u8..=32) {
+    fn within_reflexive_monotone_and_sound(
+        net in arb_ip(),
+        len in 1u8..=32,
+        other in (arb_ip(), 0u8..=32),
+        probe in arb_ip(),
+    ) {
         let narrow = OfMatch::ipv4_dst_prefix(net, len);
         let wide = OfMatch::ipv4_dst_prefix(net, len - 1);
-        prop_assert!(narrow.is_subset_of(&narrow));
-        prop_assert!(narrow.is_subset_of(&wide));
-        prop_assert!(narrow.is_subset_of(&OfMatch::any()));
+        prop_assert!(narrow.within(&narrow));
+        prop_assert!(narrow.within(&wide));
+        prop_assert!(narrow.within(&OfMatch::ethertype(0x0800)));
+        prop_assert!(!narrow.within(&OfMatch::arp()));
+        let other = OfMatch::ipv4_dst_prefix(other.0, other.1);
+        let key = PacketKey {
+            in_port: 1,
+            dl_src: MacAddr::ZERO,
+            dl_dst: MacAddr::ZERO,
+            dl_type: 0x0800,
+            nw_tos: 0,
+            nw_proto: 17,
+            nw_src: Ipv4Addr::UNSPECIFIED,
+            nw_dst: probe,
+            tp_src: 0,
+            tp_dst: 0,
+        };
+        if narrow.within(&other) && narrow.matches(&key) {
+            prop_assert!(other.matches(&key));
+        }
+        if other.within(&narrow) && other.matches(&key) {
+            prop_assert!(narrow.matches(&key));
+        }
     }
 
     /// An LSA's checksum verifies on its wire bytes at any age, and

@@ -170,14 +170,11 @@ fn apps_install_only_wildcard_mac_rewrite_and_punt_flows() {
                 }]
             );
             assert!(
-                !e.is_exact() && known_shape,
-                "switch {:#x} holds {:?} -> {:?}: an app now installs exact-match or \
-                 L3/L4-rewriting flows. rf-switch's single lookup order, its \
-                 prefix-length index — which files `ipv4_dst_prefix`-shaped \
-                 entries only and scans the rest (flow_table.rs) — and its \
-                 in-place MAC patch (datapath.rs) were chosen because none did \
-                 — revisit that choice (ROADMAP, data plane) before changing \
-                 this test.",
+                known_shape,
+                "switch {:#x} holds {:?} -> {:?}: an app now installs \
+                 L3/L4-rewriting flows. rf-switch's in-place MAC patch \
+                 (datapath.rs) was chosen because none did — revisit that \
+                 choice (ROADMAP, data plane) before changing this test.",
                 sw.dpid(),
                 e.of_match,
                 e.actions
