@@ -49,9 +49,6 @@ pub(crate) enum Refined {
 ///   both ends have been provisioned (re-tried by
 ///   [`DiscoveryBridge::on_vm_spawned`]);
 /// * `LinkRemoved` → [`LinkChange::Down`].
-///
-/// `PortStatus` yields nothing: a port flap reaches routing through
-/// OSPF's dead interval on the mirrored interface.
 #[derive(Clone, Default)]
 pub(crate) struct DiscoveryBridge {
     /// Switches already announced.
@@ -125,7 +122,6 @@ impl DiscoveryBridge {
                     sim_link,
                 }))
             }
-            RpcRequest::PortStatus { .. } => None,
         }
     }
 

@@ -298,19 +298,6 @@ impl TopologyController {
                     Self::probe_switch(ctx, conn, s, &mut self.xid);
                 }
             }
-            OfMessage::PortStatus { desc, .. } => {
-                let Some(dpid) = self.sessions.get(&conn).and_then(|s| s.dpid) else {
-                    return;
-                };
-                self.emit_rpc(
-                    ctx,
-                    RpcRequest::PortStatus {
-                        dpid,
-                        port: desc.port_no,
-                        up: desc.is_link_up(),
-                    },
-                );
-            }
             _ => {}
         }
     }
@@ -401,17 +388,6 @@ impl Agent for TopologyController {
                 ctx.conn_send(conn, OfMessage::Hello.encode(0));
                 let xid = self.next_xid();
                 ctx.conn_send(conn, OfMessage::FeaturesRequest.encode(xid));
-                // Ask for whole frames on PACKET_IN: LLDP TLVs must not
-                // be truncated.
-                let xid = self.next_xid();
-                ctx.conn_send(
-                    conn,
-                    OfMessage::SetConfig {
-                        flags: 0,
-                        miss_send_len: 0xFFFF,
-                    }
-                    .encode(xid),
-                );
             }
             StreamEvent::Data(data) => {
                 let Some(s) = self.sessions.get_mut(&conn) else {

@@ -25,8 +25,8 @@
 //!   narrowed: the loop sends none that would need it); a `PACKET_OUT`
 //!   whose payload the slice does not own, or that is too short to
 //!   classify, is refused with `EPERM` likewise;
-//! * `PORT_STATUS` fans out to all slices; a switch's `ERROR` goes
-//!   back to the slice whose request it answers;
+//! * a switch's `ERROR` goes back to the slice whose request it
+//!   answers;
 //! * a slice's `FLOW_MOD` or `PACKET_OUT` naming an action other than
 //!   `OUTPUT`, `SET_DL_SRC` and `SET_DL_DST`, and a `FLOW_MOD` that
 //!   MODIFYs, deletes loosely or matches on anything but an EtherType
@@ -34,8 +34,8 @@
 //!   that slice as a switch would refuse it (`BAD_ACTION` / `BAD_TYPE`,
 //!   `FLOW_MOD_FAILED` / `BAD_COMMAND` or `UNSUPPORTED`, under the
 //!   slice's xid); any other message that does not decode
-//!   (`GET_CONFIG`, `BARRIER` and `FLOW_REMOVED` among them) is
-//!   dropped, from either side.
+//!   (`GET_CONFIG`, `SET_CONFIG`, `BARRIER`, `FLOW_REMOVED` and
+//!   `PORT_STATUS` among them) is dropped, from either side.
 //!
 //! The two messages of every LLDP probe are only passed on, so neither
 //! is decoded: a switch's `PACKET_IN` is routed from a

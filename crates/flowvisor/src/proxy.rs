@@ -2,6 +2,7 @@
 
 use crate::slice::SlicePolicy;
 use bytes::Bytes;
+use rf_openflow::error_code::{OFPBRC_EPERM, OFPFMFC_EPERM};
 use rf_openflow::{
     reframe_with_xid, ErrorCode, ErrorType, MessageReader, OfError, OfHeader, OfMessage,
     PacketInView, PacketKey, PacketOutView, OFP_NO_BUFFER,
@@ -11,11 +12,11 @@ use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 /// Marker for FlowVisor-originated requests in the xid ring.
 const FV_SELF: usize = u32::MAX as usize;
 /// How many of the most recently allocated xids stay routable. Only a
-/// reply removes its entry, and PACKET_OUT, FLOW_MOD and SET_CONFIG are
-/// answered on failure only, so without a bound every LLDP probe leaves
-/// a dead entry behind. A reply trails its request by one switch round
-/// trip; the window has to outlast the requests forwarded (to all
-/// switches) in that time, nothing more.
+/// reply removes its entry, and PACKET_OUT and FLOW_MOD are answered on
+/// failure only, so without a bound every LLDP probe leaves a dead entry
+/// behind. A reply trails its request by one switch round trip; the
+/// window has to outlast the requests forwarded (to all switches) in
+/// that time, nothing more.
 const XID_WINDOW: u32 = 4096;
 
 /// Service switches dial: 6633, the OpenFlow 1.0 controller port every
@@ -201,12 +202,6 @@ impl FlowVisor {
                     self.dial_upstreams(ctx, s);
                 }
             }
-            OfMessage::PortStatus { reason, desc } => {
-                let _ = (reason, desc, xid);
-                for slice_idx in 0..self.slices.len() {
-                    self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
-                }
-            }
             // A switch's one reply to a forwarded request is an ERROR
             // (a FLOW_MOD or PACKET_OUT it refused): route by xid.
             OfMessage::Error { .. } => {
@@ -287,15 +282,9 @@ impl FlowVisor {
                 if !self.slices[slice].owns_match(&of_match) {
                     self.denied_flow_mods += 1;
                     ctx.count("fv.flow_mod_denied", 1);
-                    let eperm = 2; // OFPFMFC_EPERM
-                    self.refuse(ctx, sw, slice, ErrorType::FlowModFailed, eperm, xid);
+                    self.refuse(ctx, sw, slice, ErrorType::FlowModFailed, OFPFMFC_EPERM, xid);
                     return;
                 }
-                let new_xid = self.alloc_xid(sw, slice, xid);
-                self.forward_raw_to_switch(ctx, sw, raw, new_xid);
-            }
-            // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
-            OfMessage::SetConfig { .. } => {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, raw, new_xid);
             }
@@ -367,8 +356,7 @@ impl FlowVisor {
                 .is_some_and(|key| self.slices[slice].owns_packet(&key));
         if denied {
             ctx.count("fv.packet_out_denied", 1);
-            let eperm = 4; // OFPBRC_EPERM
-            self.refuse(ctx, sw, slice, ErrorType::BadRequest, eperm, out.xid);
+            self.refuse(ctx, sw, slice, ErrorType::BadRequest, OFPBRC_EPERM, out.xid);
             return Ok(());
         }
         let new_xid = self.alloc_xid(sw, slice, out.xid);

@@ -510,7 +510,7 @@ fn packet_out_outside_flowspace_denied() {
         m,
         OfMessage::Error {
             err_type: rf_openflow::ErrorType::BadRequest,
-            code: 4,
+            code: 5, // OFPBRC_EPERM
             ..
         }
     )));
@@ -544,7 +544,7 @@ fn packet_out_too_short_to_classify_denied() {
             _ => None,
         })
         .collect();
-    assert_eq!(errors, [(ErrorType::BadRequest, 4, 0x5E)]);
+    assert_eq!(errors, [(ErrorType::BadRequest, 5, 0x5E)]);
     let injector = w.sim.agent_as::<Injector>(w.injector).unwrap();
     assert_eq!(injector.received, 0, "the runt left no port");
 }

@@ -18,9 +18,9 @@ pub enum MsgType {
     Vendor = 4,
     FeaturesRequest = 5,
     FeaturesReply = 6,
-    // Types 7, 8, 11 and 15–19 are named so that a message of one
+    // Types 7–9, 11, 12 and 15–19 are named so that a message of one
     // fails to decode as `OfError::Malformed`, not `UnknownType`: none
-    // is implemented, because nothing in the loop sends one.
+    // is implemented, because nothing in the loop reads one.
     GetConfigRequest = 7,
     GetConfigReply = 8,
     SetConfig = 9,

@@ -6,10 +6,9 @@
 //! big-endian wire encodings per the OpenFlow 1.0.0 specification:
 //!
 //! * connection setup: `HELLO`, `ECHO_REQUEST/REPLY`, `FEATURES_REQUEST/
-//!   REPLY`, `SET_CONFIG`, `ERROR`
+//!   REPLY`, `ERROR`
 //! * the reactive path: `PACKET_IN`, `PACKET_OUT`
 //! * the proactive path: `FLOW_MOD` ADD and DELETE_STRICT
-//! * port changes: `PORT_STATUS`
 //! * the matches the loop writes into the 40-byte `ofp_match`: an
 //!   EtherType and, for IPv4, a CIDR-style destination prefix
 //! * the three actions the loop installs: `OUTPUT`, `SET_DL_SRC` and
@@ -26,11 +25,14 @@
 //! OF 1.0 actions (VLAN, IPv4 and UDP rewrites, `ENQUEUE`), which no
 //! app installs, decode to a typed [`OfError::BadAction`], as does any
 //! action type OF 1.0 does not define. `GET_CONFIG_REQUEST/REPLY`,
-//! `FLOW_REMOVED`, `PORT_MOD`, `STATS_REQUEST/REPLY` and
-//! `BARRIER_REQUEST/REPLY` (types 7, 8, 11, 15–19), which nothing in the
-//! paper's loop sends, decode to a typed [`OfError::Malformed`]: its
-//! flows are installed for good and deleted by the controller, so no
-//! switch times one out, reports one removed or counts its traffic.
+//! `SET_CONFIG`, `FLOW_REMOVED`, `PORT_STATUS`, `PORT_MOD`,
+//! `STATS_REQUEST/REPLY` and `BARRIER_REQUEST/REPLY` (types 7–9, 11, 12,
+//! 15–19), which nothing in the paper's loop reads, decode to a typed
+//! [`OfError::Malformed`]: its flows are installed for good and deleted
+//! by the controller, so no switch times one out, reports one removed
+//! or counts its traffic; a miss goes up whole, so nothing sets how
+//! much of it; and a failure reaches routing through discovery's LLDP
+//! timeouts and OSPF's dead interval, not through a port's status.
 //! A `FLOW_MOD` that MODIFYs or deletes loosely (commands 1–3), or
 //! names a command OF 1.0 does not define, decodes to
 //! [`OfError::BadCommand`], and one whose match names any field but
@@ -54,7 +56,7 @@ pub use flow_match::{OfMatch, PacketKey};
 pub use header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
 pub use messages::{
     ErrorCode, ErrorType, FlowModCommand, OfMessage, PacketInReason, PacketInView, PacketOutView,
-    PortStatusReason, SwitchFeatures,
+    SwitchFeatures,
 };
 pub use ports::{
     PhyPort, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_MAX,
@@ -90,15 +92,45 @@ pub enum OfError {
     UnsupportedMatch,
 }
 
+/// The OF 1.0 error codes a switch or FlowVisor sends, each under its
+/// [`ErrorType`]: `ofp_bad_request_code` (`OFPBRC_*`, with
+/// [`ErrorType::BadRequest`]), `ofp_bad_action_code` (`OFPBAC_*`) and
+/// `ofp_flow_mod_failed_code` (`OFPFMFC_*`).
+pub mod error_code {
+    use crate::ErrorCode;
+
+    /// A message a switch does not take.
+    pub const OFPBRC_BAD_TYPE: ErrorCode = 1;
+    /// A VENDOR message: no extension is known.
+    pub const OFPBRC_BAD_VENDOR: ErrorCode = 3;
+    /// A PACKET_OUT outside the slice's flowspace.
+    pub const OFPBRC_EPERM: ErrorCode = 5;
+    /// A PACKET_OUT whose payload is shorter than an Ethernet header.
+    pub const OFPBRC_BAD_LEN: ErrorCode = 6;
+    /// A FLOW_MOD or PACKET_OUT naming a buffer: no frame is buffered.
+    pub const OFPBRC_BUFFER_UNKNOWN: ErrorCode = 8;
+    /// An action other than the three in [`Action`](crate::Action).
+    pub const OFPBAC_BAD_TYPE: ErrorCode = 0;
+    /// A FLOW_MOD outside the slice's flowspace.
+    pub const OFPFMFC_EPERM: ErrorCode = 2;
+    /// A FLOW_MOD command other than ADD and DELETE_STRICT.
+    pub const OFPFMFC_BAD_COMMAND: ErrorCode = 4;
+    /// A match on another field, a timeout, a flag or an `out_port`
+    /// filter: every flow lives until it is deleted, reports nothing,
+    /// and is deleted by its match and priority.
+    pub const OFPFMFC_UNSUPPORTED: ErrorCode = 5;
+}
+
 impl OfError {
     /// The `ERROR` a switch answers a request that decodes to this
     /// with, under the request's xid — `None` for a message it does not
     /// answer at all (it counts it as undecodable).
     pub fn refusal(self) -> Option<(ErrorType, ErrorCode)> {
+        use error_code::*;
         match self {
-            OfError::BadAction(_) => Some((ErrorType::BadAction, 0)), // OFPBAC_BAD_TYPE
-            OfError::BadCommand(_) => Some((ErrorType::FlowModFailed, 4)), // OFPFMFC_BAD_COMMAND
-            OfError::UnsupportedMatch => Some((ErrorType::FlowModFailed, 5)), // OFPFMFC_UNSUPPORTED
+            OfError::BadAction(_) => Some((ErrorType::BadAction, OFPBAC_BAD_TYPE)),
+            OfError::BadCommand(_) => Some((ErrorType::FlowModFailed, OFPFMFC_BAD_COMMAND)),
+            OfError::UnsupportedMatch => Some((ErrorType::FlowModFailed, OFPFMFC_UNSUPPORTED)),
             OfError::Truncated
             | OfError::BadVersion(_)
             | OfError::UnknownType(_)

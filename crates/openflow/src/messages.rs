@@ -42,14 +42,6 @@ pub enum PacketInReason {
     Action,
 }
 
-/// Why a PORT_STATUS was sent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PortStatusReason {
-    Add,
-    Delete,
-    Modify,
-}
-
 /// `ofp_error_msg` types (subset: the ones our switch emits).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorType {
@@ -111,20 +103,12 @@ pub enum OfMessage {
     EchoReply(Bytes),
     FeaturesRequest,
     FeaturesReply(SwitchFeatures),
-    SetConfig {
-        flags: u16,
-        miss_send_len: u16,
-    },
     PacketIn {
         buffer_id: u32,
         total_len: u16,
         in_port: PortNumber,
         reason: PacketInReason,
         data: Bytes,
-    },
-    PortStatus {
-        reason: PortStatusReason,
-        desc: PhyPort,
     },
     PacketOut {
         buffer_id: u32,
@@ -308,9 +292,7 @@ impl OfMessage {
             OfMessage::EchoReply(_) => MsgType::EchoReply,
             OfMessage::FeaturesRequest => MsgType::FeaturesRequest,
             OfMessage::FeaturesReply(_) => MsgType::FeaturesReply,
-            OfMessage::SetConfig { .. } => MsgType::SetConfig,
             OfMessage::PacketIn { .. } => MsgType::PacketIn,
-            OfMessage::PortStatus { .. } => MsgType::PortStatus,
             OfMessage::PacketOut { .. } => MsgType::PacketOut,
             OfMessage::FlowMod { .. } => MsgType::FlowMod,
             OfMessage::Vendor { .. } => MsgType::Vendor,
@@ -373,9 +355,7 @@ impl OfMessage {
             OfMessage::Error { data, .. } => 4 + data.len(),
             OfMessage::EchoRequest(d) | OfMessage::EchoReply(d) => d.len(),
             OfMessage::FeaturesReply(f) => 24 + f.ports.len() * 48,
-            OfMessage::SetConfig { .. } => 4,
             OfMessage::PacketIn { data, .. } => 10 + data.len(),
-            OfMessage::PortStatus { .. } => 56,
             OfMessage::PacketOut { actions, data, .. } => 8 + actions.len() * 16 + data.len(),
             OfMessage::FlowMod { actions, .. } => 64 + actions.len() * 16,
             OfMessage::Vendor { data, .. } => 4 + data.len(),
@@ -406,13 +386,6 @@ impl OfMessage {
                     p.emit_into(buf);
                 }
             }
-            OfMessage::SetConfig {
-                flags,
-                miss_send_len,
-            } => {
-                buf.put_u16(*flags);
-                buf.put_u16(*miss_send_len);
-            }
             OfMessage::PacketIn {
                 buffer_id,
                 total_len,
@@ -429,15 +402,6 @@ impl OfMessage {
                 });
                 buf.put_u8(0);
                 buf.put_slice(data);
-            }
-            OfMessage::PortStatus { reason, desc } => {
-                buf.put_u8(match reason {
-                    PortStatusReason::Add => 0,
-                    PortStatusReason::Delete => 1,
-                    PortStatusReason::Modify => 2,
-                });
-                buf.put_bytes(0, 7);
-                desc.emit_into(buf);
             }
             OfMessage::PacketOut {
                 buffer_id,
@@ -564,13 +528,6 @@ impl OfMessage {
                     ports,
                 })
             }
-            MsgType::SetConfig => {
-                need(4)?;
-                OfMessage::SetConfig {
-                    flags: be16(0),
-                    miss_send_len: be16(2),
-                }
-            }
             MsgType::PacketIn => {
                 let view = PacketInView::fixed(&header, body)?;
                 OfMessage::PacketIn {
@@ -579,18 +536,6 @@ impl OfMessage {
                     in_port: view.in_port,
                     reason: view.reason,
                     data: grab(body, PACKET_IN_FIXED_LEN - OFP_HEADER_LEN),
-                }
-            }
-            MsgType::PortStatus => {
-                need(8 + OFP_PHY_PORT_LEN)?;
-                OfMessage::PortStatus {
-                    reason: match body[0] {
-                        0 => PortStatusReason::Add,
-                        1 => PortStatusReason::Delete,
-                        2 => PortStatusReason::Modify,
-                        _ => return Err(OfError::Malformed("port_status reason")),
-                    },
-                    desc: PhyPort::parse(&body[8..])?,
                 }
             }
             MsgType::PacketOut => {
@@ -622,7 +567,9 @@ impl OfMessage {
             MsgType::GetConfigRequest | MsgType::GetConfigReply => {
                 return Err(OfError::Malformed("GET_CONFIG not supported"))
             }
+            MsgType::SetConfig => return Err(OfError::Malformed("SET_CONFIG not supported")),
             MsgType::FlowRemoved => return Err(OfError::Malformed("FLOW_REMOVED not supported")),
+            MsgType::PortStatus => return Err(OfError::Malformed("PORT_STATUS not supported")),
             MsgType::PortMod => return Err(OfError::Malformed("PORT_MOD not supported")),
             MsgType::StatsRequest | MsgType::StatsReply => {
                 return Err(OfError::Malformed("STATS not supported"))
@@ -681,14 +628,6 @@ mod tests {
                 PhyPort::new(2, MacAddr::from_dpid_port(0x1C, 2), "eth2"),
             ],
         }));
-    }
-
-    #[test]
-    fn config_roundtrip() {
-        roundtrip(OfMessage::SetConfig {
-            flags: 0,
-            miss_send_len: 0xFFFF,
-        });
     }
 
     #[test]
@@ -787,23 +726,18 @@ mod tests {
         assert_eq!(OfError::Truncated.refusal(), None);
     }
 
-    #[test]
-    fn port_status_roundtrip() {
-        roundtrip(OfMessage::PortStatus {
-            reason: PortStatusReason::Modify,
-            desc: PhyPort::new(3, MacAddr([2, 0, 0, 0, 0, 3]), "eth3"),
-        });
-    }
-
-    /// The OF 1.0 types nothing in the loop sends — GET_CONFIG,
-    /// FLOW_REMOVED, PORT_MOD, STATS and BARRIER — are well-framed but
-    /// not implemented: a typed rejection, whatever the body.
+    /// The OF 1.0 types nothing in the loop reads — GET_CONFIG,
+    /// SET_CONFIG, FLOW_REMOVED, PORT_STATUS, PORT_MOD, STATS and
+    /// BARRIER — are well-framed but not implemented: a typed
+    /// rejection, whatever the body.
     #[test]
     fn unimplemented_types_are_rejected_typed() {
         let types = [
             (MsgType::GetConfigRequest, "GET_CONFIG not supported"),
             (MsgType::GetConfigReply, "GET_CONFIG not supported"),
+            (MsgType::SetConfig, "SET_CONFIG not supported"),
             (MsgType::FlowRemoved, "FLOW_REMOVED not supported"),
+            (MsgType::PortStatus, "PORT_STATUS not supported"),
             (MsgType::PortMod, "PORT_MOD not supported"),
             (MsgType::StatsRequest, "STATS not supported"),
             (MsgType::StatsReply, "STATS not supported"),
@@ -812,8 +746,9 @@ mod tests {
         ];
         for (msg_type, why) in types {
             // Header alone, then with four bytes of body (a STATS desc
-            // request's type and flags, a GET_CONFIG reply's fields).
-            for body in [&[][..], &[0, 0, 0, 0]] {
+            // request's type and flags, a SET_CONFIG's fields), then with
+            // a PORT_STATUS's 56 (its reason, padding and a port).
+            for body in [&[][..], &[0, 0, 0, 0], &[0; 56]] {
                 let mut wire = OfHeader {
                     version: OFP_VERSION,
                     msg_type,
@@ -1076,11 +1011,9 @@ mod tests {
                 data: Bytes::new(),
             }
             .encode(8),
-            OfMessage::SetConfig {
-                flags: 0,
-                miss_send_len: 128,
-            }
-            .encode(9),
+            // A SET_CONFIG (flags 0, a 128-byte cut): well-framed,
+            // and no decoder takes it.
+            Bytes::from_static(&[1, 9, 0, 12, 0, 0, 0, 9, 0, 0, 0, 128]),
         ]
     }
 

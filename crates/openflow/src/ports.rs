@@ -29,11 +29,6 @@ pub const OFPP_NONE: PortNumber = 0xFFFF;
 /// Size of `ofp_phy_port` on the wire.
 pub const OFP_PHY_PORT_LEN: usize = 48;
 
-/// Port state bit: link is down.
-pub const OFPPS_LINK_DOWN: u32 = 1 << 0;
-/// Port config bit: port administratively down.
-pub const OFPPC_PORT_DOWN: u32 = 1 << 0;
-
 /// Description of one switch port (`ofp_phy_port`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhyPort {
@@ -63,10 +58,6 @@ impl PhyPort {
             supported: 1 << 5,
             peer: 0,
         }
-    }
-
-    pub fn is_link_up(&self) -> bool {
-        self.state & OFPPS_LINK_DOWN == 0
     }
 
     pub fn parse(data: &[u8]) -> Result<PhyPort, OfError> {
@@ -126,14 +117,6 @@ mod tests {
         let parsed = PhyPort::parse(&b).unwrap();
         assert_eq!(parsed.name.len(), 15);
         assert!(p.name.starts_with(&parsed.name));
-    }
-
-    #[test]
-    fn link_state_bit() {
-        let mut p = PhyPort::new(1, MacAddr::ZERO, "e1");
-        assert!(p.is_link_up());
-        p.state |= OFPPS_LINK_DOWN;
-        assert!(!p.is_link_up());
     }
 
     #[test]

@@ -185,25 +185,19 @@ mod tests {
             hex(&encode_envelope(&ack)),
             ["5246", "0000000a", "01", "0000000000000007", "00"].concat()
         );
-        let status = Envelope::Request {
+        let removed = Envelope::Request {
             req_id: 1,
-            request: RpcRequest::PortStatus {
-                dpid: 0x0102,
-                port: 3,
-                up: true,
-            },
+            request: RpcRequest::SwitchRemoved { dpid: 0x0102 },
         };
         assert_eq!(
-            hex(&encode_envelope(&status)),
+            hex(&encode_envelope(&removed)),
             [
                 "5246",
-                "00000015",
+                "00000012",
                 "00",
                 "0000000000000001",
-                "05",
+                "02",
                 "0000000000000102",
-                "0003",
-                "01",
             ]
             .concat()
         );

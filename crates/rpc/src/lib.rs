@@ -10,7 +10,7 @@
 //! * [`msg::RpcRequest`] — the configuration messages: switch detected
 //!   (switch id + port count → create a VM), switch removed, link
 //!   detected (with the per-link subnet and interface addresses the
-//!   topology controller allocated), link removed, port status;
+//!   topology controller allocated), link removed;
 //! * [`codec`] — a hand-rolled, length-prefixed binary encoding (no
 //!   serde; explicit bytes, like every other protocol in this repo);
 //! * [`client::RpcClientAgent`] — a relay that forwards each request

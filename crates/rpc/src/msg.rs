@@ -36,8 +36,6 @@ pub enum RpcRequest {
         b_dpid: u64,
         b_port: u16,
     },
-    /// A port changed state.
-    PortStatus { dpid: u64, port: u16, up: bool },
 }
 
 impl RpcRequest {
@@ -47,7 +45,6 @@ impl RpcRequest {
             RpcRequest::SwitchRemoved { .. } => 2,
             RpcRequest::LinkDetected { .. } => 3,
             RpcRequest::LinkRemoved { .. } => 4,
-            RpcRequest::PortStatus { .. } => 5,
         }
     }
 
@@ -58,7 +55,6 @@ impl RpcRequest {
             RpcRequest::SwitchRemoved { .. } => 8,
             RpcRequest::LinkDetected { .. } => 8 + 2 + 8 + 2 + 4 + 1 + 4 + 4,
             RpcRequest::LinkRemoved { .. } => 8 + 2 + 8 + 2,
-            RpcRequest::PortStatus { .. } => 8 + 2 + 1,
         }
     }
 
@@ -97,11 +93,6 @@ impl RpcRequest {
                 buf.put_u16(*a_port);
                 buf.put_u64(*b_dpid);
                 buf.put_u16(*b_port);
-            }
-            RpcRequest::PortStatus { dpid, port, up } => {
-                buf.put_u64(*dpid);
-                buf.put_u16(*port);
-                buf.put_u8(u8::from(*up));
             }
         }
     }
@@ -165,14 +156,6 @@ impl RpcRequest {
                     b_port: body.get_u16(),
                 }
             }
-            5 => {
-                need(body, 11)?;
-                RpcRequest::PortStatus {
-                    dpid: body.get_u64(),
-                    port: body.get_u16(),
-                    up: body.get_u8() != 0,
-                }
-            }
             other => return Err(RpcError::BadTag(other)),
         })
     }
@@ -213,11 +196,6 @@ mod tests {
                 b_dpid: 3,
                 b_port: 4,
             },
-            RpcRequest::PortStatus {
-                dpid: 1,
-                port: 3,
-                up: false,
-            },
         ]
     }
 
@@ -234,6 +212,11 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert_eq!(RpcRequest::parse_body(99, &[]), Err(RpcError::BadTag(99)));
+        // Tag 5 is unassigned.
+        assert_eq!(
+            RpcRequest::parse_body(5, &[0; 11]),
+            Err(RpcError::BadTag(5))
+        );
     }
 
     #[test]

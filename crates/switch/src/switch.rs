@@ -3,40 +3,23 @@
 use crate::datapath::{apply_actions_owned, Egress};
 use crate::flow_table::FlowTable;
 use bytes::Bytes;
+use rf_openflow::error_code::{
+    OFPBRC_BAD_LEN, OFPBRC_BAD_TYPE, OFPBRC_BAD_VENDOR, OFPBRC_BUFFER_UNKNOWN, OFPFMFC_UNSUPPORTED,
+};
 use rf_openflow::{
     ErrorCode, ErrorType, MessageReader, OfError, OfHeader, OfMessage, PacketInReason,
-    PacketOutView, PhyPort, PortNumber, PortStatusReason, SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
+    PacketOutView, PhyPort, PortNumber, SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
     SUPPORTED_ACTIONS,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
+use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::MacAddr;
 use std::time::Duration;
 
-/// Timer tokens.
-const T_PORT_STATUS: u64 = 1;
-/// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
-const T_RECONNECT_BASE: u64 = 1000;
-
-/// PORT_STATUS announcement period, this model's own value: a port
-/// change is reported at most half a second late. The tick runs from
-/// start whether or not a change is pending; arming it on demand would
-/// reorder it against same-instant events (the LLDP probe rounds run on
-/// the same 500 ms grid).
-const PORT_STATUS_INTERVAL: Duration = Duration::from_millis(500);
 /// Wait before redialling a dropped controller: the 1 s first backoff
-/// of Open vSwitch's rconn.
+/// of Open vSwitch's rconn. The redial timer's token is the
+/// controller's index; the switch sets no other timer.
 const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
-
-/// `OFPBRC_BAD_TYPE`: a message a switch does not take.
-const BAD_TYPE: ErrorCode = 1;
-/// `OFPBRC_BAD_VENDOR`.
-const BAD_VENDOR: ErrorCode = 3;
-/// `OFPBRC_BUFFER_UNKNOWN`: this switch buffers no frame.
-const BUFFER_UNKNOWN: ErrorCode = 8;
-/// `OFPFMFC_UNSUPPORTED`, the closest OF 1.0 code for a timeout, a
-/// flag or an `out_port` filter: every flow lives until it is deleted,
-/// reports nothing, and is deleted by its match and priority.
-const UNSUPPORTED: ErrorCode = 5;
 
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
@@ -98,14 +81,7 @@ pub struct OpenFlowSwitch {
     cfg: SwitchConfig,
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
-    /// How much of a missed frame a PACKET_IN carries (SET_CONFIG's
-    /// field). The switch buffers no frame, so this is a cut only.
-    miss_send_len: u16,
-    /// Administratively disabled ports (no tx/rx).
-    ports_down: Vec<bool>,
     xid: u32,
-    /// Ports whose PORT_STATUS must be announced on the next tick.
-    pending_port_status: Vec<PortNumber>,
     /// Copies of ERROR messages we sent (for tests/diagnostics).
     pub errors_sent: u64,
     /// The egress list the action interpreter fills and `dispatch`
@@ -128,8 +104,8 @@ pub struct OpenFlowSwitch {
     punt_cache: Vec<Option<(Bytes, usize, Bytes)>>,
 }
 
-/// Index of data-plane port `port` (numbered from 1) in the per-port
-/// vectors; `None` for port 0, which does not exist.
+/// Index of data-plane port `port` (numbered from 1) in the punt
+/// cache; `None` for port 0, which does not exist.
 fn port_index(port: PortNumber) -> Option<usize> {
     port.checked_sub(1).map(usize::from)
 }
@@ -151,10 +127,7 @@ impl OpenFlowSwitch {
             cfg,
             ctrls,
             table: FlowTable::new(),
-            miss_send_len: 128,
-            ports_down: vec![false; n],
             xid: 1,
-            pending_port_status: Vec::new(),
             errors_sent: 0,
             egress: Vec::new(),
             punt_cache: vec![None; n],
@@ -180,30 +153,16 @@ impl OpenFlowSwitch {
         self.ctrls.iter().all(|c| c.state == ConnState::Ready)
     }
 
-    /// Administratively take a port down/up; emits PORT_STATUS.
-    /// Exposed for failure-injection experiments (tests reach it via
-    /// `Sim::agent_as_mut`, then the change takes effect immediately;
-    /// the PORT_STATUS goes out on the next port-status tick).
-    pub fn set_port_admin(&mut self, port: PortNumber, down: bool) {
-        if let Some(slot) = port_index(port).and_then(|idx| self.ports_down.get_mut(idx)) {
-            *slot = down;
-            self.pending_port_status.push(port);
-        }
-    }
-
+    /// Every port, up: a failure is a link's or the whole switch's, and
+    /// reaches routing through discovery and OSPF, not a port's status.
     fn phy_ports(&self) -> Vec<PhyPort> {
         (1..=self.cfg.num_ports)
             .map(|p| {
-                let mut port = PhyPort::new(
+                PhyPort::new(
                     p,
                     MacAddr::from_dpid_port(self.cfg.dpid, p),
                     format!("eth{p}"),
-                );
-                if self.ports_down[(p - 1) as usize] {
-                    port.config |= rf_openflow::ports::OFPPC_PORT_DOWN;
-                    port.state |= rf_openflow::ports::OFPPS_LINK_DOWN;
-                }
-                port
+                )
             })
             .collect()
     }
@@ -270,15 +229,14 @@ impl OpenFlowSwitch {
         );
     }
 
-    /// Emit PACKET_IN for a table miss: the frame cut to
-    /// `miss_send_len`, buffered nowhere (`OFP_NO_BUFFER`).
+    /// Emit PACKET_IN for a table miss: the whole frame, buffered
+    /// nowhere (`OFP_NO_BUFFER`).
     fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
         if !self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
             ctx.count("switch.miss_no_controller", 1);
             return;
         }
         let total_len = frame.len() as u16;
-        let data = frame.slice(..frame.len().min(self.miss_send_len as usize));
         let xid = self.next_xid();
         ctx.count("of.packet_in", 1);
         self.send(
@@ -288,7 +246,7 @@ impl OpenFlowSwitch {
                 total_len,
                 in_port,
                 reason: PacketInReason::NoMatch,
-                data,
+                data: frame,
             },
             xid,
         );
@@ -380,20 +338,17 @@ impl OpenFlowSwitch {
         self.egress = egress;
     }
 
-    /// Send `frame` out of `port` unless the port is down or does not
-    /// exist (port 0: the `output:IN_PORT` of a PACKET_OUT that names
-    /// none).
+    /// Send `frame` out of `port` unless the port does not exist (port
+    /// 0: the `output:IN_PORT` of a PACKET_OUT that names none).
     fn tx(&self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
-        if self.port_up(port) {
+        if self.port_exists(port) {
             ctx.send_frame(port as u32, frame);
         }
     }
 
-    /// Whether `port` exists and is administratively up.
-    fn port_up(&self, port: PortNumber) -> bool {
-        port_index(port)
-            .and_then(|idx| self.ports_down.get(idx))
-            .is_some_and(|down| !down)
+    /// Whether `port` is one of the data-plane ports, `1..=num_ports`.
+    fn port_exists(&self, port: PortNumber) -> bool {
+        (1..=self.cfg.num_ports).contains(&port)
     }
 
     /// One message off control channel `idx`. A FLOW_MOD or PACKET_OUT
@@ -414,8 +369,10 @@ impl OpenFlowSwitch {
     /// A message that decodes. A PACKET_OUT — every LLDP probe is one —
     /// is executed from the message where it lies ([`PacketOutView`]):
     /// its actions are decoded as the interpreter reaches them, its
-    /// frame is a slice of `raw`. Everything else is decoded in full
-    /// and goes to `handle_message`.
+    /// frame is a slice of `raw`. One naming a buffer, or whose frame is
+    /// shorter than an Ethernet header, is refused before any action
+    /// runs. Everything else is decoded in full and goes to
+    /// `handle_message`.
     fn run_frame(&mut self, ctx: &mut Ctx<'_>, idx: usize, raw: Bytes) -> Result<(), OfError> {
         let Some(out) = PacketOutView::parse(&raw)? else {
             let (msg, xid) = OfMessage::decode_bytes(&raw)?;
@@ -424,7 +381,17 @@ impl OpenFlowSwitch {
         };
         ctx.count("of.packet_out", 1);
         if out.buffer_id != OFP_NO_BUFFER {
-            self.refuse(ctx, idx, ErrorType::BadRequest, BUFFER_UNKNOWN, out.xid);
+            self.refuse(
+                ctx,
+                idx,
+                ErrorType::BadRequest,
+                OFPBRC_BUFFER_UNKNOWN,
+                out.xid,
+            );
+            return Ok(());
+        }
+        if out.payload(&raw).len() < ETHERNET_HEADER_LEN {
+            self.refuse(ctx, idx, ErrorType::BadRequest, OFPBRC_BAD_LEN, out.xid);
             return Ok(());
         }
         let frame = out.data(&raw);
@@ -456,9 +423,6 @@ impl OpenFlowSwitch {
                 });
                 self.send_to(ctx, idx, reply, xid);
             }
-            OfMessage::SetConfig { miss_send_len, .. } => {
-                self.miss_send_len = miss_send_len;
-            }
             // A flow lives until it is deleted by its match and
             // priority, and a frame is never buffered: a FLOW_MOD asking
             // otherwise is refused whole.
@@ -469,10 +433,10 @@ impl OpenFlowSwitch {
                 out_port,
                 ..
             } if idle_timeout | hard_timeout | flags != 0 || out_port != OFPP_NONE => {
-                self.refuse(ctx, idx, ErrorType::FlowModFailed, UNSUPPORTED, xid);
+                self.refuse(ctx, idx, ErrorType::FlowModFailed, OFPFMFC_UNSUPPORTED, xid);
             }
             OfMessage::FlowMod { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
-                self.refuse(ctx, idx, ErrorType::BadRequest, BUFFER_UNKNOWN, xid);
+                self.refuse(ctx, idx, ErrorType::BadRequest, OFPBRC_BUFFER_UNKNOWN, xid);
             }
             OfMessage::FlowMod {
                 of_match,
@@ -499,36 +463,12 @@ impl OpenFlowSwitch {
                 );
             }
             OfMessage::Vendor { .. } => {
-                self.refuse(ctx, idx, ErrorType::BadRequest, BAD_VENDOR, xid);
+                self.refuse(ctx, idx, ErrorType::BadRequest, OFPBRC_BAD_VENDOR, xid);
             }
             // Symmetric / controller-role messages a switch should not
             // receive; reply with an error like OVS does. (A PACKET_OUT
             // never gets here: `run_frame`.)
-            _ => self.refuse(ctx, idx, ErrorType::BadRequest, BAD_TYPE, xid),
-        }
-    }
-
-    /// Queue of ports whose PORT_STATUS must be announced.
-    fn drain_port_status(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_port_status);
-        for p in pending {
-            let desc = self
-                .phy_ports()
-                .into_iter()
-                .find(|d| d.port_no == p)
-                .expect("port exists");
-            let xid = self.next_xid();
-            self.send(
-                ctx,
-                OfMessage::PortStatus {
-                    reason: PortStatusReason::Modify,
-                    desc,
-                },
-                xid,
-            );
+            _ => self.refuse(ctx, idx, ErrorType::BadRequest, OFPBRC_BAD_TYPE, xid),
         }
     }
 }
@@ -538,28 +478,19 @@ impl Agent for OpenFlowSwitch {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
         }
-        ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
     }
 
+    /// The redial of controller `token`.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            T_PORT_STATUS => {
-                self.drain_port_status(ctx);
-                ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
-            }
-            t if t >= T_RECONNECT_BASE => {
-                let idx = (t - T_RECONNECT_BASE) as usize;
-                if idx < self.ctrls.len() && self.ctrls[idx].state == ConnState::Disconnected {
-                    self.connect(ctx, idx);
-                }
-            }
-            _ => {}
+        let idx = token as usize;
+        if self.ctrls[idx].state == ConnState::Disconnected {
+            self.connect(ctx, idx);
         }
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let port = port as u16;
-        if self.port_up(port) {
+        if self.port_exists(port) {
             self.pipeline(ctx, port, frame);
         }
     }
@@ -589,7 +520,7 @@ impl Agent for OpenFlowSwitch {
             StreamEvent::Closed => {
                 self.ctrls[idx].conn = None;
                 self.ctrls[idx].state = ConnState::Disconnected;
-                ctx.schedule(RECONNECT_BACKOFF, T_RECONNECT_BASE + idx as u64);
+                ctx.schedule(RECONNECT_BACKOFF, idx as u64);
             }
         }
     }

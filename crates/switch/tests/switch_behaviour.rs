@@ -194,11 +194,10 @@ fn handshake_reports_features() {
         .is_connected());
 }
 
-/// A miss goes to the controller cut to `miss_send_len` (128 by
-/// default), with `total_len` the frame's length and no buffer behind
-/// it, every time it happens.
+/// A miss goes to the controller whole, with `total_len` the frame's
+/// length and no buffer behind it, every time it happens.
 #[test]
-fn table_miss_sends_a_cut_unbuffered_packet_in() {
+fn table_miss_sends_the_whole_frame_unbuffered() {
     let mut b = bench(MockController::default());
     // Host A sends a 242-byte frame twice after the handshake settles.
     let frame = udp_frame_carrying(Ipv4Addr::new(10, 0, 0, 5), Bytes::from(vec![0x5A; 200]));
@@ -227,10 +226,11 @@ fn table_miss_sends_a_cut_unbuffered_packet_in() {
         OFP_NO_BUFFER,
         1,
         PacketInReason::NoMatch,
-        128,
+        frame.len(),
         frame.len() as u16,
     );
     assert_eq!(pins, [want, want]);
+    assert_eq!(frame.len(), 242);
     let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
     assert!(host_b.frames.is_empty());
 }
@@ -464,18 +464,21 @@ fn echo_request_answered() {
         .any(|(m, xid)| matches!(m, OfMessage::EchoReply(d) if &d[..] == b"hello?") && *xid == 7));
 }
 
-/// A STATS_REQUEST, a GET_CONFIG_REQUEST and a BARRIER_REQUEST are
-/// well-framed, but nothing decodes them: the switch counts each as a
-/// decode error and answers none, and the ECHO_REQUEST right behind
-/// them in the same chunk is answered as usual.
+/// A STATS_REQUEST, a GET_CONFIG_REQUEST, a BARRIER_REQUEST and a
+/// SET_CONFIG are well-framed, but nothing decodes them: the switch
+/// counts each as a decode error and answers none, and the
+/// ECHO_REQUEST right behind them in the same chunk is answered as
+/// usual.
 #[test]
 fn stats_request_is_counted_and_unanswered() {
     // `ofp_header` (version 1, type 16, length 12, xid 0x51), then a
     // desc request's `ofp_stats_request` type and flags; then bare
-    // headers of type 7 (GET_CONFIG_REQUEST) and 18 (BARRIER_REQUEST).
+    // headers of type 7 (GET_CONFIG_REQUEST) and 18 (BARRIER_REQUEST);
+    // then a SET_CONFIG (type 9) asking for whole frames.
     let mut chunk = vec![1, 16, 0, 12, 0, 0, 0, 0x51, 0, 0, 0, 0];
     chunk.extend_from_slice(&[1, 7, 0, 8, 0, 0, 0, 0x53]);
     chunk.extend_from_slice(&[1, 18, 0, 8, 0, 0, 0, 0x54]);
+    chunk.extend_from_slice(&[1, 9, 0, 12, 0, 0, 0, 0x55, 0, 0, 0xFF, 0xFF]);
     let echo = OfMessage::EchoRequest(Bytes::from_static(b"still there?"));
     chunk.extend_from_slice(&echo.encode(0x52));
     let ctrl = MockController {
@@ -484,7 +487,7 @@ fn stats_request_is_counted_and_unanswered() {
     };
     let mut b = bench(ctrl);
     b.sim.run_until(rf_sim::Time::from_secs(2));
-    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 3);
+    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 4);
     let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
     assert_eq!(sw.errors_sent, 0);
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
@@ -688,37 +691,11 @@ fn switch_reconnects_after_controller_restart() {
     assert!(sim.agent_as::<OpenFlowSwitch>(sw).unwrap().is_connected());
 }
 
-#[test]
-fn port_admin_down_drops_traffic_and_reports_status() {
-    let mut b = bench(MockController::default());
-    b.sim.run_until(rf_sim::Time::from_secs(1));
-    b.sim
-        .agent_as_mut::<OpenFlowSwitch>(b.sw)
-        .unwrap()
-        .set_port_admin(1, true);
-    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((
-        1,
-        udp_frame(Ipv4Addr::new(10, 0, 0, 5)),
-        Duration::from_millis(100),
-    ));
-    b.sim.run_until(rf_sim::Time::from_secs(3));
-    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    // No PACKET_IN (port is down) but a PORT_STATUS modify.
-    assert!(!ctrl
-        .received
-        .iter()
-        .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })));
-    assert!(ctrl.received.iter().any(|(m, _)| matches!(
-        m,
-        OfMessage::PortStatus { desc, .. } if !desc.is_link_up()
-    )));
-}
-
 /// There is no port 0. A PACKET_OUT naming it as `in_port` and asking
-/// for `output:IN_PORT`, a frame arriving on a (miswired) sim port 0
-/// and an admin toggle of it are all dropped on the floor: no panic
-/// (port numbers index `ports_down` from 1), no switch counter touched,
-/// and the switch carries on.
+/// for `output:IN_PORT` and a frame arriving on a (miswired) sim port 0
+/// are both dropped on the floor: no panic (port numbers index the
+/// punt cache from 1), no switch counter touched, and the switch
+/// carries on.
 #[test]
 fn port_zero_is_dropped_without_touching_any_counter() {
     let ctrl = MockController {
@@ -760,13 +737,8 @@ fn port_zero_is_dropped_without_touching_any_counter() {
     );
     b.sim
         .add_link((b.sw, 0), (stray, 1), LinkProfile::default());
-    // The PACKET_OUT (1 s) and the stray frame (1.5 s) first, then the
-    // admin toggle, all ahead of the second PACKET_OUT.
-    b.sim.run_until(rf_sim::Time::from_millis(1800));
-    b.sim
-        .agent_as_mut::<OpenFlowSwitch>(b.sw)
-        .unwrap()
-        .set_port_admin(0, true);
+    // The PACKET_OUT (1 s) and the stray frame (1.5 s), ahead of the
+    // second PACKET_OUT.
     b.sim.run_until(rf_sim::Time::from_secs(4));
     let counters = b.sim.tracer().counters();
     assert!(
@@ -777,7 +749,7 @@ fn port_zero_is_dropped_without_touching_any_counter() {
     assert!(!ctrl
         .received
         .iter()
-        .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. } | OfMessage::PortStatus { .. })));
+        .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })));
     // Nothing left on port 0 or anywhere else; the later PACKET_OUT did.
     assert!(b
         .sim
@@ -795,4 +767,40 @@ fn port_zero_is_dropped_without_touching_any_counter() {
         b.sim.agent_as::<FrameSink>(b.host_a).unwrap().frames.len(),
         1
     );
+}
+
+/// A PACKET_OUT whose frame is shorter than an Ethernet header is
+/// refused with BAD_REQUEST / BAD_LEN under its own xid before any
+/// action runs: nothing leaves a port, nothing counts as undecodable.
+/// (FlowVisor refuses such a PACKET_OUT to its slice; a controller that
+/// talks to the switch directly reaches this.)
+#[test]
+fn a_runt_packet_out_is_refused_and_sends_nothing() {
+    let runt = OfMessage::PacketOut {
+        buffer_id: OFP_NO_BUFFER,
+        in_port: OFPP_NONE,
+        actions: vec![Action::output(1)],
+        data: Bytes::from_static(&[0xAB; 10]),
+    };
+    let ctrl = MockController {
+        script: vec![(Duration::from_secs(1), runt, 0x61)],
+        ..MockController::default()
+    };
+    let mut b = bench(ctrl);
+    b.sim.run_until(rf_sim::Time::from_secs(2));
+    let host_a = b.sim.agent_as::<FrameSink>(b.host_a).unwrap();
+    assert!(host_a.frames.is_empty(), "the runt left port 1");
+    let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
+    assert_eq!(sw.errors_sent, 1);
+    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
+    let errors: Vec<_> = ctrl
+        .received
+        .iter()
+        .filter_map(|(m, xid)| match m {
+            OfMessage::Error { err_type, code, .. } => Some((*err_type, *code, *xid)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(errors, [(ErrorType::BadRequest, 6, 0x61)]);
+    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 0);
 }

@@ -223,8 +223,7 @@ fn a_routed_hop_copies_no_frame() {
     );
     // The first two frames warm the path up (the table's lookup order
     // and cache, the event queue's slots); the third is measured, in a
-    // window that holds nothing else — the switch's port-status tick
-    // falls on the half seconds.
+    // window that holds nothing else.
     let a = sim.add_agent(
         "a",
         Box::new(Stub {
@@ -456,13 +455,13 @@ fn an_lldp_probe_round_trip_allocates_for_one_message() {
     assert_eq!(controller(&sim, ctrl).links().len(), 2, "probes come back");
     let events = sim.events_dispatched();
 
-    // The round at 3 s, with both switches' port-status ticks and the
-    // controller's ageing pass in the window: the links stay up only
-    // if this round's probes are heard.
+    // The round at 3 s, its timer and the controller's ageing pass in
+    // the window: the links stay up only if this round's probes are
+    // heard.
     let ((), allocations, _) = counted(|| sim.run_until(Time::from_millis(3400)));
 
     assert_eq!(controller(&sim, ctrl).probe_rounds, 3);
-    assert_eq!(sim.events_dispatched() - events, 5 * PROBES as u64 + 4);
+    assert_eq!(sim.events_dispatched() - events, 5 * PROBES as u64 + 2);
     sim.run_until(Time::from_millis(6100));
     assert_eq!(controller(&sim, ctrl).links().len(), 2);
     // Nothing is the kernel's: a wheel slot takes a warm bucket from

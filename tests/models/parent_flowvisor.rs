@@ -18,7 +18,9 @@
 //! refused with `EPERM`; one that MODIFYs, deletes loosely or matches
 //! on a field a switch does not take is refused as the real proxy
 //! refuses it; and a PACKET_OUT whose payload is too short to classify
-//! is refused with `EPERM` like one the slice does not own.
+//! is refused with `EPERM` like one the slice does not own, under OF
+//! 1.0's `OFPBRC_EPERM` (5). Nor does it fan a PORT_STATUS out or pass
+//! a SET_CONFIG on: neither decodes, and each is dropped.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
@@ -65,11 +67,11 @@ type Refused = (u32, ErrorType, u16);
 /// Marker for FlowVisor-originated requests in the xid map.
 const FV_SELF: usize = usize::MAX;
 /// How many of the most recently allocated xids stay routable. Only a
-/// reply removes its entry, and PACKET_OUT, FLOW_MOD and SET_CONFIG are
-/// answered on failure only, so without a bound every LLDP probe leaves
-/// a dead entry behind. A reply trails its request by one switch round
-/// trip; the window has to outlast the requests forwarded (to all
-/// switches) in that time, nothing more.
+/// reply removes its entry, and PACKET_OUT and FLOW_MOD are answered on
+/// failure only, so without a bound every LLDP probe leaves a dead entry
+/// behind. A reply trails its request by one switch round trip; the
+/// window has to outlast the requests forwarded (to all switches) in
+/// that time, nothing more.
 const XID_WINDOW: u32 = 4096;
 // ADAPTED: no upstream redial timer (`T_REDIAL_BASE`).
 
@@ -248,12 +250,7 @@ impl ModelFlowVisor {
                     }
                 }
             }
-            OfMessage::PortStatus { reason, desc } => {
-                let _ = (reason, desc, xid);
-                for slice_idx in 0..self.cfg.slices.len() {
-                    self.forward_raw_to_slice(ctx, sw, slice_idx, raw.clone());
-                }
-            }
+            // ADAPTED: no PORT_STATUS arm.
             // Request replies: route by rewritten xid.
             OfMessage::Error { .. } => {
                 if let Some(&(s, slice, orig)) = self.xid_map.get(&xid) {
@@ -353,7 +350,8 @@ impl ModelFlowVisor {
                         if let Some(c) = up_conn {
                             let err = OfMessage::Error {
                                 err_type: ErrorType::BadRequest,
-                                code: 4, // OFPBRC_EPERM
+                                // ADAPTED: OF 1.0's EPERM, not BAD_SUBTYPE (4).
+                                code: 5, // OFPBRC_EPERM
                                 data: Bytes::new(),
                             };
                             ctx.conn_send(c, err.encode(xid));
@@ -365,11 +363,7 @@ impl ModelFlowVisor {
                 let new_xid = self.alloc_xid(sw, slice, xid);
                 self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
             }
-            // SET_CONFIG is fire-and-forget; last writer wins (doc'd).
-            OfMessage::SetConfig { .. } => {
-                let new_xid = self.alloc_xid(sw, slice, xid);
-                self.forward_raw_to_switch(ctx, sw, &raw, new_xid);
-            }
+            // ADAPTED: no SET_CONFIG arm.
             _ => {
                 ctx.count("fv.unexpected_from_controller", 1);
             }

@@ -9,11 +9,10 @@
 //! counters only it read are deleted here as in the real switch, and
 //! FEATURES_REPLY advertises the same capabilities. So are flow expiry
 //! and FLOW_REMOVED, the PACKET_IN buffer pool, and the GET_CONFIG and
-//! BARRIER replies: a miss is cut to `miss_send_len` and buffered
-//! nowhere, FEATURES_REPLY advertises no buffers, and the requests the
-//! real switch refuses — a FLOW_MOD with a timeout or a flag, a
-//! FLOW_MOD or PACKET_OUT naming a buffer — are refused with the same
-//! ERROR; every ERROR answers under the request's own xid. Its actions
+//! BARRIER replies: a miss is buffered nowhere, FEATURES_REPLY
+//! advertises no buffers, and the requests the real switch refuses — a
+//! FLOW_MOD with a timeout or a flag, a FLOW_MOD or PACKET_OUT naming a
+//! buffer — are refused with the same ERROR; every ERROR answers under the request's own xid. Its actions
 //! are the real crate's three, so FEATURES_REPLY advertises those, and a
 //! FLOW_MOD or PACKET_OUT naming any other — it does not decode — is
 //! refused with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` as the real switch
@@ -23,7 +22,12 @@
 //! or an IPv4 destination prefix: a MODIFY, a loose DELETE or a match on
 //! another field does not decode and is refused as the real switch
 //! refuses it, as is an `out_port` filter, and FEATURES_REPLY no longer
-//! advertises `ARP_MATCH_IP`.
+//! advertises `ARP_MATCH_IP`. Like the real switch it announces no
+//! PORT_STATUS (no port-status tick, no administrative port-down: every
+//! port is up) and takes no SET_CONFIG, which does not decode: a miss
+//! goes up whole. A PACKET_OUT whose frame is shorter than an Ethernet
+//! header is refused with `ERROR(BAD_REQUEST, OFPBRC_BAD_LEN)`, as the
+//! real switch refuses it.
 
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
@@ -31,8 +35,8 @@
 use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
 use rf_openflow::{
-    ErrorType, MessageReader, OfMessage, PacketInReason, PhyPort, PortNumber, PortStatusReason,
-    SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
+    ErrorType, MessageReader, OfMessage, PacketInReason, PhyPort, PortNumber, SwitchFeatures,
+    OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_switch::{apply_actions, Egress, FlowTable, SwitchConfig};
@@ -40,16 +44,14 @@ use rf_wire::MacAddr;
 use std::collections::HashMap;
 use std::time::Duration;
 
-/// Timer tokens.
-const T_PORT_STATUS: u64 = 1;
 /// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
 const T_RECONNECT_BASE: u64 = 1000;
 // ADAPTED: no keepalive timer (`T_ECHO`, `ECHO_INTERVAL`): nothing
-// read its ECHO_REPLY.
+// read its ECHO_REPLY. No port-status timer either: nothing read a
+// PORT_STATUS.
 
-// ADAPTED: the parent read these from `SwitchConfig`, whose defaults
-// they are; the real switch now fixes them as constants of its own.
-const PORT_STATUS_INTERVAL: Duration = Duration::from_millis(500);
+// ADAPTED: the parent read this from `SwitchConfig`, whose default it
+// is; the real switch now fixes it as a constant of its own.
 const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
 
 // ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
@@ -90,12 +92,9 @@ pub struct ModelSwitch {
     cfg: SwitchConfig,
     ctrls: Vec<CtrlConn>,
     table: FlowTable,
-    miss_send_len: u16,
-    /// Administratively disabled ports (no tx/rx).
-    ports_down: Vec<bool>,
+    // ADAPTED: no miss cut, no administratively disabled ports and no
+    // pending port announcements.
     xid: u32,
-    /// Ports whose PORT_STATUS must be announced on the next tick.
-    pending_port_status: Vec<PortNumber>,
     /// Copies of ERROR messages we sent (for tests/diagnostics).
     pub errors_sent: u64,
     /// Reused per-event decode buffer (capacity persists across events).
@@ -118,7 +117,6 @@ fn port_index(port: PortNumber) -> Option<usize> {
 
 impl ModelSwitch {
     pub fn new(cfg: SwitchConfig) -> ModelSwitch {
-        let n = cfg.num_ports as usize;
         let ctrls = cfg
             .controllers
             .iter()
@@ -133,10 +131,7 @@ impl ModelSwitch {
             cfg,
             ctrls,
             table: FlowTable::new(),
-            miss_send_len: 128,
-            ports_down: vec![false; n],
             xid: 1,
-            pending_port_status: Vec::new(),
             errors_sent: 0,
             msg_scratch: Vec::new(),
             punt_cache: HashMap::new(),
@@ -145,17 +140,13 @@ impl ModelSwitch {
 
     fn phy_ports(&self) -> Vec<PhyPort> {
         (1..=self.cfg.num_ports)
+            // ADAPTED: every port is up.
             .map(|p| {
-                let mut port = PhyPort::new(
+                PhyPort::new(
                     p,
                     MacAddr::from_dpid_port(self.cfg.dpid, p),
                     format!("eth{p}"),
-                );
-                if self.ports_down[(p - 1) as usize] {
-                    port.config |= rf_openflow::ports::OFPPC_PORT_DOWN;
-                    port.state |= rf_openflow::ports::OFPPS_LINK_DOWN;
-                }
-                port
+                )
             })
             .collect()
     }
@@ -221,9 +212,8 @@ impl ModelSwitch {
             return;
         }
         let total_len = frame.len() as u16;
-        // ADAPTED: no buffer pool; the frame is still cut.
-        let cut = frame.len().min(self.miss_send_len as usize);
-        let (buffer_id, data) = (OFP_NO_BUFFER, frame.slice(..cut));
+        // ADAPTED: no buffer pool, and the whole frame.
+        let (buffer_id, data) = (OFP_NO_BUFFER, frame);
         let xid = self.next_xid();
         ctx.count("of.packet_in", 1);
         self.send(
@@ -316,7 +306,8 @@ impl ModelSwitch {
         let Some(idx) = port_index(port) else {
             return;
         };
-        if self.ports_down.get(idx).copied().unwrap_or(true) {
+        // ADAPTED: every port that exists is up.
+        if idx >= usize::from(self.cfg.num_ports) {
             return;
         }
         ctx.send_frame(port as u32, frame);
@@ -343,9 +334,6 @@ impl ModelSwitch {
                     ports: self.phy_ports(),
                 });
                 self.send_to(ctx, idx, reply, xid);
-            }
-            OfMessage::SetConfig { miss_send_len, .. } => {
-                self.miss_send_len = miss_send_len;
             }
             // ADAPTED: what the real switch refuses (an `out_port` filter
             // too).
@@ -398,6 +386,10 @@ impl ModelSwitch {
                     // ADAPTED: no buffer is ever known.
                     self.refuse(ctx, idx, ErrorType::BadRequest, 8, xid); // OFPBRC_BUFFER_UNKNOWN
                     return;
+                } else if data.len() < 14 {
+                    // ADAPTED: a runt is refused before any action runs.
+                    self.refuse(ctx, idx, ErrorType::BadRequest, 6, xid); // OFPBRC_BAD_LEN
+                    return;
                 } else {
                     data
                 };
@@ -414,30 +406,6 @@ impl ModelSwitch {
             }
         }
     }
-
-    /// Queue of ports whose PORT_STATUS must be announced.
-    fn drain_port_status(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending_port_status);
-        for p in pending {
-            let desc = self
-                .phy_ports()
-                .into_iter()
-                .find(|d| d.port_no == p)
-                .expect("port exists");
-            let xid = self.next_xid();
-            self.send(
-                ctx,
-                OfMessage::PortStatus {
-                    reason: PortStatusReason::Modify,
-                    desc,
-                },
-                xid,
-            );
-        }
-    }
 }
 
 impl Agent for ModelSwitch {
@@ -445,15 +413,10 @@ impl Agent for ModelSwitch {
         for idx in 0..self.ctrls.len() {
             self.connect(ctx, idx);
         }
-        ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
-            T_PORT_STATUS => {
-                self.drain_port_status(ctx);
-                ctx.schedule(PORT_STATUS_INTERVAL, T_PORT_STATUS);
-            }
             t if t >= T_RECONNECT_BASE => {
                 let idx = (t - T_RECONNECT_BASE) as usize;
                 if idx < self.ctrls.len() && self.ctrls[idx].state == ConnState::Disconnected {
@@ -469,7 +432,8 @@ impl Agent for ModelSwitch {
         let Some(idx) = port_index(port) else {
             return;
         };
-        if self.ports_down.get(idx).copied().unwrap_or(true) {
+        // ADAPTED: every port that exists is up.
+        if idx >= usize::from(self.cfg.num_ports) {
             return;
         }
         self.pipeline(ctx, port, frame);

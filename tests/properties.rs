@@ -928,8 +928,9 @@ impl rf_sim::Agent for PortTap {
 /// answers enough to drive each of the proxy's switch→controller arms
 /// — FEATURES, an ERROR quoting every other FLOW_MOD, for the rest a
 /// bare FLOW_REMOVED header (which no proxy decodes: dropped), the
-/// payload of a PACKET_OUT punted back as a PACKET_IN, PORT_STATUS on
-/// SET_CONFIG.
+/// payload of a PACKET_OUT punted back as a PACKET_IN, and a
+/// PORT_STATUS (which no proxy decodes either) for one that names a
+/// buffer and carries no payload.
 #[derive(Clone)]
 struct StubSwitch {
     fv: rf_sim::AgentId,
@@ -948,9 +949,10 @@ impl rf_sim::Agent for StubSwitch {
         conn: rf_sim::ConnId,
         event: rf_sim::StreamEvent,
     ) {
+        use bytes::{BufMut, BytesMut};
         use rf_openflow::{
-            ErrorType, MsgType, OfHeader, PacketInReason, PhyPort, PortStatusReason,
-            SwitchFeatures, OFP_NO_BUFFER, OFP_VERSION,
+            ErrorType, MsgType, OfHeader, PacketInReason, PhyPort, SwitchFeatures, OFP_NO_BUFFER,
+            OFP_VERSION,
         };
         let data = match event {
             rf_sim::StreamEvent::Opened { .. } => {
@@ -973,10 +975,20 @@ impl rf_sim::Agent for StubSwitch {
                     actions: 0xFFF,
                     ports: (1..=TAP_PORTS).map(port).collect(),
                 }),
-                OfMessage::SetConfig { .. } => OfMessage::PortStatus {
-                    reason: PortStatusReason::Modify,
-                    desc: port(1),
-                },
+                OfMessage::PacketOut {
+                    buffer_id,
+                    ref data,
+                    ..
+                } if buffer_id != OFP_NO_BUFFER && data.is_empty() => {
+                    // `ofp_header`, the reason (MODIFY) and padding, a port.
+                    let mut wire = BytesMut::new();
+                    wire.put_slice(&[OFP_VERSION, MsgType::PortStatus as u8, 0, 64]);
+                    wire.put_u32(xid);
+                    wire.put_slice(&[2, 0, 0, 0, 0, 0, 0, 0]);
+                    port(1).emit_into(&mut wire);
+                    ctx.conn_send(conn, wire.freeze());
+                    continue;
+                }
                 OfMessage::FlowMod { .. } => {
                     self.flow_mods += 1;
                     if !self.flow_mods.is_multiple_of(2) {
@@ -1209,6 +1221,13 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
         bare(MsgType::BarrierRequest)
     } else if kind % 16 == 12 {
         bare(MsgType::GetConfigRequest)
+    } else if kind % 16 == 13 {
+        // `ofp_header`, then `ofp_switch_config`'s flags and miss cut.
+        let mut wire = vec![OFP_VERSION, MsgType::SetConfig as u8, 0, 12];
+        wire.extend_from_slice(&xid.to_be_bytes());
+        wire.extend_from_slice(&[0, 0]);
+        wire.extend_from_slice(&a.to_be_bytes());
+        wire
     } else if kind % 16 == 15 && a % 4 == 2 {
         bare(MsgType::BarrierReply)
     } else {
@@ -1236,10 +1255,6 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
                 },
                 flags: u16::from((b >> 12) % 8 == 0), // SEND_FLOW_REM
                 actions,
-            },
-            13 => OfMessage::SetConfig {
-                flags: 0,
-                miss_send_len: a,
             },
             14 => OfMessage::EchoRequest(build_frame(frame.clone())),
             _ => match a % 4 {
@@ -1718,7 +1733,7 @@ proptest! {
                 },
                 3,
             ),
-            (OfMessage::SetConfig { flags: 0, miss_send_len: 0xFFFF }, 4),
+            (OfMessage::FeaturesRequest, 4),
         ];
         let stream: Vec<u8> = of.iter().flat_map(|(m, xid)| m.encode(*xid).to_vec()).collect();
         let got = rechunked(
@@ -1734,7 +1749,7 @@ proptest! {
         let rpc = vec![
             request(1, RpcRequest::SwitchDetected { dpid: 9, num_ports: 4 }),
             Envelope::Ack(RpcAck { req_id: 1, ok: true }),
-            request(2, RpcRequest::PortStatus { dpid: 9, port: 2, up: false }),
+            request(2, RpcRequest::SwitchRemoved { dpid: 9 }),
             Envelope::Ack(RpcAck { req_id: 2, ok: false }),
         ];
         let stream: Vec<u8> = rpc.iter().flat_map(|e| encode_envelope(e).to_vec()).collect();
