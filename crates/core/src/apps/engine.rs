@@ -199,12 +199,9 @@ impl ControlPlane {
     // Wire handlers.
     // ------------------------------------------------------------------
 
-    fn handle_of_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage, xid: u32) {
+    fn handle_of_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage) {
         match msg {
             OfMessage::Hello => {}
-            OfMessage::EchoRequest(d) => {
-                ctx.conn_send(conn, OfMessage::EchoReply(d).encode(xid));
-            }
             OfMessage::FeaturesReply(f) => {
                 let dpid = f.datapath_id;
                 self.of_dpid.insert(conn, dpid);
@@ -317,8 +314,8 @@ impl Agent for ControlPlane {
                     r.push_bytes(data);
                     // Likewise.
                     while let Some(m) = self.of_readers.get_mut(&conn).and_then(|r| r.next()) {
-                        if let Ok((m, xid)) = m {
-                            self.handle_of_msg(ctx, conn, m, xid);
+                        if let Ok((m, _)) = m {
+                            self.handle_of_msg(ctx, conn, m);
                         }
                     }
                 }

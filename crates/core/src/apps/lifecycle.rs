@@ -43,10 +43,9 @@ impl VmLifecycle {
             };
             let controller = cx.sim.self_id();
             let boot_delay = cx.config.vm_boot_delay;
-            let vm = cx.sim.spawn(
-                &format!("vm-{dpid:x}"),
-                Box::new(VmAgent::new(dpid, controller, boot_delay)),
-            );
+            let vm = cx
+                .sim
+                .spawn(Box::new(VmAgent::new(dpid, controller, boot_delay)));
             self.in_flight.insert(dpid);
             cx.state.switches.insert(
                 dpid,
@@ -77,8 +76,8 @@ impl VmLifecycle {
             cx.config.ospf_hello,
             cx.config.ospf_dead,
         );
-        let (zebra, ospf, bgp) = cfg.render_all();
-        let msg = RfMessage::WriteConfigs { zebra, ospf, bgp };
+        let (zebra, ospf) = cfg.render_all();
+        let msg = RfMessage::WriteConfigs { zebra, ospf };
         cx.sim.conn_send(conn, msg.encode());
         cx.sim.count("rf.configs_written", 1);
     }

@@ -214,8 +214,8 @@ impl TopologyController {
                 self.handle_packet_in(ctx, conn, packet_in.in_port, frame);
             }
             Ok(None) => {
-                if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
-                    self.handle_of(ctx, conn, msg, xid);
+                if let Ok((msg, _)) = OfMessage::decode_bytes(&raw) {
+                    self.handle_of(ctx, conn, msg);
                 }
             }
             Err(_) => {}
@@ -251,15 +251,11 @@ impl TopologyController {
         }
     }
 
-    fn handle_of(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage, xid: u32) {
+    fn handle_of(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage) {
         match msg {
             OfMessage::Hello => {}
-            // A reply carries its request's xid (OF 1.0).
-            OfMessage::EchoRequest(d) => {
-                ctx.conn_send(conn, OfMessage::EchoReply(d).encode(xid));
-            }
             OfMessage::FeaturesReply(f) => {
-                let num_ports = f.ports.len() as u16;
+                let num_ports = f.num_ports;
                 if let Some(s) = self.sessions.get_mut(&conn) {
                     s.dpid = Some(f.datapath_id);
                     s.num_ports = num_ports;

@@ -12,10 +12,9 @@
 //! * dials back to the RF-controller and speaks the RouteFlow
 //!   client/server protocol ([`rfproto`]) — the stand-in for
 //!   RouteFlow's RFClient↔RFServer channel;
-//! * receives its **configuration files** (`zebra.conf`, `ospfd.conf`,
-//!   `bgpd.conf`) over that channel, parses `zebra.conf` and
-//!   `ospfd.conf` (`rf-routed`'s config parsers; `bgpd.conf` is not
-//!   read) and configures interfaces and the OSPF daemon accordingly —
+//! * receives its **configuration files** (`zebra.conf`, `ospfd.conf`)
+//!   over that channel, parses them (`rf-routed`'s config parsers) and
+//!   configures interfaces and the OSPF daemon accordingly —
 //!   re-receiving updated files when new links are detected;
 //! * runs the OSPF daemon over its virtual NICs (OSPF packets are real
 //!   IPv4-proto-89-in-Ethernet frames on the virtual interconnect);

@@ -26,11 +26,7 @@ pub enum RfMessage {
     /// Server → VM: the current configuration files. The VM diffs and
     /// applies (this is "the RPC server writes routing configuration
     /// files" from the paper — delivered over the RFServer channel).
-    WriteConfigs {
-        zebra: String,
-        ospf: String,
-        bgp: String,
-    },
+    WriteConfigs { zebra: String, ospf: String },
     /// VM → server: a route entered the FIB.
     RouteAdd {
         prefix: Ipv4Cidr,
@@ -74,10 +70,9 @@ impl RfMessage {
                 out.put_u64(*dpid);
                 1
             }
-            RfMessage::WriteConfigs { zebra, ospf, bgp } => {
+            RfMessage::WriteConfigs { zebra, ospf } => {
                 put_string(&mut out, zebra);
                 put_string(&mut out, ospf);
-                put_string(&mut out, bgp);
                 2
             }
             RfMessage::RouteAdd {
@@ -109,9 +104,7 @@ impl RfMessage {
     fn body_len(&self) -> usize {
         match self {
             RfMessage::Booted { .. } => 8,
-            RfMessage::WriteConfigs { zebra, ospf, bgp } => {
-                12 + zebra.len() + ospf.len() + bgp.len()
-            }
+            RfMessage::WriteConfigs { zebra, ospf } => 8 + zebra.len() + ospf.len(),
             RfMessage::RouteAdd { .. } => 15,
             RfMessage::RouteDel { .. } => 5,
         }
@@ -134,8 +127,7 @@ impl RfMessage {
             2 => {
                 let zebra = get_string(&mut data)?;
                 let ospf = get_string(&mut data)?;
-                let bgp = get_string(&mut data)?;
-                Some(RfMessage::WriteConfigs { zebra, ospf, bgp })
+                Some(RfMessage::WriteConfigs { zebra, ospf })
             }
             3 => {
                 if data.remaining() < 15 {
@@ -227,7 +219,6 @@ mod tests {
             RfMessage::WriteConfigs {
                 zebra: "hostname vm-1c\n".into(),
                 ospf: "router ospf\n".into(),
-                bgp: "router bgp 64512\n".into(),
             },
             RfMessage::RouteAdd {
                 prefix: "172.31.0.4/30".parse().unwrap(),
@@ -260,18 +251,19 @@ mod tests {
     }
 
     /// The encodings as the header-behind-body encoder this one
-    /// replaced wrote them: the wire format is pinned byte for byte.
+    /// replaced wrote them (the configuration files less the `bgpd.conf`
+    /// string that followed them): the wire format is pinned byte for
+    /// byte.
     #[test]
     fn golden_encodings() {
         // Length, tag, body.
         let golden = [
             concat!("00000009", "01", "000000000000001c"),
             concat!(
-                "00000039",
+                "00000024",
                 "02",
                 "0000000f686f73746e616d6520766d2d31630a",
                 "0000000c726f75746572206f7370660a",
-                "00000011726f75746572206267702036343531320a",
             ),
             concat!("00000010", "03", "ac1f00041eac1f0002000100000014"),
             concat!("00000010", "03", "ac1f00001e00000000000200000000"),

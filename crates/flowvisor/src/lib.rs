@@ -10,7 +10,8 @@
 //! [`FlowVisor`] implements the proxy:
 //!
 //! * **Switch side** — accepts switch connections, performs its own
-//!   OF 1.0 handshake, caches `FEATURES_REPLY`;
+//!   OF 1.0 handshake, caches `FEATURES_REPLY` (the datapath id and the
+//!   port count, all the loop reads of it);
 //! * **Controller side** — dials every slice controller once per
 //!   datapath (exactly like the real FlowVisor, so each controller
 //!   sees one OpenFlow connection per switch) and answers their
@@ -33,9 +34,12 @@
 //!   and an IPv4 destination prefix, does not decode, and is refused to
 //!   that slice as a switch would refuse it (`BAD_ACTION` / `BAD_TYPE`,
 //!   `FLOW_MOD_FAILED` / `BAD_COMMAND` or `UNSUPPORTED`, under the
-//!   slice's xid); any other message that does not decode
-//!   (`GET_CONFIG`, `SET_CONFIG`, `BARRIER`, `FLOW_REMOVED` and
-//!   `PORT_STATUS` among them) is dropped, from either side.
+//!   slice's xid), as is one naming an `OUTPUT` to neither a physical
+//!   port nor the controller (`BAD_ACTION` / `BAD_OUT_PORT`); any other
+//!   message that does not decode (`ECHO`, `VENDOR`, `GET_CONFIG`,
+//!   `SET_CONFIG`, `BARRIER`, `FLOW_REMOVED` and `PORT_STATUS` among
+//!   them) is dropped, from either side: FlowVisor answers no
+//!   keepalive.
 //!
 //! The two messages of every LLDP probe are only passed on, so neither
 //! is decoded: a switch's `PACKET_IN` is routed from a

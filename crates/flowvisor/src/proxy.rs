@@ -142,13 +142,6 @@ impl FlowVisor {
         }
     }
 
-    fn send_to_switch(&self, ctx: &mut Ctx<'_>, sw: usize, msg: &OfMessage, xid: u32) {
-        let s = &self.switches[sw];
-        if s.alive {
-            ctx.conn_send(s.conn, msg.encode(xid));
-        }
-    }
-
     fn send_to_slice(&self, ctx: &mut Ctx<'_>, sw: usize, slice: usize, msg: &OfMessage, xid: u32) {
         if let Some(conn) = self.switches[sw].upstreams[slice].conn {
             if self.switches[sw].upstreams[slice].ready {
@@ -179,20 +172,11 @@ impl FlowVisor {
         }
     }
 
-    fn handle_switch_msg(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        sw: usize,
-        msg: OfMessage,
-        xid: u32,
-        raw: Bytes,
-    ) {
+    /// A switch's message that decodes, other than a PACKET_IN: a reply,
+    /// which its xid ties to the switch and the slice that asked.
+    fn handle_switch_msg(&mut self, ctx: &mut Ctx<'_>, msg: OfMessage, xid: u32, raw: Bytes) {
         match msg {
             OfMessage::Hello => {}
-            OfMessage::EchoRequest(data) => {
-                self.send_to_switch(ctx, sw, &OfMessage::EchoReply(data), xid);
-            }
-            OfMessage::EchoReply(_) => {}
             // Only our own handshake asks a switch for its features (a
             // slice is answered from the cache): cache them and bring up
             // the slices.
@@ -232,7 +216,7 @@ impl FlowVisor {
             Ok(Some(packet_in)) => packet_in,
             Ok(None) => {
                 if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
-                    self.handle_switch_msg(ctx, sw, msg, xid, raw);
+                    self.handle_switch_msg(ctx, msg, xid, raw);
                 }
                 return;
             }
@@ -263,16 +247,10 @@ impl FlowVisor {
             OfMessage::Hello => {
                 self.switches[sw].upstreams[slice].ready = true;
             }
-            OfMessage::EchoRequest(data) => {
-                if let Some(c) = self.switches[sw].upstreams[slice].conn {
-                    ctx.conn_send(c, OfMessage::EchoReply(data).encode(xid));
-                }
-            }
-            OfMessage::EchoReply(_) => {}
             // A slice is only dialled once the switch's features are
             // cached.
             OfMessage::FeaturesRequest => {
-                if let Some(f) = self.switches[sw].features.clone() {
+                if let Some(f) = self.switches[sw].features {
                     self.send_to_slice(ctx, sw, slice, &OfMessage::FeaturesReply(f), xid);
                 }
             }
@@ -479,11 +457,7 @@ mod tests {
                             OfMessage::FeaturesRequest => {
                                 Some(OfMessage::FeaturesReply(SwitchFeatures {
                                     datapath_id: 5,
-                                    n_buffers: 0,
-                                    n_tables: 1,
-                                    capabilities: 0,
-                                    actions: 0,
-                                    ports: Vec::new(),
+                                    num_ports: 0,
                                 }))
                             }
                             OfMessage::FlowMod { .. } => Some(OfMessage::Error {

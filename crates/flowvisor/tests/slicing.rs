@@ -431,17 +431,23 @@ fn with_action(msg: OfMessage, xid: u32, action: [u8; 8]) -> Bytes {
     wire.into()
 }
 
+/// OF 1.0's virtual ports `IN_PORT`, `TABLE`, `NORMAL`, `FLOOD`, `ALL`
+/// and `LOCAL`, then `NONE` and port 0: no `OUTPUT` names one.
+const NOT_OUTPUT_PORTS: [u16; 8] = [0xFFF8, 0xFFF9, 0xFFFA, 0xFFFB, 0xFFFC, 0xFFFE, OFPP_NONE, 0];
+
 /// A slice's FLOW_MOD or PACKET_OUT naming an action other than OUTPUT,
 /// SET_DL_SRC and SET_DL_DST is refused as a switch refuses it — BAD_ACTION
 /// / BAD_TYPE — to the slice that sent it, under the slice's own xid,
-/// though each lies inside its flowspace: FlowVisor cannot decode it,
-/// so it reaches no switch, and nothing is installed or sent.
+/// though each lies inside its flowspace, and one naming an OUTPUT to a
+/// virtual port, to `NONE` or to port 0 with BAD_ACTION / BAD_OUT_PORT:
+/// FlowVisor cannot decode it, so it reaches no switch, and nothing is
+/// installed or sent.
 #[test]
 fn actions_outside_the_three_are_refused_to_their_slice() {
     const SET_VLAN_VID: [u8; 8] = [0, 1, 0, 8, 0, 100, 0, 0];
     const SET_NW_DST: [u8; 8] = [0, 7, 0, 8, 172, 16, 0, 1];
     const TYPE_FFFF: [u8; 8] = [0xFF, 0xFF, 0, 8, 0, 0, 0, 0];
-    let route = OfMessage::FlowMod {
+    let route = |port| OfMessage::FlowMod {
         of_match: OfMatch::ipv4_dst_prefix(Ipv4Addr::new(10, 0, 0, 0), 8),
         cookie: 7,
         command: FlowModCommand::Add,
@@ -451,22 +457,26 @@ fn actions_outside_the_three_are_refused_to_their_slice() {
         buffer_id: OFP_NO_BUFFER,
         out_port: OFPP_NONE,
         flags: 0,
-        actions: vec![Action::output(1)],
+        actions: vec![Action::output(port)],
     };
-    let probe = OfMessage::PacketOut {
+    let probe = |port| OfMessage::PacketOut {
         buffer_id: OFP_NO_BUFFER,
-        in_port: OFPP_NONE,
-        actions: vec![Action::output(1)],
+        in_port: 1,
+        actions: vec![Action::output(port)],
         data: lldp_frame(),
     };
     let at = Duration::from_secs(1);
     let mut rf = SliceController::new(6642);
     rf.raw = vec![
-        (at, with_action(route.clone(), 0xA1, SET_NW_DST)),
-        (at, with_action(route, 0xA3, TYPE_FFFF)),
+        (at, with_action(route(1), 0xA1, SET_NW_DST)),
+        (at, with_action(route(1), 0xA3, TYPE_FFFF)),
     ];
     let mut topo = SliceController::new(6641);
-    topo.raw = vec![(at, with_action(probe, 0xB2, SET_VLAN_VID))];
+    topo.raw = vec![(at, with_action(probe(1), 0xB2, SET_VLAN_VID))];
+    for (i, port) in (0..).zip(NOT_OUTPUT_PORTS) {
+        rf.script.push((at, route(port), 0xC0 + i));
+        topo.script.push((at, probe(port), 0xD0 + i));
+    }
     let mut w = world(topo, rf);
     w.sim.run_until(Time::from_secs(2));
     let errors = |ctrl| {
@@ -480,12 +490,27 @@ fn actions_outside_the_three_are_refused_to_their_slice() {
             })
             .collect::<Vec<_>>()
     };
+    let sorted = |ctrl| {
+        let mut errors = errors(ctrl);
+        errors.sort_by_key(|&(_, _, xid)| xid);
+        errors
+    };
     let bad_type = |xid| (ErrorType::BadAction, 0, xid);
-    assert_eq!(errors(w.rf_ctrl), [bad_type(0xA1), bad_type(0xA3)]);
-    assert_eq!(errors(w.topo_ctrl), [bad_type(0xB2)]);
+    let bad_out_port = |xid| (ErrorType::BadAction, 4, xid);
+    let mut want = vec![bad_type(0xA1), bad_type(0xA3)];
+    want.extend((0xC0..0xC8).map(bad_out_port));
+    assert_eq!(sorted(w.rf_ctrl), want);
+    let mut want = vec![bad_type(0xB2)];
+    want.extend((0xD0..0xD8).map(bad_out_port));
+    assert_eq!(sorted(w.topo_ctrl), want);
     let sw = w.sim.agent_as::<OpenFlowSwitch>(w.sw).unwrap();
     assert!(sw.flow_table().is_empty(), "no FLOW_MOD was installed");
     assert_eq!(sw.errors_sent, 0, "the switch saw none of them");
+    let tracer = w.sim.tracer();
+    assert_eq!(
+        tracer.counter("of.flow_mod") + tracer.counter("of.packet_out"),
+        0
+    );
     let injector = w.sim.agent_as::<Injector>(w.injector).unwrap();
     assert_eq!(injector.received, 0, "the PACKET_OUT sent nothing");
 }
@@ -547,4 +572,34 @@ fn packet_out_too_short_to_classify_denied() {
     assert_eq!(errors, [(ErrorType::BadRequest, 5, 0x5E)]);
     let injector = w.sim.agent_as::<Injector>(w.injector).unwrap();
     assert_eq!(injector.received, 0, "the runt left no port");
+}
+
+/// An ECHO_REQUEST, an ECHO_REPLY and a VENDOR message from a slice do
+/// not decode: FlowVisor answers none and passes none on, so the
+/// switch sees nothing, and the FEATURES_REQUEST behind them in the
+/// same chunk is answered from the cache as usual.
+#[test]
+fn echo_and_vendor_from_a_slice_are_dropped() {
+    let mut chunk = vec![1, 2, 0, 12, 0, 0, 0, 0x71, b'p', b'i', b'n', b'g'];
+    chunk.extend_from_slice(&[1, 3, 0, 12, 0, 0, 0, 0x72, b'p', b'o', b'n', b'g']);
+    chunk.extend_from_slice(&[1, 4, 0, 12, 0, 0, 0, 0x73, 0, 0, 0x26, 0xE1]);
+    chunk.extend_from_slice(&OfMessage::FeaturesRequest.encode(0x74));
+    let mut rf = SliceController::new(6642);
+    rf.raw = vec![(Duration::from_secs(1), Bytes::from(chunk))];
+    let mut w = world(SliceController::new(6641), rf);
+    w.sim.run_until(Time::from_secs(2));
+    let rf = w.sim.agent_as::<SliceController>(w.rf_ctrl).unwrap();
+    // The handshake's HELLO and FEATURES_REPLY (xid 0xF00), then the
+    // second FEATURES_REPLY alone.
+    assert_eq!(rf.received_xids, [0, 0xF00, 0x74]);
+    assert_eq!(rf.features_dpids, [5, 5]);
+    let tracer = w.sim.tracer();
+    assert_eq!(
+        tracer.counter("switch.decode_error"),
+        0,
+        "nothing reached the switch"
+    );
+    assert_eq!(tracer.counter("fv.unexpected_from_controller"), 0);
+    let sw = w.sim.agent_as::<OpenFlowSwitch>(w.sw).unwrap();
+    assert_eq!(sw.errors_sent, 0);
 }

@@ -4,13 +4,17 @@
 //! in a flow entry — rewrite `dl_src` to the output interface's MAC,
 //! rewrite `dl_dst` to the next hop's MAC, then `OUTPUT` — discovery's
 //! punt is one `OUTPUT:CONTROLLER`, and every PACKET_OUT (an LLDP
-//! probe, an ARP reply) is a plain `OUTPUT`. Those three types are the
-//! action set. Any other type, one OF 1.0 defines (VLAN, IPv4, UDP,
-//! `ENQUEUE`) or not, decodes to [`OfError::BadAction`], and a switch
-//! or FlowVisor answers the request naming it with
-//! `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)`.
+//! probe, an ARP reply) is a plain `OUTPUT` to a physical port. Those
+//! three types are the action set. Any other type, one OF 1.0 defines
+//! (VLAN, IPv4, UDP, `ENQUEUE`) or not, decodes to
+//! [`OfError::BadAction`], and a switch or FlowVisor answers the
+//! request naming it with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)`. An
+//! `OUTPUT` names a physical port or the controller: one to a virtual
+//! port (`IN_PORT`, `TABLE`, `NORMAL`, `FLOOD`, `ALL`, `LOCAL`), to
+//! `NONE` or to port 0 decodes to [`OfError::BadOutPort`], answered
+//! with `ERROR(BAD_ACTION, OFPBAC_BAD_OUT_PORT)`.
 
-use crate::ports::PortNumber;
+use crate::ports::{PortNumber, OFPP_CONTROLLER, OFPP_MAX};
 use crate::OfError;
 use bytes::{BufMut, BytesMut};
 use rf_wire::MacAddr;
@@ -30,8 +34,9 @@ pub const SUPPORTED_ACTIONS: u32 = 1 << OUTPUT | 1 << SET_DL_SRC | 1 << SET_DL_D
 /// An OF 1.0 action, of the three kinds this system speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
-    /// Forward out a port; `max_len` caps bytes sent when the port is
-    /// `OFPP_CONTROLLER`.
+    /// Forward out a physical port (`1..=OFPP_MAX`) or to
+    /// `OFPP_CONTROLLER`; `max_len` caps the bytes sent to the
+    /// controller.
     Output {
         port: PortNumber,
         max_len: u16,
@@ -69,7 +74,8 @@ impl Action {
 
     /// Parse one action; returns the action and bytes consumed. The
     /// length is checked before the type: a well-framed action of any
-    /// other type is [`OfError::BadAction`].
+    /// other type is [`OfError::BadAction`], and an `OUTPUT` to any port
+    /// but a physical one or the controller [`OfError::BadOutPort`].
     pub fn parse(data: &[u8]) -> Result<(Action, usize), OfError> {
         if data.len() < 4 {
             return Err(OfError::Truncated);
@@ -87,7 +93,10 @@ impl Action {
             || MacAddr::from_bytes(body).map_err(|_| OfError::Malformed("action body too short"));
         let act = match ty {
             OUTPUT => Action::Output {
-                port: u16::from_be_bytes([body[0], body[1]]),
+                port: match u16::from_be_bytes([body[0], body[1]]) {
+                    port @ (1..=OFPP_MAX | OFPP_CONTROLLER) => port,
+                    port => return Err(OfError::BadOutPort(port)),
+                },
                 max_len: u16::from_be_bytes([body[2], body[3]]),
             },
             SET_DL_SRC => Action::SetDlSrc(mac()?),
@@ -229,6 +238,33 @@ mod tests {
             data[2..4].copy_from_slice(&len.to_be_bytes());
             assert_eq!(Action::parse(&data), Err(OfError::BadAction(ty)), "{ty}");
         }
+    }
+
+    /// An OUTPUT is to a physical port or the controller. The six
+    /// virtual ports, `NONE`, port 0 and the reserved range between
+    /// `OFPP_MAX` and the virtual ports are each a bad output port,
+    /// whatever the `max_len`.
+    #[test]
+    fn an_output_names_a_physical_port_or_the_controller() {
+        let parse = |port: u16, max_len: u16| {
+            let mut b = BytesMut::new();
+            Action::Output { port, max_len }.emit_into(&mut b);
+            Action::parse(&b).map(|(action, _)| action)
+        };
+        for port in [1, 2, 0xFEFF, OFPP_MAX, OFPP_CONTROLLER] {
+            let action = Action::Output { port, max_len: 64 };
+            assert_eq!(parse(port, 64), Ok(action));
+        }
+        let others = (0xFFF8..=0xFFFC).chain([0xFFFE, 0xFFFF, 0, 0xFF01, 0xFFF7]);
+        for port in others {
+            for max_len in [0, 0xFFFF] {
+                assert_eq!(parse(port, max_len), Err(OfError::BadOutPort(port)));
+            }
+        }
+        assert_eq!(
+            OfError::BadOutPort(0xFFFB).refusal(),
+            Some((crate::ErrorType::BadAction, 4))
+        );
     }
 
     #[test]

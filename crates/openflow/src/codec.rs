@@ -111,7 +111,11 @@ mod tests {
         let mut stream = Vec::new();
         stream.extend_from_slice(&OfMessage::Hello.encode(1));
         stream.extend_from_slice(&OfMessage::FeaturesRequest.encode(2));
-        stream.extend_from_slice(&OfMessage::EchoRequest(Bytes::from_static(b"ka")).encode(3));
+        let features = crate::SwitchFeatures {
+            datapath_id: 3,
+            num_ports: 2,
+        };
+        stream.extend_from_slice(&OfMessage::FeaturesReply(features).encode(3));
         r.push_bytes(Bytes::from(stream));
         let msgs = r.drain().unwrap();
         assert_eq!(msgs.len(), 3);

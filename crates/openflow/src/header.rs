@@ -13,14 +13,14 @@ pub const OFP_HEADER_LEN: usize = 8;
 pub enum MsgType {
     Hello = 0,
     Error = 1,
+    // Types 2–4, 7–9, 11, 12 and 15–19 are named so that a message of
+    // one fails to decode as `OfError::Malformed`, not `UnknownType`:
+    // none is implemented, because nothing in the loop sends one.
     EchoRequest = 2,
     EchoReply = 3,
     Vendor = 4,
     FeaturesRequest = 5,
     FeaturesReply = 6,
-    // Types 7–9, 11, 12 and 15–19 are named so that a message of one
-    // fails to decode as `OfError::Malformed`, not `UnknownType`: none
-    // is implemented, because nothing in the loop reads one.
     GetConfigRequest = 7,
     GetConfigReply = 8,
     SetConfig = 9,

@@ -5,14 +5,16 @@
 //! implements the OF 1.0 message set the system exercises, with exact
 //! big-endian wire encodings per the OpenFlow 1.0.0 specification:
 //!
-//! * connection setup: `HELLO`, `ECHO_REQUEST/REPLY`, `FEATURES_REQUEST/
-//!   REPLY`, `ERROR`
+//! * connection setup: `HELLO`, `FEATURES_REQUEST/REPLY` (the reply
+//!   carries what the loop reads of it, the datapath id and the port
+//!   count, in the bytes of a switch with one table, no buffers, no
+//!   optional capabilities and 1 Gb/s ports), `ERROR`
 //! * the reactive path: `PACKET_IN`, `PACKET_OUT`
 //! * the proactive path: `FLOW_MOD` ADD and DELETE_STRICT
 //! * the matches the loop writes into the 40-byte `ofp_match`: an
 //!   EtherType and, for IPv4, a CIDR-style destination prefix
-//! * the three actions the loop installs: `OUTPUT`, `SET_DL_SRC` and
-//!   `SET_DL_DST`
+//! * the three actions the loop installs: `OUTPUT` to a physical port
+//!   or to the controller, `SET_DL_SRC` and `SET_DL_DST`
 //!
 //! Byte-exactness matters here: FlowVisor sits *between* switches and
 //! controllers and rewrites the xids of these messages on the wire, so
@@ -20,19 +22,24 @@
 //! has encode/decode round-trip tests, and proptest fuzzes the decoder
 //! with arbitrary byte soup (it must never panic).
 //!
-//! Out of scope: OF 1.1+, `QUEUE_GET_CONFIG`, vendor extensions beyond
-//! an opaque passthrough, and the emergency flow cache. The other nine
-//! OF 1.0 actions (VLAN, IPv4 and UDP rewrites, `ENQUEUE`), which no
-//! app installs, decode to a typed [`OfError::BadAction`], as does any
-//! action type OF 1.0 does not define. `GET_CONFIG_REQUEST/REPLY`,
-//! `SET_CONFIG`, `FLOW_REMOVED`, `PORT_STATUS`, `PORT_MOD`,
-//! `STATS_REQUEST/REPLY` and `BARRIER_REQUEST/REPLY` (types 7–9, 11, 12,
-//! 15–19), which nothing in the paper's loop reads, decode to a typed
-//! [`OfError::Malformed`]: its flows are installed for good and deleted
-//! by the controller, so no switch times one out, reports one removed
-//! or counts its traffic; a miss goes up whole, so nothing sets how
-//! much of it; and a failure reaches routing through discovery's LLDP
-//! timeouts and OSPF's dead interval, not through a port's status.
+//! Out of scope: OF 1.1+, `QUEUE_GET_CONFIG` and the emergency flow
+//! cache. The other nine OF 1.0 actions (VLAN, IPv4 and UDP rewrites,
+//! `ENQUEUE`), which no app installs, decode to a typed
+//! [`OfError::BadAction`], as does any action type OF 1.0 does not
+//! define; an `OUTPUT` to a virtual port (`IN_PORT`, `TABLE`, `NORMAL`,
+//! `FLOOD`, `ALL`, `LOCAL`), to `NONE` or to port 0 decodes to
+//! [`OfError::BadOutPort`]. `ECHO_REQUEST/REPLY`, `VENDOR`,
+//! `GET_CONFIG_REQUEST/REPLY`, `SET_CONFIG`, `FLOW_REMOVED`,
+//! `PORT_STATUS`, `PORT_MOD`, `STATS_REQUEST/REPLY` and
+//! `BARRIER_REQUEST/REPLY` (types 2–4, 7–9, 11, 12, 15–19), which
+//! nothing in the paper's loop sends, decode to a typed
+//! [`OfError::Malformed`]: no end of a control channel watches the
+//! other with keepalives, and nothing speaks an extension; its flows
+//! are installed for good and deleted by the controller, so no switch
+//! times one out, reports one removed or counts its traffic; a miss
+//! goes up whole, so nothing sets how much of it; and a failure reaches
+//! routing through discovery's LLDP timeouts and OSPF's dead interval,
+//! not through a port's status.
 //! A `FLOW_MOD` that MODIFYs or deletes loosely (commands 1–3), or
 //! names a command OF 1.0 does not define, decodes to
 //! [`OfError::BadCommand`], and one whose match names any field but
@@ -58,10 +65,7 @@ pub use messages::{
     ErrorCode, ErrorType, FlowModCommand, OfMessage, PacketInReason, PacketInView, PacketOutView,
     SwitchFeatures,
 };
-pub use ports::{
-    PhyPort, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_MAX,
-    OFPP_NONE, OFPP_NORMAL, OFPP_TABLE,
-};
+pub use ports::{PortNumber, OFPP_CONTROLLER, OFPP_MAX, OFPP_NONE};
 
 /// `buffer_id` value meaning "packet not buffered".
 pub const OFP_NO_BUFFER: u32 = 0xFFFF_FFFF;
@@ -84,6 +88,10 @@ pub enum OfError {
     /// [`Action`]; a switch answers the request that carried it with
     /// `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)`.
     BadAction(u16),
+    /// An `OUTPUT` to a port that is neither physical (`1..=OFPP_MAX`)
+    /// nor `OFPP_CONTROLLER`; a switch answers the request that carried
+    /// it with `ERROR(BAD_ACTION, OFPBAC_BAD_OUT_PORT)`.
+    BadOutPort(u16),
     /// A FLOW_MOD command other than ADD and DELETE_STRICT: MODIFY,
     /// MODIFY_STRICT, loose DELETE, or one OF 1.0 does not define.
     BadCommand(u16),
@@ -101,8 +109,6 @@ pub mod error_code {
 
     /// A message a switch does not take.
     pub const OFPBRC_BAD_TYPE: ErrorCode = 1;
-    /// A VENDOR message: no extension is known.
-    pub const OFPBRC_BAD_VENDOR: ErrorCode = 3;
     /// A PACKET_OUT outside the slice's flowspace.
     pub const OFPBRC_EPERM: ErrorCode = 5;
     /// A PACKET_OUT whose payload is shorter than an Ethernet header.
@@ -111,6 +117,8 @@ pub mod error_code {
     pub const OFPBRC_BUFFER_UNKNOWN: ErrorCode = 8;
     /// An action other than the three in [`Action`](crate::Action).
     pub const OFPBAC_BAD_TYPE: ErrorCode = 0;
+    /// An `OUTPUT` to a virtual port, to `NONE` or to port 0.
+    pub const OFPBAC_BAD_OUT_PORT: ErrorCode = 4;
     /// A FLOW_MOD outside the slice's flowspace.
     pub const OFPFMFC_EPERM: ErrorCode = 2;
     /// A FLOW_MOD command other than ADD and DELETE_STRICT.
@@ -129,6 +137,7 @@ impl OfError {
         use error_code::*;
         match self {
             OfError::BadAction(_) => Some((ErrorType::BadAction, OFPBAC_BAD_TYPE)),
+            OfError::BadOutPort(_) => Some((ErrorType::BadAction, OFPBAC_BAD_OUT_PORT)),
             OfError::BadCommand(_) => Some((ErrorType::FlowModFailed, OFPFMFC_BAD_COMMAND)),
             OfError::UnsupportedMatch => Some((ErrorType::FlowModFailed, OFPFMFC_UNSUPPORTED)),
             OfError::Truncated
@@ -147,6 +156,7 @@ impl fmt::Display for OfError {
             OfError::UnknownType(t) => write!(f, "unknown OpenFlow message type {t}"),
             OfError::Malformed(what) => write!(f, "malformed OpenFlow message: {what}"),
             OfError::BadAction(t) => write!(f, "unsupported OpenFlow action type {t}"),
+            OfError::BadOutPort(p) => write!(f, "unsupported OpenFlow output port {p:#06x}"),
             OfError::BadCommand(c) => write!(f, "unsupported FLOW_MOD command {c}"),
             OfError::UnsupportedMatch => write!(f, "unsupported OpenFlow match"),
         }

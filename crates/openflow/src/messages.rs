@@ -1,12 +1,14 @@
 //! Top-level OpenFlow 1.0 messages: decoding, encoding and the typed
 //! bodies.
 
-use crate::actions::Action;
+use crate::actions::{Action, SUPPORTED_ACTIONS};
 use crate::flow_match::{OfMatch, OFP_MATCH_LEN};
 use crate::header::{MsgType, OfHeader, OFP_HEADER_LEN, OFP_VERSION};
-use crate::ports::{PhyPort, PortNumber, OFP_PHY_PORT_LEN};
+use crate::ports::PortNumber;
 use crate::OfError;
 use bytes::{BufMut, Bytes, BytesMut};
+use rf_wire::MacAddr;
+use std::io::Write;
 
 /// `ofp_flow_mod` commands: the two the paper's loop sends. MODIFY,
 /// MODIFY_STRICT and loose DELETE (1–3), like a command OF 1.0 does not
@@ -78,15 +80,50 @@ impl ErrorType {
 /// per-type enums, and we only ever compare them).
 pub type ErrorCode = u16;
 
-/// `OFPT_FEATURES_REPLY` body.
-#[derive(Clone, Debug, PartialEq)]
+/// Length of the `ofp_switch_features` body before its port list.
+const FEATURES_FIXED_LEN: usize = 24;
+/// Size of `ofp_phy_port` on the wire.
+const OFP_PHY_PORT_LEN: usize = 48;
+/// `OFPPF_1GB_FD`: each port's current, advertised and supported
+/// feature.
+const OFPPF_1GB_FD: u32 = 1 << 5;
+
+/// `OFPT_FEATURES_REPLY` body: what the loop reads of it. The rest is
+/// the same for every switch and is written by the encoder: no buffers
+/// (a miss goes up whole), one table, no optional capabilities (no
+/// STATS, no match reads an ARP body), the actions in
+/// [`SUPPORTED_ACTIONS`], and per port `p` in `1..=num_ports` an
+/// `ofp_phy_port` named `eth{p}` with the address
+/// [`MacAddr::from_dpid_port`], up, at 1 Gb/s full duplex.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SwitchFeatures {
     pub datapath_id: u64,
-    pub n_buffers: u32,
-    pub n_tables: u8,
-    pub capabilities: u32,
-    pub actions: u32,
-    pub ports: Vec<PhyPort>,
+    /// Data-plane ports are numbered `1..=num_ports`.
+    pub num_ports: u16,
+}
+
+impl SwitchFeatures {
+    fn emit_into(&self, buf: &mut BytesMut) {
+        buf.put_u64(self.datapath_id);
+        buf.put_u32(0); // n_buffers
+        buf.put_u8(1); // n_tables
+        buf.put_bytes(0, 3);
+        buf.put_u32(0); // capabilities
+        buf.put_u32(SUPPORTED_ACTIONS);
+        for port in 1..=self.num_ports {
+            buf.put_u16(port);
+            buf.put_slice(MacAddr::from_dpid_port(self.datapath_id, port).as_bytes());
+            let mut name = [0u8; 16];
+            write!(&mut name[..], "eth{port}").expect("at most 8 of 16 bytes");
+            buf.put_slice(&name);
+            buf.put_u32(0); // config
+            buf.put_u32(0); // state: up
+            for _ in 0..3 {
+                buf.put_u32(OFPPF_1GB_FD); // curr, advertised, supported
+            }
+            buf.put_u32(0); // peer
+        }
+    }
 }
 
 /// A decoded OpenFlow 1.0 message (header `xid` carried alongside).
@@ -99,8 +136,6 @@ pub enum OfMessage {
         /// At least 64 bytes of the offending request, per spec.
         data: Bytes,
     },
-    EchoRequest(Bytes),
-    EchoReply(Bytes),
     FeaturesRequest,
     FeaturesReply(SwitchFeatures),
     PacketIn {
@@ -127,11 +162,6 @@ pub enum OfMessage {
         out_port: PortNumber,
         flags: u16,
         actions: Vec<Action>,
-    },
-    /// Vendor/experimenter passthrough.
-    Vendor {
-        vendor: u32,
-        data: Bytes,
     },
 }
 
@@ -288,14 +318,11 @@ impl OfMessage {
         match self {
             OfMessage::Hello => MsgType::Hello,
             OfMessage::Error { .. } => MsgType::Error,
-            OfMessage::EchoRequest(_) => MsgType::EchoRequest,
-            OfMessage::EchoReply(_) => MsgType::EchoReply,
             OfMessage::FeaturesRequest => MsgType::FeaturesRequest,
             OfMessage::FeaturesReply(_) => MsgType::FeaturesReply,
             OfMessage::PacketIn { .. } => MsgType::PacketIn,
             OfMessage::PacketOut { .. } => MsgType::PacketOut,
             OfMessage::FlowMod { .. } => MsgType::FlowMod,
-            OfMessage::Vendor { .. } => MsgType::Vendor,
         }
     }
 
@@ -353,12 +380,12 @@ impl OfMessage {
         match self {
             OfMessage::Hello | OfMessage::FeaturesRequest => 0,
             OfMessage::Error { data, .. } => 4 + data.len(),
-            OfMessage::EchoRequest(d) | OfMessage::EchoReply(d) => d.len(),
-            OfMessage::FeaturesReply(f) => 24 + f.ports.len() * 48,
+            OfMessage::FeaturesReply(f) => {
+                FEATURES_FIXED_LEN + usize::from(f.num_ports) * OFP_PHY_PORT_LEN
+            }
             OfMessage::PacketIn { data, .. } => 10 + data.len(),
             OfMessage::PacketOut { actions, data, .. } => 8 + actions.len() * 16 + data.len(),
             OfMessage::FlowMod { actions, .. } => 64 + actions.len() * 16,
-            OfMessage::Vendor { data, .. } => 4 + data.len(),
         }
     }
 
@@ -374,18 +401,7 @@ impl OfMessage {
                 buf.put_u16(*code);
                 buf.put_slice(data);
             }
-            OfMessage::EchoRequest(d) | OfMessage::EchoReply(d) => buf.put_slice(d),
-            OfMessage::FeaturesReply(f) => {
-                buf.put_u64(f.datapath_id);
-                buf.put_u32(f.n_buffers);
-                buf.put_u8(f.n_tables);
-                buf.put_bytes(0, 3);
-                buf.put_u32(f.capabilities);
-                buf.put_u32(f.actions);
-                for p in &f.ports {
-                    p.emit_into(buf);
-                }
-            }
+            OfMessage::FeaturesReply(f) => f.emit_into(buf),
             OfMessage::PacketIn {
                 buffer_id,
                 total_len,
@@ -438,10 +454,6 @@ impl OfMessage {
                 buf.put_u16(*flags);
                 Action::emit_list(actions, buf);
             }
-            OfMessage::Vendor { vendor, data } => {
-                buf.put_u32(*vendor);
-                buf.put_slice(data);
-            }
         }
     }
 
@@ -454,7 +466,7 @@ impl OfMessage {
     }
 
     /// [`OfMessage::decode`] with zero-copy payloads: variable-length
-    /// tails (PACKET_IN/PACKET_OUT data, echo payloads, error context)
+    /// tails (PACKET_IN/PACKET_OUT data, error context)
     /// become slices of the caller's [`Bytes`] instead of fresh
     /// allocations. Identical decoding semantics.
     pub fn decode_bytes(data: &Bytes) -> Result<(OfMessage, u32), OfError> {
@@ -499,33 +511,16 @@ impl OfMessage {
                     data: grab(body, 4),
                 }
             }
-            MsgType::EchoRequest => OfMessage::EchoRequest(grab(body, 0)),
-            MsgType::EchoReply => OfMessage::EchoReply(grab(body, 0)),
-            MsgType::Vendor => {
-                need(4)?;
-                OfMessage::Vendor {
-                    vendor: be32(0),
-                    data: grab(body, 4),
-                }
-            }
             MsgType::FeaturesRequest => OfMessage::FeaturesRequest,
             MsgType::FeaturesReply => {
-                need(24)?;
-                let ports_bytes = &body[24..];
-                if !ports_bytes.len().is_multiple_of(OFP_PHY_PORT_LEN) {
+                need(FEATURES_FIXED_LEN)?;
+                let ports_len = body.len() - FEATURES_FIXED_LEN;
+                if !ports_len.is_multiple_of(OFP_PHY_PORT_LEN) {
                     return Err(OfError::Malformed("features ports length"));
-                }
-                let mut ports = Vec::with_capacity(ports_bytes.len() / OFP_PHY_PORT_LEN);
-                for chunk in ports_bytes.chunks_exact(OFP_PHY_PORT_LEN) {
-                    ports.push(PhyPort::parse(chunk)?);
                 }
                 OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: be64(0),
-                    n_buffers: be32(8),
-                    n_tables: body[12],
-                    capabilities: be32(16),
-                    actions: be32(20),
-                    ports,
+                    num_ports: (ports_len / OFP_PHY_PORT_LEN) as u16,
                 })
             }
             MsgType::PacketIn => {
@@ -564,6 +559,10 @@ impl OfMessage {
                     actions: Action::parse_list(&body[o + 24..])?,
                 }
             }
+            MsgType::EchoRequest | MsgType::EchoReply => {
+                return Err(OfError::Malformed("ECHO not supported"))
+            }
+            MsgType::Vendor => return Err(OfError::Malformed("VENDOR not supported")),
             MsgType::GetConfigRequest | MsgType::GetConfigReply => {
                 return Err(OfError::Malformed("GET_CONFIG not supported"))
             }
@@ -585,7 +584,6 @@ impl OfMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rf_wire::MacAddr;
     use std::net::Ipv4Addr;
 
     fn roundtrip(msg: OfMessage) {
@@ -599,10 +597,8 @@ mod tests {
     }
 
     #[test]
-    fn hello_and_echo() {
+    fn hello_roundtrip() {
         roundtrip(OfMessage::Hello);
-        roundtrip(OfMessage::EchoRequest(Bytes::from_static(b"ping")));
-        roundtrip(OfMessage::EchoReply(Bytes::from_static(b"ping")));
     }
 
     #[test]
@@ -617,17 +613,69 @@ mod tests {
     #[test]
     fn features_roundtrip() {
         roundtrip(OfMessage::FeaturesRequest);
-        roundtrip(OfMessage::FeaturesReply(SwitchFeatures {
-            datapath_id: 0x0000_0000_0000_001C,
-            n_buffers: 256,
-            n_tables: 1,
-            capabilities: 0xC7,
-            actions: 0xFFF,
-            ports: vec![
-                PhyPort::new(1, MacAddr::from_dpid_port(0x1C, 1), "eth1"),
-                PhyPort::new(2, MacAddr::from_dpid_port(0x1C, 2), "eth2"),
-            ],
-        }));
+        for num_ports in [0, 1, 2, 300] {
+            roundtrip(OfMessage::FeaturesReply(SwitchFeatures {
+                datapath_id: 0x0000_0000_0000_001C,
+                num_ports,
+            }));
+        }
+    }
+
+    /// A FEATURES_REPLY is the bytes a switch that listed its ports one
+    /// `ofp_phy_port` value at a time wrote: no buffers, one table, no
+    /// capabilities, actions 0x31, and per port its MAC, `eth{p}` and
+    /// the 1 Gb/s full-duplex bits.
+    #[test]
+    fn features_reply_golden() {
+        let reply = |datapath_id, num_ports| {
+            hex(&OfMessage::FeaturesReply(SwitchFeatures {
+                datapath_id,
+                num_ports,
+            })
+            .encode(0x11))
+        };
+        assert_eq!(
+            reply(0x1C, 0),
+            "0106002000000011000000000000001c00000000010000000000000000000031"
+        );
+        let want = concat!(
+            "010600b000000011010203040506070800000000010000000000000000000031",
+            "000102060708000165746831000000000000000000000000",
+            "000000000000000000000020000000200000002000000000",
+            "000202060708000265746832000000000000000000000000",
+            "000000000000000000000020000000200000002000000000",
+            "000302060708000365746833000000000000000000000000",
+            "000000000000000000000020000000200000002000000000",
+        );
+        assert_eq!(reply(0x0102_0304_0506_0708, 3), want);
+    }
+
+    /// The decoder counts the ports: a list that is not whole
+    /// `ofp_phy_port`s is malformed, whatever its bytes say.
+    #[test]
+    fn features_reply_port_list_is_counted() {
+        let wire = OfMessage::FeaturesReply(SwitchFeatures {
+            datapath_id: 9,
+            num_ports: 2,
+        })
+        .encode(1)
+        .to_vec();
+        for cut in [1, 47, 48, 49] {
+            let raw = with_length(&wire[..wire.len() - cut], (wire.len() - cut) as u16);
+            let want = if cut == 48 {
+                Ok(OfMessage::FeaturesReply(SwitchFeatures {
+                    datapath_id: 9,
+                    num_ports: 1,
+                }))
+            } else {
+                Err(OfError::Malformed("features ports length"))
+            };
+            assert_eq!(OfMessage::decode(&raw).map(|(m, _)| m), want, "cut {cut}");
+        }
+        assert_eq!(
+            OfMessage::decode(&with_length(&wire[..31], 31)),
+            Err(OfError::Truncated)
+        );
     }
 
     #[test]
@@ -653,7 +701,7 @@ mod tests {
         roundtrip(OfMessage::PacketOut {
             buffer_id: 42,
             in_port: 1,
-            actions: vec![Action::output(crate::ports::OFPP_FLOOD)],
+            actions: vec![Action::output(crate::ports::OFPP_CONTROLLER)],
             data: Bytes::new(),
         });
     }
@@ -723,16 +771,23 @@ mod tests {
             OfError::BadAction(7).refusal(),
             Some((ErrorType::BadAction, 0))
         );
+        assert_eq!(
+            OfError::BadOutPort(0).refusal(),
+            Some((ErrorType::BadAction, 4))
+        );
         assert_eq!(OfError::Truncated.refusal(), None);
     }
 
-    /// The OF 1.0 types nothing in the loop reads — GET_CONFIG,
-    /// SET_CONFIG, FLOW_REMOVED, PORT_STATUS, PORT_MOD, STATS and
-    /// BARRIER — are well-framed but not implemented: a typed
+    /// The OF 1.0 types nothing in the loop sends — ECHO, VENDOR,
+    /// GET_CONFIG, SET_CONFIG, FLOW_REMOVED, PORT_STATUS, PORT_MOD,
+    /// STATS and BARRIER — are well-framed but not implemented: a typed
     /// rejection, whatever the body.
     #[test]
     fn unimplemented_types_are_rejected_typed() {
         let types = [
+            (MsgType::EchoRequest, "ECHO not supported"),
+            (MsgType::EchoReply, "ECHO not supported"),
+            (MsgType::Vendor, "VENDOR not supported"),
             (MsgType::GetConfigRequest, "GET_CONFIG not supported"),
             (MsgType::GetConfigReply, "GET_CONFIG not supported"),
             (MsgType::SetConfig, "SET_CONFIG not supported"),
@@ -746,8 +801,9 @@ mod tests {
         ];
         for (msg_type, why) in types {
             // Header alone, then with four bytes of body (a STATS desc
-            // request's type and flags, a SET_CONFIG's fields), then with
-            // a PORT_STATUS's 56 (its reason, padding and a port).
+            // request's type and flags, a SET_CONFIG's fields, a VENDOR's
+            // id, an ECHO's payload), then with a PORT_STATUS's 56 (its
+            // reason, padding and a port).
             for body in [&[][..], &[0, 0, 0, 0], &[0; 56]] {
                 let mut wire = OfHeader {
                     version: OFP_VERSION,
@@ -763,14 +819,6 @@ mod tests {
                 assert_eq!(OfMessage::decode_bytes(&Bytes::from(wire)), want);
             }
         }
-    }
-
-    #[test]
-    fn vendor_roundtrip() {
-        roundtrip(OfMessage::Vendor {
-            vendor: 0x0026E1,
-            data: Bytes::from_static(b"opaque"),
-        });
     }
 
     #[test]
@@ -949,12 +997,14 @@ mod tests {
                 }
             }
         }
-        let bad_actions: [&[u8]; 5] = [
+        let bad_actions: [&[u8]; 7] = [
             &[0, 0, 0, 4, 0, 1, 0, 0],       // shorter than an action
             &[0, 0, 0, 12, 0, 1, 0, 0],      // not a multiple of 8
             &[0, 0, 0, 16, 0, 1, 0, 0],      // past the list
             &[0, 99, 0, 8, 0, 0, 0, 0],      // unknown type
             &[0, 4, 0, 8, 0, 0, 0, 0, 0, 0], // SET_DL_SRC of 8 bytes
+            &[0, 0, 0, 8, 0xFF, 0xFB, 0, 0], // output to FLOOD
+            &[0, 0, 0, 8, 0, 0, 0, 0],       // output to port 0
         ];
         for actions in bad_actions {
             let mut raw = OfMessage::PacketOut {

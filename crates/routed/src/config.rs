@@ -5,12 +5,12 @@
 //! (8 of the 15 minutes per switch). The RPC server *generates* these
 //! files from the link information in the configuration messages, and
 //! the daemons *parse them back* at VM boot — the full automated path.
-//! BGP is out of scope: `bgpd.conf` is written, never read.
+//! BGP is out of scope: no `bgpd.conf` is written, because no VM runs
+//! a BGP speaker to read one.
 //!
 //! The grammar is a faithful subset of Quagga's: `hostname`,
 //! `interface`/`ip address`, `router ospf`/`ospf router-id`/`network
-//! … area …`/`timers`; and, rendered only, `router bgp`/`neighbor …
-//! remote-as`.
+//! … area …`/`timers`.
 
 use rf_wire::Ipv4Cidr;
 use std::fmt::Write as _;
@@ -201,37 +201,12 @@ impl OspfConfig {
     }
 }
 
-/// `bgpd.conf`: generated because the paper lists it among the files
-/// the RPC server writes; BGP route exchange itself is out of scope.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BgpConfig {
-    pub asn: u32,
-    pub router_id: Ipv4Addr,
-    /// (neighbor address, remote ASN).
-    pub neighbors: Vec<(Ipv4Addr, u32)>,
-}
-
-impl BgpConfig {
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "! bgpd.conf — generated by the RPC server");
-        let _ = writeln!(out, "router bgp {}", self.asn);
-        let _ = writeln!(out, " bgp router-id {}", self.router_id);
-        for (addr, asn) in &self.neighbors {
-            let _ = writeln!(out, " neighbor {addr} remote-as {asn}");
-        }
-        let _ = writeln!(out, "!");
-        out
-    }
-}
-
 /// The complete per-VM configuration the RPC server materializes: the
-/// three files, plus accessors deriving one from another.
+/// two files a VM reads.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VmRouterConfig {
     pub zebra: ZebraConfig,
     pub ospf: OspfConfig,
-    pub bgp: BgpConfig,
 }
 
 impl VmRouterConfig {
@@ -275,17 +250,12 @@ impl VmRouterConfig {
             dead_interval,
             ..Default::default()
         };
-        let bgp = BgpConfig {
-            asn: 64512 + (dpid as u32 % 1024), // private-range ASN
-            router_id,
-            neighbors: Vec::new(),
-        };
-        VmRouterConfig { zebra, ospf, bgp }
+        VmRouterConfig { zebra, ospf }
     }
 
-    /// Render all three files as `(zebra.conf, ospfd.conf, bgpd.conf)`.
-    pub fn render_all(&self) -> (String, String, String) {
-        (self.zebra.render(), self.ospf.render(), self.bgp.render())
+    /// Render both files as `(zebra.conf, ospfd.conf)`.
+    pub fn render_all(&self) -> (String, String) {
+        (self.zebra.render(), self.ospf.render())
     }
 }
 
@@ -306,14 +276,14 @@ mod tests {
     #[test]
     fn full_roundtrip() {
         let cfg = sample();
-        let (z, o, _) = cfg.render_all();
+        let (z, o) = cfg.render_all();
         assert_eq!(ZebraConfig::parse(&z).unwrap(), cfg.zebra);
         assert_eq!(OspfConfig::parse(&o).unwrap(), cfg.ospf);
     }
 
     #[test]
     fn zebra_renders_interfaces() {
-        let (z, _, _) = sample().render_all();
+        let (z, _) = sample().render_all();
         assert!(z.contains("hostname vm-1c"));
         assert!(z.contains("interface eth1"));
         assert!(z.contains("ip address 172.31.0.1/30"));
@@ -321,7 +291,7 @@ mod tests {
 
     #[test]
     fn ospf_renders_networks_and_timers() {
-        let (_, o, _) = sample().render_all();
+        let (_, o) = sample().render_all();
         assert!(o.contains("router ospf"));
         assert!(o.contains("network 172.31.0.0/30 area 0"));
         assert!(o.contains("network 172.31.0.4/30 area 0"));

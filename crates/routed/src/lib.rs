@@ -1,7 +1,7 @@
 //! # rf-routed — the routing control platform (Quagga substitute)
 //!
 //! RouteFlow's whole premise is running an *unmodified* routing suite —
-//! Quagga: `zebra` + `ospfd` (+ `bgpd`) — inside each VM and harvesting
+//! Quagga: `zebra` + `ospfd` — inside each VM and harvesting
 //! its FIB. This crate reimplements the pieces the paper exercises:
 //!
 //! * [`rib`] — the `zebra` role: a routing information base with
@@ -17,15 +17,14 @@
 //!   send plus route updates;
 //! * [`config`] — Quagga-style configuration files, because those files
 //!   are precisely the artifact the paper automates (§1 item 4): the
-//!   RPC server *writes* `zebra.conf` / `ospfd.conf` / `bgpd.conf` text
-//!   and sends all three to the VM, which *parses* `zebra.conf` and
-//!   `ospfd.conf` back to configure its interfaces and its OSPF daemon.
-//!   `bgpd.conf` is rendered and sent, and nothing reads it.
+//!   RPC server *writes* `zebra.conf` / `ospfd.conf` text and sends both
+//!   to the VM, which *parses* them back to configure its interfaces and
+//!   its OSPF daemon.
 //!
 //! Out of scope: OSPF areas other than 0, broadcast-network DR
 //! election (the virtual interconnect is all point-to-point /30s),
-//! NBMA, authentication, virtual links; BGP itself (there is no BGP
-//! speaker, only the `bgpd.conf` text).
+//! NBMA, authentication, virtual links; BGP (there is no BGP speaker,
+//! so no `bgpd.conf` is written).
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +32,6 @@ pub mod config;
 pub mod ospf;
 pub mod rib;
 
-pub use config::{BgpConfig, OspfConfig, VmRouterConfig, ZebraConfig};
+pub use config::{OspfConfig, VmRouterConfig, ZebraConfig};
 pub use ospf::daemon::{OspfDaemon, OspfEvent};
 pub use rib::{Rib, RibChange, Route, RouteProto};

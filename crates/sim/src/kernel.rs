@@ -217,7 +217,6 @@ struct Inner {
     listeners: HashMap<(AgentId, u16), bool>,
     rng: StdRng,
     tracer: Tracer,
-    names: Vec<String>,
     next_agent: usize,
     pending_spawn: Vec<(AgentId, Box<dyn Agent>)>,
     pending_kill: Vec<AgentId>,
@@ -428,13 +427,9 @@ impl Inner {
         }
     }
 
-    fn spawn(&mut self, name: &str, agent: Box<dyn Agent>) -> AgentId {
+    fn spawn(&mut self, agent: Box<dyn Agent>) -> AgentId {
         let id = AgentId(self.next_agent);
         self.next_agent += 1;
-        while self.names.len() <= id.0 {
-            self.names.push(String::new());
-        }
-        self.names[id.0] = name.to_string();
         self.pending_spawn.push((id, agent));
         self.queue.push(self.now, Ev::Start(id));
         id
@@ -512,8 +507,8 @@ impl<'a> Ctx<'a> {
     /// Add a new agent to the running simulation (e.g. a VM being
     /// created by the RPC server). Its `on_start` runs at the current
     /// time, after the current event completes.
-    pub fn spawn(&mut self, name: &str, agent: Box<dyn Agent>) -> AgentId {
-        self.inner.spawn(name, agent)
+    pub fn spawn(&mut self, agent: Box<dyn Agent>) -> AgentId {
+        self.inner.spawn(agent)
     }
 
     /// Remove an agent after the current event (its links stay but
@@ -600,7 +595,6 @@ impl Sim {
                 listeners: HashMap::new(),
                 rng: StdRng::seed_from_u64(cfg.seed),
                 tracer: Tracer::new(cfg.trace_level),
-                names: Vec::new(),
                 next_agent: 0,
                 pending_spawn: Vec::new(),
                 pending_kill: Vec::new(),
@@ -612,9 +606,10 @@ impl Sim {
     }
 
     /// Register an agent before (or during) the run; `on_start` fires at
-    /// the current simulation time.
-    pub fn add_agent(&mut self, name: &str, agent: Box<dyn Agent>) -> AgentId {
-        let id = self.inner.spawn(name, agent);
+    /// the current simulation time. An agent is known by its id; the
+    /// name is not kept.
+    pub fn add_agent(&mut self, _name: &str, agent: Box<dyn Agent>) -> AgentId {
+        let id = self.inner.spawn(agent);
         self.apply_pending();
         id
     }
@@ -689,11 +684,6 @@ impl Sim {
     pub fn agent_as_mut<T: Agent>(&mut self, id: AgentId) -> Option<&mut T> {
         let boxed = self.agents.get_mut(id.0)?.as_mut()?;
         (boxed.as_mut() as &mut dyn Any).downcast_mut::<T>()
-    }
-
-    /// Name of an agent.
-    pub fn agent_name(&self, id: AgentId) -> &str {
-        self.inner.names.get(id.0).map_or("?", |s| s.as_str())
     }
 
     fn apply_pending(&mut self) {
@@ -1198,7 +1188,7 @@ mod tests {
                 ctx.schedule(Duration::from_secs(1), 0);
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-                ctx.spawn("child", Box::new(Probe::default()));
+                ctx.spawn(Box::new(Probe::default()));
             }
         }
         let mut sim = Sim::new(SimConfig::default());

@@ -20,7 +20,7 @@
 //! copies nothing. Counted on one pass of the `traffic_packet`
 //! benchmark: all 1 639 377 MAC rewrites found the frame uniquely owned.
 //! When any other handle is alive — the caller of the borrowing
-//! [`apply_actions`], a flood's earlier copies — `try_into_mut`
+//! [`apply_actions`], an earlier output's copy — `try_into_mut`
 //! refuses and the rewrite goes into a private copy;
 //! `tests/properties.rs` runs every case both ways against a
 //! parse-everything reference interpreter and checks that no held
@@ -28,9 +28,7 @@
 //! hop makes no payload-sized allocation.
 
 use bytes::{Bytes, BytesMut};
-use rf_openflow::{
-    Action, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_MAX, OFPP_TABLE,
-};
+use rf_openflow::{Action, PortNumber, OFPP_CONTROLLER, OFPP_MAX};
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
 use rf_wire::{MacAddr, MIN_FRAME_NO_FCS};
 
@@ -41,33 +39,26 @@ pub enum Egress {
     Port(PortNumber, Bytes),
     /// Punt to the controller (output action to `OFPP_CONTROLLER`).
     Controller { max_len: u16, frame: Bytes },
-    /// Re-run the flow table (output to `OFPP_TABLE`; the switch
-    /// honours it for a PACKET_OUT's own action list only).
-    Table(Bytes),
 }
 
-/// Apply an OF 1.0 action list to `frame` received on `in_port`.
+/// Apply an OF 1.0 action list to `frame`.
 ///
-/// `num_ports` bounds flood/all expansion (ports are `1..=num_ports`).
-/// Returns the list of egress operations in action order. Unknown or
-/// unsupported output ports are silently dropped (matching OVS).
+/// Returns the list of egress operations in action order. An output
+/// names a physical port or the controller (no other decodes); one to
+/// a port above `num_ports` (ports are `1..=num_ports`), or to any
+/// other number, is dropped. No output leads back to the port the
+/// frame came in on, so `_in_port` is not read.
 ///
 /// The borrowing entry: the caller keeps its handle, so a MAC rewrite
 /// finds the storage shared and works on a private copy.
 pub fn apply_actions(
     frame: &Bytes,
     actions: &[Action],
-    in_port: PortNumber,
+    _in_port: PortNumber,
     num_ports: u16,
 ) -> Vec<Egress> {
     let mut out = Vec::new();
-    apply_actions_owned(
-        frame.clone(),
-        actions.iter().copied(),
-        in_port,
-        num_ports,
-        &mut out,
-    );
+    apply_actions_owned(frame.clone(), actions.iter().copied(), num_ports, &mut out);
     out
 }
 
@@ -82,7 +73,6 @@ pub fn apply_actions(
 pub fn apply_actions_owned(
     frame: Bytes,
     actions: impl IntoIterator<Item = Action>,
-    in_port: PortNumber,
     num_ports: u16,
     out: &mut Vec<Egress>,
 ) {
@@ -91,15 +81,8 @@ pub fn apply_actions_owned(
             max_len,
             frame: bytes,
         }),
-        OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
-        OFPP_TABLE => out.push(Egress::Table(bytes)),
-        OFPP_FLOOD | OFPP_ALL => out.extend(
-            (1..=num_ports)
-                .filter(|&p| p != in_port)
-                .map(|p| Egress::Port(p, bytes.clone())),
-        ),
         p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => out.push(Egress::Port(p, bytes)),
-        _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
+        _ => { /* a port this switch does not have: drop */ }
     };
     // The frame as the actions so far left it is in `cur`, or — between
     // a MAC rewrite and whatever reads the frame next — in `patch`,
@@ -186,20 +169,6 @@ mod tests {
             Egress::Port(3, bytes) => assert_eq!(bytes, &f),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn flood_skips_in_port() {
-        let f = udp_frame();
-        let out = apply_actions(&f, &[Action::output(OFPP_FLOOD)], 2, 4);
-        let ports: Vec<u16> = out
-            .iter()
-            .map(|e| match e {
-                Egress::Port(p, _) => *p,
-                other => panic!("{other:?}"),
-            })
-            .collect();
-        assert_eq!(ports, vec![1, 3, 4]);
     }
 
     #[test]
@@ -297,11 +266,17 @@ mod tests {
         );
     }
 
+    /// A port this switch does not have is dropped, and so is any
+    /// number an `OUTPUT` cannot decode to (an action built in code):
+    /// no virtual port is executed.
     #[test]
     fn invalid_port_dropped() {
         let f = udp_frame();
-        let out = apply_actions(&f, &[Action::output(99)], 1, 4);
-        assert!(out.is_empty());
+        for port in [
+            99, 5, 0, 0xFFF8, 0xFFF9, 0xFFFA, 0xFFFB, 0xFFFC, 0xFFFE, 0xFFFF,
+        ] {
+            assert!(apply_actions(&f, &[Action::output(port)], 1, 4).is_empty());
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! data plane. This crate provides the equivalent simulated element: an
 //! [`OpenFlowSwitch`] agent that
 //!
-//! * performs the OF 1.0 handshake (HELLO, FEATURES) against whatever
-//!   controller (or FlowVisor proxy) it is pointed at, reconnecting
-//!   with backoff if the control channel drops;
+//! * performs the OF 1.0 handshake (HELLO, FEATURES: its datapath id
+//!   and ports) against whatever controller (or FlowVisor proxy) it is
+//!   pointed at, reconnecting with backoff if the control channel
+//!   drops;
 //! * classifies every data-plane frame into an OF 1.0
 //!   [`rf_openflow::PacketKey`] (its Ethernet header, and an IPv4
 //!   frame's IPv4 header) and looks it up in a priority-ordered
@@ -16,9 +17,9 @@
 //! * punts table misses to the controller as `PACKET_IN`, the whole
 //!   frame, buffered nowhere (`OFP_NO_BUFFER`; FEATURES_REPLY
 //!   advertises `n_buffers` 0);
-//! * executes `FLOW_MOD` ADD and DELETE_STRICT and `PACKET_OUT`, and
-//!   answers `ECHO_REQUEST`. It sends nothing unasked but `PACKET_IN`:
-//!   no keepalive, and no `PORT_STATUS` (every port is up; a failure
+//! * executes `FLOW_MOD` ADD and DELETE_STRICT and `PACKET_OUT`. It
+//!   sends nothing unasked but `PACKET_IN` and answers no keepalive:
+//!   no `ECHO`, and no `PORT_STATUS` (every port is up; a failure
 //!   reaches routing through discovery's LLDP timeouts and OSPF's dead
 //!   interval). A flow lives until it is deleted by its match and
 //!   priority: a `FLOW_MOD` with a timeout, a flag or an `out_port`
@@ -30,13 +31,17 @@
 //!   `BUFFER_UNKNOWN`; a `PACKET_OUT` whose frame is shorter than an
 //!   Ethernet header with `BAD_REQUEST` / `BAD_LEN`; and a `FLOW_MOD` or
 //!   `PACKET_OUT` naming an action other than `OUTPUT`, `SET_DL_SRC`
-//!   and `SET_DL_DST` with `BAD_ACTION` / `BAD_TYPE` — each under the
-//!   request's xid, installing and sending nothing. A message it
-//!   cannot decode (a `STATS_REQUEST`, `GET_CONFIG_REQUEST`,
+//!   and `SET_DL_DST` with `BAD_ACTION` / `BAD_TYPE`, or an `OUTPUT`
+//!   to neither a physical port nor the controller (`IN_PORT`,
+//!   `TABLE`, `NORMAL`, `FLOOD`, `ALL`, `LOCAL`, `NONE`, port 0) with
+//!   `BAD_ACTION` / `BAD_OUT_PORT` — each under the request's xid,
+//!   installing and sending nothing. A message it cannot decode (an
+//!   `ECHO_REQUEST`, `VENDOR`, `STATS_REQUEST`, `GET_CONFIG_REQUEST`,
 //!   `SET_CONFIG` or `BARRIER_REQUEST` among them) counts as
 //!   `switch.decode_error` and is not answered;
 //! * applies those three actions to a frame's bytes ([`datapath`]):
-//!   a MAC rewrite patches the Ethernet header and nothing behind it.
+//!   a MAC rewrite patches the Ethernet header and nothing behind it,
+//!   and each output leads to one physical port or to the controller.
 
 #![forbid(unsafe_code)]
 

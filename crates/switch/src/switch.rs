@@ -4,16 +4,14 @@ use crate::datapath::{apply_actions_owned, Egress};
 use crate::flow_table::FlowTable;
 use bytes::Bytes;
 use rf_openflow::error_code::{
-    OFPBRC_BAD_LEN, OFPBRC_BAD_TYPE, OFPBRC_BAD_VENDOR, OFPBRC_BUFFER_UNKNOWN, OFPFMFC_UNSUPPORTED,
+    OFPBRC_BAD_LEN, OFPBRC_BAD_TYPE, OFPBRC_BUFFER_UNKNOWN, OFPFMFC_UNSUPPORTED,
 };
 use rf_openflow::{
     ErrorCode, ErrorType, MessageReader, OfError, OfHeader, OfMessage, PacketInReason,
-    PacketOutView, PhyPort, PortNumber, SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
-    SUPPORTED_ACTIONS,
+    PacketOutView, PortNumber, SwitchFeatures, OFPP_NONE, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
-use rf_wire::MacAddr;
 use std::time::Duration;
 
 /// Wait before redialling a dropped controller: the 1 s first backoff
@@ -153,20 +151,6 @@ impl OpenFlowSwitch {
         self.ctrls.iter().all(|c| c.state == ConnState::Ready)
     }
 
-    /// Every port, up: a failure is a link's or the whole switch's, and
-    /// reaches routing through discovery and OSPF, not a port's status.
-    fn phy_ports(&self) -> Vec<PhyPort> {
-        (1..=self.cfg.num_ports)
-            .map(|p| {
-                PhyPort::new(
-                    p,
-                    MacAddr::from_dpid_port(self.cfg.dpid, p),
-                    format!("eth{p}"),
-                )
-            })
-            .collect()
-    }
-
     fn next_xid(&mut self) -> u32 {
         self.xid = self.xid.wrapping_add(1);
         self.xid
@@ -272,28 +256,18 @@ impl OpenFlowSwitch {
         };
         let actions = entry.actions.iter().copied();
         let mut egress = std::mem::take(&mut self.egress);
-        apply_actions_owned(frame, actions, in_port, self.cfg.num_ports, &mut egress);
-        self.dispatch(ctx, in_port, egress, false);
+        apply_actions_owned(frame, actions, self.cfg.num_ports, &mut egress);
+        self.dispatch(ctx, in_port, egress);
     }
 
-    /// Carry out what an action list resolved to. OF 1.0 permits
-    /// `output:TABLE` only in a PACKET_OUT (`from_packet_out`); in a
-    /// flow entry's own actions it would send the frame round the table
-    /// until the stack ran out, so there it is dropped and counted.
-    ///
-    /// `egress` is `self.egress`, taken out to be filled, and goes back
-    /// drained. (An `output:TABLE` re-enters `pipeline` while it is
-    /// out; that inner run fills and returns a list of its own.)
-    fn dispatch(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        in_port: PortNumber,
-        mut egress: Vec<Egress>,
-        from_packet_out: bool,
-    ) {
+    /// Carry out what an action list resolved to: each copy goes out of
+    /// one of this switch's ports (the interpreter drops any other) or
+    /// up to the controller. `egress` is `self.egress`, taken out to be
+    /// filled, and goes back drained.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, mut egress: Vec<Egress>) {
         for egress in egress.drain(..) {
             match egress {
-                Egress::Port(p, bytes) => self.tx(ctx, p, bytes),
+                Egress::Port(p, bytes) => ctx.send_frame(u32::from(p), bytes),
                 Egress::Controller { max_len, frame } => {
                     let total_len = frame.len() as u16;
                     let cut = if max_len == 0 {
@@ -331,29 +305,15 @@ impl OpenFlowSwitch {
                     };
                     self.send_raw(ctx, encoded);
                 }
-                Egress::Table(bytes) if from_packet_out => self.pipeline(ctx, in_port, bytes),
-                Egress::Table(_) => ctx.count("switch.table_loop", 1),
             }
         }
         self.egress = egress;
     }
 
-    /// Send `frame` out of `port` unless the port does not exist (port
-    /// 0: the `output:IN_PORT` of a PACKET_OUT that names none).
-    fn tx(&self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
-        if self.port_exists(port) {
-            ctx.send_frame(port as u32, frame);
-        }
-    }
-
-    /// Whether `port` is one of the data-plane ports, `1..=num_ports`.
-    fn port_exists(&self, port: PortNumber) -> bool {
-        (1..=self.cfg.num_ports).contains(&port)
-    }
-
     /// One message off control channel `idx`. A FLOW_MOD or PACKET_OUT
-    /// naming an action outside [`rf_openflow::Action`]'s three kinds,
-    /// and a FLOW_MOD whose command or match the loop never sends, does
+    /// naming an action outside [`rf_openflow::Action`]'s three kinds or
+    /// an output to neither a physical port nor the controller, and a
+    /// FLOW_MOD whose command or match the loop never sends, does
     /// not decode; it is refused whole with its [`OfError::refusal`],
     /// under its own xid, before any of it runs. Any other message that
     /// does not decode is the caller's to count.
@@ -397,8 +357,8 @@ impl OpenFlowSwitch {
         let frame = out.data(&raw);
         let mut egress = std::mem::take(&mut self.egress);
         let ports = self.cfg.num_ports;
-        apply_actions_owned(frame, out.actions(&raw), out.in_port, ports, &mut egress);
-        self.dispatch(ctx, out.in_port, egress, true);
+        apply_actions_owned(frame, out.actions(&raw), ports, &mut egress);
+        self.dispatch(ctx, out.in_port, egress);
         Ok(())
     }
 
@@ -407,19 +367,10 @@ impl OpenFlowSwitch {
             OfMessage::Hello => {
                 self.ctrls[idx].state = ConnState::Ready;
             }
-            OfMessage::EchoRequest(data) => {
-                self.send_to(ctx, idx, OfMessage::EchoReply(data), xid);
-            }
-            OfMessage::EchoReply(_) => {}
             OfMessage::FeaturesRequest => {
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: self.cfg.dpid,
-                    n_buffers: 0,
-                    n_tables: 1,
-                    // No match reads an ARP body: not ARP_MATCH_IP.
-                    capabilities: 0,
-                    actions: SUPPORTED_ACTIONS,
-                    ports: self.phy_ports(),
+                    num_ports: self.cfg.num_ports,
                 });
                 self.send_to(ctx, idx, reply, xid);
             }
@@ -462,9 +413,6 @@ impl OpenFlowSwitch {
                     ctx.now(),
                 );
             }
-            OfMessage::Vendor { .. } => {
-                self.refuse(ctx, idx, ErrorType::BadRequest, OFPBRC_BAD_VENDOR, xid);
-            }
             // Symmetric / controller-role messages a switch should not
             // receive; reply with an error like OVS does. (A PACKET_OUT
             // never gets here: `run_frame`.)
@@ -490,7 +438,7 @@ impl Agent for OpenFlowSwitch {
 
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let port = port as u16;
-        if self.port_exists(port) {
+        if (1..=self.cfg.num_ports).contains(&port) {
             self.pipeline(ctx, port, frame);
         }
     }

@@ -1,12 +1,12 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
-//! miss → PACKET_IN, FLOW_MOD install, PACKET_OUT, `output:TABLE`,
-//! undecodable requests, refused matches, commands, timeouts, flags,
-//! buffers and actions, reconnect.
+//! miss → PACKET_IN, FLOW_MOD install, PACKET_OUT, undecodable
+//! requests, refused matches, commands, timeouts, flags, buffers,
+//! actions and output ports, reconnect.
 
 use bytes::Bytes;
 use rf_openflow::{
     Action, ErrorType, FlowModCommand, MessageReader, OfMatch, OfMessage, PacketInReason,
-    OFPP_NONE, OFPP_TABLE, OFP_HEADER_LEN, OFP_NO_BUFFER,
+    OFPP_CONTROLLER, OFPP_NONE, OFP_HEADER_LEN, OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, AgentId, ConnId, Ctx, LinkProfile, Sim, SimConfig, StreamEvent};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
@@ -88,7 +88,7 @@ impl Agent for MockController {
                         continue;
                     };
                     if let OfMessage::FeaturesReply(f) = &msg {
-                        self.features.push(f.clone());
+                        self.features.push(*f);
                     }
                     self.received.push((msg, xid));
                 }
@@ -182,11 +182,7 @@ fn handshake_reports_features() {
     assert_eq!(ctrl.features.len(), 1);
     let f = &ctrl.features[0];
     assert_eq!(f.datapath_id, 0x1C);
-    assert_eq!(f.ports.len(), 2);
-    assert_eq!(f.n_tables, 1);
-    assert_eq!(f.n_buffers, 0, "a miss is never buffered");
-    assert_eq!(f.capabilities, 0, "no ARP_MATCH_IP, and no STATS");
-    assert_eq!(f.actions, 0x31, "OUTPUT, SET_DL_SRC and SET_DL_DST");
+    assert_eq!(f.num_ports, 2);
     assert!(b
         .sim
         .agent_as::<OpenFlowSwitch>(b.sw)
@@ -251,68 +247,6 @@ fn install(net: [u8; 4], actions: Vec<Action>) -> OfMessage {
     }
 }
 
-#[test]
-fn output_table_is_honoured_in_packet_out_and_dropped_in_a_flow_entry() {
-    // Regression: a flow entry whose actions say output:TABLE used to
-    // send a matching frame back into the table until the stack
-    // overflowed and the process aborted.
-    let via_table = |dst| OfMessage::PacketOut {
-        buffer_id: OFP_NO_BUFFER,
-        in_port: 1,
-        actions: vec![Action::output(OFPP_TABLE)],
-        data: udp_frame(dst),
-    };
-    let ctrl = MockController {
-        script: vec![
-            (
-                Duration::from_millis(1000),
-                install([10, 0, 0, 0], vec![Action::output(OFPP_TABLE)]),
-                1,
-            ),
-            (
-                Duration::from_millis(1100),
-                install([11, 0, 0, 0], vec![Action::output(2)]),
-                2,
-            ),
-            // PACKET_OUT → table → port 2: honoured.
-            (
-                Duration::from_millis(1200),
-                via_table(Ipv4Addr::new(11, 0, 0, 1)),
-                3,
-            ),
-            // PACKET_OUT → table → output:TABLE again: dropped.
-            (
-                Duration::from_millis(1300),
-                via_table(Ipv4Addr::new(10, 0, 0, 1)),
-                4,
-            ),
-        ],
-        ..MockController::default()
-    };
-    let mut b = bench(ctrl);
-    // A data-plane frame that hits the looping entry directly.
-    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((
-        1,
-        udp_frame(Ipv4Addr::new(10, 0, 0, 5)),
-        Duration::from_millis(1400),
-    ));
-    b.sim.run_until(rf_sim::Time::from_secs(2));
-    assert_eq!(b.sim.tracer().counter("switch.table_loop"), 2);
-    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
-    assert_eq!(
-        host_b.frames,
-        vec![(1, udp_frame(Ipv4Addr::new(11, 0, 0, 1)))]
-    );
-    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    assert!(
-        !ctrl
-            .received
-            .iter()
-            .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })),
-        "every frame matched an entry"
-    );
-}
-
 /// `msg` encoded under `xid`, then `patch`ed: each `(offset, bytes)`
 /// written over the wire bytes. The encoder writes only the matches and
 /// commands the loop sends.
@@ -361,15 +295,9 @@ fn matches_and_commands_outside_the_loop_are_refused_typed() {
         frame[14 + 20 + 8] ^= 1;
         Bytes::from(frame)
     };
-    let via_table = OfMessage::PacketOut {
-        buffer_id: OFP_NO_BUFFER,
-        in_port: OFPP_NONE,
-        actions: vec![Action::output(OFPP_TABLE)],
-        data: corrupt.clone(),
-    };
     let ms = Duration::from_millis;
     let ctrl = MockController {
-        script: vec![(ms(1000), route.clone(), 1), (ms(1200), via_table, 2)],
+        script: vec![(ms(1000), route.clone(), 1)],
         raw: vec![
             (ms(1100), patched(&route, 0x31, tp_dst)),
             (ms(1100), patched(&route, 0x32, in_port)),
@@ -381,6 +309,8 @@ fn matches_and_commands_outside_the_loop_are_refused_typed() {
         ..MockController::default()
     };
     let mut b = bench(ctrl);
+    // Host A sends the corrupt datagram after the refusals.
+    b.sim.agent_as_mut::<FrameSink>(b.host_a).unwrap().tx = Some((1, corrupt.clone(), ms(1200)));
     b.sim.run_until(rf_sim::Time::from_millis(1050));
     let before = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
     let before = before.flow_table().entries().to_vec();
@@ -418,15 +348,17 @@ fn matches_and_commands_outside_the_loop_are_refused_typed() {
     assert_eq!(routed, [corrupt], "took the route");
 }
 
+/// A PACKET_OUT's outputs each send one copy, out of the port they
+/// name.
 #[test]
-fn packet_out_floods() {
+fn packet_out_sends_a_copy_out_of_each_named_port() {
     let ctrl = MockController {
         script: vec![(
             Duration::from_secs(1),
             OfMessage::PacketOut {
                 buffer_id: OFP_NO_BUFFER,
                 in_port: OFPP_NONE,
-                actions: vec![Action::output(rf_openflow::OFPP_FLOOD)],
+                actions: vec![Action::output(1), Action::output(2)],
                 data: udp_frame(Ipv4Addr::new(10, 1, 1, 1)),
             },
             42,
@@ -435,70 +367,55 @@ fn packet_out_floods() {
     };
     let mut b = bench(ctrl);
     b.sim.run_until(rf_sim::Time::from_secs(2));
-    assert_eq!(
-        b.sim.agent_as::<FrameSink>(b.host_a).unwrap().frames.len(),
-        1
-    );
-    assert_eq!(
-        b.sim.agent_as::<FrameSink>(b.host_b).unwrap().frames.len(),
-        1
-    );
+    for host in [b.host_a, b.host_b] {
+        let frames = &b.sim.agent_as::<FrameSink>(host).unwrap().frames;
+        assert_eq!(frames, &[(1, udp_frame(Ipv4Addr::new(10, 1, 1, 1)))]);
+    }
 }
 
-#[test]
-fn echo_request_answered() {
-    let ctrl = MockController {
-        script: vec![(
-            Duration::from_secs(1),
-            OfMessage::EchoRequest(Bytes::from_static(b"hello?")),
-            7,
-        )],
-        ..MockController::default()
-    };
-    let mut b = bench(ctrl);
-    b.sim.run_until(rf_sim::Time::from_secs(2));
-    let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    assert!(ctrl
-        .received
-        .iter()
-        .any(|(m, xid)| matches!(m, OfMessage::EchoReply(d) if &d[..] == b"hello?") && *xid == 7));
-}
-
-/// A STATS_REQUEST, a GET_CONFIG_REQUEST, a BARRIER_REQUEST and a
-/// SET_CONFIG are well-framed, but nothing decodes them: the switch
-/// counts each as a decode error and answers none, and the
-/// ECHO_REQUEST right behind them in the same chunk is answered as
-/// usual.
+/// A STATS_REQUEST, a GET_CONFIG_REQUEST, a BARRIER_REQUEST, a
+/// SET_CONFIG, an ECHO_REQUEST, an ECHO_REPLY and a VENDOR message are
+/// well-framed, but nothing decodes them: the switch counts each as a
+/// decode error and answers none, and the FEATURES_REQUEST right
+/// behind them in the same chunk is answered as usual.
 #[test]
 fn stats_request_is_counted_and_unanswered() {
     // `ofp_header` (version 1, type 16, length 12, xid 0x51), then a
     // desc request's `ofp_stats_request` type and flags; then bare
     // headers of type 7 (GET_CONFIG_REQUEST) and 18 (BARRIER_REQUEST);
-    // then a SET_CONFIG (type 9) asking for whole frames.
+    // then a SET_CONFIG (type 9) asking for whole frames; an
+    // ECHO_REQUEST (type 2) and an ECHO_REPLY (type 3) with a
+    // four-byte payload; a VENDOR message (type 4) with its vendor id.
     let mut chunk = vec![1, 16, 0, 12, 0, 0, 0, 0x51, 0, 0, 0, 0];
     chunk.extend_from_slice(&[1, 7, 0, 8, 0, 0, 0, 0x53]);
     chunk.extend_from_slice(&[1, 18, 0, 8, 0, 0, 0, 0x54]);
     chunk.extend_from_slice(&[1, 9, 0, 12, 0, 0, 0, 0x55, 0, 0, 0xFF, 0xFF]);
-    let echo = OfMessage::EchoRequest(Bytes::from_static(b"still there?"));
-    chunk.extend_from_slice(&echo.encode(0x52));
+    chunk.extend_from_slice(&[1, 2, 0, 12, 0, 0, 0, 0x56, b'p', b'i', b'n', b'g']);
+    chunk.extend_from_slice(&[1, 3, 0, 12, 0, 0, 0, 0x57, b'p', b'o', b'n', b'g']);
+    chunk.extend_from_slice(&[1, 4, 0, 12, 0, 0, 0, 0x58, 0, 0, 0x26, 0xE1]);
+    chunk.extend_from_slice(&OfMessage::FeaturesRequest.encode(0x52));
     let ctrl = MockController {
         raw: vec![(Duration::from_secs(1), Bytes::from(chunk))],
         ..MockController::default()
     };
     let mut b = bench(ctrl);
     b.sim.run_until(rf_sim::Time::from_secs(2));
-    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 4);
+    assert_eq!(b.sim.tracer().counter("switch.decode_error"), 7);
     let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
     assert_eq!(sw.errors_sent, 0);
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
     assert_eq!(ctrl.undecoded, 0);
-    // Past the handshake, the echo's reply alone.
+    // Past the handshake (its FEATURES_REQUEST was xid 2), the second
+    // FEATURES_REPLY alone.
     let after_handshake: Vec<_> = ctrl
         .received
         .iter()
-        .filter(|(m, _)| !matches!(m, OfMessage::Hello | OfMessage::FeaturesReply(_)))
+        .filter(|(m, xid)| !matches!(m, OfMessage::Hello) && *xid != 2)
         .collect();
-    let reply = OfMessage::EchoReply(Bytes::from_static(b"still there?"));
+    let reply = OfMessage::FeaturesReply(rf_openflow::SwitchFeatures {
+        datapath_id: 0x1C,
+        num_ports: 2,
+    });
     assert_eq!(after_handshake, [&(reply, 0x52)]);
 }
 
@@ -591,30 +508,40 @@ fn with_action(msg: OfMessage, xid: u32, action: [u8; 8]) -> Bytes {
     wire.into()
 }
 
+/// OF 1.0's virtual ports `IN_PORT`, `TABLE`, `NORMAL`, `FLOOD`, `ALL`
+/// and `LOCAL`, then `NONE` and port 0: no `OUTPUT` names one.
+const NOT_OUTPUT_PORTS: [u16; 8] = [0xFFF8, 0xFFF9, 0xFFFA, 0xFFFB, 0xFFFC, 0xFFFE, OFPP_NONE, 0];
+
 /// A FLOW_MOD or PACKET_OUT naming an action other than OUTPUT,
 /// SET_DL_SRC and SET_DL_DST — one OF 1.0 defines or one it does not —
-/// is refused whole with BAD_ACTION / BAD_TYPE under its own xid:
-/// nothing is installed, nothing leaves a port, nothing counts as
-/// undecodable.
+/// is refused whole with BAD_ACTION / BAD_TYPE under its own xid, and
+/// one naming an OUTPUT to a virtual port, to `NONE` or to port 0 with
+/// BAD_ACTION / BAD_OUT_PORT: nothing is installed, nothing leaves a
+/// port, nothing counts as undecodable.
 #[test]
 fn actions_outside_the_three_are_refused_typed() {
     const SET_VLAN_VID: [u8; 8] = [0, 1, 0, 8, 0, 100, 0, 0];
     const SET_NW_DST: [u8; 8] = [0, 7, 0, 8, 172, 16, 0, 1];
     const TYPE_FFFF: [u8; 8] = [0xFF, 0xFF, 0, 8, 0, 0, 0, 0];
-    let route = || install([11, 0, 0, 0], vec![Action::output(2)]);
-    let packet_out = OfMessage::PacketOut {
+    let route = |port| install([11, 0, 0, 0], vec![Action::output(port)]);
+    let packet_out = |port| OfMessage::PacketOut {
         buffer_id: OFP_NO_BUFFER,
         in_port: 1,
-        actions: vec![Action::output(2)],
+        actions: vec![Action::output(port)],
         data: udp_frame(Ipv4Addr::new(11, 0, 0, 5)),
     };
     let ms = Duration::from_millis;
+    let mut script = vec![(ms(1000), install([10, 0, 0, 0], vec![Action::output(2)]), 1)];
+    for (i, port) in (0..).zip(NOT_OUTPUT_PORTS) {
+        script.push((ms(1100), route(port), 0x30 + i));
+        script.push((ms(1100), packet_out(port), 0x40 + i));
+    }
     let ctrl = MockController {
-        script: vec![(ms(1000), install([10, 0, 0, 0], vec![Action::output(2)]), 1)],
+        script,
         raw: vec![
-            (ms(1100), with_action(route(), 0x21, SET_NW_DST)),
-            (ms(1100), with_action(packet_out, 0x22, SET_VLAN_VID)),
-            (ms(1100), with_action(route(), 0x23, TYPE_FFFF)),
+            (ms(1100), with_action(route(2), 0x21, SET_NW_DST)),
+            (ms(1100), with_action(packet_out(2), 0x22, SET_VLAN_VID)),
+            (ms(1100), with_action(route(2), 0x23, TYPE_FFFF)),
         ],
         ..MockController::default()
     };
@@ -626,9 +553,9 @@ fn actions_outside_the_three_are_refused_typed() {
     b.sim.run_until(rf_sim::Time::from_secs(2));
     let sw = b.sim.agent_as::<OpenFlowSwitch>(b.sw).unwrap();
     assert_eq!(sw.flow_table().entries(), before, "nothing was installed");
-    assert_eq!(sw.errors_sent, 3);
+    assert_eq!(sw.errors_sent, 19);
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    let errors: Vec<_> = ctrl
+    let mut errors: Vec<_> = ctrl
         .received
         .iter()
         .filter_map(|(m, xid)| match m {
@@ -636,10 +563,23 @@ fn actions_outside_the_three_are_refused_typed() {
             _ => None,
         })
         .collect();
+    errors.sort_by_key(|&(_, _, xid)| xid);
     let bad_type = |xid| (ErrorType::BadAction, 0, xid);
-    assert_eq!(errors, [bad_type(0x21), bad_type(0x22), bad_type(0x23)]);
-    let host_b = b.sim.agent_as::<FrameSink>(b.host_b).unwrap();
-    assert!(host_b.frames.is_empty(), "the PACKET_OUT sent nothing");
+    let bad_out_port = |xid| (ErrorType::BadAction, 4, xid);
+    let mut want = vec![bad_type(0x21), bad_type(0x22), bad_type(0x23)];
+    want.extend((0x30..0x38).chain(0x40..0x48).map(bad_out_port));
+    assert_eq!(errors, want);
+    for host in [b.host_a, b.host_b] {
+        let host = b.sim.agent_as::<FrameSink>(host).unwrap();
+        assert!(host.frames.is_empty(), "a PACKET_OUT sent something");
+    }
+    assert!(
+        !ctrl
+            .received
+            .iter()
+            .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })),
+        "a PACKET_OUT went to the table or the controller"
+    );
     let tracer = b.sim.tracer();
     assert_eq!(tracer.counter("switch.decode_error"), 0);
     assert_eq!(tracer.counter("of.flow_mod"), 1, "the route alone");
@@ -691,11 +631,10 @@ fn switch_reconnects_after_controller_restart() {
     assert!(sim.agent_as::<OpenFlowSwitch>(sw).unwrap().is_connected());
 }
 
-/// There is no port 0. A PACKET_OUT naming it as `in_port` and asking
-/// for `output:IN_PORT` and a frame arriving on a (miswired) sim port 0
-/// are both dropped on the floor: no panic (port numbers index the
-/// punt cache from 1), no switch counter touched, and the switch
-/// carries on.
+/// There is no port 0. A PACKET_OUT naming it as `in_port` goes to the
+/// controller as it asks, and a frame arriving on a (miswired) sim port
+/// 0 is dropped on the floor: no panic (port numbers index the punt
+/// cache from 1), no switch counter touched, and the switch carries on.
 #[test]
 fn port_zero_is_dropped_without_touching_any_counter() {
     let ctrl = MockController {
@@ -705,7 +644,7 @@ fn port_zero_is_dropped_without_touching_any_counter() {
                 OfMessage::PacketOut {
                     buffer_id: OFP_NO_BUFFER,
                     in_port: 0,
-                    actions: vec![Action::output(rf_openflow::OFPP_IN_PORT)],
+                    actions: vec![Action::output(OFPP_CONTROLLER)],
                     data: udp_frame(Ipv4Addr::new(10, 1, 1, 1)),
                 },
                 42,
@@ -746,10 +685,21 @@ fn port_zero_is_dropped_without_touching_any_counter() {
         "{counters:?}"
     );
     let ctrl = b.sim.agent_as::<MockController>(b.ctrl).unwrap();
-    assert!(!ctrl
+    let punts: Vec<_> = ctrl
         .received
         .iter()
-        .any(|(m, _)| matches!(m, OfMessage::PacketIn { .. })));
+        .filter_map(|(m, _)| match m {
+            OfMessage::PacketIn {
+                in_port, reason, ..
+            } => Some((*in_port, *reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        punts,
+        [(0, PacketInReason::Action)],
+        "the PACKET_OUT's punt alone"
+    );
     // Nothing left on port 0 or anywhere else; the later PACKET_OUT did.
     assert!(b
         .sim

@@ -540,11 +540,7 @@ impl Agent for ReplyingSwitch {
             let reply = match msg {
                 OfMessage::FeaturesRequest => OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: 1,
-                    n_buffers: 0,
-                    n_tables: 1,
-                    capabilities: 0,
-                    actions: 0,
-                    ports: Vec::new(),
+                    num_ports: 0,
                 }),
                 OfMessage::PacketOut { buffer_id, .. } if buffer_id != OFP_NO_BUFFER => {
                     OfMessage::Error {

@@ -226,22 +226,16 @@ fn rpc_path_delivers_every_request_once_through_faults() {
     assert_eq!(vms, 6, "exactly one VM per switch");
 }
 
-/// The premise of the switch's FLOW_MOD set: the loop sends only ADDs
-/// and DELETE_STRICTs of an EtherType or an IPv4 destination prefix,
-/// with no `out_port` filter. Through a switch killed and revived, a
-/// link flap and a channel stall, under traffic, no switch refuses a
-/// request and FlowVisor denies no FLOW_MOD — and withdrawn routes were
-/// deleted, so DELETE_STRICT ran.
-#[test]
-fn every_flow_mod_the_loop_sends_is_taken_through_faults() {
-    use rf_core::scenario::Workload;
+/// Ring-6 under Poisson traffic through a switch killed and revived, a
+/// link flap and a channel stall, run for 60 s; `layout` picks
+/// FlowVisor or not.
+fn faulted_ring6(layout: impl FnOnce(ScenarioBuilder) -> ScenarioBuilder) -> Scenario {
     use rf_core::traffic::{FlowSize, TrafficSpec};
-    use rf_switch::OpenFlowSwitch;
     let s = Duration::from_secs;
     let topo = ring(6);
     let traffic =
         TrafficSpec::poisson(3, 4.0, FlowSize::pareto(2_000, 50_000)).window(s(15), s(30));
-    let mut dep = Scenario::on(topo.clone())
+    let builder = Scenario::on(topo.clone())
         .fast_timers()
         .trace_level(rf_sim::TraceLevel::Info)
         .with_workload(Workload::traffic(traffic, &topo).expect("spec fits the topology"))
@@ -255,16 +249,18 @@ fn every_flow_mod_the_loop_sends_is_taken_through_faults() {
             },
             Fault::ReviveSwitch { node: 2, at: s(30) },
             Fault::LinkUp { edge: 4, at: s(32) },
-        ])
-        .start();
+        ]);
+    let mut dep = layout(builder).start();
     dep.run_until(Time::from_secs(60));
-    let count = |name| dep.sim.tracer().counter(name);
-    assert!(count("rf.flow_add") > 0);
-    assert!(count("rf.flow_del") > 0, "a withdrawn route was deleted");
+    dep
+}
+
+/// Every switch of `dep` has sent no ERROR.
+fn no_switch_refused(dep: &Scenario) {
     for &id in &dep.switches {
         let sw = dep
             .sim
-            .agent_as::<OpenFlowSwitch>(id)
+            .agent_as::<rf_switch::OpenFlowSwitch>(id)
             .expect("switch agent");
         assert_eq!(
             sw.errors_sent,
@@ -273,11 +269,51 @@ fn every_flow_mod_the_loop_sends_is_taken_through_faults() {
             sw.dpid()
         );
     }
+}
+
+/// The premise of the switch's FLOW_MOD set: the loop sends only ADDs
+/// and DELETE_STRICTs of an EtherType or an IPv4 destination prefix,
+/// with no `out_port` filter. Through a switch killed and revived, a
+/// link flap and a channel stall, under traffic, no switch refuses a
+/// request and FlowVisor denies no FLOW_MOD — and withdrawn routes were
+/// deleted, so DELETE_STRICT ran.
+#[test]
+fn every_flow_mod_the_loop_sends_is_taken_through_faults() {
+    let dep = faulted_ring6(|b| b);
+    let count = |name| dep.sim.tracer().counter(name);
+    assert!(count("rf.flow_add") > 0);
+    assert!(count("rf.flow_del") > 0, "a withdrawn route was deleted");
+    no_switch_refused(&dep);
     let fv = dep
         .sim
         .agent_as::<FlowVisor>(dep.flowvisor.expect("default layout uses FlowVisor"))
         .unwrap();
     assert_eq!(fv.denied_flow_mods, 0);
+}
+
+/// The premise of the OpenFlow message set: the switches and the two
+/// controllers send each other only messages the far end decodes and
+/// takes — no ECHO, no VENDOR, no OUTPUT to a virtual port. Under the
+/// faults and traffic above, with FlowVisor between them and wired
+/// directly, no switch meets a message it cannot decode or refuses
+/// one, and FlowVisor meets nothing it does not expect from either
+/// side.
+#[test]
+fn the_loop_sends_only_what_the_far_end_takes() {
+    let with_fv = faulted_ring6(|b| b);
+    let direct = faulted_ring6(ScenarioBuilder::without_flowvisor);
+    assert!(direct.flowvisor.is_none());
+    for (layout, dep) in [("FlowVisor", &with_fv), ("direct", &direct)] {
+        let count = |name| dep.sim.tracer().counter(name);
+        assert!(
+            count("of.flow_mod") > 0 && count("of.packet_out") > 0,
+            "{layout}"
+        );
+        assert_eq!(count("switch.decode_error"), 0, "{layout}");
+        assert_eq!(count("fv.unexpected_from_switch"), 0, "{layout}");
+        assert_eq!(count("fv.unexpected_from_controller"), 0, "{layout}");
+        no_switch_refused(dep);
+    }
 }
 
 #[test]

@@ -4,15 +4,19 @@
 
 use bytes::Bytes;
 use rf_core::apps::ControlPlane;
-use rf_core::rfcontroller::{RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
+use rf_core::rfcontroller::{HostPortConfig, RfControllerConfig, RF_CONTROLLER_OF_SERVICE};
 use rf_core::vnet::{RfMessage, VmAgent, RF_SERVICE};
-use rf_openflow::{MessageReader, OfMessage, PacketInReason, OFP_NO_BUFFER};
+use rf_openflow::{
+    Action, MessageReader, OfMessage, PacketInReason, SwitchFeatures, OFP_NO_BUFFER,
+};
 use rf_routed::config::VmRouterConfig;
 use rf_rpc::{
     encode_envelope, Envelope, RpcClientAgent, RpcFrameReader, RpcRequest, RPC_CLIENT_SERVICE,
     RPC_SERVER_SERVICE,
 };
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, Sim, SimConfig, StreamEvent, Time};
+use rf_wire::{ArpOp, ArpPacket, EtherType, EthernetFrame, Ipv4Cidr, MacAddr};
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// How long after the first chunk the peer writes the second.
@@ -126,15 +130,18 @@ fn concat(a: &Bytes, b: &Bytes) -> Bytes {
     Bytes::from([&a[..], &b[..]].concat())
 }
 
-/// The RF-controller answers an ECHO_REQUEST that follows a PACKET_IN
-/// it cannot decode (reason 7) in the same chunk one round trip after
-/// the chunk, as it answers one sent alone.
+/// The RF-controller answers a gateway ARP request punted to it (a
+/// PACKET_IN) that follows a PACKET_IN it cannot decode (reason 7) in
+/// the same chunk one round trip after the chunk, as it answers one
+/// sent alone: each with a PACKET_OUT carrying the ARP reply.
 #[test]
 fn the_controller_reads_past_a_frame_it_cannot_decode() {
+    let (dpid, port) = (1, 1);
+    let gateway = Ipv4Addr::new(10, 0, 1, 1);
     let mut bad = OfMessage::PacketIn {
         buffer_id: OFP_NO_BUFFER,
         total_len: 4,
-        in_port: 1,
+        in_port: port,
         reason: PacketInReason::NoMatch,
         data: Bytes::from_static(b"junk"),
     }
@@ -146,29 +153,67 @@ fn the_controller_reads_past_a_frame_it_cannot_decode() {
         OfMessage::decode_bytes(&bad).is_err(),
         "reason 7 is malformed"
     );
-    let echo = |xid| OfMessage::EchoRequest(Bytes::from_static(b"e")).encode(xid);
+    // The peer is the switch: it names itself first, then punts an
+    // address probe for the gateway (sender 0.0.0.0: nothing is
+    // learned, so the reply is all the controller sends).
+    let features = OfMessage::FeaturesReply(SwitchFeatures {
+        datapath_id: dpid,
+        num_ports: 2,
+    })
+    .encode(1);
+    let host = MacAddr([2, 0, 0, 0, 0, 0x42]);
+    let probe = EthernetFrame::new(
+        MacAddr::BROADCAST,
+        host,
+        EtherType::ARP,
+        ArpPacket::request(host, Ipv4Addr::UNSPECIFIED, gateway).emit(),
+    )
+    .emit();
+    let arp_in = |xid| {
+        OfMessage::PacketIn {
+            buffer_id: OFP_NO_BUFFER,
+            total_len: probe.len() as u16,
+            in_port: port,
+            reason: PacketInReason::NoMatch,
+            data: probe.clone(),
+        }
+        .encode(xid)
+    };
+    let config = RfControllerConfig {
+        host_ports: vec![HostPortConfig {
+            dpid,
+            port,
+            subnet: Ipv4Cidr::new(Ipv4Addr::new(10, 0, 1, 0), 24),
+            gateway,
+        }],
+        ..RfControllerConfig::default()
+    };
     let peer = run(
-        Box::new(ControlPlane::new(RfControllerConfig::default())),
+        Box::new(ControlPlane::new(config)),
         RF_CONTROLLER_OF_SERVICE,
-        concat(&bad, &echo(9)),
-        echo(10),
+        concat(&concat(&features, &bad), &arp_in(9)),
+        arp_in(10),
     );
     let mut replies = Vec::new();
     for (at, chunk) in &peer.received {
         let mut reader = MessageReader::new();
         reader.push_bytes(chunk.clone());
-        while let Some(Ok((msg, xid))) = reader.next() {
-            if matches!(msg, OfMessage::EchoReply(_)) {
-                replies.push((xid, *at));
+        while let Some(Ok((msg, _))) = reader.next() {
+            if let OfMessage::PacketOut { actions, data, .. } = msg {
+                let eth = EthernetFrame::parse_bytes(&data).expect("an Ethernet frame");
+                let arp = ArpPacket::parse(&eth.payload).expect("an ARP reply");
+                assert_eq!(
+                    (arp.op, arp.sender_ip, eth.dst),
+                    (ArpOp::Reply, gateway, host)
+                );
+                assert_eq!(actions, [Action::output(port)]);
+                replies.push(*at);
             }
         }
     }
-    let rtt = |i: usize| replies[i].1.since(peer.sent[i]);
-    assert_eq!(
-        replies.iter().map(|(xid, _)| *xid).collect::<Vec<_>>(),
-        [9, 10]
-    );
-    assert_eq!(rtt(0), rtt(1), "echo 9 waited for the next chunk");
+    assert_eq!(replies.len(), 2, "one reply per probe");
+    let rtt = |i: usize| replies[i].since(peer.sent[i]);
+    assert_eq!(rtt(0), rtt(1), "the first probe waited for the next chunk");
 }
 
 /// The RPC relay forwards a request that follows an envelope it
@@ -244,8 +289,8 @@ fn the_relay_reads_past_an_envelope_it_cannot_decode() {
 #[test]
 fn a_vm_reads_past_a_frame_it_cannot_decode() {
     let iface = [(1, "172.31.0.1/30".parse().unwrap())];
-    let (zebra, ospf, bgp) = VmRouterConfig::generate(1, &iface).render_all();
-    let configs = RfMessage::WriteConfigs { zebra, ospf, bgp }.encode();
+    let (zebra, ospf) = VmRouterConfig::generate(1, &iface).render_all();
+    let configs = RfMessage::WriteConfigs { zebra, ospf }.encode();
     // A one-byte body: the unknown tag 9.
     let bad = Bytes::from_static(&[0, 0, 0, 1, 9]);
     // The VM (agent 0) dials its RF server, the peer, once it has

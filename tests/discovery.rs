@@ -273,74 +273,3 @@ fn exhausted_range_counts_and_announces_no_link() {
     // 4 SwitchDetected + 1 LinkDetected: no RPC for the other three.
     assert_eq!(relay_log(&sim, relay), [(1..=5).collect::<Vec<u64>>()]);
 }
-
-/// Dials the topology controller as a switch, sends two ECHO_REQUESTs
-/// after its HELLO and records every ECHO_REPLY: `(xid, payload)`.
-#[derive(Clone)]
-struct EchoingSwitch {
-    ctrl: rf_sim::AgentId,
-    reader: rf_openflow::MessageReader,
-    replies: Vec<(u32, bytes::Bytes)>,
-}
-
-impl rf_sim::Agent for EchoingSwitch {
-    fn on_start(&mut self, ctx: &mut rf_sim::Ctx<'_>) {
-        ctx.connect(
-            self.ctrl,
-            TOPOLOGY_OF_SERVICE,
-            rf_sim::ConnProfile::default(),
-        );
-    }
-    fn on_stream(
-        &mut self,
-        ctx: &mut rf_sim::Ctx<'_>,
-        conn: rf_sim::ConnId,
-        event: rf_sim::StreamEvent,
-    ) {
-        use rf_openflow::OfMessage;
-        match event {
-            rf_sim::StreamEvent::Opened { .. } => {
-                ctx.conn_send(conn, OfMessage::Hello.encode(0));
-                for (xid, payload) in [(0x1234_5678, &b"ka"[..]), (7, b"x")] {
-                    let echo = OfMessage::EchoRequest(bytes::Bytes::from_static(payload));
-                    ctx.conn_send(conn, echo.encode(xid));
-                }
-            }
-            rf_sim::StreamEvent::Data(data) => {
-                self.reader.push_bytes(data);
-                while let Some(Ok((msg, xid))) = self.reader.next() {
-                    if let OfMessage::EchoReply(payload) = msg {
-                        self.replies.push((xid, payload));
-                    }
-                }
-            }
-            rf_sim::StreamEvent::Closed => {}
-        }
-    }
-}
-
-/// In OpenFlow 1.0 a reply carries its request's xid: the controller
-/// answers each ECHO_REQUEST under the xid it came with, echoing its
-/// payload, as the switch, FlowVisor and the RF-controller do.
-#[test]
-fn an_echo_is_answered_under_its_requests_xid() {
-    let mut sim = Sim::new(SimConfig::default());
-    let ctrl = sim.add_agent("topo-ctrl", Box::new(TopologyController::new(cfg())));
-    let sw = sim.add_agent(
-        "sw1",
-        Box::new(EchoingSwitch {
-            ctrl,
-            reader: rf_openflow::MessageReader::new(),
-            replies: Vec::new(),
-        }),
-    );
-    sim.run_until(Time::from_millis(100));
-    let replies = &sim.agent_as::<EchoingSwitch>(sw).unwrap().replies;
-    assert_eq!(
-        *replies,
-        vec![
-            (0x1234_5678, bytes::Bytes::from_static(b"ka")),
-            (7, bytes::Bytes::from_static(b"x")),
-        ]
-    );
-}

@@ -20,7 +20,13 @@
 //! refuses it; and a PACKET_OUT whose payload is too short to classify
 //! is refused with `EPERM` like one the slice does not own, under OF
 //! 1.0's `OFPBRC_EPERM` (5). Nor does it fan a PORT_STATUS out or pass
-//! a SET_CONFIG on: neither decodes, and each is dropped.
+//! a SET_CONFIG on: neither decodes, and each is dropped. Nor does it
+//! answer an ECHO_REQUEST from either side: it does not decode, and is
+//! dropped like a VENDOR message. A slice's FLOW_MOD or PACKET_OUT
+//! naming an `OUTPUT` to a virtual port, to `NONE` or to port 0 does not
+//! decode; it is refused with `ERROR(BAD_ACTION, OFPBAC_BAD_OUT_PORT)`
+//! under the slice's xid, as the real proxy refuses it. The cached
+//! FEATURES_REPLY is the real crate's dpid and port count.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
@@ -165,12 +171,7 @@ impl ModelFlowVisor {
         }
     }
 
-    fn send_to_switch(&self, ctx: &mut Ctx<'_>, sw: usize, msg: &OfMessage, xid: u32) {
-        let s = &self.switches[sw];
-        if s.alive {
-            ctx.conn_send(s.conn, msg.encode(xid));
-        }
-    }
+    // ADAPTED: no `send_to_switch`: its one caller answered an ECHO.
 
     fn send_to_slice(&self, ctx: &mut Ctx<'_>, sw: usize, slice: usize, msg: &OfMessage, xid: u32) {
         if let Some(conn) = self.switches[sw].upstreams[slice].conn {
@@ -211,10 +212,7 @@ impl ModelFlowVisor {
     ) {
         match msg {
             OfMessage::Hello => {}
-            OfMessage::EchoRequest(data) => {
-                self.send_to_switch(ctx, sw, &OfMessage::EchoReply(data), xid);
-            }
-            OfMessage::EchoReply(_) => {}
+            // ADAPTED: no ECHO arms: an ECHO does not decode.
             OfMessage::FeaturesReply(f) => {
                 if let Some(&(s, slice, orig)) = self.xid_map.get(&xid) {
                     self.xid_map.remove(&xid);
@@ -268,19 +266,14 @@ impl ModelFlowVisor {
     }
 
     fn flush_pending_features(&mut self, ctx: &mut Ctx<'_>, sw: usize) {
-        let Some(features) = self.switches[sw].features.clone() else {
+        // ADAPTED: the features are `Copy`.
+        let Some(features) = self.switches[sw].features else {
             return;
         };
         for slice_idx in 0..self.cfg.slices.len() {
             let pend = std::mem::take(&mut self.switches[sw].upstreams[slice_idx].pending_features);
             for xid in pend {
-                self.send_to_slice(
-                    ctx,
-                    sw,
-                    slice_idx,
-                    &OfMessage::FeaturesReply(features.clone()),
-                    xid,
-                );
+                self.send_to_slice(ctx, sw, slice_idx, &OfMessage::FeaturesReply(features), xid);
             }
         }
     }
@@ -299,14 +292,9 @@ impl ModelFlowVisor {
             OfMessage::Hello => {
                 self.switches[sw].upstreams[slice].ready = true;
             }
-            OfMessage::EchoRequest(data) => {
-                if let Some(c) = up_conn {
-                    ctx.conn_send(c, OfMessage::EchoReply(data).encode(xid));
-                }
-            }
-            OfMessage::EchoReply(_) => {}
+            // ADAPTED: no ECHO arms.
             OfMessage::FeaturesRequest => {
-                if let Some(f) = self.switches[sw].features.clone() {
+                if let Some(f) = self.switches[sw].features {
                     self.send_to_slice(ctx, sw, slice, &OfMessage::FeaturesReply(f), xid);
                 } else {
                     self.switches[sw].upstreams[slice]
@@ -440,7 +428,9 @@ impl Agent for ModelFlowVisor {
                             while let Some(raw) = reader.next_frame() {
                                 let Ok(raw) = raw else { continue };
                                 // ADAPTED: a request naming an unknown
-                                // action, a command other than ADD and
+                                // action or an output to neither a
+                                // physical port nor the controller, a
+                                // command other than ADD and
                                 // DELETE_STRICT or a match on another
                                 // field is refused under its xid.
                                 let refusal = match OfMessage::decode_bytes(&raw) {
@@ -450,6 +440,8 @@ impl Agent for ModelFlowVisor {
                                     }
                                     // OFPBAC_BAD_TYPE
                                     Err(OfError::BadAction(_)) => (ErrorType::BadAction, 0),
+                                    // OFPBAC_BAD_OUT_PORT
+                                    Err(OfError::BadOutPort(_)) => (ErrorType::BadAction, 4),
                                     // OFPFMFC_BAD_COMMAND
                                     Err(OfError::BadCommand(_)) => (ErrorType::FlowModFailed, 4),
                                     // OFPFMFC_UNSUPPORTED

@@ -17,7 +17,8 @@
 //! FLOW_MOD or PACKET_OUT naming any other — it does not decode — is
 //! refused with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` as the real switch
 //! refuses it. Like the real switch it sends no keepalive ECHO_REQUEST
-//! (it still answers one, and still redials a dropped controller). Its
+//! and answers none, nor a VENDOR message: neither decodes (it still
+//! redials a dropped controller). Its
 //! FLOW_MODs are the real crate's ADD and DELETE_STRICT of an EtherType
 //! or an IPv4 destination prefix: a MODIFY, a loose DELETE or a match on
 //! another field does not decode and is refused as the real switch
@@ -27,7 +28,12 @@
 //! port is up) and takes no SET_CONFIG, which does not decode: a miss
 //! goes up whole. A PACKET_OUT whose frame is shorter than an Ethernet
 //! header is refused with `ERROR(BAD_REQUEST, OFPBRC_BAD_LEN)`, as the
-//! real switch refuses it.
+//! real switch refuses it. An `OUTPUT` to a virtual port (`IN_PORT`,
+//! `TABLE`, `FLOOD`, …), to `NONE` or to port 0 does not decode either:
+//! the request is refused with `ERROR(BAD_ACTION, OFPBAC_BAD_OUT_PORT)`,
+//! so no `output:TABLE` re-runs the table and no flood is expanded. Its
+//! FEATURES_REPLY is the real crate's, which writes the bytes its port
+//! list did.
 
 // ADAPTED: the table, the configuration and the action interpreter are
 // the real crate's — the interpreter through its borrowing entry, which
@@ -35,12 +41,11 @@
 use super::key_model::from_frame_bytes;
 use bytes::{Bytes, BytesMut};
 use rf_openflow::{
-    ErrorType, MessageReader, OfMessage, PacketInReason, PhyPort, PortNumber, SwitchFeatures,
-    OFPP_NONE, OFP_NO_BUFFER,
+    ErrorType, MessageReader, OfMessage, PacketInReason, PortNumber, SwitchFeatures, OFPP_NONE,
+    OFP_NO_BUFFER,
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_switch::{apply_actions, Egress, FlowTable, SwitchConfig};
-use rf_wire::MacAddr;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -138,18 +143,7 @@ impl ModelSwitch {
         }
     }
 
-    fn phy_ports(&self) -> Vec<PhyPort> {
-        (1..=self.cfg.num_ports)
-            // ADAPTED: every port is up.
-            .map(|p| {
-                PhyPort::new(
-                    p,
-                    MacAddr::from_dpid_port(self.cfg.dpid, p),
-                    format!("eth{p}"),
-                )
-            })
-            .collect()
-    }
+    // ADAPTED: no `phy_ports`: the encoder writes the port list.
 
     fn next_xid(&mut self) -> u32 {
         self.xid = self.xid.wrapping_add(1);
@@ -242,20 +236,12 @@ impl ModelSwitch {
             Some(e) => apply_actions(&frame, &e.actions, in_port, self.cfg.num_ports),
             None => return self.packet_in(ctx, in_port, frame),
         };
-        self.dispatch(ctx, in_port, egress, false);
+        self.dispatch(ctx, in_port, egress);
     }
 
-    /// Carry out what an action list resolved to. OF 1.0 permits
-    /// `output:TABLE` only in a PACKET_OUT (`from_packet_out`); in a
-    /// flow entry's own actions it would send the frame round the table
-    /// until the stack ran out, so there it is dropped and counted.
-    fn dispatch(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        in_port: PortNumber,
-        egress: Vec<Egress>,
-        from_packet_out: bool,
-    ) {
+    /// Carry out what an action list resolved to.
+    // ADAPTED: no `from_packet_out`: no output names the table.
+    fn dispatch(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, egress: Vec<Egress>) {
         for egress in egress {
             match egress {
                 Egress::Port(p, bytes) => self.tx(ctx, p, bytes),
@@ -293,16 +279,14 @@ impl ModelSwitch {
                         }
                         self.send_raw(ctx, encoded);
                     }
-                }
-                Egress::Table(bytes) if from_packet_out => self.pipeline(ctx, in_port, bytes),
-                Egress::Table(_) => ctx.count("switch.table_loop", 1),
+                } // ADAPTED: no arms for output to the table (and no count of
+                  // one in a flow entry): no output names it.
             }
         }
     }
 
     fn tx(&mut self, ctx: &mut Ctx<'_>, port: PortNumber, frame: Bytes) {
-        // There is no port 0 (`output:IN_PORT` of a PACKET_OUT that
-        // names none): nothing to send on.
+        // There is no port 0: nothing to send on.
         let Some(idx) = port_index(port) else {
             return;
         };
@@ -318,20 +302,14 @@ impl ModelSwitch {
             OfMessage::Hello => {
                 self.ctrls[idx].state = ConnState::Ready;
             }
-            OfMessage::EchoRequest(data) => {
-                self.send_to(ctx, idx, OfMessage::EchoReply(data), xid);
-            }
-            OfMessage::EchoReply(_) => {}
+            // ADAPTED: no ECHO arms: an ECHO does not decode.
             OfMessage::FeaturesRequest => {
+                // ADAPTED: the dpid and the port count; the encoder
+                // writes no buffers, one table, no capabilities, the
+                // three actions and every port up.
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: self.cfg.dpid,
-                    n_buffers: 0,
-                    n_tables: 1,
-                    // ADAPTED: no match reads an ARP body.
-                    capabilities: 0,
-                    // ADAPTED: the three actions there are.
-                    actions: rf_openflow::SUPPORTED_ACTIONS,
-                    ports: self.phy_ports(),
+                    num_ports: self.cfg.num_ports,
                 });
                 self.send_to(ctx, idx, reply, xid);
             }
@@ -394,11 +372,9 @@ impl ModelSwitch {
                     data
                 };
                 let egress = apply_actions(&frame, &actions, in_port, self.cfg.num_ports);
-                self.dispatch(ctx, in_port, egress, true);
+                self.dispatch(ctx, in_port, egress);
             }
-            OfMessage::Vendor { .. } => {
-                self.refuse(ctx, idx, ErrorType::BadRequest, 3, xid); // OFPBRC_BAD_VENDOR
-            }
+            // ADAPTED: no VENDOR arm: a VENDOR does not decode.
             // Symmetric / controller-role messages a switch should not
             // receive; reply with an error like OVS does.
             _ => {
@@ -456,9 +432,10 @@ impl Agent for ModelSwitch {
                     let reader = &mut self.ctrls[idx].reader;
                     reader.push_bytes(data);
                     // ADAPTED: framed, then decoded, so that a request
-                    // naming an unknown action, a command other than ADD
-                    // and DELETE_STRICT or a match on another field is
-                    // refused under its xid.
+                    // naming an unknown action or an output to neither a
+                    // physical port nor the controller, a command other
+                    // than ADD and DELETE_STRICT or a match on another
+                    // field is refused under its xid.
                     while let Some(raw) = reader.next_frame() {
                         let decoded = raw.and_then(|raw| {
                             use rf_openflow::OfError;
@@ -467,6 +444,10 @@ impl Agent for ModelSwitch {
                                 // OFPBAC_BAD_TYPE
                                 Err(OfError::BadAction(_)) => {
                                     Ok(Err((xid, ErrorType::BadAction, 0)))
+                                }
+                                // OFPBAC_BAD_OUT_PORT
+                                Err(OfError::BadOutPort(_)) => {
+                                    Ok(Err((xid, ErrorType::BadAction, 4)))
                                 }
                                 // OFPFMFC_BAD_COMMAND
                                 Err(OfError::BadCommand(_)) => {

@@ -64,27 +64,21 @@ fn rechunked<R, M>(
 /// Kept as the reference the real `apply_actions` must match byte for
 /// byte, less the IPv4 and UDP rewrites it also applied: those actions
 /// no longer exist, and what is left of the editor is the Ethernet
-/// frame whose MACs it rewrites.
+/// frame whose MACs it rewrites. Less, too, its virtual output ports
+/// (`IN_PORT`, `TABLE`, `FLOOD`, `ALL`): no `OUTPUT` decodes to one,
+/// so every port but a physical one and the controller is dropped.
 mod datapath_model {
     use bytes::Bytes;
-    use rf_openflow::{
-        Action, PortNumber, OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_MAX,
-        OFPP_TABLE,
-    };
+    use rf_openflow::{Action, PortNumber, OFPP_CONTROLLER, OFPP_MAX};
     use rf_switch::Egress;
     use rf_wire::EthernetFrame;
 
-    /// Apply an OF 1.0 action list to `frame` received on `in_port`.
+    /// Apply an OF 1.0 action list to `frame`.
     ///
-    /// `num_ports` bounds flood/all expansion (ports are `1..=num_ports`).
-    /// Returns the list of egress operations in action order. Unknown or
-    /// unsupported output ports are silently dropped (matching OVS).
-    pub fn apply_actions(
-        frame: &Bytes,
-        actions: &[Action],
-        in_port: PortNumber,
-        num_ports: u16,
-    ) -> Vec<Egress> {
+    /// Returns the list of egress operations in action order (ports are
+    /// `1..=num_ports`). Unknown or unsupported output ports are
+    /// silently dropped (matching OVS).
+    pub fn apply_actions(frame: &Bytes, actions: &[Action], num_ports: u16) -> Vec<Egress> {
         // Fast path: an action list without header rewrites (the
         // overwhelmingly common case — plain forwarding, floods, punts)
         // leaves the frame byte-identical, so the parse → re-emit round
@@ -100,7 +94,7 @@ mod datapath_model {
         if !mutates && frame.len() >= rf_wire::MIN_FRAME_NO_FCS {
             for action in actions {
                 if let Action::Output { port, max_len } = action {
-                    route(&mut out, frame.clone(), *port, *max_len, in_port, num_ports);
+                    route(&mut out, frame.clone(), *port, *max_len, num_ports);
                 }
             }
             return out;
@@ -113,7 +107,7 @@ mod datapath_model {
                         Some(eth) => eth.emit(),
                         None => frame.clone(),
                     };
-                    route(&mut out, bytes, *port, *max_len, in_port, num_ports);
+                    route(&mut out, bytes, *port, *max_len, num_ports);
                 }
                 Action::SetDlSrc(mac) => {
                     if let Some(eth) = &mut editor {
@@ -130,32 +124,16 @@ mod datapath_model {
         out
     }
 
-    fn route(
-        out: &mut Vec<Egress>,
-        bytes: Bytes,
-        port: PortNumber,
-        max_len: u16,
-        in_port: PortNumber,
-        num_ports: u16,
-    ) {
+    fn route(out: &mut Vec<Egress>, bytes: Bytes, port: PortNumber, max_len: u16, num_ports: u16) {
         match port {
             OFPP_CONTROLLER => out.push(Egress::Controller {
                 max_len,
                 frame: bytes,
             }),
-            OFPP_IN_PORT => out.push(Egress::Port(in_port, bytes)),
-            OFPP_TABLE => out.push(Egress::Table(bytes)),
-            OFPP_FLOOD | OFPP_ALL => {
-                for p in 1..=num_ports {
-                    if p != in_port {
-                        out.push(Egress::Port(p, bytes.clone()));
-                    }
-                }
-            }
             p if (1..=OFPP_MAX).contains(&p) && p <= num_ports => {
                 out.push(Egress::Port(p, bytes));
             }
-            _ => { /* OFPP_NORMAL / LOCAL / NONE / invalid: drop */ }
+            _ => { /* a virtual port, NONE or invalid: drop */ }
         }
     }
 }
@@ -663,18 +641,17 @@ fn build_frame((shape, (macs, src, dst, port), payload, tweak): FrameDraw) -> By
 /// One action of any of the three kinds; outputs cover physical,
 /// out-of-range and every reserved port.
 fn build_action((kind, port, value, mac): (u8, u16, u32, [u8; 6]), num_ports: u16) -> Action {
-    use rf_openflow::{
-        OFPP_ALL, OFPP_CONTROLLER, OFPP_FLOOD, OFPP_IN_PORT, OFPP_LOCAL, OFPP_NONE, OFPP_NORMAL,
-        OFPP_TABLE,
-    };
+    use rf_openflow::{OFPP_CONTROLLER, OFPP_NONE};
+    // IN_PORT, TABLE, NORMAL, FLOOD, ALL, CONTROLLER, LOCAL, NONE: an
+    // OUTPUT to any but the controller does not decode.
     let reserved = [
-        OFPP_IN_PORT,
-        OFPP_TABLE,
-        OFPP_NORMAL,
-        OFPP_FLOOD,
-        OFPP_ALL,
+        0xFFF8,
+        0xFFF9,
+        0xFFFA,
+        0xFFFB,
+        0xFFFC,
         OFPP_CONTROLLER,
-        OFPP_LOCAL,
+        0xFFFE,
         OFPP_NONE,
     ];
     // Ports 0 and num_ports + 1 are the two nearest invalid ones.
@@ -929,8 +906,8 @@ impl rf_sim::Agent for PortTap {
 /// — FEATURES, an ERROR quoting every other FLOW_MOD, for the rest a
 /// bare FLOW_REMOVED header (which no proxy decodes: dropped), the
 /// payload of a PACKET_OUT punted back as a PACKET_IN, and a
-/// PORT_STATUS (which no proxy decodes either) for one that names a
-/// buffer and carries no payload.
+/// PORT_STATUS and an ECHO_REQUEST (which no proxy decodes either) for
+/// one that names a buffer and carries no payload.
 #[derive(Clone)]
 struct StubSwitch {
     fv: rf_sim::AgentId,
@@ -951,7 +928,7 @@ impl rf_sim::Agent for StubSwitch {
     ) {
         use bytes::{BufMut, BytesMut};
         use rf_openflow::{
-            ErrorType, MsgType, OfHeader, PacketInReason, PhyPort, SwitchFeatures, OFP_NO_BUFFER,
+            ErrorType, MsgType, OfHeader, PacketInReason, SwitchFeatures, OFP_NO_BUFFER,
             OFP_VERSION,
         };
         let data = match event {
@@ -963,29 +940,30 @@ impl rf_sim::Agent for StubSwitch {
         };
         self.log.push((ctx.now(), data.clone()));
         self.reader.push_bytes(data);
-        let port = |p| PhyPort::new(p, MacAddr::from_dpid_port(7, p), format!("eth{p}"));
         while let Some(msg) = self.reader.next() {
             let Ok((msg, xid)) = msg else { continue };
             let reply = match msg {
                 OfMessage::FeaturesRequest => OfMessage::FeaturesReply(SwitchFeatures {
                     datapath_id: 7,
-                    n_buffers: 0,
-                    n_tables: 1,
-                    capabilities: 0,
-                    actions: 0xFFF,
-                    ports: (1..=TAP_PORTS).map(port).collect(),
+                    num_ports: TAP_PORTS,
                 }),
                 OfMessage::PacketOut {
                     buffer_id,
                     ref data,
                     ..
                 } if buffer_id != OFP_NO_BUFFER && data.is_empty() => {
-                    // `ofp_header`, the reason (MODIFY) and padding, a port.
+                    // `ofp_header`, the reason (MODIFY) and padding, a
+                    // port (number 1, the rest zero); then an ECHO_REQUEST
+                    // with a four-byte payload.
                     let mut wire = BytesMut::new();
                     wire.put_slice(&[OFP_VERSION, MsgType::PortStatus as u8, 0, 64]);
                     wire.put_u32(xid);
                     wire.put_slice(&[2, 0, 0, 0, 0, 0, 0, 0]);
-                    port(1).emit_into(&mut wire);
+                    wire.put_u16(1);
+                    wire.put_bytes(0, 46);
+                    wire.put_slice(&[OFP_VERSION, MsgType::EchoRequest as u8, 0, 12]);
+                    wire.put_u32(xid);
+                    wire.put_slice(b"ping");
                     ctx.conn_send(conn, wire.freeze());
                     continue;
                 }
@@ -1166,8 +1144,8 @@ const OFP_MATCH_LEN: usize = 40;
 /// `nw_src`, `dl_src` or `in_port` pinned as well, its command a
 /// MODIFY or a loose DELETE two times in five, its `out_port` a data
 /// port one time in eight, some with a timeout, a flag or a buffer, all
-/// of which a switch refuses — else a SET_CONFIG, a BARRIER, GET_CONFIG
-/// or STATS_REQUEST (raw bytes: no decoder takes one), an ECHO, or
+/// of which a switch refuses — else a SET_CONFIG, a BARRIER, GET_CONFIG,
+/// STATS_REQUEST, ECHO or VENDOR (raw bytes: no decoder takes one), or
 /// something no controller should send. Five in sixteen are then
 /// damaged: cut short under a patched length, one bit flipped anywhere,
 /// a first action of length 7 or of a type no switch takes (refused
@@ -1228,8 +1206,28 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
         wire.extend_from_slice(&[0, 0]);
         wire.extend_from_slice(&a.to_be_bytes());
         wire
+    } else if kind % 16 == 14 {
+        // `ofp_header`, then an ECHO's payload: a frame's bytes. A
+        // request, or one time in four a reply.
+        let echo = match a % 4 {
+            3 => MsgType::EchoReply,
+            _ => MsgType::EchoRequest,
+        };
+        let payload = build_frame(frame.clone());
+        let length = (OFP_HEADER_LEN + payload.len()) as u16;
+        let mut wire = vec![OFP_VERSION, echo as u8];
+        wire.extend_from_slice(&length.to_be_bytes());
+        wire.extend_from_slice(&xid.to_be_bytes());
+        wire.extend_from_slice(&payload);
+        wire
     } else if kind % 16 == 15 && a % 4 == 2 {
         bare(MsgType::BarrierReply)
+    } else if kind % 16 == 15 && a % 4 == 3 {
+        // `ofp_header`, then `ofp_vendor_header`'s vendor id.
+        let mut wire = vec![OFP_VERSION, MsgType::Vendor as u8, 0, 12];
+        wire.extend_from_slice(&xid.to_be_bytes());
+        wire.extend_from_slice(&b.to_be_bytes());
+        wire
     } else {
         let msg = match kind % 16 {
             0..=5 => OfMessage::PacketOut {
@@ -1256,14 +1254,9 @@ fn control_message(((kind, a, b, (damage, at)), actions, frame, _): &ControlDraw
                 flags: u16::from((b >> 12) % 8 == 0), // SEND_FLOW_REM
                 actions,
             },
-            14 => OfMessage::EchoRequest(build_frame(frame.clone())),
             _ => match a % 4 {
                 0 => OfMessage::FeaturesRequest,
-                1 => OfMessage::Hello,
-                _ => OfMessage::Vendor {
-                    vendor: b,
-                    data: Bytes::new(),
-                },
+                _ => OfMessage::Hello,
             },
         };
         msg.encode(xid).to_vec()
@@ -1722,7 +1715,13 @@ proptest! {
 
         let of: Vec<(OfMessage, u32)> = vec![
             (OfMessage::Hello, 1),
-            (OfMessage::EchoRequest(Bytes::from_static(b"are you there")), 2),
+            (
+                OfMessage::FeaturesReply(rf_openflow::SwitchFeatures {
+                    datapath_id: 9,
+                    num_ports: 3,
+                }),
+                2,
+            ),
             (
                 OfMessage::PacketIn {
                     buffer_id: 7,
@@ -1767,7 +1766,6 @@ proptest! {
             RfMessage::WriteConfigs {
                 zebra: "hostname vm-1c\n".into(),
                 ospf: "router ospf\n network 172.31.0.0/30 area 0\n".into(),
-                bgp: String::new(),
             },
             RfMessage::RouteDel { prefix: "172.31.0.4/30".parse().unwrap() },
         ];
@@ -2072,20 +2070,20 @@ proptest! {
             24..25,
         ),
     ) {
-        use rf_openflow::OFPP_FLOOD;
         for (draw, action_draws, num_ports, in_port) in cases {
             let frame = build_frame(draw);
             let drawn: Vec<Action> = action_draws
                 .into_iter()
                 .map(|(kind, port, value, mac)| build_action((kind % 12, port, value, mac), num_ports))
                 .collect();
-            // The drawn list, and one that floods before, between and
+            // The drawn list, and one that outputs before, between and
             // after MAC rewrites: every copy an earlier output handed
             // out must stay as it was when a later rewrite lands.
-            let flooding = [
-                Action::output(OFPP_FLOOD),
+            let copying = [
+                Action::output(1),
+                Action::output(rf_openflow::OFPP_CONTROLLER),
                 Action::SetDlSrc(MacAddr([0xAA; 6])),
-                Action::output(OFPP_FLOOD),
+                Action::output(2),
                 Action::SetDlDst(MacAddr([0xBB; 6])),
                 Action::output(1),
             ];
@@ -2095,8 +2093,8 @@ proptest! {
                 0 => rf_openflow::OFPP_NONE,
                 p => p,
             };
-            for actions in [&drawn[..], &flooding[..]] {
-                let expected = datapath_model::apply_actions(&frame, actions, in_port, num_ports);
+            for actions in [&drawn[..], &copying[..]] {
+                let expected = datapath_model::apply_actions(&frame, actions, num_ports);
                 let context = format!(
                     "frame {:?} ({} bytes), actions {:?}, in_port {}, {} ports",
                     frame, frame.len(), actions, in_port, num_ports
@@ -2108,7 +2106,7 @@ proptest! {
                 let owned = |frame: Bytes| {
                     let mut out = Vec::new();
                     let actions = actions.iter().copied();
-                    rf_switch::apply_actions_owned(frame, actions, in_port, num_ports, &mut out);
+                    rf_switch::apply_actions_owned(frame, actions, num_ports, &mut out);
                     out
                 };
                 // Lent.

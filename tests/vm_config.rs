@@ -23,7 +23,6 @@ impl Agent for ConfigServer {
             let msg = RfMessage::WriteConfigs {
                 zebra: self.zebra.clone(),
                 ospf: self.ospf.clone(),
-                bgp: String::new(),
             };
             ctx.conn_send(conn, msg.encode());
         }
@@ -47,7 +46,7 @@ fn boot_with(zebra: String, ospf: String) -> (u64, bool) {
 #[test]
 fn unparseable_config_counts_and_starts_no_daemon() {
     let iface = [(1, "172.31.0.1/30".parse().unwrap())];
-    let (zebra, ospf, _) = VmRouterConfig::generate(1, &iface).render_all();
+    let (zebra, ospf) = VmRouterConfig::generate(1, &iface).render_all();
     let garbage = || "this is not a quagga file\n".to_string();
 
     assert_eq!(boot_with(zebra.clone(), ospf.clone()), (0, true));
