@@ -387,8 +387,7 @@ mod tests {
                     let wired = match offer {
                         Offer::Msgs(dpid, msgs) => cx.send_of(dpid, msgs),
                         Offer::Route(prefix) => {
-                            let hop = Some(Ipv4Addr::new(10, 0, 0, 2));
-                            FibMirror::default().on_route_add(cx, 1, prefix, hop, 1);
+                            FibMirror::default().on_route_add(cx, 1, prefix, 1);
                             0
                         }
                         Offer::HostArp(ip) => {

@@ -6,7 +6,7 @@
 //! server (from the topology controller) and the RF-protocol channels
 //! (from the VMs), decodes their bytes and calls the stage each message
 //! is for; a stage returns what it refined, and the engine calls the
-//! next one. Transport chores no stage sees — Hello/Echo, handshake
+//! next one. Transport chores no stage sees — Hello, handshake
 //! bookkeeping, flushing FLOW_MODs queued while a channel was down,
 //! the channel drain tick, RPC framing — are handled here.
 
@@ -80,6 +80,17 @@ impl Stages {
     }
 }
 
+/// A connection the controller accepted: a switch's OpenFlow channel
+/// (from FlowVisor, or the switch itself), the RPC relay's stream or a
+/// VM's RF channel, with its reader and, once the far end has named
+/// itself (a FEATURES_REPLY, a `Booted`), the dpid it is for.
+#[derive(Clone)]
+enum Leg {
+    Of(MessageReader, Option<u64>),
+    Rpc(RpcServerEndpoint),
+    Vm(RfFrameReader, Option<u64>),
+}
+
 /// The RouteFlow controller: the paper's four fixed stages, called in a
 /// fixed order.
 #[derive(Clone)]
@@ -88,13 +99,8 @@ pub struct ControlPlane {
     stages: Stages,
     state: ControlState,
     io: ChannelIo,
-    // Wire demux.
-    of_readers: HashMap<ConnId, MessageReader>,
-    of_dpid: HashMap<ConnId, u64>,
-    rpc: RpcServerEndpoint,
-    rpc_conns: Vec<ConnId>,
-    vm_readers: HashMap<ConnId, RfFrameReader>,
-    vm_dpid: HashMap<ConnId, u64>,
+    /// Wire demux: every connection the controller accepted.
+    conns: HashMap<ConnId, Leg>,
 }
 
 impl ControlPlane {
@@ -111,12 +117,7 @@ impl ControlPlane {
             },
             state: ControlState::default(),
             io: ChannelIo::new(),
-            of_readers: HashMap::new(),
-            of_dpid: HashMap::new(),
-            rpc: RpcServerEndpoint::new(),
-            rpc_conns: Vec::new(),
-            vm_readers: HashMap::new(),
-            vm_dpid: HashMap::new(),
+            conns: HashMap::new(),
         }
     }
 
@@ -199,12 +200,26 @@ impl ControlPlane {
     // Wire handlers.
     // ------------------------------------------------------------------
 
-    fn handle_of_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: OfMessage) {
+    /// Name connection `conn` for switch `dpid`.
+    fn name_leg(&mut self, conn: ConnId, dpid: u64) {
+        if let Some(Leg::Of(_, named) | Leg::Vm(_, named)) = self.conns.get_mut(&conn) {
+            *named = Some(dpid);
+        }
+    }
+
+    /// A message off OpenFlow channel `conn`, named `dpid` so far.
+    fn handle_of_msg(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        dpid: Option<u64>,
+        msg: OfMessage,
+    ) {
         match msg {
             OfMessage::Hello => {}
             OfMessage::FeaturesReply(f) => {
                 let dpid = f.datapath_id;
-                self.of_dpid.insert(conn, dpid);
+                self.name_leg(conn, dpid);
                 self.io.dpid_of.insert(dpid, conn);
                 // Flush messages queued before the channel came up —
                 // one multi-message push, as far as credits and stall
@@ -214,41 +229,38 @@ impl ControlPlane {
                 });
             }
             OfMessage::PacketIn { in_port, data, .. } => {
-                let Some(&dpid) = self.of_dpid.get(&conn) else {
-                    return;
-                };
+                let Some(dpid) = dpid else { return };
                 self.with_cx(ctx, |s, cx| s.arp.on_packet_in(cx, dpid, in_port, &data));
             }
             _ => {}
         }
     }
 
-    fn handle_vm_msg(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: RfMessage) {
+    /// A message off VM channel `conn`, named `dpid` so far.
+    fn handle_vm_msg(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn: ConnId,
+        dpid: Option<u64>,
+        msg: RfMessage,
+    ) {
         match msg {
             RfMessage::Booted { dpid } => {
-                self.vm_dpid.insert(conn, dpid);
+                self.name_leg(conn, dpid);
                 if let Some(rec) = self.state.switches.get_mut(&dpid) {
                     rec.vm_conn = Some(conn);
                 }
                 self.with_cx(ctx, |s, cx| s.on_vm_up(cx, dpid));
             }
             RfMessage::RouteAdd {
-                prefix,
-                next_hop,
-                out_iface,
-                ..
+                prefix, out_iface, ..
             } => {
-                let Some(&dpid) = self.vm_dpid.get(&conn) else {
-                    return;
-                };
-                self.with_cx(ctx, |s, cx| {
-                    s.fib.on_route_add(cx, dpid, prefix, next_hop, out_iface);
-                });
+                // A VM names itself before it reports a route.
+                let Some(dpid) = dpid else { return };
+                self.with_cx(ctx, |s, cx| s.fib.on_route_add(cx, dpid, prefix, out_iface));
             }
             RfMessage::RouteDel { prefix } => {
-                let Some(&dpid) = self.vm_dpid.get(&conn) else {
-                    return;
-                };
+                let Some(dpid) = dpid else { return };
                 self.with_cx(ctx, |s, cx| s.fib.on_route_del(cx, dpid, prefix));
             }
             RfMessage::WriteConfigs { .. } => {} // server → VM only
@@ -277,62 +289,65 @@ impl Agent for ControlPlane {
                 if initiated_by_us {
                     return;
                 }
-                match service {
-                    s if s == RPC_SERVER_SERVICE => self.rpc_conns.push(conn),
-                    s if s == RF_SERVICE => {
-                        self.vm_readers.insert(conn, RfFrameReader::new());
-                    }
+                let leg = match service {
+                    s if s == RPC_SERVER_SERVICE => Leg::Rpc(RpcServerEndpoint::new()),
+                    s if s == RF_SERVICE => Leg::Vm(RfFrameReader::new(), None),
                     _ => {
                         // FlowVisor (or a switch directly) on the OF side.
-                        self.of_readers.insert(conn, MessageReader::new());
                         ctx.conn_send(conn, OfMessage::Hello.encode(0));
                         let xid = self.io.next_xid();
                         ctx.conn_send(conn, OfMessage::FeaturesRequest.encode(xid));
+                        Leg::Of(MessageReader::new(), None)
                     }
-                }
+                };
+                self.conns.insert(conn, leg);
             }
-            StreamEvent::Data(data) => {
-                if self.rpc_conns.contains(&conn) {
+            // No handler removes a leg or resets its reader, so taking
+            // the messages one at a time sees what reading them all
+            // first would; a frame that fails to decode is dropped and
+            // the ones behind it are read on.
+            StreamEvent::Data(data) => match self.conns.get_mut(&conn) {
+                Some(Leg::Rpc(server)) => {
                     // The relay reads nothing back, so the acks stay unsent.
-                    let (requests, _acks) = self.rpc.feed_bytes(data);
+                    let (requests, _acks) = server.feed_bytes(data);
                     ctx.count("rpc.received", requests.len() as u64);
                     for req in requests {
                         self.with_cx(ctx, |s, cx| s.on_rpc(cx, req));
                     }
-                } else if let Some(r) = self.vm_readers.get_mut(&conn) {
-                    r.push_bytes(data);
-                    // No handler removes a reader, so taking the
-                    // messages one at a time sees what reading them all
-                    // first would; a frame that fails to decode is
-                    // dropped and the ones behind it are read on.
-                    while let Some(m) = self.vm_readers.get_mut(&conn).and_then(|r| r.next()) {
+                }
+                Some(Leg::Vm(reader, _)) => {
+                    reader.push_bytes(data);
+                    while let Some(Leg::Vm(reader, dpid)) = self.conns.get_mut(&conn) {
+                        let dpid = *dpid;
+                        let Some(m) = reader.next() else { break };
                         if let Ok(m) = m {
-                            self.handle_vm_msg(ctx, conn, m);
-                        }
-                    }
-                } else if let Some(r) = self.of_readers.get_mut(&conn) {
-                    r.push_bytes(data);
-                    // Likewise.
-                    while let Some(m) = self.of_readers.get_mut(&conn).and_then(|r| r.next()) {
-                        if let Ok((m, _)) = m {
-                            self.handle_of_msg(ctx, conn, m);
+                            self.handle_vm_msg(ctx, conn, dpid, m);
                         }
                     }
                 }
-            }
-            StreamEvent::Closed => {
-                self.rpc_conns.retain(|c| *c != conn);
-                self.vm_readers.remove(&conn);
-                self.of_readers.remove(&conn);
-                if let Some(dpid) = self.of_dpid.remove(&conn) {
+                Some(Leg::Of(reader, _)) => {
+                    reader.push_bytes(data);
+                    while let Some(Leg::Of(reader, dpid)) = self.conns.get_mut(&conn) {
+                        let dpid = *dpid;
+                        let Some(m) = reader.next() else { break };
+                        if let Ok((m, _)) = m {
+                            self.handle_of_msg(ctx, conn, dpid, m);
+                        }
+                    }
+                }
+                None => {}
+            },
+            StreamEvent::Closed => match self.conns.remove(&conn) {
+                Some(Leg::Of(_, Some(dpid))) => {
                     self.io.dpid_of.remove(&dpid);
                 }
-                if let Some(dpid) = self.vm_dpid.remove(&conn) {
+                Some(Leg::Vm(_, Some(dpid))) => {
                     if let Some(rec) = self.state.switches.get_mut(&dpid) {
                         rec.vm_conn = None;
                     }
                 }
-            }
+                _ => {}
+            },
         }
     }
 }

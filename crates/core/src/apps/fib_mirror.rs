@@ -17,7 +17,6 @@ use super::channel::AppCtx;
 use rf_openflow::{Action, FlowModCommand, OfMatch, OfMessage, OFPP_NONE, OFP_NO_BUFFER};
 use rf_wire::{Ipv4Cidr, MacAddr};
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 use std::time::Duration;
 
 /// Flow priority encoding: longest-prefix-match via OF 1.0 priorities.
@@ -89,24 +88,20 @@ impl FibMirror {
         }
     }
 
-    /// The VM mirroring `dpid` installed a route.
+    /// The VM mirroring `dpid` installed a routed prefix (a VM reports
+    /// no connected one).
     pub(crate) fn on_route_add(
         &mut self,
         cx: &mut AppCtx<'_, '_>,
         dpid: u64,
         prefix: Ipv4Cidr,
-        next_hop: Option<Ipv4Addr>,
         out_iface: u16,
     ) {
-        if next_hop.is_none() {
-            // Connected routes need no transit flow: traffic to the
-            // hosts behind this switch is delivered by the learned
-            // per-host /32 flows; traffic to the /30 router addresses
-            // stays in the VM environment.
-            return;
-        }
         let Some(&(peer_dpid, peer_port)) = cx.state.port_peer.get(&(dpid, out_iface)) else {
-            return; // stale route onto a vanished link
+            // A stale route onto a link this controller already removed
+            // (the VM has not yet applied the configuration without it).
+            cx.sim.count("rf.route_add_stale", 1);
+            return;
         };
         let fm = OfMessage::FlowMod {
             of_match: OfMatch::ipv4_dst_prefix(prefix.network(), prefix.prefix_len),

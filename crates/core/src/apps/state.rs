@@ -50,7 +50,7 @@ pub struct ControlState {
     pub flows_removed: u64,
     pub arp_replies: u64,
     /// OpenFlow messages actually written toward switches (FLOW_MODs,
-    /// PACKET_OUTs — transport chores like Hello/Echo excluded).
+    /// PACKET_OUTs — transport chores like Hello excluded).
     pub of_msgs_sent: u64,
     /// Wire bytes of those messages.
     pub of_bytes_sent: u64,

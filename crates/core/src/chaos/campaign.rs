@@ -13,7 +13,7 @@ use super::shrink::shrink_schedule;
 use super::{fault_from_json, fault_to_json, ChaosSpec};
 use crate::json::Json;
 use crate::scenario::{
-    caught, run_cold, sweep, CellRecord, Fault, FaultSchedule, MatrixCell, MatrixKnob,
+    caught, run_cold, sweep, CellRecord, Fault, FaultSchedule, ForkError, MatrixCell, MatrixKnob,
     MatrixReport, MatrixSpec, Prefix, Scenario, ScenarioMatrix,
 };
 use rf_topo::Topology;
@@ -309,10 +309,11 @@ impl ChaosCampaign {
 
     /// Re-run `cell` with `faults` as its schedule — from a fork of
     /// `base` when every fault lies past the capture, from a cold start
-    /// otherwise — and return the violations the finished world shows.
-    /// `base` is neither consumed nor advanced, so every candidate
-    /// forks from the same convergence capture. `None` if the builder
-    /// rejects the cell.
+    /// otherwise — and return the violations the finished world shows
+    /// ([`violations_of`]: a run that panics shows
+    /// [`InvariantViolation::Panicked`]). `base` is neither consumed nor
+    /// advanced, so every candidate forks from the same convergence
+    /// capture. `None` if the builder rejects the cell.
     fn run_candidate(
         &self,
         mspec: &MatrixSpec,
@@ -325,10 +326,12 @@ impl ChaosCampaign {
             schedule: FaultSchedule::new(cell.schedule.name.clone(), faults.to_vec()),
             ..cell.clone()
         };
-        let fin = base
-            .and_then(|b| b.resume(mspec, &cand))
-            .unwrap_or_else(|| run_cold(mspec, &cand, &ScenarioMatrix::standard_builder));
-        Some(self.check(&fin.scenario?, topo, faults))
+        violations_of(&cand, || {
+            let fin = base
+                .and_then(|b| b.resume(mspec, &cand))
+                .unwrap_or_else(|| run_cold(mspec, &cand, &ScenarioMatrix::standard_builder));
+            Some(self.check(&fin.scenario?, topo, faults))
+        })
     }
 
     /// Run the whole campaign over `threads` workers. The report (and
@@ -363,12 +366,15 @@ impl ChaosCampaign {
         let mut records = Vec::with_capacity(cells.len());
         let mut violating: Vec<(usize, Vec<InvariantViolation>)> = Vec::new();
         for (i, done) in done.into_iter().enumerate() {
-            let (rec, violations) = (done.rec, done.post);
+            let (rec, mut violations) = (done.rec, done.post);
             if rec.metrics.contains_key("build_error") {
                 stats.build_errors += 1;
             }
+            // A panicking cell keeps its bare `panic = 1` record; its
+            // violation is shrunk like any other.
             if rec.metrics.contains_key("panic") {
                 stats.panics += 1;
+                violations = vec![InvariantViolation::Panicked];
             }
             if !violations.is_empty() {
                 stats.cells_with_violations += 1;
@@ -392,10 +398,8 @@ impl ChaosCampaign {
                     .ok()
                     .flatten();
                 let out = shrink_schedule(&cell.schedule.faults, |cand| {
-                    reproduces(cell, || {
-                        self.run_candidate(&mspec, cell, topo, cand, base.as_ref())
-                            .is_some_and(|vs| vs.iter().any(|v| codes.contains(&v.code())))
-                    })
+                    self.run_candidate(&mspec, cell, topo, cand, base.as_ref())
+                        .is_some_and(|vs| vs.iter().any(|v| codes.contains(&v.code())))
                 });
                 (out.faults, out.runs)
             } else {
@@ -449,11 +453,12 @@ impl ChaosCampaign {
 
     /// Re-run a repro case under this campaign's knob and windows;
     /// returns the violations it provokes (the repro is confirmed when
-    /// they match the artifact's recorded ones). `Err` says why the
+    /// they match the artifact's recorded ones; a run that panics
+    /// provokes [`InvariantViolation::Panicked`]). `Err` says why the
     /// repro could not be run at all — recorded under another knob, an
     /// unparseable topology, a schedule the builder rejects or the
-    /// world refuses (a fault at t = 0), a run that panics — which is
-    /// not the same thing as running it and finding nothing.
+    /// world refuses (a fault at t = 0) — which is not the same thing
+    /// as running it and finding nothing.
     pub fn replay(&self, repro: &ReproCase) -> Result<Vec<InvariantViolation>, String> {
         if repro.knob != self.knob.name {
             return Err(format!(
@@ -466,6 +471,13 @@ impl ChaosCampaign {
             .parse::<rf_topo::TopoSpec>()
             .map_err(|e| e.to_string())?
             .build();
+        // A world refuses a fault at t = 0 (`Scenario::start` panics on
+        // it): the schedule cannot run, which is not a run that panics.
+        let first = repro.faults.iter().map(Fault::first_effect).min();
+        if let Some(at) = first.filter(Duration::is_zero) {
+            let now = rf_sim::Time::ZERO;
+            return Err(ForkError::FaultNotAfterFork { at, now }.to_string());
+        }
         let cell = MatrixCell {
             seed: repro.seed,
             topology: repro.topology.clone(),
@@ -477,20 +489,24 @@ impl ChaosCampaign {
             ScenarioMatrix::standard_builder(c)
                 .inspect_err(|e| *rejected.borrow_mut() = e.to_string())
         };
-        let run = caught(&cell, || {
+        let run = violations_of(&cell, || {
             let sc = run_cold(&self.matrix_spec(), &cell, &build).scenario?;
             Some(self.check(&sc, &topo, &repro.faults))
-        })?;
+        });
         run.ok_or_else(|| rejected.into_inner())
     }
 }
 
-/// Whether a shrink candidate still reproduces, run inside the
-/// executor's catch: a candidate that panics counts as not
-/// reproducing, and its text goes to stderr only, so one panicking
-/// subset cannot take the campaign down.
-fn reproduces(cell: &MatrixCell, run: impl FnOnce() -> bool) -> bool {
-    caught(cell, run).unwrap_or(false)
+/// The violations `run` finds, run inside the executor's catch: a run
+/// that panics finds [`InvariantViolation::Panicked`] (its text goes to
+/// stderr only), so a panicking candidate or replay cannot take the
+/// campaign down and a panicking schedule shrinks and replays like any
+/// other violation. `None` if the builder rejected the cell.
+fn violations_of(
+    cell: &MatrixCell,
+    run: impl FnOnce() -> Option<Vec<InvariantViolation>>,
+) -> Option<Vec<InvariantViolation>> {
+    caught(cell, run).unwrap_or_else(|_| Some(vec![InvariantViolation::Panicked]))
 }
 
 /// Fold the chaos accounting into a cell's metric map.
@@ -535,11 +551,11 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_candidate_does_not_reproduce_and_the_shrink_goes_on() {
-        // "Fails" iff node 2's kill is present — except that the
-        // subset {kill 2, kill 3}, ddmin's first candidate, panics.
-        // Through the campaign's wrapper it counts as not reproducing,
-        // and the search still ends at the culprit.
+    fn a_panicking_candidate_reproduces_a_panic_and_the_shrink_ends_at_its_culprit() {
+        // A run panics iff node 2's kill is present, and finds nothing
+        // otherwise. Through the campaign's catch a panic is a
+        // violation of its own (`panicked`), so a cell that panicked
+        // shrinks to the culprit.
         let kill = |node: usize| Fault::KillSwitch {
             node,
             at: Duration::from_secs(30 + node as u64),
@@ -551,21 +567,25 @@ mod tests {
             schedule: FaultSchedule::new("culprit", faults.clone()),
             knob: MatrixKnob::fast("fast"),
         };
-        let has = |cand: &[Fault], n: usize| {
-            cand.iter()
-                .any(|f| matches!(f, Fault::KillSwitch { node, .. } if *node == n))
+        let run = |cand: &[Fault]| {
+            violations_of(&cell, || {
+                if cand
+                    .iter()
+                    .any(|f| matches!(f, Fault::KillSwitch { node: 2, .. }))
+                {
+                    panic!("a schedule killing node 2 panics");
+                }
+                Some(Vec::new())
+            })
         };
+        assert_eq!(run(&faults), Some(vec![InvariantViolation::Panicked]));
         let panicked = std::cell::Cell::new(0);
         let out = shrink_schedule(&faults, |cand| {
-            reproduces(&cell, || {
-                if cand.len() == 2 && has(cand, 2) && has(cand, 3) {
-                    panicked.set(panicked.get() + 1);
-                    panic!("candidate {{kill 2, kill 3}} panics");
-                }
-                has(cand, 2)
-            })
+            let found = run(cand).is_some_and(|vs| vs.iter().any(|v| v.code() == "panicked"));
+            panicked.set(panicked.get() + usize::from(found));
+            found
         });
-        assert!(panicked.get() > 0, "the panicking subset was tried");
+        assert!(panicked.get() > 1, "the shrink re-ran panicking candidates");
         assert_eq!(format!("{:?}", out.faults), format!("{:?}", [kill(2)]));
     }
 

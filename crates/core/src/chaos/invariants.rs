@@ -19,7 +19,10 @@
 //!
 //! Violations are *data*, not panics: each is a typed
 //! [`InvariantViolation`] that the campaign folds into cell metrics
-//! (`inv_<code>` counts) and into minimized repro artifacts.
+//! (`inv_<code>` counts) and into minimized repro artifacts. A run that
+//! panics has no finished world to probe; the campaign records it as
+//! [`InvariantViolation::Panicked`] and shrinks and replays it like
+//! any other.
 
 use crate::scenario::{port_plan, Fault, Scenario, WorkloadReport};
 use crate::vnet::VmAgent;
@@ -80,6 +83,9 @@ pub enum InvariantViolation {
         offered: u64,
         delivered: u64,
     },
+    /// The run panicked. Its message goes to stderr only: the file and
+    /// line in it move with every edit, so it is not byte-stable.
+    Panicked,
 }
 
 impl InvariantViolation {
@@ -92,6 +98,7 @@ impl InvariantViolation {
             InvariantViolation::FibSpfMismatch { .. } => "fib_spf",
             InvariantViolation::MirrorMissing { .. } => "fib_mirror",
             InvariantViolation::Conservation { .. } => "conservation",
+            InvariantViolation::Panicked => "panicked",
         }
     }
 }
@@ -140,6 +147,7 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "conservation: {what} delivered {delivered} > offered {offered}"
             ),
+            InvariantViolation::Panicked => f.write_str("the run panicked"),
         }
     }
 }

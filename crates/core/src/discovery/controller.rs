@@ -57,26 +57,6 @@ impl TopologyControllerConfig {
     }
 }
 
-/// Externally observable discovery events (consumed by tests, the GUI
-/// and the experiment harness).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DiscoveryEvent {
-    SwitchJoin {
-        dpid: u64,
-        num_ports: u16,
-    },
-    SwitchLeave {
-        dpid: u64,
-    },
-    LinkUp {
-        link: UndirectedLink,
-        subnet: Ipv4Cidr,
-    },
-    LinkDown {
-        link: UndirectedLink,
-    },
-}
-
 #[derive(Clone)]
 struct Session {
     reader: MessageReader,
@@ -104,8 +84,6 @@ pub struct TopologyController {
     /// Request ids handed out so far; the first request gets id 1.
     rpc_issued: u64,
     xid: u32,
-    /// Full event history, in order.
-    pub events: Vec<DiscoveryEvent>,
     /// Probe rounds completed (diagnostics).
     pub probe_rounds: u64,
 }
@@ -122,7 +100,6 @@ impl TopologyController {
             rpc_conn: None,
             rpc_issued: 0,
             xid: 1,
-            events: Vec::new(),
             probe_rounds: 0,
         }
     }
@@ -171,7 +148,6 @@ impl TopologyController {
         let ip_a = subnet.nth(1).expect("/30 has host addrs");
         let ip_b = subnet.nth(2).expect("/30 has host addrs");
         self.subnets.insert(link, subnet);
-        self.events.push(DiscoveryEvent::LinkUp { link, subnet });
         self.emit_rpc(
             ctx,
             RpcRequest::LinkDetected {
@@ -190,7 +166,6 @@ impl TopologyController {
         if let Some(subnet) = self.subnets.remove(&link) {
             self.alloc.release(subnet);
         }
-        self.events.push(DiscoveryEvent::LinkDown { link });
         self.emit_rpc(
             ctx,
             RpcRequest::LinkRemoved {
@@ -278,10 +253,6 @@ impl TopologyController {
                     }],
                 };
                 ctx.conn_send(conn, punt.encode(xid));
-                self.events.push(DiscoveryEvent::SwitchJoin {
-                    dpid: f.datapath_id,
-                    num_ports,
-                });
                 self.emit_rpc(
                     ctx,
                     RpcRequest::SwitchDetected {
@@ -409,7 +380,6 @@ impl Agent for TopologyController {
                         for link in self.linkdb.remove_switch(dpid) {
                             self.handle_link_down(ctx, link);
                         }
-                        self.events.push(DiscoveryEvent::SwitchLeave { dpid });
                         self.emit_rpc(ctx, RpcRequest::SwitchRemoved { dpid });
                     }
                 }

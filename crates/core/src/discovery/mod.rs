@@ -35,7 +35,7 @@ pub mod linkdb;
 
 pub use alloc::Ipv4Allocator;
 pub(crate) use controller::DEFAULT_PROBE_INTERVAL;
-pub use controller::{DiscoveryEvent, TopologyController, TopologyControllerConfig};
+pub use controller::{TopologyController, TopologyControllerConfig};
 pub use linkdb::{DirectedLink, LinkDb, UndirectedLink};
 
 /// OpenFlow service the topology controller listens on (FlowVisor's

@@ -18,9 +18,10 @@
 //!   re-receiving updated files when new links are detected;
 //! * runs the OSPF daemon over its virtual NICs (OSPF packets are real
 //!   IPv4-proto-89-in-Ethernet frames on the virtual interconnect);
-//! * pushes every FIB change back to the RF-controller as
-//!   `RouteAdd`/`RouteDel`, which RouteFlow translates into flow
-//!   entries on the mirrored physical switch.
+//! * pushes its FIB changes back to the RF-controller — a routed
+//!   prefix as `RouteAdd`, every withdrawal as `RouteDel` — which
+//!   RouteFlow translates into flow entries on the mirrored physical
+//!   switch.
 
 pub mod rfproto;
 pub mod vm;

@@ -27,13 +27,12 @@ pub enum RfMessage {
     /// applies (this is "the RPC server writes routing configuration
     /// files" from the paper — delivered over the RFServer channel).
     WriteConfigs { zebra: String, ospf: String },
-    /// VM → server: a route entered the FIB.
+    /// VM → server: a routed prefix entered the FIB. A connected one
+    /// is not reported: it needs no flow.
     RouteAdd {
         prefix: Ipv4Cidr,
-        /// `None` for connected routes.
-        next_hop: Option<Ipv4Addr>,
+        next_hop: Ipv4Addr,
         out_iface: u16,
-        metric: u32,
     },
     /// VM → server: a prefix left the FIB.
     RouteDel { prefix: Ipv4Cidr },
@@ -79,13 +78,11 @@ impl RfMessage {
                 prefix,
                 next_hop,
                 out_iface,
-                metric,
             } => {
                 out.put_slice(&prefix.addr.octets());
                 out.put_u8(prefix.prefix_len);
-                out.put_u32(next_hop.map(u32::from).unwrap_or(0));
+                out.put_slice(&next_hop.octets());
                 out.put_u16(*out_iface);
-                out.put_u32(*metric);
                 3
             }
             RfMessage::RouteDel { prefix } => {
@@ -105,7 +102,7 @@ impl RfMessage {
         match self {
             RfMessage::Booted { .. } => 8,
             RfMessage::WriteConfigs { zebra, ospf } => 8 + zebra.len() + ospf.len(),
-            RfMessage::RouteAdd { .. } => 15,
+            RfMessage::RouteAdd { .. } => 11,
             RfMessage::RouteDel { .. } => 5,
         }
     }
@@ -130,7 +127,7 @@ impl RfMessage {
                 Some(RfMessage::WriteConfigs { zebra, ospf })
             }
             3 => {
-                if data.remaining() < 15 {
+                if data.remaining() < 11 {
                     return None;
                 }
                 let mut o = [0u8; 4];
@@ -139,18 +136,10 @@ impl RfMessage {
                 if prefix_len > 32 {
                     return None;
                 }
-                let nh = data.get_u32();
-                let out_iface = data.get_u16();
-                let metric = data.get_u32();
                 Some(RfMessage::RouteAdd {
                     prefix: Ipv4Cidr::new(Ipv4Addr::from(o), prefix_len),
-                    next_hop: if nh == 0 {
-                        None
-                    } else {
-                        Some(Ipv4Addr::from(nh))
-                    },
-                    out_iface,
-                    metric,
+                    next_hop: Ipv4Addr::from(data.get_u32()),
+                    out_iface: data.get_u16(),
                 })
             }
             4 => {
@@ -222,15 +211,8 @@ mod tests {
             },
             RfMessage::RouteAdd {
                 prefix: "172.31.0.4/30".parse().unwrap(),
-                next_hop: Some("172.31.0.2".parse().unwrap()),
+                next_hop: "172.31.0.2".parse().unwrap(),
                 out_iface: 1,
-                metric: 20,
-            },
-            RfMessage::RouteAdd {
-                prefix: "172.31.0.0/30".parse().unwrap(),
-                next_hop: None,
-                out_iface: 2,
-                metric: 0,
             },
             RfMessage::RouteDel {
                 prefix: "172.31.0.4/30".parse().unwrap(),
@@ -252,7 +234,8 @@ mod tests {
 
     /// The encodings as the header-behind-body encoder this one
     /// replaced wrote them (the configuration files less the `bgpd.conf`
-    /// string that followed them): the wire format is pinned byte for
+    /// string that followed them, a route less the metric that
+    /// followed its interface): the wire format is pinned byte for
     /// byte.
     #[test]
     fn golden_encodings() {
@@ -265,8 +248,7 @@ mod tests {
                 "0000000f686f73746e616d6520766d2d31630a",
                 "0000000c726f75746572206f7370660a",
             ),
-            concat!("00000010", "03", "ac1f00041eac1f0002000100000014"),
-            concat!("00000010", "03", "ac1f00001e00000000000200000000"),
+            concat!("0000000c", "03", "ac1f00041eac1f00020001"),
             concat!("00000006", "04", "ac1f00041e"),
         ];
         for (m, want) in samples().into_iter().zip(golden) {

@@ -116,18 +116,28 @@ impl VmAgent {
         }
     }
 
+    /// Report FIB changes to the RF-controller. A connected route is
+    /// not reported: it needs no transit flow (the hosts behind a
+    /// switch are reached through the ARP proxy's /32 flows, and the
+    /// /30 router addresses stay in the virtual environment). Every
+    /// withdrawal is; the controller deletes only what it installed.
     fn push_rib_changes(&mut self, ctx: &mut Ctx<'_>, changes: Vec<RibChange>) {
         for ch in changes {
             match ch {
-                RibChange::Installed(r) => self.send_rf(
+                RibChange::Installed(Route {
+                    prefix,
+                    next_hop: Some(next_hop),
+                    out_iface,
+                    ..
+                }) => self.send_rf(
                     ctx,
                     RfMessage::RouteAdd {
-                        prefix: r.prefix,
-                        next_hop: r.next_hop,
-                        out_iface: r.out_iface,
-                        metric: r.metric,
+                        prefix,
+                        next_hop,
+                        out_iface,
                     },
                 ),
+                RibChange::Installed(_) => {}
                 RibChange::Withdrawn(prefix) => self.send_rf(ctx, RfMessage::RouteDel { prefix }),
             }
         }
@@ -314,6 +324,8 @@ impl Agent for VmAgent {
         }
     }
 
+    /// The RF-controller never closes a VM's channel: a VM leaves only
+    /// when it is killed with its switch.
     fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
         if Some(conn) != self.conn {
             return;
@@ -332,9 +344,7 @@ impl Agent for VmAgent {
                     }
                 }
             }
-            StreamEvent::Closed => {
-                self.conn = None;
-            }
+            StreamEvent::Closed => {}
         }
     }
 }

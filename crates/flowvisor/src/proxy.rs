@@ -210,17 +210,21 @@ impl FlowVisor {
     /// owns its frame, so it is read where it lies ([`PacketInView`]:
     /// no message is decoded and no slice of `raw` is kept); everything
     /// else is decoded in full. A message that does not decode is
-    /// dropped.
+    /// counted as `fv.decode_error` and dropped.
     fn handle_switch_frame(&mut self, ctx: &mut Ctx<'_>, sw: usize, raw: Bytes) {
         let packet_in = match PacketInView::parse(&raw) {
             Ok(Some(packet_in)) => packet_in,
             Ok(None) => {
-                if let Ok((msg, xid)) = OfMessage::decode_bytes(&raw) {
-                    self.handle_switch_msg(ctx, msg, xid, raw);
+                match OfMessage::decode_bytes(&raw) {
+                    Ok((msg, xid)) => self.handle_switch_msg(ctx, msg, xid, raw),
+                    Err(_) => ctx.count("fv.decode_error", 1),
                 }
                 return;
             }
-            Err(_) => return,
+            Err(_) => {
+                ctx.count("fv.decode_error", 1);
+                return;
+            }
         };
         ctx.count("fv.packet_in", 1);
         let frame = packet_in.payload(&raw);
@@ -299,14 +303,19 @@ impl FlowVisor {
     /// PACKET_OUT that a switch would refuse for its actions, command or
     /// match does not decode; it is refused here as the switch refuses
     /// it ([`OfError::refusal`]), under the slice's own xid. Any other
-    /// message that does not decode is dropped.
+    /// message that does not decode is counted as `fv.decode_error` and
+    /// dropped.
     fn handle_controller_frame(&mut self, ctx: &mut Ctx<'_>, sw: usize, slice: usize, raw: Bytes) {
         let Ok(header) = OfHeader::parse(&raw) else {
+            ctx.count("fv.decode_error", 1);
             return;
         };
-        let refused = self.pass_on(ctx, sw, slice, raw).err();
-        if let Some((err_type, code)) = refused.and_then(|e| e.refusal()) {
-            self.refuse(ctx, sw, slice, err_type, code, header.xid);
+        let Err(e) = self.pass_on(ctx, sw, slice, raw) else {
+            return;
+        };
+        match e.refusal() {
+            Some((err_type, code)) => self.refuse(ctx, sw, slice, err_type, code, header.xid),
+            None => ctx.count("fv.decode_error", 1),
         }
     }
 

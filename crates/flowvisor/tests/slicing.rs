@@ -575,9 +575,10 @@ fn packet_out_too_short_to_classify_denied() {
 }
 
 /// An ECHO_REQUEST, an ECHO_REPLY and a VENDOR message from a slice do
-/// not decode: FlowVisor answers none and passes none on, so the
-/// switch sees nothing, and the FEATURES_REQUEST behind them in the
-/// same chunk is answered from the cache as usual.
+/// not decode: FlowVisor counts each as `fv.decode_error` and answers
+/// none and passes none on, so the switch sees nothing, and the
+/// FEATURES_REQUEST behind them in the same chunk is answered from the
+/// cache as usual.
 #[test]
 fn echo_and_vendor_from_a_slice_are_dropped() {
     let mut chunk = vec![1, 2, 0, 12, 0, 0, 0, 0x71, b'p', b'i', b'n', b'g'];
@@ -599,6 +600,7 @@ fn echo_and_vendor_from_a_slice_are_dropped() {
         0,
         "nothing reached the switch"
     );
+    assert_eq!(tracer.counter("fv.decode_error"), 3, "one per message");
     assert_eq!(tracer.counter("fv.unexpected_from_controller"), 0);
     let sw = w.sim.agent_as::<OpenFlowSwitch>(w.sw).unwrap();
     assert_eq!(sw.errors_sent, 0);

@@ -11,26 +11,22 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-/// Route origin, ordered by administrative distance.
+/// Route origin, ordered by administrative distance: what a VM's
+/// interfaces and its OSPF daemon install (no daemon originates
+/// another kind).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RouteProto {
     /// Directly connected interface subnet (distance 0).
     Connected,
-    /// Operator-configured static route (distance 1).
-    Static,
     /// OSPF-computed (distance 110).
     Ospf,
-    /// RIP-computed (distance 120).
-    Rip,
 }
 
 impl RouteProto {
     pub fn admin_distance(self) -> u8 {
         match self {
             RouteProto::Connected => 0,
-            RouteProto::Static => 1,
             RouteProto::Ospf => 110,
-            RouteProto::Rip => 120,
         }
     }
 }
@@ -39,9 +35,7 @@ impl fmt::Display for RouteProto {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             RouteProto::Connected => "connected",
-            RouteProto::Static => "static",
             RouteProto::Ospf => "ospf",
-            RouteProto::Rip => "rip",
         };
         f.write_str(s)
     }
@@ -264,18 +258,15 @@ mod tests {
     fn withdrawing_best_falls_back() {
         let mut rib = Rib::new();
         rib.add(ospf("10.0.0.0/24", "1.1.1.1", 1, 5));
-        rib.add(Route {
-            proto: RouteProto::Rip,
-            ..ospf("10.0.0.0/24", "2.2.2.2", 2, 3)
-        });
+        rib.add(Route::connected(cidr("10.0.0.0/24"), 2));
         assert_eq!(
             rib.lookup("10.0.0.1".parse().unwrap()).unwrap().proto,
-            RouteProto::Ospf
+            RouteProto::Connected
         );
-        let ch = rib.remove(cidr("10.0.0.0/24"), RouteProto::Ospf);
+        let ch = rib.remove(cidr("10.0.0.0/24"), RouteProto::Connected);
         assert_eq!(ch.len(), 1);
-        assert!(matches!(ch[0], RibChange::Installed(r) if r.proto == RouteProto::Rip));
-        let ch = rib.remove(cidr("10.0.0.0/24"), RouteProto::Rip);
+        assert!(matches!(ch[0], RibChange::Installed(r) if r.proto == RouteProto::Ospf));
+        let ch = rib.remove(cidr("10.0.0.0/24"), RouteProto::Ospf);
         assert_eq!(ch, vec![RibChange::Withdrawn(cidr("10.0.0.0/24"))]);
         assert_eq!(rib.fib_len(), 0);
     }

@@ -3,27 +3,26 @@
 //!
 //! The paper separates the RPC client from the topology controller "to
 //! share the load of automatic configuration of RouteFlow". The relay
-//! forwards each request it decodes to the RPC server once, in arrival
-//! order, over one stream: neither end of the path ever fails.
+//! forwards each envelope it frames to the RPC server once, in arrival
+//! order and as it arrived, over one stream: neither end of the path
+//! ever fails.
 
-use crate::codec::{encode_envelope, Envelope, RpcFrameReader};
+use crate::codec::RpcFrameReader;
 use crate::{RPC_CLIENT_SERVICE, RPC_SERVER_SERVICE};
 use rf_sim::{Agent, AgentId, ConnId, ConnProfile, Ctx, StreamEvent};
 
 /// The RPC client agent.
 ///
 /// Upstream: listens on [`RPC_CLIENT_SERVICE`] for request envelopes
-/// from the topology controller (req_ids assigned by the client are
-/// authoritative; upstream ids are remapped). Downstream: dials the RPC
-/// server on [`RPC_SERVER_SERVICE`].
+/// from the topology controller, whose request ids number the stream.
+/// Downstream: dials the RPC server on [`RPC_SERVER_SERVICE`] and
+/// hands it each envelope's bytes unchanged.
 #[derive(Clone)]
 pub struct RpcClientAgent {
     /// The RF-controller hosting the RPC server.
     server: AgentId,
     upstream_readers: Vec<(ConnId, RpcFrameReader)>,
     server_conn: Option<ConnId>,
-    /// Ids handed out so far; the first request forwarded gets id 1.
-    issued: u64,
 }
 
 impl RpcClientAgent {
@@ -32,7 +31,6 @@ impl RpcClientAgent {
             server,
             upstream_readers: Vec::new(),
             server_conn: None,
-            issued: 0,
         }
     }
 }
@@ -49,7 +47,7 @@ impl Agent for RpcClientAgent {
             // The server sends nothing the relay reads.
             return;
         }
-        // Upstream (topology controller) side.
+        // Upstream (topology controller) side; it never closes.
         match event {
             StreamEvent::Opened { .. } => {
                 self.upstream_readers.push((conn, RpcFrameReader::new()));
@@ -62,23 +60,15 @@ impl Agent for RpcClientAgent {
                     return;
                 };
                 reader.push_bytes(data);
-                // A frame that fails to decode is dropped; the ones
-                // behind it are read on.
-                while let Some(env) = reader.next() {
-                    if let Ok(Envelope::Request { request, .. }) = env {
-                        self.issued += 1;
-                        let req_id = self.issued;
-                        ctx.conn_send(
-                            server,
-                            encode_envelope(&Envelope::Request { req_id, request }),
-                        );
-                        ctx.count("rpc.sent", 1);
-                    }
+                // The server decodes each envelope; one it cannot is
+                // its to count, and the ones behind it go on too. A bad
+                // magic ends the stream: no frame boundary follows it.
+                while let Some(Ok(frame)) = reader.next_frame() {
+                    ctx.conn_send(server, frame);
+                    ctx.count("rpc.sent", 1);
                 }
             }
-            StreamEvent::Closed => {
-                self.upstream_readers.retain(|(c, _)| *c != conn);
-            }
+            StreamEvent::Closed => {}
         }
     }
 }

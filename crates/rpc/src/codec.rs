@@ -100,21 +100,28 @@ impl RpcFrameReader {
         self.frames.push_bytes(data);
     }
 
-    /// Pop the next complete envelope if buffered. A bad magic drops
-    /// the buffer: there is no way to find the next frame boundary.
+    /// Pop the next complete envelope's bytes if buffered, undecoded.
+    /// A bad magic drops the buffer: there is no way to find the next
+    /// frame boundary.
+    pub fn next_frame(&mut self) -> Option<Result<Bytes, RpcError>> {
+        self.frames
+            .take_frame(|avail| {
+                if avail.len() < 6 {
+                    return Ok(None);
+                }
+                if u16::from_be_bytes([avail[0], avail[1]]) != MAGIC {
+                    return Err(RpcError::BadMagic);
+                }
+                let length = u32::from_be_bytes([avail[2], avail[3], avail[4], avail[5]]) as usize;
+                Ok(Some(6 + length))
+            })
+            .transpose()
+    }
+
+    /// Pop the next complete envelope if buffered, decoded.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Result<Envelope, RpcError>> {
-        let frame = self.frames.take_frame(|avail| {
-            if avail.len() < 6 {
-                return Ok(None);
-            }
-            if u16::from_be_bytes([avail[0], avail[1]]) != MAGIC {
-                return Err(RpcError::BadMagic);
-            }
-            let length = u32::from_be_bytes([avail[2], avail[3], avail[4], avail[5]]) as usize;
-            Ok(Some(6 + length))
-        });
-        frame.transpose().map(|frame| decode_envelope(&frame?))
+        self.next_frame().map(|frame| decode_envelope(&frame?))
     }
 }
 

@@ -13,10 +13,12 @@
 //!   topology controller allocated), link removed;
 //! * [`codec`] — a hand-rolled, length-prefixed binary encoding (no
 //!   serde; explicit bytes, like every other protocol in this repo);
-//! * [`client::RpcClientAgent`] — a relay that forwards each request
-//!   to the RPC server once, in arrival order, over one stream. No end
-//!   of the path fails in the simulation (only switches and VMs do), so
-//!   nothing is retransmitted, redialled or deduplicated;
+//! * [`client::RpcClientAgent`] — a relay that forwards each envelope
+//!   to the RPC server once, in arrival order, over one stream, as the
+//!   bytes it framed: nothing is decoded, renumbered or re-encoded on
+//!   the way, so the server reads the topology controller's request
+//!   ids. No end of the path fails in the simulation (only switches and
+//!   VMs do), so nothing is retransmitted, redialled or deduplicated;
 //! * [`server::RpcServerEndpoint`] — the embeddable server half used by
 //!   the RF-controller: decodes requests and encodes an ack for each
 //!   (the RF-controller sends none; rfbench's `rpc.roundtrip_ns` probe

@@ -6,8 +6,9 @@
 //!
 //! * performs the OF 1.0 handshake (HELLO, FEATURES: its datapath id
 //!   and ports) against whatever controller (or FlowVisor proxy) it is
-//!   pointed at, reconnecting with backoff if the control channel
-//!   drops;
+//!   pointed at, dialled once at start: no controller fails or closes a
+//!   live switch's channel, so the switch sets no timer and redials
+//!   nothing;
 //! * classifies every data-plane frame into an OF 1.0
 //!   [`rf_openflow::PacketKey`] (its Ethernet header, and an IPv4
 //!   frame's IPv4 header) and looks it up in a priority-ordered

@@ -12,12 +12,6 @@ use rf_openflow::{
 };
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_wire::ethernet::ETHERNET_HEADER_LEN;
-use std::time::Duration;
-
-/// Wait before redialling a dropped controller: the 1 s first backoff
-/// of Open vSwitch's rconn. The redial timer's token is the
-/// controller's index; the switch sets no other timer.
-const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Static configuration of one switch.
 #[derive(Clone, Debug)]
@@ -56,20 +50,15 @@ impl SwitchConfig {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ConnState {
-    Disconnected,
-    Connecting,
-    /// HELLO exchanged; handshake driven by the controller from here.
-    Ready,
-}
-
-/// One control-channel leg toward a controller.
+/// One control-channel leg toward a controller, dialled once at start.
+/// No controller (nor FlowVisor) fails or closes a live switch's leg,
+/// so a leg that closes stays closed.
 #[derive(Clone)]
 struct CtrlConn {
     target: (rf_sim::AgentId, u16),
     conn: Option<ConnId>,
-    state: ConnState,
+    /// HELLO received; the controller drives the handshake from here.
+    ready: bool,
     reader: MessageReader,
 }
 
@@ -117,7 +106,7 @@ impl OpenFlowSwitch {
             .map(|&target| CtrlConn {
                 target,
                 conn: None,
-                state: ConnState::Disconnected,
+                ready: false,
                 reader: MessageReader::new(),
             })
             .collect();
@@ -146,9 +135,9 @@ impl OpenFlowSwitch {
         &self.table
     }
 
-    /// Whether every control channel is established.
+    /// Whether every control channel is established and open.
     pub fn is_connected(&self) -> bool {
-        self.ctrls.iter().all(|c| c.state == ConnState::Ready)
+        self.ctrls.iter().all(|c| c.ready)
     }
 
     fn next_xid(&mut self) -> u32 {
@@ -165,10 +154,8 @@ impl OpenFlowSwitch {
     /// Send pre-encoded bytes to every ready control channel.
     fn send_raw(&mut self, ctx: &mut Ctx<'_>, encoded: Bytes) {
         for c in &self.ctrls {
-            if c.state == ConnState::Ready {
-                if let Some(conn) = c.conn {
-                    ctx.conn_send(conn, encoded.clone());
-                }
+            if let (true, Some(conn)) = (c.ready, c.conn) {
+                ctx.conn_send(conn, encoded.clone());
             }
         }
     }
@@ -178,14 +165,6 @@ impl OpenFlowSwitch {
         if let Some(conn) = self.ctrls[idx].conn {
             ctx.conn_send(conn, msg.encode(xid));
         }
-    }
-
-    fn connect(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let target = self.ctrls[idx].target;
-        let c = &mut self.ctrls[idx];
-        c.state = ConnState::Connecting;
-        c.reader = MessageReader::new();
-        c.conn = Some(ctx.connect(target.0, target.1, ConnProfile::default()));
     }
 
     /// Answer a request on control channel `idx` with an ERROR under
@@ -216,7 +195,7 @@ impl OpenFlowSwitch {
     /// Emit PACKET_IN for a table miss: the whole frame, buffered
     /// nowhere (`OFP_NO_BUFFER`).
     fn packet_in(&mut self, ctx: &mut Ctx<'_>, in_port: PortNumber, frame: Bytes) {
-        if !self.ctrls.iter().any(|c| c.state == ConnState::Ready) {
+        if !self.ctrls.iter().any(|c| c.ready) {
             ctx.count("switch.miss_no_controller", 1);
             return;
         }
@@ -365,7 +344,7 @@ impl OpenFlowSwitch {
     fn handle_message(&mut self, ctx: &mut Ctx<'_>, idx: usize, msg: OfMessage, xid: u32) {
         match msg {
             OfMessage::Hello => {
-                self.ctrls[idx].state = ConnState::Ready;
+                self.ctrls[idx].ready = true;
             }
             OfMessage::FeaturesRequest => {
                 let reply = OfMessage::FeaturesReply(SwitchFeatures {
@@ -423,16 +402,8 @@ impl OpenFlowSwitch {
 
 impl Agent for OpenFlowSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for idx in 0..self.ctrls.len() {
-            self.connect(ctx, idx);
-        }
-    }
-
-    /// The redial of controller `token`.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let idx = token as usize;
-        if self.ctrls[idx].state == ConnState::Disconnected {
-            self.connect(ctx, idx);
+        for c in &mut self.ctrls {
+            c.conn = Some(ctx.connect(c.target.0, c.target.1, ConnProfile::default()));
         }
     }
 
@@ -467,8 +438,7 @@ impl Agent for OpenFlowSwitch {
             }
             StreamEvent::Closed => {
                 self.ctrls[idx].conn = None;
-                self.ctrls[idx].state = ConnState::Disconnected;
-                ctx.schedule(RECONNECT_BACKOFF, idx as u64);
+                self.ctrls[idx].ready = false;
             }
         }
     }

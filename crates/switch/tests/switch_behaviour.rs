@@ -1,7 +1,7 @@
 //! Behavioural tests for the OpenFlow switch agent: handshake, table
 //! miss → PACKET_IN, FLOW_MOD install, PACKET_OUT, undecodable
 //! requests, refused matches, commands, timeouts, flags, buffers,
-//! actions and output ports, reconnect.
+//! actions and output ports.
 
 use bytes::Bytes;
 use rf_openflow::{
@@ -584,51 +584,6 @@ fn actions_outside_the_three_are_refused_typed() {
     assert_eq!(tracer.counter("switch.decode_error"), 0);
     assert_eq!(tracer.counter("of.flow_mod"), 1, "the route alone");
     assert_eq!(tracer.counter("of.packet_out"), 0);
-}
-
-#[test]
-fn switch_reconnects_after_controller_restart() {
-    // Controller that closes the first connection after 1 s.
-    #[derive(Default, Clone)]
-    struct FlakyController {
-        conns: Vec<ConnId>,
-        opens: u32,
-    }
-    impl Agent for FlakyController {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.listen(6633);
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: u64) {
-            if let Some(&c) = self.conns.first() {
-                ctx.conn_close(c);
-            }
-        }
-        fn on_stream(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, event: StreamEvent) {
-            if let StreamEvent::Opened { .. } = event {
-                self.opens += 1;
-                self.conns.push(conn);
-                ctx.conn_send(conn, OfMessage::Hello.encode(1));
-                if self.opens == 1 {
-                    ctx.schedule(Duration::from_secs(1), 0);
-                }
-            }
-        }
-    }
-    let mut sim = Sim::new(SimConfig::default());
-    let ctrl = sim.add_agent("flaky", Box::new(FlakyController::default()));
-    let sw = sim.add_agent(
-        "sw",
-        Box::new(OpenFlowSwitch::new(SwitchConfig::new(1, 1, ctrl))),
-    );
-    let host = sim.add_agent("h", Box::new(FrameSink::default()));
-    sim.add_link((sw, 1), (host, 1), LinkProfile::default());
-    sim.run_until(rf_sim::Time::from_secs(5));
-    assert_eq!(
-        sim.agent_as::<FlakyController>(ctrl).unwrap().opens,
-        2,
-        "switch must redial after disconnect"
-    );
-    assert!(sim.agent_as::<OpenFlowSwitch>(sw).unwrap().is_connected());
 }
 
 /// There is no port 0. A PACKET_OUT naming it as `in_port` goes to the

@@ -480,7 +480,7 @@ fn an_lldp_probe_round_trip_allocates_for_one_message() {
 /// one per probe. (The first round also regrows what a clone holds
 /// empty: 4 event-queue buckets and the two switches' egress lists.)
 /// The capture, run on afterwards, behaves as a twin that was never
-/// forked: same events, same links, same discovery history.
+/// forked: same events, same links, same switches.
 #[test]
 fn a_fork_copies_the_templates_it_shares_once() {
     const PROBES: usize = 4;
@@ -511,7 +511,7 @@ fn a_fork_copies_the_templates_it_shares_once() {
         );
         let (got, want) = (controller(sim, ctrl), controller(&twin, ctrl));
         assert_eq!(got.links(), want.links(), "{name}: links");
-        assert_eq!(got.events, want.events, "{name}: discovery history");
+        assert_eq!(got.switches(), want.switches(), "{name}: switches");
     }
     assert_eq!(controller(&twin, ctrl).links().len(), 2);
 }
@@ -1190,13 +1190,12 @@ fn a_cold_start_allocates_half_of_what_it_did() {
 fn a_route_add_and_a_flow_mod_batch_are_one_buffer_each() {
     let route = RfMessage::RouteAdd {
         prefix: Ipv4Cidr::new(Ipv4Addr::new(172, 31, 0, 4), 30),
-        next_hop: Some(Ipv4Addr::new(172, 31, 0, 2)),
+        next_hop: Ipv4Addr::new(172, 31, 0, 2),
         out_iface: 1,
-        metric: 20,
     };
     let (wire, allocations, _) = counted(|| route.encode());
     assert_eq!((allocations, reallocations()), (1, 0), "a RouteAdd");
-    assert_eq!(wire.len(), 20);
+    assert_eq!(wire.len(), 16);
 
     let batch: Vec<OfMessage> = (0..16)
         .map(|i| OfMessage::FlowMod {

@@ -175,13 +175,14 @@ fn topology_controller_only_admin_input_is_the_ip_range() {
     assert_eq!(tc.switches().len(), 4);
     assert_eq!(tc.links().len(), 3);
     // All allocated subnets fall inside the administrator's range.
-    for ev in &tc.events {
-        if let rf_core::discovery::DiscoveryEvent::LinkUp { subnet, .. } = ev {
-            assert!(
-                Ipv4Cidr::new("172.31.0.0".parse().unwrap(), 16).contains(subnet.network()),
-                "{subnet} outside the admin range"
-            );
-        }
+    let rf = dep.sim.agent_as::<ControlPlane>(dep.rf_ctrl).unwrap();
+    assert_eq!(rf.state().links.len(), 3);
+    for link in &rf.state().links {
+        let subnet = link.subnet;
+        assert!(
+            Ipv4Cidr::new("172.31.0.0".parse().unwrap(), 16).contains(subnet.network()),
+            "{subnet} outside the admin range"
+        );
     }
 }
 
@@ -300,19 +301,67 @@ fn every_flow_mod_the_loop_sends_is_taken_through_faults() {
 /// side.
 #[test]
 fn the_loop_sends_only_what_the_far_end_takes() {
-    let with_fv = faulted_ring6(|b| b);
-    let direct = faulted_ring6(ScenarioBuilder::without_flowvisor);
-    assert!(direct.flowvisor.is_none());
-    for (layout, dep) in [("FlowVisor", &with_fv), ("direct", &direct)] {
+    for (layout, dep) in both_layouts() {
         let count = |name| dep.sim.tracer().counter(name);
         assert!(
             count("of.flow_mod") > 0 && count("of.packet_out") > 0,
             "{layout}"
         );
         assert_eq!(count("switch.decode_error"), 0, "{layout}");
+        assert_eq!(count("fv.decode_error"), 0, "{layout}");
         assert_eq!(count("fv.unexpected_from_switch"), 0, "{layout}");
         assert_eq!(count("fv.unexpected_from_controller"), 0, "{layout}");
-        no_switch_refused(dep);
+        no_switch_refused(&dep);
+    }
+}
+
+/// [`faulted_ring6`] with FlowVisor between the switches and the two
+/// controllers, and wired directly.
+fn both_layouts() -> [(&'static str, Scenario); 2] {
+    let direct = faulted_ring6(ScenarioBuilder::without_flowvisor);
+    assert!(direct.flowvisor.is_none());
+    [("FlowVisor", faulted_ring6(|b| b)), ("direct", direct)]
+}
+
+/// The premise of the switch's one dial: no controller, and not
+/// FlowVisor, closes a live switch's control channel. Under the faults
+/// and traffic above, in both layouts, every switch — the revived one
+/// included — holds every leg it dialled at start, open and past its
+/// HELLO (a switch does not redial, so a leg closed at any point stays
+/// closed).
+#[test]
+fn no_live_switch_loses_its_controller_leg() {
+    for (layout, dep) in both_layouts() {
+        for &id in &dep.switches {
+            let sw = dep
+                .sim
+                .agent_as::<rf_switch::OpenFlowSwitch>(id)
+                .expect("switch agent");
+            assert!(
+                sw.is_connected(),
+                "{layout}: switch {:#x} lost a controller leg",
+                sw.dpid()
+            );
+        }
+    }
+}
+
+/// The premise of the FIB mirror: a VM reports only routed prefixes,
+/// so the mirror filters none out. Under the faults and traffic above,
+/// in both layouts, every `RouteAdd` the controller decodes becomes a
+/// FLOW_MOD but four, each onto a link the controller had already
+/// removed: when switch 3 dies (20 s) and when the flapped link's
+/// probes time out (24 s), each neighbouring VM, handed a configuration
+/// without that link, drops the link's connected /30 before its OSPF
+/// interface, and its RIB falls back for that instant to the OSPF route
+/// to the /30 through the interface being removed. Any other drop
+/// fails this test.
+#[test]
+fn every_route_add_becomes_a_flow_mod_unless_its_link_is_gone() {
+    for (layout, dep) in both_layouts() {
+        let count = |name| dep.sim.tracer().counter(name);
+        assert!(count("rf.flow_add") > 0, "{layout}");
+        assert_eq!(count("rf.route_add_stale"), 4, "{layout}");
     }
 }
 

@@ -216,13 +216,13 @@ fn the_controller_reads_past_a_frame_it_cannot_decode() {
     assert_eq!(rtt(0), rtt(1), "the first probe waited for the next chunk");
 }
 
-/// The RPC relay forwards a request that follows an envelope it
-/// cannot decode (an unknown kind) in the same chunk to the server one
-/// relay hop after the chunk, as it forwards one sent alone.
+/// The RPC relay forwards the envelopes in a chunk one by one, as they
+/// arrived, one relay hop after the chunk: a request behind an
+/// envelope the server cannot decode (an unknown kind) goes on at once,
+/// as one sent alone does, and so does the bad envelope — the server
+/// counts it, the relay decodes nothing.
 #[test]
 fn the_relay_reads_past_an_envelope_it_cannot_decode() {
-    // The request names its own id as the dpid: the relay forwards it
-    // under an id of its own.
     let request = |req_id| {
         encode_envelope(&Envelope::Request {
             req_id,
@@ -268,19 +268,18 @@ fn the_relay_reads_past_an_envelope_it_cannot_decode() {
     for (at, chunk) in &sim.agent_as::<Sink>(server).expect("sink agent").received {
         let mut reader = RpcFrameReader::new();
         reader.push_bytes(chunk.clone());
-        while let Some(Ok(Envelope::Request { request, .. })) = reader.next() {
-            let RpcRequest::SwitchDetected { dpid, .. } = request else {
-                panic!("the relay forwards what it reads: {request:?}");
-            };
-            forwarded.push((dpid, *at));
+        while let Some(frame) = reader.next_frame() {
+            forwarded.push((frame.expect("a framed envelope"), *at));
         }
     }
-    let hop = |i: usize| forwarded[i].1.since(sent[i]);
     assert_eq!(
-        forwarded.iter().map(|(dpid, _)| *dpid).collect::<Vec<_>>(),
-        [5, 6]
+        forwarded.iter().map(|(f, _)| f.clone()).collect::<Vec<_>>(),
+        [bad, request(5), request(6)],
+        "the relay forwards what it framed, byte for byte"
     );
-    assert_eq!(hop(0), hop(1), "request 5 waited for the next chunk");
+    let hop = |i: usize, chunk: usize| forwarded[i].1.since(sent[chunk]);
+    assert_eq!(hop(0, 0), hop(2, 1), "the bad envelope waited");
+    assert_eq!(hop(1, 0), hop(2, 1), "request 5 waited for the next chunk");
 }
 
 /// A VM applies the configuration files that follow an RF frame it

@@ -1,9 +1,8 @@
 //! Discovery integration: real switches (optionally behind FlowVisor)
 //! discovered by the topology controller via LLDP.
 
-use rf_core::discovery::{
-    DiscoveryEvent, TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE,
-};
+use rf_core::discovery::{TopologyController, TopologyControllerConfig, TOPOLOGY_OF_SERVICE};
+use rf_rpc::RpcRequest;
 use rf_sim::{LinkProfile, Sim, SimConfig, Time};
 use rf_switch::{OpenFlowSwitch, SwitchConfig};
 use rf_topo::{ring, Topology};
@@ -71,16 +70,14 @@ fn build_into(sim: &mut Sim, topo: &Topology, cfg: TopologyControllerConfig) -> 
 #[test]
 fn ring4_fully_discovered() {
     let topo = ring(4);
-    let (mut sim, tc) = build(&topo, cfg());
+    let (mut sim, tc, relay) = build_with_relay(&topo, cfg());
     sim.run_until(Time::from_secs(5));
     let t = sim.agent_as::<TopologyController>(tc).unwrap();
     assert_eq!(t.switches().len(), 4);
     assert_eq!(t.links().len(), 4, "ring-4 has 4 links");
-    // Every switch join preceded the link ups involving it.
-    let joins = t
-        .events
+    let joins = relay_requests(&sim, relay)
         .iter()
-        .filter(|e| matches!(e, DiscoveryEvent::SwitchJoin { .. }))
+        .filter(|r| matches!(r, RpcRequest::SwitchDetected { .. }))
         .count();
     assert_eq!(joins, 4);
 }
@@ -88,14 +85,12 @@ fn ring4_fully_discovered() {
 #[test]
 fn subnets_are_unique_per_link() {
     let topo = ring(6);
-    let (mut sim, tc) = build(&topo, cfg());
+    let (mut sim, _tc, relay) = build_with_relay(&topo, cfg());
     sim.run_until(Time::from_secs(5));
-    let t = sim.agent_as::<TopologyController>(tc).unwrap();
-    let mut subnets: Vec<String> = t
-        .events
+    let mut subnets: Vec<String> = relay_requests(&sim, relay)
         .iter()
-        .filter_map(|e| match e {
-            DiscoveryEvent::LinkUp { subnet, .. } => Some(subnet.to_string()),
+        .filter_map(|r| match r {
+            RpcRequest::LinkDetected { subnet, .. } => Some(subnet.to_string()),
             _ => None,
         })
         .collect();
@@ -147,10 +142,11 @@ fn a_silent_link_lives_three_probe_intervals() {
 #[test]
 fn dead_switch_is_removed_with_its_links() {
     let topo = ring(4);
-    let (mut sim, tc) = build(&topo, cfg());
+    let (mut sim, tc, relay) = build_with_relay(&topo, cfg());
     sim.run_until(Time::from_secs(3));
-    // Kill switch agent 1 (dpid 1, the first switch added after tc).
-    let victim = rf_sim::AgentId(1);
+    // Kill switch agent 2 (dpid 1, the first switch added after the
+    // relay and tc).
+    let victim = rf_sim::AgentId(2);
     assert!(sim.agent_as::<OpenFlowSwitch>(victim).is_some());
     // Find the controller's view before the kill.
     assert_eq!(
@@ -173,15 +169,12 @@ fn dead_switch_is_removed_with_its_links() {
     let t = sim.agent_as::<TopologyController>(tc).unwrap();
     assert_eq!(t.switches().len(), 3, "victim gone from switch list");
     assert_eq!(t.links().len(), 2, "its two ring links are down");
-    assert!(t
-        .events
-        .iter()
-        .any(|e| matches!(e, DiscoveryEvent::SwitchLeave { dpid: 1 })));
+    let requests = relay_requests(&sim, relay);
+    assert!(requests.contains(&RpcRequest::SwitchRemoved { dpid: 1 }));
     // Its subnets were recycled into the allocator (2 links down).
-    let downs = t
-        .events
+    let downs = requests
         .iter()
-        .filter(|e| matches!(e, DiscoveryEvent::LinkDown { .. }))
+        .filter(|r| matches!(r, RpcRequest::LinkRemoved { .. }))
         .count();
     assert_eq!(downs, 2);
 }
@@ -196,11 +189,19 @@ fn pan_european_topology_discovered() {
     assert_eq!(t.links().len(), 41);
 }
 
-/// Stands in for the RPC relay: logs the request ids each connection
-/// carries.
+/// One connection to the relay: its reader and the requests it has
+/// carried, with their ids.
+type RelayLeg = (
+    rf_sim::ConnId,
+    rf_rpc::RpcFrameReader,
+    Vec<(u64, RpcRequest)>,
+);
+
+/// Stands in for the RPC relay: logs the requests each connection
+/// carries, with their ids.
 #[derive(Clone, Default)]
 struct RecordingRelay {
-    conns: Vec<(rf_sim::ConnId, rf_rpc::RpcFrameReader, Vec<u64>)>,
+    conns: Vec<RelayLeg>,
 }
 
 impl rf_sim::Agent for RecordingRelay {
@@ -219,14 +220,14 @@ impl rf_sim::Agent for RecordingRelay {
                     .push((conn, rf_rpc::RpcFrameReader::new(), Vec::new()));
             }
             rf_sim::StreamEvent::Data(data) => {
-                let (_, reader, ids) = self
+                let (_, reader, log) = self
                     .conns
                     .iter_mut()
                     .find(|(c, _, _)| *c == conn)
                     .expect("data follows open");
                 reader.push_bytes(data);
-                while let Some(Ok(rf_rpc::Envelope::Request { req_id, .. })) = reader.next() {
-                    ids.push(req_id);
+                while let Some(Ok(rf_rpc::Envelope::Request { req_id, request })) = reader.next() {
+                    log.push((req_id, request));
                 }
             }
             rf_sim::StreamEvent::Closed => {}
@@ -234,13 +235,23 @@ impl rf_sim::Agent for RecordingRelay {
     }
 }
 
-/// The controller's requests, per connection to the relay.
+/// The controller's request ids, per connection to the relay.
 fn relay_log(sim: &Sim, relay: rf_sim::AgentId) -> Vec<Vec<u64>> {
     sim.agent_as::<RecordingRelay>(relay)
         .unwrap()
         .conns
         .iter()
-        .map(|(_, _, ids)| ids.clone())
+        .map(|(_, _, log)| log.iter().map(|(id, _)| *id).collect())
+        .collect()
+}
+
+/// Every request the controller sent the relay, in order.
+fn relay_requests(sim: &Sim, relay: rf_sim::AgentId) -> Vec<RpcRequest> {
+    sim.agent_as::<RecordingRelay>(relay)
+        .unwrap()
+        .conns
+        .iter()
+        .flat_map(|(_, _, log)| log.iter().map(|(_, request)| request.clone()))
         .collect()
 }
 
@@ -259,15 +270,13 @@ fn exhausted_range_counts_and_announces_no_link() {
     // One /30 for a ring of four links: the first link discovered gets
     // it, the other three find the pool empty.
     let one_block = TopologyControllerConfig::new("172.31.0.0/30".parse().unwrap());
-    let (mut sim, tc, relay) = build_with_relay(&ring(4), one_block);
+    let (mut sim, _tc, relay) = build_with_relay(&ring(4), one_block);
     sim.run_until(Time::from_secs(5));
 
     assert_eq!(sim.tracer().counter("topo.alloc_exhausted"), 3);
-    let t = sim.agent_as::<TopologyController>(tc).unwrap();
-    let ups = t
-        .events
+    let ups = relay_requests(&sim, relay)
         .iter()
-        .filter(|e| matches!(e, DiscoveryEvent::LinkUp { .. }))
+        .filter(|r| matches!(r, RpcRequest::LinkDetected { .. }))
         .count();
     assert_eq!(ups, 1);
     // 4 SwitchDetected + 1 LinkDetected: no RPC for the other three.

@@ -183,6 +183,7 @@ fn a_forked_group_runs_its_fault_free_prefix_once() {
     // cell's harvest drain: one pass per cell here, which wakes the
     // controller for the batch flush and the channel drain. No switch
     // port-status tick or SET_CONFIG: 4 696 events fewer than with them.
+    // No RouteAdd for a connected route: 104 deliveries fewer.
     let matrix = ScenarioMatrix::new(ladder_spec());
     let (cold, cold_stats) = matrix.run_instrumented(2, ScenarioMatrix::standard_builder);
     let cold_json = cold.to_json();
@@ -198,7 +199,7 @@ fn a_forked_group_runs_its_fault_free_prefix_once() {
         );
         assert_eq!(stats.total_events(), cold_stats.total_events());
         assert!(stats.dispatched * 2 < cold_stats.total_events());
-        assert_eq!(stats.dispatched, 72_188, "events actually simulated");
+        assert_eq!(stats.dispatched, 72_084, "events actually simulated");
     }
 }
 

@@ -26,7 +26,9 @@
 //! naming an `OUTPUT` to a virtual port, to `NONE` or to port 0 does not
 //! decode; it is refused with `ERROR(BAD_ACTION, OFPBAC_BAD_OUT_PORT)`
 //! under the slice's xid, as the real proxy refuses it. The cached
-//! FEATURES_REPLY is the real crate's dpid and port count.
+//! FEATURES_REPLY is the real crate's dpid and port count. A framed
+//! message from either side that does not decode (and is not refused)
+//! counts as `fv.decode_error`, as in the real proxy.
 
 // ADAPTED: the policy type is the real crate's.
 use super::key_model::from_frame_bytes;
@@ -56,14 +58,6 @@ fn reframe_with_xid(raw: &Bytes, xid: u32) -> Bytes {
     out.extend_from_slice(raw);
     out[4..8].copy_from_slice(&xid.to_be_bytes());
     out.freeze()
-}
-
-// ADAPTED: `MessageReader::next_raw` as it was — frame, then decode.
-fn next_raw(reader: &mut MessageReader) -> Option<Result<(OfMessage, u32, Bytes), OfError>> {
-    reader.next_frame().map(|raw| {
-        let raw = raw?;
-        OfMessage::decode_bytes(&raw).map(|(msg, xid)| (msg, xid, raw))
-    })
 }
 
 // ADAPTED: a request refused as it decoded: its xid, and the ERROR's
@@ -411,9 +405,13 @@ impl Agent for ModelFlowVisor {
                         {
                             let reader = &mut self.switches[sw].reader;
                             reader.push_bytes(data);
-                            while let Some(r) = next_raw(reader) {
-                                if let Ok(m) = r {
-                                    msgs.push(Ok(m));
+                            while let Some(raw) = reader.next_frame() {
+                                let Ok(raw) = raw else { continue };
+                                match OfMessage::decode_bytes(&raw) {
+                                    Ok((msg, xid)) => msgs.push(Ok((msg, xid, raw))),
+                                    // ADAPTED: a message that does not
+                                    // decode is counted.
+                                    Err(_) => ctx.count("fv.decode_error", 1),
                                 }
                             }
                         }
@@ -446,7 +444,12 @@ impl Agent for ModelFlowVisor {
                                     Err(OfError::BadCommand(_)) => (ErrorType::FlowModFailed, 4),
                                     // OFPFMFC_UNSUPPORTED
                                     Err(OfError::UnsupportedMatch) => (ErrorType::FlowModFailed, 5),
-                                    Err(_) => continue,
+                                    // ADAPTED: any other message that
+                                    // does not decode is counted.
+                                    Err(_) => {
+                                        ctx.count("fv.decode_error", 1);
+                                        continue;
+                                    }
                                 };
                                 let header = rf_openflow::OfHeader::parse(&raw);
                                 msgs.push(Err((header.expect("framed").xid, refusal.0, refusal.1)));

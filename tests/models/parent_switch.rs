@@ -17,8 +17,8 @@
 //! FLOW_MOD or PACKET_OUT naming any other — it does not decode — is
 //! refused with `ERROR(BAD_ACTION, OFPBAC_BAD_TYPE)` as the real switch
 //! refuses it. Like the real switch it sends no keepalive ECHO_REQUEST
-//! and answers none, nor a VENDOR message: neither decodes (it still
-//! redials a dropped controller). Its
+//! and answers none, nor a VENDOR message: neither decodes; nor does it
+//! redial a dropped controller. Its
 //! FLOW_MODs are the real crate's ADD and DELETE_STRICT of an EtherType
 //! or an IPv4 destination prefix: a MODIFY, a loose DELETE or a match on
 //! another field does not decode and is refused as the real switch
@@ -47,17 +47,11 @@ use rf_openflow::{
 use rf_sim::{Agent, ConnId, ConnProfile, Ctx, StreamEvent};
 use rf_switch::{apply_actions, Egress, FlowTable, SwitchConfig};
 use std::collections::HashMap;
-use std::time::Duration;
 
-/// Reconnect tokens are `T_RECONNECT_BASE + controller index`.
-const T_RECONNECT_BASE: u64 = 1000;
 // ADAPTED: no keepalive timer (`T_ECHO`, `ECHO_INTERVAL`): nothing
 // read its ECHO_REPLY. No port-status timer either: nothing read a
-// PORT_STATUS.
-
-// ADAPTED: the parent read this from `SwitchConfig`, whose default it
-// is; the real switch now fixes it as a constant of its own.
-const RECONNECT_BACKOFF: Duration = Duration::from_secs(1);
+// PORT_STATUS. No redial timer: no controller closes a live switch's
+// leg, so a closed one stays closed.
 
 // ADAPTED: `PacketKey::from_frame_bytes` as it was — the whole key from
 // every frame — is `models/parent_key.rs`.
@@ -391,18 +385,6 @@ impl Agent for ModelSwitch {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        match token {
-            t if t >= T_RECONNECT_BASE => {
-                let idx = (t - T_RECONNECT_BASE) as usize;
-                if idx < self.ctrls.len() && self.ctrls[idx].state == ConnState::Disconnected {
-                    self.connect(ctx, idx);
-                }
-            }
-            _ => {}
-        }
-    }
-
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: u32, frame: Bytes) {
         let port = port as u16;
         let Some(idx) = port_index(port) else {
@@ -477,7 +459,6 @@ impl Agent for ModelSwitch {
             StreamEvent::Closed => {
                 self.ctrls[idx].conn = None;
                 self.ctrls[idx].state = ConnState::Disconnected;
-                ctx.schedule(RECONNECT_BACKOFF, T_RECONNECT_BASE + idx as u64);
             }
         }
     }
